@@ -1,9 +1,6 @@
 package main
 
-import (
-	"go/ast"
-	"path/filepath"
-)
+import "go/ast"
 
 // rowchanPkgs are the packages whose channels sit on the query hot path:
 // a `chan types.Row` there reintroduces the per-row channel select the
@@ -12,12 +9,6 @@ var rowchanPkgs = map[string]bool{
 	"repro/internal/exec":    true,
 	"repro/internal/cluster": true,
 	"repro/internal/srv":     true,
-}
-
-// rowchanAllowFiles are the adapter seams where row-granular plumbing is
-// the point (batch↔row adapters); channels there are exempt.
-var rowchanAllowFiles = map[string]bool{
-	"batch.go": true,
 }
 
 // rowchanAnalyzer flags `chan types.Row` (any direction) in exec/cluster
@@ -37,9 +28,6 @@ func runRowchan(p *Pass) {
 		if p.isTestFile(f.Pos()) {
 			continue
 		}
-		if rowchanAllowFiles[filepath.Base(p.Pkg.Fset.Position(f.Pos()).Filename)] {
-			continue
-		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			ct, ok := n.(*ast.ChanType)
 			if !ok {
@@ -52,7 +40,7 @@ func runRowchan(p *Pass) {
 			if isNamedPtr(tv.Type, "internal/types", "Row") {
 				p.Report("rowchan", ct.Pos(),
 					"chan types.Row on a hot path pays one channel select per row; "+
-						"move rows in slabs (chan []types.Row / BatchOperator)")
+						"move rows in slabs (chan []types.Row, as exec.Operator does)")
 			}
 			return true
 		})

@@ -1,7 +1,7 @@
 package main
 
-// slabown enforces the BatchOperator ownership contract documented in
-// internal/exec/batch.go: the slab returned by NextBatch is valid only
+// slabown enforces the exec.Operator slab-ownership contract documented in
+// internal/exec/operator.go: the slab returned by NextBatch is valid only
 // until the next NextBatch or Close call. Storing the slab — or a
 // sub-slice of it — into a struct field, a package variable, or a closure
 // that outlives the statement retains memory the producer is about to

@@ -73,8 +73,8 @@ type ExecProfile struct {
 	SortParallelism int
 	// VectorizedScan runs columnar fragment scans through the typed vector
 	// path (exec.VecColumnarScan): column slabs decode straight into
-	// vec.Batch columns with no per-value boxing. The vector scan decodes
-	// serially, so ScanParallelism does not apply to it.
+	// vec.Batch columns with no per-value boxing. ScanParallelism applies
+	// to it like to the other scans (morsel-parallel page-set workers).
 	VectorizedScan bool
 }
 

@@ -179,24 +179,34 @@ func (q *queryExec) channel(tag string) string {
 // Run plans nothing — it takes an already-built logical plan, distributes
 // it, executes it, and returns all result rows at the coordinator.
 func (c *Cluster) Run(root plan.Node) ([]types.Row, error) {
-	op, err := c.CompileDistributed(root)
+	op, err := c.newQueryExec(c.Coords[0], nil).compile(root)
 	if err != nil {
 		return nil, err
 	}
 	return exec.Collect(op)
 }
 
-// CompileDistributed converts a logical plan into a coordinator-side
-// operator whose Open launches the distributed dataflow.
-func (c *Cluster) CompileDistributed(root plan.Node) (exec.Operator, error) {
+// CompileDistributed converts a logical plan into a coordinator-side row
+// cursor whose Open launches the distributed dataflow.
+func (c *Cluster) CompileDistributed(root plan.Node) (*exec.Cursor, error) {
 	return c.CompileDistributedOn(c.Coords[0], root)
 }
 
 // CompileDistributedOn compiles against a specific coordinator (results
 // route through it; Section I: query results are always routed to the
 // client through the coordinator that planned the query).
-func (c *Cluster) CompileDistributedOn(coord *CoordinatorNode, root plan.Node) (exec.Operator, error) {
-	q := c.newQueryExec(coord, nil)
+func (c *Cluster) CompileDistributedOn(coord *CoordinatorNode, root plan.Node) (*exec.Cursor, error) {
+	op, err := c.newQueryExec(coord, nil).compile(root)
+	if err != nil {
+		return nil, err
+	}
+	return exec.NewCursor(op), nil
+}
+
+// compile materializes the plan's scalar subqueries, distributes it, and
+// returns the coordinator-side root operator (gathering a worker-resident
+// result to the coordinator when distribution left it there).
+func (q *queryExec) compile(root plan.Node) (exec.Operator, error) {
 	if err := q.materializeScalars(root); err != nil {
 		return nil, err
 	}
@@ -204,10 +214,10 @@ func (c *Cluster) CompileDistributedOn(coord *CoordinatorNode, root plan.Node) (
 	if err != nil {
 		return nil, err
 	}
-	if coordOp != nil {
-		return coordOp, nil
+	if coordOp == nil {
+		coordOp = q.gatherPlain(ds)
 	}
-	return q.gatherPlain(ds), nil
+	return coordOp, nil
 }
 
 // materializeScalars executes uncorrelated scalar subqueries first, with
@@ -270,15 +280,9 @@ func (q *queryExec) runSubquery(root plan.Node) ([]types.Row, error) {
 		*q.qids = append(*q.qids, sub.qid)
 	}
 	q.scope.AddPrefix(fmt.Sprintf("q%d.", sub.qid))
-	if err := sub.materializeScalars(root); err != nil {
-		return nil, err
-	}
-	ds, coordOp, err := sub.distribute(root)
+	coordOp, err := sub.compile(root)
 	if err != nil {
 		return nil, err
-	}
-	if coordOp == nil {
-		coordOp = sub.gatherPlain(ds)
 	}
 	return exec.Collect(coordOp)
 }
@@ -495,7 +499,7 @@ func (q *queryExec) distributeScan(x *plan.Scan) (*dstream, exec.Operator, error
 				return nil, nil, fmt.Errorf("cluster: worker %d has no fragment of %s", w.ID, name)
 			}
 			if q.prof.VectorizedScan {
-				op = exec.FromVec(exec.NewVecColumnarScan(fr, x.Alias, wcfg))
+				op = exec.NewVecColumnarScan(fr, x.Alias, wcfg)
 			} else {
 				op = exec.NewColumnarScan(fr, x.Alias, wcfg)
 			}
@@ -1117,10 +1121,9 @@ func (q *queryExec) gatherTree(ds *dstream, combine func([]exec.Operator) exec.O
 }
 
 // workerDriver is a coordinator-side operator that launches the worker
-// goroutines of a gather when opened and surfaces their errors. It is also
-// batch-native: the coordinator side of a gather is a Recv (or a merge of
-// Recvs), and serving its wire batches through keeps the batch pipeline
-// intact end-to-end.
+// goroutines of a gather when opened and surfaces their errors. The
+// coordinator side of a gather is a Recv (or a merge of Recvs), whose wire
+// batches it serves through as slabs.
 type workerDriver struct {
 	coordSide func() exec.Operator
 	launch    func() []func() error
@@ -1130,7 +1133,6 @@ type workerDriver struct {
 	live *sync.WaitGroup
 
 	op      exec.Operator
-	bop     exec.BatchOperator
 	errs    chan error
 	pending int
 	mu      sync.Mutex
@@ -1149,7 +1151,6 @@ func (d *workerDriver) Schema() types.Schema {
 // Open implements exec.Operator.
 func (d *workerDriver) Open() error {
 	d.op = d.coordSide()
-	d.bop = nil
 	if err := d.op.Open(); err != nil {
 		return err
 	}
@@ -1171,25 +1172,10 @@ func (d *workerDriver) Open() error {
 	return nil
 }
 
-// Next implements exec.Operator.
-func (d *workerDriver) Next() (types.Row, bool, error) {
-	r, ok, err := d.op.Next()
-	if err != nil {
-		return nil, false, err
-	}
-	if ok {
-		return r, true, nil
-	}
-	return nil, false, d.finish()
-}
-
-// NextBatch implements exec.BatchOperator, delegating to the coordinator
-// operator's batch path (or an adapter over it).
+// NextBatch implements exec.Operator, delegating to the coordinator-side
+// operator and collecting the worker outcomes once it is exhausted.
 func (d *workerDriver) NextBatch() ([]types.Row, bool, error) {
-	if d.bop == nil {
-		d.bop = exec.ToBatch(d.op, 0)
-	}
-	b, ok, err := d.bop.NextBatch()
+	b, ok, err := d.op.NextBatch()
 	if err != nil {
 		return nil, false, err
 	}
@@ -1235,10 +1221,10 @@ func (d *workerDriver) Close() error {
 	if d.pending > 0 {
 		op, errs, pending := d.op, d.errs, d.pending
 		live, tracked := d.live, d.tracked
-		d.op, d.bop, d.errs, d.pending, d.tracked = nil, nil, nil, 0, false
+		d.op, d.errs, d.pending, d.tracked = nil, nil, 0, false
 		go func() {
 			for {
-				if _, ok, err := op.Next(); err != nil || !ok {
+				if _, ok, err := op.NextBatch(); err != nil || !ok {
 					break
 				}
 			}
@@ -1253,20 +1239,14 @@ func (d *workerDriver) Close() error {
 		return nil
 	}
 	err := d.op.Close()
-	d.op, d.bop = nil, nil
+	d.op = nil
 	done()
 	return err
 }
 
-// renameSchema overrides an operator's reported schema, preserving the
-// operator's batch path when it has one (plain interface embedding would
-// hide NextBatch).
+// renameSchema overrides an operator's reported schema.
 func renameSchema(op exec.Operator, sch types.Schema) exec.Operator {
-	so := &schemaOverride{Operator: op, sch: sch}
-	if bin, ok := op.(exec.BatchOperator); ok {
-		return &batchSchemaOverride{schemaOverride: so, bin: bin}
-	}
-	return so
+	return &schemaOverride{Operator: op, sch: sch}
 }
 
 type schemaOverride struct {
@@ -1275,13 +1255,6 @@ type schemaOverride struct {
 }
 
 func (s *schemaOverride) Schema() types.Schema { return s.sch }
-
-type batchSchemaOverride struct {
-	*schemaOverride
-	bin exec.BatchOperator
-}
-
-func (s *batchSchemaOverride) NextBatch() ([]types.Row, bool, error) { return s.bin.NextBatch() }
 
 // mapColsByPosition renames dist columns positionally between two schemas.
 func mapColsByPosition(cols []string, from, to types.Schema) []string {

@@ -53,23 +53,17 @@ func (q *queryExec) findIndexPath(x *plan.Scan) *indexMatch {
 // indexScanOp probes one worker's index and re-fetches rows by RID,
 // applying the scan's full residual predicate.
 type indexScanOp struct {
-	w    *Worker
-	fr   *storage.Fragment
-	def  *catalog.IndexDef
-	key  types.Value
-	pred expr.Expr
-	sch  types.Schema
-
-	rows []types.Row
-	pos  int
+	exec.Source // serves the fetched rows; Open fills Rows
+	w           *Worker
+	fr          *storage.Fragment
+	def         *catalog.IndexDef
+	key         types.Value
+	pred        expr.Expr
 }
-
-// Schema implements exec.Operator.
-func (s *indexScanOp) Schema() types.Schema { return s.sch }
 
 // Open implements exec.Operator: the probe happens here.
 func (s *indexScanOp) Open() error {
-	s.rows, s.pos = nil, 0
+	s.Rows = nil
 	var rids []page.RID
 	var err error
 	if bt := s.w.btreeIdx[s.def.Name]; bt != nil {
@@ -99,23 +93,10 @@ func (s *indexScanOp) Open() error {
 				continue
 			}
 		}
-		s.rows = append(s.rows, r)
+		s.Rows = append(s.Rows, r)
 	}
-	return nil
+	return s.Source.Open()
 }
-
-// Next implements exec.Operator.
-func (s *indexScanOp) Next() (types.Row, bool, error) {
-	if s.pos >= len(s.rows) {
-		return nil, false, nil
-	}
-	r := s.rows[s.pos]
-	s.pos++
-	return r, true, nil
-}
-
-// Close implements exec.Operator.
-func (s *indexScanOp) Close() error { return nil }
 
 // maintainIndexes applies an insert or delete to every index on a table
 // for one worker. Index updates piggyback on the data transaction's page
@@ -156,7 +137,8 @@ func (q *queryExec) indexScan(x *plan.Scan, m *indexMatch) (*dstream, error) {
 	for _, w := range q.c.Workers {
 		fr := w.frags[name]
 		op := q.wrap("IndexScan "+m.def.Name, w.ID, &indexScanOp{
-			w: w, fr: fr, def: m.def, key: m.key, pred: x.Pred, sch: x.Schema(),
+			Source: exec.Source{Sch: x.Schema()},
+			w:      w, fr: fr, def: m.def, key: m.key, pred: x.Pred,
 		})
 		ds.ops = append(ds.ops, op)
 	}

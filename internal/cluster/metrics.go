@@ -113,20 +113,14 @@ func (c *Cluster) runMetered(coord *CoordinatorNode, root plan.Node, traced bool
 
 	var m RunMetrics
 	start := time.Now()
-	if err := q.materializeScalars(root); err != nil {
-		return nil, m, tr, err
-	}
-	ds, coordOp, err := q.distribute(root)
+	coordOp, err := q.compile(root)
 	if err != nil {
 		return nil, m, tr, err
-	}
-	if coordOp == nil {
-		coordOp = q.gatherPlain(ds)
 	}
 	// Guard re-checks the kill switch on every coordinator pull, so KILL
 	// surfaces within one batch boundary even while the plan is waiting on
 	// a network message.
-	rows, err := collectRows(exec.Guard(q.cancel(), coordOp))
+	rows, err := exec.Collect(exec.Guard(q.cancel(), coordOp))
 	if err != nil {
 		return nil, m, tr, err
 	}
@@ -206,26 +200,4 @@ func (c *Cluster) totalSkipped() int64 {
 		}
 	}
 	return total
-}
-
-func collectRows(op interface {
-	Open() error
-	Next() (types.Row, bool, error)
-	Close() error
-}) ([]types.Row, error) {
-	if err := op.Open(); err != nil {
-		return nil, err
-	}
-	defer op.Close()
-	var out []types.Row
-	for {
-		r, ok, err := op.Next()
-		if err != nil {
-			return out, err
-		}
-		if !ok {
-			return out, nil
-		}
-		out = append(out, r)
-	}
 }

@@ -100,9 +100,9 @@ func TestTraceSpanSumsMatchRunMetrics(t *testing.T) {
 }
 
 // TestRunMeteredConcurrentNetIsolation is the regression test for the old
-// Meter().Reset() scheme, where two overlapping RunMetered calls wiped each
-// other's counters. With per-query scopes, each concurrent run must report
-// exactly the bytes a solo run reports.
+// reset-the-shared-meter scheme, where two overlapping RunMetered calls
+// wiped each other's counters. With per-query scopes, each concurrent run
+// must report exactly the bytes a solo run reports.
 func TestRunMeteredConcurrentNetIsolation(t *testing.T) {
 	c, _ := newCluster(t, 3, HRDBMSProfile())
 	sql := `SELECT c.c_nationkey, SUM(o.o_totalprice)

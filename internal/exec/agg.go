@@ -467,50 +467,17 @@ func (h *HashAggregate) prepareSerial(fromStates bool) error {
 		return nil
 	}
 
-	// Drain the input on the batch path when it offers one: the table build
-	// is the hot loop of every aggregation query, and slab-at-a-time input
-	// removes the per-row iterator call.
-	if bin, ok := nativeBatch(h.In); ok {
-		for {
-			// Per-batch kill check: the input may produce many rows per
-			// upstream cancel check (a high-fanout join probe), and the
-			// blocking build would otherwise run to exhaustion.
-			if err := h.ctx.canceled(); err != nil {
-				return err
-			}
-			batch, ok, err := bin.NextBatch()
-			if err != nil {
-				return err
-			}
-			if !ok {
-				break
-			}
-			for _, r := range batch {
-				if err := ingest(r); err != nil {
-					return err
-				}
-			}
-		}
-	} else {
-		rowsSinceCheck := 0
-		for {
-			r, ok, err := h.In.Next()
-			if err != nil {
-				return err
-			}
-			if !ok {
-				break
-			}
-			if rowsSinceCheck++; rowsSinceCheck >= 1024 {
-				rowsSinceCheck = 0
-				if err := h.ctx.canceled(); err != nil {
-					return err
-				}
-			}
+	// Slab-at-a-time input keeps the per-row iterator call out of the table
+	// build, the hot loop of every aggregation query.
+	if err := drain(h.ctx, h.In, func(batch []types.Row) error {
+		for _, r := range batch {
 			if err := ingest(r); err != nil {
 				return err
 			}
 		}
+		return nil
+	}); err != nil {
+		return err
 	}
 	emit()
 
@@ -727,7 +694,7 @@ func (h *HashAggregate) prepareParallel(degree int, fromStates bool) error {
 			}
 		}(aw)
 	}
-	feedErr := feedRowBatches(h.ctx, h.In, h.ctx.batchRows(), batches, stop)
+	feedErr := feedRowBatches(h.ctx, h.In, batches, stop)
 	close(batches)
 	wg.Wait()
 	abortSpills := func() {
@@ -793,65 +760,22 @@ func (h *HashAggregate) prepareParallel(degree int, fromStates bool) error {
 	return nil
 }
 
-// feedRowBatches drains an operator on the batch path when it offers one,
-// fanning slabs out to parallel build workers. Every slab is copied before
-// crossing the goroutine boundary (the producer reuses its slab buffer per
-// the batch ownership contract). Returns early without error when stop
-// closes — the workers already have an error to report. The kill switch is
-// re-checked per batch: blocking consumers (aggregation, sort) may sit over
-// inputs that buffer many rows per upstream cancel check, and this bound
-// keeps KILL latency at one batch regardless.
-func feedRowBatches(ctx *Ctx, in Operator, size int, batches chan<- []types.Row, stop <-chan struct{}) error {
-	if bin, ok := nativeBatch(in); ok {
-		for {
-			if err := ctx.canceled(); err != nil {
-				return err
-			}
-			b, ok, err := bin.NextBatch()
-			if err != nil {
-				return err
-			}
-			if !ok {
-				return nil
-			}
-			cp := make([]types.Row, len(b))
-			copy(cp, b)
-			select {
-			case batches <- cp:
-			case <-stop:
-				return nil
-			}
-		}
-	}
-	buf := make([]types.Row, 0, size)
-	for {
-		r, ok, err := in.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		buf = append(buf, r)
-		if len(buf) >= size {
-			if err := ctx.canceled(); err != nil {
-				return err
-			}
-			select {
-			case batches <- buf:
-			case <-stop:
-				return nil
-			}
-			buf = make([]types.Row, 0, size)
-		}
-	}
-	if len(buf) > 0 {
+// feedRowBatches drains an operator, fanning its slabs out to parallel
+// build workers. Every slab is copied before crossing the goroutine
+// boundary (the producer reuses its slab buffer per the ownership
+// contract). Returns early without error when stop closes — the workers
+// already have an error to report.
+func feedRowBatches(ctx *Ctx, in Operator, batches chan<- []types.Row, stop <-chan struct{}) error {
+	return drain(ctx, in, func(b []types.Row) error {
+		cp := make([]types.Row, len(b))
+		copy(cp, b)
 		select {
-		case batches <- buf:
+		case batches <- cp:
+			return nil
 		case <-stop:
+			return errStopDrain
 		}
-	}
-	return nil
+	})
 }
 
 // mergePartition combines every worker's partition-p table into one
@@ -955,40 +879,14 @@ func (h *HashAggregate) mergePartition(p int, workers []*aggWorker, fromStates b
 	return out, nil
 }
 
-// Next implements Operator.
-func (h *HashAggregate) Next() (types.Row, bool, error) {
-	if !h.prepared {
-		if err := h.prepare(); err != nil {
-			return nil, false, err
-		}
-	}
-	if h.pos >= len(h.results) {
-		return nil, false, nil
-	}
-	r := h.results[h.pos]
-	h.pos++
-	return r, true, nil
-}
-
-// NextBatch implements BatchOperator, serving the prepared results in
-// slabs. The slab is a window of h.results that iteration has retired by
-// the time the caller holds it, so in-place compaction is safe.
+// NextBatch implements Operator, serving the prepared results in slabs.
 func (h *HashAggregate) NextBatch() ([]types.Row, bool, error) {
 	if !h.prepared {
 		if err := h.prepare(); err != nil {
 			return nil, false, err
 		}
 	}
-	if h.pos >= len(h.results) {
-		return nil, false, nil
-	}
-	end := h.pos + h.ctx.batchRows()
-	if end > len(h.results) {
-		end = len(h.results)
-	}
-	out := h.results[h.pos:end]
-	h.pos = end
-	return out, true, nil
+	return nextWindow(h.results, &h.pos, h.ctx.batchRows())
 }
 
 // Close implements Operator.

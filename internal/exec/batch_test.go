@@ -42,142 +42,105 @@ func assertSameRows(t *testing.T, got, want []types.Row) {
 	}
 }
 
-func TestAdaptersRoundTrip(t *testing.T) {
-	rows := intRows([]int64{1}, []int64{2}, []int64{3}, []int64{4}, []int64{5}, []int64{6}, []int64{7})
-	sch := intSchema("a")
+// slabSource is a Source that emits slabs of n rows, so tests drive slab
+// boundaries through the operators above it.
+func slabSource(sch types.Schema, rows []types.Row, n int) *Source {
+	s := NewSource(sch, rows)
+	s.batch = n
+	return s
+}
 
-	// Passthrough identities: a batch-native operator survives ToBatch
-	// unchanged, and any Operator survives FromBatch unchanged.
-	src := NewSource(sch, rows)
-	if b := ToBatch(src, 4); b != BatchOperator(src) {
-		t.Error("ToBatch must pass a batch-native operator through")
-	}
-	if op := FromBatch(src); op != Operator(src) {
-		t.Error("FromBatch must pass an Operator through")
-	}
-	// RowOnly hides the batch path, forcing the real adapters.
-	ro := RowOnly(NewSource(sch, rows))
-	if _, ok := nativeBatch(ro); ok {
-		t.Fatal("RowOnly operator must not type-assert to BatchOperator")
-	}
-	bin := ToBatch(ro, 3)
-	if err := bin.Open(); err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for {
-		b, ok, err := bin.NextBatch()
-		if err != nil {
+// TestCursorRoundTrip checks the one row-at-a-time reader: a cursor over a
+// slab operator hands back every row, in order, across slab boundaries, and
+// can be re-opened.
+func TestCursorRoundTrip(t *testing.T) {
+	rows := intRows([]int64{1}, []int64{2}, []int64{3}, []int64{4}, []int64{5}, []int64{6}, []int64{7})
+	cur := NewCursor(slabSource(intSchema("a"), rows, 3))
+	for pass := 0; pass < 2; pass++ {
+		if err := cur.Open(); err != nil {
 			t.Fatal(err)
 		}
-		if !ok {
-			break
+		for i, want := range rows {
+			r, ok, err := cur.Next()
+			if err != nil || !ok {
+				t.Fatalf("pass %d row %d: ok=%v err=%v", pass, i, ok, err)
+			}
+			if r[0].Int() != want[0].Int() {
+				t.Fatalf("pass %d row %d = %v, want %v", pass, i, r, want)
+			}
 		}
-		if len(b) == 0 || len(b) > 3 {
-			t.Fatalf("adapter slab size = %d, want 1..3", len(b))
+		if _, ok, err := cur.Next(); ok || err != nil {
+			t.Fatalf("pass %d: cursor past the end: ok=%v err=%v", pass, ok, err)
 		}
-		total += len(b)
-	}
-	if total != len(rows) {
-		t.Fatalf("adapter delivered %d rows, want %d", total, len(rows))
-	}
-	if err := bin.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Full round trip through both adapters preserves content and order.
-	round := FromBatch(ToBatch(RowOnly(NewSource(sch, rows)), 3))
-	if _, isSrc := round.(*Source); isSrc {
-		t.Fatal("round trip should go through real adapters, not identity")
-	}
-	out, err := Collect(round)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != len(rows) {
-		t.Fatalf("round trip = %d rows, want %d", len(out), len(rows))
-	}
-	for i := range out {
-		if out[i][0].Int() != rows[i][0].Int() {
-			t.Fatalf("round trip row %d = %v, want %v", i, out[i], rows[i])
+		if err := cur.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
 
-// TestBatchRowParityPipeline runs the same scan→filter→project→aggregate
-// pipeline on the scalar engine (RowOnly inputs) and on the batch path at
-// several slab sizes, and demands identical results.
+// TestBatchRowParityPipeline runs a scan→filter→project→aggregate pipeline
+// at several slab sizes — the source really emits 1-, 7- and 1024-row slabs
+// — and checks every group against its closed-form sum and count.
 func TestBatchRowParityPipeline(t *testing.T) {
+	const n, groups, cut = 5000, 37, 99
 	var rows []types.Row
-	for i := int64(0); i < 5000; i++ {
-		rows = append(rows, types.Row{types.NewInt(i % 37), types.NewInt(i)})
+	for i := int64(0); i < n; i++ {
+		rows = append(rows, types.Row{types.NewInt(i % groups), types.NewInt(i)})
+	}
+	// Group g holds v+1 for v = first, first+37, ..., last with v > cut.
+	want := make(map[int64][2]int64, groups)
+	for g := int64(0); g < groups; g++ {
+		first := g + (cut+1-g+groups-1)/groups*groups
+		cnt := (n-1-first)/groups + 1
+		last := first + (cnt-1)*groups
+		want[g] = [2]int64{cnt*(first+last)/2 + cnt, cnt}
 	}
 	sch := intSchema("g", "v")
-	build := func(ctx *Ctx, rowOnly bool) Operator {
-		var in Operator = NewSource(sch, rows)
-		if rowOnly {
-			in = RowOnly(in)
-		}
-		f := NewFilter(ctx, in, gt(col(1), ci(99)))
-		var fin Operator = f
-		if rowOnly {
-			fin = RowOnly(f)
-		}
-		p := NewProject(ctx, fin, []expr.Expr{col(0), add(col(1), ci(1))}, []string{"g", "v1"})
-		var pin Operator = p
-		if rowOnly {
-			pin = RowOnly(p)
-		}
-		return NewHashAggregate(ctx, pin, ColRefs(0), []AggSpec{
-			{Kind: AggSum, Arg: col(1), Name: "s"},
-			{Kind: AggCount, Name: "c"},
-		}, AggComplete)
-	}
-	want, err := Collect(build(NewCtx("", 0), true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(want) != 37 {
-		t.Fatalf("baseline groups = %d, want 37", len(want))
-	}
 	for _, batchRows := range []int{1, 7, 1024} {
 		ctx := NewCtx("", 0)
 		ctx.BatchRows = batchRows
-		got, err := Collect(build(ctx, false))
+		f := NewFilter(ctx, slabSource(sch, rows, batchRows), gt(col(1), ci(cut)))
+		p := NewProject(ctx, f, []expr.Expr{col(0), add(col(1), ci(1))}, []string{"g", "v1"})
+		got, err := Collect(NewHashAggregate(ctx, p, ColRefs(0), []AggSpec{
+			{Kind: AggSum, Arg: col(1), Name: "s"},
+			{Kind: AggCount, Name: "c"},
+		}, AggComplete))
 		if err != nil {
 			t.Fatalf("batch=%d: %v", batchRows, err)
 		}
-		assertSameRows(t, got, want)
+		if len(got) != groups {
+			t.Fatalf("batch=%d: groups = %d, want %d", batchRows, len(got), groups)
+		}
+		for _, r := range got {
+			if w := want[r[0].Int()]; r[1].Int() != w[0] || r[2].Int() != w[1] {
+				t.Fatalf("batch=%d: group %d = (sum %d, count %d), want (%d, %d)",
+					batchRows, r[0].Int(), r[1].Int(), r[2].Int(), w[0], w[1])
+			}
+		}
 	}
 }
 
-// TestGraceJoinAdapterSpillParity feeds a spilling grace hash join through
-// the FromBatch∘ToBatch adapter chain on both inputs and golden-compares
-// against the plain row path on TPC-H SF0.01.
-func TestGraceJoinAdapterSpillParity(t *testing.T) {
+// TestGraceJoinSpillParity golden-compares a spilling grace hash join with
+// the same join held in memory, on TPC-H SF0.01.
+func TestGraceJoinSpillParity(t *testing.T) {
 	d := tpch.Generate(0.01, 42)
 	lineSch := schemaFor(d.Lineitem[0])
 	ordSch := schemaFor(d.Orders[0])
-	run := func(adapters bool) ([]types.Row, *Ctx) {
-		ctx := NewCtx(t.TempDir(), 2000) // orders(15000) overflows: grace join
-		probe := Operator(NewSource(lineSch, d.Lineitem))
-		build := Operator(NewSource(ordSch, d.Orders))
-		if adapters {
-			probe = FromBatch(ToBatch(RowOnly(probe), 512))
-			build = FromBatch(ToBatch(RowOnly(build), 512))
-		}
-		j := NewHashJoin(ctx, probe, build, ColRefs(0), ColRefs(0), JoinInner, nil, 2)
+	run := func(memRows int) ([]types.Row, *Ctx) {
+		ctx := NewCtx(t.TempDir(), memRows)
+		j := NewHashJoin(ctx, NewSource(lineSch, d.Lineitem), NewSource(ordSch, d.Orders),
+			ColRefs(0), ColRefs(0), JoinInner, nil, 2)
 		out, err := Collect(j)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return out, ctx
 	}
-	want, rowCtx := run(false)
-	got, adCtx := run(true)
-	if rowCtx.SpillFiles.Load() == 0 || adCtx.SpillFiles.Load() == 0 {
-		t.Fatalf("grace join must spill on both paths (row=%d adapter=%d files)",
-			rowCtx.SpillFiles.Load(), adCtx.SpillFiles.Load())
+	want, memCtx := run(0)
+	got, spillCtx := run(2000) // orders(15000) overflows: grace join
+	if memCtx.SpillFiles.Load() != 0 || spillCtx.SpillFiles.Load() == 0 {
+		t.Fatalf("spill files: in-memory=%d (want 0), budgeted=%d (want >0)",
+			memCtx.SpillFiles.Load(), spillCtx.SpillFiles.Load())
 	}
 	if len(want) != len(d.Lineitem) {
 		t.Fatalf("join rows = %d, want %d (every lineitem has an order)", len(want), len(d.Lineitem))
@@ -185,38 +148,33 @@ func TestGraceJoinAdapterSpillParity(t *testing.T) {
 	assertSameRows(t, got, want)
 }
 
-// TestSortAdapterSpillParity runs an external (spilling) sort whose input
-// arrives through the adapter chain and compares the exact output sequence
-// with the row path.
-func TestSortAdapterSpillParity(t *testing.T) {
+// TestSortSpillParity compares the exact output sequence of an external
+// (spilling) sort with the in-memory sort of the same TPC-H rows.
+func TestSortSpillParity(t *testing.T) {
 	d := tpch.Generate(0.01, 7)
 	rows := d.Lineitem[:20000]
 	sch := schemaFor(rows[0])
 	keys := []SortKey{{Col: 4, Desc: true}, {Col: 0}, {Col: 3}}
-	run := func(adapters bool) ([]types.Row, *Ctx) {
-		ctx := NewCtx(t.TempDir(), 1000)
-		in := Operator(NewSource(sch, rows))
-		if adapters {
-			in = FromBatch(ToBatch(RowOnly(in), 256))
-		}
-		out, err := Collect(NewSort(ctx, in, keys))
+	run := func(memRows int) ([]types.Row, *Ctx) {
+		ctx := NewCtx(t.TempDir(), memRows)
+		out, err := Collect(NewSort(ctx, NewSource(sch, rows), keys))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return out, ctx
 	}
-	want, rowCtx := run(false)
-	got, adCtx := run(true)
-	if rowCtx.SpillFiles.Load() == 0 || adCtx.SpillFiles.Load() == 0 {
-		t.Fatalf("sort must spill on both paths (row=%d adapter=%d files)",
-			rowCtx.SpillFiles.Load(), adCtx.SpillFiles.Load())
+	want, memCtx := run(0)
+	got, spillCtx := run(1000)
+	if memCtx.SpillFiles.Load() != 0 || spillCtx.SpillFiles.Load() == 0 {
+		t.Fatalf("spill files: in-memory=%d (want 0), budgeted=%d (want >0)",
+			memCtx.SpillFiles.Load(), spillCtx.SpillFiles.Load())
 	}
 	if len(got) != len(want) {
 		t.Fatalf("sorted rows = %d, want %d", len(got), len(want))
 	}
 	for i := range got {
 		if got[i].String() != want[i].String() {
-			t.Fatalf("sorted output diverges at row %d:\n  adapter: %v\n  row:     %v", i, got[i], want[i])
+			t.Fatalf("sorted output diverges at row %d:\n  spilled:   %v\n  in-memory: %v", i, got[i], want[i])
 		}
 	}
 }
@@ -355,8 +313,8 @@ func TestHashAggregateNextBatchWindows(t *testing.T) {
 	}
 }
 
-// TestTracedBatchCounts verifies that the batch path keeps observability:
-// a traced batch-native operator still counts rows and also counts slabs.
+// TestTracedBatchCounts verifies that a traced operator counts rows and
+// also counts slabs.
 func TestTracedBatchCounts(t *testing.T) {
 	sch := intSchema("x")
 	var rows []types.Row
@@ -366,9 +324,6 @@ func TestTracedBatchCounts(t *testing.T) {
 	tr := obs.NewQueryTrace(1, "")
 	sp := tr.StartSpan("Source", 0)
 	op := NewTraced(NewSource(sch, rows), sp)
-	if _, ok := nativeBatch(op); !ok {
-		t.Fatal("tracing a batch-native operator must preserve the batch path")
-	}
 	got, err := Collect(op)
 	if err != nil {
 		t.Fatal(err)

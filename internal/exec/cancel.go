@@ -84,7 +84,6 @@ func Guard(cancel *Cancel, in Operator) Operator {
 type guardOp struct {
 	in     Operator
 	cancel *Cancel
-	bin    BatchOperator
 }
 
 func (g *guardOp) Schema() types.Schema { return g.in.Schema() }
@@ -93,27 +92,16 @@ func (g *guardOp) Open() error {
 	if err := g.cancel.Err(); err != nil {
 		return err
 	}
-	g.bin = nil
 	return g.in.Open()
 }
 
-func (g *guardOp) Next() (types.Row, bool, error) {
-	if err := g.cancel.Err(); err != nil {
-		return nil, false, err
-	}
-	return g.in.Next()
-}
-
-// NextBatch implements BatchOperator, checking the handle once per slab so
-// the guard's overhead is one atomic-ish select per batch, not per row.
+// NextBatch implements Operator, checking the handle once per slab so the
+// guard's overhead is one atomic-ish select per slab, not per row.
 func (g *guardOp) NextBatch() ([]types.Row, bool, error) {
 	if err := g.cancel.Err(); err != nil {
 		return nil, false, err
 	}
-	if g.bin == nil {
-		g.bin = ToBatch(g.in, 0)
-	}
-	return g.bin.NextBatch()
+	return g.in.NextBatch()
 }
 
 func (g *guardOp) Close() error { return g.in.Close() }

@@ -129,8 +129,6 @@ type Shuffle struct {
 	errCh     chan error
 	done      chan struct{} // closed by Close; unblocks every channel send
 	closeOnce *sync.Once
-	cur       []types.Row
-	pos       int
 }
 
 // NewShuffle builds the per-node shuffle operator. ctx sizes the wire
@@ -165,10 +163,9 @@ func (s *Shuffle) Open() error {
 	s.errCh = make(chan error, 2)
 	s.done = make(chan struct{})
 	s.closeOnce = new(sync.Once)
-	s.cur, s.pos = nil, 0
 	// Start the send/receive/forward loops immediately: a shuffle is a
 	// cluster-wide rendezvous, and peers block until every participant's
-	// loops are live, so lazy start (on first Next) can deadlock plans
+	// loops are live, so lazy start (on first pull) can deadlock plans
 	// that drain another stream before this one.
 	s.start()
 	return nil
@@ -292,8 +289,7 @@ func (s *Shuffle) start() {
 			}
 		}
 	}()
-	// Send loop: partition the local input, moving it on the batch path
-	// when the input offers one.
+	// Send loop: partition the local input.
 	go func() {
 		n := len(s.Spec.Nodes)
 		wire := s.ctx.wireBatchRows()
@@ -378,28 +374,18 @@ func (s *Shuffle) start() {
 			return nil
 		}
 		if s.In != nil {
-			bin := ToBatch(s.In, wire)
-			for {
-				// Killed query: stop partitioning between batches. fail()
-				// still emits EOFs, so peers and hubs terminate normally.
-				if err := s.ctx.canceled(); err != nil {
-					fail(err)
-					return
-				}
-				b, ok, err := bin.NextBatch()
-				if err != nil {
-					fail(err)
-					return
-				}
-				if !ok {
-					break
-				}
+			// drain stops partitioning between slabs when the query is killed;
+			// fail() still emits EOFs, so peers and hubs terminate normally.
+			if err := drain(s.ctx, s.In, func(b []types.Row) error {
 				for _, r := range b {
 					if err := route(r); err != nil {
-						fail(err)
-						return
+						return err
 					}
 				}
+				return nil
+			}); err != nil {
+				fail(err)
+				return
 			}
 		}
 		for d := 0; d < n; d++ {
@@ -418,22 +404,7 @@ func (s *Shuffle) start() {
 	}()
 }
 
-// Next implements Operator, iterating the current delivered slab.
-func (s *Shuffle) Next() (types.Row, bool, error) {
-	for s.pos >= len(s.cur) {
-		b, ok, err := s.NextBatch()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		//lint:ignore slabown row cursor: the shuffle owns the delivered slab and drains cur before the next NextBatch
-		s.cur, s.pos = b, 0
-	}
-	r := s.cur[s.pos]
-	s.pos++
-	return r, true, nil
-}
-
-// NextBatch implements BatchOperator: one received (or locally routed)
+// NextBatch implements Operator: one received (or locally routed)
 // wire batch per call.
 func (s *Shuffle) NextBatch() ([]types.Row, bool, error) {
 	select {
@@ -467,8 +438,7 @@ func (s *Shuffle) Close() error {
 
 // SendAll drains an operator and sends every row to one receiver — the
 // worker side of a gather (workers → coordinator result routing). ctx
-// sizes the wire batches and may be nil (DefaultWireBatchRows applies);
-// the input moves on its batch path when it offers one.
+// sizes the wire batches and may be nil (DefaultWireBatchRows applies).
 func SendAll(ctx *Ctx, ep network.Endpoint, to int, channel string, in Operator) error {
 	if err := in.Open(); err != nil {
 		return err
@@ -487,23 +457,7 @@ func SendAll(ctx *Ctx, ep network.Endpoint, to int, channel string, in Operator)
 		batch = batch[:0]
 		return err
 	}
-	bin := ToBatch(in, wire)
-	for {
-		// Killed query: abort between batches but still EOF the receiver so
-		// the gather protocol terminates on the coordinator.
-		if err := ctx.canceled(); err != nil {
-			_ = ep.Send(to, to, channel, encodeBatch(msgEOF, ep.NodeID(), nil))
-			return err
-		}
-		b, ok, err := bin.NextBatch()
-		if err != nil {
-			_ = flush()
-			_ = ep.Send(to, to, channel, encodeBatch(msgEOF, ep.NodeID(), nil))
-			return err
-		}
-		if !ok {
-			break
-		}
+	err := drain(ctx, in, func(b []types.Row) error {
 		for _, r := range b {
 			batch = append(batch, r)
 			if len(batch) >= wire {
@@ -512,17 +466,23 @@ func SendAll(ctx *Ctx, ep network.Endpoint, to int, channel string, in Operator)
 				}
 			}
 		}
+		return nil
+	})
+	if err == nil {
+		err = flush()
 	}
-	if err := flush(); err != nil {
-		return err
+	// Killed or failed streams still EOF the receiver, so the gather
+	// protocol terminates on the coordinator.
+	if eofErr := ep.Send(to, to, channel, encodeBatch(msgEOF, ep.NodeID(), nil)); err == nil {
+		err = eofErr
 	}
-	return ep.Send(to, to, channel, encodeBatch(msgEOF, ep.NodeID(), nil))
+	return err
 }
 
 // sendAllVec is SendAll's vector-native path: batches are encoded straight
 // from typed column slabs — no boxed row materialization on the send side —
 // chunked into wire messages of at most wire active rows each, so message
-// counts derive from the same Ctx.BatchRows knob as the row path.
+// counts derive from the same Ctx.BatchRows knob as the boxed path.
 func sendAllVec(ctx *Ctx, ep network.Endpoint, to int, channel string, v VecOperator, wire int) error {
 	for {
 		if err := ctx.canceled(); err != nil {
@@ -556,14 +516,11 @@ func sendAllVec(ctx *Ctx, ep network.Endpoint, to int, channel string, v VecOper
 // Recv yields rows arriving on a channel until EOFs from all expected
 // senders — the coordinator side of a gather.
 type Recv struct {
-	Ep       network.Endpoint
-	Channel  string
-	Senders  int
-	Sch      types.Schema
-	buf      []types.Row
-	pos      int
-	eofs     int
-	finished bool
+	Ep      network.Endpoint
+	Channel string
+	Senders int
+	Sch     types.Schema
+	eofs    int
 }
 
 // NewRecv builds the receive operator.
@@ -576,52 +533,14 @@ func (r *Recv) Schema() types.Schema { return r.Sch }
 
 // Open implements Operator.
 func (r *Recv) Open() error {
-	r.buf, r.pos, r.eofs, r.finished = nil, 0, 0, false
+	r.eofs = 0
 	return nil
 }
 
-// Next implements Operator.
-func (r *Recv) Next() (types.Row, bool, error) {
-	for {
-		if r.pos < len(r.buf) {
-			row := r.buf[r.pos]
-			r.pos++
-			return row, true, nil
-		}
-		if r.finished {
-			return nil, false, nil
-		}
-		msg, err := r.Ep.Recv(r.Channel)
-		if err != nil {
-			return nil, false, err
-		}
-		msgType, _, rows, err := decodeBatch(msg.Payload)
-		if err != nil {
-			return nil, false, err
-		}
-		if msgType == msgEOF {
-			r.eofs++
-			if r.eofs >= r.Senders {
-				r.finished = true
-			}
-			continue
-		}
-		r.buf, r.pos = rows, 0
-	}
-}
-
-// NextBatch implements BatchOperator: one received wire batch per call
-// (the decode allocated it fresh, so the consumer owns it).
+// NextBatch implements Operator: one received wire batch per call (the
+// decode allocated it fresh, so the consumer owns it).
 func (r *Recv) NextBatch() ([]types.Row, bool, error) {
-	for {
-		if r.pos < len(r.buf) {
-			out := r.buf[r.pos:]
-			r.pos = len(r.buf)
-			return out, true, nil
-		}
-		if r.finished {
-			return nil, false, nil
-		}
+	for r.eofs < r.Senders {
 		msg, err := r.Ep.Recv(r.Channel)
 		if err != nil {
 			return nil, false, err
@@ -632,13 +551,11 @@ func (r *Recv) NextBatch() ([]types.Row, bool, error) {
 		}
 		if msgType == msgEOF {
 			r.eofs++
-			if r.eofs >= r.Senders {
-				r.finished = true
-			}
-			continue
+		} else if len(rows) > 0 {
+			return rows, true, nil
 		}
-		r.buf, r.pos = rows, 0
 	}
+	return nil, false, nil
 }
 
 // Close implements Operator.
@@ -727,32 +644,38 @@ func RunTreeReduce(ctx *Ctx, ep network.Endpoint, spec TreeReduceSpec, local Ope
 }
 
 // MergeOperators performs an ordered k-way merge of sorted inputs — the
-// non-leaf phase of the distributed merge sort.
+// non-leaf phase of the distributed merge sort. Each input is read through
+// a row cursor: the merge needs exactly the head row of every input.
 type MergeOperators struct {
-	Ins  []Operator
 	Keys []SortKey
-	cur  []types.Row // head row per input (nil = exhausted)
+	ins  []*Cursor
+	head []types.Row // head row per input (nil = exhausted)
 	init bool
+	slab []types.Row
 }
 
 // NewMergeOperators builds the ordered merge.
 func NewMergeOperators(ins []Operator, keys []SortKey) *MergeOperators {
-	return &MergeOperators{Ins: ins, Keys: keys}
+	m := &MergeOperators{Keys: keys, ins: make([]*Cursor, len(ins))}
+	for i, in := range ins {
+		m.ins[i] = NewCursor(in)
+	}
+	return m
 }
 
 // Schema implements Operator.
 func (m *MergeOperators) Schema() types.Schema {
-	if len(m.Ins) == 0 {
+	if len(m.ins) == 0 {
 		return types.Schema{}
 	}
-	return m.Ins[0].Schema()
+	return m.ins[0].Schema()
 }
 
 // Open implements Operator.
 func (m *MergeOperators) Open() error {
-	m.cur = nil
+	m.head = nil
 	m.init = false
-	for _, in := range m.Ins {
+	for _, in := range m.ins {
 		if err := in.Open(); err != nil {
 			return err
 		}
@@ -760,50 +683,54 @@ func (m *MergeOperators) Open() error {
 	return nil
 }
 
-// Next implements Operator.
-func (m *MergeOperators) Next() (types.Row, bool, error) {
+// advance replaces input i's head row with its next row (nil at the end).
+func (m *MergeOperators) advance(i int) error {
+	r, ok, err := m.ins[i].Next()
+	if err != nil {
+		return err
+	}
+	if !ok {
+		r = nil
+	}
+	m.head[i] = r
+	return nil
+}
+
+// NextBatch implements Operator, merging up to a slab of rows per call.
+func (m *MergeOperators) NextBatch() ([]types.Row, bool, error) {
 	if !m.init {
-		m.cur = make([]types.Row, len(m.Ins))
-		for i, in := range m.Ins {
-			r, ok, err := in.Next()
-			if err != nil {
+		m.head = make([]types.Row, len(m.ins))
+		for i := range m.ins {
+			if err := m.advance(i); err != nil {
 				return nil, false, err
-			}
-			if ok {
-				m.cur[i] = r
 			}
 		}
 		m.init = true
 	}
-	best := -1
-	for i, r := range m.cur {
-		if r == nil {
-			continue
+	out := m.slab[:0]
+	for len(out) < DefaultBatchRows {
+		best := -1
+		for i, r := range m.head {
+			if r != nil && (best < 0 || compareByKeys(r, m.head[best], m.Keys) < 0) {
+				best = i
+			}
 		}
-		if best < 0 || compareByKeys(r, m.cur[best], m.Keys) < 0 {
-			best = i
+		if best < 0 {
+			break
+		}
+		out = append(out, m.head[best])
+		if err := m.advance(best); err != nil {
+			return nil, false, err
 		}
 	}
-	if best < 0 {
-		return nil, false, nil
-	}
-	out := m.cur[best]
-	r, ok, err := m.Ins[best].Next()
-	if err != nil {
-		return nil, false, err
-	}
-	if ok {
-		m.cur[best] = r
-	} else {
-		m.cur[best] = nil
-	}
-	return out, true, nil
+	m.slab = out
+	return out, len(out) > 0, nil
 }
 
 // Close implements Operator.
 func (m *MergeOperators) Close() error {
 	var firstErr error
-	for _, in := range m.Ins {
+	for _, in := range m.ins {
 		if err := in.Close(); err != nil && firstErr == nil {
 			firstErr = err
 		}

@@ -65,8 +65,6 @@ type HashJoin struct {
 	err      error
 	prepared bool
 	done     bool
-	cur      []types.Row
-	pos      int
 
 	stop     chan struct{} // closed by Close; unblocks result emission
 	stopOnce *sync.Once
@@ -101,7 +99,6 @@ func (h *HashJoin) Schema() types.Schema { return h.out }
 // Open implements Operator.
 func (h *HashJoin) Open() error {
 	h.results, h.errCh, h.err, h.prepared, h.done = nil, nil, nil, false, false
-	h.cur, h.pos = nil, 0
 	h.stop = make(chan struct{})
 	h.stopOnce = new(sync.Once)
 	if err := h.Probe.Open(); err != nil {
@@ -123,52 +120,50 @@ func (h *HashJoin) prepare() error {
 	buildCount := 0
 	var buildSpill *spillWriter
 
-	for {
-		r, ok, err := h.Build.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		if h.ctx != nil {
-			h.ctx.RowsProcessed.Add(1)
-		}
-		keyRow, err := EvalKeys(h.BuildKeys, r)
-		if err != nil {
-			return err
-		}
-		key := types.HashRow(keyRow, allOffsets(len(keyRow)))
-		bloom.Add(key)
-		if !overflow && budget > 0 && buildCount >= budget {
-			overflow = true
-			var err error
-			buildSpill, err = newSpillWriter(h.ctx, "join-build-*")
+	if err := drain(h.ctx, h.Build, func(b []types.Row) error {
+		for _, r := range b {
+			if h.ctx != nil {
+				h.ctx.RowsProcessed.Add(1)
+			}
+			keyRow, err := EvalKeys(h.BuildKeys, r)
 			if err != nil {
 				return err
 			}
-			// Move the in-memory table to the spill file too: Grace mode
-			// re-partitions everything uniformly.
-			for _, rows := range table {
-				for _, br := range rows {
-					if err := buildSpill.write(br); err != nil {
-						return err
+			key := types.HashRow(keyRow, allOffsets(len(keyRow)))
+			bloom.Add(key)
+			if !overflow && budget > 0 && buildCount >= budget {
+				overflow = true
+				var err error
+				buildSpill, err = newSpillWriter(h.ctx, "join-build-*")
+				if err != nil {
+					return err
+				}
+				// Move the in-memory table to the spill file too: Grace mode
+				// re-partitions everything uniformly.
+				for _, rows := range table {
+					for _, br := range rows {
+						if err := buildSpill.write(br); err != nil {
+							return err
+						}
 					}
 				}
+				table = nil
 			}
-			table = nil
+			if overflow {
+				if err := buildSpill.write(r); err != nil {
+					return err
+				}
+			} else {
+				table[key] = append(table[key], r)
+				if h.ctx != nil {
+					h.ctx.addState(int64(types.RowEncodedSize(r)))
+				}
+			}
+			buildCount++
 		}
-		if overflow {
-			if err := buildSpill.write(r); err != nil {
-				return err
-			}
-		} else {
-			table[key] = append(table[key], r)
-			if h.ctx != nil {
-				h.ctx.addState(int64(types.RowEncodedSize(r)))
-			}
-		}
-		buildCount++
+		return nil
+	}); err != nil {
+		return err
 	}
 
 	if !overflow {
@@ -225,16 +220,7 @@ func (h *HashJoin) streamProbe(table map[uint64][]types.Row, bloom *Bloom) error
 	// error so nothing blocks on a full channel.
 	go func() {
 		defer close(probeBatches)
-		bin := ToBatch(h.Probe, batch)
-		for {
-			b, ok, err := bin.NextBatch()
-			if err != nil {
-				h.errCh <- err
-				return
-			}
-			if !ok {
-				return
-			}
+		err := drain(h.ctx, h.Probe, func(b []types.Row) error {
 			if h.ctx != nil {
 				h.ctx.RowsProcessed.Add(int64(len(b)))
 			}
@@ -242,11 +228,14 @@ func (h *HashJoin) streamProbe(table map[uint64][]types.Row, bloom *Bloom) error
 			copy(cp, b)
 			select {
 			case probeBatches <- cp:
+				return nil
 			case <-stop:
-				return
 			case <-h.stop:
-				return
 			}
+			return errStopDrain
+		})
+		if err != nil {
+			h.errCh <- err
 		}
 	}()
 	go func() {
@@ -409,7 +398,7 @@ func ColRefs(idx ...int) []expr.Expr {
 // graceJoin partitions both sides by key hash into fanout spill partitions
 // and joins each pair in memory.
 func (h *HashJoin) graceJoin(buildSpill *spillWriter, bloom *Bloom) error {
-	fanout := h.ctx.graceFanout()
+	const fanout = DefaultGraceFanout
 	buildReader, err := buildSpill.finish()
 	if err != nil {
 		return err
@@ -445,26 +434,24 @@ func (h *HashJoin) graceJoin(buildSpill *spillWriter, bloom *Bloom) error {
 		}
 	}
 	buildReader.close()
-	for {
-		r, ok, err := h.Probe.Next()
-		if err != nil {
-			return err
+	if err := drain(h.ctx, h.Probe, func(b []types.Row) error {
+		for _, r := range b {
+			key, err := HashKeys(h.ProbeKeys, r)
+			if err != nil {
+				return err
+			}
+			// Bloom filter rejection still applies in Grace mode — except for
+			// anti joins, where unmatched rows must be OUTPUT, not dropped.
+			if !bloom.MayContain(key) && h.Type != JoinAnti {
+				continue
+			}
+			if err := probeParts[key%uint64(fanout)].write(r); err != nil {
+				return err
+			}
 		}
-		if !ok {
-			break
-		}
-		key, err := HashKeys(h.ProbeKeys, r)
-		if err != nil {
-			return err
-		}
-		// Bloom filter rejection still applies in Grace mode — except for
-		// anti joins, where unmatched rows must be OUTPUT, not dropped.
-		if !bloom.MayContain(key) && h.Type != JoinAnti {
-			continue
-		}
-		if err := probeParts[key%uint64(fanout)].write(r); err != nil {
-			return err
-		}
+		return nil
+	}); err != nil {
+		return err
 	}
 
 	h.results = make(chan []types.Row, 16)
@@ -537,22 +524,7 @@ func (h *HashJoin) joinPartition(bw, pw *spillWriter, em *joinEmitter) error {
 	}
 }
 
-// Next implements Operator, iterating the current result slab.
-func (h *HashJoin) Next() (types.Row, bool, error) {
-	for h.pos >= len(h.cur) {
-		b, ok, err := h.NextBatch()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		//lint:ignore slabown row cursor: the join owns its result slab and drains cur before the next NextBatch
-		h.cur, h.pos = b, 0
-	}
-	r := h.cur[h.pos]
-	h.pos++
-	return r, true, nil
-}
-
-// NextBatch implements BatchOperator: receive the next result slab from
+// NextBatch implements Operator: receive the next result slab from
 // the probe workers. Workers allocate a fresh slab per flush, so the
 // received slab is the caller's to mutate.
 func (h *HashJoin) NextBatch() ([]types.Row, bool, error) {
@@ -609,10 +581,12 @@ type NestedLoopJoin struct {
 
 	rightRows []types.Row
 	out       types.Schema
-	cur       types.Row
-	rpos      int
+	left      []types.Row // copy of the current left slab
+	lpos      int         // left row being joined
+	rpos      int         // next right row for it
 	matched   bool
 	prepared  bool
+	slab      []types.Row
 }
 
 // NewNestedLoopJoin builds the fallback join.
@@ -631,63 +605,72 @@ func (j *NestedLoopJoin) Schema() types.Schema { return j.out }
 
 // Open implements Operator.
 func (j *NestedLoopJoin) Open() error {
-	j.rightRows, j.cur, j.rpos, j.matched, j.prepared = nil, nil, 0, false, false
+	j.rightRows, j.left, j.lpos, j.rpos, j.matched, j.prepared = nil, nil, 0, 0, false, false
 	if err := j.Left.Open(); err != nil {
 		return err
 	}
 	return j.Right.Open()
 }
 
-// Next implements Operator.
-func (j *NestedLoopJoin) Next() (types.Row, bool, error) {
+// NextBatch implements Operator. The right side is buffered on the first
+// call; after that each call resumes the (left row, right row) scan where
+// the previous one stopped and returns once a slab of results is full or
+// the current left slab is used up, so an exploding cross product never
+// has to fit in one slab.
+func (j *NestedLoopJoin) NextBatch() ([]types.Row, bool, error) {
 	if !j.prepared {
-		var err error
-		j.rightRows, err = drain(j.Right, j.ctx)
-		if err != nil {
+		if err := drain(j.ctx, j.Right, func(b []types.Row) error {
+			if j.ctx != nil {
+				j.ctx.RowsProcessed.Add(int64(len(b)))
+			}
+			j.rightRows = append(j.rightRows, b...)
+			return nil
+		}); err != nil {
 			return nil, false, err
 		}
 		j.prepared = true
 	}
+	size := j.ctx.batchRows()
+	out := j.slab[:0]
 	for {
-		if j.cur == nil {
-			r, ok, err := j.Left.Next()
-			if err != nil || !ok {
-				return nil, false, err
-			}
-			j.cur, j.rpos, j.matched = r, 0, false
-		}
-		for j.rpos < len(j.rightRows) {
-			rr := j.rightRows[j.rpos]
-			j.rpos++
-			joined := j.cur.Concat(rr)
-			if j.Cond != nil {
-				ok, err := expr.EvalBool(j.Cond, joined)
-				if err != nil {
-					return nil, false, err
+		for ; j.lpos < len(j.left); j.lpos, j.rpos, j.matched = j.lpos+1, 0, false {
+			l := j.left[j.lpos]
+			for j.rpos < len(j.rightRows) && !(j.matched && j.Type != JoinInner) {
+				joined := l.Concat(j.rightRows[j.rpos])
+				j.rpos++
+				if j.Cond != nil {
+					ok, err := expr.EvalBool(j.Cond, joined)
+					if err != nil {
+						return nil, false, err
+					}
+					if !ok {
+						continue
+					}
 				}
-				if !ok {
-					continue
+				j.matched = true
+				if j.Type == JoinInner {
+					out = append(out, joined)
+					if len(out) >= size {
+						j.slab = out
+						return out, true, nil
+					}
 				}
 			}
-			j.matched = true
-			switch j.Type {
-			case JoinInner:
-				return joined, true, nil
-			case JoinSemi:
-				r := j.cur
-				j.cur = nil
-				return r, true, nil
-			case JoinAnti:
-				j.rpos = len(j.rightRows)
+			// Semi emits a left row on its first match, anti when no right
+			// row matched.
+			if (j.Type == JoinSemi && j.matched) || (j.Type == JoinAnti && !j.matched) {
+				out = append(out, l)
 			}
 		}
-		// Exhausted right side for this left row.
-		if j.Type == JoinAnti && !j.matched {
-			r := j.cur
-			j.cur = nil
-			return r, true, nil
+		if len(out) > 0 {
+			j.slab = out
+			return out, true, nil
 		}
-		j.cur = nil
+		b, ok, err := j.Left.NextBatch()
+		if err != nil || !ok {
+			return nil, false, err
+		}
+		j.left, j.lpos = append(j.left[:0], b...), 0
 	}
 }
 
@@ -699,23 +682,6 @@ func (j *NestedLoopJoin) Close() error {
 		return err1
 	}
 	return err2
-}
-
-func drain(op Operator, ctx *Ctx) ([]types.Row, error) {
-	var out []types.Row
-	for {
-		r, ok, err := op.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return out, nil
-		}
-		if ctx != nil {
-			ctx.RowsProcessed.Add(1)
-		}
-		out = append(out, r)
-	}
 }
 
 // Bloom is a fixed-size Bloom filter over 64-bit key hashes with 3 probes.

@@ -46,32 +46,25 @@ func (m *Materialize) prepare() error {
 			return err
 		}
 	}
-	for {
-		r, ok, err := m.In.Next()
-		if err != nil {
-			if w != nil {
-				w.abort()
-			}
-			return err
-		}
-		if !ok {
-			break
-		}
-		sz := int64(types.RowEncodedSize(r))
-		m.BytesBuffered += sz
-		if w == nil {
-			if m.ctx != nil {
+	if err := drain(m.ctx, m.In, func(b []types.Row) error {
+		for _, r := range b {
+			sz := int64(types.RowEncodedSize(r))
+			m.BytesBuffered += sz
+			if w == nil {
 				m.ctx.addState(sz)
-			}
-		}
-		if w != nil {
-			if err := w.write(r); err != nil {
-				w.abort()
+			} else if err := w.write(r); err != nil {
 				return err
 			}
-		} else {
-			m.mem = append(m.mem, r)
 		}
+		if w == nil {
+			m.mem = append(m.mem, b...)
+		}
+		return nil
+	}); err != nil {
+		if w != nil {
+			w.abort()
+		}
+		return err
 	}
 	if w != nil {
 		rd, err := w.finish()
@@ -84,27 +77,8 @@ func (m *Materialize) prepare() error {
 	return nil
 }
 
-// Next implements Operator.
-func (m *Materialize) Next() (types.Row, bool, error) {
-	if !m.prepared {
-		if err := m.prepare(); err != nil {
-			return nil, false, err
-		}
-	}
-	if m.reader != nil {
-		return m.reader.next()
-	}
-	if m.pos >= len(m.mem) {
-		return nil, false, nil
-	}
-	r := m.mem[m.pos]
-	m.pos++
-	return r, true, nil
-}
-
-// NextBatch implements BatchOperator for the in-memory buffer, serving
-// retired windows of the buffered rows; the spill-file path stays
-// row-at-a-time (each read allocates anyway).
+// NextBatch implements Operator, serving the buffered rows in slabs — read
+// back from the spill file, or retired windows of the in-memory buffer.
 func (m *Materialize) NextBatch() ([]types.Row, bool, error) {
 	if !m.prepared {
 		if err := m.prepare(); err != nil {
@@ -112,32 +86,9 @@ func (m *Materialize) NextBatch() ([]types.Row, bool, error) {
 		}
 	}
 	if m.reader != nil {
-		var slab []types.Row
-		for len(slab) < DefaultBatchRows {
-			r, ok, err := m.reader.next()
-			if err != nil {
-				return nil, false, err
-			}
-			if !ok {
-				break
-			}
-			slab = append(slab, r)
-		}
-		if len(slab) == 0 {
-			return nil, false, nil
-		}
-		return slab, true, nil
+		return m.reader.nextBatch(m.ctx.batchRows())
 	}
-	if m.pos >= len(m.mem) {
-		return nil, false, nil
-	}
-	end := m.pos + m.ctx.batchRows()
-	if end > len(m.mem) {
-		end = len(m.mem)
-	}
-	out := m.mem[m.pos:end]
-	m.pos = end
-	return out, true, nil
+	return nextWindow(m.mem, &m.pos, m.ctx.batchRows())
 }
 
 // Close implements Operator.

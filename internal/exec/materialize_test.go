@@ -50,7 +50,7 @@ func TestMaterializeToDisk(t *testing.T) {
 }
 
 func TestMaterializeIsBlocking(t *testing.T) {
-	// The source must be fully drained before the first Next returns.
+	// The source must be fully drained before the first slab is returned.
 	drained := false
 	src := &drainTracker{Source: NewSource(intSchema("a"), intRows([]int64{1}, []int64{2})), done: &drained}
 	m := NewMaterialize(nil, src, false)
@@ -58,14 +58,12 @@ func TestMaterializeIsBlocking(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	r, ok, err := m.Next()
-	if err != nil || !ok {
+	if _, ok, err := m.NextBatch(); err != nil || !ok {
 		t.Fatal(err)
 	}
 	if !drained {
-		t.Error("first row returned before input fully drained — not blocking")
+		t.Error("first slab returned before input fully drained — not blocking")
 	}
-	_ = r
 }
 
 type drainTracker struct {
@@ -73,12 +71,12 @@ type drainTracker struct {
 	done *bool
 }
 
-func (d *drainTracker) Next() (types.Row, bool, error) {
-	r, ok, err := d.Source.Next()
+func (d *drainTracker) NextBatch() ([]types.Row, bool, error) {
+	b, ok, err := d.Source.NextBatch()
 	if !ok {
 		*d.done = true
 	}
-	return r, ok, err
+	return b, ok, err
 }
 
 func TestMergeAggSchemaValidated(t *testing.T) {

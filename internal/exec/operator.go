@@ -7,6 +7,7 @@
 package exec
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"sync/atomic"
@@ -15,14 +16,36 @@ import (
 	"repro/internal/types"
 )
 
-// Operator is a Volcano-style iterator.
+// Slab size defaults. DefaultBatchRows sizes operator slabs;
+// DefaultWireBatchRows sizes exchange messages (smaller, so a shuffle
+// keeps many destinations' buffers resident without ballooning memory).
+// Both are overridden together by Ctx.BatchRows.
+const (
+	DefaultBatchRows     = 1024
+	DefaultWireBatchRows = 128
+)
+
+// Operator is the pull iterator every relational operator implements: rows
+// move between operators only in slabs. Moving a slab per call amortizes
+// the two dominant per-row costs of a row-at-a-time engine — the channel
+// select in every producer goroutine (scan threads, shuffle receive loops,
+// probe workers) and the interface calls per row per operator.
+//
+// Ownership contract: the slice NextBatch returns is valid only until the
+// next NextBatch or Close call, and the CALLER owns it in the meantime — it
+// may compact, reorder, or truncate the slice in place (Filter does).
+// Producers must therefore never return a slice that aliases state they
+// re-read (fresh slabs, retired result regions, and reused scratch slabs
+// are all fine). The row values inside a slab are immutable and may be
+// retained indefinitely.
 type Operator interface {
-	// Schema describes the rows Next returns.
+	// Schema describes the rows NextBatch returns.
 	Schema() types.Schema
 	// Open prepares the operator (and its inputs) for iteration.
 	Open() error
-	// Next returns the next row; ok=false signals exhaustion.
-	Next() (row types.Row, ok bool, err error)
+	// NextBatch returns the next slab of rows; ok=false signals
+	// exhaustion. Implementations never return an empty slab with ok=true.
+	NextBatch() (slab []types.Row, ok bool, err error)
 	// Close releases resources. Close is idempotent.
 	Close() error
 }
@@ -64,16 +87,6 @@ type Ctx struct {
 	// the defaults (DefaultBatchRows for operator slabs,
 	// DefaultWireBatchRows for exchange messages).
 	BatchRows int
-	// GraceFanout is the number of spill partitions a grace hash join
-	// fans out to; zero selects DefaultGraceFanout.
-	GraceFanout int
-	// ScanFeedDepth is the scan feed's slab channel depth — how many slabs
-	// a scan thread may run ahead of its consumer; zero selects
-	// DefaultScanFeedDepth.
-	ScanFeedDepth int
-	// MorselPages is the page-range granularity of parallel fragment
-	// scans; zero selects storage.DefaultMorselPages.
-	MorselPages int
 
 	// Counters meters work into the node-level block shared with every
 	// sibling Ctx of the same node (see Child).
@@ -201,31 +214,6 @@ const DefaultGraceFanout = 16
 // of its consumer.
 const DefaultScanFeedDepth = 4
 
-// graceFanout resolves the grace join partition fanout; nil-safe.
-func (c *Ctx) graceFanout() int {
-	if c == nil || c.GraceFanout <= 0 {
-		return DefaultGraceFanout
-	}
-	return c.GraceFanout
-}
-
-// scanFeedDepth resolves the scan feed channel depth; nil-safe.
-func (c *Ctx) scanFeedDepth() int {
-	if c == nil || c.ScanFeedDepth <= 0 {
-		return DefaultScanFeedDepth
-	}
-	return c.ScanFeedDepth
-}
-
-// morselPages resolves the parallel-scan morsel granularity; nil-safe.
-// Zero defers to the storage default.
-func (c *Ctx) morselPages() int {
-	if c == nil {
-		return 0
-	}
-	return c.MorselPages
-}
-
 // addState records operator state bytes when a context is present.
 func (c *Ctx) addState(n int64) {
 	if c != nil {
@@ -250,13 +238,57 @@ func (c *Ctx) tempFile(pattern string) (*os.File, error) {
 	return f, nil
 }
 
+// errStopDrain, returned by a drain callback, ends the pull early without
+// an error (the consumer already has one to report, or was closed).
+var errStopDrain = errors.New("exec: stop drain")
+
+// drain pulls in to exhaustion, handing every slab to fn. The kill switch
+// is re-checked before each pull: a blocking consumer (sort, join build,
+// aggregation) may sit over an input that produces many rows per upstream
+// cancel check, and this bound keeps KILL latency at one slab regardless.
+func drain(ctx *Ctx, in Operator, fn func(slab []types.Row) error) error {
+	for {
+		if err := ctx.canceled(); err != nil {
+			return err
+		}
+		b, ok, err := in.NextBatch()
+		if err != nil || !ok {
+			return err
+		}
+		if err := fn(b); err != nil {
+			if err == errStopDrain {
+				return nil
+			}
+			return err
+		}
+	}
+}
+
+// nextWindow serves a fully computed result in slabs: it returns the next
+// window of at most size rows and advances *pos past it. The window is a
+// region of rows that iteration has retired by the time the caller holds
+// it, so the caller's in-place compaction is safe.
+func nextWindow(rows []types.Row, pos *int, size int) ([]types.Row, bool, error) {
+	if *pos >= len(rows) {
+		return nil, false, nil
+	}
+	end := *pos + size
+	if end > len(rows) {
+		end = len(rows)
+	}
+	out := rows[*pos:end]
+	*pos = end
+	return out, true, nil
+}
+
 // Source yields rows from a slice; the leaf operator for tests, constant
 // relations, and rebuffered intermediates.
 type Source struct {
-	Sch  types.Schema
-	Rows []types.Row
-	pos  int
-	slab []types.Row
+	Sch   types.Schema
+	Rows  []types.Row
+	pos   int
+	batch int // slab size; zero selects DefaultBatchRows
+	slab  []types.Row
 }
 
 // NewSource builds a source operator.
@@ -270,25 +302,18 @@ func (s *Source) Schema() types.Schema { return s.Sch }
 // Open implements Operator.
 func (s *Source) Open() error { s.pos = 0; return nil }
 
-// Next implements Operator.
-func (s *Source) Next() (types.Row, bool, error) {
-	if s.pos >= len(s.Rows) {
-		return nil, false, nil
-	}
-	r := s.Rows[s.pos]
-	s.pos++
-	return r, true, nil
-}
-
-// NextBatch implements BatchOperator. Rows are copied into a reusable
-// slab rather than sub-sliced out of s.Rows: the batch contract lets the
+// NextBatch implements Operator. Rows are copied into a reusable slab
+// rather than sub-sliced out of s.Rows: the slab contract lets the
 // consumer compact the slab in place, and that must not disturb the
 // authoritative backing slice.
 func (s *Source) NextBatch() ([]types.Row, bool, error) {
 	if s.pos >= len(s.Rows) {
 		return nil, false, nil
 	}
-	n := DefaultBatchRows
+	n := s.batch
+	if n <= 0 {
+		n = DefaultBatchRows
+	}
 	if rest := len(s.Rows) - s.pos; rest < n {
 		n = rest
 	}
@@ -309,7 +334,6 @@ type Filter struct {
 	In   Operator
 	Pred expr.Expr
 	ctx  *Ctx
-	bin  BatchOperator
 }
 
 // NewFilter builds a filter; the predicate must already be bound to the
@@ -322,40 +346,14 @@ func NewFilter(ctx *Ctx, in Operator, pred expr.Expr) *Filter {
 func (f *Filter) Schema() types.Schema { return f.In.Schema() }
 
 // Open implements Operator.
-func (f *Filter) Open() error {
-	f.bin = nil
-	return f.In.Open()
-}
+func (f *Filter) Open() error { return f.In.Open() }
 
-// Next implements Operator.
-func (f *Filter) Next() (types.Row, bool, error) {
-	for {
-		r, ok, err := f.In.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		if f.ctx != nil {
-			f.ctx.RowsProcessed.Add(1)
-		}
-		keep, err := expr.EvalBool(f.Pred, r)
-		if err != nil {
-			return nil, false, err
-		}
-		if keep {
-			return r, true, nil
-		}
-	}
-}
-
-// NextBatch implements BatchOperator: evaluate the predicate over the
-// input slab and compact survivors in place (the slab belongs to us per
-// the batch ownership contract).
+// NextBatch implements Operator: evaluate the predicate over the input
+// slab and compact survivors in place (the slab belongs to us per the
+// ownership contract).
 func (f *Filter) NextBatch() ([]types.Row, bool, error) {
-	if f.bin == nil {
-		f.bin = ToBatch(f.In, f.ctx.batchRows())
-	}
 	for {
-		b, ok, err := f.bin.NextBatch()
+		b, ok, err := f.In.NextBatch()
 		if err != nil || !ok {
 			return nil, false, err
 		}
@@ -387,7 +385,6 @@ type Project struct {
 	Exprs []expr.Expr
 	Out   types.Schema
 	ctx   *Ctx
-	bin   BatchOperator
 	slab  []types.Row
 }
 
@@ -405,40 +402,14 @@ func NewProject(ctx *Ctx, in Operator, exprs []expr.Expr, names []string) *Proje
 func (p *Project) Schema() types.Schema { return p.Out }
 
 // Open implements Operator.
-func (p *Project) Open() error {
-	p.bin = nil
-	return p.In.Open()
-}
+func (p *Project) Open() error { return p.In.Open() }
 
-// Next implements Operator.
-func (p *Project) Next() (types.Row, bool, error) {
-	r, ok, err := p.In.Next()
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	if p.ctx != nil {
-		p.ctx.RowsProcessed.Add(1)
-	}
-	out := make(types.Row, len(p.Exprs))
-	for i, e := range p.Exprs {
-		v, err := e.Eval(r)
-		if err != nil {
-			return nil, false, err
-		}
-		out[i] = v
-	}
-	return out, true, nil
-}
-
-// NextBatch implements BatchOperator: evaluate the output expressions
-// over the input slab into a reusable output slab. The projected rows
-// themselves are freshly allocated (row values may be retained by the
-// consumer); only the slice holding them is reused.
+// NextBatch implements Operator: evaluate the output expressions over the
+// input slab into a reusable output slab. The projected rows themselves
+// are freshly allocated (row values may be retained by the consumer); only
+// the slice holding them is reused.
 func (p *Project) NextBatch() ([]types.Row, bool, error) {
-	if p.bin == nil {
-		p.bin = ToBatch(p.In, p.ctx.batchRows())
-	}
-	b, ok, err := p.bin.NextBatch()
+	b, ok, err := p.In.NextBatch()
 	if err != nil || !ok {
 		return nil, false, err
 	}
@@ -478,8 +449,8 @@ type Limit struct {
 	In     Operator
 	N      int64
 	Offset int64
-	seen   int64
-	done   int64
+	seen   int64 // offset rows skipped so far
+	done   int64 // rows emitted so far
 }
 
 // NewLimit builds a LIMIT operator.
@@ -493,23 +464,31 @@ func (l *Limit) Schema() types.Schema { return l.In.Schema() }
 // Open implements Operator.
 func (l *Limit) Open() error { l.seen, l.done = 0, 0; return l.In.Open() }
 
-// Next implements Operator.
-func (l *Limit) Next() (types.Row, bool, error) {
-	for {
-		if l.done >= l.N {
-			return nil, false, nil
-		}
-		r, ok, err := l.In.Next()
+// NextBatch implements Operator: trim the offset off the front and the
+// overshoot off the back of the input slabs. The input is not pulled again
+// once N rows have been emitted.
+func (l *Limit) NextBatch() ([]types.Row, bool, error) {
+	for l.done < l.N {
+		b, ok, err := l.In.NextBatch()
 		if err != nil || !ok {
 			return nil, false, err
 		}
-		l.seen++
-		if l.seen <= l.Offset {
-			continue
+		if skip := l.Offset - l.seen; skip > 0 {
+			if skip > int64(len(b)) {
+				skip = int64(len(b))
+			}
+			l.seen += skip
+			b = b[skip:]
 		}
-		l.done++
-		return r, true, nil
+		if rest := l.N - l.done; int64(len(b)) > rest {
+			b = b[:rest]
+		}
+		l.done += int64(len(b))
+		if len(b) > 0 {
+			return b, true, nil
+		}
 	}
+	return nil, false, nil
 }
 
 // Close implements Operator.
@@ -543,15 +522,16 @@ func (u *Union) Open() error {
 	return nil
 }
 
-// Next implements Operator.
-func (u *Union) Next() (types.Row, bool, error) {
+// NextBatch implements Operator, passing the current input's slabs through
+// and moving to the next input when it is exhausted.
+func (u *Union) NextBatch() ([]types.Row, bool, error) {
 	for u.cur < len(u.Ins) {
-		r, ok, err := u.Ins[u.cur].Next()
+		b, ok, err := u.Ins[u.cur].NextBatch()
 		if err != nil {
 			return nil, false, err
 		}
 		if ok {
-			return r, true, nil
+			return b, true, nil
 		}
 		u.cur++
 	}
@@ -587,53 +567,40 @@ func (d *Distinct) Open() error {
 	return d.In.Open()
 }
 
-// Next implements Operator.
-func (d *Distinct) Next() (types.Row, bool, error) {
+// NextBatch implements Operator, compacting first occurrences in place.
+func (d *Distinct) NextBatch() ([]types.Row, bool, error) {
 	for {
-		r, ok, err := d.In.Next()
+		b, ok, err := d.In.NextBatch()
 		if err != nil || !ok {
 			return nil, false, err
 		}
-		key := string(types.AppendRow(nil, r))
-		if d.seen[key] {
-			continue
+		out := b[:0]
+		for _, r := range b {
+			key := string(types.AppendRow(nil, r))
+			if !d.seen[key] {
+				d.seen[key] = true
+				out = append(out, r)
+			}
 		}
-		d.seen[key] = true
-		return r, true, nil
+		if len(out) > 0 {
+			return out, true, nil
+		}
 	}
 }
 
 // Close implements Operator.
 func (d *Distinct) Close() error { return d.In.Close() }
 
-// Collect drains an operator into a slice (Open/Next/Close), using the
-// batch path when the operator supports it.
+// Collect drains an operator into a slice (Open/NextBatch/Close).
 func Collect(op Operator) ([]types.Row, error) {
 	if err := op.Open(); err != nil {
 		return nil, err
 	}
 	defer op.Close()
 	var out []types.Row
-	if b, ok := nativeBatch(op); ok {
-		for {
-			batch, ok, err := b.NextBatch()
-			if err != nil {
-				return out, err
-			}
-			if !ok {
-				return out, nil
-			}
-			out = append(out, batch...)
-		}
-	}
-	for {
-		r, ok, err := op.Next()
-		if err != nil {
-			return out, err
-		}
-		if !ok {
-			return out, nil
-		}
-		out = append(out, r)
-	}
+	err := drain(nil, op, func(b []types.Row) error {
+		out = append(out, b...)
+		return nil
+	})
+	return out, err
 }

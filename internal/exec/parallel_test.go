@@ -288,9 +288,10 @@ func TestParallelScanAggParity(t *testing.T) {
 }
 
 // TestParallelTinyBudgetRace drives every parallel operator with a tiny
-// worker budget, tiny morsels, and tiny slabs — the configuration that
-// maximizes cross-worker interleaving under `go test -race` — and checks
-// the results still match serial execution.
+// worker budget and tiny slabs — the configuration that maximizes
+// cross-worker interleaving under `go test -race` — and checks the results
+// still match serial execution. (1-page morsels are swept where the
+// parameter lives, in storage's TestParallelScanParity.)
 func TestParallelTinyBudgetRace(t *testing.T) {
 	testutil.AssertNoGoroutineLeak(t)
 	rows, sch := parLineitemData()
@@ -301,7 +302,6 @@ func TestParallelTinyBudgetRace(t *testing.T) {
 		ctx := NewCtx(t.TempDir(), 256)
 		ctx.SetParallelBudget(budget)
 		ctx.BatchRows = 8
-		ctx.MorselPages = 1
 		return ctx
 	}
 	scanAgg := func(ctx *Ctx, parallel int) Operator {

@@ -22,11 +22,8 @@ type scanFeed struct {
 	stop    chan struct{}
 	cancel  *Cancel
 	batch   int
-	depth   int
 	started bool
 	closed  bool
-	cur     []types.Row
-	pos     int
 }
 
 func (s *scanFeed) Schema() types.Schema { return s.sch }
@@ -35,15 +32,11 @@ func (s *scanFeed) Open() error {
 	if s.batch <= 0 {
 		s.batch = DefaultBatchRows
 	}
-	if s.depth <= 0 {
-		s.depth = DefaultScanFeedDepth
-	}
-	s.batches = make(chan []types.Row, s.depth)
+	s.batches = make(chan []types.Row, DefaultScanFeedDepth)
 	s.errCh = make(chan error, 1)
 	s.stop = make(chan struct{})
 	s.started = false
 	s.closed = false
-	s.cur, s.pos = nil, 0
 	return nil
 }
 
@@ -63,21 +56,7 @@ func (s *scanFeed) launch() {
 	}()
 }
 
-func (s *scanFeed) Next() (types.Row, bool, error) {
-	for s.pos >= len(s.cur) {
-		b, ok, err := s.NextBatch()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		//lint:ignore slabown row cursor: the feed owns its own slab and drains cur before the next NextBatch
-		s.cur, s.pos = b, 0
-	}
-	r := s.cur[s.pos]
-	s.pos++
-	return r, true, nil
-}
-
-// NextBatch implements BatchOperator. Each received slab was freshly
+// NextBatch implements Operator. Each received slab was freshly
 // allocated by the scan thread, so handing it to the caller (who may
 // compact it in place) is safe.
 func (s *scanFeed) NextBatch() ([]types.Row, bool, error) {
@@ -188,8 +167,8 @@ type ScanConfig struct {
 	// scan thread acquire extra workers from Ctx's budget and run a
 	// morsel-driven parallel scan; 0/1 keep the serial scan.
 	Parallel int
-	// Ctx supplies the worker budget and the morsel/feed-depth knobs for
-	// parallel scans. Nil grants Parallel workers unconditionally.
+	// Ctx supplies the worker budget for parallel scans and the kill
+	// switch. Nil grants Parallel workers unconditionally.
 	Ctx *Ctx
 }
 
@@ -224,7 +203,6 @@ func NewRowScan(fr *storage.Fragment, alias string, cfg ScanConfig) *FragmentSca
 	fs.scanFeed.sch = sch
 	fs.scanFeed.start = fs.run
 	fs.scanFeed.batch = cfg.BatchRows
-	fs.scanFeed.depth = cfg.Ctx.scanFeedDepth()
 	fs.scanFeed.cancel = cfg.Ctx.Cancel()
 	return fs
 }
@@ -275,7 +253,7 @@ func (fs *FragmentScan) runParallel(snd *batchSender, opts storage.ScanOptions, 
 		senders[i] = &batchSender{out: snd.out, stop: snd.stop, cancel: snd.cancel, size: snd.size}
 	}
 	evalErrs := make([]error, degree)
-	stats, err := fs.fr.ParallelScan(opts, degree, fs.cfg.Ctx.morselPages(), func(w int, rid page.RID, r types.Row) bool {
+	stats, err := fs.fr.ParallelScan(opts, degree, storage.DefaultMorselPages, func(w int, rid page.RID, r types.Row) bool {
 		if fs.cfg.Pred != nil {
 			keep, perr := expr.EvalBool(fs.cfg.Pred, r)
 			if perr != nil {
@@ -324,7 +302,6 @@ func NewColumnarScan(fr *storage.ColumnarFragment, alias string, cfg ScanConfig)
 	cs.scanFeed.sch = sch
 	cs.scanFeed.start = cs.run
 	cs.scanFeed.batch = cfg.BatchRows
-	cs.scanFeed.depth = cfg.Ctx.scanFeedDepth()
 	cs.scanFeed.cancel = cfg.Ctx.Cancel()
 	return cs
 }

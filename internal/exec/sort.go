@@ -51,6 +51,7 @@ type Sort struct {
 	merged   *mergeHeap
 	prepared bool
 	pos      int
+	slab     []types.Row
 }
 
 // NewSort builds a sort operator.
@@ -103,92 +104,64 @@ func (s *Sort) prepare() error {
 	if degree > 1 {
 		return s.prepareParallel(degree)
 	}
-	for {
-		r, ok, err := s.In.Next()
-		if err != nil {
-			return err
+	if err := drain(s.ctx, s.In, func(b []types.Row) error {
+		for _, r := range b {
+			if s.ctx != nil {
+				s.ctx.RowsProcessed.Add(1)
+				s.ctx.addState(int64(types.RowEncodedSize(r)))
+			}
+			s.mem = append(s.mem, r)
+			if s.ctx != nil && s.ctx.MemRows > 0 && len(s.mem) >= s.ctx.MemRows {
+				if err := s.spillRun(); err != nil {
+					return err
+				}
+			}
 		}
-		if !ok {
-			break
-		}
-		if s.ctx != nil {
-			s.ctx.RowsProcessed.Add(1)
-			s.ctx.addState(int64(types.RowEncodedSize(r)))
-		}
-		s.mem = append(s.mem, r)
-		if s.ctx != nil && s.ctx.MemRows > 0 && len(s.mem) >= s.ctx.MemRows {
-			if err := s.spillRun(); err != nil {
+		return nil
+	}); err != nil {
+		return err
+	}
+	s.sortMem()
+	if len(s.runs) > 0 {
+		// The final resident batch becomes one more run of the k-way merge;
+		// a pure in-memory sort is served straight out of s.mem.
+		s.merged = &mergeHeap{keys: s.Keys}
+		for _, run := range s.runs {
+			if err := s.merged.add(run); err != nil {
 				return err
 			}
 		}
-	}
-	if len(s.runs) == 0 {
-		// Pure in-memory sort.
-		s.sortMem()
-		s.prepared = true
-		return nil
-	}
-	// Final in-memory batch becomes one more run (kept in memory).
-	s.sortMem()
-	s.merged = &mergeHeap{keys: s.Keys}
-	for _, run := range s.runs {
-		r, ok, err := run.next()
-		if err != nil {
+		if err := s.merged.add(&memRun{rows: s.mem}); err != nil {
 			return err
 		}
-		if ok {
-			heap.Push(s.merged, mergeItem{row: r, src: run})
-		} else {
-			run.close()
-		}
+		s.mem = nil
 	}
 	s.prepared = true
 	return nil
 }
 
-// Next implements Operator.
-func (s *Sort) Next() (types.Row, bool, error) {
+// NextBatch implements Operator: windows of the sorted resident rows, or
+// slabs popped off the k-way merge when runs were spilled.
+func (s *Sort) NextBatch() ([]types.Row, bool, error) {
 	if !s.prepared {
 		if err := s.prepare(); err != nil {
 			return nil, false, err
 		}
 	}
+	size := s.ctx.batchRows()
 	if s.merged == nil {
-		if s.pos >= len(s.mem) {
-			return nil, false, nil
+		return nextWindow(s.mem, &s.pos, size)
+	}
+	out := s.slab[:0]
+	for len(out) < size && s.merged.Len() > 0 {
+		item := heap.Pop(s.merged).(mergeItem)
+		out = append(out, item.row)
+		if err := s.merged.add(item.src); err != nil {
+			return nil, false, err
 		}
-		r := s.mem[s.pos]
-		s.pos++
-		return r, true, nil
 	}
-	// Merge the spill runs with the resident final batch.
-	var memTop types.Row
-	if s.pos < len(s.mem) {
-		memTop = s.mem[s.pos]
-	}
-	if s.merged.Len() == 0 {
-		if memTop == nil {
-			return nil, false, nil
-		}
-		s.pos++
-		return memTop, true, nil
-	}
-	top := s.merged.items[0]
-	if memTop != nil && compareByKeys(memTop, top.row, s.Keys) <= 0 {
-		s.pos++
-		return memTop, true, nil
-	}
-	item := heap.Pop(s.merged).(mergeItem)
-	next, ok, err := item.src.next()
-	if err != nil {
-		return nil, false, err
-	}
-	if ok {
-		heap.Push(s.merged, mergeItem{row: next, src: item.src})
-	} else {
-		item.src.close()
-	}
-	return item.row, true, nil
+	s.slab = out
+	return out, len(out) > 0, nil
 }
 
 // Close implements Operator.
@@ -231,6 +204,18 @@ func (h *mergeHeap) Pop() interface{} {
 	it := old[n-1]
 	h.items = old[:n-1]
 	return it
+}
+
+// add pushes src's next row onto the heap, or closes src when it is
+// exhausted (or failed).
+func (h *mergeHeap) add(src runSource) error {
+	r, ok, err := src.next()
+	if err != nil || !ok {
+		src.close()
+		return err
+	}
+	heap.Push(h, mergeItem{row: r, src: src})
+	return nil
 }
 
 // memRun serves a sorted resident batch as a merge source.
@@ -352,8 +337,7 @@ type sortWorker struct {
 // sorted run whenever its share of the memory budget fills, and sorts its
 // final resident batch in memory. All runs — spilled ones behind prefetching
 // decoders, resident batches directly — feed the same k-way heap merge the
-// serial path uses; s.mem stays empty so Next's resident-batch special case
-// is inert.
+// serial path uses.
 func (s *Sort) prepareParallel(degree int) error {
 	localBudget := 0
 	if s.ctx != nil && s.ctx.MemRows > 0 {
@@ -427,7 +411,7 @@ func (s *Sort) prepareParallel(degree int) error {
 			}
 		}(sw)
 	}
-	feedErr := feedRowBatches(s.ctx, s.In, s.ctx.batchRows(), batches, stop)
+	feedErr := feedRowBatches(s.ctx, s.In, batches, stop)
 	close(batches)
 	wg.Wait()
 	var firstErr error
@@ -446,28 +430,15 @@ func (s *Sort) prepareParallel(degree int) error {
 	}
 	s.mem = nil
 	s.merged = &mergeHeap{keys: s.Keys}
-	push := func(src runSource) error {
-		r, ok, err := src.next()
-		if err != nil {
-			src.close()
-			return err
-		}
-		if ok {
-			heap.Push(s.merged, mergeItem{row: r, src: src})
-		} else {
-			src.close()
-		}
-		return nil
-	}
 	slab := s.ctx.batchRows()
 	for _, sw := range workers {
 		for _, rd := range sw.runs {
-			if err := push(newPrefetchRun(rd, slab)); err != nil {
+			if err := s.merged.add(newPrefetchRun(rd, slab)); err != nil {
 				return err
 			}
 		}
 		if len(sw.mem) > 0 {
-			if err := push(&memRun{rows: sw.mem}); err != nil {
+			if err := s.merged.add(&memRun{rows: sw.mem}); err != nil {
 				return err
 			}
 		}
@@ -510,25 +481,21 @@ func (t *TopK) prepare() error {
 	// so a newly arriving better row replaces the root — exactly the
 	// paper's description (min-heap for descending order).
 	h := &boundedHeap{keys: t.Keys}
-	for {
-		r, ok, err := t.In.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
+	if err := drain(t.ctx, t.In, func(b []types.Row) error {
 		if t.ctx != nil {
-			t.ctx.RowsProcessed.Add(1)
+			t.ctx.RowsProcessed.Add(int64(len(b)))
 		}
-		if h.Len() < t.K {
-			heap.Push(h, r)
-			continue
+		for _, r := range b {
+			if h.Len() < t.K {
+				heap.Push(h, r)
+			} else if compareByKeys(r, h.rows[0], t.Keys) < 0 {
+				h.rows[0] = r
+				heap.Fix(h, 0)
+			}
 		}
-		if compareByKeys(r, h.rows[0], t.Keys) < 0 {
-			h.rows[0] = r
-			heap.Fix(h, 0)
-		}
+		return nil
+	}); err != nil {
+		return err
 	}
 	t.results = make([]types.Row, h.Len())
 	for i := len(t.results) - 1; i >= 0; i-- {
@@ -538,19 +505,14 @@ func (t *TopK) prepare() error {
 	return nil
 }
 
-// Next implements Operator.
-func (t *TopK) Next() (types.Row, bool, error) {
+// NextBatch implements Operator, serving the prepared top-k in slabs.
+func (t *TopK) NextBatch() ([]types.Row, bool, error) {
 	if !t.prepared {
 		if err := t.prepare(); err != nil {
 			return nil, false, err
 		}
 	}
-	if t.pos >= len(t.results) {
-		return nil, false, nil
-	}
-	r := t.results[t.pos]
-	t.pos++
-	return r, true, nil
+	return nextWindow(t.results, &t.pos, t.ctx.batchRows())
 }
 
 // Close implements Operator.

@@ -91,6 +91,22 @@ func (s *spillReader) next() (types.Row, bool, error) {
 	return row, true, nil
 }
 
+// nextBatch reads up to n rows into a fresh slab.
+func (s *spillReader) nextBatch(n int) ([]types.Row, bool, error) {
+	var slab []types.Row
+	for len(slab) < n {
+		r, ok, err := s.next()
+		if err != nil {
+			return nil, false, err
+		}
+		if !ok {
+			break
+		}
+		slab = append(slab, r)
+	}
+	return slab, len(slab) > 0, nil
+}
+
 func (s *spillReader) close() {
 	name := s.f.Name()
 	s.f.Close()

@@ -9,35 +9,26 @@ import (
 	"repro/internal/vec"
 )
 
-// Traced wraps an operator and charges its Open/Next/Close time and output
-// rows to an obs.Span. Wrappers are only created when a query runs with
-// tracing enabled — the disabled path builds the plain operator tree, so
-// hot loops carry zero tracing cost (see BenchmarkSpanDisabled in obs).
+// Traced wraps an operator and charges its Open/NextBatch/Close time, output
+// rows and slab count to an obs.Span. Wrappers are only created when a query
+// runs with tracing enabled — the disabled path builds the plain operator
+// tree, so hot loops carry zero tracing cost (see BenchmarkSpanDisabled in
+// obs).
 type Traced struct {
 	in Operator
 	sp *obs.Span
 }
 
 // NewTraced wraps in with span sp. If sp is nil the operator is returned
-// unwrapped. A batch-native input gets a wrapper that is itself
-// batch-native — embedding alone would hide NextBatch behind the Operator
-// interface and silently drop the whole plan to the row path. Likewise a
-// vector-native input gets a wrapper exposing NextVec, so tracing never
-// demotes a vector plan to boxed rows.
+// unwrapped. A vector-native input gets a wrapper that also exposes
+// NextVec, so tracing never demotes a vector plan to boxed rows.
 func NewTraced(in Operator, sp *obs.Span) Operator {
 	if sp == nil {
 		return in
 	}
 	t := &Traced{in: in, sp: sp}
 	if vin, ok := nativeVec(in); ok {
-		tv := &tracedVec{Traced: t, vin: vin}
-		if bin, ok := nativeBatch(in); ok {
-			return &tracedVecBatch{tracedVec: tv, bin: bin}
-		}
-		return tv
-	}
-	if bin, ok := nativeBatch(in); ok {
-		return &tracedBatch{Traced: t, bin: bin}
+		return &tracedVec{Traced: t, vin: vin}
 	}
 	return t
 }
@@ -45,13 +36,7 @@ func NewTraced(in Operator, sp *obs.Span) Operator {
 // Unwrap returns the operator beneath a Traced wrapper (or op itself).
 // Plan-shape assertions and re-wrapping logic see through tracing with it.
 func Unwrap(op Operator) Operator {
-	if t, ok := op.(*tracedVecBatch); ok {
-		return t.in
-	}
 	if t, ok := op.(*tracedVec); ok {
-		return t.in
-	}
-	if t, ok := op.(*tracedBatch); ok {
 		return t.in
 	}
 	if t, ok := op.(*Traced); ok {
@@ -74,15 +59,16 @@ func (t *Traced) Open() error {
 	return err
 }
 
-// Next pulls one row, charging time and counting output rows.
-func (t *Traced) Next() (types.Row, bool, error) {
+// NextBatch pulls one slab, charging time and counting rows and slabs.
+func (t *Traced) NextBatch() ([]types.Row, bool, error) {
 	start := time.Now()
-	row, ok, err := t.in.Next()
+	b, ok, err := t.in.NextBatch()
 	t.sp.AddWall(time.Since(start))
 	if ok && err == nil {
-		t.sp.AddRowsOut(1)
+		t.sp.AddRowsOut(int64(len(b)))
+		t.sp.AddBatches(1)
 	}
-	return row, ok, err
+	return b, ok, err
 }
 
 // Close closes the wrapped operator and finishes its span: Close is the
@@ -93,26 +79,6 @@ func (t *Traced) Close() error {
 	t.sp.AddWall(time.Since(start))
 	t.sp.Finish()
 	return err
-}
-
-// tracedBatch is the Traced wrapper for batch-native operators: Next and
-// the lifecycle methods come from Traced; NextBatch charges the slab's
-// rows and counts the slab, so EXPLAIN ANALYZE shows batching in effect.
-type tracedBatch struct {
-	*Traced
-	bin BatchOperator
-}
-
-// NextBatch pulls one slab, charging time and counting rows and batches.
-func (t *tracedBatch) NextBatch() ([]types.Row, bool, error) {
-	start := time.Now()
-	b, ok, err := t.bin.NextBatch()
-	t.sp.AddWall(time.Since(start))
-	if ok && err == nil {
-		t.sp.AddRowsOut(int64(len(b)))
-		t.sp.AddBatches(1)
-	}
-	return b, ok, err
 }
 
 // tracedVec is the Traced wrapper for vector-native operators: NextVec
@@ -131,26 +97,6 @@ func (t *tracedVec) NextVec() (*vec.Batch, bool, error) {
 	if ok && err == nil {
 		t.sp.AddRowsOut(int64(b.Rows()))
 		t.sp.AddVecBatches(1)
-	}
-	return b, ok, err
-}
-
-// tracedVecBatch additionally forwards the batch face of an operator that
-// is both vector- and batch-native, so consumers on either path keep their
-// native protocol through the tracing wrapper.
-type tracedVecBatch struct {
-	*tracedVec
-	bin BatchOperator
-}
-
-// NextBatch pulls one slab, charging time and counting rows and batches.
-func (t *tracedVecBatch) NextBatch() ([]types.Row, bool, error) {
-	start := time.Now()
-	b, ok, err := t.bin.NextBatch()
-	t.sp.AddWall(time.Since(start))
-	if ok && err == nil {
-		t.sp.AddRowsOut(int64(len(b)))
-		t.sp.AddBatches(1)
 	}
 	return b, ok, err
 }

@@ -15,9 +15,10 @@ func cf(v float64) *expr.Const    { return &expr.Const{V: types.NewFloat(v)} }
 func cs(s string) *expr.Const     { return &expr.Const{V: types.NewString(s)} }
 
 // TestVecRowParityPipeline runs the same scan→filter→project→aggregate
-// pipeline on the scalar engine and on the typed vector path at several
-// batch sizes, and demands identical results. The vector operators must be
-// native (not silent fallbacks to the boxed engine).
+// pipeline on the slab operators and on the typed vector operators (two
+// independent implementations) at several batch sizes, and demands
+// identical results. The vector operators must be native (not silent
+// fallbacks to the boxed engine).
 func TestVecRowParityPipeline(t *testing.T) {
 	var rows []types.Row
 	for i := int64(0); i < 5000; i++ {
@@ -25,15 +26,15 @@ func TestVecRowParityPipeline(t *testing.T) {
 	}
 	sch := intSchema("g", "v")
 	rowPipe := func(ctx *Ctx) Operator {
-		f := NewFilter(ctx, RowOnly(NewSource(sch, rows)), gt(col(1), ci(99)))
-		p := NewProject(ctx, RowOnly(f), []expr.Expr{col(0), add(col(1), ci(1))}, []string{"g", "v1"})
-		return NewHashAggregate(ctx, RowOnly(p), ColRefs(0), []AggSpec{
+		f := NewFilter(ctx, NewSource(sch, rows), gt(col(1), ci(99)))
+		p := NewProject(ctx, f, []expr.Expr{col(0), add(col(1), ci(1))}, []string{"g", "v1"})
+		return NewHashAggregate(ctx, p, ColRefs(0), []AggSpec{
 			{Kind: AggSum, Arg: col(1), Name: "s"},
 			{Kind: AggCount, Name: "c"},
 		}, AggComplete)
 	}
 	vecPipe := func(ctx *Ctx, size int) Operator {
-		in := ToVec(RowOnly(NewSource(sch, rows)), size)
+		in := ToVec(slabSource(sch, rows, size))
 		f := NewVecFilter(ctx, in, gt(col(1), ci(99)))
 		p := NewVecProject(ctx, f, []expr.Expr{col(0), add(col(1), ci(1))}, []string{"g", "v1"})
 		a := NewVecHashAggregate(ctx, p, ColRefs(0), []AggSpec{
@@ -43,7 +44,7 @@ func TestVecRowParityPipeline(t *testing.T) {
 		if _, ok := a.(*VecHashAggregate); !ok {
 			t.Fatal("integer group keys must run on the native vector aggregate")
 		}
-		return FromVec(a)
+		return a
 	}
 	want, err := Collect(rowPipe(NewCtx("", 0)))
 	if err != nil {
@@ -65,7 +66,7 @@ func TestVecRowParityPipeline(t *testing.T) {
 
 // TestVecRowParityTPCHAgg golden-compares a TPC-H Q1-style aggregation —
 // dictionary-string group keys, float sums and averages, a float filter —
-// between the row engine and the vector path on SF0.01.
+// between the slab operators and the vector path on SF0.01.
 func TestVecRowParityTPCHAgg(t *testing.T) {
 	d := tpch.Generate(0.01, 42)
 	sch := schemaFor(d.Lineitem[0])
@@ -78,18 +79,18 @@ func TestVecRowParityTPCHAgg(t *testing.T) {
 		{Kind: AggCount, Name: "cnt"},
 	}
 	pred := lt(col(4), cf(25))
-	row := NewHashAggregate(NewCtx("", 0), RowOnly(NewFilter(NewCtx("", 0), RowOnly(NewSource(sch, d.Lineitem)), pred)), groupBy, specs, AggComplete)
+	row := NewHashAggregate(NewCtx("", 0), NewFilter(NewCtx("", 0), NewSource(sch, d.Lineitem), pred), groupBy, specs, AggComplete)
 	want, err := Collect(row)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := NewCtx("", 0)
-	in := NewVecFilter(ctx, ToVec(RowOnly(NewSource(sch, d.Lineitem)), 512), pred)
+	in := NewVecFilter(ctx, ToVec(slabSource(sch, d.Lineitem, 512)), pred)
 	a := NewVecHashAggregate(ctx, in, groupBy, specs, AggComplete)
 	if _, ok := a.(*VecHashAggregate); !ok {
 		t.Fatal("string group keys must run on the native vector aggregate")
 	}
-	got, err := Collect(FromVec(a))
+	got, err := Collect(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +129,7 @@ func TestVecRowParityNulls(t *testing.T) {
 		{Kind: AggMin, Arg: col(4), Name: "lo"},
 		{Kind: AggMax, Arg: col(4), Name: "hi"},
 	}
-	want, err := Collect(NewHashAggregate(NewCtx("", 0), RowOnly(NewSource(sch, rows)), groupBy, specs, AggComplete))
+	want, err := Collect(NewHashAggregate(NewCtx("", 0), NewSource(sch, rows), groupBy, specs, AggComplete))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,8 +137,8 @@ func TestVecRowParityNulls(t *testing.T) {
 		t.Fatalf("baseline groups = %d, want 4 (incl. the NULL-key group)", len(want))
 	}
 	ctx := NewCtx("", 0)
-	a := NewVecHashAggregate(ctx, ToVec(RowOnly(NewSource(sch, rows)), 256), groupBy, specs, AggComplete)
-	got, err := Collect(FromVec(a))
+	a := NewVecHashAggregate(ctx, ToVec(slabSource(sch, rows, 256)), groupBy, specs, AggComplete)
+	got, err := Collect(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,13 +157,13 @@ func TestVecAggSpillParity(t *testing.T) {
 		{Kind: AggCount, Name: "c"},
 	}
 	rowCtx := NewCtx(t.TempDir(), 500)
-	want, err := Collect(NewHashAggregate(rowCtx, RowOnly(NewSource(sch, d.Lineitem)), groupBy, specs, AggComplete))
+	want, err := Collect(NewHashAggregate(rowCtx, NewSource(sch, d.Lineitem), groupBy, specs, AggComplete))
 	if err != nil {
 		t.Fatal(err)
 	}
 	vecCtx := NewCtx(t.TempDir(), 500)
-	a := NewVecHashAggregate(vecCtx, ToVec(RowOnly(NewSource(sch, d.Lineitem)), 512), groupBy, specs, AggComplete)
-	got, err := Collect(FromVec(a))
+	a := NewVecHashAggregate(vecCtx, ToVec(slabSource(sch, d.Lineitem, 512)), groupBy, specs, AggComplete)
+	got, err := Collect(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,20 +184,20 @@ func TestVecJoinParity(t *testing.T) {
 
 	t.Run("int-keys", func(t *testing.T) {
 		want, err := Collect(NewHashJoin(NewCtx("", 0),
-			RowOnly(NewSource(lineSch, d.Lineitem)), RowOnly(NewSource(ordSch, d.Orders)),
+			NewSource(lineSch, d.Lineitem), NewSource(ordSch, d.Orders),
 			ColRefs(0), ColRefs(0), JoinInner, nil, 0))
 		if err != nil {
 			t.Fatal(err)
 		}
 		ctx := NewCtx("", 0)
 		j := NewVecHashJoin(ctx,
-			ToVec(RowOnly(NewSource(lineSch, d.Lineitem)), 512),
-			ToVec(RowOnly(NewSource(ordSch, d.Orders)), 512),
+			ToVec(slabSource(lineSch, d.Lineitem, 512)),
+			ToVec(slabSource(ordSch, d.Orders, 512)),
 			ColRefs(0), ColRefs(0), JoinInner, nil, 0)
 		if _, ok := j.(*VecHashJoin); !ok {
 			t.Fatal("plain column keys must run on the native vector join")
 		}
-		got, err := Collect(FromVec(j))
+		got, err := Collect(j)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -218,17 +219,17 @@ func TestVecJoinParity(t *testing.T) {
 		}
 		probeRows := nullify(d.Lineitem[:20000], 4, 8) // null string keys must not match
 		want, err := Collect(NewHashJoin(NewCtx("", 0),
-			RowOnly(NewSource(lineSch, probeRows)), RowOnly(NewSource(flagSch, flags)),
+			NewSource(lineSch, probeRows), NewSource(flagSch, flags),
 			ColRefs(8), ColRefs(0), JoinInner, nil, 0))
 		if err != nil {
 			t.Fatal(err)
 		}
 		ctx := NewCtx("", 0)
 		j := NewVecHashJoin(ctx,
-			ToVec(RowOnly(NewSource(lineSch, probeRows)), 512),
-			ToVec(RowOnly(NewSource(flagSch, flags)), 512),
+			ToVec(slabSource(lineSch, probeRows, 512)),
+			ToVec(slabSource(flagSch, flags, 512)),
 			ColRefs(8), ColRefs(0), JoinInner, nil, 0)
-		got, err := Collect(FromVec(j))
+		got, err := Collect(j)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -238,16 +239,16 @@ func TestVecJoinParity(t *testing.T) {
 	t.Run("semi-anti", func(t *testing.T) {
 		for _, jt := range []JoinType{JoinSemi, JoinAnti} {
 			want, err := Collect(NewHashJoin(NewCtx("", 0),
-				RowOnly(NewSource(ordSch, d.Orders)), RowOnly(NewSource(lineSch, d.Lineitem[:9000])),
+				NewSource(ordSch, d.Orders), NewSource(lineSch, d.Lineitem[:9000]),
 				ColRefs(0), ColRefs(0), jt, nil, 0))
 			if err != nil {
 				t.Fatal(err)
 			}
 			j := NewVecHashJoin(NewCtx("", 0),
-				ToVec(RowOnly(NewSource(ordSch, d.Orders)), 512),
-				ToVec(RowOnly(NewSource(lineSch, d.Lineitem[:9000])), 512),
+				ToVec(slabSource(ordSch, d.Orders, 512)),
+				ToVec(slabSource(lineSch, d.Lineitem[:9000], 512)),
 				ColRefs(0), ColRefs(0), jt, nil, 0)
-			got, err := Collect(FromVec(j))
+			got, err := Collect(j)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -264,17 +265,17 @@ func TestVecJoinOverflowSpillParity(t *testing.T) {
 	lineSch := schemaFor(d.Lineitem[0])
 	ordSch := schemaFor(d.Orders[0])
 	want, err := Collect(NewHashJoin(NewCtx(t.TempDir(), 2000),
-		RowOnly(NewSource(lineSch, d.Lineitem)), RowOnly(NewSource(ordSch, d.Orders)),
+		NewSource(lineSch, d.Lineitem), NewSource(ordSch, d.Orders),
 		ColRefs(0), ColRefs(0), JoinInner, nil, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := NewCtx(t.TempDir(), 2000) // orders(15000) overflows the budget
 	j := NewVecHashJoin(ctx,
-		ToVec(RowOnly(NewSource(lineSch, d.Lineitem)), 512),
-		ToVec(RowOnly(NewSource(ordSch, d.Orders)), 512),
+		ToVec(slabSource(lineSch, d.Lineitem, 512)),
+		ToVec(slabSource(ordSch, d.Orders, 512)),
 		ColRefs(0), ColRefs(0), JoinInner, nil, 2)
-	got, err := Collect(FromVec(j))
+	got, err := Collect(j)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +309,7 @@ func TestSendAllVecHonorsWireBatchRows(t *testing.T) {
 	ctx.BatchRows = 5
 	// Producer slabs are far larger than the wire batch: chunking must come
 	// from the knob, not from whatever the producer happens to emit.
-	in := FromVec(ToVec(RowOnly(NewSource(sch, rows)), 1024))
+	in := ToVec(slabSource(sch, rows, 1024))
 	if _, ok := nativeVec(in); !ok {
 		t.Fatal("test input must be vec-native to exercise the columnar wire path")
 	}

@@ -107,8 +107,8 @@ type vecSpecAcc struct {
 }
 
 // VecHashAggregate is the vector-native grouping operator: group keys are
-// read straight off typed column slabs into a comparable struct key — the
-// row path's per-row scratch key encoding (evaluate, box, binary-encode,
+// read straight off typed column slabs into a comparable struct key —
+// HashAggregate's per-row scratch key encoding (evaluate, box, binary-encode,
 // map[string] lookup) goes away — and aggregate arguments accumulate from
 // unboxed payloads. Semantics mirror HashAggregate exactly: same output
 // schema, same NULL handling, same spill discipline (new groups past the
@@ -138,11 +138,11 @@ type VecHashAggregate struct {
 }
 
 // NewVecHashAggregate builds a vector aggregation over a vector input.
-// Shapes the typed fast path cannot group fall back to the row operator
-// behind batch/vector adapters, so the constructor is total.
+// Shapes the typed fast path cannot group fall back to HashAggregate
+// behind the ToVec adapter, so the constructor is total.
 func NewVecHashAggregate(ctx *Ctx, in VecOperator, groupBy []expr.Expr, specs []AggSpec, mode AggMode) VecOperator {
 	if !vecAggSupported(in.Schema(), groupBy, specs, mode) {
-		return ToVec(NewHashAggregate(ctx, FromVec(in), groupBy, specs, mode), ctx.batchRows())
+		return ToVec(NewHashAggregate(ctx, in, groupBy, specs, mode))
 	}
 	a := &VecHashAggregate{ctx: ctx, in: in, groupBy: groupBy, specs: specs, mode: mode}
 	a.out = aggOutputSchema(in.Schema(), groupBy, specs, mode)
@@ -251,25 +251,11 @@ func (a *VecHashAggregate) prepare() error {
 		if err != nil {
 			return err
 		}
-		inner := NewHashAggregate(a.ctx, &spillSource{sch: a.in.Schema(), rd: rd}, a.groupBy, a.specs, a.mode)
-		if err := inner.Open(); err != nil {
-			rd.close()
+		rows, err := Collect(NewHashAggregate(a.ctx, &spillSource{ctx: a.ctx, sch: a.in.Schema(), rd: rd}, a.groupBy, a.specs, a.mode))
+		if err != nil {
 			return err
 		}
-		for {
-			r, ok, err := inner.Next()
-			if err != nil {
-				inner.Close()
-				return err
-			}
-			if !ok {
-				break
-			}
-			a.results = append(a.results, r)
-		}
-		if err := inner.Close(); err != nil {
-			return err
-		}
+		a.results = append(a.results, rows...)
 	}
 
 	// No GROUP BY: SQL semantics require one output row even on empty input.
@@ -481,63 +467,31 @@ func (a *VecHashAggregate) emit() {
 	a.groups = nil
 }
 
-// Next implements Operator.
-func (a *VecHashAggregate) Next() (types.Row, bool, error) {
-	if !a.prepared {
-		if err := a.prepare(); err != nil {
-			return nil, false, err
-		}
-	}
-	if a.pos >= len(a.results) {
-		return nil, false, nil
-	}
-	r := a.results[a.pos]
-	a.pos++
-	return r, true, nil
-}
-
-// NextBatch implements BatchOperator, serving prepared results in windows.
+// NextBatch implements Operator, serving prepared results in windows.
 func (a *VecHashAggregate) NextBatch() ([]types.Row, bool, error) {
 	if !a.prepared {
 		if err := a.prepare(); err != nil {
 			return nil, false, err
 		}
 	}
-	if a.pos >= len(a.results) {
-		return nil, false, nil
-	}
-	end := a.pos + a.ctx.batchRows()
-	if end > len(a.results) {
-		end = len(a.results)
-	}
-	out := a.results[a.pos:end]
-	a.pos = end
-	return out, true, nil
+	return nextWindow(a.results, &a.pos, a.ctx.batchRows())
 }
 
 // NextVec implements VecOperator, serving prepared results as vector
 // batches (re-vectorized windows over the result rows).
 func (a *VecHashAggregate) NextVec() (*vec.Batch, bool, error) {
-	if !a.prepared {
-		if err := a.prepare(); err != nil {
-			return nil, false, err
-		}
+	rows, ok, err := a.NextBatch()
+	if err != nil || !ok {
+		return nil, false, err
 	}
-	if a.pos >= len(a.results) {
-		return nil, false, nil
-	}
-	end := a.pos + a.ctx.batchRows()
-	if end > len(a.results) {
-		end = len(a.results)
-	}
-	a.ob = vec.FromRows(a.out, a.results[a.pos:end], a.ob)
-	a.pos = end
+	a.ob = vec.FromRows(a.out, rows, a.ob)
 	return a.ob, true, nil
 }
 
 // spillSource adapts a spillReader to the Operator interface so spilled
 // rows can feed an inner aggregation directly.
 type spillSource struct {
+	ctx *Ctx
 	sch types.Schema
 	rd  *spillReader
 }
@@ -546,7 +500,9 @@ func (s *spillSource) Schema() types.Schema { return s.sch }
 
 func (s *spillSource) Open() error { return nil }
 
-func (s *spillSource) Next() (types.Row, bool, error) { return s.rd.next() }
+func (s *spillSource) NextBatch() ([]types.Row, bool, error) {
+	return s.rd.nextBatch(s.ctx.batchRows())
+}
 
 func (s *spillSource) Close() error {
 	s.rd.close()

@@ -196,7 +196,7 @@ func NewVecHashJoin(ctx *Ctx, probe, build VecOperator, probeKeys, buildKeys []e
 	pk, ok1 := colIndices(probeKeys, probe.Schema().Len())
 	bk, ok2 := colIndices(buildKeys, build.Schema().Len())
 	if !ok1 || !ok2 || len(pk) != len(bk) {
-		return ToVec(NewHashJoin(ctx, FromVec(probe), FromVec(build), probeKeys, buildKeys, jt, residual, parallel), ctx.batchRows())
+		return ToVec(NewHashJoin(ctx, probe, build, probeKeys, buildKeys, jt, residual, parallel))
 	}
 	j := &VecHashJoin{
 		ctx: ctx, probe: probe, build: build,
@@ -234,7 +234,6 @@ func (j *VecHashJoin) Schema() types.Schema { return j.out }
 
 // Open implements Operator.
 func (j *VecHashJoin) Open() error {
-	j.cur, j.pos = nil, 0
 	j.bt, j.table, j.prepared, j.done, j.fb = nil, nil, false, false, nil
 	if err := j.probe.Open(); err != nil {
 		return err
@@ -352,18 +351,18 @@ func (j *VecHashJoin) prepareBuild() error {
 }
 
 // overflow hands the join to the row HashJoin mid-stream: the accumulated
-// build rows are materialized and prefixed to the rest of the (already
-// open) build stream, so the row join's Grace spill machinery sees every
-// build row exactly once.
+// build rows are materialized and unioned in front of the rest of the
+// (already open) build stream, so the row join's Grace spill machinery sees
+// every build row exactly once.
 func (j *VecHashJoin) overflow() error {
 	rows := j.bt.Materialize(nil)
 	j.bt = nil
-	buildOp := &prefixSource{sch: j.build.Schema(), rows: rows, tail: openedOp{FromVec(j.build)}}
-	hj := NewHashJoin(j.ctx, openedOp{FromVec(j.probe)}, buildOp, j.probeKeys, j.buildKeys, j.jt, j.residual, j.parallel)
+	buildOp := NewUnion(&Source{Sch: j.build.Schema(), Rows: rows, batch: j.ctx.batchRows()}, openedOp{j.build})
+	hj := NewHashJoin(j.ctx, openedOp{j.probe}, buildOp, j.probeKeys, j.buildKeys, j.jt, j.residual, j.parallel)
 	if err := hj.Open(); err != nil {
 		return err
 	}
-	j.fb = ToVec(hj, j.ctx.batchRows())
+	j.fb = ToVec(hj)
 	j.prepared = true
 	return nil
 }
@@ -498,31 +497,3 @@ type openedOp struct{ Operator }
 
 // Open implements Operator as a no-op.
 func (openedOp) Open() error { return nil }
-
-// prefixSource serves buffered rows, then continues with an already-open
-// tail stream.
-type prefixSource struct {
-	sch  types.Schema
-	rows []types.Row
-	pos  int
-	tail Operator
-}
-
-// Schema implements Operator.
-func (s *prefixSource) Schema() types.Schema { return s.sch }
-
-// Open implements Operator as a no-op: the stream was adopted mid-flight.
-func (s *prefixSource) Open() error { return nil }
-
-// Next implements Operator.
-func (s *prefixSource) Next() (types.Row, bool, error) {
-	if s.pos < len(s.rows) {
-		r := s.rows[s.pos]
-		s.pos++
-		return r, true, nil
-	}
-	return s.tail.Next()
-}
-
-// Close implements Operator.
-func (s *prefixSource) Close() error { return s.tail.Close() }

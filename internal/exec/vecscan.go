@@ -25,7 +25,6 @@ type vecScanFeed struct {
 	stop    chan struct{}
 	cancel  *Cancel
 	batch   int
-	depth   int
 	started bool
 	closed  bool
 }
@@ -36,10 +35,7 @@ func (s *vecScanFeed) Open() error {
 	if s.batch <= 0 {
 		s.batch = DefaultBatchRows
 	}
-	if s.depth <= 0 {
-		s.depth = DefaultScanFeedDepth
-	}
-	s.batches = make(chan *vec.Batch, s.depth)
+	s.batches = make(chan *vec.Batch, DefaultScanFeedDepth)
 	s.errCh = make(chan error, 1)
 	s.stop = make(chan struct{})
 	s.started = false
@@ -186,7 +182,6 @@ func NewVecColumnarScan(fr *storage.ColumnarFragment, alias string, cfg ScanConf
 	cs.vecScanFeed.sch = sch
 	cs.vecScanFeed.start = cs.run
 	cs.vecScanFeed.batch = cfg.BatchRows
-	cs.vecScanFeed.depth = cfg.Ctx.scanFeedDepth()
 	cs.vecScanFeed.cancel = cfg.Ctx.Cancel()
 	cs.vecRowShim.src = cs
 	if cfg.Pred != nil {
@@ -221,12 +216,6 @@ func predCols(e expr.Expr, n int) []bool {
 	}
 	walk(e)
 	return set
-}
-
-// Open implements Operator.
-func (cs *VecColumnarScan) Open() error {
-	cs.cur, cs.pos = nil, 0
-	return cs.vecScanFeed.Open()
 }
 
 func (cs *VecColumnarScan) run(snd *vecBatchSender) error {

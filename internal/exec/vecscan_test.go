@@ -120,7 +120,7 @@ func TestVecScanPushdownParity(t *testing.T) {
 			if _, ok := op.(*VecColumnarScan); !ok {
 				t.Fatalf("compilable predicate must push down into the scan, got %T", op)
 			}
-			got, err := Collect(FromVec(op))
+			got, err := Collect(op)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -136,7 +136,7 @@ func TestVecScanPushdownParity(t *testing.T) {
 			// late-materialized selection must agree with post-hoc filtering.
 			fctx := NewCtx("", 0)
 			wrapped := NewVecFilter(fctx, NewVecColumnarScan(fr, "", ScanConfig{Ctx: fctx}), pred())
-			got2, err := Collect(FromVec(wrapped))
+			got2, err := Collect(wrapped)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -158,7 +158,7 @@ func TestVecScanPushdownParity(t *testing.T) {
 	if _, ok := op.(*VecFilter); !ok {
 		t.Fatalf("non-compilable predicate must wrap in VecFilter, got %T", op)
 	}
-	got, err := Collect(FromVec(op))
+	got, err := Collect(op)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestVecScanParallelParity(t *testing.T) {
 		if _, ok := op.(*VecColumnarScan); !ok {
 			t.Fatalf("predicate must push down, got %T", op)
 		}
-		out, err := Collect(FromVec(op))
+		out, err := Collect(op)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,7 +210,7 @@ func TestVecScanNoPredFullDecode(t *testing.T) {
 	for _, parallel := range []int{1, 4} {
 		ctx := NewCtx("", 0)
 		ctx.SetParallelBudget(parallel)
-		got, err := Collect(FromVec(NewVecColumnarScan(fr, "", ScanConfig{Parallel: parallel, Ctx: ctx})))
+		got, err := Collect(NewVecColumnarScan(fr, "", ScanConfig{Parallel: parallel, Ctx: ctx}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -237,7 +237,7 @@ func TestVecScanAbsenceRecording(t *testing.T) {
 		if _, ok := op.(*VecColumnarScan); !ok {
 			t.Fatalf("predicate must push down, got %T", op)
 		}
-		out, err := Collect(FromVec(op))
+		out, err := Collect(op)
 		if err != nil {
 			t.Fatal(err)
 		}

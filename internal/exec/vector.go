@@ -9,8 +9,9 @@ import (
 	"repro/internal/vec"
 )
 
-// VecOperator is the typed-columnar sibling of BatchOperator: NextVec
-// returns a *vec.Batch of unboxed column slabs instead of a boxed row slab.
+// VecOperator is an Operator that additionally serves typed columns:
+// NextVec returns a *vec.Batch of unboxed column slabs instead of a boxed
+// row slab.
 //
 // Ownership mirrors the slab contract (see vec package doc): the returned
 // batch — column slabs, bitmaps, and selection vector — is valid only until
@@ -31,74 +32,38 @@ func nativeVec(op Operator) (VecOperator, bool) {
 	return v, ok
 }
 
-// vecFromRows adapts a row/batch producer to the vector path by boxing row
+// vecFromRows adapts a slab producer to the vector path by boxing row
 // slabs into a reused batch. The adapter owns the batch (and its string
 // dictionaries, so codes stay stable across the stream).
 type vecFromRows struct {
-	in    Operator
-	bin   BatchOperator
+	Operator
 	batch *vec.Batch
 }
 
 // ToVec returns a VecOperator view of op: the operator itself when it is
-// vector-native, otherwise a boxing adapter pulling row slabs of the given
-// size (0 = DefaultBatchRows).
-func ToVec(op Operator, size int) VecOperator {
+// vector-native, otherwise a boxing adapter over its slabs.
+func ToVec(op Operator) VecOperator {
 	if v, ok := nativeVec(op); ok {
 		return v
 	}
-	if size <= 0 {
-		size = DefaultBatchRows
-	}
-	return &vecFromRows{in: op, bin: ToBatch(op, size)}
+	return &vecFromRows{Operator: op}
 }
 
-func (a *vecFromRows) Schema() types.Schema { return a.in.Schema() }
-func (a *vecFromRows) Open() error          { return a.in.Open() }
-func (a *vecFromRows) Close() error         { return a.in.Close() }
-
-func (a *vecFromRows) Next() (types.Row, bool, error) { return a.in.Next() }
-
 func (a *vecFromRows) NextVec() (*vec.Batch, bool, error) {
-	rows, ok, err := a.bin.NextBatch()
+	rows, ok, err := a.NextBatch()
 	if err != nil || !ok {
 		return nil, false, err
 	}
-	a.batch = vec.FromRows(a.in.Schema(), rows, a.batch)
+	a.batch = vec.FromRows(a.Schema(), rows, a.batch)
 	return a.batch, true, nil
 }
 
-// FromVec returns the row-path view of a vector operator. Vector operators
-// implement Operator/BatchOperator themselves (via vecRowShim), so this is
-// the identity; it exists to mark adapter seams in plans.
-func FromVec(op VecOperator) Operator { return op }
-
-// vecRowShim gives a vector-native operator its Operator/BatchOperator
-// faces by materializing batches from the owner's NextVec. Embedders set
-// src to themselves in their constructor.
+// vecRowShim gives a vector-native operator its Operator face by
+// materializing row slabs from the owner's NextVec. Embedders set src to
+// themselves in their constructor.
 type vecRowShim struct {
 	src  VecOperator
-	cur  *vec.Batch
-	pos  int
 	slab []types.Row
-}
-
-func (s *vecRowShim) Next() (types.Row, bool, error) {
-	for s.cur == nil || s.pos >= s.cur.Rows() {
-		b, ok, err := s.src.NextVec()
-		if err != nil || !ok {
-			s.cur = nil
-			return nil, false, err
-		}
-		//lint:ignore vecown row cursor: consumed before the next NextVec
-		s.cur = b
-		s.pos = 0
-	}
-	i := s.cur.Index(s.pos)
-	s.pos++
-	// Row values must be retainable: box into a fresh row.
-	row := make(types.Row, len(s.cur.Cols))
-	return s.cur.ReadRow(i, row), true, nil
 }
 
 func (s *vecRowShim) NextBatch() ([]types.Row, bool, error) {
@@ -770,10 +735,7 @@ func NewVecFilter(ctx *Ctx, in VecOperator, pred expr.Expr) *VecFilter {
 func (f *VecFilter) Schema() types.Schema { return f.in.Schema() }
 
 // Open implements Operator.
-func (f *VecFilter) Open() error {
-	f.cur, f.pos = nil, 0
-	return f.in.Open()
-}
+func (f *VecFilter) Open() error { return f.in.Open() }
 
 // Close implements Operator.
 func (f *VecFilter) Close() error { return f.in.Close() }
@@ -999,10 +961,7 @@ func NewVecProject(ctx *Ctx, in VecOperator, exprs []expr.Expr, names []string) 
 func (p *VecProject) Schema() types.Schema { return p.out }
 
 // Open implements Operator.
-func (p *VecProject) Open() error {
-	p.cur, p.pos = nil, 0
-	return p.in.Open()
-}
+func (p *VecProject) Open() error { return p.in.Open() }
 
 // Close implements Operator.
 func (p *VecProject) Close() error { return p.in.Close() }

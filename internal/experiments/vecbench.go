@@ -23,7 +23,7 @@ type vecBatchSource struct {
 func (s *vecBatchSource) Schema() types.Schema { return s.sch }
 func (s *vecBatchSource) Open() error          { s.pos = 0; return nil }
 func (s *vecBatchSource) Close() error         { return nil }
-func (s *vecBatchSource) Next() (types.Row, bool, error) {
+func (s *vecBatchSource) NextBatch() ([]types.Row, bool, error) {
 	return nil, false, fmt.Errorf("experiments: vecBatchSource is vector-only")
 }
 func (s *vecBatchSource) NextVec() (*vec.Batch, bool, error) {
@@ -83,7 +83,7 @@ func (r *Runner) VectorVsBatch() (QueryExecStat, error) {
 		ctx.BatchRows = batchSize
 		f := exec.NewVecFilter(ctx, src, pred())
 		p := exec.NewVecProject(ctx, f, []expr.Expr{colRef(8), revenue()}, []string{"flag", "rev"})
-		return exec.FromVec(exec.NewVecHashAggregate(ctx, p, exec.ColRefs(0), specs(), exec.AggComplete))
+		return exec.NewVecHashAggregate(ctx, p, exec.ColRefs(0), specs(), exec.AggComplete)
 	}
 	want, err := exec.Collect(batchPipe())
 	if err != nil {

@@ -308,15 +308,6 @@ func (m *Meter) PerLink() []struct {
 	return out
 }
 
-// Reset clears the cumulative statistics. Active scopes are unaffected:
-// per-query accounting no longer depends on resetting shared state.
-func (m *Meter) Reset() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.links = linkMap{}
-	m.compRaw, m.compWire = 0, 0
-}
-
 // Fabric is the in-process transport: a set of endpoints with bounded
 // mailboxes, metered centrally.
 type Fabric struct {

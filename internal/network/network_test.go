@@ -139,10 +139,6 @@ func TestMeterAccounting(t *testing.T) {
 	if len(links) != 3 || links[0].From != 0 || links[0].To != 1 || links[0].Stats.Bytes != 150 {
 		t.Errorf("per-link = %+v", links)
 	}
-	m.Reset()
-	if m.TotalBytes() != 0 || m.Connections() != 0 {
-		t.Error("reset did not clear meter")
-	}
 }
 
 func TestMeterScope(t *testing.T) {
@@ -181,10 +177,13 @@ func TestMeterScope(t *testing.T) {
 	if s1.TotalBytes() != 112 {
 		t.Errorf("closed scope accrued traffic: %dB", s1.TotalBytes())
 	}
-	// Scopes survive a cumulative Reset.
-	f.Meter().Reset()
-	if s2.TotalBytes() != 40 {
-		t.Errorf("scope2 lost data on Reset: %dB", s2.TotalBytes())
+	// A scope opened later sees only traffic sent after it opened, however
+	// much the cumulative meter already holds.
+	s3 := f.Meter().Scope("q2.")
+	defer s3.Close()
+	e0.Send(2, 2, "q2.shuffle1", make([]byte, 3))
+	if s3.TotalBytes() != 3 || s2.TotalBytes() != 43 {
+		t.Errorf("late scope = %dB (want 3), scope2 = %dB (want 43)", s3.TotalBytes(), s2.TotalBytes())
 	}
 	// Nil scope is inert (disabled-metering fast path).
 	var nilScope *MeterScope
@@ -278,10 +277,6 @@ func TestTCPCompressedRoundTrip(t *testing.T) {
 	}
 	if wire < int64(len(incompressible)) {
 		t.Errorf("incompressible payload must ship raw: wire=%d", wire)
-	}
-	m.Reset()
-	if r, w := m.CompressedBytes(); r != 0 || w != 0 {
-		t.Errorf("Reset left compression counters %d/%d", r, w)
 	}
 }
 

@@ -206,7 +206,9 @@ func TestHierarchicalDegreeBound(t *testing.T) {
 		writeRow(t, w, tx, k, 1)
 		ids = append(ids, w.id)
 	}
-	fabric.Meter().Reset()
+	if n := fabric.Meter().TotalMessages(); n != 0 {
+		t.Fatalf("fresh fabric already carried %d messages", n)
+	}
 	committed, err := coord.CommitGlobal(txid, ids)
 	if err != nil || !committed {
 		t.Fatalf("commit: %v %v", committed, err)
