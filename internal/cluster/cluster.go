@@ -61,21 +61,11 @@ type ExecProfile struct {
 	PreAggTree bool
 	// ProbeParallelism is the intra-operator parallelism of join probes.
 	ProbeParallelism int
-	// ScanParallelism is the morsel parallelism of worker fragment scans:
-	// the worker count requested per scan, granted from the node's shared
-	// budget (exec.Ctx.AcquireWorkers). 0/1 = serial.
-	ScanParallelism int
-	// AggParallelism is the worker count requested for hash-aggregate
-	// builds on worker nodes (partitioned parallel aggregation). 0/1 = serial.
-	AggParallelism int
-	// SortParallelism is the worker count requested for parallel sort-run
-	// generation on worker nodes. 0/1 = serial.
-	SortParallelism int
-	// VectorizedScan runs columnar fragment scans through the typed vector
-	// path (exec.VecColumnarScan): column slabs decode straight into
-	// vec.Batch columns with no per-value boxing. ScanParallelism applies
-	// to it like to the other scans (morsel-parallel page-set workers).
-	VectorizedScan bool
+	// Parallelism is the degree worker-side scans (morsel workers),
+	// hash-aggregate builds (partitioned tables) and sorts (run generation)
+	// each request, granted from the node's shared budget
+	// (exec.Ctx.AcquireWorkers). 0/1 = serial.
+	Parallelism int
 }
 
 // HRDBMSProfile is the paper's system: everything on.
@@ -87,10 +77,7 @@ func HRDBMSProfile() ExecProfile {
 		EnforceLocality:     true,
 		PreAggTree:          true,
 		ProbeParallelism:    2,
-		ScanParallelism:     4,
-		AggParallelism:      4,
-		SortParallelism:     4,
-		VectorizedScan:      true,
+		Parallelism:         4,
 	}
 }
 
@@ -197,10 +184,10 @@ func New(cfg Config) (*Cluster, error) {
 		ids = append(ids, i)
 	}
 	c := &Cluster{
-		Cfg:      cfg,
-		Fabric:   network.NewFabric(ids, cfg.MailboxCap),
-		External: external.NewRegistry(),
-		Reg:      obs.NewRegistry(),
+		Cfg:       cfg,
+		Fabric:    network.NewFabric(ids, cfg.MailboxCap),
+		External:  external.NewRegistry(),
+		Reg:       obs.NewRegistry(),
 		Traces:    obs.NewTraceStore(64),
 		Feedback:  opt.NewFeedback(),
 		loadStats: map[string]*catalog.StatsBuilder{},

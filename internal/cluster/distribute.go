@@ -399,7 +399,7 @@ func (q *queryExec) distributeNode(n plan.Node) (*dstream, exec.Operator, error)
 		for wi, op := range ds.ops {
 			w := q.c.Workers[wi]
 			srt := exec.NewSort(q.wctx(wi), op, keys)
-			srt.Parallel = q.prof.SortParallelism
+			srt.Parallel = q.prof.Parallelism
 			sorted[wi] = q.wrap("Sort", w.ID, srt, op)
 		}
 		return nil, q.gatherOrdered(&dstream{ops: sorted, sch: ds.sch}, keys), nil
@@ -476,7 +476,6 @@ func (q *queryExec) distributeScan(x *plan.Scan) (*dstream, exec.Operator, error
 		Pred:         x.Pred,
 		UseSkipCache: q.prof.UseSkipCache,
 		UseMinMax:    q.prof.UseMinMax,
-		Predeclare:   true,
 	}
 	ds := &dstream{sch: x.Schema()}
 	name := lower(x.Table.Name)
@@ -490,7 +489,7 @@ func (q *queryExec) distributeScan(x *plan.Scan) (*dstream, exec.Operator, error
 		wcfg.BatchRows = wctx.BatchRows
 		// Morsel parallelism: the scan asks for the profile's degree and the
 		// worker's shared budget decides what it actually gets.
-		wcfg.Parallel = q.prof.ScanParallelism
+		wcfg.Parallel = q.prof.Parallelism
 		wcfg.Ctx = wctx
 		var op exec.Operator
 		if x.Table.Columnar {
@@ -498,11 +497,7 @@ func (q *queryExec) distributeScan(x *plan.Scan) (*dstream, exec.Operator, error
 			if fr == nil {
 				return nil, nil, fmt.Errorf("cluster: worker %d has no fragment of %s", w.ID, name)
 			}
-			if q.prof.VectorizedScan {
-				op = exec.NewVecColumnarScan(fr, x.Alias, wcfg)
-			} else {
-				op = exec.NewColumnarScan(fr, x.Alias, wcfg)
-			}
+			op = exec.NewVecColumnarScan(fr, x.Alias, wcfg)
 		} else {
 			fr := w.frags[name]
 			if fr == nil {
@@ -799,7 +794,7 @@ func (q *queryExec) distributeAgg(x *plan.Agg) (*dstream, exec.Operator, error) 
 		for wi, op := range ds.ops {
 			w := q.c.Workers[wi]
 			agg := exec.NewHashAggregate(q.wctx(wi), op, x.GroupBy, specs, exec.AggComplete)
-			agg.Parallel = q.prof.AggParallelism
+			agg.Parallel = q.prof.Parallelism
 			out.ops = append(out.ops, q.wrap("HashAgg", w.ID, agg, op))
 		}
 		return out, nil, nil
@@ -815,7 +810,7 @@ func (q *queryExec) distributeAgg(x *plan.Agg) (*dstream, exec.Operator, error) 
 		for wi, op := range shuffled.ops {
 			w := q.c.Workers[wi]
 			agg := exec.NewHashAggregate(q.wctx(wi), op, x.GroupBy, specs, exec.AggComplete)
-			agg.Parallel = q.prof.AggParallelism
+			agg.Parallel = q.prof.Parallelism
 			out.ops = append(out.ops, q.wrap("HashAgg", w.ID, agg, op))
 		}
 		return out, nil, nil
@@ -838,7 +833,7 @@ func (q *queryExec) distributeAgg(x *plan.Agg) (*dstream, exec.Operator, error) 
 		for wi, op := range ds.ops {
 			w := q.c.Workers[wi]
 			agg := exec.NewHashAggregate(q.wctx(wi), op, nil, specs, exec.AggPartial)
-			agg.Parallel = q.prof.AggParallelism
+			agg.Parallel = q.prof.Parallelism
 			partials[wi] = q.wrap("HashAgg partial", w.ID, agg, op)
 		}
 		gathered := q.gatherPlain(&dstream{ops: partials, sch: partials[0].Schema()})
@@ -908,7 +903,7 @@ func (q *queryExec) treeAggregate(ds *dstream, x *plan.Agg, specs []exec.AggSpec
 	for wi, op := range ds.ops {
 		w := q.c.Workers[wi]
 		agg := exec.NewHashAggregate(q.wctx(wi), op, x.GroupBy, specs, exec.AggPartial)
-		agg.Parallel = q.prof.AggParallelism
+		agg.Parallel = q.prof.Parallelism
 		partials[wi] = q.wrap("HashAgg partial", w.ID, agg, op)
 	}
 	// Group columns are positional in the partial output.
@@ -956,27 +951,46 @@ func (q *queryExec) distributeLimit(x *plan.Limit) (*dstream, exec.Operator, err
 	return nil, q.wrap("Limit", q.coord.ID, exec.NewLimit(gathered, x.N, x.Offset), gathered), nil
 }
 
-// pickOne selects worker 0's replica of a replicated stream and drops the
-// rest (the paper assigns replicated-table scans to one worker).
-func (q *queryExec) pickOne(ds *dstream) exec.Operator {
-	ch := q.channel("one")
-	w := q.c.Workers[0]
-	gsp := q.startSpan("Gather", q.coord.ID)
-	ssp := q.startSpan("Send", w.ID)
-	ssp.SetParent(gsp)
-	q.spanOf(ds.ops[0]).SetParent(ssp)
-	ep := exec.NewCountingEndpoint(w.Ep, ssp)
+// gather is the scaffold every gather shape shares: a coordinator-side span
+// named gname, under it one span named sname per contributing worker (which
+// adopts that worker's subtree and counts the bytes the worker puts on the
+// wire through a CountingEndpoint), and a workerDriver that builds the
+// coordinator's receive side with coordSide and runs send once per worker.
+func (q *queryExec) gather(gname, sname string, ops []exec.Operator, coordSide func() exec.Operator,
+	send func(wi int, ectx *exec.Ctx, ep network.Endpoint, op exec.Operator) error) exec.Operator {
+	gsp := q.startSpan(gname, q.coord.ID)
+	eps := make([]network.Endpoint, len(ops))
+	ssps := make([]*obs.Span, len(ops))
+	for wi := range ops {
+		w := q.c.Workers[wi]
+		ssp := q.startSpan(sname, w.ID)
+		ssp.SetParent(gsp)
+		q.spanOf(ops[wi]).SetParent(ssp)
+		eps[wi] = exec.NewCountingEndpoint(w.Ep, ssp)
+		ssps[wi] = ssp
+	}
 	d := &workerDriver{
 		live:      q.live,
-		coordSide: func() exec.Operator { return exec.NewRecv(q.coord.Ep, ch, 1, ds.sch) },
+		coordSide: coordSide,
 		launch: func() []func() error {
-			return []func() error{func() error {
-				defer ssp.Finish()
-				return exec.SendAll(q.wctx(0), ep, q.coord.ID, ch, ds.ops[0])
-			}}
+			fns := make([]func() error, len(ops))
+			for wi := range ops {
+				sp, ectx := ssps[wi], q.wctx(wi)
+				fns[wi] = func() error {
+					defer sp.Finish()
+					return send(wi, ectx, eps[wi], ops[wi])
+				}
+			}
+			return fns
 		},
 	}
 	return q.attach(d, gsp)
+}
+
+// pickOne selects worker 0's replica of a replicated stream and drops the
+// rest (the paper assigns replicated-table scans to one worker).
+func (q *queryExec) pickOne(ds *dstream) exec.Operator {
+	return q.gatherRecv(q.channel("one"), ds.ops[:1], ds.sch)
 }
 
 // gatherPlain brings a worker stream to the coordinator, unordered. A
@@ -987,137 +1001,59 @@ func (q *queryExec) gatherPlain(ds *dstream) exec.Operator {
 	if ds.dist.kind == distReplicated {
 		return q.pickOne(ds)
 	}
-	ch := q.channel("g")
-	coordEp := q.coord.Ep
-	coordID := q.coord.ID
-	gsp := q.startSpan("Gather", coordID)
-	// Per-worker Send spans chain the gather to each worker's subtree and
-	// count the bytes that worker puts on the wire.
-	eps := make([]network.Endpoint, len(ds.ops))
-	ssps := make([]*obs.Span, len(ds.ops))
-	for wi := range ds.ops {
-		w := q.c.Workers[wi]
-		ssp := q.startSpan("Send", w.ID)
-		ssp.SetParent(gsp)
-		q.spanOf(ds.ops[wi]).SetParent(ssp)
-		eps[wi] = exec.NewCountingEndpoint(w.Ep, ssp)
-		ssps[wi] = ssp
-	}
-	d := &workerDriver{
-		live: q.live,
-		coordSide: func() exec.Operator {
-			return exec.NewRecv(coordEp, ch, len(ds.ops), ds.sch)
-		},
-		launch: func() []func() error {
-			var fns []func() error
-			for wi := range ds.ops {
-				op := ds.ops[wi]
-				ep := eps[wi]
-				sp := ssps[wi]
-				ectx := q.wctx(wi)
-				fns = append(fns, func() error {
-					defer sp.Finish()
-					return exec.SendAll(ectx, ep, coordID, ch, op)
-				})
-			}
-			return fns
-		},
-	}
-	return q.attach(d, gsp)
+	return q.gatherRecv(q.channel("g"), ds.ops, ds.sch)
+}
+
+// gatherRecv gathers ops over one channel into a single coordinator Recv.
+func (q *queryExec) gatherRecv(ch string, ops []exec.Operator, sch types.Schema) exec.Operator {
+	coordEp, coordID := q.coord.Ep, q.coord.ID
+	return q.gather("Gather", "Send", ops,
+		func() exec.Operator { return exec.NewRecv(coordEp, ch, len(ops), sch) },
+		func(_ int, ectx *exec.Ctx, ep network.Endpoint, op exec.Operator) error {
+			return exec.SendAll(ectx, ep, coordID, ch, op)
+		})
 }
 
 // gatherOrdered preserves per-worker order with an ordered merge at the
 // coordinator (distributed merge sort's final phase).
 func (q *queryExec) gatherOrdered(ds *dstream, keys []exec.SortKey) exec.Operator {
 	base := q.channel("m")
-	coordEp := q.coord.Ep
-	coordID := q.coord.ID
-	gsp := q.startSpan("GatherMerge", coordID)
-	eps := make([]network.Endpoint, len(ds.ops))
-	ssps := make([]*obs.Span, len(ds.ops))
-	for wi := range ds.ops {
-		w := q.c.Workers[wi]
-		ssp := q.startSpan("Send", w.ID)
-		ssp.SetParent(gsp)
-		q.spanOf(ds.ops[wi]).SetParent(ssp)
-		eps[wi] = exec.NewCountingEndpoint(w.Ep, ssp)
-		ssps[wi] = ssp
-	}
-	d := &workerDriver{
-		live: q.live,
-		coordSide: func() exec.Operator {
+	coordEp, coordID := q.coord.Ep, q.coord.ID
+	chOf := func(wi int) string { return fmt.Sprintf("%s.%d", base, wi) }
+	return q.gather("GatherMerge", "Send", ds.ops,
+		func() exec.Operator {
 			ins := make([]exec.Operator, len(ds.ops))
 			for wi := range ds.ops {
-				ins[wi] = exec.NewRecv(coordEp, fmt.Sprintf("%s.%d", base, wi), 1, ds.sch)
+				ins[wi] = exec.NewRecv(coordEp, chOf(wi), 1, ds.sch)
 			}
 			return exec.NewMergeOperators(ins, keys)
 		},
-		launch: func() []func() error {
-			var fns []func() error
-			for wi := range ds.ops {
-				op := ds.ops[wi]
-				ep := eps[wi]
-				sp := ssps[wi]
-				ch := fmt.Sprintf("%s.%d", base, wi)
-				ectx := q.wctx(wi)
-				fns = append(fns, func() error {
-					defer sp.Finish()
-					return exec.SendAll(ectx, ep, coordID, ch, op)
-				})
-			}
-			return fns
-		},
-	}
-	return q.attach(d, gsp)
+		func(wi int, ectx *exec.Ctx, ep network.Endpoint, op exec.Operator) error {
+			return exec.SendAll(ectx, ep, coordID, chOf(wi), op)
+		})
 }
 
 // gatherTree runs a tree-topology reduction with the coordinator as root
 // (hierarchical aggregation; Section IV).
 func (q *queryExec) gatherTree(ds *dstream, combine func([]exec.Operator) exec.Operator) exec.Operator {
-	ch := q.channel("t")
 	spec := exec.TreeReduceSpec{
-		Channel: ch,
+		Channel: q.channel("t"),
 		Nodes:   append([]int{q.coord.ID}, q.c.WorkerIDs()...),
 		Nmax:    q.c.Cfg.Nmax,
 	}
 	coordEp := q.coord.Ep
-	gsp := q.startSpan("TreeReduce", q.coord.ID)
-	eps := make([]network.Endpoint, len(ds.ops))
-	ssps := make([]*obs.Span, len(ds.ops))
-	for wi := range ds.ops {
-		w := q.c.Workers[wi]
-		ssp := q.startSpan("TreeSend", w.ID)
-		ssp.SetParent(gsp)
-		q.spanOf(ds.ops[wi]).SetParent(ssp)
-		eps[wi] = exec.NewCountingEndpoint(w.Ep, ssp)
-		ssps[wi] = ssp
-	}
-	d := &workerDriver{
-		live: q.live,
-		coordSide: func() exec.Operator {
+	return q.gather("TreeReduce", "TreeSend", ds.ops,
+		func() exec.Operator {
 			op, err := exec.RunTreeReduce(nil, coordEp, spec, exec.NewSource(ds.sch, nil), combine)
 			if err != nil || op == nil {
 				return exec.NewSource(ds.sch, nil)
 			}
 			return op
 		},
-		launch: func() []func() error {
-			var fns []func() error
-			for wi := range ds.ops {
-				op := ds.ops[wi]
-				ep := eps[wi]
-				sp := ssps[wi]
-				ectx := q.wctx(wi)
-				fns = append(fns, func() error {
-					defer sp.Finish()
-					_, err := exec.RunTreeReduce(ectx, ep, spec, op, combine)
-					return err
-				})
-			}
-			return fns
-		},
-	}
-	return q.attach(d, gsp)
+		func(_ int, ectx *exec.Ctx, ep network.Endpoint, op exec.Operator) error {
+			_, err := exec.RunTreeReduce(ectx, ep, spec, op, combine)
+			return err
+		})
 }
 
 // workerDriver is a coordinator-side operator that launches the worker

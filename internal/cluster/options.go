@@ -29,15 +29,7 @@ type QueryOptions struct {
 
 // clampParallelism caps every per-operator parallelism degree at max.
 func (p ExecProfile) clampParallelism(max int) ExecProfile {
-	clamp := func(v int) int {
-		if v > max {
-			return max
-		}
-		return v
-	}
-	p.ScanParallelism = clamp(p.ScanParallelism)
-	p.AggParallelism = clamp(p.AggParallelism)
-	p.SortParallelism = clamp(p.SortParallelism)
-	p.ProbeParallelism = clamp(p.ProbeParallelism)
+	p.Parallelism = min(p.Parallelism, max)
+	p.ProbeParallelism = min(p.ProbeParallelism, max)
 	return p
 }

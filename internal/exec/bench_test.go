@@ -115,9 +115,11 @@ func benchLineitemData() ([]types.Row, types.Schema) {
 // row-at-a-time engine; CI and the docs refer to it.)
 func BenchmarkBatchVsRow(b *testing.B) {
 	rows, sch := benchLineitemData()
-	mkScan := func(batch int) *scanFeed {
-		sf := &scanFeed{sch: sch, batch: batch}
-		sf.start = func(snd *batchSender) error {
+	mkScan := func(batch int) *rowFeed {
+		sf := &rowFeed{}
+		sf.sch, sf.batch = sch, batch
+		sf.start = func() error {
+			snd := sf.rowSender()
 			for _, r := range rows {
 				if !snd.send(r) {
 					return nil
@@ -184,14 +186,14 @@ func BenchmarkBatchVsRow(b *testing.B) {
 	}
 
 	// Over a real PAX fragment: the same pipeline reading actual pages
-	// through the buffer manager on the boxed slab path and the typed vector
-	// path. This is the pair the vector format is judged on — col-vec
+	// through the buffer manager on the boxed slab path (the test-only
+	// reference decode, boxedColumnarScan) and the typed vector path. This is the pair the vector format is judged on — col-vec
 	// decodes slabs straight from pages with no boxed Value materialization
 	// between scan and aggregate.
 	fr := benchLineitemColFragment(b)
 	colBatch := func() Operator {
 		ctx := NewCtx("", 0)
-		f := NewFilter(ctx, NewColumnarScan(fr, "l", ScanConfig{Ctx: ctx}), pred())
+		f := NewFilter(ctx, boxedColumnarScan(fr, "l", nil), pred())
 		p := NewProject(ctx, f, []expr.Expr{col(8), revenue()}, []string{"flag", "rev"})
 		return NewHashAggregate(ctx, p, ColRefs(0),
 			[]AggSpec{{Kind: AggSum, Arg: col(1), Name: "s"}, {Kind: AggCount, Name: "c"}}, AggComplete)

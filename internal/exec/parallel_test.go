@@ -171,7 +171,7 @@ func TestParallelAggFloatSums(t *testing.T) {
 
 // TestParallelAggPartialMergeParity: parallel worker-side partials merged
 // and finalized must equal the fully serial pipeline (the distributed
-// pre-aggregation path with AggParallelism on).
+// pre-aggregation path with ExecProfile.Parallelism on).
 func TestParallelAggPartialMergeParity(t *testing.T) {
 	testutil.AssertNoGoroutineLeak(t)
 	rows, sch := parLineitemData()

@@ -10,101 +10,15 @@ import (
 	"repro/internal/vec"
 )
 
-// vecScanFeed is the vector sibling of scanFeed: a scan thread decodes PAX
-// page sets straight into typed column slabs and ships whole *vec.Batch
-// values across one channel. Each shipped batch is freshly built with its
-// own dictionaries (never touched by the scan thread again), so consumers
-// own shipped batches outright — stronger than the NextVec contract needs —
-// and no dictionary is ever shared across the goroutine boundary while
-// still being appended to.
-type vecScanFeed struct {
-	sch     types.Schema
-	start   func(snd *vecBatchSender) error
-	batches chan *vec.Batch
-	errCh   chan error
-	stop    chan struct{}
-	cancel  *Cancel
-	batch   int
-	started bool
-	closed  bool
-}
-
-func (s *vecScanFeed) Schema() types.Schema { return s.sch }
-
-func (s *vecScanFeed) Open() error {
-	if s.batch <= 0 {
-		s.batch = DefaultBatchRows
-	}
-	s.batches = make(chan *vec.Batch, DefaultScanFeedDepth)
-	s.errCh = make(chan error, 1)
-	s.stop = make(chan struct{})
-	s.started = false
-	s.closed = false
-	return nil
-}
-
-func (s *vecScanFeed) launch() {
-	s.started = true
-	go func() {
-		snd := &vecBatchSender{out: s.batches, stop: s.stop, cancel: s.cancel, sch: s.sch, size: s.batch}
-		err := s.start(snd)
-		if err != nil {
-			select {
-			case s.errCh <- err:
-			case <-s.stop:
-				// Consumer closed early; nobody will read the error.
-			}
-		}
-		close(s.batches)
-	}()
-}
-
-// NextVec implements the vector half of VecOperator.
-func (s *vecScanFeed) NextVec() (*vec.Batch, bool, error) {
-	if !s.started {
-		s.launch()
-	}
-	b, ok := <-s.batches
-	if ok {
-		return b, true, nil
-	}
-	select {
-	case err := <-s.errCh:
-		return nil, false, err
-	default:
-		return nil, false, nil
-	}
-}
-
-func (s *vecScanFeed) Close() error {
-	if !s.closed {
-		s.closed = true
-		if s.stop != nil {
-			close(s.stop)
-		}
-		// Drain so the producer goroutine can exit; bounded exactly like
-		// scanFeed.Close (the producer observes stop in flush).
-		if s.batches != nil {
-			go func(ch chan *vec.Batch) {
-				for range ch {
-				}
-			}(s.batches)
-		}
-	}
-	return nil
-}
-
 // vecBatchSender accumulates decoded page sets into a batch and ships the
-// batch once it reaches the slab size. Shipped batches are never reused.
+// batch once it reaches the slab size. Each shipped batch is freshly built
+// with its own dictionaries and never reused, so no dictionary is ever
+// shared across the goroutine boundary while still being appended to.
 type vecBatchSender struct {
-	out    chan<- *vec.Batch
-	stop   <-chan struct{}
-	cancel *Cancel
-	sch    types.Schema
-	size   int
-	cur    *vec.Batch
-	sent   int64
-	nrows  int64
+	feedPort[*vec.Batch]
+	sch  types.Schema
+	size int
+	cur  *vec.Batch
 }
 
 // building returns the batch under construction, allocating a fresh one
@@ -130,18 +44,11 @@ func (b *vecBatchSender) flush() bool {
 	if b.cur == nil || b.cur.N == 0 {
 		return true
 	}
-	select {
-	case b.out <- b.cur:
-		b.sent++
-		b.nrows += int64(b.cur.N)
-		b.cur = nil
-		return true
-	case <-b.stop:
-		return false
-	case <-b.cancel.Done():
-		// Killed query: stop producing, exactly like batchSender.
+	if !b.ship(b.cur) {
 		return false
 	}
+	b.cur = nil
+	return true
 }
 
 // VecColumnarScan is the vector-native PAX-table scan: page sets are
@@ -157,10 +64,10 @@ func (b *vecBatchSender) flush() bool {
 // empty this way is recorded into the predicate cache exactly like the
 // row scan's absence pass. Non-compilable predicates keep the downstream
 // VecFilter (see NewVecColumnarScan). Page-set skipping (predicate cache
-// and min-max) applies as in ColumnarScan, and cfg.Parallel > 1 runs
-// morsel-parallel workers over the sealed sets.
+// and min-max) is storage's, in ColumnarFragment.ScanPageSets; the scan
+// thread drives as many page-set workers as the budget grants cfg.Parallel.
 type VecColumnarScan struct {
-	vecScanFeed
+	feed[*vec.Batch]
 	vecRowShim
 	fr       *storage.ColumnarFragment
 	cfg      ScanConfig
@@ -171,18 +78,17 @@ type VecColumnarScan struct {
 // NewVecColumnarScan builds a vectorized scan over a columnar fragment.
 // When cfg.Pred is set and compiles to a vector kernel, the scan filters
 // during decode (late materialization); otherwise it is wrapped in a
-// VecFilter so the returned operator drops non-matching rows exactly like
-// ColumnarScan does.
+// VecFilter, so the returned operator drops non-matching rows either way.
 func NewVecColumnarScan(fr *storage.ColumnarFragment, alias string, cfg ScanConfig) VecOperator {
 	sch := fr.Def.Schema
 	if alias != "" {
 		sch = sch.Qualify(alias)
 	}
 	cs := &VecColumnarScan{fr: fr, cfg: cfg}
-	cs.vecScanFeed.sch = sch
-	cs.vecScanFeed.start = cs.run
-	cs.vecScanFeed.batch = cfg.BatchRows
-	cs.vecScanFeed.cancel = cfg.Ctx.Cancel()
+	cs.sch = sch
+	cs.start = cs.run
+	cs.batch = cfg.BatchRows
+	cs.cancel = cfg.Ctx.Cancel()
 	cs.vecRowShim.src = cs
 	if cfg.Pred != nil {
 		if compileBool(cfg.Pred, sch) == nil {
@@ -218,59 +124,33 @@ func predCols(e expr.Expr, n int) []bool {
 	return set
 }
 
-func (cs *VecColumnarScan) run(snd *vecBatchSender) error {
-	opts := buildScanOptions(cs.cfg)
-	degree := 1
-	if cs.cfg.Parallel > 1 {
-		degree = cs.cfg.Ctx.AcquireWorkers(cs.cfg.Parallel)
-		defer cs.cfg.Ctx.ReleaseWorkers(degree)
-	}
-	if degree > 1 {
-		return cs.runParallel(snd, opts, degree)
-	}
-	dec := cs.newDecoder()
-	stats, err := cs.fr.ScanPageSets(opts, func(set page.PageSet, key page.Key, sealed bool) (bool, error) {
-		return dec.decodeSet(snd, set, key, sealed, opts)
-	})
-	snd.flush()
-	cs.finish([]*pageSetDecoder{dec}, []*vecBatchSender{snd}, stats, 1)
-	return err
-}
+// NextVec implements the vector half of VecOperator.
+func (cs *VecColumnarScan) NextVec() (*vec.Batch, bool, error) { return cs.next() }
 
-// runParallel fans the decode out to degree page-set workers, one private
-// decoder and one private vecBatchSender per worker over the shared slab
-// channel, mirroring ColumnarScan.runParallel.
-func (cs *VecColumnarScan) runParallel(snd *vecBatchSender, opts storage.ScanOptions, degree int) error {
+// run is the scan thread: it takes the degree the worker budget grants (at
+// least 1) and drives that many page-set workers, each with a private
+// decoder and a private sender, then folds their counters into the span
+// and the query counters.
+func (cs *VecColumnarScan) run() error {
+	opts := buildScanOptions(cs.cfg)
+	degree := cs.cfg.Ctx.AcquireWorkers(cs.cfg.Parallel)
+	defer cs.cfg.Ctx.ReleaseWorkers(degree)
 	senders := make([]*vecBatchSender, degree)
 	decs := make([]*pageSetDecoder, degree)
 	for i := range senders {
-		senders[i] = &vecBatchSender{out: snd.out, stop: snd.stop, cancel: snd.cancel, sch: snd.sch, size: snd.size}
+		senders[i] = &vecBatchSender{feedPort: cs.port(), sch: cs.sch, size: cs.batch}
 		decs[i] = cs.newDecoder()
 	}
-	stats, err := cs.fr.ParallelScanPageSets(opts, degree, 1, func(w int, set page.PageSet, key page.Key, sealed bool) (bool, error) {
+	stats, err := cs.fr.ScanPageSets(opts, degree, func(w int, set page.PageSet, key page.Key, sealed bool) (bool, error) {
 		return decs[w].decodeSet(senders[w], set, key, sealed, opts)
 	})
-	for _, ws := range senders {
-		ws.flush()
-	}
-	cs.finish(decs, senders, stats, degree)
-	return err
-}
-
-// finish folds the per-worker counters into Stats, the span, and the
-// query counters once the scan thread is done.
-func (cs *VecColumnarScan) finish(decs []*pageSetDecoder, senders []*vecBatchSender, stats storage.ScanStats, degree int) {
 	var sent, typed, boxed, evaled int64
-	for _, s := range senders {
-		sent += s.sent
-	}
-	for _, d := range decs {
-		typed += d.typedPages
-		boxed += d.boxedPages
-		evaled += d.rowsEval
-	}
-	if cs.cfg.Stats != nil {
-		*cs.cfg.Stats = stats
+	for i := range senders {
+		senders[i].flush()
+		sent += senders[i].sent
+		typed += decs[i].typedPages
+		boxed += decs[i].boxedPages
+		evaled += decs[i].rowsEval
 	}
 	cs.cfg.Trace.AddScan(stats.RowsRead, stats.PagesRead, stats.PagesSkipped)
 	cs.cfg.Trace.AddVecBatches(sent)
@@ -285,6 +165,7 @@ func (cs *VecColumnarScan) finish(decs []*pageSetDecoder, senders []*vecBatchSen
 		// metered exactly as the downstream VecFilter would have.
 		ctx.RowsProcessed.Add(evaled)
 	}
+	return err
 }
 
 func (cs *VecColumnarScan) newDecoder() *pageSetDecoder {
@@ -292,7 +173,7 @@ func (cs *VecColumnarScan) newDecoder() *pageSetDecoder {
 	if cs.pushdown {
 		// Each worker compiles its own node: compiled nodes carry
 		// per-evaluation scratch and must not be shared across goroutines.
-		d.node = compileBool(cs.cfg.Pred, cs.vecScanFeed.sch)
+		d.node = compileBool(cs.cfg.Pred, cs.sch)
 	}
 	return d
 }
@@ -337,7 +218,7 @@ func (d *pageSetDecoder) decodeSet(snd *vecBatchSender, set page.PageSet, key pa
 	// batch's dictionary so surviving codes transfer without translation),
 	// run the kernel, then materialize only the selected positions.
 	if d.eval.Cols == nil {
-		d.eval.Sch = d.cs.vecScanFeed.sch
+		d.eval.Sch = d.cs.sch
 		d.eval.Cols = make([]vec.Col, len(d.cs.predCols))
 	}
 	for ci := range set.Pages {
@@ -434,7 +315,7 @@ func (d *pageSetDecoder) recordAbsence(key page.Key, sealed bool, opts storage.S
 // column so gathered codes need no translation.
 func (d *pageSetDecoder) resetEvalCol(ci int, dict *vec.Dict) *vec.Col {
 	c := &d.eval.Cols[ci]
-	kind := d.cs.vecScanFeed.sch.Cols[ci].Kind
+	kind := d.cs.sch.Cols[ci].Kind
 	c.Kind = kind
 	c.Form = vec.FormFor(kind)
 	c.I, c.F, c.Codes, c.Vals = c.I[:0], c.F[:0], c.Codes[:0], c.Vals[:0]

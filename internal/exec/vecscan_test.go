@@ -1,11 +1,14 @@
 package exec
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
 	"repro/internal/catalog"
 	"repro/internal/expr"
+	"repro/internal/obs"
+	"repro/internal/page"
 	"repro/internal/storage"
 	"repro/internal/testutil"
 	"repro/internal/types"
@@ -76,12 +79,61 @@ func vecScanFragment(t *testing.T) (*storage.ColumnarFragment, []types.Row) {
 	return fr, rows
 }
 
+// boxedColumnarScan is the independent reference the vector scan is compared
+// against, as an operator: a scan thread decodes every page set of the
+// fragment with the boxed PageSet.Rows decoder and filters every row with
+// expr.EvalBool. It shares nothing with VecColumnarScan above storage's
+// page-set iteration and the feed.
+func boxedColumnarScan(fr *storage.ColumnarFragment, alias string, pred expr.Expr) Operator {
+	sf := &rowFeed{}
+	sf.sch = fr.Def.Schema
+	if alias != "" {
+		sf.sch = sf.sch.Qualify(alias)
+	}
+	sf.start = func() error {
+		snd := sf.rowSender()
+		_, err := fr.ScanPageSets(storage.ScanOptions{}, 1, func(_ int, set page.PageSet, _ page.Key, _ bool) (bool, error) {
+			rows, err := set.Rows()
+			if err != nil {
+				return false, err
+			}
+			for _, r := range rows {
+				if pred != nil {
+					keep, err := expr.EvalBool(pred, r)
+					if err != nil {
+						return false, err
+					}
+					if !keep {
+						continue
+					}
+				}
+				if !snd.send(r) {
+					return false, nil
+				}
+			}
+			return true, nil
+		})
+		snd.flush()
+		return err
+	}
+	return sf
+}
+
+func boxedScanRows(t testing.TB, fr *storage.ColumnarFragment, pred expr.Expr) []types.Row {
+	t.Helper()
+	out, err := Collect(boxedColumnarScan(fr, "", pred))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 func ncol(i int, name string) *expr.Col { return &expr.Col{Index: i, Name: name} }
 
 func and(l, r expr.Expr) *expr.Bin { return &expr.Bin{Op: expr.OpAnd, L: l, R: r} }
 
 // TestVecScanPushdownParity golden-compares the decode-time predicate
-// pushdown path against the row-engine ColumnarScan and the VecFilter
+// pushdown path against the boxed reference decode and the VecFilter
 // fallback on the same fragment, for predicates that hit every slab kind.
 // The compilable predicates must run natively inside the scan (no VecFilter
 // wrapper), the non-compilable one must get the wrapper.
@@ -107,10 +159,7 @@ func TestVecScanPushdownParity(t *testing.T) {
 	}
 	for name, pred := range preds {
 		t.Run(name, func(t *testing.T) {
-			want, err := Collect(NewColumnarScan(fr, "", ScanConfig{Pred: pred(), Ctx: NewCtx("", 0)}))
-			if err != nil {
-				t.Fatal(err)
-			}
+			want := boxedScanRows(t, fr, pred())
 			if len(want) == 0 {
 				t.Fatal("baseline predicate selected nothing — test is vacuous")
 			}
@@ -145,14 +194,11 @@ func TestVecScanPushdownParity(t *testing.T) {
 	}
 
 	// LIKE has no vector kernel: the constructor must hand back a VecFilter
-	// wrapper, and the result must still match the row engine.
+	// wrapper, and the result must still match the boxed reference.
 	like := func() expr.Expr {
 		return &expr.Like{E: ncol(3, "status"), Pattern: cs("%-4")}
 	}
-	want, err := Collect(NewColumnarScan(fr, "", ScanConfig{Pred: like(), Ctx: NewCtx("", 0)}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := boxedScanRows(t, fr, like())
 	ctx := NewCtx("", 0)
 	op := NewVecColumnarScan(fr, "", ScanConfig{Pred: like(), Ctx: ctx})
 	if _, ok := op.(*VecFilter); !ok {
@@ -229,10 +275,12 @@ func TestVecScanAbsenceRecording(t *testing.T) {
 	testutil.AssertNoGoroutineLeak(t)
 	fr, _ := vecScanFragment(t)
 	pred := func() expr.Expr { return gt(ncol(1, "qty"), ci(1_000_000)) }
-	scan := func() storage.ScanStats {
-		var stats storage.ScanStats
-		ctx := NewCtx("", 0)
-		cfg := ScanConfig{Pred: pred(), UseSkipCache: true, Stats: &stats, Ctx: ctx}
+	// The scan's page counters are read from its span, where EXPLAIN ANALYZE
+	// reads them.
+	scan := func() (pagesRead, pagesSkipped int64) {
+		sp := obs.NewQueryTrace(1, "").StartSpan("Scan", 0)
+		defer sp.Finish()
+		cfg := ScanConfig{Pred: pred(), UseSkipCache: true, Trace: sp, Ctx: NewCtx("", 0)}
 		op := NewVecColumnarScan(fr, "", cfg)
 		if _, ok := op.(*VecColumnarScan); !ok {
 			t.Fatalf("predicate must push down, got %T", op)
@@ -244,14 +292,44 @@ func TestVecScanAbsenceRecording(t *testing.T) {
 		if len(out) != 0 {
 			t.Fatalf("impossible predicate returned %d rows", len(out))
 		}
-		return stats
+		return sp.PagesRead.Load(), sp.PagesSkipped.Load()
 	}
-	first := scan()
-	if first.PagesRead == 0 {
+	firstRead, _ := scan()
+	if firstRead == 0 {
 		t.Fatal("first scan read nothing")
 	}
-	second := scan()
-	if second.PagesSkipped == 0 {
-		t.Fatalf("repeat scan skipped nothing (first read %d pages)", first.PagesRead)
+	if _, skipped := scan(); skipped == 0 {
+		t.Fatalf("repeat scan skipped nothing (first read %d pages)", firstRead)
+	}
+}
+
+// TestVecScanKilledReturnsCause: a killed vector scan stops producing
+// mid-stream, and the truncated stream must end in the kill cause — never in
+// a clean exhaustion that reads as an empty (or short) table. At the parent
+// commit this returned rows=0 err=<nil>.
+func TestVecScanKilledReturnsCause(t *testing.T) {
+	testutil.AssertNoGoroutineLeak(t)
+	fr, _ := vecScanFragment(t)
+	preds := map[string]expr.Expr{
+		"pushdown":  gt(ncol(1, "qty"), ci(40)),
+		"vecfilter": &expr.Like{E: ncol(3, "status"), Pattern: cs("%-4")},
+	}
+	for name, pred := range preds {
+		for _, degree := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/degree-%d", name, degree), func(t *testing.T) {
+				cause := errors.New("killed by test")
+				c := NewCancel()
+				c.Kill(cause)
+				cfg := ScanConfig{Pred: pred, Ctx: NewCtx("", 0).Child(c), BatchRows: 16, Parallel: degree}
+				op := NewVecColumnarScan(fr, "", cfg)
+				if _, wrapped := op.(*VecFilter); wrapped != (name == "vecfilter") {
+					t.Fatalf("constructor returned %T", op)
+				}
+				rows, err := Collect(op)
+				if !errors.Is(err, cause) {
+					t.Fatalf("rows=%d err=%v, want the kill cause", len(rows), err)
+				}
+			})
+		}
 	}
 }

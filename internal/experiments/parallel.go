@@ -44,9 +44,7 @@ func (r *Runner) ParallelismSweep(workers int, degrees []int) ([]ParallelSweepSt
 	cells := make([]cell, 0, len(degrees))
 	for _, degree := range degrees {
 		prof := cluster.HRDBMSProfile()
-		prof.ScanParallelism = degree
-		prof.AggParallelism = degree
-		prof.SortParallelism = degree
+		prof.Parallelism = degree
 		prof.ProbeParallelism = degree
 		// Two concurrently-parallel operators per worker (a scan feeding an
 		// aggregate, say) can both be granted their full degree.

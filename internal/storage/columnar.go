@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/buffer"
 	"repro/internal/catalog"
@@ -173,141 +171,78 @@ func sortRowsBy(rows []types.Row, offs []int) {
 	sort.SliceStable(rows, lessFn)
 }
 
-// Scan iterates every row of the fragment (flushed sets first, then open
-// sets), with page-set-granular skipping.
-func (fr *ColumnarFragment) Scan(opts ScanOptions, fn func(r types.Row) bool) (ScanStats, error) {
-	var stats ScanStats
-	n := fr.Def.Schema.Len()
-	colIndex := func(name string) int { return fr.Def.Schema.Find(name) }
-	for disk, fileID := range fr.Files {
-		numPages := fr.Node.NumPages(fileID)
-		numSets := int(numPages) / n
-		for s := 0; s < numSets; s++ {
-			base := uint32(s * n)
-			key := page.Key{File: fileID, Page: base}
-			if len(opts.SkipConj) > 0 {
-				if opts.UseCache && fr.PredCache.CanSkip(key, opts.SkipConj) {
-					stats.PagesSkipped += int64(n)
-					continue
-				}
-				if opts.UseMinMax && fr.MinMax.CanSkip(key, opts.SkipConj) {
-					stats.PagesSkipped += int64(n)
-					continue
-				}
-			}
-			frames := make([]*buffer.Frame, 0, n)
-			set := page.PageSet{}
-			bad := false
-			for i := 0; i < n; i++ {
-				f, err := fr.Node.Buf.Fetch(page.Key{File: fileID, Page: base + uint32(i)})
-				if err != nil {
-					for _, pf := range frames {
-						fr.Node.Buf.Unpin(pf, false)
-					}
-					return stats, err
-				}
-				cp, err := page.AsColumnPage(f.Buf)
-				if err != nil {
-					fr.Node.Buf.Unpin(f, false)
-					bad = true
-					break
-				}
-				frames = append(frames, f)
-				set.Pages = append(set.Pages, cp)
-			}
-			if bad {
-				for _, pf := range frames {
-					fr.Node.Buf.Unpin(pf, false)
-				}
-				continue
-			}
-			rows, err := set.Rows()
-			for _, pf := range frames {
-				fr.Node.Buf.Unpin(pf, false)
-			}
-			if err != nil {
-				return stats, err
-			}
-			stats.PagesRead += int64(n)
-			anyMatch := false
-			for _, r := range rows {
-				stats.RowsRead++
-				if len(opts.SkipConj) > 0 && opts.SkipConj.MatchesRow(r, colIndex) {
-					anyMatch = true
-				}
-				if !fn(r) {
-					return stats, nil
-				}
-			}
-			if opts.UseCache && opts.SkipComplete && !anyMatch && len(opts.SkipConj) > 0 {
-				fr.PredCache.Record(key, opts.SkipConj)
-			}
-		}
-		// Open (unflushed) set: never skipped, never recorded.
-		rows, err := fr.open[disk].Rows()
-		if err != nil {
-			return stats, err
-		}
-		for _, r := range rows {
-			stats.RowsRead++
-			if !fn(r) {
-				fr.Node.RowsScanned.Add(stats.RowsRead)
-				return stats, nil
-			}
-		}
-	}
-	fr.Node.RowsScanned.Add(stats.RowsRead)
-	return stats, nil
+// setMorsel is the unit of work a columnar scan worker claims: a contiguous
+// run of one disk file's sealed page sets, or that disk's open set.
+type setMorsel struct {
+	disk  int
+	file  page.FileID
+	start int // first sealed set index
+	end   int // exclusive
+	open  bool
 }
 
-// ScanPageSets iterates the fragment page-set-wise instead of row-wise:
-// fn receives each surviving set while its frames are pinned, so it can
-// decode column pages straight into typed vector slabs without the boxed
-// row materialization Scan pays. fn also receives the set's base page key
-// and whether the set is sealed (immutable on disk), so a caller that
-// evaluates the full predicate during decode can record proven absence
-// into the predicate cache itself — sealed sets only. Page-set skipping
-// (predicate cache and min-max) applies exactly as in Scan. Open
-// (unflushed) sets come last per disk, never skipped, matching Scan's
-// ordering. fn returns false to stop.
-func (fr *ColumnarFragment) ScanPageSets(opts ScanOptions, fn func(set page.PageSet, key page.Key, sealed bool) (bool, error)) (ScanStats, error) {
-	var stats ScanStats
-	n := fr.Def.Schema.Len()
-	for disk, fileID := range fr.Files {
-		numPages := fr.Node.NumPages(fileID)
-		numSets := int(numPages) / n
-		for s := 0; s < numSets; s++ {
-			cont, err := fr.scanOneSet(opts, fileID, s, &stats, fn)
-			if err != nil {
-				return stats, err
-			}
-			if !cont {
-				fr.Node.RowsScanned.Add(stats.RowsRead)
-				return stats, nil
-			}
-		}
-		// Open (unflushed) set: never skipped.
-		open := fr.open[disk]
-		if open.NumRows() > 0 {
-			cont, err := fn(open, page.Key{}, false)
-			if err != nil {
-				return stats, err
-			}
-			stats.RowsRead += int64(open.NumRows())
-			if !cont {
-				fr.Node.RowsScanned.Add(stats.RowsRead)
-				return stats, nil
-			}
-		}
-	}
-	fr.Node.RowsScanned.Add(stats.RowsRead)
-	return stats, nil
+// defaultMorselSets is the sealed-set run a worker claims at a time: a page
+// set is already one page per column, so one set is a morsel.
+const defaultMorselSets = 1
+
+// ScanPageSets is the one scan of a columnar fragment. It iterates page-set
+// wise: fn receives each surviving set while its frames are pinned, so it
+// can decode column pages straight into typed vector slabs. fn also
+// receives the set's base page key and whether the set is sealed (immutable
+// on disk), so a caller that evaluates the full predicate during decode can
+// record proven absence into the predicate cache itself — sealed sets
+// only. Page-set skipping (predicate cache, then min-max) is applied here.
+// Workers claim sets from a shared counter (Fragment.ParallelScan's morsel
+// scheme) and fn runs concurrently from all of them (worker tells them
+// apart); a disk's open (unflushed) set is claimed after its sealed sets,
+// never skipped. fn returning false stops every worker after its current
+// set. workers <= 1 runs on the caller's goroutine, in file order.
+func (fr *ColumnarFragment) ScanPageSets(opts ScanOptions, workers int, fn func(worker int, set page.PageSet, key page.Key, sealed bool) (bool, error)) (ScanStats, error) {
+	return fr.scanPageSets(opts, workers, defaultMorselSets, fn)
 }
 
-// scanOneSet applies the per-set skip checks, pins the set's frames, runs
-// fn on the pinned set, and unpins. Shared by the serial and parallel
-// page-set scans.
-func (fr *ColumnarFragment) scanOneSet(opts ScanOptions, fileID page.FileID, s int, stats *ScanStats, fn func(set page.PageSet, key page.Key, sealed bool) (bool, error)) (bool, error) {
+func (fr *ColumnarFragment) scanPageSets(opts ScanOptions, workers, morselSets int, fn func(worker int, set page.PageSet, key page.Key, sealed bool) (bool, error)) (ScanStats, error) {
+	n := fr.Def.Schema.Len()
+	var morsels []setMorsel
+	for disk, fileID := range fr.Files {
+		numSets := int(fr.Node.NumPages(fileID)) / n
+		for start := 0; start < numSets; start += morselSets {
+			end := start + morselSets
+			if end > numSets {
+				end = numSets
+			}
+			morsels = append(morsels, setMorsel{disk: disk, file: fileID, start: start, end: end})
+		}
+		if fr.open[disk].NumRows() > 0 {
+			morsels = append(morsels, setMorsel{disk: disk, open: true})
+		}
+	}
+	stats, err := runMorsels(len(morsels), workers, func(run *morselRun, w, i int) (stats ScanStats, cont bool, err error) {
+		m := morsels[i]
+		if m.open {
+			set := fr.open[m.disk]
+			if cont, err = fn(w, set, page.Key{}, false); err == nil {
+				stats.RowsRead = int64(set.NumRows())
+			}
+			return stats, cont, err
+		}
+		for s := m.start; s < m.end && !run.stopped(); s++ {
+			if cont, err = fr.scanOneSet(opts, m.file, s, w, &stats, fn); err != nil || !cont {
+				return stats, false, err
+			}
+		}
+		return stats, true, nil
+	})
+	fr.Node.RowsScanned.Add(stats.RowsRead)
+	return stats, err
+}
+
+// scanOneSet is the per-set body of every columnar scan: the skip checks,
+// then the set's frames are pinned, fn runs on the pinned set, and the
+// frames are unpinned. A set with a page that is allocated but not yet
+// written (TypeFree) is passed over, as the row scan passes over such a
+// page; any other non-column page is an error.
+func (fr *ColumnarFragment) scanOneSet(opts ScanOptions, fileID page.FileID, s, w int, stats *ScanStats, fn func(worker int, set page.PageSet, key page.Key, sealed bool) (bool, error)) (bool, error) {
 	n := fr.Def.Schema.Len()
 	base := uint32(s * n)
 	key := page.Key{File: fileID, Page: base}
@@ -322,306 +257,33 @@ func (fr *ColumnarFragment) scanOneSet(opts ScanOptions, fileID page.FileID, s i
 		}
 	}
 	frames := make([]*buffer.Frame, 0, n)
-	set := page.PageSet{}
+	defer func() {
+		for _, pf := range frames {
+			fr.Node.Buf.Unpin(pf, false)
+		}
+	}()
+	set := page.PageSet{Pages: make([]page.ColumnPage, 0, n)}
 	for i := 0; i < n; i++ {
-		f, err := fr.Node.Buf.Fetch(page.Key{File: fileID, Page: base + uint32(i)})
+		k := page.Key{File: fileID, Page: base + uint32(i)}
+		f, err := fr.Node.Buf.Fetch(k)
 		if err != nil {
-			for _, pf := range frames {
-				fr.Node.Buf.Unpin(pf, false)
-			}
 			return false, err
+		}
+		frames = append(frames, f)
+		if page.TypeOf(f.Buf) == page.TypeFree {
+			return true, nil
 		}
 		cp, err := page.AsColumnPage(f.Buf)
 		if err != nil {
-			fr.Node.Buf.Unpin(f, false)
-			for _, pf := range frames {
-				fr.Node.Buf.Unpin(pf, false)
-			}
-			return true, nil
+			return false, fmt.Errorf("storage: %s page set at %v, column %d (%v): %w", fr.Def.Name, key, i, k, err)
 		}
-		frames = append(frames, f)
 		set.Pages = append(set.Pages, cp)
 	}
-	cont, err := fn(set, key, true)
-	for _, pf := range frames {
-		fr.Node.Buf.Unpin(pf, false)
-	}
+	cont, err := fn(w, set, key, true)
 	if err != nil {
 		return false, err
 	}
 	stats.PagesRead += int64(n)
 	stats.RowsRead += int64(set.NumRows())
 	return cont, nil
-}
-
-// ParallelScanPageSets is ScanPageSets with N workers over the sealed page
-// sets: workers claim runs of morselSets sets from a shared counter
-// (ParallelScan's morsel scheme), and fn runs concurrently from all
-// workers, each set pinned for the duration of its fn call. The open
-// in-memory sets are scanned serially by worker 0 after the workers
-// finish, never skipped, matching the ordering guarantee that unflushed
-// rows come last per disk. fn returning false stops every worker after its
-// current set. workers <= 1 degrades to the serial ScanPageSets.
-func (fr *ColumnarFragment) ParallelScanPageSets(opts ScanOptions, workers, morselSets int, fn func(worker int, set page.PageSet, key page.Key, sealed bool) (bool, error)) (ScanStats, error) {
-	if workers <= 1 {
-		return fr.ScanPageSets(opts, func(set page.PageSet, key page.Key, sealed bool) (bool, error) {
-			return fn(0, set, key, sealed)
-		})
-	}
-	if morselSets <= 0 {
-		morselSets = 1
-	}
-	n := fr.Def.Schema.Len()
-	var morsels []setMorsel
-	for disk, fileID := range fr.Files {
-		numSets := int(fr.Node.NumPages(fileID)) / n
-		for start := 0; start < numSets; start += morselSets {
-			end := start + morselSets
-			if end > numSets {
-				end = numSets
-			}
-			morsels = append(morsels, setMorsel{disk: disk, file: fileID, start: start, end: end})
-		}
-	}
-	var (
-		next     atomic.Int64
-		stop     atomic.Bool
-		mu       sync.Mutex
-		total    ScanStats
-		firstErr error
-	)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			var stats ScanStats
-		claim:
-			for !stop.Load() {
-				i := int(next.Add(1) - 1)
-				if i >= len(morsels) {
-					break
-				}
-				m := morsels[i]
-				for s := m.start; s < m.end; s++ {
-					if stop.Load() {
-						break claim
-					}
-					cont, err := fr.scanOneSet(opts, m.file, s, &stats, func(set page.PageSet, key page.Key, sealed bool) (bool, error) {
-						return fn(w, set, key, sealed)
-					})
-					if err != nil {
-						stop.Store(true)
-						mu.Lock()
-						if firstErr == nil {
-							firstErr = err
-						}
-						mu.Unlock()
-						break claim
-					}
-					if !cont {
-						stop.Store(true)
-						break claim
-					}
-				}
-			}
-			mu.Lock()
-			total.PagesRead += stats.PagesRead
-			total.PagesSkipped += stats.PagesSkipped
-			total.RowsRead += stats.RowsRead
-			mu.Unlock()
-		}(w)
-	}
-	wg.Wait()
-	if firstErr != nil || stop.Load() {
-		fr.Node.RowsScanned.Add(total.RowsRead)
-		return total, firstErr
-	}
-	// Open (unflushed) sets: serial tail, never skipped or recorded.
-	for disk := range fr.Files {
-		open := fr.open[disk]
-		if open.NumRows() == 0 {
-			continue
-		}
-		cont, err := fn(0, open, page.Key{}, false)
-		if err != nil {
-			fr.Node.RowsScanned.Add(total.RowsRead)
-			return total, err
-		}
-		total.RowsRead += int64(open.NumRows())
-		if !cont {
-			break
-		}
-	}
-	fr.Node.RowsScanned.Add(total.RowsRead)
-	return total, nil
-}
-
-// setMorsel is a contiguous run of sealed page sets of one disk's file.
-type setMorsel struct {
-	disk  int
-	file  page.FileID
-	start int // first set index
-	end   int // exclusive
-}
-
-// ParallelScan is Scan with N workers over sealed page sets: workers claim
-// runs of morselSets sets from a shared counter, applying the same page-set
-// skipping and absence recording as the serial scan (sealed sets are
-// immutable, so every set records). The open in-memory sets are scanned
-// serially after the workers finish, never skipped or recorded, matching
-// Scan's ordering guarantee that unflushed rows come last per disk. fn runs
-// concurrently from all workers; returning false stops every worker after
-// its current set. workers <= 1 degrades to the serial Scan.
-func (fr *ColumnarFragment) ParallelScan(opts ScanOptions, workers, morselSets int, fn func(worker int, r types.Row) bool) (ScanStats, error) {
-	if workers <= 1 {
-		return fr.Scan(opts, func(r types.Row) bool { return fn(0, r) })
-	}
-	if morselSets <= 0 {
-		morselSets = 1
-	}
-	n := fr.Def.Schema.Len()
-	var morsels []setMorsel
-	for disk, fileID := range fr.Files {
-		numSets := int(fr.Node.NumPages(fileID)) / n
-		for start := 0; start < numSets; start += morselSets {
-			end := start + morselSets
-			if end > numSets {
-				end = numSets
-			}
-			morsels = append(morsels, setMorsel{disk: disk, file: fileID, start: start, end: end})
-		}
-	}
-	var (
-		next     atomic.Int64
-		stop     atomic.Bool
-		mu       sync.Mutex
-		total    ScanStats
-		firstErr error
-	)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			var stats ScanStats
-			for !stop.Load() {
-				i := int(next.Add(1) - 1)
-				if i >= len(morsels) {
-					break
-				}
-				if err := fr.scanSetMorsel(opts, morsels[i], &stats, &stop, func(r types.Row) bool {
-					return fn(w, r)
-				}); err != nil {
-					stop.Store(true)
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					break
-				}
-			}
-			mu.Lock()
-			total.PagesRead += stats.PagesRead
-			total.PagesSkipped += stats.PagesSkipped
-			total.RowsRead += stats.RowsRead
-			mu.Unlock()
-		}(w)
-	}
-	wg.Wait()
-	if firstErr != nil || stop.Load() {
-		fr.Node.RowsScanned.Add(total.RowsRead)
-		return total, firstErr
-	}
-	// Open (unflushed) sets: serial tail, never skipped, never recorded.
-	for disk := range fr.Files {
-		rows, err := fr.open[disk].Rows()
-		if err != nil {
-			fr.Node.RowsScanned.Add(total.RowsRead)
-			return total, err
-		}
-		for _, r := range rows {
-			total.RowsRead++
-			if !fn(0, r) {
-				fr.Node.RowsScanned.Add(total.RowsRead)
-				return total, nil
-			}
-		}
-	}
-	fr.Node.RowsScanned.Add(total.RowsRead)
-	return total, nil
-}
-
-// scanSetMorsel runs one worker's claimed run of sealed sets with Scan's
-// exact per-set logic.
-func (fr *ColumnarFragment) scanSetMorsel(opts ScanOptions, m setMorsel, stats *ScanStats, stop *atomic.Bool, fn func(r types.Row) bool) error {
-	n := fr.Def.Schema.Len()
-	colIndex := func(name string) int { return fr.Def.Schema.Find(name) }
-	for s := m.start; s < m.end; s++ {
-		if stop.Load() {
-			return nil
-		}
-		base := uint32(s * n)
-		key := page.Key{File: m.file, Page: base}
-		if len(opts.SkipConj) > 0 {
-			if opts.UseCache && fr.PredCache.CanSkip(key, opts.SkipConj) {
-				stats.PagesSkipped += int64(n)
-				continue
-			}
-			if opts.UseMinMax && fr.MinMax.CanSkip(key, opts.SkipConj) {
-				stats.PagesSkipped += int64(n)
-				continue
-			}
-		}
-		frames := make([]*buffer.Frame, 0, n)
-		set := page.PageSet{}
-		bad := false
-		for i := 0; i < n; i++ {
-			f, err := fr.Node.Buf.Fetch(page.Key{File: m.file, Page: base + uint32(i)})
-			if err != nil {
-				for _, pf := range frames {
-					fr.Node.Buf.Unpin(pf, false)
-				}
-				return err
-			}
-			cp, err := page.AsColumnPage(f.Buf)
-			if err != nil {
-				fr.Node.Buf.Unpin(f, false)
-				bad = true
-				break
-			}
-			frames = append(frames, f)
-			set.Pages = append(set.Pages, cp)
-		}
-		if bad {
-			for _, pf := range frames {
-				fr.Node.Buf.Unpin(pf, false)
-			}
-			continue
-		}
-		rows, err := set.Rows()
-		for _, pf := range frames {
-			fr.Node.Buf.Unpin(pf, false)
-		}
-		if err != nil {
-			return err
-		}
-		stats.PagesRead += int64(n)
-		anyMatch := false
-		for _, r := range rows {
-			stats.RowsRead++
-			if len(opts.SkipConj) > 0 && opts.SkipConj.MatchesRow(r, colIndex) {
-				anyMatch = true
-			}
-			if !fn(r) {
-				stop.Store(true)
-				return nil
-			}
-		}
-		if opts.UseCache && opts.SkipComplete && !anyMatch && len(opts.SkipConj) > 0 {
-			fr.PredCache.Record(key, opts.SkipConj)
-		}
-	}
-	return nil
 }

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -10,78 +11,134 @@ import (
 	"repro/internal/types"
 )
 
-// TestParallelScanParity: a morsel-parallel scan must see exactly the rows
-// a serial scan sees (as a multiset) and report identical page statistics,
-// across worker counts and morsel granularities including degenerate ones.
-func TestParallelScanParity(t *testing.T) {
-	ns := newNode(t, 2048)
-	fr, err := OpenFragment(ns, lineitemDef(false))
-	if err != nil {
-		t.Fatal(err)
+// colScanRows reads a columnar fragment row-wise for tests: page sets come
+// from the one storage entry point (scanPageSets, so the morsel size can be
+// swept) and are decoded with the boxed PageSet.Rows reference decoder. Like
+// the vector scan in internal/exec, the reader records a sealed set in which
+// no row matched a complete skip conjunction into the predicate cache.
+func colScanRows(fr *ColumnarFragment, opts ScanOptions, workers, morselSets int, fn func(worker int, r types.Row) bool) (ScanStats, error) {
+	colIndex := func(name string) int { return fr.Def.Schema.Find(name) }
+	return fr.scanPageSets(opts, workers, morselSets, func(w int, set page.PageSet, key page.Key, sealed bool) (bool, error) {
+		rows, err := set.Rows()
+		if err != nil {
+			return false, err
+		}
+		anyMatch := false
+		for _, r := range rows {
+			if len(opts.SkipConj) > 0 && opts.SkipConj.MatchesRow(r, colIndex) {
+				anyMatch = true
+			}
+			if !fn(w, r) {
+				return false, nil
+			}
+		}
+		if sealed && opts.UseCache && opts.SkipComplete && !anyMatch && len(opts.SkipConj) > 0 {
+			fr.PredCache.Record(key, opts.SkipConj)
+		}
+		return true, nil
+	})
+}
+
+// colScan is colScanRows at degree 1 with the production morsel size.
+func colScan(fr *ColumnarFragment, opts ScanOptions, fn func(r types.Row) bool) (ScanStats, error) {
+	return colScanRows(fr, opts, 1, defaultMorselSets, func(_ int, r types.Row) bool { return fn(r) })
+}
+
+// scanSweep is the workers × morsel-size grid every parity test runs through
+// the one driver; morsel 0 stands for the format's production constant.
+var scanSweep = func() (out []struct{ workers, morsel int }) {
+	for _, w := range []int{1, 2, 4} {
+		for _, m := range []int{1, 2, 0} {
+			out = append(out, struct{ workers, morsel int }{w, m})
+		}
 	}
-	rows := make([]types.Row, 0, 5000)
-	for i := int64(0); i < 5000; i++ {
+	return out
+}()
+
+func loadLineitem(t *testing.T, load func([]types.Row) (int, error), n int64) {
+	t.Helper()
+	rows := make([]types.Row, 0, n)
+	for i := int64(0); i < n; i++ {
 		rows = append(rows, liRow(i))
 	}
-	if _, err := fr.Load(rows); err != nil {
+	if _, err := load(rows); err != nil {
 		t.Fatal(err)
 	}
+}
 
-	serial := map[int64]int{}
-	serialStats, err := fr.Scan(ScanOptions{}, func(rid page.RID, r types.Row) bool {
-		serial[r[0].Int()]++
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
+// checkParity runs scan over the sweep and requires the row multiset, the
+// ScanStats and the node's RowsScanned delta to equal the degree-1,
+// production-morsel reference at every point of the grid.
+func checkParity(t *testing.T, ns *NodeStore, defMorsel int, scan func(workers, morsel int, fn func(r types.Row) bool) (ScanStats, error)) {
+	t.Helper()
+	run := func(workers, morsel int) (map[int64]int, ScanStats, int64) {
+		var mu sync.Mutex
+		seen := map[int64]int{}
+		before := ns.RowsScanned.Load()
+		stats, err := scan(workers, morsel, func(r types.Row) bool {
+			mu.Lock()
+			seen[r[0].Int()]++
+			mu.Unlock()
+			return true
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return seen, stats, ns.RowsScanned.Load() - before
 	}
-
-	for _, tc := range []struct{ workers, morselPages int }{
-		{2, 1}, {4, 2}, {4, 16}, {8, 1}, {16, 4},
-	} {
-		t.Run(fmt.Sprintf("w%d_m%d", tc.workers, tc.morselPages), func(t *testing.T) {
-			var mu sync.Mutex
-			par := map[int64]int{}
-			stats, err := fr.ParallelScan(ScanOptions{}, tc.workers, tc.morselPages,
-				func(worker int, rid page.RID, r types.Row) bool {
-					mu.Lock()
-					par[r[0].Int()]++
-					mu.Unlock()
-					return true
-				})
-			if err != nil {
-				t.Fatal(err)
+	want, wantStats, wantScanned := run(1, defMorsel)
+	if wantScanned != wantStats.RowsRead {
+		t.Fatalf("reference RowsScanned moved %d, stats.RowsRead %d", wantScanned, wantStats.RowsRead)
+	}
+	for _, tc := range scanSweep {
+		morsel := tc.morsel
+		if morsel == 0 {
+			morsel = defMorsel
+		}
+		t.Run(fmt.Sprintf("w%d_m%d", tc.workers, morsel), func(t *testing.T) {
+			got, stats, scanned := run(tc.workers, morsel)
+			if stats != wantStats {
+				t.Errorf("stats = %+v, reference %+v", stats, wantStats)
 			}
-			if stats != serialStats {
-				t.Errorf("stats = %+v, serial %+v", stats, serialStats)
+			if scanned != wantScanned {
+				t.Errorf("RowsScanned moved %d, reference %d", scanned, wantScanned)
 			}
-			if len(par) != len(serial) {
-				t.Fatalf("saw %d distinct keys, serial %d", len(par), len(serial))
+			if len(got) != len(want) {
+				t.Fatalf("saw %d distinct keys, reference %d", len(got), len(want))
 			}
-			for k, c := range serial {
-				if par[k] != c {
-					t.Fatalf("key %d seen %d times, serial %d", k, par[k], c)
+			for k, c := range want {
+				if got[k] != c {
+					t.Fatalf("key %d seen %d times, reference %d", k, got[k], c)
 				}
 			}
 		})
 	}
 }
 
-// TestParallelScanSkipParity: min-max skipping must skip the same pages
-// under parallel and serial scans, and the surviving rows must match.
+// TestParallelScanParity: the row scan must see exactly the same rows (as a
+// multiset) and report identical page statistics at every degree and morsel
+// granularity, degenerate ones included.
+func TestParallelScanParity(t *testing.T) {
+	ns := newNode(t, 2048)
+	fr, err := OpenFragment(ns, lineitemDef(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	loadLineitem(t, fr.Load, 5000)
+	checkParity(t, ns, DefaultMorselPages, func(workers, morsel int, fn func(r types.Row) bool) (ScanStats, error) {
+		return fr.scanMorsels(ScanOptions{}, workers, morsel, func(_ int, _ page.RID, r types.Row) bool { return fn(r) })
+	})
+}
+
+// TestParallelScanSkipParity: min-max skipping must skip the same pages at
+// every degree, and the surviving rows must match.
 func TestParallelScanSkipParity(t *testing.T) {
 	ns := newNode(t, 2048)
 	fr, err := OpenFragment(ns, lineitemDef(false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := make([]types.Row, 0, 4000)
-	for i := int64(0); i < 4000; i++ {
-		rows = append(rows, liRow(i))
-	}
-	if _, err := fr.Load(rows); err != nil {
-		t.Fatal(err)
-	}
+	loadLineitem(t, fr.Load, 4000)
 	// l_orderkey > 3500 skips most pages via min-max.
 	opts := ScanOptions{
 		SkipConj: skipcache.Conj{{
@@ -90,116 +147,229 @@ func TestParallelScanSkipParity(t *testing.T) {
 		SkipComplete: true,
 		UseMinMax:    true,
 	}
-	serial := map[int64]int{}
-	serialStats, err := fr.Scan(opts, func(rid page.RID, r types.Row) bool {
-		serial[r[0].Int()]++
-		return true
-	})
+	stats, err := fr.Scan(opts, func(page.RID, types.Row) bool { return true })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if serialStats.PagesSkipped == 0 {
+	if stats.PagesSkipped == 0 {
 		t.Fatal("test premise broken: serial scan skipped nothing")
 	}
-	var mu sync.Mutex
-	par := map[int64]int{}
-	stats, err := fr.ParallelScan(opts, 4, 2, func(worker int, rid page.RID, r types.Row) bool {
-		mu.Lock()
-		par[r[0].Int()]++
-		mu.Unlock()
-		return true
+	checkParity(t, ns, DefaultMorselPages, func(workers, morsel int, fn func(r types.Row) bool) (ScanStats, error) {
+		return fr.scanMorsels(opts, workers, morsel, func(_ int, _ page.RID, r types.Row) bool { return fn(r) })
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats != serialStats {
-		t.Errorf("stats = %+v, serial %+v", stats, serialStats)
-	}
-	if len(par) != len(serial) {
-		t.Fatalf("saw %d distinct keys, serial %d", len(par), len(serial))
-	}
 }
 
 // TestColumnarParallelScanParity mirrors the row-store parity check for
-// columnar fragments (sealed-set morsels plus the serial open-set tail).
+// columnar fragments: sealed-set morsels plus one open-set morsel per disk.
 func TestColumnarParallelScanParity(t *testing.T) {
 	ns := newNode(t, 2048)
 	fr, err := OpenColumnarFragment(ns, lineitemDef(true))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := make([]types.Row, 0, 5000)
-	for i := int64(0); i < 5000; i++ {
-		rows = append(rows, liRow(i))
+	loadLineitem(t, fr.Load, 5000)
+	for i := int64(5000); i < 5007; i++ { // unflushed rows in both disks' open sets
+		if err := fr.Append(liRow(i)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := fr.Load(rows); err != nil {
-		t.Fatal(err)
-	}
-
-	serial := map[int64]int{}
-	serialStats, err := fr.Scan(ScanOptions{}, func(r types.Row) bool {
-		serial[r[0].Int()]++
-		return true
+	checkParity(t, ns, defaultMorselSets, func(workers, morsel int, fn func(r types.Row) bool) (ScanStats, error) {
+		return colScanRows(fr, ScanOptions{}, workers, morsel, func(_ int, r types.Row) bool { return fn(r) })
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 4, 8} {
-		t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) {
-			var mu sync.Mutex
-			par := map[int64]int{}
-			stats, err := fr.ParallelScan(ScanOptions{}, workers, 1,
-				func(worker int, r types.Row) bool {
-					mu.Lock()
-					par[r[0].Int()]++
-					mu.Unlock()
-					return true
-				})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if stats != serialStats {
-				t.Errorf("stats = %+v, serial %+v", stats, serialStats)
-			}
-			if len(par) != len(serial) {
-				t.Fatalf("saw %d distinct keys, serial %d", len(par), len(serial))
-			}
-			for k, c := range serial {
-				if par[k] != c {
-					t.Fatalf("key %d seen %d times, serial %d", k, par[k], c)
-				}
-			}
-		})
-	}
 }
 
 // TestParallelScanEarlyStop: a consumer returning false must stop the scan
-// promptly without error, like the serial contract.
+// promptly without error at every degree, and the rows the scan did read
+// must reach the node's RowsScanned counter all the same.
 func TestParallelScanEarlyStop(t *testing.T) {
 	ns := newNode(t, 2048)
-	fr, err := OpenFragment(ns, lineitemDef(false))
+	rowFr, err := OpenFragment(ns, lineitemDef(false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := make([]types.Row, 0, 2000)
-	for i := int64(0); i < 2000; i++ {
-		rows = append(rows, liRow(i))
-	}
-	if _, err := fr.Load(rows); err != nil {
-		t.Fatal(err)
-	}
-	var mu sync.Mutex
-	n := 0
-	_, err = fr.ParallelScan(ScanOptions{}, 4, 1, func(worker int, rid page.RID, r types.Row) bool {
-		mu.Lock()
-		defer mu.Unlock()
-		n++
-		return n < 100
-	})
+	loadLineitem(t, rowFr.Load, 2000)
+	colDef := lineitemDef(true)
+	colDef.Name = "lineitem_col"
+	colFr, err := OpenColumnarFragment(ns, colDef)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n < 100 || n >= 2000 {
-		t.Errorf("early stop saw %d rows", n)
+	loadLineitem(t, colFr.Load, 2000)
+
+	formats := []struct {
+		name      string
+		defMorsel int
+		scan      func(workers, morsel int, fn func() bool) (ScanStats, error)
+	}{
+		{"row", DefaultMorselPages, func(workers, morsel int, fn func() bool) (ScanStats, error) {
+			return rowFr.scanMorsels(ScanOptions{}, workers, morsel, func(int, page.RID, types.Row) bool { return fn() })
+		}},
+		{"columnar", defaultMorselSets, func(workers, morsel int, fn func() bool) (ScanStats, error) {
+			return colScanRows(colFr, ScanOptions{}, workers, morsel, func(int, types.Row) bool { return fn() })
+		}},
+	}
+	for _, f := range formats {
+		for _, tc := range scanSweep {
+			morsel := tc.morsel
+			if morsel == 0 {
+				morsel = f.defMorsel
+			}
+			t.Run(fmt.Sprintf("%s_w%d_m%d", f.name, tc.workers, morsel), func(t *testing.T) {
+				var mu sync.Mutex
+				n := 0
+				before := ns.RowsScanned.Load()
+				stats, err := f.scan(tc.workers, morsel, func() bool {
+					mu.Lock()
+					defer mu.Unlock()
+					n++
+					return n < 100
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n < 100 || n >= 2000 {
+					t.Errorf("early stop saw %d rows", n)
+				}
+				if tc.workers == 1 && n != 100 {
+					t.Errorf("degree 1 saw %d rows after the stop, want exactly 100", n)
+				}
+				if stats.RowsRead < 100 || stats.RowsRead >= 2000 {
+					t.Errorf("stats.RowsRead = %d after an early stop", stats.RowsRead)
+				}
+				if d := ns.RowsScanned.Load() - before; d != stats.RowsRead {
+					t.Errorf("RowsScanned moved %d, stats.RowsRead %d", d, stats.RowsRead)
+				}
+			})
+		}
+	}
+}
+
+// TestColumnarNonColumnPage: a sealed page set holding a page of another type
+// is corruption and must fail the scan with an error naming the page — at the
+// parent commit the whole set was dropped silently. A set whose pages are
+// allocated but not yet written (TypeFree) is still passed over without error.
+func TestColumnarNonColumnPage(t *testing.T) {
+	ns := newNode(t, 2048)
+	fr, err := OpenColumnarFragment(ns, lineitemDef(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	loadLineitem(t, fr.Load, 1000)
+	count := func() (int, error) {
+		n := 0
+		_, err := colScan(fr, ScanOptions{}, func(types.Row) bool { n++; return true })
+		return n, err
+	}
+	if n, err := count(); err != nil || n != 1000 {
+		t.Fatalf("clean scan: rows=%d err=%v", n, err)
+	}
+	ncols := uint32(fr.Def.Schema.Len())
+	const typeOff = 8 // the page header's type byte
+	if probe := make([]byte, 16); true {
+		probe[typeOff] = page.TypeRow
+		if page.TypeOf(probe) != page.TypeRow {
+			t.Fatal("test premise broken: the page type byte moved")
+		}
+	}
+	setType := func(k page.Key, typ byte) byte {
+		t.Helper()
+		f, err := ns.Buf.Fetch(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		old := f.Buf[typeOff]
+		f.Buf[typeOff] = typ
+		ns.Buf.Unpin(f, true)
+		return old
+	}
+
+	// Second set of disk 0, its third column page: flip the type byte.
+	bad := page.Key{File: fr.Files[0], Page: ncols + 2}
+	old := setType(bad, page.TypeRow)
+	for _, workers := range []int{1, 4} {
+		stats, err := colScanRows(fr, ScanOptions{}, workers, defaultMorselSets, func(int, types.Row) bool { return true })
+		if err == nil {
+			t.Fatalf("workers=%d: scan over a non-column page returned rows=%d err=<nil>", workers, stats.RowsRead)
+		}
+		if !strings.Contains(err.Error(), bad.String()) {
+			t.Errorf("workers=%d: error does not name page %v: %v", workers, bad, err)
+		}
+	}
+	setType(bad, old)
+
+	// The whole set allocated but unwritten: skipped silently, rows of the
+	// other sets still arrive.
+	first := page.Key{File: fr.Files[0], Page: ncols}
+	f, err := ns.Buf.Fetch(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, err := page.AsColumnPage(f.Buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lost := cp.NumValues()
+	ns.Buf.Unpin(f, false)
+	for i := uint32(0); i < ncols; i++ {
+		setType(page.Key{File: fr.Files[0], Page: ncols + i}, page.TypeFree)
+	}
+	if n, err := count(); err != nil || n != 1000-lost {
+		t.Fatalf("free set: rows=%d err=%v, want %d rows and no error", n, err, 1000-lost)
+	}
+}
+
+// lockHook is a TxHook whose only behavior is to run a callback on the first
+// page lock: the moment a locking scan would have been blocked behind another
+// transaction.
+type lockHook struct{ onFirstLock func() }
+
+func (h *lockHook) TxID() uint64 { return 1 }
+func (h *lockHook) LockPage(page.Key, bool) error {
+	if f := h.onFirstLock; f != nil {
+		h.onFirstLock = nil
+		f()
+	}
+	return nil
+}
+func (h *lockHook) LogInsert(page.Key, uint16, []byte) uint64 { return 0 }
+func (h *lockHook) LogDelete(page.Key, uint16, []byte) uint64 { return 0 }
+
+// TestLockingScanSeesRowsAppendedWhileItWaited: an UPDATE's scan takes page
+// locks in file order; when it gets a lock another transaction held, that
+// transaction has committed, and the new row versions it appended — to a later
+// page of the same file, or to a disk file that was still empty when the scan
+// started — must be visible to the scan, or the second UPDATE silently
+// matches nothing. The morsel list is built before the first lock, so the
+// tail morsel of every file has to follow the file.
+func TestLockingScanSeesRowsAppendedWhileItWaited(t *testing.T) {
+	for _, appended := range []int64{1, 300} {
+		t.Run(fmt.Sprintf("appended-%d", appended), func(t *testing.T) {
+			ns := newNode(t, 2048)
+			fr, err := OpenFragment(ns, lineitemDef(false))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := fr.Insert(nil, liRow(0)); err != nil { // disk 0; disk 1 stays empty
+				t.Fatal(err)
+			}
+			hook := &lockHook{onFirstLock: func() {
+				for i := int64(1); i <= appended; i++ {
+					if _, err := fr.Insert(nil, liRow(i)); err != nil {
+						t.Error(err)
+					}
+				}
+			}}
+			seen := map[int64]bool{}
+			_, err = fr.Scan(ScanOptions{Tx: hook, LockExclusive: true}, func(_ page.RID, r types.Row) bool {
+				seen[r[0].Int()] = true
+				return true
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if int64(len(seen)) != 1+appended {
+				t.Fatalf("locking scan saw %d rows, want %d", len(seen), 1+appended)
+			}
+		})
 	}
 }

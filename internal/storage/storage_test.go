@@ -325,7 +325,7 @@ func TestColumnarLoadScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	seen := map[int64]bool{}
-	stats, err := fr.Scan(ScanOptions{}, func(r types.Row) bool {
+	stats, err := colScan(fr, ScanOptions{}, func(r types.Row) bool {
 		if len(r) != 4 {
 			t.Fatalf("reconstructed row arity %d", len(r))
 		}
@@ -353,7 +353,7 @@ func TestColumnarOpenSetVisible(t *testing.T) {
 		}
 	}
 	count := 0
-	fr.Scan(ScanOptions{}, func(r types.Row) bool { count++; return true })
+	colScan(fr, ScanOptions{}, func(r types.Row) bool { count++; return true })
 	if count != 5 {
 		t.Errorf("open-set rows visible = %d, want 5", count)
 	}
@@ -369,11 +369,11 @@ func TestColumnarSkipping(t *testing.T) {
 	fr.Load(rows)
 	theta := skipcache.Conj{{Col: "l_quantity", Op: skipcache.OpGt, Val: types.NewInt(100)}}
 	opts := ScanOptions{SkipConj: theta, SkipComplete: true, UseCache: true}
-	s1, err := fr.Scan(opts, func(r types.Row) bool { return true })
+	s1, err := colScan(fr, opts, func(r types.Row) bool { return true })
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := fr.Scan(opts, func(r types.Row) bool { return true })
+	s2, err := colScan(fr, opts, func(r types.Row) bool { return true })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,7 +405,7 @@ func TestColumnarHuffmanStrings(t *testing.T) {
 	}
 	fr.Load(rows)
 	count := 0
-	_, err := fr.Scan(ScanOptions{}, func(r types.Row) bool {
+	_, err := colScan(fr, ScanOptions{}, func(r types.Row) bool {
 		if r[1].Str() == "" {
 			t.Fatal("lost string payload")
 		}

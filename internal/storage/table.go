@@ -5,7 +5,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/catalog"
@@ -231,201 +230,94 @@ type ScanOptions struct {
 	LockExclusive bool
 }
 
-// Scan iterates the live rows of every full and partial page of the
-// fragment, honoring predicate-based skipping, and records new absence
-// facts for full pages. fn returning false stops the scan early (skipping
-// bookkeeping for the interrupted page is discarded).
+// Scan is ParallelScan at degree 1: the whole scan runs on the caller's
+// goroutine. DML and index builds scan this way, with Tx set.
 func (fr *Fragment) Scan(opts ScanOptions, fn func(rid page.RID, r types.Row) bool) (ScanStats, error) {
-	var stats ScanStats
-	lowerCols := make([]string, fr.Def.Schema.Len())
-	for i, c := range fr.Def.Schema.Cols {
-		lowerCols[i] = strings.ToLower(c.Name)
-	}
-	colIndex := func(name string) int { return fr.Def.Schema.Find(name) }
-
-	for disk, fileID := range fr.Files {
-		numPages := fr.Node.NumPages(fileID)
-		if numPages == 0 {
-			continue
-		}
-		// Scan pre-declaration: tell the buffer manager which pages we
-		// will request so the clock protects them (Section III).
-		if opts.Predeclare {
-			keys := make([]page.Key, 0, numPages)
-			for p := uint32(0); p < numPages; p++ {
-				keys = append(keys, page.Key{File: fileID, Page: p})
-			}
-			fr.Node.Buf.Predeclare(keys)
-		}
-		for p := uint32(0); p < numPages; p++ {
-			k := page.Key{File: fileID, Page: p}
-			if len(opts.SkipConj) > 0 {
-				if opts.UseCache && fr.PredCache.CanSkip(k, opts.SkipConj) {
-					stats.PagesSkipped++
-					continue
-				}
-				if opts.UseMinMax && fr.MinMax.CanSkip(k, opts.SkipConj) {
-					stats.PagesSkipped++
-					continue
-				}
-			}
-			if opts.Tx != nil {
-				if err := opts.Tx.LockPage(k, opts.LockExclusive); err != nil {
-					return stats, err
-				}
-			}
-			f, err := fr.Node.Buf.Fetch(k)
-			if err != nil {
-				return stats, err
-			}
-			if page.TypeOf(f.Buf) == page.TypeFree {
-				fr.Node.Buf.Unpin(f, false)
-				continue
-			}
-			rp, err := page.AsRowPage(f.Buf)
-			if err != nil {
-				fr.Node.Buf.Unpin(f, false)
-				return stats, err
-			}
-			stats.PagesRead++
-			anyMatch := false
-			stopped := false
-			err = rp.Scan(func(slot int, r types.Row) bool {
-				stats.RowsRead++
-				if len(opts.SkipConj) > 0 && opts.SkipConj.MatchesRow(r, colIndex) {
-					anyMatch = true
-				}
-				rid := page.RID{Node: uint16(fr.Node.NodeID), Disk: uint16(disk), Page: p, Slot: uint16(slot)}
-				if !fn(rid, r) {
-					stopped = true
-					return false
-				}
-				return true
-			})
-			fr.Node.Buf.Unpin(f, false)
-			if err != nil {
-				return stats, err
-			}
-			if stopped {
-				fr.Node.RowsScanned.Add(stats.RowsRead)
-				return stats, nil
-			}
-			// Record an absence fact for FULL pages only (the last page of
-			// a file may still receive inserts).
-			isFull := p < numPages-1
-			if opts.UseCache && opts.SkipComplete && isFull && !anyMatch && len(opts.SkipConj) > 0 {
-				fr.PredCache.Record(k, opts.SkipConj)
-			}
-		}
-	}
-	fr.Node.RowsScanned.Add(stats.RowsRead)
-	return stats, nil
+	return fr.ParallelScan(opts, 1, func(_ int, rid page.RID, r types.Row) bool { return fn(rid, r) })
 }
 
-// DefaultMorselPages is the page-range granularity ParallelScan hands to a
+// DefaultMorselPages is the page-range granularity a row scan hands to a
 // worker at a time. Small enough that a skipping-heavy scan rebalances, large
 // enough that the shared claim counter is off the per-page path.
 const DefaultMorselPages = 16
 
 // morsel is one contiguous page range of one disk's file, the unit of work a
-// parallel scan worker claims. numPages is the file's page count at scan
-// start, so workers can apply the full-page-only absence-recording rule.
+// scan worker claims. numPages is the file's page count when the scan
+// started, for the full-page-only absence-recording rule. The last morsel of
+// a file is its tail: it follows the file to whatever length it has when the
+// worker gets there. A locking scan depends on that — while it waited for a
+// page lock, the transaction holding it may have appended the new version of
+// a row to a page (or a file) that was not there when the scan started.
 type morsel struct {
 	disk     int
 	file     page.FileID
 	start    uint32
 	end      uint32 // exclusive
 	numPages uint32
+	tail     bool
 }
 
-// ParallelScan is Scan with N workers: the fragment's pages are split into
-// morsels (contiguous page ranges) that workers claim from a shared counter,
-// so a worker that skips its pages moves on to the next range instead of
-// idling. Each page is processed exactly as Scan processes it — predicate
-// cache, then min-max, then fetch — and absence facts are recorded for full
-// pages under the same conditions, so skipping behavior and the summed
-// ScanStats match a serial scan of the same data. fn runs concurrently from
+// ParallelScan iterates the live rows of every full and partial page of the
+// fragment with N workers: the pages are split into morsels (contiguous page
+// ranges) that workers claim from a shared counter, so a worker that skips
+// its pages moves on to the next range instead of idling. Every page goes
+// through scanMorsel — predicate cache, then min-max, then fetch, with
+// absence facts recorded for full pages — so skipping behavior and the
+// summed ScanStats do not depend on the degree. fn runs concurrently from
 // all workers (worker tells them apart); returning false stops every worker
-// after its current page. workers <= 1 degrades to the serial Scan.
-func (fr *Fragment) ParallelScan(opts ScanOptions, workers, morselPages int, fn func(worker int, rid page.RID, r types.Row) bool) (ScanStats, error) {
-	if workers <= 1 {
-		return fr.Scan(opts, func(rid page.RID, r types.Row) bool { return fn(0, rid, r) })
-	}
-	if morselPages <= 0 {
-		morselPages = DefaultMorselPages
-	}
+// after its current page, and the bookkeeping for the interrupted page is
+// discarded. workers <= 1 runs on the caller's goroutine.
+func (fr *Fragment) ParallelScan(opts ScanOptions, workers int, fn func(worker int, rid page.RID, r types.Row) bool) (ScanStats, error) {
+	return fr.scanMorsels(opts, workers, DefaultMorselPages, fn)
+}
+
+func (fr *Fragment) scanMorsels(opts ScanOptions, workers, morselPages int, fn func(worker int, rid page.RID, r types.Row) bool) (ScanStats, error) {
 	var morsels []morsel
 	for disk, fileID := range fr.Files {
 		numPages := fr.Node.NumPages(fileID)
-		if numPages == 0 {
-			continue
-		}
-		if opts.Predeclare {
+		// Scan pre-declaration: tell the buffer manager which pages we
+		// will request so the clock protects them (Section III).
+		if opts.Predeclare && numPages > 0 {
 			keys := make([]page.Key, 0, numPages)
 			for p := uint32(0); p < numPages; p++ {
 				keys = append(keys, page.Key{File: fileID, Page: p})
 			}
 			fr.Node.Buf.Predeclare(keys)
 		}
-		for start := uint32(0); start < numPages; start += uint32(morselPages) {
+		for start, tail := uint32(0), false; !tail; start += uint32(morselPages) {
 			end := start + uint32(morselPages)
-			if end > numPages {
+			if tail = end >= numPages; tail {
 				end = numPages
 			}
-			morsels = append(morsels, morsel{disk: disk, file: fileID, start: start, end: end, numPages: numPages})
+			morsels = append(morsels, morsel{disk: disk, file: fileID, start: start, end: end, numPages: numPages, tail: tail})
 		}
 	}
-	var (
-		next     atomic.Int64
-		stop     atomic.Bool
-		mu       sync.Mutex
-		total    ScanStats
-		firstErr error
-	)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			var stats ScanStats
-			for !stop.Load() {
-				i := int(next.Add(1) - 1)
-				if i >= len(morsels) {
-					break
-				}
-				if err := fr.scanMorsel(opts, morsels[i], &stats, &stop, func(rid page.RID, r types.Row) bool {
-					return fn(w, rid, r)
-				}); err != nil {
-					stop.Store(true)
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					break
-				}
-			}
-			mu.Lock()
-			total.PagesRead += stats.PagesRead
-			total.PagesSkipped += stats.PagesSkipped
-			total.RowsRead += stats.RowsRead
-			mu.Unlock()
-		}(w)
-	}
-	wg.Wait()
-	fr.Node.RowsScanned.Add(total.RowsRead)
-	return total, firstErr
+	stats, err := runMorsels(len(morsels), workers, func(run *morselRun, w, i int) (ScanStats, bool, error) {
+		return fr.scanMorsel(opts, morsels[i], w, run, fn)
+	})
+	fr.Node.RowsScanned.Add(stats.RowsRead)
+	return stats, err
 }
 
-// scanMorsel runs one worker's claimed page range with Scan's exact per-page
-// logic. stop is checked between pages so a consumer-initiated stop (fn
-// returning false anywhere) ends every worker promptly; bookkeeping for a
-// page interrupted mid-scan is discarded, as in Scan.
-func (fr *Fragment) scanMorsel(opts ScanOptions, m morsel, stats *ScanStats, stop *atomic.Bool, fn func(rid page.RID, r types.Row) bool) error {
+// scanMorsel is the per-page body of every row scan. It reports false once
+// fn has stopped the scan; run.stopped is checked between pages so a stop
+// raised by another worker ends this one promptly.
+func (fr *Fragment) scanMorsel(opts ScanOptions, m morsel, w int, run *morselRun, fn func(worker int, rid page.RID, r types.Row) bool) (ScanStats, bool, error) {
+	var stats ScanStats
 	colIndex := func(name string) int { return fr.Def.Schema.Find(name) }
-	for p := m.start; p < m.end; p++ {
-		if stop.Load() {
-			return nil
+	end, numPages := m.end, m.numPages
+	for p := m.start; ; p++ {
+		if p >= end {
+			if !m.tail {
+				break
+			}
+			numPages = fr.Node.NumPages(m.file)
+			if end = numPages; p >= end {
+				break
+			}
+		}
+		if run.stopped() {
+			return stats, true, nil
 		}
 		k := page.Key{File: m.file, Page: p}
 		if len(opts.SkipConj) > 0 {
@@ -440,12 +332,12 @@ func (fr *Fragment) scanMorsel(opts ScanOptions, m morsel, stats *ScanStats, sto
 		}
 		if opts.Tx != nil {
 			if err := opts.Tx.LockPage(k, opts.LockExclusive); err != nil {
-				return err
+				return stats, false, err
 			}
 		}
 		f, err := fr.Node.Buf.Fetch(k)
 		if err != nil {
-			return err
+			return stats, false, err
 		}
 		if page.TypeOf(f.Buf) == page.TypeFree {
 			fr.Node.Buf.Unpin(f, false)
@@ -454,7 +346,7 @@ func (fr *Fragment) scanMorsel(opts ScanOptions, m morsel, stats *ScanStats, sto
 		rp, err := page.AsRowPage(f.Buf)
 		if err != nil {
 			fr.Node.Buf.Unpin(f, false)
-			return err
+			return stats, false, err
 		}
 		stats.PagesRead++
 		anyMatch := false
@@ -465,26 +357,24 @@ func (fr *Fragment) scanMorsel(opts ScanOptions, m morsel, stats *ScanStats, sto
 				anyMatch = true
 			}
 			rid := page.RID{Node: uint16(fr.Node.NodeID), Disk: uint16(m.disk), Page: p, Slot: uint16(slot)}
-			if !fn(rid, r) {
+			if !fn(w, rid, r) {
 				stopped = true
 				return false
 			}
 			return true
 		})
 		fr.Node.Buf.Unpin(f, false)
-		if err != nil {
-			return err
+		if err != nil || stopped {
+			return stats, false, err
 		}
-		if stopped {
-			stop.Store(true)
-			return nil
-		}
-		isFull := p < m.numPages-1
+		// Record an absence fact for FULL pages only (the last page of
+		// a file may still receive inserts).
+		isFull := p < numPages-1
 		if opts.UseCache && opts.SkipComplete && isFull && !anyMatch && len(opts.SkipConj) > 0 {
 			fr.PredCache.Record(k, opts.SkipConj)
 		}
 	}
-	return nil
+	return stats, true, nil
 }
 
 // Load bulk-loads rows into the fragment, sorting by the table's clustering

@@ -54,4 +54,7 @@ go test -run '^$' -bench BenchmarkTypedVsBoxedDecode -benchtime 1x ./internal/pa
 echo "==> fuzz smoke (typed decoders must error, never panic, on corrupt pages)"
 go test -run '^$' -fuzz '^FuzzTypedDecode$' -fuzztime 5s ./internal/page >/dev/null
 
+echo "==> code size (scripts/loc.sh <ref> diffs it per package against a commit)"
+scripts/loc.sh | tail -n 1
+
 echo "OK"
