@@ -1,0 +1,91 @@
+package cluster
+
+import (
+	"testing"
+
+	"repro/internal/expr"
+	"repro/internal/plan"
+	"repro/internal/types"
+)
+
+func schemaOf(names ...string) types.Schema {
+	cols := make([]types.Column, len(names))
+	for i, n := range names {
+		cols[i] = types.Column{Name: n, Kind: types.KindInt}
+	}
+	return types.Schema{Cols: cols}
+}
+
+// TestPrunedPartitionColumnIsNotColocation: projection pushdown can remove
+// the column a table is partitioned on from the stream that scans it. Such
+// a stream must never be taken for co-located on some other column that
+// merely shares the pruned one's bare name — what Schema.Find's suffix
+// rules would conclude if distribution columns were looked up with them.
+func TestPrunedPartitionColumnIsNotColocation(t *testing.T) {
+	c, _ := newCluster(t, 2, HRDBMSProfile())
+	q := c.newQueryExec(c.Coords[0], nil)
+	def, err := c.Catalog().Table("lineitem")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// At the source: a scan that does not emit its partition column is
+	// spread at random as far as anything above it can tell.
+	whole := plan.NewScan(def, "l1")
+	if d := q.scanDist(whole); d.kind != distPartitioned || len(d.cols) != 1 || d.cols[0] != "l1.l_orderkey" {
+		t.Fatalf("whole scan: dist %+v, want partitioned on l1.l_orderkey", d)
+	}
+	pruned := plan.NewScan(def, "l1")
+	pruned.Cols = []int{1, 2} // l_partkey, l_quantity
+	if d := q.scanDist(pruned); d.kind != distRandom {
+		t.Fatalf("scan without its partition column: dist %+v, want random", d)
+	}
+
+	// And should a distribution ever name a column its stream does not
+	// carry, no lookup may resolve it to another one. The stream below is
+	// partitioned on l1.l_orderkey, which it lacks; it has a bare l_orderkey
+	// (a projection's output, different values) and l2's.
+	stale := distInfo{kind: distPartitioned, cols: []string{"l1.l_orderkey"}}
+	sch := schemaOf("l_orderkey", "l2.l_orderkey", "l1.l_partkey")
+	for i, name := range []string{"l_orderkey", "l2.l_orderkey"} {
+		req, ok := keyNames([]expr.Expr{&expr.Col{Index: i, Name: name}}, sch)
+		if !ok || req[0] != name {
+			t.Fatalf("keyNames(%s) = %v, %v", name, req, ok)
+		}
+		if distMatches(stale, req) {
+			t.Errorf("distMatches: stream partitioned on the pruned l1.l_orderkey taken as partitioned on %s", name)
+		}
+		if coveredBy(stale, req) {
+			t.Errorf("coveredBy: pruned l1.l_orderkey taken as covered by group column %s", name)
+		}
+	}
+	child := plan.NewProject(whole, []expr.Expr{&expr.Col{Index: 1, Name: "l1.l_partkey"}}, []string{"l_orderkey"})
+	passthrough := plan.NewProject(child, []expr.Expr{&expr.Col{Index: 0, Name: "l_orderkey"}}, []string{"k"})
+	if d := projectDist(stale, passthrough); d.kind != distRandom {
+		t.Errorf("projectDist: pruned l1.l_orderkey followed through a projection of another column: %+v", d)
+	}
+	if cols := mapColsByPosition(stale.cols, sch, schemaOf("a", "b", "c")); cols != nil {
+		t.Errorf("mapColsByPosition: pruned l1.l_orderkey renamed to %v", cols)
+	}
+
+	// A key spelled differently from the schema still matches the column it
+	// is bound to: names are compared as the schema has them.
+	live := distInfo{kind: distPartitioned, cols: []string{"l2.l_orderkey"}}
+	req, _ := keyNames([]expr.Expr{&expr.Col{Index: 1, Name: "L2.L_ORDERKEY"}}, sch)
+	if !distMatches(live, req) || !coveredBy(live, append(req, "l1.l_partkey")) {
+		t.Errorf("live partition column not recognised under the schema's name %v", req)
+	}
+}
+
+// TestGroupByColumnNamedLikePrunedPartitionColumn runs the shape end to end:
+// lineitem is partitioned on l_orderkey, the query never reads it, and
+// groups by another column renamed to l_orderkey. Grouping locally as if
+// co-located would split groups across workers.
+func TestGroupByColumnNamedLikePrunedPartitionColumn(t *testing.T) {
+	c, data := newCluster(t, 4, HRDBMSProfile())
+	checkAgainstReference(t, c, data,
+		`SELECT x.l_orderkey, count(*), sum(x.q) FROM (SELECT l_partkey AS l_orderkey, l_quantity AS q FROM lineitem) x
+		 GROUP BY x.l_orderkey`, false)
+	checkAgainstReference(t, c, data,
+		`SELECT l_partkey, count(*) FROM lineitem, orders WHERE l_partkey = o_custkey GROUP BY l_partkey`, false)
+}

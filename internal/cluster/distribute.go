@@ -326,6 +326,19 @@ func (q *queryExec) distribute(n plan.Node) (*dstream, exec.Operator, error) {
 	return ds, coordOp, nil
 }
 
+// distributeOneCopy is distribute for the operators that merge their
+// per-worker results at the coordinator (sort, top-k, limit): of a stream
+// every worker holds in full, merging the workers' outputs would return
+// each row once per worker, so one replica is brought to the coordinator
+// and the operator runs there.
+func (q *queryExec) distributeOneCopy(n plan.Node) (*dstream, exec.Operator, error) {
+	ds, coordOp, err := q.distribute(n)
+	if err == nil && coordOp == nil && ds.dist.kind == distReplicated {
+		return nil, q.pickOne(ds), nil
+	}
+	return ds, coordOp, err
+}
+
 // distributeNode dispatches one plan node to its distribution strategy.
 func (q *queryExec) distributeNode(n plan.Node) (*dstream, exec.Operator, error) {
 	switch x := n.(type) {
@@ -385,7 +398,7 @@ func (q *queryExec) distributeNode(n plan.Node) (*dstream, exec.Operator, error)
 	case *plan.Agg:
 		return q.distributeAgg(x)
 	case *plan.Sort:
-		ds, coordOp, err := q.distribute(x.Child)
+		ds, coordOp, err := q.distributeOneCopy(x.Child)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -474,6 +487,7 @@ func (q *queryExec) distributeScan(x *plan.Scan) (*dstream, exec.Operator, error
 	}
 	cfg := exec.ScanConfig{
 		Pred:         x.Pred,
+		Cols:         x.Cols,
 		UseSkipCache: q.prof.UseSkipCache,
 		UseMinMax:    q.prof.UseMinMax,
 	}
@@ -507,31 +521,59 @@ func (q *queryExec) distributeScan(x *plan.Scan) (*dstream, exec.Operator, error
 		}
 		ds.ops = append(ds.ops, q.attach(op, sp))
 	}
-	switch {
-	case x.Table.Part.Kind == catalog.PartReplicated:
-		ds.dist = distInfo{kind: distReplicated}
-	case x.Table.Part.Kind == catalog.PartHash && q.prof.EnforceLocality:
-		cols := make([]string, len(x.Table.Part.Cols))
-		for i, c := range x.Table.Part.Cols {
-			cols[i] = x.Alias + "." + strings.ToLower(c)
-		}
-		ds.dist = distInfo{kind: distPartitioned, cols: cols}
-	default:
-		ds.dist = distInfo{kind: distRandom}
-	}
+	ds.dist = q.scanDist(x)
 	return ds, nil, nil
 }
 
-// keyNames extracts qualified column names from plain-column key exprs;
-// ok=false when any key is a computed expression.
-func keyNames(keys []expr.Expr) ([]string, bool) {
+// scanDist is how a scan's output is spread over the workers: as the table
+// is partitioned, so long as the scan emits the partitioning columns. A
+// stream cannot be known by a column it does not carry — a later name
+// lookup would miss it, or worse, match some other column by suffix — so a
+// scan that prunes one away is treated as spread at random.
+func (q *queryExec) scanDist(x *plan.Scan) distInfo {
+	switch {
+	case x.Table.Part.Kind == catalog.PartReplicated:
+		return distInfo{kind: distReplicated}
+	case x.Table.Part.Kind == catalog.PartHash && q.prof.EnforceLocality:
+		sch := x.Schema()
+		cols := make([]string, len(x.Table.Part.Cols))
+		for i, c := range x.Table.Part.Cols {
+			cols[i] = x.Alias + "." + strings.ToLower(c)
+			if exactCol(sch, cols[i]) < 0 {
+				return distInfo{kind: distRandom}
+			}
+		}
+		return distInfo{kind: distPartitioned, cols: cols}
+	default:
+		return distInfo{kind: distRandom}
+	}
+}
+
+// exactCol returns the offset of the column of exactly this name (case
+// aside), or -1. Distribution columns are recorded under the name their
+// stream's schema gives them, so they are looked up this way: Schema.Find's
+// suffix rules are for names a query wrote.
+func exactCol(sch types.Schema, name string) int {
+	for i, c := range sch.Cols {
+		if strings.EqualFold(c.Name, name) {
+			return i
+		}
+	}
+	return -1
+}
+
+// keyNames returns the names sch gives the columns that plain-column key
+// expressions (bound to sch) refer to; ok=false when any key is a computed
+// expression. These are the names distributions are recorded and compared
+// under: a query may spell one column several ways, a schema names it once.
+func keyNames(keys []expr.Expr, sch types.Schema) ([]string, bool) {
 	out := make([]string, len(keys))
 	for i, k := range keys {
 		c, isCol := k.(*expr.Col)
-		if !isCol || c.Name == "" {
+		if !isCol || c.Index < 0 || c.Index >= sch.Len() {
 			return nil, false
 		}
-		out[i] = strings.ToLower(c.Name)
+		out[i] = strings.ToLower(sch.Cols[c.Index].Name)
 	}
 	return out, true
 }
@@ -539,27 +581,17 @@ func keyNames(keys []expr.Expr) ([]string, bool) {
 // distMatches reports whether a stream partitioned on dist.cols satisfies
 // a requirement to be partitioned on req (the paper's shuffle elimination:
 // equality on the existing partition columns implies co-location; we use
-// exact sequence match of the hash key).
-func distMatches(d distInfo, req []string, sch types.Schema) bool {
+// exact sequence match of the hash key). Both are schema names (keyNames).
+func distMatches(d distInfo, req []string) bool {
 	if d.kind != distPartitioned || len(d.cols) != len(req) {
 		return false
 	}
 	for i := range req {
-		if !sameColumn(d.cols[i], req[i], sch) {
+		if !strings.EqualFold(d.cols[i], req[i]) {
 			return false
 		}
 	}
 	return true
-}
-
-// sameColumn matches possibly differently-qualified names resolving to the
-// same schema position.
-func sameColumn(a, b string, sch types.Schema) bool {
-	if strings.EqualFold(a, b) {
-		return true
-	}
-	ia, ib := sch.Find(a), sch.Find(b)
-	return ia >= 0 && ia == ib
 }
 
 func (q *queryExec) distributeJoin(x *plan.Join) (*dstream, exec.Operator, error) {
@@ -590,8 +622,8 @@ func (q *queryExec) distributeJoin(x *plan.Join) (*dstream, exec.Operator, error
 		return nil, q.wrap("NestedLoopJoin", q.coord.ID, jop, l, r), nil
 	}
 
-	leftNames, leftPlain := keyNames(x.EquiLeft)
-	rightNames, rightPlain := keyNames(x.EquiRight)
+	leftNames, leftPlain := keyNames(x.EquiLeft, x.Left.Schema())
+	rightNames, rightPlain := keyNames(x.EquiRight, x.Right.Schema())
 
 	join := func(l, r *dstream, d distInfo) *dstream {
 		out := &dstream{sch: x.Schema(), dist: d}
@@ -621,8 +653,8 @@ func (q *queryExec) distributeJoin(x *plan.Join) (*dstream, exec.Operator, error
 	}
 
 	// Both partitioned/random: exploit or create co-location.
-	leftOK := q.prof.EnforceLocality && leftPlain && distMatches(left.dist, leftNames, x.Left.Schema())
-	rightOK := q.prof.EnforceLocality && rightPlain && distMatches(right.dist, rightNames, x.Right.Schema())
+	leftOK := q.prof.EnforceLocality && leftPlain && distMatches(left.dist, leftNames)
+	rightOK := q.prof.EnforceLocality && rightPlain && distMatches(right.dist, rightNames)
 	// Re-cost the movement at this exchange boundary: with runtime
 	// distributions known and feedback-corrected estimates, replicating a
 	// small build side can beat repartitioning a large probe side. The
@@ -777,7 +809,7 @@ func (q *queryExec) distributeAgg(x *plan.Agg) (*dstream, exec.Operator, error) 
 		agg := exec.NewHashAggregate(nil, coordOp, x.GroupBy, specs, exec.AggComplete)
 		return nil, q.wrap("HashAgg", q.coord.ID, agg, coordOp), nil
 	}
-	groupNames, groupPlain := keyNames(x.GroupBy)
+	groupNames, groupPlain := keyNames(x.GroupBy, x.Child.Schema())
 
 	// Replicated input: aggregate one replica locally.
 	if ds.dist.kind == distReplicated {
@@ -789,7 +821,7 @@ func (q *queryExec) distributeAgg(x *plan.Agg) (*dstream, exec.Operator, error) 
 	// Co-located: input partitioned on a prefix/subset of the group key →
 	// groups never span workers; aggregate locally (shuffle eliminated).
 	if q.prof.EnforceLocality && groupPlain && len(x.GroupBy) > 0 &&
-		coveredBy(ds.dist, groupNames, x.Child.Schema()) {
+		coveredBy(ds.dist, groupNames) {
 		out := &dstream{sch: x.Schema(), dist: distInfo{kind: distPartitioned, cols: aggOutCols(x, groupNames)}}
 		for wi, op := range ds.ops {
 			w := q.c.Workers[wi]
@@ -877,14 +909,14 @@ func aggOutCols(x *plan.Agg, groupNames []string) []string {
 
 // coveredBy reports whether dist's columns all appear among the group
 // columns (then each group lives on exactly one worker).
-func coveredBy(d distInfo, groupNames []string, sch types.Schema) bool {
+func coveredBy(d distInfo, groupNames []string) bool {
 	if d.kind != distPartitioned || len(d.cols) == 0 {
 		return false
 	}
 	for _, dc := range d.cols {
 		found := false
 		for _, g := range groupNames {
-			if sameColumn(dc, g, sch) {
+			if strings.EqualFold(dc, g) {
 				found = true
 				break
 			}
@@ -919,7 +951,7 @@ func (q *queryExec) treeAggregate(ds *dstream, x *plan.Agg, specs []exec.AggSpec
 func (q *queryExec) distributeLimit(x *plan.Limit) (*dstream, exec.Operator, error) {
 	// Sort directly below: the paper's heap-based distributed top-k.
 	if s, ok := x.Child.(*plan.Sort); ok && x.Offset == 0 {
-		ds, coordOp, err := q.distribute(s.Child)
+		ds, coordOp, err := q.distributeOneCopy(s.Child)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -935,7 +967,7 @@ func (q *queryExec) distributeLimit(x *plan.Limit) (*dstream, exec.Operator, err
 		merged := q.gatherOrdered(&dstream{ops: local, sch: ds.sch}, keys)
 		return nil, q.wrap("Limit", q.coord.ID, exec.NewLimit(merged, x.N, 0), merged), nil
 	}
-	ds, coordOp, err := q.distribute(x.Child)
+	ds, coordOp, err := q.distributeOneCopy(x.Child)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -1196,7 +1228,7 @@ func (s *schemaOverride) Schema() types.Schema { return s.sch }
 func mapColsByPosition(cols []string, from, to types.Schema) []string {
 	out := make([]string, 0, len(cols))
 	for _, c := range cols {
-		idx := from.Find(c)
+		idx := exactCol(from, c)
 		if idx < 0 || idx >= to.Len() {
 			return nil
 		}
@@ -1214,10 +1246,10 @@ func projectDist(d distInfo, p *plan.Project) distInfo {
 	childSch := p.Child.Schema()
 	out := distInfo{kind: distPartitioned}
 	for _, dc := range d.cols {
-		idx := childSch.Find(dc)
+		idx := exactCol(childSch, dc)
 		mapped := ""
 		for i, e := range p.Exprs {
-			if c, ok := e.(*expr.Col); ok && c.Index == idx {
+			if c, ok := e.(*expr.Col); ok && idx >= 0 && c.Index == idx {
 				mapped = strings.ToLower(p.Schema().Cols[i].Name)
 				break
 			}

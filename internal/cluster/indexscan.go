@@ -58,7 +58,8 @@ type indexScanOp struct {
 	fr          *storage.Fragment
 	def         *catalog.IndexDef
 	key         types.Value
-	pred        expr.Expr
+	pred        expr.Expr // bound to the table schema
+	cols        []int     // table columns emitted (plan.Scan.Cols)
 }
 
 // Open implements exec.Operator: the probe happens here.
@@ -93,7 +94,7 @@ func (s *indexScanOp) Open() error {
 				continue
 			}
 		}
-		s.Rows = append(s.Rows, r)
+		s.Rows = append(s.Rows, exec.NarrowRow(r, s.cols))
 	}
 	return s.Source.Open()
 }
@@ -138,22 +139,11 @@ func (q *queryExec) indexScan(x *plan.Scan, m *indexMatch) (*dstream, error) {
 		fr := w.frags[name]
 		op := q.wrap("IndexScan "+m.def.Name, w.ID, &indexScanOp{
 			Source: exec.Source{Sch: x.Schema()},
-			w:      w, fr: fr, def: m.def, key: m.key, pred: x.Pred,
+			w:      w, fr: fr, def: m.def, key: m.key, pred: x.Pred, cols: x.Cols,
 		})
 		ds.ops = append(ds.ops, op)
 	}
-	switch {
-	case x.Table.Part.Kind == catalog.PartReplicated:
-		ds.dist = distInfo{kind: distReplicated}
-	case x.Table.Part.Kind == catalog.PartHash && q.prof.EnforceLocality:
-		cols := make([]string, len(x.Table.Part.Cols))
-		for i, col := range x.Table.Part.Cols {
-			cols[i] = x.Alias + "." + strings.ToLower(col)
-		}
-		ds.dist = distInfo{kind: distPartitioned, cols: cols}
-	default:
-		ds.dist = distInfo{kind: distRandom}
-	}
+	ds.dist = q.scanDist(x)
 	return ds, nil
 }
 

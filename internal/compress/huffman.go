@@ -148,18 +148,27 @@ func CompressHuffman(src []byte) []byte {
 	return out
 }
 
+// huffTableBits is the width of the decoder's primary lookup table: the next
+// huffTableBits bits of the stream index straight to the symbol and length
+// of every code that short, which on real pages is all but the rarest
+// symbols. 2^11 two-byte entries stay well inside the L1 cache and cost
+// about a microsecond to fill per page.
+const huffTableBits = 11
+
 // DecompressHuffman decodes a buffer produced by CompressHuffman.
 func DecompressHuffman(src []byte) ([]byte, error) {
 	if len(src) < 256 {
 		return nil, fmt.Errorf("compress: huffman header too short (%d bytes)", len(src))
 	}
-	var lengths [256]uint8
-	copy(lengths[:], src[:256])
+	lengths := src[:256]
+	var countAt [maxCodeLen + 1]int
 	for _, l := range lengths {
 		if l > maxCodeLen {
 			return nil, fmt.Errorf("compress: huffman code length %d too large", l)
 		}
+		countAt[l]++
 	}
+	countAt[0] = 0
 	n, consumed := binary.Uvarint(src[256:])
 	if consumed <= 0 {
 		return nil, fmt.Errorf("compress: bad huffman size header")
@@ -175,74 +184,106 @@ func DecompressHuffman(src []byte) ([]byte, error) {
 		return nil, fmt.Errorf("compress: huffman size %d exceeds stream capacity (%d bytes)", n, len(data))
 	}
 
-	// Build canonical decode tables: firstCode[len], firstIndex[len], and
-	// symbols sorted by (len, sym).
-	type sl struct {
-		sym int
-		len uint8
-	}
-	var syms []sl
-	for s, l := range lengths {
-		if l > 0 {
-			syms = append(syms, sl{s, l})
-		}
-	}
-	if len(syms) == 0 {
-		return nil, fmt.Errorf("compress: huffman stream with no symbols but size %d", n)
-	}
-	sort.Slice(syms, func(i, j int) bool {
-		if syms[i].len != syms[j].len {
-			return syms[i].len < syms[j].len
-		}
-		return syms[i].sym < syms[j].sym
-	})
-	var firstCode [maxCodeLen + 2]uint32
-	var firstIndex [maxCodeLen + 2]int
-	var countAt [maxCodeLen + 1]int
-	for _, s := range syms {
-		countAt[s.len]++
-	}
-	code := uint32(0)
-	idx := 0
+	// Canonical decode tables: per length, the first code and the index of
+	// its symbol among the symbols sorted by (length, symbol). The Kraft sum
+	// says whether the lengths describe a prefix code at all; one that
+	// over-subscribes the code space has codes that are prefixes of others
+	// and no stream can mean anything under it.
+	var firstCode [maxCodeLen + 1]uint32
+	var firstIndex [maxCodeLen + 1]int
+	var kraft uint64
+	maxLen := 0
+	code, idx := uint32(0), 0
 	for l := 1; l <= maxCodeLen; l++ {
 		firstCode[l] = code
 		firstIndex[l] = idx
 		code = (code + uint32(countAt[l])) << 1
 		idx += countAt[l]
+		kraft += uint64(countAt[l]) << (maxCodeLen - l)
+		if kraft > 1<<maxCodeLen {
+			return nil, fmt.Errorf("compress: huffman code lengths over-subscribed at length %d", l)
+		}
+		if countAt[l] > 0 {
+			maxLen = l
+		}
+	}
+	if maxLen == 0 {
+		return nil, fmt.Errorf("compress: huffman stream with no symbols but size %d", n)
+	}
+	var sorted [256]byte
+	next := firstIndex
+	for sym, l := range lengths {
+		if l > 0 {
+			sorted[next[l]] = byte(sym)
+			next[l]++
+		}
+	}
+	// Primary table: entry = length<<8 | symbol for every huffTableBits-bit
+	// window that starts with a code of at most that length; 0 (no code has
+	// length 0) where the window starts a longer code or none.
+	var table [1 << huffTableBits]uint16
+	for l := 1; l <= maxLen && l <= huffTableBits; l++ {
+		span := 1 << (huffTableBits - l)
+		for k := 0; k < countAt[l]; k++ {
+			e := uint16(l)<<8 | uint16(sorted[firstIndex[l]+k])
+			lo := (int(firstCode[l]) + k) * span
+			for j := lo; j < lo+span; j++ {
+				table[j] = e
+			}
+		}
 	}
 
-	out := make([]byte, 0, n)
+	out := make([]byte, n)
+	// acc holds the stream bits not yet decoded in its low nb bits, oldest
+	// highest; bits above them are spent and masked off on every read.
 	var acc uint64
-	var accLen uint8
+	var nb uint
 	pos := 0
-	for uint64(len(out)) < n {
-		// Accumulate bits and try to decode one symbol.
-		var matched bool
-		for l := uint8(1); l <= maxCodeLen; l++ {
-			for accLen < l {
-				if pos >= len(data) {
-					return nil, fmt.Errorf("compress: huffman stream truncated at %d/%d symbols", len(out), n)
+	for i := range out {
+		if nb < maxCodeLen {
+			if pos+4 <= len(data) {
+				acc = acc<<32 | uint64(binary.BigEndian.Uint32(data[pos:]))
+				pos += 4
+				nb += 32
+			} else {
+				for ; pos < len(data); pos++ {
+					acc = acc<<8 | uint64(data[pos])
+					nb += 8
 				}
-				acc = (acc << 8) | uint64(data[pos])
-				accLen += 8
-				pos++
-			}
-			if countAt[l] == 0 {
-				continue
-			}
-			c := uint32((acc >> (accLen - l)) & ((uint64(1) << l) - 1))
-			if c >= firstCode[l] && c < firstCode[l]+uint32(countAt[l]) {
-				sym := syms[firstIndex[l]+int(c-firstCode[l])].sym
-				out = append(out, byte(sym))
-				accLen -= l
-				acc &= (uint64(1) << accLen) - 1
-				matched = true
-				break
 			}
 		}
-		if !matched {
-			return nil, fmt.Errorf("compress: invalid huffman code in stream")
+		// The window is zero-padded past the end of the stream; a code that
+		// reaches into the padding is caught by its length below.
+		var window uint64
+		if nb >= huffTableBits {
+			window = acc >> (nb - huffTableBits)
+		} else {
+			window = acc << (huffTableBits - nb)
 		}
+		e := table[window&(1<<huffTableBits-1)]
+		l := uint(e >> 8)
+		if l == 0 {
+			// A longer code: the canonical first-code search, from the first
+			// length the table does not cover.
+			for l = huffTableBits + 1; ; l++ {
+				if l > uint(maxLen) {
+					return nil, fmt.Errorf("compress: invalid huffman code in stream")
+				}
+				if l > nb {
+					break
+				}
+				c := uint32(acc>>(nb-l)) & (1<<l - 1)
+				if c >= firstCode[l] && c-firstCode[l] < uint32(countAt[l]) {
+					e = uint16(sorted[firstIndex[l]+int(c-firstCode[l])])
+					break
+				}
+			}
+		}
+		if l > nb {
+			return nil, fmt.Errorf("compress: huffman stream truncated at %d/%d symbols", i, n)
+		}
+		out[i] = byte(e)
+		nb -= l
 	}
 	return out, nil
 }

@@ -175,6 +175,11 @@ type ScanConfig struct {
 	// Pred is the scan predicate, bound to the fragment schema; rows not
 	// matching are dropped at the scan (selection pushdown). May be nil.
 	Pred expr.Expr
+	// Cols lists, ascending, the fragment columns the scan emits (projection
+	// pushdown); nil emits all of them. Pred sees the whole fragment row
+	// whatever Cols says, so a columnar scan reads Cols and Pred's columns
+	// and emits Cols.
+	Cols []int
 	// UseSkipCache / UseMinMax enable the two skipping schemes.
 	UseSkipCache bool
 	UseMinMax    bool
@@ -207,6 +212,33 @@ func buildScanOptions(cfg ScanConfig) storage.ScanOptions {
 	return opts
 }
 
+// scanSchemas returns a fragment's schema under the scan's alias, which the
+// scan predicate is bound to, and the part of it the scan emits.
+func scanSchemas(table types.Schema, alias string, cols []int) (full, out types.Schema) {
+	full = table
+	if alias != "" {
+		full = full.Qualify(alias)
+	}
+	if cols == nil {
+		return full, full
+	}
+	return full, full.Project(cols)
+}
+
+// NarrowRow compacts a fragment row in place to the columns a scan emits.
+// cols is ascending, so no value is overwritten before it has moved; nil
+// keeps the row whole.
+func NarrowRow(r types.Row, cols []int) types.Row {
+	if cols == nil {
+		return r
+	}
+	for i, c := range cols {
+		r[i] = r[c]
+	}
+	clear(r[len(cols):]) // let go of the dropped strings
+	return r[:len(cols)]
+}
+
 // FragmentScan is the row-table scan operator.
 type FragmentScan struct {
 	rowFeed
@@ -216,10 +248,7 @@ type FragmentScan struct {
 
 // NewRowScan builds a scan over a row fragment.
 func NewRowScan(fr *storage.Fragment, alias string, cfg ScanConfig) *FragmentScan {
-	sch := fr.Def.Schema
-	if alias != "" {
-		sch = sch.Qualify(alias)
-	}
+	_, sch := scanSchemas(fr.Def.Schema, alias, cfg.Cols)
 	fs := &FragmentScan{fr: fr, cfg: cfg}
 	fs.sch = sch
 	fs.start = fs.run
@@ -251,7 +280,7 @@ func (fs *FragmentScan) run() error {
 				return true
 			}
 		}
-		return senders[w].send(r)
+		return senders[w].send(NarrowRow(r, fs.cfg.Cols))
 	})
 	var sent int64
 	for _, snd := range senders {

@@ -57,71 +57,70 @@ func (b *vecBatchSender) flush() bool {
 // the typed path (pages whose cells mismatch their declared kind fall back
 // to DecodeInto per page, counted in the decode_boxed_pages counter).
 //
-// When the predicate compiles to a vector kernel, it is evaluated at
-// decode time: the predicate's columns are decoded first, the kernel
-// produces a selection vector, and the remaining columns are decoded only
-// at the selected positions (late materialization). A page set proven
-// empty this way is recorded into the predicate cache exactly like the
-// row scan's absence pass. Non-compilable predicates keep the downstream
-// VecFilter (see NewVecColumnarScan). Page-set skipping (predicate cache
-// and min-max) is storage's, in ColumnarFragment.ScanPageSets; the scan
-// thread drives as many page-set workers as the budget grants cfg.Parallel.
+// The scan reads only the columns it needs: the ones it emits (cfg.Cols)
+// and the ones its predicate refers to. Storage fetches and pins just those
+// pages of each set, and batches are built over the emitted columns only.
+//
+// A predicate is evaluated at decode time: its columns are decoded first
+// into a scratch batch laid out like the table, a compiled vector kernel
+// (or, for a shape that does not compile, the row expression over the
+// predicate's columns) produces a selection vector, and the emitted columns
+// are materialized only at the selected positions (late materialization).
+// A page set proven empty this way is recorded into the predicate cache
+// exactly like the row scan's absence pass. Page-set skipping (predicate
+// cache and min-max) is storage's, in ColumnarFragment.ScanPageSets; the
+// scan thread drives as many page-set workers as the budget grants
+// cfg.Parallel.
 type VecColumnarScan struct {
 	feed[*vec.Batch]
 	vecRowShim
-	fr       *storage.ColumnarFragment
-	cfg      ScanConfig
-	pushdown bool   // predicate compiles: evaluate during decode
-	predCols []bool // columns the pushed-down predicate reads
+	fr     *storage.ColumnarFragment
+	cfg    ScanConfig
+	table  types.Schema // the fragment's schema under the alias; cfg.Pred is bound to it
+	emit   []int        // table offsets of the output columns, ascending
+	outOf  []int        // by table offset: the column's output offset, or -1
+	read   []int        // emit ∪ the predicate's columns, ascending: what storage fetches
+	pred   []int        // table offsets of the columns the predicate reads, ascending
+	isPred []bool       // the same, by table offset
 }
 
 // NewVecColumnarScan builds a vectorized scan over a columnar fragment.
-// When cfg.Pred is set and compiles to a vector kernel, the scan filters
-// during decode (late materialization); otherwise it is wrapped in a
-// VecFilter, so the returned operator drops non-matching rows either way.
-func NewVecColumnarScan(fr *storage.ColumnarFragment, alias string, cfg ScanConfig) VecOperator {
-	sch := fr.Def.Schema
-	if alias != "" {
-		sch = sch.Qualify(alias)
-	}
-	cs := &VecColumnarScan{fr: fr, cfg: cfg}
-	cs.sch = sch
+func NewVecColumnarScan(fr *storage.ColumnarFragment, alias string, cfg ScanConfig) *VecColumnarScan {
+	cs := &VecColumnarScan{fr: fr, cfg: cfg, emit: cfg.Cols}
+	cs.table, cs.sch = scanSchemas(fr.Def.Schema, alias, cfg.Cols)
 	cs.start = cs.run
 	cs.batch = cfg.BatchRows
 	cs.cancel = cfg.Ctx.Cancel()
 	cs.vecRowShim.src = cs
-	if cfg.Pred != nil {
-		if compileBool(cfg.Pred, sch) == nil {
-			return NewVecFilter(cfg.Ctx, cs, cfg.Pred)
+	n := cs.table.Len()
+	cs.isPred = make([]bool, n)
+	expr.Walk(cfg.Pred, func(x expr.Expr) {
+		if c, ok := x.(*expr.Col); ok && c.Index >= 0 && c.Index < n {
+			cs.isPred[c.Index] = true
 		}
-		cs.pushdown = true
-		cs.predCols = predCols(cfg.Pred, sch.Len())
+	})
+	if cs.emit == nil {
+		cs.emit = make([]int, n)
+		for i := range cs.emit {
+			cs.emit[i] = i
+		}
+	}
+	cs.outOf = make([]int, n)
+	for ci := range cs.outOf {
+		cs.outOf[ci] = -1
+	}
+	for oi, ci := range cs.emit {
+		cs.outOf[ci] = oi
+	}
+	for ci := 0; ci < n; ci++ {
+		if cs.isPred[ci] {
+			cs.pred = append(cs.pred, ci)
+		}
+		if cs.isPred[ci] || cs.outOf[ci] >= 0 {
+			cs.read = append(cs.read, ci)
+		}
 	}
 	return cs
-}
-
-// predCols marks the column indices a compilable predicate reads. The
-// walker covers exactly the node shapes compileBool/compileNum accept.
-func predCols(e expr.Expr, n int) []bool {
-	set := make([]bool, n)
-	var walk func(e expr.Expr)
-	walk = func(e expr.Expr) {
-		switch x := e.(type) {
-		case *expr.Col:
-			if x.Index >= 0 && x.Index < n {
-				set[x.Index] = true
-			}
-		case *expr.Bin:
-			walk(x.L)
-			walk(x.R)
-		case *expr.Not:
-			walk(x.E)
-		case *expr.IsNull:
-			walk(x.E)
-		}
-	}
-	walk(e)
-	return set
 }
 
 // NextVec implements the vector half of VecOperator.
@@ -141,7 +140,7 @@ func (cs *VecColumnarScan) run() error {
 		senders[i] = &vecBatchSender{feedPort: cs.port(), sch: cs.sch, size: cs.batch}
 		decs[i] = cs.newDecoder()
 	}
-	stats, err := cs.fr.ScanPageSets(opts, degree, func(w int, set page.PageSet, key page.Key, sealed bool) (bool, error) {
+	stats, err := cs.fr.ScanPageSets(opts, cs.read, degree, func(w int, set page.PageSet, key page.Key, sealed bool) (bool, error) {
 		return decs[w].decodeSet(senders[w], set, key, sealed, opts)
 	})
 	var sent, typed, boxed, evaled int64
@@ -153,6 +152,7 @@ func (cs *VecColumnarScan) run() error {
 		evaled += decs[i].rowsEval
 	}
 	cs.cfg.Trace.AddScan(stats.RowsRead, stats.PagesRead, stats.PagesSkipped)
+	cs.cfg.Trace.SetCols(len(cs.read), cs.table.Len())
 	cs.cfg.Trace.AddVecBatches(sent)
 	cs.cfg.Trace.AddDecode(typed, boxed)
 	if degree > 1 {
@@ -161,8 +161,8 @@ func (cs *VecColumnarScan) run() error {
 	if ctx := cs.cfg.Ctx; ctx != nil && ctx.Counters != nil {
 		ctx.DecodeTypedPages.Add(typed)
 		ctx.DecodeBoxedPages.Add(boxed)
-		// Rows the decode-time predicate evaluated are filter work,
-		// metered exactly as the downstream VecFilter would have.
+		// Rows the decode-time predicate evaluated are filter work, metered
+		// as a Filter above the scan would meter them.
 		ctx.RowsProcessed.Add(evaled)
 	}
 	return err
@@ -170,127 +170,115 @@ func (cs *VecColumnarScan) run() error {
 
 func (cs *VecColumnarScan) newDecoder() *pageSetDecoder {
 	d := &pageSetDecoder{cs: cs}
-	if cs.pushdown {
+	if cs.cfg.Pred != nil {
 		// Each worker compiles its own node: compiled nodes carry
 		// per-evaluation scratch and must not be shared across goroutines.
-		d.node = compileBool(cs.cfg.Pred, cs.sch)
+		// nil when the predicate's shape has no kernel.
+		d.node = compileBool(cs.cfg.Pred, cs.table)
+		d.eval.Sch = cs.table
+		d.eval.Cols = make([]vec.Col, cs.table.Len())
 	}
 	return d
 }
 
 // pageSetDecoder turns pinned page sets into typed batch columns for one
-// scan worker: full typed decode without a predicate, decode-time kernel
+// scan worker: full typed decode without a predicate, decode-time
 // evaluation plus selection-vector late materialization with one. All
 // scratch is single-threaded — one decoder per worker.
 type pageSetDecoder struct {
 	cs      *VecColumnarScan
-	node    boolNode  // nil without pushdown
-	eval    vec.Batch // scratch: predicate columns decoded per page set
+	node    boolNode  // the predicate's kernel; nil without one
+	eval    vec.Batch // scratch, table layout: the predicate's columns of one page set
 	sel     []int32
-	scratch types.Row
+	scratch types.Row // table-width row the uncompiled predicate reads
 	// typedPages/boxedPages count per-page decode outcomes; rowsEval counts
-	// rows the pushed-down predicate evaluated.
+	// rows the predicate was evaluated on.
 	typedPages, boxedPages, rowsEval int64
 }
 
 // decodeSet decodes one pinned page set into the sender's building batch,
-// evaluating the pushed-down predicate during decode when the scan has
-// one. Returns false to stop the scan (consumer gone or query killed).
+// evaluating the scan's predicate during decode when it has one. Returns
+// false to stop the scan (consumer gone or query killed).
 func (d *pageSetDecoder) decodeSet(snd *vecBatchSender, set page.PageSet, key page.Key, sealed bool, opts storage.ScanOptions) (bool, error) {
 	nrows := set.NumRows()
 	if nrows == 0 {
 		return true, nil
 	}
 	b := snd.building()
-	if d.node == nil {
-		// No pushdown: every column decodes typed, straight into the
-		// building batch.
-		for ci := range set.Pages {
-			if err := d.decodeFull(set.Pages[ci], &b.Cols[ci]); err != nil {
+	emit := d.cs.emit
+	if d.cs.cfg.Pred == nil {
+		// Every emitted column decodes typed, straight into the building
+		// batch.
+		for oi, ci := range emit {
+			if err := d.decodeFull(set.Pages[ci], &b.Cols[oi]); err != nil {
 				return false, err
 			}
 		}
 		b.N += nrows
 		return snd.maybeFlush(), nil
 	}
-	// Decode-time predicate pushdown: decode the predicate's columns into
-	// the eval scratch batch (string columns intern into the building
-	// batch's dictionary so surviving codes transfer without translation),
-	// run the kernel, then materialize only the selected positions.
-	if d.eval.Cols == nil {
-		d.eval.Sch = d.cs.sch
-		d.eval.Cols = make([]vec.Col, len(d.cs.predCols))
-	}
-	for ci := range set.Pages {
-		if !d.cs.predCols[ci] {
-			continue
+	// Decode the predicate's columns into the eval scratch. An emitted
+	// string column interns into the building batch's dictionary, so that
+	// surviving codes transfer without translation.
+	for _, ci := range d.cs.pred {
+		var dict *vec.Dict
+		if oi := d.cs.outOf[ci]; oi >= 0 {
+			dict = b.Cols[oi].Dict
 		}
-		if err := d.decodeFull(set.Pages[ci], d.resetEvalCol(ci, b.Cols[ci].Dict)); err != nil {
+		if err := d.decodeFull(set.Pages[ci], d.resetEvalCol(ci, dict)); err != nil {
 			return false, err
 		}
 	}
 	d.eval.N = nrows
-	d.eval.Sel = nil
 	d.rowsEval += int64(nrows)
 	sel := d.sel[:0]
-	t, null, err := d.node.evalBool(&d.eval, nrows)
-	switch {
-	case err == nil:
-		for k := 0; k < nrows; k++ {
-			if t[k] && (null == nil || !null[k]) {
-				sel = append(sel, int32(k))
+	compiled := false
+	if d.node != nil {
+		t, null, err := d.node.evalBool(&d.eval, nrows)
+		switch {
+		case err == nil:
+			compiled = true
+			for k := 0; k < nrows; k++ {
+				if t[k] && (null == nil || !null[k]) {
+					sel = append(sel, int32(k))
+				}
 			}
+		case !errors.Is(err, errVecFallback):
+			return false, err
 		}
-	case errors.Is(err, errVecFallback):
-		// The kernel met a layout it cannot handle (e.g. a page demoted to
-		// boxed): decode the remaining columns too and evaluate row-wise,
-		// preserving exact expression semantics like VecFilter's fallback.
-		for ci := range set.Pages {
-			if d.cs.predCols[ci] {
-				continue
-			}
-			if err := d.decodeFull(set.Pages[ci], d.resetEvalCol(ci, b.Cols[ci].Dict)); err != nil {
-				return false, err
-			}
-		}
+	}
+	if !compiled {
+		// No kernel for this predicate, or the kernel met a layout it cannot
+		// handle (a page demoted to boxed): evaluate the row expression,
+		// which reads the predicate's columns only.
 		if d.scratch == nil {
 			d.scratch = make(types.Row, len(d.eval.Cols))
 		}
 		for k := 0; k < nrows; k++ {
-			keep, perr := expr.EvalBool(d.cs.cfg.Pred, d.eval.ReadRow(k, d.scratch))
-			if perr != nil {
-				return false, perr
+			for _, ci := range d.cs.pred {
+				d.scratch[ci] = d.eval.Cols[ci].Value(k)
+			}
+			keep, err := expr.EvalBool(d.cs.cfg.Pred, d.scratch)
+			if err != nil {
+				return false, err
 			}
 			if keep {
 				sel = append(sel, int32(k))
 			}
 		}
-		d.sel = sel
-		if len(sel) == 0 {
-			d.recordAbsence(key, sealed, opts)
-			return true, nil
-		}
-		// Everything is decoded already: gather each column through sel.
-		for ci := range d.eval.Cols {
-			gatherAppend(&b.Cols[ci], &d.eval.Cols[ci], sel)
-		}
-		b.N += len(sel)
-		return snd.maybeFlush(), nil
-	default:
-		return false, err
 	}
 	d.sel = sel
 	if len(sel) == 0 {
 		d.recordAbsence(key, sealed, opts)
 		return true, nil
 	}
-	// Late materialization: predicate columns gather their survivors from
-	// the eval scratch; the other columns decode only the selected
-	// positions (unselected strings are never even interned).
-	for ci := range set.Pages {
-		if d.cs.predCols[ci] {
-			gatherAppend(&b.Cols[ci], &d.eval.Cols[ci], sel)
-		} else if err := d.decodeSel(set.Pages[ci], &b.Cols[ci], sel); err != nil {
+	// Late materialization: emitted predicate columns gather their
+	// survivors from the eval scratch; the other emitted columns decode only
+	// the selected positions (unselected strings are never even interned).
+	for oi, ci := range emit {
+		if d.cs.isPred[ci] {
+			gatherAppend(&b.Cols[oi], &d.eval.Cols[ci], sel)
+		} else if err := d.decodeSel(set.Pages[ci], &b.Cols[oi], sel); err != nil {
 			return false, err
 		}
 	}
@@ -311,23 +299,21 @@ func (d *pageSetDecoder) recordAbsence(key page.Key, sealed bool, opts storage.S
 
 // resetEvalCol readies one eval scratch column for a page set: schema
 // layout restored (a demoted previous set must not leak boxedness into
-// this one), slabs truncated, dictionary shared with the building batch's
-// column so gathered codes need no translation.
+// this one), slabs truncated. A string column takes dict — the building
+// batch's dictionary for that column, so gathered codes need no
+// translation — or, given none (the column is not emitted, or its building
+// column demoted to boxed), a dictionary of its own that lasts for this
+// page set: one kept for the whole scan would grow to the column's size.
 func (d *pageSetDecoder) resetEvalCol(ci int, dict *vec.Dict) *vec.Col {
 	c := &d.eval.Cols[ci]
-	kind := d.cs.sch.Cols[ci].Kind
+	kind := d.cs.table.Cols[ci].Kind
 	c.Kind = kind
 	c.Form = vec.FormFor(kind)
 	c.I, c.F, c.Codes, c.Vals = c.I[:0], c.F[:0], c.Codes[:0], c.Vals[:0]
 	c.Nulls = c.Nulls[:0]
+	c.Dict = dict
 	if c.Form == vec.FormStr && dict == nil {
-		// The building column demoted to boxed earlier in the stream; keep
-		// a private dictionary for kernel evaluation (the gather boxes).
-		if c.Dict == nil {
-			c.Dict = vec.NewDict()
-		}
-	} else {
-		c.Dict = dict
+		c.Dict = vec.NewDict()
 	}
 	return c
 }

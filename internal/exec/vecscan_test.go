@@ -92,7 +92,7 @@ func boxedColumnarScan(fr *storage.ColumnarFragment, alias string, pred expr.Exp
 	}
 	sf.start = func() error {
 		snd := sf.rowSender()
-		_, err := fr.ScanPageSets(storage.ScanOptions{}, 1, func(_ int, set page.PageSet, _ page.Key, _ bool) (bool, error) {
+		_, err := fr.ScanPageSets(storage.ScanOptions{}, nil, 1, func(_ int, set page.PageSet, _ page.Key, _ bool) (bool, error) {
 			rows, err := set.Rows()
 			if err != nil {
 				return false, err
@@ -133,10 +133,10 @@ func ncol(i int, name string) *expr.Col { return &expr.Col{Index: i, Name: name}
 func and(l, r expr.Expr) *expr.Bin { return &expr.Bin{Op: expr.OpAnd, L: l, R: r} }
 
 // TestVecScanPushdownParity golden-compares the decode-time predicate
-// pushdown path against the boxed reference decode and the VecFilter
-// fallback on the same fragment, for predicates that hit every slab kind.
-// The compilable predicates must run natively inside the scan (no VecFilter
-// wrapper), the non-compilable one must get the wrapper.
+// evaluation against the boxed reference decode and against a VecFilter
+// above an unfiltered scan on the same fragment, for predicates that hit
+// every slab kind, and for one with no vector kernel (LIKE), which the scan
+// evaluates row-wise over the predicate's columns.
 func TestVecScanPushdownParity(t *testing.T) {
 	testutil.AssertNoGoroutineLeak(t)
 	fr, _ := vecScanFragment(t)
@@ -165,11 +165,7 @@ func TestVecScanPushdownParity(t *testing.T) {
 			}
 
 			ctx := NewCtx("", 0)
-			op := NewVecColumnarScan(fr, "", ScanConfig{Pred: pred(), Ctx: ctx})
-			if _, ok := op.(*VecColumnarScan); !ok {
-				t.Fatalf("compilable predicate must push down into the scan, got %T", op)
-			}
-			got, err := Collect(op)
+			got, err := Collect(NewVecColumnarScan(fr, "", ScanConfig{Pred: pred(), Ctx: ctx}))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -193,22 +189,21 @@ func TestVecScanPushdownParity(t *testing.T) {
 		})
 	}
 
-	// LIKE has no vector kernel: the constructor must hand back a VecFilter
-	// wrapper, and the result must still match the boxed reference.
+	// LIKE has no vector kernel: the result must still match the boxed
+	// reference, and the rows the predicate saw are metered as filter work.
 	like := func() expr.Expr {
 		return &expr.Like{E: ncol(3, "status"), Pattern: cs("%-4")}
 	}
 	want := boxedScanRows(t, fr, like())
 	ctx := NewCtx("", 0)
-	op := NewVecColumnarScan(fr, "", ScanConfig{Pred: like(), Ctx: ctx})
-	if _, ok := op.(*VecFilter); !ok {
-		t.Fatalf("non-compilable predicate must wrap in VecFilter, got %T", op)
-	}
-	got, err := Collect(op)
+	got, err := Collect(NewVecColumnarScan(fr, "", ScanConfig{Pred: like(), Ctx: ctx}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertSameRows(t, got, want)
+	if n := ctx.RowsProcessed.Load(); n != 1509 {
+		t.Errorf("uncompiled predicate metered %d rows, want all 1509", n)
+	}
 }
 
 // TestVecScanParallelParity runs the pushdown scan serially and with a
@@ -225,11 +220,7 @@ func TestVecScanParallelParity(t *testing.T) {
 		ctx.SetParallelBudget(parallel)
 		ctx.BatchRows = batchRows
 		cfg := ScanConfig{Pred: pred(), BatchRows: batchRows, Parallel: parallel, Ctx: ctx}
-		op := NewVecColumnarScan(fr, "", cfg)
-		if _, ok := op.(*VecColumnarScan); !ok {
-			t.Fatalf("predicate must push down, got %T", op)
-		}
-		out, err := Collect(op)
+		out, err := Collect(NewVecColumnarScan(fr, "", cfg))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -281,11 +272,7 @@ func TestVecScanAbsenceRecording(t *testing.T) {
 		sp := obs.NewQueryTrace(1, "").StartSpan("Scan", 0)
 		defer sp.Finish()
 		cfg := ScanConfig{Pred: pred(), UseSkipCache: true, Trace: sp, Ctx: NewCtx("", 0)}
-		op := NewVecColumnarScan(fr, "", cfg)
-		if _, ok := op.(*VecColumnarScan); !ok {
-			t.Fatalf("predicate must push down, got %T", op)
-		}
-		out, err := Collect(op)
+		out, err := Collect(NewVecColumnarScan(fr, "", cfg))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -311,7 +298,9 @@ func TestVecScanKilledReturnsCause(t *testing.T) {
 	testutil.AssertNoGoroutineLeak(t)
 	fr, _ := vecScanFragment(t)
 	preds := map[string]expr.Expr{
-		"pushdown":  gt(ncol(1, "qty"), ci(40)),
+		"pushdown": gt(ncol(1, "qty"), ci(40)),
+		// No vector kernel: evaluated row-wise in the scan (once by a
+		// VecFilter above it, whence the name).
 		"vecfilter": &expr.Like{E: ncol(3, "status"), Pattern: cs("%-4")},
 	}
 	for name, pred := range preds {
@@ -321,15 +310,96 @@ func TestVecScanKilledReturnsCause(t *testing.T) {
 				c := NewCancel()
 				c.Kill(cause)
 				cfg := ScanConfig{Pred: pred, Ctx: NewCtx("", 0).Child(c), BatchRows: 16, Parallel: degree}
-				op := NewVecColumnarScan(fr, "", cfg)
-				if _, wrapped := op.(*VecFilter); wrapped != (name == "vecfilter") {
-					t.Fatalf("constructor returned %T", op)
-				}
-				rows, err := Collect(op)
+				rows, err := Collect(NewVecColumnarScan(fr, "", cfg))
 				if !errors.Is(err, cause) {
 					t.Fatalf("rows=%d err=%v, want the kill cause", len(rows), err)
 				}
 			})
 		}
+	}
+}
+
+// TestVecScanProjectionParity: a scan that emits some of the table's
+// columns returns, for every combination of emitted set and predicate
+// (compiled or not, over emitted columns or others, strings included), the
+// boxed reference's rows narrowed to those columns; its output schema is
+// the narrowed one, its span says how many columns it read, and a row scan
+// narrows the same way.
+func TestVecScanProjectionParity(t *testing.T) {
+	testutil.AssertNoGoroutineLeak(t)
+	fr, _ := vecScanFragment(t)
+	preds := map[string]func() expr.Expr{
+		"none":             func() expr.Expr { return nil },
+		"int-range":        func() expr.Expr { return and(gt(ncol(1, "qty"), ci(40)), lt(ncol(2, "price"), cf(700))) },
+		"string-eq":        func() expr.Expr { return &expr.Bin{Op: expr.OpEq, L: ncol(3, "status"), R: cs("STATUS-3")} },
+		"like-uncompiled":  func() expr.Expr { return &expr.Like{E: ncol(3, "status"), Pattern: cs("%-4")} },
+		"isnull-and-month": func() expr.Expr { return and(&expr.IsNull{E: ncol(2, "price")}, gt(ncol(4, "ship"), ci(10_200))) },
+	}
+	for name, pred := range preds {
+		whole := boxedScanRows(t, fr, pred())
+		if len(whole) == 0 {
+			t.Fatalf("%s selected nothing — test is vacuous", name)
+		}
+		for _, cols := range [][]int{{0}, {1, 2}, {3}, {0, 3, 4}, {2, 4}, {}, {0, 1, 2, 3, 4}} {
+			for _, parallel := range []int{1, 4} {
+				t.Run(fmt.Sprintf("%s/cols=%v/degree-%d", name, cols, parallel), func(t *testing.T) {
+					want := make([]types.Row, len(whole))
+					for i, r := range whole {
+						want[i] = r.Project(cols)
+					}
+					ctx := NewCtx("", 0)
+					ctx.SetParallelBudget(parallel)
+					sp := obs.NewQueryTrace(1, "").StartSpan("Scan", 0)
+					defer sp.Finish()
+					op := NewVecColumnarScan(fr, "v", ScanConfig{Pred: pred(), Cols: cols, Parallel: parallel, BatchRows: 100, Trace: sp, Ctx: ctx})
+					if got, want := op.Schema(), fr.Def.Schema.Qualify("v").Project(cols); got.String() != want.String() {
+						t.Fatalf("schema %s, want %s", got, want)
+					}
+					got, err := Collect(op)
+					if err != nil {
+						t.Fatal(err)
+					}
+					assertSameRows(t, got, want)
+					if boxed := ctx.DecodeBoxedPages.Load(); boxed != 0 {
+						t.Errorf("%d boxed page decodes", boxed)
+					}
+					// Read set = emitted ∪ predicate columns.
+					read := map[int]bool{}
+					for _, c := range cols {
+						read[c] = true
+					}
+					expr.Walk(pred(), func(x expr.Expr) {
+						if c, ok := x.(*expr.Col); ok {
+							read[c.Index] = true
+						}
+					})
+					if r, n := sp.ColsRead.Load(), sp.ColsTotal.Load(); int(r) != len(read) || n != 5 {
+						t.Errorf("span cols=%d/%d, want %d/5", r, n, len(read))
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestNarrowRow: in-place compaction keeps the listed columns in order and
+// lets go of the rest.
+func TestNarrowRow(t *testing.T) {
+	row := func() types.Row {
+		return types.Row{types.NewInt(1), types.NewString("b"), types.NewFloat(3), types.NewString("d")}
+	}
+	if got := NarrowRow(row(), nil); len(got) != 4 {
+		t.Errorf("nil cols narrowed the row to %v", got)
+	}
+	if got := NarrowRow(row(), []int{}); len(got) != 0 {
+		t.Errorf("empty cols left %v", got)
+	}
+	r := row()
+	got := NarrowRow(r, []int{1, 3})
+	if got.String() != (types.Row{types.NewString("b"), types.NewString("d")}).String() {
+		t.Errorf("narrowed to %v", got)
+	}
+	if tail := r[2:4]; !tail[0].IsNull() || !tail[1].IsNull() {
+		t.Errorf("dropped values still referenced: %v", tail)
 	}
 }

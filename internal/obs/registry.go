@@ -202,12 +202,21 @@ type Metric struct {
 // Snapshot returns every metric's current value, sorted by name.
 // Histograms report their observation count as Value (the full
 // distribution is rendered only by WriteText).
+//
+// Gauge funcs are copied out under the lock and called after it is
+// released: they are the registering component's code and take its locks,
+// and a component that touches the registry under one of those (srv's
+// Admission counted admissions under its mutex) would otherwise close a
+// cycle through this lock as soon as a writer queued behind the snapshot.
 func (r *Registry) Snapshot() []Metric {
 	if r == nil {
 		return nil
 	}
+	type gaugeFunc struct {
+		name string
+		fn   func() int64
+	}
 	r.mu.RLock()
-	defer r.mu.RUnlock()
 	out := make([]Metric, 0, len(r.counters)+len(r.gauges)+len(r.gaugeFuncs)+len(r.hists))
 	for name, c := range r.counters {
 		out = append(out, Metric{Name: name, Kind: "counter", Value: float64(c.Value())})
@@ -215,11 +224,16 @@ func (r *Registry) Snapshot() []Metric {
 	for name, g := range r.gauges {
 		out = append(out, Metric{Name: name, Kind: "gauge", Value: float64(g.Value())})
 	}
+	fns := make([]gaugeFunc, 0, len(r.gaugeFuncs))
 	for name, fn := range r.gaugeFuncs {
-		out = append(out, Metric{Name: name, Kind: "gauge", Value: float64(fn())})
+		fns = append(fns, gaugeFunc{name, fn})
 	}
 	for name, h := range r.hists {
 		out = append(out, Metric{Name: name, Kind: "histogram", Value: float64(h.Total())})
+	}
+	r.mu.RUnlock()
+	for _, g := range fns {
+		out = append(out, Metric{Name: g.name, Kind: "gauge", Value: float64(g.fn())})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out

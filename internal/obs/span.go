@@ -38,8 +38,10 @@ type Span struct {
 	RowsOut      atomic.Int64 // rows this operator produced
 	EstRows      atomic.Int64 // optimizer-estimated rows (0 = not stamped)
 	ScanRows     atomic.Int64 // rows read by a scan before predicates
-	PagesRead    atomic.Int64
-	PagesSkipped atomic.Int64
+	PagesRead    atomic.Int64 // pages a scan fetched
+	PagesSkipped atomic.Int64 // page fetches data skipping saved it
+	ColsRead     atomic.Int64 // columns a columnar scan fetches per page set ...
+	ColsTotal    atomic.Int64 // ... of this many in the table (0 = not a columnar scan)
 	NetBytes     atomic.Int64 // bytes this operator put on the wire
 	NetMsgs      atomic.Int64
 	Batches      atomic.Int64 // row slabs this operator shipped (vectorized path)
@@ -121,6 +123,15 @@ func (s *Span) AddScan(rows, pagesRead, pagesSkipped int64) {
 	}
 }
 
+// SetCols records a columnar scan's read set: read of the table's total
+// columns are fetched and decoded. Nil-safe.
+func (s *Span) SetCols(read, total int) {
+	if s != nil {
+		s.ColsRead.Store(int64(read))
+		s.ColsTotal.Store(int64(total))
+	}
+}
+
 // AddNet records bytes/messages sent by an exchange operator. Nil-safe.
 func (s *Span) AddNet(bytes int64, msgs int64) {
 	if s != nil {
@@ -186,6 +197,8 @@ type SpanSnapshot struct {
 	ScanRows     int64  `json:"scan_rows,omitempty"`
 	PagesRead    int64  `json:"pages_read,omitempty"`
 	PagesSkipped int64  `json:"pages_skipped,omitempty"`
+	ColsRead     int64  `json:"cols_read,omitempty"`
+	ColsTotal    int64  `json:"cols_total,omitempty"`
 	NetBytes     int64  `json:"net_bytes,omitempty"`
 	NetMsgs      int64  `json:"net_msgs,omitempty"`
 	Batches      int64  `json:"batches,omitempty"`
@@ -209,6 +222,8 @@ func (s *Span) snapshot() SpanSnapshot {
 		ScanRows:     s.ScanRows.Load(),
 		PagesRead:    s.PagesRead.Load(),
 		PagesSkipped: s.PagesSkipped.Load(),
+		ColsRead:     s.ColsRead.Load(),
+		ColsTotal:    s.ColsTotal.Load(),
 		NetBytes:     s.NetBytes.Load(),
 		NetMsgs:      s.NetMsgs.Load(),
 		Batches:      s.Batches.Load(),
@@ -344,6 +359,9 @@ func (s SpanSnapshot) line() string {
 	}
 	if s.PagesRead > 0 || s.PagesSkipped > 0 {
 		fmt.Fprintf(&sb, " pages=%d skipped=%d", s.PagesRead, s.PagesSkipped)
+	}
+	if s.ColsTotal > 0 {
+		fmt.Fprintf(&sb, " cols=%d/%d", s.ColsRead, s.ColsTotal)
 	}
 	if s.NetBytes > 0 || s.NetMsgs > 0 {
 		fmt.Fprintf(&sb, " net=%dB msgs=%d", s.NetBytes, s.NetMsgs)

@@ -1,11 +1,12 @@
 // Package opt implements HRDBMS's phase-1 global optimization (Section V):
 // statistics-based cardinality estimation (histograms + NDV sketches),
 // DPsize join enumeration with network-aware costing, and runtime
-// cardinality feedback. (Selection/projection pushdown and decorrelation
-// happen during plan building; the dataflow conversion and dataflow
-// optimization phases — operator distribution, shuffle insertion and
-// elimination, pre-aggregation splitting — live in the cluster layer,
-// which owns node placement and re-costs joins at exchange boundaries.)
+// cardinality feedback. (Selection pushdown and decorrelation happen during
+// plan building, projection pushdown in plan.PruneColumns, which runs first
+// here; the dataflow conversion and dataflow optimization phases — operator
+// distribution, shuffle insertion and elimination, pre-aggregation splitting
+// — live in the cluster layer, which owns node placement and re-costs joins
+// at exchange boundaries.)
 package opt
 
 import (
@@ -447,6 +448,11 @@ func Optimize(root plan.Node, cat *catalog.Catalog) (plan.Node, error) {
 // supplies observed cardinalities from earlier queries.
 func OptimizeOpts(root plan.Node, cat *catalog.Catalog, o Options) (plan.Node, error) {
 	est := &Estimator{Cat: cat, FB: o.Feedback}
+	// Projection pushdown goes first, so that join enumeration and the
+	// shuffle-vs-broadcast choice cost the rows that will actually move.
+	if err := plan.PruneColumns(root); err != nil {
+		return nil, err
+	}
 	out, err := rewriteJoins(root, est, o)
 	if err != nil {
 		return nil, err

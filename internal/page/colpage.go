@@ -140,7 +140,9 @@ func (p ColumnPage) Seal() bool {
 }
 
 // PageSet groups n in-memory column pages that are filled together so every
-// page keeps the same value count.
+// page keeps the same value count. A scan that reads some of a table's
+// columns holds a set with only those pages populated; the others are the
+// zero ColumnPage.
 type PageSet struct {
 	Pages []ColumnPage
 }
@@ -175,10 +177,12 @@ func (ps PageSet) AppendRow(r types.Row) bool {
 
 // NumRows returns the common value count.
 func (ps PageSet) NumRows() int {
-	if len(ps.Pages) == 0 {
-		return 0
+	for _, p := range ps.Pages {
+		if p.Buf != nil {
+			return p.NumValues()
+		}
 	}
-	return ps.Pages[0].NumValues()
+	return 0
 }
 
 // Rows materializes all rows in the set.

@@ -75,9 +75,9 @@ func TestConnectionCostGrowsWithDegree(t *testing.T) {
 
 func TestOOMBehaviour(t *testing.T) {
 	m := baseMetrics()
-	// Operator state whose scaled, discounted per-node share exceeds 24 GB:
-	// 512 MB × 3000 / 8 × StateFactor = 48 GB.
-	m.StateBytes = 512 << 20
+	// Operator state whose scaled per-node share exceeds 24 GB:
+	// 64 MB × 3000 / 8 × StateFactor = 48 GB.
+	m.StateBytes = 64 << 20
 	sc := Scale{DataFactor: 3000, Nodes: 8, MeasuredWorkers: 8}
 	gp := Model{Prof: Systems(0)["greenplum"]}
 	hr := Model{Prof: Systems(0)["hrdbms"]}
@@ -102,7 +102,7 @@ func TestGCPressurePenalty(t *testing.T) {
 	m := baseMetrics()
 	// Same data, more nodes → per-node pressure drops → less GC penalty,
 	// superlinear speedup (the paper's Spark-at-8-nodes artifact).
-	m.StateBytes = 256 << 20 // per-node pressure high at 8 nodes
+	m.StateBytes = 32 << 20 // ×StateFactor: per-node pressure high at 8 nodes
 	t8 := spark.Estimate(m, Scale{DataFactor: 2000, Nodes: 8, MeasuredWorkers: 8})
 	t16 := spark.Estimate(m, Scale{DataFactor: 2000, Nodes: 16, MeasuredWorkers: 16})
 	if t8.OOM || t16.OOM {

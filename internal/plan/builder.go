@@ -185,15 +185,20 @@ func (b *builder) joinRelations(rels []Node, conjs []expr.Expr) (Node, error) {
 		}
 		if len(preds) > 0 {
 			combined := expr.AndAll(preds)
-			if err := expr.Bind(combined, rels[i].Schema()); err != nil {
-				return nil, err
-			}
 			if sc, ok := rels[i].(*Scan); ok {
+				// A scan evaluates its predicate on the table row, not on
+				// the columns it emits.
+				if err := expr.Bind(combined, sc.full); err != nil {
+					return nil, err
+				}
 				if sc.Pred != nil {
 					combined = &expr.Bin{Op: expr.OpAnd, L: sc.Pred, R: combined}
 				}
 				sc.Pred = combined
 			} else {
+				if err := expr.Bind(combined, rels[i].Schema()); err != nil {
+					return nil, err
+				}
 				rels[i] = &Filter{Child: rels[i], Pred: combined}
 			}
 		}

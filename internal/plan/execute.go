@@ -10,9 +10,10 @@ import (
 )
 
 // TableProvider supplies scan operators for base tables; the cluster layer
-// provides per-fragment scans, tests provide in-memory rows.
+// provides per-fragment scans, tests provide in-memory rows. The operator
+// emits s.Schema(): the rows matching s.Pred, narrowed to s.Cols.
 type TableProvider interface {
-	ScanTable(def *catalog.TableDef, alias string, pred expr.Expr) (exec.Operator, error)
+	ScanTable(s *Scan) (exec.Operator, error)
 }
 
 // MemProvider serves tables from memory (tests and the query-planning unit
@@ -22,12 +23,20 @@ type MemProvider struct {
 	Rows map[string][]types.Row
 }
 
-// ScanTable implements TableProvider with a filtered memory source.
-func (m *MemProvider) ScanTable(def *catalog.TableDef, alias string, pred expr.Expr) (exec.Operator, error) {
-	sch := def.Schema.Qualify(alias)
-	var op exec.Operator = exec.NewSource(sch, m.Rows[def.Name])
-	if pred != nil {
-		op = exec.NewFilter(nil, op, pred)
+// ScanTable implements TableProvider with a filtered, then narrowed, memory
+// source.
+func (m *MemProvider) ScanTable(s *Scan) (exec.Operator, error) {
+	var op exec.Operator = exec.NewSource(s.TableSchema(), m.Rows[s.Table.Name])
+	if s.Pred != nil {
+		op = exec.NewFilter(nil, op, s.Pred)
+	}
+	if s.Cols != nil {
+		out := s.Schema()
+		names := make([]string, len(s.Cols))
+		for i, c := range out.Cols {
+			names[i] = c.Name
+		}
+		op = exec.NewProject(nil, op, exec.ColRefs(s.Cols...), names)
 	}
 	return op, nil
 }
@@ -95,7 +104,7 @@ func materializeScalars(n Node, prov TableProvider, ctx *exec.Ctx) error {
 func compile(n Node, prov TableProvider, ctx *exec.Ctx) (exec.Operator, error) {
 	switch x := n.(type) {
 	case *Scan:
-		return prov.ScanTable(x.Table, x.Alias, x.Pred)
+		return prov.ScanTable(x)
 	case *Filter:
 		child, err := compile(x.Child, prov, ctx)
 		if err != nil {

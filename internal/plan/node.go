@@ -26,26 +26,41 @@ type Node interface {
 
 // Scan reads one base table. Pred (bound to the table schema) is pushed
 // into the storage scan where its atoms feed predicate-based skipping.
+//
+// Cols lists, ascending, the table-column offsets the scan emits; nil emits
+// every column. Schema() is exactly those columns, so every schema derived
+// from it (Join, Filter, Sort, ...) narrows with it. Pred is evaluated
+// inside the scan against the whole table row, so the scan reads
+// Cols ∪ columns(Pred) and emits Cols. PruneColumns sets Cols.
 type Scan struct {
 	Table *catalog.TableDef
 	Alias string
 	Pred  expr.Expr
-	sch   types.Schema
+	Cols  []int
+	full  types.Schema // the table schema qualified by Alias
 }
 
 // NewScan builds a scan node.
 func NewScan(def *catalog.TableDef, alias string) *Scan {
-	sch := def.Schema
 	name := alias
 	if name == "" {
 		name = def.Name
 	}
-	sch = sch.Qualify(strings.ToLower(name))
-	return &Scan{Table: def, Alias: strings.ToLower(name), sch: sch}
+	name = strings.ToLower(name)
+	return &Scan{Table: def, Alias: name, full: def.Schema.Qualify(name)}
 }
 
-// Schema implements Node.
-func (s *Scan) Schema() types.Schema { return s.sch }
+// Schema implements Node: the emitted columns.
+func (s *Scan) Schema() types.Schema {
+	if s.Cols == nil {
+		return s.full
+	}
+	return s.full.Project(s.Cols)
+}
+
+// TableSchema is the whole table's schema qualified by the scan's alias —
+// what Pred is bound to, whatever Cols says.
+func (s *Scan) TableSchema() types.Schema { return s.full }
 
 // Children implements Node.
 func (s *Scan) Children() []Node { return nil }
@@ -55,6 +70,13 @@ func (s *Scan) Describe() string {
 	out := fmt.Sprintf("Scan %s", s.Table.Name)
 	if s.Alias != "" && s.Alias != strings.ToLower(s.Table.Name) {
 		out += " AS " + s.Alias
+	}
+	if s.Cols != nil {
+		names := make([]string, len(s.Cols))
+		for i, c := range s.Cols {
+			names[i] = strings.ToLower(s.Table.Schema.Cols[c].Name)
+		}
+		out += fmt.Sprintf(" [cols: %s]", strings.Join(names, ", "))
 	}
 	if s.Pred != nil {
 		out += fmt.Sprintf(" [pred: %s]", s.Pred)
@@ -389,7 +411,7 @@ func Rebind(n Node) error {
 	switch x := n.(type) {
 	case *Scan:
 		if x.Pred != nil {
-			return expr.Bind(x.Pred, x.Schema())
+			return expr.Bind(x.Pred, x.full)
 		}
 	case *Filter:
 		return expr.Bind(x.Pred, x.Child.Schema())

@@ -111,9 +111,17 @@ type waiter struct {
 // server is draining.
 type Admission struct {
 	cfg AdmissionConfig
-	reg *obs.Registry
+	// Instruments are resolved once, in NewAdmission, so that counting under
+	// mu is an atomic add and never a trip through the registry's lock (all
+	// nil, and no-ops, without a registry).
+	met struct {
+		admitted, queued, slow         *obs.Counter
+		rejectedDraining, rejectedFull *obs.Counter
+		killedRunning, killedQueued    *obs.Counter
+		queueWait                      *obs.Histogram
+	}
 
-	mu       sync.Mutex
+	mu       sync.Mutex //lint:lockorder srv.admission leaf
 	cond     *sync.Cond // broadcast when active drops to zero
 	active   int
 	memUsed  int64
@@ -130,12 +138,19 @@ type Admission struct {
 func NewAdmission(cfg AdmissionConfig, reg *obs.Registry) *Admission {
 	a := &Admission{
 		cfg:     cfg.withDefaults(),
-		reg:     reg,
 		queued:  map[uint64]int{},
 		running: map[uint64]*Grant{},
 		waiting: map[uint64]*waiter{},
 	}
 	a.cond = sync.NewCond(&a.mu)
+	a.met.admitted = reg.Counter("srv.admitted")
+	a.met.queued = reg.Counter("srv.queued")
+	a.met.slow = reg.Counter("srv.admission.slow")
+	a.met.rejectedDraining = reg.Counter("srv.rejected.draining")
+	a.met.rejectedFull = reg.Counter("srv.rejected.queue_full")
+	a.met.killedRunning = reg.Counter("srv.killed.running")
+	a.met.killedQueued = reg.Counter("srv.killed.queued")
+	a.met.queueWait = reg.Histogram("srv.queue.wait.seconds", queueWaitBounds)
 	if reg != nil {
 		reg.RegisterGaugeFunc("srv.active", func() int64 {
 			a.mu.Lock()
@@ -156,12 +171,6 @@ func NewAdmission(cfg AdmissionConfig, reg *obs.Registry) *Admission {
 	return a
 }
 
-func (a *Admission) count(name string) {
-	if a.reg != nil {
-		a.reg.Counter(name).Inc()
-	}
-}
-
 // queueWaitBounds buckets admission queue wait (seconds).
 var queueWaitBounds = []float64{0.0001, 0.001, 0.01, 0.05, 0.1, 0.5, 1, 5}
 
@@ -173,7 +182,7 @@ func (a *Admission) Admit(session uint64) (*Grant, error) {
 	a.mu.Lock()
 	if a.draining {
 		a.mu.Unlock()
-		a.count("srv.rejected.draining")
+		a.met.rejectedDraining.Inc()
 		return nil, ErrDraining
 	}
 	if a.active < a.cfg.MaxActive && a.memUsed+a.cfg.MemPerQuery <= a.cfg.MemBudget && len(a.queue) == 0 {
@@ -184,12 +193,12 @@ func (a *Admission) Admit(session uint64) (*Grant, error) {
 	}
 	if len(a.queue) >= a.cfg.QueueDepth {
 		a.mu.Unlock()
-		a.count("srv.rejected.queue_full")
+		a.met.rejectedFull.Inc()
 		return nil, fmt.Errorf("%w (depth %d)", ErrQueueFull, a.cfg.QueueDepth)
 	}
 	if a.queued[session] >= a.cfg.QueuePerSession {
 		a.mu.Unlock()
-		a.count("srv.rejected.queue_full")
+		a.met.rejectedFull.Inc()
 		return nil, fmt.Errorf("%w (session %d holds %d queued)", ErrQueueFull, session, a.cfg.QueuePerSession)
 	}
 	// Queue it. The waiter is registered under a fresh qid immediately so
@@ -200,7 +209,7 @@ func (a *Admission) Admit(session uint64) (*Grant, error) {
 	a.queue = append(a.queue, w)
 	a.queued[session]++
 	a.waiting[qid] = w
-	a.count("srv.queued")
+	a.met.queued.Inc()
 	a.mu.Unlock()
 
 	<-w.ready
@@ -228,17 +237,14 @@ func (a *Admission) grantLocked(session uint64) *Grant {
 	a.active++
 	a.memUsed += g.mem
 	a.running[g.QID] = g
-	a.count("srv.admitted")
+	a.met.admitted.Inc()
 	return g
 }
 
 func (a *Admission) observeWait(d time.Duration) {
-	if a.reg == nil {
-		return
-	}
-	a.reg.Histogram("srv.queue.wait.seconds", queueWaitBounds).Observe(d.Seconds())
+	a.met.queueWait.Observe(d.Seconds())
 	if d > a.cfg.SlowAdmit {
-		a.count("srv.admission.slow")
+		a.met.slow.Inc()
 	}
 }
 
@@ -294,7 +300,7 @@ func (a *Admission) promoteLocked() {
 		a.active++
 		a.memUsed += g.mem
 		a.running[g.QID] = g
-		a.count("srv.admitted")
+		a.met.admitted.Inc()
 		w.grant = g
 		w.done = true
 		w.ready <- struct{}{}
@@ -310,7 +316,7 @@ func (a *Admission) Kill(qid uint64) error {
 	if g, ok := a.running[qid]; ok {
 		a.mu.Unlock()
 		g.Cancel.Kill(fmt.Errorf("%w (qid %d)", ErrKilled, qid))
-		a.count("srv.killed.running")
+		a.met.killedRunning.Inc()
 		return nil
 	}
 	if w, ok := a.waiting[qid]; ok && !w.done {
@@ -318,7 +324,7 @@ func (a *Admission) Kill(qid uint64) error {
 		w.done = true
 		w.ready <- struct{}{}
 		a.mu.Unlock()
-		a.count("srv.killed.queued")
+		a.met.killedQueued.Inc()
 		return nil
 	}
 	a.mu.Unlock()
@@ -353,7 +359,7 @@ func (a *Admission) Drain() {
 		w.err = ErrDraining
 		w.done = true
 		w.ready <- struct{}{}
-		a.count("srv.rejected.draining")
+		a.met.rejectedDraining.Inc()
 	}
 	a.queue = nil
 	a.queued = map[uint64]int{}

@@ -500,3 +500,79 @@ func waitGauge(t *testing.T, reg *obs.Registry, name string, want int64) {
 		time.Sleep(time.Millisecond)
 	}
 }
+
+// TestAdmissionMetricsNoLockCycle hammers Admit/Release against registry
+// snapshots while a third party keeps registering new instruments. That is
+// the srv/obs lock-order cycle: Snapshot used to call the admission gauge
+// funcs (which take Admission.mu) while holding the registry read lock, and
+// Admit/Release used to look their counters up in the registry while holding
+// Admission.mu; one queued registry writer between the two and all three
+// parties waited on each other for good. The parent commit wedges here
+// within a second.
+func TestAdmissionMetricsNoLockCycle(t *testing.T) {
+	reg := obs.NewRegistry()
+	adm := srv.NewAdmission(srv.AdmissionConfig{MaxActive: 2, QueueDepth: 64, QueuePerSession: 64}, reg)
+	const rounds = 20000
+	var wg sync.WaitGroup
+	for s := uint64(1); s <= 4; s++ {
+		wg.Add(1)
+		go func(session uint64) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				g, err := adm.Admit(session)
+				if err != nil {
+					t.Errorf("admit: %v", err)
+					return
+				}
+				adm.Release(g)
+			}
+		}(s)
+	}
+	stop := make(chan struct{})
+	var bg sync.WaitGroup
+	bg.Add(2)
+	go func() { // /metrics scrapes
+		defer bg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				reg.Snapshot()
+			}
+		}
+	}()
+	go func() { // other components creating instruments: registry writers
+		defer bg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+				reg.Counter(fmt.Sprintf("test.churn.%d", i%4096)).Inc()
+				reg.RegisterGaugeFunc("test.churn.gauge", func() int64 { return int64(i) })
+			}
+		}
+	}()
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(60 * time.Second):
+		t.Fatal("Admit/Release against Snapshot deadlocked (srv.admission ↔ obs.registry lock cycle)")
+	}
+	close(stop)
+	bg.Wait()
+	if got := metricValue(reg, "srv.admitted"); got != 4*rounds {
+		t.Errorf("srv.admitted = %v, want %d", got, 4*rounds)
+	}
+}
+
+func metricValue(reg *obs.Registry, name string) float64 {
+	for _, m := range reg.Snapshot() {
+		if m.Name == name {
+			return m.Value
+		}
+	}
+	return -1
+}

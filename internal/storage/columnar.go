@@ -187,22 +187,36 @@ const defaultMorselSets = 1
 
 // ScanPageSets is the one scan of a columnar fragment. It iterates page-set
 // wise: fn receives each surviving set while its frames are pinned, so it
-// can decode column pages straight into typed vector slabs. fn also
-// receives the set's base page key and whether the set is sealed (immutable
-// on disk), so a caller that evaluates the full predicate during decode can
-// record proven absence into the predicate cache itself — sealed sets
-// only. Page-set skipping (predicate cache, then min-max) is applied here.
+// can decode column pages straight into typed vector slabs. read lists,
+// ascending, the columns the caller will decode (nil: all of them): only
+// their pages are fetched and pinned, and only they are populated in the
+// set fn receives — the other columns' pages are never read from disk or
+// decompressed. An empty read set still fetches one page per set, for the
+// row count. fn also receives the set's base page key and whether the set
+// is sealed (immutable on disk), so a caller that evaluates the full
+// predicate during decode can record proven absence into the predicate
+// cache itself — sealed sets only. Page-set skipping (predicate cache, then
+// min-max) is applied here.
 // Workers claim sets from a shared counter (Fragment.ParallelScan's morsel
 // scheme) and fn runs concurrently from all of them (worker tells them
 // apart); a disk's open (unflushed) set is claimed after its sealed sets,
 // never skipped. fn returning false stops every worker after its current
 // set. workers <= 1 runs on the caller's goroutine, in file order.
-func (fr *ColumnarFragment) ScanPageSets(opts ScanOptions, workers int, fn func(worker int, set page.PageSet, key page.Key, sealed bool) (bool, error)) (ScanStats, error) {
-	return fr.scanPageSets(opts, workers, defaultMorselSets, fn)
+func (fr *ColumnarFragment) ScanPageSets(opts ScanOptions, read []int, workers int, fn func(worker int, set page.PageSet, key page.Key, sealed bool) (bool, error)) (ScanStats, error) {
+	return fr.scanPageSets(opts, read, workers, defaultMorselSets, fn)
 }
 
-func (fr *ColumnarFragment) scanPageSets(opts ScanOptions, workers, morselSets int, fn func(worker int, set page.PageSet, key page.Key, sealed bool) (bool, error)) (ScanStats, error) {
+func (fr *ColumnarFragment) scanPageSets(opts ScanOptions, read []int, workers, morselSets int, fn func(worker int, set page.PageSet, key page.Key, sealed bool) (bool, error)) (ScanStats, error) {
 	n := fr.Def.Schema.Len()
+	switch {
+	case read == nil:
+		read = make([]int, n)
+		for i := range read {
+			read[i] = i
+		}
+	case len(read) == 0:
+		read = []int{0} // any one page carries the set's row count
+	}
 	var morsels []setMorsel
 	for disk, fileID := range fr.Files {
 		numSets := int(fr.Node.NumPages(fileID)) / n
@@ -220,14 +234,19 @@ func (fr *ColumnarFragment) scanPageSets(opts ScanOptions, workers, morselSets i
 	stats, err := runMorsels(len(morsels), workers, func(run *morselRun, w, i int) (stats ScanStats, cont bool, err error) {
 		m := morsels[i]
 		if m.open {
-			set := fr.open[m.disk]
+			// In memory, so nothing to fetch, but fn sees what it would see
+			// of a sealed set: the read columns only.
+			set := page.PageSet{Pages: make([]page.ColumnPage, n)}
+			for _, ci := range read {
+				set.Pages[ci] = fr.open[m.disk].Pages[ci]
+			}
 			if cont, err = fn(w, set, page.Key{}, false); err == nil {
 				stats.RowsRead = int64(set.NumRows())
 			}
 			return stats, cont, err
 		}
 		for s := m.start; s < m.end && !run.stopped(); s++ {
-			if cont, err = fr.scanOneSet(opts, m.file, s, w, &stats, fn); err != nil || !cont {
+			if cont, err = fr.scanOneSet(opts, read, m.file, s, w, &stats, fn); err != nil || !cont {
 				return stats, false, err
 			}
 		}
@@ -238,33 +257,34 @@ func (fr *ColumnarFragment) scanPageSets(opts ScanOptions, workers, morselSets i
 }
 
 // scanOneSet is the per-set body of every columnar scan: the skip checks,
-// then the set's frames are pinned, fn runs on the pinned set, and the
-// frames are unpinned. A set with a page that is allocated but not yet
-// written (TypeFree) is passed over, as the row scan passes over such a
+// then the frames of the read columns are pinned, fn runs on the pinned
+// set, and the frames are unpinned. ScanStats counts the pages fetched, or
+// the fetches a skip avoided. A set with a page that is allocated but not
+// yet written (TypeFree) is passed over, as the row scan passes over such a
 // page; any other non-column page is an error.
-func (fr *ColumnarFragment) scanOneSet(opts ScanOptions, fileID page.FileID, s, w int, stats *ScanStats, fn func(worker int, set page.PageSet, key page.Key, sealed bool) (bool, error)) (bool, error) {
+func (fr *ColumnarFragment) scanOneSet(opts ScanOptions, read []int, fileID page.FileID, s, w int, stats *ScanStats, fn func(worker int, set page.PageSet, key page.Key, sealed bool) (bool, error)) (bool, error) {
 	n := fr.Def.Schema.Len()
 	base := uint32(s * n)
 	key := page.Key{File: fileID, Page: base}
 	if len(opts.SkipConj) > 0 {
 		if opts.UseCache && fr.PredCache.CanSkip(key, opts.SkipConj) {
-			stats.PagesSkipped += int64(n)
+			stats.PagesSkipped += int64(len(read))
 			return true, nil
 		}
 		if opts.UseMinMax && fr.MinMax.CanSkip(key, opts.SkipConj) {
-			stats.PagesSkipped += int64(n)
+			stats.PagesSkipped += int64(len(read))
 			return true, nil
 		}
 	}
-	frames := make([]*buffer.Frame, 0, n)
+	frames := make([]*buffer.Frame, 0, len(read))
 	defer func() {
 		for _, pf := range frames {
 			fr.Node.Buf.Unpin(pf, false)
 		}
 	}()
-	set := page.PageSet{Pages: make([]page.ColumnPage, 0, n)}
-	for i := 0; i < n; i++ {
-		k := page.Key{File: fileID, Page: base + uint32(i)}
+	set := page.PageSet{Pages: make([]page.ColumnPage, n)}
+	for _, ci := range read {
+		k := page.Key{File: fileID, Page: base + uint32(ci)}
 		f, err := fr.Node.Buf.Fetch(k)
 		if err != nil {
 			return false, err
@@ -275,15 +295,15 @@ func (fr *ColumnarFragment) scanOneSet(opts ScanOptions, fileID page.FileID, s, 
 		}
 		cp, err := page.AsColumnPage(f.Buf)
 		if err != nil {
-			return false, fmt.Errorf("storage: %s page set at %v, column %d (%v): %w", fr.Def.Name, key, i, k, err)
+			return false, fmt.Errorf("storage: %s page set at %v, column %d (%v): %w", fr.Def.Name, key, ci, k, err)
 		}
-		set.Pages = append(set.Pages, cp)
+		set.Pages[ci] = cp
 	}
 	cont, err := fn(w, set, key, true)
 	if err != nil {
 		return false, err
 	}
-	stats.PagesRead += int64(n)
+	stats.PagesRead += int64(len(read))
 	stats.RowsRead += int64(set.NumRows())
 	return cont, nil
 }

@@ -18,7 +18,7 @@ import (
 // no row matched a complete skip conjunction into the predicate cache.
 func colScanRows(fr *ColumnarFragment, opts ScanOptions, workers, morselSets int, fn func(worker int, r types.Row) bool) (ScanStats, error) {
 	colIndex := func(name string) int { return fr.Def.Schema.Find(name) }
-	return fr.scanPageSets(opts, workers, morselSets, func(w int, set page.PageSet, key page.Key, sealed bool) (bool, error) {
+	return fr.scanPageSets(opts, nil, workers, morselSets, func(w int, set page.PageSet, key page.Key, sealed bool) (bool, error) {
 		rows, err := set.Rows()
 		if err != nil {
 			return false, err
@@ -371,5 +371,108 @@ func TestLockingScanSeesRowsAppendedWhileItWaited(t *testing.T) {
 				t.Fatalf("locking scan saw %d rows, want %d", len(seen), 1+appended)
 			}
 		})
+	}
+}
+
+// TestColumnarScanFetchesOnlyReadSet: a scan given a read set of k columns
+// asks the buffer manager for exactly k pages per sealed set — at degree 1
+// and 4, and when it is stopped early — and hands its callback sets that
+// hold those k pages and no others, the in-memory open set included (which
+// costs no fetch). Every read set, the empty one too, sees every row.
+func TestColumnarScanFetchesOnlyReadSet(t *testing.T) {
+	ns := newNode(t, 2048)
+	fr, err := OpenColumnarFragment(ns, lineitemDef(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const loaded, appended = 3000, 5
+	loadLineitem(t, fr.Load, loaded)
+	for i := int64(loaded); i < loaded+appended; i++ {
+		if err := fr.Append(liRow(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ncols := fr.Def.Schema.Len()
+	sealedSets := 0
+	for _, id := range fr.Files {
+		sealedSets += int(ns.NumPages(id)) / ncols
+	}
+	if sealedSets < 8 {
+		t.Fatalf("only %d sealed sets: the test needs several per worker", sealedSets)
+	}
+	fetches := func() int64 { s := ns.Buf.Stats(); return s.Hits + s.Misses }
+
+	for _, read := range [][]int{nil, {0, 1, 2, 3}, {1}, {0, 3}, {2, 3}, {}} {
+		populated := make([]bool, ncols)
+		k := len(read)
+		switch {
+		case read == nil:
+			k = ncols
+			for i := range populated {
+				populated[i] = true
+			}
+		case k == 0:
+			k, populated[0] = 1, true // one page, for the row count
+		default:
+			for _, ci := range read {
+				populated[ci] = true
+			}
+		}
+		for _, workers := range []int{1, 4} {
+			for _, stopAfter := range []int{0, 1} { // 0: run to the end
+				name := fmt.Sprintf("read=%v/w%d/stop=%d", read, workers, stopAfter)
+				var mu sync.Mutex
+				rows, sealedCalls, calls := 0, 0, 0
+				before := fetches()
+				stats, err := fr.ScanPageSets(ScanOptions{}, read, workers, func(_ int, set page.PageSet, _ page.Key, sealed bool) (bool, error) {
+					mu.Lock()
+					defer mu.Unlock()
+					for ci, p := range set.Pages {
+						if (p.Buf != nil) != populated[ci] {
+							t.Errorf("%s: sealed=%v set has column %d populated=%v, want %v", name, sealed, ci, p.Buf != nil, populated[ci])
+						}
+					}
+					rows += set.NumRows()
+					calls++
+					if sealed {
+						sealedCalls++
+					}
+					return stopAfter == 0 || calls < stopAfter, nil
+				})
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				got := fetches() - before
+				if want := int64(sealedCalls * k); got != want || stats.PagesRead != want {
+					t.Errorf("%s: %d buffer fetches, stats.PagesRead %d, want %d (%d sealed sets × %d columns)",
+						name, got, stats.PagesRead, want, sealedCalls, k)
+				}
+				switch {
+				case stopAfter == 0 && (sealedCalls != sealedSets || rows != loaded+appended):
+					t.Errorf("%s: saw %d of %d sealed sets and %d of %d rows", name, sealedCalls, sealedSets, rows, loaded+appended)
+				case stopAfter == 1 && workers == 1 && calls != 1:
+					t.Errorf("%s: %d sets after a stop at the first", name, calls)
+				case stopAfter == 1 && calls > workers:
+					t.Errorf("%s: %d sets after a stop at the first, more than one per worker", name, calls)
+				}
+			}
+		}
+	}
+
+	// Skipped sets: the fetches a skip saves are the read set's, not the
+	// table's width.
+	opts := ScanOptions{SkipConj: skipcache.Conj{{Col: "l_orderkey", Op: skipcache.OpGt, Val: types.NewInt(1 << 40)}}, UseMinMax: true}
+	before := fetches()
+	stats, err := fr.ScanPageSets(opts, []int{0, 3}, 1, func(_ int, set page.PageSet, _ page.Key, sealed bool) (bool, error) {
+		if sealed {
+			t.Error("a sealed set survived a predicate above every key")
+		}
+		return true, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fetches() - before; got != 0 || stats.PagesRead != 0 || stats.PagesSkipped != int64(2*sealedSets) {
+		t.Errorf("all-skipping scan: %d fetches, stats %+v, want 0 fetches and %d pages skipped", got, stats, 2*sealedSets)
 	}
 }

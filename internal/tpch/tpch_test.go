@@ -1,6 +1,7 @@
 package tpch
 
 import (
+	"fmt"
 	"sort"
 	"strconv"
 	"strings"
@@ -107,64 +108,90 @@ func rowKey(r types.Row) string {
 }
 
 // TestAllQueriesDistributedMatchReference is the correctness anchor of the
-// whole reproduction: every one of the paper's 21 TPC-H queries must
-// produce identical results distributed (shuffles, co-location, tree
-// aggregation, 4 workers) and single-node.
+// whole reproduction: every one of the paper's 21 TPC-H queries, and every
+// plan shape projection pushdown has a rule for (pruneCases), must produce
+// identical results distributed — optimized, pruned to the columns it uses,
+// over shuffles, co-location and tree aggregation, on 1 and on 4 workers —
+// and single-node on the plan exactly as plan.Build made it, every scan
+// whole.
 func TestAllQueriesDistributedMatchReference(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full TPC-H suite skipped in -short mode")
 	}
-	c, d := loadedCluster(t, 4, 0.002)
-	prov := &plan.MemProvider{Cat: c.Catalog(), Rows: d.Tables()}
-	nonEmpty := 0
+	var cases []pruneCase
 	for _, qid := range QueryIDs() {
-		sql := Queries()[qid]
-		res, err := c.ExecSQL(sql)
-		if err != nil {
-			t.Fatalf("%s distributed: %v", qid, err)
-		}
-		sel, err := sqlparse.ParseSelect(sql)
-		if err != nil {
-			t.Fatalf("%s parse: %v", qid, err)
-		}
-		node, err := plan.Build(sel, c.Catalog())
-		if err != nil {
-			t.Fatalf("%s build: %v", qid, err)
-		}
-		op, err := plan.Execute(node, prov, exec.NewCtx(t.TempDir(), 0))
-		if err != nil {
-			t.Fatalf("%s reference: %v", qid, err)
-		}
-		want, err := exec.Collect(op)
-		if err != nil {
-			t.Fatalf("%s reference run: %v", qid, err)
-		}
-		if len(res.Rows) != len(want) {
-			t.Fatalf("%s: distributed %d rows, reference %d", qid, len(res.Rows), len(want))
-		}
-		got := make([]string, len(res.Rows))
-		ref := make([]string, len(want))
-		for i := range want {
-			got[i] = rowKey(res.Rows[i])
-			ref[i] = rowKey(want[i])
-		}
-		// Sorted queries must match in order... but ties in ORDER BY keys
-		// may legally permute, so compare as multisets (the ordered checks
-		// live in cluster tests).
-		sort.Strings(got)
-		sort.Strings(ref)
-		for i := range ref {
-			if got[i] != ref[i] {
-				t.Fatalf("%s row %d:\n got %s\nwant %s", qid, i, got[i], ref[i])
-			}
-		}
-		if len(res.Rows) > 0 {
-			nonEmpty++
-		}
-		t.Logf("%s: %d rows", qid, len(res.Rows))
+		cases = append(cases, pruneCase{name: qid, sql: Queries()[qid]})
 	}
-	if nonEmpty < 14 {
-		t.Errorf("only %d of 21 queries returned rows — generator domains too sparse", nonEmpty)
+	numQueries := len(cases)
+	cases = append(cases, pruneCases()...)
+	for _, workers := range []int{1, 4} {
+		c, d := loadedCluster(t, workers, 0.002)
+		if _, err := c.ExecSQL(`CREATE INDEX idx_supp ON supplier(s_suppkey)`); err != nil {
+			t.Fatal(err)
+		}
+		prov := &plan.MemProvider{Cat: c.Catalog(), Rows: d.Tables()}
+		nonEmpty := 0
+		for i, pc := range cases {
+			name := fmt.Sprintf("%s, %d workers", pc.name, workers)
+			var got []types.Row
+			if pc.sql != "" {
+				res, err := c.ExecSQL(pc.sql)
+				if err != nil {
+					t.Fatalf("%s distributed: %v", name, err)
+				}
+				got = res.Rows
+			} else {
+				node := pc.plan(t, c.Catalog())
+				if err := plan.PruneColumns(node); err != nil {
+					t.Fatalf("%s prune: %v", name, err)
+				}
+				var err error
+				if got, err = c.Run(node); err != nil {
+					t.Fatalf("%s distributed: %v", name, err)
+				}
+			}
+			op, err := plan.Execute(pc.plan(t, c.Catalog()), prov, exec.NewCtx(t.TempDir(), 0))
+			if err != nil {
+				t.Fatalf("%s reference: %v", name, err)
+			}
+			want, err := exec.Collect(op)
+			if err != nil {
+				t.Fatalf("%s reference run: %v", name, err)
+			}
+			// Sorted queries must match in order... but ties in ORDER BY keys
+			// may legally permute, so compare as multisets (the ordered checks
+			// live in cluster tests).
+			requireSameRows(t, name, got, want)
+			if i < numQueries && len(got) > 0 {
+				nonEmpty++
+			}
+			t.Logf("%s: %d rows", name, len(got))
+		}
+		if nonEmpty < 14 {
+			t.Errorf("only %d of 21 queries returned rows — generator domains too sparse", nonEmpty)
+		}
+	}
+}
+
+// requireSameRows fails the test unless got and want hold the same rows,
+// in any order.
+func requireSameRows(t *testing.T, name string, got, want []types.Row) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: distributed %d rows, reference %d", name, len(got), len(want))
+	}
+	g := make([]string, len(got))
+	w := make([]string, len(want))
+	for i := range want {
+		g[i] = rowKey(got[i])
+		w[i] = rowKey(want[i])
+	}
+	sort.Strings(g)
+	sort.Strings(w)
+	for i := range w {
+		if g[i] != w[i] {
+			t.Fatalf("%s row %d:\n got %s\nwant %s", name, i, g[i], w[i])
+		}
 	}
 }
 
@@ -258,21 +285,6 @@ func TestColumnarTPCH(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(res.Rows) != len(want) {
-			t.Fatalf("%s columnar: %d rows, reference %d", qid, len(res.Rows), len(want))
-		}
-		got := make([]string, len(res.Rows))
-		ref := make([]string, len(want))
-		for i := range want {
-			got[i] = rowKey(res.Rows[i])
-			ref[i] = rowKey(want[i])
-		}
-		sort.Strings(got)
-		sort.Strings(ref)
-		for i := range ref {
-			if got[i] != ref[i] {
-				t.Fatalf("%s columnar row %d:\n got %s\nwant %s", qid, i, got[i], ref[i])
-			}
-		}
+		requireSameRows(t, qid+" columnar", res.Rows, want)
 	}
 }

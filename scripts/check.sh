@@ -51,8 +51,14 @@ go test -run '^$' -bench BenchmarkParallelVsSerial -benchtime 1x ./internal/exec
 echo "==> bench smoke (typed vs boxed page decode)"
 go test -run '^$' -bench BenchmarkTypedVsBoxedDecode -benchtime 1x ./internal/page >/dev/null
 
+echo "==> bench smoke (table-driven vs bit-serial Huffman decode of a sealed page)"
+go test -run '^$' -bench BenchmarkHuffmanDecode -benchtime 1x ./internal/compress >/dev/null
+
 echo "==> fuzz smoke (typed decoders must error, never panic, on corrupt pages)"
 go test -run '^$' -fuzz '^FuzzTypedDecode$' -fuzztime 5s ./internal/page >/dev/null
+
+echo "==> fuzz smoke (Huffman decoder: never panics, agrees with the bit-serial reference)"
+go test -run '^$' -fuzz '^FuzzHuffmanDecode$' -fuzztime 5s ./internal/compress >/dev/null
 
 echo "==> code size (scripts/loc.sh <ref> diffs it per package against a commit)"
 scripts/loc.sh | tail -n 1
