@@ -17,9 +17,6 @@
 //	hrdbms-bench -sf 0.002                # larger measured dataset
 //	hrdbms-bench -exp exec -json BENCH_EXEC.json   # raw executed per-query stats
 //	hrdbms-bench -exp exec -trace         # + per-operator span tree per query
-//	hrdbms-bench -exp exec -sweep 1,2,4   # intra-node parallelism sweep
-//	hrdbms-bench -exp serve -sf 0.01 -levels 1,4,16,64 -json BENCH_SERVE.json
-//	                                      # serving-layer concurrency sweep
 package main
 
 import (
@@ -34,19 +31,16 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: all|fig7|fig8|fig9|3tb|current|predcache|ablations|exec|serve")
+	exp := flag.String("exp", "all", "experiment: all|fig7|fig8|fig9|3tb|current|predcache|ablations|exec")
 	sf := flag.Float64("sf", 0.001, "measured scale factor")
 	target := flag.Float64("target", 1000, "modeled scale factor (1000 = 1TB)")
 	sizesFlag := flag.String("sizes", "", "comma-separated cluster sizes for fig7/fig9 (default paper sizes)")
 	dir := flag.String("dir", "", "working directory (default: temp)")
-	jsonOut := flag.String("json", "", "with -exp exec/serve: write stats JSON to this file")
+	jsonOut := flag.String("json", "", "with -exp exec: write stats JSON to this file")
 	trace := flag.Bool("trace", false, "with -exp exec: print the per-operator span tree of every query")
 	baseline := flag.String("baseline", "", "with -exp exec: fail if work_rows/net_bytes of the -assert queries regress vs this JSON baseline")
 	assert := flag.String("assert", "q7,q9,q17,q21", "with -baseline: comma-separated queries to gate")
 	tol := flag.Float64("tol", 0.10, "with -baseline: allowed fractional growth before failing")
-	sweep := flag.String("sweep", "", "with -exp exec: comma-separated intra-node parallelism degrees to sweep (e.g. 1,2,4)")
-	levels := flag.String("levels", "", "with -exp serve: comma-separated client concurrency levels (default 1,4,16,64)")
-	perClient := flag.Int("per-client", 0, "with -exp serve: queries per client (default: the full TPC-H mix once)")
 	flag.Parse()
 
 	baseDir := *dir
@@ -104,18 +98,6 @@ func main() {
 		if len(sizes) == 1 {
 			n = sizes[0]
 		}
-		if *sweep != "" {
-			var degrees []int
-			for _, s := range strings.Split(*sweep, ",") {
-				d, perr := strconv.Atoi(strings.TrimSpace(s))
-				if perr != nil {
-					fatal(fmt.Errorf("bad -sweep: %w", perr))
-				}
-				degrees = append(degrees, d)
-			}
-			_, err = r.ParallelismSweep(n, degrees)
-			break
-		}
 		var stats []experiments.QueryExecStat
 		stats, err = r.ExecStats(n, *trace)
 		if err == nil && *baseline != "" {
@@ -127,33 +109,6 @@ func main() {
 			}
 			err = experiments.CheckExecRegression(stats, *baseline, queries, *tol)
 		}
-		if err == nil && *jsonOut != "" {
-			var buf []byte
-			buf, err = json.MarshalIndent(stats, "", "  ")
-			if err == nil {
-				err = os.WriteFile(*jsonOut, append(buf, '\n'), 0o644)
-			}
-			if err == nil {
-				fmt.Printf("wrote %s\n", *jsonOut)
-			}
-		}
-	case "serve":
-		n := 4
-		if len(sizes) == 1 {
-			n = sizes[0]
-		}
-		var lv []int
-		if *levels != "" {
-			for _, s := range strings.Split(*levels, ",") {
-				l, perr := strconv.Atoi(strings.TrimSpace(s))
-				if perr != nil {
-					fatal(fmt.Errorf("bad -levels: %w", perr))
-				}
-				lv = append(lv, l)
-			}
-		}
-		var stats []experiments.ServeLevelStat
-		stats, err = r.ServeBench(n, lv, *perClient)
 		if err == nil && *jsonOut != "" {
 			var buf []byte
 			buf, err = json.MarshalIndent(stats, "", "  ")

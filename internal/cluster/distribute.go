@@ -822,14 +822,10 @@ func (q *queryExec) distributeAgg(x *plan.Agg) (*dstream, exec.Operator, error) 
 	// groups never span workers; aggregate locally (shuffle eliminated).
 	if q.prof.EnforceLocality && groupPlain && len(x.GroupBy) > 0 &&
 		coveredBy(ds.dist, groupNames) {
-		out := &dstream{sch: x.Schema(), dist: distInfo{kind: distPartitioned, cols: aggOutCols(x, groupNames)}}
-		for wi, op := range ds.ops {
-			w := q.c.Workers[wi]
-			agg := exec.NewHashAggregate(q.wctx(wi), op, x.GroupBy, specs, exec.AggComplete)
-			agg.Parallel = q.prof.Parallelism
-			out.ops = append(out.ops, q.wrap("HashAgg", w.ID, agg, op))
-		}
-		return out, nil, nil
+		return &dstream{
+			ops: q.workerAggs(ds, x.GroupBy, specs, exec.AggComplete, "HashAgg"),
+			sch: x.Schema(), dist: distInfo{kind: distPartitioned, cols: aggOutCols(x, groupNames)},
+		}, nil, nil
 	}
 
 	// DISTINCT aggregates cannot pre-aggregate; shuffle by group key.
@@ -838,14 +834,10 @@ func (q *queryExec) distributeAgg(x *plan.Agg) (*dstream, exec.Operator, error) 
 		if err != nil {
 			return nil, nil, err
 		}
-		out := &dstream{sch: x.Schema(), dist: distInfo{kind: distPartitioned, cols: aggOutCols(x, groupNames)}}
-		for wi, op := range shuffled.ops {
-			w := q.c.Workers[wi]
-			agg := exec.NewHashAggregate(q.wctx(wi), op, x.GroupBy, specs, exec.AggComplete)
-			agg.Parallel = q.prof.Parallelism
-			out.ops = append(out.ops, q.wrap("HashAgg", w.ID, agg, op))
-		}
-		return out, nil, nil
+		return &dstream{
+			ops: q.workerAggs(shuffled, x.GroupBy, specs, exec.AggComplete, "HashAgg"),
+			sch: x.Schema(), dist: distInfo{kind: distPartitioned, cols: aggOutCols(x, groupNames)},
+		}, nil, nil
 	}
 	if hasDistinct {
 		// Scalar DISTINCT aggregate: gather raw rows.
@@ -861,13 +853,7 @@ func (q *queryExec) distributeAgg(x *plan.Agg) (*dstream, exec.Operator, error) 
 		if q.prof.PreAggTree {
 			return nil, q.treeAggregate(ds, x, specs), nil
 		}
-		partials := make([]exec.Operator, len(ds.ops))
-		for wi, op := range ds.ops {
-			w := q.c.Workers[wi]
-			agg := exec.NewHashAggregate(q.wctx(wi), op, nil, specs, exec.AggPartial)
-			agg.Parallel = q.prof.Parallelism
-			partials[wi] = q.wrap("HashAgg partial", w.ID, agg, op)
-		}
+		partials := q.workerAggs(ds, nil, specs, exec.AggPartial, "HashAgg partial")
 		gathered := q.gatherPlain(&dstream{ops: partials, sch: partials[0].Schema()})
 		final := exec.NewHashAggregate(nil, gathered, nil, specs, exec.AggFinal)
 		return nil, q.wrap("HashAgg final", q.coord.ID, final, gathered), nil
@@ -886,16 +872,27 @@ func (q *queryExec) distributeAgg(x *plan.Agg) (*dstream, exec.Operator, error) 
 	if err != nil {
 		return nil, nil, err
 	}
-	out := &dstream{sch: x.Schema(), dist: distInfo{kind: distRandom}}
+	out := &dstream{
+		ops: q.workerAggs(shuffled, x.GroupBy, specs, exec.AggComplete, "HashAgg"),
+		sch: x.Schema(), dist: distInfo{kind: distRandom},
+	}
 	if groupPlain {
 		out.dist = distInfo{kind: distPartitioned, cols: aggOutCols(x, groupNames)}
 	}
-	for wi, op := range shuffled.ops {
-		w := q.c.Workers[wi]
-		agg := exec.NewHashAggregate(q.wctx(wi), op, x.GroupBy, specs, exec.AggComplete)
-		out.ops = append(out.ops, q.wrap("HashAgg", w.ID, agg, op))
-	}
 	return out, nil, nil
+}
+
+// workerAggs builds the worker-side aggregate over every operator of ds:
+// the one place such an aggregate is constructed, asks for the profile's
+// degree and gets its span.
+func (q *queryExec) workerAggs(ds *dstream, groupBy []expr.Expr, specs []exec.AggSpec, mode exec.AggMode, label string) []exec.Operator {
+	out := make([]exec.Operator, len(ds.ops))
+	for wi, op := range ds.ops {
+		agg := exec.NewHashAggregate(q.wctx(wi), op, groupBy, specs, mode)
+		agg.Parallel = q.prof.Parallelism
+		out[wi] = q.wrap(label, q.c.Workers[wi].ID, agg, op)
+	}
+	return out
 }
 
 // aggOutCols maps group input names to the aggregate's output column names.
@@ -931,13 +928,7 @@ func coveredBy(d distInfo, groupNames []string) bool {
 // treeAggregate splits the aggregation into worker partials merged up the
 // tree topology to the coordinator, which finalizes.
 func (q *queryExec) treeAggregate(ds *dstream, x *plan.Agg, specs []exec.AggSpec) exec.Operator {
-	partials := make([]exec.Operator, len(ds.ops))
-	for wi, op := range ds.ops {
-		w := q.c.Workers[wi]
-		agg := exec.NewHashAggregate(q.wctx(wi), op, x.GroupBy, specs, exec.AggPartial)
-		agg.Parallel = q.prof.Parallelism
-		partials[wi] = q.wrap("HashAgg partial", w.ID, agg, op)
-	}
+	partials := q.workerAggs(ds, x.GroupBy, specs, exec.AggPartial, "HashAgg partial")
 	// Group columns are positional in the partial output.
 	groupRefs := exec.ColRefs(allIdx(len(x.GroupBy))...)
 	combine := func(ins []exec.Operator) exec.Operator {

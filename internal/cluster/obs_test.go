@@ -217,58 +217,69 @@ func TestCardinalityFeedbackLoop(t *testing.T) {
 // TestTraceRecordsParallelWorkers pins the worker budget (so the granted
 // degree does not depend on the host CPU count) and checks that morsel
 // parallelism is observable: scan and worker-side aggregate spans carry the
-// granted worker count, rendered as workers= in EXPLAIN ANALYZE output.
+// granted worker count, rendered as workers= in EXPLAIN ANALYZE output —
+// whichever way the aggregate is distributed (every worker-side aggregate is
+// built by workerAggs, so each asks for the profile's degree).
 func TestTraceRecordsParallelWorkers(t *testing.T) {
 	testutil.AssertNoGoroutineLeak(t)
-	c, err := New(Config{
-		NumWorkers: 2,
-		BaseDir:    t.TempDir(),
-		PageSize:   4096,
-		Nmax:       3,
-		MemRows:    1 << 20,
-		Profile:    HRDBMSProfile(),
-		// Enough tokens that a scan (4) and an aggregate (4) can both be
-		// granted their full requested degree on each worker.
-		ParallelBudget: 8,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c.Close() })
-	if _, err := c.ExecSQL(`CREATE TABLE t (k INT, v VARCHAR(10), amt FLOAT) PARTITION BY HASH(k)`); err != nil {
-		t.Fatal(err)
-	}
-	rows := make([]types.Row, 0, 3000)
-	for i := int64(0); i < 3000; i++ {
-		rows = append(rows, types.Row{
-			types.NewInt(i),
-			types.NewString([]string{"a", "b", "c"}[i%3]),
-			types.NewFloat(float64(i % 97)),
+	shuffleGroupBy := HRDBMSProfile()
+	shuffleGroupBy.PreAggTree = false
+	for name, prof := range map[string]ExecProfile{"pre-aggregate": HRDBMSProfile(), "shuffle group-by": shuffleGroupBy} {
+		t.Run(name, func(t *testing.T) {
+			c, err := New(Config{
+				NumWorkers: 2,
+				BaseDir:    t.TempDir(),
+				PageSize:   4096,
+				Nmax:       3,
+				MemRows:    1 << 20,
+				Profile:    prof,
+				// Enough tokens that a scan (4) and an aggregate (4) can both be
+				// granted their full requested degree on each worker.
+				ParallelBudget: 8,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { c.Close() })
+			if _, err := c.ExecSQL(`CREATE TABLE t (k INT, v VARCHAR(10), amt FLOAT) PARTITION BY HASH(k)`); err != nil {
+				t.Fatal(err)
+			}
+			rows := make([]types.Row, 0, 3000)
+			for i := int64(0); i < 3000; i++ {
+				rows = append(rows, types.Row{
+					types.NewInt(i),
+					types.NewString([]string{"a", "b", "c"}[i%3]),
+					types.NewFloat(float64(i % 97)),
+				})
+			}
+			if _, err := c.Load("t", rows); err != nil {
+				t.Fatal(err)
+			}
+			sql := `SELECT v, COUNT(*) FROM t GROUP BY v`
+			node := planFor(t, c, sql)
+			out, _, tr, err := c.RunTraced(node, sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(out) != 3 {
+				t.Fatalf("got %d groups, want 3", len(out))
+			}
+			var scanWorkers, aggWorkers int64
+			for _, s := range tr.Spans() {
+				switch {
+				case strings.HasPrefix(s.Op, "Scan"):
+					scanWorkers = max(scanWorkers, s.Workers)
+				case strings.HasPrefix(s.Op, "HashAgg") && s.Node != c.Coords[0].ID:
+					aggWorkers = max(aggWorkers, s.Workers)
+				}
+			}
+			if scanWorkers < 2 || aggWorkers < 2 {
+				t.Errorf("max granted degree: scans %d, worker-side aggregates %d; want both parallel:\n%s", scanWorkers, aggWorkers, tr.Render())
+			}
+			if !strings.Contains(tr.Render(), "workers=") {
+				t.Errorf("rendered trace missing workers=:\n%s", tr.Render())
+			}
 		})
-	}
-	if _, err := c.Load("t", rows); err != nil {
-		t.Fatal(err)
-	}
-	sql := `SELECT v, COUNT(*) FROM t GROUP BY v`
-	node := planFor(t, c, sql)
-	out, _, tr, err := c.RunTraced(node, sql)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 3 {
-		t.Fatalf("got %d groups, want 3", len(out))
-	}
-	var maxWorkers int64
-	for _, s := range tr.Spans() {
-		if s.Workers > maxWorkers {
-			maxWorkers = s.Workers
-		}
-	}
-	if maxWorkers < 2 {
-		t.Errorf("no span recorded a parallel grant (max workers = %d):\n%s", maxWorkers, tr.Render())
-	}
-	if !strings.Contains(tr.Render(), "workers=") {
-		t.Errorf("rendered trace missing workers=:\n%s", tr.Render())
 	}
 }
 

@@ -3,7 +3,6 @@ package exec
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/expr"
@@ -231,14 +230,15 @@ type HashAggregate struct {
 	GroupBy []expr.Expr // group key expressions over the input
 	Specs   []AggSpec
 	Mode    AggMode
-	// Parallel is the desired table-build parallelism. Values above 1 make
-	// prepare acquire extra workers from the Ctx budget and build
-	// thread-local partitioned tables that are merged in parallel; 0/1 (or
-	// raw DISTINCT aggregation, which cannot merge) keep the serial build.
+	// Parallel is the desired table-build parallelism: prepare asks the Ctx
+	// budget for that many workers and builds with however many it is
+	// granted (one for 0/1, and for raw DISTINCT aggregation, which cannot
+	// merge).
 	Parallel int
 	// Trace, when non-nil, records the granted worker count.
 	Trace    *obs.Span
 	ctx      *Ctx
+	spills   spillSet
 	out      types.Schema
 	results  []types.Row
 	pos      int
@@ -316,10 +316,10 @@ type aggGroup struct {
 	states []*aggState
 }
 
-// prepare drains the input and builds the result rows, choosing the serial
-// or the parallel table build. Raw DISTINCT aggregation stays serial: each
-// parallel worker would deduplicate only its own share of the input, so the
-// merged counts would be wrong (distinct states cannot be combined).
+// prepare drains the input into one aggTable per granted worker, merges the
+// tables partition by partition and keeps the result rows. Raw DISTINCT
+// aggregation means degree 1: each worker would deduplicate only its own
+// share of the input, and distinct states cannot be combined.
 func (h *HashAggregate) prepare() error {
 	fromStates := h.Mode == AggMerge || h.Mode == AggFinal
 	if fromStates {
@@ -327,204 +327,91 @@ func (h *HashAggregate) prepare() error {
 			return err
 		}
 	}
-	rawDistinct := false
+	want := h.Parallel
 	if !fromStates {
 		for _, sp := range h.Specs {
 			if sp.Distinct {
-				rawDistinct = true
+				want = 1
 			}
 		}
 	}
-	degree := 1
-	if h.Parallel > 1 && !rawDistinct {
-		degree = h.ctx.AcquireWorkers(h.Parallel)
-		defer h.ctx.ReleaseWorkers(degree)
-	}
-	var err error
+	degree := h.ctx.AcquireWorkers(want)
+	defer h.ctx.ReleaseWorkers(degree)
+	h.Trace.AddWorkers(int64(degree))
+
+	// Partitions are what lets the merge run in parallel, so one worker
+	// keeps one and never hashes a key to pick it.
+	parts := 1
 	if degree > 1 {
-		err = h.prepareParallel(degree, fromStates)
-	} else {
-		err = h.prepareSerial(fromStates)
+		parts = 16
+		for parts < 2*degree {
+			parts <<= 1
+		}
 	}
-	if err != nil {
+	tables := make([]*aggTable, degree)
+	for w := range tables {
+		tables[w] = h.newAggTable(parts, h.ctx.memShare(degree))
+	}
+	if err := fanOut(h.ctx, h.In, degree, func(w int, slab []types.Row) error {
+		for _, r := range slab {
+			if err := tables[w].ingest(r); err != nil {
+				return err
+			}
+		}
+		return nil
+	}, nil); err != nil {
 		return err
 	}
 
-	// No GROUP BY: SQL semantics require one output row even on empty input.
-	if len(h.GroupBy) == 0 && len(h.results) == 0 && (h.Mode == AggComplete || h.Mode == AggFinal) {
-		out := types.Row{}
-		for _, sp := range h.Specs {
-			st := newAggState(false)
-			out = append(out, st.final(sp.Kind))
+	// Merge: degree mergers (this goroutine is one of them) claim partitions
+	// from a counter.
+	outs := make([][]types.Row, parts)
+	var next atomic.Int64
+	merge := func() error {
+		for {
+			p := int(next.Add(1) - 1)
+			if p >= parts {
+				return nil
+			}
+			rows, err := h.mergePartition(p, tables)
+			if err != nil {
+				return err
+			}
+			outs[p] = rows
 		}
-		h.results = append(h.results, out)
 	}
-	if len(h.GroupBy) == 0 && len(h.results) == 0 && (h.Mode == AggPartial || h.Mode == AggMerge) {
-		out := types.Row{}
-		st := newAggState(false)
-		for range h.Specs {
-			out = append(out, st.partial()...)
+	errs := make(chan error, degree)
+	for m := 1; m < degree; m++ {
+		go func() { errs <- merge() }()
+	}
+	errs <- merge()
+	var firstErr error
+	for m := 0; m < degree; m++ {
+		if err := <-errs; err != nil && firstErr == nil {
+			firstErr = err
 		}
-		h.results = append(h.results, out)
+	}
+	if firstErr != nil {
+		return firstErr
+	}
+	for _, rows := range outs {
+		h.results = append(h.results, rows...)
+	}
+
+	// No GROUP BY: SQL semantics require one output row even on empty input.
+	if len(h.GroupBy) == 0 && len(h.results) == 0 {
+		empty := &aggGroup{states: make([]*aggState, len(h.Specs))}
+		for i := range empty.states {
+			empty.states[i] = newAggState(false)
+		}
+		h.results = append(h.results, h.emitGroup(empty))
 	}
 	h.prepared = true
 	return nil
 }
 
-// prepareSerial drains the input building group states on one thread,
-// spilling input rows for groups beyond the budget.
-func (h *HashAggregate) prepareSerial(fromStates bool) error {
-	groups := map[string]*aggGroup{}
-	var spill *spillWriter
-
-	// Scratch buffers reused across rows: the table build runs once per
-	// input row, and a per-row key allocation dominates its profile. The
-	// groups[string(keyBuf)] lookup does not allocate; the string is only
-	// materialized when a new group is inserted.
-	keyScratch := make(types.Row, len(h.GroupBy))
-	var keyBuf []byte
-	processRow := func(r types.Row, allowSpill bool) (bool, error) {
-		if h.ctx != nil {
-			h.ctx.RowsProcessed.Add(1)
-		}
-		keyRow := keyScratch
-		for i, k := range h.GroupBy {
-			v, err := k.Eval(r)
-			if err != nil {
-				return true, err
-			}
-			keyRow[i] = v
-		}
-		keyBuf = types.AppendRow(keyBuf[:0], keyRow)
-		g, ok := groups[string(keyBuf)]
-		if !ok {
-			if allowSpill && h.ctx != nil && h.ctx.MemRows > 0 && len(groups) >= h.ctx.MemRows {
-				return false, nil // overflow: spill the raw row
-			}
-			g = &aggGroup{key: keyRow.Clone(), states: make([]*aggState, len(h.Specs))}
-			for i, sp := range h.Specs {
-				g.states[i] = newAggState(sp.Distinct && !fromStates)
-			}
-			groups[string(keyBuf)] = g
-			if h.ctx != nil {
-				h.ctx.addState(int64(types.RowEncodedSize(keyRow)) + int64(48*len(h.Specs)))
-			}
-		}
-		if fromStates {
-			base := len(h.GroupBy)
-			for i := range h.Specs {
-				g.states[i].merge(r[base+i*partialCols : base+(i+1)*partialCols])
-			}
-			return true, nil
-		}
-		for i, sp := range h.Specs {
-			if sp.Arg == nil {
-				g.states[i].addCountStar()
-				continue
-			}
-			v, err := sp.Arg.Eval(r)
-			if err != nil {
-				return true, err
-			}
-			g.states[i].add(v)
-		}
-		return true, nil
-	}
-
-	emit := func() {
-		for _, g := range groups {
-			out := g.key.Clone()
-			if h.Mode == AggPartial || h.Mode == AggMerge {
-				for _, st := range g.states {
-					out = append(out, st.partial()...)
-				}
-			} else {
-				for i, sp := range h.Specs {
-					out = append(out, g.states[i].final(sp.Kind))
-				}
-			}
-			h.results = append(h.results, out)
-		}
-		groups = map[string]*aggGroup{}
-	}
-
-	ingest := func(r types.Row) error {
-		accepted, err := processRow(r, true)
-		if err != nil {
-			return err
-		}
-		if !accepted {
-			if spill == nil {
-				spill, err = newSpillWriter(h.ctx, "agg-spill-*")
-				if err != nil {
-					return err
-				}
-			}
-			if err := spill.write(r); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	// Slab-at-a-time input keeps the per-row iterator call out of the table
-	// build, the hot loop of every aggregation query.
-	if err := drain(h.ctx, h.In, func(batch []types.Row) error {
-		for _, r := range batch {
-			if err := ingest(r); err != nil {
-				return err
-			}
-		}
-		return nil
-	}); err != nil {
-		return err
-	}
-	emit()
-
-	// Recursively process spilled rows in passes; each pass handles up to
-	// MemRows groups.
-	for spill != nil {
-		reader, err := spill.finish()
-		if err != nil {
-			return err
-		}
-		spill = nil
-		for {
-			r, ok, err := reader.next()
-			if err != nil {
-				reader.close()
-				return err
-			}
-			if !ok {
-				break
-			}
-			accepted, err := processRow(r, true)
-			if err != nil {
-				reader.close()
-				return err
-			}
-			if !accepted {
-				if spill == nil {
-					spill, err = newSpillWriter(h.ctx, "agg-spill-*")
-					if err != nil {
-						reader.close()
-						return err
-					}
-				}
-				if err := spill.write(r); err != nil {
-					reader.close()
-					return err
-				}
-			}
-		}
-		reader.close()
-		emit()
-	}
-	return nil
-}
-
-// fnv32 is FNV-1a over an encoded group key, used to pick the key's
-// partition in the parallel table build.
+// fnv32 is FNV-1a over an encoded group key: the hash that picks the key's
+// partition, independent of the group maps' own.
 func fnv32(b []byte) uint32 {
 	h := uint32(2166136261)
 	for _, c := range b {
@@ -534,34 +421,81 @@ func fnv32(b []byte) uint32 {
 	return h
 }
 
-// encodeKey evaluates the group key of r into keyScratch and returns its
-// encoding appended into keyBuf[:0] (scratch buffers are per-goroutine).
-func (h *HashAggregate) encodeKey(r types.Row, keyScratch types.Row, keyBuf []byte) ([]byte, error) {
-	for i, k := range h.GroupBy {
-		v, err := k.Eval(r)
-		if err != nil {
-			return keyBuf, err
-		}
-		keyScratch[i] = v
-	}
-	return types.AppendRow(keyBuf[:0], keyScratch), nil
+// aggTable is one worker's private group table. Groups live in partitions
+// picked by fnv32 of the encoded key, so partition p of every worker holds
+// the same keys and the partitions merge independently. Once budget groups
+// are held, the rows of any further group go to a spill opened lazily for
+// their partition, which keeps a spilled partition mergeable on its own.
+// The scratch key is reused across rows: the map lookup by string(keyBuf)
+// does not allocate, only the insert of a new group does.
+type aggTable struct {
+	h          *HashAggregate
+	fromStates bool
+	budget     int // groups held before new ones spill; 0 = unbounded
+	held       int
+	parts      []map[string]*aggGroup
+	spills     []*spillWriter
+	keyRow     types.Row
+	keyBuf     []byte
 }
 
-// newGroup allocates a group for key (cloned out of the scratch row).
-func (h *HashAggregate) newGroup(key types.Row, fromStates bool) *aggGroup {
-	g := &aggGroup{key: key.Clone(), states: make([]*aggState, len(h.Specs))}
+func (h *HashAggregate) newAggTable(parts, budget int) *aggTable {
+	t := &aggTable{
+		h: h, fromStates: h.Mode == AggMerge || h.Mode == AggFinal, budget: budget,
+		parts:  make([]map[string]*aggGroup, parts),
+		spills: make([]*spillWriter, parts),
+		keyRow: make(types.Row, len(h.GroupBy)),
+	}
+	for p := range t.parts {
+		t.parts[p] = map[string]*aggGroup{}
+	}
+	return t
+}
+
+// newGroup allocates a group for the key in the scratch row.
+func (t *aggTable) newGroup() *aggGroup {
+	h := t.h
+	g := &aggGroup{key: t.keyRow.Clone(), states: make([]*aggState, len(h.Specs))}
 	for i, sp := range h.Specs {
-		g.states[i] = newAggState(sp.Distinct && !fromStates)
+		g.states[i] = newAggState(sp.Distinct && !t.fromStates)
 	}
-	if h.ctx != nil {
-		h.ctx.addState(int64(types.RowEncodedSize(key)) + int64(48*len(h.Specs)))
-	}
+	h.ctx.addState(int64(types.RowEncodedSize(t.keyRow)) + int64(48*len(h.Specs)))
 	return g
 }
 
-// foldInto folds one input row into a group's states.
-func (h *HashAggregate) foldInto(g *aggGroup, r types.Row, fromStates bool) error {
-	if fromStates {
+// ingest folds one input row into its group — admitted if the budget
+// allows — or spills the row.
+func (t *aggTable) ingest(r types.Row) error {
+	h := t.h
+	for i, k := range h.GroupBy {
+		v, err := k.Eval(r)
+		if err != nil {
+			return err
+		}
+		t.keyRow[i] = v
+	}
+	t.keyBuf = types.AppendRow(t.keyBuf[:0], t.keyRow)
+	p := 0
+	if len(t.parts) > 1 {
+		p = int(fnv32(t.keyBuf) & uint32(len(t.parts)-1))
+	}
+	g, ok := t.parts[p][string(t.keyBuf)]
+	if !ok {
+		if t.budget > 0 && t.held >= t.budget {
+			if t.spills[p] == nil {
+				sw, err := h.spills.newWriter(h.ctx, "agg-spill-*")
+				if err != nil {
+					return err
+				}
+				t.spills[p] = sw
+			}
+			return t.spills[p].write(r)
+		}
+		g = t.newGroup()
+		t.parts[p][string(t.keyBuf)] = g
+		t.held++
+	}
+	if t.fromStates {
 		base := len(h.GroupBy)
 		for i := range h.Specs {
 			g.states[i].merge(r[base+i*partialCols : base+(i+1)*partialCols])
@@ -597,286 +531,72 @@ func (h *HashAggregate) emitGroup(g *aggGroup) types.Row {
 	return out
 }
 
-// aggWorker is one parallel build worker's thread-local state: one group
-// table per partition plus a lazy spill writer per partition, so overflow
-// rows keep partition affinity and the merge phase can process partitions
-// independently.
-type aggWorker struct {
-	groups  []map[string]*aggGroup
-	spills  []*spillWriter
-	nGroups int
-}
-
-// prepareParallel builds the aggregation table with degree workers. The
-// input is drained by this goroutine and fanned out slab-at-a-time; each
-// worker hashes the scratch-encoded group key into one of P partitions of
-// its own tables (no locks on the build path), spilling overflow rows to
-// partition-affine spill files once its share of the memory budget is used.
-// Partitions are then merged in parallel — worker tables combined state-wise,
-// spilled rows drained in budgeted passes — and the per-partition results
-// concatenated. Group content is identical to the serial build; only row
-// order differs (both are map-iteration order).
-func (h *HashAggregate) prepareParallel(degree int, fromStates bool) error {
-	numPart := 16
-	for numPart < 2*degree {
-		numPart <<= 1
-	}
-	mask := uint32(numPart - 1)
-	localBudget := 0
-	if h.ctx != nil && h.ctx.MemRows > 0 {
-		localBudget = h.ctx.MemRows / degree
-		if localBudget < 1 {
-			localBudget = 1
-		}
-	}
-	workers := make([]*aggWorker, degree)
-	batches := make(chan []types.Row, degree)
-	stop := make(chan struct{})
-	var stopOnce sync.Once
-	halt := func() { stopOnce.Do(func() { close(stop) }) }
-	errCh := make(chan error, degree)
-	var wg sync.WaitGroup
-	for w := 0; w < degree; w++ {
-		aw := &aggWorker{groups: make([]map[string]*aggGroup, numPart), spills: make([]*spillWriter, numPart)}
-		for p := range aw.groups {
-			aw.groups[p] = map[string]*aggGroup{}
-		}
-		workers[w] = aw
-		wg.Add(1)
-		go func(aw *aggWorker) {
-			defer wg.Done()
-			keyScratch := make(types.Row, len(h.GroupBy))
-			var keyBuf []byte
-			ingest := func(r types.Row) error {
-				if h.ctx != nil {
-					h.ctx.RowsProcessed.Add(1)
-				}
-				var err error
-				keyBuf, err = h.encodeKey(r, keyScratch, keyBuf)
-				if err != nil {
-					return err
-				}
-				p := int(fnv32(keyBuf) & mask)
-				g, ok := aw.groups[p][string(keyBuf)]
-				if !ok {
-					if localBudget > 0 && aw.nGroups >= localBudget {
-						if aw.spills[p] == nil {
-							sw, err := newSpillWriter(h.ctx, "agg-spill-*")
-							if err != nil {
-								return err
-							}
-							aw.spills[p] = sw
-						}
-						return aw.spills[p].write(r)
-					}
-					g = h.newGroup(keyScratch, fromStates)
-					aw.groups[p][string(keyBuf)] = g
-					aw.nGroups++
-				}
-				return h.foldInto(g, r, fromStates)
-			}
-			for {
-				select {
-				case <-stop:
-					return
-				case batch, ok := <-batches:
-					if !ok {
-						return
-					}
-					for _, r := range batch {
-						if err := ingest(r); err != nil {
-							errCh <- err
-							halt()
-							return
-						}
-					}
-				}
-			}
-		}(aw)
-	}
-	feedErr := feedRowBatches(h.ctx, h.In, batches, stop)
-	close(batches)
-	wg.Wait()
-	abortSpills := func() {
-		for _, aw := range workers {
-			for _, sw := range aw.spills {
-				if sw != nil {
-					sw.abort()
-				}
-			}
-		}
-	}
-	var firstErr error
-	select {
-	case firstErr = <-errCh:
-	default:
-		firstErr = feedErr
-	}
-	if firstErr != nil {
-		abortSpills()
-		return firstErr
-	}
-
-	// Merge phase: up to degree mergers claim partitions from a counter.
-	outs := make([][]types.Row, numPart)
-	mergers := degree
-	if mergers > numPart {
-		mergers = numPart
-	}
-	var nextPart atomic.Int64
-	merr := make(chan error, mergers)
-	var mwg sync.WaitGroup
-	for m := 0; m < mergers; m++ {
-		mwg.Add(1)
-		go func() {
-			defer mwg.Done()
-			keyScratch := make(types.Row, len(h.GroupBy))
-			var keyBuf []byte
-			for {
-				p := int(nextPart.Add(1) - 1)
-				if p >= numPart {
-					return
-				}
-				rows, err := h.mergePartition(p, workers, fromStates, localBudget, keyScratch, &keyBuf)
-				if err != nil {
-					merr <- err
-					return
-				}
-				outs[p] = rows
-			}
-		}()
-	}
-	mwg.Wait()
-	select {
-	case err := <-merr:
-		abortSpills()
-		return err
-	default:
-	}
-	for _, rows := range outs {
-		h.results = append(h.results, rows...)
-	}
-	h.Trace.AddWorkers(int64(degree))
-	return nil
-}
-
-// feedRowBatches drains an operator, fanning its slabs out to parallel
-// build workers. Every slab is copied before crossing the goroutine
-// boundary (the producer reuses its slab buffer per the ownership
-// contract). Returns early without error when stop closes — the workers
-// already have an error to report.
-func feedRowBatches(ctx *Ctx, in Operator, batches chan<- []types.Row, stop <-chan struct{}) error {
-	return drain(ctx, in, func(b []types.Row) error {
-		cp := make([]types.Row, len(b))
-		copy(cp, b)
-		select {
-		case batches <- cp:
-			return nil
-		case <-stop:
-			return errStopDrain
-		}
-	})
-}
-
-// mergePartition combines every worker's partition-p table into one
-// (state-wise combine on group collisions), then drains the partition's
-// spilled rows in budgeted passes — each pass admits localBudget new groups
-// and respills the rest — and emits the partition's result rows.
-func (h *HashAggregate) mergePartition(p int, workers []*aggWorker, fromStates bool, localBudget int, keyScratch types.Row, keyBuf *[]byte) ([]types.Row, error) {
-	merged := workers[0].groups[p]
-	for _, aw := range workers[1:] {
-		for k, g := range aw.groups[p] {
-			if ex, ok := merged[k]; ok {
+// mergePartition produces partition p's result rows: the workers' tables
+// for p are combined state-wise into one, then the partition's spilled rows
+// are drained through that table in passes. A row a worker spilled belongs
+// to a group its own table did not hold, but another worker's may, so the
+// first pass folds the spills into the combined table while admitting the
+// budget's worth of new groups on top of it. What a pass respills belongs to
+// no group it holds; its groups are therefore complete, and are emitted and
+// dropped before the next pass admits its own.
+func (h *HashAggregate) mergePartition(p int, tables []*aggTable) ([]types.Row, error) {
+	pass := h.newAggTable(1, 0)
+	pass.parts[0] = tables[0].parts[p]
+	for _, t := range tables[1:] {
+		for k, g := range t.parts[p] {
+			if ex, ok := pass.parts[0][k]; ok {
 				for i := range ex.states {
 					ex.states[i].combine(g.states[i])
 				}
 			} else {
-				merged[k] = g
+				pass.parts[0][k] = g
 			}
 		}
 	}
-	var readers []*spillReader
-	closeAll := func(rs []*spillReader) {
-		for _, rd := range rs {
-			rd.close()
+	var spilled []*spillWriter
+	for _, t := range tables {
+		if t.spills[p] != nil {
+			spilled = append(spilled, t.spills[p])
 		}
 	}
-	for _, aw := range workers {
-		if aw.spills[p] != nil {
-			sw := aw.spills[p]
-			aw.spills[p] = nil
+	out := make([]types.Row, 0, len(pass.parts[0]))
+	for {
+		pass.held = len(pass.parts[0])
+		pass.budget = pass.held + tables[0].budget
+		for _, sw := range spilled {
 			rd, err := sw.finish()
 			if err != nil {
-				closeAll(readers)
 				return nil, err
 			}
-			readers = append(readers, rd)
-		}
-	}
-	for len(readers) > 0 {
-		capGroups := len(merged) + localBudget
-		var respill *spillWriter
-		for ri, rd := range readers {
-			fail := func(err error) ([]types.Row, error) {
-				closeAll(readers[ri:])
-				if respill != nil {
-					respill.abort()
-				}
-				return nil, err
-			}
+			n := int64(0)
 			for {
 				r, ok, err := rd.next()
 				if err != nil {
-					return fail(err)
+					return nil, err
 				}
 				if !ok {
 					break
 				}
-				if h.ctx != nil {
-					h.ctx.RowsProcessed.Add(1)
-				}
-				kb, err := h.encodeKey(r, keyScratch, *keyBuf)
-				*keyBuf = kb
-				if err != nil {
-					return fail(err)
-				}
-				g, ok := merged[string(kb)]
-				if !ok {
-					if len(merged) >= capGroups {
-						if respill == nil {
-							respill, err = newSpillWriter(h.ctx, "agg-spill-*")
-							if err != nil {
-								return fail(err)
-							}
-						}
-						if err := respill.write(r); err != nil {
-							return fail(err)
-						}
-						continue
-					}
-					g = h.newGroup(keyScratch, fromStates)
-					merged[string(kb)] = g
-				}
-				if err := h.foldInto(g, r, fromStates); err != nil {
-					return fail(err)
+				n++
+				if err := pass.ingest(r); err != nil {
+					return nil, err
 				}
 			}
 			rd.close()
-		}
-		readers = readers[:0]
-		if respill != nil {
-			rd, err := respill.finish()
-			if err != nil {
-				return nil, err
+			if h.ctx != nil {
+				h.ctx.RowsProcessed.Add(n)
 			}
-			readers = append(readers, rd)
 		}
+		for _, g := range pass.parts[0] {
+			out = append(out, h.emitGroup(g))
+		}
+		if pass.spills[0] == nil {
+			return out, nil
+		}
+		spilled = append(spilled[:0], pass.spills[0])
+		pass.spills[0] = nil
+		pass.parts[0] = map[string]*aggGroup{}
 	}
-	out := make([]types.Row, 0, len(merged))
-	for _, g := range merged {
-		out = append(out, h.emitGroup(g))
-	}
-	return out, nil
 }
 
 // NextBatch implements Operator, serving the prepared results in slabs.
@@ -890,7 +610,10 @@ func (h *HashAggregate) NextBatch() ([]types.Row, bool, error) {
 }
 
 // Close implements Operator.
-func (h *HashAggregate) Close() error { return h.In.Close() }
+func (h *HashAggregate) Close() error {
+	h.spills.discardAll()
+	return h.In.Close()
+}
 
 // validateAggSchema asserts partial-state arity for Merge/Final inputs.
 func validateAggSchema(in types.Schema, groupBy []expr.Expr, specs []AggSpec) error {

@@ -56,8 +56,9 @@ type HashJoin struct {
 	Type      JoinType
 	Parallel  int
 	// Trace, when non-nil, records the granted probe worker count.
-	Trace *obs.Span
-	ctx   *Ctx
+	Trace  *obs.Span
+	ctx    *Ctx
+	spills spillSet
 
 	out      types.Schema
 	results  chan []types.Row
@@ -134,7 +135,7 @@ func (h *HashJoin) prepare() error {
 			if !overflow && budget > 0 && buildCount >= budget {
 				overflow = true
 				var err error
-				buildSpill, err = newSpillWriter(h.ctx, "join-build-*")
+				buildSpill, err = h.spills.newWriter(h.ctx, "join-build-*")
 				if err != nil {
 					return err
 				}
@@ -172,78 +173,44 @@ func (h *HashJoin) prepare() error {
 	return h.graceJoin(buildSpill, bloom)
 }
 
-// streamProbe launches probe workers against the shared read-only table.
+// streamProbe probes the shared read-only table with the probe input, on
+// its own goroutine so results stream while the input is still being read.
 // The degree of parallelism adapts to the node's current load through the
 // context's parallel budget (Section I: workers reduce the degree of
-// parallelism for query operators when resources are scarce). Probe rows
-// and join results both cross goroutine boundaries in slabs; each worker
-// accumulates results in its own emitter so nothing is shared.
+// parallelism for query operators when resources are scarce); at degree 1
+// that goroutine drains and probes by itself. Join results cross to the
+// consumer in slabs; each worker accumulates them in its own emitter so
+// nothing is shared.
 func (h *HashJoin) streamProbe(table map[uint64][]types.Row, bloom *Bloom) error {
-	degree := h.Parallel
-	if h.ctx != nil {
-		degree = h.ctx.AcquireWorkers(h.Parallel)
-	}
+	degree := h.ctx.AcquireWorkers(h.Parallel)
 	h.Trace.AddWorkers(int64(degree))
-	batch := h.ctx.batchRows()
 	h.results = make(chan []types.Row, 16)
-	h.errCh = make(chan error, degree+1)
-	probeBatches := make(chan []types.Row, 16)
-	stop := make(chan struct{})
-	var stopOnce sync.Once
-
-	var wg sync.WaitGroup
-	for w := 0; w < degree; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			em := &joinEmitter{h: h, size: batch}
-			for b := range probeBatches {
-				for _, r := range b {
-					if err := h.probeOne(r, table, bloom, em); err != nil {
-						if err != errJoinStopped {
-							h.errCh <- err
-						}
-						stopOnce.Do(func() { close(stop) })
-						return
-					}
+	h.errCh = make(chan error, 1)
+	emitters := make([]*joinEmitter, degree)
+	for w := range emitters {
+		emitters[w] = &joinEmitter{h: h, size: h.ctx.batchRows()}
+	}
+	go func() {
+		defer close(h.results)
+		defer h.ctx.ReleaseWorkers(degree)
+		err := fanOut(h.ctx, h.Probe, degree, func(w int, slab []types.Row) error {
+			// A closed join stops within a slab even when no row matches
+			// (an emitter only notices on a flush).
+			select {
+			case <-h.stop:
+				return errJoinStopped
+			default:
+			}
+			for _, r := range slab {
+				if err := h.probeOne(r, table, bloom, emitters[w]); err != nil {
+					return err
 				}
 			}
-			if err := em.flush(); err != nil && err != errJoinStopped {
-				h.errCh <- err
-			}
-		}()
-	}
-	// Feeder: the probe input is a single iterator, so one goroutine reads
-	// it and fans slabs out to the probe workers. Slabs are copied before
-	// the send because the input may reuse its slab, while the workers hold
-	// theirs asynchronously. The feeder aborts when a worker reports an
-	// error so nothing blocks on a full channel.
-	go func() {
-		defer close(probeBatches)
-		err := drain(h.ctx, h.Probe, func(b []types.Row) error {
-			if h.ctx != nil {
-				h.ctx.RowsProcessed.Add(int64(len(b)))
-			}
-			cp := make([]types.Row, len(b))
-			copy(cp, b)
-			select {
-			case probeBatches <- cp:
-				return nil
-			case <-stop:
-			case <-h.stop:
-			}
-			return errStopDrain
-		})
-		if err != nil {
+			return nil
+		}, func(w int) error { return emitters[w].flush() })
+		if err != nil && err != errJoinStopped {
 			h.errCh <- err
 		}
-	}()
-	go func() {
-		wg.Wait()
-		if h.ctx != nil {
-			h.ctx.ReleaseWorkers(degree)
-		}
-		close(h.results)
 	}()
 	return nil
 }
@@ -396,7 +363,8 @@ func ColRefs(idx ...int) []expr.Expr {
 }
 
 // graceJoin partitions both sides by key hash into fanout spill partitions
-// and joins each pair in memory.
+// and joins each pair in memory. Every file belongs to h.spills, so a failed
+// or abandoned join leaves its cleanup to Close.
 func (h *HashJoin) graceJoin(buildSpill *spillWriter, bloom *Bloom) error {
 	const fanout = DefaultGraceFanout
 	buildReader, err := buildSpill.finish()
@@ -406,17 +374,16 @@ func (h *HashJoin) graceJoin(buildSpill *spillWriter, bloom *Bloom) error {
 	buildParts := make([]*spillWriter, fanout)
 	probeParts := make([]*spillWriter, fanout)
 	for i := range buildParts {
-		if buildParts[i], err = newSpillWriter(h.ctx, "join-bpart-*"); err != nil {
+		if buildParts[i], err = h.spills.newWriter(h.ctx, "join-bpart-*"); err != nil {
 			return err
 		}
-		if probeParts[i], err = newSpillWriter(h.ctx, "join-ppart-*"); err != nil {
+		if probeParts[i], err = h.spills.newWriter(h.ctx, "join-ppart-*"); err != nil {
 			return err
 		}
 	}
 	for {
 		r, ok, err := buildReader.next()
 		if err != nil {
-			buildReader.close()
 			return err
 		}
 		if !ok {
@@ -424,12 +391,9 @@ func (h *HashJoin) graceJoin(buildSpill *spillWriter, bloom *Bloom) error {
 		}
 		hk, err := HashKeys(h.BuildKeys, r)
 		if err != nil {
-			buildReader.close()
 			return err
 		}
-		p := hk % uint64(fanout)
-		if err := buildParts[p].write(r); err != nil {
-			buildReader.close()
+		if err := buildParts[hk%uint64(fanout)].write(r); err != nil {
 			return err
 		}
 	}
@@ -459,22 +423,15 @@ func (h *HashJoin) graceJoin(buildSpill *spillWriter, bloom *Bloom) error {
 	go func() {
 		defer close(h.results)
 		em := &joinEmitter{h: h, size: h.ctx.batchRows()}
-		fail := func(err error) {
-			if err != errJoinStopped {
-				select {
-				case h.errCh <- err:
-				case <-h.stop:
-				}
-			}
+		var err error
+		for p := 0; p < fanout && err == nil; p++ {
+			err = h.joinPartition(buildParts[p], probeParts[p], em)
 		}
-		for p := 0; p < fanout; p++ {
-			if err := h.joinPartition(buildParts[p], probeParts[p], em); err != nil {
-				fail(err)
-				return
-			}
+		if err == nil {
+			err = em.flush()
 		}
-		if err := em.flush(); err != nil {
-			fail(err)
+		if err != nil && err != errJoinStopped {
+			h.errCh <- err
 		}
 	}()
 	return nil
@@ -489,7 +446,6 @@ func (h *HashJoin) joinPartition(bw, pw *spillWriter, em *joinEmitter) error {
 	for {
 		r, ok, err := br.next()
 		if err != nil {
-			br.close()
 			return err
 		}
 		if !ok {
@@ -497,7 +453,6 @@ func (h *HashJoin) joinPartition(bw, pw *spillWriter, em *joinEmitter) error {
 		}
 		hk, err := HashKeys(h.BuildKeys, r)
 		if err != nil {
-			br.close()
 			return err
 		}
 		table[hk] = append(table[hk], r)
@@ -562,6 +517,7 @@ func (h *HashJoin) Close() error {
 	if h.stopOnce != nil {
 		h.stopOnce.Do(func() { close(h.stop) })
 	}
+	h.spills.discardAll()
 	err1 := h.Probe.Close()
 	err2 := h.Build.Close()
 	if err1 != nil {

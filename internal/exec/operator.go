@@ -207,6 +207,15 @@ func (c *Ctx) wireBatchRows() int {
 	return c.BatchRows
 }
 
+// memShare is one of degree workers' share of the MemRows budget: at least
+// one row, or 0 when the budget is unlimited. nil-safe.
+func (c *Ctx) memShare(degree int) int {
+	if c == nil || c.MemRows <= 0 {
+		return 0
+	}
+	return max(c.MemRows/degree, 1)
+}
+
 // DefaultGraceFanout is the grace hash join's spill partition count.
 const DefaultGraceFanout = 16
 

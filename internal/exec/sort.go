@@ -3,7 +3,6 @@ package exec
 import (
 	"container/heap"
 	"sort"
-	"sync"
 
 	"repro/internal/obs"
 	"repro/internal/types"
@@ -29,26 +28,27 @@ func compareByKeys(a, b types.Row, keys []SortKey) int {
 	return 0
 }
 
-// Sort is an external merge sort: it buffers up to MemRows rows, writes
-// sorted runs to spill files, and merges them with a loser-tree-free k-way
-// heap merge. This is the leaf-level phase of the paper's distributed
-// n-way merge sort; the tree topology's upper levels use MergeReceive.
+// Sort is an external merge sort: each granted worker buffers its share of
+// the input up to its share of MemRows rows, writes sorted runs to spill
+// files, and the runs are merged with a loser-tree-free k-way heap merge.
+// This is the leaf-level phase of the paper's distributed n-way merge sort;
+// the tree topology's upper levels use MergeReceive.
 type Sort struct {
 	In   Operator
 	Keys []SortKey
-	// Parallel is the desired run-generation parallelism. Values above 1
-	// make prepare acquire extra workers from the Ctx budget and generate
-	// sorted runs concurrently; 0/1 keep the serial sort. The parallel
-	// order equals the serial order except that rows with fully equal sort
-	// keys may tie-break differently (run assignment is nondeterministic).
+	// Parallel is the desired run-generation parallelism: prepare asks the
+	// Ctx budget for that many workers and generates runs with however many
+	// it is granted. The order does not depend on the degree, except that
+	// rows with fully equal sort keys may tie-break differently (which
+	// worker a slab goes to is nondeterministic).
 	Parallel int
 	// Trace, when non-nil, records the granted worker count.
-	Trace *obs.Span
-	ctx   *Ctx
+	Trace  *obs.Span
+	ctx    *Ctx
+	spills spillSet
 
-	mem      []types.Row
-	runs     []*spillReader
-	merged   *mergeHeap
+	mem      []types.Row // the sorted result, when one resident run is all of it
+	merged   *mergeHeap  // otherwise: the k-way merge over every run
 	prepared bool
 	pos      int
 	slab     []types.Row
@@ -64,77 +64,109 @@ func (s *Sort) Schema() types.Schema { return s.In.Schema() }
 
 // Open implements Operator.
 func (s *Sort) Open() error {
-	s.mem, s.runs, s.merged, s.prepared, s.pos = nil, nil, nil, false, 0
+	s.mem, s.merged, s.prepared, s.pos = nil, nil, false, 0
 	return s.In.Open()
 }
 
-func (s *Sort) sortMem() {
-	sort.SliceStable(s.mem, func(i, j int) bool {
-		return compareByKeys(s.mem[i], s.mem[j], s.Keys) < 0
+// sortWorker is one run-generation worker's state: the rows it holds and
+// the runs it has sealed on disk. No worker touches another's.
+type sortWorker struct {
+	s    *Sort
+	mem  []types.Row
+	runs []*spillReader
+}
+
+func (w *sortWorker) sortMem() {
+	sort.SliceStable(w.mem, func(i, j int) bool {
+		return compareByKeys(w.mem[i], w.mem[j], w.s.Keys) < 0
 	})
 }
 
-func (s *Sort) spillRun() error {
-	s.sortMem()
-	w, err := newSpillWriter(s.ctx, "sort-run-*")
+// spill sorts the resident rows and seals them as one more run on disk.
+func (w *sortWorker) spill() error {
+	w.sortMem()
+	sp, err := w.s.spills.newWriter(w.s.ctx, "sort-run-*")
 	if err != nil {
 		return err
 	}
-	for _, r := range s.mem {
-		if err := w.write(r); err != nil {
-			w.abort()
+	for _, r := range w.mem {
+		if err := sp.write(r); err != nil {
 			return err
 		}
 	}
-	rd, err := w.finish()
+	rd, err := sp.finish()
 	if err != nil {
 		return err
 	}
-	s.runs = append(s.runs, rd)
-	s.mem = s.mem[:0]
+	w.runs = append(w.runs, rd)
+	w.mem = w.mem[:0]
 	return nil
 }
 
 func (s *Sort) prepare() error {
-	degree := 1
-	if s.Parallel > 1 {
-		degree = s.ctx.AcquireWorkers(s.Parallel)
-		defer s.ctx.ReleaseWorkers(degree)
+	degree := s.ctx.AcquireWorkers(s.Parallel)
+	defer s.ctx.ReleaseWorkers(degree)
+	s.Trace.AddWorkers(int64(degree))
+	budget := s.ctx.memShare(degree)
+	workers := make([]*sortWorker, degree)
+	for w := range workers {
+		workers[w] = &sortWorker{s: s}
 	}
-	if degree > 1 {
-		return s.prepareParallel(degree)
-	}
-	if err := drain(s.ctx, s.In, func(b []types.Row) error {
-		for _, r := range b {
-			if s.ctx != nil {
-				s.ctx.RowsProcessed.Add(1)
-				s.ctx.addState(int64(types.RowEncodedSize(r)))
-			}
-			s.mem = append(s.mem, r)
-			if s.ctx != nil && s.ctx.MemRows > 0 && len(s.mem) >= s.ctx.MemRows {
-				if err := s.spillRun(); err != nil {
+	if err := fanOut(s.ctx, s.In, degree, func(w int, slab []types.Row) error {
+		sw := workers[w]
+		state := int64(0)
+		for _, r := range slab {
+			state += int64(types.RowEncodedSize(r))
+			sw.mem = append(sw.mem, r)
+			if budget > 0 && len(sw.mem) >= budget {
+				if err := sw.spill(); err != nil {
 					return err
 				}
 			}
 		}
+		s.ctx.addState(state)
+		return nil
+	}, func(w int) error {
+		workers[w].sortMem()
 		return nil
 	}); err != nil {
 		return err
 	}
-	s.sortMem()
-	if len(s.runs) > 0 {
-		// The final resident batch becomes one more run of the k-way merge;
-		// a pure in-memory sort is served straight out of s.mem.
-		s.merged = &mergeHeap{keys: s.Keys}
-		for _, run := range s.runs {
-			if err := s.merged.add(run); err != nil {
-				return err
-			}
+
+	// How the result is served follows from what was produced, not from the
+	// degree: a lone resident run is already the answer and is windowed
+	// straight out of memory; anything more goes through the k-way merge.
+	var spilled []*spillReader
+	var resident [][]types.Row
+	for _, sw := range workers {
+		spilled = append(spilled, sw.runs...)
+		if len(sw.mem) > 0 {
+			resident = append(resident, sw.mem)
 		}
-		if err := s.merged.add(&memRun{rows: s.mem}); err != nil {
+	}
+	if len(spilled) == 0 && len(resident) <= 1 {
+		if len(resident) == 1 {
+			s.mem = resident[0]
+		}
+		s.prepared = true
+		return nil
+	}
+	s.merged = &mergeHeap{keys: s.Keys}
+	for _, rd := range spilled {
+		// Read-ahead is the one thing the grant decides here: with no second
+		// thread granted, the merge decodes its spilled runs itself.
+		var run runSource = rd
+		if degree > 1 {
+			run = newPrefetchRun(rd, s.ctx.batchRows())
+		}
+		if err := s.merged.add(run); err != nil {
 			return err
 		}
-		s.mem = nil
+	}
+	for _, rows := range resident {
+		if err := s.merged.add(&memRun{rows: rows}); err != nil {
+			return err
+		}
 	}
 	s.prepared = true
 	return nil
@@ -172,6 +204,7 @@ func (s *Sort) Close() error {
 		}
 		s.merged = nil
 	}
+	s.spills.discardAll()
 	return s.In.Close()
 }
 
@@ -324,128 +357,6 @@ func (p *prefetchRun) close() {
 		for range ch {
 		}
 	}(p.batches)
-}
-
-// sortWorker is one parallel run-generation worker's state.
-type sortWorker struct {
-	runs []*spillReader
-	mem  []types.Row
-}
-
-// prepareParallel generates sorted runs with degree workers: the input is
-// fanned out slab-at-a-time, each worker accumulates its share, spills one
-// sorted run whenever its share of the memory budget fills, and sorts its
-// final resident batch in memory. All runs — spilled ones behind prefetching
-// decoders, resident batches directly — feed the same k-way heap merge the
-// serial path uses.
-func (s *Sort) prepareParallel(degree int) error {
-	localBudget := 0
-	if s.ctx != nil && s.ctx.MemRows > 0 {
-		localBudget = s.ctx.MemRows / degree
-		if localBudget < 1 {
-			localBudget = 1
-		}
-	}
-	workers := make([]*sortWorker, degree)
-	batches := make(chan []types.Row, degree)
-	stop := make(chan struct{})
-	var stopOnce sync.Once
-	halt := func() { stopOnce.Do(func() { close(stop) }) }
-	errCh := make(chan error, degree)
-	var wg sync.WaitGroup
-	for w := 0; w < degree; w++ {
-		sw := &sortWorker{}
-		workers[w] = sw
-		wg.Add(1)
-		go func(sw *sortWorker) {
-			defer wg.Done()
-			sortLocal := func() {
-				sort.SliceStable(sw.mem, func(i, j int) bool {
-					return compareByKeys(sw.mem[i], sw.mem[j], s.Keys) < 0
-				})
-			}
-			spillLocal := func() error {
-				sortLocal()
-				sp, err := newSpillWriter(s.ctx, "sort-run-*")
-				if err != nil {
-					return err
-				}
-				for _, r := range sw.mem {
-					if err := sp.write(r); err != nil {
-						sp.abort()
-						return err
-					}
-				}
-				rd, err := sp.finish()
-				if err != nil {
-					return err
-				}
-				sw.runs = append(sw.runs, rd)
-				sw.mem = sw.mem[:0]
-				return nil
-			}
-			for {
-				select {
-				case <-stop:
-					return
-				case batch, ok := <-batches:
-					if !ok {
-						sortLocal()
-						return
-					}
-					for _, r := range batch {
-						if s.ctx != nil {
-							s.ctx.RowsProcessed.Add(1)
-							s.ctx.addState(int64(types.RowEncodedSize(r)))
-						}
-						sw.mem = append(sw.mem, r)
-						if localBudget > 0 && len(sw.mem) >= localBudget {
-							if err := spillLocal(); err != nil {
-								errCh <- err
-								halt()
-								return
-							}
-						}
-					}
-				}
-			}
-		}(sw)
-	}
-	feedErr := feedRowBatches(s.ctx, s.In, batches, stop)
-	close(batches)
-	wg.Wait()
-	var firstErr error
-	select {
-	case firstErr = <-errCh:
-	default:
-		firstErr = feedErr
-	}
-	if firstErr != nil {
-		for _, sw := range workers {
-			for _, rd := range sw.runs {
-				rd.close()
-			}
-		}
-		return firstErr
-	}
-	s.mem = nil
-	s.merged = &mergeHeap{keys: s.Keys}
-	slab := s.ctx.batchRows()
-	for _, sw := range workers {
-		for _, rd := range sw.runs {
-			if err := s.merged.add(newPrefetchRun(rd, slab)); err != nil {
-				return err
-			}
-		}
-		if len(sw.mem) > 0 {
-			if err := s.merged.add(&memRun{rows: sw.mem}); err != nil {
-				return err
-			}
-		}
-	}
-	s.Trace.AddWorkers(int64(degree))
-	s.prepared = true
-	return nil
 }
 
 // TopK keeps the best k rows by the sort keys using a bounded heap — the

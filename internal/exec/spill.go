@@ -6,14 +6,61 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sync"
 
 	"repro/internal/types"
 )
 
+// spillFile is one temp file, shared by the writer that fills it and the
+// reader that drains it. discard closes and unlinks it exactly once, so the
+// side that is done with it and the spillSet that owns it may both call.
+type spillFile struct {
+	f    *os.File
+	once sync.Once
+}
+
+func (s *spillFile) discard() {
+	s.once.Do(func() {
+		s.f.Close()
+		os.Remove(s.f.Name())
+	})
+}
+
+// spillSet owns the spill files of one blocking operator: the operator
+// opens every writer through it and empties it in Close. An input error, a
+// failed merge pass, a kill or a consumer that closes early therefore needs
+// no cleanup of its own — whatever was not discarded on the way (a drained
+// run, a finished pass) is discarded there.
+type spillSet struct {
+	mu    sync.Mutex // build workers and mergers open writers concurrently
+	files []*spillFile
+}
+
+func (s *spillSet) newWriter(ctx *Ctx, pattern string) (*spillWriter, error) {
+	w, err := newSpillWriter(ctx, pattern)
+	if err != nil {
+		return nil, err
+	}
+	s.mu.Lock()
+	s.files = append(s.files, w.file)
+	s.mu.Unlock()
+	return w, nil
+}
+
+func (s *spillSet) discardAll() {
+	s.mu.Lock()
+	files := s.files
+	s.files = nil
+	s.mu.Unlock()
+	for _, f := range files {
+		f.discard()
+	}
+}
+
 // spillWriter streams rows to a temp file (length-prefixed encoded rows).
 type spillWriter struct {
 	ctx   *Ctx
-	f     *os.File
+	file  *spillFile
 	w     *bufio.Writer
 	bytes int64
 	rows  int64
@@ -27,7 +74,7 @@ func newSpillWriter(ctx *Ctx, pattern string) (*spillWriter, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &spillWriter{ctx: ctx, f: f, w: bufio.NewWriterSize(f, 1<<16)}, nil
+	return &spillWriter{ctx: ctx, file: &spillFile{f: f}, w: bufio.NewWriterSize(f, 1<<16)}, nil
 }
 
 func (s *spillWriter) write(r types.Row) error {
@@ -52,23 +99,19 @@ func (s *spillWriter) finish() (*spillReader, error) {
 	if err := s.w.Flush(); err != nil {
 		return nil, err
 	}
-	if _, err := s.f.Seek(0, io.SeekStart); err != nil {
+	if _, err := s.file.f.Seek(0, io.SeekStart); err != nil {
 		return nil, err
 	}
-	return &spillReader{f: s.f, r: bufio.NewReaderSize(s.f, 1<<16)}, nil
+	return &spillReader{file: s.file, r: bufio.NewReaderSize(s.file.f, 1<<16)}, nil
 }
 
 // abort discards the spill file.
-func (s *spillWriter) abort() {
-	name := s.f.Name()
-	s.f.Close()
-	os.Remove(name)
-}
+func (s *spillWriter) abort() { s.file.discard() }
 
 // spillReader streams rows back from a spill file.
 type spillReader struct {
-	f *os.File
-	r *bufio.Reader
+	file *spillFile
+	r    *bufio.Reader
 }
 
 func (s *spillReader) next() (types.Row, bool, error) {
@@ -107,8 +150,4 @@ func (s *spillReader) nextBatch(n int) ([]types.Row, bool, error) {
 	return slab, len(slab) > 0, nil
 }
 
-func (s *spillReader) close() {
-	name := s.f.Name()
-	s.f.Close()
-	os.Remove(name)
-}
+func (s *spillReader) close() { s.file.discard() }

@@ -66,24 +66,16 @@ func (r *Runner) dataset() *tpch.Data {
 
 // newCluster builds a loaded cluster for one (system, workers) cell.
 func (r *Runner) newCluster(system string, workers int) (*cluster.Cluster, error) {
-	return r.newClusterCfg(system, workers, perfmodel.ClusterProfile(system), 0)
-}
-
-// newClusterCfg builds a loaded cluster with an explicit execution profile
-// and parallel budget (0 = host-derived), for sweeps that vary execution
-// knobs within one system.
-func (r *Runner) newClusterCfg(label string, workers int, prof cluster.ExecProfile, budget int) (*cluster.Cluster, error) {
-	dir, err := os.MkdirTemp(r.BaseDir, fmt.Sprintf("%s-%d-*", label, workers))
+	dir, err := os.MkdirTemp(r.BaseDir, fmt.Sprintf("%s-%d-*", system, workers))
 	if err != nil {
 		return nil, err
 	}
 	c, err := cluster.New(cluster.Config{
-		NumWorkers:     workers,
-		BaseDir:        dir,
-		PageSize:       16 * 1024,
-		Nmax:           4, // the paper's constant neighbor limit
-		Profile:        prof,
-		ParallelBudget: budget,
+		NumWorkers: workers,
+		BaseDir:    dir,
+		PageSize:   16 * 1024,
+		Nmax:       4, // the paper's constant neighbor limit
+		Profile:    perfmodel.ClusterProfile(system),
 	})
 	if err != nil {
 		return nil, err
