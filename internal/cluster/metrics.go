@@ -34,6 +34,9 @@ type RunMetrics struct {
 	// typed batch decoders vs pages that fell back to boxed DecodeInto.
 	DecodeTypedPages int64
 	DecodeBoxedPages int64
+	// PredRowSets counts page sets whose scan predicate fell back from the
+	// compiled vector kernel to row-by-row evaluation.
+	PredRowSets int64
 	// Spill/materialization volume (blocking shuffles, Grace joins,
 	// external sorts).
 	SpillBytes int64
@@ -94,7 +97,7 @@ func (c *Cluster) runMetered(coord *CoordinatorNode, root plan.Node, traced bool
 
 	type snap struct {
 		rows, spill, state, scanned, pagesRead int64
-		decodeTyped, decodeBoxed               int64
+		decodeTyped, decodeBoxed, predRowSets  int64
 	}
 	before := make([]snap, len(c.Workers))
 	for i, w := range c.Workers {
@@ -107,6 +110,7 @@ func (c *Cluster) runMetered(coord *CoordinatorNode, root plan.Node, traced bool
 			pagesRead:   bs.Hits + bs.Misses, // logical page accesses
 			decodeTyped: w.execCtx.DecodeTypedPages.Load(),
 			decodeBoxed: w.execCtx.DecodeBoxedPages.Load(),
+			predRowSets: w.execCtx.PredRowSets.Load(),
 		}
 	}
 	skippedBefore := c.totalSkipped()
@@ -143,6 +147,7 @@ func (c *Cluster) runMetered(coord *CoordinatorNode, root plan.Node, traced bool
 		m.PagesRead += (bs.Hits + bs.Misses) - before[i].pagesRead
 		m.DecodeTypedPages += w.execCtx.DecodeTypedPages.Load() - before[i].decodeTyped
 		m.DecodeBoxedPages += w.execCtx.DecodeBoxedPages.Load() - before[i].decodeBoxed
+		m.PredRowSets += w.execCtx.PredRowSets.Load() - before[i].predRowSets
 	}
 	m.PagesSkipped = c.totalSkipped() - skippedBefore
 	m.PageBytes = m.PagesRead * int64(c.Cfg.PageSize)

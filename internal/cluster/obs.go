@@ -156,6 +156,13 @@ func registerClusterMetrics(c *Cluster) {
 		}
 		return n
 	})
+	r.RegisterGaugeFunc("exec.pred_row_sets_total", func() int64 {
+		var n int64
+		for _, w := range c.Workers {
+			n += w.execCtx.PredRowSets.Load()
+		}
+		return n
+	})
 	r.RegisterGaugeFunc("exec.spill_bytes_total", func() int64 {
 		var n int64
 		for _, w := range c.Workers {

@@ -1,7 +1,7 @@
 // Package compress provides the two codecs the storage engine uses: an LZ4
 // block-format compressor for pages (chosen in the paper for its fast
-// decompression) and a canonical Huffman coder used to pack string columns
-// in PAX page sets.
+// decompression) and a canonical Huffman coder used to pack the column pages
+// of PAX page sets that have no typed layout (high-cardinality strings).
 //
 // Both are implemented from scratch against the published formats; the LZ4
 // encoder is a greedy single-pass hash-chain matcher, which trades a little
@@ -129,9 +129,16 @@ func appendLenExt(dst []byte, rem int) []byte {
 	return append(dst, byte(rem))
 }
 
-// DecompressLZ4 decodes an LZ4 block into a buffer of exactly dstSize bytes.
+// DecompressLZ4 decodes an LZ4 block into a buffer of exactly dstSize bytes,
+// allocated once. A literal run or match that would pass dstSize is refused
+// at the sequence where it happens, so a corrupt block costs no more memory
+// than a good one.
 func DecompressLZ4(src []byte, dstSize int) ([]byte, error) {
-	dst := make([]byte, 0, dstSize)
+	if dstSize < 0 {
+		return nil, fmt.Errorf("%w: negative size %d", ErrCorrupt, dstSize)
+	}
+	dst := make([]byte, dstSize)
+	d := 0 // bytes of dst decoded so far
 	pos := 0
 	for pos < len(src) {
 		token := src[pos]
@@ -145,10 +152,13 @@ func DecompressLZ4(src []byte, dstSize int) ([]byte, error) {
 				return nil, err
 			}
 		}
-		if pos+litLen > len(src) {
+		if litLen > len(src)-pos {
 			return nil, fmt.Errorf("%w: literal run past end", ErrCorrupt)
 		}
-		dst = append(dst, src[pos:pos+litLen]...)
+		if litLen > dstSize-d {
+			return nil, fmt.Errorf("%w: literal run past %d bytes", ErrCorrupt, dstSize)
+		}
+		d += copy(dst[d:], src[pos:pos+litLen])
 		pos += litLen
 		if pos == len(src) {
 			break // final literals-only sequence
@@ -159,8 +169,8 @@ func DecompressLZ4(src []byte, dstSize int) ([]byte, error) {
 		}
 		offset := int(src[pos]) | int(src[pos+1])<<8
 		pos += 2
-		if offset == 0 || offset > len(dst) {
-			return nil, fmt.Errorf("%w: bad offset %d (have %d)", ErrCorrupt, offset, len(dst))
+		if offset == 0 || offset > d {
+			return nil, fmt.Errorf("%w: bad offset %d (have %d)", ErrCorrupt, offset, d)
 		}
 		matchLen := int(token & 0x0F)
 		if matchLen == 15 {
@@ -171,14 +181,20 @@ func DecompressLZ4(src []byte, dstSize int) ([]byte, error) {
 			}
 		}
 		matchLen += minMatch
-		// Byte-at-a-time copy handles overlapping matches (offset < len).
-		start := len(dst) - offset
-		for i := 0; i < matchLen; i++ {
-			dst = append(dst, dst[start+i])
+		if matchLen > dstSize-d {
+			return nil, fmt.Errorf("%w: match past %d bytes", ErrCorrupt, dstSize)
+		}
+		// A match may overlap its own output (offset < matchLen): it then
+		// repeats the offset bytes before it. Each copy reads only bytes
+		// already written and doubles the span the next one can read, so a
+		// long run of one byte costs a handful of copies, not one per byte.
+		start, end := d-offset, d+matchLen
+		for d < end {
+			d += copy(dst[d:end], dst[start:d])
 		}
 	}
-	if len(dst) != dstSize {
-		return nil, fmt.Errorf("%w: decoded %d bytes, want %d", ErrCorrupt, len(dst), dstSize)
+	if d != dstSize {
+		return nil, fmt.Errorf("%w: decoded %d bytes, want %d", ErrCorrupt, d, dstSize)
 	}
 	return dst, nil
 }

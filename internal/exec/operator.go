@@ -71,6 +71,11 @@ type Counters struct {
 	// boxing tax.
 	DecodeTypedPages atomic.Int64
 	DecodeBoxedPages atomic.Int64
+	// PredRowSets counts page sets whose scan predicate the columnar scan
+	// evaluated row by row through expr.EvalBool — no kernel for its shape,
+	// or a demoted boxed column under it — instead of the compiled vector
+	// kernel. Like the boxed count, nonzero means a silent fallback.
+	PredRowSets atomic.Int64
 }
 
 // Ctx carries per-query execution state shared by the operators of one

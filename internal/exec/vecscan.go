@@ -55,7 +55,8 @@ func (b *vecBatchSender) flush() bool {
 // decoded column-wise by the typed page decoders straight into slab
 // columns while their frames stay pinned — no types.Value is ever boxed on
 // the typed path (pages whose cells mismatch their declared kind fall back
-// to DecodeInto per page, counted in the decode_boxed_pages counter).
+// to DecodeInto per page, counted in the decode_boxed_pages counter; page
+// sets whose predicate had no kernel are counted in PredRowSets).
 //
 // The scan reads only the columns it needs: the ones it emits (cfg.Cols)
 // and the ones its predicate refers to. Storage fetches and pins just those
@@ -143,24 +144,28 @@ func (cs *VecColumnarScan) run() error {
 	stats, err := cs.fr.ScanPageSets(opts, cs.read, degree, func(w int, set page.PageSet, key page.Key, sealed bool) (bool, error) {
 		return decs[w].decodeSet(senders[w], set, key, sealed, opts)
 	})
-	var sent, typed, boxed, evaled int64
+	var sent, typed, boxed, evaled, kernelSets, rowSets int64
 	for i := range senders {
 		senders[i].flush()
 		sent += senders[i].sent
 		typed += decs[i].typedPages
 		boxed += decs[i].boxedPages
 		evaled += decs[i].rowsEval
+		kernelSets += decs[i].kernelSets
+		rowSets += decs[i].rowSets
 	}
 	cs.cfg.Trace.AddScan(stats.RowsRead, stats.PagesRead, stats.PagesSkipped)
 	cs.cfg.Trace.SetCols(len(cs.read), cs.table.Len())
 	cs.cfg.Trace.AddVecBatches(sent)
 	cs.cfg.Trace.AddDecode(typed, boxed)
+	cs.cfg.Trace.AddPred(kernelSets, rowSets)
 	if degree > 1 {
 		cs.cfg.Trace.AddWorkers(int64(degree))
 	}
 	if ctx := cs.cfg.Ctx; ctx != nil && ctx.Counters != nil {
 		ctx.DecodeTypedPages.Add(typed)
 		ctx.DecodeBoxedPages.Add(boxed)
+		ctx.PredRowSets.Add(rowSets)
 		// Rows the decode-time predicate evaluated are filter work, metered
 		// as a Filter above the scan would meter them.
 		ctx.RowsProcessed.Add(evaled)
@@ -192,8 +197,11 @@ type pageSetDecoder struct {
 	sel     []int32
 	scratch types.Row // table-width row the uncompiled predicate reads
 	// typedPages/boxedPages count per-page decode outcomes; rowsEval counts
-	// rows the predicate was evaluated on.
+	// rows the predicate was evaluated on, kernelSets/rowSets the page sets it
+	// was evaluated on by the compiled kernel vs row by row through
+	// expr.EvalBool.
 	typedPages, boxedPages, rowsEval int64
+	kernelSets, rowSets              int64
 }
 
 // decodeSet decodes one pinned page set into the sender's building batch,
@@ -247,10 +255,13 @@ func (d *pageSetDecoder) decodeSet(snd *vecBatchSender, set page.PageSet, key pa
 			return false, err
 		}
 	}
-	if !compiled {
+	if compiled {
+		d.kernelSets++
+	} else {
 		// No kernel for this predicate, or the kernel met a layout it cannot
 		// handle (a page demoted to boxed): evaluate the row expression,
 		// which reads the predicate's columns only.
+		d.rowSets++
 		if d.scratch == nil {
 			d.scratch = make(types.Row, len(d.eval.Cols))
 		}

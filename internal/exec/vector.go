@@ -609,10 +609,11 @@ func numericExprKind(k types.Kind) bool {
 	return k == types.KindInt || k == types.KindFloat || k == types.KindDate
 }
 
-// compileNum compiles an INT/FLOAT expression to a vectorized node, or nil
-// when the shape is unsupported (the caller falls back to row evaluation).
-// DATE operands are deliberately excluded from compiled arithmetic so the
-// date±int promotion rules stay in one place (expr.arith).
+// compileNum compiles an INT/FLOAT/DATE expression to a vectorized node, or
+// nil when the shape is unsupported (the caller falls back to row
+// evaluation). DATE columns and literals compile — comparisons treat DATE as
+// numeric — but DATE operands are deliberately excluded from compiled
+// arithmetic so the date±int promotion rules stay in one place (expr.arith).
 func compileNum(e expr.Expr, sch types.Schema) numNode {
 	switch x := e.(type) {
 	case *expr.Col:
@@ -626,7 +627,7 @@ func compileNum(e expr.Expr, sch types.Schema) numNode {
 		return nil
 	case *expr.Const:
 		switch x.V.K {
-		case types.KindInt:
+		case types.KindInt, types.KindDate:
 			return &numConstNode{iv: x.V.I}
 		case types.KindFloat:
 			return &numConstNode{isFloat: true, fv: x.V.F}
@@ -649,11 +650,55 @@ func compileNum(e expr.Expr, sch types.Schema) numNode {
 	return nil
 }
 
+// nonNullConst reports whether e is a literal other than NULL.
+func nonNullConst(e expr.Expr) bool {
+	c, ok := e.(*expr.Const)
+	return ok && !c.V.IsNull()
+}
+
 // compileBool compiles a predicate to a vectorized node, or nil when
-// unsupported. LIKE, BETWEEN, IN, CASE, functions, and division inside
-// predicates all take the row fallback.
+// unsupported. LIKE, CASE, functions, and division inside predicates all
+// take the row fallback, as do BETWEEN and IN over anything but non-NULL
+// literals.
 func compileBool(e expr.Expr, sch types.Schema) boolNode {
 	switch x := e.(type) {
+	case *expr.Between:
+		// E >= Lo AND E <= Hi, for literal bounds only: Between.Eval is NULL
+		// on a NULL bound where the conjunction can be FALSE, and the two
+		// differ under NOT.
+		if !nonNullConst(x.Lo) || !nonNullConst(x.Hi) {
+			return nil
+		}
+		n := compileBool(&expr.Bin{Op: expr.OpAnd,
+			L: &expr.Bin{Op: expr.OpGe, L: x.E, R: x.Lo},
+			R: &expr.Bin{Op: expr.OpLe, L: x.E, R: x.Hi}}, sch)
+		if n != nil && x.Negate {
+			n = &notNode{e: n}
+		}
+		return n
+	case *expr.InList:
+		// The OR of E = v over the list. A NULL member makes a non-match
+		// unknown and an empty list has no equality to OR: both stay on the
+		// row path.
+		var n boolNode
+		for _, v := range x.Vals {
+			if !nonNullConst(v) {
+				return nil
+			}
+			eq := compileBool(&expr.Bin{Op: expr.OpEq, L: x.E, R: v}, sch)
+			if eq == nil {
+				return nil
+			}
+			if n == nil {
+				n = eq
+			} else {
+				n = &logicNode{l: n, r: eq}
+			}
+		}
+		if n != nil && x.Negate {
+			n = &notNode{e: n}
+		}
+		return n
 	case *expr.Col:
 		if x.Index >= 0 && x.Index < sch.Len() && sch.Cols[x.Index].Kind == types.KindBool {
 			return &boolColNode{idx: x.Index}
@@ -711,8 +756,8 @@ func compileBool(e expr.Expr, sch types.Schema) boolNode {
 // VecFilter evaluates its predicate into the selection vector of the input
 // batch — survivors are recorded as row indices, the column slabs are never
 // copied or compacted. Compiled predicates run typed kernels; unsupported
-// shapes (LIKE, IN, CASE, division, boxed columns) fall back to row
-// evaluation per batch, preserving exact expression semantics.
+// shapes (LIKE, CASE, division, boxed columns) fall back to row evaluation
+// per batch, preserving exact expression semantics.
 type VecFilter struct {
 	vecRowShim
 	ctx     *Ctx

@@ -48,6 +48,8 @@ type Span struct {
 	VecBatches   atomic.Int64 // typed columnar batches this operator shipped (vector path)
 	DecodeTyped  atomic.Int64 // column pages decoded by the typed batch decoders
 	DecodeBoxed  atomic.Int64 // column pages that fell back to boxed DecodeInto
+	PredKernel   atomic.Int64 // page sets whose scan predicate ran through the compiled vector kernel
+	PredRow      atomic.Int64 // page sets whose scan predicate was evaluated row by row (expr.EvalBool)
 	SpillBytes   atomic.Int64
 	StateBytes   atomic.Int64
 	Workers      atomic.Int64 // intra-operator worker threads granted (morsel parallelism)
@@ -178,6 +180,16 @@ func (s *Span) AddDecode(typed, boxed int64) {
 	}
 }
 
+// AddPred records how a columnar scan evaluated its predicate: page sets
+// through the compiled vector kernel vs row by row through the row
+// expression. Nil-safe.
+func (s *Span) AddPred(kernelSets, rowSets int64) {
+	if s != nil {
+		s.PredKernel.Add(kernelSets)
+		s.PredRow.Add(rowSets)
+	}
+}
+
 // AddWorkers records the parallel worker threads an operator was granted
 // from the node budget. Nil-safe.
 func (s *Span) AddWorkers(n int64) {
@@ -205,6 +217,8 @@ type SpanSnapshot struct {
 	VecBatches   int64  `json:"vec_batches,omitempty"`
 	DecodeTyped  int64  `json:"decode_typed,omitempty"`
 	DecodeBoxed  int64  `json:"decode_boxed,omitempty"`
+	PredKernel   int64  `json:"pred_kernel_sets,omitempty"`
+	PredRow      int64  `json:"pred_row_sets,omitempty"`
 	SpillBytes   int64  `json:"spill_bytes,omitempty"`
 	StateBytes   int64  `json:"state_bytes,omitempty"`
 	Workers      int64  `json:"workers,omitempty"`
@@ -230,6 +244,8 @@ func (s *Span) snapshot() SpanSnapshot {
 		VecBatches:   s.VecBatches.Load(),
 		DecodeTyped:  s.DecodeTyped.Load(),
 		DecodeBoxed:  s.DecodeBoxed.Load(),
+		PredKernel:   s.PredKernel.Load(),
+		PredRow:      s.PredRow.Load(),
 		SpillBytes:   s.SpillBytes.Load(),
 		StateBytes:   s.StateBytes.Load(),
 		Workers:      s.Workers.Load(),
@@ -374,6 +390,12 @@ func (s SpanSnapshot) line() string {
 	}
 	if s.DecodeTyped > 0 || s.DecodeBoxed > 0 {
 		fmt.Fprintf(&sb, " decode=%dT/%dB", s.DecodeTyped, s.DecodeBoxed)
+	}
+	switch {
+	case s.PredRow > 0:
+		fmt.Fprintf(&sb, " pred=row(%d sets)", s.PredRow)
+	case s.PredKernel > 0:
+		sb.WriteString(" pred=kernel")
 	}
 	if s.SpillBytes > 0 {
 		fmt.Fprintf(&sb, " spill=%dB", s.SpillBytes)

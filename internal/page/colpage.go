@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"repro/internal/compress"
 	"repro/internal/types"
 )
 
@@ -13,17 +12,32 @@ import (
 // holding the same number of values, so row k of the set is reconstructed by
 // reading value k from each page (Section III, "Row and Column Storage").
 //
-// Values are appended as their standard binary encoding. String pages can be
-// packed with Huffman coding when sealed; the flag byte after the header
-// records whether the payload is Huffman-packed.
+// Values are appended as their standard binary encoding (the tagged
+// stream). Seal rewrites a full page into the smallest of three layouts and
+// records the choice in the flags byte after the common header: a page whose
+// non-NULL cells share one kind becomes fixed-width or dictionary-coded
+// (layout.go) when that is smaller than the tagged stream; any other page —
+// high-cardinality strings, mixed kinds, all NULL — stays tagged and is
+// Huffman-packed when that shrinks it. Every reader dispatches on the flags
+// byte, so a page written before the typed layouts existed (layout bits
+// zero) reads back unchanged.
 type ColumnPage struct {
 	Buf []byte
 }
 
 const (
-	colOffFlags   = headerSize     // 1 byte: bit0 = huffman packed
+	colOffFlags   = headerSize     // 1 byte: bit 0 = Huffman-packed (tagged layout only), bits 1–2 = layout
 	colOffPayLen  = headerSize + 1 // uint32 payload byte length
 	colHeaderSize = headerSize + 5
+)
+
+// Column-page layouts, bits 1–2 of the flags byte.
+const (
+	layoutTagged = 0 // types.AppendValue cells back to back
+	layoutFixed  = 1 // frame-of-reference fixed width (layout.go)
+	layoutDict   = 2 // page dictionary + one-byte codes (layout.go)
+
+	flagPacked = 1 // bit 0: the tagged stream is Huffman-packed
 )
 
 // InitColumnPage formats buf as an empty column page.
@@ -55,7 +69,9 @@ func (p ColumnPage) setPayloadLen(n int) {
 	binary.LittleEndian.PutUint32(p.Buf[colOffPayLen:], uint32(n))
 }
 
-func (p ColumnPage) packed() bool { return p.Buf[colOffFlags]&1 != 0 }
+// sealed reports whether Seal rewrote the page (any layout or packing):
+// sealed pages are read-only.
+func (p ColumnPage) sealed() bool { return p.Buf[colOffFlags] != 0 }
 
 // FreeSpace returns the bytes available for appending values.
 func (p ColumnPage) FreeSpace() int {
@@ -64,7 +80,7 @@ func (p ColumnPage) FreeSpace() int {
 
 // Append adds a value. Returns false if the page is full or sealed.
 func (p ColumnPage) Append(v types.Value) bool {
-	if p.packed() {
+	if p.sealed() {
 		return false
 	}
 	sz := types.EncodedSize(v)
@@ -80,37 +96,35 @@ func (p ColumnPage) Append(v types.Value) bool {
 
 // Values decodes every value on the page.
 func (p ColumnPage) Values() ([]types.Value, error) {
-	payload, err := p.payload()
+	var vals []types.Value
+	err := p.DecodeInto(func(v types.Value) bool {
+		vals = append(vals, v)
+		return true
+	})
 	if err != nil {
 		return nil, err
-	}
-	n := p.NumValues()
-	vals := make([]types.Value, 0, n)
-	pos := 0
-	for i := 0; i < n; i++ {
-		v, m, err := types.DecodeValue(payload[pos:])
-		if err != nil {
-			return nil, fmt.Errorf("page: column value %d: %w", i, err)
-		}
-		vals = append(vals, v)
-		pos += m
 	}
 	return vals, nil
 }
 
 // DecodeInto streams every value on the page through fn without building
-// an intermediate slice — the vectorized scan path appends payloads
-// straight into typed column slabs. Decoding stops early when fn returns
-// false.
+// an intermediate slice — the boxed fallback of the vectorized scan appends
+// them into column slabs. Decoding stops early when fn returns false.
 func (p ColumnPage) DecodeInto(fn func(types.Value) bool) error {
-	payload, err := p.payload()
+	layout, pay, err := p.body()
 	if err != nil {
 		return err
 	}
 	n := p.NumValues()
+	switch layout {
+	case layoutFixed:
+		return fixedBoxed(pay, n, fn)
+	case layoutDict:
+		return dictBoxed(pay, n, fn)
+	}
 	pos := 0
 	for i := 0; i < n; i++ {
-		v, m, err := types.DecodeValue(payload[pos:])
+		v, m, err := types.DecodeValue(pay[pos:])
 		if err != nil {
 			return fmt.Errorf("page: column value %d: %w", i, err)
 		}
@@ -122,21 +136,13 @@ func (p ColumnPage) DecodeInto(fn func(types.Value) bool) error {
 	return nil
 }
 
-// Seal Huffman-packs the payload in place if that shrinks it. Sealed pages
-// are read-only. Reports whether packing was applied.
+// Seal rewrites the page in place into its smallest layout (see the type
+// comment; the choice is a function of the page's values alone) and zeroes
+// the bytes that frees. Sealed pages are read-only. Reports whether the page
+// was rewritten: false leaves it tagged, unpacked and appendable.
 func (p ColumnPage) Seal() bool {
-	if p.packed() || p.NumValues() == 0 {
-		return false
-	}
-	payload := p.Buf[colHeaderSize : colHeaderSize+p.payloadLen()]
-	packedPayload := compress.CompressHuffman(payload)
-	if len(packedPayload) >= len(payload) {
-		return false
-	}
-	copy(p.Buf[colHeaderSize:], packedPayload)
-	p.setPayloadLen(len(packedPayload))
-	p.Buf[colOffFlags] |= 1
-	return true
+	var s sealer
+	return s.seal(p)
 }
 
 // PageSet groups n in-memory column pages that are filled together so every
@@ -209,7 +215,8 @@ func (ps PageSet) Rows() ([]types.Row, error) {
 
 // Seal seals every page in the set.
 func (ps PageSet) Seal() {
+	var s sealer // one scratch for the whole set
 	for _, p := range ps.Pages {
-		p.Seal()
+		s.seal(p)
 	}
 }

@@ -11,12 +11,16 @@ import (
 	"repro/internal/vec"
 )
 
-// Typed batch decode: these decoders walk a column page's binary payload
-// once and append straight into vec slabs — no types.Value boxing, no
-// per-cell closure. They are strict about kinds: a cell whose tag is not
-// the expected kind (or NULL) returns ErrKindMismatch with the destination
-// rolled back, and the caller reruns the page through the boxed DecodeInto
-// path, which preserves the mixed-kind demotion semantics of Col.Append.
+// Typed batch decode: these decoders append a column page's cells straight
+// into vec slabs — no types.Value boxing, no per-cell closure. Each dispatches
+// on the page's layout: a fixed or dict page goes to the position-addressed
+// readers in layout.go; a tagged page (the appended stream of an open set, or
+// a sealed page with no typed layout, Huffman-unpacked first) is walked once
+// here, cell by cell. They are strict about kinds: a cell — or a typed page —
+// whose kind is not the expected one (or NULL) returns ErrKindMismatch with
+// the destination rolled back, and the caller reruns the page through the
+// boxed DecodeInto path, which preserves the mixed-kind demotion semantics of
+// Col.Append.
 //
 // All decoders validate the payload length against the page buffer and
 // every cell against the payload before reading, so a corrupted page
@@ -29,26 +33,35 @@ import (
 // boxed DecodeInto path.
 var ErrKindMismatch = errors.New("page: value kind does not match typed decoder")
 
-// payload returns the page's value payload with the declared byte length
-// validated against the buffer, Huffman-unpacked when the page is sealed
-// packed.
-func (p ColumnPage) payload() ([]byte, error) {
+// body returns the page's layout and its stored payload, with the flags
+// byte and the declared byte length validated against the buffer. A tagged
+// payload is Huffman-unpacked when the page is sealed packed, so tagged
+// readers always see the plain cell stream.
+func (p ColumnPage) body() (layout int, pay []byte, err error) {
 	if len(p.Buf) < colHeaderSize {
-		return nil, fmt.Errorf("page: column page shorter than header (%d bytes)", len(p.Buf))
+		return 0, nil, fmt.Errorf("page: column page shorter than header (%d bytes)", len(p.Buf))
 	}
 	n := p.payloadLen()
 	if n < 0 || n > len(p.Buf)-colHeaderSize {
-		return nil, fmt.Errorf("page: column payload length %d exceeds page size %d", n, len(p.Buf))
+		return 0, nil, fmt.Errorf("page: column payload length %d exceeds page size %d", n, len(p.Buf))
 	}
-	pay := p.Buf[colHeaderSize : colHeaderSize+n]
-	if p.packed() {
+	pay = p.Buf[colHeaderSize : colHeaderSize+n]
+	switch flags := p.Buf[colOffFlags]; flags {
+	case layoutTagged << 1:
+		return layoutTagged, pay, nil
+	case layoutTagged<<1 | flagPacked:
 		raw, err := compress.DecompressHuffman(pay)
 		if err != nil {
-			return nil, fmt.Errorf("page: unpack column page: %w", err)
+			return 0, nil, fmt.Errorf("page: unpack column page: %w", err)
 		}
-		pay = raw
+		return layoutTagged, raw, nil
+	case layoutFixed << 1:
+		return layoutFixed, pay, nil
+	case layoutDict << 1:
+		return layoutDict, pay, nil
+	default:
+		return 0, nil, fmt.Errorf("page: unknown column page flags %#x", flags)
 	}
-	return pay, nil
 }
 
 // DecodeInt64s appends every value of a fixed-width integer column page
@@ -57,12 +70,15 @@ func (p ColumnPage) payload() ([]byte, error) {
 // slab offsets. Returns the grown slab. On any error, dst and nulls are
 // rolled back to their input state.
 func (p ColumnPage) DecodeInt64s(kind types.Kind, dst []int64, nulls *vec.Bitmap) ([]int64, error) {
-	pay, err := p.payload()
+	layout, pay, err := p.body()
 	if err != nil {
 		return dst, err
 	}
 	base := len(dst)
 	n := p.NumValues()
+	if layout != layoutTagged {
+		return typedInt64s(layout, pay, n, kind, dst, nulls, nil)
+	}
 	pos := 0
 	for i := 0; i < n; i++ {
 		if pos >= len(pay) {
@@ -102,12 +118,15 @@ func (p ColumnPage) DecodeInt64s(kind types.Kind, dst []int64, nulls *vec.Bitmap
 // marking NULLs (which hold 0) in nulls. On any error, dst and nulls are
 // rolled back to their input state.
 func (p ColumnPage) DecodeFloat64s(dst []float64, nulls *vec.Bitmap) ([]float64, error) {
-	pay, err := p.payload()
+	layout, pay, err := p.body()
 	if err != nil {
 		return dst, err
 	}
 	base := len(dst)
 	n := p.NumValues()
+	if layout != layoutTagged {
+		return typedFloat64s(layout, pay, n, dst, nulls, nil)
+	}
 	pos := 0
 	for i := 0; i < n; i++ {
 		if pos >= len(pay) {
@@ -136,17 +155,19 @@ func (p ColumnPage) DecodeFloat64s(dst []float64, nulls *vec.Bitmap) ([]float64,
 }
 
 // DecodeStrings appends every value of a STRING column page to dst as
-// codes interned into dict (Huffman-packed payloads are unpacked first),
-// marking NULLs (which hold code 0) in nulls. On any error, dst and nulls
-// are rolled back; strings interned before the error stay in dict, which
-// is harmless (dictionaries are append-only).
+// codes interned into dict, marking NULLs (which hold code 0) in nulls. On
+// any error, dst and nulls are rolled back; strings interned before the
+// error stay in dict, which is harmless (dictionaries are append-only).
 func (p ColumnPage) DecodeStrings(dict *vec.Dict, dst []int32, nulls *vec.Bitmap) ([]int32, error) {
-	pay, err := p.payload()
+	layout, pay, err := p.body()
 	if err != nil {
 		return dst, err
 	}
 	base := len(dst)
 	n := p.NumValues()
+	if layout != layoutTagged {
+		return typedStrings(layout, pay, n, dict, dst, nulls, nil)
+	}
 	pos := 0
 	for i := 0; i < n; i++ {
 		if pos >= len(pay) {
@@ -181,20 +202,24 @@ func (p ColumnPage) DecodeStrings(dict *vec.Dict, dst []int32, nulls *vec.Bitmap
 }
 
 // DecodeInt64sSel is DecodeInt64s restricted to the ascending page-relative
-// positions in sel: only selected cells append to dst, and decoding stops
-// as soon as sel is exhausted (late materialization — the tail of the page
-// is never touched). sel positions beyond the page's value count are an
-// error.
+// positions in sel: only selected cells append to dst (late
+// materialization). A fixed or dict page reads just those cells; the tagged
+// walk parses every cell up to the last selected one and stops there, so the
+// tail of the page is never touched. sel positions beyond the page's value
+// count are an error.
 func (p ColumnPage) DecodeInt64sSel(kind types.Kind, dst []int64, nulls *vec.Bitmap, sel []int32) ([]int64, error) {
 	if len(sel) == 0 {
 		return dst, nil
 	}
-	pay, err := p.payload()
+	layout, pay, err := p.body()
 	if err != nil {
 		return dst, err
 	}
 	base := len(dst)
 	n := p.NumValues()
+	if layout != layoutTagged {
+		return typedInt64s(layout, pay, n, kind, dst, nulls, sel)
+	}
 	pos, si := 0, 0
 	for i := 0; i < n && si < len(sel); i++ {
 		if pos >= len(pay) {
@@ -239,7 +264,7 @@ func (p ColumnPage) DecodeInt64sSel(kind types.Kind, dst []int64, nulls *vec.Bit
 	}
 	if si < len(sel) {
 		nulls.Truncate(base)
-		return dst[:base], fmt.Errorf("page: selection position %d beyond page (%d values)", sel[si], n)
+		return dst[:base], errSelBeyond(sel[si], n)
 	}
 	return dst, nil
 }
@@ -250,12 +275,15 @@ func (p ColumnPage) DecodeFloat64sSel(dst []float64, nulls *vec.Bitmap, sel []in
 	if len(sel) == 0 {
 		return dst, nil
 	}
-	pay, err := p.payload()
+	layout, pay, err := p.body()
 	if err != nil {
 		return dst, err
 	}
 	base := len(dst)
 	n := p.NumValues()
+	if layout != layoutTagged {
+		return typedFloat64s(layout, pay, n, dst, nulls, sel)
+	}
 	pos, si := 0, 0
 	for i := 0; i < n && si < len(sel); i++ {
 		if pos >= len(pay) {
@@ -290,7 +318,7 @@ func (p ColumnPage) DecodeFloat64sSel(dst []float64, nulls *vec.Bitmap, sel []in
 	}
 	if si < len(sel) {
 		nulls.Truncate(base)
-		return dst[:base], fmt.Errorf("page: selection position %d beyond page (%d values)", sel[si], n)
+		return dst[:base], errSelBeyond(sel[si], n)
 	}
 	return dst, nil
 }
@@ -298,17 +326,21 @@ func (p ColumnPage) DecodeFloat64sSel(dst []float64, nulls *vec.Bitmap, sel []in
 // DecodeStringsSel is DecodeStrings restricted to the ascending
 // page-relative positions in sel. Unselected strings are skipped without
 // interning — with a selective predicate this is where late
-// materialization pays: the dictionary probe per dropped cell disappears.
+// materialization pays: the dictionary probe per dropped cell disappears
+// (and on a dict page, the probe per selected cell too: one per entry used).
 func (p ColumnPage) DecodeStringsSel(dict *vec.Dict, dst []int32, nulls *vec.Bitmap, sel []int32) ([]int32, error) {
 	if len(sel) == 0 {
 		return dst, nil
 	}
-	pay, err := p.payload()
+	layout, pay, err := p.body()
 	if err != nil {
 		return dst, err
 	}
 	base := len(dst)
 	n := p.NumValues()
+	if layout != layoutTagged {
+		return typedStrings(layout, pay, n, dict, dst, nulls, sel)
+	}
 	pos, si := 0, 0
 	for i := 0; i < n && si < len(sel); i++ {
 		if pos >= len(pay) {
@@ -349,7 +381,7 @@ func (p ColumnPage) DecodeStringsSel(dict *vec.Dict, dst []int32, nulls *vec.Bit
 	}
 	if si < len(sel) {
 		nulls.Truncate(base)
-		return dst[:base], fmt.Errorf("page: selection position %d beyond page (%d values)", sel[si], n)
+		return dst[:base], errSelBeyond(sel[si], n)
 	}
 	return dst, nil
 }

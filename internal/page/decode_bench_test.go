@@ -12,131 +12,113 @@ import (
 // BenchmarkTypedVsBoxedDecode compares the typed batch decoders against
 // the boxed DecodeInto path (each cell boxed into a types.Value and
 // re-packed by Col.Append) on realistic column pages — the exact pair of
-// paths VecColumnarScan chooses between per page.
+// paths VecColumnarScan chooses between per page — per layout: the unsealed
+// tagged stream, and the sealed fixed and dict layouts, each read in full
+// and through a 10 %-selective selection.
 func BenchmarkTypedVsBoxedDecode(b *testing.B) {
 	rng := rand.New(rand.NewSource(42))
 	const pageSize = 32 * 1024
 
-	mkInt := func() (ColumnPage, int) {
+	fill := func(seal bool, wantLayout int, gen func(i int) types.Value) (ColumnPage, int) {
 		p := InitColumnPage(make([]byte, pageSize))
 		n := 0
-		for p.Append(types.NewInt(rng.Int63n(1_000_000))) {
+		for p.Append(gen(n)) {
 			n++
+		}
+		if seal {
+			p.Seal()
+		}
+		if got := int(p.Buf[colOffFlags] >> 1); got != wantLayout {
+			b.Fatalf("page sealed into layout %d, want %d", got, wantLayout)
 		}
 		return p, n
 	}
-	mkFloat := func() (ColumnPage, int) {
-		p := InitColumnPage(make([]byte, pageSize))
-		n := 0
-		for p.Append(types.NewFloat(rng.Float64() * 1e5)) {
-			n++
-		}
-		return p, n
-	}
-	mkStr := func() (ColumnPage, int) {
-		p := InitColumnPage(make([]byte, pageSize))
-		n := 0
-		for p.Append(types.NewString(fmt.Sprintf("STATUS-%02d", n%25))) {
-			n++
-		}
-		p.Seal() // dictionary pages ship Huffman-packed
-		return p, n
-	}
+	genInt := func(int) types.Value { return types.NewInt(5_000_000 + rng.Int63n(50_000)) } // a key range: width 2
+	genFloat := func(int) types.Value { return types.NewFloat(rng.Float64() * 1e5) }
+	genStr := func(i int) types.Value { return types.NewString(fmt.Sprintf("STATUS-%02d", i%25)) }
 
-	intPage, intN := mkInt()
-	floatPage, floatN := mkFloat()
-	strPage, strN := mkStr()
+	type page struct {
+		name string
+		form vec.Form
+		p    ColumnPage
+		n    int
+	}
+	mk := func(name string, form vec.Form, seal bool, layout int, gen func(int) types.Value) page {
+		p, n := fill(seal, layout, gen)
+		return page{name, form, p, n}
+	}
+	pages := []page{
+		mk("int64", vec.FormInt, false, layoutTagged, genInt),
+		mk("int64-fixed", vec.FormInt, true, layoutFixed, genInt),
+		mk("float64", vec.FormFloat, false, layoutTagged, genFloat),
+		mk("float64-fixed", vec.FormFloat, true, layoutFixed, genFloat),
+		mk("string", vec.FormStr, false, layoutTagged, genStr),
+		mk("string-dict", vec.FormStr, true, layoutDict, genStr),
+		mk("float64-dict", vec.FormFloat, true, layoutDict, func(i int) types.Value { return types.NewFloat(float64(i%11) / 100) }),
+	}
 
 	rows := func(b *testing.B, n int) {
 		b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
 	}
-
-	b.Run("int64/typed", func(b *testing.B) {
-		dst := make([]int64, 0, intN)
-		var bm vec.Bitmap
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			dst = dst[:0]
-			bm.Truncate(0)
-			var err error
-			dst, err = intPage.DecodeInt64s(types.KindInt, dst, &bm)
-			if err != nil {
-				b.Fatal(err)
-			}
+	for _, pg := range pages {
+		every10th := make([]int32, 0, pg.n/10+1)
+		for i := 0; i < pg.n; i += 10 {
+			every10th = append(every10th, int32(i))
 		}
-		rows(b, intN)
-	})
-	b.Run("int64/boxed", func(b *testing.B) {
-		col := vec.Col{Kind: types.KindInt, Form: vec.FormInt, I: make([]int64, 0, intN)}
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			col.I = col.I[:0]
-			if err := intPage.DecodeInto(func(v types.Value) bool {
-				col.Append(v)
-				return true
-			}); err != nil {
-				b.Fatal(err)
+		for _, sel := range [][]int32{nil, every10th} {
+			name := pg.name + "/typed"
+			if sel != nil {
+				name = pg.name + "/sel10"
 			}
+			b.Run(name, func(b *testing.B) {
+				i64 := make([]int64, 0, pg.n)
+				f64 := make([]float64, 0, pg.n)
+				codes := make([]int32, 0, pg.n)
+				dict := vec.NewDict()
+				var bm vec.Bitmap
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					var err error
+					switch {
+					case pg.form == vec.FormInt && sel == nil:
+						_, err = pg.p.DecodeInt64s(types.KindInt, i64, &bm)
+					case pg.form == vec.FormInt:
+						_, err = pg.p.DecodeInt64sSel(types.KindInt, i64, &bm, sel)
+					case pg.form == vec.FormFloat && sel == nil:
+						_, err = pg.p.DecodeFloat64s(f64, &bm)
+					case pg.form == vec.FormFloat:
+						_, err = pg.p.DecodeFloat64sSel(f64, &bm, sel)
+					case sel == nil:
+						_, err = pg.p.DecodeStrings(dict, codes, &bm)
+					default:
+						_, err = pg.p.DecodeStringsSel(dict, codes, &bm, sel)
+					}
+					if err != nil {
+						b.Fatal(err)
+					}
+				}
+				rows(b, pg.n)
+			})
 		}
-		rows(b, intN)
-	})
-	b.Run("float64/typed", func(b *testing.B) {
-		dst := make([]float64, 0, floatN)
-		var bm vec.Bitmap
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			dst = dst[:0]
-			bm.Truncate(0)
-			var err error
-			dst, err = floatPage.DecodeFloat64s(dst, &bm)
-			if err != nil {
-				b.Fatal(err)
+		b.Run(pg.name+"/boxed", func(b *testing.B) {
+			col := vec.Col{Kind: types.KindInt, Form: pg.form, Dict: vec.NewDict()}
+			switch pg.form {
+			case vec.FormFloat:
+				col.Kind = types.KindFloat
+			case vec.FormStr:
+				col.Kind = types.KindString
 			}
-		}
-		rows(b, floatN)
-	})
-	b.Run("float64/boxed", func(b *testing.B) {
-		col := vec.Col{Kind: types.KindFloat, Form: vec.FormFloat, F: make([]float64, 0, floatN)}
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			col.F = col.F[:0]
-			if err := floatPage.DecodeInto(func(v types.Value) bool {
-				col.Append(v)
-				return true
-			}); err != nil {
-				b.Fatal(err)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				col.I, col.F, col.Codes = col.I[:0], col.F[:0], col.Codes[:0]
+				if err := pg.p.DecodeInto(func(v types.Value) bool {
+					col.Append(v)
+					return true
+				}); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-		rows(b, floatN)
-	})
-	b.Run("dict-string/typed", func(b *testing.B) {
-		dict := vec.NewDict()
-		dst := make([]int32, 0, strN)
-		var bm vec.Bitmap
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			dst = dst[:0]
-			bm.Truncate(0)
-			var err error
-			dst, err = strPage.DecodeStrings(dict, dst, &bm)
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		rows(b, strN)
-	})
-	b.Run("dict-string/boxed", func(b *testing.B) {
-		col := vec.Col{Kind: types.KindString, Form: vec.FormStr, Dict: vec.NewDict(), Codes: make([]int32, 0, strN)}
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			col.Codes = col.Codes[:0]
-			if err := strPage.DecodeInto(func(v types.Value) bool {
-				col.Append(v)
-				return true
-			}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		rows(b, strN)
-	})
+			rows(b, pg.n)
+		})
+	}
 }

@@ -3,7 +3,10 @@ package page
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/types"
@@ -11,8 +14,7 @@ import (
 )
 
 // buildColPage appends vals into a fresh column page, failing the test if
-// they don't fit. seal attempts Huffman packing (applied only when it
-// shrinks the payload).
+// they don't fit. seal seals it (a no-op unless some layout is smaller).
 func buildColPage(t *testing.T, size int, vals []types.Value, seal bool) ColumnPage {
 	t.Helper()
 	p := InitColumnPage(make([]byte, size))
@@ -122,21 +124,35 @@ func TestDecodeFloat64sParity(t *testing.T) {
 }
 
 func TestDecodeStringsParity(t *testing.T) {
-	for _, sealed := range []bool{false, true} {
-		t.Run(fmt.Sprintf("sealed=%v", sealed), func(t *testing.T) {
-			vals := make([]types.Value, 400)
+	for _, tc := range []struct {
+		name      string
+		seal      bool
+		distinct  int
+		wantFlags byte
+	}{
+		{"sealed=false", false, 4, 0},
+		{"sealed=true", true, 4, layoutDict << 1},
+		// More distinct strings than a page dictionary holds: the page stays
+		// tagged, and being repetitive it Huffman-packs.
+		{"sealed=huffman", true, 300, flagPacked},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			vals := make([]types.Value, 800)
 			for i := range vals {
 				switch {
 				case i%13 == 5:
 					vals[i] = types.Null
 				default:
-					// Low-cardinality, repetitive: Huffman packing shrinks it.
-					vals[i] = types.NewString(fmt.Sprintf("STATUS-%d", i%4))
+					vals[i] = types.NewString(fmt.Sprintf("STATUS-%d", i%tc.distinct))
 				}
 			}
-			p := buildColPage(t, 16384, vals, sealed)
-			if sealed && !p.packed() {
-				t.Fatal("test page did not Huffman-pack; pick more repetitive data")
+			p := buildColPage(t, 16384, vals, false)
+			plain := p.payloadLen()
+			if tc.seal && (!p.Seal() || p.payloadLen() >= plain) {
+				t.Fatalf("test page did not seal smaller (%d → %d bytes); pick more repetitive data", plain, p.payloadLen())
+			}
+			if got := p.Buf[colOffFlags]; got != tc.wantFlags {
+				t.Fatalf("flags %#x, want %#x", got, tc.wantFlags)
 			}
 			want := boxedDecode(t, p)
 			dict := vec.NewDict()
@@ -156,8 +172,8 @@ func TestDecodeStringsParity(t *testing.T) {
 					t.Fatalf("value %d: got %q want %q", i, dict.Str(got[i]), w.S)
 				}
 			}
-			if dict.Len() != 4 {
-				t.Fatalf("dictionary has %d entries, want 4", dict.Len())
+			if dict.Len() != tc.distinct {
+				t.Fatalf("dictionary has %d entries, want %d", dict.Len(), tc.distinct)
 			}
 		})
 	}
@@ -354,68 +370,143 @@ func TestBitmapTruncate(t *testing.T) {
 	}
 }
 
-// FuzzTypedDecode feeds arbitrary bytes to every typed decoder: they must
-// error on corruption — never panic, over-read, or disagree with the boxed
-// DecodeInto path when they do succeed.
+// fuzzReadings is what the eight readers make of an arbitrary buffer, errors
+// included.
+type fuzzReadings struct {
+	Boxed    []boxedBits
+	BoxedErr string
+	Typed    map[string]typedReading
+}
+
+// fuzzRead runs all eight readers over p and fails the test on anything but
+// an error with the destination rolled back, or a result that agrees with
+// the boxed DecodeInto reading.
+func fuzzRead(t *testing.T, p ColumnPage) fuzzReadings {
+	t.Helper()
+	var r fuzzReadings
+	r.Typed = map[string]typedReading{}
+	var boxed []types.Value
+	boxedErr := p.DecodeInto(func(v types.Value) bool {
+		boxed = append(boxed, v)
+		return true
+	})
+	vals, valsErr := p.Values()
+	if (boxedErr == nil) != (valsErr == nil) || (boxedErr == nil && !reflect.DeepEqual(bitsOf(vals), bitsOf(boxed))) {
+		t.Fatalf("Values (%d values, err %v) and DecodeInto (%d values, err %v) disagree", len(vals), valsErr, len(boxed), boxedErr)
+	}
+	if boxedErr != nil {
+		r.BoxedErr = boxedErr.Error()
+	} else {
+		r.Boxed = bitsOf(boxed)
+	}
+	sels := map[string][]int32{"full": nil, "0,2": {0, 2}, "1,3": {1, 3}}
+	if boxedErr == nil {
+		sels["0,n"] = []int32{0, int32(len(boxed))} // one position past the page: must roll back
+	}
+	for _, kind := range []types.Kind{types.KindInt, types.KindDate, types.KindBool, types.KindFloat, types.KindString} {
+		for name, sel := range sels {
+			name = fmt.Sprintf("%v/%s", kind, name)
+			got, err := typedRead(p, kind, sel, sel != nil)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			r.Typed[name] = got
+			if got.Err != "" {
+				continue // corruption, a kind mismatch or a bad position detected: fine
+			}
+			if boxedErr != nil {
+				if sel != nil {
+					continue // a Sel reader stops at its last position; the damage lies past it
+				}
+				t.Fatalf("%s succeeded but DecodeInto failed: %v", name, boxedErr)
+			}
+			if sel == nil {
+				sel = selections(len(boxed))["all"]
+			}
+			if len(got.Nulls)-prefix != len(sel) {
+				t.Fatalf("%s decoded %d cells for %d positions", name, len(got.Nulls)-prefix, len(sel))
+			}
+			for k, pos := range sel {
+				want := boxed[pos]
+				if want.K == types.KindNull {
+					if !got.Nulls[prefix+k] {
+						t.Fatalf("%s: position %d: NULL not marked", name, pos)
+					}
+					continue
+				}
+				ok := want.K == kind && !got.Nulls[prefix+k]
+				switch {
+				case !ok:
+				case kind == types.KindString:
+					ok = got.Strs[k] == want.S
+				case kind == types.KindFloat:
+					ok = got.Cells[k] == math.Float64bits(want.F)
+				default:
+					ok = got.Cells[k] == uint64(want.I)
+				}
+				if !ok {
+					t.Fatalf("%s: position %d differs from the boxed value %v", name, pos, want)
+				}
+			}
+		}
+	}
+	return r
+}
+
+// FuzzTypedDecode feeds arbitrary bytes — seeded with well-formed pages of
+// every layout, flags byte included — to all eight readers of a column page:
+// each must error on corruption with its destination rolled back exactly,
+// never panic, agree with the boxed DecodeInto path when it succeeds, and
+// never consult a byte past the declared payload (the page cut off there
+// reads the same).
 func FuzzTypedDecode(f *testing.F) {
-	// Seed with well-formed pages of each kind, sealed and unsealed.
-	seed := func(vals []types.Value, seal bool) {
-		p := InitColumnPage(make([]byte, 2048))
-		for _, v := range vals {
-			p.Append(v)
+	seed := func(size int, seal bool, gen func(i int) types.Value) {
+		p := InitColumnPage(make([]byte, size))
+		for i := 0; i < 64; i++ {
+			p.Append(gen(i))
 		}
 		if seal {
 			p.Seal()
 		}
 		f.Add(p.Buf)
 	}
-	seed([]types.Value{types.NewInt(42), types.Null, types.NewInt(-7)}, false)
-	seed([]types.Value{types.NewFloat(3.14), types.Null}, false)
-	seed([]types.Value{types.NewBool(true), types.NewBool(false)}, false)
-	seed([]types.Value{types.NewDate(19000), types.Null}, false)
-	strs := make([]types.Value, 64)
-	for i := range strs {
-		strs[i] = types.NewString(fmt.Sprintf("AA-%d", i%2))
+	nullOr := func(i int, v types.Value) types.Value {
+		if i%5 == 3 {
+			return types.Null
+		}
+		return v
 	}
-	seed(strs, true)
+	gens := []func(i int) types.Value{
+		func(i int) types.Value { return nullOr(i, types.NewInt(int64(i)*1000003-7)) },           // fixed, width 4
+		func(i int) types.Value { return types.NewInt(int64(i%3) + 1<<40) },                      // dict
+		func(i int) types.Value { return nullOr(i, types.NewFloat(3.14*float64(i))) },            // fixed
+		func(i int) types.Value { return nullOr(i, types.NewFloat(float64(i%4))) },               // dict
+		func(i int) types.Value { return types.NewBool(i%3 == 0) },                               // fixed, width 1
+		func(i int) types.Value { return nullOr(i, types.NewDate(19000+int64(i))) },              // fixed, width 1
+		func(i int) types.Value { return nullOr(i, types.NewString(fmt.Sprintf("AA-%d", i%2))) }, // dict
+		func(i int) types.Value { // mixed kinds: tagged, Huffman-packed when sealed
+			if i%2 == 0 {
+				return types.NewString("mixed with an integer")
+			}
+			return types.NewInt(int64(i % 2))
+		},
+	}
+	for _, gen := range gens {
+		seed(2048, false, gen)
+		seed(2048, true, gen)
+	}
 
 	f.Fuzz(func(t *testing.T, buf []byte) {
-		p := ColumnPage{Buf: buf}
-		var boxed []types.Value
-		boxedErr := p.DecodeInto(func(v types.Value) bool {
-			boxed = append(boxed, v)
-			return true
-		})
-		check := func(name string, n int, err error) {
-			if err != nil {
-				return // corruption detected: fine
-			}
-			if boxedErr != nil {
-				t.Fatalf("%s succeeded but DecodeInto failed: %v", name, boxedErr)
-			}
-			if n != len(boxed) {
-				t.Fatalf("%s decoded %d values, DecodeInto %d", name, n, len(boxed))
-			}
+		whole := fuzzRead(t, ColumnPage{Buf: buf})
+		if len(buf) < colHeaderSize {
+			return
 		}
-		for _, kind := range []types.Kind{types.KindInt, types.KindDate, types.KindBool} {
-			var bm vec.Bitmap
-			out, err := p.DecodeInt64s(kind, nil, &bm)
-			check("DecodeInt64s", len(out), err)
-			sel := []int32{0, 2}
-			var bm2 vec.Bitmap
-			if _, err := p.DecodeInt64sSel(kind, nil, &bm2, sel); err != nil {
-				continue
-			}
+		end := colHeaderSize + ColumnPage{Buf: buf}.payloadLen()
+		if end > len(buf) {
+			return
 		}
-		var bm vec.Bitmap
-		out, err := p.DecodeFloat64s(nil, &bm)
-		check("DecodeFloat64s", len(out), err)
-		var bm3 vec.Bitmap
-		codes, err := p.DecodeStrings(vec.NewDict(), nil, &bm3)
-		check("DecodeStrings", len(codes), err)
-		var bm4 vec.Bitmap
-		_, _ = p.DecodeStringsSel(vec.NewDict(), nil, &bm4, []int32{1, 3})
-		var bm5 vec.Bitmap
-		_, _ = p.DecodeFloat64sSel(nil, &bm5, []int32{0})
+		if cut := fuzzRead(t, ColumnPage{Buf: slices.Clone(buf[:end])}); !reflect.DeepEqual(whole, cut) {
+			t.Fatalf("the page reads differently without the %d bytes past its payload", len(buf)-end)
+		}
 	})
 }

@@ -1,0 +1,670 @@
+package page
+
+import (
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"math"
+	"math/bits"
+	"slices"
+
+	"repro/internal/compress"
+	"repro/internal/types"
+	"repro/internal/vec"
+)
+
+// The two typed layouts of a sealed column page. Both address a cell by its
+// position, so a reader given a selection touches only the selected cells,
+// and neither needs a bit-walk or a per-cell tag. Seal picks between them
+// and the tagged stream by encoded size alone (see sealer.seal).
+//
+// Fixed (layoutFixed) — INT, DATE, BOOL and FLOAT pages:
+//
+//	byte 0      kind of every non-NULL cell
+//	byte 1      cell width in bytes: 1, 2, 4 or 8
+//	byte 2      1 when a null bitmap follows, else 0
+//	bytes 3..10 base (int64, little-endian)
+//	[⌈n/8⌉]     null bitmap, bit i%8 of byte i/8 set = cell i is NULL
+//	n × width   cells, little-endian
+//
+// An INT/DATE/BOOL cell stores value − base, base being the page minimum and
+// the width the narrowest that holds uint64(max) − uint64(min) (wrapping
+// arithmetic, so int64 min and max fit one page). A FLOAT cell stores its 64
+// bits at width 8 and base is 0. A NULL cell stores 0.
+//
+// Dict (layoutDict) — any kind, at most 256 distinct cells:
+//
+//	bytes 0..1  d, the entry count (uint16, 1..256)
+//	d entries   in the types.AppendValue encoding; NULL is an entry
+//	n bytes     one code per cell, each < d
+//
+// Two cells share an entry when their encodings are byte-identical, so −0.0
+// and 0.0, and NaNs of different payloads, stay distinct.
+const (
+	fixedHeaderSize = 11
+	maxDictEntries  = 256
+)
+
+// cellLen returns the encoded length of the types.AppendValue cell at the
+// head of b, checked against len(b).
+func cellLen(b []byte) (int, error) {
+	if len(b) == 0 {
+		return 0, errors.New("page: cell truncated")
+	}
+	switch types.Kind(b[0]) {
+	case types.KindNull:
+		return 1, nil
+	case types.KindInt, types.KindDate:
+		_, m := binary.Varint(b[1:])
+		if m <= 0 {
+			return 0, errors.New("page: bad varint")
+		}
+		return 1 + m, nil
+	case types.KindBool:
+		if len(b) < 2 {
+			return 0, errors.New("page: short bool")
+		}
+		return 2, nil
+	case types.KindFloat:
+		if len(b) < 9 {
+			return 0, errors.New("page: short float")
+		}
+		return 9, nil
+	case types.KindString:
+		l, m := binary.Uvarint(b[1:])
+		if m <= 0 {
+			return 0, errors.New("page: bad string length")
+		}
+		if uint64(len(b)-1-m) < l {
+			return 0, fmt.Errorf("page: short string (%d < %d)", len(b)-1-m, l)
+		}
+		return 1 + m + int(l), nil
+	default:
+		return 0, fmt.Errorf("page: unknown kind %d", b[0])
+	}
+}
+
+// fixedView is a fixed-layout payload with every header field and length
+// checked against the page's value count.
+type fixedView struct {
+	kind  types.Kind
+	width int
+	base  uint64
+	nulls []byte // nil when the page has no NULL
+	data  []byte // n × width
+}
+
+func parseFixed(pay []byte, n int) (fixedView, error) {
+	if len(pay) < fixedHeaderSize {
+		return fixedView{}, fmt.Errorf("page: fixed-width payload of %d bytes is shorter than its header", len(pay))
+	}
+	v := fixedView{kind: types.Kind(pay[0]), width: int(pay[1]), base: binary.LittleEndian.Uint64(pay[3:])}
+	switch v.width {
+	case 1, 2, 4, 8:
+	default:
+		return fixedView{}, fmt.Errorf("page: fixed-width cell width %d", v.width)
+	}
+	switch v.kind {
+	case types.KindInt, types.KindDate, types.KindBool:
+	case types.KindFloat:
+		if v.width != 8 {
+			return fixedView{}, fmt.Errorf("page: fixed-width float cell width %d", v.width)
+		}
+	default:
+		return fixedView{}, fmt.Errorf("page: fixed-width page of kind %d", pay[0])
+	}
+	rest := pay[fixedHeaderSize:]
+	switch pay[2] {
+	case 0:
+	case 1:
+		nb := (n + 7) / 8
+		if len(rest) < nb {
+			return fixedView{}, fmt.Errorf("page: fixed-width null bitmap truncated (%d < %d bytes)", len(rest), nb)
+		}
+		v.nulls, rest = rest[:nb], rest[nb:]
+	default:
+		return fixedView{}, fmt.Errorf("page: fixed-width null marker %d", pay[2])
+	}
+	if uint64(len(rest)) != uint64(n)*uint64(v.width) {
+		return fixedView{}, fmt.Errorf("page: fixed-width data is %d bytes, want %d cells of %d", len(rest), n, v.width)
+	}
+	v.data = rest
+	return v, nil
+}
+
+func (v *fixedView) null(i int) bool {
+	return v.nulls != nil && v.nulls[i>>3]>>(uint(i)&7)&1 != 0
+}
+
+// cell returns the stored bits of cell i (the delta, for the integer kinds).
+func (v *fixedView) cell(i int) uint64 {
+	switch v.width {
+	case 1:
+		return uint64(v.data[i])
+	case 2:
+		return uint64(binary.LittleEndian.Uint16(v.data[2*i:]))
+	case 4:
+		return uint64(binary.LittleEndian.Uint32(v.data[4*i:]))
+	default:
+		return binary.LittleEndian.Uint64(v.data[8*i:])
+	}
+}
+
+// dictView is a dict-layout payload with its entries and the code array's
+// length checked; a code is checked against d when it is read.
+type dictView struct {
+	pay   []byte
+	d     int
+	off   [maxDictEntries + 1]int32 // entry e is pay[off[e]:off[e+1]]
+	codes []byte
+}
+
+func (v *dictView) parse(pay []byte, n int) error {
+	if len(pay) < 2 {
+		return fmt.Errorf("page: dictionary payload of %d bytes is shorter than its header", len(pay))
+	}
+	v.pay, v.d = pay, int(binary.LittleEndian.Uint16(pay))
+	if v.d == 0 || v.d > maxDictEntries {
+		return fmt.Errorf("page: dictionary of %d entries", v.d)
+	}
+	pos := 2
+	for e := 0; e < v.d; e++ {
+		v.off[e] = int32(pos)
+		m, err := cellLen(pay[pos:])
+		if err != nil {
+			return fmt.Errorf("page: dictionary entry %d: %w", e, err)
+		}
+		pos += m
+	}
+	v.off[v.d] = int32(pos)
+	if len(pay)-pos != n {
+		return fmt.Errorf("page: dictionary page has %d codes for %d values", len(pay)-pos, n)
+	}
+	v.codes = pay[pos:]
+	return nil
+}
+
+func (v *dictView) entry(e int) []byte { return v.pay[v.off[e]:v.off[e+1]] }
+
+func (v *dictView) errCode(i int) error {
+	return fmt.Errorf("page: column value %d: code %d of a %d-entry dictionary", i, v.codes[i], v.d)
+}
+
+// zeroNulls finishes a full decode of a fixed-layout page into out: the
+// page's NULL cells are zeroed and marked at their slab offsets.
+func zeroNulls[T int64 | float64](v *fixedView, out []T, nulls *vec.Bitmap, start int) {
+	for bi, b := range v.nulls {
+		for ; b != 0; b &= b - 1 {
+			if i := bi<<3 + bits.TrailingZeros8(b); i < len(out) {
+				out[i] = 0
+				nulls.Set(start + i)
+			}
+		}
+	}
+}
+
+// undo rolls a failed decode back to slab length start.
+func undo[T any](dst []T, nulls *vec.Bitmap, start int) []T {
+	if nulls != nil {
+		nulls.Truncate(start)
+	}
+	return dst[:start]
+}
+
+func errSelBeyond(pos int32, n int) error {
+	return fmt.Errorf("page: selection position %d beyond page (%d values)", pos, n)
+}
+
+// dictCells appends the decoded entry of each wanted cell of a dict-layout
+// page — every cell for a nil sel — to dst. A code with no entry or a
+// position beyond the page rolls dst and nulls back.
+func dictCells[T int64 | float64](v *dictView, val *[maxDictEntries]T, null *[maxDictEntries]bool, dst []T, nulls *vec.Bitmap, sel []int32) ([]T, error) {
+	start, want := len(dst), len(v.codes)
+	if sel != nil {
+		want = len(sel)
+	}
+	dst = slices.Grow(dst, want)
+	for k := 0; k < want; k++ {
+		i := k
+		if sel != nil {
+			if i = int(sel[k]); uint(i) >= uint(len(v.codes)) {
+				return undo(dst, nulls, start), errSelBeyond(sel[k], len(v.codes))
+			}
+		}
+		c := v.codes[i]
+		if int(c) >= v.d {
+			return undo(dst, nulls, start), v.errCode(i)
+		}
+		if null[c] {
+			nulls.Set(len(dst))
+		}
+		dst = append(dst, val[c])
+	}
+	return dst, nil
+}
+
+// typedInt64s is the INT/DATE/BOOL reader of the two typed layouts: it
+// appends the cells at the positions in sel (nil: every position) to dst,
+// reading only those cells. The page's kind is known before anything is
+// appended, so ErrKindMismatch leaves dst and nulls untouched.
+func typedInt64s(layout int, pay []byte, n int, kind types.Kind, dst []int64, nulls *vec.Bitmap, sel []int32) ([]int64, error) {
+	if layout == layoutDict {
+		var v dictView
+		if err := v.parse(pay, n); err != nil {
+			return dst, err
+		}
+		var val [maxDictEntries]int64
+		var null [maxDictEntries]bool
+		for e := 0; e < v.d; e++ {
+			ent := v.entry(e)
+			switch tag := types.Kind(ent[0]); {
+			case tag == types.KindNull:
+				null[e] = true
+			case tag != kind:
+				return dst, ErrKindMismatch
+			case kind == types.KindBool:
+				val[e] = int64(ent[1])
+			default:
+				val[e], _ = binary.Varint(ent[1:]) // checked by parse
+			}
+		}
+		return dictCells(&v, &val, &null, dst, nulls, sel)
+	}
+	v, err := parseFixed(pay, n)
+	if err != nil {
+		return dst, err
+	}
+	if v.kind != kind {
+		return dst, ErrKindMismatch
+	}
+	start := len(dst)
+	if sel == nil {
+		dst = slices.Grow(dst, n)[:start+n]
+		out := dst[start:]
+		switch v.width {
+		case 1:
+			for i := range out {
+				out[i] = int64(v.base + uint64(v.data[i]))
+			}
+		case 2:
+			for i := range out {
+				out[i] = int64(v.base + uint64(binary.LittleEndian.Uint16(v.data[2*i:])))
+			}
+		case 4:
+			for i := range out {
+				out[i] = int64(v.base + uint64(binary.LittleEndian.Uint32(v.data[4*i:])))
+			}
+		default:
+			for i := range out {
+				out[i] = int64(v.base + binary.LittleEndian.Uint64(v.data[8*i:]))
+			}
+		}
+		zeroNulls(&v, out, nulls, start)
+		return dst, nil
+	}
+	dst = slices.Grow(dst, len(sel))
+	for _, pos := range sel {
+		i := int(pos)
+		switch {
+		case uint(i) >= uint(n):
+			return undo(dst, nulls, start), errSelBeyond(pos, n)
+		case v.null(i):
+			nulls.Set(len(dst))
+			dst = append(dst, 0)
+		default:
+			dst = append(dst, int64(v.base+v.cell(i)))
+		}
+	}
+	return dst, nil
+}
+
+// typedFloat64s is the FLOAT reader of the two typed layouts; see
+// typedInt64s.
+func typedFloat64s(layout int, pay []byte, n int, dst []float64, nulls *vec.Bitmap, sel []int32) ([]float64, error) {
+	if layout == layoutDict {
+		var v dictView
+		if err := v.parse(pay, n); err != nil {
+			return dst, err
+		}
+		var val [maxDictEntries]float64
+		var null [maxDictEntries]bool
+		for e := 0; e < v.d; e++ {
+			switch ent := v.entry(e); types.Kind(ent[0]) {
+			case types.KindNull:
+				null[e] = true
+			case types.KindFloat:
+				val[e] = math.Float64frombits(binary.LittleEndian.Uint64(ent[1:]))
+			default:
+				return dst, ErrKindMismatch
+			}
+		}
+		return dictCells(&v, &val, &null, dst, nulls, sel)
+	}
+	v, err := parseFixed(pay, n)
+	if err != nil {
+		return dst, err
+	}
+	if v.kind != types.KindFloat {
+		return dst, ErrKindMismatch
+	}
+	start := len(dst)
+	if sel == nil {
+		dst = slices.Grow(dst, n)[:start+n]
+		out := dst[start:]
+		for i := range out {
+			out[i] = math.Float64frombits(binary.LittleEndian.Uint64(v.data[8*i:]))
+		}
+		zeroNulls(&v, out, nulls, start)
+		return dst, nil
+	}
+	dst = slices.Grow(dst, len(sel))
+	for _, pos := range sel {
+		i := int(pos)
+		switch {
+		case uint(i) >= uint(n):
+			return undo(dst, nulls, start), errSelBeyond(pos, n)
+		case v.null(i):
+			nulls.Set(len(dst))
+			dst = append(dst, 0)
+		default:
+			dst = append(dst, math.Float64frombits(binary.LittleEndian.Uint64(v.data[8*i:])))
+		}
+	}
+	return dst, nil
+}
+
+// typedStrings is the STRING reader of the typed layouts (strings seal into
+// the dict layout only). A page entry is interned into dict the first time a
+// wanted cell uses it — at most d CodeBytes probes per page, none for an
+// entry no wanted cell refers to.
+func typedStrings(layout int, pay []byte, n int, dict *vec.Dict, dst []int32, nulls *vec.Bitmap, sel []int32) ([]int32, error) {
+	if layout == layoutFixed {
+		return dst, ErrKindMismatch // no string is fixed-width; the boxed rerun validates the page
+	}
+	var v dictView
+	if err := v.parse(pay, n); err != nil {
+		return dst, err
+	}
+	const isNull = -1
+	var code [maxDictEntries]int32 // the entry's batch-dictionary code + 1; 0 = not interned yet
+	for e := 0; e < v.d; e++ {
+		switch types.Kind(v.entry(e)[0]) {
+		case types.KindNull:
+			code[e] = isNull
+		case types.KindString:
+		default:
+			return dst, ErrKindMismatch
+		}
+	}
+	start, want := len(dst), n
+	if sel != nil {
+		want = len(sel)
+	}
+	dst = slices.Grow(dst, want)
+	for k := 0; k < want; k++ {
+		i := k
+		if sel != nil {
+			if i = int(sel[k]); uint(i) >= uint(n) {
+				return undo(dst, nulls, start), errSelBeyond(sel[k], n)
+			}
+		}
+		c := v.codes[i]
+		if int(c) >= v.d {
+			return undo(dst, nulls, start), v.errCode(i)
+		}
+		switch code[c] {
+		case isNull:
+			nulls.Set(len(dst))
+			dst = append(dst, 0)
+			continue
+		case 0:
+			ent := v.entry(int(c))
+			_, m := binary.Uvarint(ent[1:]) // checked by parse
+			code[c] = dict.CodeBytes(ent[1+m:]) + 1
+		}
+		dst = append(dst, code[c]-1)
+	}
+	return dst, nil
+}
+
+// fixedBoxed streams a fixed-layout page through fn as boxed values.
+func fixedBoxed(pay []byte, n int, fn func(types.Value) bool) error {
+	v, err := parseFixed(pay, n)
+	if err != nil {
+		return err
+	}
+	for i := 0; i < n; i++ {
+		val := types.Null
+		switch {
+		case v.null(i):
+		case v.kind == types.KindFloat:
+			val = types.NewFloat(math.Float64frombits(v.cell(i)))
+		default:
+			val = types.Value{K: v.kind, I: int64(v.base + v.cell(i))}
+		}
+		if !fn(val) {
+			return nil
+		}
+	}
+	return nil
+}
+
+// dictBoxed streams a dict-layout page through fn as boxed values: each
+// entry is boxed once, however many cells share it.
+func dictBoxed(pay []byte, n int, fn func(types.Value) bool) error {
+	var v dictView
+	if err := v.parse(pay, n); err != nil {
+		return err
+	}
+	vals := make([]types.Value, v.d)
+	for e := range vals {
+		val, _, err := types.DecodeValue(v.entry(e))
+		if err != nil {
+			return fmt.Errorf("page: dictionary entry %d: %w", e, err)
+		}
+		vals[e] = val
+	}
+	for i, c := range v.codes {
+		if int(c) >= v.d {
+			return v.errCode(i)
+		}
+		if !fn(vals[c]) {
+			return nil
+		}
+	}
+	return nil
+}
+
+// sealer holds the scratch of Seal's one pass over a tagged payload, reused
+// across the pages of a set.
+type sealer struct {
+	cells    []uint64 // fixed-width kinds: each cell's integer payload or float bits
+	nulls    []byte   // the fixed layout's null bitmap
+	nNull    int
+	min, max int64 // over the integer payloads of non-NULL cells
+	dictOK   bool  // the page has at most maxDictEntries distinct cells
+	index    map[string]int
+	entries  []byte // the dict layout's entries, in first-seen order
+	codes    []byte
+}
+
+// seal is ColumnPage.Seal. The tagged payload is parsed once; when its
+// non-NULL cells share one kind the candidates are sized — fixed for the
+// four fixed-width kinds, dict for any kind with few enough distinct cells —
+// and the smaller is written if it is smaller than the tagged payload, fixed
+// winning a tie. Every other page keeps the tagged stream, Huffman-packed
+// when that shrinks it.
+func (s *sealer) seal(p ColumnPage) bool {
+	n := p.NumValues()
+	if p.sealed() || n == 0 {
+		return false
+	}
+	pay := p.Buf[colHeaderSize : colHeaderSize+p.payloadLen()]
+	kind, ok := s.scan(pay, n)
+	if !ok {
+		return packHuffman(p)
+	}
+	layout, size, width := layoutTagged, len(pay), fixedWidth(kind, s.min, s.max)
+	if width != 0 {
+		fixed := fixedHeaderSize + n*width
+		if s.nNull > 0 {
+			fixed += len(s.nulls)
+		}
+		if fixed < size {
+			layout, size = layoutFixed, fixed
+		}
+	}
+	if dict := 2 + len(s.entries) + n; s.dictOK && dict < size {
+		layout, size = layoutDict, dict
+	}
+	body := p.Buf[colHeaderSize:]
+	switch layout {
+	case layoutFixed:
+		s.putFixed(body, kind, width)
+	case layoutDict:
+		binary.LittleEndian.PutUint16(body, uint16(len(s.index)))
+		codesAt := 2 + copy(body[2:], s.entries)
+		copy(body[codesAt:], s.codes)
+	default:
+		return packHuffman(p)
+	}
+	p.setSealed(byte(layout<<1), size)
+	return true
+}
+
+// packHuffman is Seal for a page with no smaller typed layout: the tagged
+// stream is Huffman-packed in place if that shrinks it.
+func packHuffman(p ColumnPage) bool {
+	pay := p.Buf[colHeaderSize : colHeaderSize+p.payloadLen()]
+	packed := compress.CompressHuffman(pay)
+	if len(packed) >= len(pay) {
+		return false
+	}
+	p.setSealed(flagPacked, copy(pay, packed))
+	return true
+}
+
+// setSealed records a payload rewritten in place — its flags and new, smaller
+// length — and zeroes the bytes it freed, so the page file's LZ4 stores a run
+// instead of the stale tail of the tagged stream.
+func (p ColumnPage) setSealed(flags byte, size int) {
+	clear(p.Buf[colHeaderSize+size : colHeaderSize+p.payloadLen()])
+	p.setPayloadLen(size)
+	p.Buf[colOffFlags] = flags
+}
+
+// scan parses the n tagged cells of pay into the scratch both candidates are
+// written from. It reports the kind the non-NULL cells share; ok is false
+// when there is no such kind (cells mix kinds, or all are NULL) or the
+// payload is not n well-formed cells.
+func (s *sealer) scan(pay []byte, n int) (kind types.Kind, ok bool) {
+	s.cells, s.codes, s.entries = s.cells[:0], s.codes[:0], s.entries[:0]
+	s.nulls = append(s.nulls[:0], make([]byte, (n+7)/8)...)
+	s.nNull, s.dictOK = 0, true
+	if s.index == nil {
+		s.index = make(map[string]int, maxDictEntries)
+	}
+	clear(s.index)
+	pos := 0
+	for i := 0; i < n; i++ {
+		m, err := cellLen(pay[pos:])
+		if err != nil {
+			return 0, false
+		}
+		cell := pay[pos : pos+m]
+		pos += m
+		tag, bits := types.Kind(cell[0]), uint64(0)
+		switch tag {
+		case types.KindNull:
+			s.nNull++
+			s.nulls[i>>3] |= 1 << (uint(i) & 7)
+		case types.KindInt, types.KindDate:
+			v, _ := binary.Varint(cell[1:])
+			bits = uint64(v)
+		case types.KindBool:
+			bits = uint64(cell[1])
+		case types.KindFloat:
+			bits = binary.LittleEndian.Uint64(cell[1:])
+		}
+		if tag != types.KindNull {
+			switch v := int64(bits); {
+			case kind == types.KindNull:
+				kind, s.min, s.max = tag, v, v
+			case tag != kind:
+				return 0, false
+			case v < s.min:
+				s.min = v
+			case v > s.max:
+				s.max = v
+			}
+		}
+		s.cells = append(s.cells, bits)
+		if !s.dictOK {
+			continue
+		}
+		c, seen := s.index[string(cell)]
+		if !seen {
+			if c = len(s.index); c == maxDictEntries {
+				s.dictOK = false
+				continue
+			}
+			s.index[string(cell)] = c
+			s.entries = append(s.entries, cell...)
+		}
+		s.codes = append(s.codes, byte(c))
+	}
+	return kind, pos == len(pay) && kind != types.KindNull
+}
+
+// fixedWidth returns the fixed layout's cell width for a page of kind whose
+// integer payloads span [min, max], or 0 when the kind has no fixed width.
+func fixedWidth(kind types.Kind, min, max int64) int {
+	switch kind {
+	case types.KindFloat:
+		return 8
+	case types.KindInt, types.KindDate, types.KindBool:
+		switch r := uint64(max) - uint64(min); {
+		case r <= math.MaxUint8:
+			return 1
+		case r <= math.MaxUint16:
+			return 2
+		case r <= math.MaxUint32:
+			return 4
+		}
+		return 8
+	}
+	return 0
+}
+
+// putFixed writes the scanned page in the fixed layout.
+func (s *sealer) putFixed(out []byte, kind types.Kind, width int) {
+	base := uint64(s.min)
+	if kind == types.KindFloat {
+		base = 0
+	}
+	out[0], out[1], out[2] = byte(kind), byte(width), 0
+	binary.LittleEndian.PutUint64(out[3:], base)
+	pos := fixedHeaderSize
+	if s.nNull > 0 {
+		out[2] = 1
+		pos += copy(out[pos:], s.nulls)
+		for i := range s.cells {
+			if s.nulls[i>>3]>>(uint(i)&7)&1 != 0 {
+				s.cells[i] = base // a NULL cell stores 0
+			}
+		}
+	}
+	for _, c := range s.cells {
+		switch d := c - base; width {
+		case 1:
+			out[pos] = byte(d)
+		case 2:
+			binary.LittleEndian.PutUint16(out[pos:], uint16(d))
+		case 4:
+			binary.LittleEndian.PutUint32(out[pos:], uint32(d))
+		default:
+			binary.LittleEndian.PutUint64(out[pos:], d)
+		}
+		pos += width
+	}
+}

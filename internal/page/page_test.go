@@ -158,8 +158,9 @@ func TestColumnPageSeal(t *testing.T) {
 	if n < 100 {
 		t.Fatalf("only %d strings fit", n)
 	}
-	if !p.Seal() {
-		t.Fatal("seal on redundant strings should pack")
+	plain := p.payloadLen()
+	if !p.Seal() || p.payloadLen() >= plain {
+		t.Fatalf("seal on redundant strings should shrink the page (%d → %d bytes)", plain, p.payloadLen())
 	}
 	if p.Append(types.NewInt(1)) {
 		t.Error("sealed page must refuse appends")

@@ -15,10 +15,13 @@ import (
 // ColumnarFragment stores a table fragment PAX-style (Section III): all
 // columns in one file per disk as a sequence of page sets; a set for an
 // n-column table is n consecutive pages, each holding the values of one
-// column for the same run of rows. String pages are Huffman-packed when a
-// set is sealed, and page-level LZ4 (in page.File) plus sparse-file holes
-// absorb the unused space — together these implement the paper's fix for
-// page-set underutilization.
+// column for the same run of rows. When a set is sealed each page is
+// rewritten into its smallest layout (page.ColumnPage.Seal: fixed-width or
+// dictionary-coded when its cells share one kind, else the appended stream,
+// Huffman-packed when that shrinks it — high-cardinality strings), and
+// page-level LZ4 (in page.File) plus sparse-file holes absorb the unused
+// space — together these implement the paper's fix for page-set
+// underutilization.
 //
 // Inserts are append-only into the open (in-memory) set of one disk;
 // deletes are not supported on columnar fragments (reload or reorganize
@@ -90,30 +93,45 @@ func (fr *ColumnarFragment) Append(r types.Row) error {
 	return nil
 }
 
-// flushOpen seals and writes the open set of a disk as n consecutive pages.
+// flushOpen records the open set of a disk in the min-max index, seals it and
+// writes it as n consecutive pages.
 func (fr *ColumnarFragment) flushOpen(disk int) error {
 	set := fr.open[disk]
 	if set.NumRows() == 0 {
 		return nil
 	}
-	set.Seal()
 	fileID := fr.Files[disk]
 	n := fr.Def.Schema.Len()
 	base := fr.Node.Allocate(fileID)
 	for i := 1; i < n; i++ {
 		fr.Node.Allocate(fileID)
 	}
-	// Record min-max for the set (keyed by its first page).
+	// Min-max for the set (keyed by its first page) comes from the pages
+	// while they are still the plain appended streams; after Seal every value
+	// would have to be unpacked again.
 	key := page.Key{File: fileID, Page: base}
-	rows, err := set.Rows()
-	if err != nil {
-		return err
-	}
-	for _, r := range rows {
-		for ci, col := range fr.Def.Schema.Cols {
-			fr.MinMax.Record(key, strings.ToLower(col.Name), r[ci])
+	for ci, col := range fr.Def.Schema.Cols {
+		var lo, hi types.Value
+		err := set.Pages[ci].DecodeInto(func(v types.Value) bool {
+			switch {
+			case v.IsNull():
+			case lo.IsNull():
+				lo, hi = v, v
+			case types.Compare(v, lo) < 0:
+				lo = v
+			case types.Compare(v, hi) > 0:
+				hi = v
+			}
+			return true
+		})
+		if err != nil {
+			return err
 		}
+		name := strings.ToLower(col.Name)
+		fr.MinMax.Record(key, name, lo)
+		fr.MinMax.Record(key, name, hi)
 	}
+	set.Seal()
 	for i := 0; i < n; i++ {
 		f, err := fr.Node.Buf.NewPage(page.Key{File: fileID, Page: base + uint32(i)})
 		if err != nil {

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/catalog"
@@ -382,38 +383,96 @@ func TestColumnarSkipping(t *testing.T) {
 	}
 }
 
+// TestColumnarHuffmanStrings: string columns round-trip through both forms a
+// sealed string page takes — a page dictionary when few values repeat, the
+// Huffman-packed appended stream when every value on the page is distinct.
 func TestColumnarHuffmanStrings(t *testing.T) {
-	// Long repetitive strings: the sealed sets should round-trip through
-	// Huffman packing.
-	ns := newNode(t, 1024)
-	def := &catalog.TableDef{
-		Name: "comments",
-		Schema: types.NewSchema(
-			types.Column{Name: "id", Kind: types.KindInt},
-			types.Column{Name: "body", Kind: types.KindString},
-		),
-		Part:     catalog.Partitioning{Kind: catalog.PartHash, Cols: []string{"id"}},
-		Columnar: true,
-	}
-	fr, _ := OpenColumnarFragment(ns, def)
-	var rows []types.Row
-	for i := int64(0); i < 200; i++ {
-		rows = append(rows, types.Row{
-			types.NewInt(i),
-			types.NewString(fmt.Sprintf("final deposits wake quickly among the %d foxes", i%7)),
-		})
-	}
-	fr.Load(rows)
-	count := 0
-	_, err := colScan(fr, ScanOptions{}, func(r types.Row) bool {
-		if r[1].Str() == "" {
-			t.Fatal("lost string payload")
+	for _, distinct := range []int64{7, 1 << 30} {
+		ns := newNode(t, 1024)
+		def := &catalog.TableDef{
+			Name: "comments",
+			Schema: types.NewSchema(
+				types.Column{Name: "id", Kind: types.KindInt},
+				types.Column{Name: "body", Kind: types.KindString},
+			),
+			Part:     catalog.Partitioning{Kind: catalog.PartHash, Cols: []string{"id"}},
+			Columnar: true,
 		}
-		count++
-		return true
+		fr, _ := OpenColumnarFragment(ns, def)
+		body := func(i int64) string {
+			return fmt.Sprintf("final deposits wake quickly among the %d foxes", i%distinct)
+		}
+		var rows []types.Row
+		for i := int64(0); i < 200; i++ {
+			rows = append(rows, types.Row{types.NewInt(i), types.NewString(body(i))})
+		}
+		fr.Load(rows)
+		count := 0
+		_, err := colScan(fr, ScanOptions{}, func(r types.Row) bool {
+			if r[1].Str() != body(r[0].Int()) {
+				t.Fatalf("row %d: body %q, want %q", r[0].Int(), r[1].Str(), body(r[0].Int()))
+			}
+			count++
+			return true
+		})
+		if err != nil || count != 200 {
+			t.Fatalf("%d distinct: count=%d err=%v", distinct, count, err)
+		}
+	}
+}
+
+// TestColumnarLoadGoldenPages: a page set closes when a column's appended
+// stream fills its page, before anything is sealed, so the layouts Seal
+// chooses cannot move a page count — the per-file counts below are what the
+// commit before the typed layouts allocated for the same rows (and what keeps
+// the benchmark's space_amp where it was). The loaded rows come back exactly,
+// NULLs and a mixed-kind column included.
+func TestColumnarLoadGoldenPages(t *testing.T) {
+	ns := newNode(t, 2048)
+	def := lineitemDef(true)
+	def.Schema.Cols = append(def.Schema.Cols, types.Column{Name: "l_note", Kind: types.KindString})
+	fr, err := OpenColumnarFragment(ns, def)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[int64]types.Row{}
+	rows := make([]types.Row, 0, 3000)
+	for i := int64(0); i < 3000; i++ {
+		r := append(liRow(i), types.NewString(fmt.Sprintf("note %d of its kind", i*7919%1013)))
+		switch {
+		case i%17 == 4:
+			r[3] = types.Null
+		case i%29 == 11:
+			r[4] = types.NewInt(i) // a STRING column holding an INT: the page stays tagged
+		}
+		rows = append(rows, r)
+		want[i] = r
+	}
+	if _, err := fr.Load(rows); err != nil {
+		t.Fatal(err)
+	}
+	var pages []uint32
+	for _, f := range fr.Files {
+		pages = append(pages, ns.NumPages(f))
+	}
+	if golden := []uint32{80, 80}; !reflect.DeepEqual(pages, golden) {
+		t.Fatalf("pages per file %v, want %v", pages, golden)
+	}
+	_, err = fr.ScanPageSets(ScanOptions{}, nil, 1, func(_ int, set page.PageSet, _ page.Key, _ bool) (bool, error) {
+		got, err := set.Rows()
+		if err != nil {
+			return false, err
+		}
+		for _, r := range got {
+			if !reflect.DeepEqual(r, want[r[0].Int()]) {
+				t.Fatalf("row %d: scanned %v, loaded %v", r[0].Int(), r, want[r[0].Int()])
+			}
+			delete(want, r[0].Int())
+		}
+		return true, nil
 	})
-	if err != nil || count != 200 {
-		t.Fatalf("count=%d err=%v", count, err)
+	if err != nil || len(want) != 0 {
+		t.Fatalf("scan: %v; %d loaded rows never came back", err, len(want))
 	}
 }
 

@@ -288,3 +288,55 @@ func TestColumnarTPCH(t *testing.T) {
 		requireSameRows(t, qid+" columnar", res.Rows, want)
 	}
 }
+
+// rowPredicateScans lists, by query, the columnar scans whose predicate is
+// expected to take the row fallback, each with its reason. Empty: every scan
+// predicate the 21 queries put on lineitem and orders — comparisons, date
+// ranges, BETWEEN, IN — has a vector kernel.
+var rowPredicateScans = map[string]string{}
+
+// TestScanPredicatesRunOnKernels runs the 21 queries on the 4-worker cluster
+// and requires that no columnar scan evaluated its predicate row by row
+// through expr.EvalBool: the fallback is for shapes without a kernel (LIKE,
+// CASE, functions), and a TPC-H scan that takes it silently pays boxing on
+// every row of every page set it reads.
+func TestScanPredicatesRunOnKernels(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full TPC-H suite skipped in -short mode")
+	}
+	c, _ := loadedCluster(t, 4, 0.002)
+	kernelScans := 0
+	for _, qid := range QueryIDs() {
+		sql := Queries()[qid]
+		sel, err := sqlparse.ParseSelect(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		node, err := c.Plan(sel)
+		if err != nil {
+			t.Fatalf("%s: %v", qid, err)
+		}
+		_, m, tr, err := c.RunTraced(node, sql)
+		if err != nil {
+			t.Fatalf("%s: %v", qid, err)
+		}
+		for _, sp := range tr.Spans() {
+			if sp.PredKernel > 0 {
+				kernelScans++
+			}
+			if sp.PredRow > 0 {
+				if why, ok := rowPredicateScans[qid]; ok {
+					t.Logf("%s: %s: %d page sets on the row fallback (expected: %s)", qid, sp.Op, sp.PredRow, why)
+					continue
+				}
+				t.Errorf("%s: %s evaluated its predicate row by row on %d page sets", qid, sp.Op, sp.PredRow)
+			}
+		}
+		if _, listed := rowPredicateScans[qid]; m.PredRowSets != 0 && !listed {
+			t.Errorf("%s: RunMetrics.PredRowSets = %d, want 0", qid, m.PredRowSets)
+		}
+	}
+	if kernelScans == 0 {
+		t.Fatal("no scan span reported a kernel-evaluated predicate — the counter is not wired")
+	}
+}

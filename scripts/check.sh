@@ -45,17 +45,23 @@ go test -run '^$' -bench BenchmarkBatchVsRow -benchtime 1x ./internal/exec >/dev
 echo "==> bench smoke (degree 1 vs degree 4 of the one build path, golden parity + throughput)"
 go test -run '^$' -bench BenchmarkParallelVsSerial -benchtime 1x ./internal/exec >/dev/null
 
-echo "==> bench smoke (typed vs boxed page decode)"
+echo "==> bench smoke (typed vs boxed page decode, per layout: tagged, fixed, dict; full and 10 %-selective)"
 go test -run '^$' -bench BenchmarkTypedVsBoxedDecode -benchtime 1x ./internal/page >/dev/null
 
 echo "==> bench smoke (table-driven vs bit-serial Huffman decode of a sealed page)"
 go test -run '^$' -bench BenchmarkHuffmanDecode -benchtime 1x ./internal/compress >/dev/null
 
-echo "==> fuzz smoke (typed decoders must error, never panic, on corrupt pages)"
+echo "==> bench smoke (block-copy vs byte-at-a-time LZ4 decode of a sealed page and of row bytes)"
+go test -run '^$' -bench BenchmarkLZ4Decode -benchtime 1x ./internal/compress >/dev/null
+
+echo "==> fuzz smoke (all eight column-page readers, every layout: error with exact rollback, never panic)"
 go test -run '^$' -fuzz '^FuzzTypedDecode$' -fuzztime 5s ./internal/page >/dev/null
 
 echo "==> fuzz smoke (Huffman decoder: never panics, agrees with the bit-serial reference)"
 go test -run '^$' -fuzz '^FuzzHuffmanDecode$' -fuzztime 5s ./internal/compress >/dev/null
+
+echo "==> fuzz smoke (LZ4 decoder: never panics or passes dstSize, agrees with the byte-at-a-time reference)"
+go test -run '^$' -fuzz '^FuzzLZ4Decode$' -fuzztime 5s ./internal/compress >/dev/null
 
 echo "==> code size (scripts/loc.sh <ref> diffs it per package against a commit)"
 scripts/loc.sh | tail -n 1
