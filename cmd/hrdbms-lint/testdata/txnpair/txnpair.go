@@ -1,11 +1,14 @@
 // Package fixtures exercises the txnpair analyzer.
 package fixtures
 
-import "repro/internal/txn"
+import (
+	"repro/internal/page"
+	"repro/internal/txn"
+)
 
-func leakNoFinish(m *txn.Manager) uint64 {
+func leakNoFinish(m *txn.Manager) error {
 	tx := m.Begin() // want "never"
-	return tx.TxID()
+	return tx.LockPage(page.Key{}, false)
 }
 
 func leakDiscarded(m *txn.Manager) {
@@ -41,8 +44,8 @@ func okEscapesViaReturn(m *txn.Manager) *txn.Tx {
 	return m.Begin()
 }
 
-func okSuppressed(m *txn.Manager) uint64 {
+func okSuppressed(m *txn.Manager) error {
 	//lint:ignore txnpair fixture: resolved by a later 2PC decision
 	tx := m.BeginWithID(99)
-	return tx.TxID()
+	return tx.LockPage(page.Key{}, false)
 }

@@ -283,16 +283,6 @@ func (m *Manager) PinnedFrames() int {
 	return n
 }
 
-// Resident reports whether the page is currently cached (for tests and the
-// skipping experiments).
-func (m *Manager) Resident(k page.Key) bool {
-	s := m.stripeFor(k)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.frames[k]
-	return ok
-}
-
 // SetCapacity grows or shrinks the pool (the paper's dynamic resize).
 // Shrinking takes effect lazily as stripes evict down to the new size.
 func (m *Manager) SetCapacity(capacity int) {

@@ -50,6 +50,15 @@ func (s *memStore) WritePage(f page.FileID, n uint32, buf []byte) error {
 
 func (s *memStore) PageSize() int { return s.pageSize }
 
+// isResident reports whether the page is currently cached.
+func isResident(m *Manager, k page.Key) bool {
+	s := m.stripeFor(k)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_, ok := s.frames[k]
+	return ok
+}
+
 func TestFetchHitMiss(t *testing.T) {
 	st := newMemStore(1024)
 	m := New(st, 8, 2)
@@ -118,7 +127,7 @@ func TestPinnedNeverEvicted(t *testing.T) {
 		}
 		m.Unpin(g, false)
 	}
-	if !m.Resident(k) {
+	if !isResident(m, k) {
 		t.Fatal("pinned page was evicted")
 	}
 	m.Unpin(f, false)
@@ -162,7 +171,7 @@ func TestPredeclarePrioritized(t *testing.T) {
 	// eviction round.
 	f, _ := m.Fetch(page.Key{File: 2, Page: 0})
 	m.Unpin(f, false)
-	if !m.Resident(keys[0]) {
+	if !isResident(m, keys[0]) {
 		t.Error("pre-declared page evicted before non-declared peers")
 	}
 }
@@ -221,7 +230,7 @@ func TestSetCapacityShrink(t *testing.T) {
 	m.SetCapacity(4)
 	resident := 0
 	for i := uint32(0); i < 16; i++ {
-		if m.Resident(page.Key{File: 1, Page: i}) {
+		if isResident(m, page.Key{File: 1, Page: i}) {
 			resident++
 		}
 	}

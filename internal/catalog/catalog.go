@@ -104,63 +104,12 @@ func (t *TableDef) NodeFor(r types.Row, numWorkers int) ([]int, error) {
 	}
 }
 
-// RangeFragmentsFor returns the fragment indexes a range predicate can
-// touch, enabling the optimizer's fragment pruning for range-partitioned
-// tables. op is one of "=", "<", "<=", ">", ">=". A nil return means all
-// fragments.
-func (t *TableDef) RangeFragmentsFor(col string, op string, v types.Value, numWorkers int) []int {
-	if t.Part.Kind != PartRange || len(t.Part.Cols) == 0 || !strings.EqualFold(t.Part.Cols[0], col) {
-		return nil
-	}
-	numFrags := len(t.Part.Bounds) + 1
-	if numFrags > numWorkers {
-		numFrags = numWorkers
-	}
-	// fragOf returns the fragment holding value x.
-	fragOf := func(x types.Value) int {
-		for i, b := range t.Part.Bounds {
-			if types.Compare(x, b) < 0 {
-				return i % numWorkers
-			}
-		}
-		return len(t.Part.Bounds) % numWorkers
-	}
-	var frags []int
-	switch op {
-	case "=":
-		frags = []int{fragOf(v)}
-	case "<", "<=":
-		last := fragOf(v)
-		for i := 0; i <= last; i++ {
-			frags = append(frags, i)
-		}
-	case ">", ">=":
-		first := fragOf(v)
-		for i := first; i < numFrags; i++ {
-			frags = append(frags, i)
-		}
-	default:
-		return nil
-	}
-	return frags
-}
-
-// IndexDef describes a secondary index.
+// IndexDef describes a secondary index (a B+-tree, the one index kind).
 type IndexDef struct {
 	Name  string
 	Table string
 	Cols  []string
-	Kind  IndexKind
 }
-
-// IndexKind selects the index structure.
-type IndexKind uint8
-
-// Index structure kinds (Section III).
-const (
-	IndexBTree IndexKind = iota + 1
-	IndexSkipList
-)
 
 // ColumnStats holds per-column statistics for cost estimation.
 type ColumnStats struct {
@@ -177,9 +126,6 @@ type ColumnStats struct {
 	// Hist is an equi-depth histogram over non-null values (ascending
 	// Upper bounds); empty when the column was never analyzed.
 	Hist []HistBucket
-	// Sketch is the streaming NDV sketch, kept so stats can be merged
-	// across fragments and refreshed incrementally.
-	Sketch *NDVSketch
 }
 
 // TableStats holds per-table statistics.
@@ -195,7 +141,6 @@ type Catalog struct {
 	tables  map[string]*TableDef
 	indexes map[string]*IndexDef
 	stats   map[string]*TableStats
-	version uint64
 	// defaultStatsFallbacks counts Stats() calls that returned the
 	// conservative default because the table was never analyzed; exported
 	// as the opt.stats_default_fallback metric so missing statistics are
@@ -234,7 +179,6 @@ func (c *Catalog) CreateTable(def *TableDef) error {
 		}
 	}
 	c.tables[key] = def
-	c.version++
 	return nil
 }
 
@@ -253,7 +197,6 @@ func (c *Catalog) DropTable(name string) error {
 			delete(c.indexes, iname)
 		}
 	}
-	c.version++
 	return nil
 }
 
@@ -298,7 +241,6 @@ func (c *Catalog) CreateIndex(def *IndexDef) error {
 		}
 	}
 	c.indexes[key] = def
-	c.version++
 	return nil
 }
 
@@ -321,7 +263,6 @@ func (c *Catalog) SetStats(table string, s *TableStats) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.stats[strings.ToLower(table)] = s
-	c.version++
 }
 
 // Stats returns a table's statistics, or a conservative default when the
@@ -342,14 +283,6 @@ func (c *Catalog) DefaultStatsFallbacks() int64 {
 	return c.defaultStatsFallbacks.Load()
 }
 
-// Version returns the catalog's monotonically increasing change counter,
-// used by coordinator metadata synchronization.
-func (c *Catalog) Version() uint64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.version
-}
-
 // Snapshot copies the catalog for replication to another coordinator.
 func (c *Catalog) Snapshot() *Catalog {
 	c.mu.RLock()
@@ -368,23 +301,9 @@ func (c *Catalog) Snapshot() *Catalog {
 		for ck, cv := range v.Cols {
 			cs := *cv
 			cs.Hist = append([]HistBucket(nil), cv.Hist...)
-			cs.Sketch = cv.Sketch.Clone()
 			s.Cols[ck] = &cs
 		}
 		out.stats[k] = s
 	}
-	out.version = c.version
 	return out
-}
-
-// ComputeStats derives statistics from a full set of rows (ANALYZE). It is
-// a convenience wrapper over the streaming StatsBuilder, which callers with
-// row iterators should use directly: memory stays bounded regardless of
-// table size (bounded reservoir + sketch per column, no distinct-value map).
-func ComputeStats(schema types.Schema, rows []types.Row) *TableStats {
-	b := NewStatsBuilder(schema)
-	for _, r := range rows {
-		b.Add(r)
-	}
-	return b.Finish()
 }

@@ -73,28 +73,6 @@ func (s *NDVSketch) Add(h uint64) {
 	}
 }
 
-// Merge folds another sketch into s (register-wise max).
-func (s *NDVSketch) Merge(o *NDVSketch) {
-	if o == nil {
-		return
-	}
-	for i, r := range o.Regs {
-		if r > s.Regs[i] {
-			s.Regs[i] = r
-		}
-	}
-}
-
-// Clone deep-copies the sketch.
-func (s *NDVSketch) Clone() *NDVSketch {
-	if s == nil {
-		return nil
-	}
-	out := &NDVSketch{Regs: make([]uint8, len(s.Regs))}
-	copy(out.Regs, s.Regs)
-	return out
-}
-
 // Estimate returns the HyperLogLog cardinality estimate with the standard
 // linear-counting correction for small ranges.
 func (s *NDVSketch) Estimate() int64 {
@@ -316,9 +294,6 @@ func (b *StatsBuilder) Add(r types.Row) {
 	}
 }
 
-// Rows returns the number of rows observed so far.
-func (b *StatsBuilder) Rows() int64 { return b.rows }
-
 // Finish produces the table statistics from everything observed so far.
 // The builder stays usable: more rows may be added and Finish called again
 // (incremental load-time statistics), since sorting the reservoir for the
@@ -331,7 +306,6 @@ func (b *StatsBuilder) Finish() *TableStats {
 			Min:       c.min,
 			Max:       c.max,
 			NullCount: c.nulls,
-			Sketch:    c.sketch,
 		}
 		if c.exact != nil {
 			cs.NDV = int64(len(c.exact))

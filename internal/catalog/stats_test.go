@@ -24,21 +24,15 @@ func TestNDVSketchAccuracy(t *testing.T) {
 }
 
 func TestNDVSketchDuplicatesAndMerge(t *testing.T) {
-	a, b := NewNDVSketch(), NewNDVSketch()
+	a := NewNDVSketch()
 	for rep := 0; rep < 5; rep++ {
 		for i := 0; i < 500; i++ {
 			a.Add(types.Hash(types.NewInt(int64(i))))
-			b.Add(types.Hash(types.NewInt(int64(i + 250))))
 		}
 	}
 	// Duplicates must not inflate the estimate.
-	if got := a.Estimate(); got > 600 {
+	if got := a.Estimate(); got < 400 || got > 600 {
 		t.Errorf("500 distinct with dups estimated as %d", got)
-	}
-	a.Merge(b)
-	got := a.Estimate()
-	if got < 600 || got > 850 {
-		t.Errorf("merged sketch of 750 distinct estimated as %d", got)
 	}
 }
 
@@ -90,9 +84,6 @@ func TestStatsBuilderSketchBeyondCap(t *testing.T) {
 	if relErr > 0.10 {
 		t.Errorf("sketch NDV %d for %d distinct (rel err %.1f%%)", cs.NDV, n, 100*relErr)
 	}
-	if cs.Sketch == nil {
-		t.Error("sketch not retained for merging")
-	}
 }
 
 func TestHistogramFracLE(t *testing.T) {
@@ -141,31 +132,5 @@ func TestHistogramSkewedDuplicates(t *testing.T) {
 	// The heavy value's mass must land between FracLT(5) and FracLE(5).
 	if le5-lt5 < 0.5 {
 		t.Errorf("FracLE(5)-FracLT(5) = %.3f, want most of the mass", le5-lt5)
-	}
-}
-
-func TestComputeStatsMatchesBuilder(t *testing.T) {
-	sch := statsSchema()
-	var rows []types.Row
-	for i := 0; i < 500; i++ {
-		rows = append(rows, types.Row{types.NewInt(int64(i % 37)), types.NewString(fmt.Sprintf("x%d", i))})
-	}
-	got := ComputeStats(sch, rows)
-	b := NewStatsBuilder(sch)
-	for _, r := range rows {
-		b.Add(r)
-	}
-	want := b.Finish()
-	if got.RowCount != want.RowCount {
-		t.Fatalf("RowCount %d vs %d", got.RowCount, want.RowCount)
-	}
-	for name, wc := range want.Cols {
-		gc := got.Cols[name]
-		if gc == nil {
-			t.Fatalf("missing column %s", name)
-		}
-		if gc.NDV != wc.NDV || gc.NDVExact != wc.NDVExact || gc.NullCount != wc.NullCount {
-			t.Errorf("%s: ComputeStats and StatsBuilder disagree: %+v vs %+v", name, gc, wc)
-		}
 	}
 }

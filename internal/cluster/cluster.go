@@ -59,10 +59,8 @@ type ExecProfile struct {
 	// PreAggTree allows splitting aggregations into worker-side partials
 	// merged over the tree topology.
 	PreAggTree bool
-	// ProbeParallelism is the intra-operator parallelism of join probes.
-	ProbeParallelism int
-	// Parallelism is the degree worker-side scans (morsel workers),
-	// hash-aggregate builds (partitioned tables) and sorts (run generation)
+	// Parallelism is the degree scans (morsel workers), hash-aggregate
+	// builds (partitioned tables), sorts (run generation) and join probes
 	// each request, granted from the node's shared budget
 	// (exec.Ctx.AcquireWorkers). 0/1 = serial.
 	Parallelism int
@@ -76,7 +74,6 @@ func HRDBMSProfile() ExecProfile {
 		UseMinMax:           true,
 		EnforceLocality:     true,
 		PreAggTree:          true,
-		ProbeParallelism:    2,
 		Parallelism:         4,
 	}
 }
@@ -118,7 +115,6 @@ type Worker struct {
 	frags    map[string]*storage.Fragment
 	colFrags map[string]*storage.ColumnarFragment
 	btreeIdx map[string]*index.BTree
-	skipIdx  map[string]*index.SkipList
 	execCtx  *exec.Ctx
 }
 
@@ -252,7 +248,6 @@ func New(cfg Config) (*Cluster, error) {
 			frags:    map[string]*storage.Fragment{},
 			colFrags: map[string]*storage.ColumnarFragment{},
 			btreeIdx: map[string]*index.BTree{},
-			skipIdx:  map[string]*index.SkipList{},
 			execCtx:  exec.NewCtx(filepath.Join(cfg.BaseDir, fmt.Sprintf("tmp%d", nodeID)), cfg.MemRows),
 		}
 		w.execCtx.BatchRows = cfg.BatchRows
@@ -400,6 +395,9 @@ func (c *Cluster) Close() error {
 		}
 		if err := w.Txn.Close(); err != nil && firstErr == nil {
 			firstErr = err
+		}
+		if err := w.Part.Err(); err != nil && firstErr == nil {
+			firstErr = fmt.Errorf("cluster: worker %d 2PC participant: %w", w.ID, err)
 		}
 	}
 	for _, cn := range c.Coords {

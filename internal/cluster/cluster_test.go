@@ -280,13 +280,13 @@ func TestBaselineProfilesAgree(t *testing.T) {
 	profiles := map[string]ExecProfile{
 		"hrdbms": HRDBMSProfile(),
 		"hive-like": {
-			BlockingShuffle: true, MaterializeShuffle: true, ProbeParallelism: 1,
+			BlockingShuffle: true, MaterializeShuffle: true,
 		},
 		"spark-like": {
-			MaterializeShuffle: true, ProbeParallelism: 2,
+			MaterializeShuffle: true,
 		},
 		"greenplum-like": {
-			EnforceLocality: true, UseMinMax: true, ProbeParallelism: 2,
+			EnforceLocality: true, UseMinMax: true,
 		},
 	}
 	var want []string
@@ -365,25 +365,105 @@ func TestInsertDeleteUpdate2PC(t *testing.T) {
 	}
 }
 
+// requireIndexScan fails unless EXPLAIN ANALYZE of the query shows an
+// IndexScan through the named index.
+func requireIndexScan(t *testing.T, c *Cluster, index, sql string) {
+	t.Helper()
+	res, err := c.ExecSQL("EXPLAIN ANALYZE " + sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range res.Rows {
+		if strings.Contains(r[0].Str(), "IndexScan "+index) {
+			return
+		}
+	}
+	t.Fatalf("%s did not read through index %s:\n%v", sql, index, res.Rows)
+}
+
 func TestCreateIndexAndLookup(t *testing.T) {
 	c, _ := newCluster(t, 3, HRDBMSProfile())
 	if _, err := c.ExecSQL(`CREATE INDEX idx_cust_nation ON customer(c_nationkey)`); err != nil {
 		t.Fatal(err)
 	}
-	rows, err := c.IndexLookup("idx_cust_nation", types.Row{types.NewInt(2)})
+	sql := `SELECT c_custkey FROM customer WHERE c_nationkey = 2`
+	requireIndexScan(t, c, "idx_cust_nation", sql)
+	res, err := c.ExecSQL(sql)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 20 { // 60 customers, nation keys 1..3 uniform
-		t.Fatalf("index lookup rows = %d, want 20", len(rows))
+	if len(res.Rows) != 20 { // 60 customers, nation keys 1..3 uniform
+		t.Fatalf("index lookup rows = %d, want 20", len(res.Rows))
 	}
-	// Skip list variant.
-	if _, err := c.ExecSQL(`CREATE INDEX sl_cust ON customer(c_custkey) USING SKIPLIST`); err != nil {
+	// The B+-tree is the one index kind.
+	if _, err := c.ExecSQL(`CREATE INDEX sl_cust ON customer(c_custkey) USING SKIPLIST`); err == nil || !strings.Contains(err.Error(), "BTREE") {
+		t.Fatalf("USING SKIPLIST: err = %v, want a parse error naming BTREE", err)
+	}
+}
+
+// TestDropTableDropsWorkerIndexes: DROP TABLE takes the table's index
+// entries off every worker, and a table and index re-created under the same
+// names read the new rows through the new index.
+func TestDropTableDropsWorkerIndexes(t *testing.T) {
+	c, _ := newCluster(t, 3, HRDBMSProfile())
+	create := func(first int) {
+		t.Helper()
+		for _, sql := range []string{
+			`CREATE TABLE items (id INT, cat INT) PARTITION BY HASH(id)`,
+			fmt.Sprintf(`INSERT INTO items VALUES (%d, 5), (%d, 5), (%d, 9)`, first, first+1, first+2),
+			`CREATE INDEX idx_cat ON items(cat)`,
+		} {
+			if _, err := c.ExecSQL(sql); err != nil {
+				t.Fatalf("%s: %v", sql, err)
+			}
+		}
+	}
+	create(1)
+	if _, err := c.ExecSQL(`DROP TABLE items`); err != nil {
 		t.Fatal(err)
 	}
-	rows, err = c.IndexLookup("sl_cust", types.Row{types.NewInt(17)})
-	if err != nil || len(rows) != 1 {
-		t.Fatalf("skiplist lookup = %v err=%v", rows, err)
+	for _, w := range c.Workers {
+		if _, stale := w.btreeIdx["idx_cat"]; stale {
+			t.Errorf("worker %d still holds idx_cat after DROP TABLE", w.ID)
+		}
+	}
+	create(10)
+	sql := `SELECT id FROM items WHERE cat = 5 ORDER BY id`
+	requireIndexScan(t, c, "idx_cat", sql)
+	res, err := c.ExecSQL(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 2 || res.Rows[0][0].Int() != 10 || res.Rows[1][0].Int() != 11 {
+		t.Fatalf("re-created index read %v, want ids 10 and 11", res.Rows)
+	}
+}
+
+// TestMisplacedSubqueryAndIntervalFailCleanly: a subquery the planner does
+// not reach (an ORDER BY key, a DML expression) and an INTERVAL outside date
+// arithmetic are errors of the one statement — they used to panic the
+// process from an operator goroutine — and a failed UPDATE or DELETE rolls
+// back on every worker.
+func TestMisplacedSubqueryAndIntervalFailCleanly(t *testing.T) {
+	c, _ := newCluster(t, 3, HRDBMSProfile())
+	for _, sql := range []string{
+		`SELECT n_name FROM nation ORDER BY (SELECT max(n_nationkey) FROM nation)`,
+		`UPDATE customer SET c_nationkey = (SELECT max(n_nationkey) FROM nation)`,
+		`DELETE FROM customer WHERE c_nationkey IN (SELECT n_nationkey FROM nation)`,
+		`DELETE FROM customer WHERE EXISTS (SELECT n_nationkey FROM nation)`,
+		`SELECT INTERVAL '1' DAY FROM nation`,
+		`UPDATE customer SET c_acctbal = 1 / (c_acctbal - c_acctbal)`,
+	} {
+		if _, err := c.ExecSQL(sql); err == nil {
+			t.Errorf("%s: no error", sql)
+		}
+	}
+	res, err := c.ExecSQL(`SELECT count(*), sum(c_nationkey) FROM customer`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Rows[0][0].Int() != 60 || res.Rows[0][1].Int() != 120 {
+		t.Fatalf("customer after the failed statements = %v, want 60 rows, nation keys summing to 120", res.Rows[0])
 	}
 }
 
@@ -489,14 +569,9 @@ func TestCatalogPartitioningHonored(t *testing.T) {
 	def, _ := c.Catalog().Table("customer")
 	for wi, w := range c.Workers {
 		fr := w.frags["customer"]
-		n, err := fr.RowCount()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n == 0 {
-			t.Errorf("worker %d has no customer rows — bad balance", wi)
-		}
-		_, err = fr.Scan(storage.ScanOptions{}, func(rid page.RID, r types.Row) bool {
+		n := 0
+		_, err := fr.Scan(storage.ScanOptions{}, func(rid page.RID, r types.Row) bool {
+			n++
 			nodes, nerr := def.NodeFor(r, len(c.Workers))
 			if nerr != nil || len(nodes) != 1 || nodes[0] != wi {
 				t.Errorf("row %v on worker %d, want %v", r, wi, nodes)
@@ -506,6 +581,9 @@ func TestCatalogPartitioningHonored(t *testing.T) {
 		})
 		if err != nil {
 			t.Fatal(err)
+		}
+		if n == 0 {
+			t.Errorf("worker %d has no customer rows — bad balance", wi)
 		}
 	}
 }
@@ -634,6 +712,7 @@ func TestIndexMaintainedByDML(t *testing.T) {
 	if _, err := c.ExecSQL(`INSERT INTO items VALUES (4, 5, 'd')`); err != nil {
 		t.Fatal(err)
 	}
+	requireIndexScan(t, c, "idx_cat", `SELECT count(*) FROM items WHERE cat = 5`)
 	res, err := c.ExecSQL(`SELECT count(*) FROM items WHERE cat = 5`)
 	if err != nil {
 		t.Fatal(err)
@@ -654,7 +733,7 @@ func TestIndexMaintainedByDML(t *testing.T) {
 func TestParallelQueriesAcrossCoordinators(t *testing.T) {
 	c, err := New(Config{
 		NumWorkers: 3, NumCoordinators: 2, BaseDir: t.TempDir(),
-		PageSize: 8192, Nmax: 3, Profile: HRDBMSProfile(),
+		PageSize: 8192, Nmax: 3, Profile: HRDBMSProfile(), TraceQueries: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -693,16 +772,18 @@ func TestParallelQueriesAcrossCoordinators(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	// Both coordinators must have received result traffic.
-	links := c.Fabric.Meter().PerLink()
-	toCoord := map[int]bool{}
-	for _, l := range links {
-		if l.To < c.Cfg.NumCoordinators {
-			toCoord[l.To] = true
+	// Both coordinators must have produced results: the root span of a
+	// query's trace sits on the coordinator that ran it.
+	gathered := map[int]bool{}
+	for _, tr := range c.Traces.Recent() {
+		for _, sp := range tr.Spans() {
+			if sp.Parent == 0 {
+				gathered[sp.Node] = true
+			}
 		}
 	}
-	if !toCoord[0] || !toCoord[1] {
-		t.Errorf("queries did not spread over coordinators: %v", toCoord)
+	if !gathered[0] || !gathered[1] {
+		t.Errorf("queries did not spread over coordinators: %v", gathered)
 	}
 }
 

@@ -109,7 +109,7 @@ func (q *queryExec) estimator() *opt.Estimator {
 // newQueryExec allocates a query id and builds per-query execution state.
 // opts, when non-nil, threads the serving layer's controls in: the kill
 // switch and per-session batch sizing become per-worker child contexts and
-// MaxParallel clamps the profile's parallelism degrees.
+// MaxParallel clamps the profile's parallelism degree.
 func (c *Cluster) newQueryExec(coord *CoordinatorNode, opts *QueryOptions) *queryExec {
 	q := &queryExec{c: c, coord: coord, qid: c.querySeq.Add(1), prof: c.Cfg.Profile}
 	ids := []uint64{q.qid}
@@ -120,7 +120,7 @@ func (c *Cluster) newQueryExec(coord *CoordinatorNode, opts *QueryOptions) *quer
 	}
 	q.opts = opts
 	if opts.MaxParallel > 0 {
-		q.prof = q.prof.clampParallelism(opts.MaxParallel)
+		q.prof.Parallelism = min(q.prof.Parallelism, opts.MaxParallel)
 	}
 	if opts.Cancel != nil || opts.BatchRows > 0 {
 		q.ctxs = make([]*exec.Ctx, len(c.Workers))
@@ -174,16 +174,6 @@ func (q *queryExec) releaseWhenQuiet() {
 func (q *queryExec) channel(tag string) string {
 	q.xseq++
 	return fmt.Sprintf("q%d.%s%d", q.qid, tag, q.xseq)
-}
-
-// Run plans nothing — it takes an already-built logical plan, distributes
-// it, executes it, and returns all result rows at the coordinator.
-func (c *Cluster) Run(root plan.Node) ([]types.Row, error) {
-	op, err := c.newQueryExec(c.Coords[0], nil).compile(root)
-	if err != nil {
-		return nil, err
-	}
-	return exec.Collect(op)
 }
 
 // CompileDistributed converts a logical plan into a coordinator-side row
@@ -603,7 +593,7 @@ func (q *queryExec) distributeJoin(x *plan.Join) (*dstream, exec.Operator, error
 	if err != nil {
 		return nil, nil, err
 	}
-	par := q.prof.ProbeParallelism
+	par := q.prof.Parallelism
 	// Any side already on the coordinator → finish there.
 	if leftCoord != nil || rightCoord != nil {
 		if leftCoord == nil {

@@ -65,15 +65,11 @@ type indexScanOp struct {
 // Open implements exec.Operator: the probe happens here.
 func (s *indexScanOp) Open() error {
 	s.Rows = nil
-	var rids []page.RID
-	var err error
-	if bt := s.w.btreeIdx[s.def.Name]; bt != nil {
-		rids, err = bt.Search(types.Row{s.key})
-	} else if sl := s.w.skipIdx[s.def.Name]; sl != nil {
-		rids, err = sl.Search(types.Row{s.key})
-	} else {
+	bt := s.w.btreeIdx[s.def.Name]
+	if bt == nil {
 		return nil // index not built on this worker: no rows here
 	}
+	rids, err := bt.Search(types.Row{s.key})
 	if err != nil {
 		return err
 	}
@@ -110,22 +106,16 @@ func (w *Worker) maintainIndexes(c *catalog.Catalog, tbl *catalog.TableDef, r ty
 			return err
 		}
 		key := r.Project(offs)
-		if bt := w.btreeIdx[idx.Name]; bt != nil {
-			if insert {
-				if err := bt.Insert(key, rid); err != nil {
-					return err
-				}
-			} else if _, err := bt.Delete(key, rid); err != nil {
+		bt := w.btreeIdx[idx.Name]
+		if bt == nil {
+			continue
+		}
+		if insert {
+			if err := bt.Insert(key, rid); err != nil {
 				return err
 			}
-		} else if sl := w.skipIdx[idx.Name]; sl != nil {
-			if insert {
-				if err := sl.Insert(key, rid); err != nil {
-					return err
-				}
-			} else if _, err := sl.Delete(key, rid); err != nil {
-				return err
-			}
+		} else if _, err := bt.Delete(key, rid); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -81,7 +81,7 @@ func TestTraceSpanSumsMatchRunMetrics(t *testing.T) {
 	if len(nodes) < 1+3 {
 		t.Errorf("trace covers nodes %v, want coordinator + 3 workers", nodes)
 	}
-	if tr.Wall() <= 0 {
+	if tr.Snapshot().WallNS <= 0 {
 		t.Error("trace wall time not recorded")
 	}
 	// Untraced execution of the same plan returns the same row count and

@@ -26,10 +26,3 @@ type QueryOptions struct {
 	// traced queries annotate it as an Admission span.
 	QueueWait time.Duration
 }
-
-// clampParallelism caps every per-operator parallelism degree at max.
-func (p ExecProfile) clampParallelism(max int) ExecProfile {
-	p.Parallelism = min(p.Parallelism, max)
-	p.ProbeParallelism = min(p.ProbeParallelism, max)
-	return p
-}

@@ -50,9 +50,6 @@ type Prepared struct {
 	sql  string
 }
 
-// SQL returns the statement text the prepared statement was parsed from.
-func (p *Prepared) SQL() string { return p.sql }
-
 // Prepare parses a statement for later execution via ExecPrepared.
 func (c *Cluster) Prepare(sql string) (*Prepared, error) {
 	stmt, err := sqlparse.Parse(sql)
@@ -88,6 +85,7 @@ func (c *Cluster) execStmt(stmt sqlparse.Stmt, sql string, opts *QueryOptions) (
 	case *sqlparse.CreateTable:
 		return c.createTableStmt(x)
 	case *sqlparse.DropTable:
+		indexes := c.Catalog().IndexesOn(x.Name)
 		for _, cn := range c.Coords {
 			if err := cn.Cat.DropTable(x.Name); err != nil {
 				return nil, err
@@ -96,6 +94,9 @@ func (c *Cluster) execStmt(stmt sqlparse.Stmt, sql string, opts *QueryOptions) (
 		for _, w := range c.Workers {
 			delete(w.frags, lower(x.Name))
 			delete(w.colFrags, lower(x.Name))
+			for _, idx := range indexes {
+				delete(w.btreeIdx, idx.Name)
+			}
 		}
 		return &Result{Message: fmt.Sprintf("table %s dropped", x.Name)}, nil
 	case *sqlparse.CreateIndex:
@@ -231,11 +232,7 @@ func (c *Cluster) createTableStmt(x *sqlparse.CreateTable) (*Result, error) {
 }
 
 func (c *Cluster) createIndexStmt(x *sqlparse.CreateIndex) (*Result, error) {
-	kind := catalog.IndexBTree
-	if x.Using == "SKIPLIST" {
-		kind = catalog.IndexSkipList
-	}
-	def := &catalog.IndexDef{Name: strings.ToLower(x.Name), Table: strings.ToLower(x.Table), Cols: x.Cols, Kind: kind}
+	def := &catalog.IndexDef{Name: strings.ToLower(x.Name), Table: strings.ToLower(x.Table), Cols: x.Cols}
 	for _, cn := range c.Coords {
 		if err := cn.Cat.CreateIndex(def); err != nil {
 			return nil, err
@@ -255,7 +252,7 @@ func (c *Cluster) createIndexStmt(x *sqlparse.CreateIndex) (*Result, error) {
 	}
 	total := 0
 	for _, w := range c.Workers {
-		n, err := w.buildIndex(def, tbl, offs, c.Cfg.PageSize)
+		n, err := w.buildIndex(def, tbl, offs)
 		if err != nil {
 			return nil, err
 		}
@@ -264,88 +261,30 @@ func (c *Cluster) createIndexStmt(x *sqlparse.CreateIndex) (*Result, error) {
 	return &Result{Message: fmt.Sprintf("index %s created (%d entries)", def.Name, total)}, nil
 }
 
-// buildIndex scans the worker's fragment into a fresh disk index.
-func (w *Worker) buildIndex(def *catalog.IndexDef, tbl *catalog.TableDef, offs []int, pageSize int) (int, error) {
-	if pageSize == 0 {
-		pageSize = w.Store.PageSize()
-	}
+// buildIndex scans the worker's fragment into a fresh disk B+-tree.
+func (w *Worker) buildIndex(def *catalog.IndexDef, tbl *catalog.TableDef, offs []int) (int, error) {
 	fileID, err := w.Store.OpenFile(0, def.Name+".idx", true)
 	if err != nil {
 		return 0, err
 	}
-	space := index.NewBufferSpace(w.Store.Buf, fileID, w.Store.PageSize(), 0)
-	insert := func(fn func(key types.Row, rid page.RID) error) (int, error) {
-		count := 0
-		fr := w.frags[lower(tbl.Name)]
-		_, err := fr.Scan(storage.ScanOptions{}, func(rid page.RID, r types.Row) bool {
-			if err := fn(r.Project(offs), rid); err != nil {
-				return false
-			}
-			count++
-			return true
-		})
-		return count, err
-	}
-	if def.Kind == catalog.IndexSkipList {
-		sl, err := index.CreateSkipList(space)
-		if err != nil {
-			return 0, err
-		}
-		w.skipIdx[def.Name] = sl
-		return insert(sl.Insert)
-	}
-	bt, err := index.CreateBTree(space)
+	bt, err := index.CreateBTree(index.NewBufferSpace(w.Store.Buf, fileID, w.Store.PageSize(), 0))
 	if err != nil {
 		return 0, err
 	}
 	w.btreeIdx[def.Name] = bt
-	return insert(bt.Insert)
-}
-
-// IndexLookup searches a named index on every worker, returning matching
-// rows (the disk-resident index path; the optimizer's table-vs-index scan
-// choice uses this for selective point queries).
-func (c *Cluster) IndexLookup(indexName string, key types.Row) ([]types.Row, error) {
-	var idxDef *catalog.IndexDef
-	for _, tblName := range c.Catalog().Tables() {
-		for _, d := range c.Catalog().IndexesOn(tblName) {
-			if strings.EqualFold(d.Name, indexName) {
-				idxDef = d
-			}
+	count := 0
+	var insertErr error
+	_, err = w.frags[lower(tbl.Name)].Scan(storage.ScanOptions{}, func(rid page.RID, r types.Row) bool {
+		if insertErr = bt.Insert(r.Project(offs), rid); insertErr != nil {
+			return false
 		}
+		count++
+		return true
+	})
+	if err == nil {
+		err = insertErr
 	}
-	if idxDef == nil {
-		return nil, fmt.Errorf("cluster: index %s not found", indexName)
-	}
-	tbl, err := c.Catalog().Table(idxDef.Table)
-	if err != nil {
-		return nil, err
-	}
-	var out []types.Row
-	for _, w := range c.Workers {
-		var rids []page.RID
-		if bt := w.btreeIdx[idxDef.Name]; bt != nil {
-			rids, err = bt.Search(key)
-		} else if sl := w.skipIdx[idxDef.Name]; sl != nil {
-			rids, err = sl.Search(key)
-		} else {
-			continue
-		}
-		if err != nil {
-			return nil, err
-		}
-		fr := w.frags[lower(tbl.Name)]
-		for _, rid := range rids {
-			r, ok, err := fr.Get(rid)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				out = append(out, r)
-			}
-		}
-	}
-	return out, nil
+	return count, err
 }
 
 // evalLiteralRow evaluates an INSERT VALUES row and coerces to the schema.
@@ -561,12 +500,7 @@ func (c *Cluster) updateStmt(x *sqlparse.Update) (*Result, error) {
 	txid := c.txSeq.Add(1)
 	involved := map[int]bool{}
 	total := 0
-	getTx := func(w *Worker) interface {
-		TxID() uint64
-		LockPage(page.Key, bool) error
-		LogInsert(page.Key, uint16, []byte) uint64
-		LogDelete(page.Key, uint16, []byte) uint64
-	} {
+	getTx := func(w *Worker) storage.TxHook {
 		if tx, ok := w.Txn.Lookup(txid); ok {
 			return tx
 		}

@@ -11,7 +11,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/external"
 	"repro/internal/obs"
-	"repro/internal/sqlparse"
 	"repro/internal/types"
 )
 
@@ -141,9 +140,3 @@ func (db *DB) Traces() *obs.TraceStore { return db.cluster.Traces }
 
 // Close shuts the instance down cleanly.
 func (db *DB) Close() error { return db.cluster.Close() }
-
-// ParseSQL checks a statement parses, without executing (for tools).
-func ParseSQL(sql string) error {
-	_, err := sqlparse.Parse(sql)
-	return err
-}

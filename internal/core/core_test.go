@@ -43,10 +43,7 @@ func TestEndToEndSQL(t *testing.T) {
 	if schema.Cols[0].Name != "k" {
 		t.Errorf("schema = %v", schema)
 	}
-	if err := ParseSQL(`SELECT 1 FROM kv`); err != nil {
-		t.Errorf("ParseSQL: %v", err)
-	}
-	if err := ParseSQL(`SELEC nope`); err == nil {
+	if _, err := db.Exec(`SELEC nope`); err == nil {
 		t.Error("bad SQL should fail parse")
 	}
 }

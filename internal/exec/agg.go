@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"strings"
 	"sync/atomic"
 
 	"repro/internal/expr"
@@ -21,24 +20,6 @@ const (
 	AggMin
 	AggMax
 )
-
-// ParseAggKind maps a SQL function name to an AggKind.
-func ParseAggKind(name string) (AggKind, bool) {
-	switch strings.ToUpper(name) {
-	case "SUM":
-		return AggSum, true
-	case "COUNT":
-		return AggCount, true
-	case "AVG":
-		return AggAvg, true
-	case "MIN":
-		return AggMin, true
-	case "MAX":
-		return AggMax, true
-	default:
-		return 0, false
-	}
-}
 
 // String names the aggregate.
 func (k AggKind) String() string {

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/expr"
@@ -561,31 +560,6 @@ func (r *Recv) NextBatch() ([]types.Row, bool, error) {
 // Close implements Operator.
 func (r *Recv) Close() error { return nil }
 
-// Broadcast sends every input row to all listed nodes (replicated/broadcast
-// join build sides). ctx sizes the wire batches and may be nil.
-func Broadcast(ctx *Ctx, ep network.Endpoint, nodes []int, channel string, in Operator) error {
-	rows, err := Collect(in)
-	if err != nil {
-		return err
-	}
-	wire := ctx.wireBatchRows()
-	for _, node := range nodes {
-		for i := 0; i < len(rows); i += wire {
-			end := i + wire
-			if end > len(rows) {
-				end = len(rows)
-			}
-			if err := ep.Send(node, node, channel, encodeBatch(msgData, ep.NodeID(), rows[i:end])); err != nil {
-				return err
-			}
-		}
-		if err := ep.Send(node, node, channel, encodeBatch(msgEOF, ep.NodeID(), nil)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // TreeReduceSpec describes a tree-topology reduction (hierarchical
 // aggregation, distributed merge sort, 2PC-style fan-in).
 type TreeReduceSpec struct {
@@ -736,14 +710,6 @@ func (m *MergeOperators) Close() error {
 		}
 	}
 	return firstErr
-}
-
-// SortedNodeList returns a deterministic participant ordering (callers
-// must agree on Nodes ordering across the cluster).
-func SortedNodeList(ids []int) []int {
-	out := append([]int(nil), ids...)
-	sort.Ints(out)
-	return out
 }
 
 // forwardItem is one queued hub-forwarding send.

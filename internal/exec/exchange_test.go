@@ -160,36 +160,22 @@ func TestSendAllRecv(t *testing.T) {
 	}
 }
 
-func TestBroadcastExchange(t *testing.T) {
-	fabric := network.NewFabric([]int{0, 1, 2}, 64)
-	defer fabric.CloseAll()
-	sch := intSchema("a")
-	go func() {
-		ep, _ := fabric.Endpoint(0)
-		src := NewSource(sch, intRows([]int64{7}, []int64{8}))
-		if err := Broadcast(nil, ep, []int{1, 2}, "bc", src); err != nil {
-			t.Errorf("broadcast: %v", err)
-		}
-	}()
-	for _, w := range []int{1, 2} {
-		ep, _ := fabric.Endpoint(w)
-		rows, err := Collect(NewRecv(ep, "bc", 1, sch))
-		if err != nil || len(rows) != 2 {
-			t.Fatalf("node %d received %d rows err=%v", w, len(rows), err)
-		}
-	}
-}
-
 // TestShuffleBroadcastFlag exercises ShuffleSpec.Broadcast: every node's
 // input rows must arrive at every node (the broadcast-join build side),
 // with no hashing involved.
-func TestShuffleBroadcastFlag(t *testing.T) {
+func TestShuffleBroadcastFlag(t *testing.T) { requireBroadcast(t, true) }
+
+// TestBroadcastExchange is the same exchange over direct links, as the
+// baseline profiles run it.
+func TestBroadcastExchange(t *testing.T) { requireBroadcast(t, false) }
+
+func requireBroadcast(t *testing.T, hierarchical bool) {
 	testutil.AssertNoGoroutineLeak(t)
 	const n, perNode = 4, 25
 	ids := []int{0, 1, 2, 3}
 	fabric := network.NewFabric(ids, 256)
 	defer fabric.CloseAll()
-	spec := ShuffleSpec{Channel: "t-bcast", Nodes: ids, Nmax: 3, Hierarchical: true, Broadcast: true}
+	spec := ShuffleSpec{Channel: "t-bcast", Nodes: ids, Nmax: 3, Hierarchical: hierarchical, Broadcast: true}
 
 	results := make([][]types.Row, n)
 	errs := make([]error, n)

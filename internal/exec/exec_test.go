@@ -62,6 +62,22 @@ func TestLimitOffset(t *testing.T) {
 	}
 }
 
+// TestPassThroughOperatorsKeepSchema: an operator that only drops, orders or
+// guards rows reports its child's schema — what plan.Execute binds the
+// operator above it against.
+func TestPassThroughOperatorsKeepSchema(t *testing.T) {
+	sch := intSchema("a", "b")
+	for name, op := range map[string]Operator{
+		"Limit": NewLimit(NewSource(sch, nil), 1, 0),
+		"TopK":  NewTopK(nil, NewSource(sch, nil), []SortKey{{Col: 0}}, 1),
+		"Guard": Guard(NewCancel(), NewSource(sch, nil)),
+	} {
+		if got := op.Schema(); got.Len() != 2 || got.Cols[1].Name != "b" {
+			t.Errorf("%s schema = %v, want the child's", name, got)
+		}
+	}
+}
+
 func TestUnionDistinct(t *testing.T) {
 	a := NewSource(intSchema("a"), intRows([]int64{1}, []int64{2}))
 	b := NewSource(intSchema("a"), intRows([]int64{2}, []int64{3}))
@@ -455,18 +471,12 @@ func TestBloom(t *testing.T) {
 	if fp > 200 {
 		t.Errorf("bloom false positives = %d/1000", fp)
 	}
-	// Round trip encoding.
-	b2, err := DecodeBloom(b.Encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := uint64(0); i < 100; i++ {
-		if !b2.MayContain(i * 7919) {
-			t.Fatal("decoded bloom lost keys")
+	// Saturated, it is the always-maybe filter grace partitions probe with.
+	b.SetAll()
+	for i := uint64(1); i <= 1000; i++ {
+		if !b.MayContain(i*7919 + 3) {
+			t.Fatalf("saturated bloom rejected %d", i)
 		}
-	}
-	if _, err := DecodeBloom([]byte{1, 2, 3}); err == nil {
-		t.Error("bad length should fail")
 	}
 }
 

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 
 	"repro/internal/expr"
@@ -684,31 +683,4 @@ func (b *Bloom) SetAll() {
 	for i := range b.bits {
 		b.bits[i] = ^uint64(0)
 	}
-}
-
-// Encode serializes the filter for shipping across the network.
-func (b *Bloom) Encode() []byte {
-	out := make([]byte, 8*len(b.bits))
-	for i, w := range b.bits {
-		for j := 0; j < 8; j++ {
-			out[i*8+j] = byte(w >> (8 * j))
-		}
-	}
-	return out
-}
-
-// DecodeBloom restores a filter from Encode output.
-func DecodeBloom(data []byte) (*Bloom, error) {
-	if len(data) == 0 || len(data)%8 != 0 {
-		return nil, fmt.Errorf("exec: bad bloom encoding length %d", len(data))
-	}
-	b := &Bloom{bits: make([]uint64, len(data)/8), mask: uint64(len(data)*8 - 1)}
-	for i := range b.bits {
-		var w uint64
-		for j := 0; j < 8; j++ {
-			w |= uint64(data[i*8+j]) << (8 * j)
-		}
-		b.bits[i] = w
-	}
-	return b, nil
 }

@@ -137,15 +137,6 @@ func (c *Ctx) canceled() error {
 	return c.cancel.Err()
 }
 
-// cancelDone exposes the done channel for select loops; nil-safe (a nil
-// channel never selects ready).
-func (c *Ctx) cancelDone() <-chan struct{} {
-	if c == nil {
-		return nil
-	}
-	return c.cancel.Done()
-}
-
 // SetParallelBudget installs a node-wide cap on extra operator threads.
 func (c *Ctx) SetParallelBudget(tokens int) {
 	if tokens < 0 {

@@ -91,6 +91,9 @@ func TestSpillFilesRemovedOnError(t *testing.T) {
 		{"grace join, probe side", func(ctx *Ctx, in Operator, degree int) Operator {
 			return NewHashJoin(ctx, in, small(), ColRefs(0), ColRefs(0), JoinInner, nil, degree)
 		}},
+		{"materialize to disk", func(ctx *Ctx, in Operator, degree int) Operator {
+			return NewMaterialize(ctx, in, true)
+		}},
 	}
 	boom := errors.New("input failed")
 	cause := errors.New("killed by test")

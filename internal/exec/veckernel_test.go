@@ -28,6 +28,8 @@ func kernelRows() (types.Schema, []types.Row) {
 		types.Column{Name: "f", Kind: types.KindFloat},
 		types.Column{Name: "d", Kind: types.KindDate},
 		types.Column{Name: "s", Kind: types.KindString},
+		types.Column{Name: "s2", Kind: types.KindString},
+		types.Column{Name: "b", Kind: types.KindBool},
 	)
 	var rows []types.Row
 	for k := int64(0); k < 200; k++ {
@@ -36,8 +38,10 @@ func kernelRows() (types.Schema, []types.Row) {
 			types.NewFloat(float64(k%9) * 0.5),
 			types.NewDate(9_000 + k%13),
 			types.NewString(string(rune('a' + k%5))),
+			types.NewString(string(rune('a' + k%3))),
+			types.NewBool(k%2 == 0),
 		}
-		for c, stride := range []int64{3, 5, 7, 4} {
+		for c, stride := range []int64{3, 5, 7, 4, 6, 8} {
 			if k%stride == 1 {
 				r[c] = types.Null
 			}
@@ -56,8 +60,13 @@ func kernelRows() (types.Schema, []types.Row) {
 func TestCompiledPredicateParity(t *testing.T) {
 	sch, rows := kernelRows()
 	i, f, d, s := ncol(0, "i"), ncol(1, "f"), ncol(2, "d"), ncol(3, "s")
+	s2, flag := ncol(4, "s2"), ncol(5, "b")
 	null := &expr.Const{V: types.Null}
 	compiled := map[string]expr.Expr{
+		"string=string-column":     eq(s, s2),
+		"string<string-column":     lt(s, s2),
+		"bool-column":              flag,
+		"not-bool-column":          &expr.Not{E: flag},
 		"date<=date-literal":       &expr.Bin{Op: expr.OpLe, L: d, R: cd(9_005)},
 		"date-literal<date":        lt(cd(9_005), d),
 		"date=int-literal":         eq(d, ci(9_003)),

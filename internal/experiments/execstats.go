@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"strings"
 
 	"repro/internal/cluster"
 	"repro/internal/obs"
@@ -161,15 +162,7 @@ func CheckExecRegression(stats []QueryExecStat, baselinePath string, queries []s
 	}
 	if len(failures) > 0 {
 		return fmt.Errorf("executed-work regression vs %s:\n  %s",
-			baselinePath, joinLines(failures))
+			baselinePath, strings.Join(failures, "\n  "))
 	}
 	return nil
-}
-
-func joinLines(ss []string) string {
-	out := ss[0]
-	for _, s := range ss[1:] {
-		out += "\n  " + s
-	}
-	return out
 }

@@ -15,17 +15,12 @@ import (
 // resident []types.Row slice. Sel is cleared before each serve because a
 // downstream VecFilter rewrites it in place.
 type vecBatchSource struct {
-	sch     types.Schema
-	batches []*vec.Batch
-	pos     int
+	exec.Source // the schema and the Operator face; it holds no rows
+	batches     []*vec.Batch
+	pos         int
 }
 
-func (s *vecBatchSource) Schema() types.Schema { return s.sch }
-func (s *vecBatchSource) Open() error          { s.pos = 0; return nil }
-func (s *vecBatchSource) Close() error         { return nil }
-func (s *vecBatchSource) NextBatch() ([]types.Row, bool, error) {
-	return nil, false, fmt.Errorf("experiments: vecBatchSource is vector-only")
-}
+func (s *vecBatchSource) Open() error { s.pos = 0; return nil }
 func (s *vecBatchSource) NextVec() (*vec.Batch, bool, error) {
 	if s.pos >= len(s.batches) {
 		return nil, false, nil
@@ -49,7 +44,7 @@ func (r *Runner) VectorVsBatch() (QueryExecStat, error) {
 	}
 	sch := types.Schema{Cols: cols}
 	const batchSize = 1024
-	src := &vecBatchSource{sch: sch}
+	src := &vecBatchSource{Source: exec.Source{Sch: sch}}
 	for off := 0; off < len(rows); off += batchSize {
 		end := off + batchSize
 		if end > len(rows) {

@@ -1,7 +1,6 @@
 package index
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 
@@ -57,22 +56,6 @@ func CreateBTree(space Space) (*BTree, error) {
 		return nil, err
 	}
 	return t, nil
-}
-
-// OpenBTree opens an existing tree, reading the root from the meta page.
-// It returns the tree and the allocation high-water mark for the Space.
-func OpenBTree(space Space) (*BTree, uint32, error) {
-	f, err := space.Fetch(btMetaPage)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer space.Unpin(f, false)
-	if page.TypeOf(f.Buf) != page.TypeMeta {
-		return nil, 0, fmt.Errorf("index: page 0 is not a btree meta page")
-	}
-	root := binary.LittleEndian.Uint32(f.Buf[nodeHdrStart:])
-	next := binary.LittleEndian.Uint32(f.Buf[nodeHdrStart+4:])
-	return &BTree{space: space, root: root}, next, nil
 }
 
 func (t *BTree) writeMeta() error {
@@ -442,57 +425,4 @@ func (t *BTree) Delete(key types.Row, rid page.RID) (bool, error) {
 			return false, err
 		}
 	}
-}
-
-// Height returns the tree height (1 = just a leaf). For tests and stats.
-func (t *BTree) Height() (int, error) {
-	h := 1
-	pageNum := t.root
-	for {
-		n, err := t.readNode(pageNum)
-		if err != nil {
-			return 0, err
-		}
-		if n.isLeaf {
-			return h, nil
-		}
-		h++
-		pageNum = n.children[0]
-	}
-}
-
-// Validate checks structural invariants (key ordering within and across
-// leaves). Used by property tests.
-func (t *BTree) Validate() error {
-	var prev types.Row
-	seen := 0
-	err := t.Range(nil, nil, func(k types.Row, rid page.RID) bool {
-		if prev != nil && compareKeys(prev, k) > 0 {
-			prev = nil
-			seen = -1
-			return false
-		}
-		prev = k
-		seen++
-		return true
-	})
-	if err != nil {
-		return err
-	}
-	if seen < 0 {
-		return fmt.Errorf("index: btree keys out of order")
-	}
-	return nil
-}
-
-// KeyBytes renders a key for debugging.
-func KeyBytes(k types.Row) string {
-	var b bytes.Buffer
-	for i, v := range k {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(v.String())
-	}
-	return b.String()
 }

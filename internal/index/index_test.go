@@ -79,14 +79,29 @@ func TestBTreeInsertSearch(t *testing.T) {
 	if rids, _ := bt.Search(intKey(99999)); len(rids) != 0 {
 		t.Error("missing key should return nothing")
 	}
-	h, err := bt.Height()
+	root, err := bt.readNode(bt.root)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h < 2 {
-		t.Errorf("tree of %d entries on 1KB pages should have split (height %d)", n, h)
+	if root.isLeaf {
+		t.Errorf("tree of %d entries on 1KB pages should have split", n)
 	}
-	if err := bt.Validate(); err != nil {
+	validate(t, bt)
+}
+
+// validate fails the test unless a full range scan yields keys in order.
+func validate(t *testing.T, bt *BTree) {
+	t.Helper()
+	var prev types.Row
+	err := bt.Range(nil, nil, func(k types.Row, rid page.RID) bool {
+		if prev != nil && compareKeys(prev, k) > 0 {
+			t.Errorf("btree keys out of order: %v before %v", prev, k)
+			return false
+		}
+		prev = k
+		return true
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 }
@@ -221,20 +236,10 @@ func TestBTreeReopen(t *testing.T) {
 	if err := m.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
-	// Reopen through a fresh buffer manager over the same store.
+	// Reopen through a fresh buffer manager over the same store, the
+	// allocator resuming after the pages the tree already owns.
 	m2 := buffer.New(st, 64, 2)
-	next0 := uint32(0)
-	space2 := NewBufferSpace(m2, 1, 1024, next0)
-	bt2, next, err := OpenBTree(space2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if next == 0 {
-		t.Fatal("allocation high-water mark not persisted")
-	}
-	// Fix the space's allocator to resume after the persisted mark.
-	space3 := NewBufferSpace(m2, 1, 1024, next)
-	bt3 := &BTree{space: space3, root: bt2.root}
+	bt3 := &BTree{space: NewBufferSpace(m2, 1, 1024, space.NextPage()), root: bt.root}
 	for i := int64(0); i < 150; i++ {
 		rids, err := bt3.Search(intKey(i))
 		if err != nil || len(rids) != 1 {
@@ -247,9 +252,7 @@ func TestBTreeReopen(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := bt3.Validate(); err != nil {
-		t.Fatal(err)
-	}
+	validate(t, bt3)
 }
 
 func TestBTreeLargeRandomValidated(t *testing.T) {
@@ -262,9 +265,7 @@ func TestBTreeLargeRandomValidated(t *testing.T) {
 		bt.Insert(intKey(k), page.RID{Page: uint32(i)})
 		inserted[k]++
 	}
-	if err := bt.Validate(); err != nil {
-		t.Fatal(err)
-	}
+	validate(t, bt)
 	for k, want := range inserted {
 		rids, err := bt.Search(intKey(k))
 		if err != nil {
@@ -273,159 +274,6 @@ func TestBTreeLargeRandomValidated(t *testing.T) {
 		if len(rids) != want {
 			t.Fatalf("key %d: %d rids, want %d", k, len(rids), want)
 		}
-	}
-}
-
-func TestSkipListInsertSearch(t *testing.T) {
-	space, _, _ := newSpace(t, 1024, 128)
-	sl, err := CreateSkipList(space)
-	if err != nil {
-		t.Fatal(err)
-	}
-	perm := rand.New(rand.NewSource(5)).Perm(300)
-	for _, i := range perm {
-		if err := sl.Insert(intKey(int64(i)), ridFor(int64(i))); err != nil {
-			t.Fatalf("insert %d: %v", i, err)
-		}
-	}
-	for i := int64(0); i < 300; i++ {
-		rids, err := sl.Search(intKey(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(rids) != 1 || rids[0] != ridFor(i) {
-			t.Fatalf("search %d = %v", i, rids)
-		}
-	}
-	if rids, _ := sl.Search(intKey(-5)); len(rids) != 0 {
-		t.Error("missing key found")
-	}
-}
-
-func TestSkipListOrderedScan(t *testing.T) {
-	space, _, _ := newSpace(t, 1024, 128)
-	sl, _ := CreateSkipList(space)
-	perm := rand.New(rand.NewSource(6)).Perm(200)
-	for _, i := range perm {
-		sl.Insert(intKey(int64(i)), ridFor(int64(i)))
-	}
-	prev := int64(-1)
-	count := 0
-	err := sl.Range(nil, nil, func(k types.Row, r page.RID) bool {
-		if k[0].Int() <= prev {
-			t.Fatalf("out of order: %d after %d", k[0].Int(), prev)
-		}
-		prev = k[0].Int()
-		count++
-		return true
-	})
-	if err != nil || count != 200 {
-		t.Fatalf("scan count = %d err=%v", count, err)
-	}
-	// Bounded range.
-	var got []int64
-	sl.Range(intKey(10), intKey(15), func(k types.Row, r page.RID) bool {
-		got = append(got, k[0].Int())
-		return true
-	})
-	if len(got) != 6 || got[0] != 10 || got[5] != 15 {
-		t.Errorf("bounded range = %v", got)
-	}
-}
-
-func TestSkipListLogicalDelete(t *testing.T) {
-	space, _, _ := newSpace(t, 1024, 128)
-	sl, _ := CreateSkipList(space)
-	for i := int64(0); i < 50; i++ {
-		sl.Insert(intKey(i), ridFor(i))
-	}
-	ok, err := sl.Delete(intKey(25), ridFor(25))
-	if err != nil || !ok {
-		t.Fatalf("delete: %v %v", ok, err)
-	}
-	if rids, _ := sl.Search(intKey(25)); len(rids) != 0 {
-		t.Error("tombstoned entry still visible")
-	}
-	if ok, _ := sl.Delete(intKey(25), ridFor(25)); ok {
-		t.Error("double delete should report false")
-	}
-	count := 0
-	sl.Range(nil, nil, func(k types.Row, r page.RID) bool { count++; return true })
-	if count != 49 {
-		t.Errorf("live entries = %d, want 49", count)
-	}
-}
-
-func TestSkipListDuplicates(t *testing.T) {
-	space, _, _ := newSpace(t, 1024, 128)
-	sl, _ := CreateSkipList(space)
-	for i := int64(0); i < 60; i++ {
-		sl.Insert(intKey(7), page.RID{Page: uint32(i)})
-	}
-	rids, err := sl.Search(intKey(7))
-	if err != nil || len(rids) != 60 {
-		t.Fatalf("duplicates: %d rids err=%v", len(rids), err)
-	}
-}
-
-func TestSkipListReopen(t *testing.T) {
-	st := newMemStore(1024)
-	m := buffer.New(st, 128, 2)
-	space := NewBufferSpace(m, 1, 1024, 0)
-	sl, err := CreateSkipList(space)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := int64(0); i < 100; i++ {
-		sl.Insert(intKey(i), ridFor(i))
-	}
-	m.FlushAll()
-
-	m2 := buffer.New(st, 128, 2)
-	space2 := NewBufferSpace(m2, 1, 1024, 0)
-	sl2, next, err := OpenSkipList(space2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if next == 0 {
-		t.Fatal("skiplist high-water mark not persisted")
-	}
-	sl2.space = NewBufferSpace(m2, 1, 1024, next)
-	for i := int64(0); i < 100; i++ {
-		rids, err := sl2.Search(intKey(i))
-		if err != nil || len(rids) != 1 {
-			t.Fatalf("reopened search %d: %v %v", i, rids, err)
-		}
-	}
-	// Batch insert after reopen (the paper's expected usage pattern).
-	for i := int64(100); i < 150; i++ {
-		if err := sl2.Insert(intKey(i), ridFor(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	count := 0
-	sl2.Range(nil, nil, func(k types.Row, r page.RID) bool { count++; return true })
-	if count != 150 {
-		t.Errorf("after reopen+insert: %d entries", count)
-	}
-}
-
-func TestSkipListSpansPages(t *testing.T) {
-	// Small pages force the append-only file to grow across many pages.
-	space, _, _ := newSpace(t, 512, 512)
-	sl, _ := CreateSkipList(space)
-	for i := int64(0); i < 400; i++ {
-		if err := sl.Insert(types.Row{types.NewString("key-with-some-width"), types.NewInt(i)}, ridFor(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if sl.current <= 1 {
-		t.Errorf("expected growth past page 1, current = %d", sl.current)
-	}
-	count := 0
-	sl.Range(nil, nil, func(k types.Row, r page.RID) bool { count++; return true })
-	if count != 400 {
-		t.Errorf("entries = %d", count)
 	}
 }
 
@@ -468,9 +316,7 @@ func TestBTreeMatchesModel(t *testing.T) {
 			}
 		}
 		if step%500 == 0 {
-			if err := bt.Validate(); err != nil {
-				t.Fatal(err)
-			}
+			validate(t, bt)
 		}
 	}
 	for k, rids := range model {
@@ -485,52 +331,6 @@ func TestBTreeMatchesModel(t *testing.T) {
 			if !rids[r] {
 				t.Fatalf("key %d: unexpected rid %v", k, r)
 			}
-		}
-	}
-}
-
-// TestSkipListMatchesModel mirrors the B+-tree model test.
-func TestSkipListMatchesModel(t *testing.T) {
-	space, _, _ := newSpace(t, 1024, 512)
-	sl, err := CreateSkipList(space)
-	if err != nil {
-		t.Fatal(err)
-	}
-	model := map[int64]map[page.RID]bool{}
-	rng := rand.New(rand.NewSource(77))
-	for step := 0; step < 1500; step++ {
-		k := int64(rng.Intn(100))
-		rid := page.RID{Page: uint32(rng.Intn(50)), Slot: uint16(rng.Intn(10))}
-		if rng.Intn(3) < 2 {
-			if model[k] == nil {
-				model[k] = map[page.RID]bool{}
-			}
-			if !model[k][rid] {
-				model[k][rid] = true
-				if err := sl.Insert(intKey(k), rid); err != nil {
-					t.Fatal(err)
-				}
-			}
-		} else if len(model[k]) > 0 {
-			var victim page.RID
-			for r := range model[k] {
-				victim = r
-				break
-			}
-			delete(model[k], victim)
-			ok, err := sl.Delete(intKey(k), victim)
-			if err != nil || !ok {
-				t.Fatalf("skiplist delete failed: %v %v", ok, err)
-			}
-		}
-	}
-	for k, rids := range model {
-		got, err := sl.Search(intKey(k))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(rids) {
-			t.Fatalf("key %d: list has %d, model %d", k, len(got), len(rids))
 		}
 	}
 }
@@ -562,22 +362,6 @@ func BenchmarkBTreeSearch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := bt.Search(intKey(int64(i % 50000))); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSkipListInsert(b *testing.B) {
-	st := newMemStore(8192)
-	m := buffer.New(st, 4096, 8)
-	space := NewBufferSpace(m, 1, 8192, 0)
-	sl, err := CreateSkipList(space)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := sl.Insert(intKey(int64(i)), ridFor(int64(i))); err != nil {
 			b.Fatal(err)
 		}
 	}

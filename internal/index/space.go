@@ -1,6 +1,6 @@
-// Package index implements HRDBMS's two disk-resident index structures
-// (Section III): a B+-tree and an append-only skip list with logical
-// deletes. Both live in page files accessed through the buffer manager.
+// Package index implements HRDBMS's disk-resident index structure
+// (Section III): a B+-tree in a page file accessed through the buffer
+// manager.
 //
 // Index keys are rows (possibly single-column) compared lexicographically,
 // and entries map keys to physical RIDs.
@@ -63,7 +63,7 @@ func (s *BufferSpace) NextPage() uint32 { return *s.nextPage }
 // PageSize returns the page size.
 func (s *BufferSpace) PageSize() int { return s.Size }
 
-// RID packing helpers shared by both index types.
+// RID packing helpers.
 
 func appendRID(dst []byte, r page.RID) []byte {
 	var buf [10]byte

@@ -15,7 +15,6 @@ package network
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -102,17 +101,14 @@ func (l linkMap) maxNodeDegree() int {
 }
 
 // Meter records fabric-wide communication statistics. It is shared by all
-// endpoints of an in-process cluster (and optionally attached to TCP
-// endpoints) and read by the performance model. Per-query accounting uses
+// endpoints of an in-process cluster and read by the performance model. Per-query accounting uses
 // Scope, which attributes messages by their channel-name prefix — channels
 // embed the query ID, so concurrent queries meter independently without
 // resetting shared state.
 type Meter struct {
-	mu       sync.Mutex
-	links    linkMap
-	scopes   []*MeterScope
-	compRaw  int64 // raw payload bytes of frames sent through a compressing endpoint
-	compWire int64 // bytes those frames actually occupied on the wire
+	mu     sync.Mutex
+	links  linkMap
+	scopes []*MeterScope
 }
 
 // NewMeter creates an empty meter.
@@ -130,27 +126,6 @@ func (m *Meter) record(from, to int, channel string, bytes int) {
 			s.links.record(from, to, bytes)
 		}
 	}
-}
-
-// recordCompression accounts one frame sent through a compressing TCP
-// endpoint: raw is the uncompressed payload size (what links/scopes see),
-// wire what the frame body actually carried. Loopback sends never reach
-// here — TCP endpoints dial even for self-sends, and the in-process fabric
-// does not compress.
-func (m *Meter) recordCompression(raw, wire int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.compRaw += int64(raw)
-	m.compWire += int64(wire)
-}
-
-// CompressedBytes reports compression effectiveness for TCP endpoints with
-// EnableCompression: total raw payload bytes and the wire bytes they
-// shipped as. Both are zero when no compressing endpoint sent traffic.
-func (m *Meter) CompressedBytes() (raw, wire int64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.compRaw, m.compWire
 }
 
 // Scope starts per-query metering: every message whose channel name starts
@@ -280,32 +255,6 @@ func (m *Meter) MaxNodeDegree() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.links.maxNodeDegree()
-}
-
-// PerLink returns a deterministic snapshot of all link stats.
-func (m *Meter) PerLink() []struct {
-	From, To int
-	Stats    LinkStats
-} {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]struct {
-		From, To int
-		Stats    LinkStats
-	}, 0, len(m.links))
-	for k, ls := range m.links {
-		out = append(out, struct {
-			From, To int
-			Stats    LinkStats
-		}{k[0], k[1], *ls})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].From != out[j].From {
-			return out[i].From < out[j].From
-		}
-		return out[i].To < out[j].To
-	})
-	return out
 }
 
 // Fabric is the in-process transport: a set of endpoints with bounded

@@ -6,20 +6,7 @@ import (
 	"io"
 	"net"
 	"sync"
-
-	"repro/internal/compress"
 )
-
-// compressedFrameBit marks a frame whose payload is LZ4-compressed. It
-// lives in the top bit of the frame-length prefix, which is free because
-// plain frame lengths are validated against a 1<<30 ceiling. A compressed
-// frame's body carries a uint32 raw-payload length ahead of the LZ4 block:
-//
-//	uint32 frameLen|bit31 | int32 from | int32 dest | uint16 chanLen | channel | uint32 rawLen | lz4(payload)
-//
-// Receivers decode by inspecting the bit, so compression is a per-sender
-// choice and mixed clusters interoperate.
-const compressedFrameBit = uint32(1) << 31
 
 // TCPEndpoint implements Endpoint over real sockets for multi-process
 // deployments (cmd/hrdbms-server). Frames are length-prefixed:
@@ -33,8 +20,6 @@ type TCPEndpoint struct {
 	id       int
 	listener net.Listener
 	peers    map[int]string // node ID → address
-	meter    *Meter         // optional; set via SetMeter
-	compress bool           // LZ4-compress outbound payloads; set via EnableCompression
 	mu       sync.Mutex
 	conns    map[int]net.Conn
 	boxes    map[string]chan Message
@@ -66,22 +51,6 @@ func NewTCPEndpoint(id int, addr string, peers map[int]string) (*TCPEndpoint, er
 // Addr returns the bound listen address (useful with ":0").
 func (e *TCPEndpoint) Addr() string { return e.listener.Addr().String() }
 
-// SetMeter attaches a traffic meter. Sends record the payload size (not
-// the frame overhead) so TCP accounting matches the in-process fabric
-// byte-for-byte; self-sends are skipped the same way loopback delivery is.
-// Call before the endpoint is used; the meter is read without e.mu.
-func (e *TCPEndpoint) SetMeter(m *Meter) { e.meter = m }
-
-// EnableCompression turns on LZ4 compression of outbound frame payloads.
-// Frames only ship compressed when that actually saves bytes, so
-// incompressible payloads pay one probe and no size penalty. Metering is
-// unchanged — the meter still records raw payload sizes so accounting
-// stays identical to the in-process fabric — but the meter additionally
-// tracks raw-vs-wire bytes for compressed frames (Meter.CompressedBytes).
-// Receivers decode compressed frames regardless of this setting. Call
-// before the endpoint is used; the flag is read without e.mu.
-func (e *TCPEndpoint) EnableCompression() { e.compress = true }
-
 // NodeID returns this endpoint's node ID.
 func (e *TCPEndpoint) NodeID() int { return e.id }
 
@@ -106,8 +75,6 @@ func (e *TCPEndpoint) readLoop(conn net.Conn) {
 			return
 		}
 		frameLen := binary.LittleEndian.Uint32(hdr[:])
-		compressed := frameLen&compressedFrameBit != 0
-		frameLen &^= compressedFrameBit
 		if frameLen < 10 || frameLen > 1<<30 {
 			return
 		}
@@ -123,20 +90,6 @@ func (e *TCPEndpoint) readLoop(conn net.Conn) {
 		}
 		channel := string(frame[10 : 10+chanLen])
 		payload := frame[10+chanLen:]
-		if compressed {
-			if len(payload) < 4 {
-				return
-			}
-			rawLen := binary.LittleEndian.Uint32(payload)
-			if rawLen > 1<<30 {
-				return
-			}
-			raw, err := compress.DecompressLZ4(payload[4:], int(rawLen))
-			if err != nil {
-				return
-			}
-			payload = raw
-		}
 		select {
 		case e.box(channel) <- Message{From: from, Dest: dest, Channel: channel, Payload: payload}:
 		case <-e.closed:
@@ -185,28 +138,9 @@ func (e *TCPEndpoint) Send(to, dest int, channel string, payload []byte) error {
 	if err != nil {
 		return err
 	}
-	if e.meter != nil {
-		e.meter.record(e.id, to, channel, len(payload))
-	}
-	// Compression never changes metering above: the meter sees raw payload
-	// bytes either way, matching the in-process fabric byte-for-byte.
-	wire := payload
-	frameBits := uint32(0)
-	if e.compress && len(payload) > 0 {
-		comp := compress.CompressLZ4(payload)
-		if len(comp)+4 < len(payload) {
-			wire = make([]byte, 4+len(comp))
-			binary.LittleEndian.PutUint32(wire, uint32(len(payload)))
-			copy(wire[4:], comp)
-			frameBits = compressedFrameBit
-		}
-		if e.meter != nil {
-			e.meter.recordCompression(len(payload), len(wire))
-		}
-	}
-	frame := make([]byte, 0, 14+len(channel)+len(wire))
+	frame := make([]byte, 0, 14+len(channel)+len(payload))
 	var b4 [4]byte
-	binary.LittleEndian.PutUint32(b4[:], uint32(10+len(channel)+len(wire))|frameBits)
+	binary.LittleEndian.PutUint32(b4[:], uint32(10+len(channel)+len(payload)))
 	frame = append(frame, b4[:]...)
 	binary.LittleEndian.PutUint32(b4[:], uint32(int32(e.id)))
 	frame = append(frame, b4[:]...)
@@ -216,7 +150,7 @@ func (e *TCPEndpoint) Send(to, dest int, channel string, payload []byte) error {
 	binary.LittleEndian.PutUint16(b2[:], uint16(len(channel)))
 	frame = append(frame, b2[:]...)
 	frame = append(frame, channel...)
-	frame = append(frame, wire...)
+	frame = append(frame, payload...)
 
 	e.mu.Lock()
 	defer e.mu.Unlock()

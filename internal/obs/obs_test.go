@@ -54,9 +54,6 @@ func TestNilTraceAndSpanAreNoops(t *testing.T) {
 	sp.AddState(1)
 	sp.SetParent(sp)
 	sp.Finish()
-	if !sp.Finished() {
-		t.Fatal("a nil span is trivially finished")
-	}
 	tr.SetWall(time.Second)
 	if tr.Render() != "" || tr.Spans() != nil {
 		t.Fatal("nil trace must render empty")
@@ -142,12 +139,6 @@ func TestRegistryInstruments(t *testing.T) {
 	if r.Counter("wal.appends_total").Value() != 4 {
 		t.Fatal("counter get-or-create must return the same instrument")
 	}
-	g := r.Gauge("txn.active")
-	g.Add(2)
-	g.Add(-1)
-	if g.Value() != 1 {
-		t.Fatalf("gauge = %d", g.Value())
-	}
 	r.RegisterGaugeFunc("buffer.hits", func() int64 { return 42 })
 	h := r.Histogram("query.seconds", []float64{0.01, 0.1, 1})
 	h.Observe(0.05)
@@ -170,7 +161,6 @@ func TestRegistryInstruments(t *testing.T) {
 	text := sb.String()
 	for _, want := range []string{
 		"wal.appends_total 4\n",
-		"txn.active 1\n",
 		"buffer.hits 42\n",
 		`query.seconds_bucket{le="0.1"} 1`,
 		`query.seconds_bucket{le="+Inf"} 2`,
@@ -191,7 +181,6 @@ func TestRegistryConcurrent(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < 200; j++ {
 				r.Counter("c").Inc()
-				r.Gauge("g").Set(int64(j))
 				r.Histogram("h", []float64{1, 2}).Observe(float64(j % 3))
 				r.Snapshot()
 			}
@@ -206,7 +195,6 @@ func TestRegistryConcurrent(t *testing.T) {
 func TestNilRegistryIsNoop(t *testing.T) {
 	var r *Registry
 	r.Counter("x").Inc()
-	r.Gauge("y").Set(1)
 	r.Histogram("z", nil).Observe(1)
 	r.RegisterGaugeFunc("f", func() int64 { return 1 })
 	if r.Snapshot() != nil {

@@ -10,7 +10,7 @@ import (
 
 // Registry is a concurrency-safe metrics registry. Subsystems (buffer,
 // skipcache, wal, txn, twopc, network) either create live instruments
-// (Counter, Gauge, Histogram) or register view functions over counters they
+// (Counter, Histogram) or register gauge functions over values they
 // already maintain as atomics; /metrics renders both identically.
 //
 // Names are dotted lowercase paths, subsystem first: "buffer.hits",
@@ -19,7 +19,6 @@ import (
 type Registry struct {
 	mu         sync.RWMutex //lint:lockorder obs.registry leaf
 	counters   map[string]*Counter
-	gauges     map[string]*Gauge
 	gaugeFuncs map[string]func() int64
 	hists      map[string]*Histogram
 }
@@ -28,7 +27,6 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{
 		counters:   map[string]*Counter{},
-		gauges:     map[string]*Gauge{},
 		gaugeFuncs: map[string]func() int64{},
 		hists:      map[string]*Histogram{},
 	}
@@ -54,31 +52,6 @@ func (c *Counter) Value() int64 {
 		return 0
 	}
 	return c.v.Load()
-}
-
-// Gauge is a settable instantaneous value. Nil-safe.
-type Gauge struct{ v atomic.Int64 }
-
-// Set stores the gauge value.
-func (g *Gauge) Set(n int64) {
-	if g != nil {
-		g.v.Store(n)
-	}
-}
-
-// Add adjusts the gauge by n (e.g. active-transaction up/down).
-func (g *Gauge) Add(n int64) {
-	if g != nil {
-		g.v.Add(n)
-	}
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
 }
 
 // Histogram counts observations into fixed buckets (upper bounds,
@@ -135,26 +108,6 @@ func (r *Registry) Counter(name string) *Counter {
 		r.counters[name] = c
 	}
 	return c
-}
-
-// Gauge returns (creating if needed) the named gauge.
-func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	r.mu.RLock()
-	g := r.gauges[name]
-	r.mu.RUnlock()
-	if g != nil {
-		return g
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g = r.gauges[name]; g == nil {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
 }
 
 // Histogram returns (creating if needed) the named histogram with the given
@@ -217,12 +170,9 @@ func (r *Registry) Snapshot() []Metric {
 		fn   func() int64
 	}
 	r.mu.RLock()
-	out := make([]Metric, 0, len(r.counters)+len(r.gauges)+len(r.gaugeFuncs)+len(r.hists))
+	out := make([]Metric, 0, len(r.counters)+len(r.gaugeFuncs)+len(r.hists))
 	for name, c := range r.counters {
 		out = append(out, Metric{Name: name, Kind: "counter", Value: float64(c.Value())})
-	}
-	for name, g := range r.gauges {
-		out = append(out, Metric{Name: name, Kind: "gauge", Value: float64(g.Value())})
 	}
 	fns := make([]gaugeFunc, 0, len(r.gaugeFuncs))
 	for name, fn := range r.gaugeFuncs {

@@ -69,29 +69,12 @@ func (s *Span) Finish() {
 	}
 }
 
-// Finished reports whether Finish was called. Nil-safe (a nil span is
-// trivially finished: it never started).
-func (s *Span) Finished() bool {
-	if s == nil {
-		return true
-	}
-	return s.finished.Load()
-}
-
 // SetParent links this span under a parent span. Nil-safe.
 func (s *Span) SetParent(p *Span) {
 	if s == nil || p == nil {
 		return
 	}
 	s.parent.Store(p.ID)
-}
-
-// Parent returns the parent span ID (0 = root).
-func (s *Span) Parent() int64 {
-	if s == nil {
-		return 0
-	}
-	return s.parent.Load()
 }
 
 // SetEst stamps the optimizer's row estimate so EXPLAIN ANALYZE can show
@@ -287,14 +270,6 @@ func (t *QueryTrace) SetWall(d time.Duration) {
 	if t != nil {
 		t.wall.Store(int64(d))
 	}
-}
-
-// Wall returns the recorded end-to-end wall time.
-func (t *QueryTrace) Wall() time.Duration {
-	if t == nil {
-		return 0
-	}
-	return time.Duration(t.wall.Load())
 }
 
 // Spans returns a snapshot of all spans recorded so far.

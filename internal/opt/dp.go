@@ -231,26 +231,6 @@ func dpOrder(leaves []plan.Node, conds []expr.Expr, est *Estimator, o Options) [
 	return out
 }
 
-// PlanCost scores a fixed left-deep order with the same model dpOrder
-// minimizes over, so dpOrder's result never costs more than any other
-// order of the same leaves (the DP-vs-greedy invariant test).
-func PlanCost(order []plan.Node, conds []expr.Expr, est *Estimator, o Options) float64 {
-	if len(order) == 0 {
-		return 0
-	}
-	m := newCostModel(order, conds, est, o)
-	total := 0.0
-	S := uint64(1)
-	d := m.dist[0]
-	for i := 1; i < len(order); i++ {
-		stepCost, outDist := m.step(S, d, i)
-		total += stepCost
-		d = outDist
-		S |= 1 << uint(i)
-	}
-	return total
-}
-
 // resolveConds binds each condition to the set of leaves it references.
 // Conditions whose columns cannot all be found get mask 0 and are ignored.
 func resolveConds(leaves []plan.Node, conds []expr.Expr, est *Estimator) []condInfo {

@@ -436,14 +436,9 @@ func clampSel(s float64) float64 {
 	return s
 }
 
-// Optimize runs phase-1 transformations with default options: DPsize join
-// reordering of inner-join clusters using the estimator, cost-based
-// group-by pushdown, and join-distribution annotation.
-func Optimize(root plan.Node, cat *catalog.Catalog) (plan.Node, error) {
-	return OptimizeOpts(root, cat, Options{})
-}
-
-// OptimizeOpts is Optimize parameterized for a concrete cluster: the
+// OptimizeOpts runs phase-1 transformations: DPsize join reordering of
+// inner-join clusters using the estimator, cost-based group-by pushdown, and
+// join-distribution annotation. The options fit it to a concrete cluster: the
 // worker count scales the network cost terms and the feedback store
 // supplies observed cardinalities from earlier queries.
 func OptimizeOpts(root plan.Node, cat *catalog.Catalog, o Options) (plan.Node, error) {

@@ -142,7 +142,7 @@ func TestOptimizePreservesResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	optimized, err := Optimize(built, cat)
+	optimized, err := OptimizeOpts(built, cat, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestOptimizeAvoidsBigFirst(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	optimized, err := Optimize(built, cat)
+	optimized, err := OptimizeOpts(built, cat, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,16 +259,16 @@ func TestDPNeverWorseThanGreedy(t *testing.T) {
 	if dp == nil {
 		t.Fatal("dpOrder declined a 3-relation cluster")
 	}
-	dpCost := PlanCost(dp, conds, est, o)
+	dpCost := planCost(dp, conds, est, o)
 	greedy := greedyOrder(leaves, conds, est)
-	if gc := PlanCost(greedy, conds, est, o); dpCost > gc*1.0000001 {
+	if gc := planCost(greedy, conds, est, o); dpCost > gc*1.0000001 {
 		t.Errorf("dp cost %g > greedy cost %g", dpCost, gc)
 	}
 	// Exhaustive: no permutation of the leaves beats the DP plan.
 	var perm func(cur, rest []plan.Node)
 	perm = func(cur, rest []plan.Node) {
 		if len(rest) == 0 {
-			if c := PlanCost(cur, conds, est, o); dpCost > c*1.0000001 {
+			if c := planCost(cur, conds, est, o); dpCost > c*1.0000001 {
 				t.Errorf("dp cost %g > permutation cost %g (%v)", dpCost, c, cur)
 			}
 			return
@@ -324,7 +324,7 @@ func TestEquivalenceClassesEnableReordering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	optimized, err := Optimize(built, cat)
+	optimized, err := OptimizeOpts(built, cat, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +376,7 @@ func TestGroupByPushdownThroughJoin(t *testing.T) {
 
 	sel2, _ := sqlparse.ParseSelect(sql)
 	built, _ := plan.Build(sel2, cat)
-	optimized, err := Optimize(built, cat)
+	optimized, err := OptimizeOpts(built, cat, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,7 +421,7 @@ func TestGroupByPushdownDeclined(t *testing.T) {
 		WHERE big.b_fk = mid.m_fk GROUP BY b_fk`
 	sel, _ := sqlparse.ParseSelect(sql)
 	built, _ := plan.Build(sel, cat)
-	optimized, err := Optimize(built, cat)
+	optimized, err := OptimizeOpts(built, cat, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,4 +439,24 @@ func TestGroupByPushdownDeclined(t *testing.T) {
 			})
 		}
 	})
+}
+
+// planCost scores a fixed left-deep order with the same model dpOrder
+// minimizes over, so dpOrder's result never costs more than any other
+// order of the same leaves.
+func planCost(order []plan.Node, conds []expr.Expr, est *Estimator, o Options) float64 {
+	if len(order) == 0 {
+		return 0
+	}
+	m := newCostModel(order, conds, est, o)
+	total := 0.0
+	S := uint64(1)
+	d := m.dist[0]
+	for i := 1; i < len(order); i++ {
+		stepCost, outDist := m.step(S, d, i)
+		total += stepCost
+		d = outDist
+		S |= 1 << uint(i)
+	}
+	return total
 }

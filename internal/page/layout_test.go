@@ -101,13 +101,13 @@ func typedRead(p ColumnPage, kind types.Kind, sel []int32, useSel bool) (r typed
 		n = len(dst)
 	}
 	for i := 0; i < n; i++ {
-		r.Nulls = append(r.Nulls, bm.Get(i))
+		r.Nulls = append(r.Nulls, vec.GetBit(bm.Words, i))
 	}
-	if !bm.Get(1) || bm.Get(0) || bm.Get(2) {
+	if !vec.GetBit(bm.Words, 1) || vec.GetBit(bm.Words, 0) || vec.GetBit(bm.Words, 2) {
 		return r, errors.New("null bits under the slab prefix changed")
 	}
 	for i := n; i < n+70; i++ {
-		if bm.Get(i) {
+		if vec.GetBit(bm.Words, i) {
 			return r, fmt.Errorf("null bit %d set beyond the slab (%d cells)", i, n)
 		}
 	}

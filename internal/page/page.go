@@ -39,11 +39,6 @@ type RID struct {
 	Slot uint16
 }
 
-// String renders the RID.
-func (r RID) String() string {
-	return fmt.Sprintf("rid(%d,%d,%d,%d)", r.Node, r.Disk, r.Page, r.Slot)
-}
-
 // Page header layout (common to row and column pages):
 //
 //	bytes 0..7   pageLSN (uint64) — for ARIES recovery

@@ -18,6 +18,11 @@ func testRow(i int) types.Row {
 	}
 }
 
+// insertRow encodes the row and appends it to the page.
+func insertRow(p RowPage, r types.Row) (slot int, ok bool) {
+	return p.InsertEncoded(types.AppendRow(nil, r))
+}
+
 func TestRowPageInsertGet(t *testing.T) {
 	buf := make([]byte, 4096)
 	p := InitRowPage(buf)
@@ -26,7 +31,7 @@ func TestRowPageInsertGet(t *testing.T) {
 	}
 	var slots []int
 	for i := 0; i < 10; i++ {
-		s, ok := p.Insert(testRow(i))
+		s, ok := insertRow(p, testRow(i))
 		if !ok {
 			t.Fatalf("insert %d failed with %d free", i, p.FreeSpace())
 		}
@@ -48,7 +53,7 @@ func TestRowPageFull(t *testing.T) {
 	p := InitRowPage(buf)
 	n := 0
 	for {
-		if _, ok := p.Insert(testRow(n)); !ok {
+		if _, ok := insertRow(p, testRow(n)); !ok {
 			break
 		}
 		n++
@@ -70,7 +75,7 @@ func TestRowPageDelete(t *testing.T) {
 	buf := make([]byte, 4096)
 	p := InitRowPage(buf)
 	for i := 0; i < 5; i++ {
-		p.Insert(testRow(i))
+		insertRow(p, testRow(i))
 	}
 	if !p.Delete(2) {
 		t.Fatal("delete live slot failed")
@@ -97,8 +102,8 @@ func TestRowPageDelete(t *testing.T) {
 func TestRowPageRoundTripAfterReload(t *testing.T) {
 	buf := make([]byte, 4096)
 	p := InitRowPage(buf)
-	p.Insert(testRow(1))
-	p.Insert(testRow(2))
+	insertRow(p, testRow(1))
+	insertRow(p, testRow(2))
 	p2, err := AsRowPage(buf)
 	if err != nil {
 		t.Fatal(err)
@@ -241,9 +246,9 @@ func TestPageFileRoundTrip(t *testing.T) {
 		buf := make([]byte, 4096)
 		p := InitRowPage(buf)
 		for j := 0; j < 20; j++ {
-			p.Insert(testRow(i*100 + j))
+			insertRow(p, testRow(i*100+j))
 		}
-		n := pf.Allocate()
+		n := pf.NumPages()
 		if err := pf.WritePage(n, buf); err != nil {
 			t.Fatal(err)
 		}
@@ -274,8 +279,8 @@ func TestPageFileReopen(t *testing.T) {
 	}
 	buf := make([]byte, 1024)
 	p := InitRowPage(buf)
-	p.Insert(testRow(7))
-	n := pf.Allocate()
+	insertRow(p, testRow(7))
+	n := pf.NumPages()
 	pf.WritePage(n, buf)
 	pf.Sync()
 	pf.Close()
@@ -306,8 +311,7 @@ func TestPageFileUnwrittenPage(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pf.Close()
-	a := pf.Allocate()
-	b := pf.Allocate()
+	a, b := uint32(0), uint32(1)
 	// Write only the second page; the first stays a hole.
 	buf := make([]byte, 1024)
 	InitRowPage(buf)
@@ -350,7 +354,7 @@ func TestRowPageQuickProperty(t *testing.T) {
 		var inserted []types.Row
 		for i := 0; i < len(ints) && i < len(strs); i++ {
 			r := types.Row{types.NewInt(ints[i]), types.NewString(strs[i])}
-			if _, ok := p.Insert(r); !ok {
+			if _, ok := insertRow(p, r); !ok {
 				break
 			}
 			inserted = append(inserted, r)
@@ -383,14 +387,14 @@ func TestPageFileCompressedSparseness(t *testing.T) {
 	buf := make([]byte, 65536)
 	p := InitRowPage(buf)
 	for {
-		if _, ok := p.Insert(types.Row{types.NewString("AAAAAAAAAAAAAAAAAAAA")}); !ok {
+		if _, ok := insertRow(p, types.Row{types.NewString("AAAAAAAAAAAAAAAAAAAA")}); !ok {
 			break
 		}
 	}
 	rng := rand.New(rand.NewSource(1))
 	_ = rng
 	for i := 0; i < 8; i++ {
-		n := pf.Allocate()
+		n := pf.NumPages()
 		if err := pf.WritePage(n, buf); err != nil {
 			t.Fatal(err)
 		}

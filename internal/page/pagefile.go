@@ -47,9 +47,6 @@ func OpenFile(path string, pageSize int, compressPages bool) (*File, error) {
 	return &File{f: f, pageSize: pageSize, numPages: n, compress: compressPages}, nil
 }
 
-// PageSize returns the configured page size.
-func (pf *File) PageSize() int { return pf.pageSize }
-
 // NumPages returns the number of allocated pages.
 func (pf *File) NumPages() uint32 {
 	pf.mu.RLock()
@@ -59,16 +56,6 @@ func (pf *File) NumPages() uint32 {
 
 func (pf *File) slotOffset(pageNum uint32) int64 {
 	return int64(pageNum) * int64(pf.pageSize+slotHeader)
-}
-
-// Allocate reserves a new page number (the page is materialized on first
-// write).
-func (pf *File) Allocate() uint32 {
-	pf.mu.Lock()
-	defer pf.mu.Unlock()
-	n := pf.numPages
-	pf.numPages++
-	return n
 }
 
 // WritePage stores the page buffer (which must be exactly PageSize bytes)
@@ -154,6 +141,3 @@ func (pf *File) Sync() error { return pf.f.Sync() }
 
 // Close closes the underlying file.
 func (pf *File) Close() error { return pf.f.Close() }
-
-// Path returns the file path.
-func (pf *File) Path() string { return pf.f.Name() }

@@ -67,14 +67,8 @@ func (p RowPage) setSlotAt(i int, offset, length uint32) {
 	binary.LittleEndian.PutUint32(p.Buf[base+4:], length)
 }
 
-// Insert appends a row, returning its slot number. Returns false if the page
-// is full.
-func (p RowPage) Insert(r types.Row) (slot int, ok bool) {
-	enc := types.AppendRow(nil, r)
-	return p.InsertEncoded(enc)
-}
-
-// InsertEncoded appends an already-encoded row.
+// InsertEncoded appends an already-encoded row, returning its slot number.
+// Returns false if the page is full.
 func (p RowPage) InsertEncoded(enc []byte) (slot int, ok bool) {
 	if len(enc) > p.FreeSpace() {
 		return 0, false

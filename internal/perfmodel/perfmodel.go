@@ -227,15 +227,13 @@ func ClusterProfile(system string) cluster.ExecProfile {
 			EnforceLocality:     true,
 			// Greenplum 4.3 has no block skipping at all — the paper's
 			// q6/q14/q15/q20 call-outs credit HRDBMS's predicate cache.
-			PreAggTree:       false,
-			ProbeParallelism: 2,
+			PreAggTree: false,
 		}
 	case "sparksql", "spark2":
 		return cluster.ExecProfile{
 			HierarchicalShuffle: false,
 			MaterializeShuffle:  true, // shuffle writes to disk by default
 			EnforceLocality:     false,
-			ProbeParallelism:    2,
 		}
 	case "hive", "hive-tez":
 		return cluster.ExecProfile{
@@ -243,7 +241,6 @@ func ClusterProfile(system string) cluster.ExecProfile {
 			BlockingShuffle:     true, // MapReduce sort-shuffle barrier
 			MaterializeShuffle:  true,
 			EnforceLocality:     false,
-			ProbeParallelism:    1,
 		}
 	default: // hrdbms
 		return cluster.HRDBMSProfile()

@@ -102,19 +102,3 @@ func rangeExcludes(lo, hi types.Value, pred Pred) bool {
 	}
 	return false
 }
-
-// Invalidate drops entries for the given pages.
-func (s *MinMax) Invalidate(pages []page.Key) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, p := range pages {
-		delete(s.m, p)
-	}
-}
-
-// Pages returns the number of pages tracked.
-func (s *MinMax) Pages() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.m)
-}

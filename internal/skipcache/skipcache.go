@@ -8,7 +8,7 @@
 //
 // Cached entries stay valid because inserts are append-only into fresh
 // pages and updates are out-of-place; only a table reorganize invalidates
-// the cache (Invalidate).
+// the cache (InvalidateFile).
 package skipcache
 
 import (
@@ -269,16 +269,6 @@ func (c *Cache) CanSkip(p page.Key, theta Conj) bool {
 	c.misses++
 	c.mu.Unlock()
 	return false
-}
-
-// Invalidate drops all cached predicates for the given pages (table
-// reorganize or page rewrite).
-func (c *Cache) Invalidate(pages []page.Key) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, p := range pages {
-		delete(c.m, p)
-	}
 }
 
 // InvalidateFile drops every entry for a file (table reorganize).

@@ -167,11 +167,6 @@ func TestCacheInvalidate(t *testing.T) {
 	c := NewCache(0)
 	p := page.Key{File: 3, Page: 7}
 	c.Record(p, Conj{pi("a", OpEq, 1)})
-	c.Invalidate([]page.Key{p})
-	if c.CanSkip(p, Conj{pi("a", OpEq, 1)}) {
-		t.Error("invalidated page should not skip")
-	}
-	c.Record(p, Conj{pi("a", OpEq, 1)})
 	c.Record(page.Key{File: 4, Page: 1}, Conj{pi("a", OpEq, 1)})
 	c.InvalidateFile(3)
 	if c.CanSkip(p, Conj{pi("a", OpEq, 1)}) {
@@ -263,19 +258,6 @@ func TestMinMaxNeSingleValue(t *testing.T) {
 	}
 	if s.CanSkip(p, Conj{pi("a", OpNe, 8)}) {
 		t.Error("a<>8 matches everything on the page")
-	}
-}
-
-func TestMinMaxInvalidate(t *testing.T) {
-	s := NewMinMax()
-	p := page.Key{File: 1, Page: 1}
-	s.Record(p, "a", types.NewInt(1))
-	s.Invalidate([]page.Key{p})
-	if s.CanSkip(p, Conj{pi("a", OpGt, 100)}) {
-		t.Error("invalidated page should not skip")
-	}
-	if s.Pages() != 0 {
-		t.Error("page count after invalidate")
 	}
 }
 

@@ -1,9 +1,13 @@
 package sqlparse
 
 import (
+	"errors"
+
 	"repro/internal/expr"
 	"repro/internal/types"
 )
+
+var errUnplannedSubquery = errors.New("sql: a subquery is not supported in this position")
 
 // Stmt is any parsed statement.
 type Stmt interface{ stmt() }
@@ -55,9 +59,10 @@ type SubqueryExpr struct {
 	Query *Select
 }
 
-// Eval panics: subqueries must be planned away.
+// Eval fails: the planner turns subqueries into joins and scalar plans, and
+// one it does not reach (an ORDER BY key, a DML expression) has no value.
 func (s *SubqueryExpr) Eval(types.Row) (types.Value, error) {
-	panic("sqlparse: unplanned scalar subquery evaluated")
+	return types.Null, errUnplannedSubquery
 }
 
 // String renders the node.
@@ -69,9 +74,9 @@ type ExistsExpr struct {
 	Negate bool
 }
 
-// Eval panics: subqueries must be planned away.
+// Eval fails, as SubqueryExpr.Eval does.
 func (e *ExistsExpr) Eval(types.Row) (types.Value, error) {
-	panic("sqlparse: unplanned EXISTS evaluated")
+	return types.Null, errUnplannedSubquery
 }
 
 // String renders the node.
@@ -89,9 +94,9 @@ type InSubqueryExpr struct {
 	Negate bool
 }
 
-// Eval panics: subqueries must be planned away.
+// Eval fails, as SubqueryExpr.Eval does.
 func (e *InSubqueryExpr) Eval(types.Row) (types.Value, error) {
-	panic("sqlparse: unplanned IN subquery evaluated")
+	return types.Null, errUnplannedSubquery
 }
 
 // String renders the node.
@@ -127,7 +132,6 @@ type CreateIndex struct {
 	Name  string
 	Table string
 	Cols  []string
-	Using string // "BTREE" (default) or "SKIPLIST"
 }
 
 func (*CreateIndex) stmt() {}

@@ -43,7 +43,7 @@ func init() {
 		"INSERT", "INTO", "VALUES", "UPDATE", "SET", "DELETE", "EXPLAIN",
 		"DATE", "INTERVAL", "DAY", "MONTH", "YEAR", "PARTITION", "HASH",
 		"RANGE", "REPLICATED", "COLUMNAR", "CLUSTER", "USING", "BTREE",
-		"SKIPLIST", "TRUE", "FALSE", "ANALYZE", "ALL", "ANY", "SOME", "UNION",
+		"TRUE", "FALSE", "ANALYZE", "ALL", "ANY", "SOME", "UNION",
 		"EXTRACT", "SUBSTRING", "FOR", "COMMIT", "ROLLBACK", "BEGIN", "ROWS", "REORGANIZE",
 	} {
 		keywords[k] = true

@@ -757,16 +757,16 @@ func (p *Parser) parseCase() (expr.Expr, error) {
 	return c, nil
 }
 
-// intervalExpr is a parse-time-only node for INTERVAL literals; it must be
-// folded into date arithmetic before evaluation.
+// intervalExpr is a parse-time-only node for INTERVAL literals: date
+// arithmetic folds it away, and one left anywhere else fails the query.
 type intervalExpr struct {
 	n    int64
 	unit string
 }
 
-// Eval panics: intervals must be folded at parse time.
+// Eval fails: an interval that was not folded has no value of its own.
 func (i *intervalExpr) Eval(types.Row) (types.Value, error) {
-	panic("sqlparse: unfolded interval evaluated")
+	return types.Null, fmt.Errorf("sql: %s is only valid on the right of a date + or -", i)
 }
 
 // String renders the interval.
@@ -970,18 +970,13 @@ func (p *Parser) parseCreateIndex() (Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	ci := &CreateIndex{Name: name, Table: table, Cols: cols, Using: "BTREE"}
+	// The B+-tree is the one index kind; USING BTREE is accepted and implied.
 	if p.accept(TokKeyword, "USING") {
-		switch {
-		case p.accept(TokKeyword, "BTREE"):
-			ci.Using = "BTREE"
-		case p.accept(TokKeyword, "SKIPLIST"):
-			ci.Using = "SKIPLIST"
-		default:
-			return nil, p.errf("expected BTREE or SKIPLIST")
+		if _, err := p.expect(TokKeyword, "BTREE"); err != nil {
+			return nil, err
 		}
 	}
-	return ci, nil
+	return &CreateIndex{Name: name, Table: table, Cols: cols}, nil
 }
 
 func (p *Parser) parseDrop() (Stmt, error) {

@@ -1,6 +1,7 @@
 package sqlparse
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/expr"
@@ -315,13 +316,23 @@ func TestParseCreateTableRangeAndReplicated(t *testing.T) {
 }
 
 func TestParseCreateIndex(t *testing.T) {
-	stmt, err := Parse("CREATE INDEX idx1 ON t(a, b) USING SKIPLIST")
-	if err != nil {
-		t.Fatal(err)
+	for _, sql := range []string{"CREATE INDEX idx1 ON t(a, b)", "CREATE INDEX idx1 ON t(a, b) USING BTREE"} {
+		stmt, err := Parse(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ci := stmt.(*CreateIndex)
+		if ci.Name != "idx1" || ci.Table != "t" || len(ci.Cols) != 2 {
+			t.Fatalf("%s: ci = %+v", sql, ci)
+		}
 	}
-	ci := stmt.(*CreateIndex)
-	if ci.Name != "idx1" || ci.Table != "t" || len(ci.Cols) != 2 || ci.Using != "SKIPLIST" {
-		t.Fatalf("ci = %+v", ci)
+	// The skip list is gone: a clean parse error that names the kind there is,
+	// and the word is an ordinary identifier again.
+	if _, err := Parse("CREATE INDEX idx1 ON t(a) USING SKIPLIST"); err == nil || !strings.Contains(err.Error(), "BTREE") {
+		t.Errorf("USING SKIPLIST: err = %v, want a parse error naming BTREE", err)
+	}
+	if _, err := Parse("SELECT skiplist FROM t WHERE skiplist = 1"); err != nil {
+		t.Errorf("a column called skiplist: %v", err)
 	}
 }
 

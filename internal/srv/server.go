@@ -78,9 +78,6 @@ func New(be Backend, cfg Config, reg *obs.Registry) *Server {
 	}
 }
 
-// Admission exposes the scheduler (KILL, drain, tests).
-func (s *Server) Admission() *Admission { return s.adm }
-
 // Sessions exposes the session manager.
 func (s *Server) Sessions() *Sessions { return s.sessions }
 

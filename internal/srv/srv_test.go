@@ -311,6 +311,39 @@ func TestGracefulDrainWithInFlight(t *testing.T) {
 	}
 }
 
+// TestForcedDrainKillsStragglers: a query still running when DrainTimeout
+// expires is killed — it returns the draining error, not a result — and
+// Shutdown says the drain was forced.
+func TestForcedDrainKillsStragglers(t *testing.T) {
+	testutil.AssertNoGoroutineLeak(t)
+	be := &stubBackend{started: make(chan struct{}, 1), release: make(chan struct{})}
+	s := srv.New(be, srv.Config{DrainTimeout: 20 * time.Millisecond}, obs.NewRegistry())
+	sess, err := s.Sessions().Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	runErr := make(chan error, 1)
+	go func() {
+		_, _, err := s.RunQuery(sess, func(opts *cluster.QueryOptions) (*cluster.Result, error) {
+			return be.ExecSQLOpts("SELECT 1", opts)
+		})
+		runErr <- err
+	}()
+	<-be.started // admitted, executing, and never released
+
+	if err := s.Shutdown(); err == nil || !strings.Contains(err.Error(), "drain timed out") {
+		t.Fatalf("shutdown = %v, want a forced-drain error", err)
+	}
+	select {
+	case err := <-runErr:
+		if !errors.Is(err, srv.ErrDraining) {
+			t.Fatalf("straggler returned %v, want ErrDraining", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("straggler never killed")
+	}
+}
+
 // TestSessionConcurrencyIsolation runs two wire sessions concurrently
 // against a real cluster — one doing DML, one reading — and asserts
 // result sanity, prepared-statement isolation, and no goroutine leaks.
@@ -445,12 +478,18 @@ func TestKillInFlightQuery(t *testing.T) {
 		runErr <- err
 	}()
 
-	// Wait for the query to be admitted and running, then kill it.
-	var qid uint64
+	// An operator's connection waits for the query to be admitted and
+	// running, then kills it by the id SHOW QUERIES lists.
+	server, client := net.Pipe()
+	served := make(chan struct{})
+	go func() { s.ServeConn(server); close(served) }()
+	defer func() { client.Close(); <-served }()
+	operator := newLineClient(t, client)
+	var qid string
 	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if ids := s.Admission().Running(); len(ids) > 0 {
-			qid = ids[0]
+	for qid == "" {
+		if out := operator.send("SHOW QUERIES"); len(out) > 1 {
+			qid = out[0]
 			break
 		}
 		select {
@@ -465,8 +504,8 @@ func TestKillInFlightQuery(t *testing.T) {
 	}
 	time.Sleep(50 * time.Millisecond) // let execution enter the dataflow
 	killedAt := time.Now()
-	if err := s.Admission().Kill(qid); err != nil {
-		t.Fatalf("kill: %v", err)
+	if out := operator.send("KILL " + qid); out[0] != "OK killed "+qid {
+		t.Fatalf("kill: %v", out)
 	}
 	select {
 	case err := <-runErr:

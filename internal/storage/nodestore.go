@@ -102,18 +102,6 @@ func (d *DiskStore) Close() error {
 	return firstErr
 }
 
-// Sync flushes every file.
-func (d *DiskStore) Sync() error {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	for _, f := range d.files {
-		if err := f.Sync(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // NodeStore is the storage stack of one worker node: its disks (directories),
 // disk store, and buffer manager.
 type NodeStore struct {

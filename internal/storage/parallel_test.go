@@ -323,7 +323,6 @@ func TestColumnarNonColumnPage(t *testing.T) {
 // transaction.
 type lockHook struct{ onFirstLock func() }
 
-func (h *lockHook) TxID() uint64 { return 1 }
 func (h *lockHook) LockPage(page.Key, bool) error {
 	if f := h.onFirstLock; f != nil {
 		h.onFirstLock = nil

@@ -48,6 +48,13 @@ func liRow(i int64) types.Row {
 	}
 }
 
+// rowCount scans the fragment and counts its live rows.
+func rowCount(fr *Fragment) (int64, error) {
+	var n int64
+	_, err := fr.Scan(ScanOptions{}, func(page.RID, types.Row) bool { n++; return true })
+	return n, err
+}
+
 func TestFragmentInsertScanGet(t *testing.T) {
 	ns := newNode(t, 2048)
 	fr, err := OpenFragment(ns, lineitemDef(false))
@@ -112,7 +119,7 @@ func TestFragmentDelete(t *testing.T) {
 	if _, ok, _ := fr.Get(rids[5]); ok {
 		t.Error("deleted row still visible")
 	}
-	n, _ := fr.RowCount()
+	n, _ := rowCount(fr)
 	if n != 19 {
 		t.Errorf("count = %d", n)
 	}
@@ -142,7 +149,7 @@ func TestFragmentPersistence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := fr2.RowCount()
+	n, err := rowCount(fr2)
 	if err != nil || n != 100 {
 		t.Fatalf("reopened count = %d err=%v", n, err)
 	}
@@ -300,7 +307,7 @@ func TestReorganize(t *testing.T) {
 	if err := fr.Reorganize(); err != nil {
 		t.Fatal(err)
 	}
-	n, _ := fr.RowCount()
+	n, _ := rowCount(fr)
 	if n != 150 {
 		t.Fatalf("rows after reorganize = %d, want 150", n)
 	}

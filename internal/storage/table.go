@@ -17,7 +17,6 @@ import (
 // locking plus WAL logging. A nil TxHook means an untracked bulk operation
 // (loading), which the paper also performs outside transactions.
 type TxHook interface {
-	TxID() uint64
 	// LockPage acquires a page lock (exclusive for mutations). Returns an
 	// error on deadlock/timeout, which aborts the statement.
 	LockPage(k page.Key, exclusive bool) error
@@ -442,11 +441,4 @@ func (fr *Fragment) Reorganize() error {
 	fr.insertSeq.Store(0)
 	_, err := fr.Load(live)
 	return err
-}
-
-// RowCount scans and counts live rows (used by ANALYZE and tests).
-func (fr *Fragment) RowCount() (int64, error) {
-	var n int64
-	_, err := fr.Scan(ScanOptions{}, func(page.RID, types.Row) bool { n++; return true })
-	return n, err
 }

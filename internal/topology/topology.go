@@ -54,53 +54,6 @@ func (t Tree) Children(i int) []int {
 	return out
 }
 
-// Leaves returns all leaf nodes.
-func (t Tree) Leaves() []int {
-	var out []int
-	for i := 0; i < t.N; i++ {
-		if len(t.Children(i)) == 0 {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// Depth returns the number of levels in the tree.
-func (t Tree) Depth() int {
-	d := 0
-	for i := t.N - 1; ; {
-		d++
-		if i == 0 {
-			return d
-		}
-		i = t.Parent(i)
-	}
-}
-
-// Degree returns the number of neighbors (parent + children) of node i.
-func (t Tree) Degree(i int) int {
-	d := len(t.Children(i))
-	if i != 0 {
-		d++
-	}
-	return d
-}
-
-// PostOrder returns node IDs in post-order (children before parents),
-// the order in which hierarchical aggregation results flow upward.
-func (t Tree) PostOrder() []int {
-	out := make([]int, 0, t.N)
-	var walk func(i int)
-	walk = func(i int) {
-		for _, c := range t.Children(i) {
-			walk(c)
-		}
-		out = append(out, i)
-	}
-	walk(0)
-	return out
-}
-
 // Ring is the binomial-graph n-to-m topology: node i links forward to
 // (i + d) mod N for each d in Dists.
 type Ring struct {
@@ -133,18 +86,6 @@ func NewRing(n, nmax int) (Ring, error) {
 	return r, nil
 }
 
-// Neighbors returns the forward link targets of node i.
-func (r Ring) Neighbors(i int) []int {
-	out := make([]int, 0, len(r.Dists))
-	for _, d := range r.Dists {
-		out = append(out, (i+d)%r.N)
-	}
-	return out
-}
-
-// Degree returns the out-degree of every node (uniform).
-func (r Ring) Degree() int { return len(r.Dists) }
-
 // NextHop returns the next node on the greedy route from 'from' to 'to':
 // take the largest link distance not exceeding the remaining ring distance.
 func (r Ring) NextHop(from, to int) int {
@@ -173,17 +114,4 @@ func (r Ring) Route(from, to int) []int {
 		path = append(path, cur)
 	}
 	return path
-}
-
-// Diameter returns the maximum greedy route length over all pairs.
-func (r Ring) Diameter() int {
-	max := 0
-	for s := 0; s < r.N; s++ {
-		for t := 0; t < r.N; t++ {
-			if h := len(r.Route(s, t)); h > max {
-				max = h
-			}
-		}
-	}
-	return max
 }

@@ -41,7 +41,11 @@ func TestTreeDegreeBound(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i := 0; i < n; i++ {
-				if d := tr.Degree(i); d > nmax {
+				d := len(tr.Children(i)) // plus the parent, for all but the root
+				if i != 0 {
+					d++
+				}
+				if d > nmax {
 					t.Errorf("n=%d nmax=%d: node %d degree %d exceeds limit", n, nmax, i, d)
 				}
 			}
@@ -49,40 +53,34 @@ func TestTreeDegreeBound(t *testing.T) {
 	}
 }
 
+// depth is the number of levels: the last node is on the deepest one.
+func depth(tr Tree) int {
+	d := 1
+	for i := tr.N - 1; i != 0; i = tr.Parent(i) {
+		d++
+	}
+	return d
+}
+
 func TestTreeDepthLogarithmic(t *testing.T) {
 	tr, _ := NewTree(96, 4)
-	if d := tr.Depth(); d > 5 {
+	if d := depth(tr); d > 5 {
 		t.Errorf("96 nodes fan-out 3: depth %d, want <= 5", d)
 	}
 	tr2, _ := NewTree(1, 4)
-	if tr2.Depth() != 1 {
-		t.Errorf("singleton depth = %d", tr2.Depth())
-	}
-}
-
-func TestTreePostOrder(t *testing.T) {
-	tr, _ := NewTree(7, 3)
-	order := tr.PostOrder()
-	if len(order) != 7 {
-		t.Fatalf("post-order visits %d of 7", len(order))
-	}
-	pos := map[int]int{}
-	for i, n := range order {
-		pos[n] = i
-	}
-	for i := 1; i < 7; i++ {
-		if pos[i] > pos[tr.Parent(i)] {
-			t.Errorf("node %d visited after its parent", i)
-		}
-	}
-	if order[len(order)-1] != 0 {
-		t.Error("root must be last in post-order")
+	if depth(tr2) != 1 {
+		t.Errorf("singleton depth = %d", depth(tr2))
 	}
 }
 
 func TestTreeLeaves(t *testing.T) {
 	tr, _ := NewTree(7, 3) // fan-out 2: 0->{1,2}, 1->{3,4}, 2->{5,6}
-	leaves := tr.Leaves()
+	var leaves []int
+	for i := 0; i < tr.N; i++ {
+		if len(tr.Children(i)) == 0 {
+			leaves = append(leaves, i)
+		}
+	}
 	if len(leaves) != 4 {
 		t.Errorf("leaves = %v", leaves)
 	}
@@ -104,9 +102,10 @@ func TestRingDegreeBound(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if r.Degree() > nmax {
+			// Every node links forward once per distance.
+			if len(r.Dists) > nmax {
 				t.Errorf("n=%d nmax=%d: degree %d exceeds limit (base %d, dists %v)",
-					n, nmax, r.Degree(), r.Base, r.Dists)
+					n, nmax, len(r.Dists), r.Base, r.Dists)
 			}
 		}
 	}
@@ -134,8 +133,8 @@ func TestRingRoutingReachesEverything(t *testing.T) {
 				cur := s
 				for _, hop := range path {
 					legal := false
-					for _, nb := range r.Neighbors(cur) {
-						if nb == hop {
+					for _, d := range r.Dists {
+						if (cur+d)%r.N == hop {
 							legal = true
 						}
 					}
@@ -149,17 +148,28 @@ func TestRingRoutingReachesEverything(t *testing.T) {
 	}
 }
 
+// diameter is the longest greedy route over all pairs.
+func diameter(r Ring) int {
+	longest := 0
+	for s := 0; s < r.N; s++ {
+		for t := 0; t < r.N; t++ {
+			longest = max(longest, len(r.Route(s, t)))
+		}
+	}
+	return longest
+}
+
 func TestRingDiameterLogarithmic(t *testing.T) {
 	r, _ := NewRing(96, 4)
 	// base = ceil(96^(1/4)) = 4; worst-case hops ≈ (base-1)*levels.
-	if d := r.Diameter(); d > 12 {
+	if d := diameter(r); d > 12 {
 		t.Errorf("diameter = %d, too large for 96 nodes nmax=4", d)
 	}
 	// Direct topology comparison: with nmax = n the ring degenerates
 	// toward direct links and the diameter shrinks.
 	r2, _ := NewRing(96, 96)
-	if r2.Diameter() >= r.Diameter() {
-		t.Errorf("larger nmax should not increase diameter: %d vs %d", r2.Diameter(), r.Diameter())
+	if diameter(r2) >= diameter(r) {
+		t.Errorf("larger nmax should not increase diameter: %d vs %d", diameter(r2), diameter(r))
 	}
 }
 
@@ -192,9 +202,11 @@ func TestRingPaperExample(t *testing.T) {
 	if len(r.Dists) != 2 || r.Dists[0] != 1 || r.Dists[1] != 4 {
 		t.Errorf("dists = %v, want [1 4]", r.Dists)
 	}
-	nb := r.Neighbors(15)
-	if nb[0] != 0 || nb[1] != 3 {
-		t.Errorf("wrap-around neighbors of 15 = %v", nb)
+	if h := r.NextHop(15, 0); h != 0 {
+		t.Errorf("15 -> 0 wraps around over the distance-1 link, got hop %d", h)
+	}
+	if h := r.NextHop(15, 3); h != 3 {
+		t.Errorf("15 -> 3 wraps around over the distance-4 link, got hop %d", h)
 	}
 }
 

@@ -116,6 +116,13 @@ func pruneCases() []pruneCase {
 			scans: map[string]string{"orders": ""}},
 		{name: "count-star-cross-join", sql: `SELECT count(*) FROM nation, region`,
 			scans: map[string]string{"nation": "", "region": ""}},
+		// A sort with no aggregate under it sorts every lineitem row: the one
+		// shape whose sort workers spill runs under a small row budget.
+		{name: "order-by-unaggregated", sql: `SELECT l_orderkey, l_extendedprice FROM lineitem ORDER BY l_extendedprice, l_orderkey`,
+			scans: map[string]string{"lineitem": "l_orderkey, l_extendedprice"}},
+		// DISTINCT over a partitioned table shuffles on every column first.
+		{name: "distinct-partitioned", sql: `SELECT DISTINCT l_returnflag, l_linestatus FROM lineitem`,
+			scans: map[string]string{"lineitem": "l_returnflag, l_linestatus"}},
 		// Reads through the supplier index: the fetched rows narrow too.
 		{name: "index-scan", sql: `SELECT s_name, s_acctbal FROM supplier WHERE s_suppkey = 7`,
 			scans: map[string]string{"supplier": "s_name, s_acctbal"}},

@@ -2,6 +2,8 @@ package tpch
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -70,11 +72,19 @@ func TestGeneratorDomains(t *testing.T) {
 // loadedCluster builds a cluster with TPC-H loaded at the scale factor.
 func loadedCluster(t *testing.T, workers int, sf float64) (*cluster.Cluster, *Data) {
 	t.Helper()
+	return loadedClusterMem(t, workers, sf, 0)
+}
+
+// loadedClusterMem is loadedCluster with a per-operator row budget (0 = the
+// default, which nothing at test scale exceeds).
+func loadedClusterMem(t *testing.T, workers int, sf float64, memRows int) (*cluster.Cluster, *Data) {
+	t.Helper()
 	c, err := cluster.New(cluster.Config{
 		NumWorkers: workers,
 		BaseDir:    t.TempDir(),
 		PageSize:   32 * 1024,
 		Nmax:       3,
+		MemRows:    memRows,
 		Profile:    cluster.HRDBMSProfile(),
 	})
 	if err != nil {
@@ -107,6 +117,56 @@ func rowKey(r types.Row) string {
 	return strings.Join(parts, "\t")
 }
 
+// parityCases is the table the parity suites run: the paper's 21 TPC-H
+// queries, then every plan shape projection pushdown has a rule for.
+func parityCases() (cases []pruneCase, numQueries int) {
+	for _, qid := range QueryIDs() {
+		cases = append(cases, pruneCase{name: qid, sql: Queries()[qid]})
+	}
+	return append(cases, pruneCases()...), len(cases)
+}
+
+// requireParity runs one case distributed — SQL through the optimizer as
+// ExecSQL does, a hand-built plan pruned to the columns it uses — and
+// single-node on the plan exactly as plan.Build made it, every scan whole,
+// and requires the same rows. It returns the distributed run's rows and
+// metrics.
+func requireParity(t *testing.T, name string, pc pruneCase, c *cluster.Cluster, prov plan.TableProvider) ([]types.Row, cluster.RunMetrics) {
+	t.Helper()
+	var node plan.Node
+	if pc.sql != "" {
+		sel, err := sqlparse.ParseSelect(pc.sql)
+		if err != nil {
+			t.Fatalf("%s parse: %v", name, err)
+		}
+		if node, err = c.Plan(sel); err != nil {
+			t.Fatalf("%s plan: %v", name, err)
+		}
+	} else {
+		node = pc.plan(t, c.Catalog())
+		if err := plan.PruneColumns(node); err != nil {
+			t.Fatalf("%s prune: %v", name, err)
+		}
+	}
+	got, m, err := c.RunMetered(node)
+	if err != nil {
+		t.Fatalf("%s distributed: %v", name, err)
+	}
+	op, err := plan.Execute(pc.plan(t, c.Catalog()), prov, exec.NewCtx(t.TempDir(), 0))
+	if err != nil {
+		t.Fatalf("%s reference: %v", name, err)
+	}
+	want, err := exec.Collect(op)
+	if err != nil {
+		t.Fatalf("%s reference run: %v", name, err)
+	}
+	// Sorted queries must match in order... but ties in ORDER BY keys
+	// may legally permute, so compare as multisets (the ordered checks
+	// live in cluster tests).
+	requireSameRows(t, name, got, want)
+	return got, m
+}
+
 // TestAllQueriesDistributedMatchReference is the correctness anchor of the
 // whole reproduction: every one of the paper's 21 TPC-H queries, and every
 // plan shape projection pushdown has a rule for (pruneCases), must produce
@@ -118,12 +178,7 @@ func TestAllQueriesDistributedMatchReference(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full TPC-H suite skipped in -short mode")
 	}
-	var cases []pruneCase
-	for _, qid := range QueryIDs() {
-		cases = append(cases, pruneCase{name: qid, sql: Queries()[qid]})
-	}
-	numQueries := len(cases)
-	cases = append(cases, pruneCases()...)
+	cases, numQueries := parityCases()
 	for _, workers := range []int{1, 4} {
 		c, d := loadedCluster(t, workers, 0.002)
 		if _, err := c.ExecSQL(`CREATE INDEX idx_supp ON supplier(s_suppkey)`); err != nil {
@@ -133,35 +188,7 @@ func TestAllQueriesDistributedMatchReference(t *testing.T) {
 		nonEmpty := 0
 		for i, pc := range cases {
 			name := fmt.Sprintf("%s, %d workers", pc.name, workers)
-			var got []types.Row
-			if pc.sql != "" {
-				res, err := c.ExecSQL(pc.sql)
-				if err != nil {
-					t.Fatalf("%s distributed: %v", name, err)
-				}
-				got = res.Rows
-			} else {
-				node := pc.plan(t, c.Catalog())
-				if err := plan.PruneColumns(node); err != nil {
-					t.Fatalf("%s prune: %v", name, err)
-				}
-				var err error
-				if got, err = c.Run(node); err != nil {
-					t.Fatalf("%s distributed: %v", name, err)
-				}
-			}
-			op, err := plan.Execute(pc.plan(t, c.Catalog()), prov, exec.NewCtx(t.TempDir(), 0))
-			if err != nil {
-				t.Fatalf("%s reference: %v", name, err)
-			}
-			want, err := exec.Collect(op)
-			if err != nil {
-				t.Fatalf("%s reference run: %v", name, err)
-			}
-			// Sorted queries must match in order... but ties in ORDER BY keys
-			// may legally permute, so compare as multisets (the ordered checks
-			// live in cluster tests).
-			requireSameRows(t, name, got, want)
+			got, _ := requireParity(t, name, pc, c, prov)
 			if i < numQueries && len(got) > 0 {
 				nonEmpty++
 			}
@@ -169,6 +196,43 @@ func TestAllQueriesDistributedMatchReference(t *testing.T) {
 		}
 		if nonEmpty < 14 {
 			t.Errorf("only %d of 21 queries returned rows — generator domains too sparse", nonEmpty)
+		}
+	}
+}
+
+// TestAllQueriesMatchReferenceUnderMemoryPressure is the same table on a
+// cluster whose operators may hold 256 rows each: hash joins go through
+// grace partitioning, aggregates and sorts through their spill runs, and
+// the answers must not change. It is the only non-unit traffic that spills
+// (scripts/deadcode.sh counts on it), so it also requires that spilling
+// happened on a join query and that no worker kept a spill file.
+func TestAllQueriesMatchReferenceUnderMemoryPressure(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full TPC-H suite skipped in -short mode")
+	}
+	cases, _ := parityCases()
+	c, d := loadedClusterMem(t, 4, 0.002, 256)
+	if _, err := c.ExecSQL(`CREATE INDEX idx_supp ON supplier(s_suppkey)`); err != nil {
+		t.Fatal(err)
+	}
+	prov := &plan.MemProvider{Cat: c.Catalog(), Rows: d.Tables()}
+	joinSpills := 0
+	for _, pc := range cases {
+		_, m := requireParity(t, pc.name+", 256-row budget", pc, c, prov)
+		if m.SpillBytes > 0 && strings.Contains(plan.Explain(pc.plan(t, c.Catalog())), "Join") {
+			joinSpills++
+		}
+	}
+	if joinSpills == 0 {
+		t.Error("no join query spilled under a 256-row budget: grace join is not being exercised")
+	}
+	for _, w := range c.Workers {
+		left, err := os.ReadDir(filepath.Join(c.Cfg.BaseDir, fmt.Sprintf("tmp%d", w.ID)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(left) > 0 {
+			t.Errorf("worker %d kept %d spill files, first %s", w.ID, len(left), left[0].Name())
 		}
 	}
 }

@@ -459,11 +459,3 @@ func (c *Coordinator) recvTimeout(channel string) (network.Message, error) {
 		return network.Message{}, fmt.Errorf("twopc: timeout waiting on %s", channel)
 	}
 }
-
-// Outcome reports the recorded global decision for a transaction.
-func (c *Coordinator) Outcome(txid uint64) (committed, known bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	v, ok := c.outcomes[txid]
-	return v, ok
-}

@@ -188,10 +188,3 @@ func (lm *LockManager) ReleaseAll(tx uint64) {
 	delete(lm.waits, tx)
 	lm.cond.Broadcast()
 }
-
-// Holding reports the number of locks tx holds (for tests).
-func (lm *LockManager) Holding(tx uint64) int {
-	lm.mu.Lock()
-	defer lm.mu.Unlock()
-	return len(lm.held[tx])
-}

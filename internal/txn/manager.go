@@ -72,9 +72,6 @@ func (m *Manager) Lookup(id uint64) (*Tx, bool) {
 	return tx, ok
 }
 
-// TxID implements storage.TxHook.
-func (t *Tx) TxID() uint64 { return t.id }
-
 // LockPage implements storage.TxHook.
 func (t *Tx) LockPage(k page.Key, exclusive bool) error {
 	mode := LockShared

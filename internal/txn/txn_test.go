@@ -56,6 +56,13 @@ func newManager(t *testing.T) (*Manager, *buffer.Manager) {
 	return NewManager(log, NewLockManager(200*time.Millisecond), buf), buf
 }
 
+// holding is the number of locks tx holds.
+func holding(lm *LockManager, tx uint64) int {
+	lm.mu.Lock()
+	defer lm.mu.Unlock()
+	return len(lm.held[tx])
+}
+
 func TestLockSharedCompatible(t *testing.T) {
 	lm := NewLockManager(100 * time.Millisecond)
 	k := page.Key{File: 1, Page: 1}
@@ -107,8 +114,8 @@ func TestLockUpgradeAndReentry(t *testing.T) {
 	if err := lm.Lock(1, k, LockShared); err != nil {
 		t.Fatalf("reentry: %v", err)
 	}
-	if lm.Holding(1) != 1 {
-		t.Errorf("holding = %d", lm.Holding(1))
+	if holding(lm, 1) != 1 {
+		t.Errorf("holding = %d", holding(lm, 1))
 	}
 }
 
@@ -188,13 +195,13 @@ func TestCommitReleasesLocks(t *testing.T) {
 	k := page.Key{File: 1, Page: 0}
 	tx := m.Begin()
 	insertViaTx(t, m, buf, tx, k, 42)
-	if m.Locks.Holding(tx.TxID()) == 0 {
+	if holding(m.Locks, tx.id) == 0 {
 		t.Fatal("no locks held before commit")
 	}
 	if err := m.Commit(tx); err != nil {
 		t.Fatal(err)
 	}
-	if m.Locks.Holding(tx.TxID()) != 0 {
+	if holding(m.Locks, tx.id) != 0 {
 		t.Error("locks survived commit")
 	}
 	if m.ActiveCount() != 0 {
@@ -224,7 +231,7 @@ func TestRollbackUndoesWrites(t *testing.T) {
 	if got := liveRows(t, buf, k); got != 1 {
 		t.Errorf("rows after rollback = %d, want 1", got)
 	}
-	if m.Locks.Holding(tx2.TxID()) != 0 {
+	if holding(m.Locks, tx2.id) != 0 {
 		t.Error("locks survived rollback")
 	}
 }
@@ -238,10 +245,10 @@ func TestPrepareThenCommitPrepared(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Locks still held after prepare (SS2PL until global decision).
-	if m.Locks.Holding(tx.TxID()) == 0 {
+	if holding(m.Locks, tx.id) == 0 {
 		t.Fatal("prepare must keep locks")
 	}
-	if err := m.CommitPrepared(tx.TxID()); err != nil {
+	if err := m.CommitPrepared(tx.id); err != nil {
 		t.Fatal(err)
 	}
 	if liveRows(t, buf, k) != 1 {
@@ -257,7 +264,7 @@ func TestPrepareThenRollbackPrepared(t *testing.T) {
 	if err := m.Prepare(tx, 3); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.RollbackPrepared(tx.TxID()); err != nil {
+	if err := m.RollbackPrepared(tx.id); err != nil {
 		t.Fatal(err)
 	}
 	if got := liveRows(t, buf, k); got != 0 {
@@ -266,6 +273,14 @@ func TestPrepareThenRollbackPrepared(t *testing.T) {
 }
 
 func TestResolveInDoubtAfterRestart(t *testing.T) {
+	t.Run("commit", func(t *testing.T) { resolveInDoubtAfterRestart(t, true) })
+	t.Run("abort", func(t *testing.T) { resolveInDoubtAfterRestart(t, false) })
+}
+
+// resolveInDoubtAfterRestart prepares an insert, crashes, recovers it in
+// doubt and applies the coordinator's answer on a manager that never saw the
+// transaction: the row stays on commit and is undone, from the log, on abort.
+func resolveInDoubtAfterRestart(t *testing.T, commit bool) {
 	dir := t.TempDir()
 	store := newMemStore(4096)
 	logPath := filepath.Join(dir, "wal.log")
@@ -300,16 +315,16 @@ func TestResolveInDoubtAfterRestart(t *testing.T) {
 	}
 	m2 := NewManager(log2, NewLockManager(time.Second), buf2)
 	m2.SetNextTxID(res.MaxTxID + 1)
-	// Coordinator says commit.
-	if err := m2.ResolveInDoubt(res.InDoubt[0].TxID, true); err != nil {
+	if err := m2.ResolveInDoubt(res.InDoubt[0].TxID, commit); err != nil {
 		t.Fatal(err)
 	}
-	f, _ := buf2.Fetch(k)
-	rp, _ := page.AsRowPage(f.Buf)
-	if rp.LiveRows() != 1 {
-		t.Error("resolved-commit row missing")
+	want := 0
+	if commit {
+		want = 1
 	}
-	buf2.Unpin(f, false)
+	if got := liveRows(t, buf2, k); got != want {
+		t.Errorf("rows after resolving with commit=%v = %d, want %d", commit, got, want)
+	}
 }
 
 func TestConcurrentTransactionsDisjointPages(t *testing.T) {

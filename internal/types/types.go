@@ -223,11 +223,6 @@ func Compare(a, b Value) int {
 	}
 }
 
-// Equal reports whether two values are equal under Compare semantics
-// (NULL equals NULL here; SQL three-valued logic lives in the expression
-// evaluator, not in this structural comparison).
-func Equal(a, b Value) bool { return Compare(a, b) == 0 }
-
 // Hash computes a stable 64-bit hash of the value, used for hash
 // partitioning, hash joins, and hash aggregation. Numeric kinds hash by
 // their numeric payload so that INT 3 and FLOAT 3.0 collide deliberately.

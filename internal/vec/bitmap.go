@@ -12,19 +12,6 @@ type Bitmap struct {
 // Set sets bit i, growing the word slice as needed.
 func (b *Bitmap) Set(i int) { b.Words = SetBit(b.Words, i) }
 
-// Get reports bit i (false beyond the slice).
-func (b *Bitmap) Get(i int) bool { return GetBit(b.Words, i) }
-
-// Any reports whether any bit is set.
-func (b *Bitmap) Any() bool {
-	for _, w := range b.Words {
-		if w != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // Truncate clears every bit at position >= n, so a decoder that appended
 // past n can roll its null marks back to a snapshot length.
 func (b *Bitmap) Truncate(n int) {

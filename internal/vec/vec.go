@@ -163,24 +163,6 @@ func (c *Col) IsNull(i int) bool {
 	return GetBit(c.Nulls, i)
 }
 
-// HasNulls reports whether any appended position is NULL.
-func (c *Col) HasNulls() bool {
-	if c.Form == FormBoxed {
-		for _, v := range c.Vals {
-			if v.K == types.KindNull {
-				return true
-			}
-		}
-		return false
-	}
-	for _, w := range c.Nulls {
-		if w != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // Value boxes position i. The result is immutable and safe to retain.
 func (c *Col) Value(i int) types.Value {
 	if c.Form != FormBoxed && GetBit(c.Nulls, i) {

@@ -149,13 +149,6 @@ func (l *Log) FlushUpTo(lsn uint64) error {
 	return l.flushLocked()
 }
 
-// FlushedLSN returns the highest durable byte offset (as an LSN bound).
-func (l *Log) FlushedLSN() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.flushedLSN
-}
-
 // LastCheckpointLSN returns the LSN of the most recent checkpoint record,
 // or 0 if none.
 func (l *Log) LastCheckpointLSN() uint64 {

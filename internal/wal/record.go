@@ -31,34 +31,6 @@ const (
 	RecXARollback
 )
 
-// String names the record type.
-func (t RecType) String() string {
-	switch t {
-	case RecBegin:
-		return "BEGIN"
-	case RecInsert:
-		return "INSERT"
-	case RecDelete:
-		return "DELETE"
-	case RecCLR:
-		return "CLR"
-	case RecCommit:
-		return "COMMIT"
-	case RecAbort:
-		return "ABORT"
-	case RecPrepare:
-		return "PREPARE"
-	case RecCheckpoint:
-		return "CHECKPOINT"
-	case RecXACommit:
-		return "XACOMMIT"
-	case RecXARollback:
-		return "XAROLLBACK"
-	default:
-		return fmt.Sprintf("RecType(%d)", uint8(t))
-	}
-}
-
 // Record is one WAL entry. LSN is assigned by the log manager at append
 // time (it is the record's byte offset in the log file).
 type Record struct {

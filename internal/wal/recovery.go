@@ -192,7 +192,7 @@ func applyRedo(pa PageAccess, r *Record) (bool, error) {
 	}
 	if err := applyAction(f.Buf, r); err != nil {
 		pa.Unpin(f, false)
-		return false, fmt.Errorf("wal: redo %s lsn=%d: %w", r.Type, r.LSN, err)
+		return false, fmt.Errorf("wal: redo record type %d lsn=%d: %w", r.Type, r.LSN, err)
 	}
 	page.SetLSN(f.Buf, r.LSN)
 	pa.Unpin(f, true)

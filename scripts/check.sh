@@ -2,7 +2,8 @@
 # Full verification gate: build, vet, repo-specific lint, tests, one race run
 # over the concurrency-heavy packages (whole packages, never -run lists: a
 # pattern whose test was renamed passes silently), the invariants-tagged
-# assertions, the nested benchmark module, and the bench/fuzz smokes.
+# assertions, the nested benchmark module, the bench/fuzz smokes, and the
+# reachability audit of internal/.
 # CI runs exactly this script; run it locally before pushing.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -62,6 +63,10 @@ go test -run '^$' -fuzz '^FuzzHuffmanDecode$' -fuzztime 5s ./internal/compress >
 
 echo "==> fuzz smoke (LZ4 decoder: never panics or passes dstSize, agrees with the byte-at-a-time reference)"
 go test -run '^$' -fuzz '^FuzzLZ4Decode$' -fuzztime 5s ./internal/compress >/dev/null
+
+echo "==> reachability audit (full listing: deadcode-report.txt; scripts/deadcode.keep holds what stays unreached)"
+scripts/deadcode.sh > deadcode-report.txt
+tail -n 1 deadcode-report.txt
 
 echo "==> code size (scripts/loc.sh <ref> diffs it per package against a commit)"
 scripts/loc.sh | tail -n 1
