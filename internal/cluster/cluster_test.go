@@ -365,6 +365,77 @@ func TestInsertDeleteUpdate2PC(t *testing.T) {
 	}
 }
 
+// TestWritesCheckedAgainstColumnKind: a value whose kind is not the column's
+// (and is not an int headed for a FLOAT or DATE column) fails the statement —
+// INSERT, multi-row INSERT and UPDATE alike, on a row and on a columnar
+// table — and leaves the table as it was; the two coercions still apply.
+func TestWritesCheckedAgainstColumnKind(t *testing.T) {
+	c, _ := newCluster(t, 3, HRDBMSProfile())
+	if _, err := c.ExecSQL(`CREATE TABLE ct (k INT, f FLOAT) COLUMNAR PARTITION BY HASH(k)`); err != nil {
+		t.Fatal(err)
+	}
+	for name, bad := range map[string][]string{
+		"ins": {
+			`INSERT INTO ins VALUES ('x', 2.5, 'b', 9000)`,
+			`INSERT INTO ins VALUES (3, 1.0, 'ok', 9000), (4, 'y', 'bad', 9000)`,
+			`INSERT INTO ins VALUES (3, 1.0, 7, 9000)`,
+			`INSERT INTO ins VALUES (3, 1.0, 'c', '1994-01-01')`,
+			`INSERT INTO ct VALUES (1, 'z')`,
+		},
+		"upd": {
+			`UPDATE upd SET k = 'y' WHERE k = 1`,
+			`UPDATE upd SET d = 1.5`,
+			`UPDATE upd SET s = k`,
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			for _, stmt := range []string{
+				`CREATE TABLE ` + name + ` (k INT, f FLOAT, s VARCHAR(10), d DATE) PARTITION BY HASH(k)`,
+				`INSERT INTO ` + name + ` VALUES (1, 2, 'a', 9000), (2, 2.5, 'b', DATE '1994-01-01')`,
+			} {
+				if _, err := c.ExecSQL(stmt); err != nil {
+					t.Fatal(err)
+				}
+			}
+			snapshot := func() string {
+				res, err := c.ExecSQL(`SELECT k, f, s, d FROM ` + name + ` ORDER BY k`)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return fmt.Sprint(res.Rows)
+			}
+			before := snapshot()
+			if want := "[1\t2\ta\t1994-08-23 2\t2.5\tb\t1994-01-01]"; before != want {
+				t.Fatalf("after the coercing INSERT: %s, want %s", before, want)
+			}
+			for _, stmt := range bad {
+				if _, err := c.ExecSQL(stmt); err == nil || !strings.Contains(err.Error(), "cannot store") {
+					t.Errorf("%s: err = %v, want a column-kind error", stmt, err)
+				}
+				if after := snapshot(); after != before {
+					t.Fatalf("%s changed the table:\n  before %s\n  after  %s", stmt, before, after)
+				}
+			}
+		})
+	}
+	res, err := c.ExecSQL(`SELECT count(*) FROM ct`)
+	if err != nil || res.Rows[0][0].Int() != 0 {
+		t.Errorf("columnar table after a refused INSERT: %v, %v; want 0 rows", res, err)
+	}
+	// The coercions UPDATE shares with INSERT: int into FLOAT and into DATE
+	// (stored as an INT before).
+	if _, err := c.ExecSQL(`UPDATE upd SET f = 7, d = 9001 WHERE k = 1`); err != nil {
+		t.Fatal(err)
+	}
+	res, err = c.ExecSQL(`SELECT f, d, sum(k) FROM upd WHERE k = 1 GROUP BY f, d`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 1 || res.Rows[0][0].K != types.KindFloat || res.Rows[0][1].K != types.KindDate || res.Rows[0][2].Int() != 1 {
+		t.Fatalf("after the coercing UPDATE: %v, want one row (FLOAT 7, DATE, 1)", res.Rows)
+	}
+}
+
 // requireIndexScan fails unless EXPLAIN ANALYZE of the query shows an
 // IndexScan through the named index.
 func requireIndexScan(t *testing.T, c *Cluster, index, sql string) {

@@ -44,10 +44,16 @@ type distInfo struct {
 }
 
 // dstream is a worker-resident distributed stream: one operator per worker.
+// typed is the representation the stream's rows travel in: set, every op is
+// an exec.VecOperator that ships freshly built typed batches (a columnar
+// scan, marked by distributeScan); clear, row slabs. An operator placed over
+// the stream is lowered for the representation this says, not for what a
+// type assertion on ops would find.
 type dstream struct {
-	ops  []exec.Operator
-	sch  types.Schema
-	dist distInfo
+	ops   []exec.Operator
+	sch   types.Schema
+	dist  distInfo
+	typed bool
 }
 
 // queryExec tracks per-query state during distribution. coord is the
@@ -481,7 +487,7 @@ func (q *queryExec) distributeScan(x *plan.Scan) (*dstream, exec.Operator, error
 		UseSkipCache: q.prof.UseSkipCache,
 		UseMinMax:    q.prof.UseMinMax,
 	}
-	ds := &dstream{sch: x.Schema()}
+	ds := &dstream{sch: x.Schema(), typed: x.Table.Columnar}
 	name := lower(x.Table.Name)
 	for wi, w := range q.c.Workers {
 		// The scan span is created before the operator so the scan thread
@@ -874,11 +880,18 @@ func (q *queryExec) distributeAgg(x *plan.Agg) (*dstream, exec.Operator, error) 
 
 // workerAggs builds the worker-side aggregate over every operator of ds:
 // the one place such an aggregate is constructed, asks for the profile's
-// degree and gets its span.
+// degree and gets its span. Over a typed stream the build reads the scan's
+// batches through the aggregate's typed front end; over anything else (a
+// join, an exchange, a filter) its row front end.
 func (q *queryExec) workerAggs(ds *dstream, groupBy []expr.Expr, specs []exec.AggSpec, mode exec.AggMode, label string) []exec.Operator {
 	out := make([]exec.Operator, len(ds.ops))
 	for wi, op := range ds.ops {
-		agg := exec.NewHashAggregate(q.wctx(wi), op, groupBy, specs, mode)
+		var agg *exec.HashAggregate
+		if ds.typed {
+			agg = exec.NewTypedHashAggregate(q.wctx(wi), op.(exec.VecOperator), groupBy, specs, mode)
+		} else {
+			agg = exec.NewHashAggregate(q.wctx(wi), op, groupBy, specs, mode)
+		}
 		agg.Parallel = q.prof.Parallelism
 		out[wi] = q.wrap(label, q.c.Workers[wi].ID, agg, op)
 	}

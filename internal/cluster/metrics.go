@@ -37,6 +37,10 @@ type RunMetrics struct {
 	// PredRowSets counts page sets whose scan predicate fell back from the
 	// compiled vector kernel to row-by-row evaluation.
 	PredRowSets int64
+	// BoxedRows counts rows the workers boxed between a typed producer and a
+	// row consumer (exec.Counters.BoxedRows); zero when every scan fed a typed
+	// aggregate build.
+	BoxedRows int64
 	// Spill/materialization volume (blocking shuffles, Grace joins,
 	// external sorts).
 	SpillBytes int64
@@ -98,6 +102,7 @@ func (c *Cluster) runMetered(coord *CoordinatorNode, root plan.Node, traced bool
 	type snap struct {
 		rows, spill, state, scanned, pagesRead int64
 		decodeTyped, decodeBoxed, predRowSets  int64
+		boxedRows                              int64
 	}
 	before := make([]snap, len(c.Workers))
 	for i, w := range c.Workers {
@@ -111,6 +116,7 @@ func (c *Cluster) runMetered(coord *CoordinatorNode, root plan.Node, traced bool
 			decodeTyped: w.execCtx.DecodeTypedPages.Load(),
 			decodeBoxed: w.execCtx.DecodeBoxedPages.Load(),
 			predRowSets: w.execCtx.PredRowSets.Load(),
+			boxedRows:   w.execCtx.BoxedRows.Load(),
 		}
 	}
 	skippedBefore := c.totalSkipped()
@@ -148,6 +154,7 @@ func (c *Cluster) runMetered(coord *CoordinatorNode, root plan.Node, traced bool
 		m.DecodeTypedPages += w.execCtx.DecodeTypedPages.Load() - before[i].decodeTyped
 		m.DecodeBoxedPages += w.execCtx.DecodeBoxedPages.Load() - before[i].decodeBoxed
 		m.PredRowSets += w.execCtx.PredRowSets.Load() - before[i].predRowSets
+		m.BoxedRows += w.execCtx.BoxedRows.Load() - before[i].boxedRows
 	}
 	m.PagesSkipped = c.totalSkipped() - skippedBefore
 	m.PageBytes = m.PagesRead * int64(c.Cfg.PageSize)

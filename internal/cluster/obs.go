@@ -163,6 +163,13 @@ func registerClusterMetrics(c *Cluster) {
 		}
 		return n
 	})
+	r.RegisterGaugeFunc("exec.boxed_rows_total", func() int64 {
+		var n int64
+		for _, w := range c.Workers {
+			n += w.execCtx.BoxedRows.Load()
+		}
+		return n
+	})
 	r.RegisterGaugeFunc("exec.spill_bytes_total", func() int64 {
 		var n int64
 		for _, w := range c.Workers {

@@ -298,18 +298,28 @@ func evalLiteralRow(exprs []expr.Expr, sch types.Schema) (types.Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Coerce ints into float columns and int days into dates.
-		if v.K == types.KindInt {
-			switch sch.Cols[i].Kind {
-			case types.KindFloat:
-				v = types.NewFloat(float64(v.I))
-			case types.KindDate:
-				v = types.NewDate(v.I)
-			}
+		if row[i], err = coerceToColumn(v, sch.Cols[i]); err != nil {
+			return nil, err
 		}
-		row[i] = v
 	}
 	return row, nil
+}
+
+// coerceToColumn is the check every written value passes, INSERT's and
+// UPDATE's alike: NULL and a value of the column's kind go through, an int
+// becomes a float in a FLOAT column and days since the epoch in a DATE
+// column, and any other kind is an error — stored, it would be a string in an
+// INT column that scans return and sum() skips.
+func coerceToColumn(v types.Value, col types.Column) (types.Value, error) {
+	switch {
+	case v.K == col.Kind || v.IsNull():
+		return v, nil
+	case v.K == types.KindInt && col.Kind == types.KindFloat:
+		return types.NewFloat(float64(v.I)), nil
+	case v.K == types.KindInt && col.Kind == types.KindDate:
+		return types.NewDate(v.I), nil
+	}
+	return types.Null, fmt.Errorf("cluster: column %s is %s, cannot store %s value %s", col.Name, col.Kind, v.K, v)
 }
 
 // insertStmt routes rows to workers by partitioning and commits via 2PC.
@@ -544,10 +554,10 @@ func (c *Cluster) updateStmt(x *sqlparse.Update) (*Result, error) {
 						scanErr = err
 						return false
 					}
-					if v.K == types.KindInt && def.Schema.Cols[idx].Kind == types.KindFloat {
-						v = types.NewFloat(float64(v.I))
+					if newRow[idx], err = coerceToColumn(v, def.Schema.Cols[idx]); err != nil {
+						scanErr = err
+						return false
 					}
-					newRow[idx] = v
 				}
 				changes = append(changes, change{rid, newRow})
 				return true

@@ -1,12 +1,14 @@
 package exec
 
 import (
+	"errors"
 	"fmt"
 	"sync/atomic"
 
 	"repro/internal/expr"
 	"repro/internal/obs"
 	"repro/internal/types"
+	"repro/internal/vec"
 )
 
 // AggKind enumerates aggregate functions.
@@ -116,6 +118,44 @@ func (s *aggState) addCountStar() {
 	s.count++
 }
 
+// addInt and addFloat fold a non-null unboxed payload (k is Int, Date or
+// Bool) with exactly the semantics of add: count++, integer kinds feed both
+// sumI and sumF, floats set isFloat and feed sumF only, min/max ordered as
+// types.Compare orders them. The same-kind compare is taken when the running
+// extreme already has the value's kind (the common case on a fixed-kind
+// column); anything else — a first value, a mixed-kind state, DISTINCT —
+// goes through add.
+func (s *aggState) addInt(k types.Kind, x int64) {
+	if s.distinct != nil || s.min.K != k || s.max.K != k {
+		s.add(types.Value{K: k, I: x})
+		return
+	}
+	s.count++
+	s.sumI += x
+	s.sumF += float64(x)
+	if x < s.min.I {
+		s.min.I = x
+	}
+	if x > s.max.I {
+		s.max.I = x
+	}
+}
+
+func (s *aggState) addFloat(x float64) {
+	if s.distinct != nil || s.min.K != types.KindFloat || s.max.K != types.KindFloat {
+		s.add(types.NewFloat(x))
+		return
+	}
+	s.count++
+	s.sumF += x
+	if x < s.min.F {
+		s.min.F = x
+	}
+	if x > s.max.F {
+		s.max.F = x
+	}
+}
+
 // merge folds a partial-state row segment into the state. Partial encoding
 // per spec: sum (float), count (int), min, max — 4 columns.
 const partialCols = 4
@@ -206,6 +246,14 @@ func (s *aggState) final(kind AggKind) types.Value {
 // a memory budget it spills overflow groups' input rows to disk partitions
 // and processes them after the in-memory pass (the paper's "operators can
 // spill data to disk to limit memory consumption").
+//
+// The build has two front ends onto one group table: row slabs from
+// In.NextBatch (aggTable.ingest), or — when the plan was lowered over a typed
+// producer (NewTypedHashAggregate) — typed batches from its NextVec
+// (aggTable.ingestBatch). Both encode a row's group key to the same bytes,
+// so everything behind the lookup (budget, spill, partitioned merge, emit)
+// exists once and a typed build's spilled rows merge through the row front
+// end.
 type HashAggregate struct {
 	In      Operator
 	GroupBy []expr.Expr // group key expressions over the input
@@ -216,8 +264,10 @@ type HashAggregate struct {
 	// granted (one for 0/1, and for raw DISTINCT aggregation, which cannot
 	// merge).
 	Parallel int
-	// Trace, when non-nil, records the granted worker count.
+	// Trace, when non-nil, records the granted worker count and which front
+	// end the build read.
 	Trace    *obs.Span
+	typed    VecOperator // In's typed face; nil builds from row slabs
 	ctx      *Ctx
 	spills   spillSet
 	out      types.Schema
@@ -234,10 +284,19 @@ func NewHashAggregate(ctx *Ctx, in Operator, groupBy []expr.Expr, specs []AggSpe
 	return h
 }
 
+// NewTypedHashAggregate builds a Complete or Partial aggregation whose build
+// reads in's typed batches. Above degree 1 a batch crosses to a build worker
+// uncopied, so in must ship every batch freshly built, as VecColumnarScan
+// does (an adapter that refills one batch does not qualify).
+func NewTypedHashAggregate(ctx *Ctx, in VecOperator, groupBy []expr.Expr, specs []AggSpec, mode AggMode) *HashAggregate {
+	h := NewHashAggregate(ctx, in, groupBy, specs, mode)
+	h.typed = in
+	return h
+}
+
 // aggOutputSchema computes the aggregation output schema: group columns
 // followed by either partial-state columns (Partial/Merge) or final value
-// columns. Shared by the row and the vector aggregate so both emit
-// identically-typed rows.
+// columns.
 func aggOutputSchema(inSch types.Schema, groupBy []expr.Expr, specs []AggSpec, mode AggMode) types.Schema {
 	var cols []types.Column
 	for gi, g := range groupBy {
@@ -319,6 +378,7 @@ func (h *HashAggregate) prepare() error {
 	degree := h.ctx.AcquireWorkers(want)
 	defer h.ctx.ReleaseWorkers(degree)
 	h.Trace.AddWorkers(int64(degree))
+	h.Trace.SetInput(h.typed != nil)
 
 	// Partitions are what lets the merge run in parallel, so one worker
 	// keeps one and never hashes a key to pick it.
@@ -333,14 +393,22 @@ func (h *HashAggregate) prepare() error {
 	for w := range tables {
 		tables[w] = h.newAggTable(parts, h.ctx.memShare(degree))
 	}
-	if err := fanOut(h.ctx, h.In, degree, func(w int, slab []types.Row) error {
-		for _, r := range slab {
-			if err := tables[w].ingest(r); err != nil {
-				return err
+	var err error
+	if h.typed != nil {
+		err = fanOut(h.ctx, freshBatches(h.typed), degree, func(w int, b *vec.Batch) error {
+			return tables[w].ingestBatch(b)
+		}, nil)
+	} else {
+		err = fanOut(h.ctx, rowSlabs(h.In), degree, func(w int, slab []types.Row) error {
+			for _, r := range slab {
+				if err := tables[w].ingest(r); err != nil {
+					return err
+				}
 			}
-		}
-		return nil
-	}, nil); err != nil {
+			return nil
+		}, nil)
+	}
+	if err != nil {
 		return err
 	}
 
@@ -418,6 +486,22 @@ type aggTable struct {
 	spills     []*spillWriter
 	keyRow     types.Row
 	keyBuf     []byte
+	// The typed front end's per-table state (bindTyped, at its first batch): where
+	// each key and argument is read from, and the row a batch is boxed into
+	// when one of them has no typed reader.
+	keyCols  []int // by key: the input column it is, or -1 for an expression
+	exprKeys bool  // some key is an expression
+	args     []aggArg
+	scratch  types.Row
+}
+
+// aggArg reads one aggregate argument off a typed batch.
+type aggArg struct {
+	arg  expr.Expr  // nil for COUNT(*)
+	node numNode    // arg's kernel; nil for a shape without one
+	kind types.Kind // of an integer result: Int or Date
+	nv   numVec     // this batch's values, valid when ok
+	ok   bool
 }
 
 func (h *HashAggregate) newAggTable(parts, budget int) *aggTable {
@@ -433,19 +517,47 @@ func (h *HashAggregate) newAggTable(parts, budget int) *aggTable {
 	return t
 }
 
-// newGroup allocates a group for the key in the scratch row.
-func (t *aggTable) newGroup() *aggGroup {
-	h := t.h
-	g := &aggGroup{key: t.keyRow.Clone(), states: make([]*aggState, len(h.Specs))}
-	for i, sp := range h.Specs {
-		g.states[i] = newAggState(sp.Distinct && !t.fromStates)
+// group finds the group of the key in the scratch row, admitting a new one
+// while the budget allows; past it the answer is nil and the row belongs in
+// partition p's spill. This is the one place a key is encoded — by
+// types.AppendRow, from either front end — which is what lets a row one
+// front end spilled find, through the other, the group it belongs to.
+func (t *aggTable) group() (g *aggGroup, p int) {
+	t.keyBuf = types.AppendRow(t.keyBuf[:0], t.keyRow)
+	if len(t.parts) > 1 {
+		p = int(fnv32(t.keyBuf) & uint32(len(t.parts)-1))
 	}
-	h.ctx.addState(int64(types.RowEncodedSize(t.keyRow)) + int64(48*len(h.Specs)))
-	return g
+	g, ok := t.parts[p][string(t.keyBuf)]
+	if !ok {
+		if t.budget > 0 && t.held >= t.budget {
+			return nil, p
+		}
+		h := t.h
+		g = &aggGroup{key: t.keyRow.Clone(), states: make([]*aggState, len(h.Specs))}
+		for i, sp := range h.Specs {
+			g.states[i] = newAggState(sp.Distinct && !t.fromStates)
+		}
+		h.ctx.addState(int64(types.RowEncodedSize(t.keyRow)) + int64(48*len(h.Specs)))
+		t.parts[p][string(t.keyBuf)] = g
+		t.held++
+	}
+	return g, p
 }
 
-// ingest folds one input row into its group — admitted if the budget
-// allows — or spills the row.
+// spill writes a row whose group was not admitted to partition p's spill.
+func (t *aggTable) spill(p int, r types.Row) error {
+	if t.spills[p] == nil {
+		sw, err := t.h.spills.newWriter(t.h.ctx, "agg-spill-*")
+		if err != nil {
+			return err
+		}
+		t.spills[p] = sw
+	}
+	return t.spills[p].write(r)
+}
+
+// ingest is the row front end: it folds one input row into its group, or
+// spills it.
 func (t *aggTable) ingest(r types.Row) error {
 	h := t.h
 	for i, k := range h.GroupBy {
@@ -455,26 +567,9 @@ func (t *aggTable) ingest(r types.Row) error {
 		}
 		t.keyRow[i] = v
 	}
-	t.keyBuf = types.AppendRow(t.keyBuf[:0], t.keyRow)
-	p := 0
-	if len(t.parts) > 1 {
-		p = int(fnv32(t.keyBuf) & uint32(len(t.parts)-1))
-	}
-	g, ok := t.parts[p][string(t.keyBuf)]
-	if !ok {
-		if t.budget > 0 && t.held >= t.budget {
-			if t.spills[p] == nil {
-				sw, err := h.spills.newWriter(h.ctx, "agg-spill-*")
-				if err != nil {
-					return err
-				}
-				t.spills[p] = sw
-			}
-			return t.spills[p].write(r)
-		}
-		g = t.newGroup()
-		t.parts[p][string(t.keyBuf)] = g
-		t.held++
+	g, p := t.group()
+	if g == nil {
+		return t.spill(p, r)
 	}
 	if t.fromStates {
 		base := len(h.GroupBy)
@@ -494,6 +589,107 @@ func (t *aggTable) ingest(r types.Row) error {
 		}
 		g.states[i].add(v)
 	}
+	return nil
+}
+
+// bindTyped works out, once per table, where the typed front end reads each
+// key and argument from.
+func (t *aggTable) bindTyped() {
+	h, sch := t.h, t.h.In.Schema()
+	t.keyCols = make([]int, len(h.GroupBy))
+	for i, k := range h.GroupBy {
+		t.keyCols[i] = -1
+		if c, ok := k.(*expr.Col); ok && c.Index >= 0 && c.Index < sch.Len() {
+			t.keyCols[i] = c.Index
+		} else {
+			t.exprKeys = true
+		}
+	}
+	t.args = make([]aggArg, len(h.Specs))
+	for i, sp := range h.Specs {
+		if sp.Arg != nil {
+			t.args[i] = aggArg{arg: sp.Arg, node: compileNum(sp.Arg, sch), kind: expr.KindOf(sp.Arg, sch)}
+		}
+	}
+	t.scratch = make(types.Row, sch.Len())
+}
+
+// ingestBatch is the typed front end: it folds the active rows of one batch
+// into their groups. A key that is a plain column is read off the column
+// (Col.Value honours the NULL bitmap and a column demoted to boxed), and an
+// argument compileNum has a kernel for is evaluated once for the whole batch
+// and folded in unboxed. Anything else — an expression key, CASE, LIKE,
+// division, a string or demoted argument column — is evaluated on the boxed
+// row, for that batch only; BoxedRows counts the rows so read, and those
+// spilled.
+func (t *aggTable) ingestBatch(b *vec.Batch) error {
+	if t.args == nil {
+		t.bindTyped()
+	}
+	n := b.Rows()
+	needRow := t.exprKeys
+	for i := range t.args {
+		a := &t.args[i]
+		a.ok = false
+		if a.node != nil {
+			nv, err := a.node.evalNum(b, n)
+			if err != nil && !errors.Is(err, errVecFallback) {
+				return err
+			}
+			a.nv, a.ok = nv, err == nil
+		}
+		needRow = needRow || (a.arg != nil && !a.ok)
+	}
+	var boxed int64
+	for k := 0; k < n; k++ {
+		i := b.Index(k)
+		var row types.Row
+		if needRow {
+			row = b.ReadRow(i, t.scratch)
+			boxed++
+		}
+		for ki, c := range t.keyCols {
+			if c >= 0 {
+				t.keyRow[ki] = b.Cols[c].Value(i)
+				continue
+			}
+			v, err := t.h.GroupBy[ki].Eval(row)
+			if err != nil {
+				return err
+			}
+			t.keyRow[ki] = v
+		}
+		g, p := t.group()
+		if g == nil {
+			if row == nil {
+				row = b.ReadRow(i, t.scratch)
+				boxed++
+			}
+			if err := t.spill(p, row); err != nil {
+				return err
+			}
+			continue
+		}
+		for si := range t.args {
+			a, st := &t.args[si], g.states[si]
+			switch {
+			case a.arg == nil:
+				st.addCountStar()
+			case !a.ok:
+				v, err := a.arg.Eval(row)
+				if err != nil {
+					return err
+				}
+				st.add(v)
+			case a.nv.null != nil && a.nv.null[k]:
+			case a.nv.isFloat:
+				st.addFloat(a.nv.f[k])
+			default:
+				st.addInt(a.kind, a.nv.i[k])
+			}
+		}
+	}
+	t.h.ctx.addBoxed(boxed)
 	return nil
 }
 

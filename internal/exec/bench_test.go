@@ -13,7 +13,6 @@ import (
 	"repro/internal/storage"
 	"repro/internal/tpch"
 	"repro/internal/types"
-	"repro/internal/vec"
 )
 
 func benchRows(n int, keys int) []types.Row {
@@ -105,226 +104,6 @@ func benchLineitemData() ([]types.Row, types.Schema) {
 		benchLineitem.sch = types.Schema{Cols: cols}
 	})
 	return benchLineitem.rows, benchLineitem.sch
-}
-
-// BenchmarkBatchVsRow measures the slab operators at several slab sizes
-// against the typed vector operators on a scan→filter→project→aggregate
-// pipeline over SF0.05 lineitem (~300k rows). The scan runs on its own
-// thread, as FragmentScan does, so a 1-row slab pays one channel select per
-// row while larger slabs amortize it. (The name predates the removal of the
-// row-at-a-time engine; CI and the docs refer to it.)
-func BenchmarkBatchVsRow(b *testing.B) {
-	rows, sch := benchLineitemData()
-	mkScan := func(batch int) *rowFeed {
-		sf := &rowFeed{}
-		sf.sch, sf.batch = sch, batch
-		sf.start = func() error {
-			snd := sf.rowSender()
-			for _, r := range rows {
-				if !snd.send(r) {
-					return nil
-				}
-			}
-			snd.flush()
-			return nil
-		}
-		return sf
-	}
-	// l_quantity < 25, then revenue = extendedprice * (1 - discount),
-	// grouped by returnflag: the shape of TPC-H Q1's hot loop.
-	pred := func() expr.Expr {
-		return &expr.Bin{Op: expr.OpLt, L: col(4), R: &expr.Const{V: types.NewFloat(25)}}
-	}
-	revenue := func() expr.Expr {
-		return &expr.Bin{Op: expr.OpMul, L: col(5),
-			R: &expr.Bin{Op: expr.OpSub, L: &expr.Const{V: types.NewFloat(1)}, R: col(6)}}
-	}
-	run := func(b *testing.B, build func() Operator) {
-		b.Helper()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			out, err := Collect(build())
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(out) == 0 {
-				b.Fatal("empty aggregate output")
-			}
-		}
-		b.ReportMetric(float64(len(rows))*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
-	}
-	for _, batch := range []int{1, 128, 1024} {
-		b.Run(fmt.Sprintf("batch-%d", batch), func(b *testing.B) {
-			run(b, func() Operator {
-				ctx := NewCtx("", 0)
-				ctx.BatchRows = batch
-				f := NewFilter(ctx, mkScan(batch), pred())
-				p := NewProject(ctx, f, []expr.Expr{col(8), revenue()}, []string{"flag", "rev"})
-				return NewHashAggregate(ctx, p, ColRefs(0),
-					[]AggSpec{{Kind: AggSum, Arg: col(1), Name: "s"}, {Kind: AggCount, Name: "c"}}, AggComplete)
-			})
-		})
-	}
-
-	// Typed vector path over the same resident data: each engine starts
-	// from its natural in-memory representation — boxed rows for the slab
-	// operators, typed column slabs for the vector operators — so the
-	// comparison isolates kernel cost, not input conversion.
-	for _, batch := range []int{128, 1024} {
-		b.Run(fmt.Sprintf("vec-%d", batch), func(b *testing.B) {
-			src := newVecReplay(sch, rows, batch)
-			run(b, func() Operator {
-				ctx := NewCtx("", 0)
-				ctx.BatchRows = batch
-				src.pos = 0
-				f := NewVecFilter(ctx, src, pred())
-				p := NewVecProject(ctx, f, []expr.Expr{col(8), revenue()}, []string{"flag", "rev"})
-				return NewVecHashAggregate(ctx, p, ColRefs(0),
-					[]AggSpec{{Kind: AggSum, Arg: col(1), Name: "s"}, {Kind: AggCount, Name: "c"}}, AggComplete)
-			})
-		})
-	}
-
-	// Over a real PAX fragment: the same pipeline reading actual pages
-	// through the buffer manager on the boxed slab path (the test-only
-	// reference decode, boxedColumnarScan) and the typed vector path. This is the pair the vector format is judged on — col-vec
-	// decodes slabs straight from pages with no boxed Value materialization
-	// between scan and aggregate.
-	fr := benchLineitemColFragment(b)
-	colBatch := func() Operator {
-		ctx := NewCtx("", 0)
-		f := NewFilter(ctx, boxedColumnarScan(fr, "l", nil), pred())
-		p := NewProject(ctx, f, []expr.Expr{col(8), revenue()}, []string{"flag", "rev"})
-		return NewHashAggregate(ctx, p, ColRefs(0),
-			[]AggSpec{{Kind: AggSum, Arg: col(1), Name: "s"}, {Kind: AggCount, Name: "c"}}, AggComplete)
-	}
-	colVec := func() Operator {
-		ctx := NewCtx("", 0)
-		f := NewVecFilter(ctx, NewVecColumnarScan(fr, "l", ScanConfig{Ctx: ctx}), pred())
-		p := NewVecProject(ctx, f, []expr.Expr{col(8), revenue()}, []string{"flag", "rev"})
-		return NewVecHashAggregate(ctx, p, ColRefs(0),
-			[]AggSpec{{Kind: AggSum, Arg: col(1), Name: "s"}, {Kind: AggCount, Name: "c"}}, AggComplete)
-	}
-	// Golden parity before timing: the two independent implementations must
-	// agree on the aggregate before their throughput is worth comparing.
-	want, err := Collect(colBatch())
-	if err != nil {
-		b.Fatal(err)
-	}
-	got, err := Collect(colVec())
-	if err != nil {
-		b.Fatal(err)
-	}
-	if !sameRowMultiset(got, want) {
-		b.Fatal("col-vec output diverges from the slab operators")
-	}
-	b.Run("col-batch", func(b *testing.B) { run(b, colBatch) })
-	b.Run("col-vec", func(b *testing.B) { run(b, colVec) })
-}
-
-// vecReplay serves pre-built typed batches, the vector engine's resident
-// representation. Sel is cleared before each serve because a downstream
-// VecFilter legitimately rewrites it in place.
-type vecReplay struct {
-	sch     types.Schema
-	batches []*vec.Batch
-	pos     int
-}
-
-func newVecReplay(sch types.Schema, rows []types.Row, size int) *vecReplay {
-	r := &vecReplay{sch: sch}
-	for off := 0; off < len(rows); off += size {
-		end := off + size
-		if end > len(rows) {
-			end = len(rows)
-		}
-		r.batches = append(r.batches, vec.FromRows(sch, rows[off:end], nil))
-	}
-	return r
-}
-
-func (r *vecReplay) Schema() types.Schema { return r.sch }
-func (r *vecReplay) Open() error          { return nil }
-func (r *vecReplay) Close() error         { return nil }
-func (r *vecReplay) NextBatch() ([]types.Row, bool, error) {
-	panic("vecReplay is vector-only")
-}
-func (r *vecReplay) NextVec() (*vec.Batch, bool, error) {
-	if r.pos >= len(r.batches) {
-		return nil, false, nil
-	}
-	b := r.batches[r.pos]
-	r.pos++
-	b.Sel = nil
-	return b, true, nil
-}
-
-// sameRowMultiset compares two results order-insensitively.
-func sameRowMultiset(got, want []types.Row) bool {
-	if len(got) != len(want) {
-		return false
-	}
-	counts := make(map[string]int, len(want))
-	for _, r := range want {
-		counts[r.String()]++
-	}
-	for _, r := range got {
-		counts[r.String()]--
-	}
-	for _, c := range counts {
-		if c != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-var benchColFrag struct {
-	once sync.Once
-	fr   *storage.ColumnarFragment
-	err  error
-}
-
-// benchLineitemColFragment loads SF0.05 lineitem into a PAX columnar
-// fragment once per process.
-func benchLineitemColFragment(b *testing.B) *storage.ColumnarFragment {
-	b.Helper()
-	benchColFrag.once.Do(func() {
-		rows, sch := benchLineitemData()
-		dir, err := os.MkdirTemp("", "hrdbms-bench-col-*")
-		if err != nil {
-			benchColFrag.err = err
-			return
-		}
-		ns, err := storage.NewNodeStore(storage.NodeConfig{
-			NodeID: 0, BaseDir: dir, NumDisks: 2,
-			PageSize: 4096, BufFrames: 2048, BufStripes: 4,
-		})
-		if err != nil {
-			benchColFrag.err = err
-			return
-		}
-		def := &catalog.TableDef{
-			Name:     "lineitem",
-			Schema:   sch,
-			Columnar: true,
-			Part:     catalog.Partitioning{Kind: catalog.PartHash, Cols: []string{"l0"}},
-		}
-		fr, err := storage.OpenColumnarFragment(ns, def)
-		if err != nil {
-			benchColFrag.err = err
-			return
-		}
-		if _, err := fr.Load(rows); err != nil {
-			benchColFrag.err = err
-			return
-		}
-		benchColFrag.fr = fr
-	})
-	if benchColFrag.err != nil {
-		b.Fatal(benchColFrag.err)
-	}
-	return benchColFrag.fr
 }
 
 var benchFrag struct {

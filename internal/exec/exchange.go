@@ -375,7 +375,7 @@ func (s *Shuffle) start() {
 		if s.In != nil {
 			// drain stops partitioning between slabs when the query is killed;
 			// fail() still emits EOFs, so peers and hubs terminate normally.
-			if err := drain(s.ctx, s.In, func(b []types.Row) error {
+			if err := drain(s.ctx, s.In.NextBatch, func(b []types.Row) error {
 				for _, r := range b {
 					if err := route(r); err != nil {
 						return err
@@ -456,7 +456,7 @@ func SendAll(ctx *Ctx, ep network.Endpoint, to int, channel string, in Operator)
 		batch = batch[:0]
 		return err
 	}
-	err := drain(ctx, in, func(b []types.Row) error {
+	err := drain(ctx, in.NextBatch, func(b []types.Row) error {
 		for _, r := range b {
 			batch = append(batch, r)
 			if len(batch) >= wire {
@@ -483,33 +483,22 @@ func SendAll(ctx *Ctx, ep network.Endpoint, to int, channel string, in Operator)
 // chunked into wire messages of at most wire active rows each, so message
 // counts derive from the same Ctx.BatchRows knob as the boxed path.
 func sendAllVec(ctx *Ctx, ep network.Endpoint, to int, channel string, v VecOperator, wire int) error {
-	for {
-		if err := ctx.canceled(); err != nil {
-			_ = ep.Send(to, to, channel, encodeBatch(msgEOF, ep.NodeID(), nil))
-			return err
-		}
-		b, ok, err := v.NextVec()
-		if err != nil {
-			_ = ep.Send(to, to, channel, encodeBatch(msgEOF, ep.NodeID(), nil))
-			return err
-		}
-		if !ok {
-			break
-		}
+	err := drain(ctx, v.NextVec, func(b *vec.Batch) error {
 		n := b.Rows()
 		for off := 0; off < n; off += wire {
-			end := off + wire
-			if end > n {
-				end = n
-			}
 			payload := exchangeHeader(make([]byte, 0, 64), msgData, ep.NodeID())
-			payload = vec.EncodeBatch(payload, b, off, end)
+			payload = vec.EncodeBatch(payload, b, off, min(off+wire, n))
 			if err := ep.Send(to, to, channel, payload); err != nil {
 				return err
 			}
 		}
+		return nil
+	})
+	// As in SendAll: killed or failed streams still EOF the receiver.
+	if eofErr := ep.Send(to, to, channel, encodeBatch(msgEOF, ep.NodeID(), nil)); err == nil {
+		err = eofErr
 	}
-	return ep.Send(to, to, channel, encodeBatch(msgEOF, ep.NodeID(), nil))
+	return err
 }
 
 // Recv yields rows arriving on a channel until EOFs from all expected

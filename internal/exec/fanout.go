@@ -4,39 +4,67 @@ import (
 	"sync"
 
 	"repro/internal/types"
+	"repro/internal/vec"
 )
 
+// slabs is a blocking operator's input as fanOut sees it, whatever the slab
+// type S: next pulls one slab, rows sizes it, and own — nil for a producer
+// that builds every slab fresh and never touches it again — copies a slab
+// the producer will reuse, so that it can cross to another goroutine.
+type slabs[S any] struct {
+	next func() (S, bool, error)
+	rows func(S) int
+	own  func(S) S
+}
+
+// rowSlabs reads an operator's row slabs. NextBatch hands out a buffer the
+// producer reuses, so above degree 1 every slab is copied.
+func rowSlabs(in Operator) slabs[[]types.Row] {
+	return slabs[[]types.Row]{
+		next: in.NextBatch,
+		rows: func(slab []types.Row) int { return len(slab) },
+		own:  func(slab []types.Row) []types.Row { return append([]types.Row(nil), slab...) },
+	}
+}
+
+// freshBatches reads the typed batches of a producer that ships each batch
+// once and never touches it again (VecColumnarScan.NextVec): a batch crosses
+// to a build worker as it is.
+func freshBatches(in VecOperator) slabs[*vec.Batch] {
+	return slabs[*vec.Batch]{next: in.NextVec, rows: (*vec.Batch).Rows}
+}
+
 // fanOut is how a blocking operator's input reaches the workers it was
-// granted — the row-slab counterpart of storage.runMorsels. It drains in,
-// hands every slab to work and, once the input is exhausted, calls done
-// (which may be nil) for each worker; RowsProcessed is charged here, once
-// per slab.
+// granted — the operator-input counterpart of storage.runMorsels, generic
+// over the slab type the way feed[T] is. It drains in, hands every slab to
+// work and, once the input is exhausted, calls done (which may be nil) for
+// each worker; RowsProcessed is charged here, once per slab.
 //
 // At degree <= 1 everything runs on the caller's goroutine and work(0, ·)
 // sees the producer's own slab, valid until it returns like any NextBatch
 // result: no goroutine, no channel, no copy. Above 1 the caller becomes the
-// feeder: it copies each slab (the producer reuses its buffer) and deals the
-// copies over one bounded channel to degree goroutines. Every work(w, ·) and
-// done(w) call for one w is made by the same goroutine, so state indexed by
-// w needs no lock, and done(w) follows worker w's last slab.
+// feeder: it takes ownership of each slab (in.own) and deals them over one
+// bounded channel to degree goroutines. Every work(w, ·) and done(w) call
+// for one w is made by the same goroutine, so state indexed by w needs no
+// lock, and done(w) follows worker w's last slab.
 //
 // The first error — from the input, from a worker, or the kill cause, which
 // drain checks before every pull — stops the feeder and every worker within
 // one slab and is the error returned; done is not run after it.
-func fanOut(ctx *Ctx, in Operator, degree int, work func(w int, slab []types.Row) error, done func(w int) error) error {
+func fanOut[S any](ctx *Ctx, in slabs[S], degree int, work func(w int, slab S) error, done func(w int) error) error {
 	if done == nil {
 		done = func(int) error { return nil }
 	}
-	pull := func(deal func(slab []types.Row) error) error {
-		return drain(ctx, in, func(slab []types.Row) error {
+	pull := func(deal func(slab S) error) error {
+		return drain(ctx, in.next, func(slab S) error {
 			if ctx != nil {
-				ctx.RowsProcessed.Add(int64(len(slab)))
+				ctx.RowsProcessed.Add(int64(in.rows(slab)))
 			}
 			return deal(slab)
 		})
 	}
 	if degree <= 1 {
-		if err := pull(func(slab []types.Row) error { return work(0, slab) }); err != nil {
+		if err := pull(func(slab S) error { return work(0, slab) }); err != nil {
 			return err
 		}
 		return done(0)
@@ -44,7 +72,7 @@ func fanOut(ctx *Ctx, in Operator, degree int, work func(w int, slab []types.Row
 
 	// One slab of slack per worker: the feeder pulls the next slab while
 	// every worker is busy with its own.
-	slabs := make(chan []types.Row, degree)
+	ch := make(chan S, degree)
 	stop := make(chan struct{})
 	var (
 		once     sync.Once
@@ -65,7 +93,7 @@ func fanOut(ctx *Ctx, in Operator, degree int, work func(w int, slab []types.Row
 				select {
 				case <-stop:
 					return
-				case slab, more := <-slabs:
+				case slab, more := <-ch:
 					if !more {
 						if err := done(w); err != nil {
 							fail(err)
@@ -80,11 +108,12 @@ func fanOut(ctx *Ctx, in Operator, degree int, work func(w int, slab []types.Row
 			}
 		}(w)
 	}
-	if err := pull(func(slab []types.Row) error {
-		cp := make([]types.Row, len(slab))
-		copy(cp, slab)
+	if err := pull(func(slab S) error {
+		if in.own != nil {
+			slab = in.own(slab)
+		}
 		select {
-		case slabs <- cp:
+		case ch <- slab:
 			return nil
 		case <-stop:
 			return errStopDrain
@@ -97,7 +126,7 @@ func fanOut(ctx *Ctx, in Operator, degree int, work func(w int, slab []types.Row
 	select {
 	case <-stop:
 	default:
-		close(slabs)
+		close(ch)
 	}
 	wg.Wait()
 	return firstErr

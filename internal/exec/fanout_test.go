@@ -141,7 +141,7 @@ func TestFanOut(t *testing.T) {
 		p := newFanOutProbe(1)
 		caller := goid()
 		copied := 0
-		err := fanOut(ctx, feed, 1, func(w int, slab []types.Row) error {
+		err := fanOut(ctx, rowSlabs(feed), 1, func(w int, slab []types.Row) error {
 			if &slab[0] != &feed.buf[0] {
 				copied++
 			}
@@ -163,7 +163,7 @@ func TestFanOut(t *testing.T) {
 			t.Errorf("RowsProcessed = %d, want 70", got)
 		}
 		// A nil done is allowed.
-		if err := fanOut(nil, &slabFeed{slabs: 2, rowsPer: 1}, 1, p.work, nil); err != nil {
+		if err := fanOut(nil, rowSlabs(&slabFeed{slabs: 2, rowsPer: 1}), 1, p.work, nil); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -175,7 +175,7 @@ func TestFanOut(t *testing.T) {
 		p := newFanOutProbe(degree)
 		var aliased atomic.Int32
 		err := returns(t, func() error {
-			return fanOut(ctx, feed, degree, func(w int, slab []types.Row) error {
+			return fanOut(ctx, rowSlabs(feed), degree, func(w int, slab []types.Row) error {
 				if &slab[0] == &feed.buf[0] {
 					aliased.Add(1)
 				}
@@ -223,7 +223,7 @@ func TestFanOut(t *testing.T) {
 			boom := errors.New("worker failed")
 			p := newFanOutProbe(degree)
 			err := returns(t, func() error {
-				return fanOut(NewCtx("", 0), &slabFeed{slabs: -1, rowsPer: 3}, degree, func(w int, slab []types.Row) error {
+				return fanOut(NewCtx("", 0), rowSlabs(&slabFeed{slabs: -1, rowsPer: 3}), degree, func(w int, slab []types.Row) error {
 					if p.slabs.Load() >= 25 {
 						return boom
 					}
@@ -242,7 +242,7 @@ func TestFanOut(t *testing.T) {
 			boom := errors.New("input failed")
 			feed := &slabFeed{slabs: -1, rowsPer: 3, failAt: 40, failErr: boom}
 			p := newFanOutProbe(degree)
-			err := returns(t, func() error { return fanOut(NewCtx("", 0), feed, degree, p.work, p.done) })
+			err := returns(t, func() error { return fanOut(NewCtx("", 0), rowSlabs(feed), degree, p.work, p.done) })
 			if err != boom {
 				t.Fatalf("err = %v, want the input's", err)
 			}
@@ -262,7 +262,7 @@ func TestFanOut(t *testing.T) {
 			var killed atomic.Bool
 			var atKill atomic.Int64
 			err := returns(t, func() error {
-				return fanOut(NewCtx("", 0).Child(cancel), feed, degree, func(w int, slab []types.Row) error {
+				return fanOut(NewCtx("", 0).Child(cancel), rowSlabs(feed), degree, func(w int, slab []types.Row) error {
 					if p.slabs.Load() >= 30 && killed.CompareAndSwap(false, true) {
 						cancel.Kill(cause)
 						atKill.Store(feed.pulls.Load())

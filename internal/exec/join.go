@@ -120,7 +120,7 @@ func (h *HashJoin) prepare() error {
 	buildCount := 0
 	var buildSpill *spillWriter
 
-	if err := drain(h.ctx, h.Build, func(b []types.Row) error {
+	if err := drain(h.ctx, h.Build.NextBatch, func(b []types.Row) error {
 		for _, r := range b {
 			if h.ctx != nil {
 				h.ctx.RowsProcessed.Add(1)
@@ -192,7 +192,7 @@ func (h *HashJoin) streamProbe(table map[uint64][]types.Row, bloom *Bloom) error
 	go func() {
 		defer close(h.results)
 		defer h.ctx.ReleaseWorkers(degree)
-		err := fanOut(h.ctx, h.Probe, degree, func(w int, slab []types.Row) error {
+		err := fanOut(h.ctx, rowSlabs(h.Probe), degree, func(w int, slab []types.Row) error {
 			// A closed join stops within a slab even when no row matches
 			// (an emitter only notices on a flush).
 			select {
@@ -397,7 +397,7 @@ func (h *HashJoin) graceJoin(buildSpill *spillWriter, bloom *Bloom) error {
 		}
 	}
 	buildReader.close()
-	if err := drain(h.ctx, h.Probe, func(b []types.Row) error {
+	if err := drain(h.ctx, h.Probe.NextBatch, func(b []types.Row) error {
 		for _, r := range b {
 			key, err := HashKeys(h.ProbeKeys, r)
 			if err != nil {
@@ -574,7 +574,7 @@ func (j *NestedLoopJoin) Open() error {
 // has to fit in one slab.
 func (j *NestedLoopJoin) NextBatch() ([]types.Row, bool, error) {
 	if !j.prepared {
-		if err := drain(j.ctx, j.Right, func(b []types.Row) error {
+		if err := drain(j.ctx, j.Right.NextBatch, func(b []types.Row) error {
 			if j.ctx != nil {
 				j.ctx.RowsProcessed.Add(int64(len(b)))
 			}

@@ -46,7 +46,7 @@ func (m *Materialize) prepare() error {
 			return err
 		}
 	}
-	if err := drain(m.ctx, m.In, func(b []types.Row) error {
+	if err := drain(m.ctx, m.In.NextBatch, func(b []types.Row) error {
 		for _, r := range b {
 			sz := int64(types.RowEncodedSize(r))
 			m.BytesBuffered += sz

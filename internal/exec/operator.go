@@ -76,6 +76,12 @@ type Counters struct {
 	// or a demoted boxed column under it — instead of the compiled vector
 	// kernel. Like the boxed count, nonzero means a silent fallback.
 	PredRowSets atomic.Int64
+	// BoxedRows counts rows boxed on the way from a typed producer to a row
+	// consumer: every row a vector operator's NextBatch materialized, and every
+	// row the aggregate's typed front end read boxed (an argument or key with
+	// no kernel, or a spill). Zero on a worker means scan batches reached the
+	// aggregate as typed columns.
+	BoxedRows atomic.Int64
 }
 
 // Ctx carries per-query execution state shared by the operators of one
@@ -226,6 +232,13 @@ func (c *Ctx) addState(n int64) {
 	}
 }
 
+// addBoxed counts rows boxed off a typed batch when a context is present.
+func (c *Ctx) addBoxed(n int64) {
+	if c != nil && n > 0 {
+		c.BoxedRows.Add(n)
+	}
+}
+
 // NewCtx builds a context with a temp dir and row budget.
 func NewCtx(tempDir string, memRows int) *Ctx {
 	return &Ctx{TempDir: tempDir, MemRows: memRows, Counters: &Counters{}}
@@ -247,16 +260,17 @@ func (c *Ctx) tempFile(pattern string) (*os.File, error) {
 // an error (the consumer already has one to report, or was closed).
 var errStopDrain = errors.New("exec: stop drain")
 
-// drain pulls in to exhaustion, handing every slab to fn. The kill switch
-// is re-checked before each pull: a blocking consumer (sort, join build,
-// aggregation) may sit over an input that produces many rows per upstream
-// cancel check, and this bound keeps KILL latency at one slab regardless.
-func drain(ctx *Ctx, in Operator, fn func(slab []types.Row) error) error {
+// drain pulls next — an operator's NextBatch or NextVec — to exhaustion,
+// handing every slab to fn. The kill switch is re-checked before each pull:
+// a blocking consumer (sort, join build, aggregation) may sit over an input
+// that produces many rows per upstream cancel check, and this bound keeps
+// KILL latency at one slab regardless.
+func drain[S any](ctx *Ctx, next func() (S, bool, error), fn func(slab S) error) error {
 	for {
 		if err := ctx.canceled(); err != nil {
 			return err
 		}
-		b, ok, err := in.NextBatch()
+		b, ok, err := next()
 		if err != nil || !ok {
 			return err
 		}
@@ -603,7 +617,7 @@ func Collect(op Operator) ([]types.Row, error) {
 	}
 	defer op.Close()
 	var out []types.Row
-	err := drain(nil, op, func(b []types.Row) error {
+	err := drain(nil, op.NextBatch, func(b []types.Row) error {
 		out = append(out, b...)
 		return nil
 	})

@@ -222,6 +222,9 @@ func TestKillInBlockingDrain(t *testing.T) {
 		"aggregate": func(ctx *Ctx, big Operator) Operator {
 			return NewHashAggregate(ctx, big, ColRefs(0), []AggSpec{{Kind: AggCount, Name: "c"}}, AggComplete)
 		},
+		"aggregate, typed input": func(ctx *Ctx, big Operator) Operator {
+			return NewTypedHashAggregate(ctx, &typedSource{Operator: big}, ColRefs(0), []AggSpec{{Kind: AggCount, Name: "c"}}, AggComplete)
+		},
 	} {
 		t.Run(name, func(t *testing.T) {
 			cause := errors.New("killed by test")

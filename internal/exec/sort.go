@@ -112,7 +112,7 @@ func (s *Sort) prepare() error {
 	for w := range workers {
 		workers[w] = &sortWorker{s: s}
 	}
-	if err := fanOut(s.ctx, s.In, degree, func(w int, slab []types.Row) error {
+	if err := fanOut(s.ctx, rowSlabs(s.In), degree, func(w int, slab []types.Row) error {
 		sw := workers[w]
 		state := int64(0)
 		for _, r := range slab {
@@ -392,7 +392,7 @@ func (t *TopK) prepare() error {
 	// so a newly arriving better row replaces the root — exactly the
 	// paper's description (min-heap for descending order).
 	h := &boundedHeap{keys: t.Keys}
-	if err := drain(t.ctx, t.In, func(b []types.Row) error {
+	if err := drain(t.ctx, t.In.NextBatch, func(b []types.Row) error {
 		if t.ctx != nil {
 			t.ctx.RowsProcessed.Add(int64(len(b)))
 		}

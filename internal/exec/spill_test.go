@@ -80,6 +80,11 @@ func TestSpillFilesRemovedOnError(t *testing.T) {
 			agg.Parallel = degree
 			return agg
 		}},
+		{"aggregate, typed input", func(ctx *Ctx, in Operator, degree int) Operator {
+			agg := NewTypedHashAggregate(ctx, &typedSource{Operator: in}, ColRefs(0), []AggSpec{{Kind: AggCount, Name: "c"}}, AggComplete)
+			agg.Parallel = degree
+			return agg
+		}},
 		{"sort", func(ctx *Ctx, in Operator, degree int) Operator {
 			s := NewSort(ctx, in, keys)
 			s.Parallel = degree

@@ -164,8 +164,7 @@ func (c *vecJoinCmp) equal(i, j int) bool {
 // over without re-reading the input. Probing is serial; shapes with
 // non-column keys fall back to the row join at construction.
 type VecHashJoin struct {
-	vecRowShim
-	ctx          *Ctx
+	vecRowShim   // src, and the ctx the join meters into
 	probe, build VecOperator
 	probeKeys    []expr.Expr
 	buildKeys    []expr.Expr
@@ -199,7 +198,7 @@ func NewVecHashJoin(ctx *Ctx, probe, build VecOperator, probeKeys, buildKeys []e
 		return ToVec(NewHashJoin(ctx, probe, build, probeKeys, buildKeys, jt, residual, parallel))
 	}
 	j := &VecHashJoin{
-		ctx: ctx, probe: probe, build: build,
+		probe: probe, build: build,
 		probeKeys: probeKeys, buildKeys: buildKeys, pk: pk, bk: bk,
 		jt: jt, residual: residual, parallel: parallel,
 	}
@@ -211,7 +210,7 @@ func NewVecHashJoin(ctx *Ctx, probe, build VecOperator, probeKeys, buildKeys []e
 		j.out = probe.Schema()
 	}
 	j.cmps = make([]vecJoinCmp, len(pk))
-	j.vecRowShim.src = j
+	j.vecRowShim = vecRowShim{src: j, ctx: ctx}
 	return j
 }
 

@@ -165,6 +165,24 @@ func TestCompiledPredicateParity(t *testing.T) {
 	}
 }
 
+// TestStringOrderKernelsSkipNulls: a page set whose string cells are all
+// NULL decodes to codes of 0 over an empty dictionary; an ordering
+// comparison must answer NULL for them without looking the code up (it
+// panicked the scan thread of `WHERE v < 'b'`).
+func TestStringOrderKernelsSkipNulls(t *testing.T) {
+	sch := types.NewSchema(types.Column{Name: "s", Kind: types.KindString}, types.Column{Name: "s2", Kind: types.KindString})
+	b := vec.FromRows(sch, []types.Row{{types.Null, types.Null}, {types.Null, types.Null}}, nil)
+	for _, e := range []expr.Expr{lt(ncol(0, "s"), cs("b")), lt(ncol(0, "s"), ncol(1, "s2"))} {
+		_, null, err := compileBool(e, sch).evalBool(b, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if null == nil || !null[0] || !null[1] {
+			t.Errorf("%v over NULLs: null mask %v, want both rows NULL", e, null)
+		}
+	}
+}
+
 // TestVecProjectDateLiteral: a DATE literal compiles as a numeric node, and
 // the column VecProject builds from it is still a DATE column.
 func TestVecProjectDateLiteral(t *testing.T) {

@@ -92,7 +92,7 @@ func NewVecColumnarScan(fr *storage.ColumnarFragment, alias string, cfg ScanConf
 	cs.start = cs.run
 	cs.batch = cfg.BatchRows
 	cs.cancel = cfg.Ctx.Cancel()
-	cs.vecRowShim.src = cs
+	cs.vecRowShim = vecRowShim{src: cs, ctx: cfg.Ctx}
 	n := cs.table.Len()
 	cs.isPred = make([]bool, n)
 	expr.Walk(cfg.Pred, func(x expr.Expr) {

@@ -59,10 +59,11 @@ func (a *vecFromRows) NextVec() (*vec.Batch, bool, error) {
 }
 
 // vecRowShim gives a vector-native operator its Operator face by
-// materializing row slabs from the owner's NextVec. Embedders set src to
-// themselves in their constructor.
+// materializing row slabs from the owner's NextVec, charging the rows to
+// BoxedRows. Embedders set src to themselves, and ctx, in their constructor.
 type vecRowShim struct {
 	src  VecOperator
+	ctx  *Ctx
 	slab []types.Row
 }
 
@@ -72,6 +73,7 @@ func (s *vecRowShim) NextBatch() ([]types.Row, bool, error) {
 		return nil, false, err
 	}
 	s.slab = b.Materialize(s.slab)
+	s.ctx.addBoxed(int64(len(s.slab)))
 	return s.slab, true, nil
 }
 
@@ -431,6 +433,9 @@ func (cs *cmpStrConstNode) evalBool(b *vec.Batch, n int) ([]bool, []bool, error)
 		}
 	default:
 		for k := 0; k < n; k++ {
+			if null != nil && null[k] {
+				continue // a NULL's code is 0 whatever the dictionary holds, even nothing
+			}
 			c2 := strings.Compare(c.Dict.Str(c.Codes[b.Index(k)]), cs.s)
 			cs.t[k] = cmpHolds(cs.op, c2)
 		}
@@ -475,6 +480,9 @@ func (cs *cmpStrColsNode) evalBool(b *vec.Batch, n int) ([]bool, []bool, error) 
 		return cs.t, null, nil
 	}
 	for k := 0; k < n; k++ {
+		if null != nil && null[k] {
+			continue
+		}
 		i := b.Index(k)
 		c2 := strings.Compare(lc.Dict.Str(lc.Codes[i]), rc.Dict.Str(rc.Codes[i]))
 		cs.t[k] = cmpHolds(cs.op, c2)
@@ -759,20 +767,19 @@ func compileBool(e expr.Expr, sch types.Schema) boolNode {
 // shapes (LIKE, CASE, division, boxed columns) fall back to row evaluation
 // per batch, preserving exact expression semantics.
 type VecFilter struct {
-	vecRowShim
-	ctx     *Ctx
-	in      VecOperator
-	pred    expr.Expr
-	node    boolNode
-	sel     []int32
-	scratch types.Row
+	vecRowShim // src, and the ctx the filter meters into
+	in         VecOperator
+	pred       expr.Expr
+	node       boolNode
+	sel        []int32
+	scratch    types.Row
 }
 
 // NewVecFilter builds a vectorized filter; the predicate must be bound to
 // the input schema.
 func NewVecFilter(ctx *Ctx, in VecOperator, pred expr.Expr) *VecFilter {
-	f := &VecFilter{ctx: ctx, in: in, pred: pred, node: compileBool(pred, in.Schema())}
-	f.vecRowShim.src = f
+	f := &VecFilter{in: in, pred: pred, node: compileBool(pred, in.Schema())}
+	f.vecRowShim = vecRowShim{src: f, ctx: ctx}
 	return f
 }
 
@@ -957,15 +964,14 @@ type vecProjItem struct {
 // uncompilable expression sends the whole operator to the row fallback
 // (boxing per batch), keeping semantics identical to Project.
 type VecProject struct {
-	vecRowShim
-	ctx     *Ctx
-	in      VecOperator
-	exprs   []expr.Expr
-	out     types.Schema
-	items   []vecProjItem // nil = always use the row fallback
-	ob      vec.Batch
-	fb      *vec.Batch
-	scratch types.Row
+	vecRowShim // src, and the ctx the projection meters into
+	in         VecOperator
+	exprs      []expr.Expr
+	out        types.Schema
+	items      []vecProjItem // nil = always use the row fallback
+	ob         vec.Batch
+	fb         *vec.Batch
+	scratch    types.Row
 }
 
 // NewVecProject builds a vectorized projection; exprs must be bound to the
@@ -976,8 +982,8 @@ func NewVecProject(ctx *Ctx, in VecOperator, exprs []expr.Expr, names []string) 
 	for i, e := range exprs {
 		cols[i] = types.Column{Name: names[i], Kind: expr.KindOf(e, sch)}
 	}
-	p := &VecProject{ctx: ctx, in: in, exprs: exprs, out: types.Schema{Cols: cols}}
-	p.vecRowShim.src = p
+	p := &VecProject{in: in, exprs: exprs, out: types.Schema{Cols: cols}}
+	p.vecRowShim = vecRowShim{src: p, ctx: ctx}
 	items := make([]vecProjItem, len(exprs))
 	for i, e := range exprs {
 		items[i].pass = -1

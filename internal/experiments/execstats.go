@@ -37,10 +37,6 @@ type QueryExecStat struct {
 	NetMessages      int64 `json:"net_messages"`
 	Exchanges        int   `json:"exchanges"`
 	WallNS           int64 `json:"wall_ns"`
-	// VecVsBatchRowsPerSec is set only on the synthetic
-	// "bench:vector_vs_batch" row: the typed vector pipeline's throughput
-	// as a multiple of the boxed batch engine's on the same data.
-	VecVsBatchRowsPerSec float64 `json:"vec_vs_batch_rows_per_sec,omitempty"`
 }
 
 // ExecStats runs the TPC-H suite once on a real hrdbms-profile cluster and
@@ -106,11 +102,6 @@ func (r *Runner) ExecStats(workers int, trace bool) ([]QueryExecStat, error) {
 			r.printf("--- %s operator trace ---\n%s", qid, tr.Render())
 		}
 	}
-	vb, err := r.VectorVsBatch()
-	if err != nil {
-		return nil, fmt.Errorf("vector_vs_batch: %w", err)
-	}
-	out = append(out, vb)
 	return out, nil
 }
 

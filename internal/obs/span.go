@@ -53,6 +53,7 @@ type Span struct {
 	SpillBytes   atomic.Int64
 	StateBytes   atomic.Int64
 	Workers      atomic.Int64 // intra-operator worker threads granted (morsel parallelism)
+	TypedIn      atomic.Int64 // an aggregate build's front end: 1 typed batches, -1 row slabs, 0 not one
 	WallNS       atomic.Int64 // cumulative time inside Open/Next/Close (includes children)
 
 	finished atomic.Bool // set once by Finish; spans left unfinished indicate a tracing bug
@@ -181,6 +182,29 @@ func (s *Span) AddWorkers(n int64) {
 	}
 }
 
+// SetInput records which front end an aggregate's build read: typed
+// batches straight off a columnar scan, or row slabs. Nil-safe.
+func (s *Span) SetInput(typed bool) {
+	if s == nil {
+		return
+	}
+	if typed {
+		s.TypedIn.Store(1)
+	} else {
+		s.TypedIn.Store(-1)
+	}
+}
+
+func inputName(typedIn int64) string {
+	switch {
+	case typedIn > 0:
+		return "typed"
+	case typedIn < 0:
+		return "rows"
+	}
+	return ""
+}
+
 // SpanSnapshot is the JSON-friendly view of a span.
 type SpanSnapshot struct {
 	ID           int64  `json:"id"`
@@ -205,6 +229,7 @@ type SpanSnapshot struct {
 	SpillBytes   int64  `json:"spill_bytes,omitempty"`
 	StateBytes   int64  `json:"state_bytes,omitempty"`
 	Workers      int64  `json:"workers,omitempty"`
+	In           string `json:"in,omitempty"` // "typed" or "rows": an aggregate build's front end
 	WallNS       int64  `json:"wall_ns"`
 }
 
@@ -232,6 +257,7 @@ func (s *Span) snapshot() SpanSnapshot {
 		SpillBytes:   s.SpillBytes.Load(),
 		StateBytes:   s.StateBytes.Load(),
 		Workers:      s.Workers.Load(),
+		In:           inputName(s.TypedIn.Load()),
 		WallNS:       s.WallNS.Load(),
 	}
 }
@@ -377,6 +403,9 @@ func (s SpanSnapshot) line() string {
 	}
 	if s.StateBytes > 0 {
 		fmt.Fprintf(&sb, " state=%dB", s.StateBytes)
+	}
+	if s.In != "" {
+		fmt.Fprintf(&sb, " in=%s", s.In)
 	}
 	if s.Workers > 0 {
 		fmt.Fprintf(&sb, " workers=%d", s.Workers)

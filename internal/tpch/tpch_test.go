@@ -359,6 +359,63 @@ func TestColumnarTPCH(t *testing.T) {
 // ranges, BETWEEN, IN — has a vector kernel.
 var rowPredicateScans = map[string]string{}
 
+// TestAggregateFrontEnds pins which front end worker aggregates are built
+// with. q1 and q6 aggregate straight over the lineitem scan: every worker's
+// partial aggregate must read typed batches (in=typed, a granted degree on
+// the span), no worker may box a row on the way, and the answer is
+// plan.Execute's, whose aggregates all read rows. q3 aggregates over a join,
+// a row producer: in=rows, and the rows the scans handed the joins are
+// counted.
+func TestAggregateFrontEnds(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full TPC-H suite skipped in -short mode")
+	}
+	c, d := loadedCluster(t, 4, 0.002)
+	prov := &plan.MemProvider{Cat: c.Catalog(), Rows: d.Tables()}
+	for qid, typed := range map[string]bool{"q1": true, "q6": true, "q3": false} {
+		pc := pruneCase{name: qid, sql: Queries()[qid]}
+		requireParity(t, qid, pc, c, prov)
+		sel, err := sqlparse.ParseSelect(pc.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		node, err := c.Plan(sel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, m, tr, err := c.RunTraced(node, pc.sql)
+		if err != nil {
+			t.Fatalf("%s: %v", qid, err)
+		}
+		want := "rows"
+		if typed {
+			want = "typed"
+		}
+		workerAggs := 0
+		for _, sp := range tr.Spans() {
+			if !strings.HasPrefix(sp.Op, "HashAgg") || sp.Node == c.Coords[0].ID {
+				continue
+			}
+			workerAggs++
+			if sp.In != want || sp.Workers < 1 {
+				t.Errorf("%s: %s on node %d: in=%q workers=%d, want in=%s and a degree", qid, sp.Op, sp.Node, sp.In, sp.Workers, want)
+			}
+		}
+		if workerAggs != len(c.Workers) {
+			t.Errorf("%s: %d worker aggregate spans, want one per worker (%d)", qid, workerAggs, len(c.Workers))
+		}
+		if typed && m.BoxedRows != 0 {
+			t.Errorf("%s: workers boxed %d rows between the scan and the aggregate, want 0", qid, m.BoxedRows)
+		}
+		if !typed && m.BoxedRows == 0 {
+			t.Errorf("%s: BoxedRows = 0 over a join that reads its scans as rows — the counter is not wired", qid)
+		}
+		if !strings.Contains(tr.Render(), " in="+want+" workers=") {
+			t.Errorf("%s: EXPLAIN ANALYZE does not show the aggregate's front end:\n%s", qid, tr.Render())
+		}
+	}
+}
+
 // TestScanPredicatesRunOnKernels runs the 21 queries on the 4-worker cluster
 // and requires that no columnar scan evaluated its predicate row by row
 // through expr.EvalBool: the fallback is for shapes without a kernel (LIKE,

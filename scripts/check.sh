@@ -40,9 +40,6 @@ go run ./cmd/hrdbms-bench -exp exec -json /tmp/bench_exec_smoke.json \
   -baseline BENCH_EXEC.json -assert q7,q9,q17,q21 >/dev/null
 rm -f /tmp/bench_exec_smoke.json
 
-echo "==> bench smoke (slab vs vector pipeline, golden parity)"
-go test -run '^$' -bench BenchmarkBatchVsRow -benchtime 1x ./internal/exec >/dev/null
-
 echo "==> bench smoke (degree 1 vs degree 4 of the one build path, golden parity + throughput)"
 go test -run '^$' -bench BenchmarkParallelVsSerial -benchtime 1x ./internal/exec >/dev/null
 

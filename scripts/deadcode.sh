@@ -130,6 +130,8 @@ OK|CREATE TABLE audit_t (k INT, v VARCHAR, f FLOAT, d DATE) PARTITION BY HASH(k)
 OK|CREATE INDEX audit_idx ON audit_t(k) USING BTREE
 OK|INSERT INTO audit_t VALUES (1, 'a', 1.5, DATE '2026-01-01'), (2, 'b', 0.0, DATE '2026-02-01'), (3, NULL, 3.5, NULL), (4, 'd', 4.5, NULL), (5, NULL, 5.5, DATE '2026-05-01'), (6, 'f', 6.5, NULL), (7, NULL, 7.5, DATE '2026-07-01'), (8, 'h', 8.5, NULL)
 ERR|INSERT INTO audit_t VALUES (9, 'kept out by the next row', 9.5, NULL), (10, 'arity')
+ERR|INSERT INTO audit_t VALUES ('x', 'a string in the INT column', 2.5, NULL)
+ERR|UPDATE audit_t SET k = 'y' WHERE k = 1
 ERR|UPDATE audit_t SET f = 1 / f WHERE k > 0
 ERR|DELETE FROM audit_t WHERE 1 / f > 0
 ERR|UPDATE audit_t SET k = (SELECT max(k) FROM audit_t)
@@ -148,9 +150,10 @@ OK|SELECT -f, NOT (k > 1), v IS NULL, d + INTERVAL '1' DAY FROM audit_t WHERE NO
 OK|EXPLAIN SELECT DISTINCT x.v FROM (SELECT v FROM audit_t WHERE NOT (k > 1)) x WHERE EXISTS (SELECT * FROM audit_t b WHERE b.k = 1) AND x.v IN (SELECT v FROM audit_t) AND x.v IS NOT NULL AND -1 < 0
 OK|EXPLAIN ANALYZE SELECT count(*) FROM lineitem WHERE l_quantity < 10
 OK|REORGANIZE audit_t
-OK|CREATE TABLE audit_c (k INT, v VARCHAR, f FLOAT, d DATE) PARTITION BY HASH(k) COLUMNAR
-OK|INSERT INTO audit_c VALUES (1, 'a', 1.5, DATE '2026-01-01'), (2, NULL, NULL, NULL), (3, 'c', 3.5, NULL), (4, 'a', NULL, DATE '2026-04-01')
+OK|CREATE TABLE audit_c (k INT, v VARCHAR, f FLOAT, d DATE, b BOOLEAN) PARTITION BY HASH(k) COLUMNAR
+OK|INSERT INTO audit_c VALUES (1, 'a', 1.5, DATE '2026-01-01', TRUE), (2, NULL, NULL, NULL, FALSE), (3, 'c', 3.5, NULL, NULL), (4, 'a', NULL, DATE '2026-04-01', TRUE)
 OK|SELECT k, v, f, d FROM audit_c WHERE f > 1 OR v IS NULL ORDER BY k
+OK|SELECT k FROM audit_c WHERE (b OR NOT (k > 3)) AND v < 'b' AND v <= v ORDER BY k
 OK|SELECT v, count(*), sum(f), min(d) FROM audit_c WHERE k < 4 GROUP BY v ORDER BY v
 OK|DROP TABLE audit_t
 OK|DROP TABLE audit_c
