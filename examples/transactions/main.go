@@ -153,13 +153,13 @@ func newMemPages(size int) *memPages {
 	return &memPages{pages: map[page.Key][]byte{}, pageSize: size}
 }
 
-func (s *memPages) ReadPage(f page.FileID, n uint32) ([]byte, error) {
+func (s *memPages) ReadPage(f page.FileID, n uint32, buf []byte) error {
 	if b, ok := s.pages[page.Key{File: f, Page: n}]; ok {
-		out := make([]byte, len(b))
-		copy(out, b)
-		return out, nil
+		copy(buf, b)
+		return nil
 	}
-	return make([]byte, s.pageSize), nil
+	clear(buf)
+	return nil
 }
 
 func (s *memPages) WritePage(f page.FileID, n uint32, buf []byte) error {

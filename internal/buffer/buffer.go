@@ -7,6 +7,12 @@
 // forwarding wrapper. Eviction is a clock variant in which table scans
 // pre-declare the pages they will request in the near future and those
 // pages are prioritized (skipped twice) by the clock hand.
+//
+// The pool is a fixed arena: New allocates every page buffer once, and a miss
+// fills a free buffer or the clock victim's, so steady-state traffic
+// allocates no page. A frame therefore owns its buffer only while it is
+// resident: nothing may read Frame.Buf after Unpin (eviction clears it, and
+// under -tags invariants poisons the bytes until the next read fills them).
 package buffer
 
 import (
@@ -20,13 +26,15 @@ import (
 // Store abstracts the node's page files so the manager can fault pages in
 // and write dirty pages back.
 type Store interface {
-	ReadPage(file page.FileID, pageNum uint32) ([]byte, error)
+	// ReadPage fills buf (PageSize bytes) with the page, writing every byte.
+	ReadPage(file page.FileID, pageNum uint32, buf []byte) error
 	WritePage(file page.FileID, pageNum uint32, buf []byte) error
 	PageSize() int
 }
 
-// Frame is a pinned in-memory page. Callers mutate Buf only while holding a
-// pin and must Unpin with dirty=true after mutating.
+// Frame is a pinned in-memory page. Callers read and mutate Buf only while
+// holding a pin and must Unpin with dirty=true after mutating; Buf is nil
+// once the frame has been evicted.
 type Frame struct {
 	Key page.Key
 	Buf []byte
@@ -56,6 +64,8 @@ type stripe struct {
 	clock  []*Frame
 	hand   int
 	cap    int
+	free   [][]byte // page buffers no frame holds
+	bufs   int      // buffers the stripe owns: free, framed, or being filled by a miss
 }
 
 // Manager is the node-level buffer manager.
@@ -93,7 +103,11 @@ func New(store Store, capacity, numStripes int, opts ...Option) *Manager {
 		per = 1
 	}
 	for i := range m.stripes {
-		m.stripes[i] = &stripe{frames: make(map[page.Key]*Frame), cap: per}
+		st := &stripe{frames: make(map[page.Key]*Frame), cap: per, bufs: per, free: make([][]byte, per)}
+		for j := range st.free {
+			st.free[j] = make([]byte, store.PageSize())
+		}
+		m.stripes[i] = st
 	}
 	for _, o := range opts {
 		o(m)
@@ -119,53 +133,93 @@ func (m *Manager) Fetch(k page.Key) (*Frame, error) {
 		m.hits.Add(1)
 		return f, nil
 	}
+	buf, err := m.takeLocked(s)
 	s.mu.Unlock()
 	m.misses.Add(1)
-	buf, err := m.store.ReadPage(k.File, k.Page)
 	if err != nil {
 		return nil, err
 	}
-	return m.install(s, k, buf)
+	if err := m.store.ReadPage(k.File, k.Page, buf); err != nil {
+		s.mu.Lock()
+		s.releaseLocked(buf)
+		s.mu.Unlock()
+		return nil, err
+	}
+	return m.install(s, k, buf, false), nil
 }
 
 // NewPage pins a fresh zeroed frame for the key without reading the store;
 // the frame starts dirty so it will be written back.
 func (m *Manager) NewPage(k page.Key) (*Frame, error) {
 	s := m.stripeFor(k)
-	f, err := m.install(s, k, make([]byte, m.store.PageSize()))
+	s.mu.Lock()
+	buf, err := m.takeLocked(s)
+	s.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
-	s.mu.Lock()
-	f.dirty = true
-	s.mu.Unlock()
-	return f, nil
+	clear(buf)
+	return m.install(s, k, buf, true), nil
 }
 
-// install adds a loaded buffer to the stripe, evicting if needed. Returns
-// the (pinned) frame; if another goroutine installed the page concurrently,
-// its frame wins and our buffer is dropped.
-func (m *Manager) install(s *stripe, k page.Key, buf []byte) (*Frame, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if f, ok := s.frames[k]; ok {
-		f.pins++
-		return f, nil
-	}
-	if len(s.clock) >= s.cap {
+// takeLocked hands out a page buffer for a miss to fill: a free one, the
+// clock victim's, or a new one while the stripe is below capacity (after
+// SetCapacity grew it). Its contents are unspecified. When nothing can be
+// evicted because other misses are still filling the stripe's buffers, the
+// stripe overshoots by one buffer instead of failing; releaseLocked trims it
+// back. Called with s.mu held.
+func (m *Manager) takeLocked(s *stripe) ([]byte, error) {
+	for len(s.free) == 0 && s.bufs >= s.cap {
 		if err := m.evictLocked(s); err != nil {
+			if s.bufs > len(s.clock) {
+				break
+			}
 			return nil, err
 		}
 	}
-	f := &Frame{Key: k, Buf: buf, pins: 1, ref: 1}
-	s.frames[k] = f
-	s.clock = append(s.clock, f)
-	return f, nil
+	if n := len(s.free); n > 0 {
+		buf := s.free[n-1]
+		s.free = s.free[:n-1]
+		return buf, nil
+	}
+	s.bufs++
+	return make([]byte, m.store.PageSize()), nil
 }
 
-// evictLocked runs the clock over the stripe until it frees one frame.
-// Pre-declared pages get an extra pass of protection; pinned pages are
-// skipped. Called with s.mu held.
+// releaseLocked takes back a buffer no frame holds: onto the free list, or
+// dropped when the stripe is over capacity. Called with s.mu held.
+func (s *stripe) releaseLocked(buf []byte) {
+	if s.bufs > s.cap {
+		s.bufs--
+		return
+	}
+	s.free = append(s.free, buf)
+}
+
+// install adds a filled buffer to the stripe and returns the (pinned) frame,
+// marked dirty if asked; if another goroutine installed the page
+// concurrently, its frame wins and our buffer goes back to the free list.
+func (m *Manager) install(s *stripe, k page.Key, buf []byte, dirty bool) *Frame {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	f, ok := s.frames[k]
+	if ok {
+		f.pins++
+		s.releaseLocked(buf)
+	} else {
+		f = &Frame{Key: k, Buf: buf, pins: 1, ref: 1}
+		s.frames[k] = f
+		s.clock = append(s.clock, f)
+	}
+	if dirty {
+		f.dirty = true
+	}
+	return f
+}
+
+// evictLocked runs the clock over the stripe until it frees one frame, whose
+// buffer goes to the free list. Pre-declared pages get an extra pass of
+// protection; pinned pages are skipped. Called with s.mu held.
 func (m *Manager) evictLocked(s *stripe) error {
 	if len(s.clock) == 0 {
 		return fmt.Errorf("buffer: empty stripe cannot evict")
@@ -198,6 +252,9 @@ func (m *Manager) evictLocked(s *stripe) error {
 			m.diskWrites.Add(1)
 		}
 		delete(s.frames, f.Key)
+		poison(f.Buf)
+		s.releaseLocked(f.Buf)
+		f.Buf = nil // a holder of the evicted frame fails loudly
 		s.clock = append(s.clock[:idx], s.clock[idx+1:]...)
 		if s.hand > 0 {
 			s.hand--
@@ -283,8 +340,10 @@ func (m *Manager) PinnedFrames() int {
 	return n
 }
 
-// SetCapacity grows or shrinks the pool (the paper's dynamic resize).
-// Shrinking takes effect lazily as stripes evict down to the new size.
+// SetCapacity grows or shrinks the pool (the paper's dynamic resize). A
+// shrink evicts down to the new size and releases the freed buffers; what is
+// pinned stays until a later miss finds it evictable. A grow takes effect as
+// misses allocate the added buffers.
 func (m *Manager) SetCapacity(capacity int) {
 	per := capacity / len(m.stripes)
 	if per < 1 {
@@ -293,8 +352,12 @@ func (m *Manager) SetCapacity(capacity int) {
 	for _, s := range m.stripes {
 		s.mu.Lock()
 		s.cap = per
-		for len(s.clock) > s.cap {
-			if err := m.evictLocked(s); err != nil {
+		for s.bufs > s.cap {
+			if n := len(s.free); n > 0 {
+				s.free[n-1] = nil
+				s.free = s.free[:n-1]
+				s.bufs--
+			} else if err := m.evictLocked(s); err != nil {
 				break // everything pinned; give up until pins drop
 			}
 		}

@@ -2,6 +2,7 @@ package buffer
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -22,20 +23,20 @@ func newMemStore(pageSize int) *memStore {
 	return &memStore{pages: map[page.Key][]byte{}, pageSize: pageSize}
 }
 
-func (s *memStore) ReadPage(f page.FileID, n uint32) ([]byte, error) {
+func (s *memStore) ReadPage(f page.FileID, n uint32, buf []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.reads++
 	k := page.Key{File: f, Page: n}
 	if s.failKey != nil && *s.failKey == k {
-		return nil, fmt.Errorf("injected read failure")
+		return fmt.Errorf("injected read failure")
 	}
 	if b, ok := s.pages[k]; ok {
-		out := make([]byte, len(b))
-		copy(out, b)
-		return out, nil
+		copy(buf, b)
+		return nil
 	}
-	return make([]byte, s.pageSize), nil
+	clear(buf)
+	return nil
 }
 
 func (s *memStore) WritePage(f page.FileID, n uint32, buf []byte) error {
@@ -236,6 +237,130 @@ func TestSetCapacityShrink(t *testing.T) {
 	}
 	if resident > 4 {
 		t.Errorf("after shrink to 4, %d pages resident", resident)
+	}
+}
+
+// ownedBuffers counts the page buffers the manager holds: free, framed, or
+// being filled.
+func ownedBuffers(m *Manager) (owned, free int) {
+	for _, s := range m.stripes {
+		s.mu.Lock()
+		owned += s.bufs
+		free += len(s.free)
+		s.mu.Unlock()
+	}
+	return owned, free
+}
+
+// TestSetCapacityShrinkAndGrow: a shrink releases the buffers it frees — the
+// arena really gets smaller — and a grow lets misses allocate up to the new
+// size and no further.
+func TestSetCapacityShrinkAndGrow(t *testing.T) {
+	st := newMemStore(512)
+	m := New(st, 16, 2)
+	if owned, free := ownedBuffers(m); owned != 16 || free != 16 {
+		t.Fatalf("a new pool of 16 owns %d buffers, %d free", owned, free)
+	}
+	touch := func(pages uint32) {
+		for i := uint32(0); i < pages; i++ {
+			f, err := m.Fetch(page.Key{File: 1, Page: i})
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.Unpin(f, false)
+		}
+	}
+	touch(64)
+	if owned, free := ownedBuffers(m); owned != 16 || free != 0 {
+		t.Fatalf("a full pool of 16 owns %d buffers, %d free", owned, free)
+	}
+	m.SetCapacity(4)
+	if owned, free := ownedBuffers(m); owned != 4 || free != 0 {
+		t.Fatalf("after a shrink to 4 the pool owns %d buffers, %d free", owned, free)
+	}
+	touch(64)
+	if owned, _ := ownedBuffers(m); owned != 4 {
+		t.Fatalf("misses grew a pool of 4 to %d buffers", owned)
+	}
+	m.SetCapacity(32)
+	touch(64)
+	if owned, free := ownedBuffers(m); owned != 32 || free != 0 {
+		t.Fatalf("after a grow to 32 the pool owns %d buffers, %d free", owned, free)
+	}
+	// A pinned frame outlives a shrink; the next resize finds it evictable.
+	f, err := m.Fetch(page.Key{File: 1, Page: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.SetCapacity(2)
+	if f.Buf == nil || !isResident(m, f.Key) {
+		t.Fatal("a shrink evicted a pinned frame")
+	}
+	m.Unpin(f, false)
+	m.SetCapacity(2)
+	if owned, _ := ownedBuffers(m); owned != 2 {
+		t.Fatalf("after a shrink to 2 the pool owns %d buffers", owned)
+	}
+}
+
+// TestEvictionClearsFrameBuf: an evicted frame no longer owns a buffer, so a
+// holder that kept the *Frame past its Unpin fails loudly instead of reading
+// whatever page the buffer holds next.
+func TestEvictionClearsFrameBuf(t *testing.T) {
+	st := newMemStore(512)
+	m := New(st, 2, 1)
+	stale, err := m.Fetch(page.Key{File: 1, Page: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Unpin(stale, false)
+	for i := uint32(1); i < 8; i++ {
+		f, err := m.Fetch(page.Key{File: 1, Page: i})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Unpin(f, false)
+	}
+	if isResident(m, stale.Key) || stale.Buf != nil {
+		t.Fatalf("frame evicted=%v still holds a %d-byte buffer", !isResident(m, stale.Key), len(stale.Buf))
+	}
+}
+
+// TestFetchMissAllocatesNoPage: in a full pool a miss refills the clock
+// victim's buffer; all it allocates is the frame header.
+func TestFetchMissAllocatesNoPage(t *testing.T) {
+	const pageSize = 16 * 1024
+	st := newMemStore(pageSize)
+	for i := uint32(0); i < 64; i++ {
+		st.pages[page.Key{File: 1, Page: i}] = make([]byte, pageSize)
+	}
+	m := New(st, 8, 2)
+	next := uint32(0)
+	miss := func() {
+		f, err := m.Fetch(page.Key{File: 1, Page: next % 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Unpin(f, false)
+		next++
+	}
+	for i := 0; i < 64; i++ {
+		miss() // fill the pool and the page table
+	}
+	before := m.Stats()
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	const runs = 512
+	allocs := testing.AllocsPerRun(runs, miss)
+	runtime.ReadMemStats(&ms1)
+	if got := m.Stats().Misses - before.Misses; got != runs+1 { // AllocsPerRun warms up once
+		t.Fatalf("%d of %d fetches missed", got, runs+1)
+	}
+	if allocs > 2 {
+		t.Errorf("a miss makes %.1f allocations, want the frame header only", allocs)
+	}
+	if perMiss := (ms1.TotalAlloc - ms0.TotalAlloc) / (runs + 1); perMiss > pageSize/16 {
+		t.Errorf("a miss allocates %d bytes, a page is %d", perMiss, pageSize)
 	}
 }
 

@@ -24,3 +24,12 @@ func (m *Manager) assertUnpinned(context string) {
 		s.mu.Unlock()
 	}
 }
+
+// poison overwrites an evicted frame's buffer, so that a reader still holding
+// the slice sees garbage — not a plausible stale page — until the next miss
+// refills it.
+func poison(buf []byte) {
+	for i := range buf {
+		buf[i] = 0xDB
+	}
+}

@@ -47,3 +47,42 @@ func TestFlushAllCleanAfterUnpin(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRecycledBufferIsPoisoned: between its eviction and the miss that
+// refills it, a page buffer holds the poison pattern, so code that kept the
+// slice past Unpin reads garbage that no page decoder accepts rather than a
+// stale but plausible page.
+func TestRecycledBufferIsPoisoned(t *testing.T) {
+	st := newMemStore(64)
+	m := New(st, 1, 1)
+	f, err := m.NewPage(page.Key{File: 1, Page: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := f.Buf // the bug under test: a slice that outlives its pin
+	copy(kept, "a page of real content")
+	m.Unpin(f, true)
+	s := m.stripes[0]
+	s.mu.Lock()
+	if err := m.evictLocked(s); err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Unlock()
+	if f.Buf != nil {
+		t.Fatal("evicted frame still owns its buffer")
+	}
+	for i, b := range kept {
+		if b != 0xDB {
+			t.Fatalf("byte %d of the evicted buffer is %#x, want the poison 0xDB", i, b)
+		}
+	}
+	// The next miss refills the same buffer completely.
+	g, err := m.Fetch(page.Key{File: 1, Page: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &g.Buf[0] != &kept[0] || string(g.Buf[:22]) != "a page of real content" {
+		t.Fatalf("the miss did not refill the recycled buffer: %q", g.Buf[:22])
+	}
+	m.Unpin(g, false)
+}

@@ -3,6 +3,7 @@ package compress
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -166,6 +167,31 @@ func TestHuffmanCorrupt(t *testing.T) {
 	bad = append(bad, 5) // size=5
 	if _, err := DecompressHuffman(bad); err == nil {
 		t.Error("empty code table with nonzero size should fail")
+	}
+}
+
+// TestLZ4MatchTableIsRecycled: the output depends on src alone, whatever the
+// recycled table last saw, and a call does not leave a fresh 256 KiB table
+// behind (a page write-back once did, sixteen times the page it wrote).
+func TestLZ4MatchTableIsRecycled(t *testing.T) {
+	page := bytes.Repeat([]byte("lineitem|1992-04-01|PENDING|4921.22|"), 455)
+	want := CompressLZ4(page)
+	noise := make([]byte, len(page))
+	rand.New(rand.NewSource(44)).Read(noise)
+	CompressLZ4(noise)
+	if got := CompressLZ4(page); !bytes.Equal(got, want) {
+		t.Fatal("output depends on the previous call's input")
+	}
+	const runs = 200
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	for i := 0; i < runs; i++ {
+		CompressLZ4(page)
+	}
+	runtime.ReadMemStats(&ms1)
+	// Half a table, not zero: under -race sync.Pool drops a quarter of its Puts.
+	if perCall := (ms1.TotalAlloc - ms0.TotalAlloc) / runs; perCall > (4<<hashLog)/2 {
+		t.Errorf("a call allocates %d bytes for a %d-byte page", perCall, len(page))
 	}
 }
 

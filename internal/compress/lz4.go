@@ -12,6 +12,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sync"
 )
 
 const (
@@ -33,6 +34,11 @@ func load32(b []byte, i int) uint32 {
 	return binary.LittleEndian.Uint32(b[i:])
 }
 
+// matchTables recycles the compressor's 256 KiB match table: declared in the
+// function it is too large for the stack, and a page write-back then leaves
+// sixteen times the page it wrote for the collector.
+var matchTables = sync.Pool{New: func() any { return new([1 << hashLog]int32) }}
+
 // CompressLZ4 compresses src into LZ4 block format. The returned slice is
 // freshly allocated. Incompressible input grows by at most
 // len(src)/255 + 16 bytes.
@@ -43,8 +49,10 @@ func CompressLZ4(src []byte) []byte {
 		return appendLiteralRun(dst, src)
 	}
 
-	var table [1 << hashLog]int32 // position+1 of last occurrence of each hash
-	anchor := 0                   // start of pending literals
+	table := matchTables.Get().(*[1 << hashLog]int32) // position+1 of last occurrence of each hash
+	defer matchTables.Put(table)
+	clear(table[:])
+	anchor := 0 // start of pending literals
 	pos := 0
 	limit := len(src) - mfLimit
 
@@ -129,15 +137,26 @@ func appendLenExt(dst []byte, rem int) []byte {
 	return append(dst, byte(rem))
 }
 
-// DecompressLZ4 decodes an LZ4 block into a buffer of exactly dstSize bytes,
-// allocated once. A literal run or match that would pass dstSize is refused
-// at the sequence where it happens, so a corrupt block costs no more memory
-// than a good one.
+// DecompressLZ4 decodes an LZ4 block into a fresh buffer of exactly dstSize
+// bytes; see DecompressLZ4Into.
 func DecompressLZ4(src []byte, dstSize int) ([]byte, error) {
 	if dstSize < 0 {
 		return nil, fmt.Errorf("%w: negative size %d", ErrCorrupt, dstSize)
 	}
 	dst := make([]byte, dstSize)
+	if err := DecompressLZ4Into(dst, src); err != nil {
+		return nil, err
+	}
+	return dst, nil
+}
+
+// DecompressLZ4Into decodes an LZ4 block into dst, which it must fill
+// exactly: on success every byte of dst has been written, so a recycled
+// buffer needs no zeroing first. A literal run or match that would pass
+// len(dst) is refused at the sequence where it happens, so a corrupt block
+// costs no more memory than a good one. On error dst holds a partial decode.
+func DecompressLZ4Into(dst, src []byte) error {
+	dstSize := len(dst)
 	d := 0 // bytes of dst decoded so far
 	pos := 0
 	for pos < len(src) {
@@ -149,14 +168,14 @@ func DecompressLZ4(src []byte, dstSize int) ([]byte, error) {
 			var err error
 			litLen, pos, err = readLenExt(src, pos, litLen)
 			if err != nil {
-				return nil, err
+				return err
 			}
 		}
 		if litLen > len(src)-pos {
-			return nil, fmt.Errorf("%w: literal run past end", ErrCorrupt)
+			return fmt.Errorf("%w: literal run past end", ErrCorrupt)
 		}
 		if litLen > dstSize-d {
-			return nil, fmt.Errorf("%w: literal run past %d bytes", ErrCorrupt, dstSize)
+			return fmt.Errorf("%w: literal run past %d bytes", ErrCorrupt, dstSize)
 		}
 		d += copy(dst[d:], src[pos:pos+litLen])
 		pos += litLen
@@ -165,24 +184,24 @@ func DecompressLZ4(src []byte, dstSize int) ([]byte, error) {
 		}
 		// Match.
 		if pos+2 > len(src) {
-			return nil, fmt.Errorf("%w: truncated offset", ErrCorrupt)
+			return fmt.Errorf("%w: truncated offset", ErrCorrupt)
 		}
 		offset := int(src[pos]) | int(src[pos+1])<<8
 		pos += 2
 		if offset == 0 || offset > d {
-			return nil, fmt.Errorf("%w: bad offset %d (have %d)", ErrCorrupt, offset, d)
+			return fmt.Errorf("%w: bad offset %d (have %d)", ErrCorrupt, offset, d)
 		}
 		matchLen := int(token & 0x0F)
 		if matchLen == 15 {
 			var err error
 			matchLen, pos, err = readLenExt(src, pos, matchLen)
 			if err != nil {
-				return nil, err
+				return err
 			}
 		}
 		matchLen += minMatch
 		if matchLen > dstSize-d {
-			return nil, fmt.Errorf("%w: match past %d bytes", ErrCorrupt, dstSize)
+			return fmt.Errorf("%w: match past %d bytes", ErrCorrupt, dstSize)
 		}
 		// A match may overlap its own output (offset < matchLen): it then
 		// repeats the offset bytes before it. Each copy reads only bytes
@@ -194,9 +213,9 @@ func DecompressLZ4(src []byte, dstSize int) ([]byte, error) {
 		}
 	}
 	if d != dstSize {
-		return nil, fmt.Errorf("%w: decoded %d bytes, want %d", ErrCorrupt, d, dstSize)
+		return fmt.Errorf("%w: decoded %d bytes, want %d", ErrCorrupt, d, dstSize)
 	}
-	return dst, nil
+	return nil
 }
 
 func readLenExt(src []byte, pos, base int) (int, int, error) {

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"errors"
+	"fmt"
 
 	"repro/internal/expr"
 	"repro/internal/page"
@@ -144,10 +145,9 @@ func (cs *VecColumnarScan) run() error {
 	stats, err := cs.fr.ScanPageSets(opts, cs.read, degree, func(w int, set page.PageSet, key page.Key, sealed bool) (bool, error) {
 		return decs[w].decodeSet(senders[w], set, key, sealed, opts)
 	})
-	var sent, typed, boxed, evaled, kernelSets, rowSets int64
+	var typed, boxed, evaled, kernelSets, rowSets int64
 	for i := range senders {
 		senders[i].flush()
-		sent += senders[i].sent
 		typed += decs[i].typedPages
 		boxed += decs[i].boxedPages
 		evaled += decs[i].rowsEval
@@ -155,8 +155,8 @@ func (cs *VecColumnarScan) run() error {
 		rowSets += decs[i].rowSets
 	}
 	cs.cfg.Trace.AddScan(stats.RowsRead, stats.PagesRead, stats.PagesSkipped)
+	cs.cfg.Trace.AddSets(stats.SetsRead, stats.SetsSkipped, stats.ChainPages)
 	cs.cfg.Trace.SetCols(len(cs.read), cs.table.Len())
-	cs.cfg.Trace.AddVecBatches(sent)
 	cs.cfg.Trace.AddDecode(typed, boxed)
 	cs.cfg.Trace.AddPred(kernelSets, rowSets)
 	if degree > 1 {
@@ -191,11 +191,12 @@ func (cs *VecColumnarScan) newDecoder() *pageSetDecoder {
 // evaluation plus selection-vector late materialization with one. All
 // scratch is single-threaded — one decoder per worker.
 type pageSetDecoder struct {
-	cs      *VecColumnarScan
-	node    boolNode  // the predicate's kernel; nil without one
-	eval    vec.Batch // scratch, table layout: the predicate's columns of one page set
-	sel     []int32
-	scratch types.Row // table-width row the uncompiled predicate reads
+	cs       *VecColumnarScan
+	node     boolNode  // the predicate's kernel; nil without one
+	eval     vec.Batch // scratch, table layout: the predicate's columns of one page set
+	sel      []int32
+	chunkSel []int32   // one chain page's share of sel, rebased to the page
+	scratch  types.Row // table-width row the uncompiled predicate reads
 	// typedPages/boxedPages count per-page decode outcomes; rowsEval counts
 	// rows the predicate was evaluated on, kernelSets/rowSets the page sets it
 	// was evaluated on by the compiled kernel vs row by row through
@@ -218,7 +219,7 @@ func (d *pageSetDecoder) decodeSet(snd *vecBatchSender, set page.PageSet, key pa
 		// Every emitted column decodes typed, straight into the building
 		// batch.
 		for oi, ci := range emit {
-			if err := d.decodeFull(set.Pages[ci], &b.Cols[oi]); err != nil {
+			if err := d.decodeFull(set.Chunks(ci), &b.Cols[oi]); err != nil {
 				return false, err
 			}
 		}
@@ -233,7 +234,7 @@ func (d *pageSetDecoder) decodeSet(snd *vecBatchSender, set page.PageSet, key pa
 		if oi := d.cs.outOf[ci]; oi >= 0 {
 			dict = b.Cols[oi].Dict
 		}
-		if err := d.decodeFull(set.Pages[ci], d.resetEvalCol(ci, dict)); err != nil {
+		if err := d.decodeFull(set.Chunks(ci), d.resetEvalCol(ci, dict)); err != nil {
 			return false, err
 		}
 	}
@@ -289,7 +290,7 @@ func (d *pageSetDecoder) decodeSet(snd *vecBatchSender, set page.PageSet, key pa
 	for oi, ci := range emit {
 		if d.cs.isPred[ci] {
 			gatherAppend(&b.Cols[oi], &d.eval.Cols[ci], sel)
-		} else if err := d.decodeSel(set.Pages[ci], &b.Cols[oi], sel); err != nil {
+		} else if err := d.decodeSel(set.Chunks(ci), &b.Cols[oi], sel); err != nil {
 			return false, err
 		}
 	}
@@ -329,10 +330,51 @@ func (d *pageSetDecoder) resetEvalCol(ci int, dict *vec.Dict) *vec.Col {
 	return c
 }
 
-// decodeFull decodes a whole column page into c, typed when the column's
+// decodeFull decodes every cell of a column — its one page, or the pages of
+// its chain in order — into c.
+func (d *pageSetDecoder) decodeFull(chunks []page.ColumnPage, c *vec.Col) error {
+	for _, pg := range chunks {
+		if err := d.decodePage(pg, c); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// decodeSel decodes only the selected set-relative positions of a column
+// into c. Over a chain the ascending selection is split at page boundaries:
+// each page sees its own positions, rebased, and a page none falls in is not
+// touched.
+func (d *pageSetDecoder) decodeSel(chunks []page.ColumnPage, c *vec.Col, sel []int32) error {
+	if len(chunks) == 1 {
+		return d.decodePageSel(chunks[0], c, sel)
+	}
+	first := 0
+	for _, pg := range chunks {
+		end := first + pg.NumValues()
+		part := d.chunkSel[:0]
+		for len(sel) > 0 && int(sel[0]) < end {
+			part = append(part, sel[0]-int32(first))
+			sel = sel[1:]
+		}
+		d.chunkSel = part
+		if len(part) > 0 {
+			if err := d.decodePageSel(pg, c, part); err != nil {
+				return err
+			}
+		}
+		first = end
+	}
+	if len(sel) > 0 {
+		return fmt.Errorf("exec: selection position %d beyond a chain of %d values", sel[0], first)
+	}
+	return nil
+}
+
+// decodePage decodes a whole column page into c, typed when the column's
 // layout has a typed decoder and the page's cells match, boxed DecodeInto
 // (with Col.Append's demotion safety net) otherwise.
-func (d *pageSetDecoder) decodeFull(pg page.ColumnPage, c *vec.Col) error {
+func (d *pageSetDecoder) decodePage(pg page.ColumnPage, c *vec.Col) error {
 	switch c.Form {
 	case vec.FormInt:
 		bm := vec.Bitmap{Words: c.Nulls}
@@ -375,8 +417,8 @@ func (d *pageSetDecoder) decodeFull(pg page.ColumnPage, c *vec.Col) error {
 	})
 }
 
-// decodeSel decodes only the selected page-relative positions into c.
-func (d *pageSetDecoder) decodeSel(pg page.ColumnPage, c *vec.Col, sel []int32) error {
+// decodePageSel decodes only the selected page-relative positions into c.
+func (d *pageSetDecoder) decodePageSel(pg page.ColumnPage, c *vec.Col, sel []int32) error {
 	switch c.Form {
 	case vec.FormInt:
 		bm := vec.Bitmap{Words: c.Nulls}

@@ -16,9 +16,10 @@ import (
 
 // vecScanFragment builds a small columnar fragment with every slab form the
 // typed decoders handle — ints, dates, floats, dictionary strings — plus
-// NULL runs on two columns. Loading seals full page sets; the trailing
-// Appends leave rows in the open (unsealed, unpacked) sets so scans cover
-// both the sealed and the open decode paths.
+// NULL runs on two columns and a string column distinct in every row, which
+// chains over three or so overflow pages per set. Loading writes full page
+// sets; the trailing Appends leave rows in the open sets so scans cover both
+// the written and the open decode paths.
 func vecScanFragment(t *testing.T) (*storage.ColumnarFragment, []types.Row) {
 	t.Helper()
 	ns, err := storage.NewNodeStore(storage.NodeConfig{
@@ -35,6 +36,7 @@ func vecScanFragment(t *testing.T) (*storage.ColumnarFragment, []types.Row) {
 		types.Column{Name: "price", Kind: types.KindFloat},
 		types.Column{Name: "status", Kind: types.KindString},
 		types.Column{Name: "ship", Kind: types.KindDate},
+		types.Column{Name: "note", Kind: types.KindString},
 	)
 	def := &catalog.TableDef{
 		Name:     "vscan",
@@ -53,6 +55,7 @@ func vecScanFragment(t *testing.T) (*storage.ColumnarFragment, []types.Row) {
 			types.NewFloat(float64(i%997) * 1.5),
 			types.NewString(fmt.Sprintf("STATUS-%d", i%6)),
 			types.NewDate(10_000 + i%365),
+			types.NewString(fmt.Sprintf("note %d, of its own", i*7919)),
 		}
 		if i%7 == 0 {
 			r[1] = types.Null
@@ -340,7 +343,7 @@ func TestVecScanProjectionParity(t *testing.T) {
 		if len(whole) == 0 {
 			t.Fatalf("%s selected nothing — test is vacuous", name)
 		}
-		for _, cols := range [][]int{{0}, {1, 2}, {3}, {0, 3, 4}, {2, 4}, {}, {0, 1, 2, 3, 4}} {
+		for _, cols := range [][]int{{0}, {1, 2}, {3}, {0, 3, 4}, {2, 4}, {}, {5}, {1, 5}, {0, 1, 2, 3, 4, 5}} {
 			for _, parallel := range []int{1, 4} {
 				t.Run(fmt.Sprintf("%s/cols=%v/degree-%d", name, cols, parallel), func(t *testing.T) {
 					want := make([]types.Row, len(whole))
@@ -373,8 +376,8 @@ func TestVecScanProjectionParity(t *testing.T) {
 							read[c.Index] = true
 						}
 					})
-					if r, n := sp.ColsRead.Load(), sp.ColsTotal.Load(); int(r) != len(read) || n != 5 {
-						t.Errorf("span cols=%d/%d, want %d/5", r, n, len(read))
+					if r, n := sp.ColsRead.Load(), sp.ColsTotal.Load(); int(r) != len(read) || n != 6 {
+						t.Errorf("span cols=%d/%d, want %d/6", r, n, len(read))
 					}
 				})
 			}

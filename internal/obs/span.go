@@ -40,6 +40,9 @@ type Span struct {
 	ScanRows     atomic.Int64 // rows read by a scan before predicates
 	PagesRead    atomic.Int64 // pages a scan fetched
 	PagesSkipped atomic.Int64 // page fetches data skipping saved it
+	SetsRead     atomic.Int64 // page sets a columnar scan read ...
+	SetsSkipped  atomic.Int64 // ... and skipped whole
+	ChainPages   atomic.Int64 // of PagesRead, the overflow pages of chained columns
 	ColsRead     atomic.Int64 // columns a columnar scan fetches per page set ...
 	ColsTotal    atomic.Int64 // ... of this many in the table (0 = not a columnar scan)
 	NetBytes     atomic.Int64 // bytes this operator put on the wire
@@ -106,6 +109,16 @@ func (s *Span) AddScan(rows, pagesRead, pagesSkipped int64) {
 		s.ScanRows.Add(rows)
 		s.PagesRead.Add(pagesRead)
 		s.PagesSkipped.Add(pagesSkipped)
+	}
+}
+
+// AddSets records a columnar scan's page sets — read, and skipped whole — and
+// how many of the pages it read were chain pages. Nil-safe.
+func (s *Span) AddSets(read, skipped, chainPages int64) {
+	if s != nil {
+		s.SetsRead.Add(read)
+		s.SetsSkipped.Add(skipped)
+		s.ChainPages.Add(chainPages)
 	}
 }
 
@@ -216,6 +229,9 @@ type SpanSnapshot struct {
 	ScanRows     int64  `json:"scan_rows,omitempty"`
 	PagesRead    int64  `json:"pages_read,omitempty"`
 	PagesSkipped int64  `json:"pages_skipped,omitempty"`
+	SetsRead     int64  `json:"sets_read,omitempty"`
+	SetsSkipped  int64  `json:"sets_skipped,omitempty"`
+	ChainPages   int64  `json:"chain_pages,omitempty"`
 	ColsRead     int64  `json:"cols_read,omitempty"`
 	ColsTotal    int64  `json:"cols_total,omitempty"`
 	NetBytes     int64  `json:"net_bytes,omitempty"`
@@ -244,6 +260,9 @@ func (s *Span) snapshot() SpanSnapshot {
 		ScanRows:     s.ScanRows.Load(),
 		PagesRead:    s.PagesRead.Load(),
 		PagesSkipped: s.PagesSkipped.Load(),
+		SetsRead:     s.SetsRead.Load(),
+		SetsSkipped:  s.SetsSkipped.Load(),
+		ChainPages:   s.ChainPages.Load(),
 		ColsRead:     s.ColsRead.Load(),
 		ColsTotal:    s.ColsTotal.Load(),
 		NetBytes:     s.NetBytes.Load(),
@@ -376,6 +395,9 @@ func (s SpanSnapshot) line() string {
 	}
 	if s.PagesRead > 0 || s.PagesSkipped > 0 {
 		fmt.Fprintf(&sb, " pages=%d skipped=%d", s.PagesRead, s.PagesSkipped)
+	}
+	if s.SetsRead > 0 || s.SetsSkipped > 0 {
+		fmt.Fprintf(&sb, " sets=%d/%d chain=%d", s.SetsRead, s.SetsSkipped, s.ChainPages)
 	}
 	if s.ColsTotal > 0 {
 		fmt.Fprintf(&sb, " cols=%d/%d", s.ColsRead, s.ColsTotal)

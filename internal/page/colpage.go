@@ -2,6 +2,7 @@ package page
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"repro/internal/types"
@@ -21,6 +22,11 @@ import (
 // Huffman-packed when that shrinks it. Every reader dispatches on the flags
 // byte, so a page written before the typed layouts existed (layout bits
 // zero) reads back unchanged.
+//
+// A fourth flags value marks a chain head (openset.go): a column with no
+// typed layout whose tagged stream outgrew the page keeps its cells in a run
+// of overflow pages, each a self-contained column page, and its own page of
+// the set holds only the set's row count and the run's (start, count).
 type ColumnPage struct {
 	Buf []byte
 }
@@ -29,13 +35,20 @@ const (
 	colOffFlags   = headerSize     // 1 byte: bit 0 = Huffman-packed (tagged layout only), bits 1–2 = layout
 	colOffPayLen  = headerSize + 1 // uint32 payload byte length
 	colHeaderSize = headerSize + 5
+
+	chainPayload = 8 // a chain head's payload: start, count (uint32 each)
 )
+
+// MaxChainPages bounds a chain, and with it what a scan pins to read one
+// column of one set.
+const MaxChainPages = 16
 
 // Column-page layouts, bits 1–2 of the flags byte.
 const (
 	layoutTagged = 0 // types.AppendValue cells back to back
 	layoutFixed  = 1 // frame-of-reference fixed width (layout.go)
 	layoutDict   = 2 // page dictionary + one-byte codes (layout.go)
+	layoutChain  = 3 // no cells here: (start, count) of the overflow pages that hold them
 
 	flagPacked = 1 // bit 0: the tagged stream is Huffman-packed
 )
@@ -145,40 +158,56 @@ func (p ColumnPage) Seal() bool {
 	return s.seal(p)
 }
 
-// PageSet groups n in-memory column pages that are filled together so every
-// page keeps the same value count. A scan that reads some of a table's
-// columns holds a set with only those pages populated; the others are the
-// zero ColumnPage.
+// ChainHead reports whether the page is a chain head.
+func (p ColumnPage) ChainHead() bool {
+	return len(p.Buf) >= colHeaderSize && p.Buf[colOffFlags] == layoutChain<<1
+}
+
+// setChain makes a freshly initialised page the head of the chain of count
+// overflow pages from start, for a set of rows rows.
+func (p ColumnPage) setChain(rows int, start, count uint32) {
+	setCount(p.Buf, uint32(rows))
+	p.Buf[colOffFlags] = layoutChain << 1
+	p.setPayloadLen(chainPayload)
+	binary.LittleEndian.PutUint32(p.Buf[colHeaderSize:], start)
+	binary.LittleEndian.PutUint32(p.Buf[colHeaderSize+4:], count)
+}
+
+// Chain returns a chain head's run of overflow pages, checked against the
+// overflow file's page count: a corrupt head is an error, never a fetch past
+// the file or of more than MaxChainPages pages.
+func (p ColumnPage) Chain(filePages uint32) (start, count uint32, err error) {
+	if !p.ChainHead() || len(p.Buf) < colHeaderSize+chainPayload || p.payloadLen() != chainPayload {
+		return 0, 0, errors.New("page: malformed chain head")
+	}
+	start = binary.LittleEndian.Uint32(p.Buf[colHeaderSize:])
+	count = binary.LittleEndian.Uint32(p.Buf[colHeaderSize+4:])
+	switch {
+	case count == 0 || count > MaxChainPages || uint64(count) > uint64(p.NumValues()):
+		return 0, 0, fmt.Errorf("page: chain of %d pages for %d values (at most %d)", count, p.NumValues(), MaxChainPages)
+	case uint64(start)+uint64(count) > uint64(filePages):
+		return 0, 0, fmt.Errorf("page: chain pages [%d, %d) beyond the overflow file's %d", start, uint64(start)+uint64(count), filePages)
+	}
+	return start, count, nil
+}
+
+// PageSet groups the n column pages of one run of rows, every page holding
+// the same value count. A scan that reads some of a table's columns holds a
+// set with only those pages populated; the others are the zero ColumnPage.
+// Chains, when non-nil, is indexed like Pages: the chain pages, in order, of
+// each column whose page is a chain head.
 type PageSet struct {
-	Pages []ColumnPage
+	Pages  []ColumnPage
+	Chains [][]ColumnPage
 }
 
-// NewPageSet formats a page set over the provided buffers, one per column.
-func NewPageSet(bufs [][]byte) PageSet {
-	ps := PageSet{Pages: make([]ColumnPage, len(bufs))}
-	for i, b := range bufs {
-		ps.Pages[i] = InitColumnPage(b)
+// Chunks returns the pages that hold column ci's cells, in row order: its
+// chain, or its one page.
+func (ps PageSet) Chunks(ci int) []ColumnPage {
+	if ps.Chains != nil && ps.Chains[ci] != nil {
+		return ps.Chains[ci]
 	}
-	return ps
-}
-
-// AppendRow adds one row across the set; all columns succeed or none do.
-func (ps PageSet) AppendRow(r types.Row) bool {
-	if len(r) != len(ps.Pages) {
-		return false
-	}
-	for i, v := range r {
-		if types.EncodedSize(v) > ps.Pages[i].FreeSpace() {
-			return false
-		}
-	}
-	for i, v := range r {
-		if !ps.Pages[i].Append(v) {
-			// Cannot happen given the space check above; guard anyway.
-			panic("page: page set append lost space between check and write")
-		}
-	}
-	return true
+	return ps.Pages[ci : ci+1 : ci+1]
 }
 
 // NumRows returns the common value count.
@@ -193,15 +222,20 @@ func (ps PageSet) NumRows() int {
 
 // Rows materializes all rows in the set.
 func (ps PageSet) Rows() ([]types.Row, error) {
-	cols := make([][]types.Value, len(ps.Pages))
-	for i, p := range ps.Pages {
-		vals, err := p.Values()
-		if err != nil {
-			return nil, err
-		}
-		cols[i] = vals
-	}
 	n := ps.NumRows()
+	cols := make([][]types.Value, len(ps.Pages))
+	for ci := range ps.Pages {
+		for _, p := range ps.Chunks(ci) {
+			vals, err := p.Values()
+			if err != nil {
+				return nil, err
+			}
+			cols[ci] = append(cols[ci], vals...)
+		}
+		if len(cols[ci]) != n {
+			return nil, fmt.Errorf("page: column %d holds %d values in a set of %d rows", ci, len(cols[ci]), n)
+		}
+	}
 	rows := make([]types.Row, n)
 	for r := 0; r < n; r++ {
 		row := make(types.Row, len(cols))
@@ -211,12 +245,4 @@ func (ps PageSet) Rows() ([]types.Row, error) {
 		rows[r] = row
 	}
 	return rows, nil
-}
-
-// Seal seals every page in the set.
-func (ps PageSet) Seal() {
-	var s sealer // one scratch for the whole set
-	for _, p := range ps.Pages {
-		s.seal(p)
-	}
 }

@@ -59,6 +59,8 @@ func (p ColumnPage) body() (layout int, pay []byte, err error) {
 		return layoutFixed, pay, nil
 	case layoutDict << 1:
 		return layoutDict, pay, nil
+	case layoutChain << 1:
+		return 0, nil, errors.New("page: a chain head holds no cells; read its chain pages")
 	default:
 		return 0, nil, fmt.Errorf("page: unknown column page flags %#x", flags)
 	}

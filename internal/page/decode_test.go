@@ -452,6 +452,25 @@ func fuzzRead(t *testing.T, p ColumnPage) fuzzReadings {
 	return r
 }
 
+const fuzzOvfPages = 1000 // the overflow file a fuzzed chain head is checked against
+
+// fuzzChain: a chain head either names a run of at most MaxChainPages pages
+// inside the overflow file, no more than one per row, or is an error — and
+// no cell reader accepts it as a page of cells.
+func fuzzChain(t *testing.T, p ColumnPage) {
+	t.Helper()
+	if !p.ChainHead() {
+		return
+	}
+	start, count, err := p.Chain(fuzzOvfPages)
+	if err == nil && (count == 0 || count > MaxChainPages || int(count) > p.NumValues() || uint64(start)+uint64(count) > fuzzOvfPages) {
+		t.Fatalf("chain [%d, +%d) of a %d-row set accepted against a %d-page file", start, count, p.NumValues(), fuzzOvfPages)
+	}
+	if _, err := p.Values(); err == nil {
+		t.Fatal("a chain head decoded as a page of cells")
+	}
+}
+
 // FuzzTypedDecode feeds arbitrary bytes — seeded with well-formed pages of
 // every layout, flags byte included — to all eight readers of a column page:
 // each must error on corruption with its destination rolled back exactly,
@@ -502,8 +521,16 @@ func FuzzTypedDecode(f *testing.F) {
 	bad.Seal()
 	bad.Buf[colHeaderSize+bad.payloadLen()-1] = 0xff
 	f.Add(bad.Buf)
+	// Chain heads: a good one, and ones whose (start, count) name no chain the
+	// overflow file could hold.
+	for _, c := range [][3]uint32{{64, 7, 3}, {64, 7, 0}, {64, 1 << 31, 2}, {2, 0, 3}, {64, fuzzOvfPages - 1, 2}, {64, 0, MaxChainPages + 1}} {
+		head := InitColumnPage(make([]byte, 64))
+		head.setChain(int(c[0]), c[1], c[2])
+		f.Add(head.Buf)
+	}
 
 	f.Fuzz(func(t *testing.T, buf []byte) {
+		fuzzChain(t, ColumnPage{Buf: buf})
 		whole := fuzzRead(t, ColumnPage{Buf: buf})
 		if len(buf) < colHeaderSize {
 			return

@@ -475,38 +475,99 @@ func dictBoxed(pay []byte, n int, fn func(types.Value) bool) error {
 	return nil
 }
 
-// sealer holds the scratch of Seal's one pass over a tagged payload, reused
-// across the pages of a set.
+// sealer is the sealing state of one column page, built a cell at a time:
+// what both typed candidates are sized by and written from. ColumnPage.Seal
+// fills one from a page's tagged payload (scan); an OpenSet column keeps one
+// running as rows are appended, so its page is written with no second parse.
 type sealer struct {
-	cells    []uint64 // fixed-width kinds: each cell's integer payload or float bits
-	nulls    []byte   // the fixed layout's null bitmap
-	nNull    int
-	min, max int64 // over the integer payloads of non-NULL cells
-	dictOK   bool  // the page has at most maxDictEntries distinct cells
-	index    map[string]int
-	entries  []byte // the dict layout's entries, in first-seen order
-	codes    []byte
+	sealState
+	cells   []uint64 // fixed-width kinds: each cell's integer payload or float bits
+	nulls   []byte   // the fixed layout's null bitmap
+	index   map[string]int
+	entries []byte // the dict layout's entries, in first-seen order
+	codes   []byte
 }
 
-// seal is ColumnPage.Seal. The tagged payload is parsed once; when its
-// non-NULL cells share one kind the candidates are sized — fixed for the
+// sealState is the scalar part of a sealer: an OpenSet snapshots it before a
+// row is added and restores it when the row is refused.
+type sealState struct {
+	n        int
+	kind     types.Kind // the kind the non-NULL cells share; KindNull before the first
+	mixed    bool       // the non-NULL cells do not share one kind
+	nNull    int
+	min, max int64 // over the integer payloads of non-NULL cells
+	dictOK   bool  // at most maxDictEntries distinct cells so far
+}
+
+func (s *sealer) reset() {
+	s.sealState = sealState{dictOK: true}
+	s.cells, s.nulls, s.codes, s.entries = s.cells[:0], s.nulls[:0], s.codes[:0], s.entries[:0]
+	if s.index == nil {
+		s.index = make(map[string]int, maxDictEntries)
+	}
+	clear(s.index)
+}
+
+// add folds one well-formed types.AppendValue cell into the state.
+func (s *sealer) add(cell []byte) {
+	i := s.n
+	s.n++
+	if i&7 == 0 {
+		s.nulls = append(s.nulls, 0)
+	}
+	tag, bits := types.Kind(cell[0]), uint64(0)
+	switch tag {
+	case types.KindNull:
+		s.nNull++
+		s.nulls[i>>3] |= 1 << (uint(i) & 7)
+	case types.KindInt, types.KindDate:
+		v, _ := binary.Varint(cell[1:])
+		bits = uint64(v)
+	case types.KindBool:
+		bits = uint64(cell[1])
+	case types.KindFloat:
+		bits = binary.LittleEndian.Uint64(cell[1:])
+	}
+	if tag != types.KindNull {
+		switch v := int64(bits); {
+		case s.kind == types.KindNull:
+			s.kind, s.min, s.max = tag, v, v
+		case tag != s.kind:
+			s.mixed = true
+		case v < s.min:
+			s.min = v
+		case v > s.max:
+			s.max = v
+		}
+	}
+	s.cells = append(s.cells, bits)
+	if !s.dictOK {
+		return
+	}
+	c, seen := s.index[string(cell)]
+	if !seen {
+		if c = len(s.index); c == maxDictEntries {
+			s.dictOK = false
+			return
+		}
+		s.index[string(cell)] = c
+		s.entries = append(s.entries, cell...)
+	}
+	s.codes = append(s.codes, byte(c))
+}
+
+// choose picks the layout of the cells so far, whose tagged stream is tagged
+// bytes long, by encoded size alone: the candidates are sized — fixed for the
 // four fixed-width kinds, dict for any kind with few enough distinct cells —
-// and the smaller is written if it is smaller than the tagged payload, fixed
-// winning a tie. Every other page keeps the tagged stream, Huffman-packed
-// when that shrinks it.
-func (s *sealer) seal(p ColumnPage) bool {
-	n := p.NumValues()
-	if p.sealed() || n == 0 {
-		return false
+// and the smaller wins if it is smaller than the tagged stream, fixed winning
+// a tie. Cells that share no kind (or are all NULL) stay tagged.
+func (s *sealer) choose(tagged int) (layout, size, width int) {
+	layout, size = layoutTagged, tagged
+	if s.mixed || s.kind == types.KindNull {
+		return layout, size, 0
 	}
-	pay := p.Buf[colHeaderSize : colHeaderSize+p.payloadLen()]
-	kind, ok := s.scan(pay, n)
-	if !ok {
-		return packHuffman(p)
-	}
-	layout, size, width := layoutTagged, len(pay), fixedWidth(kind, s.min, s.max)
-	if width != 0 {
-		fixed := fixedHeaderSize + n*width
+	if width = fixedWidth(s.kind, s.min, s.max); width != 0 {
+		fixed := fixedHeaderSize + s.n*width
 		if s.nNull > 0 {
 			fixed += len(s.nulls)
 		}
@@ -514,20 +575,40 @@ func (s *sealer) seal(p ColumnPage) bool {
 			layout, size = layoutFixed, fixed
 		}
 	}
-	if dict := 2 + len(s.entries) + n; s.dictOK && dict < size {
+	if dict := 2 + len(s.entries) + s.n; s.dictOK && dict < size {
 		layout, size = layoutDict, dict
 	}
-	body := p.Buf[colHeaderSize:]
-	switch layout {
-	case layoutFixed:
-		s.putFixed(body, kind, width)
-	case layoutDict:
-		binary.LittleEndian.PutUint16(body, uint16(len(s.index)))
-		codesAt := 2 + copy(body[2:], s.entries)
-		copy(body[codesAt:], s.codes)
-	default:
+	return layout, size, width
+}
+
+// put writes a typed layout choose picked into a page body.
+func (s *sealer) put(body []byte, layout, width int) {
+	if layout == layoutFixed {
+		s.putFixed(body, width)
+		return
+	}
+	binary.LittleEndian.PutUint16(body, uint16(len(s.index)))
+	codesAt := 2 + copy(body[2:], s.entries)
+	copy(body[codesAt:], s.codes)
+}
+
+// seal is ColumnPage.Seal: the tagged payload is parsed once into the state
+// and rewritten in the layout choose picks; a page that stays tagged is
+// Huffman-packed when that shrinks it.
+func (s *sealer) seal(p ColumnPage) bool {
+	n := p.NumValues()
+	if p.sealed() || n == 0 {
+		return false
+	}
+	pay := p.Buf[colHeaderSize : colHeaderSize+p.payloadLen()]
+	if !s.scan(pay, n) {
 		return packHuffman(p)
 	}
+	layout, size, width := s.choose(len(pay))
+	if layout == layoutTagged {
+		return packHuffman(p)
+	}
+	s.put(p.Buf[colHeaderSize:], layout, width)
 	p.setSealed(byte(layout<<1), size)
 	return true
 }
@@ -553,67 +634,24 @@ func (p ColumnPage) setSealed(flags byte, size int) {
 	p.Buf[colOffFlags] = flags
 }
 
-// scan parses the n tagged cells of pay into the scratch both candidates are
-// written from. It reports the kind the non-NULL cells share; ok is false
-// when there is no such kind (cells mix kinds, or all are NULL) or the
-// payload is not n well-formed cells.
-func (s *sealer) scan(pay []byte, n int) (kind types.Kind, ok bool) {
-	s.cells, s.codes, s.entries = s.cells[:0], s.codes[:0], s.entries[:0]
-	s.nulls = append(s.nulls[:0], make([]byte, (n+7)/8)...)
-	s.nNull, s.dictOK = 0, true
-	if s.index == nil {
-		s.index = make(map[string]int, maxDictEntries)
-	}
-	clear(s.index)
+// scan parses the n tagged cells of pay into the state. It reports false when
+// the payload is not exactly n well-formed cells, or the cells share no kind
+// (the parse stops at the first that differs: such a page stays tagged).
+func (s *sealer) scan(pay []byte, n int) bool {
+	s.reset()
 	pos := 0
 	for i := 0; i < n; i++ {
 		m, err := cellLen(pay[pos:])
 		if err != nil {
-			return 0, false
+			return false
 		}
-		cell := pay[pos : pos+m]
+		s.add(pay[pos : pos+m])
 		pos += m
-		tag, bits := types.Kind(cell[0]), uint64(0)
-		switch tag {
-		case types.KindNull:
-			s.nNull++
-			s.nulls[i>>3] |= 1 << (uint(i) & 7)
-		case types.KindInt, types.KindDate:
-			v, _ := binary.Varint(cell[1:])
-			bits = uint64(v)
-		case types.KindBool:
-			bits = uint64(cell[1])
-		case types.KindFloat:
-			bits = binary.LittleEndian.Uint64(cell[1:])
+		if s.mixed {
+			return false
 		}
-		if tag != types.KindNull {
-			switch v := int64(bits); {
-			case kind == types.KindNull:
-				kind, s.min, s.max = tag, v, v
-			case tag != kind:
-				return 0, false
-			case v < s.min:
-				s.min = v
-			case v > s.max:
-				s.max = v
-			}
-		}
-		s.cells = append(s.cells, bits)
-		if !s.dictOK {
-			continue
-		}
-		c, seen := s.index[string(cell)]
-		if !seen {
-			if c = len(s.index); c == maxDictEntries {
-				s.dictOK = false
-				continue
-			}
-			s.index[string(cell)] = c
-			s.entries = append(s.entries, cell...)
-		}
-		s.codes = append(s.codes, byte(c))
 	}
-	return kind, pos == len(pay) && kind != types.KindNull
+	return pos == len(pay)
 }
 
 // fixedWidth returns the fixed layout's cell width for a page of kind whose
@@ -636,13 +674,13 @@ func fixedWidth(kind types.Kind, min, max int64) int {
 	return 0
 }
 
-// putFixed writes the scanned page in the fixed layout.
-func (s *sealer) putFixed(out []byte, kind types.Kind, width int) {
+// putFixed writes the cells in the fixed layout.
+func (s *sealer) putFixed(out []byte, width int) {
 	base := uint64(s.min)
-	if kind == types.KindFloat {
+	if s.kind == types.KindFloat {
 		base = 0
 	}
-	out[0], out[1], out[2] = byte(kind), byte(width), 0
+	out[0], out[1], out[2] = byte(s.kind), byte(width), 0
 	binary.LittleEndian.PutUint64(out[3:], base)
 	pos := fixedHeaderSize
 	if s.nNull > 0 {

@@ -185,12 +185,15 @@ func TestColumnPageSeal(t *testing.T) {
 }
 
 func TestPageSet(t *testing.T) {
-	bufs := [][]byte{make([]byte, 1024), make([]byte, 1024), make([]byte, 1024)}
-	ps := NewPageSet(bufs)
+	os := NewOpenSet(3, 1024)
 	var want []types.Row
 	for i := 0; ; i++ {
 		r := testRow(i)
-		if !ps.AppendRow(r) {
+		ok, err := os.Append(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
 			break
 		}
 		want = append(want, r)
@@ -198,9 +201,10 @@ func TestPageSet(t *testing.T) {
 	if len(want) == 0 {
 		t.Fatal("page set fit zero rows")
 	}
-	if ps.NumRows() != len(want) {
-		t.Fatalf("NumRows = %d, want %d", ps.NumRows(), len(want))
+	if os.NumRows() != len(want) {
+		t.Fatalf("NumRows = %d, want %d", os.NumRows(), len(want))
 	}
+	ps := os.Snapshot([]int{0, 1, 2})
 	// All pages hold the same count — the invariant simplifying row
 	// reconstruction.
 	for i, p := range ps.Pages {
@@ -219,18 +223,19 @@ func TestPageSet(t *testing.T) {
 			}
 		}
 	}
-	ps.Seal()
-	rows2, err := ps.Rows()
-	if err != nil || len(rows2) != len(want) {
-		t.Fatalf("rows after seal: %d, err=%v", len(rows2), err)
-	}
 }
 
 func TestPageSetArityMismatch(t *testing.T) {
-	ps := NewPageSet([][]byte{make([]byte, 256)})
-	if ps.AppendRow(types.Row{types.NewInt(1), types.NewInt(2)}) {
+	os := NewOpenSet(1, 256)
+	if ok, err := os.Append(types.Row{types.NewInt(1), types.NewInt(2)}); ok || err == nil {
 		t.Error("arity mismatch must fail")
 	}
+}
+
+// readPage reads one page of pf into a fresh buffer.
+func readPage(pf *File, n uint32) ([]byte, error) {
+	buf := make([]byte, pf.pageSize)
+	return buf, pf.ReadPage(n, buf)
 }
 
 func TestPageFileRoundTrip(t *testing.T) {
@@ -255,7 +260,7 @@ func TestPageFileRoundTrip(t *testing.T) {
 		pages = append(pages, n)
 	}
 	for i, n := range pages {
-		buf, err := pf.ReadPage(n)
+		buf, err := readPage(pf, n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -293,7 +298,7 @@ func TestPageFileReopen(t *testing.T) {
 	if pf2.NumPages() != 1 {
 		t.Fatalf("reopened NumPages = %d", pf2.NumPages())
 	}
-	got, err := pf2.ReadPage(0)
+	got, err := readPage(pf2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +323,7 @@ func TestPageFileUnwrittenPage(t *testing.T) {
 	if err := pf.WritePage(b, buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := pf.ReadPage(a)
+	got, err := readPage(pf, a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +332,7 @@ func TestPageFileUnwrittenPage(t *testing.T) {
 			t.Fatal("hole page should read as zeros")
 		}
 	}
-	if _, err := pf.ReadPage(99); err == nil {
+	if _, err := readPage(pf, 99); err == nil {
 		t.Error("read past end should fail")
 	}
 }
@@ -400,7 +405,7 @@ func TestPageFileCompressedSparseness(t *testing.T) {
 		}
 	}
 	for i := uint32(0); i < 8; i++ {
-		got, err := pf.ReadPage(i)
+		got, err := readPage(pf, i)
 		if err != nil {
 			t.Fatal(err)
 		}

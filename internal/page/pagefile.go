@@ -23,6 +23,7 @@ type File struct {
 	pageSize int
 	numPages uint32
 	compress bool
+	scratch  sync.Pool // *[]byte of pageSize: a read's compressed payload, before it is decoded into the caller's buffer
 }
 
 const slotHeader = 8
@@ -44,7 +45,12 @@ func OpenFile(path string, pageSize int, compressPages bool) (*File, error) {
 	}
 	slot := int64(pageSize + slotHeader)
 	n := uint32((st.Size() + slot - 1) / slot)
-	return &File{f: f, pageSize: pageSize, numPages: n, compress: compressPages}, nil
+	pf := &File{f: f, pageSize: pageSize, numPages: n, compress: compressPages}
+	pf.scratch.New = func() any {
+		b := make([]byte, pageSize)
+		return &b
+	}
+	return pf, nil
 }
 
 // NumPages returns the number of allocated pages.
@@ -92,48 +98,52 @@ func (pf *File) WritePage(pageNum uint32, buf []byte) error {
 	return nil
 }
 
-// ReadPage loads the page into a fresh PageSize buffer. Reading a page that
-// was allocated but never written returns a zeroed buffer.
-func (pf *File) ReadPage(pageNum uint32) ([]byte, error) {
+// ReadPage fills buf, which must be exactly PageSize bytes, with the page:
+// every byte of buf is written, so the caller may hand in a recycled buffer.
+// A page that was allocated but never written reads as zeroes. On error buf's
+// contents are unspecified.
+func (pf *File) ReadPage(pageNum uint32, buf []byte) error {
+	if len(buf) != pf.pageSize {
+		return fmt.Errorf("page: read: buffer is %d bytes, page size %d", len(buf), pf.pageSize)
+	}
 	pf.mu.RLock()
 	if pageNum >= pf.numPages {
 		pf.mu.RUnlock()
-		return nil, fmt.Errorf("page: read p%d beyond end (%d pages)", pageNum, pf.numPages)
+		return fmt.Errorf("page: read p%d beyond end (%d pages)", pageNum, pf.numPages)
 	}
 	var hdr [slotHeader]byte
 	off := pf.slotOffset(pageNum)
-	n, err := pf.f.ReadAt(hdr[:], off)
+	n, _ := pf.f.ReadAt(hdr[:], off)
 	pf.mu.RUnlock()
-	if err != nil && n == 0 {
-		// Slot inside a file hole: page never written.
-		return make([]byte, pf.pageSize), nil
-	}
-	if n < slotHeader {
-		return make([]byte, pf.pageSize), nil
-	}
 	compLen := binary.LittleEndian.Uint32(hdr[0:])
 	flags := binary.LittleEndian.Uint32(hdr[4:])
-	if compLen == 0 {
-		return make([]byte, pf.pageSize), nil
+	if n < slotHeader || compLen == 0 {
+		// Slot inside a file hole, or past the last write: never written.
+		clear(buf)
+		return nil
 	}
 	if int(compLen) > pf.pageSize {
-		return nil, fmt.Errorf("page: p%d corrupt compressed length %d", pageNum, compLen)
-	}
-	payload := make([]byte, compLen)
-	if _, err := pf.f.ReadAt(payload, off+slotHeader); err != nil {
-		return nil, fmt.Errorf("page: read p%d payload: %w", pageNum, err)
+		return fmt.Errorf("page: p%d corrupt compressed length %d", pageNum, compLen)
 	}
 	if flags&1 != 0 {
 		if int(compLen) != pf.pageSize {
-			return nil, fmt.Errorf("page: p%d raw page wrong length %d", pageNum, compLen)
+			return fmt.Errorf("page: p%d raw page wrong length %d", pageNum, compLen)
 		}
-		return payload, nil
+		if _, err := pf.f.ReadAt(buf, off+slotHeader); err != nil {
+			return fmt.Errorf("page: read p%d payload: %w", pageNum, err)
+		}
+		return nil
 	}
-	raw, err := compress.DecompressLZ4(payload, pf.pageSize)
-	if err != nil {
-		return nil, fmt.Errorf("page: p%d: %w", pageNum, err)
+	scratch := pf.scratch.Get().(*[]byte)
+	defer pf.scratch.Put(scratch)
+	payload := (*scratch)[:compLen]
+	if _, err := pf.f.ReadAt(payload, off+slotHeader); err != nil {
+		return fmt.Errorf("page: read p%d payload: %w", pageNum, err)
 	}
-	return raw, nil
+	if err := compress.DecompressLZ4Into(buf, payload); err != nil {
+		return fmt.Errorf("page: p%d: %w", pageNum, err)
+	}
+	return nil
 }
 
 // Sync flushes the file to stable storage.

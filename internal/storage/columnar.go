@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -15,28 +16,31 @@ import (
 // ColumnarFragment stores a table fragment PAX-style (Section III): all
 // columns in one file per disk as a sequence of page sets; a set for an
 // n-column table is n consecutive pages, each holding the values of one
-// column for the same run of rows. When a set is sealed each page is
-// rewritten into its smallest layout (page.ColumnPage.Seal: fixed-width or
+// column for the same run of rows. Rows are appended to an elastic in-memory
+// open set (page.OpenSet) that closes when its *sealed* pages are full: each
+// column's page is written in its smallest layout (fixed-width or
 // dictionary-coded when its cells share one kind, else the appended stream,
-// Huffman-packed when that shrinks it — high-cardinality strings), and
-// page-level LZ4 (in page.File) plus sparse-file holes absorb the unused
-// space — together these implement the paper's fix for page-set
-// underutilization.
+// Huffman-packed when that shrinks it), and a column with no typed layout — a
+// high-cardinality string — does not cap the others: what of its stream does
+// not fit one page goes to a chain of pages in the disk's overflow file, and
+// its page of the set is the chain's head. Page-level LZ4 (in page.File) plus
+// sparse-file holes absorb what is left unused — together these implement the
+// paper's fix for page-set underutilization.
 //
-// Inserts are append-only into the open (in-memory) set of one disk;
-// deletes are not supported on columnar fragments (reload or reorganize
-// instead), matching their OLAP role.
+// Inserts are append-only into the open set of one disk; deletes are not
+// supported on columnar fragments (reload or reorganize instead), matching
+// their OLAP role.
 type ColumnarFragment struct {
 	Node  *NodeStore
 	Def   *catalog.TableDef
 	Files []page.FileID
+	Ovf   []page.FileID // per disk: the chain pages of the sets in Files[disk]
 
 	PredCache *skipcache.Cache
 	MinMax    *skipcache.MinMax
 
-	open    []page.PageSet // one open set per disk
-	openBuf [][][]byte     // backing buffers for the open sets
-	nextRR  int
+	open   []*page.OpenSet // one per disk
+	nextRR int
 }
 
 // OpenColumnarFragment creates the fragment's per-disk files.
@@ -48,99 +52,93 @@ func OpenColumnarFragment(ns *NodeStore, def *catalog.TableDef) (*ColumnarFragme
 		MinMax:    skipcache.NewMinMax(),
 	}
 	for d := range ns.Disks {
-		name := fmt.Sprintf("%s.d%d.col", strings.ToLower(def.Name), d)
-		id, err := ns.OpenFile(d, name, true)
-		if err != nil {
-			return nil, err
+		for _, ext := range []string{"col", "ovf"} {
+			id, err := ns.OpenFile(d, fmt.Sprintf("%s.d%d.%s", strings.ToLower(def.Name), d, ext), true)
+			if err != nil {
+				return nil, err
+			}
+			if ext == "col" {
+				fr.Files = append(fr.Files, id)
+			} else {
+				fr.Ovf = append(fr.Ovf, id)
+			}
 		}
-		fr.Files = append(fr.Files, id)
-	}
-	fr.open = make([]page.PageSet, len(fr.Files))
-	fr.openBuf = make([][][]byte, len(fr.Files))
-	for d := range fr.Files {
-		fr.resetOpen(d)
+		fr.open = append(fr.open, page.NewOpenSet(def.Schema.Len(), ns.PageSize()))
 	}
 	return fr, nil
 }
 
-func (fr *ColumnarFragment) resetOpen(disk int) {
-	n := fr.Def.Schema.Len()
-	bufs := make([][]byte, n)
-	for i := range bufs {
-		bufs[i] = make([]byte, fr.Node.PageSize())
-	}
-	fr.openBuf[disk] = bufs
-	fr.open[disk] = page.NewPageSet(bufs)
-}
-
 // Append adds one row to the open set of the next disk, flushing the set
-// to disk when full.
+// to disk when full. A value that no page can hold is an error naming the
+// column, and the row is not appended.
 func (fr *ColumnarFragment) Append(r types.Row) error {
 	if len(r) != fr.Def.Schema.Len() {
 		return fmt.Errorf("storage: columnar row arity %d != schema %d", len(r), fr.Def.Schema.Len())
 	}
 	disk := fr.nextRR % len(fr.Files)
-	fr.nextRR++
-	if fr.open[disk].AppendRow(r) {
-		return nil
+	ok, err := fr.open[disk].Append(r)
+	if err == nil && !ok {
+		if err = fr.flushOpen(disk); err == nil {
+			ok, err = fr.open[disk].Append(r)
+		}
 	}
-	if err := fr.flushOpen(disk); err != nil {
+	var big *page.CellTooLargeError
+	switch {
+	case errors.As(err, &big):
+		return fmt.Errorf("storage: %s.%s, page size %d: %w", fr.Def.Name, fr.Def.Schema.Cols[big.Col].Name, fr.Node.PageSize(), err)
+	case err != nil:
 		return err
+	case !ok:
+		return fmt.Errorf("storage: columnar row does not fit an empty page set of page size %d", fr.Node.PageSize())
 	}
-	if !fr.open[disk].AppendRow(r) {
-		return fmt.Errorf("storage: columnar row too large for page size %d", fr.Node.PageSize())
-	}
+	fr.nextRR++
 	return nil
 }
 
-// flushOpen records the open set of a disk in the min-max index, seals it and
-// writes it as n consecutive pages.
+// flushOpen records the open set of a disk in the min-max index and writes
+// it: n consecutive pages, plus the chain pages of its chained columns.
+// Layouts and min-max both come from the open set's running state.
 func (fr *ColumnarFragment) flushOpen(disk int) error {
 	set := fr.open[disk]
 	if set.NumRows() == 0 {
 		return nil
 	}
-	fileID := fr.Files[disk]
+	fileID, ovf := fr.Files[disk], fr.Ovf[disk]
 	n := fr.Def.Schema.Len()
 	base := fr.Node.Allocate(fileID)
 	for i := 1; i < n; i++ {
 		fr.Node.Allocate(fileID)
 	}
-	// Min-max for the set (keyed by its first page) comes from the pages
-	// while they are still the plain appended streams; after Seal every value
-	// would have to be unpacked again.
 	key := page.Key{File: fileID, Page: base}
-	for ci, col := range fr.Def.Schema.Cols {
-		var lo, hi types.Value
-		err := set.Pages[ci].DecodeInto(func(v types.Value) bool {
-			switch {
-			case v.IsNull():
-			case lo.IsNull():
-				lo, hi = v, v
-			case types.Compare(v, lo) < 0:
-				lo = v
-			case types.Compare(v, hi) > 0:
-				hi = v
-			}
-			return true
-		})
+	write := func(k page.Key, fill func(buf []byte)) error {
+		f, err := fr.Node.Buf.NewPage(k)
 		if err != nil {
 			return err
 		}
+		fill(f.Buf)
+		fr.Node.Buf.Unpin(f, true)
+		return nil
+	}
+	for ci, col := range fr.Def.Schema.Cols {
 		name := strings.ToLower(col.Name)
+		lo, hi := set.MinMax(ci)
 		fr.MinMax.Record(key, name, lo)
 		fr.MinMax.Record(key, name, hi)
-	}
-	set.Seal()
-	for i := 0; i < n; i++ {
-		f, err := fr.Node.Buf.NewPage(page.Key{File: fileID, Page: base + uint32(i)})
-		if err != nil {
+		var chainStart uint32
+		for k, chain := 0, set.ChainPages(ci); k < chain; k++ {
+			p := fr.Node.Allocate(ovf)
+			if k == 0 {
+				chainStart = p
+			}
+			if err := write(page.Key{File: ovf, Page: p}, func(buf []byte) { set.WriteChunk(ci, k, buf) }); err != nil {
+				return err
+			}
+		}
+		if err := write(page.Key{File: fileID, Page: base + uint32(ci)}, func(buf []byte) { set.WritePage(ci, buf, chainStart) }); err != nil {
 			return err
 		}
-		copy(f.Buf, fr.openBuf[disk][i])
-		fr.Node.Buf.Unpin(f, true)
 	}
-	fr.resetOpen(disk)
+	set.Reset()
 	return nil
 }
 
@@ -193,7 +191,6 @@ func sortRowsBy(rows []types.Row, offs []int) {
 // run of one disk file's sealed page sets, or that disk's open set.
 type setMorsel struct {
 	disk  int
-	file  page.FileID
 	start int // first sealed set index
 	end   int // exclusive
 	open  bool
@@ -207,14 +204,14 @@ const defaultMorselSets = 1
 // wise: fn receives each surviving set while its frames are pinned, so it
 // can decode column pages straight into typed vector slabs. read lists,
 // ascending, the columns the caller will decode (nil: all of them): only
-// their pages are fetched and pinned, and only they are populated in the
-// set fn receives — the other columns' pages are never read from disk or
-// decompressed. An empty read set still fetches one page per set, for the
-// row count. fn also receives the set's base page key and whether the set
-// is sealed (immutable on disk), so a caller that evaluates the full
-// predicate during decode can record proven absence into the predicate
-// cache itself — sealed sets only. Page-set skipping (predicate cache, then
-// min-max) is applied here.
+// their pages — a chained column's chain pages with its head — are fetched
+// and pinned, and only they are populated in the set fn receives; the other
+// columns' pages are never read from disk or decompressed. An empty read set
+// still fetches one page per set, for the row count. fn also receives the
+// set's base page key and whether the set is sealed (immutable on disk), so
+// a caller that evaluates the full predicate during decode can record proven
+// absence into the predicate cache itself — sealed sets only. Page-set
+// skipping (predicate cache, then min-max) is applied here.
 // Workers claim sets from a shared counter (Fragment.ParallelScan's morsel
 // scheme) and fn runs concurrently from all of them (worker tells them
 // apart); a disk's open (unflushed) set is claimed after its sealed sets,
@@ -243,7 +240,7 @@ func (fr *ColumnarFragment) scanPageSets(opts ScanOptions, read []int, workers, 
 			if end > numSets {
 				end = numSets
 			}
-			morsels = append(morsels, setMorsel{disk: disk, file: fileID, start: start, end: end})
+			morsels = append(morsels, setMorsel{disk: disk, start: start, end: end})
 		}
 		if fr.open[disk].NumRows() > 0 {
 			morsels = append(morsels, setMorsel{disk: disk, open: true})
@@ -253,18 +250,15 @@ func (fr *ColumnarFragment) scanPageSets(opts ScanOptions, read []int, workers, 
 		m := morsels[i]
 		if m.open {
 			// In memory, so nothing to fetch, but fn sees what it would see
-			// of a sealed set: the read columns only.
-			set := page.PageSet{Pages: make([]page.ColumnPage, n)}
-			for _, ci := range read {
-				set.Pages[ci] = fr.open[m.disk].Pages[ci]
-			}
+			// of a written set: the read columns only, sealed.
+			set := fr.open[m.disk].Snapshot(read)
 			if cont, err = fn(w, set, page.Key{}, false); err == nil {
 				stats.RowsRead = int64(set.NumRows())
 			}
 			return stats, cont, err
 		}
 		for s := m.start; s < m.end && !run.stopped(); s++ {
-			if cont, err = fr.scanOneSet(opts, read, m.file, s, w, &stats, fn); err != nil || !cont {
+			if cont, err = fr.scanOneSet(opts, read, m.disk, s, w, &stats, fn); err != nil || !cont {
 				return stats, false, err
 			}
 		}
@@ -275,22 +269,22 @@ func (fr *ColumnarFragment) scanPageSets(opts ScanOptions, read []int, workers, 
 }
 
 // scanOneSet is the per-set body of every columnar scan: the skip checks,
-// then the frames of the read columns are pinned, fn runs on the pinned
-// set, and the frames are unpinned. ScanStats counts the pages fetched, or
-// the fetches a skip avoided. A set with a page that is allocated but not
-// yet written (TypeFree) is passed over, as the row scan passes over such a
-// page; any other non-column page is an error.
-func (fr *ColumnarFragment) scanOneSet(opts ScanOptions, read []int, fileID page.FileID, s, w int, stats *ScanStats, fn func(worker int, set page.PageSet, key page.Key, sealed bool) (bool, error)) (bool, error) {
+// then the frames of the read columns — for a chained column its head and
+// its chain pages — are pinned, fn runs on the pinned set, and the frames are
+// unpinned. ScanStats counts the pages fetched, or the fetches a skip
+// avoided. A set with a page that is allocated but not yet written
+// (TypeFree) is passed over, as the row scan passes over such a page; any
+// other non-column page is an error.
+func (fr *ColumnarFragment) scanOneSet(opts ScanOptions, read []int, disk, s, w int, stats *ScanStats, fn func(worker int, set page.PageSet, key page.Key, sealed bool) (bool, error)) (bool, error) {
 	n := fr.Def.Schema.Len()
+	fileID := fr.Files[disk]
 	base := uint32(s * n)
 	key := page.Key{File: fileID, Page: base}
 	if len(opts.SkipConj) > 0 {
-		if opts.UseCache && fr.PredCache.CanSkip(key, opts.SkipConj) {
+		if (opts.UseCache && fr.PredCache.CanSkip(key, opts.SkipConj)) ||
+			(opts.UseMinMax && fr.MinMax.CanSkip(key, opts.SkipConj)) {
 			stats.PagesSkipped += int64(len(read))
-			return true, nil
-		}
-		if opts.UseMinMax && fr.MinMax.CanSkip(key, opts.SkipConj) {
-			stats.PagesSkipped += int64(len(read))
+			stats.SetsSkipped++
 			return true, nil
 		}
 	}
@@ -300,28 +294,63 @@ func (fr *ColumnarFragment) scanOneSet(opts ScanOptions, read []int, fileID page
 			fr.Node.Buf.Unpin(pf, false)
 		}
 	}()
-	set := page.PageSet{Pages: make([]page.ColumnPage, n)}
-	for _, ci := range read {
-		k := page.Key{File: fileID, Page: base + uint32(ci)}
+	// pin fetches one page of the set; ok is false for a page allocated but
+	// not yet written.
+	pin := func(k page.Key, ci int) (cp page.ColumnPage, ok bool, err error) {
 		f, err := fr.Node.Buf.Fetch(k)
 		if err != nil {
-			return false, err
+			return cp, false, err
 		}
 		frames = append(frames, f)
 		if page.TypeOf(f.Buf) == page.TypeFree {
-			return true, nil
+			return cp, false, nil
 		}
-		cp, err := page.AsColumnPage(f.Buf)
-		if err != nil {
-			return false, fmt.Errorf("storage: %s page set at %v, column %d (%v): %w", fr.Def.Name, key, ci, k, err)
+		if cp, err = page.AsColumnPage(f.Buf); err != nil {
+			return cp, false, fmt.Errorf("storage: %s page set at %v, column %d (%v): %w", fr.Def.Name, key, ci, k, err)
+		}
+		return cp, true, nil
+	}
+	set := page.PageSet{Pages: make([]page.ColumnPage, n)}
+	for _, ci := range read {
+		cp, ok, err := pin(page.Key{File: fileID, Page: base + uint32(ci)}, ci)
+		if err != nil || !ok {
+			return err == nil, err
 		}
 		set.Pages[ci] = cp
+		if !cp.ChainHead() {
+			continue
+		}
+		ovf := fr.Ovf[disk]
+		start, count, err := cp.Chain(fr.Node.NumPages(ovf))
+		if err != nil {
+			return false, fmt.Errorf("storage: %s page set at %v, column %d: %w", fr.Def.Name, key, ci, err)
+		}
+		if set.Chains == nil {
+			set.Chains = make([][]page.ColumnPage, n)
+		}
+		cells := 0
+		for p := start; p < start+count; p++ {
+			chunk, ok, err := pin(page.Key{File: ovf, Page: p}, ci)
+			if err != nil {
+				return false, err
+			}
+			if !ok || chunk.ChainHead() {
+				return false, fmt.Errorf("storage: %s page set at %v, column %d: chain page %d is not a column page of cells", fr.Def.Name, key, ci, p)
+			}
+			cells += chunk.NumValues()
+			set.Chains[ci] = append(set.Chains[ci], chunk)
+		}
+		if cells != cp.NumValues() {
+			return false, fmt.Errorf("storage: %s page set at %v, column %d: chain holds %d values, set has %d rows", fr.Def.Name, key, ci, cells, cp.NumValues())
+		}
 	}
 	cont, err := fn(w, set, key, true)
 	if err != nil {
 		return false, err
 	}
-	stats.PagesRead += int64(len(read))
+	stats.PagesRead += int64(len(frames))
+	stats.ChainPages += int64(len(frames) - len(read))
+	stats.SetsRead++
 	stats.RowsRead += int64(set.NumRows())
 	return cont, nil
 }

@@ -20,6 +20,9 @@ func (s *ScanStats) add(o ScanStats) {
 	s.PagesRead += o.PagesRead
 	s.PagesSkipped += o.PagesSkipped
 	s.RowsRead += o.RowsRead
+	s.SetsRead += o.SetsRead
+	s.SetsSkipped += o.SetsSkipped
+	s.ChainPages += o.ChainPages
 }
 
 // runMorsels is the scan driver of both table formats: workers claim the

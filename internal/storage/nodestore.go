@@ -63,17 +63,18 @@ func (d *DiskStore) File(id page.FileID) (*page.File, error) {
 }
 
 // ReadPage implements buffer.Store.
-func (d *DiskStore) ReadPage(id page.FileID, pageNum uint32) ([]byte, error) {
+func (d *DiskStore) ReadPage(id page.FileID, pageNum uint32, buf []byte) error {
 	f, err := d.File(id)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	d.PagesRead.Add(1)
 	// Reads of never-written (allocated) pages come back zeroed.
 	if pageNum >= f.NumPages() {
-		return make([]byte, d.pageSize), nil
+		clear(buf)
+		return nil
 	}
-	return f.ReadPage(pageNum)
+	return f.ReadPage(pageNum, buf)
 }
 
 // WritePage implements buffer.Store.

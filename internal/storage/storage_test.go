@@ -428,12 +428,12 @@ func TestColumnarHuffmanStrings(t *testing.T) {
 	}
 }
 
-// TestColumnarLoadGoldenPages: a page set closes when a column's appended
-// stream fills its page, before anything is sealed, so the layouts Seal
-// chooses cannot move a page count — the per-file counts below are what the
-// commit before the typed layouts allocated for the same rows (and what keeps
-// the benchmark's space_amp where it was). The loaded rows come back exactly,
-// NULLs and a mixed-kind column included.
+// TestColumnarLoadGoldenPages: a page set closes when a typed column's sealed
+// page is full, so the per-file counts below are what the admission rule and
+// the layouts together allocate for these rows (and what the benchmark's
+// space_amp follows). The mixed-kind l_note column has no typed layout and
+// spills to the overflow file instead of capping the other four. The loaded
+// rows come back exactly, NULLs and the mixed-kind column included.
 func TestColumnarLoadGoldenPages(t *testing.T) {
 	ns := newNode(t, 2048)
 	def := lineitemDef(true)
@@ -459,11 +459,11 @@ func TestColumnarLoadGoldenPages(t *testing.T) {
 		t.Fatal(err)
 	}
 	var pages []uint32
-	for _, f := range fr.Files {
+	for _, f := range append(append([]page.FileID{}, fr.Files...), fr.Ovf...) {
 		pages = append(pages, ns.NumPages(f))
 	}
-	if golden := []uint32{80, 80}; !reflect.DeepEqual(pages, golden) {
-		t.Fatalf("pages per file %v, want %v", pages, golden)
+	if golden := []uint32{35, 35, 18, 18}; !reflect.DeepEqual(pages, golden) {
+		t.Fatalf("pages per set file and per overflow file %v, want %v", pages, golden)
 	}
 	_, err = fr.ScanPageSets(ScanOptions{}, nil, 1, func(_ int, set page.PageSet, _ page.Key, _ bool) (bool, error) {
 		got, err := set.Rows()

@@ -32,6 +32,11 @@ type ScanStats struct {
 	PagesRead    int64
 	PagesSkipped int64
 	RowsRead     int64
+	// Columnar scans only: page sets read and skipped whole, and how many of
+	// PagesRead were chain pages of the overflow file.
+	SetsRead    int64
+	SetsSkipped int64
+	ChainPages  int64
 }
 
 // Fragment is the part of one table stored on one node: one page file per

@@ -23,15 +23,15 @@ func newMemStore(size int) *memStore {
 	return &memStore{pages: map[page.Key][]byte{}, pageSize: size}
 }
 
-func (s *memStore) ReadPage(f page.FileID, n uint32) ([]byte, error) {
+func (s *memStore) ReadPage(f page.FileID, n uint32, buf []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if b, ok := s.pages[page.Key{File: f, Page: n}]; ok {
-		out := make([]byte, len(b))
-		copy(out, b)
-		return out, nil
+		copy(buf, b)
+		return nil
 	}
-	return make([]byte, s.pageSize), nil
+	clear(buf)
+	return nil
 }
 
 func (s *memStore) WritePage(f page.FileID, n uint32, buf []byte) error {

@@ -29,8 +29,8 @@ go test -race ./internal/exec ./internal/cluster ./internal/srv ./internal/buffe
   ./internal/txn ./internal/obs ./internal/network ./internal/storage ./internal/page \
   ./internal/vec ./internal/tpch ./internal/opt ./internal/perfmodel ./cmd/hrdbms-server
 
-echo "==> go test -tags invariants (buffer, txn)"
-go test -tags invariants ./internal/buffer ./internal/txn
+echo "==> go test -tags invariants (buffer, txn; storage and exec scan through poisoned recycled frames)"
+go test -tags invariants ./internal/buffer ./internal/txn ./internal/storage ./internal/exec
 
 echo "==> nested benchmark module (compile, smoke test, import-surface guard)"
 (cd bench && go vet ./... && go test ./...)
@@ -52,7 +52,7 @@ go test -run '^$' -bench BenchmarkHuffmanDecode -benchtime 1x ./internal/compres
 echo "==> bench smoke (block-copy vs byte-at-a-time LZ4 decode of a sealed page and of row bytes)"
 go test -run '^$' -bench BenchmarkLZ4Decode -benchtime 1x ./internal/compress >/dev/null
 
-echo "==> fuzz smoke (all eight column-page readers, every layout: error with exact rollback, never panic)"
+echo "==> fuzz smoke (all eight column-page readers, every layout, and chain heads: error with exact rollback, a chain inside its overflow file, never panic)"
 go test -run '^$' -fuzz '^FuzzTypedDecode$' -fuzztime 5s ./internal/page >/dev/null
 
 echo "==> fuzz smoke (Huffman decoder: never panics, agrees with the bit-serial reference)"

@@ -155,9 +155,17 @@ OK|INSERT INTO audit_c VALUES (1, 'a', 1.5, DATE '2026-01-01', TRUE), (2, NULL, 
 OK|SELECT k, v, f, d FROM audit_c WHERE f > 1 OR v IS NULL ORDER BY k
 OK|SELECT k FROM audit_c WHERE (b OR NOT (k > 3)) AND v < 'b' AND v <= v ORDER BY k
 OK|SELECT v, count(*), sum(f), min(d) FROM audit_c WHERE k < 4 GROUP BY v ORDER BY v
+OK|SELECT l_orderkey, l_comment FROM lineitem WHERE l_comment LIKE '%furious%' ORDER BY l_orderkey, l_comment
+OK|SELECT l_linenumber, l_comment FROM lineitem WHERE l_orderkey = 1 ORDER BY l_linenumber
 OK|DROP TABLE audit_t
 OK|DROP TABLE audit_c
 SESSION
+
+# A value no page can hold (the server's pages are 32 KiB) is refused by name.
+big=$(head -c 40000 /dev/zero | tr '\0' x)
+expect OK 3 "CREATE TABLE audit_big (k INT, v VARCHAR) PARTITION BY HASH(k) COLUMNAR"
+expect ERR 3 "INSERT INTO audit_big VALUES (1, '$big')"
+expect OK 3 "DROP TABLE audit_big"
 
 exec 4<>"/dev/tcp/127.0.0.1/$port"
 exec 5<>"/dev/tcp/127.0.0.1/$port"
