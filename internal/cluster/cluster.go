@@ -210,6 +210,7 @@ func New(cfg Config) (*Cluster, error) {
 		if err != nil {
 			return nil, fmt.Errorf("cluster: coordinator %d XA log replay: %w", i, err)
 		}
+		xa.Release = c.Fabric.ReleasePrefix
 		cn := &CoordinatorNode{
 			ID:  i,
 			Ep:  ep,

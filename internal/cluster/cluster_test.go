@@ -363,6 +363,30 @@ func TestInsertDeleteUpdate2PC(t *testing.T) {
 	if len(res.Rows) != 3 || res.Rows[2][0].Int() != 100 {
 		t.Fatalf("after key update: %v", res.Rows)
 	}
+	// A transaction's vote and ack mailboxes go with it (a query's are
+	// released once its loops have exited, hence the wait): more statements
+	// leave the fabric no more mailboxes than it held.
+	settled := func() int {
+		n := c.Fabric.Mailboxes()
+		for i := 0; i < 500; i++ {
+			time.Sleep(10 * time.Millisecond)
+			m := c.Fabric.Mailboxes()
+			if m == n {
+				break
+			}
+			n = m
+		}
+		return n
+	}
+	before := settled()
+	for i := 0; i < 20; i++ {
+		if _, err := c.ExecSQL(`UPDATE t SET amt = amt + 1`); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if after := settled(); after > before {
+		t.Fatalf("fabric mailboxes grew from %d to %d over 20 transactions", before, after)
+	}
 }
 
 // TestWritesCheckedAgainstColumnKind: a value whose kind is not the column's
@@ -844,7 +868,11 @@ func TestParallelQueriesAcrossCoordinators(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Both coordinators must have produced results: the root span of a
-	// query's trace sits on the coordinator that ran it.
+	// query's trace sits on the coordinator that ran it. The store files a
+	// trace on its own goroutine, so wait for the eight to arrive.
+	for deadline := time.Now().Add(5 * time.Second); len(c.Traces.Recent()) < 8 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	gathered := map[int]bool{}
 	for _, tr := range c.Traces.Recent() {
 		for _, sp := range tr.Spans() {

@@ -621,11 +621,20 @@ func (q *queryExec) distributeJoin(x *plan.Join) (*dstream, exec.Operator, error
 	leftNames, leftPlain := keyNames(x.EquiLeft, x.Left.Schema())
 	rightNames, rightPlain := keyNames(x.EquiRight, x.Right.Schema())
 
+	// The one place worker joins are built. Over a typed probe stream the
+	// probe reads the scan's batches through the join's typed front end; the
+	// build side is read as rows whatever it is (the table stores boxed rows),
+	// and what a join produces is rows.
 	join := func(l, r *dstream, d distInfo) *dstream {
 		out := &dstream{sch: x.Schema(), dist: d}
-		for wi := range q.c.Workers {
-			w := q.c.Workers[wi]
-			jop := q.makeJoin(q.wctx(wi), l.ops[wi], r.ops[wi], x, par)
+		for wi, w := range q.c.Workers {
+			var jop exec.Operator
+			if l.typed {
+				jop = exec.NewTypedProbeHashJoin(q.wctx(wi), l.ops[wi].(exec.VecOperator), r.ops[wi],
+					x.EquiLeft, x.EquiRight, x.Type, x.Residual, par)
+			} else {
+				jop = q.makeJoin(q.wctx(wi), l.ops[wi], r.ops[wi], x, par)
+			}
 			out.ops = append(out.ops, q.wrap(joinLabel(x), w.ID, jop, l.ops[wi], r.ops[wi]))
 		}
 		return out
@@ -1016,7 +1025,7 @@ func (q *queryExec) gather(gname, sname string, ops []exec.Operator, coordSide f
 // pickOne selects worker 0's replica of a replicated stream and drops the
 // rest (the paper assigns replicated-table scans to one worker).
 func (q *queryExec) pickOne(ds *dstream) exec.Operator {
-	return q.gatherRecv(q.channel("one"), ds.ops[:1], ds.sch)
+	return q.gatherRecv(q.channel("one"), ds, ds.ops[:1])
 }
 
 // gatherPlain brings a worker stream to the coordinator, unordered. A
@@ -1027,15 +1036,20 @@ func (q *queryExec) gatherPlain(ds *dstream) exec.Operator {
 	if ds.dist.kind == distReplicated {
 		return q.pickOne(ds)
 	}
-	return q.gatherRecv(q.channel("g"), ds.ops, ds.sch)
+	return q.gatherRecv(q.channel("g"), ds, ds.ops)
 }
 
-// gatherRecv gathers ops over one channel into a single coordinator Recv.
-func (q *queryExec) gatherRecv(ch string, ops []exec.Operator, sch types.Schema) exec.Operator {
+// gatherRecv gathers ops — all of ds's operators or some — over one channel
+// into a single coordinator Recv. A typed stream goes out columnar, straight
+// from the scan's batches; the wire format is the same either way.
+func (q *queryExec) gatherRecv(ch string, ds *dstream, ops []exec.Operator) exec.Operator {
 	coordEp, coordID := q.coord.Ep, q.coord.ID
 	return q.gather("Gather", "Send", ops,
-		func() exec.Operator { return exec.NewRecv(coordEp, ch, len(ops), sch) },
+		func() exec.Operator { return exec.NewRecv(coordEp, ch, len(ops), ds.sch) },
 		func(_ int, ectx *exec.Ctx, ep network.Endpoint, op exec.Operator) error {
+			if ds.typed {
+				return exec.SendAllVec(ectx, ep, coordID, ch, op.(exec.VecOperator))
+			}
 			return exec.SendAll(ectx, ep, coordID, ch, op)
 		})
 }

@@ -188,6 +188,7 @@ func registerClusterMetrics(c *Cluster) {
 	r.RegisterGaugeFunc("network.messages_total", func() int64 { return c.Fabric.Meter().TotalMessages() })
 	r.RegisterGaugeFunc("network.connections", func() int64 { return int64(c.Fabric.Meter().Connections()) })
 	r.RegisterGaugeFunc("network.max_degree", func() int64 { return int64(c.Fabric.Meter().MaxNodeDegree()) })
+	r.RegisterGaugeFunc("network.mailboxes", func() int64 { return int64(c.Fabric.Mailboxes()) })
 	r.RegisterGaugeFunc("wal.appends_total", func() int64 {
 		var n int64
 		for _, w := range c.Workers {

@@ -596,15 +596,7 @@ func (t *aggTable) ingest(r types.Row) error {
 // key and argument from.
 func (t *aggTable) bindTyped() {
 	h, sch := t.h, t.h.In.Schema()
-	t.keyCols = make([]int, len(h.GroupBy))
-	for i, k := range h.GroupBy {
-		t.keyCols[i] = -1
-		if c, ok := k.(*expr.Col); ok && c.Index >= 0 && c.Index < sch.Len() {
-			t.keyCols[i] = c.Index
-		} else {
-			t.exprKeys = true
-		}
-	}
+	t.keyCols, t.exprKeys = keyColumns(h.GroupBy, sch.Len())
 	t.args = make([]aggArg, len(h.Specs))
 	for i, sp := range h.Specs {
 		if sp.Arg != nil {

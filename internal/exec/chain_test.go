@@ -104,10 +104,40 @@ func TestChainSelDecode(t *testing.T) {
 	}
 }
 
-// TestTracedVecCountsBatchesOnce: a traced columnar scan's span counts each
-// typed batch once — at the wrapper the consumer pulls through — whether the
-// consumer reads vectors or, through the row shim, slabs.
+// TestTracedVecCountsBatchesOnce: a traced scan's span counts each batch
+// once — at the wrapper the consumer pulls through. A columnar scan counts
+// typed batches, whether the consumer reads vectors or, through the row shim,
+// slabs; a row scan counts slabs (its scan thread used to count them too).
 func TestTracedVecCountsBatchesOnce(t *testing.T) {
+	prows, psch := parLineitemData()
+	rowFr := parTestFragment(t, prows[:3000], psch)
+	for _, parallel := range []int{1, 4} {
+		ctx := NewCtx("", 0)
+		ctx.SetParallelBudget(parallel)
+		sp := obs.NewQueryTrace(1, "").StartSpan("Scan", 0)
+		op := NewTraced(NewRowScan(rowFr, "l", ScanConfig{Parallel: parallel, BatchRows: 100, Trace: sp, Ctx: ctx}), sp)
+		if err := op.Open(); err != nil {
+			t.Fatal(err)
+		}
+		var slabs, got int64
+		if err := drain(ctx, op.NextBatch, func(slab []types.Row) error {
+			slabs++
+			got += int64(len(slab))
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if err := op.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if got != 3000 || slabs < 2 {
+			t.Fatalf("row scan, degree %d: %d rows in %d slabs, want 3000 rows in several", parallel, got, slabs)
+		}
+		if n := sp.Batches.Load(); n != slabs {
+			t.Errorf("row scan, degree %d: span batches=%d for %d slabs pulled", parallel, n, slabs)
+		}
+	}
+
 	fr, rows := vecScanFragment(t)
 	for _, parallel := range []int{1, 4} {
 		ctx := NewCtx("", 0)

@@ -439,14 +439,7 @@ func (s *Shuffle) Close() error {
 // worker side of a gather (workers → coordinator result routing). ctx
 // sizes the wire batches and may be nil (DefaultWireBatchRows applies).
 func SendAll(ctx *Ctx, ep network.Endpoint, to int, channel string, in Operator) error {
-	if err := in.Open(); err != nil {
-		return err
-	}
-	defer in.Close()
 	wire := ctx.wireBatchRows()
-	if v, ok := nativeVec(in); ok {
-		return sendAllVec(ctx, ep, to, channel, v, wire)
-	}
 	var batch []types.Row
 	flush := func() error {
 		if len(batch) == 0 {
@@ -456,45 +449,56 @@ func SendAll(ctx *Ctx, ep network.Endpoint, to int, channel string, in Operator)
 		batch = batch[:0]
 		return err
 	}
-	err := drain(ctx, in.NextBatch, func(b []types.Row) error {
-		for _, r := range b {
-			batch = append(batch, r)
-			if len(batch) >= wire {
-				if err := flush(); err != nil {
+	return sendStream(ep, to, channel, in, func() error {
+		err := drain(ctx, in.NextBatch, func(b []types.Row) error {
+			for _, r := range b {
+				batch = append(batch, r)
+				if len(batch) >= wire {
+					if err := flush(); err != nil {
+						return err
+					}
+				}
+			}
+			return nil
+		})
+		if err == nil {
+			err = flush()
+		}
+		return err
+	})
+}
+
+// SendAllVec is SendAll for a typed stream: batches are encoded straight
+// from typed column slabs — no boxed row materialization on the send side —
+// chunked into wire messages of at most wire active rows each, so message
+// counts derive from the same Ctx.BatchRows knob as the boxed path. The
+// receiver cannot tell the two apart.
+func SendAllVec(ctx *Ctx, ep network.Endpoint, to int, channel string, in VecOperator) error {
+	wire := ctx.wireBatchRows()
+	return sendStream(ep, to, channel, in, func() error {
+		return drain(ctx, in.NextVec, func(b *vec.Batch) error {
+			n := b.Rows()
+			for off := 0; off < n; off += wire {
+				payload := exchangeHeader(make([]byte, 0, 64), msgData, ep.NodeID())
+				payload = vec.EncodeBatch(payload, b, off, min(off+wire, n))
+				if err := ep.Send(to, to, channel, payload); err != nil {
 					return err
 				}
 			}
-		}
-		return nil
+			return nil
+		})
 	})
-	if err == nil {
-		err = flush()
-	}
-	// Killed or failed streams still EOF the receiver, so the gather
-	// protocol terminates on the coordinator.
-	if eofErr := ep.Send(to, to, channel, encodeBatch(msgEOF, ep.NodeID(), nil)); err == nil {
-		err = eofErr
-	}
-	return err
 }
 
-// sendAllVec is SendAll's vector-native path: batches are encoded straight
-// from typed column slabs — no boxed row materialization on the send side —
-// chunked into wire messages of at most wire active rows each, so message
-// counts derive from the same Ctx.BatchRows knob as the boxed path.
-func sendAllVec(ctx *Ctx, ep network.Endpoint, to int, channel string, v VecOperator, wire int) error {
-	err := drain(ctx, v.NextVec, func(b *vec.Batch) error {
-		n := b.Rows()
-		for off := 0; off < n; off += wire {
-			payload := exchangeHeader(make([]byte, 0, 64), msgData, ep.NodeID())
-			payload = vec.EncodeBatch(payload, b, off, min(off+wire, n))
-			if err := ep.Send(to, to, channel, payload); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	// As in SendAll: killed or failed streams still EOF the receiver.
+// sendStream brackets the send side of a gather: it opens in, runs send and
+// closes in. A killed or failed stream still EOFs the receiver, so the gather
+// protocol terminates on the coordinator.
+func sendStream(ep network.Endpoint, to int, channel string, in Operator, send func() error) error {
+	if err := in.Open(); err != nil {
+		return err
+	}
+	defer in.Close()
+	err := send()
 	if eofErr := ep.Send(to, to, channel, encodeBatch(msgEOF, ep.NodeID(), nil)); err == nil {
 		err = eofErr
 	}

@@ -7,6 +7,7 @@ import (
 	"repro/internal/expr"
 	"repro/internal/obs"
 	"repro/internal/types"
+	"repro/internal/vec"
 )
 
 // JoinType selects join semantics.
@@ -46,6 +47,16 @@ func (t JoinType) String() string {
 // When the build side exceeds the memory budget, the join degrades to a
 // Grace hash join: both sides are partitioned to spill files by key hash
 // and each partition pair is joined in memory.
+//
+// The streaming probe has two front ends onto the one table: row slabs from
+// Probe.NextBatch (joinProbe.probeRow), or — when the plan was lowered over a
+// typed producer (NewTypedProbeHashJoin) — typed batches from its NextVec
+// (joinProbe.probeBatch), which reads the key off the key columns and boxes a
+// row only once the Bloom filter and its bucket have admitted it. Both fill
+// the same scratch key, hash it with the hash the build used and share the
+// match rule, so the build, the filter, the Grace path and the emitter exist
+// once. The build side and the Grace path read rows: the table stores boxed
+// rows, and Grace writes every probe row to a spill partition anyway.
 type HashJoin struct {
 	Probe     Operator
 	Build     Operator
@@ -54,8 +65,10 @@ type HashJoin struct {
 	Residual  expr.Expr // over probe ++ build columns; may be nil
 	Type      JoinType
 	Parallel  int
-	// Trace, when non-nil, records the granted probe worker count.
+	// Trace, when non-nil, records the granted probe worker count and which
+	// front end the probe read.
 	Trace  *obs.Span
+	typed  VecOperator // Probe's typed face; nil probes row slabs
 	ctx    *Ctx
 	spills spillSet
 
@@ -93,6 +106,16 @@ func NewHashJoin(ctx *Ctx, probe, build Operator, probeKeys, buildKeys []expr.Ex
 	return h
 }
 
+// NewTypedProbeHashJoin builds a hash join whose streaming probe reads
+// probe's typed batches. Above degree 1 a batch crosses to a probe worker
+// uncopied, so probe must ship every batch freshly built, as VecColumnarScan
+// does.
+func NewTypedProbeHashJoin(ctx *Ctx, probe VecOperator, build Operator, probeKeys, buildKeys []expr.Expr, jt JoinType, residual expr.Expr, parallel int) *HashJoin {
+	h := NewHashJoin(ctx, probe, build, probeKeys, buildKeys, jt, residual, parallel)
+	h.typed = probe
+	return h
+}
+
 // Schema implements Operator.
 func (h *HashJoin) Schema() types.Schema { return h.out }
 
@@ -125,11 +148,10 @@ func (h *HashJoin) prepare() error {
 			if h.ctx != nil {
 				h.ctx.RowsProcessed.Add(1)
 			}
-			keyRow, err := EvalKeys(h.BuildKeys, r)
+			key, err := HashKeys(h.BuildKeys, r)
 			if err != nil {
 				return err
 			}
-			key := types.HashRow(keyRow, allOffsets(len(keyRow)))
 			bloom.Add(key)
 			if !overflow && budget > 0 && buildCount >= budget {
 				overflow = true
@@ -178,35 +200,53 @@ func (h *HashJoin) prepare() error {
 // context's parallel budget (Section I: workers reduce the degree of
 // parallelism for query operators when resources are scarce); at degree 1
 // that goroutine drains and probes by itself. Join results cross to the
-// consumer in slabs; each worker accumulates them in its own emitter so
-// nothing is shared.
+// consumer in slabs; each worker probes through its own joinProbe, emitter
+// included, so nothing but the table and the filter is shared.
 func (h *HashJoin) streamProbe(table map[uint64][]types.Row, bloom *Bloom) error {
 	degree := h.ctx.AcquireWorkers(h.Parallel)
 	h.Trace.AddWorkers(int64(degree))
+	h.Trace.SetInput(h.typed != nil)
 	h.results = make(chan []types.Row, 16)
 	h.errCh = make(chan error, 1)
-	emitters := make([]*joinEmitter, degree)
-	for w := range emitters {
-		emitters[w] = &joinEmitter{h: h, size: h.ctx.batchRows()}
+	probes := make([]*joinProbe, degree)
+	for w := range probes {
+		probes[w] = h.newProbe(table, bloom, &joinEmitter{h: h, size: h.ctx.batchRows()})
 	}
+	// A closed join stops within a slab even when no row matches (an emitter
+	// only notices on a flush).
+	stopped := func() error {
+		select {
+		case <-h.stop:
+			return errJoinStopped
+		default:
+			return nil
+		}
+	}
+	done := func(w int) error { return probes[w].out.flush() }
 	go func() {
 		defer close(h.results)
 		defer h.ctx.ReleaseWorkers(degree)
-		err := fanOut(h.ctx, rowSlabs(h.Probe), degree, func(w int, slab []types.Row) error {
-			// A closed join stops within a slab even when no row matches
-			// (an emitter only notices on a flush).
-			select {
-			case <-h.stop:
-				return errJoinStopped
-			default:
-			}
-			for _, r := range slab {
-				if err := h.probeOne(r, table, bloom, emitters[w]); err != nil {
+		var err error
+		if h.typed != nil {
+			err = fanOut(h.ctx, freshBatches(h.typed), degree, func(w int, b *vec.Batch) error {
+				if err := stopped(); err != nil {
 					return err
 				}
-			}
-			return nil
-		}, func(w int) error { return emitters[w].flush() })
+				return probes[w].probeBatch(b)
+			}, done)
+		} else {
+			err = fanOut(h.ctx, rowSlabs(h.Probe), degree, func(w int, slab []types.Row) error {
+				if err := stopped(); err != nil {
+					return err
+				}
+				for _, r := range slab {
+					if err := probes[w].probeRow(r); err != nil {
+						return err
+					}
+				}
+				return nil
+			}, done)
+		}
 		if err != nil && err != errJoinStopped {
 			h.errCh <- err
 		}
@@ -251,74 +291,174 @@ func (e *joinEmitter) flush() error {
 	}
 }
 
-// probeOne emits the join results for one probe row.
-func (h *HashJoin) probeOne(r types.Row, table map[uint64][]types.Row, bloom *Bloom, out *joinEmitter) error {
-	keyRow, err := EvalKeys(h.ProbeKeys, r)
-	if err != nil {
-		return err
+// joinProbe is one probe worker's way into a build table. Both front ends
+// put the probe key of the row in hand into key and go through bucket and
+// match, which is where the hash, the filter and the match rule live; the
+// rest is the typed front end's (bound at its first batch).
+type joinProbe struct {
+	h     *HashJoin
+	table map[uint64][]types.Row
+	bloom *Bloom
+	out   *joinEmitter
+	key   types.Row // scratch: the probe key of the row in hand
+	offs  []int     // [0, len(key)), the offsets HashRow hashes
+
+	keyCols  []int     // by key: the probe column it is, or -1 for an expression
+	exprKeys bool      // some key is an expression
+	scratch  types.Row // the row a batch position is boxed into
+}
+
+func (h *HashJoin) newProbe(table map[uint64][]types.Row, bloom *Bloom, out *joinEmitter) *joinProbe {
+	return &joinProbe{
+		h: h, table: table, bloom: bloom, out: out,
+		key: make(types.Row, len(h.ProbeKeys)), offs: allOffsets(len(h.ProbeKeys)),
 	}
-	key := types.HashRow(keyRow, allOffsets(len(keyRow)))
+}
+
+// bucket returns the build rows filed under the hash of the scratch key —
+// the hash the build filed them under, types.HashRow of the boxed key values,
+// whichever front end read them — or nothing when the Bloom filter knows no
+// build row has it.
+func (p *joinProbe) bucket() []types.Row {
+	hk := types.HashRow(p.key, p.offs)
+	if !p.bloom.MayContain(hk) {
+		return nil
+	}
+	return p.table[hk]
+}
+
+// match joins probe row r, whose key is in the scratch key, with the rows of
+// its bucket and reports whether any matched: the join's one match rule. A
+// pair matches when every key value is equal — NULL equals nothing, itself
+// included — and the residual, if any, holds over the concatenated pair. An
+// inner join emits every matching pair; for a semi or anti join the first
+// match settles the row, which the front end then outputs or drops.
+func (p *joinProbe) match(r types.Row, bucket []types.Row) (bool, error) {
+	h := p.h
 	matched := false
-	if bloom.MayContain(key) {
-		for _, br := range table[key] {
-			ok, err := h.keysEqual(r, br)
+candidates:
+	for _, br := range bucket {
+		for i, k := range h.BuildKeys {
+			bv, err := k.Eval(br)
 			if err != nil {
-				return err
+				return false, err
+			}
+			if p.key[i].IsNull() || bv.IsNull() || types.Compare(p.key[i], bv) != 0 {
+				continue candidates
+			}
+		}
+		var joined types.Row
+		if h.Residual != nil || h.Type == JoinInner {
+			joined = r.Concat(br)
+		}
+		if h.Residual != nil {
+			ok, err := expr.EvalBool(h.Residual, joined)
+			if err != nil {
+				return false, err
 			}
 			if !ok {
 				continue
 			}
-			joined := r.Concat(br)
-			if h.Residual != nil {
-				ok, err := expr.EvalBool(h.Residual, joined)
-				if err != nil {
-					return err
-				}
-				if !ok {
-					continue
-				}
-			}
-			matched = true
-			if h.Type == JoinInner {
-				if err := out.emit(joined); err != nil {
-					return err
-				}
-			} else if h.Type == JoinSemi {
-				break
-			} else if h.Type == JoinAnti {
-				break
-			}
+		}
+		if h.Type != JoinInner {
+			return true, nil
+		}
+		matched = true
+		if err := p.out.emit(joined); err != nil {
+			return false, err
 		}
 	}
-	if h.Type == JoinSemi && matched {
-		return out.emit(r)
+	return matched, nil
+}
+
+// outputsProbe reports whether a semi or anti join outputs a probe row that
+// did or did not find a match.
+func (h *HashJoin) outputsProbe(matched bool) bool {
+	return (h.Type == JoinSemi && matched) || (h.Type == JoinAnti && !matched)
+}
+
+// probeRow is the row front end: it emits the join results of one boxed
+// probe row.
+func (p *joinProbe) probeRow(r types.Row) error {
+	for i, k := range p.h.ProbeKeys {
+		v, err := k.Eval(r)
+		if err != nil {
+			return err
+		}
+		p.key[i] = v
 	}
-	if h.Type == JoinAnti && !matched {
-		return out.emit(r)
+	matched, err := p.match(r, p.bucket())
+	if err != nil {
+		return err
+	}
+	if p.h.outputsProbe(matched) {
+		return p.out.emit(r)
 	}
 	return nil
 }
 
-// keysEqual compares the evaluated key expressions of a probe/build pair.
-// NULL keys never match (SQL join semantics).
-func (h *HashJoin) keysEqual(probe, build types.Row) (bool, error) {
-	for i := range h.ProbeKeys {
-		av, err := h.ProbeKeys[i].Eval(probe)
-		if err != nil {
-			return false, err
+// bindTyped works out, once per probe, which probe column each key is.
+func (p *joinProbe) bindTyped() {
+	n := p.h.Probe.Schema().Len()
+	p.keyCols, p.exprKeys = keyColumns(p.h.ProbeKeys, n)
+	p.scratch = make(types.Row, n)
+}
+
+// probeBatch is the typed front end: it emits the join results of the active
+// rows of one batch. A key that is a plain column is read off the column
+// (Col.Value honours the NULL bitmap and a column demoted to boxed), and the
+// row is boxed only once its bucket holds a candidate or an anti join must
+// output it — into scratch, since an inner join's results are fresh
+// concatenations; a semi or anti join's output row is a fresh one. A key that
+// is an expression is evaluated on the boxed row, so every row is boxed
+// first. BoxedRows counts the rows boxed either way.
+func (p *joinProbe) probeBatch(b *vec.Batch) error {
+	if p.keyCols == nil {
+		p.bindTyped()
+	}
+	h := p.h
+	var boxed int64
+	defer func() { h.ctx.addBoxed(boxed) }()
+	for k, n := 0, b.Rows(); k < n; k++ {
+		i := b.Index(k)
+		var row types.Row
+		if p.exprKeys {
+			row = b.ReadRow(i, p.scratch)
+			boxed++
 		}
-		bv, err := h.BuildKeys[i].Eval(build)
-		if err != nil {
-			return false, err
+		for ki, c := range p.keyCols {
+			if c >= 0 {
+				p.key[ki] = b.Cols[c].Value(i)
+				continue
+			}
+			v, err := h.ProbeKeys[ki].Eval(row)
+			if err != nil {
+				return err
+			}
+			p.key[ki] = v
 		}
-		if av.IsNull() || bv.IsNull() {
-			return false, nil
+		matched := false
+		if bucket := p.bucket(); len(bucket) > 0 {
+			if row == nil {
+				row = b.ReadRow(i, p.scratch)
+				boxed++
+			}
+			var err error
+			if matched, err = p.match(row, bucket); err != nil {
+				return err
+			}
 		}
-		if types.Compare(av, bv) != 0 {
-			return false, nil
+		if h.outputsProbe(matched) {
+			// The consumer keeps the row, so it gets one of its own.
+			if row == nil {
+				boxed++
+			}
+			if err := p.out.emit(b.ReadRow(i, make(types.Row, len(b.Cols)))); err != nil {
+				return err
+			}
 		}
 	}
-	return true, nil
+	return nil
 }
 
 // EvalKeys evaluates key expressions over a row into a key row.
@@ -397,6 +537,7 @@ func (h *HashJoin) graceJoin(buildSpill *spillWriter, bloom *Bloom) error {
 		}
 	}
 	buildReader.close()
+	h.Trace.SetInput(false)
 	if err := drain(h.ctx, h.Probe.NextBatch, func(b []types.Row) error {
 		for _, r := range b {
 			key, err := HashKeys(h.ProbeKeys, r)
@@ -464,6 +605,7 @@ func (h *HashJoin) joinPartition(bw, pw *spillWriter, em *joinEmitter) error {
 	defer pr.close()
 	passAll := NewBloom(8) // always-maybe filter for partition probing
 	passAll.SetAll()
+	probe := h.newProbe(table, passAll, em)
 	for {
 		r, ok, err := pr.next()
 		if err != nil {
@@ -472,7 +614,7 @@ func (h *HashJoin) joinPartition(bw, pw *spillWriter, em *joinEmitter) error {
 		if !ok {
 			return nil
 		}
-		if err := h.probeOne(r, table, passAll, em); err != nil {
+		if err := probe.probeRow(r); err != nil {
 			return err
 		}
 	}

@@ -106,7 +106,6 @@ type feedPort[T any] struct {
 	out    chan<- T
 	stop   <-chan struct{}
 	cancel *Cancel
-	sent   int64
 }
 
 // ship hands one slab over. It returns false when the scan should abort:
@@ -115,7 +114,6 @@ type feedPort[T any] struct {
 func (p *feedPort[T]) ship(slab T) bool {
 	select {
 	case p.out <- slab:
-		p.sent++
 		return true
 	case <-p.stop:
 		return false
@@ -282,13 +280,10 @@ func (fs *FragmentScan) run() error {
 		}
 		return senders[w].send(NarrowRow(r, fs.cfg.Cols))
 	})
-	var sent int64
 	for _, snd := range senders {
 		snd.flush()
-		sent += snd.sent
 	}
 	fs.cfg.Trace.AddScan(stats.RowsRead, stats.PagesRead, stats.PagesSkipped)
-	fs.cfg.Trace.AddBatches(sent)
 	if degree > 1 {
 		fs.cfg.Trace.AddWorkers(int64(degree))
 	}

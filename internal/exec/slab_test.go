@@ -217,6 +217,9 @@ func TestKillInBlockingDrain(t *testing.T) {
 		"join-build": func(ctx *Ctx, big Operator) Operator {
 			return NewHashJoin(ctx, small(), big, ColRefs(0), ColRefs(0), JoinInner, nil, 1)
 		},
+		"join, typed probe": func(ctx *Ctx, big Operator) Operator {
+			return NewTypedProbeHashJoin(ctx, &typedSource{Operator: big}, small(), ColRefs(0), ColRefs(0), JoinInner, nil, 1)
+		},
 		"nlj-right":   func(ctx *Ctx, big Operator) Operator { return NewNestedLoopJoin(ctx, small(), big, nil, JoinInner) },
 		"materialize": func(ctx *Ctx, big Operator) Operator { return NewMaterialize(ctx, big, false) },
 		"aggregate": func(ctx *Ctx, big Operator) Operator {

@@ -96,6 +96,9 @@ func TestSpillFilesRemovedOnError(t *testing.T) {
 		{"grace join, probe side", func(ctx *Ctx, in Operator, degree int) Operator {
 			return NewHashJoin(ctx, in, small(), ColRefs(0), ColRefs(0), JoinInner, nil, degree)
 		}},
+		{"grace join, typed probe", func(ctx *Ctx, in Operator, degree int) Operator {
+			return NewTypedProbeHashJoin(ctx, &typedSource{Operator: in}, small(), ColRefs(0), ColRefs(0), JoinInner, nil, degree)
+		}},
 		{"materialize to disk", func(ctx *Ctx, in Operator, degree int) Operator {
 			return NewMaterialize(ctx, in, true)
 		}},

@@ -7,7 +7,6 @@ import (
 	"repro/internal/expr"
 	"repro/internal/network"
 	"repro/internal/testutil"
-	"repro/internal/tpch"
 	"repro/internal/types"
 	"repro/internal/vec"
 )
@@ -16,41 +15,9 @@ func lt(l, r expr.Expr) *expr.Bin { return &expr.Bin{Op: expr.OpLt, L: l, R: r} 
 func cf(v float64) *expr.Const    { return &expr.Const{V: types.NewFloat(v)} }
 func cs(s string) *expr.Const     { return &expr.Const{V: types.NewString(s)} }
 
-// TestVecRowParityPipeline runs the same scan→filter→project→aggregate
-// pipeline on the slab operators and with the filter and the projection on
-// their vector kernels (the aggregate reads the projection through its row
-// shim), at several batch sizes, and demands identical results.
-func TestVecRowParityPipeline(t *testing.T) {
-	var rows []types.Row
-	for i := int64(0); i < 5000; i++ {
-		rows = append(rows, types.Row{types.NewInt(i % 37), types.NewInt(i)})
-	}
-	sch := intSchema("g", "v")
-	specs := []AggSpec{{Kind: AggSum, Arg: col(1), Name: "s"}, {Kind: AggCount, Name: "c"}}
-	exprs, names := []expr.Expr{col(0), add(col(1), ci(1))}, []string{"g", "v1"}
-	ctx := NewCtx("", 0)
-	f := NewFilter(ctx, NewSource(sch, rows), gt(col(1), ci(99)))
-	want, err := Collect(NewHashAggregate(ctx, NewProject(ctx, f, exprs, names), ColRefs(0), specs, AggComplete))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(want) != 37 {
-		t.Fatalf("baseline groups = %d, want 37", len(want))
-	}
-	for _, size := range []int{1, 7, 1024} {
-		ctx := NewCtx("", 0)
-		ctx.BatchRows = size
-		f := NewVecFilter(ctx, ToVec(slabSource(sch, rows, size)), gt(col(1), ci(99)))
-		got, err := Collect(NewHashAggregate(ctx, NewVecProject(ctx, f, exprs, names), ColRefs(0), specs, AggComplete))
-		if err != nil {
-			t.Fatalf("vec batch=%d: %v", size, err)
-		}
-		assertSameRows(t, got, want)
-	}
-}
-
 // typedSource serves a row producer's slabs as typed batches, each built
-// fresh — the contract NewTypedHashAggregate asks of its input. With sel set
+// fresh — the contract NewTypedHashAggregate and NewTypedProbeHashJoin ask of
+// their input. With sel set
 // every row is preceded by a decoy (its neighbour in the slab) that is in
 // the columns but not in Sel, so a reader that ignores Sel counts it.
 type typedSource struct {
@@ -64,7 +31,7 @@ func (s *typedSource) NextVec() (*vec.Batch, bool, error) {
 		return nil, false, err
 	}
 	if !s.sel {
-		return vec.FromRows(s.Schema(), slab, nil), true, nil
+		return vec.FromRows(s.Schema(), slab), true, nil
 	}
 	b := vec.New(s.Schema())
 	b.Sel = make([]int32, len(slab))
@@ -126,8 +93,10 @@ func TestAggFrontEndParity(t *testing.T) {
 		specs []AggSpec
 		boxed bool // some key or argument is read off the boxed row
 	}{
+		// A DATE literal has a kernel (compileNum) and stays a DATE through it.
 		{"no key", nil, []AggSpec{count, sum(col(6)), sum(col(4)),
-			{Kind: AggMin, Arg: col(1), Name: "lo"}, {Kind: AggAvg, Arg: col(5), Name: "a"}}, false},
+			{Kind: AggMin, Arg: col(1), Name: "lo"}, {Kind: AggAvg, Arg: col(5), Name: "a"},
+			{Kind: AggMax, Arg: cd(19_003), Name: "lit"}}, false},
 		{"int key with NULLs", ColRefs(0), []AggSpec{sum(col(6)), {Kind: AggCount, Arg: col(0), Name: "c"},
 			{Kind: AggMin, Arg: col(6), Name: "lo"}, {Kind: AggMax, Arg: col(6), Name: "hi"}}, false},
 		{"date and bool keys", ColRefs(1, 2), []AggSpec{count,
@@ -233,136 +202,186 @@ func TestAggKeyBytesMatchRowEncoding(t *testing.T) {
 // emptyTyped is a typed input of the given schema with no rows.
 func emptyTyped(sch types.Schema) VecOperator { return &typedSource{Operator: NewSource(sch, nil)} }
 
-// nullify returns a copy of rows with NULLs injected: col a on every 3rd
-// row and col b on every 5th.
-func nullify(rows []types.Row, a, b int) []types.Row {
-	out := make([]types.Row, len(rows))
-	for i, r := range rows {
-		cp := append(types.Row(nil), r...)
-		if i%3 == 0 {
-			cp[a] = types.Null
-		}
-		if i%5 == 0 {
-			cp[b] = types.Null
-		}
-		out[i] = cp
-	}
-	return out
-}
-
-// TestVecJoinParity joins lineitem to orders on the integer order key and
-// lineitem to a tiny flag dimension on a dictionary-string key, comparing
-// the native vector join against the row join.
-func TestVecJoinParity(t *testing.T) {
-	d := tpch.Generate(0.01, 42)
-	lineSch := schemaFor(d.Lineitem[0])
-	ordSch := schemaFor(d.Orders[0])
-
-	t.Run("int-keys", func(t *testing.T) {
-		want, err := Collect(NewHashJoin(NewCtx("", 0),
-			NewSource(lineSch, d.Lineitem), NewSource(ordSch, d.Orders),
-			ColRefs(0), ColRefs(0), JoinInner, nil, 0))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctx := NewCtx("", 0)
-		j := NewVecHashJoin(ctx,
-			ToVec(slabSource(lineSch, d.Lineitem, 512)),
-			ToVec(slabSource(ordSch, d.Orders, 512)),
-			ColRefs(0), ColRefs(0), JoinInner, nil, 0)
-		if _, ok := j.(*VecHashJoin); !ok {
-			t.Fatal("plain column keys must run on the native vector join")
-		}
-		got, err := Collect(j)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(want) != len(d.Lineitem) {
-			t.Fatalf("join rows = %d, want %d", len(want), len(d.Lineitem))
-		}
-		assertSameRows(t, got, want)
-	})
-
-	t.Run("string-keys", func(t *testing.T) {
-		flagSch := types.Schema{Cols: []types.Column{
-			{Name: "flag", Kind: types.KindString},
-			{Name: "tag", Kind: types.KindInt},
+// joinParityData is the pair of tables the join front-end parity test joins.
+// Probe: k INT with NULLs, s STRING with NULLs, d INT, m declared INT holding
+// one string (its batch demotes to boxed), v a row id. Build: the same five
+// columns over fewer keys, so that most probe rows find no bucket, with
+// duplicate keys (several matches a probe row), NULL keys on both sides (which
+// hash alike and must not match) and the same wrong-kind value under m.
+func joinParityData() (probeSch types.Schema, probe []types.Row, buildSch types.Schema, build []types.Row) {
+	cols := func(p string) types.Schema {
+		return types.Schema{Cols: []types.Column{
+			{Name: p + "k", Kind: types.KindInt}, {Name: p + "s", Kind: types.KindString},
+			{Name: p + "d", Kind: types.KindInt}, {Name: p + "m", Kind: types.KindInt},
+			{Name: p + "v", Kind: types.KindInt},
 		}}
-		flags := []types.Row{
-			{types.NewString("R"), types.NewInt(1)},
-			{types.NewString("A"), types.NewInt(2)},
-			{types.NewString("N"), types.NewInt(3)},
+	}
+	probe = make([]types.Row, 600)
+	for i := range probe {
+		n := int64(i)
+		r := types.Row{types.NewInt(n % 97), types.NewString(fmt.Sprintf("s%d", i%41)),
+			types.NewInt(n % 3), types.NewInt(n % 53), types.NewInt(n)}
+		if i%11 == 0 {
+			r[0] = types.Null
 		}
-		probeRows := nullify(d.Lineitem[:20000], 4, 8) // null string keys must not match
-		want, err := Collect(NewHashJoin(NewCtx("", 0),
-			NewSource(lineSch, probeRows), NewSource(flagSch, flags),
-			ColRefs(8), ColRefs(0), JoinInner, nil, 0))
-		if err != nil {
-			t.Fatal(err)
+		if i%13 == 0 {
+			r[1] = types.Null
 		}
-		ctx := NewCtx("", 0)
-		j := NewVecHashJoin(ctx,
-			ToVec(slabSource(lineSch, probeRows, 512)),
-			ToVec(slabSource(flagSch, flags, 512)),
-			ColRefs(8), ColRefs(0), JoinInner, nil, 0)
-		got, err := Collect(j)
-		if err != nil {
-			t.Fatal(err)
+		probe[i] = r
+	}
+	probe[100][3] = types.NewString("odd")
+	build = make([]types.Row, 120)
+	for i := range build {
+		n := int64(i)
+		r := types.Row{types.NewInt(n % 30 * 3), types.NewString(fmt.Sprintf("s%d", i%12*3)),
+			types.NewInt(n % 2), types.NewInt(n % 20 * 2), types.NewInt(n * 5)}
+		if i%17 == 0 {
+			r[0] = types.Null
 		}
-		assertSameRows(t, got, want)
-	})
-
-	t.Run("semi-anti", func(t *testing.T) {
-		for _, jt := range []JoinType{JoinSemi, JoinAnti} {
-			want, err := Collect(NewHashJoin(NewCtx("", 0),
-				NewSource(ordSch, d.Orders), NewSource(lineSch, d.Lineitem[:9000]),
-				ColRefs(0), ColRefs(0), jt, nil, 0))
-			if err != nil {
-				t.Fatal(err)
-			}
-			j := NewVecHashJoin(NewCtx("", 0),
-				ToVec(slabSource(ordSch, d.Orders, 512)),
-				ToVec(slabSource(lineSch, d.Lineitem[:9000], 512)),
-				ColRefs(0), ColRefs(0), jt, nil, 0)
-			got, err := Collect(j)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertSameRows(t, got, want)
+		if i%19 == 0 {
+			r[1] = types.Null
 		}
-	})
+		build[i] = r
+	}
+	build[7][3] = types.NewString("odd")
+	return cols("p"), probe, cols("b"), build
 }
 
-// TestVecJoinOverflowSpillParity overflows the vector join's build budget,
-// forcing the graceful handoff to the spilling grace join, and demands
-// parity with the row path.
-func TestVecJoinOverflowSpillParity(t *testing.T) {
-	d := tpch.Generate(0.01, 42)
-	lineSch := schemaFor(d.Lineitem[0])
-	ordSch := schemaFor(d.Orders[0])
-	want, err := Collect(NewHashJoin(NewCtx(t.TempDir(), 2000),
-		NewSource(lineSch, d.Lineitem), NewSource(ordSch, d.Orders),
-		ColRefs(0), ColRefs(0), JoinInner, nil, 2))
+// hasNullKey reports whether some key expression is NULL over the row.
+func hasNullKey(t *testing.T, keys []expr.Expr, r types.Row) bool {
+	t.Helper()
+	kr, err := EvalKeys(keys, r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := NewCtx(t.TempDir(), 2000) // orders(15000) overflows the budget
-	j := NewVecHashJoin(ctx,
-		ToVec(slabSource(lineSch, d.Lineitem, 512)),
-		ToVec(slabSource(ordSch, d.Orders, 512)),
-		ColRefs(0), ColRefs(0), JoinInner, nil, 2)
-	got, err := Collect(j)
-	if err != nil {
-		t.Fatal(err)
+	for _, v := range kr {
+		if v.IsNull() {
+			return true
+		}
 	}
-	if ctx.SpillFiles.Load() == 0 {
-		t.Fatalf("overflowed vector join must spill (files=%d)", ctx.SpillFiles.Load())
+	return false
+}
+
+// TestJoinFrontEndParity feeds the same probe rows through both front ends
+// of HashJoin. The row front end at degree 1 with no budget is the oracle;
+// the typed probe must return the same multiset for every join type, key
+// shape, degree, budget, batch size and with a selection vector. On the
+// streaming path it must box a row only once the filter and its bucket have
+// admitted it or an anti join outputs it; under a budget the build overflows,
+// the Grace path must spill and leave nothing behind.
+func TestJoinFrontEndParity(t *testing.T) {
+	testutil.AssertNoGoroutineLeak(t)
+	probeSch, probe, buildSch, build := joinParityData()
+	inc := func(e expr.Expr) []expr.Expr { return []expr.Expr{add(e, ci(1))} }
+	cases := []struct {
+		name                 string
+		probeKeys, buildKeys []expr.Expr
+		residual             expr.Expr
+	}{
+		{"int key", ColRefs(0), ColRefs(0), nil},
+		{"string key with NULLs", ColRefs(1), ColRefs(1), nil},
+		{"two-column key", ColRefs(0, 2), ColRefs(0, 2), nil},
+		{"expression key", inc(col(0)), inc(col(0)), nil},
+		{"demoted key column", ColRefs(3), ColRefs(3), nil},
+		{"residual", ColRefs(0), ColRefs(0), lt(col(4), col(probeSch.Len()+4))},
 	}
-	assertSameRows(t, got, want)
+	for _, c := range cases {
+		// The rows the filter and the bucket admit: those whose key hash some
+		// build row was filed under (a Bloom filter has no false negatives,
+		// and its false positives find an empty bucket).
+		filed := map[uint64]bool{}
+		for _, r := range build {
+			hk, err := HashKeys(c.buildKeys, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			filed[hk] = true
+		}
+		admitted := int64(0)
+		for _, r := range probe {
+			hk, err := HashKeys(c.probeKeys, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if filed[hk] {
+				admitted++
+			}
+		}
+		if _, plain := c.probeKeys[0].(*expr.Col); !plain {
+			admitted = int64(len(probe)) // an expression key is evaluated on the boxed row
+		} else if admitted == 0 || admitted > int64(len(probe))/2 {
+			t.Fatalf("%s: %d of %d probe rows admitted — the boxing bound tests nothing", c.name, admitted, len(probe))
+		}
+		nullKeys := 0
+		for _, r := range probe {
+			if hasNullKey(t, c.probeKeys, r) {
+				nullKeys++
+			}
+		}
+		for _, jt := range []JoinType{JoinInner, JoinSemi, JoinAnti} {
+			want, err := Collect(NewHashJoin(NewCtx("", 0), NewSource(probeSch, probe), NewSource(buildSch, build),
+				c.probeKeys, c.buildKeys, jt, c.residual, 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(want) == 0 || (jt != JoinInner && len(want) == len(probe)) {
+				t.Fatalf("%s/%v: oracle returns %d rows of %d — the case tests nothing", c.name, jt, len(want), len(probe))
+			}
+			// The oracle shares the match rule with what it judges, so the rule
+			// itself is checked here: a probe row with a NULL key matches nothing,
+			// whatever the build side holds under the same hash.
+			nullOut := 0
+			for _, r := range want {
+				if hasNullKey(t, c.probeKeys, r[:probeSch.Len()]) {
+					nullOut++
+				}
+			}
+			if jt == JoinAnti && nullOut != nullKeys {
+				t.Fatalf("%s/%v: %d of the %d probe rows with a NULL key are output, want all", c.name, jt, nullOut, nullKeys)
+			} else if jt != JoinAnti && nullOut != 0 {
+				t.Fatalf("%s/%v: %d output rows have a NULL key", c.name, jt, nullOut)
+			}
+			boxBound := admitted
+			if jt == JoinAnti {
+				boxBound += int64(len(want))
+			}
+			for _, degree := range []int{1, 4} {
+				for _, memRows := range []int{0, 10} {
+					for _, batch := range []int{1, 7, 1024} {
+						for _, sel := range []bool{false, true} {
+							name := fmt.Sprintf("%s/%v/degree %d/mem %d/batch %d/sel %v", c.name, jt, degree, memRows, batch, sel)
+							t.Run(name, func(t *testing.T) {
+								dir := t.TempDir()
+								ctx := NewCtx(dir, memRows)
+								ctx.BatchRows = batch
+								ctx.SetParallelBudget(degree)
+								got, err := Collect(NewTypedProbeHashJoin(ctx,
+									&typedSource{Operator: slabSource(probeSch, probe, batch), sel: sel}, NewSource(buildSch, build),
+									c.probeKeys, c.buildKeys, jt, c.residual, degree))
+								if err != nil {
+									t.Fatal(err)
+								}
+								assertSameRows(t, got, want)
+								if n := ctx.BoxedRows.Load(); memRows == 0 && n > boxBound {
+									t.Errorf("BoxedRows = %d, want at most %d (admitted, plus an anti join's output)", n, boxBound)
+								}
+								if memRows > 0 && ctx.SpillFiles.Load() == 0 {
+									t.Errorf("%d build rows under a budget of %d and nothing spilled", len(build), memRows)
+								}
+								if left := spillLeftovers(t, dir); len(left) > 0 {
+									t.Errorf("%d leftovers after Close, e.g. %s", len(left), left[0])
+								}
+							})
+						}
+					}
+				}
+			}
+		}
+	}
 }
 
 // TestSendAllVecHonorsWireBatchRows pins the Ctx.BatchRows knob to the
-// vector wire: a vec-native input is chunked into ceil(rows/batch) data
+// vector wire: a typed input is chunked into ceil(rows/batch) data
 // messages plus one EOF, independent of the producer's slab size. Strings
 // and NULLs ride along to exercise the columnar wire codec end to end.
 func TestSendAllVecHonorsWireBatchRows(t *testing.T) {
@@ -385,12 +404,9 @@ func TestSendAllVecHonorsWireBatchRows(t *testing.T) {
 	ctx.BatchRows = 5
 	// Producer slabs are far larger than the wire batch: chunking must come
 	// from the knob, not from whatever the producer happens to emit.
-	in := ToVec(slabSource(sch, rows, 1024))
-	if _, ok := nativeVec(in); !ok {
-		t.Fatal("test input must be vec-native to exercise the columnar wire path")
-	}
+	in := &typedSource{Operator: slabSource(sch, rows, 1024)}
 	ep1, _ := fabric.Endpoint(1)
-	if err := SendAll(ctx, ep1, 0, "vknob", in); err != nil {
+	if err := SendAllVec(ctx, ep1, 0, "vknob", in); err != nil {
 		t.Fatal(err)
 	}
 	ep0, _ := fabric.Endpoint(0)
@@ -405,49 +421,4 @@ func TestSendAllVecHonorsWireBatchRows(t *testing.T) {
 	if n := fabric.Meter().TotalMessages(); n != 4+1 { // ceil(17/5)=4 data + EOF
 		t.Errorf("wire messages = %d, want 5", n)
 	}
-}
-
-// TestVecOperatorsCompose stacks vector operators through both adapter
-// seams — a vector join read as rows by the aggregate (vecRowShim), the
-// aggregate's rows read as batches by a projection (ToVec) holding an
-// expression with no kernel (LIKE), so it evaluates row-wise — over a key
-// column that holds a value of the wrong kind, and demands the slab
-// operators' result.
-func TestVecOperatorsCompose(t *testing.T) {
-	d := tpch.Generate(0.002, 5)
-	lineSch, ordSch := schemaFor(d.Lineitem[0]), schemaFor(d.Orders[0])
-	orders := append([]types.Row(nil), d.Orders...)
-	odd := append(types.Row(nil), orders[0]...)
-	odd[2] = types.NewInt(7) // o_orderstatus is a string everywhere else
-	orders[0] = odd
-	status := len(lineSch.Cols) + 2
-	specs := []AggSpec{{Kind: AggCount, Name: "c"}}
-	exprs := []expr.Expr{col(1), &expr.Like{E: col(0), Pattern: cs("F%")}}
-	names := []string{"c", "f"}
-
-	rowJoin := NewHashJoin(NewCtx("", 0), NewSource(lineSch, d.Lineitem), NewSource(ordSch, orders),
-		ColRefs(0), ColRefs(0), JoinInner, nil, 0)
-	rowAgg := NewHashAggregate(NewCtx("", 0), rowJoin, ColRefs(status), specs, AggComplete)
-	want, err := Collect(NewProject(NewCtx("", 0), rowAgg, exprs, names))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	ctx := NewCtx("", 0)
-	join := NewVecHashJoin(ctx, ToVec(slabSource(lineSch, d.Lineitem, 512)), ToVec(slabSource(ordSch, orders, 512)),
-		ColRefs(0), ColRefs(0), JoinInner, nil, 0)
-	agg := NewHashAggregate(ctx, join, ColRefs(status), specs, AggComplete)
-	got, err := Collect(NewVecProject(ctx, ToVec(agg), exprs, names))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(want) != 4 { // F, O, P and the integer 7
-		t.Fatalf("baseline groups = %d, want 4", len(want))
-	}
-	// Both shims box: the join's rows for the aggregate, the projection's
-	// for Collect.
-	if n := ctx.BoxedRows.Load(); n != int64(len(d.Lineitem)+len(want)) {
-		t.Errorf("BoxedRows = %d, want %d joined rows + %d projected", n, len(d.Lineitem), len(want))
-	}
-	assertSameRows(t, got, want)
 }

@@ -56,7 +56,8 @@ func kernelRows() (types.Schema, []types.Row) {
 // DATE-vs-INT mixes — compiles to a kernel whose three-valued result equals
 // Expr.Eval on every row, NULLs included; and the shapes whose row semantics
 // a kernel could not keep (a NULL or non-literal bound or member, an empty
-// list) do not compile and still filter correctly through the row fallback.
+// list) do not compile, and the row Filter — what evaluates them, as the scan
+// does a predicate without a kernel — keeps the rows Expr.Eval says it should.
 func TestCompiledPredicateParity(t *testing.T) {
 	sch, rows := kernelRows()
 	i, f, d, s := ncol(0, "i"), ncol(1, "f"), ncol(2, "d"), ncol(3, "s")
@@ -94,7 +95,7 @@ func TestCompiledPredicateParity(t *testing.T) {
 		"q19-shape":                &expr.Bin{Op: expr.OpOr, L: and(in(s, false, cs("a"), cs("b")), between(i, ci(1), ci(5), false)), R: and(in(s, false, cs("c")), between(i, ci(1), ci(10), false))},
 		"between-or-null-operands": &expr.Bin{Op: expr.OpOr, L: between(i, ci(9), ci(10), false), R: in(f, true, cf(0), cf(1))},
 	}
-	b := vec.FromRows(sch, rows, nil)
+	b := vec.FromRows(sch, rows)
 	truth := func(v types.Value) string {
 		if v.IsNull() {
 			return "NULL"
@@ -156,7 +157,7 @@ func TestCompiledPredicateParity(t *testing.T) {
 					want = append(want, r)
 				}
 			}
-			got, err := Collect(NewVecFilter(NewCtx("", 0), ToVec(slabSource(sch, rows, 64)), e))
+			got, err := Collect(NewFilter(NewCtx("", 0), slabSource(sch, rows, 64), e))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -171,7 +172,7 @@ func TestCompiledPredicateParity(t *testing.T) {
 // panicked the scan thread of `WHERE v < 'b'`).
 func TestStringOrderKernelsSkipNulls(t *testing.T) {
 	sch := types.NewSchema(types.Column{Name: "s", Kind: types.KindString}, types.Column{Name: "s2", Kind: types.KindString})
-	b := vec.FromRows(sch, []types.Row{{types.Null, types.Null}, {types.Null, types.Null}}, nil)
+	b := vec.FromRows(sch, []types.Row{{types.Null, types.Null}, {types.Null, types.Null}})
 	for _, e := range []expr.Expr{lt(ncol(0, "s"), cs("b")), lt(ncol(0, "s"), ncol(1, "s2"))} {
 		_, null, err := compileBool(e, sch).evalBool(b, 2)
 		if err != nil {
@@ -179,32 +180,6 @@ func TestStringOrderKernelsSkipNulls(t *testing.T) {
 		}
 		if null == nil || !null[0] || !null[1] {
 			t.Errorf("%v over NULLs: null mask %v, want both rows NULL", e, null)
-		}
-	}
-}
-
-// TestVecProjectDateLiteral: a DATE literal compiles as a numeric node, and
-// the column VecProject builds from it is still a DATE column.
-func TestVecProjectDateLiteral(t *testing.T) {
-	sch, rows := kernelRows()
-	p := NewVecProject(NewCtx("", 0), ToVec(slabSource(sch, rows, 64)),
-		[]expr.Expr{cd(9_999), ncol(2, "d"), lt(ncol(2, "d"), cd(9_004))}, []string{"lit", "d", "early"})
-	if p.items == nil {
-		t.Fatal("the projection fell back to row evaluation")
-	}
-	if k := p.Schema().Cols[0].Kind; k != types.KindDate {
-		t.Fatalf("literal column kind %v, want DATE", k)
-	}
-	got, err := Collect(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(rows) {
-		t.Fatalf("%d rows, want %d", len(got), len(rows))
-	}
-	for k, r := range got {
-		if want := types.NewDate(9_999); r[0] != want {
-			t.Fatalf("row %d: literal column holds %#v, want %#v", k, r[0], want)
 		}
 	}
 }

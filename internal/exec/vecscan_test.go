@@ -136,7 +136,7 @@ func ncol(i int, name string) *expr.Col { return &expr.Col{Index: i, Name: name}
 func and(l, r expr.Expr) *expr.Bin { return &expr.Bin{Op: expr.OpAnd, L: l, R: r} }
 
 // TestVecScanPushdownParity golden-compares the decode-time predicate
-// evaluation against the boxed reference decode and against a VecFilter
+// evaluation against the boxed reference decode and against a row Filter
 // above an unfiltered scan on the same fragment, for predicates that hit
 // every slab kind, and for one with no vector kernel (LIKE), which the scan
 // evaluates row-wise over the predicate's columns.
@@ -180,10 +180,10 @@ func TestVecScanPushdownParity(t *testing.T) {
 				t.Errorf("pushdown scan fell back to boxed decode on %d pages", boxed)
 			}
 
-			// Same predicate applied above an unfiltered vector scan: the
+			// Same predicate applied by a Filter above an unfiltered scan: the
 			// late-materialized selection must agree with post-hoc filtering.
 			fctx := NewCtx("", 0)
-			wrapped := NewVecFilter(fctx, NewVecColumnarScan(fr, "", ScanConfig{Ctx: fctx}), pred())
+			wrapped := NewFilter(fctx, NewVecColumnarScan(fr, "", ScanConfig{Ctx: fctx}), pred())
 			got2, err := Collect(wrapped)
 			if err != nil {
 				t.Fatal(err)
@@ -302,9 +302,8 @@ func TestVecScanKilledReturnsCause(t *testing.T) {
 	fr, _ := vecScanFragment(t)
 	preds := map[string]expr.Expr{
 		"pushdown": gt(ncol(1, "qty"), ci(40)),
-		// No vector kernel: evaluated row-wise in the scan (once by a
-		// VecFilter above it, whence the name).
-		"vecfilter": &expr.Like{E: ncol(3, "status"), Pattern: cs("%-4")},
+		// No vector kernel: evaluated row-wise in the scan.
+		"row-pred": &expr.Like{E: ncol(3, "status"), Pattern: cs("%-4")},
 	}
 	for name, pred := range preds {
 		for _, degree := range []int{1, 4} {

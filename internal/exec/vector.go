@@ -26,41 +26,18 @@ type VecOperator interface {
 	NextVec() (*vec.Batch, bool, error)
 }
 
-// nativeVec reports whether the operator exposes a native vector path.
+// nativeVec reports whether the operator exposes a native vector path. Its
+// one caller is NewTraced: a wrapper must keep the face of whatever it wraps.
+// Nothing that consumes a stream asks — the plan edge says which
+// representation it carries (cluster's dstream.typed).
 func nativeVec(op Operator) (VecOperator, bool) {
 	v, ok := op.(VecOperator)
 	return v, ok
 }
 
-// vecFromRows adapts a slab producer to the vector path by boxing row
-// slabs into a reused batch. The adapter owns the batch (and its string
-// dictionaries, so codes stay stable across the stream).
-type vecFromRows struct {
-	Operator
-	batch *vec.Batch
-}
-
-// ToVec returns a VecOperator view of op: the operator itself when it is
-// vector-native, otherwise a boxing adapter over its slabs.
-func ToVec(op Operator) VecOperator {
-	if v, ok := nativeVec(op); ok {
-		return v
-	}
-	return &vecFromRows{Operator: op}
-}
-
-func (a *vecFromRows) NextVec() (*vec.Batch, bool, error) {
-	rows, ok, err := a.NextBatch()
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	a.batch = vec.FromRows(a.Schema(), rows, a.batch)
-	return a.batch, true, nil
-}
-
-// vecRowShim gives a vector-native operator its Operator face by
-// materializing row slabs from the owner's NextVec, charging the rows to
-// BoxedRows. Embedders set src to themselves, and ctx, in their constructor.
+// vecRowShim gives VecColumnarScan its Operator face by materializing row
+// slabs from its NextVec, charging the rows to BoxedRows. The scan sets src
+// to itself, and ctx, in its constructor.
 type vecRowShim struct {
 	src  VecOperator
 	ctx  *Ctx
@@ -75,6 +52,22 @@ func (s *vecRowShim) NextBatch() ([]types.Row, bool, error) {
 	s.slab = b.Materialize(s.slab)
 	s.ctx.addBoxed(int64(len(s.slab)))
 	return s.slab, true, nil
+}
+
+// keyColumns resolves key expressions over an n-column typed input for a
+// typed front end: by key, the input column it is, or -1 for an expression —
+// which is evaluated on the boxed row, so anyExpr means every row is boxed.
+func keyColumns(keys []expr.Expr, n int) (cols []int, anyExpr bool) {
+	cols = make([]int, len(keys))
+	for i, k := range keys {
+		cols[i] = -1
+		if c, ok := k.(*expr.Col); ok && c.Index >= 0 && c.Index < n {
+			cols[i] = c.Index
+		} else {
+			anyExpr = true
+		}
+	}
+	return cols, anyExpr
 }
 
 // errVecFallback signals that a compiled kernel met a runtime layout it
@@ -759,360 +752,4 @@ func compileBool(e expr.Expr, sch types.Schema) boolNode {
 		return nil
 	}
 	return nil
-}
-
-// VecFilter evaluates its predicate into the selection vector of the input
-// batch — survivors are recorded as row indices, the column slabs are never
-// copied or compacted. Compiled predicates run typed kernels; unsupported
-// shapes (LIKE, CASE, division, boxed columns) fall back to row evaluation
-// per batch, preserving exact expression semantics.
-type VecFilter struct {
-	vecRowShim // src, and the ctx the filter meters into
-	in         VecOperator
-	pred       expr.Expr
-	node       boolNode
-	sel        []int32
-	scratch    types.Row
-}
-
-// NewVecFilter builds a vectorized filter; the predicate must be bound to
-// the input schema.
-func NewVecFilter(ctx *Ctx, in VecOperator, pred expr.Expr) *VecFilter {
-	f := &VecFilter{in: in, pred: pred, node: compileBool(pred, in.Schema())}
-	f.vecRowShim = vecRowShim{src: f, ctx: ctx}
-	return f
-}
-
-// Schema implements Operator.
-func (f *VecFilter) Schema() types.Schema { return f.in.Schema() }
-
-// Open implements Operator.
-func (f *VecFilter) Open() error { return f.in.Open() }
-
-// Close implements Operator.
-func (f *VecFilter) Close() error { return f.in.Close() }
-
-// NextVec implements VecOperator.
-func (f *VecFilter) NextVec() (*vec.Batch, bool, error) {
-	for {
-		b, ok, err := f.in.NextVec()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		n := b.Rows()
-		if n == 0 {
-			continue
-		}
-		if f.ctx != nil {
-			f.ctx.RowsProcessed.Add(int64(n))
-		}
-		sel := f.sel[:0]
-		compiled := false
-		if f.node != nil {
-			t, null, err := f.node.evalBool(b, n)
-			if err == nil {
-				compiled = true
-				for k := 0; k < n; k++ {
-					if t[k] && (null == nil || !null[k]) {
-						sel = append(sel, int32(b.Index(k)))
-					}
-				}
-			} else if !errors.Is(err, errVecFallback) {
-				return nil, false, err
-			}
-		}
-		if !compiled {
-			if f.scratch == nil {
-				f.scratch = make(types.Row, len(b.Cols))
-			}
-			for k := 0; k < n; k++ {
-				i := b.Index(k)
-				keep, err := expr.EvalBool(f.pred, b.ReadRow(i, f.scratch))
-				if err != nil {
-					return nil, false, err
-				}
-				if keep {
-					sel = append(sel, int32(i))
-				}
-			}
-		}
-		f.sel = sel
-		if len(sel) == 0 {
-			continue
-		}
-		b.Sel = sel
-		return b, true, nil
-	}
-}
-
-// colGather densifies one input column through the batch's selection into
-// operator-owned scratch, so downstream consumers see Sel == nil columns.
-type colGather struct {
-	i     []int64
-	f     []float64
-	codes []int32
-	vals  []types.Value
-	nulls []uint64
-}
-
-func growWords(s []uint64, n int) []uint64 {
-	w := (n + 63) / 64
-	if cap(s) < w {
-		return make([]uint64, w)
-	}
-	s = s[:w]
-	for i := range s {
-		s[i] = 0
-	}
-	return s
-}
-
-func (g *colGather) gather(b *vec.Batch, idx, n int) vec.Col {
-	c := &b.Cols[idx]
-	out := vec.Col{Kind: c.Kind, Form: c.Form, Dict: c.Dict}
-	anyNull := false
-	switch c.Form {
-	case vec.FormInt:
-		g.i = growInts(g.i, n)
-		for k := 0; k < n; k++ {
-			g.i[k] = c.I[b.Index(k)]
-		}
-		out.I = g.i
-	case vec.FormFloat:
-		g.f = growFloats(g.f, n)
-		for k := 0; k < n; k++ {
-			g.f[k] = c.F[b.Index(k)]
-		}
-		out.F = g.f
-	case vec.FormStr:
-		if cap(g.codes) < n {
-			g.codes = make([]int32, n)
-		}
-		g.codes = g.codes[:n]
-		for k := 0; k < n; k++ {
-			g.codes[k] = c.Codes[b.Index(k)]
-		}
-		out.Codes = g.codes
-	default:
-		if cap(g.vals) < n {
-			g.vals = make([]types.Value, n)
-		}
-		g.vals = g.vals[:n]
-		for k := 0; k < n; k++ {
-			g.vals[k] = c.Vals[b.Index(k)]
-		}
-		out.Vals = g.vals
-		return out // boxed carries NULL in Vals, no bitmap
-	}
-	for k := 0; k < n; k++ {
-		if c.IsNull(b.Index(k)) {
-			anyNull = true
-			break
-		}
-	}
-	if anyNull {
-		g.nulls = growWords(g.nulls, n)
-		for k := 0; k < n; k++ {
-			if c.IsNull(b.Index(k)) {
-				g.nulls = vec.SetBit(g.nulls, k)
-			}
-		}
-		out.Nulls = g.nulls
-	}
-	return out
-}
-
-// boolsToBitmap converts a dense null mask into a bitmap in scratch.
-func boolsToBitmap(scratch *[]uint64, null []bool, n int) []uint64 {
-	if null == nil {
-		return nil
-	}
-	any := false
-	for k := 0; k < n; k++ {
-		if null[k] {
-			any = true
-			break
-		}
-	}
-	if !any {
-		return nil
-	}
-	s := growWords(*scratch, n)
-	for k := 0; k < n; k++ {
-		if null[k] {
-			s = vec.SetBit(s, k)
-		}
-	}
-	*scratch = s
-	return s
-}
-
-// vecProjItem is one compiled output column of a VecProject.
-type vecProjItem struct {
-	pass  int // input column index for passthrough, -1 otherwise
-	num   numNode
-	boolN boolNode
-	g     colGather
-	nulls []uint64
-	ints  []int64
-}
-
-// VecProject computes output expressions into flat output columns. The
-// output batch is dense (no selection): plain column references pass
-// through zero-copy when the input has no selection, gather otherwise;
-// compiled arithmetic lands directly in typed output slabs. Any
-// uncompilable expression sends the whole operator to the row fallback
-// (boxing per batch), keeping semantics identical to Project.
-type VecProject struct {
-	vecRowShim // src, and the ctx the projection meters into
-	in         VecOperator
-	exprs      []expr.Expr
-	out        types.Schema
-	items      []vecProjItem // nil = always use the row fallback
-	ob         vec.Batch
-	fb         *vec.Batch
-	scratch    types.Row
-}
-
-// NewVecProject builds a vectorized projection; exprs must be bound to the
-// input schema and names gives the output column names.
-func NewVecProject(ctx *Ctx, in VecOperator, exprs []expr.Expr, names []string) *VecProject {
-	sch := in.Schema()
-	cols := make([]types.Column, len(exprs))
-	for i, e := range exprs {
-		cols[i] = types.Column{Name: names[i], Kind: expr.KindOf(e, sch)}
-	}
-	p := &VecProject{in: in, exprs: exprs, out: types.Schema{Cols: cols}}
-	p.vecRowShim = vecRowShim{src: p, ctx: ctx}
-	items := make([]vecProjItem, len(exprs))
-	for i, e := range exprs {
-		items[i].pass = -1
-		if c, ok := e.(*expr.Col); ok && c.Index >= 0 && c.Index < sch.Len() {
-			items[i].pass = c.Index
-			continue
-		}
-		if nn := compileNum(e, sch); nn != nil {
-			items[i].num = nn
-			continue
-		}
-		if bn := compileBool(e, sch); bn != nil {
-			items[i].boolN = bn
-			continue
-		}
-		items = nil
-		break
-	}
-	p.items = items
-	p.ob.Sch = p.out
-	p.ob.Cols = make([]vec.Col, len(exprs))
-	return p
-}
-
-// Schema implements Operator.
-func (p *VecProject) Schema() types.Schema { return p.out }
-
-// Open implements Operator.
-func (p *VecProject) Open() error { return p.in.Open() }
-
-// Close implements Operator.
-func (p *VecProject) Close() error { return p.in.Close() }
-
-// NextVec implements VecOperator.
-func (p *VecProject) NextVec() (*vec.Batch, bool, error) {
-	b, ok, err := p.in.NextVec()
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	n := b.Rows()
-	if p.ctx != nil {
-		p.ctx.RowsProcessed.Add(int64(n))
-	}
-	if p.items != nil {
-		out, err := p.vectorized(b, n)
-		if err == nil {
-			return out, true, nil
-		}
-		if !errors.Is(err, errVecFallback) {
-			return nil, false, err
-		}
-	}
-	out, err := p.fallback(b, n)
-	if err != nil {
-		return nil, false, err
-	}
-	return out, true, nil
-}
-
-// vectorized builds the output batch from compiled items. Column headers
-// are fully rebuilt each call, so sharing input slabs is safe: nothing is
-// ever appended to a shared header.
-func (p *VecProject) vectorized(b *vec.Batch, n int) (*vec.Batch, error) {
-	for j := range p.items {
-		it := &p.items[j]
-		switch {
-		case it.pass >= 0:
-			if b.Sel == nil {
-				p.ob.Cols[j] = b.Cols[it.pass]
-			} else {
-				p.ob.Cols[j] = it.g.gather(b, it.pass, n)
-			}
-		case it.num != nil:
-			nv, err := it.num.evalNum(b, n)
-			if err != nil {
-				return nil, err
-			}
-			kind := p.out.Cols[j].Kind
-			col := vec.Col{Kind: kind, Nulls: boolsToBitmap(&it.nulls, nv.null, n)}
-			if nv.isFloat {
-				col.Form, col.F = vec.FormFloat, nv.f
-			} else {
-				col.Form, col.I = vec.FormInt, nv.i
-			}
-			p.ob.Cols[j] = col
-		default:
-			t, null, err := it.boolN.evalBool(b, n)
-			if err != nil {
-				return nil, err
-			}
-			it.ints = growInts(it.ints, n)
-			for k := 0; k < n; k++ {
-				if t[k] {
-					it.ints[k] = 1
-				} else {
-					it.ints[k] = 0
-				}
-			}
-			p.ob.Cols[j] = vec.Col{
-				Kind: types.KindBool, Form: vec.FormInt,
-				I: it.ints, Nulls: boolsToBitmap(&it.nulls, null, n),
-			}
-		}
-	}
-	p.ob.N = n
-	p.ob.Sel = nil
-	return &p.ob, nil
-}
-
-// fallback evaluates every expression row-wise into a boxed-append batch.
-func (p *VecProject) fallback(b *vec.Batch, n int) (*vec.Batch, error) {
-	if p.fb == nil {
-		p.fb = vec.New(p.out)
-	} else {
-		p.fb.Reset()
-	}
-	if p.scratch == nil {
-		p.scratch = make(types.Row, len(b.Cols))
-	}
-	for k := 0; k < n; k++ {
-		row := b.ReadRow(b.Index(k), p.scratch)
-		for j, e := range p.exprs {
-			v, err := e.Eval(row)
-			if err != nil {
-				return nil, err
-			}
-			p.fb.Cols[j].Append(v)
-		}
-		p.fb.N++
-	}
-	return p.fb, nil
 }

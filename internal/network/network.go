@@ -326,6 +326,20 @@ func (f *Fabric) ReleasePrefix(prefix string) {
 	}
 }
 
+// Mailboxes returns how many mailboxes the fabric holds. Every per-query and
+// per-transaction channel is released by its owner, so on an idle cluster
+// this does not grow with the statements run.
+func (f *Fabric) Mailboxes() (n int) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for _, e := range f.endpoints {
+		e.mu.Lock()
+		n += len(e.boxes)
+		e.mu.Unlock()
+	}
+	return n
+}
+
 // CloseAll shuts every endpoint.
 func (f *Fabric) CloseAll() {
 	f.mu.Lock()

@@ -56,7 +56,7 @@ type Span struct {
 	SpillBytes   atomic.Int64
 	StateBytes   atomic.Int64
 	Workers      atomic.Int64 // intra-operator worker threads granted (morsel parallelism)
-	TypedIn      atomic.Int64 // an aggregate build's front end: 1 typed batches, -1 row slabs, 0 not one
+	TypedIn      atomic.Int64 // a blocking operator's input (aggregate build, join probe): 1 typed batches, -1 row slabs, 0 not one
 	WallNS       atomic.Int64 // cumulative time inside Open/Next/Close (includes children)
 
 	finished atomic.Bool // set once by Finish; spans left unfinished indicate a tracing bug
@@ -195,8 +195,9 @@ func (s *Span) AddWorkers(n int64) {
 	}
 }
 
-// SetInput records which front end an aggregate's build read: typed
-// batches straight off a columnar scan, or row slabs. Nil-safe.
+// SetInput records which front end a blocking operator's input — an
+// aggregate's build, a hash join's probe — was read through: typed batches
+// straight off a columnar scan, or row slabs. Nil-safe.
 func (s *Span) SetInput(typed bool) {
 	if s == nil {
 		return
@@ -245,7 +246,7 @@ type SpanSnapshot struct {
 	SpillBytes   int64  `json:"spill_bytes,omitempty"`
 	StateBytes   int64  `json:"state_bytes,omitempty"`
 	Workers      int64  `json:"workers,omitempty"`
-	In           string `json:"in,omitempty"` // "typed" or "rows": an aggregate build's front end
+	In           string `json:"in,omitempty"` // "typed" or "rows": a blocking operator's input front end
 	WallNS       int64  `json:"wall_ns"`
 }
 

@@ -359,20 +359,47 @@ func TestColumnarTPCH(t *testing.T) {
 // ranges, BETWEEN, IN — has a vector kernel.
 var rowPredicateScans = map[string]string{}
 
-// TestAggregateFrontEnds pins which front end worker aggregates are built
-// with. q1 and q6 aggregate straight over the lineitem scan: every worker's
-// partial aggregate must read typed batches (in=typed, a granted degree on
-// the span), no worker may box a row on the way, and the answer is
-// plan.Execute's, whose aggregates all read rows. q3 aggregates over a join,
-// a row producer: in=rows, and the rows the scans handed the joins are
-// counted.
+// TestAggregateFrontEnds pins which front end the workers' blocking
+// operators are built with, on a 4-worker cluster. q1 and q6
+// aggregate straight over the lineitem scan: every worker's partial aggregate
+// must read typed batches (in=typed, a granted degree on the span) and no
+// worker may box a row on the way. q12 and q9 probe a join with a columnar
+// scan (orders; lineitem under four more joins): that join is in=typed, its
+// scan ships vec_batches, and the workers box no more than the rows the
+// filter and the bucket admitted plus the build sides — under a ceiling the
+// row probe, which boxed every scanned row, exceeded (15,289 and 67,730). A
+// join is typed exactly when a columnar scan is its probe: q3's upper join
+// probes with a Shuffle and builds from the lineitem scan, so it reads rows,
+// and so does every aggregate over a join. Every answer is plan.Execute's,
+// whose operators all read rows.
 func TestAggregateFrontEnds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full TPC-H suite skipped in -short mode")
 	}
-	c, d := loadedCluster(t, 4, 0.002)
+	// The aggregate cases stay at the scale the parity suites run at (past it
+	// q1's float sums differ from plan.Execute's in the ninth digit); the join
+	// ceilings are stated for SF0.01.
+	t.Run("SF0.002", func(t *testing.T) {
+		checkFrontEnds(t, 0.002, []frontEnds{{"q1", "typed", 0, 0, 0}, {"q6", "typed", 0, 0, 0}, {"q3", "rows", 1, 1, -1}})
+	})
+	t.Run("SF0.01", func(t *testing.T) {
+		checkFrontEnds(t, 0.01, []frontEnds{{"q12", "rows", 1, 0, 1000}, {"q9", "rows", 1, 4, 21000}})
+	})
+}
+
+// frontEnds is what one query's trace must show on every worker.
+type frontEnds struct {
+	qid                  string
+	aggIn                string // the worker aggregate's front end
+	typedJoins, rowJoins int    // worker joins per worker, by front end
+	boxedMax             int64  // ceiling on RunMetrics.BoxedRows; -1: must be nonzero
+}
+
+func checkFrontEnds(t *testing.T, sf float64, cases []frontEnds) {
+	c, d := loadedCluster(t, 4, sf)
 	prov := &plan.MemProvider{Cat: c.Catalog(), Rows: d.Tables()}
-	for qid, typed := range map[string]bool{"q1": true, "q6": true, "q3": false} {
+	for _, q := range cases {
+		qid := q.qid
 		pc := pruneCase{name: qid, sql: Queries()[qid]}
 		requireParity(t, qid, pc, c, prov)
 		sel, err := sqlparse.ParseSelect(pc.sql)
@@ -387,30 +414,50 @@ func TestAggregateFrontEnds(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", qid, err)
 		}
-		want := "rows"
-		if typed {
-			want = "typed"
+		spans := tr.Spans()
+		typedScanUnder := map[int64]bool{} // by span id: a child is a columnar scan read as batches
+		for _, sp := range spans {
+			if sp.ColsTotal > 0 && sp.VecBatches > 0 && sp.Batches == 0 {
+				typedScanUnder[sp.Parent] = true
+			}
 		}
-		workerAggs := 0
-		for _, sp := range tr.Spans() {
-			if !strings.HasPrefix(sp.Op, "HashAgg") || sp.Node == c.Coords[0].ID {
+		workerAggs, typedJoins, rowJoins := 0, 0, 0
+		for _, sp := range spans {
+			if sp.Node == c.Coords[0].ID {
 				continue
 			}
-			workerAggs++
-			if sp.In != want || sp.Workers < 1 {
-				t.Errorf("%s: %s on node %d: in=%q workers=%d, want in=%s and a degree", qid, sp.Op, sp.Node, sp.In, sp.Workers, want)
+			switch {
+			case strings.HasPrefix(sp.Op, "HashAgg"):
+				workerAggs++
+				if sp.In != q.aggIn || sp.Workers < 1 {
+					t.Errorf("%s: %s on node %d: in=%q workers=%d, want in=%s and a degree", qid, sp.Op, sp.Node, sp.In, sp.Workers, q.aggIn)
+				}
+			case sp.Op == "HashJoin":
+				if sp.In == "typed" {
+					typedJoins++
+				} else {
+					rowJoins++
+				}
+				if (sp.In == "typed") != typedScanUnder[sp.ID] || sp.In == "" || sp.Workers < 1 {
+					t.Errorf("%s: HashJoin on node %d: in=%q workers=%d, a columnar scan under it read as batches: %v",
+						qid, sp.Node, sp.In, sp.Workers, typedScanUnder[sp.ID])
+				}
 			}
 		}
 		if workerAggs != len(c.Workers) {
 			t.Errorf("%s: %d worker aggregate spans, want one per worker (%d)", qid, workerAggs, len(c.Workers))
 		}
-		if typed && m.BoxedRows != 0 {
-			t.Errorf("%s: workers boxed %d rows between the scan and the aggregate, want 0", qid, m.BoxedRows)
+		if typedJoins != q.typedJoins*len(c.Workers) || rowJoins != q.rowJoins*len(c.Workers) {
+			t.Errorf("%s: %d worker joins in=typed and %d in=rows, want %d and %d on each of %d workers:\n%s",
+				qid, typedJoins, rowJoins, q.typedJoins, q.rowJoins, len(c.Workers), tr.Render())
 		}
-		if !typed && m.BoxedRows == 0 {
-			t.Errorf("%s: BoxedRows = 0 over a join that reads its scans as rows — the counter is not wired", qid)
+		if q.boxedMax >= 0 && m.BoxedRows > q.boxedMax {
+			t.Errorf("%s: workers boxed %d rows, want at most %d", qid, m.BoxedRows, q.boxedMax)
 		}
-		if !strings.Contains(tr.Render(), " in="+want+" workers=") {
+		if q.boxedMax < 0 && m.BoxedRows == 0 {
+			t.Errorf("%s: BoxedRows = 0 over a join that builds from a columnar scan — the counter is not wired", qid)
+		}
+		if !strings.Contains(tr.Render(), " in="+q.aggIn+" workers=") {
 			t.Errorf("%s: EXPLAIN ANALYZE does not show the aggregate's front end:\n%s", qid, tr.Render())
 		}
 	}

@@ -284,6 +284,12 @@ type Coordinator struct {
 	XALog       *wal.Log
 	Nmax        int
 	VoteTimeout time.Duration
+	// Release, when set, drops every mailbox whose channel name starts with a
+	// prefix (network.Fabric.ReleasePrefix). A transaction's vote and ack
+	// channels are its own, so CommitGlobal releases them when it returns;
+	// unset, every transaction leaves its mailboxes behind for the fabric's
+	// lifetime.
+	Release func(prefix string)
 
 	mu       sync.Mutex
 	outcomes map[uint64]bool // txid → committed?
@@ -362,6 +368,13 @@ func (c *Coordinator) CommitGlobal(txid uint64, workers []int) (bool, error) {
 	tree, err := treeFor(parts, c.Nmax)
 	if err != nil {
 		return false, err
+	}
+	if c.Release != nil {
+		// By the time the root has its acks every vote and ack below it has
+		// been sent and read; after a timeout a straggler recreates an empty
+		// mailbox, as a late send of a released query does.
+		defer c.Release(fmt.Sprintf("2pc.vote:%d:", txid))
+		defer c.Release(fmt.Sprintf("2pc.ack:%d:", txid))
 	}
 	if c.XALog != nil {
 		c.XALog.Append(&wal.Record{Type: wal.RecPrepare, TxID: txid})

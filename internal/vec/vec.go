@@ -54,9 +54,8 @@ func FormFor(k types.Kind) Form {
 // across batches and consumers may compare by code whenever two columns
 // share the same *Dict.
 type Dict struct {
-	strs   []string
-	index  map[string]int32
-	hashes []uint64 // lazily filled; hashes[c] == types.Hash of strs[c]
+	strs  []string
+	index map[string]int32
 }
 
 // NewDict returns an empty dictionary.
@@ -97,18 +96,6 @@ func (d *Dict) Lookup(s string) (int32, bool) {
 
 // Str returns the string for a code.
 func (d *Dict) Str(c int32) string { return d.strs[c] }
-
-// Len returns the number of distinct entries.
-func (d *Dict) Len() int { return len(d.strs) }
-
-// Hash returns types.Hash of the entry, cached per code so hash joins and
-// aggregations hash each distinct string once per stream.
-func (d *Dict) Hash(c int32) uint64 {
-	for len(d.hashes) < len(d.strs) {
-		d.hashes = append(d.hashes, types.Hash(types.NewString(d.strs[len(d.hashes)])))
-	}
-	return d.hashes[c]
-}
 
 // Col is one column of a batch. Exactly one payload slice is active,
 // selected by Form; null positions hold the zero element there and are
@@ -249,16 +236,6 @@ func (c *Col) demote(n int) {
 	c.I, c.F, c.Codes, c.Dict, c.Nulls = nil, nil, nil, nil, nil
 }
 
-// reset truncates the column for reuse, keeping backing arrays and the
-// dictionary (codes stay stable across the producer's stream).
-func (c *Col) reset() {
-	c.I = c.I[:0]
-	c.F = c.F[:0]
-	c.Codes = c.Codes[:0]
-	c.Vals = c.Vals[:0]
-	c.Nulls = c.Nulls[:0]
-}
-
 // Batch is one vectorized batch: N appended rows across Cols, with an
 // optional selection vector. Sel == nil means all N rows are active;
 // otherwise Sel lists the active row indices in order. Filters narrow a
@@ -300,16 +277,6 @@ func (b *Batch) Index(k int) int {
 	return k
 }
 
-// Reset truncates the batch for reuse: columns empty, no selection,
-// dictionaries retained.
-func (b *Batch) Reset() {
-	for i := range b.Cols {
-		b.Cols[i].reset()
-	}
-	b.N = 0
-	b.Sel = nil
-}
-
 // AppendRow appends one boxed row.
 func (b *Batch) AppendRow(r types.Row) {
 	for i := range b.Cols {
@@ -318,18 +285,13 @@ func (b *Batch) AppendRow(r types.Row) {
 	b.N++
 }
 
-// FromRows appends rows into dst, allocating a batch when dst is nil.
-// The returned batch has no selection.
-func FromRows(sch types.Schema, rows []types.Row, dst *Batch) *Batch {
-	if dst == nil {
-		dst = New(sch)
-	} else {
-		dst.Reset()
-	}
+// FromRows builds a fresh batch, with no selection, from boxed rows.
+func FromRows(sch types.Schema, rows []types.Row) *Batch {
+	b := New(sch)
 	for _, r := range rows {
-		dst.AppendRow(r)
+		b.AppendRow(r)
 	}
-	return dst
+	return b
 }
 
 // ReadRow boxes the physical row i into scratch (len == number of columns)

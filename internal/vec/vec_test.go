@@ -43,7 +43,7 @@ func testRows(n int) []types.Row {
 // dictionary-coded string column.
 func TestFromRowsMaterializeRoundTrip(t *testing.T) {
 	rows := testRows(137)
-	b := FromRows(testSchema(), rows, nil)
+	b := FromRows(testSchema(), rows)
 	if b.N != len(rows) || b.Rows() != len(rows) {
 		t.Fatalf("batch rows = %d/%d, want %d", b.N, b.Rows(), len(rows))
 	}
@@ -52,8 +52,8 @@ func TestFromRowsMaterializeRoundTrip(t *testing.T) {
 			t.Fatalf("col %d form = %d, want %d (typed columns must not demote)", c, b.Cols[c].Form, form)
 		}
 	}
-	if b.Cols[2].Dict.Len() != 3 {
-		t.Fatalf("dict size = %d, want 3", b.Cols[2].Dict.Len())
+	if len(b.Cols[2].Dict.strs) != 3 {
+		t.Fatalf("dict size = %d, want 3", len(b.Cols[2].Dict.strs))
 	}
 	out := b.Materialize(nil)
 	if len(out) != len(rows) {
@@ -70,7 +70,7 @@ func TestFromRowsMaterializeRoundTrip(t *testing.T) {
 // only the selected rows, in selection order.
 func TestSelectionSemantics(t *testing.T) {
 	rows := testRows(20)
-	b := FromRows(testSchema(), rows, nil)
+	b := FromRows(testSchema(), rows)
 	b.Sel = []int32{3, 3, 17, 0}
 	if b.Rows() != 4 {
 		t.Fatalf("selected rows = %d, want 4", b.Rows())
@@ -106,33 +106,6 @@ func TestAppendDemotes(t *testing.T) {
 	}
 }
 
-// TestResetKeepsDict: Reset clears rows but keeps the dictionary, so a
-// producer reusing a batch does not re-intern its vocabulary.
-func TestResetKeepsDict(t *testing.T) {
-	b := FromRows(testSchema(), testRows(10), nil)
-	d := b.Cols[2].Dict
-	n := d.Len()
-	b.Reset()
-	if b.N != 0 || b.Rows() != 0 {
-		t.Fatalf("reset batch has %d rows", b.Rows())
-	}
-	if b.Cols[2].Dict != d || d.Len() != n {
-		t.Fatal("Reset must keep the producer dictionary")
-	}
-}
-
-// TestDictHashMatchesTypes: the dictionary's cached hash must agree with
-// types.Hash so code-level and boxed hash paths partition identically.
-func TestDictHashMatchesTypes(t *testing.T) {
-	d := NewDict()
-	for _, s := range []string{"", "x", "shipped back"} {
-		c := d.Code(s)
-		if got, want := d.Hash(c), types.Hash(types.NewString(s)); got != want {
-			t.Fatalf("dict hash(%q) = %d, want %d", s, got, want)
-		}
-	}
-}
-
 // TestWireRoundTrip: EncodeRows→DecodeRows and EncodeBatch→DecodeRows are
 // lossless, including NULL bitmaps, dictionary strings, and selections.
 func TestWireRoundTrip(t *testing.T) {
@@ -152,7 +125,7 @@ func TestWireRoundTrip(t *testing.T) {
 		}
 	})
 	t.Run("batch-window", func(t *testing.T) {
-		b := FromRows(testSchema(), rows, nil)
+		b := FromRows(testSchema(), rows)
 		got, err := DecodeRows(EncodeBatch(nil, b, 10, 30))
 		if err != nil {
 			t.Fatal(err)
@@ -167,7 +140,7 @@ func TestWireRoundTrip(t *testing.T) {
 		}
 	})
 	t.Run("batch-selection", func(t *testing.T) {
-		b := FromRows(testSchema(), rows, nil)
+		b := FromRows(testSchema(), rows)
 		b.Sel = []int32{5, 1, 66, 5}
 		got, err := DecodeRows(EncodeBatch(nil, b, 1, 3))
 		if err != nil {

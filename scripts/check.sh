@@ -27,7 +27,7 @@ go test ./...
 echo "==> go test -race (every package with goroutines, parity suites or golden plans)"
 go test -race ./internal/exec ./internal/cluster ./internal/srv ./internal/buffer \
   ./internal/txn ./internal/obs ./internal/network ./internal/storage ./internal/page \
-  ./internal/vec ./internal/tpch ./internal/opt ./internal/perfmodel ./cmd/hrdbms-server
+  ./internal/vec ./internal/compress ./internal/tpch ./internal/opt ./internal/perfmodel ./cmd/hrdbms-server
 
 echo "==> go test -tags invariants (buffer, txn; storage and exec scan through poisoned recycled frames)"
 go test -tags invariants ./internal/buffer ./internal/txn ./internal/storage ./internal/exec

@@ -74,8 +74,10 @@ run bench-exec-gate hrdbms-bench -exp exec -json "$tmp/run/exec.json" \
   -baseline "$root/BENCH_EXEC.json" -assert q7,q9,q17,q21
 
 # One server, three connections: the documented wire commands and SQL
-# statements on the first, a heavy self-join on the second, and its KILL from
-# the third. SIGTERM drains the server, which is what flushes its counters.
+# statements on the first (among them what no benchmark query drives through
+# a join's typed probe: a semi join, an anti join and an expression-key join
+# with the columnar orders on the probe side), a heavy self-join on the
+# second, and its KILL from the third. SIGTERM drains the server, which is what flushes its counters.
 say "hrdbms-server scripted session"
 mkdir -p "$tmp/cov/server" "$tmp/run/server-data"
 (cd "$tmp/run" && GOCOVERDIR="$tmp/cov/server" exec "$tmp/bin/hrdbms-server" \
@@ -156,6 +158,9 @@ OK|SELECT k, v, f, d FROM audit_c WHERE f > 1 OR v IS NULL ORDER BY k
 OK|SELECT k FROM audit_c WHERE (b OR NOT (k > 3)) AND v < 'b' AND v <= v ORDER BY k
 OK|SELECT v, count(*), sum(f), min(d) FROM audit_c WHERE k < 4 GROUP BY v ORDER BY v
 OK|SELECT l_orderkey, l_comment FROM lineitem WHERE l_comment LIKE '%furious%' ORDER BY l_orderkey, l_comment
+OK|SELECT count(*) FROM orders WHERE EXISTS (SELECT * FROM lineitem WHERE l_orderkey = o_orderkey AND l_quantity > 49)
+OK|SELECT count(*) FROM orders WHERE NOT EXISTS (SELECT * FROM lineitem WHERE l_orderkey = o_orderkey AND l_quantity > 49)
+OK|SELECT count(*) FROM orders, nation WHERE o_custkey + 1 = n_nationkey + 1
 OK|SELECT l_linenumber, l_comment FROM lineitem WHERE l_orderkey = 1 ORDER BY l_linenumber
 OK|DROP TABLE audit_t
 OK|DROP TABLE audit_c
