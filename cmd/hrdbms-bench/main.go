@@ -39,7 +39,7 @@ func main() {
 	jsonOut := flag.String("json", "", "with -exp exec: write stats JSON to this file")
 	trace := flag.Bool("trace", false, "with -exp exec: print the per-operator span tree of every query")
 	baseline := flag.String("baseline", "", "with -exp exec: fail if work_rows/net_bytes of the -assert queries regress vs this JSON baseline")
-	assert := flag.String("assert", "q7,q9,q17,q21", "with -baseline: comma-separated queries to gate")
+	assert := flag.String("assert", "", "with -baseline: comma-separated queries to gate (default: every query in the baseline)")
 	tol := flag.Float64("tol", 0.10, "with -baseline: allowed fractional growth before failing")
 	flag.Parse()
 

@@ -27,18 +27,32 @@ func benchRows(n int, keys int) []types.Row {
 	return rows
 }
 
+// BenchmarkHashJoinBuildProbe joins a large probe side into a small build
+// (one match a probe row) and, shaped like q21's per-worker lineitem build
+// at SF0.01, a large build — 15,000 rows over 3,750 keys — into a 60,000-row
+// probe (four matches a probe row).
 func BenchmarkHashJoinBuildProbe(b *testing.B) {
 	sch := intSchema("k", "v", "s")
-	probeRows := benchRows(50000, 1000)
-	buildRows := benchRows(1000, 1000)
-	b.SetBytes(int64(len(probeRows)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		j := NewHashJoin(nil, NewSource(sch, probeRows), NewSource(sch, buildRows),
-			ColRefs(0), ColRefs(0), JoinInner, nil, 2)
-		if _, err := Collect(j); err != nil {
-			b.Fatal(err)
-		}
+	for _, c := range []struct {
+		name               string
+		probe, build, keys int
+	}{
+		{"probe-heavy", 50000, 1000, 1000},
+		{"build-heavy", 60000, 15000, 3750},
+	} {
+		probeRows := benchRows(c.probe, c.keys)
+		buildRows := benchRows(c.build, c.keys)
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(probeRows)))
+			for i := 0; i < b.N; i++ {
+				j := NewHashJoin(nil, NewSource(sch, probeRows), NewSource(sch, buildRows),
+					ColRefs(0), ColRefs(0), JoinInner, nil, 2)
+				if _, err := Collect(j); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -349,6 +349,7 @@ func (s *Shuffle) start() {
 			// Still emit EOFs so peers (and our receive loop) terminate.
 			_ = eofAll()
 		}
+		keys := newKeyHasher(s.Keys, s.sch.Len())
 		route := func(r types.Row) error {
 			if s.Spec.Broadcast {
 				for dest := 0; dest < n; dest++ {
@@ -361,7 +362,7 @@ func (s *Shuffle) start() {
 				}
 				return nil
 			}
-			hk, err := HashKeys(s.Keys, r)
+			hk, err := keys.hash(r)
 			if err != nil {
 				return err
 			}

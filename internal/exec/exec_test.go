@@ -480,6 +480,56 @@ func TestBloom(t *testing.T) {
 	}
 }
 
+// TestJoinTableChains loads a join table the way a worker's build meets it
+// after a shuffle: 10,000 distinct keys whose hashes all leave the same
+// remainder modulo the worker count, so their low bits are constant. A slot
+// from the high bits of hash × φ keeps every chain short; one from the low
+// bits would use a 1/workers share of the slots. Every row is found under its
+// own hash, a second row of a key follows the first, and the hash keyHasher
+// files a row under is the probe's, types.HashRow of the key row.
+func TestJoinTableChains(t *testing.T) {
+	for _, workers := range []uint64{4, 1024} {
+		t.Run(fmt.Sprintf("hash %% %d shared", workers), func(t *testing.T) {
+			keys := newKeyHasher(ColRefs(0), 2)
+			table := &joinTable{}
+			for k := int64(0); len(table.rows) < 10000; k++ {
+				r := types.Row{types.NewInt(k), types.NewInt(int64(len(table.rows)))}
+				hk, err := keys.hash(r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if hk%workers == 0 {
+					table.add(r, hk)
+				}
+			}
+			if hk := table.hashes[0]; hk != types.HashRow(types.Row{table.rows[0][0]}, []int{0}) {
+				t.Fatalf("keyHasher filed key %v under %x, the probe hashes it to something else", table.rows[0][0], hk)
+			}
+			table.add(types.Row{table.rows[0][0], types.NewInt(10000)}, table.hashes[0])
+			table.seal()
+			longest := 0
+			for _, i := range table.heads {
+				n := 0
+				for ; i >= 0; i = table.next[i] {
+					n++
+				}
+				longest = max(longest, n)
+			}
+			if longest > 16 {
+				t.Errorf("longest chain %d over %d slots, want at most 16", longest, len(table.heads))
+			}
+			for i := 1; i < 10000; i++ {
+				if j := table.first(table.hashes[i]); j != int32(i) || table.after(j) != -1 {
+					t.Fatalf("row %d: first %d, after it %d", i, j, table.after(j))
+				}
+			}
+			if j := table.first(table.hashes[0]); j != 0 || table.after(0) != 10000 || table.after(10000) != -1 {
+				t.Fatalf("a key filed twice: first %d, then %d — want 0, then 10000", j, table.after(0))
+			}
+		})
+	}
+}
+
 func TestMergeOperators(t *testing.T) {
 	a := NewSource(intSchema("x"), intRows([]int64{1}, []int64{4}, []int64{9}))
 	b := NewSource(intSchema("x"), intRows([]int64{2}, []int64{3}, []int64{10}))

@@ -52,11 +52,11 @@ func (t JoinType) String() string {
 // Probe.NextBatch (joinProbe.probeRow), or — when the plan was lowered over a
 // typed producer (NewTypedProbeHashJoin) — typed batches from its NextVec
 // (joinProbe.probeBatch), which reads the key off the key columns and boxes a
-// row only once the Bloom filter and its bucket have admitted it. Both fill
-// the same scratch key, hash it with the hash the build used and share the
-// match rule, so the build, the filter, the Grace path and the emitter exist
-// once. The build side and the Grace path read rows: the table stores boxed
-// rows, and Grace writes every probe row to a spill partition anyway.
+// row only once the Bloom filter and the table have admitted its hash. Both
+// fill the same scratch key, hash it with the hash the build used and share
+// the match rule, so the build, the filter, the Grace path and the emitter
+// exist once. The build side and the Grace path read rows: the table stores
+// boxed rows, and Grace writes every probe row to a spill partition anyway.
 type HashJoin struct {
 	Probe     Operator
 	Build     Operator
@@ -137,61 +137,147 @@ func (h *HashJoin) prepare() error {
 	if h.ctx != nil {
 		budget = h.ctx.MemRows
 	}
-	table := map[uint64][]types.Row{}
+	table := &joinTable{}
 	bloom := NewBloom(1 << 16)
-	overflow := false
-	buildCount := 0
-	var buildSpill *spillWriter
+	keys := newKeyHasher(h.BuildKeys, h.Build.Schema().Len())
+	var buildSpill *spillWriter // non-nil once the build has overflowed
 
 	if err := drain(h.ctx, h.Build.NextBatch, func(b []types.Row) error {
+		var state int64
 		for _, r := range b {
-			if h.ctx != nil {
-				h.ctx.RowsProcessed.Add(1)
-			}
-			key, err := HashKeys(h.BuildKeys, r)
+			hk, err := keys.hash(r)
 			if err != nil {
 				return err
 			}
-			bloom.Add(key)
-			if !overflow && budget > 0 && buildCount >= budget {
-				overflow = true
-				var err error
-				buildSpill, err = h.spills.newWriter(h.ctx, "join-build-*")
-				if err != nil {
+			bloom.Add(hk)
+			if buildSpill == nil && budget > 0 && len(table.rows) >= budget {
+				if buildSpill, err = h.spills.newWriter(h.ctx, "join-build-*"); err != nil {
 					return err
 				}
-				// Move the in-memory table to the spill file too: Grace mode
+				// Move the in-memory rows to the spill file too: Grace mode
 				// re-partitions everything uniformly.
-				for _, rows := range table {
-					for _, br := range rows {
-						if err := buildSpill.write(br); err != nil {
-							return err
-						}
+				for _, br := range table.rows {
+					if err := buildSpill.write(br); err != nil {
+						return err
 					}
 				}
 				table = nil
 			}
-			if overflow {
+			if buildSpill != nil {
 				if err := buildSpill.write(r); err != nil {
 					return err
 				}
 			} else {
-				table[key] = append(table[key], r)
-				if h.ctx != nil {
-					h.ctx.addState(int64(types.RowEncodedSize(r)))
-				}
+				table.add(r, hk)
+				state += int64(types.RowEncodedSize(r))
 			}
-			buildCount++
+		}
+		if h.ctx != nil {
+			h.ctx.RowsProcessed.Add(int64(len(b)))
+			h.ctx.addState(state)
 		}
 		return nil
 	}); err != nil {
 		return err
 	}
 
-	if !overflow {
+	if buildSpill == nil {
+		table.seal()
 		return h.streamProbe(table, bloom)
 	}
-	return h.graceJoin(buildSpill, bloom)
+	return h.graceJoin(buildSpill, keys, bloom)
+}
+
+// joinTable is a hash join's build side: the build rows in arrival order,
+// each beside the hash of its key, chained into buckets by seal once the
+// build is drained. A row's slot comes from the high bits of hash × φ, not
+// from its low bits: after a Shuffle every row on a worker has the same
+// hash % workers, and within a Grace partition the same hash % fanout, so
+// there the low bits are constant and would leave most slots unused.
+type joinTable struct {
+	rows   []types.Row // the build rows, in arrival order
+	hashes []uint64    // hashes[i]: the key hash rows[i] is filed under
+	heads  []int32     // by slot: the first row of its chain, or -1
+	next   []int32     // next[i]: the row after i in its chain, or -1
+	shift  uint        // slot = hash × φ >> shift
+}
+
+// add files a build row under its key hash; it is not found before seal.
+func (t *joinTable) add(r types.Row, hk uint64) {
+	t.rows = append(t.rows, r)
+	t.hashes = append(t.hashes, hk)
+}
+
+// seal chains the rows into a power of two ≥ 2 × rows slots, threading each
+// chain from the last row back so that it lists its rows in arrival order —
+// the order an inner join emits a probe row's matches in.
+func (t *joinTable) seal() {
+	bits := uint(1)
+	for 1<<bits < 2*len(t.rows) {
+		bits++
+	}
+	t.shift = 64 - bits
+	t.heads = make([]int32, 1<<bits)
+	for s := range t.heads {
+		t.heads[s] = -1
+	}
+	t.next = make([]int32, len(t.rows))
+	for i := len(t.rows) - 1; i >= 0; i-- {
+		s := t.slot(t.hashes[i])
+		t.next[i], t.heads[s] = t.heads[s], int32(i)
+	}
+}
+
+func (t *joinTable) slot(hk uint64) uint64 { return (hk * 0x9E3779B97F4A7C15) >> t.shift }
+
+// first returns the first row filed under hk, or -1.
+func (t *joinTable) first(hk uint64) int32 { return t.from(t.heads[t.slot(hk)], hk) }
+
+// after returns the next row filed under the same hash as row i, or -1.
+func (t *joinTable) after(i int32) int32 { return t.from(t.next[i], t.hashes[i]) }
+
+// from walks a chain from entry i to the first row filed under hk: rows of
+// other hashes that share the slot are skipped without being looked at.
+func (t *joinTable) from(i int32, hk uint64) int32 {
+	for i >= 0 && t.hashes[i] != hk {
+		i = t.next[i]
+	}
+	return i
+}
+
+// keyHasher hashes a row's key expressions the way joinProbe.bucket hashes
+// its scratch key — types.HashRow of the key values — without allocating.
+// When every key is a plain column it hashes the row in place through their
+// offsets; otherwise it evaluates the keys into a scratch row, so one
+// keyHasher serves one goroutine at a time.
+type keyHasher struct {
+	keys    []expr.Expr
+	offs    []int     // what HashRow reads: the key columns, or [0, len(keys)) of scratch
+	scratch types.Row // nil when every key is a plain column
+}
+
+// newKeyHasher binds keys over an n-column input.
+func newKeyHasher(keys []expr.Expr, n int) *keyHasher {
+	cols, anyExpr := keyColumns(keys, n)
+	if !anyExpr {
+		return &keyHasher{offs: cols}
+	}
+	return &keyHasher{keys: keys, offs: allOffsets(len(keys)), scratch: make(types.Row, len(keys))}
+}
+
+// hash returns the key hash of r.
+func (k *keyHasher) hash(r types.Row) (uint64, error) {
+	if k.scratch == nil {
+		return types.HashRow(r, k.offs), nil
+	}
+	for i, e := range k.keys {
+		v, err := e.Eval(r)
+		if err != nil {
+			return 0, err
+		}
+		k.scratch[i] = v
+	}
+	return types.HashRow(k.scratch, k.offs), nil
 }
 
 // streamProbe probes the shared read-only table with the probe input, on
@@ -202,7 +288,7 @@ func (h *HashJoin) prepare() error {
 // that goroutine drains and probes by itself. Join results cross to the
 // consumer in slabs; each worker probes through its own joinProbe, emitter
 // included, so nothing but the table and the filter is shared.
-func (h *HashJoin) streamProbe(table map[uint64][]types.Row, bloom *Bloom) error {
+func (h *HashJoin) streamProbe(table *joinTable, bloom *Bloom) error {
 	degree := h.ctx.AcquireWorkers(h.Parallel)
 	h.Trace.AddWorkers(int64(degree))
 	h.Trace.SetInput(h.typed != nil)
@@ -296,54 +382,64 @@ func (e *joinEmitter) flush() error {
 // match, which is where the hash, the filter and the match rule live; the
 // rest is the typed front end's (bound at its first batch).
 type joinProbe struct {
-	h     *HashJoin
-	table map[uint64][]types.Row
-	bloom *Bloom
-	out   *joinEmitter
-	key   types.Row // scratch: the probe key of the row in hand
-	offs  []int     // [0, len(key)), the offsets HashRow hashes
+	h         *HashJoin
+	table     *joinTable
+	bloom     *Bloom
+	out       *joinEmitter
+	key       types.Row // scratch: the probe key of the row in hand
+	offs      []int     // [0, len(key)), the offsets HashRow hashes
+	buildCols []int     // by key: the build column it is, or -1 for an expression
 
 	keyCols  []int     // by key: the probe column it is, or -1 for an expression
 	exprKeys bool      // some key is an expression
 	scratch  types.Row // the row a batch position is boxed into
 }
 
-func (h *HashJoin) newProbe(table map[uint64][]types.Row, bloom *Bloom, out *joinEmitter) *joinProbe {
+func (h *HashJoin) newProbe(table *joinTable, bloom *Bloom, out *joinEmitter) *joinProbe {
+	buildCols, _ := keyColumns(h.BuildKeys, h.Build.Schema().Len())
 	return &joinProbe{
 		h: h, table: table, bloom: bloom, out: out,
 		key: make(types.Row, len(h.ProbeKeys)), offs: allOffsets(len(h.ProbeKeys)),
+		buildCols: buildCols,
 	}
 }
 
-// bucket returns the build rows filed under the hash of the scratch key —
-// the hash the build filed them under, types.HashRow of the boxed key values,
-// whichever front end read them — or nothing when the Bloom filter knows no
-// build row has it.
-func (p *joinProbe) bucket() []types.Row {
+// bucket returns the first build row filed under the hash of the scratch
+// key — types.HashRow of the boxed key values, whichever front end read
+// them, which is what keyHasher filed the build rows under — or -1 when the
+// Bloom filter or the table knows no build row has it.
+func (p *joinProbe) bucket() int32 {
 	hk := types.HashRow(p.key, p.offs)
 	if !p.bloom.MayContain(hk) {
-		return nil
+		return -1
 	}
-	return p.table[hk]
+	return p.table.first(hk)
 }
 
-// match joins probe row r, whose key is in the scratch key, with the rows of
-// its bucket and reports whether any matched: the join's one match rule. A
-// pair matches when every key value is equal — NULL equals nothing, itself
-// included — and the residual, if any, holds over the concatenated pair. An
-// inner join emits every matching pair; for a semi or anti join the first
-// match settles the row, which the front end then outputs or drops.
-func (p *joinProbe) match(r types.Row, bucket []types.Row) (bool, error) {
-	h := p.h
+// match joins probe row r, whose key is in the scratch key, with the build
+// rows filed under its hash from row i on, and reports whether any matched:
+// the join's one match rule. A pair matches when every key value is equal —
+// NULL equals nothing, itself included, and equal hashes prove nothing — and
+// the residual, if any, holds over the concatenated pair. An inner join
+// emits every matching pair; for a semi or anti join the first match settles
+// the row, which the front end then outputs or drops.
+func (p *joinProbe) match(r types.Row, i int32) (bool, error) {
+	h, t := p.h, p.table
 	matched := false
 candidates:
-	for _, br := range bucket {
-		for i, k := range h.BuildKeys {
-			bv, err := k.Eval(br)
-			if err != nil {
-				return false, err
+	for ; i >= 0; i = t.after(i) {
+		br := t.rows[i]
+		for ki, c := range p.buildCols {
+			var bv types.Value
+			if c >= 0 {
+				bv = br[c]
+			} else {
+				var err error
+				if bv, err = h.BuildKeys[ki].Eval(br); err != nil {
+					return false, err
+				}
 			}
-			if p.key[i].IsNull() || bv.IsNull() || types.Compare(p.key[i], bv) != 0 {
+			if p.key[ki].IsNull() || bv.IsNull() || types.Compare(p.key[ki], bv) != 0 {
 				continue candidates
 			}
 		}
@@ -407,11 +503,12 @@ func (p *joinProbe) bindTyped() {
 // probeBatch is the typed front end: it emits the join results of the active
 // rows of one batch. A key that is a plain column is read off the column
 // (Col.Value honours the NULL bitmap and a column demoted to boxed), and the
-// row is boxed only once its bucket holds a candidate or an anti join must
-// output it — into scratch, since an inner join's results are fresh
-// concatenations; a semi or anti join's output row is a fresh one. A key that
-// is an expression is evaluated on the boxed row, so every row is boxed
-// first. BoxedRows counts the rows boxed either way.
+// row is boxed only once the table holds a row filed under its very hash —
+// not merely one in the same slot — or an anti join must output it: into
+// scratch, since an inner join's results are fresh concatenations; a semi or
+// anti join's output row is a fresh one. A key that is an expression is
+// evaluated on the boxed row, so every row is boxed first. BoxedRows counts
+// the rows boxed either way.
 func (p *joinProbe) probeBatch(b *vec.Batch) error {
 	if p.keyCols == nil {
 		p.bindTyped()
@@ -438,13 +535,13 @@ func (p *joinProbe) probeBatch(b *vec.Batch) error {
 			p.key[ki] = v
 		}
 		matched := false
-		if bucket := p.bucket(); len(bucket) > 0 {
+		if first := p.bucket(); first >= 0 {
 			if row == nil {
 				row = b.ReadRow(i, p.scratch)
 				boxed++
 			}
 			var err error
-			if matched, err = p.match(row, bucket); err != nil {
+			if matched, err = p.match(row, first); err != nil {
 				return err
 			}
 		}
@@ -461,19 +558,6 @@ func (p *joinProbe) probeBatch(b *vec.Batch) error {
 	return nil
 }
 
-// EvalKeys evaluates key expressions over a row into a key row.
-func EvalKeys(keys []expr.Expr, r types.Row) (types.Row, error) {
-	out := make(types.Row, len(keys))
-	for i, k := range keys {
-		v, err := k.Eval(r)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v
-	}
-	return out, nil
-}
-
 // allOffsets returns [0, 1, ..., n-1].
 func allOffsets(n int) []int {
 	out := make([]int, n)
@@ -481,15 +565,6 @@ func allOffsets(n int) []int {
 		out[i] = i
 	}
 	return out
-}
-
-// HashKeys evaluates and hashes key expressions for partitioning.
-func HashKeys(keys []expr.Expr, r types.Row) (uint64, error) {
-	kr, err := EvalKeys(keys, r)
-	if err != nil {
-		return 0, err
-	}
-	return types.HashRow(kr, allOffsets(len(kr))), nil
 }
 
 // ColRefs builds plain column-reference key expressions.
@@ -502,9 +577,10 @@ func ColRefs(idx ...int) []expr.Expr {
 }
 
 // graceJoin partitions both sides by key hash into fanout spill partitions
-// and joins each pair in memory. Every file belongs to h.spills, so a failed
-// or abandoned join leaves its cleanup to Close.
-func (h *HashJoin) graceJoin(buildSpill *spillWriter, bloom *Bloom) error {
+// and joins each pair in memory; buildKeys is the build's key hasher. Every
+// file belongs to h.spills, so a failed or abandoned join leaves its cleanup
+// to Close.
+func (h *HashJoin) graceJoin(buildSpill *spillWriter, buildKeys *keyHasher, bloom *Bloom) error {
 	const fanout = DefaultGraceFanout
 	buildReader, err := buildSpill.finish()
 	if err != nil {
@@ -528,7 +604,7 @@ func (h *HashJoin) graceJoin(buildSpill *spillWriter, bloom *Bloom) error {
 		if !ok {
 			break
 		}
-		hk, err := HashKeys(h.BuildKeys, r)
+		hk, err := buildKeys.hash(r)
 		if err != nil {
 			return err
 		}
@@ -538,9 +614,10 @@ func (h *HashJoin) graceJoin(buildSpill *spillWriter, bloom *Bloom) error {
 	}
 	buildReader.close()
 	h.Trace.SetInput(false)
+	probeKeys := newKeyHasher(h.ProbeKeys, h.Probe.Schema().Len())
 	if err := drain(h.ctx, h.Probe.NextBatch, func(b []types.Row) error {
 		for _, r := range b {
-			key, err := HashKeys(h.ProbeKeys, r)
+			key, err := probeKeys.hash(r)
 			if err != nil {
 				return err
 			}
@@ -565,7 +642,7 @@ func (h *HashJoin) graceJoin(buildSpill *spillWriter, bloom *Bloom) error {
 		em := &joinEmitter{h: h, size: h.ctx.batchRows()}
 		var err error
 		for p := 0; p < fanout && err == nil; p++ {
-			err = h.joinPartition(buildParts[p], probeParts[p], em)
+			err = h.joinPartition(buildParts[p], probeParts[p], buildKeys, em)
 		}
 		if err == nil {
 			err = em.flush()
@@ -577,12 +654,14 @@ func (h *HashJoin) graceJoin(buildSpill *spillWriter, bloom *Bloom) error {
 	return nil
 }
 
-func (h *HashJoin) joinPartition(bw, pw *spillWriter, em *joinEmitter) error {
+// joinPartition joins one pair of Grace partitions through the table the
+// streaming probe uses, built from the partition's build rows.
+func (h *HashJoin) joinPartition(bw, pw *spillWriter, keys *keyHasher, em *joinEmitter) error {
 	br, err := bw.finish()
 	if err != nil {
 		return err
 	}
-	table := map[uint64][]types.Row{}
+	table := &joinTable{}
 	for {
 		r, ok, err := br.next()
 		if err != nil {
@@ -591,13 +670,14 @@ func (h *HashJoin) joinPartition(bw, pw *spillWriter, em *joinEmitter) error {
 		if !ok {
 			break
 		}
-		hk, err := HashKeys(h.BuildKeys, r)
+		hk, err := keys.hash(r)
 		if err != nil {
 			return err
 		}
-		table[hk] = append(table[hk], r)
+		table.add(r, hk)
 	}
 	br.close()
+	table.seal()
 	pr, err := pw.finish()
 	if err != nil {
 		return err

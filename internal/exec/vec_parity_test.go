@@ -247,14 +247,31 @@ func joinParityData() (probeSch types.Schema, probe []types.Row, buildSch types.
 	return cols("p"), probe, cols("b"), build
 }
 
+// keyRow evaluates key expressions over a row.
+func keyRow(t *testing.T, keys []expr.Expr, r types.Row) types.Row {
+	t.Helper()
+	kr := make(types.Row, len(keys))
+	for i, k := range keys {
+		v, err := k.Eval(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kr[i] = v
+	}
+	return kr
+}
+
+// keyHash is the hash a join files a row under, worked out the long way:
+// types.HashRow of the evaluated key row.
+func keyHash(t *testing.T, keys []expr.Expr, r types.Row) uint64 {
+	t.Helper()
+	return types.HashRow(keyRow(t, keys, r), allOffsets(len(keys)))
+}
+
 // hasNullKey reports whether some key expression is NULL over the row.
 func hasNullKey(t *testing.T, keys []expr.Expr, r types.Row) bool {
 	t.Helper()
-	kr, err := EvalKeys(keys, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range kr {
+	for _, v := range keyRow(t, keys, r) {
 		if v.IsNull() {
 			return true
 		}
@@ -262,54 +279,118 @@ func hasNullKey(t *testing.T, keys []expr.Expr, r types.Row) bool {
 	return false
 }
 
+// shiftCols returns a copy of e whose column references are moved by n, so
+// that a build-side expression reads its column of the concatenated row.
+func shiftCols(e expr.Expr, n int) expr.Expr {
+	e = expr.Clone(e)
+	expr.Walk(e, func(x expr.Expr) {
+		if c, ok := x.(*expr.Col); ok {
+			c.Index += n
+		}
+	})
+	return e
+}
+
+// joinEdgeRows builds rows of the edge cases' schema — k INT, f FLOAT, v the
+// row id — with key values from fill.
+func joinEdgeRows(n int, fill func(i int) (k, f types.Value)) []types.Row {
+	rows := make([]types.Row, n)
+	for i := range rows {
+		k, f := fill(i)
+		rows[i] = types.Row{k, f, types.NewInt(int64(i))}
+	}
+	return rows
+}
+
 // TestJoinFrontEndParity feeds the same probe rows through both front ends
 // of HashJoin. The row front end at degree 1 with no budget is the oracle;
 // the typed probe must return the same multiset for every join type, key
-// shape, degree, budget, batch size and with a selection vector. On the
-// streaming path it must box a row only once the filter and its bucket have
-// admitted it or an anti join outputs it; under a budget the build overflows,
-// the Grace path must spill and leave nothing behind.
+// shape, degree, budget, batch size and with a selection vector. The oracle
+// shares its table with what it judges, so it is checked in turn against a
+// NestedLoopJoin whose condition is the key equalities ANDed with the
+// residual: no table, no hash, no Bloom filter. On the streaming path the
+// typed probe must box a row only once the filter and the table have
+// admitted its hash or an anti join outputs it; under a budget the build
+// overflows, the Grace path must spill and leave nothing behind.
 func TestJoinFrontEndParity(t *testing.T) {
 	testutil.AssertNoGoroutineLeak(t)
-	probeSch, probe, buildSch, build := joinParityData()
+	baseProbeSch, baseProbe, baseBuildSch, baseBuild := joinParityData()
+	edgeSch := func(p string) types.Schema {
+		return types.Schema{Cols: []types.Column{
+			{Name: p + "k", Kind: types.KindInt}, {Name: p + "f", Kind: types.KindFloat}, {Name: p + "v", Kind: types.KindInt},
+		}}
+	}
+	i64, f64 := types.NewInt, types.NewFloat
+	if types.Hash(f64(0.5000001)) != types.Hash(f64(0.5000002)) {
+		t.Fatal("0.5000001 and 0.5000002 no longer share a hash — the float case tests nothing")
+	}
 	inc := func(e expr.Expr) []expr.Expr { return []expr.Expr{add(e, ci(1))} }
 	cases := []struct {
 		name                 string
 		probeKeys, buildKeys []expr.Expr
 		residual             expr.Expr
+		// An edge case joins its own rows, of edgeSch, and pins the inner
+		// join's row count; nil rows on both sides mean joinParityData's.
+		probe, build []types.Row
+		inner        int
 	}{
-		{"int key", ColRefs(0), ColRefs(0), nil},
-		{"string key with NULLs", ColRefs(1), ColRefs(1), nil},
-		{"two-column key", ColRefs(0, 2), ColRefs(0, 2), nil},
-		{"expression key", inc(col(0)), inc(col(0)), nil},
-		{"demoted key column", ColRefs(3), ColRefs(3), nil},
-		{"residual", ColRefs(0), ColRefs(0), lt(col(4), col(probeSch.Len()+4))},
+		{name: "int key", probeKeys: ColRefs(0), buildKeys: ColRefs(0)},
+		{name: "string key with NULLs", probeKeys: ColRefs(1), buildKeys: ColRefs(1)},
+		{name: "two-column key", probeKeys: ColRefs(0, 2), buildKeys: ColRefs(0, 2)},
+		{name: "expression key", probeKeys: inc(col(0)), buildKeys: inc(col(0))},
+		{name: "demoted key column", probeKeys: ColRefs(3), buildKeys: ColRefs(3)},
+		{name: "residual", probeKeys: ColRefs(0), buildKeys: ColRefs(0), residual: lt(col(4), col(baseProbeSch.Len()+4))},
+		// Equal hashes prove nothing: only the two 0.25 rows on each side match.
+		{name: "unequal float keys sharing a hash", probeKeys: ColRefs(1), buildKeys: ColRefs(1),
+			probe: joinEdgeRows(6, func(i int) (types.Value, types.Value) {
+				return i64(int64(i)), f64([]float64{0.5000001, 0.25, 0.75}[i%3])
+			}),
+			build: joinEdgeRows(4, func(i int) (types.Value, types.Value) {
+				return i64(int64(i)), f64([]float64{0.5000002, 0.25}[i%2])
+			}), inner: 4},
+		// INT 1 and FLOAT 1.0 hash and compare equal; 2 and 2.5 do neither.
+		{name: "int key against float key", probeKeys: ColRefs(0), buildKeys: ColRefs(1),
+			probe: joinEdgeRows(6, func(i int) (types.Value, types.Value) { return i64(int64(i % 3)), types.Null }),
+			build: joinEdgeRows(2, func(i int) (types.Value, types.Value) { return types.Null, f64([]float64{1, 2.5}[i]) }),
+			inner: 2},
+		{name: "one key on 500 build rows", probeKeys: ColRefs(0), buildKeys: ColRefs(0),
+			probe: joinEdgeRows(4, func(i int) (types.Value, types.Value) { return i64(int64(7 + i/3)), types.Null }),
+			build: joinEdgeRows(500, func(int) (types.Value, types.Value) { return i64(7), types.Null }),
+			inner: 3 * 500},
+		{name: "empty build side", probeKeys: ColRefs(0), buildKeys: ColRefs(0),
+			probe: joinEdgeRows(5, func(i int) (types.Value, types.Value) { return i64(int64(i)), types.Null }),
+			build: []types.Row{}}, // empty, not nil: an edge case's own rows
+		{name: "build keys all NULL", probeKeys: ColRefs(0), buildKeys: ColRefs(0),
+			probe: joinEdgeRows(6, func(i int) (types.Value, types.Value) {
+				if i%3 == 0 {
+					return types.Null, types.Null
+				}
+				return i64(int64(i)), types.Null
+			}),
+			build: joinEdgeRows(50, func(int) (types.Value, types.Value) { return types.Null, types.Null })},
 	}
 	for _, c := range cases {
-		// The rows the filter and the bucket admit: those whose key hash some
+		edge := c.build != nil
+		probeSch, probe, buildSch, build := baseProbeSch, baseProbe, baseBuildSch, baseBuild
+		if edge {
+			probeSch, probe, buildSch, build = edgeSch("p"), c.probe, edgeSch("b"), c.build
+		}
+		// The rows the filter and the table admit: those whose key hash some
 		// build row was filed under (a Bloom filter has no false negatives,
-		// and its false positives find an empty bucket).
+		// and the table returns nothing for a hash no row has).
 		filed := map[uint64]bool{}
 		for _, r := range build {
-			hk, err := HashKeys(c.buildKeys, r)
-			if err != nil {
-				t.Fatal(err)
-			}
-			filed[hk] = true
+			filed[keyHash(t, c.buildKeys, r)] = true
 		}
 		admitted := int64(0)
 		for _, r := range probe {
-			hk, err := HashKeys(c.probeKeys, r)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if filed[hk] {
+			if filed[keyHash(t, c.probeKeys, r)] {
 				admitted++
 			}
 		}
 		if _, plain := c.probeKeys[0].(*expr.Col); !plain {
 			admitted = int64(len(probe)) // an expression key is evaluated on the boxed row
-		} else if admitted == 0 || admitted > int64(len(probe))/2 {
+		} else if !edge && (admitted == 0 || admitted > int64(len(probe))/2) {
 			t.Fatalf("%s: %d of %d probe rows admitted — the boxing bound tests nothing", c.name, admitted, len(probe))
 		}
 		nullKeys := 0
@@ -318,18 +399,34 @@ func TestJoinFrontEndParity(t *testing.T) {
 				nullKeys++
 			}
 		}
+		cond := c.residual
+		for i := len(c.probeKeys) - 1; i >= 0; i-- {
+			keyEq := eq(c.probeKeys[i], shiftCols(c.buildKeys[i], probeSch.Len()))
+			if cond == nil {
+				cond = keyEq
+			} else {
+				cond = &expr.Bin{Op: expr.OpAnd, L: keyEq, R: cond}
+			}
+		}
 		for _, jt := range []JoinType{JoinInner, JoinSemi, JoinAnti} {
 			want, err := Collect(NewHashJoin(NewCtx("", 0), NewSource(probeSch, probe), NewSource(buildSch, build),
 				c.probeKeys, c.buildKeys, jt, c.residual, 1))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(want) == 0 || (jt != JoinInner && len(want) == len(probe)) {
+			nested, err := Collect(NewNestedLoopJoin(NewCtx("", 0), NewSource(probeSch, probe), NewSource(buildSch, build), cond, jt))
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Run(fmt.Sprintf("%s/%v/nested loop", c.name, jt), func(t *testing.T) { assertSameRows(t, want, nested) })
+			switch {
+			case edge && jt == JoinInner && len(want) != c.inner:
+				t.Fatalf("%s: inner join returns %d rows, want %d", c.name, len(want), c.inner)
+			case !edge && (len(want) == 0 || (jt != JoinInner && len(want) == len(probe))):
 				t.Fatalf("%s/%v: oracle returns %d rows of %d — the case tests nothing", c.name, jt, len(want), len(probe))
 			}
-			// The oracle shares the match rule with what it judges, so the rule
-			// itself is checked here: a probe row with a NULL key matches nothing,
-			// whatever the build side holds under the same hash.
+			// A probe row with a NULL key matches nothing, whatever the build
+			// side holds under the same hash.
 			nullOut := 0
 			for _, r := range want {
 				if hasNullKey(t, c.probeKeys, r[:probeSch.Len()]) {
@@ -365,7 +462,7 @@ func TestJoinFrontEndParity(t *testing.T) {
 								if n := ctx.BoxedRows.Load(); memRows == 0 && n > boxBound {
 									t.Errorf("BoxedRows = %d, want at most %d (admitted, plus an anti join's output)", n, boxBound)
 								}
-								if memRows > 0 && ctx.SpillFiles.Load() == 0 {
+								if memRows > 0 && len(build) > memRows && ctx.SpillFiles.Load() == 0 {
 									t.Errorf("%d build rows under a budget of %d and nothing spilled", len(build), memRows)
 								}
 								if left := spillLeftovers(t, dir); len(left) > 0 {
@@ -378,6 +475,55 @@ func TestJoinFrontEndParity(t *testing.T) {
 			}
 		}
 	}
+
+	// 20,000 build keys fill most of the Bloom filter, so it admits hashes
+	// no build row has, and the table's slot for such a hash often holds
+	// rows of other hashes: the typed probe still boxes a row only when the
+	// table holds its own hash — the even keys, 2,000 of the 4,000.
+	t.Run("saturated filter", func(t *testing.T) {
+		sch := intSchema("k", "v")
+		var probe, build []types.Row
+		for i := 0; i < 20000; i++ {
+			build = append(build, types.Row{types.NewInt(int64(2 * i)), types.NewInt(int64(i))})
+		}
+		for i := 0; i < 4000; i++ {
+			probe = append(probe, types.Row{types.NewInt(int64(i)), types.NewInt(int64(i))})
+		}
+		bloom, table := NewBloom(1<<16), &joinTable{}
+		for _, r := range build {
+			hk := keyHash(t, ColRefs(0), r)
+			bloom.Add(hk)
+			table.add(r, hk)
+		}
+		table.seal()
+		decoys := 0
+		for _, r := range probe {
+			if hk := keyHash(t, ColRefs(0), r); r[0].I%2 == 1 && bloom.MayContain(hk) && table.heads[table.slot(hk)] >= 0 {
+				decoys++
+			}
+		}
+		if decoys == 0 {
+			t.Fatal("no absent key passes the filter into an occupied slot — the case tests nothing")
+		}
+		want, err := Collect(NewHashJoin(NewCtx("", 0), NewSource(sch, probe), NewSource(sch, build),
+			ColRefs(0), ColRefs(0), JoinInner, nil, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := NewCtx("", 0)
+		got, err := Collect(NewTypedProbeHashJoin(ctx, &typedSource{Operator: NewSource(sch, probe)}, NewSource(sch, build),
+			ColRefs(0), ColRefs(0), JoinInner, nil, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameRows(t, got, want)
+		if len(want) != 2000 {
+			t.Fatalf("%d rows joined, want 2000", len(want))
+		}
+		if n := ctx.BoxedRows.Load(); n != 2000 {
+			t.Errorf("BoxedRows = %d, want 2000 (%d absent keys share an occupied slot)", n, decoys)
+		}
+	})
 }
 
 // TestSendAllVecHonorsWireBatchRows pins the Ctx.BatchRows knob to the

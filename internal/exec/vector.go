@@ -54,9 +54,11 @@ func (s *vecRowShim) NextBatch() ([]types.Row, bool, error) {
 	return s.slab, true, nil
 }
 
-// keyColumns resolves key expressions over an n-column typed input for a
-// typed front end: by key, the input column it is, or -1 for an expression —
-// which is evaluated on the boxed row, so anyExpr means every row is boxed.
+// keyColumns resolves key expressions over an n-column input: by key, the
+// input column it is, or -1 for an expression — which is evaluated on the
+// boxed row, so for a typed front end anyExpr means every row is boxed. The
+// join's key hash and build-key compare read a plain column straight off the
+// row through it.
 func keyColumns(keys []expr.Expr, n int) (cols []int, anyExpr bool) {
 	cols = make([]int, len(keys))
 	for i, k := range keys {

@@ -112,7 +112,8 @@ func (r *Runner) ExecStats(workers int, trace bool) ([]QueryExecStat, error) {
 // and shuffle-vs-broadcast decisions directly control, and they are
 // deterministic for a fixed scale factor, seed, and worker count (unlike
 // wall time or message counts, which depend on flush timing). tol is a
-// fraction: 0.10 allows 10% growth before failing.
+// fraction: 0.10 allows 10% growth before failing. No queries named gates
+// every query in the baseline.
 func CheckExecRegression(stats []QueryExecStat, baselinePath string, queries []string, tol float64) error {
 	raw, err := os.ReadFile(baselinePath)
 	if err != nil {
@@ -123,8 +124,12 @@ func CheckExecRegression(stats []QueryExecStat, baselinePath string, queries []s
 		return fmt.Errorf("baseline %s: %w", baselinePath, err)
 	}
 	baseBy := make(map[string]QueryExecStat, len(base))
+	all := len(queries) == 0
 	for _, b := range base {
 		baseBy[b.Query] = b
+		if all {
+			queries = append(queries, b.Query)
+		}
 	}
 	curBy := make(map[string]QueryExecStat, len(stats))
 	for _, s := range stats {

@@ -157,3 +157,20 @@ func TestAblationsRun(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckExecRegressionDefaultsToBaseline: naming no queries gates every
+// query of the baseline, so a regression in any of them fails the check.
+func TestCheckExecRegressionDefaultsToBaseline(t *testing.T) {
+	path := t.TempDir() + "/base.json"
+	base := `[{"query":"q1","work_rows":100,"net_bytes":10},{"query":"q2","work_rows":100,"net_bytes":10}]`
+	if err := os.WriteFile(path, []byte(base), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	stats := []QueryExecStat{{Query: "q1", WorkRows: 100, NetBytes: 10}, {Query: "q2", WorkRows: 200, NetBytes: 10}}
+	if err := CheckExecRegression(stats, path, []string{"q1"}, 0.10); err != nil {
+		t.Fatalf("q1 alone: %v", err)
+	}
+	if err := CheckExecRegression(stats, path, nil, 0.10); err == nil || !strings.Contains(err.Error(), "q2 work_rows 200") {
+		t.Fatalf("every query: %v, want q2's regression", err)
+	}
+}

@@ -366,7 +366,7 @@ var rowPredicateScans = map[string]string{}
 // worker may box a row on the way. q12 and q9 probe a join with a columnar
 // scan (orders; lineitem under four more joins): that join is in=typed, its
 // scan ships vec_batches, and the workers box no more than the rows the
-// filter and the bucket admitted plus the build sides — under a ceiling the
+// filter and the table admitted plus the build sides — under a ceiling the
 // row probe, which boxed every scanned row, exceeded (15,289 and 67,730). A
 // join is typed exactly when a columnar scan is its probe: q3's upper join
 // probes with a Shuffle and builds from the lineitem scan, so it reads rows,

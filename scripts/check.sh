@@ -35,13 +35,16 @@ go test -tags invariants ./internal/buffer ./internal/txn ./internal/storage ./i
 echo "==> nested benchmark module (compile, smoke test, import-surface guard)"
 (cd bench && go vet ./... && go test ./...)
 
-echo "==> bench smoke (executed per-query stats + Q7/Q9/Q17/Q21 non-regression gate)"
+echo "==> bench smoke (executed per-query stats + non-regression gate over all 21 queries)"
 go run ./cmd/hrdbms-bench -exp exec -json /tmp/bench_exec_smoke.json \
-  -baseline BENCH_EXEC.json -assert q7,q9,q17,q21 >/dev/null
+  -baseline BENCH_EXEC.json >/dev/null
 rm -f /tmp/bench_exec_smoke.json
 
 echo "==> bench smoke (degree 1 vs degree 4 of the one build path, golden parity + throughput)"
 go test -run '^$' -bench BenchmarkParallelVsSerial -benchtime 1x ./internal/exec >/dev/null
+
+echo "==> bench smoke (hash join: small build under a large probe, and a q21-shaped large build)"
+go test -run '^$' -bench BenchmarkHashJoinBuildProbe -benchtime 1x ./internal/exec >/dev/null
 
 echo "==> bench smoke (typed vs boxed page decode, per layout: tagged, fixed, dict; full and 10 %-selective)"
 go test -run '^$' -bench BenchmarkTypedVsBoxedDecode -benchtime 1x ./internal/page >/dev/null
