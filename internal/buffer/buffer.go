@@ -53,8 +53,9 @@ type Stats struct {
 	Writes    int64
 }
 
-// The stripe latch is the outermost lock on the page path: eviction runs the
-// WAL flush-before-evict hook and the store write-back while holding it.
+// The stripe latch is the outermost lock of the buffer pool (only a columnar
+// fragment's latch is taken around it): eviction runs the WAL
+// flush-before-evict hook and the store write-back while holding it.
 //
 //lint:lockorder-before buffer.stripe page.file
 //lint:lockorder-before buffer.stripe wal.log

@@ -319,7 +319,8 @@ func (c *Cluster) CreateTable(def *catalog.TableDef) error {
 }
 
 // Load bulk-loads rows into a table, partitioning them across workers per
-// the table's strategy (hash, range, or replicated).
+// the table's strategy (hash, range, or replicated). A columnar fragment
+// keeps its partial tail sets open for the next Load (Close writes them).
 func (c *Cluster) Load(table string, rows []types.Row) (int, error) {
 	def, err := c.Catalog().Table(table)
 	if err != nil {
@@ -377,7 +378,8 @@ func (c *Cluster) Load(table string, rows []types.Row) (int, error) {
 }
 
 // Close shuts the cluster down, persisting predicate caches for reload at
-// the next start.
+// the next start and writing every columnar fragment's open sets, which
+// Loads leave in memory, before the buffers are written back.
 func (c *Cluster) Close() error {
 	c.Traces.Close()
 	c.Fabric.CloseAll()
@@ -385,6 +387,11 @@ func (c *Cluster) Close() error {
 	for _, w := range c.Workers {
 		for _, fr := range w.frags {
 			if err := fr.PersistPredCache(); err != nil && firstErr == nil {
+				firstErr = err
+			}
+		}
+		for _, fr := range w.colFrags {
+			if err := fr.Flush(); err != nil && firstErr == nil {
 				firstErr = err
 			}
 		}

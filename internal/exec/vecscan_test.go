@@ -17,9 +17,9 @@ import (
 // vecScanFragment builds a small columnar fragment with every slab form the
 // typed decoders handle — ints, dates, floats, dictionary strings — plus
 // NULL runs on two columns and a string column distinct in every row, which
-// chains over three or so overflow pages per set. Loading writes full page
-// sets; the trailing Appends leave rows in the open sets so scans cover both
-// the written and the open decode paths.
+// chains over three or so overflow pages per set. The first Load and a Flush
+// write every set; the trailing Load leaves its rows in the open sets so
+// scans cover both the written and the open decode paths.
 func vecScanFragment(t *testing.T) (*storage.ColumnarFragment, []types.Row) {
 	t.Helper()
 	ns, err := storage.NewNodeStore(storage.NodeConfig{
@@ -72,12 +72,14 @@ func vecScanFragment(t *testing.T) (*storage.ColumnarFragment, []types.Row) {
 	if _, err := fr.Load(rows); err != nil {
 		t.Fatal(err)
 	}
+	if err := fr.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	for i := int64(1500); i < 1509; i++ {
-		r := mk(i)
-		if err := fr.Append(r); err != nil {
-			t.Fatal(err)
-		}
-		rows = append(rows, r)
+		rows = append(rows, mk(i))
+	}
+	if _, err := fr.Load(rows[1500:]); err != nil {
+		t.Fatal(err)
 	}
 	return fr, rows
 }

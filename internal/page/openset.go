@@ -24,6 +24,7 @@ type OpenSet struct {
 	rows     int
 	cols     []openColumn
 	chunk    sealer // scratch for sealing chain pages
+	gen      uint64 // counts the changes (admitted rows, resets) to the set
 }
 
 // openColumn is one column of an OpenSet.
@@ -36,6 +37,14 @@ type openColumn struct {
 	cuts []chainCut
 
 	saved openMark // the state before the row being appended
+
+	// The column's page and chain pages as Snapshot last sealed them, valid
+	// while snapGen is the set's gen. A change does not overwrite them — a
+	// scan may still be reading them — but makes the next Snapshot seal
+	// fresh ones.
+	snap      ColumnPage
+	snapChain []ColumnPage
+	snapGen   uint64
 }
 
 // runState is the scalar state an openColumn keeps beside its sealer's.
@@ -80,6 +89,7 @@ func NewOpenSet(ncols, pageSize int) *OpenSet {
 // Reset empties the set, keeping its buffers.
 func (s *OpenSet) Reset() {
 	s.rows = 0
+	s.gen++
 	for i := range s.cols {
 		c := &s.cols[i]
 		c.reset()
@@ -112,6 +122,7 @@ func (s *OpenSet) Append(r types.Row) (bool, error) {
 		}
 	}
 	s.rows++
+	s.gen++
 	return true, nil
 }
 
@@ -266,19 +277,31 @@ func (s *OpenSet) WritePage(ci int, buf []byte, chainStart uint32) {
 	buf[colOffFlags] = byte(layout << 1)
 }
 
-// Snapshot seals the read columns of the set into fresh buffers, chains
-// included, so a scan reads an open set exactly as it reads a written one.
+// Snapshot returns the read columns of the set sealed, chains included, so a
+// scan reads an open set exactly as it reads a written one. A column is
+// sealed into fresh buffers once per change to the set: until the next
+// Append or Reset, every Snapshot shares them, and the caller must not write
+// to them.
 func (s *OpenSet) Snapshot(read []int) PageSet {
 	set := PageSet{Pages: make([]ColumnPage, len(s.cols)), Chains: make([][]ColumnPage, len(s.cols))}
 	for _, ci := range read {
-		for k, n := 0, s.ChainPages(ci); k < n; k++ {
+		c := &s.cols[ci]
+		if c.snapGen != s.gen {
+			c.snapChain = nil // not a chained column's: Chunks reads its page
+			if n := s.ChainPages(ci); n > 0 {
+				// len == cap: a reader's append copies instead of writing
+				// into the pages other scans share.
+				c.snapChain = make([]ColumnPage, n)
+				for k := range c.snapChain {
+					c.snapChain[k] = ColumnPage{Buf: make([]byte, s.pageSize)}
+					s.WriteChunk(ci, k, c.snapChain[k].Buf)
+				}
+			}
 			buf := make([]byte, s.pageSize)
-			s.WriteChunk(ci, k, buf)
-			set.Chains[ci] = append(set.Chains[ci], ColumnPage{Buf: buf})
+			s.WritePage(ci, buf, 0)
+			c.snap, c.snapGen = ColumnPage{Buf: buf}, s.gen
 		}
-		buf := make([]byte, s.pageSize)
-		s.WritePage(ci, buf, 0)
-		set.Pages[ci] = ColumnPage{Buf: buf}
+		set.Pages[ci], set.Chains[ci] = c.snap, c.snapChain
 	}
 	return set
 }

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -208,12 +209,17 @@ func TestOpenSetRefusalLeavesSetUnchanged(t *testing.T) {
 			types.NewString(fmt.Sprintf("free text %d", i*7919)),
 		}
 	}
+	// state seals every page afresh: Snapshot would hand back its cache,
+	// which a refused row must not touch either, but which hides a writer
+	// whose output it changed.
 	state := func(os *OpenSet) (pages [][]byte, mm []types.Value) {
-		set := os.Snapshot([]int{0, 1, 2, 3})
-		for ci := range set.Pages {
-			for _, p := range append(set.Chunks(ci), set.Pages[ci]) {
-				pages = append(pages, p.Buf)
+		for ci := range os.cols {
+			for k := 0; k < os.ChainPages(ci); k++ {
+				pages = append(pages, make([]byte, pageSize))
+				os.WriteChunk(ci, k, pages[len(pages)-1])
 			}
+			pages = append(pages, make([]byte, pageSize))
+			os.WritePage(ci, pages[len(pages)-1], 0)
 			lo, hi := os.MinMax(ci)
 			mm = append(mm, lo, hi)
 		}
@@ -265,5 +271,68 @@ func TestOpenSetRefusalLeavesSetUnchanged(t *testing.T) {
 	os.Reset()
 	if ok, err := os.Append(row(n)); !ok || err != nil || os.NumRows() != 1 {
 		t.Fatalf("after Reset: %v %v", ok, err)
+	}
+}
+
+// TestOpenSetSnapshotCache: Snapshots between two changes share one sealing
+// of each read column, chain included; an admitted row or a Reset makes the
+// next Snapshot seal fresh pages and leaves the ones handed out as they were,
+// and a refused row changes nothing.
+func TestOpenSetSnapshotCache(t *testing.T) {
+	const pageSize = 1024
+	row := func(i int) types.Row {
+		return types.Row{types.NewInt(int64(i)), types.NewString(fmt.Sprintf("a comment, number %d, of no two alike", i))}
+	}
+	os := NewOpenSet(2, pageSize)
+	for i := 0; os.ChainPages(1) < 2; i++ {
+		if ok, err := os.Append(row(i)); !ok || err != nil {
+			t.Fatalf("row %d: %v %v", i, ok, err)
+		}
+	}
+	// bufs lists the first byte of every page of a snapshot: its identity.
+	bufs := func(set PageSet) (out []*byte) {
+		for ci, p := range set.Pages {
+			if p.Buf != nil {
+				out = append(out, &p.Buf[0])
+			}
+			for _, chunk := range set.Chains[ci] {
+				out = append(out, &chunk.Buf[0])
+			}
+		}
+		return out
+	}
+	first := os.Snapshot([]int{0, 1})
+	firstRows, err := first.Rows()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again := os.Snapshot([]int{1}); !slices.Equal(bufs(again), bufs(first)[1:]) {
+		t.Fatal("a second Snapshot with no change in between sealed column 1 again")
+	}
+	if ok, err := os.Append(types.Row{types.NewInt(0), types.NewString(strings.Repeat("x", pageSize))}); ok || err == nil {
+		t.Fatalf("an oversize value was admitted: %v %v", ok, err)
+	}
+	if again := os.Snapshot([]int{0, 1}); !slices.Equal(bufs(again), bufs(first)) {
+		t.Fatal("a refused row made Snapshot seal again")
+	}
+	for _, change := range []func(){
+		func() { os.Append(row(os.NumRows())) },
+		os.Reset,
+	} {
+		change()
+		next := os.Snapshot([]int{0, 1})
+		for _, b := range bufs(next) {
+			for _, old := range bufs(first) {
+				if b == old {
+					t.Fatal("a Snapshot after a change reuses a page handed out before it")
+				}
+			}
+		}
+		if rows, err := first.Rows(); err != nil || !reflect.DeepEqual(rows, firstRows) {
+			t.Fatalf("a change rewrote a snapshot handed out before it (err %v)", err)
+		}
+		if rows, err := next.Rows(); err != nil || len(rows) != os.NumRows() {
+			t.Fatalf("the fresh snapshot holds %d rows of %d (err %v)", len(rows), os.NumRows(), err)
+		}
 	}
 }

@@ -60,12 +60,23 @@ func (s *MinMax) CanSkip(p page.Key, theta Conj) bool {
 	if cols == nil {
 		return false
 	}
+	return s.CanSkipRange(theta, func(col string) (lo, hi types.Value) {
+		mm := cols[col] // two NULLs for a column with no recorded value
+		return mm[0], mm[1]
+	})
+}
+
+// CanSkipRange is CanSkip over ranges rangeOf supplies, for a page whose
+// ranges are not recorded because they still move — a columnar fragment's
+// open set: rangeOf returns a column's least and greatest value, or two
+// NULLs when it has no usable range. A skip counts in Hits.
+func (s *MinMax) CanSkipRange(theta Conj, rangeOf func(col string) (lo, hi types.Value)) bool {
 	for _, pred := range theta {
-		mm, ok := cols[pred.Col]
-		if !ok {
+		lo, hi := rangeOf(pred.Col)
+		if lo.IsNull() || hi.IsNull() {
 			continue
 		}
-		if rangeExcludes(mm[0], mm[1], pred) {
+		if rangeExcludes(lo, hi, pred) {
 			s.mu.Lock()
 			s.hits++
 			s.mu.Unlock()

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"repro/internal/buffer"
 	"repro/internal/catalog"
@@ -27,9 +28,17 @@ import (
 // sparse-file holes absorb what is left unused — together these implement the
 // paper's fix for page-set underutilization.
 //
-// Inserts are append-only into the open set of one disk; deletes are not
-// supported on columnar fragments (reload or reorganize instead), matching
-// their OLAP role.
+// Inserts are append-only into the open sets, one per disk, filled round
+// robin; deletes are not supported on columnar fragments (reload or
+// reorganize instead), matching their OLAP role. An open set outlives the
+// Load that started it: the next Load fills it, and a set reaches disk only
+// when the admission rule closes it or Flush writes the partial tails (at
+// cluster shutdown), so a stream of small Loads writes the pages one large
+// Load would. Scans read an open set from memory, under mu: a Load may run
+// beside them. A Load that fills a set writes it through the buffer pool
+// with mu held.
+//
+//lint:lockorder-before storage.colfrag buffer.stripe
 type ColumnarFragment struct {
 	Node  *NodeStore
 	Def   *catalog.TableDef
@@ -39,6 +48,10 @@ type ColumnarFragment struct {
 	PredCache *skipcache.Cache
 	MinMax    *skipcache.MinMax
 
+	// mu guards open and nextRR, and makes a set's flush — its pages
+	// allocated and written, its rows gone from the open set — one step to
+	// a scan.
+	mu     sync.Mutex      //lint:lockorder storage.colfrag
 	open   []*page.OpenSet // one per disk
 	nextRR int
 }
@@ -68,10 +81,10 @@ func OpenColumnarFragment(ns *NodeStore, def *catalog.TableDef) (*ColumnarFragme
 	return fr, nil
 }
 
-// Append adds one row to the open set of the next disk, flushing the set
+// appendRow adds one row to the open set of the next disk, flushing the set
 // to disk when full. A value that no page can hold is an error naming the
-// column, and the row is not appended.
-func (fr *ColumnarFragment) Append(r types.Row) error {
+// column, and the row is not appended. The caller holds fr.mu.
+func (fr *ColumnarFragment) appendRow(r types.Row) error {
 	if len(r) != fr.Def.Schema.Len() {
 		return fmt.Errorf("storage: columnar row arity %d != schema %d", len(r), fr.Def.Schema.Len())
 	}
@@ -97,7 +110,8 @@ func (fr *ColumnarFragment) Append(r types.Row) error {
 
 // flushOpen records the open set of a disk in the min-max index and writes
 // it: n consecutive pages, plus the chain pages of its chained columns.
-// Layouts and min-max both come from the open set's running state.
+// Layouts and min-max both come from the open set's running state. The
+// caller holds fr.mu.
 func (fr *ColumnarFragment) flushOpen(disk int) error {
 	set := fr.open[disk]
 	if set.NumRows() == 0 {
@@ -110,15 +124,6 @@ func (fr *ColumnarFragment) flushOpen(disk int) error {
 		fr.Node.Allocate(fileID)
 	}
 	key := page.Key{File: fileID, Page: base}
-	write := func(k page.Key, fill func(buf []byte)) error {
-		f, err := fr.Node.Buf.NewPage(k)
-		if err != nil {
-			return err
-		}
-		fill(f.Buf)
-		fr.Node.Buf.Unpin(f, true)
-		return nil
-	}
 	for ci, col := range fr.Def.Schema.Cols {
 		name := strings.ToLower(col.Name)
 		lo, hi := set.MinMax(ci)
@@ -130,11 +135,11 @@ func (fr *ColumnarFragment) flushOpen(disk int) error {
 			if k == 0 {
 				chainStart = p
 			}
-			if err := write(page.Key{File: ovf, Page: p}, func(buf []byte) { set.WriteChunk(ci, k, buf) }); err != nil {
+			if err := fr.writePage(page.Key{File: ovf, Page: p}, func(buf []byte) { set.WriteChunk(ci, k, buf) }); err != nil {
 				return err
 			}
 		}
-		if err := write(page.Key{File: fileID, Page: base + uint32(ci)}, func(buf []byte) { set.WritePage(ci, buf, chainStart) }); err != nil {
+		if err := fr.writePage(page.Key{File: fileID, Page: base + uint32(ci)}, func(buf []byte) { set.WritePage(ci, buf, chainStart) }); err != nil {
 			return err
 		}
 	}
@@ -142,8 +147,24 @@ func (fr *ColumnarFragment) flushOpen(disk int) error {
 	return nil
 }
 
-// Flush writes all open sets to disk (call after bulk loading).
+// writePage writes a new page at k through the buffer pool: fill formats
+// the zeroed frame.
+func (fr *ColumnarFragment) writePage(k page.Key, fill func(buf []byte)) error {
+	f, err := fr.Node.Buf.NewPage(k)
+	if err != nil {
+		return err
+	}
+	fill(f.Buf)
+	fr.Node.Buf.Unpin(f, true)
+	return nil
+}
+
+// Flush writes every disk's open set to disk, partial ones too, and leaves
+// them empty. The cluster calls it once, at shutdown, before the node's
+// buffers are written back: it is what makes the files hold every row.
 func (fr *ColumnarFragment) Flush() error {
+	fr.mu.Lock()
+	defer fr.mu.Unlock()
 	for d := range fr.Files {
 		if err := fr.flushOpen(d); err != nil {
 			return err
@@ -152,7 +173,10 @@ func (fr *ColumnarFragment) Flush() error {
 	return nil
 }
 
-// Load bulk-loads rows (sorting by clustering columns) and flushes.
+// Load appends rows (a batch sorted by the clustering columns first) to the
+// open sets. It writes only the sets the rows fill; the partial tail of
+// each disk stays open for the next Load, and scans see it from memory
+// meanwhile. Load then Flush writes the pages one Load always did.
 func (fr *ColumnarFragment) Load(rows []types.Row) (int, error) {
 	if len(fr.Def.ClusterCols) > 0 {
 		offs, err := fr.Def.ColOffsets(fr.Def.ClusterCols)
@@ -164,12 +188,14 @@ func (fr *ColumnarFragment) Load(rows []types.Row) (int, error) {
 		sortRowsBy(sorted, offs)
 		rows = sorted
 	}
+	fr.mu.Lock()
+	defer fr.mu.Unlock()
 	for i, r := range rows {
-		if err := fr.Append(r); err != nil {
+		if err := fr.appendRow(r); err != nil {
 			return i, err
 		}
 	}
-	return len(rows), fr.Flush()
+	return len(rows), nil
 }
 
 func sortRowsBy(rows []types.Row, offs []int) {
@@ -214,9 +240,11 @@ const defaultMorselSets = 1
 // skipping (predicate cache, then min-max) is applied here.
 // Workers claim sets from a shared counter (Fragment.ParallelScan's morsel
 // scheme) and fn runs concurrently from all of them (worker tells them
-// apart); a disk's open (unflushed) set is claimed after its sealed sets,
-// never skipped. fn returning false stops every worker after its current
-// set. workers <= 1 runs on the caller's goroutine, in file order.
+// apart); a disk's open (unflushed) set is claimed after its sealed sets and
+// skipped by its running min-max only. fn returning false stops every worker
+// after its current set. workers <= 1 runs on the caller's goroutine, in
+// file order. A scan beside a Load returns a sub-multiset of the rows loaded
+// by its end (openSnapshot); with no Load beside it, every row loaded.
 func (fr *ColumnarFragment) ScanPageSets(opts ScanOptions, read []int, workers int, fn func(worker int, set page.PageSet, key page.Key, sealed bool) (bool, error)) (ScanStats, error) {
 	return fr.scanPageSets(opts, read, workers, defaultMorselSets, fn)
 }
@@ -232,7 +260,10 @@ func (fr *ColumnarFragment) scanPageSets(opts ScanOptions, read []int, workers, 
 	case len(read) == 0:
 		read = []int{0} // any one page carries the set's row count
 	}
+	// Under mu, a set is either counted among a file's sealed sets, all its
+	// pages written, or its rows are still in the open set.
 	var morsels []setMorsel
+	fr.mu.Lock()
 	for disk, fileID := range fr.Files {
 		numSets := int(fr.Node.NumPages(fileID)) / n
 		for start := 0; start < numSets; start += morselSets {
@@ -246,12 +277,18 @@ func (fr *ColumnarFragment) scanPageSets(opts ScanOptions, read []int, workers, 
 			morsels = append(morsels, setMorsel{disk: disk, open: true})
 		}
 	}
+	fr.mu.Unlock()
 	stats, err := runMorsels(len(morsels), workers, func(run *morselRun, w, i int) (stats ScanStats, cont bool, err error) {
 		m := morsels[i]
 		if m.open {
-			// In memory, so nothing to fetch, but fn sees what it would see
-			// of a written set: the read columns only, sealed.
-			set := fr.open[m.disk].Snapshot(read)
+			set, skipped := fr.openSnapshot(opts, read, m.disk)
+			switch {
+			case skipped:
+				stats.PagesSkipped, stats.SetsSkipped = int64(len(read)), 1
+				return stats, true, nil
+			case set.NumRows() == 0:
+				return stats, true, nil
+			}
 			if cont, err = fn(w, set, page.Key{}, false); err == nil {
 				stats.RowsRead = int64(set.NumRows())
 			}
@@ -266,6 +303,32 @@ func (fr *ColumnarFragment) scanPageSets(opts ScanOptions, read []int, workers, 
 	})
 	fr.Node.RowsScanned.Add(stats.RowsRead)
 	return stats, err
+}
+
+// openSnapshot returns a disk's open set as a scan reads it: in memory, so
+// nothing is fetched, but what the scan would see of a written set — the
+// read columns only, sealed (the snapshot the open set keeps until its next
+// change). skipped reports instead that the set's running min-max excludes
+// the skip conjunction; the predicate cache is neither consulted nor fed (an
+// open set has no page key, and it changes). The set is taken as it is now:
+// rows a Load flushed since the scan listed its morsels are in a sealed set
+// the scan did not list, and an emptied set has no rows.
+func (fr *ColumnarFragment) openSnapshot(opts ScanOptions, read []int, disk int) (set page.PageSet, skipped bool) {
+	fr.mu.Lock()
+	defer fr.mu.Unlock()
+	open := fr.open[disk]
+	if open.NumRows() == 0 {
+		return set, false
+	}
+	if opts.UseMinMax && len(opts.SkipConj) > 0 && fr.MinMax.CanSkipRange(opts.SkipConj, func(col string) (lo, hi types.Value) {
+		if ci := fr.Def.Schema.Find(col); ci >= 0 {
+			return open.MinMax(ci)
+		}
+		return types.Null, types.Null
+	}) {
+		return set, true
+	}
+	return open.Snapshot(read), false
 }
 
 // scanOneSet is the per-set body of every columnar scan: the skip checks,

@@ -67,11 +67,13 @@ func rowKey(r types.Row) string {
 }
 
 // TestDenseSetsProperty: over seeded random schemas × page sizes × disks,
-// Load then ScanPageSets returns the loaded multiset; no page's payload
-// passes the page size; all pages of a set — and the pages of a chain, summed
-// — agree on the set's row count; a chain has at most page.MaxChainPages
-// pages; and every set but a file's last is dense: the row that opened the
-// next set would not have been admitted to it.
+// Load and Flush then ScanPageSets returns the loaded multiset; no page's
+// payload passes the page size; all pages of a set — and the pages of a
+// chain, summed — agree on the set's row count; a chain has at most
+// page.MaxChainPages pages; and every set but a file's last is dense: the row
+// that opened the next set would not have been admitted to it. The same rows
+// loaded as a stream of 1–50-row Loads and flushed once hold the same: every
+// set and overflow file has the page count of the single Load's.
 func TestDenseSetsProperty(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		for _, pageSize := range []int{512, 2048, 16384} {
@@ -90,88 +92,29 @@ func TestDenseSetsProperty(t *testing.T) {
 						def.Schema.Cols = append(def.Schema.Cols, types.Column{Name: fmt.Sprintf("c%d_%s", len(gens), c.name), Kind: c.kind})
 						gens = append(gens, c.gen)
 					}
-					fr, err := OpenColumnarFragment(ns, def)
-					if err != nil {
-						t.Fatal(err)
-					}
 					ncols := len(gens)
 					nrows := disks * (pageSize/2 + r.Intn(pageSize/2))
-					want := map[string]int{}
 					rows := make([]types.Row, nrows)
 					for i := range rows {
 						rows[i] = make(types.Row, ncols)
 						for ci, gen := range gens {
 							rows[i][ci] = gen(r, i, pageSize)
 						}
-						want[rowKey(rows[i])]++
 					}
-					if n, err := fr.Load(rows); err != nil || n != nrows {
-						t.Fatalf("Load: %d rows, %v", n, err)
+					whole := checkDenseSets(t, ns, def, [][]types.Row{rows})
+					var batches [][]types.Row
+					for i := 0; i < nrows; {
+						n := min(1+r.Intn(50), nrows-i)
+						batches = append(batches, rows[i:i+n])
+						i += n
 					}
-
-					sets := make([][][]types.Row, disks) // by disk, in file order
-					_, err = fr.ScanPageSets(ScanOptions{}, nil, 1, func(_ int, set page.PageSet, key page.Key, sealed bool) (bool, error) {
-						if !sealed {
-							t.Fatal("Load left an open set")
-						}
-						n := set.NumRows()
-						for ci := range set.Pages {
-							if set.Pages[ci].NumValues() != n {
-								t.Fatalf("set %v: column %d has %d values, column 0 has %d", key, ci, set.Pages[ci].NumValues(), n)
-							}
-							chunks, cells := set.Chunks(ci), 0
-							if len(chunks) > page.MaxChainPages {
-								t.Fatalf("set %v: column %d chains %d pages", key, ci, len(chunks))
-							}
-							for _, p := range append(chunks, set.Pages[ci]) {
-								if len(p.Buf) != pageSize || p.FreeSpace() < 0 {
-									t.Fatalf("set %v: column %d: a page of %d bytes with %d free", key, ci, len(p.Buf), p.FreeSpace())
-								}
-							}
-							for _, p := range chunks {
-								cells += p.NumValues()
-							}
-							if cells != n {
-								t.Fatalf("set %v: column %d holds %d cells in a set of %d rows", key, ci, cells, n)
-							}
-						}
-						got, err := set.Rows()
-						if err != nil {
-							return false, err
-						}
-						for _, row := range got {
-							want[rowKey(row)]--
-						}
-						for d, f := range fr.Files {
-							if f == key.File {
-								sets[d] = append(sets[d], got)
-							}
-						}
-						return true, nil
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					for k, n := range want {
-						if n != 0 {
-							t.Fatalf("row %s: loaded %+d times more than scanned", k, n)
-						}
-					}
-
-					replay := page.NewOpenSet(ncols, pageSize)
-					for d := range sets {
-						if len(sets[d]) < 2 {
-							t.Fatalf("disk %d holds %d sets: the density check needs a closed one", d, len(sets[d]))
-						}
-						for s := 0; s+1 < len(sets[d]); s++ {
-							replay.Reset()
-							for _, row := range sets[d][s] {
-								if ok, err := replay.Append(row); !ok || err != nil {
-									t.Fatalf("disk %d set %d: a row it holds is not admitted on replay (%v)", d, s, err)
-								}
-							}
-							if ok, err := replay.Append(sets[d][s+1][0]); ok || err != nil {
-								t.Fatalf("disk %d set %d closed at %d rows, yet admits the next row (%v)", d, s, len(sets[d][s]), err)
+					batched := *def
+					batched.Name = "dense_batched"
+					streamed := checkDenseSets(t, ns, &batched, batches)
+					for f := range whole.Files {
+						for _, pair := range [][2]page.FileID{{whole.Files[f], streamed.Files[f]}, {whole.Ovf[f], streamed.Ovf[f]}} {
+							if a, b := ns.NumPages(pair[0]), ns.NumPages(pair[1]); a != b {
+								t.Errorf("disk %d: %d Loads wrote %d pages to a file one Load wrote %d pages to", f, len(batches), b, a)
 							}
 						}
 					}
@@ -179,6 +122,97 @@ func TestDenseSetsProperty(t *testing.T) {
 			}
 		}
 	}
+}
+
+// checkDenseSets makes a fragment of def on ns, Loads each batch into it,
+// Flushes it, and checks TestDenseSetsProperty's properties of what it wrote.
+func checkDenseSets(t *testing.T, ns *NodeStore, def *catalog.TableDef, batches [][]types.Row) *ColumnarFragment {
+	t.Helper()
+	fr, err := OpenColumnarFragment(ns, def)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pageSize, ncols, disks := ns.PageSize(), def.Schema.Len(), len(ns.Disks)
+	want := map[string]int{}
+	for _, b := range batches {
+		for _, row := range b {
+			want[rowKey(row)]++
+		}
+		if n, err := fr.Load(b); err != nil || n != len(b) {
+			t.Fatalf("Load: %d of %d rows, %v", n, len(b), err)
+		}
+	}
+	if err := fr.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	sets := make([][][]types.Row, disks) // by disk, in file order
+	_, err = fr.ScanPageSets(ScanOptions{}, nil, 1, func(_ int, set page.PageSet, key page.Key, sealed bool) (bool, error) {
+		if !sealed {
+			t.Fatal("Flush left an open set")
+		}
+		n := set.NumRows()
+		for ci := range set.Pages {
+			if set.Pages[ci].NumValues() != n {
+				t.Fatalf("set %v: column %d has %d values, column 0 has %d", key, ci, set.Pages[ci].NumValues(), n)
+			}
+			chunks, cells := set.Chunks(ci), 0
+			if len(chunks) > page.MaxChainPages {
+				t.Fatalf("set %v: column %d chains %d pages", key, ci, len(chunks))
+			}
+			for _, p := range append(chunks, set.Pages[ci]) {
+				if len(p.Buf) != pageSize || p.FreeSpace() < 0 {
+					t.Fatalf("set %v: column %d: a page of %d bytes with %d free", key, ci, len(p.Buf), p.FreeSpace())
+				}
+			}
+			for _, p := range chunks {
+				cells += p.NumValues()
+			}
+			if cells != n {
+				t.Fatalf("set %v: column %d holds %d cells in a set of %d rows", key, ci, cells, n)
+			}
+		}
+		got, err := set.Rows()
+		if err != nil {
+			return false, err
+		}
+		for _, row := range got {
+			want[rowKey(row)]--
+		}
+		for d, f := range fr.Files {
+			if f == key.File {
+				sets[d] = append(sets[d], got)
+			}
+		}
+		return true, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, n := range want {
+		if n != 0 {
+			t.Fatalf("row %s: loaded %+d times more than scanned", k, n)
+		}
+	}
+
+	replay := page.NewOpenSet(ncols, pageSize)
+	for d := range sets {
+		if len(sets[d]) < 2 {
+			t.Fatalf("disk %d holds %d sets: the density check needs a closed one", d, len(sets[d]))
+		}
+		for s := 0; s+1 < len(sets[d]); s++ {
+			replay.Reset()
+			for _, row := range sets[d][s] {
+				if ok, err := replay.Append(row); !ok || err != nil {
+					t.Fatalf("disk %d set %d: a row it holds is not admitted on replay (%v)", d, s, err)
+				}
+			}
+			if ok, err := replay.Append(sets[d][s+1][0]); ok || err != nil {
+				t.Fatalf("disk %d set %d closed at %d rows, yet admits the next row (%v)", d, s, len(sets[d][s]), err)
+			}
+		}
+	}
+	return fr
 }
 
 // TestColumnarAppendOversizeValue: a value whose encoding no page can hold
@@ -217,7 +251,7 @@ func TestColumnarAppendOversizeValue(t *testing.T) {
 		huge := types.NewString(strings.Repeat("x", pageSize))
 		for _, n := range []int64{0, 31} { // into empty open sets, then into ones holding rows
 			for i := int64(0); i < n; i++ {
-				if err := fr.Append(row(i)); err != nil {
+				if err := fr.appendRow(row(i)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -228,7 +262,7 @@ func TestColumnarAppendOversizeValue(t *testing.T) {
 				}
 				bad := row(n)
 				bad[ci] = huge
-				err := fr.Append(bad)
+				err := fr.appendRow(bad)
 				if err == nil {
 					t.Fatalf("page %d: a %d-byte value in %s was appended", pageSize, pageSize, col)
 				}
@@ -246,7 +280,7 @@ func TestColumnarAppendOversizeValue(t *testing.T) {
 					}
 				}
 			}
-			if err := fr.Append(row(n)); err != nil {
+			if err := fr.appendRow(row(n)); err != nil {
 				t.Fatal(err)
 			}
 			if got := len(scan()); got != int(n)+1 {
@@ -271,7 +305,8 @@ func TestColumnarAppendOversizeValue(t *testing.T) {
 }
 
 // chainedFragment loads a two-column table whose body column chains, on a
-// node of two disks and frames buffer frames.
+// node of two disks and frames buffer frames, and flushes it: every set is
+// on disk.
 func chainedFragment(t *testing.T, pageSize, frames int, rows int64) (*NodeStore, *ColumnarFragment) {
 	t.Helper()
 	ns, err := NewNodeStore(NodeConfig{BaseDir: t.TempDir(), NumDisks: 2, PageSize: pageSize, BufFrames: frames, BufStripes: 2})
@@ -297,6 +332,9 @@ func chainedFragment(t *testing.T, pageSize, frames int, rows int64) (*NodeStore
 		load = append(load, types.Row{types.NewFloat(float64(i)), types.NewString(fmt.Sprintf("body of note %d, like no other", i))})
 	}
 	if _, err := fr.Load(load); err != nil {
+		t.Fatal(err)
+	}
+	if err := fr.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	return ns, fr
@@ -482,7 +520,7 @@ func TestParentWrittenFragmentStillScans(t *testing.T) {
 		t.Fatalf("fixture has %d pages, the parent wrote 30", got)
 	}
 	for i := int64(120); i < 400; i++ {
-		if err := fr.Append(fixtureRow(i)); err != nil {
+		if err := fr.appendRow(fixtureRow(i)); err != nil {
 			t.Fatal(err)
 		}
 	}

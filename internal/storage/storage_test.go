@@ -332,6 +332,9 @@ func TestColumnarLoadScan(t *testing.T) {
 	if _, err := fr.Load(rows); err != nil {
 		t.Fatal(err)
 	}
+	if err := fr.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	seen := map[int64]bool{}
 	stats, err := colScan(fr, ScanOptions{}, func(r types.Row) bool {
 		if len(r) != 4 {
@@ -356,7 +359,7 @@ func TestColumnarOpenSetVisible(t *testing.T) {
 	fr, _ := OpenColumnarFragment(ns, lineitemDef(true))
 	// Append a few rows without flushing: they sit in the open sets.
 	for i := int64(0); i < 5; i++ {
-		if err := fr.Append(liRow(i)); err != nil {
+		if err := fr.appendRow(liRow(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -430,10 +433,11 @@ func TestColumnarHuffmanStrings(t *testing.T) {
 
 // TestColumnarLoadGoldenPages: a page set closes when a typed column's sealed
 // page is full, so the per-file counts below are what the admission rule and
-// the layouts together allocate for these rows (and what the benchmark's
-// space_amp follows). The mixed-kind l_note column has no typed layout and
-// spills to the overflow file instead of capping the other four. The loaded
-// rows come back exactly, NULLs and the mixed-kind column included.
+// the layouts together allocate for these rows, Loaded and Flushed (and what
+// the benchmark's space_amp follows). The mixed-kind l_note column has no
+// typed layout and spills to the overflow file instead of capping the other
+// four. The loaded rows come back exactly, NULLs and the mixed-kind column
+// included.
 func TestColumnarLoadGoldenPages(t *testing.T) {
 	ns := newNode(t, 2048)
 	def := lineitemDef(true)
@@ -456,6 +460,9 @@ func TestColumnarLoadGoldenPages(t *testing.T) {
 		want[i] = r
 	}
 	if _, err := fr.Load(rows); err != nil {
+		t.Fatal(err)
+	}
+	if err := fr.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	var pages []uint32
