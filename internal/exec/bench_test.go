@@ -30,18 +30,23 @@ func benchRows(n int, keys int) []types.Row {
 // BenchmarkHashJoinBuildProbe joins a large probe side into a small build
 // (one match a probe row) and, shaped like q21's per-worker lineitem build
 // at SF0.01, a large build — 15,000 rows over 3,750 keys — into a 60,000-row
-// probe (four matches a probe row).
+// probe (four matches a probe row). Each has a miss-heavy twin whose probe
+// keys span ten times the build's, so nine probe rows in ten find no build
+// row and are turned away by the table's lookup alone.
 func BenchmarkHashJoinBuildProbe(b *testing.B) {
 	sch := intSchema("k", "v", "s")
 	for _, c := range []struct {
-		name               string
-		probe, build, keys int
+		name             string
+		probe, probeKeys int
+		build, buildKeys int
 	}{
-		{"probe-heavy", 50000, 1000, 1000},
-		{"build-heavy", 60000, 15000, 3750},
+		{"probe-heavy", 50000, 1000, 1000, 1000},
+		{"probe-miss", 50000, 10000, 1000, 1000},
+		{"build-heavy", 60000, 3750, 15000, 3750},
+		{"build-heavy-miss", 60000, 37500, 15000, 3750},
 	} {
-		probeRows := benchRows(c.probe, c.keys)
-		buildRows := benchRows(c.build, c.keys)
+		probeRows := benchRows(c.probe, c.probeKeys)
+		buildRows := benchRows(c.build, c.buildKeys)
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(int64(len(probeRows)))

@@ -451,35 +451,6 @@ func TestNestedLoopJoin(t *testing.T) {
 	}
 }
 
-func TestBloom(t *testing.T) {
-	b := NewBloom(1 << 12)
-	for i := uint64(0); i < 100; i++ {
-		b.Add(i * 7919)
-	}
-	for i := uint64(0); i < 100; i++ {
-		if !b.MayContain(i * 7919) {
-			t.Fatalf("bloom false negative for %d", i)
-		}
-	}
-	// False positive rate sanity: mostly absent keys rejected.
-	fp := 0
-	for i := uint64(1); i <= 1000; i++ {
-		if b.MayContain(i*7919 + 3) {
-			fp++
-		}
-	}
-	if fp > 200 {
-		t.Errorf("bloom false positives = %d/1000", fp)
-	}
-	// Saturated, it is the always-maybe filter grace partitions probe with.
-	b.SetAll()
-	for i := uint64(1); i <= 1000; i++ {
-		if !b.MayContain(i*7919 + 3) {
-			t.Fatalf("saturated bloom rejected %d", i)
-		}
-	}
-}
-
 // TestJoinTableChains loads a join table the way a worker's build meets it
 // after a shuffle: 10,000 distinct keys whose hashes all leave the same
 // remainder modulo the worker count, so their low bits are constant. A slot
@@ -527,6 +498,49 @@ func TestJoinTableChains(t *testing.T) {
 				t.Fatalf("a key filed twice: first %d, then %d — want 0, then 10000", j, table.after(0))
 			}
 		})
+	}
+}
+
+// TestJoinTableAbsentHashes checks that the table is the join's exact
+// membership test: a hash no row was filed under is never found, even where
+// its slot holds rows of other hashes, an empty table finds nothing, and no
+// filed hash is missed.
+func TestJoinTableAbsentHashes(t *testing.T) {
+	empty := &joinTable{}
+	empty.seal()
+	if j := empty.first(7919); j != -1 {
+		t.Fatalf("empty table: first = %d, want -1", j)
+	}
+	r := rand.New(rand.NewSource(11))
+	table, filed := &joinTable{}, map[uint64]bool{}
+	for len(table.rows) < 1000 {
+		hk := r.Uint64()
+		if !filed[hk] {
+			filed[hk] = true
+			table.add(types.Row{types.NewInt(int64(len(table.rows)))}, hk)
+		}
+	}
+	table.seal()
+	for i, hk := range table.hashes {
+		if j := table.first(hk); j != int32(i) {
+			t.Fatalf("row %d filed under %x: first = %d", i, hk, j)
+		}
+	}
+	decoys := 0
+	for n := 0; n < 10000; n++ {
+		hk := r.Uint64()
+		if filed[hk] {
+			continue
+		}
+		if table.heads[table.slot(hk)] >= 0 {
+			decoys++
+		}
+		if j := table.first(hk); j != -1 {
+			t.Fatalf("absent hash %x found at row %d, filed under %x", hk, j, table.hashes[j])
+		}
+	}
+	if decoys == 0 {
+		t.Fatal("no absent hash falls in an occupied slot — the test checks nothing")
 	}
 }
 

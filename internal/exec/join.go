@@ -38,11 +38,9 @@ func (t JoinType) String() string {
 
 // HashJoin joins Build (right) into Probe (left) on equality of the key
 // columns, with an optional residual predicate evaluated over the
-// concatenated row. The build side constructs a Bloom filter over its keys
-// that cheap-rejects probe rows (used by the optimizer to cut shuffle
-// traffic, per Section IV). Probing runs with Parallel worker goroutines —
-// the paper's intra-operator parallelism ("multiple threads reading records
-// from its input, each simultaneously probing the hash table").
+// concatenated row. Probing runs with Parallel worker goroutines — the
+// paper's intra-operator parallelism ("multiple threads reading records from
+// its input, each simultaneously probing the hash table").
 //
 // When the build side exceeds the memory budget, the join degrades to a
 // Grace hash join: both sides are partitioned to spill files by key hash
@@ -52,10 +50,10 @@ func (t JoinType) String() string {
 // Probe.NextBatch (joinProbe.probeRow), or — when the plan was lowered over a
 // typed producer (NewTypedProbeHashJoin) — typed batches from its NextVec
 // (joinProbe.probeBatch), which reads the key off the key columns and boxes a
-// row only once the Bloom filter and the table have admitted its hash. Both
-// fill the same scratch key, hash it with the hash the build used and share
-// the match rule, so the build, the filter, the Grace path and the emitter
-// exist once. The build side and the Grace path read rows: the table stores
+// row only once the table holds a row filed under its hash. Both fill the
+// same scratch key, hash it with the hash the build used and share the match
+// rule, so the build, the table lookup, the Grace path and the emitter exist
+// once. The build side and the Grace path read rows: the table stores
 // boxed rows, and Grace writes every probe row to a spill partition anyway.
 type HashJoin struct {
 	Probe     Operator
@@ -138,7 +136,6 @@ func (h *HashJoin) prepare() error {
 		budget = h.ctx.MemRows
 	}
 	table := &joinTable{}
-	bloom := NewBloom(1 << 16)
 	keys := newKeyHasher(h.BuildKeys, h.Build.Schema().Len())
 	var buildSpill *spillWriter // non-nil once the build has overflowed
 
@@ -149,7 +146,6 @@ func (h *HashJoin) prepare() error {
 			if err != nil {
 				return err
 			}
-			bloom.Add(hk)
 			if buildSpill == nil && budget > 0 && len(table.rows) >= budget {
 				if buildSpill, err = h.spills.newWriter(h.ctx, "join-build-*"); err != nil {
 					return err
@@ -183,9 +179,9 @@ func (h *HashJoin) prepare() error {
 
 	if buildSpill == nil {
 		table.seal()
-		return h.streamProbe(table, bloom)
+		return h.streamProbe(table)
 	}
-	return h.graceJoin(buildSpill, keys, bloom)
+	return h.graceJoin(buildSpill, keys)
 }
 
 // joinTable is a hash join's build side: the build rows in arrival order,
@@ -287,8 +283,8 @@ func (k *keyHasher) hash(r types.Row) (uint64, error) {
 // parallelism for query operators when resources are scarce); at degree 1
 // that goroutine drains and probes by itself. Join results cross to the
 // consumer in slabs; each worker probes through its own joinProbe, emitter
-// included, so nothing but the table and the filter is shared.
-func (h *HashJoin) streamProbe(table *joinTable, bloom *Bloom) error {
+// included, so nothing but the table is shared.
+func (h *HashJoin) streamProbe(table *joinTable) error {
 	degree := h.ctx.AcquireWorkers(h.Parallel)
 	h.Trace.AddWorkers(int64(degree))
 	h.Trace.SetInput(h.typed != nil)
@@ -296,7 +292,7 @@ func (h *HashJoin) streamProbe(table *joinTable, bloom *Bloom) error {
 	h.errCh = make(chan error, 1)
 	probes := make([]*joinProbe, degree)
 	for w := range probes {
-		probes[w] = h.newProbe(table, bloom, &joinEmitter{h: h, size: h.ctx.batchRows()})
+		probes[w] = h.newProbe(table, &joinEmitter{h: h, size: h.ctx.batchRows()})
 	}
 	// A closed join stops within a slab even when no row matches (an emitter
 	// only notices on a flush).
@@ -379,12 +375,11 @@ func (e *joinEmitter) flush() error {
 
 // joinProbe is one probe worker's way into a build table. Both front ends
 // put the probe key of the row in hand into key and go through bucket and
-// match, which is where the hash, the filter and the match rule live; the
-// rest is the typed front end's (bound at its first batch).
+// match, which is where the hash, the table lookup and the match rule live;
+// the rest is the typed front end's (bound at its first batch).
 type joinProbe struct {
 	h         *HashJoin
 	table     *joinTable
-	bloom     *Bloom
 	out       *joinEmitter
 	key       types.Row // scratch: the probe key of the row in hand
 	offs      []int     // [0, len(key)), the offsets HashRow hashes
@@ -395,10 +390,10 @@ type joinProbe struct {
 	scratch  types.Row // the row a batch position is boxed into
 }
 
-func (h *HashJoin) newProbe(table *joinTable, bloom *Bloom, out *joinEmitter) *joinProbe {
+func (h *HashJoin) newProbe(table *joinTable, out *joinEmitter) *joinProbe {
 	buildCols, _ := keyColumns(h.BuildKeys, h.Build.Schema().Len())
 	return &joinProbe{
-		h: h, table: table, bloom: bloom, out: out,
+		h: h, table: table, out: out,
 		key: make(types.Row, len(h.ProbeKeys)), offs: allOffsets(len(h.ProbeKeys)),
 		buildCols: buildCols,
 	}
@@ -406,14 +401,10 @@ func (h *HashJoin) newProbe(table *joinTable, bloom *Bloom, out *joinEmitter) *j
 
 // bucket returns the first build row filed under the hash of the scratch
 // key — types.HashRow of the boxed key values, whichever front end read
-// them, which is what keyHasher filed the build rows under — or -1 when the
-// Bloom filter or the table knows no build row has it.
+// them, which is what keyHasher filed the build rows under — or -1 when no
+// build row has it.
 func (p *joinProbe) bucket() int32 {
-	hk := types.HashRow(p.key, p.offs)
-	if !p.bloom.MayContain(hk) {
-		return -1
-	}
-	return p.table.first(hk)
+	return p.table.first(types.HashRow(p.key, p.offs))
 }
 
 // match joins probe row r, whose key is in the scratch key, with the build
@@ -503,8 +494,8 @@ func (p *joinProbe) bindTyped() {
 // probeBatch is the typed front end: it emits the join results of the active
 // rows of one batch. A key that is a plain column is read off the column
 // (Col.Value honours the NULL bitmap and a column demoted to boxed), and the
-// row is boxed only once the table holds a row filed under its very hash —
-// not merely one in the same slot — or an anti join must output it: into
+// row is boxed only once bucket finds a row filed under its very hash — not
+// merely one in the same slot — or an anti join must output it: into
 // scratch, since an inner join's results are fresh concatenations; a semi or
 // anti join's output row is a fresh one. A key that is an expression is
 // evaluated on the boxed row, so every row is boxed first. BoxedRows counts
@@ -580,7 +571,7 @@ func ColRefs(idx ...int) []expr.Expr {
 // and joins each pair in memory; buildKeys is the build's key hasher. Every
 // file belongs to h.spills, so a failed or abandoned join leaves its cleanup
 // to Close.
-func (h *HashJoin) graceJoin(buildSpill *spillWriter, buildKeys *keyHasher, bloom *Bloom) error {
+func (h *HashJoin) graceJoin(buildSpill *spillWriter, buildKeys *keyHasher) error {
 	const fanout = DefaultGraceFanout
 	buildReader, err := buildSpill.finish()
 	if err != nil {
@@ -620,11 +611,6 @@ func (h *HashJoin) graceJoin(buildSpill *spillWriter, buildKeys *keyHasher, bloo
 			key, err := probeKeys.hash(r)
 			if err != nil {
 				return err
-			}
-			// Bloom filter rejection still applies in Grace mode — except for
-			// anti joins, where unmatched rows must be OUTPUT, not dropped.
-			if !bloom.MayContain(key) && h.Type != JoinAnti {
-				continue
 			}
 			if err := probeParts[key%uint64(fanout)].write(r); err != nil {
 				return err
@@ -683,9 +669,7 @@ func (h *HashJoin) joinPartition(bw, pw *spillWriter, keys *keyHasher, em *joinE
 		return err
 	}
 	defer pr.close()
-	passAll := NewBloom(8) // always-maybe filter for partition probing
-	passAll.SetAll()
-	probe := h.newProbe(table, passAll, em)
+	probe := h.newProbe(table, em)
 	for {
 		r, ok, err := pr.next()
 		if err != nil {
@@ -859,50 +843,4 @@ func (j *NestedLoopJoin) Close() error {
 		return err1
 	}
 	return err2
-}
-
-// Bloom is a fixed-size Bloom filter over 64-bit key hashes with 3 probes.
-type Bloom struct {
-	bits []uint64
-	mask uint64
-}
-
-// NewBloom creates a filter with at least nBits bits (rounded to a power
-// of two).
-func NewBloom(nBits int) *Bloom {
-	size := 64
-	for size < nBits {
-		size <<= 1
-	}
-	return &Bloom{bits: make([]uint64, size/64), mask: uint64(size - 1)}
-}
-
-func (b *Bloom) positions(h uint64) [3]uint64 {
-	h2 := h * 0x9E3779B97F4A7C15
-	h3 := (h ^ h2) * 0xC2B2AE3D27D4EB4F
-	return [3]uint64{h & b.mask, h2 & b.mask, h3 & b.mask}
-}
-
-// Add inserts a key hash.
-func (b *Bloom) Add(h uint64) {
-	for _, p := range b.positions(h) {
-		b.bits[p/64] |= 1 << (p % 64)
-	}
-}
-
-// MayContain reports whether the key hash may be present.
-func (b *Bloom) MayContain(h uint64) bool {
-	for _, p := range b.positions(h) {
-		if b.bits[p/64]&(1<<(p%64)) == 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// SetAll saturates the filter (always-maybe).
-func (b *Bloom) SetAll() {
-	for i := range b.bits {
-		b.bits[i] = ^uint64(0)
-	}
 }

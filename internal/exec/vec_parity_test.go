@@ -308,10 +308,10 @@ func joinEdgeRows(n int, fill func(i int) (k, f types.Value)) []types.Row {
 // shape, degree, budget, batch size and with a selection vector. The oracle
 // shares its table with what it judges, so it is checked in turn against a
 // NestedLoopJoin whose condition is the key equalities ANDed with the
-// residual: no table, no hash, no Bloom filter. On the streaming path the
-// typed probe must box a row only once the filter and the table have
-// admitted its hash or an anti join outputs it; under a budget the build
-// overflows, the Grace path must spill and leave nothing behind.
+// residual: no table, no hash. On the streaming path the typed probe must box
+// a row only once the table holds a row filed under its hash or an anti join
+// outputs it; under a budget the build overflows, the Grace path must spill
+// and leave nothing behind.
 func TestJoinFrontEndParity(t *testing.T) {
 	testutil.AssertNoGoroutineLeak(t)
 	baseProbeSch, baseProbe, baseBuildSch, baseBuild := joinParityData()
@@ -375,9 +375,8 @@ func TestJoinFrontEndParity(t *testing.T) {
 		if edge {
 			probeSch, probe, buildSch, build = edgeSch("p"), c.probe, edgeSch("b"), c.build
 		}
-		// The rows the filter and the table admit: those whose key hash some
-		// build row was filed under (a Bloom filter has no false negatives,
-		// and the table returns nothing for a hash no row has).
+		// The rows the table admits: those whose key hash some build row was
+		// filed under (the table returns nothing for a hash no row has).
 		filed := map[uint64]bool{}
 		for _, r := range build {
 			filed[keyHash(t, c.buildKeys, r)] = true
@@ -476,11 +475,10 @@ func TestJoinFrontEndParity(t *testing.T) {
 		}
 	}
 
-	// 20,000 build keys fill most of the Bloom filter, so it admits hashes
-	// no build row has, and the table's slot for such a hash often holds
-	// rows of other hashes: the typed probe still boxes a row only when the
-	// table holds its own hash — the even keys, 2,000 of the 4,000.
-	t.Run("saturated filter", func(t *testing.T) {
+	// The table's slot for a hash no build row has often holds rows of other
+	// hashes: the typed probe still boxes a row only when the table holds its
+	// own hash — the even keys, 2,000 of the 4,000.
+	t.Run("absent hashes in occupied slots", func(t *testing.T) {
 		sch := intSchema("k", "v")
 		var probe, build []types.Row
 		for i := 0; i < 20000; i++ {
@@ -489,21 +487,19 @@ func TestJoinFrontEndParity(t *testing.T) {
 		for i := 0; i < 4000; i++ {
 			probe = append(probe, types.Row{types.NewInt(int64(i)), types.NewInt(int64(i))})
 		}
-		bloom, table := NewBloom(1<<16), &joinTable{}
+		table := &joinTable{}
 		for _, r := range build {
-			hk := keyHash(t, ColRefs(0), r)
-			bloom.Add(hk)
-			table.add(r, hk)
+			table.add(r, keyHash(t, ColRefs(0), r))
 		}
 		table.seal()
 		decoys := 0
 		for _, r := range probe {
-			if hk := keyHash(t, ColRefs(0), r); r[0].I%2 == 1 && bloom.MayContain(hk) && table.heads[table.slot(hk)] >= 0 {
+			if hk := keyHash(t, ColRefs(0), r); r[0].I%2 == 1 && table.heads[table.slot(hk)] >= 0 {
 				decoys++
 			}
 		}
 		if decoys == 0 {
-			t.Fatal("no absent key passes the filter into an occupied slot — the case tests nothing")
+			t.Fatal("no absent key falls in an occupied slot — the case tests nothing")
 		}
 		want, err := Collect(NewHashJoin(NewCtx("", 0), NewSource(sch, probe), NewSource(sch, build),
 			ColRefs(0), ColRefs(0), JoinInner, nil, 1))

@@ -17,8 +17,8 @@ import (
 // quantities before any performance modeling. hrdbms-bench -exp exec prints
 // these and -json writes them to a machine-readable baseline
 // (BENCH_EXEC.json) so regressions in executed work (rows, pages, network
-// volume, exchanges) are diffable across changes; wall_ns is recorded for
-// orientation but is machine-dependent.
+// volume, exchanges) are diffable across changes. It holds counts only: wall
+// time is measured by the bench/ module, not here.
 type QueryExecStat struct {
 	Query        string `json:"query"`
 	ResultRows   int    `json:"result_rows"`
@@ -36,7 +36,6 @@ type QueryExecStat struct {
 	NetBytes         int64 `json:"net_bytes"`
 	NetMessages      int64 `json:"net_messages"`
 	Exchanges        int   `json:"exchanges"`
-	WallNS           int64 `json:"wall_ns"`
 }
 
 // ExecStats runs the TPC-H suite once on a real hrdbms-profile cluster and
@@ -55,8 +54,8 @@ func (r *Runner) ExecStats(workers int, trace bool) ([]QueryExecStat, error) {
 	queries := tpch.Queries()
 	var out []QueryExecStat
 	r.printf("\n=== Executed per-query stats (%d workers, SF%g, measured not modeled) ===\n", workers, r.SF)
-	r.printf("%-5s %8s %9s %9s %7s %7s %10s %6s %5s %9s\n",
-		"query", "rows", "scanrows", "workrows", "pages", "skip", "net(B)", "msgs", "exch", "wall(ms)")
+	r.printf("%-5s %8s %9s %9s %7s %7s %10s %6s %5s\n",
+		"query", "rows", "scanrows", "workrows", "pages", "skip", "net(B)", "msgs", "exch")
 	for _, qid := range tpch.QueryIDs() {
 		sql := queries[qid]
 		sel, err := sqlparse.ParseSelect(sql)
@@ -92,12 +91,11 @@ func (r *Runner) ExecStats(workers int, trace bool) ([]QueryExecStat, error) {
 			NetBytes:         m.NetBytes,
 			NetMessages:      m.NetMessages,
 			Exchanges:        m.Exchanges,
-			WallNS:           int64(m.Wall),
 		}
 		out = append(out, st)
-		r.printf("%-5s %8d %9d %9d %7d %7d %10d %6d %5d %9.2f\n",
+		r.printf("%-5s %8d %9d %9d %7d %7d %10d %6d %5d\n",
 			qid, st.ResultRows, st.ScanRows, st.WorkRows, st.PagesRead, st.PagesSkipped,
-			st.NetBytes, st.NetMessages, st.Exchanges, float64(st.WallNS)/1e6)
+			st.NetBytes, st.NetMessages, st.Exchanges)
 		if tr != nil {
 			r.printf("--- %s operator trace ---\n%s", qid, tr.Render())
 		}

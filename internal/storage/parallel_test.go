@@ -226,24 +226,31 @@ func TestColumnarLoadBesideScans(t *testing.T) {
 		return len(seen), nil
 	}
 
-	done := make(chan struct{})
+	// The Loads pause halfway until each scanner has finished a scan that
+	// began after the first Load, so the scans run beside the Loads however
+	// the goroutines are scheduled.
+	done, ran := make(chan struct{}), make(chan struct{}, 2)
 	var wg sync.WaitGroup
 	for s := 0; s < 2; s++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for scans := 0; ; scans++ {
+			var once sync.Once
+			signal := func() { once.Do(func() { ran <- struct{}{} }) }
+			defer signal() // a failed scan must not leave the Loads waiting
+			for {
 				select {
 				case <-done:
-					if scans == 0 {
-						t.Error("a scanner never ran beside the Loads")
-					}
 					return
 				default:
 				}
+				loading := issued.Load() > 0
 				if _, err := scan(); err != nil {
 					t.Error(err)
 					return
+				}
+				if loading {
+					signal()
 				}
 			}
 		}()
@@ -251,6 +258,10 @@ func TestColumnarLoadBesideScans(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	var next int64
 	for b := 0; b < 200; b++ {
+		if b == 100 {
+			<-ran
+			<-ran
+		}
 		batch := make([]types.Row, 1+r.Intn(40))
 		for k := range batch {
 			batch[k] = row(next)
