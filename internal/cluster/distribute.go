@@ -621,21 +621,31 @@ func (q *queryExec) distributeJoin(x *plan.Join) (*dstream, exec.Operator, error
 	leftNames, leftPlain := keyNames(x.EquiLeft, x.Left.Schema())
 	rightNames, rightPlain := keyNames(x.EquiRight, x.Right.Schema())
 
-	// The one place worker joins are built. Over a typed probe stream the
-	// probe reads the scan's batches through the join's typed front end; the
-	// build side is read as rows whatever it is (the table stores boxed rows),
-	// and what a join produces is rows.
+	// The one place worker joins are built, once the distribution is fixed.
+	// An inner join builds on whichever input leaves the smaller share on a
+	// worker; a semi or anti join always builds on its right. Over a typed
+	// probe stream the probe reads the scan's batches through the join's
+	// typed front end; the build side is read as rows whatever it is (the
+	// table stores boxed rows), and what a join produces is rows.
 	join := func(l, r *dstream, d distInfo) *dstream {
+		probe, build, probeKeys, buildKeys := l, r, x.EquiLeft, x.EquiRight
+		buildLeft := x.Type == exec.JoinInner && q.buildShare(x.Left, l) < q.buildShare(x.Right, r)
+		if buildLeft {
+			probe, build, probeKeys, buildKeys = r, l, x.EquiRight, x.EquiLeft
+		}
 		out := &dstream{sch: x.Schema(), dist: d}
 		for wi, w := range q.c.Workers {
-			var jop exec.Operator
-			if l.typed {
-				jop = exec.NewTypedProbeHashJoin(q.wctx(wi), l.ops[wi].(exec.VecOperator), r.ops[wi],
-					x.EquiLeft, x.EquiRight, x.Type, x.Residual, par)
+			var h *exec.HashJoin
+			if probe.typed {
+				h = exec.NewTypedProbeHashJoin(q.wctx(wi), probe.ops[wi].(exec.VecOperator), build.ops[wi],
+					probeKeys, buildKeys, x.Type, x.Residual, par)
 			} else {
-				jop = q.makeJoin(q.wctx(wi), l.ops[wi], r.ops[wi], x, par)
+				h = exec.NewHashJoin(q.wctx(wi), probe.ops[wi], build.ops[wi], probeKeys, buildKeys, x.Type, x.Residual, par)
 			}
-			out.ops = append(out.ops, q.wrap(joinLabel(x), w.ID, jop, l.ops[wi], r.ops[wi]))
+			if buildLeft {
+				h.BuildLeft()
+			}
+			out.ops = append(out.ops, q.wrap(joinLabel(x), w.ID, h, l.ops[wi], r.ops[wi]))
 		}
 		return out
 	}
@@ -714,6 +724,18 @@ func (q *queryExec) wantBroadcast(x *plan.Join, leftNames, rightNames []string, 
 		est.Estimate(x.Left), est.RowWidth(x.Left),
 		est.Estimate(x.Right), est.RowWidth(x.Right), len(q.c.Workers))
 	return net.Broadcast
+}
+
+// buildShare is the estimated bytes of plan node n's rows that one worker
+// would file in a join table if stream ds were the build side: all of them
+// when every worker holds a copy, an even share otherwise.
+func (q *queryExec) buildShare(n plan.Node, ds *dstream) float64 {
+	est := q.estimator()
+	bytes := est.Estimate(n) * est.RowWidth(n)
+	if ds.dist.kind == distReplicated {
+		return bytes
+	}
+	return bytes / float64(len(ds.ops))
 }
 
 // broadcast replicates a worker stream to every worker (the build side of

@@ -32,18 +32,23 @@ func benchRows(n int, keys int) []types.Row {
 // at SF0.01, a large build — 15,000 rows over 3,750 keys — into a 60,000-row
 // probe (four matches a probe row). Each has a miss-heavy twin whose probe
 // keys span ten times the build's, so nine probe rows in ten find no build
-// row and are turned away by the table's lookup alone.
+// row and are turned away by the table's lookup alone. build-heavy-swapped
+// is build-heavy with the planner's inputs the other way round — the 15,000
+// rows on the left, as lineitem is under q5's join with orders — built on
+// the small left side (BuildLeft), so the output is build ++ probe.
 func BenchmarkHashJoinBuildProbe(b *testing.B) {
 	sch := intSchema("k", "v", "s")
 	for _, c := range []struct {
 		name             string
 		probe, probeKeys int
 		build, buildKeys int
+		buildLeft        bool
 	}{
-		{"probe-heavy", 50000, 1000, 1000, 1000},
-		{"probe-miss", 50000, 10000, 1000, 1000},
-		{"build-heavy", 60000, 3750, 15000, 3750},
-		{"build-heavy-miss", 60000, 37500, 15000, 3750},
+		{"probe-heavy", 50000, 1000, 1000, 1000, false},
+		{"probe-miss", 50000, 10000, 1000, 1000, false},
+		{"build-heavy", 60000, 3750, 15000, 3750, false},
+		{"build-heavy-swapped", 60000, 3750, 15000, 3750, true},
+		{"build-heavy-miss", 60000, 37500, 15000, 3750, false},
 	} {
 		probeRows := benchRows(c.probe, c.probeKeys)
 		buildRows := benchRows(c.build, c.buildKeys)
@@ -53,6 +58,9 @@ func BenchmarkHashJoinBuildProbe(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				j := NewHashJoin(nil, NewSource(sch, probeRows), NewSource(sch, buildRows),
 					ColRefs(0), ColRefs(0), JoinInner, nil, 2)
+				if c.buildLeft {
+					j.BuildLeft()
+				}
 				if _, err := Collect(j); err != nil {
 					b.Fatal(err)
 				}

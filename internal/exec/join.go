@@ -36,11 +36,17 @@ func (t JoinType) String() string {
 	}
 }
 
-// HashJoin joins Build (right) into Probe (left) on equality of the key
-// columns, with an optional residual predicate evaluated over the
-// concatenated row. Probing runs with Parallel worker goroutines — the
-// paper's intra-operator parallelism ("multiple threads reading records from
-// its input, each simultaneously probing the hash table").
+// HashJoin files Build's rows in a table and streams Probe's through it on
+// equality of the key columns, with an optional residual predicate evaluated
+// over the concatenated row. Probing runs with Parallel worker goroutines —
+// the paper's intra-operator parallelism ("multiple threads reading records
+// from its input, each simultaneously probing the hash table").
+//
+// Which of the planner's inputs builds is the caller's choice. Build is
+// normally the right input, so the output and residual row is Probe ++
+// Build; an inner join built on its left input (BuildLeft) keeps the
+// planner's order, Build ++ Probe, by concatenating the other way round in
+// its one emitter — no projection, and the residual is not rebound.
 //
 // When the build side exceeds the memory budget, the join degrades to a
 // Grace hash join: both sides are partitioned to spill files by key hash
@@ -60,15 +66,16 @@ type HashJoin struct {
 	Build     Operator
 	ProbeKeys []expr.Expr
 	BuildKeys []expr.Expr
-	Residual  expr.Expr // over probe ++ build columns; may be nil
+	Residual  expr.Expr // over the planner's left ++ right columns (probe ++ build unless BuildLeft); may be nil
 	Type      JoinType
 	Parallel  int
-	// Trace, when non-nil, records the granted probe worker count and which
-	// front end the probe read.
-	Trace  *obs.Span
-	typed  VecOperator // Probe's typed face; nil probes row slabs
-	ctx    *Ctx
-	spills spillSet
+	// Trace, when non-nil, records the granted probe worker count, which
+	// front end the probe read, and a build on the planner's left input.
+	Trace     *obs.Span
+	typed     VecOperator // Probe's typed face; nil probes row slabs
+	buildLeft bool        // Build is the planner's left input: rows are Build ++ Probe
+	ctx       *Ctx
+	spills    spillSet
 
 	out      types.Schema
 	results  chan []types.Row
@@ -112,6 +119,14 @@ func NewTypedProbeHashJoin(ctx *Ctx, probe VecOperator, build Operator, probeKey
 	h := NewHashJoin(ctx, probe, build, probeKeys, buildKeys, jt, residual, parallel)
 	h.typed = probe
 	return h
+}
+
+// BuildLeft declares an inner join's Build to be the planner's left input
+// and Probe its right, so that the output row and the row the residual reads
+// are Build ++ Probe, as the planner laid them out.
+func (h *HashJoin) BuildLeft() {
+	h.buildLeft = true
+	h.out = h.Build.Schema().Concat(h.Probe.Schema())
 }
 
 // Schema implements Operator.
@@ -287,7 +302,7 @@ func (k *keyHasher) hash(r types.Row) (uint64, error) {
 func (h *HashJoin) streamProbe(table *joinTable) error {
 	degree := h.ctx.AcquireWorkers(h.Parallel)
 	h.Trace.AddWorkers(int64(degree))
-	h.Trace.SetInput(h.typed != nil)
+	h.traceInput(h.typed != nil)
 	h.results = make(chan []types.Row, 16)
 	h.errCh = make(chan error, 1)
 	probes := make([]*joinProbe, degree)
@@ -334,6 +349,15 @@ func (h *HashJoin) streamProbe(table *joinTable) error {
 		}
 	}()
 	return nil
+}
+
+// traceInput records on the span which front end the probe read and, when
+// the table was built from the planner's left input, that it was.
+func (h *HashJoin) traceInput(typed bool) {
+	h.Trace.SetInput(typed)
+	if h.buildLeft {
+		h.Trace.SetBuildLeft()
+	}
 }
 
 // joinEmitter accumulates one worker's result rows into a slab and ships
@@ -411,7 +435,8 @@ func (p *joinProbe) bucket() int32 {
 // rows filed under its hash from row i on, and reports whether any matched:
 // the join's one match rule. A pair matches when every key value is equal —
 // NULL equals nothing, itself included, and equal hashes prove nothing — and
-// the residual, if any, holds over the concatenated pair. An inner join
+// the residual, if any, holds over the concatenated pair, concatenated in
+// the planner's order (build first under BuildLeft). An inner join
 // emits every matching pair; for a semi or anti join the first match settles
 // the row, which the front end then outputs or drops.
 func (p *joinProbe) match(r types.Row, i int32) (bool, error) {
@@ -435,7 +460,10 @@ candidates:
 			}
 		}
 		var joined types.Row
-		if h.Residual != nil || h.Type == JoinInner {
+		switch {
+		case h.buildLeft:
+			joined = br.Concat(r)
+		case h.Residual != nil || h.Type == JoinInner:
 			joined = r.Concat(br)
 		}
 		if h.Residual != nil {
@@ -604,7 +632,7 @@ func (h *HashJoin) graceJoin(buildSpill *spillWriter, buildKeys *keyHasher) erro
 		}
 	}
 	buildReader.close()
-	h.Trace.SetInput(false)
+	h.traceInput(false)
 	probeKeys := newKeyHasher(h.ProbeKeys, h.Probe.Schema().Len())
 	if err := drain(h.ctx, h.Probe.NextBatch, func(b []types.Row) error {
 		for _, r := range b {

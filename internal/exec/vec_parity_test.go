@@ -291,6 +291,22 @@ func shiftCols(e expr.Expr, n int) expr.Expr {
 	return e
 }
 
+// swapSides returns a copy of e, written over left ++ right with nl and nr
+// columns, that reads the same columns of right ++ left.
+func swapSides(e expr.Expr, nl, nr int) expr.Expr {
+	e = expr.Clone(e)
+	expr.Walk(e, func(x expr.Expr) {
+		if c, ok := x.(*expr.Col); ok {
+			if c.Index < nl {
+				c.Index += nr
+			} else {
+				c.Index -= nl
+			}
+		}
+	})
+	return e
+}
+
 // joinEdgeRows builds rows of the edge cases' schema — k INT, f FLOAT, v the
 // row id — with key values from fill.
 func joinEdgeRows(n int, fill func(i int) (k, f types.Value)) []types.Row {
@@ -311,7 +327,11 @@ func joinEdgeRows(n int, fill func(i int) (k, f types.Value)) []types.Row {
 // residual: no table, no hash. On the streaming path the typed probe must box
 // a row only once the table holds a row filed under its hash or an anti join
 // outputs it; under a budget the build overflows, the Grace path must spill
-// and leave nothing behind.
+// and leave nothing behind. An inner join is also run build first: the
+// planner's inputs the other way round (the build rows on the left), built on
+// the left input through either probe front end, streaming and Grace, and
+// checked against the NestedLoopJoin of the flipped inputs — same rows, same
+// column order, the residual reading the planner's row.
 func TestJoinFrontEndParity(t *testing.T) {
 	testutil.AssertNoGoroutineLeak(t)
 	baseProbeSch, baseProbe, baseBuildSch, baseBuild := joinParityData()
@@ -418,6 +438,9 @@ func TestJoinFrontEndParity(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Run(fmt.Sprintf("%s/%v/nested loop", c.name, jt), func(t *testing.T) { assertSameRows(t, want, nested) })
+			if jt == JoinInner {
+				buildFirstLegs(t, c.name, probeSch, probe, buildSch, build, c.probeKeys, c.buildKeys, c.residual, cond)
+			}
 			switch {
 			case edge && jt == JoinInner && len(want) != c.inner:
 				t.Fatalf("%s: inner join returns %d rows, want %d", c.name, len(want), c.inner)
@@ -520,6 +543,61 @@ func TestJoinFrontEndParity(t *testing.T) {
 			t.Errorf("BoxedRows = %d, want 2000 (%d absent keys share an occupied slot)", n, decoys)
 		}
 	})
+}
+
+// buildFirstLegs joins build (the planner's left input) with probe (its
+// right) on a HashJoin built on the left, whose residual and cond are written
+// over probe ++ build, and requires the rows — in build ++ probe order — of
+// the NestedLoopJoin over (build, probe).
+func buildFirstLegs(t *testing.T, name string, probeSch types.Schema, probe []types.Row, buildSch types.Schema, build []types.Row,
+	probeKeys, buildKeys []expr.Expr, residual, cond expr.Expr) {
+	t.Helper()
+	np, nb := probeSch.Len(), buildSch.Len()
+	if residual != nil {
+		residual = swapSides(residual, np, nb)
+	}
+	want, err := Collect(NewNestedLoopJoin(NewCtx("", 0), NewSource(buildSch, build), NewSource(probeSch, probe),
+		swapSides(cond, np, nb), JoinInner))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantSch := buildSch.Concat(probeSch)
+	for _, typed := range []bool{false, true} {
+		for _, degree := range []int{1, 4} {
+			for _, memRows := range []int{0, 10} {
+				t.Run(fmt.Sprintf("%s/build first/typed %v/degree %d/mem %d", name, typed, degree, memRows), func(t *testing.T) {
+					dir := t.TempDir()
+					ctx := NewCtx(dir, memRows)
+					ctx.BatchRows = 7
+					ctx.SetParallelBudget(degree)
+					src, buildSrc := slabSource(probeSch, probe, 7), NewSource(buildSch, build)
+					var h *HashJoin
+					if typed {
+						h = NewTypedProbeHashJoin(ctx, &typedSource{Operator: src}, buildSrc, probeKeys, buildKeys, JoinInner, residual, degree)
+					} else {
+						h = NewHashJoin(ctx, src, buildSrc, probeKeys, buildKeys, JoinInner, residual, degree)
+					}
+					h.BuildLeft()
+					for i, col := range h.Schema().Cols {
+						if col.Name != wantSch.Cols[i].Name {
+							t.Fatalf("column %d is %s, want %s: the output is not build ++ probe", i, col.Name, wantSch.Cols[i].Name)
+						}
+					}
+					got, err := Collect(h)
+					if err != nil {
+						t.Fatal(err)
+					}
+					assertSameRows(t, got, want)
+					if memRows > 0 && len(build) > memRows && ctx.SpillFiles.Load() == 0 {
+						t.Errorf("%d build rows under a budget of %d and nothing spilled", len(build), memRows)
+					}
+					if left := spillLeftovers(t, dir); len(left) > 0 {
+						t.Errorf("%d leftovers after Close, e.g. %s", len(left), left[0])
+					}
+				})
+			}
+		}
+	}
 }
 
 // TestSendAllVecHonorsWireBatchRows pins the Ctx.BatchRows knob to the

@@ -57,6 +57,7 @@ type Span struct {
 	StateBytes   atomic.Int64
 	Workers      atomic.Int64 // intra-operator worker threads granted (morsel parallelism)
 	TypedIn      atomic.Int64 // a blocking operator's input (aggregate build, join probe): 1 typed batches, -1 row slabs, 0 not one
+	BuildLeft    atomic.Bool  // a hash join built its table from the planner's left input
 	WallNS       atomic.Int64 // cumulative time inside Open/Next/Close (includes children)
 
 	finished atomic.Bool // set once by Finish; spans left unfinished indicate a tracing bug
@@ -209,6 +210,14 @@ func (s *Span) SetInput(typed bool) {
 	}
 }
 
+// SetBuildLeft records that a hash join built its table from the planner's
+// left input rather than its right. Nil-safe.
+func (s *Span) SetBuildLeft() {
+	if s != nil {
+		s.BuildLeft.Store(true)
+	}
+}
+
 func inputName(typedIn int64) string {
 	switch {
 	case typedIn > 0:
@@ -246,7 +255,8 @@ type SpanSnapshot struct {
 	SpillBytes   int64  `json:"spill_bytes,omitempty"`
 	StateBytes   int64  `json:"state_bytes,omitempty"`
 	Workers      int64  `json:"workers,omitempty"`
-	In           string `json:"in,omitempty"` // "typed" or "rows": a blocking operator's input front end
+	In           string `json:"in,omitempty"`         // "typed" or "rows": a blocking operator's input front end
+	BuildLeft    bool   `json:"build_left,omitempty"` // a hash join built on the planner's left input
 	WallNS       int64  `json:"wall_ns"`
 }
 
@@ -278,6 +288,7 @@ func (s *Span) snapshot() SpanSnapshot {
 		StateBytes:   s.StateBytes.Load(),
 		Workers:      s.Workers.Load(),
 		In:           inputName(s.TypedIn.Load()),
+		BuildLeft:    s.BuildLeft.Load(),
 		WallNS:       s.WallNS.Load(),
 	}
 }
@@ -426,6 +437,9 @@ func (s SpanSnapshot) line() string {
 	}
 	if s.StateBytes > 0 {
 		fmt.Fprintf(&sb, " state=%dB", s.StateBytes)
+	}
+	if s.BuildLeft {
+		sb.WriteString(" build=left")
 	}
 	if s.In != "" {
 		fmt.Fprintf(&sb, " in=%s", s.In)

@@ -437,8 +437,9 @@ func clampSel(s float64) float64 {
 }
 
 // OptimizeOpts runs phase-1 transformations: DPsize join reordering of
-// inner-join clusters using the estimator, cost-based group-by pushdown, and
-// join-distribution annotation. The options fit it to a concrete cluster: the
+// inner-join clusters using the estimator, semi/anti join pushdown below
+// inner joins, cost-based group-by pushdown, and join-distribution
+// annotation. The options fit it to a concrete cluster: the
 // worker count scales the network cost terms and the feedback store
 // supplies observed cardinalities from earlier queries.
 func OptimizeOpts(root plan.Node, cat *catalog.Catalog, o Options) (plan.Node, error) {
@@ -452,6 +453,9 @@ func OptimizeOpts(root plan.Node, cat *catalog.Catalog, o Options) (plan.Node, e
 	if err != nil {
 		return nil, err
 	}
+	// Semi/anti joins sink below the (now ordered) inner joins that would
+	// only multiply the rows they test.
+	out = pushSemiJoins(out, est)
 	// Cost-based group-by pushdown through joins (Section V).
 	out = pushGroupByThroughJoins(out, est)
 	// Reordering changes intermediate column order; re-resolve every

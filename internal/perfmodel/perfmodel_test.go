@@ -76,7 +76,7 @@ func TestConnectionCostGrowsWithDegree(t *testing.T) {
 func TestOOMBehaviour(t *testing.T) {
 	m := baseMetrics()
 	// Operator state whose scaled per-node share exceeds 24 GB:
-	// 64 MB × 3000 / 8 × StateFactor = 48 GB.
+	// 64 MB × 3000 / 8 × StateFactor = 72 GB.
 	m.StateBytes = 64 << 20
 	sc := Scale{DataFactor: 3000, Nodes: 8, MeasuredWorkers: 8}
 	gp := Model{Prof: Systems(0)["greenplum"]}

@@ -360,18 +360,22 @@ func TestColumnarTPCH(t *testing.T) {
 var rowPredicateScans = map[string]string{}
 
 // TestAggregateFrontEnds pins which front end the workers' blocking
-// operators are built with, on a 4-worker cluster. q1 and q6
-// aggregate straight over the lineitem scan: every worker's partial aggregate
-// must read typed batches (in=typed, a granted degree on the span) and no
-// worker may box a row on the way. q12 and q9 probe a join with a columnar
-// scan (orders; lineitem under four more joins): that join is in=typed, its
-// scan ships vec_batches, and the workers box no more than the rows the
-// filter and the table admitted plus the build sides — under a ceiling the
-// row probe, which boxed every scanned row, exceeded (15,289 and 67,730). A
-// join is typed exactly when a columnar scan is its probe: q3's upper join
-// probes with a Shuffle and builds from the lineitem scan, so it reads rows,
-// and so does every aggregate over a join. Every answer is plan.Execute's,
-// whose operators all read rows.
+// operators are built with, and which input each worker join builds on, on a
+// 4-worker cluster. q1 and q6 aggregate straight over the lineitem scan:
+// every worker's partial aggregate must read typed batches (in=typed, a
+// granted degree on the span) and no worker may box a row on the way. A join
+// is typed exactly when a columnar scan is its probe, and an inner join
+// builds on whichever input leaves a worker the smaller share (build=left
+// when that is the planner's left): q12 and q9 probe with orders and with
+// lineitem under four more joins; q3's upper join, and q5's orders and
+// lineitem joins, build on the smaller join below them and probe with the
+// scan; q18's semi join filters orders before either inner join sees it,
+// and its lineitem join then builds on the 30-odd rows left. The workers box
+// no more than the rows the filter and the table admitted plus the build
+// sides — under ceilings that q5 and q18 exceeded while lineitem was their
+// build side (55,064 and 67,730). Every aggregate over a join reads rows. Every
+// answer is plan.Execute's, whose operators all read rows and keep the
+// planner's build side.
 func TestAggregateFrontEnds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full TPC-H suite skipped in -short mode")
@@ -380,19 +384,29 @@ func TestAggregateFrontEnds(t *testing.T) {
 	// q1's float sums differ from plan.Execute's in the ninth digit); the join
 	// ceilings are stated for SF0.01.
 	t.Run("SF0.002", func(t *testing.T) {
-		checkFrontEnds(t, 0.002, []frontEnds{{"q1", "typed", 0, 0, 0}, {"q6", "typed", 0, 0, 0}, {"q3", "rows", 1, 1, -1}})
+		checkFrontEnds(t, 0.002, []frontEnds{
+			{qid: "q1", typedAggs: 1},
+			{qid: "q6", typedAggs: 1},
+			{qid: "q3", rowAggs: 1, typedJoins: 2, leftBuilds: 1, boxedMax: 500},
+		})
 	})
 	t.Run("SF0.01", func(t *testing.T) {
-		checkFrontEnds(t, 0.01, []frontEnds{{"q12", "rows", 1, 0, 1000}, {"q9", "rows", 1, 4, 21000}})
+		checkFrontEnds(t, 0.01, []frontEnds{
+			{qid: "q12", rowAggs: 1, typedJoins: 1, leftBuilds: 0, boxedMax: 1000},
+			{qid: "q9", rowAggs: 1, typedJoins: 1, rowJoins: 4, leftBuilds: 0, boxedMax: 21000},
+			{qid: "q5", rowAggs: 1, typedJoins: 2, rowJoins: 3, leftBuilds: 3, boxedMax: 3000},
+			{qid: "q18", typedAggs: 1, rowAggs: 1, typedJoins: 2, rowJoins: 1, leftBuilds: 1, boxedMax: 1500},
+		})
 	})
 }
 
 // frontEnds is what one query's trace must show on every worker.
 type frontEnds struct {
 	qid                  string
-	aggIn                string // the worker aggregate's front end
-	typedJoins, rowJoins int    // worker joins per worker, by front end
-	boxedMax             int64  // ceiling on RunMetrics.BoxedRows; -1: must be nonzero
+	typedAggs, rowAggs   int   // worker aggregates per worker, by front end
+	typedJoins, rowJoins int   // worker joins per worker, by front end
+	leftBuilds           int   // of those, the joins built on the planner's left input
+	boxedMax             int64 // ceiling on RunMetrics.BoxedRows
 }
 
 func checkFrontEnds(t *testing.T, sf float64, cases []frontEnds) {
@@ -421,16 +435,20 @@ func checkFrontEnds(t *testing.T, sf float64, cases []frontEnds) {
 				typedScanUnder[sp.Parent] = true
 			}
 		}
-		workerAggs, typedJoins, rowJoins := 0, 0, 0
+		typedAggs, rowAggs, typedJoins, rowJoins, leftBuilds := 0, 0, 0, 0, 0
 		for _, sp := range spans {
 			if sp.Node == c.Coords[0].ID {
 				continue
 			}
 			switch {
 			case strings.HasPrefix(sp.Op, "HashAgg"):
-				workerAggs++
-				if sp.In != q.aggIn || sp.Workers < 1 {
-					t.Errorf("%s: %s on node %d: in=%q workers=%d, want in=%s and a degree", qid, sp.Op, sp.Node, sp.In, sp.Workers, q.aggIn)
+				if sp.In == "typed" {
+					typedAggs++
+				} else {
+					rowAggs++
+				}
+				if sp.In == "" || sp.Workers < 1 {
+					t.Errorf("%s: %s on node %d: in=%q workers=%d, want a front end and a degree", qid, sp.Op, sp.Node, sp.In, sp.Workers)
 				}
 			case sp.Op == "HashJoin":
 				if sp.In == "typed" {
@@ -438,27 +456,38 @@ func checkFrontEnds(t *testing.T, sf float64, cases []frontEnds) {
 				} else {
 					rowJoins++
 				}
+				if sp.BuildLeft {
+					leftBuilds++
+				}
 				if (sp.In == "typed") != typedScanUnder[sp.ID] || sp.In == "" || sp.Workers < 1 {
 					t.Errorf("%s: HashJoin on node %d: in=%q workers=%d, a columnar scan under it read as batches: %v",
 						qid, sp.Node, sp.In, sp.Workers, typedScanUnder[sp.ID])
 				}
 			}
 		}
-		if workerAggs != len(c.Workers) {
-			t.Errorf("%s: %d worker aggregate spans, want one per worker (%d)", qid, workerAggs, len(c.Workers))
+		w := len(c.Workers)
+		if typedAggs != q.typedAggs*w || rowAggs != q.rowAggs*w {
+			t.Errorf("%s: %d worker aggregates in=typed and %d in=rows, want %d and %d on each of %d workers",
+				qid, typedAggs, rowAggs, q.typedAggs, q.rowAggs, w)
 		}
-		if typedJoins != q.typedJoins*len(c.Workers) || rowJoins != q.rowJoins*len(c.Workers) {
-			t.Errorf("%s: %d worker joins in=typed and %d in=rows, want %d and %d on each of %d workers:\n%s",
-				qid, typedJoins, rowJoins, q.typedJoins, q.rowJoins, len(c.Workers), tr.Render())
+		if typedJoins != q.typedJoins*w || rowJoins != q.rowJoins*w || leftBuilds != q.leftBuilds*w {
+			t.Errorf("%s: %d worker joins in=typed and %d in=rows, %d built on the left; want %d, %d and %d on each of %d workers:\n%s",
+				qid, typedJoins, rowJoins, leftBuilds, q.typedJoins, q.rowJoins, q.leftBuilds, w, tr.Render())
 		}
-		if q.boxedMax >= 0 && m.BoxedRows > q.boxedMax {
+		if m.BoxedRows > q.boxedMax {
 			t.Errorf("%s: workers boxed %d rows, want at most %d", qid, m.BoxedRows, q.boxedMax)
 		}
-		if q.boxedMax < 0 && m.BoxedRows == 0 {
-			t.Errorf("%s: BoxedRows = 0 over a join that builds from a columnar scan — the counter is not wired", qid)
+		if q.typedJoins > 0 && m.BoxedRows == 0 {
+			t.Errorf("%s: BoxedRows = 0 though a typed join probe admitted rows — the counter is not wired", qid)
 		}
-		if !strings.Contains(tr.Render(), " in="+q.aggIn+" workers=") {
-			t.Errorf("%s: EXPLAIN ANALYZE does not show the aggregate's front end:\n%s", qid, tr.Render())
+		render := tr.Render()
+		for in, n := range map[string]int{"typed": q.typedAggs, "rows": q.rowAggs} {
+			if n > 0 && !strings.Contains(render, " in="+in+" workers=") {
+				t.Errorf("%s: EXPLAIN ANALYZE does not show the aggregate's front end in=%s:\n%s", qid, in, render)
+			}
+		}
+		if q.leftBuilds > 0 && !strings.Contains(render, " build=left in=") {
+			t.Errorf("%s: EXPLAIN ANALYZE does not show which input built:\n%s", qid, render)
 		}
 	}
 }
