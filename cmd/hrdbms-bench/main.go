@@ -15,12 +15,14 @@
 //	hrdbms-bench -exp ablations           # design-choice ablations
 //	hrdbms-bench -exp fig7 -sizes 8,16    # restrict the size sweep
 //	hrdbms-bench -sf 0.002                # larger measured dataset
-//	hrdbms-bench -exp exec -json BENCH_EXEC.json   # raw executed per-query stats
-//	hrdbms-bench -exp exec -trace         # + per-operator span tree per query
+//
+// The seconds printed are the performance model's, not wall time: wall time
+// is the bench/ module's (bench/run.sh), and the executed work of the 21
+// queries (rows, pages, bytes shuffled) is gated by the TPC-H parity suite
+// against internal/tpch/testdata/counters.txt.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -31,24 +33,26 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: all|fig7|fig8|fig9|3tb|current|predcache|ablations|exec")
+	if err := run(); err != nil {
+		fmt.Fprintln(os.Stderr, "hrdbms-bench:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the command; an error ends it after its deferred cleanup has run.
+func run() error {
+	exp := flag.String("exp", "all", "experiment: all|fig7|fig8|fig9|3tb|current|predcache|ablations")
 	sf := flag.Float64("sf", 0.001, "measured scale factor")
 	target := flag.Float64("target", 1000, "modeled scale factor (1000 = 1TB)")
 	sizesFlag := flag.String("sizes", "", "comma-separated cluster sizes for fig7/fig9 (default paper sizes)")
 	dir := flag.String("dir", "", "working directory (default: temp)")
-	jsonOut := flag.String("json", "", "with -exp exec: write stats JSON to this file")
-	trace := flag.Bool("trace", false, "with -exp exec: print the per-operator span tree of every query")
-	baseline := flag.String("baseline", "", "with -exp exec: fail if work_rows/net_bytes of the -assert queries regress vs this JSON baseline")
-	assert := flag.String("assert", "", "with -baseline: comma-separated queries to gate (default: every query in the baseline)")
-	tol := flag.Float64("tol", 0.10, "with -baseline: allowed fractional growth before failing")
 	flag.Parse()
 
 	baseDir := *dir
 	if baseDir == "" {
 		var err error
-		baseDir, err = os.MkdirTemp("", "hrdbms-bench-*")
-		if err != nil {
-			fatal(err)
+		if baseDir, err = os.MkdirTemp("", "hrdbms-bench-*"); err != nil {
+			return err
 		}
 		defer os.RemoveAll(baseDir)
 	}
@@ -61,7 +65,7 @@ func main() {
 		for _, s := range strings.Split(*sizesFlag, ",") {
 			n, err := strconv.Atoi(strings.TrimSpace(s))
 			if err != nil {
-				fatal(fmt.Errorf("bad -sizes: %w", err))
+				return fmt.Errorf("bad -sizes: %w", err)
 			}
 			sizes = append(sizes, n)
 		}
@@ -93,41 +97,8 @@ func main() {
 			n = sizes[0]
 		}
 		err = r.Ablations(n)
-	case "exec":
-		n := 4
-		if len(sizes) == 1 {
-			n = sizes[0]
-		}
-		var stats []experiments.QueryExecStat
-		stats, err = r.ExecStats(n, *trace)
-		if err == nil && *baseline != "" {
-			var queries []string
-			for _, q := range strings.Split(*assert, ",") {
-				if q = strings.TrimSpace(q); q != "" {
-					queries = append(queries, q)
-				}
-			}
-			err = experiments.CheckExecRegression(stats, *baseline, queries, *tol)
-		}
-		if err == nil && *jsonOut != "" {
-			var buf []byte
-			buf, err = json.MarshalIndent(stats, "", "  ")
-			if err == nil {
-				err = os.WriteFile(*jsonOut, append(buf, '\n'), 0o644)
-			}
-			if err == nil {
-				fmt.Printf("wrote %s\n", *jsonOut)
-			}
-		}
 	default:
 		err = fmt.Errorf("unknown experiment %q", *exp)
 	}
-	if err != nil {
-		fatal(err)
-	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "hrdbms-bench:", err)
-	os.Exit(1)
+	return err
 }

@@ -1,6 +1,6 @@
 // Command hrdbms-cli is an interactive SQL shell over an embedded HRDBMS
 // cluster. Statements end with ';'. Meta commands: \q quits, \tables lists
-// tables, \load <table> <sf> loads TPC-H data into a table.
+// tables.
 //
 // Usage:
 //
@@ -21,6 +21,14 @@ import (
 )
 
 func main() {
+	if err := run(); err != nil {
+		fmt.Fprintln(os.Stderr, "hrdbms-cli:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the shell; an error ends it after its deferred cleanup has run.
+func run() error {
 	workers := flag.Int("workers", 4, "number of worker nodes")
 	dir := flag.String("dir", "", "data directory (default: temp)")
 	tpchSF := flag.Float64("tpch", 0, "preload TPC-H at this scale factor")
@@ -29,15 +37,14 @@ func main() {
 	baseDir := *dir
 	if baseDir == "" {
 		var err error
-		baseDir, err = os.MkdirTemp("", "hrdbms-cli-*")
-		if err != nil {
-			fatal(err)
+		if baseDir, err = os.MkdirTemp("", "hrdbms-cli-*"); err != nil {
+			return err
 		}
 		defer os.RemoveAll(baseDir)
 	}
 	db, err := core.Open(core.Config{Workers: *workers, Dir: baseDir})
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	defer db.Close()
 
@@ -45,14 +52,14 @@ func main() {
 		fmt.Printf("loading TPC-H SF%g...\n", *tpchSF)
 		for _, ddl := range tpch.DDL() {
 			if _, err := db.Exec(ddl); err != nil {
-				fatal(err)
+				return err
 			}
 		}
 		data := tpch.Generate(*tpchSF, 1)
 		for tbl, rows := range data.Tables() {
 			n, err := db.Load(tbl, rows)
 			if err != nil {
-				fatal(err)
+				return err
 			}
 			fmt.Printf("  %s: %d rows\n", tbl, n)
 		}
@@ -64,13 +71,9 @@ func main() {
 	sc.Buffer(make([]byte, 1<<16), 1<<22)
 	var pending strings.Builder
 	fmt.Print("hrdbms> ")
-	for sc.Scan() {
+	for sc.Scan() && strings.TrimSpace(sc.Text()) != `\q` {
 		line := sc.Text()
-		trimmed := strings.TrimSpace(line)
-		switch {
-		case trimmed == `\q`:
-			return
-		case trimmed == `\tables`:
+		if strings.TrimSpace(line) == `\tables` {
 			for _, t := range db.Catalog().Tables() {
 				fmt.Println(" ", t)
 			}
@@ -90,6 +93,7 @@ func main() {
 		}
 		fmt.Print("hrdbms> ")
 	}
+	return nil
 }
 
 func runStatement(db *core.DB, sql string) {
@@ -129,9 +133,4 @@ func runStatement(db *core.DB, sql string) {
 		fmt.Println(r.String())
 	}
 	fmt.Printf("(%d rows, %.3fs)\n", len(res.Rows), elapsed.Seconds())
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "hrdbms-cli:", err)
-	os.Exit(1)
 }

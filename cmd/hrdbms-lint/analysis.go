@@ -180,12 +180,6 @@ func RunAnalyzersWithIndex(pkg *Package, locks *LockIndex) []Diagnostic {
 	return sortDiags(out)
 }
 
-// RunAnalyzers is RunAnalyzersWithIndex with a lock index built from the
-// single package (fixture tests; self-contained packages).
-func RunAnalyzers(pkg *Package) []Diagnostic {
-	return RunAnalyzersWithIndex(pkg, BuildLockIndex([]*Package{pkg}))
-}
-
 // isTestFile reports whether the position is inside a _test.go file.
 func (p *Pass) isTestFile(pos token.Pos) bool {
 	return strings.HasSuffix(p.Pkg.Fset.Position(pos).Filename, "_test.go")

@@ -72,6 +72,12 @@ func loadFixture(t *testing.T, exports map[string]string, dir, pkgPath string) (
 	return &Package{Path: pkgPath, Fset: fset, Files: files, Types: typesPkg, Info: info}, wants
 }
 
+// RunAnalyzers is RunAnalyzersWithIndex with a lock index built from the
+// single package, as a self-contained fixture needs.
+func RunAnalyzers(pkg *Package) []Diagnostic {
+	return RunAnalyzersWithIndex(pkg, BuildLockIndex([]*Package{pkg}))
+}
+
 // TestAnalyzersOnFixtures checks, per analyzer, that every marked violation
 // is caught, that clean and suppressed code produces no findings, and that
 // at least one true positive exists per rule.

@@ -39,6 +39,14 @@ import (
 )
 
 func main() {
+	if err := run(); err != nil {
+		fmt.Fprintln(os.Stderr, "hrdbms-server:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the server; an error ends it after its deferred cleanup has run.
+func run() error {
 	listen := flag.String("listen", "127.0.0.1:7432", "listen address")
 	httpAddr := flag.String("http", "", "serve /metrics and /debug/queries on this address")
 	trace := flag.Bool("trace", false, "record a per-operator trace of every query")
@@ -55,21 +63,20 @@ func main() {
 	baseDir := *dir
 	if baseDir == "" {
 		var err error
-		baseDir, err = os.MkdirTemp("", "hrdbms-server-*")
-		if err != nil {
-			fatal(err)
+		if baseDir, err = os.MkdirTemp("", "hrdbms-server-*"); err != nil {
+			return err
 		}
 	}
 	db, err := core.Open(core.Config{Workers: *workers, Dir: baseDir, TraceQueries: *trace})
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	defer db.Close()
 
 	if *httpAddr != "" {
 		hl, err := net.Listen("tcp", *httpAddr)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		fmt.Printf("observability on http://%s/metrics and /debug/queries\n", hl.Addr())
 		go func() {
@@ -82,13 +89,13 @@ func main() {
 	if *tpchSF > 0 {
 		for _, ddl := range tpch.DDL() {
 			if _, err := db.Exec(ddl); err != nil {
-				fatal(err)
+				return err
 			}
 		}
 		data := tpch.Generate(*tpchSF, 1)
 		for tbl, rows := range data.Tables() {
 			if _, err := db.Load(tbl, rows); err != nil {
-				fatal(err)
+				return err
 			}
 		}
 		fmt.Printf("loaded TPC-H SF%g\n", *tpchSF)
@@ -103,7 +110,7 @@ func main() {
 
 	l, err := net.Listen("tcp", *listen)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	fmt.Printf("hrdbms-server listening on %s (%d workers, data in %s)\n",
 		l.Addr(), *workers, baseDir)
@@ -122,23 +129,13 @@ func main() {
 	}()
 
 	if err := server.Serve(l); err != nil {
-		fatal(err)
+		return err
 	}
 	fmt.Println("hrdbms-server: drained, bye")
+	return nil
 }
 
 // newServer wires the serving layer over an open database.
 func newServer(db *core.DB, cfg srv.Config) *srv.Server {
 	return srv.New(db.Cluster(), cfg, db.Registry())
-}
-
-// serve handles one connection with a default-configured serving layer
-// (kept for tests that drive the protocol over a pipe).
-func serve(db *core.DB, conn net.Conn) {
-	newServer(db, srv.Config{}).ServeConn(conn)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "hrdbms-server:", err)
-	os.Exit(1)
 }

@@ -13,7 +13,13 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/srv"
 )
+
+// serve handles one connection with a default-configured serving layer.
+func serve(db *core.DB, conn net.Conn) {
+	newServer(db, srv.Config{}).ServeConn(conn)
+}
 
 // TestServeProtocol drives the line protocol over an in-memory pipe.
 func TestServeProtocol(t *testing.T) {

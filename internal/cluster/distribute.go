@@ -800,7 +800,7 @@ func (q *queryExec) shuffle(ds *dstream, keys []expr.Expr, names []string) (*dst
 		if q.prof.BlockingShuffle {
 			// MapReduce-style: materialize (and implicitly sort boundary)
 			// before sending.
-			in = q.wrap("Materialize", w.ID, exec.NewMaterialize(wctx, in, true), in)
+			in = q.wrap("Materialize", w.ID, exec.NewMaterialize(wctx, in), in)
 		}
 		// The shuffle's sends (including hub forwards) count against its
 		// span, matching the fabric meter's per-link accounting.
@@ -812,7 +812,7 @@ func (q *queryExec) shuffle(ds *dstream, keys []expr.Expr, names []string) (*dst
 		sh.OnLoops = q.live
 		recv := q.attach(sh, sp, in)
 		if q.prof.MaterializeShuffle {
-			recv = q.wrap("Materialize", w.ID, exec.NewMaterialize(wctx, recv, true), recv)
+			recv = q.wrap("Materialize", w.ID, exec.NewMaterialize(wctx, recv), recv)
 		}
 		out.ops = append(out.ops, recv)
 	}

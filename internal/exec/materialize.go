@@ -5,14 +5,13 @@ import (
 )
 
 // Materialize is a blocking buffer: Open fully drains the input — to a
-// spill file when a context with a budget is supplied, else to memory —
-// before the first row is served. It models the materialization points of
+// spill file when its context has a temp dir, else to memory — before the
+// first row is served. It models the materialization points of
 // the baseline systems (MapReduce's blocking shuffle, Hive/Spark writing
 // shuffle data to disk); HRDBMS's own plans never insert it.
 type Materialize struct {
-	In     Operator
-	ToDisk bool
-	ctx    *Ctx
+	In  Operator
+	ctx *Ctx
 
 	mem      []types.Row
 	reader   *spillReader
@@ -24,8 +23,8 @@ type Materialize struct {
 }
 
 // NewMaterialize builds the blocking buffer.
-func NewMaterialize(ctx *Ctx, in Operator, toDisk bool) *Materialize {
-	return &Materialize{In: in, ToDisk: toDisk, ctx: ctx}
+func NewMaterialize(ctx *Ctx, in Operator) *Materialize {
+	return &Materialize{In: in, ctx: ctx}
 }
 
 // Schema implements Operator.
@@ -39,7 +38,7 @@ func (m *Materialize) Open() error {
 
 func (m *Materialize) prepare() error {
 	var w *spillWriter
-	if m.ToDisk && m.ctx != nil && m.ctx.TempDir != "" {
+	if m.ctx != nil && m.ctx.TempDir != "" {
 		var err error
 		w, err = newSpillWriter(m.ctx, "mat-*")
 		if err != nil {

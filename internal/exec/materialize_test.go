@@ -8,7 +8,7 @@ import (
 
 func TestMaterializeInMemory(t *testing.T) {
 	src := NewSource(intSchema("a"), intRows([]int64{1}, []int64{2}, []int64{3}))
-	m := NewMaterialize(nil, src, false)
+	m := NewMaterialize(nil, src)
 	rows, err := Collect(m)
 	if err != nil {
 		t.Fatal(err)
@@ -28,7 +28,7 @@ func TestMaterializeToDisk(t *testing.T) {
 		rows = append(rows, types.Row{types.NewInt(i), types.NewString("payload")})
 	}
 	src := NewSource(intSchema("a", "b"), rows)
-	m := NewMaterialize(ctx, src, true)
+	m := NewMaterialize(ctx, src)
 	out, err := Collect(m)
 	if err != nil {
 		t.Fatal(err)
@@ -53,7 +53,7 @@ func TestMaterializeIsBlocking(t *testing.T) {
 	// The source must be fully drained before the first slab is returned.
 	drained := false
 	src := &drainTracker{Source: NewSource(intSchema("a"), intRows([]int64{1}, []int64{2})), done: &drained}
-	m := NewMaterialize(nil, src, false)
+	m := NewMaterialize(nil, src)
 	if err := m.Open(); err != nil {
 		t.Fatal(err)
 	}

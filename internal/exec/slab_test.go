@@ -220,8 +220,12 @@ func TestKillInBlockingDrain(t *testing.T) {
 		"join, typed probe": func(ctx *Ctx, big Operator) Operator {
 			return NewTypedProbeHashJoin(ctx, &typedSource{Operator: big}, small(), ColRefs(0), ColRefs(0), JoinInner, nil, 1)
 		},
-		"nlj-right":   func(ctx *Ctx, big Operator) Operator { return NewNestedLoopJoin(ctx, small(), big, nil, JoinInner) },
-		"materialize": func(ctx *Ctx, big Operator) Operator { return NewMaterialize(ctx, big, false) },
+		"nlj-right": func(ctx *Ctx, big Operator) Operator { return NewNestedLoopJoin(ctx, small(), big, nil, JoinInner) },
+		"materialize": func(ctx *Ctx, big Operator) Operator {
+			mem := ctx.Child(ctx.Cancel())
+			mem.TempDir = "" // buffer in memory
+			return NewMaterialize(mem, big)
+		},
 		"aggregate": func(ctx *Ctx, big Operator) Operator {
 			return NewHashAggregate(ctx, big, ColRefs(0), []AggSpec{{Kind: AggCount, Name: "c"}}, AggComplete)
 		},

@@ -100,7 +100,7 @@ func TestSpillFilesRemovedOnError(t *testing.T) {
 			return NewTypedProbeHashJoin(ctx, &typedSource{Operator: in}, small(), ColRefs(0), ColRefs(0), JoinInner, nil, degree)
 		}},
 		{"materialize to disk", func(ctx *Ctx, in Operator, degree int) Operator {
-			return NewMaterialize(ctx, in, true)
+			return NewMaterialize(ctx, in)
 		}},
 	}
 	boom := errors.New("input failed")

@@ -10,7 +10,10 @@ import (
 	"repro/internal/sqlparse"
 )
 
-var updatePlans = flag.Bool("update", false, "rewrite testdata/plans golden files with current optimizer output")
+// update rewrites the golden files under testdata — the plans
+// (TestGoldenPlans) and counters.txt (TestAllQueriesDistributedMatchReference)
+// — instead of checking against them.
+var update = flag.Bool("update", false, "rewrite the testdata golden files (plans/, counters.txt) with current output")
 
 // TestGoldenPlans pins the optimized plan of every TPC-H query at SF0.01,
 // seed 20260706, 4 workers. The golden files capture everything the
@@ -26,7 +29,7 @@ func TestGoldenPlans(t *testing.T) {
 		t.Skip("TPC-H stats build skipped in -short mode")
 	}
 	c, _ := loadedCluster(t, 4, 0.01)
-	if *updatePlans {
+	if *update {
 		if err := os.MkdirAll(filepath.Join("testdata", "plans"), 0o755); err != nil {
 			t.Fatal(err)
 		}
@@ -45,7 +48,7 @@ func TestGoldenPlans(t *testing.T) {
 			}
 			got := plan.Explain(node)
 			path := filepath.Join("testdata", "plans", qid+".txt")
-			if *updatePlans {
+			if *update {
 				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 					t.Fatal(err)
 				}

@@ -2,12 +2,15 @@ package tpch
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"testing"
+	"text/tabwriter"
 
 	"repro/internal/cluster"
 	"repro/internal/exec"
@@ -173,7 +176,8 @@ func requireParity(t *testing.T, name string, pc pruneCase, c *cluster.Cluster, 
 // identical results distributed — optimized, pruned to the columns it uses,
 // over shuffles, co-location and tree aggregation, on 1 and on 4 workers —
 // and single-node on the plan exactly as plan.Build made it, every scan
-// whole.
+// whole. The 4-worker run of the 21 queries is also the executed-work gate:
+// its counters must match testdata/counters.txt (checkCounters).
 func TestAllQueriesDistributedMatchReference(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full TPC-H suite skipped in -short mode")
@@ -186,18 +190,234 @@ func TestAllQueriesDistributedMatchReference(t *testing.T) {
 		}
 		prov := &plan.MemProvider{Cat: c.Catalog(), Rows: d.Tables()}
 		nonEmpty := 0
+		var counters []queryCounters
 		for i, pc := range cases {
 			name := fmt.Sprintf("%s, %d workers", pc.name, workers)
-			got, _ := requireParity(t, name, pc, c, prov)
-			if i < numQueries && len(got) > 0 {
-				nonEmpty++
+			got, m := requireParity(t, name, pc, c, prov)
+			if i < numQueries {
+				counters = append(counters, queryCounters{pc.name, countersOf(len(got), m)})
+				if len(got) > 0 {
+					nonEmpty++
+				}
 			}
 			t.Logf("%s: %d rows", name, len(got))
 		}
 		if nonEmpty < 14 {
 			t.Errorf("only %d of 21 queries returned rows — generator domains too sparse", nonEmpty)
 		}
+		if workers == 4 {
+			checkCounters(t, counters)
+		}
 	}
+}
+
+// countersPath is the golden file of the 21 queries' executed work at SF0.002
+// on 4 workers.
+var countersPath = filepath.Join("testdata", "counters.txt")
+
+// counterNames are the columns of countersPath after the query id. The
+// first exactCounters reproduce exactly run to run, under -race, at any
+// GOMAXPROCS and any ParallelBudget. The last two, the network's, are
+// checked within netTolerance either way. A typed gather sends one message
+// per scan batch, and a parallel scan fills a batch per thread, so how many
+// it sends follows how many threads AcquireWorkers granted and which page
+// sets each took; and the wire codec dictionary-codes strings once per
+// message, so a message's size depends on which rows share it.
+// RunMetrics.StateBytes is not recorded at all: every thread a blocking
+// operator is granted charges its own partial table, so it too follows the
+// grants, which depend on which tokens are free at that instant.
+var counterNames = []string{
+	"rows", "work_rows", "scan_rows", "pages_read", "pages_skipped",
+	"decode_typed_pages", "decode_boxed_pages", "pred_row_sets", "boxed_rows",
+	"spill_bytes", "exchanges", "net_messages", "net_bytes",
+}
+
+const (
+	exactCounters = 11
+	netTolerance  = 0.10
+)
+
+// queryCounters is one line of countersPath.
+type queryCounters struct {
+	query string
+	vals  []int64 // in counterNames order
+}
+
+func countersOf(rows int, m cluster.RunMetrics) []int64 {
+	return []int64{
+		int64(rows), m.WorkRows, m.ScanRows, m.PagesRead, m.PagesSkipped,
+		m.DecodeTypedPages, m.DecodeBoxedPages, m.PredRowSets, m.BoxedRows,
+		m.SpillBytes, int64(m.Exchanges), m.NetMessages, m.NetBytes,
+	}
+}
+
+// checkCounters compares the measured counters with countersPath, or
+// rewrites the file under -update. A moved counter fails the test by query
+// and name, in either direction: a deliberate cut updates the file too, and
+// the diff says what the change did to the work each query executes. No
+// query may decode a page boxed, golden or not.
+func checkCounters(t *testing.T, got []queryCounters) {
+	t.Helper()
+	boxed := slices.Index(counterNames, "decode_boxed_pages")
+	for _, q := range got {
+		if q.vals[boxed] != 0 {
+			t.Errorf("%s: %d pages decoded boxed, want 0", q.query, q.vals[boxed])
+		}
+	}
+	if *update {
+		var b strings.Builder
+		fmt.Fprintf(&b, "# go test ./internal/tpch -run TestAllQueriesDistributedMatchReference -update\n")
+		fmt.Fprintf(&b, "# SF0.002, 4 workers; net_messages and net_bytes within %.0f %%, the rest exact\n", netTolerance*100)
+		w := tabwriter.NewWriter(&b, 0, 0, 1, ' ', tabwriter.AlignRight)
+		fmt.Fprintf(w, "query\t%s\t\n", strings.Join(counterNames, "\t"))
+		for _, q := range got {
+			fmt.Fprintf(w, "%s", q.query)
+			for _, v := range q.vals {
+				fmt.Fprintf(w, "\t%d", v)
+			}
+			fmt.Fprintf(w, "\t\n")
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(countersPath, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := readCounters()
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	if len(want) != len(got) {
+		t.Fatalf("%s holds %d queries, the suite ran %d (regenerate with -update)", countersPath, len(want), len(got))
+	}
+	for i, q := range got {
+		w := want[i]
+		if w.query != q.query {
+			t.Fatalf("%s holds %s where the suite ran %s (regenerate with -update)", countersPath, w.query, q.query)
+		}
+		if moved := movedCounters(w.vals, q.vals); len(moved) > 0 {
+			t.Errorf("%s: %s (regenerate %s with -update if intended)", q.query, strings.Join(moved, ", "), countersPath)
+		}
+	}
+}
+
+// movedCounters names each counter of got that differs from want by more
+// than it may: at all for the first exactCounters, beyond netTolerance of
+// the golden value for the rest.
+func movedCounters(want, got []int64) []string {
+	var moved []string
+	for j, name := range counterNames {
+		g, x := got[j], want[j]
+		if g == x || j >= exactCounters && math.Abs(float64(g-x)) <= netTolerance*float64(x) {
+			continue
+		}
+		moved = append(moved, fmt.Sprintf("%s %d → %d", name, x, g))
+	}
+	return moved
+}
+
+// TestCountersFileWellFormed checks testdata/counters.txt without running a
+// query, so -short runs check it too: one line per query in QueryIDs order,
+// a value for every counter, and no page decoded boxed.
+func TestCountersFileWellFormed(t *testing.T) {
+	want, err := readCounters()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := QueryIDs()
+	if len(want) != len(ids) {
+		t.Fatalf("%s holds %d queries, want %d", countersPath, len(want), len(ids))
+	}
+	boxed := slices.Index(counterNames, "decode_boxed_pages")
+	for i, q := range want {
+		if q.query != ids[i] {
+			t.Errorf("line %d is %s, want %s", i+1, q.query, ids[i])
+		}
+		if len(q.vals) != len(counterNames) {
+			t.Errorf("%s: %d values, want %d", q.query, len(q.vals), len(counterNames))
+			continue
+		}
+		if q.vals[boxed] != 0 {
+			t.Errorf("%s: golden holds %d pages decoded boxed, want 0", q.query, q.vals[boxed])
+		}
+	}
+}
+
+// TestMovedCountersTolerance: the exact counters fail on any move, either
+// way; the network's pass within netTolerance and fail beyond it.
+func TestMovedCountersTolerance(t *testing.T) {
+	base := make([]int64, len(counterNames))
+	for i := range base {
+		base[i] = 1000
+	}
+	with := func(name string, v int64) []int64 {
+		got := slices.Clone(base)
+		got[slices.Index(counterNames, name)] = v
+		return got
+	}
+	for _, tc := range []struct {
+		name  string
+		v     int64
+		moved bool
+	}{
+		{"work_rows", 1001, true},
+		{"work_rows", 999, true},
+		{"exchanges", 1001, true},
+		{"net_bytes", 1100, false},
+		{"net_bytes", 900, false},
+		{"net_bytes", 1101, true},
+		{"net_messages", 899, true},
+	} {
+		moved := movedCounters(base, with(tc.name, tc.v))
+		if got := len(moved) > 0; got != tc.moved {
+			t.Errorf("%s 1000 → %d: moved %v, want %v", tc.name, tc.v, moved, tc.moved)
+		}
+		if tc.moved && (len(moved) != 1 || !strings.HasPrefix(moved[0], tc.name+" ")) {
+			t.Errorf("%s 1000 → %d: moved %v, want only %s", tc.name, tc.v, moved, tc.name)
+		}
+	}
+	if moved := movedCounters(base, base); len(moved) != 0 {
+		t.Errorf("unchanged counters moved: %v", moved)
+	}
+}
+
+// readCounters parses countersPath: '#' comment lines, one header line, then
+// one line per query.
+func readCounters() ([]queryCounters, error) {
+	raw, err := os.ReadFile(countersPath)
+	if err != nil {
+		return nil, err
+	}
+	var out []queryCounters
+	header := true
+	for n, line := range strings.Split(string(raw), "\n") {
+		f := strings.Fields(line)
+		if len(f) == 0 || strings.HasPrefix(f[0], "#") {
+			continue
+		}
+		if len(f) != len(counterNames)+1 {
+			return nil, fmt.Errorf("%s:%d: %d fields, want %d", countersPath, n+1, len(f), len(counterNames)+1)
+		}
+		if header {
+			if strings.Join(f[1:], " ") != strings.Join(counterNames, " ") {
+				return nil, fmt.Errorf("%s:%d: columns %v, want %v", countersPath, n+1, f[1:], counterNames)
+			}
+			header = false
+			continue
+		}
+		q := queryCounters{query: f[0]}
+		for _, s := range f[1:] {
+			v, err := strconv.ParseInt(s, 10, 64)
+			if err != nil {
+				return nil, fmt.Errorf("%s:%d: %w", countersPath, n+1, err)
+			}
+			q.vals = append(q.vals, v)
+		}
+		out = append(out, q)
+	}
+	return out, nil
 }
 
 // TestAllQueriesMatchReferenceUnderMemoryPressure is the same table on a

@@ -1,22 +1,22 @@
 #!/usr/bin/env bash
-# Reachability audit: every non-test function under internal/ is reached by
-# a declared workload, or carries a line in scripts/deadcode.keep, or fails
-# this script. See docs/STATIC_ANALYSIS.md ("Reachability audit").
+# Reachability audit: every non-test function under internal/ and cmd/ is
+# reached by a declared workload, or carries a line in scripts/deadcode.keep,
+# or fails this script. See docs/STATIC_ANALYSIS.md ("Reachability audit").
 #
 # The traffic, all from cover-instrumented builds of things that are not unit
 # tests: the four bench/ workloads (traced and untraced), the TPC-H parity
-# suites of internal/tpch, the four examples/, hrdbms-bench (-exp all, -exp
-# exec -trace, and check.sh's BENCH_EXEC.json gate), one scripted
-# hrdbms-server session over the commands docs/SERVING.md documents and the
-# SQL the README does, and one hrdbms-cli session. A second measurement, of
-# the unit tests, only checks that a kept function still has a test.
+# suites of internal/tpch, the four examples/, hrdbms-bench -exp all,
+# hrdbms-lint over the repository as check.sh runs it and over two of its
+# fixtures, one scripted hrdbms-server session over the commands
+# docs/SERVING.md documents and the SQL the README does, and one hrdbms-cli
+# session. A second measurement, of the unit tests, only checks that a kept
+# function still has a test.
 #
 # Takes no arguments, downloads nothing, and writes only under a mktemp -d
 # it removes on exit, except for the listing, which goes to stdout. The last
 # line is the summary scripts/check.sh prints.
 set -euo pipefail
 cd "$(dirname "$0")/.."
-root=$(pwd)
 keep=scripts/deadcode.keep
 
 tmp=$(mktemp -d)
@@ -32,11 +32,11 @@ export TMPDIR="$tmp/tmp" # the data directories the binaries make for themselves
 say() { echo "deadcode: $*" >&2; }
 
 # -coverpkg must name the main package too: on go1.24 a build whose main is
-# not instrumented writes no counter files at all. The non-internal/ lines
-# are dropped when the profiles are merged.
+# not instrumented writes no counter files at all. The lines outside
+# internal/ and cmd/ are dropped when the profiles are merged.
 say "building instrumented binaries"
 go build -cover -coverpkg=./... -o "$tmp/bin/" \
-  ./cmd/hrdbms-bench ./cmd/hrdbms-server ./cmd/hrdbms-cli ./examples/...
+  ./cmd/hrdbms-bench ./cmd/hrdbms-server ./cmd/hrdbms-cli ./cmd/hrdbms-lint ./examples/...
 (cd bench && go build -cover -coverpkg=repro/...,repro/bench/... -o "$tmp/bin/bench" .)
 
 # run <name> <binary> [args...]: one instrumented process, its counters in
@@ -67,11 +67,23 @@ done
 
 say "hrdbms-bench -exp all"
 run bench-all hrdbms-bench -exp all
-say "hrdbms-bench -exp exec -trace"
-run bench-exec-trace hrdbms-bench -exp exec -trace
-say "hrdbms-bench -exp exec -baseline BENCH_EXEC.json"
-run bench-exec-gate hrdbms-bench -exp exec -json "$tmp/run/exec.json" \
-  -baseline "$root/BENCH_EXEC.json"
+
+# The linter loads the packages of the working directory, so it runs from the
+# repository root: over the repository as check.sh runs it (no findings), and
+# over two of its fixtures, whose findings it must print and exit 1 on.
+say "hrdbms-lint -json ./..."
+mkdir -p "$tmp/cov/lint" "$tmp/cov/lint-fixtures"
+GOCOVERDIR="$tmp/cov/lint" "$tmp/bin/hrdbms-lint" -json ./... >"$tmp/run/lint.log" 2>&1 ||
+  { say "hrdbms-lint failed:"; tail -n 20 "$tmp/run/lint.log" >&2; exit 1; }
+say "hrdbms-lint over the pinpair and lockorder fixtures"
+status=0
+GOCOVERDIR="$tmp/cov/lint-fixtures" "$tmp/bin/hrdbms-lint" ./cmd/hrdbms-lint/testdata/pinpair \
+  ./cmd/hrdbms-lint/testdata/lockorder >"$tmp/run/lint-fixtures.log" 2>&1 || status=$?
+if [ "$status" -ne 1 ] || ! grep -q 'lockorder: ' "$tmp/run/lint-fixtures.log"; then
+  say "hrdbms-lint did not report its fixtures' findings (exit $status):"
+  tail -n 20 "$tmp/run/lint-fixtures.log" >&2
+  exit 1
+fi
 
 # One server, three connections: the documented wire commands and SQL
 # statements on the first (among them what no benchmark query drives through
@@ -216,19 +228,19 @@ go test -count=1 -coverpkg=./internal/... -coverprofile="$tmp/tpch.prof" \
 # A second measurement, of the unit tests alone (the invariants-tagged ones
 # included): a keep line may only cover a function some test still holds.
 say "unit tests (what holds the kept functions)"
-go test -count=1 -coverpkg=./internal/... -coverprofile="$tmp/unit.prof" ./internal/... >"$tmp/run/unit.log" 2>&1 &&
+go test -count=1 -coverpkg=./internal/...,./cmd/... -coverprofile="$tmp/unit.prof" ./internal/... ./cmd/... >"$tmp/run/unit.log" 2>&1 &&
   go test -count=1 -tags invariants -coverpkg=./internal/... -coverprofile="$tmp/inv.prof" \
     ./internal/buffer ./internal/txn >>"$tmp/run/unit.log" 2>&1 ||
   { say "unit tests failed:"; grep -v '^ok' "$tmp/run/unit.log" | tail -n 30 >&2; exit 1; }
 
-# merge <out> <text profile>...: one profile of the internal/ blocks, counts
-# of identical blocks added up.
+# merge <out> <text profile>...: one profile of the internal/ and cmd/
+# blocks, counts of identical blocks added up.
 merge() {
   local out=$1
   shift
   {
     echo "mode: count"
-    tail -q -n +2 "$@" | grep '^repro/internal/' |
+    tail -q -n +2 "$@" | grep -E '^repro/(internal|cmd)/' |
       awk '{ n[$1] = $2; c[$1] += $3 } END { for (b in n) print b, n[b], c[b] }' | sort
   } >"$out"
 }
@@ -327,7 +339,7 @@ awk -v keep="$keep" -v tested="$tmp/tested" '
       else bad[++nbad] = "stale keep line (no such function): " k
     }
     for (i = 1; i <= nbad; i++) print "deadcode: " bad[i] > "/dev/stderr"
-    printf "deadcode: %d unreached (%d safety, %d surface, %d roadmap), %d unlisted; %d lines of %d functions under internal/\n",
+    printf "deadcode: %d unreached (%d safety, %d surface, %d roadmap), %d unlisted; %d lines of %d functions under internal/ and cmd/\n",
       unreached, count["safety"], count["surface"], count["roadmap"], unlisted, nlines, total
     exit nbad > 0
   }' "$tmp/traffic.funcs"
