@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"time"
 )
 
 // Message is one delivered datagram.
@@ -38,6 +39,9 @@ type Endpoint interface {
 	Send(to, dest int, channel string, payload []byte) error
 	// Recv blocks until a message arrives on channel or the endpoint closes.
 	Recv(channel string) (Message, error)
+	// RecvTimeout is Recv giving up after d, with an error wrapping
+	// ErrTimeout; nothing is left waiting on the channel.
+	RecvTimeout(channel string, d time.Duration) (Message, error)
 	// Close shuts the endpoint; blocked Recv/Send calls return ErrClosed.
 	Close() error
 }
@@ -260,10 +264,9 @@ func (m *Meter) MaxNodeDegree() int {
 // Fabric is the in-process transport: a set of endpoints with bounded
 // mailboxes, metered centrally.
 type Fabric struct {
-	mu         sync.Mutex
-	endpoints  map[int]*inprocEndpoint
-	meter      *Meter
-	mailboxCap int
+	mu        sync.Mutex
+	endpoints map[int]*inprocEndpoint
+	meter     *Meter
 }
 
 // NewFabric creates an in-process fabric for the given node IDs.
@@ -271,14 +274,11 @@ func NewFabric(nodeIDs []int, mailboxCap int) *Fabric {
 	if mailboxCap < 1 {
 		mailboxCap = 1024
 	}
-	f := &Fabric{endpoints: map[int]*inprocEndpoint{}, meter: NewMeter(), mailboxCap: mailboxCap}
+	f := &Fabric{endpoints: map[int]*inprocEndpoint{}, meter: NewMeter()}
 	for _, id := range nodeIDs {
-		f.endpoints[id] = &inprocEndpoint{
-			id:     id,
-			fabric: f,
-			boxes:  map[string]chan Message{},
-			closed: make(chan struct{}),
-		}
+		e := &inprocEndpoint{id: id, fabric: f}
+		e.init(mailboxCap)
+		f.endpoints[id] = e
 	}
 	return f
 }
@@ -297,32 +297,23 @@ func (f *Fabric) Endpoint(id int) (Endpoint, error) {
 	return e, nil
 }
 
-// ReleasePrefix drops every mailbox whose channel name starts with prefix,
-// on every endpoint. Mailboxes are created lazily per (endpoint, channel)
-// and would otherwise live for the fabric's lifetime; a serving cluster
-// runs thousands of queries, each with its own "q<qid>." channel
-// namespace, so the query path releases the namespace when the query ends
-// to keep fabric memory bounded. A straggling send after release simply
-// recreates an empty (and unread) mailbox — harmless, the EOF protocol has
-// already completed by then.
-func (f *Fabric) ReleasePrefix(prefix string) {
-	if prefix == "" {
-		return
-	}
+// all returns the fabric's endpoints.
+func (f *Fabric) all() []*inprocEndpoint {
 	f.mu.Lock()
+	defer f.mu.Unlock()
 	eps := make([]*inprocEndpoint, 0, len(f.endpoints))
 	for _, e := range f.endpoints {
 		eps = append(eps, e)
 	}
-	f.mu.Unlock()
-	for _, e := range eps {
-		e.mu.Lock()
-		for ch := range e.boxes {
-			if len(ch) >= len(prefix) && ch[:len(prefix)] == prefix {
-				delete(e.boxes, ch)
-			}
-		}
-		e.mu.Unlock()
+	return eps
+}
+
+// ReleasePrefix drops every mailbox whose channel name starts with prefix,
+// on every endpoint: a query's "q<qid>." namespace once its loops have
+// exited, a transaction's vote and ack channels once it is decided.
+func (f *Fabric) ReleasePrefix(prefix string) {
+	for _, e := range f.all() {
+		e.ReleasePrefix(prefix)
 	}
 }
 
@@ -330,50 +321,26 @@ func (f *Fabric) ReleasePrefix(prefix string) {
 // per-transaction channel is released by its owner, so on an idle cluster
 // this does not grow with the statements run.
 func (f *Fabric) Mailboxes() (n int) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for _, e := range f.endpoints {
-		e.mu.Lock()
-		n += len(e.boxes)
-		e.mu.Unlock()
+	for _, e := range f.all() {
+		n += e.Mailboxes()
 	}
 	return n
 }
 
 // CloseAll shuts every endpoint.
 func (f *Fabric) CloseAll() {
-	f.mu.Lock()
-	eps := make([]*inprocEndpoint, 0, len(f.endpoints))
-	for _, e := range f.endpoints {
-		eps = append(eps, e)
-	}
-	f.mu.Unlock()
-	for _, e := range eps {
+	for _, e := range f.all() {
 		e.Close()
 	}
 }
 
 type inprocEndpoint struct {
+	mailboxes
 	id     int
 	fabric *Fabric
-	mu     sync.Mutex
-	boxes  map[string]chan Message
-	closed chan struct{}
-	once   sync.Once
 }
 
 func (e *inprocEndpoint) NodeID() int { return e.id }
-
-func (e *inprocEndpoint) box(channel string) chan Message {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	b, ok := e.boxes[channel]
-	if !ok {
-		b = make(chan Message, e.fabric.mailboxCap)
-		e.boxes[channel] = b
-	}
-	return b
-}
 
 func (e *inprocEndpoint) Send(to, dest int, channel string, payload []byte) error {
 	e.fabric.mu.Lock()
@@ -388,33 +355,10 @@ func (e *inprocEndpoint) Send(to, dest int, channel string, payload []byte) erro
 	default:
 	}
 	e.fabric.meter.record(e.id, to, channel, len(payload))
-	msg := Message{From: e.id, Dest: dest, Channel: channel, Payload: payload}
-	select {
-	case target.box(channel) <- msg:
-		return nil
-	case <-target.closed:
-		return ErrClosed
-	case <-e.closed:
-		return ErrClosed
-	}
-}
-
-func (e *inprocEndpoint) Recv(channel string) (Message, error) {
-	select {
-	case msg := <-e.box(channel):
-		return msg, nil
-	case <-e.closed:
-		// Drain anything already delivered before reporting closure.
-		select {
-		case msg := <-e.box(channel):
-			return msg, nil
-		default:
-			return Message{}, ErrClosed
-		}
-	}
+	return target.deliver(Message{From: e.id, Dest: dest, Channel: channel, Payload: payload}, e.closed)
 }
 
 func (e *inprocEndpoint) Close() error {
-	e.once.Do(func() { close(e.closed) })
+	e.shut()
 	return nil
 }

@@ -6,9 +6,12 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/testutil"
 )
 
 func TestFabricSendRecv(t *testing.T) {
@@ -377,5 +380,103 @@ func TestTCPCloseUnblocks(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("Recv did not unblock")
+	}
+}
+
+// transport is two connected endpoints of one kind, and what releases and
+// counts the mailboxes of both.
+type transport struct {
+	name      string
+	a, b      Endpoint
+	release   func(prefix string)
+	mailboxes func() int
+}
+
+// transports returns an in-process and a TCP pair, whose connections (one
+// reader goroutine each way over TCP) are already made.
+func transports(t *testing.T) []transport {
+	t.Helper()
+	f := NewFabric([]int{0, 1}, 16)
+	t.Cleanup(f.CloseAll)
+	fa, _ := f.Endpoint(0)
+	fb, _ := f.Endpoint(1)
+	peers := map[int]string{}
+	ta, err := NewTCPEndpoint(0, "127.0.0.1:0", peers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ta.Close() })
+	tb, err := NewTCPEndpoint(1, "127.0.0.1:0", peers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { tb.Close() })
+	peers[0], peers[1] = ta.Addr(), tb.Addr()
+	out := []transport{
+		{name: "inproc", a: fa, b: fb, release: f.ReleasePrefix, mailboxes: f.Mailboxes},
+		{name: "tcp", a: ta, b: tb,
+			release:   func(p string) { ta.ReleasePrefix(p); tb.ReleasePrefix(p) },
+			mailboxes: func() int { return ta.Mailboxes() + tb.Mailboxes() }},
+	}
+	for _, tr := range out {
+		for _, pair := range [][2]Endpoint{{tr.a, tr.b}, {tr.b, tr.a}} {
+			if err := pair[0].Send(pair[1].NodeID(), pair[1].NodeID(), "warm", nil); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := pair[1].Recv("warm"); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return out
+}
+
+// TestMailboxesReleasedByPrefix: on either transport a query's mailboxes go
+// with its channel prefix, and only its.
+func TestMailboxesReleasedByPrefix(t *testing.T) {
+	for _, tr := range transports(t) {
+		t.Run(tr.name, func(t *testing.T) {
+			before := tr.mailboxes()
+			for _, ch := range []string{"q7.shuffle1", "q7.gather2", "q8.shuffle1"} {
+				if err := tr.a.Send(1, 1, ch, []byte(ch)); err != nil {
+					t.Fatal(err)
+				}
+				if m, err := tr.b.Recv(ch); err != nil || string(m.Payload) != ch {
+					t.Fatalf("recv %s = %q, %v", ch, m.Payload, err)
+				}
+			}
+			if n := tr.mailboxes(); n != before+3 {
+				t.Fatalf("%d mailboxes after three channels, want %d", n, before+3)
+			}
+			tr.release("q7.")
+			if n := tr.mailboxes(); n != before+1 {
+				t.Fatalf("%d mailboxes after releasing q7., want %d", n, before+1)
+			}
+			tr.release("q8.")
+			if n := tr.mailboxes(); n != before {
+				t.Fatalf("%d mailboxes after releasing q8., want %d", n, before)
+			}
+		})
+	}
+}
+
+// TestRecvTimeoutLeavesNothingWaiting: on either transport a receive that
+// times out returns ErrTimeout and leaves no goroutine behind, and the
+// message that arrives later is the next receive's.
+func TestRecvTimeoutLeavesNothingWaiting(t *testing.T) {
+	for _, tr := range transports(t) {
+		t.Run(tr.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			if _, err := tr.b.RecvTimeout("vote", 20*time.Millisecond); !errors.Is(err, ErrTimeout) {
+				t.Fatalf("RecvTimeout on an empty channel = %v, want ErrTimeout", err)
+			}
+			testutil.AssertGoroutinesBackTo(t, before)
+			if err := tr.a.Send(1, 1, "vote", []byte("late")); err != nil {
+				t.Fatal(err)
+			}
+			if m, err := tr.b.RecvTimeout("vote", 5*time.Second); err != nil || string(m.Payload) != "late" {
+				t.Fatalf("recv after the timeout = %q, %v; want the late message", m.Payload, err)
+			}
+		})
 	}
 }

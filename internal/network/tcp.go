@@ -14,17 +14,15 @@ import (
 //	uint32 frameLen | int32 from | int32 dest | uint16 chanLen | channel | payload
 //
 // Outbound connections are dialed lazily and cached; inbound frames are
-// demultiplexed into per-channel mailboxes identical to the in-process
-// fabric's.
+// demultiplexed into the same per-channel mailboxes as the in-process
+// fabric's, released the same way (ReleasePrefix).
 type TCPEndpoint struct {
+	mailboxes
 	id       int
 	listener net.Listener
 	peers    map[int]string // node ID → address
 	mu       sync.Mutex
 	conns    map[int]net.Conn
-	boxes    map[string]chan Message
-	closed   chan struct{}
-	once     sync.Once
 	wg       sync.WaitGroup
 }
 
@@ -40,9 +38,8 @@ func NewTCPEndpoint(id int, addr string, peers map[int]string) (*TCPEndpoint, er
 		listener: l,
 		peers:    peers,
 		conns:    map[int]net.Conn{},
-		boxes:    map[string]chan Message{},
-		closed:   make(chan struct{}),
 	}
+	e.init(1024)
 	e.wg.Add(1)
 	go e.acceptLoop()
 	return e, nil
@@ -90,23 +87,10 @@ func (e *TCPEndpoint) readLoop(conn net.Conn) {
 		}
 		channel := string(frame[10 : 10+chanLen])
 		payload := frame[10+chanLen:]
-		select {
-		case e.box(channel) <- Message{From: from, Dest: dest, Channel: channel, Payload: payload}:
-		case <-e.closed:
+		if e.deliver(Message{From: from, Dest: dest, Channel: channel, Payload: payload}, nil) != nil {
 			return
 		}
 	}
-}
-
-func (e *TCPEndpoint) box(channel string) chan Message {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	b, ok := e.boxes[channel]
-	if !ok {
-		b = make(chan Message, 1024)
-		e.boxes[channel] = b
-	}
-	return b
 }
 
 func (e *TCPEndpoint) conn(to int) (net.Conn, error) {
@@ -162,32 +146,17 @@ func (e *TCPEndpoint) Send(to, dest int, channel string, payload []byte) error {
 	return nil
 }
 
-// Recv blocks for the next message on channel.
-func (e *TCPEndpoint) Recv(channel string) (Message, error) {
-	select {
-	case msg := <-e.box(channel):
-		return msg, nil
-	case <-e.closed:
-		select {
-		case msg := <-e.box(channel):
-			return msg, nil
-		default:
-			return Message{}, ErrClosed
-		}
-	}
-}
-
 // Close shuts the listener and all connections.
 func (e *TCPEndpoint) Close() error {
-	e.once.Do(func() {
-		close(e.closed)
-		e.listener.Close()
-		e.mu.Lock()
-		for _, c := range e.conns {
-			c.Close()
-		}
-		e.conns = map[int]net.Conn{}
-		e.mu.Unlock()
-	})
+	if !e.shut() {
+		return nil
+	}
+	e.listener.Close()
+	e.mu.Lock()
+	for _, c := range e.conns {
+		c.Close()
+	}
+	e.conns = map[int]net.Conn{}
+	e.mu.Unlock()
 	return nil
 }

@@ -33,6 +33,14 @@ const MaxBroadcastBytes = 8 << 20
 // DefaultWorkers is the modeled cluster width when the caller does not say.
 const DefaultWorkers = 4
 
+// magicKeyShare gates the magic-set rewrite (magicset.go): the outer block's
+// key source may be estimated at no more than this share of the distinct
+// keys the aggregate groups. Half lets q20's rewrite fire under cardinality
+// feedback, where its source holds 536 of 2,000 parts, and keeps it off
+// where the source is as large as the key domain (q15's suppliers, q18's
+// orders), where the semi join would cost a probe per row and save nothing.
+const magicKeyShare = 0.5
+
 // Options parameterizes optimization for a concrete cluster.
 type Options struct {
 	// Workers is the number of worker nodes network costs are modeled on.

@@ -32,25 +32,7 @@ import (
 // pushGroupByThroughJoins walks the plan applying the rewrite bottom-up.
 func pushGroupByThroughJoins(n plan.Node, est *Estimator) plan.Node {
 	// Recurse first.
-	switch x := n.(type) {
-	case *plan.Filter:
-		x.Child = pushGroupByThroughJoins(x.Child, est)
-	case *plan.Project:
-		x.Child = pushGroupByThroughJoins(x.Child, est)
-	case *plan.Agg:
-		x.Child = pushGroupByThroughJoins(x.Child, est)
-	case *plan.Sort:
-		x.Child = pushGroupByThroughJoins(x.Child, est)
-	case *plan.Limit:
-		x.Child = pushGroupByThroughJoins(x.Child, est)
-	case *plan.Distinct:
-		x.Child = pushGroupByThroughJoins(x.Child, est)
-	case *plan.Rename:
-		x.Child = pushGroupByThroughJoins(x.Child, est)
-	case *plan.Join:
-		x.Left = pushGroupByThroughJoins(x.Left, est)
-		x.Right = pushGroupByThroughJoins(x.Right, est)
-	}
+	rewriteChildren(n, func(c plan.Node) plan.Node { return pushGroupByThroughJoins(c, est) })
 	agg, ok := n.(*plan.Agg)
 	if !ok || len(agg.GroupBy) == 0 {
 		return n

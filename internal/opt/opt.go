@@ -2,11 +2,11 @@
 // statistics-based cardinality estimation (histograms + NDV sketches),
 // DPsize join enumeration with network-aware costing, and runtime
 // cardinality feedback. (Selection pushdown and decorrelation happen during
-// plan building, projection pushdown in plan.PruneColumns, which runs first
-// here; the dataflow conversion and dataflow optimization phases — operator
-// distribution, shuffle insertion and elimination, pre-aggregation splitting
-// — live in the cluster layer, which owns node placement and re-costs joins
-// at exchange boundaries.)
+// plan building, projection pushdown in plan.PruneColumns, which runs here
+// right after the magic-set rewrite; the dataflow conversion and dataflow
+// optimization phases — operator distribution, shuffle insertion and
+// elimination, pre-aggregation splitting — live in the cluster layer, which
+// owns node placement and re-costs joins at exchange boundaries.)
 package opt
 
 import (
@@ -436,7 +436,8 @@ func clampSel(s float64) float64 {
 	return s
 }
 
-// OptimizeOpts runs phase-1 transformations: DPsize join reordering of
+// OptimizeOpts runs phase-1 transformations: magic-set filtering of
+// aggregates joined to a selective outer block, DPsize join reordering of
 // inner-join clusters using the estimator, semi/anti join pushdown below
 // inner joins, cost-based group-by pushdown, and join-distribution
 // annotation. The options fit it to a concrete cluster: the
@@ -444,7 +445,11 @@ func clampSel(s float64) float64 {
 // supplies observed cardinalities from earlier queries.
 func OptimizeOpts(root plan.Node, cat *catalog.Catalog, o Options) (plan.Node, error) {
 	est := &Estimator{Cat: cat, FB: o.Feedback}
-	// Projection pushdown goes first, so that join enumeration and the
+	// Magic sets go before projection pushdown, which narrows each copied
+	// key source to its key, and before join enumeration, which orders the
+	// outer block against the shrunken aggregate.
+	root = magicSets(root, est)
+	// Projection pushdown goes next, so that join enumeration and the
 	// shuffle-vs-broadcast choice cost the rows that will actually move.
 	if err := plan.PruneColumns(root); err != nil {
 		return nil, err
@@ -469,6 +474,30 @@ func OptimizeOpts(root plan.Node, cat *catalog.Catalog, o Options) (plan.Node, e
 	// with live distribution info and feedback before acting on it.
 	annotateJoinDist(out, est, o)
 	return out, nil
+}
+
+// rewriteChildren replaces each child c of n with f(c): the walk of the
+// bottom-up rewrites.
+func rewriteChildren(n plan.Node, f func(plan.Node) plan.Node) {
+	switch x := n.(type) {
+	case *plan.Filter:
+		x.Child = f(x.Child)
+	case *plan.Project:
+		x.Child = f(x.Child)
+	case *plan.Agg:
+		x.Child = f(x.Child)
+	case *plan.Sort:
+		x.Child = f(x.Child)
+	case *plan.Limit:
+		x.Child = f(x.Child)
+	case *plan.Distinct:
+		x.Child = f(x.Child)
+	case *plan.Rename:
+		x.Child = f(x.Child)
+	case *plan.Join:
+		x.Left = f(x.Left)
+		x.Right = f(x.Right)
+	}
 }
 
 // rewriteJoins walks top-down; at the top of each maximal inner-join

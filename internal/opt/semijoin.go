@@ -27,27 +27,9 @@ import (
 // new nodes along the path a join moves down rather than editing the old
 // ones, whose signatures the estimator has memoized.
 func pushSemiJoins(n plan.Node, est *Estimator) plan.Node {
-	switch x := n.(type) {
-	case *plan.Filter:
-		x.Child = pushSemiJoins(x.Child, est)
-	case *plan.Project:
-		x.Child = pushSemiJoins(x.Child, est)
-	case *plan.Agg:
-		x.Child = pushSemiJoins(x.Child, est)
-	case *plan.Sort:
-		x.Child = pushSemiJoins(x.Child, est)
-	case *plan.Limit:
-		x.Child = pushSemiJoins(x.Child, est)
-	case *plan.Distinct:
-		x.Child = pushSemiJoins(x.Child, est)
-	case *plan.Rename:
-		x.Child = pushSemiJoins(x.Child, est)
-	case *plan.Join:
-		x.Left = pushSemiJoins(x.Left, est)
-		x.Right = pushSemiJoins(x.Right, est)
-		if x.Type == exec.JoinSemi || x.Type == exec.JoinAnti {
-			return sinkSemiJoin(x, est)
-		}
+	rewriteChildren(n, func(c plan.Node) plan.Node { return pushSemiJoins(c, est) })
+	if j, ok := n.(*plan.Join); ok && (j.Type == exec.JoinSemi || j.Type == exec.JoinAnti) {
+		return sinkSemiJoin(j, est)
 	}
 	return n
 }

@@ -19,20 +19,7 @@ func semiCat(t *testing.T) (*catalog.Catalog, *plan.MemProvider) {
 	t.Helper()
 	cat := catalog.New()
 	add := func(name string, cols []string, kinds []types.Kind, rows int64, ndv ...int64) {
-		sch := types.Schema{}
-		for i, c := range cols {
-			sch.Cols = append(sch.Cols, types.Column{Name: c, Kind: kinds[i]})
-		}
-		def := &catalog.TableDef{Name: name, Schema: sch,
-			Part: catalog.Partitioning{Kind: catalog.PartHash, Cols: cols[:1]}}
-		if err := cat.CreateTable(def); err != nil {
-			t.Fatal(err)
-		}
-		stats := &catalog.TableStats{RowCount: rows, Cols: map[string]*catalog.ColumnStats{}}
-		for i, n := range ndv {
-			stats.Cols[cols[i]] = &catalog.ColumnStats{NDV: n, NDVExact: true}
-		}
-		cat.SetStats(name, stats)
+		addTable(t, cat, name, cols, kinds, rows, ndv...)
 	}
 	ints := []types.Kind{types.KindInt, types.KindInt}
 	add("orders", []string{"o_orderkey", "o_custkey"}, ints, 15000, 15000, 1000)
@@ -60,26 +47,92 @@ func semiCat(t *testing.T) (*catalog.Catalog, *plan.MemProvider) {
 	return cat, prov
 }
 
-// optimizeSQL plans sql as written and as OptimizeOpts rewrites it.
-func optimizeSQL(t *testing.T, cat *catalog.Catalog, sql string) (built, optimized plan.Node) {
+// addTable creates a table hash-partitioned on its first column, with
+// rows rows and exact distinct counts for its first len(ndv) columns.
+func addTable(t *testing.T, cat *catalog.Catalog, name string, cols []string, kinds []types.Kind, rows int64, ndv ...int64) {
 	t.Helper()
-	build := func() plan.Node {
-		sel, err := sqlparse.ParseSelect(sql)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n, err := plan.Build(sel, cat)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return n
+	sch := types.Schema{}
+	for i, c := range cols {
+		sch.Cols = append(sch.Cols, types.Column{Name: c, Kind: kinds[i]})
 	}
-	built = build()
-	optimized, err := OptimizeOpts(build(), cat, Options{})
+	def := &catalog.TableDef{Name: name, Schema: sch,
+		Part: catalog.Partitioning{Kind: catalog.PartHash, Cols: cols[:1]}}
+	if err := cat.CreateTable(def); err != nil {
+		t.Fatal(err)
+	}
+	stats := &catalog.TableStats{RowCount: rows, Cols: map[string]*catalog.ColumnStats{}}
+	for i, n := range ndv {
+		stats.Cols[cols[i]] = &catalog.ColumnStats{NDV: n, NDVExact: true}
+	}
+	cat.SetStats(name, stats)
+}
+
+// buildSQL plans sql as written.
+func buildSQL(t *testing.T, cat *catalog.Catalog, sql string) plan.Node {
+	t.Helper()
+	sel, err := sqlparse.ParseSelect(sql)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return built, optimized
+	n, err := plan.Build(sel, cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// optimizeSQL plans sql as written and as OptimizeOpts rewrites it.
+func optimizeSQL(t *testing.T, cat *catalog.Catalog, sql string) (built, optimized plan.Node) {
+	t.Helper()
+	optimized, err := OptimizeOpts(buildSQL(t, cat, sql), cat, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireTree(t, optimized)
+	return buildSQL(t, cat, sql), optimized
+}
+
+// requireTree fails if any node of the plan is reachable by two paths.
+func requireTree(t *testing.T, n plan.Node) {
+	t.Helper()
+	seen := map[plan.Node]bool{}
+	plan.Walk(n, func(m plan.Node) {
+		if seen[m] {
+			t.Fatalf("%s is reachable twice:\n%s", m.Describe(), plan.Explain(n))
+		}
+		seen[m] = true
+	})
+}
+
+// executeRows runs a plan over the provider's rows.
+func executeRows(t *testing.T, prov *plan.MemProvider, n plan.Node) []types.Row {
+	t.Helper()
+	op, err := plan.Execute(n, prov, exec.NewCtx(t.TempDir(), 0))
+	if err != nil {
+		t.Fatalf("%v\n%s", err, plan.Explain(n))
+	}
+	rows, err := exec.Collect(op)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows
+}
+
+// requireSameRows fails unless got holds exactly want's rows, as multisets.
+func requireSameRows(t *testing.T, want, got []types.Row, optimized plan.Node) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("rewritten plan returns %d rows, want %d\n%s", len(got), len(want), plan.Explain(optimized))
+	}
+	count := map[string]int{}
+	for _, r := range want {
+		count[r.String()]++
+	}
+	for _, r := range got {
+		if count[r.String()]--; count[r.String()] < 0 {
+			t.Fatalf("rewritten plan returns %v more often than the plan as written\n%s", r, plan.Explain(optimized))
+		}
+	}
 }
 
 // semiJoinOf returns the plan's one semi or anti join.
@@ -171,18 +224,7 @@ func TestAntiJoinPushdownKeepsNullProbeKeys(t *testing.T) {
 		WHERE o_orderkey = l_orderkey
 		AND NOT EXISTS (SELECT * FROM customer WHERE c_custkey = o_custkey)`)
 	requirePushed(t, optimized, "orders")
-	run := func(n plan.Node) []types.Row {
-		op, err := plan.Execute(n, prov, exec.NewCtx(t.TempDir(), 0))
-		if err != nil {
-			t.Fatalf("%v\n%s", err, plan.Explain(n))
-		}
-		rows, err := exec.Collect(op)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rows
-	}
-	want, got := run(built), run(optimized)
+	want, got := executeRows(t, prov, built), executeRows(t, prov, optimized)
 	nulls := 0
 	for _, r := range want {
 		if r[1].IsNull() {
@@ -192,16 +234,5 @@ func TestAntiJoinPushdownKeepsNullProbeKeys(t *testing.T) {
 	if nulls == 0 || nulls == len(want) {
 		t.Fatalf("%d of %d rows have a NULL probe key — the case tests nothing", nulls, len(want))
 	}
-	if len(got) != len(want) {
-		t.Fatalf("pushed plan returns %d rows, want %d\n%s", len(got), len(want), plan.Explain(optimized))
-	}
-	count := map[string]int{}
-	for _, r := range want {
-		count[r.String()]++
-	}
-	for _, r := range got {
-		if count[r.String()]--; count[r.String()] < 0 {
-			t.Fatalf("pushed plan returns %v more often than the plan as written\n%s", r, plan.Explain(optimized))
-		}
-	}
+	requireSameRows(t, want, got, optimized)
 }

@@ -21,20 +21,27 @@ import (
 func AssertNoGoroutineLeak(t *testing.T) {
 	t.Helper()
 	before := runtime.NumGoroutine()
-	t.Cleanup(func() {
-		deadline := time.Now().Add(2 * time.Second)
-		var after int
-		for {
-			after = runtime.NumGoroutine()
-			if after <= before || time.Now().After(deadline) {
-				break
-			}
-			time.Sleep(10 * time.Millisecond)
+	t.Cleanup(func() { AssertGoroutinesBackTo(t, before) })
+}
+
+// AssertGoroutinesBackTo fails the test, with every goroutine's stack, if
+// after a grace period more than before goroutines are running. Called while
+// the system under test still runs, it finds a goroutine parked on something
+// that only shutting the system down would wake.
+func AssertGoroutinesBackTo(t *testing.T, before int) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	var after int
+	for {
+		after = runtime.NumGoroutine()
+		if after <= before || time.Now().After(deadline) {
+			break
 		}
-		if after > before {
-			buf := make([]byte, 1<<20)
-			n := runtime.Stack(buf, true)
-			t.Errorf("goroutine leak: %d before, %d after shutdown\n%s", before, after, buf[:n])
-		}
-	})
+		time.Sleep(10 * time.Millisecond)
+	}
+	if after > before {
+		buf := make([]byte, 1<<20)
+		n := runtime.Stack(buf, true)
+		t.Errorf("goroutine leak: %d before, %d after\n%s", before, after, buf[:n])
+	}
 }

@@ -65,3 +65,32 @@ func TestGoldenPlans(t *testing.T) {
 		})
 	}
 }
+
+// TestOptimizedPlansAreTrees: no node of any query's optimized plan is
+// reachable by two paths. The optimizer copies what it plans twice (the key
+// source of the magic-set rewrite) because the estimator memoizes by node
+// pointer and plan.Rebind rebinds a node in place, for one parent only.
+func TestOptimizedPlansAreTrees(t *testing.T) {
+	if testing.Short() {
+		t.Skip("TPC-H stats build skipped in -short mode")
+	}
+	c, _ := loadedCluster(t, 4, 0.01)
+	queries := Queries()
+	for _, qid := range QueryIDs() {
+		sel, err := sqlparse.ParseSelect(queries[qid])
+		if err != nil {
+			t.Fatal(err)
+		}
+		node, err := c.Plan(sel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := map[plan.Node]bool{}
+		plan.Walk(node, func(m plan.Node) {
+			if seen[m] {
+				t.Errorf("%s: %s is reachable twice:\n%s", qid, m.Describe(), plan.Explain(node))
+			}
+			seen[m] = true
+		})
+	}
+}

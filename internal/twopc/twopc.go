@@ -449,26 +449,14 @@ func (c *Coordinator) CommitGlobal(txid uint64, workers []int) (bool, error) {
 }
 
 // recvTimeout receives on a channel with the coordinator's vote timeout.
-// The receiving goroutine is bounded: it parks on the endpoint until the
-// message arrives or the endpoint closes.
 func (c *Coordinator) recvTimeout(channel string) (network.Message, error) {
-	type res struct {
-		m   network.Message
-		err error
-	}
-	ch := make(chan res, 1)
-	go func() {
-		m, err := c.Ep.Recv(channel)
-		ch <- res{m, err}
-	}()
 	timeout := c.VoteTimeout
 	if timeout <= 0 {
 		timeout = 5 * time.Second
 	}
-	select {
-	case r := <-ch:
-		return r.m, r.err
-	case <-time.After(timeout):
-		return network.Message{}, fmt.Errorf("twopc: timeout waiting on %s", channel)
+	m, err := c.Ep.RecvTimeout(channel, timeout)
+	if err != nil {
+		return m, fmt.Errorf("twopc: %w", err)
 	}
+	return m, nil
 }

@@ -1,7 +1,10 @@
 package twopc
 
 import (
+	"errors"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -9,6 +12,7 @@ import (
 	"repro/internal/buffer"
 	"repro/internal/network"
 	"repro/internal/page"
+	"repro/internal/testutil"
 	"repro/internal/txn"
 	"repro/internal/types"
 	"repro/internal/wal"
@@ -63,21 +67,31 @@ func cluster(t *testing.T, n int, nmax int) (*Coordinator, []*worker, *network.F
 	}
 	fabric := network.NewFabric(ids, 256)
 	t.Cleanup(fabric.CloseAll)
+	eps := make([]network.Endpoint, n+1)
+	for i := range eps {
+		eps[i], _ = fabric.Endpoint(i)
+	}
+	coord, workers := startCluster(t, eps, nmax)
+	return coord, workers, fabric
+}
 
+// startCluster runs a coordinator on eps[0] and a worker on each of the
+// others, whose participant answers unless its node is listed in hung.
+func startCluster(t *testing.T, eps []network.Endpoint, nmax int, hung ...int) (*Coordinator, []*worker) {
+	t.Helper()
 	xalog, err := wal.Open(filepath.Join(t.TempDir(), "xa.log"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { xalog.Close() })
-	cep, _ := fabric.Endpoint(0)
-	coord, err := NewCoordinator(cep, xalog, nmax)
+	coord, err := NewCoordinator(eps[0], xalog, nmax)
 	if err != nil {
 		t.Fatal(err)
 	}
 	coord.Serve()
 
 	var workers []*worker
-	for i := 1; i <= n; i++ {
+	for i := 1; i < len(eps); i++ {
 		log, err := wal.Open(filepath.Join(t.TempDir(), "wal.log"))
 		if err != nil {
 			t.Fatal(err)
@@ -85,12 +99,13 @@ func cluster(t *testing.T, n int, nmax int) (*Coordinator, []*worker, *network.F
 		t.Cleanup(func() { log.Close() })
 		buf := buffer.New(newMemStore(4096), 32, 2, buffer.WithFlushHook(log.FlushUpTo))
 		mgr := txn.NewManager(log, txn.NewLockManager(time.Second), buf)
-		ep, _ := fabric.Endpoint(i)
-		part := NewParticipant(ep, mgr)
-		part.Serve()
+		part := NewParticipant(eps[i], mgr)
+		if !slices.Contains(hung, i) {
+			part.Serve()
+		}
 		workers = append(workers, &worker{id: i, mgr: mgr, buf: buf, part: part})
 	}
-	return coord, workers, fabric
+	return coord, workers
 }
 
 // writeRow inserts through the TxHook protocol.
@@ -300,5 +315,80 @@ func TestDeadParticipantTimesOutToRollback(t *testing.T) {
 	}
 	if c, known := outcome(coord, txid); !known || c {
 		t.Error("rollback outcome not recorded")
+	}
+}
+
+// TestVoteTimeoutLeavesNothingBehind: over either transport, a participant
+// that takes the PREPARE and never votes rolls the transaction back after
+// the vote timeout, and then nothing of the transaction is left on the
+// coordinator — no receiver parked on its vote or ack channel, and none of
+// its mailboxes.
+func TestVoteTimeoutLeavesNothingBehind(t *testing.T) {
+	for _, name := range []string{"inproc", "tcp"} {
+		t.Run(name, func(t *testing.T) {
+			eps := make([]network.Endpoint, 3)
+			var release func(string)
+			if name == "inproc" {
+				fabric := network.NewFabric([]int{0, 1, 2}, 256)
+				t.Cleanup(fabric.CloseAll)
+				for i := range eps {
+					eps[i], _ = fabric.Endpoint(i)
+				}
+				release = fabric.ReleasePrefix
+			} else {
+				peers := map[int]string{}
+				for i := range eps {
+					ep, err := network.NewTCPEndpoint(i, "127.0.0.1:0", peers)
+					if err != nil {
+						t.Fatal(err)
+					}
+					t.Cleanup(func() { ep.Close() })
+					peers[i], eps[i] = ep.Addr(), ep
+				}
+				release = eps[0].(*network.TCPEndpoint).ReleasePrefix
+			}
+			// Every connection the protocol uses exists before the count.
+			for _, from := range eps {
+				for _, to := range eps {
+					if from == to {
+						continue
+					}
+					if err := from.Send(to.NodeID(), to.NodeID(), "warm", nil); err != nil {
+						t.Fatal(err)
+					}
+					if _, err := to.Recv("warm"); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			boxes := eps[0].(interface{ Mailboxes() int })
+			mailboxes := boxes.Mailboxes()
+			coord, workers := startCluster(t, eps, 3, 2)
+			coord.Release = release
+			coord.VoteTimeout = 100 * time.Millisecond
+			const txid = 950
+			k := page.Key{File: 1, Page: 0}
+			for _, w := range workers {
+				writeRow(t, w, w.mgr.BeginWithID(txid), k, int64(w.id))
+			}
+			goroutines := runtime.NumGoroutine()
+
+			committed, err := coord.CommitGlobal(txid, []int{1, 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if committed {
+				t.Fatal("a participant that never votes must roll the transaction back")
+			}
+			testutil.AssertGoroutinesBackTo(t, goroutines)
+			// One mailbox more than before the cluster started: the one the
+			// coordinator serves outcome queries on.
+			if n := boxes.Mailboxes(); n != mailboxes+1 {
+				t.Errorf("coordinator holds %d mailboxes after the transaction, want %d", n, mailboxes+1)
+			}
+			if _, err := eps[0].RecvTimeout(voteChannel(txid, 0), time.Millisecond); !errors.Is(err, network.ErrTimeout) {
+				t.Errorf("vote channel after the transaction: %v, want a timeout", err)
+			}
+		})
 	}
 }

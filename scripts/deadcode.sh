@@ -88,7 +88,8 @@ fi
 # One server, three connections: the documented wire commands and SQL
 # statements on the first (among them what no benchmark query drives through
 # a join's typed probe: a semi join, an anti join and an expression-key join
-# with the columnar orders on the probe side), a heavy self-join on the
+# with the columnar orders on the probe side; and an aggregate whose
+# magic-set key source is a join, which opt copies whole), a heavy self-join on the
 # second, and its KILL from the third. SIGTERM drains the server, which is what flushes its counters.
 say "hrdbms-server scripted session"
 mkdir -p "$tmp/cov/server" "$tmp/run/server-data"
@@ -173,6 +174,7 @@ OK|SELECT l_orderkey, l_comment FROM lineitem WHERE l_comment LIKE '%furious%' O
 OK|SELECT count(*) FROM orders WHERE EXISTS (SELECT * FROM lineitem WHERE l_orderkey = o_orderkey AND l_quantity > 49)
 OK|SELECT count(*) FROM orders WHERE NOT EXISTS (SELECT * FROM lineitem WHERE l_orderkey = o_orderkey AND l_quantity > 49)
 OK|SELECT count(*) FROM orders, nation WHERE o_custkey + 1 = n_nationkey + 1
+OK|SELECT count(*) FROM partsupp, part, (SELECT l_suppkey AS sk, sum(l_quantity) AS q FROM lineitem GROUP BY l_suppkey) AS t WHERE ps_partkey = p_partkey AND p_size = 15 AND p_type LIKE '%BRASS' AND ps_suppkey = sk
 OK|SELECT l_linenumber, l_comment FROM lineitem WHERE l_orderkey = 1 ORDER BY l_linenumber
 OK|DROP TABLE audit_t
 OK|DROP TABLE audit_c
