@@ -1,9 +1,12 @@
 package cluster
 
 import (
+	"slices"
 	"testing"
 
+	"repro/internal/exec"
 	"repro/internal/expr"
+	"repro/internal/opt"
 	"repro/internal/plan"
 	"repro/internal/types"
 )
@@ -32,12 +35,12 @@ func TestPrunedPartitionColumnIsNotColocation(t *testing.T) {
 	// At the source: a scan that does not emit its partition column is
 	// spread at random as far as anything above it can tell.
 	whole := plan.NewScan(def, "l1")
-	if d := q.scanDist(whole); d.kind != distPartitioned || len(d.cols) != 1 || d.cols[0] != "l1.l_orderkey" {
+	if d := q.scanDist(whole); d.Kind != opt.DistPartitioned || len(d.Cols) != 1 || d.Cols[0] != "l1.l_orderkey" {
 		t.Fatalf("whole scan: dist %+v, want partitioned on l1.l_orderkey", d)
 	}
 	pruned := plan.NewScan(def, "l1")
 	pruned.Cols = []int{1, 2} // l_partkey, l_quantity
-	if d := q.scanDist(pruned); d.kind != distRandom {
+	if d := q.scanDist(pruned); d.Kind != opt.DistRandom {
 		t.Fatalf("scan without its partition column: dist %+v, want random", d)
 	}
 
@@ -45,7 +48,7 @@ func TestPrunedPartitionColumnIsNotColocation(t *testing.T) {
 	// carry, no lookup may resolve it to another one. The stream below is
 	// partitioned on l1.l_orderkey, which it lacks; it has a bare l_orderkey
 	// (a projection's output, different values) and l2's.
-	stale := distInfo{kind: distPartitioned, cols: []string{"l1.l_orderkey"}}
+	stale := opt.DistInfo{Kind: opt.DistPartitioned, Cols: []string{"l1.l_orderkey"}}
 	sch := schemaOf("l_orderkey", "l2.l_orderkey", "l1.l_partkey")
 	for i, name := range []string{"l_orderkey", "l2.l_orderkey"} {
 		req, ok := keyNames([]expr.Expr{&expr.Col{Index: i, Name: name}}, sch)
@@ -61,19 +64,69 @@ func TestPrunedPartitionColumnIsNotColocation(t *testing.T) {
 	}
 	child := plan.NewProject(whole, []expr.Expr{&expr.Col{Index: 1, Name: "l1.l_partkey"}}, []string{"l_orderkey"})
 	passthrough := plan.NewProject(child, []expr.Expr{&expr.Col{Index: 0, Name: "l_orderkey"}}, []string{"k"})
-	if d := projectDist(stale, passthrough); d.kind != distRandom {
+	if d := projectDist(stale, passthrough); d.Kind != opt.DistRandom {
 		t.Errorf("projectDist: pruned l1.l_orderkey followed through a projection of another column: %+v", d)
 	}
-	if cols := mapColsByPosition(stale.cols, sch, schemaOf("a", "b", "c")); cols != nil {
+	if cols := mapColsByPosition(stale.Cols, sch, schemaOf("a", "b", "c")); cols != nil {
 		t.Errorf("mapColsByPosition: pruned l1.l_orderkey renamed to %v", cols)
 	}
 
 	// A key spelled differently from the schema still matches the column it
 	// is bound to: names are compared as the schema has them.
-	live := distInfo{kind: distPartitioned, cols: []string{"l2.l_orderkey"}}
+	live := opt.DistInfo{Kind: opt.DistPartitioned, Cols: []string{"l2.l_orderkey"}}
 	req, _ := keyNames([]expr.Expr{&expr.Col{Index: 1, Name: "L2.L_ORDERKEY"}}, sch)
 	if !distMatches(live, req) || !coveredBy(live, append(req, "l1.l_partkey")) {
 		t.Errorf("live partition column not recognised under the schema's name %v", req)
+	}
+}
+
+// TestToCoord: toCoord is the one way a stream reaches the coordinator. A
+// stream already there is returned as it is and opens no channel; a
+// replicated one is read from worker 0 alone, since every worker holds all
+// of it; any other is gathered from every worker.
+func TestToCoord(t *testing.T) {
+	c, _ := newCluster(t, 3, HRDBMSProfile())
+	q := c.newQueryExec(c.Coords[0], nil)
+	defer q.releaseWhenQuiet()
+	sch := schemaOf("w")
+	// Worker wi's operator yields the one row wi.
+	onWorkers := func(d opt.DistInfo) *dstream {
+		ds := &dstream{sch: sch, dist: d}
+		for wi := range c.Workers {
+			ds.ops = append(ds.ops, exec.NewSource(sch, []types.Row{{types.NewInt(int64(wi))}}))
+		}
+		return ds
+	}
+	readFrom := func(ds *dstream) []int64 {
+		t.Helper()
+		out := q.toCoord(ds)
+		if !out.coord || len(out.ops) != 1 {
+			t.Fatalf("toCoord returned %d operators, coord=%v", len(out.ops), out.coord)
+		}
+		rows, err := exec.Collect(out.ops[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ws []int64
+		for _, r := range rows {
+			ws = append(ws, r[0].Int())
+		}
+		slices.Sort(ws)
+		return ws
+	}
+
+	src := exec.NewSource(sch, []types.Row{{types.NewInt(7)}})
+	there := onCoord(src, sch)
+	xseq := q.xseq
+	if got := q.toCoord(there); got != there || got.ops[0] != src || q.xseq != xseq {
+		t.Errorf("coordinator stream: toCoord made a new stream or opened %d channels", q.xseq-xseq)
+	}
+	if got := readFrom(onWorkers(opt.DistInfo{Kind: opt.DistReplicated})); !slices.Equal(got, []int64{0}) {
+		t.Errorf("replicated stream: read the rows of workers %v, want worker 0's alone", got)
+	}
+	partitioned := opt.DistInfo{Kind: opt.DistPartitioned, Cols: []string{"w"}}
+	if got := readFrom(onWorkers(partitioned)); !slices.Equal(got, []int64{0, 1, 2}) {
+		t.Errorf("partitioned stream: read the rows of workers %v, want all three", got)
 	}
 }
 

@@ -29,31 +29,26 @@ import (
 //	over the tree topology when that is cheaper; sorts merge upward; top-k
 //	runs as per-worker heaps merged at the coordinator.
 
-// distKind classifies where a distributed stream's rows live.
-type distKind uint8
-
-const (
-	distPartitioned distKind = iota + 1 // hash-partitioned across workers on cols
-	distReplicated                      // full copy on every worker
-	distRandom                          // spread across workers, no known key
-)
-
-type distInfo struct {
-	kind distKind
-	cols []string // partitioning columns (qualified, lower-case)
-}
-
-// dstream is a worker-resident distributed stream: one operator per worker.
-// typed is the representation the stream's rows travel in: set, every op is
-// an exec.VecOperator that ships freshly built typed batches (a columnar
-// scan, marked by distributeScan); clear, row slabs. An operator placed over
-// the stream is lowered for the representation this says, not for what a
-// type assertion on ops would find.
+// dstream is a distributed stream: the operators that produce one plan
+// node's rows and where they run. On the workers, ops[i] runs on worker i
+// and dist says how the rows are spread over them; on the coordinator
+// (coord set), ops is the one operator there and dist is the zero
+// (opt.DistRandom) one. typed is the representation the rows travel in:
+// set, every op is an exec.VecOperator that ships freshly built typed
+// batches (a columnar scan, marked by distributeScan); clear, row slabs. An
+// operator placed over the stream is lowered for the representation this
+// says, not for what a type assertion on ops would find.
 type dstream struct {
 	ops   []exec.Operator
 	sch   types.Schema
-	dist  distInfo
+	dist  opt.DistInfo
 	typed bool
+	coord bool
+}
+
+// onCoord is the stream of one operator placed on the coordinator.
+func onCoord(op exec.Operator, sch types.Schema) *dstream {
+	return &dstream{ops: []exec.Operator{op}, sch: sch, coord: true}
 }
 
 // queryExec tracks per-query state during distribution. coord is the
@@ -182,17 +177,12 @@ func (q *queryExec) channel(tag string) string {
 	return fmt.Sprintf("q%d.%s%d", q.qid, tag, q.xseq)
 }
 
-// CompileDistributed converts a logical plan into a coordinator-side row
-// cursor whose Open launches the distributed dataflow.
+// CompileDistributed converts a logical plan into a row cursor on the first
+// coordinator whose Open launches the distributed dataflow (Section I: query
+// results are always routed to the client through the coordinator that
+// planned the query).
 func (c *Cluster) CompileDistributed(root plan.Node) (*exec.Cursor, error) {
-	return c.CompileDistributedOn(c.Coords[0], root)
-}
-
-// CompileDistributedOn compiles against a specific coordinator (results
-// route through it; Section I: query results are always routed to the
-// client through the coordinator that planned the query).
-func (c *Cluster) CompileDistributedOn(coord *CoordinatorNode, root plan.Node) (*exec.Cursor, error) {
-	op, err := c.newQueryExec(coord, nil).compile(root)
+	op, err := c.newQueryExec(c.Coords[0], nil).compile(root)
 	if err != nil {
 		return nil, err
 	}
@@ -206,14 +196,11 @@ func (q *queryExec) compile(root plan.Node) (exec.Operator, error) {
 	if err := q.materializeScalars(root); err != nil {
 		return nil, err
 	}
-	ds, coordOp, err := q.distribute(root)
+	ds, err := q.distribute(root)
 	if err != nil {
 		return nil, err
 	}
-	if coordOp == nil {
-		coordOp = q.gatherPlain(ds)
-	}
-	return coordOp, nil
+	return q.toCoord(ds).ops[0], nil
 }
 
 // materializeScalars executes uncorrelated scalar subqueries first, with
@@ -283,163 +270,136 @@ func (q *queryExec) runSubquery(root plan.Node) ([]types.Row, error) {
 	return exec.Collect(coordOp)
 }
 
-// distribute returns either a worker-resident stream or a coordinator
-// operator (exactly one non-nil). On traced queries it additionally stamps
-// every placed operator's span with the optimizer's row estimate (the
-// `est=` column of EXPLAIN ANALYZE) and registers the subtree for post-run
+// distribute places plan node n: it returns the stream of operators that
+// produce n's rows, on the workers or on the coordinator. On traced queries
+// it additionally stamps every placed operator's span with the optimizer's
+// row estimate (the `est=` column of EXPLAIN ANALYZE) — an even share of the
+// total per worker, or the whole where one operator sees every row (the
+// coordinator's, or a replica) — and registers the subtree for post-run
 // cardinality feedback; untraced queries go straight to distributeNode.
-func (q *queryExec) distribute(n plan.Node) (*dstream, exec.Operator, error) {
-	ds, coordOp, err := q.distributeNode(n)
+func (q *queryExec) distribute(n plan.Node) (*dstream, error) {
+	ds, err := q.distributeNode(n)
 	if err != nil || q.tr == nil {
-		return ds, coordOp, err
+		return ds, err
 	}
-	est := q.estimator().Estimate(n)
-	t := fbTarget{sig: opt.Signature(n)}
-	switch {
-	case coordOp != nil:
-		if sp := q.spanOf(coordOp); sp != nil {
-			sp.SetEst(int64(est + 0.5))
+	t := fbTarget{sig: opt.Signature(n), replicated: ds.dist.Kind == opt.DistReplicated}
+	per := q.estimator().Estimate(n)
+	if !t.replicated {
+		per /= float64(len(ds.ops))
+	}
+	for _, op := range ds.ops {
+		if sp := q.spanOf(op); sp != nil {
+			sp.SetEst(int64(per + 0.5))
 			t.spans = append(t.spans, sp)
-		}
-	case ds != nil && len(ds.ops) > 0:
-		// Per-worker estimate: an even share of the total, or the full count
-		// when every worker holds a replica.
-		t.replicated = ds.dist.kind == distReplicated
-		per := est
-		if !t.replicated {
-			per = est / float64(len(ds.ops))
-		}
-		for _, op := range ds.ops {
-			if sp := q.spanOf(op); sp != nil {
-				sp.SetEst(int64(per + 0.5))
-				t.spans = append(t.spans, sp)
-			}
 		}
 	}
 	if len(t.spans) > 0 && q.c.Feedback != nil {
 		q.fb = append(q.fb, t)
 	}
-	return ds, coordOp, nil
+	return ds, nil
 }
 
-// distributeOneCopy is distribute for the operators that merge their
-// per-worker results at the coordinator (sort, top-k, limit): of a stream
-// every worker holds in full, merging the workers' outputs would return
-// each row once per worker, so one replica is brought to the coordinator
-// and the operator runs there.
-func (q *queryExec) distributeOneCopy(n plan.Node) (*dstream, exec.Operator, error) {
-	ds, coordOp, err := q.distribute(n)
-	if err == nil && coordOp == nil && ds.dist.kind == distReplicated {
-		return nil, q.pickOne(ds), nil
+// at returns the node ds's i-th operator runs on and the context an
+// operator placed over it gets: the coordinator, which gives none, or
+// worker i.
+func (q *queryExec) at(ds *dstream, i int) (int, *exec.Ctx) {
+	if ds.coord {
+		return q.coord.ID, nil
 	}
-	return ds, coordOp, err
+	return q.c.Workers[i].ID, q.wctx(i)
+}
+
+// each places an operator that build makes over every operator of ds,
+// where that one runs. The result is a row stream with ds's schema,
+// distribution and placement; a caller whose operator changes the first two
+// sets them after.
+func (q *queryExec) each(ds *dstream, label string, build func(in exec.Operator, ctx *exec.Ctx) exec.Operator) *dstream {
+	out := &dstream{sch: ds.sch, dist: ds.dist, coord: ds.coord}
+	for i, in := range ds.ops {
+		node, ctx := q.at(ds, i)
+		out.ops = append(out.ops, q.wrap(label, node, build(in, ctx), in))
+	}
+	return out
 }
 
 // distributeNode dispatches one plan node to its distribution strategy.
-func (q *queryExec) distributeNode(n plan.Node) (*dstream, exec.Operator, error) {
+func (q *queryExec) distributeNode(n plan.Node) (*dstream, error) {
 	switch x := n.(type) {
 	case *plan.Scan:
 		return q.distributeScan(x)
+	case *plan.Join:
+		return q.distributeJoin(x)
+	case *plan.Agg:
+		return q.distributeAgg(x)
+	case *plan.Limit:
+		return q.distributeLimit(x)
+	}
+	// The rest place one operator over their one input, where it is.
+	children := n.Children()
+	if len(children) != 1 {
+		return nil, fmt.Errorf("cluster: cannot distribute %T", n)
+	}
+	ds, err := q.distribute(children[0])
+	if err != nil {
+		return nil, err
+	}
+	switch x := n.(type) {
 	case *plan.Rename:
-		ds, coordOp, err := q.distribute(x.Child)
-		if err != nil {
-			return nil, nil, err
-		}
-		if coordOp != nil {
-			r := renameSchema(coordOp, x.Schema())
-			q.adopt(r, coordOp)
-			return nil, r, nil
-		}
 		// Rename columns positionally; partition columns follow.
-		newDist := ds.dist
-		newDist.cols = mapColsByPosition(ds.dist.cols, ds.sch, x.Schema())
-		out := &dstream{sch: x.Schema(), dist: newDist}
+		out := &dstream{sch: x.Schema(), dist: ds.dist, coord: ds.coord}
+		out.dist.Cols = mapColsByPosition(ds.dist.Cols, ds.sch, x.Schema())
 		for _, op := range ds.ops {
 			r := renameSchema(op, x.Schema())
 			q.adopt(r, op)
 			out.ops = append(out.ops, r)
 		}
-		return out, nil, nil
+		return out, nil
 	case *plan.Filter:
-		ds, coordOp, err := q.distribute(x.Child)
-		if err != nil {
-			return nil, nil, err
-		}
-		if coordOp != nil {
-			return nil, q.wrap("Filter", q.coord.ID, exec.NewFilter(nil, coordOp, x.Pred), coordOp), nil
-		}
-		out := &dstream{sch: ds.sch, dist: ds.dist}
-		for wi, op := range ds.ops {
-			w := q.c.Workers[wi]
-			out.ops = append(out.ops, q.wrap("Filter", w.ID, exec.NewFilter(q.wctx(wi), op, x.Pred), op))
-		}
-		return out, nil, nil
+		return q.each(ds, "Filter", func(in exec.Operator, ctx *exec.Ctx) exec.Operator {
+			return exec.NewFilter(ctx, in, x.Pred)
+		}), nil
 	case *plan.Project:
-		ds, coordOp, err := q.distribute(x.Child)
-		if err != nil {
-			return nil, nil, err
-		}
-		if coordOp != nil {
-			return nil, q.wrap("Project", q.coord.ID, exec.NewProject(nil, coordOp, x.Exprs, x.Names), coordOp), nil
-		}
-		newDist := projectDist(ds.dist, x)
-		out := &dstream{sch: x.Schema(), dist: newDist}
-		for wi, op := range ds.ops {
-			w := q.c.Workers[wi]
-			out.ops = append(out.ops, q.wrap("Project", w.ID, exec.NewProject(q.wctx(wi), op, x.Exprs, x.Names), op))
-		}
-		return out, nil, nil
-	case *plan.Join:
-		return q.distributeJoin(x)
-	case *plan.Agg:
-		return q.distributeAgg(x)
+		out := q.each(ds, "Project", func(in exec.Operator, ctx *exec.Ctx) exec.Operator {
+			return exec.NewProject(ctx, in, x.Exprs, x.Names)
+		})
+		out.sch, out.dist = x.Schema(), projectDist(ds.dist, x)
+		return out, nil
 	case *plan.Sort:
-		ds, coordOp, err := q.distributeOneCopy(x.Child)
-		if err != nil {
-			return nil, nil, err
+		// Distributed merge sort: local sorts (parallel run generation per
+		// the profile), ordered merge upward. One replica is sorted once, on
+		// the coordinator.
+		if ds.dist.Kind == opt.DistReplicated {
+			ds = q.toCoord(ds)
 		}
 		keys := planSortKeys(x.Keys)
-		if coordOp != nil {
-			return nil, q.wrap("Sort", q.coord.ID, exec.NewSort(nil, coordOp, keys), coordOp), nil
+		sorted := q.each(ds, "Sort", func(in exec.Operator, ctx *exec.Ctx) exec.Operator {
+			srt := exec.NewSort(ctx, in, keys)
+			if !ds.coord {
+				srt.Parallel = q.prof.Parallelism
+			}
+			return srt
+		})
+		if sorted.coord {
+			return sorted, nil
 		}
-		// Distributed merge sort: local sorts (parallel run generation per
-		// the profile), ordered merge upward.
-		sorted := make([]exec.Operator, len(ds.ops))
-		for wi, op := range ds.ops {
-			w := q.c.Workers[wi]
-			srt := exec.NewSort(q.wctx(wi), op, keys)
-			srt.Parallel = q.prof.Parallelism
-			sorted[wi] = q.wrap("Sort", w.ID, srt, op)
-		}
-		return nil, q.gatherOrdered(&dstream{ops: sorted, sch: ds.sch}, keys), nil
-	case *plan.Limit:
-		return q.distributeLimit(x)
+		return q.gatherOrdered(sorted, keys), nil
 	case *plan.Distinct:
-		ds, coordOp, err := q.distribute(x.Child)
-		if err != nil {
-			return nil, nil, err
+		// One replica suffices; other worker rows are shuffled on all
+		// columns and deduplicated where they land.
+		if ds.dist.Kind == opt.DistReplicated {
+			ds = q.toCoord(ds)
 		}
-		if coordOp != nil {
-			return nil, q.wrap("Distinct", q.coord.ID, exec.NewDistinct(coordOp), coordOp), nil
+		if !ds.coord {
+			ds, err = q.shuffle(ds, exec.ColRefs(allIdx(ds.sch.Len())...), colNames(ds.sch))
+			if err != nil {
+				return nil, err
+			}
 		}
-		if ds.dist.kind == distReplicated {
-			// One replica suffices.
-			one := q.pickOne(ds)
-			return nil, q.wrap("Distinct", q.coord.ID, exec.NewDistinct(one), one), nil
-		}
-		// Shuffle on all columns, then local distinct.
-		allKeys := exec.ColRefs(allIdx(ds.sch.Len())...)
-		shuffled, err := q.shuffle(ds, allKeys, colNames(ds.sch))
-		if err != nil {
-			return nil, nil, err
-		}
-		out := &dstream{sch: ds.sch, dist: shuffled.dist}
-		for wi, op := range shuffled.ops {
-			out.ops = append(out.ops, q.wrap("Distinct", q.c.Workers[wi].ID, exec.NewDistinct(op), op))
-		}
-		return out, nil, nil
+		return q.each(ds, "Distinct", func(in exec.Operator, _ *exec.Ctx) exec.Operator {
+			return exec.NewDistinct(in)
+		}), nil
 	default:
-		return nil, nil, fmt.Errorf("cluster: cannot distribute %T", n)
+		return nil, fmt.Errorf("cluster: cannot distribute %T", n)
 	}
 }
 
@@ -471,14 +431,10 @@ func planSortKeys(keys []plan.SortItem) []exec.SortKey {
 // distributeScan is phase 2: one scan per fragment on the worker holding it.
 // When an index matches a highly selective equality, the optimizer chooses
 // the index path instead (phase 1's table-vs-index-scan decision).
-func (q *queryExec) distributeScan(x *plan.Scan) (*dstream, exec.Operator, error) {
+func (q *queryExec) distributeScan(x *plan.Scan) (*dstream, error) {
 	if !x.Table.Columnar {
 		if m := q.findIndexPath(x); m != nil {
-			ds, err := q.indexScan(x, m)
-			if err != nil {
-				return nil, nil, err
-			}
-			return ds, nil, nil
+			return q.indexScan(x, m)
 		}
 	}
 	cfg := exec.ScanConfig{
@@ -505,20 +461,20 @@ func (q *queryExec) distributeScan(x *plan.Scan) (*dstream, exec.Operator, error
 		if x.Table.Columnar {
 			fr := w.colFrags[name]
 			if fr == nil {
-				return nil, nil, fmt.Errorf("cluster: worker %d has no fragment of %s", w.ID, name)
+				return nil, fmt.Errorf("cluster: worker %d has no fragment of %s", w.ID, name)
 			}
 			op = exec.NewVecColumnarScan(fr, x.Alias, wcfg)
 		} else {
 			fr := w.frags[name]
 			if fr == nil {
-				return nil, nil, fmt.Errorf("cluster: worker %d has no fragment of %s", w.ID, name)
+				return nil, fmt.Errorf("cluster: worker %d has no fragment of %s", w.ID, name)
 			}
 			op = exec.NewRowScan(fr, x.Alias, wcfg)
 		}
 		ds.ops = append(ds.ops, q.attach(op, sp))
 	}
 	ds.dist = q.scanDist(x)
-	return ds, nil, nil
+	return ds, nil
 }
 
 // scanDist is how a scan's output is spread over the workers: as the table
@@ -526,22 +482,22 @@ func (q *queryExec) distributeScan(x *plan.Scan) (*dstream, exec.Operator, error
 // stream cannot be known by a column it does not carry — a later name
 // lookup would miss it, or worse, match some other column by suffix — so a
 // scan that prunes one away is treated as spread at random.
-func (q *queryExec) scanDist(x *plan.Scan) distInfo {
+func (q *queryExec) scanDist(x *plan.Scan) opt.DistInfo {
 	switch {
 	case x.Table.Part.Kind == catalog.PartReplicated:
-		return distInfo{kind: distReplicated}
+		return opt.DistInfo{Kind: opt.DistReplicated}
 	case x.Table.Part.Kind == catalog.PartHash && q.prof.EnforceLocality:
 		sch := x.Schema()
 		cols := make([]string, len(x.Table.Part.Cols))
 		for i, c := range x.Table.Part.Cols {
 			cols[i] = x.Alias + "." + strings.ToLower(c)
 			if exactCol(sch, cols[i]) < 0 {
-				return distInfo{kind: distRandom}
+				return opt.DistInfo{}
 			}
 		}
-		return distInfo{kind: distPartitioned, cols: cols}
+		return opt.DistInfo{Kind: opt.DistPartitioned, Cols: cols}
 	default:
-		return distInfo{kind: distRandom}
+		return opt.DistInfo{}
 	}
 }
 
@@ -574,48 +530,40 @@ func keyNames(keys []expr.Expr, sch types.Schema) ([]string, bool) {
 	return out, true
 }
 
-// distMatches reports whether a stream partitioned on dist.cols satisfies
+// distMatches reports whether a stream partitioned on d.Cols satisfies
 // a requirement to be partitioned on req (the paper's shuffle elimination:
 // equality on the existing partition columns implies co-location; we use
-// exact sequence match of the hash key). Both are schema names (keyNames).
-func distMatches(d distInfo, req []string) bool {
-	if d.kind != distPartitioned || len(d.cols) != len(req) {
+// exact sequence match of the hash key). Both are schema names (keyNames),
+// so the match is exact, not opt's suffix match of names a query wrote.
+func distMatches(d opt.DistInfo, req []string) bool {
+	if d.Kind != opt.DistPartitioned || len(d.Cols) != len(req) {
 		return false
 	}
 	for i := range req {
-		if !strings.EqualFold(d.cols[i], req[i]) {
+		if !strings.EqualFold(d.Cols[i], req[i]) {
 			return false
 		}
 	}
 	return true
 }
 
-func (q *queryExec) distributeJoin(x *plan.Join) (*dstream, exec.Operator, error) {
-	left, leftCoord, err := q.distribute(x.Left)
+func (q *queryExec) distributeJoin(x *plan.Join) (*dstream, error) {
+	left, err := q.distribute(x.Left)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	right, rightCoord, err := q.distribute(x.Right)
+	right, err := q.distribute(x.Right)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	par := q.prof.Parallelism
-	// Any side already on the coordinator → finish there.
-	if leftCoord != nil || rightCoord != nil {
-		if leftCoord == nil {
-			leftCoord = q.gatherPlain(left)
-		}
-		if rightCoord == nil {
-			rightCoord = q.gatherPlain(right)
-		}
-		jop := q.makeJoin(nil, leftCoord, rightCoord, x, par)
-		return nil, q.wrap(joinLabel(x), q.coord.ID, jop, leftCoord, rightCoord), nil
-	}
-	// No equality keys: non-equi join on the coordinator.
-	if len(x.EquiLeft) == 0 {
-		l, r := q.gatherPlain(left), q.gatherPlain(right)
-		jop := exec.NewNestedLoopJoin(nil, l, r, x.Residual, x.Type)
-		return nil, q.wrap("NestedLoopJoin", q.coord.ID, jop, l, r), nil
+	// The join runs once, on the coordinator, over all of both inputs when
+	// either input is already there, when there are no equality keys to
+	// partition on, or when it is a semi/anti join whose probe side is
+	// replicated and whose build side is not (every worker would emit its
+	// replica's matches against its own share of the build side).
+	if left.coord || right.coord || len(x.EquiLeft) == 0 ||
+		x.Type != exec.JoinInner && left.dist.Kind == opt.DistReplicated && right.dist.Kind != opt.DistReplicated {
+		return onCoord(q.makeJoin(q.toCoord(left).ops[0], q.toCoord(right).ops[0], x), x.Schema()), nil
 	}
 
 	leftNames, leftPlain := keyNames(x.EquiLeft, x.Left.Schema())
@@ -627,7 +575,8 @@ func (q *queryExec) distributeJoin(x *plan.Join) (*dstream, exec.Operator, error
 	// probe stream the probe reads the scan's batches through the join's
 	// typed front end; the build side is read as rows whatever it is (the
 	// table stores boxed rows), and what a join produces is rows.
-	join := func(l, r *dstream, d distInfo) *dstream {
+	par := q.prof.Parallelism
+	join := func(l, r *dstream, d opt.DistInfo) *dstream {
 		probe, build, probeKeys, buildKeys := l, r, x.EquiLeft, x.EquiRight
 		buildLeft := x.Type == exec.JoinInner && q.buildShare(x.Left, l) < q.buildShare(x.Right, r)
 		if buildLeft {
@@ -645,26 +594,22 @@ func (q *queryExec) distributeJoin(x *plan.Join) (*dstream, exec.Operator, error
 			if buildLeft {
 				h.BuildLeft()
 			}
-			out.ops = append(out.ops, q.wrap(joinLabel(x), w.ID, h, l.ops[wi], r.ops[wi]))
+			out.ops = append(out.ops, q.wrap("HashJoin", w.ID, h, l.ops[wi], r.ops[wi]))
 		}
 		return out
 	}
 
 	switch {
-	case right.dist.kind == distReplicated:
+	case right.dist.Kind == opt.DistReplicated:
 		// Build side replicated: co-located join everywhere; output keeps
 		// the probe side's distribution.
-		return join(left, right, left.dist), nil, nil
-	case left.dist.kind == distReplicated && x.Type == exec.JoinInner:
-		// Probe side replicated: each worker probes its replica against
-		// its partition of the build side; build rows partition, so no
+		return join(left, right, left.dist), nil
+	case left.dist.Kind == opt.DistReplicated:
+		// Probe side replicated (an inner join, or it would be on the
+		// coordinator): each worker probes its replica against its
+		// partition of the build side; build rows partition, so no
 		// duplicates arise.
-		return join(left, right, right.dist), nil, nil
-	case left.dist.kind == distReplicated:
-		// Semi/anti with replicated probe would duplicate output rows;
-		// run on the coordinator (rare).
-		l, r := q.gatherPlain(left), q.gatherPlain(right)
-		return nil, q.wrap(joinLabel(x), q.coord.ID, q.makeJoin(nil, l, r, x, par), l, r), nil
+		return join(left, right, right.dist), nil
 	}
 
 	// Both partitioned/random: exploit or create co-location.
@@ -672,40 +617,42 @@ func (q *queryExec) distributeJoin(x *plan.Join) (*dstream, exec.Operator, error
 	rightOK := q.prof.EnforceLocality && rightPlain && distMatches(right.dist, rightNames)
 	// Re-cost the movement at this exchange boundary: with runtime
 	// distributions known and feedback-corrected estimates, replicating a
-	// small build side can beat repartitioning a large probe side. The
-	// planner's Dist annotation is advisory; this decision is authoritative.
-	if !leftOK && q.wantBroadcast(x, leftNames, rightNames, rightOK) {
+	// small build side can beat repartitioning a large probe side. DP join
+	// ordering costed the same choice; this is where it is made.
+	if !leftOK && q.wantBroadcast(x, leftNames, rightNames, right.dist, rightOK) {
 		b, err := q.broadcast(right)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		return join(left, b, left.dist), nil, nil
+		return join(left, b, left.dist), nil
 	}
 	if !leftOK {
 		left, err = q.shuffle(left, x.EquiLeft, leftNames)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
 	if !rightOK {
 		right, err = q.shuffle(right, x.EquiRight, rightNames)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
-	outDist := distInfo{kind: distRandom}
+	outDist := opt.DistInfo{}
 	if leftPlain {
-		outDist = distInfo{kind: distPartitioned, cols: leftNames}
+		outDist = opt.DistInfo{Kind: opt.DistPartitioned, Cols: leftNames}
 	}
-	return join(left, right, outDist), nil, nil
+	return join(left, right, outDist), nil
 }
 
 // wantBroadcast decides shuffle-vs-broadcast for an equi-join whose probe
 // side is mispartitioned, using the shared cost model on the estimated
 // build-side size. Inner/semi/anti joins stay correct under a replicated
 // build side because each probe row lives on exactly one worker and sees
-// the complete build set there.
-func (q *queryExec) wantBroadcast(x *plan.Join, leftNames, rightNames []string, rightOK bool) bool {
+// the complete build set there. The cluster's exact-name match has decided
+// what is already placed: not the probe side (the caller established
+// !leftOK), and the build side, distributed as rd, only when rightOK.
+func (q *queryExec) wantBroadcast(x *plan.Join, leftNames, rightNames []string, rd opt.DistInfo, rightOK bool) bool {
 	switch x.Type {
 	case exec.JoinInner, exec.JoinSemi, exec.JoinAnti:
 	default:
@@ -714,13 +661,11 @@ func (q *queryExec) wantBroadcast(x *plan.Join, leftNames, rightNames []string, 
 	if len(leftNames) == 0 {
 		return false
 	}
-	est := q.estimator()
-	ld := opt.DistInfo{Kind: opt.DistRandom} // caller established !leftOK
-	rd := opt.DistInfo{Kind: opt.DistRandom}
-	if rightOK {
-		rd = opt.DistInfo{Kind: opt.DistPartitioned, Cols: rightNames}
+	if !rightOK {
+		rd = opt.DistInfo{}
 	}
-	net := opt.ChooseJoinNet(ld, rd, leftNames, rightNames,
+	est := q.estimator()
+	net := opt.ChooseJoinNet(opt.DistInfo{}, rd, leftNames, rightNames,
 		est.Estimate(x.Left), est.RowWidth(x.Left),
 		est.Estimate(x.Right), est.RowWidth(x.Right), len(q.c.Workers))
 	return net.Broadcast
@@ -732,7 +677,7 @@ func (q *queryExec) wantBroadcast(x *plan.Join, leftNames, rightNames []string, 
 func (q *queryExec) buildShare(n plan.Node, ds *dstream) float64 {
 	est := q.estimator()
 	bytes := est.Estimate(n) * est.RowWidth(n)
-	if ds.dist.kind == distReplicated {
+	if ds.dist.Kind == opt.DistReplicated {
 		return bytes
 	}
 	return bytes / float64(len(ds.ops))
@@ -741,7 +686,7 @@ func (q *queryExec) buildShare(n plan.Node, ds *dstream) float64 {
 // broadcast replicates a worker stream to every worker (the build side of
 // a broadcast join), reusing the shuffle fabric machinery with its
 // Broadcast flag so EOF accounting, hub forwarding and quiescence tracking
-// are shared. The output is distReplicated.
+// are shared. The output is opt.DistReplicated.
 func (q *queryExec) broadcast(ds *dstream) (*dstream, error) {
 	ch := q.channel("b")
 	spec := exec.ShuffleSpec{
@@ -751,7 +696,7 @@ func (q *queryExec) broadcast(ds *dstream) (*dstream, error) {
 		Hierarchical: q.prof.HierarchicalShuffle,
 		Broadcast:    true,
 	}
-	out := &dstream{sch: ds.sch, dist: distInfo{kind: distReplicated}}
+	out := &dstream{sch: ds.sch, dist: opt.DistInfo{Kind: opt.DistReplicated}}
 	for wi, op := range ds.ops {
 		w := q.c.Workers[wi]
 		sp := q.startSpan("Broadcast", w.ID)
@@ -765,18 +710,15 @@ func (q *queryExec) broadcast(ds *dstream) (*dstream, error) {
 	return out, nil
 }
 
-func (q *queryExec) makeJoin(ctx *exec.Ctx, l, r exec.Operator, x *plan.Join, par int) exec.Operator {
+// makeJoin builds the coordinator's join of l and r: a hash join on the
+// equality keys, or a nested-loop join over the residual where there are
+// none.
+func (q *queryExec) makeJoin(l, r exec.Operator, x *plan.Join) exec.Operator {
 	if len(x.EquiLeft) == 0 {
-		return exec.NewNestedLoopJoin(ctx, l, r, x.Residual, x.Type)
+		return q.wrap("NestedLoopJoin", q.coord.ID, exec.NewNestedLoopJoin(nil, l, r, x.Residual, x.Type), l, r)
 	}
-	return exec.NewHashJoin(ctx, l, r, x.EquiLeft, x.EquiRight, x.Type, x.Residual, par)
-}
-
-func joinLabel(x *plan.Join) string {
-	if len(x.EquiLeft) == 0 {
-		return "NestedLoopJoin"
-	}
-	return "HashJoin"
+	h := exec.NewHashJoin(nil, l, r, x.EquiLeft, x.EquiRight, x.Type, x.Residual, q.prof.Parallelism)
+	return q.wrap("HashJoin", q.coord.ID, h, l, r)
 }
 
 // shuffle repartitions a stream on key expressions; the result is
@@ -789,9 +731,9 @@ func (q *queryExec) shuffle(ds *dstream, keys []expr.Expr, names []string) (*dst
 		Nmax:         q.c.Cfg.Nmax,
 		Hierarchical: q.prof.HierarchicalShuffle,
 	}
-	out := &dstream{sch: ds.sch, dist: distInfo{kind: distRandom}}
+	out := &dstream{sch: ds.sch}
 	if names != nil {
-		out.dist = distInfo{kind: distPartitioned, cols: names}
+		out.dist = opt.DistInfo{Kind: opt.DistPartitioned, Cols: names}
 	}
 	for wi, op := range ds.ops {
 		w := q.c.Workers[wi]
@@ -819,10 +761,10 @@ func (q *queryExec) shuffle(ds *dstream, keys []expr.Expr, names []string) (*dst
 	return out, nil
 }
 
-func (q *queryExec) distributeAgg(x *plan.Agg) (*dstream, exec.Operator, error) {
-	ds, coordOp, err := q.distribute(x.Child)
+func (q *queryExec) distributeAgg(x *plan.Agg) (*dstream, error) {
+	ds, err := q.distribute(x.Child)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	specs := make([]exec.AggSpec, len(x.Aggs))
 	hasDistinct := false
@@ -832,100 +774,72 @@ func (q *queryExec) distributeAgg(x *plan.Agg) (*dstream, exec.Operator, error) 
 			hasDistinct = true
 		}
 	}
-	if coordOp != nil {
-		agg := exec.NewHashAggregate(nil, coordOp, x.GroupBy, specs, exec.AggComplete)
-		return nil, q.wrap("HashAgg", q.coord.ID, agg, coordOp), nil
+	// complete aggregates in's rows in one phase, where they are; its
+	// output is spread as d says.
+	complete := func(in *dstream, d opt.DistInfo) *dstream {
+		out := q.aggs(in, "HashAgg", x.GroupBy, specs, exec.AggComplete)
+		out.sch, out.dist = x.Schema(), d
+		return out
+	}
+	// On the coordinator: an input already there, one replica of a
+	// replicated input, and the raw rows of a scalar DISTINCT aggregate,
+	// which cannot pre-aggregate.
+	if ds.coord || ds.dist.Kind == opt.DistReplicated || hasDistinct && len(x.GroupBy) == 0 {
+		return complete(q.toCoord(ds), opt.DistInfo{}), nil
 	}
 	groupNames, groupPlain := keyNames(x.GroupBy, x.Child.Schema())
-
-	// Replicated input: aggregate one replica locally.
-	if ds.dist.kind == distReplicated {
-		one := q.pickOne(ds)
-		agg := exec.NewHashAggregate(nil, one, x.GroupBy, specs, exec.AggComplete)
-		return nil, q.wrap("HashAgg", q.coord.ID, agg, one), nil
+	// grouped is the output's distribution when every group is aggregated
+	// whole on one worker: partitioned on the group columns, if they are
+	// plain columns.
+	grouped := opt.DistInfo{}
+	if groupPlain {
+		grouped = opt.DistInfo{Kind: opt.DistPartitioned, Cols: aggOutCols(x, groupNames)}
 	}
 
 	// Co-located: input partitioned on a prefix/subset of the group key →
 	// groups never span workers; aggregate locally (shuffle eliminated).
 	if q.prof.EnforceLocality && groupPlain && len(x.GroupBy) > 0 &&
 		coveredBy(ds.dist, groupNames) {
-		return &dstream{
-			ops: q.workerAggs(ds, x.GroupBy, specs, exec.AggComplete, "HashAgg"),
-			sch: x.Schema(), dist: distInfo{kind: distPartitioned, cols: aggOutCols(x, groupNames)},
-		}, nil, nil
-	}
-
-	// DISTINCT aggregates cannot pre-aggregate; shuffle by group key.
-	if hasDistinct && len(x.GroupBy) > 0 {
-		shuffled, err := q.shuffle(ds, x.GroupBy, groupNames)
-		if err != nil {
-			return nil, nil, err
-		}
-		return &dstream{
-			ops: q.workerAggs(shuffled, x.GroupBy, specs, exec.AggComplete, "HashAgg"),
-			sch: x.Schema(), dist: distInfo{kind: distPartitioned, cols: aggOutCols(x, groupNames)},
-		}, nil, nil
-	}
-	if hasDistinct {
-		// Scalar DISTINCT aggregate: gather raw rows.
-		gathered := q.gatherPlain(ds)
-		agg := exec.NewHashAggregate(nil, gathered, x.GroupBy, specs, exec.AggComplete)
-		return nil, q.wrap("HashAgg", q.coord.ID, agg, gathered), nil
+		return complete(ds, grouped), nil
 	}
 
 	// Scalar aggregates (no GROUP BY) always pre-aggregate per worker and
-	// finalize at the coordinator — merged over the tree topology when the
-	// profile allows, direct otherwise.
-	if len(x.GroupBy) == 0 {
-		if q.prof.PreAggTree {
-			return nil, q.treeAggregate(ds, x, specs), nil
-		}
-		partials := q.workerAggs(ds, nil, specs, exec.AggPartial, "HashAgg partial")
-		gathered := q.gatherPlain(&dstream{ops: partials, sch: partials[0].Schema()})
-		final := exec.NewHashAggregate(nil, gathered, nil, specs, exec.AggFinal)
-		return nil, q.wrap("HashAgg final", q.coord.ID, final, gathered), nil
-	}
-
-	// Cost-based choice (phase 3): pre-aggregation + tree merge when the
-	// estimated number of groups is small (Section IV/V); shuffle-based
-	// grouping when groups are many (the Q18 case: 1.5B groups).
-	groups := q.estimator().Estimate(x)
+	// finalize at the coordinator. Grouped ones do too when the estimated
+	// number of groups is small (Section IV/V) — the cost-based choice of
+	// phase 3 — and group after a shuffle on the group key when groups are
+	// many (the Q18 case: 1.5B groups) or an aggregate is DISTINCT.
 	preAggLimit := 64.0 * 1024
-	if q.prof.PreAggTree && groups <= preAggLimit {
-		return nil, q.treeAggregate(ds, x, specs), nil
+	if len(x.GroupBy) == 0 || !hasDistinct && q.prof.PreAggTree && q.estimator().Estimate(x) <= preAggLimit {
+		return q.preAggregate(ds, x, specs), nil
 	}
-	// Shuffle group-by.
 	shuffled, err := q.shuffle(ds, x.GroupBy, groupNames)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	out := &dstream{
-		ops: q.workerAggs(shuffled, x.GroupBy, specs, exec.AggComplete, "HashAgg"),
-		sch: x.Schema(), dist: distInfo{kind: distRandom},
-	}
-	if groupPlain {
-		out.dist = distInfo{kind: distPartitioned, cols: aggOutCols(x, groupNames)}
-	}
-	return out, nil, nil
+	return complete(shuffled, grouped), nil
 }
 
-// workerAggs builds the worker-side aggregate over every operator of ds:
-// the one place such an aggregate is constructed, asks for the profile's
-// degree and gets its span. Over a typed stream the build reads the scan's
-// batches through the aggregate's typed front end; over anything else (a
-// join, an exchange, a filter) its row front end.
-func (q *queryExec) workerAggs(ds *dstream, groupBy []expr.Expr, specs []exec.AggSpec, mode exec.AggMode, label string) []exec.Operator {
-	out := make([]exec.Operator, len(ds.ops))
-	for wi, op := range ds.ops {
+// aggs places a HashAggregate over every operator of ds, where that one
+// runs: the one place a distributed aggregate is constructed. A worker's
+// asks for the profile's degree; the coordinator's runs serially. Over a
+// typed stream the build reads the scan's batches through the aggregate's
+// typed front end; over anything else (a join, an exchange, a filter) its
+// row front end. The result has the aggregate's own schema and the zero
+// distribution; a caller that knows better sets them after.
+func (q *queryExec) aggs(ds *dstream, label string, groupBy []expr.Expr, specs []exec.AggSpec, mode exec.AggMode) *dstream {
+	out := q.each(ds, label, func(in exec.Operator, ctx *exec.Ctx) exec.Operator {
 		var agg *exec.HashAggregate
 		if ds.typed {
-			agg = exec.NewTypedHashAggregate(q.wctx(wi), op.(exec.VecOperator), groupBy, specs, mode)
+			agg = exec.NewTypedHashAggregate(ctx, in.(exec.VecOperator), groupBy, specs, mode)
 		} else {
-			agg = exec.NewHashAggregate(q.wctx(wi), op, groupBy, specs, mode)
+			agg = exec.NewHashAggregate(ctx, in, groupBy, specs, mode)
 		}
-		agg.Parallel = q.prof.Parallelism
-		out[wi] = q.wrap(label, q.c.Workers[wi].ID, agg, op)
-	}
+		if !ds.coord {
+			agg.Parallel = q.prof.Parallelism
+		}
+		return agg
+	})
+	out.sch, out.dist = out.ops[0].Schema(), opt.DistInfo{}
 	return out
 }
 
@@ -940,11 +854,11 @@ func aggOutCols(x *plan.Agg, groupNames []string) []string {
 
 // coveredBy reports whether dist's columns all appear among the group
 // columns (then each group lives on exactly one worker).
-func coveredBy(d distInfo, groupNames []string) bool {
-	if d.kind != distPartitioned || len(d.cols) == 0 {
+func coveredBy(d opt.DistInfo, groupNames []string) bool {
+	if d.Kind != opt.DistPartitioned || len(d.Cols) == 0 {
 		return false
 	}
-	for _, dc := range d.cols {
+	for _, dc := range d.Cols {
 		found := false
 		for _, g := range groupNames {
 			if strings.EqualFold(dc, g) {
@@ -959,53 +873,77 @@ func coveredBy(d distInfo, groupNames []string) bool {
 	return true
 }
 
-// treeAggregate splits the aggregation into worker partials merged up the
-// tree topology to the coordinator, which finalizes.
-func (q *queryExec) treeAggregate(ds *dstream, x *plan.Agg, specs []exec.AggSpec) exec.Operator {
-	partials := q.workerAggs(ds, x.GroupBy, specs, exec.AggPartial, "HashAgg partial")
+// preAggregate splits the aggregation into worker partials that the
+// coordinator merges and finalizes: up the tree topology when the profile
+// allows (hierarchical aggregation; Section IV), gathered directly
+// otherwise.
+func (q *queryExec) preAggregate(ds *dstream, x *plan.Agg, specs []exec.AggSpec) *dstream {
+	partials := q.aggs(ds, "HashAgg partial", x.GroupBy, specs, exec.AggPartial)
 	// Group columns are positional in the partial output.
 	groupRefs := exec.ColRefs(allIdx(len(x.GroupBy))...)
-	combine := func(ins []exec.Operator) exec.Operator {
-		return exec.NewHashAggregate(nil, exec.NewUnion(ins...), groupRefs, specs, exec.AggMerge)
+	var merged *dstream
+	if q.prof.PreAggTree {
+		merged = q.gatherTree(partials, func(ins []exec.Operator) exec.Operator {
+			return exec.NewHashAggregate(nil, exec.NewUnion(ins...), groupRefs, specs, exec.AggMerge)
+		})
+	} else {
+		merged = q.toCoord(partials)
 	}
-	tree := q.gatherTree(&dstream{ops: partials, sch: partials[0].Schema()}, combine)
-	final := exec.NewHashAggregate(nil, tree, groupRefs, specs, exec.AggFinal)
-	return q.wrap("HashAgg final", q.coord.ID, final, tree)
+	final := q.aggs(merged, "HashAgg final", groupRefs, specs, exec.AggFinal)
+	final.sch = x.Schema()
+	return final
 }
 
-func (q *queryExec) distributeLimit(x *plan.Limit) (*dstream, exec.Operator, error) {
+func (q *queryExec) distributeLimit(x *plan.Limit) (*dstream, error) {
 	// Sort directly below: the paper's heap-based distributed top-k.
-	if s, ok := x.Child.(*plan.Sort); ok && x.Offset == 0 {
-		ds, coordOp, err := q.distributeOneCopy(s.Child)
-		if err != nil {
-			return nil, nil, err
-		}
-		keys := planSortKeys(s.Keys)
-		if coordOp != nil {
-			return nil, q.wrap("TopK", q.coord.ID, exec.NewTopK(nil, coordOp, keys, int(x.N)), coordOp), nil
-		}
-		local := make([]exec.Operator, len(ds.ops))
-		for wi, op := range ds.ops {
-			w := q.c.Workers[wi]
-			local[wi] = q.wrap("TopK", w.ID, exec.NewTopK(q.wctx(wi), op, keys, int(x.N)), op)
-		}
-		merged := q.gatherOrdered(&dstream{ops: local, sch: ds.sch}, keys)
-		return nil, q.wrap("Limit", q.coord.ID, exec.NewLimit(merged, x.N, 0), merged), nil
+	s, topK := x.Child.(*plan.Sort)
+	topK = topK && x.Offset == 0
+	child := x.Child
+	if topK {
+		child = s.Child
 	}
-	ds, coordOp, err := q.distributeOneCopy(x.Child)
+	ds, err := q.distribute(child)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	if coordOp != nil {
-		return nil, q.wrap("Limit", q.coord.ID, exec.NewLimit(coordOp, x.N, x.Offset), coordOp), nil
+	// Merging the workers' replicas would return each row once per worker.
+	if ds.dist.Kind == opt.DistReplicated {
+		ds = q.toCoord(ds)
 	}
-	// Any N+offset rows per worker suffice; trim on the coordinator.
-	local := make([]exec.Operator, len(ds.ops))
-	for wi, op := range ds.ops {
-		local[wi] = q.wrap("Limit", q.c.Workers[wi].ID, exec.NewLimit(op, x.N+x.Offset, 0), op)
+	switch {
+	case topK:
+		keys := planSortKeys(s.Keys)
+		ds = q.each(ds, "TopK", func(in exec.Operator, ctx *exec.Ctx) exec.Operator {
+			return exec.NewTopK(ctx, in, keys, int(x.N))
+		})
+		if ds.coord {
+			return ds, nil
+		}
+		ds = q.gatherOrdered(ds, keys)
+	case !ds.coord:
+		// Any N+offset rows per worker suffice; trim on the coordinator.
+		ds = q.toCoord(q.each(ds, "Limit", func(in exec.Operator, _ *exec.Ctx) exec.Operator {
+			return exec.NewLimit(in, x.N+x.Offset, 0)
+		}))
 	}
-	gathered := q.gatherPlain(&dstream{ops: local, sch: ds.sch})
-	return nil, q.wrap("Limit", q.coord.ID, exec.NewLimit(gathered, x.N, x.Offset), gathered), nil
+	return q.each(ds, "Limit", func(in exec.Operator, _ *exec.Ctx) exec.Operator {
+		return exec.NewLimit(in, x.N, x.Offset)
+	}), nil
+}
+
+// toCoord brings a stream to the coordinator, unordered: a coordinator
+// stream as it is; a replicated one from worker 0 alone, since pulling every
+// replica would return each row once per worker (the paper assigns
+// replicated-table scans to one worker); any other from every worker.
+func (q *queryExec) toCoord(ds *dstream) *dstream {
+	switch {
+	case ds.coord:
+		return ds
+	case ds.dist.Kind == opt.DistReplicated:
+		return q.gatherRecv(q.channel("one"), ds, ds.ops[:1])
+	default:
+		return q.gatherRecv(q.channel("g"), ds, ds.ops)
+	}
 }
 
 // gather is the scaffold every gather shape shares: a coordinator-side span
@@ -1013,8 +951,9 @@ func (q *queryExec) distributeLimit(x *plan.Limit) (*dstream, exec.Operator, err
 // adopts that worker's subtree and counts the bytes the worker puts on the
 // wire through a CountingEndpoint), and a workerDriver that builds the
 // coordinator's receive side with coordSide and runs send once per worker.
-func (q *queryExec) gather(gname, sname string, ops []exec.Operator, coordSide func() exec.Operator,
-	send func(wi int, ectx *exec.Ctx, ep network.Endpoint, op exec.Operator) error) exec.Operator {
+// The result is the coordinator stream of the driver, with schema sch.
+func (q *queryExec) gather(gname, sname string, ops []exec.Operator, sch types.Schema, coordSide func() exec.Operator,
+	send func(wi int, ectx *exec.Ctx, ep network.Endpoint, op exec.Operator) error) *dstream {
 	gsp := q.startSpan(gname, q.coord.ID)
 	eps := make([]network.Endpoint, len(ops))
 	ssps := make([]*obs.Span, len(ops))
@@ -1041,32 +980,15 @@ func (q *queryExec) gather(gname, sname string, ops []exec.Operator, coordSide f
 			return fns
 		},
 	}
-	return q.attach(d, gsp)
-}
-
-// pickOne selects worker 0's replica of a replicated stream and drops the
-// rest (the paper assigns replicated-table scans to one worker).
-func (q *queryExec) pickOne(ds *dstream) exec.Operator {
-	return q.gatherRecv(q.channel("one"), ds, ds.ops[:1])
-}
-
-// gatherPlain brings a worker stream to the coordinator, unordered. A
-// replicated stream is gathered from a single worker — pulling every
-// replica would duplicate rows (visible as W× result inflation on cross
-// joins against replicated tables).
-func (q *queryExec) gatherPlain(ds *dstream) exec.Operator {
-	if ds.dist.kind == distReplicated {
-		return q.pickOne(ds)
-	}
-	return q.gatherRecv(q.channel("g"), ds, ds.ops)
+	return onCoord(q.attach(d, gsp), sch)
 }
 
 // gatherRecv gathers ops — all of ds's operators or some — over one channel
 // into a single coordinator Recv. A typed stream goes out columnar, straight
 // from the scan's batches; the wire format is the same either way.
-func (q *queryExec) gatherRecv(ch string, ds *dstream, ops []exec.Operator) exec.Operator {
+func (q *queryExec) gatherRecv(ch string, ds *dstream, ops []exec.Operator) *dstream {
 	coordEp, coordID := q.coord.Ep, q.coord.ID
-	return q.gather("Gather", "Send", ops,
+	return q.gather("Gather", "Send", ops, ds.sch,
 		func() exec.Operator { return exec.NewRecv(coordEp, ch, len(ops), ds.sch) },
 		func(_ int, ectx *exec.Ctx, ep network.Endpoint, op exec.Operator) error {
 			if ds.typed {
@@ -1078,11 +1000,11 @@ func (q *queryExec) gatherRecv(ch string, ds *dstream, ops []exec.Operator) exec
 
 // gatherOrdered preserves per-worker order with an ordered merge at the
 // coordinator (distributed merge sort's final phase).
-func (q *queryExec) gatherOrdered(ds *dstream, keys []exec.SortKey) exec.Operator {
+func (q *queryExec) gatherOrdered(ds *dstream, keys []exec.SortKey) *dstream {
 	base := q.channel("m")
 	coordEp, coordID := q.coord.Ep, q.coord.ID
 	chOf := func(wi int) string { return fmt.Sprintf("%s.%d", base, wi) }
-	return q.gather("GatherMerge", "Send", ds.ops,
+	return q.gather("GatherMerge", "Send", ds.ops, ds.sch,
 		func() exec.Operator {
 			ins := make([]exec.Operator, len(ds.ops))
 			for wi := range ds.ops {
@@ -1097,14 +1019,14 @@ func (q *queryExec) gatherOrdered(ds *dstream, keys []exec.SortKey) exec.Operato
 
 // gatherTree runs a tree-topology reduction with the coordinator as root
 // (hierarchical aggregation; Section IV).
-func (q *queryExec) gatherTree(ds *dstream, combine func([]exec.Operator) exec.Operator) exec.Operator {
+func (q *queryExec) gatherTree(ds *dstream, combine func([]exec.Operator) exec.Operator) *dstream {
 	spec := exec.TreeReduceSpec{
 		Channel: q.channel("t"),
 		Nodes:   append([]int{q.coord.ID}, q.c.WorkerIDs()...),
 		Nmax:    q.c.Cfg.Nmax,
 	}
 	coordEp := q.coord.Ep
-	return q.gather("TreeReduce", "TreeSend", ds.ops,
+	return q.gather("TreeReduce", "TreeSend", ds.ops, ds.sch,
 		func() exec.Operator {
 			op, err := exec.RunTreeReduce(nil, coordEp, spec, exec.NewSource(ds.sch, nil), combine)
 			if err != nil || op == nil {
@@ -1269,13 +1191,13 @@ func mapColsByPosition(cols []string, from, to types.Schema) []string {
 
 // projectDist tracks partitioning columns through a projection: each dist
 // column must appear as a plain passthrough column.
-func projectDist(d distInfo, p *plan.Project) distInfo {
-	if d.kind != distPartitioned {
+func projectDist(d opt.DistInfo, p *plan.Project) opt.DistInfo {
+	if d.Kind != opt.DistPartitioned {
 		return d
 	}
 	childSch := p.Child.Schema()
-	out := distInfo{kind: distPartitioned}
-	for _, dc := range d.cols {
+	out := opt.DistInfo{Kind: opt.DistPartitioned}
+	for _, dc := range d.Cols {
 		idx := exactCol(childSch, dc)
 		mapped := ""
 		for i, e := range p.Exprs {
@@ -1285,9 +1207,9 @@ func projectDist(d distInfo, p *plan.Project) distInfo {
 			}
 		}
 		if mapped == "" {
-			return distInfo{kind: distRandom}
+			return opt.DistInfo{}
 		}
-		out.cols = append(out.cols, mapped)
+		out.Cols = append(out.Cols, mapped)
 	}
 	return out
 }

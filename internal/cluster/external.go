@@ -32,9 +32,9 @@ func (c *Cluster) QueryExternal(name, where string) ([]types.Row, error) {
 	}
 	assign := external.AssignPartitions(tbl.Partitions(), len(c.Workers))
 	q := &queryExec{c: c, coord: c.Coords[0], qid: c.querySeq.Add(1), prof: c.Cfg.Profile}
-	ds := &dstream{sch: tbl.Schema(), dist: distInfo{kind: distRandom}}
+	ds := &dstream{sch: tbl.Schema()}
 	for wi := range c.Workers {
 		ds.ops = append(ds.ops, exec.NewExternalScan(tbl, assign[wi], "", pred))
 	}
-	return exec.Collect(q.gatherPlain(ds))
+	return exec.Collect(q.toCoord(ds).ops[0])
 }

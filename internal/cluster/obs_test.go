@@ -218,8 +218,8 @@ func TestCardinalityFeedbackLoop(t *testing.T) {
 // degree does not depend on the host CPU count) and checks that morsel
 // parallelism is observable: scan and worker-side aggregate spans carry the
 // granted worker count, rendered as workers= in EXPLAIN ANALYZE output —
-// whichever way the aggregate is distributed (every worker-side aggregate is
-// built by workerAggs, so each asks for the profile's degree).
+// whichever way the aggregate is distributed (every aggregate is built by
+// aggs, so each worker-side one asks for the profile's degree).
 func TestTraceRecordsParallelWorkers(t *testing.T) {
 	testutil.AssertNoGoroutineLeak(t)
 	shuffleGroupBy := HRDBMSProfile()

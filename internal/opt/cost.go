@@ -1,21 +1,16 @@
-// Cost model for join enumeration and distribution choice. The constants
-// mirror the perfmodel "hrdbms" system profile (opt cannot import perfmodel
-// — perfmodel imports cluster which imports opt — so they are restated here
-// and pinned by a consistency test in the perfmodel package).
+// Cost model for join enumeration and distribution choice.
 package opt
 
 import (
 	"strings"
 
 	"repro/internal/catalog"
-	"repro/internal/exec"
-	"repro/internal/expr"
 	"repro/internal/plan"
 	"repro/internal/types"
 )
 
-// Mirrors of perfmodel's hrdbms profile (see TestOptCostConstantsMatch in
-// internal/perfmodel).
+// The machine constants of the cost model, which perfmodel's "hrdbms"
+// profile reads too.
 const (
 	// CostRowsPerSec is per-core row processing throughput.
 	CostRowsPerSec = 4.0e6
@@ -80,8 +75,8 @@ func (e *Estimator) colWidth(n plan.Node, name string, kind types.Kind) float64 
 	return 8
 }
 
-// DistKind mirrors the cluster layer's stream distribution classification;
-// opt keeps its own copy to stay import-cycle-free.
+// DistKind classifies where a distributed stream's rows live, in the cost
+// model and in the cluster's streams alike.
 type DistKind uint8
 
 // Stream distributions.
@@ -219,73 +214,6 @@ func (e *Estimator) leafDist(n plan.Node) DistInfo {
 	default:
 		return DistInfo{Kind: DistRandom}
 	}
-}
-
-// annotateJoinDist walks the optimized plan bottom-up, derives each
-// subtree's worker distribution, and stamps every equi-join with the
-// modeled movement strategy so it shows up in EXPLAIN. Returns the
-// subtree's output distribution.
-func annotateJoinDist(n plan.Node, est *Estimator, o Options) DistInfo {
-	switch x := n.(type) {
-	case *plan.Scan:
-		return est.leafDist(x)
-	case *plan.Filter:
-		return annotateJoinDist(x.Child, est, o)
-	case *plan.Join:
-		ld := annotateJoinDist(x.Left, est, o)
-		rd := annotateJoinDist(x.Right, est, o)
-		lk, rk, ok := equiKeyNames(x)
-		if !ok {
-			return DistInfo{Kind: DistRandom}
-		}
-		net := ChooseJoinNet(ld, rd, lk, rk,
-			est.Estimate(x.Left), est.RowWidth(x.Left),
-			est.Estimate(x.Right), est.RowWidth(x.Right), o.workers())
-		switch {
-		case net.Broadcast:
-			x.Dist = plan.JoinDistBroadcast
-		case net.ShuffleLeft || net.ShuffleRight:
-			x.Dist = plan.JoinDistShuffle
-		default:
-			x.Dist = plan.JoinDistColocated
-		}
-		if rd.Kind == DistReplicated || net.Broadcast {
-			return ld
-		}
-		out := joinOutDist(net, ld, lk)
-		if x.Type != exec.JoinInner {
-			// Semi/anti/outer joins emit only left columns; the left-side
-			// derivation still holds.
-			return out
-		}
-		return out
-	default:
-		// Projections, aggregations, sorts etc.: recurse so nested joins
-		// get annotated, but report an unknown distribution (the cluster
-		// layer re-derives the truth at execution time).
-		for _, ch := range n.Children() {
-			annotateJoinDist(ch, est, o)
-		}
-		return DistInfo{Kind: DistRandom}
-	}
-}
-
-// equiKeyNames extracts the plain column names of a join's equi keys;
-// ok is false when any key is not a simple column or there are none.
-func equiKeyNames(j *plan.Join) (lk, rk []string, ok bool) {
-	if len(j.EquiLeft) == 0 {
-		return nil, nil, false
-	}
-	for i := range j.EquiLeft {
-		lc, lok := j.EquiLeft[i].(*expr.Col)
-		rc, rok := j.EquiRight[i].(*expr.Col)
-		if !lok || !rok {
-			return nil, nil, false
-		}
-		lk = append(lk, lc.Name)
-		rk = append(rk, rc.Name)
-	}
-	return lk, rk, true
 }
 
 // joinCost models one left-deep join step in seconds: hash build over the

@@ -439,10 +439,9 @@ func clampSel(s float64) float64 {
 // OptimizeOpts runs phase-1 transformations: magic-set filtering of
 // aggregates joined to a selective outer block, DPsize join reordering of
 // inner-join clusters using the estimator, semi/anti join pushdown below
-// inner joins, cost-based group-by pushdown, and join-distribution
-// annotation. The options fit it to a concrete cluster: the
-// worker count scales the network cost terms and the feedback store
-// supplies observed cardinalities from earlier queries.
+// inner joins, and cost-based group-by pushdown. The options fit it to a
+// concrete cluster: the worker count scales the network cost terms and the
+// feedback store supplies observed cardinalities from earlier queries.
 func OptimizeOpts(root plan.Node, cat *catalog.Catalog, o Options) (plan.Node, error) {
 	est := &Estimator{Cat: cat, FB: o.Feedback}
 	// Magic sets go before projection pushdown, which narrows each copied
@@ -468,11 +467,6 @@ func OptimizeOpts(root plan.Node, cat *catalog.Catalog, o Options) (plan.Node, e
 	if err := plan.Rebind(out); err != nil {
 		return nil, err
 	}
-	// Annotate each join with its modeled distribution strategy (shuffle
-	// vs broadcast vs co-located) so the choice is visible in EXPLAIN and
-	// golden plans; the cluster layer re-costs at exchange boundaries
-	// with live distribution info and feedback before acting on it.
-	annotateJoinDist(out, est, o)
 	return out, nil
 }
 

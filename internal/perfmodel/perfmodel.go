@@ -17,6 +17,7 @@ import (
 	"math"
 
 	"repro/internal/cluster"
+	"repro/internal/opt"
 )
 
 // Profile holds the per-system cost coefficients.
@@ -186,7 +187,7 @@ func Systems(memBytes float64) map[string]Profile {
 	}
 	return map[string]Profile{
 		"hrdbms": {
-			Name: "HRDBMS", RowsPerSec: 4.0e6, DiskBW: 400e6, LinkBW: 1000e6,
+			Name: "HRDBMS", RowsPerSec: opt.CostRowsPerSec, DiskBW: opt.CostDiskBW, LinkBW: opt.CostLinkBW,
 			ConnCost: 0.004, StageStartup: 0, SpillPenalty: 2,
 			CoordinatorRowsPerSec: 3e6, MemBytes: memBytes, OOMFails: false,
 		},

@@ -140,37 +140,6 @@ type Join struct {
 	EquiLeft    []expr.Expr // bound to Left schema
 	EquiRight   []expr.Expr // bound to Right schema
 	Residual    expr.Expr   // bound to Left ++ Right schema
-	// Dist is the optimizer's modeled data-movement strategy for this
-	// join (shuffle vs broadcast vs co-located), rendered in EXPLAIN so
-	// plan changes are visible in golden-plan diffs. The cluster layer
-	// re-costs the choice at the exchange boundary with live distribution
-	// info before acting, so this is an annotation, not a command.
-	Dist JoinDist
-}
-
-// JoinDist is the annotated distribution strategy for a distributed join.
-type JoinDist uint8
-
-// Join distribution strategies.
-const (
-	JoinDistAuto      JoinDist = iota // not annotated / gathered to coordinator
-	JoinDistColocated                 // both sides already correctly placed
-	JoinDistShuffle                   // hash-repartition misplaced side(s)
-	JoinDistBroadcast                 // replicate the build side to all workers
-)
-
-// String names the strategy as rendered in EXPLAIN.
-func (d JoinDist) String() string {
-	switch d {
-	case JoinDistColocated:
-		return "colocated"
-	case JoinDistShuffle:
-		return "shuffle"
-	case JoinDistBroadcast:
-		return "broadcast"
-	default:
-		return "auto"
-	}
 }
 
 // Schema implements Node.
@@ -193,11 +162,7 @@ func (j *Join) Describe() string {
 	if j.Residual != nil {
 		conds = append(conds, j.Residual.String())
 	}
-	s := fmt.Sprintf("%s Join [%s]", j.Type, strings.Join(conds, " AND "))
-	if j.Dist != JoinDistAuto {
-		s += " dist=" + j.Dist.String()
-	}
-	return s
+	return fmt.Sprintf("%s Join [%s]", j.Type, strings.Join(conds, " AND "))
 }
 
 // AggItem is one aggregate output.

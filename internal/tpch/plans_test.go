@@ -2,10 +2,15 @@ package tpch
 
 import (
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
+	"strings"
 	"testing"
 
+	"repro/internal/cluster"
+	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/sqlparse"
 )
@@ -16,12 +21,14 @@ import (
 var update = flag.Bool("update", false, "rewrite the testdata golden files (plans/, counters.txt) with current output")
 
 // TestGoldenPlans pins the optimized plan of every TPC-H query at SF0.01,
-// seed 20260706, 4 workers. The golden files capture everything the
-// cost-based optimizer decides — join order from DP enumeration, the
-// shuffle-vs-broadcast dist= annotation per join, predicate pushdown, and
-// group-by placement — so any change to statistics, costing, or enumeration
-// shows up as a reviewable plan diff instead of a silent regression.
-// Regenerate intentionally with:
+// seed 20260706, 4 workers, and where a run of it placed its operators. The
+// plan captures everything the cost-based optimizer decides — join order
+// from DP enumeration, predicate pushdown, projection pushdown and group-by
+// placement — so any change to statistics, costing, or enumeration shows up
+// as a reviewable plan diff instead of a silent regression. The footer
+// (placement) is what a traced run of that plan did: which operators ran on
+// the coordinator, and which exchanges moved rows between nodes, shuffle or
+// broadcast among them. Regenerate intentionally with:
 //
 //	go test ./internal/tpch -run TestGoldenPlans -update
 func TestGoldenPlans(t *testing.T) {
@@ -35,18 +42,31 @@ func TestGoldenPlans(t *testing.T) {
 		}
 	}
 	queries := Queries()
+	// Every query is planned and explained before any runs: a run resolves
+	// the plan's scalar subqueries in place. The runs then keep no
+	// cardinality feedback, so what one query places does not depend on which
+	// ran before it, and the estimates each run's exchanges are costed on are
+	// the ones its plan was.
+	explained := map[string]string{}
+	nodes := map[string]plan.Node{}
 	for _, qid := range QueryIDs() {
-		sql := queries[qid]
+		sel, err := sqlparse.ParseSelect(queries[qid])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if nodes[qid], err = c.Plan(sel); err != nil {
+			t.Fatalf("%s: %v", qid, err)
+		}
+		explained[qid] = plan.Explain(nodes[qid])
+	}
+	c.Feedback = nil
+	for _, qid := range QueryIDs() {
 		t.Run(qid, func(t *testing.T) {
-			sel, err := sqlparse.ParseSelect(sql)
+			_, _, tr, err := c.RunTraced(nodes[qid], queries[qid])
 			if err != nil {
 				t.Fatal(err)
 			}
-			node, err := c.Plan(sel)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := plan.Explain(node)
+			got := explained[qid] + placement(c, tr.Spans())
 			path := filepath.Join("testdata", "plans", qid+".txt")
 			if *update {
 				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
@@ -64,6 +84,46 @@ func TestGoldenPlans(t *testing.T) {
 			}
 		})
 	}
+}
+
+// placement is the golden footer of one traced run, scalar subqueries
+// included: the operators that ran on the coordinator, and the exchanges,
+// each counted once however many nodes it spans (a Shuffle or Broadcast has
+// a span on every worker; a Gather, GatherMerge or TreeReduce one on the
+// coordinator), by label.
+func placement(c *cluster.Cluster, spans []obs.SpanSnapshot) string {
+	onCoord, moved := map[string]int{}, map[string]int{}
+	for _, sp := range spans {
+		switch sp.Op {
+		case "Shuffle", "Broadcast":
+			if sp.Node == c.Workers[0].ID {
+				moved[sp.Op]++
+			}
+		case "Gather", "GatherMerge", "TreeReduce":
+			moved[sp.Op]++
+		default:
+			if sp.Node == c.Coords[0].ID {
+				onCoord[sp.Op]++
+			}
+		}
+	}
+	return "\non the coordinator: " + tally(onCoord) + "\nexchanges: " + tally(moved) + "\n"
+}
+
+// tally renders label counts as "a ×2, b ×1", sorted by label.
+func tally(n map[string]int) string {
+	if len(n) == 0 {
+		return "none"
+	}
+	labels := make([]string, 0, len(n))
+	for label := range n {
+		labels = append(labels, label)
+	}
+	sort.Strings(labels)
+	for i, label := range labels {
+		labels[i] = fmt.Sprintf("%s ×%d", label, n[label])
+	}
+	return strings.Join(labels, ", ")
 }
 
 // TestOptimizedPlansAreTrees: no node of any query's optimized plan is
