@@ -13,6 +13,7 @@ import (
 	"repro/internal/storage"
 	"repro/internal/tpch"
 	"repro/internal/types"
+	"repro/internal/vec"
 )
 
 func benchRows(n int, keys int) []types.Row {
@@ -84,6 +85,103 @@ func BenchmarkHashAggregateThroughput(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// batchSource serves prebuilt typed batches, the same ones on every run, so
+// an aggregate benchmark times the aggregate and not the building of its
+// input. Only a degree-1 build may read it: nothing is copied.
+type batchSource struct {
+	*Source
+	batches []*vec.Batch
+	next    int
+}
+
+func newBatchSource(sch types.Schema, rows []types.Row, size int) *batchSource {
+	s := &batchSource{Source: NewSource(sch, nil)}
+	for lo := 0; lo < len(rows); lo += size {
+		s.batches = append(s.batches, vec.FromRows(sch, rows[lo:min(lo+size, len(rows))]))
+	}
+	return s
+}
+
+func (s *batchSource) Open() error { s.next = 0; return nil }
+
+func (s *batchSource) NextVec() (*vec.Batch, bool, error) {
+	if s.next == len(s.batches) {
+		return nil, false, nil
+	}
+	s.next++
+	return s.batches[s.next-1], true, nil
+}
+
+// runAggBench runs the aggregate build builds b.N times and reports the
+// time per input row.
+func runAggBench(b *testing.B, rows int, build func() *HashAggregate) {
+	b.Helper()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Collect(build()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(rows), "ns/row")
+}
+
+// BenchmarkAggregateQ1Shape is q1's aggregate over typed 1,024-row batches:
+// two dictionary string keys with 4 combinations, and q1's eight aggregates,
+// two of them over arithmetic kernels, at degree 1.
+func BenchmarkAggregateQ1Shape(b *testing.B) {
+	sch := types.Schema{Cols: []types.Column{
+		{Name: "l_quantity", Kind: types.KindFloat}, {Name: "l_extendedprice", Kind: types.KindFloat},
+		{Name: "l_discount", Kind: types.KindFloat}, {Name: "l_tax", Kind: types.KindFloat},
+		{Name: "l_returnflag", Kind: types.KindString}, {Name: "l_linestatus", Kind: types.KindString},
+	}}
+	combos := [][2]string{{"A", "F"}, {"N", "F"}, {"N", "O"}, {"R", "F"}}
+	rows := make([]types.Row, 100_000)
+	for i := range rows {
+		c := combos[(i*7)%len(combos)]
+		rows[i] = types.Row{
+			types.NewFloat(float64(1 + i%50)), types.NewFloat(900 + float64(i%1000)),
+			types.NewFloat(float64(i%11) / 100), types.NewFloat(float64(i%9) / 100),
+			types.NewString(c[0]), types.NewString(c[1]),
+		}
+	}
+	one := &expr.Const{V: types.NewFloat(1)}
+	price := &expr.Bin{Op: expr.OpMul, L: col(1), R: &expr.Bin{Op: expr.OpSub, L: one, R: col(2)}}
+	charge := &expr.Bin{Op: expr.OpMul, L: price, R: &expr.Bin{Op: expr.OpAdd, L: one, R: col(3)}}
+	specs := []AggSpec{
+		{Kind: AggSum, Arg: col(0), Name: "sum_qty"}, {Kind: AggSum, Arg: col(1), Name: "sum_base_price"},
+		{Kind: AggSum, Arg: price, Name: "sum_disc_price"}, {Kind: AggSum, Arg: charge, Name: "sum_charge"},
+		{Kind: AggAvg, Arg: col(0), Name: "avg_qty"}, {Kind: AggAvg, Arg: col(1), Name: "avg_price"},
+		{Kind: AggAvg, Arg: col(2), Name: "avg_disc"}, {Kind: AggCount, Name: "count_order"},
+	}
+	src := newBatchSource(sch, rows, 1024)
+	runAggBench(b, len(rows), func() *HashAggregate {
+		return NewTypedHashAggregate(NewCtx("", 0), src, ColRefs(4, 5), specs, AggComplete)
+	})
+}
+
+// BenchmarkAggregateDistinctIntKeys files 100,000 distinct INT keys, a count
+// and a FLOAT sum each, through each front end at degree 1.
+func BenchmarkAggregateDistinctIntKeys(b *testing.B) {
+	sch := types.Schema{Cols: []types.Column{{Name: "k", Kind: types.KindInt}, {Name: "v", Kind: types.KindFloat}}}
+	rows := make([]types.Row, 100_000)
+	for i := range rows {
+		rows[i] = types.Row{types.NewInt(int64(i) * 7919), types.NewFloat(float64(i) * 0.5)}
+	}
+	specs := []AggSpec{{Kind: AggCount, Name: "c"}, {Kind: AggSum, Arg: col(1), Name: "s"}}
+	b.Run("rows", func(b *testing.B) {
+		runAggBench(b, len(rows), func() *HashAggregate {
+			return NewHashAggregate(NewCtx("", 0), NewSource(sch, rows), ColRefs(0), specs, AggComplete)
+		})
+	})
+	b.Run("typed", func(b *testing.B) {
+		src := newBatchSource(sch, rows, 1024)
+		runAggBench(b, len(rows), func() *HashAggregate {
+			return NewTypedHashAggregate(NewCtx("", 0), src, ColRefs(0), specs, AggComplete)
+		})
+	})
 }
 
 func BenchmarkSortInMemory(b *testing.B) {

@@ -176,6 +176,135 @@ func TestHashAggregatePartialFinal(t *testing.T) {
 	}
 }
 
+// TestHashAggregateIntSumExactAcrossMerge: an INT sum stays an int64 through
+// Partial and Final, so 2⁵³+1 and 2 add up to 2⁵³+3, which no float64 holds.
+func TestHashAggregateIntSumExactAcrossMerge(t *testing.T) {
+	specs := []AggSpec{{Kind: AggSum, Arg: col(1), Name: "s"}}
+	partial := func(v int64) *HashAggregate {
+		return NewHashAggregate(nil, NewSource(intSchema("g", "v"), intRows([]int64{1, v})), ColRefs(0), specs, AggPartial)
+	}
+	var states []types.Row
+	for _, v := range []int64{1<<53 + 1, 2} {
+		rows, err := Collect(partial(v))
+		if err != nil {
+			t.Fatal(err)
+		}
+		states = append(states, rows...)
+	}
+	final := NewHashAggregate(nil, NewSource(partial(0).Schema(), states), ColRefs(0), specs, AggFinal)
+	rows, err := Collect(final)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rows[0][1]; got.K != types.KindInt || got.I != 1<<53+3 {
+		t.Errorf("sum = %v (%v), want INT %d", got, got.K, int64(1<<53+3))
+	}
+	if k := final.Schema().Cols[1].Kind; k != types.KindInt {
+		t.Errorf("final column kind = %v, want INT", k)
+	}
+}
+
+// TestHashAggregateSumOfMixedKinds: a SUM whose argument is FLOAT on some
+// rows and INT on others adds every value exactly, as a FLOAT, in Complete
+// mode and through Partial and Final, from either front end — whether the
+// argument is a CASE whose branches disagree on kind (declared FLOAT) or a
+// column declared INT that holds FLOATs (its sum turns FLOAT on the first).
+func TestHashAggregateSumOfMixedKinds(t *testing.T) {
+	sch := types.Schema{Cols: []types.Column{
+		{Name: "k", Kind: types.KindInt}, {Name: "v", Kind: types.KindInt}, {Name: "f", Kind: types.KindFloat}}}
+	var rows []types.Row
+	for k := int64(1); k <= 4; k++ {
+		v := types.NewInt(k)
+		if k <= 2 {
+			v = types.NewFloat(0.5)
+		}
+		rows = append(rows, types.Row{types.NewInt(k), v, types.NewFloat(float64(k) / 4)})
+	}
+	gt2 := gt(col(0), ci(2))
+	cases := []struct {
+		name     string
+		arg      expr.Expr
+		want     float64
+		declared types.Kind
+	}{
+		{"CASE WHEN k > 2 THEN 1 ELSE 0.5 END", &expr.Case{Whens: []expr.When{{Cond: gt2, Then: ci(1)}}, Else: cf(0.5)}, 3, types.KindFloat},
+		{"CASE WHEN k > 2 THEN 0 ELSE f END", &expr.Case{Whens: []expr.When{{Cond: gt2, Then: ci(0)}}, Else: col(2)}, 0.75, types.KindFloat},
+		{"v, declared INT", col(1), 8, types.KindInt},
+	}
+	for _, c := range cases {
+		specs := []AggSpec{{Kind: AggSum, Arg: c.arg, Name: "s"}}
+		agg := func(typed bool, in []types.Row, mode AggMode) *HashAggregate {
+			if typed {
+				return NewTypedHashAggregate(NewCtx("", 0), &typedSource{Operator: slabSource(sch, in, 2)}, nil, specs, mode)
+			}
+			return NewHashAggregate(NewCtx("", 0), NewSource(sch, in), nil, specs, mode)
+		}
+		for _, typed := range []bool{false, true} {
+			complete := agg(typed, rows, AggComplete)
+			if k := complete.Schema().Cols[0].Kind; k != c.declared {
+				t.Errorf("%s: column kind %v, want %v", c.name, k, c.declared)
+			}
+			var states []types.Row
+			for _, half := range [][]types.Row{rows[:2], rows[2:]} {
+				part, err := Collect(agg(typed, half, AggPartial))
+				if err != nil {
+					t.Fatal(err)
+				}
+				states = append(states, part...)
+			}
+			final := NewHashAggregate(nil, NewSource(agg(typed, nil, AggPartial).Schema(), states), nil, specs, AggFinal)
+			for mode, op := range map[string]*HashAggregate{"complete": complete, "partial then final": final} {
+				got, err := Collect(op)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if v := got[0][0]; v.K != types.KindFloat || v.F != c.want {
+					t.Errorf("%s, typed %v, %s: sum = %v (%v), want FLOAT %v", c.name, typed, mode, v, v.K, c.want)
+				}
+			}
+		}
+	}
+}
+
+// TestHashAggregateEmitsInArrivalOrder: at degree 1 the same input gives the
+// same output order on every run, from either front end, and that order is
+// the groups' first arrival.
+func TestHashAggregateEmitsInArrivalOrder(t *testing.T) {
+	var rows [][]int64
+	var want []int64
+	for i := int64(0); i < 200; i++ {
+		k := (i * 37) % 50
+		if i < 50 {
+			want = append(want, k)
+		}
+		rows = append(rows, []int64{k, i})
+	}
+	sch := intSchema("k", "v")
+	specs := []AggSpec{{Kind: AggSum, Arg: col(1), Name: "s"}}
+	for run := 0; run < 5; run++ {
+		for _, typed := range []bool{false, true} {
+			var agg *HashAggregate
+			if typed {
+				agg = NewTypedHashAggregate(NewCtx("", 0), &typedSource{Operator: slabSource(sch, intRows(rows...), 16)}, ColRefs(0), specs, AggComplete)
+			} else {
+				agg = NewHashAggregate(NewCtx("", 0), NewSource(sch, intRows(rows...)), ColRefs(0), specs, AggComplete)
+			}
+			got, err := Collect(agg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%d groups, want %d", len(got), len(want))
+			}
+			for i, r := range got {
+				if r[0].Int() != want[i] {
+					t.Fatalf("run %d, typed %v: group %d is %d, want %d (first-arrival order)", run, typed, i, r[0].Int(), want[i])
+				}
+			}
+		}
+	}
+}
+
 func TestHashAggregateSpill(t *testing.T) {
 	ctx := NewCtx(t.TempDir(), 10) // only 10 groups in memory
 	var rows []types.Row

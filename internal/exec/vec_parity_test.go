@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/expr"
@@ -153,50 +154,93 @@ func TestAggFrontEndParity(t *testing.T) {
 	}
 }
 
-// TestAggKeyBytesMatchRowEncoding: the typed front end files every row under
-// types.AppendRow of its boxed key — for every kind, NULL, and a value whose
-// kind is not its column's — which is what lets a row it spilled rejoin its
-// group through the row front end.
-func TestAggKeyBytesMatchRowEncoding(t *testing.T) {
+// TestAggKeyLandsInOneGroupEitherWay: a row lands in the same group
+// whichever front end files it — for every key kind, NULL, a value whose
+// kind is not its column's, and a key from a column demoted to boxed — which
+// is what lets a row the typed front end spilled rejoin its group through
+// the row front end. Groups are what types.AppendRow tells apart: INT 3 and
+// FLOAT 3.0 are two, and so are FLOAT 0 and -0.
+func TestAggKeyLandsInOneGroupEitherWay(t *testing.T) {
 	sch, rows := aggParityData()
-	keys := ColRefs(0, 1, 2, 3, 5, 7)
-	for _, sel := range []bool{false, true} {
-		h := NewTypedHashAggregate(NewCtx("", 0), emptyTyped(sch), keys, []AggSpec{{Kind: AggCount, Name: "c"}}, AggComplete)
-		tbl := h.newAggTable(1, 0)
-		src := &typedSource{Operator: slabSource(sch, rows, 64), sel: sel}
-		for {
-			b, ok, err := src.NextVec()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !ok {
-				break
-			}
-			if err := tbl.ingestBatch(b); err != nil {
-				t.Fatal(err)
-			}
+	t.Run("every kind", func(t *testing.T) { checkOneGroupEitherWay(t, sch, rows, ColRefs(0, 1, 2, 3, 5, 7)) })
+	for _, keys := range [][]expr.Expr{ColRefs(3), ColRefs(3, 0)} {
+		t.Run(fmt.Sprintf("string key %v", keys), func(t *testing.T) { checkOneGroupEitherWay(t, sch, rows, keys) })
+	}
+	mixed := types.Schema{Cols: []types.Column{{Name: "x", Kind: types.KindInt}, {Name: "f", Kind: types.KindFloat}}}
+	var mixedRows []types.Row
+	for i := 0; i < 40; i++ {
+		x := []types.Value{types.NewInt(3), types.NewFloat(3), types.Null, types.NewInt(4)}[i%4]
+		f := []types.Value{types.NewFloat(0), types.NewFloat(math.Copysign(0, -1)), types.Null}[i%3]
+		mixedRows = append(mixedRows, types.Row{x, f})
+	}
+	t.Run("INT 3 and FLOAT 3.0", func(t *testing.T) {
+		if n := checkOneGroupEitherWay(t, mixed, mixedRows, ColRefs(0)); n != 4 {
+			t.Errorf("%d groups, want 4: INT 3, FLOAT 3, NULL, INT 4", n)
 		}
-		want := map[string]int64{}
-		for _, r := range rows {
-			key := make(types.Row, len(keys))
-			for i, k := range keys {
-				key[i] = r[k.(*expr.Col).Index]
-			}
-			want[string(types.AppendRow(nil, key))]++
+	})
+	t.Run("FLOAT 0 and -0", func(t *testing.T) {
+		if n := checkOneGroupEitherWay(t, mixed, mixedRows, ColRefs(1)); n != 3 {
+			t.Errorf("%d groups, want 3: 0, -0, NULL", n)
 		}
-		if len(tbl.parts[0]) != len(want) {
-			t.Fatalf("sel %v: %d groups, want %d", sel, len(tbl.parts[0]), len(want))
-		}
-		for k, n := range want {
-			g, ok := tbl.parts[0][k]
-			if !ok {
-				t.Fatalf("sel %v: no group under the row encoding %q", sel, k)
+	})
+}
+
+// checkOneGroupEitherWay files rows into one table through one front end and
+// then again through the other, both orders, with and without a selection
+// vector: the second pass must find every row's group, so the table holds
+// one group per distinct types.AppendRow of the key, counting each of its
+// rows twice. It returns the number of groups.
+func checkOneGroupEitherWay(t *testing.T, sch types.Schema, rows []types.Row, keys []expr.Expr) int {
+	t.Helper()
+	want := map[string]int64{}
+	for _, r := range rows {
+		want[string(types.AppendRow(nil, keyRow(t, keys, r)))] += 2
+	}
+	for _, typedFirst := range []bool{true, false} {
+		for _, sel := range []bool{false, true} {
+			h := NewTypedHashAggregate(NewCtx("", 0), emptyTyped(sch), keys, []AggSpec{{Kind: AggCount, Name: "c"}}, AggComplete)
+			tbl := h.newAggTable(0, 0)
+			typed := func() {
+				src := &typedSource{Operator: slabSource(sch, rows, 16), sel: sel}
+				for {
+					b, ok, err := src.NextVec()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !ok {
+						return
+					}
+					if err := tbl.ingestBatch(b); err != nil {
+						t.Fatal(err)
+					}
+				}
 			}
-			if g.states[0].count != n {
-				t.Fatalf("sel %v: group %q counts %d rows, want %d", sel, k, g.states[0].count, n)
+			boxed := func() {
+				for _, r := range rows {
+					if err := tbl.ingest(r); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if typedFirst {
+				typed()
+				boxed()
+			} else {
+				boxed()
+				typed()
+			}
+			if tbl.groups() != len(want) {
+				t.Fatalf("typed first %v, sel %v: %d groups, want %d", typedFirst, sel, tbl.groups(), len(want))
+			}
+			for g := range tbl.hashes {
+				k := string(types.AppendRow(nil, tbl.keyOf(int32(g))))
+				if n := tbl.cols[0].n[g]; n != want[k] {
+					t.Fatalf("typed first %v, sel %v: group %v counts %d rows, want %d", typedFirst, sel, tbl.keyOf(int32(g)), n, want[k])
+				}
 			}
 		}
 	}
+	return len(want)
 }
 
 // emptyTyped is a typed input of the given schema with no rows.

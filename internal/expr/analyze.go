@@ -278,15 +278,27 @@ func KindOf(e Expr, s types.Schema) types.Kind {
 	case *Neg:
 		return KindOf(x.E, s)
 	case *Case:
+		// The first branch's kind that is not NULL, promoted to FLOAT when
+		// it is INT and another branch is FLOAT, as arithmetic promotes.
+		branches := make([]Expr, 0, len(x.Whens)+1)
 		for _, w := range x.Whens {
-			if k := KindOf(w.Then, s); k != types.KindNull {
-				return k
-			}
+			branches = append(branches, w.Then)
 		}
 		if x.Else != nil {
-			return KindOf(x.Else, s)
+			branches = append(branches, x.Else)
 		}
-		return types.KindNull
+		k, float := types.KindNull, false
+		for _, b := range branches {
+			bk := KindOf(b, s)
+			if k == types.KindNull {
+				k = bk
+			}
+			float = float || bk == types.KindFloat
+		}
+		if k == types.KindInt && float {
+			return types.KindFloat
+		}
+		return k
 	case *Func:
 		switch strings.ToUpper(x.Name) {
 		case "EXTRACT_YEAR", "YEAR", "EXTRACT_MONTH", "MONTH":

@@ -362,6 +362,10 @@ func TestKindOf(t *testing.T) {
 		{&Func{Name: "SUBSTRING", Args: []Expr{col(-1, "s"), ci(1), ci(2)}}, types.KindString},
 		{&Like{E: col(-1, "s"), Pattern: cs("%")}, types.KindBool},
 		{&Case{Whens: []When{{Cond: bin(OpEq, col(-1, "a"), ci(1)), Then: cf(1)}}}, types.KindFloat},
+		// An INT branch beside a FLOAT one makes a FLOAT, whichever comes first.
+		{&Case{Whens: []When{{Cond: bin(OpEq, col(-1, "a"), ci(1)), Then: ci(0)}}, Else: col(-1, "f")}, types.KindFloat},
+		{&Case{Whens: []When{{Cond: bin(OpEq, col(-1, "a"), ci(1)), Then: &Const{V: types.Null}}}, Else: ci(0)}, types.KindInt},
+		{&Case{Whens: []When{{Cond: bin(OpEq, col(-1, "a"), ci(1)), Then: col(-1, "s")}}, Else: cf(1)}, types.KindString},
 	} {
 		if got := KindOf(tc.e, s); got != tc.want {
 			t.Errorf("KindOf(%s) = %v, want %v", tc.e, got, tc.want)

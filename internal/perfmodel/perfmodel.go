@@ -75,8 +75,8 @@ const ScanSpeedup = 5
 // paper's heavy query q18 (the paper: "some of the queries" fail). 2× found
 // q5 and q18 while their joins filed all of lineitem in a hash table; with
 // each join built on its smaller input q5's state is 2 % and q18's 55 % of
-// what it was, and 3× puts q18 — alone — a fifth over the line at SF0.0005,
-// 0.001 and 0.002, with Spark SQL's 8-node set still empty.
+// what it was, and 3× puts q18 — alone — over the line at SF0.0005, 0.001
+// and 0.002, with Spark SQL's 8-node set still empty.
 const StateFactor = 3.0
 
 // Estimate is the simulated outcome for one query.

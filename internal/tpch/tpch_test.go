@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/exec"
+	"repro/internal/expr"
 	"repro/internal/plan"
 	"repro/internal/sqlparse"
 	"repro/internal/types"
@@ -475,6 +476,78 @@ func requireSameRows(t *testing.T, name string, got, want []types.Row) {
 	for i := range w {
 		if g[i] != w[i] {
 			t.Fatalf("%s row %d:\n got %s\nwant %s", name, i, g[i], w[i])
+		}
+	}
+}
+
+// TestAggregateColumnsHaveTheirKind: on 1 and on 4 workers, every non-NULL
+// value in a result column an aggregate produces has the kind the plan
+// declares for that column — whether the aggregate ran Complete or as
+// Partial, Merge and Final. SUM of a FLOAT column is FLOAT even when every
+// partial sum is integral (q1's sum_qty).
+func TestAggregateColumnsHaveTheirKind(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full TPC-H suite skipped in -short mode")
+	}
+	for _, workers := range []int{1, 4} {
+		c, _ := loadedCluster(t, workers, 0.002)
+		checked := 0
+		for _, qid := range QueryIDs() {
+			sel, err := sqlparse.ParseSelect(Queries()[qid])
+			if err != nil {
+				t.Fatalf("%s parse: %v", qid, err)
+			}
+			node, err := c.Plan(sel)
+			if err != nil {
+				t.Fatalf("%s plan: %v", qid, err)
+			}
+			rows, _, err := c.RunMetered(node)
+			if err != nil {
+				t.Fatalf("%s: %v", qid, err)
+			}
+			for i, col := range node.Schema().Cols {
+				if !aggregateColumn(node, i) {
+					continue
+				}
+				for _, r := range rows {
+					if v := r[i]; !v.IsNull() && v.K != col.Kind {
+						t.Errorf("%s, %d workers: %s = %v is %v, its column is %v", qid, workers, col.Name, v, v.K, col.Kind)
+						break
+					}
+				}
+				checked++
+			}
+		}
+		if checked < 20 {
+			t.Errorf("%d workers: only %d aggregate columns checked", workers, checked)
+		}
+	}
+}
+
+// aggregateColumn reports whether column i of n's output is an aggregate's
+// value, passed up unchanged through sorts, limits, filters, DISTINCT and
+// projections that reference it.
+func aggregateColumn(n plan.Node, i int) bool {
+	for {
+		switch x := n.(type) {
+		case *plan.Sort:
+			n = x.Child
+		case *plan.Limit:
+			n = x.Child
+		case *plan.Filter:
+			n = x.Child
+		case *plan.Distinct:
+			n = x.Child
+		case *plan.Project:
+			c, ok := x.Exprs[i].(*expr.Col)
+			if !ok {
+				return false
+			}
+			n, i = x.Child, c.Index
+		case *plan.Agg:
+			return i >= len(x.GroupBy)
+		default:
+			return false
 		}
 	}
 }

@@ -169,7 +169,7 @@ OK|CREATE TABLE audit_c (k INT, v VARCHAR, f FLOAT, d DATE, b BOOLEAN) PARTITION
 OK|INSERT INTO audit_c VALUES (1, 'a', 1.5, DATE '2026-01-01', TRUE), (2, NULL, NULL, NULL, FALSE), (3, 'c', 3.5, NULL, NULL), (4, 'a', NULL, DATE '2026-04-01', TRUE)
 OK|SELECT k, v, f, d FROM audit_c WHERE f > 1 OR v IS NULL ORDER BY k
 OK|SELECT k FROM audit_c WHERE (b OR NOT (k > 3)) AND v < 'b' AND v <= v ORDER BY k
-OK|SELECT v, count(*), sum(f), min(d) FROM audit_c WHERE k < 4 GROUP BY v ORDER BY v
+OK|SELECT v, count(*), sum(f), min(d), max(CASE WHEN k > 2 THEN k ELSE f END) FROM audit_c WHERE k < 4 GROUP BY v ORDER BY v
 OK|SELECT l_orderkey, l_comment FROM lineitem WHERE l_comment LIKE '%furious%' ORDER BY l_orderkey, l_comment
 OK|SELECT count(*) FROM orders WHERE EXISTS (SELECT * FROM lineitem WHERE l_orderkey = o_orderkey AND l_quantity > 49)
 OK|SELECT count(*) FROM orders WHERE NOT EXISTS (SELECT * FROM lineitem WHERE l_orderkey = o_orderkey AND l_quantity > 49)
