@@ -114,7 +114,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rp.Scan(func(slot int, r types.Row) bool {
+	rp.Scan(nil, nil, func(slot int, r types.Row) bool {
 		fmt.Printf("  surviving row: %v\n", r)
 		return true
 	})

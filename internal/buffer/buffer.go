@@ -35,9 +35,20 @@ type Store interface {
 // Frame is a pinned in-memory page. Callers read and mutate Buf only while
 // holding a pin and must Unpin with dirty=true after mutating; Buf is nil
 // once the frame has been evicted.
+//
+// Latch is the page's content latch, for pages that change while shared —
+// row pages: their readers hold it shared while they read Buf and their
+// writers exclusive while they write it. A pin keeps the frame, and so its
+// latch, in place. It is released before Unpin and never held across
+// anything that waits on another session: a writer holds it while it logs
+// the change (the page LSN must name the record), nothing else.
+//
+//lint:lockorder-before buffer.frame txn.tx
+//lint:lockorder-before buffer.frame wal.log
 type Frame struct {
-	Key page.Key
-	Buf []byte
+	Key   page.Key
+	Buf   []byte
+	Latch sync.RWMutex //lint:lockorder buffer.frame
 
 	pins        int32
 	dirty       bool

@@ -51,7 +51,9 @@ func (q *queryExec) findIndexPath(x *plan.Scan) *indexMatch {
 }
 
 // indexScanOp probes one worker's index and re-fetches rows by RID,
-// applying the scan's full residual predicate.
+// applying the scan's full residual predicate. Like the row scan, it
+// decodes only the columns it emits or its predicate reads, into a scratch
+// row, and copies out the emitted ones of a row that passes.
 type indexScanOp struct {
 	exec.Source // serves the fetched rows; Open fills Rows
 	w           *Worker
@@ -59,7 +61,8 @@ type indexScanOp struct {
 	def         *catalog.IndexDef
 	key         types.Value
 	pred        expr.Expr // bound to the table schema
-	cols        []int     // table columns emitted (plan.Scan.Cols)
+	emit        []int     // table columns emitted (plan.Scan.Cols, or all)
+	read        []bool    // by table column: emitted or read by pred
 }
 
 // Open implements exec.Operator: the probe happens here.
@@ -73,8 +76,9 @@ func (s *indexScanOp) Open() error {
 	if err != nil {
 		return err
 	}
+	scratch := make(types.Row, s.fr.Def.Schema.Len())
 	for _, rid := range rids {
-		r, ok, err := s.fr.Get(rid)
+		r, ok, err := s.fr.Get(rid, s.read, scratch)
 		if err != nil {
 			return err
 		}
@@ -90,7 +94,7 @@ func (s *indexScanOp) Open() error {
 				continue
 			}
 		}
-		s.Rows = append(s.Rows, exec.NarrowRow(r, s.cols))
+		s.Rows = append(s.Rows, r.Project(s.emit))
 	}
 	return s.Source.Open()
 }
@@ -127,9 +131,10 @@ func (q *queryExec) indexScan(x *plan.Scan, m *indexMatch) (*dstream, error) {
 	name := lower(x.Table.Name)
 	for _, w := range q.c.Workers {
 		fr := w.frags[name]
+		emit, _, read := exec.ScanColumns(fr.Def.Schema.Len(), x.Cols, x.Pred)
 		op := q.wrap("IndexScan "+m.def.Name, w.ID, &indexScanOp{
 			Source: exec.Source{Sch: x.Schema()},
-			w:      w, fr: fr, def: m.def, key: m.key, pred: x.Pred, cols: x.Cols,
+			w:      w, fr: fr, def: m.def, key: m.key, pred: x.Pred, emit: emit, read: read,
 		})
 		ds.ops = append(ds.ops, op)
 	}

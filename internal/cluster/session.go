@@ -447,7 +447,7 @@ func (c *Cluster) deleteStmt(x *sqlparse.Delete) (*Result, error) {
 			return nil, errors.Join(err, c.abortGlobal(txid, ids))
 		}
 		for _, rid := range rids {
-			old, hadOld, err := fr.Get(rid)
+			old, hadOld, err := fr.Get(rid, nil, nil)
 			if err != nil {
 				return nil, errors.Join(err, c.abortGlobal(txid, ids))
 			}
@@ -569,7 +569,7 @@ func (c *Cluster) updateStmt(x *sqlparse.Update) (*Result, error) {
 			return fail(err)
 		}
 		for _, ch := range changes {
-			old, hadOld, err := fr.Get(ch.rid)
+			old, hadOld, err := fr.Get(ch.rid, nil, nil)
 			if err != nil {
 				return fail(err)
 			}

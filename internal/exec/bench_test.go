@@ -279,6 +279,71 @@ func benchLineitemFragment(b *testing.B) *storage.Fragment {
 	return benchFrag.fr
 }
 
+// BenchmarkRowScan scans a row fragment shaped like partsupp — partkey,
+// suppkey, availqty, supplycost and a 199-byte comment — at degree 1,
+// emitting partkey, suppkey and supplycost under a predicate on availqty,
+// which it does not emit: one that passes one row in 200, and one that
+// passes every row. It reports ns/row and allocs/row over the rows scanned.
+func BenchmarkRowScan(b *testing.B) {
+	const n = 20000
+	sch := types.NewSchema(
+		types.Column{Name: "ps_partkey", Kind: types.KindInt},
+		types.Column{Name: "ps_suppkey", Kind: types.KindInt},
+		types.Column{Name: "ps_availqty", Kind: types.KindInt},
+		types.Column{Name: "ps_supplycost", Kind: types.KindFloat},
+		types.Column{Name: "ps_comment", Kind: types.KindString},
+	)
+	ns, err := storage.NewNodeStore(storage.NodeConfig{NodeID: 0, BaseDir: b.TempDir(), NumDisks: 1, BufFrames: 512, BufStripes: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer ns.Close()
+	fr, err := storage.OpenFragment(ns, &catalog.TableDef{Name: "partsupp", Schema: sch})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rows := make([]types.Row, n)
+	for i := range rows {
+		rows[i] = types.Row{
+			types.NewInt(int64(i / 4)),
+			types.NewInt(int64(i % 100)),
+			types.NewInt(int64(i * 7919 % 10000)), // a permutation of 0..9999, twice
+			types.NewFloat(float64(i%1000) + 0.25),
+			types.NewString(fmt.Sprintf("%0199d", i)),
+		}
+	}
+	if _, err := fr.Load(rows); err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		max  int64 // availqty < max passes
+		want int
+	}{{"1-in-200", 50, n / 200}, {"all-pass", 10000, n}} {
+		b.Run(c.name, func(b *testing.B) {
+			var ms runtime.MemStats
+			runtime.ReadMemStats(&ms)
+			mallocs := ms.Mallocs
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				pred := &expr.Bin{Op: expr.OpLt, L: &expr.Col{Index: 2, Name: "ps_availqty"}, R: &expr.Const{V: types.NewInt(c.max)}}
+				out, err := Collect(NewRowScan(fr, "", ScanConfig{Pred: pred, Cols: []int{0, 1, 3}, Parallel: 1}))
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(out) != c.want {
+					b.Fatalf("%d rows passed, want %d", len(out), c.want)
+				}
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&ms)
+			scanned := float64(n) * float64(b.N)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/scanned, "ns/row")
+			b.ReportMetric(float64(ms.Mallocs-mallocs)/scanned, "allocs/row")
+		})
+	}
+}
+
 // BenchmarkParallelVsSerial measures morsel-driven intra-node parallelism
 // on the two hot pipelines the tentpole targets: a fragment scan → filter →
 // hash-aggregate over SF0.05 lineitem, and an external sort of the same

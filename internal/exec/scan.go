@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"sync"
+
 	"repro/internal/expr"
 	"repro/internal/external"
 	"repro/internal/obs"
@@ -223,31 +225,48 @@ func scanSchemas(table types.Schema, alias string, cols []int) (full, out types.
 	return full, full.Project(cols)
 }
 
-// NarrowRow compacts a fragment row in place to the columns a scan emits.
-// cols is ascending, so no value is overwritten before it has moved; nil
-// keeps the row whole.
-func NarrowRow(r types.Row, cols []int) types.Row {
-	if cols == nil {
-		return r
+// ScanColumns resolves the columns a scan of an n-column table touches:
+// emit, the table offsets it emits (cols, or all n when cols is nil); isPred,
+// by table offset, whether pred reads the column; and read, their union —
+// what the scan decodes.
+func ScanColumns(n int, cols []int, pred expr.Expr) (emit []int, isPred, read []bool) {
+	emit = cols
+	if emit == nil {
+		emit = make([]int, n)
+		for i := range emit {
+			emit[i] = i
+		}
 	}
-	for i, c := range cols {
-		r[i] = r[c]
+	isPred = make([]bool, n)
+	expr.Walk(pred, func(x expr.Expr) {
+		if c, ok := x.(*expr.Col); ok && c.Index >= 0 && c.Index < n {
+			isPred[c.Index] = true
+		}
+	})
+	read = append([]bool(nil), isPred...)
+	for _, c := range emit {
+		read[c] = true
 	}
-	clear(r[len(cols):]) // let go of the dropped strings
-	return r[:len(cols)]
+	return emit, isPred, read
 }
 
-// FragmentScan is the row-table scan operator.
+// FragmentScan is the row-table scan operator. Storage decodes only the
+// columns it reads — the emitted ones and the predicate's — into a scratch
+// row per worker; the predicate runs on that borrowed row, and a row that
+// passes has its emitted columns copied out by the worker's rowCopier.
 type FragmentScan struct {
 	rowFeed
-	fr  *storage.Fragment
-	cfg ScanConfig
+	fr   *storage.Fragment
+	cfg  ScanConfig
+	emit []int  // table offsets of the output columns, ascending
+	read []bool // by table offset: emitted or read by the predicate
 }
 
 // NewRowScan builds a scan over a row fragment.
 func NewRowScan(fr *storage.Fragment, alias string, cfg ScanConfig) *FragmentScan {
 	_, sch := scanSchemas(fr.Def.Schema, alias, cfg.Cols)
 	fs := &FragmentScan{fr: fr, cfg: cfg}
+	fs.emit, _, fs.read = ScanColumns(fr.Def.Schema.Len(), cfg.Cols, cfg.Pred)
 	fs.sch = sch
 	fs.start = fs.run
 	fs.batch = cfg.BatchRows
@@ -257,14 +276,15 @@ func NewRowScan(fr *storage.Fragment, alias string, cfg ScanConfig) *FragmentSca
 
 // run is the scan thread: it takes the degree the worker budget grants
 // (at least 1) and drives that many morsel workers, each with a private
-// sender; residual slabs are flushed after the workers join.
+// copier; residual slabs are flushed after the workers join.
 func (fs *FragmentScan) run() error {
 	opts := buildScanOptions(fs.cfg)
+	opts.Mask = fs.read
 	degree := fs.cfg.Ctx.AcquireWorkers(fs.cfg.Parallel)
 	defer fs.cfg.Ctx.ReleaseWorkers(degree)
-	senders := make([]*batchSender, degree)
-	for i := range senders {
-		senders[i] = fs.rowSender()
+	copiers := make([]*rowCopier, degree)
+	for i := range copiers {
+		copiers[i] = newRowCopier(fs.port(), fs.emit, fs.batch)
 	}
 	evalErrs := make([]error, degree)
 	stats, err := fs.fr.ParallelScan(opts, degree, func(w int, _ page.RID, r types.Row) bool {
@@ -278,10 +298,11 @@ func (fs *FragmentScan) run() error {
 				return true
 			}
 		}
-		return senders[w].send(NarrowRow(r, fs.cfg.Cols))
+		return copiers[w].send(r)
 	})
-	for _, snd := range senders {
-		snd.flush()
+	for _, c := range copiers {
+		c.flush()
+		c.release()
 	}
 	fs.cfg.Trace.AddScan(stats.RowsRead, stats.PagesRead, stats.PagesSkipped)
 	if degree > 1 {
@@ -293,6 +314,69 @@ func (fs *FragmentScan) run() error {
 		}
 	}
 	return err
+}
+
+// rowCopier is a row scan worker's end of the feed. The rows it is handed
+// are borrowed, so it copies each one's emitted columns into a staging
+// array; a slab, when it ships, gets one backing array sized to the rows it
+// holds, and each row is that array's segment capped at its width, so an
+// append downstream copies instead of writing into the next row. (Copiers
+// are allocated one by one for the reason senders are.)
+type rowCopier struct {
+	feedPort[[]types.Row]
+	emit []int // table offsets copied, in output order
+	size int
+	vals []types.Value // the staged rows, len(emit) values each
+	rows int
+}
+
+// stagings recycles the copiers' staging arrays across scans, so that one
+// grows to a slab's worth of values once, not in every scan.
+var stagings sync.Pool
+
+func newRowCopier(port feedPort[[]types.Row], emit []int, size int) *rowCopier {
+	c := &rowCopier{feedPort: port, emit: emit, size: size}
+	if vals, ok := stagings.Get().(*[]types.Value); ok {
+		c.vals = (*vals)[:0]
+	}
+	return c
+}
+
+// release returns the staging array to the pool once the copier is done.
+func (c *rowCopier) release() {
+	if c.vals != nil {
+		vals := c.vals[:0]
+		stagings.Put(&vals)
+		c.vals = nil
+	}
+}
+
+// send stages r's emitted columns, shipping a slab once size rows are
+// staged. It returns false when the consumer is gone and the scan should
+// abort.
+func (c *rowCopier) send(r types.Row) bool {
+	for _, ci := range c.emit {
+		c.vals = append(c.vals, r[ci])
+	}
+	if c.rows++; c.rows >= c.size {
+		return c.flush()
+	}
+	return true
+}
+
+// flush ships the staged rows (if any) as one slab.
+func (c *rowCopier) flush() bool {
+	if c.rows == 0 {
+		return true
+	}
+	w := len(c.emit)
+	back := append(make([]types.Value, 0, len(c.vals)), c.vals...)
+	slab := make([]types.Row, c.rows)
+	for i := range slab {
+		slab[i] = back[i*w : (i+1)*w : (i+1)*w]
+	}
+	c.vals, c.rows = c.vals[:0], 0
+	return c.ship(slab)
 }
 
 // ExternalScan reads assigned partitions of an external table.

@@ -88,25 +88,15 @@ type VecColumnarScan struct {
 
 // NewVecColumnarScan builds a vectorized scan over a columnar fragment.
 func NewVecColumnarScan(fr *storage.ColumnarFragment, alias string, cfg ScanConfig) *VecColumnarScan {
-	cs := &VecColumnarScan{fr: fr, cfg: cfg, emit: cfg.Cols}
+	cs := &VecColumnarScan{fr: fr, cfg: cfg}
 	cs.table, cs.sch = scanSchemas(fr.Def.Schema, alias, cfg.Cols)
 	cs.start = cs.run
 	cs.batch = cfg.BatchRows
 	cs.cancel = cfg.Ctx.Cancel()
 	cs.vecRowShim = vecRowShim{src: cs, ctx: cfg.Ctx}
 	n := cs.table.Len()
-	cs.isPred = make([]bool, n)
-	expr.Walk(cfg.Pred, func(x expr.Expr) {
-		if c, ok := x.(*expr.Col); ok && c.Index >= 0 && c.Index < n {
-			cs.isPred[c.Index] = true
-		}
-	})
-	if cs.emit == nil {
-		cs.emit = make([]int, n)
-		for i := range cs.emit {
-			cs.emit[i] = i
-		}
-	}
+	var read []bool
+	cs.emit, cs.isPred, read = ScanColumns(n, cfg.Cols, cfg.Pred)
 	cs.outOf = make([]int, n)
 	for ci := range cs.outOf {
 		cs.outOf[ci] = -1
@@ -118,7 +108,7 @@ func NewVecColumnarScan(fr *storage.ColumnarFragment, alias string, cfg ScanConf
 		if cs.isPred[ci] {
 			cs.pred = append(cs.pred, ci)
 		}
-		if cs.isPred[ci] || cs.outOf[ci] >= 0 {
+		if read[ci] {
 			cs.read = append(cs.read, ci)
 		}
 	}

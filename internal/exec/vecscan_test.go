@@ -385,25 +385,3 @@ func TestVecScanProjectionParity(t *testing.T) {
 		}
 	}
 }
-
-// TestNarrowRow: in-place compaction keeps the listed columns in order and
-// lets go of the rest.
-func TestNarrowRow(t *testing.T) {
-	row := func() types.Row {
-		return types.Row{types.NewInt(1), types.NewString("b"), types.NewFloat(3), types.NewString("d")}
-	}
-	if got := NarrowRow(row(), nil); len(got) != 4 {
-		t.Errorf("nil cols narrowed the row to %v", got)
-	}
-	if got := NarrowRow(row(), []int{}); len(got) != 0 {
-		t.Errorf("empty cols left %v", got)
-	}
-	r := row()
-	got := NarrowRow(r, []int{1, 3})
-	if got.String() != (types.Row{types.NewString("b"), types.NewString("d")}).String() {
-		t.Errorf("narrowed to %v", got)
-	}
-	if tail := r[2:4]; !tail[0].IsNull() || !tail[1].IsNull() {
-		t.Errorf("dropped values still referenced: %v", tail)
-	}
-}

@@ -38,7 +38,7 @@ func TestRowPageInsertGet(t *testing.T) {
 		slots = append(slots, s)
 	}
 	for i, s := range slots {
-		r, ok, err := p.Get(s)
+		r, ok, err := p.Get(s, nil, nil)
 		if err != nil || !ok {
 			t.Fatalf("get slot %d: ok=%v err=%v", s, ok, err)
 		}
@@ -63,7 +63,7 @@ func TestRowPageFull(t *testing.T) {
 	}
 	// All inserted rows still readable after fill.
 	live := 0
-	if err := p.Scan(func(slot int, r types.Row) bool { live++; return true }); err != nil {
+	if err := p.Scan(nil, nil, func(slot int, r types.Row) bool { live++; return true }); err != nil {
 		t.Fatal(err)
 	}
 	if live != n {
@@ -86,14 +86,14 @@ func TestRowPageDelete(t *testing.T) {
 	if p.Delete(99) {
 		t.Fatal("delete out of range should report false")
 	}
-	if _, ok, _ := p.Get(2); ok {
+	if _, ok, _ := p.Get(2, nil, nil); ok {
 		t.Fatal("tombstoned slot should not return a row")
 	}
 	if p.LiveRows() != 4 {
 		t.Errorf("LiveRows = %d, want 4", p.LiveRows())
 	}
 	seen := map[int64]bool{}
-	p.Scan(func(slot int, r types.Row) bool { seen[r[0].Int()] = true; return true })
+	p.Scan(nil, nil, func(slot int, r types.Row) bool { seen[r[0].Int()] = true; return true })
 	if seen[2] || len(seen) != 4 {
 		t.Errorf("scan after delete saw %v", seen)
 	}
@@ -268,7 +268,7 @@ func TestPageFileRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, ok, err := rp.Get(0)
+		r, ok, err := rp.Get(0, nil, nil)
 		if err != nil || !ok || r[0].Int() != int64(i*100) {
 			t.Fatalf("page %d first row = %v ok=%v err=%v", n, r, ok, err)
 		}
@@ -303,7 +303,7 @@ func TestPageFileReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	rp, _ := AsRowPage(got)
-	r, ok, _ := rp.Get(0)
+	r, ok, _ := rp.Get(0, nil, nil)
 	if !ok || r[0].Int() != 7 {
 		t.Fatalf("reopened row = %v", r)
 	}
@@ -365,7 +365,7 @@ func TestRowPageQuickProperty(t *testing.T) {
 			inserted = append(inserted, r)
 		}
 		for s, want := range inserted {
-			got, ok, err := p.Get(s)
+			got, ok, err := p.Get(s, nil, nil)
 			if err != nil || !ok {
 				return false
 			}

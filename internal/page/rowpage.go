@@ -83,16 +83,23 @@ func (p RowPage) InsertEncoded(enc []byte) (slot int, ok bool) {
 }
 
 // Get decodes the row in the given slot. Returns ok=false for tombstones or
-// out-of-range slots.
-func (p RowPage) Get(slot int) (types.Row, bool, error) {
-	if slot < 0 || slot >= p.NumSlots() {
-		return nil, false, nil
+// out-of-range slots. With a nil mask the row is a whole one the caller
+// owns; otherwise only the columns mask marks are decoded, into dst
+// (types.DecodeRowInto), and the row returned is dst's.
+func (p RowPage) Get(slot int, mask []bool, dst types.Row) (types.Row, bool, error) {
+	enc := p.GetEncoded(slot)
+	if enc == nil {
+		return nil, false, nil // tombstone or out of range
 	}
-	off, length := p.slotAt(slot)
-	if length == 0 {
-		return nil, false, nil // tombstone
+	var (
+		row types.Row
+		err error
+	)
+	if mask == nil {
+		row, _, err = types.DecodeRow(enc)
+	} else {
+		row, _, err = types.DecodeRowInto(enc, mask, dst)
 	}
-	row, _, err := types.DecodeRow(p.Buf[off : off+length])
 	if err != nil {
 		return nil, false, fmt.Errorf("page: slot %d: %w", slot, err)
 	}
@@ -138,12 +145,25 @@ func (p RowPage) RestoreSlot(slot int, enc []byte) error {
 	return nil
 }
 
+// CopyTo copies the page into dst, a buffer of the page's size, and returns
+// the copy. Only the bytes in use are copied: the header and rows, and the
+// slot directory at the end.
+func (p RowPage) CopyTo(dst []byte) RowPage {
+	dst = dst[:len(p.Buf)]
+	copy(dst, p.Buf[:freePtr(p.Buf)])
+	dir := len(p.Buf) - p.NumSlots()*slotSize
+	copy(dst[dir:], p.Buf[dir:])
+	return RowPage{Buf: dst}
+}
+
 // Scan calls fn for every live row on the page, stopping early if fn
-// returns false.
-func (p RowPage) Scan(fn func(slot int, r types.Row) bool) error {
+// returns false. mask and dst are Get's: with a nil mask fn gets a
+// whole row it owns, otherwise it borrows dst, which holds the marked
+// columns, until it returns.
+func (p RowPage) Scan(mask []bool, dst types.Row, fn func(slot int, r types.Row) bool) error {
 	n := p.NumSlots()
 	for i := 0; i < n; i++ {
-		row, ok, err := p.Get(i)
+		row, ok, err := p.Get(i, mask, dst)
 		if err != nil {
 			return err
 		}

@@ -2,6 +2,7 @@ package skipcache
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/page"
 	"repro/internal/types"
@@ -14,9 +15,9 @@ import (
 // generalization of this scheme; we keep both so the ablation benchmarks
 // can compare them.
 type MinMax struct {
-	mu   sync.RWMutex
+	mu   sync.RWMutex                           // guards m and the maps in it
 	m    map[page.Key]map[string][2]types.Value // col → {min, max}
-	hits int64
+	hits atomic.Int64
 }
 
 // NewMinMax creates an empty SMA store.
@@ -55,8 +56,8 @@ func (s *MinMax) Record(p page.Key, col string, v types.Value) {
 // on min-max ranges: some atomic predicate excludes the page's full range.
 func (s *MinMax) CanSkip(p page.Key, theta Conj) bool {
 	s.mu.RLock()
+	defer s.mu.RUnlock() // an insert's Record may be widening this page's ranges
 	cols := s.m[p]
-	s.mu.RUnlock()
 	if cols == nil {
 		return false
 	}
@@ -77,9 +78,7 @@ func (s *MinMax) CanSkipRange(theta Conj, rangeOf func(col string) (lo, hi types
 			continue
 		}
 		if rangeExcludes(lo, hi, pred) {
-			s.mu.Lock()
-			s.hits++
-			s.mu.Unlock()
+			s.hits.Add(1)
 			return true
 		}
 	}
@@ -87,11 +86,7 @@ func (s *MinMax) CanSkipRange(theta Conj, rangeOf func(col string) (lo, hi types
 }
 
 // Hits returns the number of successful skip decisions.
-func (s *MinMax) Hits() int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.hits
-}
+func (s *MinMax) Hits() int64 { return s.hits.Load() }
 
 // rangeExcludes reports whether no value in [lo, hi] can satisfy pred.
 func rangeExcludes(lo, hi types.Value, pred Pred) bool {

@@ -192,11 +192,21 @@ func (c Conj) Implies(d Conj) bool {
 	return true
 }
 
-// MatchesRow evaluates the conjunction against a row given a resolver from
-// column name to offset.
-func (c Conj) MatchesRow(r types.Row, colIndex func(string) int) bool {
-	for _, p := range c {
-		idx := colIndex(p.Col)
+// Offsets resolves each conjunct's column in s (-1 where s has none), once,
+// for MatchesRow.
+func (c Conj) Offsets(s types.Schema) []int {
+	offs := make([]int, len(c))
+	for i, p := range c {
+		offs[i] = s.Find(p.Col)
+	}
+	return offs
+}
+
+// MatchesRow evaluates the conjunction against a row, given the offsets
+// Offsets resolved its columns to.
+func (c Conj) MatchesRow(r types.Row, offs []int) bool {
+	for i, p := range c {
+		idx := offs[i]
 		if idx < 0 || !p.Matches(r[idx]) {
 			return false
 		}

@@ -249,6 +249,34 @@ func TestMinMaxSkip(t *testing.T) {
 	}
 }
 
+// TestMinMaxRecordBesideCanSkip: a scan consults a page's ranges while an
+// insert widens them, as a SELECT beside an INSERT does (run it under
+// -race). Once the inserts are done, the page is skipped by its final range.
+func TestMinMaxRecordBesideCanSkip(t *testing.T) {
+	s := NewMinMax()
+	k := page.Key{File: 1, Page: 0}
+	theta := Conj{{Col: "a", Op: OpGt, Val: types.NewInt(5000)}}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := int64(0); i < 2000; i++ {
+			s.Record(k, "a", types.NewInt(i))
+			s.Record(k, "b", types.NewInt(-i))
+		}
+	}()
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+			s.CanSkip(k, theta)
+		}
+	}
+	if !s.CanSkip(k, theta) || s.Hits() == 0 {
+		t.Errorf("a page of a in [0, 1999] not skipped for a > 5000 (hits %d)", s.Hits())
+	}
+}
+
 func TestMinMaxNeSingleValue(t *testing.T) {
 	s := NewMinMax()
 	p := page.Key{File: 1, Page: 2}

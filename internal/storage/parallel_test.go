@@ -20,7 +20,7 @@ import (
 // the vector scan in internal/exec, the reader records a sealed set in which
 // no row matched a complete skip conjunction into the predicate cache.
 func colScanRows(fr *ColumnarFragment, opts ScanOptions, workers, morselSets int, fn func(worker int, r types.Row) bool) (ScanStats, error) {
-	colIndex := func(name string) int { return fr.Def.Schema.Find(name) }
+	skipCols := opts.SkipConj.Offsets(fr.Def.Schema)
 	return fr.scanPageSets(opts, nil, workers, morselSets, func(w int, set page.PageSet, key page.Key, sealed bool) (bool, error) {
 		rows, err := set.Rows()
 		if err != nil {
@@ -28,7 +28,7 @@ func colScanRows(fr *ColumnarFragment, opts ScanOptions, workers, morselSets int
 		}
 		anyMatch := false
 		for _, r := range rows {
-			if len(opts.SkipConj) > 0 && opts.SkipConj.MatchesRow(r, colIndex) {
+			if len(opts.SkipConj) > 0 && opts.SkipConj.MatchesRow(r, skipCols) {
 				anyMatch = true
 			}
 			if !fn(w, r) {
@@ -277,6 +277,96 @@ func TestColumnarLoadBesideScans(t *testing.T) {
 	wg.Wait()
 	if n, err := scan(); err != nil || int64(n) != next {
 		t.Fatalf("after the last Load: %d of %d rows scanned, %v", n, next, err)
+	}
+}
+
+// TestRowScanBesideWriters: one goroutine inserts rows into a row fragment
+// and tombstones every fifth, while two others scan it at two workers each —
+// one whole rows, one masked to l_orderkey and l_shipmode with a skip
+// conjunction on l_price, which the scan must decode too — and fetch rows by
+// RID, over and over. A page's slot directory and rows are the frame
+// latch's to guard (run it under -race). Every row a scan returns is a row
+// inserted, exact in the columns it decoded.
+func TestRowScanBesideWriters(t *testing.T) {
+	ns := newNode(t, 2048)
+	fr, err := OpenFragment(ns, lineitemDef(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mask := []bool{true, false, true, false}
+	skip := skipcache.Conj{{Col: "l_price", Op: skipcache.OpGe, Val: types.NewFloat(0)}}
+	check := func(r types.Row, cols []int) error {
+		want := liRow(r[0].Int())
+		for _, c := range cols {
+			if types.Compare(r[c], want[c]) != 0 {
+				return fmt.Errorf("row %v: column %d is not the inserted %v", r, c, want[c])
+			}
+		}
+		return nil
+	}
+	var rids sync.Map // l_orderkey → RID, for the fetches
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for _, masked := range []bool{false, true} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			opts, cols := ScanOptions{}, []int{0, 1, 2, 3}
+			if masked {
+				opts, cols = ScanOptions{Mask: mask, SkipConj: skip}, []int{0, 2, 3}
+			}
+			scratch := make(types.Row, 4)
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				var mu sync.Mutex
+				var scanErr error
+				_, err := fr.ParallelScan(opts, 2, func(_ int, _ page.RID, r types.Row) bool {
+					mu.Lock()
+					defer mu.Unlock()
+					if scanErr == nil {
+						scanErr = check(r, cols)
+					}
+					return scanErr == nil
+				})
+				if err == nil {
+					err = scanErr
+				}
+				rids.Range(func(_, v any) bool {
+					var r types.Row
+					var ok bool
+					if r, ok, err = fr.Get(v.(page.RID), opts.Mask, scratch); ok && err == nil {
+						err = check(r, []int{0, 2})
+					}
+					return err == nil
+				})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	for i := int64(0); i < 2000; i++ {
+		rid, err := fr.Insert(nil, liRow(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i%5 == 0 {
+			if _, err := fr.Delete(nil, rid); err != nil {
+				t.Fatal(err)
+			}
+		} else if i%50 == 1 {
+			rids.Store(i, rid)
+		}
+	}
+	close(done)
+	wg.Wait()
+	if n, err := rowCount(fr); err != nil || n != 1600 {
+		t.Fatalf("%d live rows after the writes, want 1600 (%v)", n, err)
 	}
 }
 

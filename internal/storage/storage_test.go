@@ -70,7 +70,7 @@ func TestFragmentInsertScanGet(t *testing.T) {
 		rids = append(rids, rid)
 	}
 	// Get by RID.
-	r, ok, err := fr.Get(rids[57])
+	r, ok, err := fr.Get(rids[57], nil, nil)
 	if err != nil || !ok || r[0].Int() != 57 {
 		t.Fatalf("Get = %v ok=%v err=%v", r, ok, err)
 	}
@@ -116,7 +116,7 @@ func TestFragmentDelete(t *testing.T) {
 	if ok, _ := fr.Delete(nil, rids[5]); ok {
 		t.Error("double delete")
 	}
-	if _, ok, _ := fr.Get(rids[5]); ok {
+	if _, ok, _ := fr.Get(rids[5], nil, nil); ok {
 		t.Error("deleted row still visible")
 	}
 	n, _ := rowCount(fr)

@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/catalog"
@@ -113,16 +114,19 @@ func (fr *Fragment) Insert(tx TxHook, r types.Row) (page.RID, error) {
 		if err != nil {
 			return page.RID{}, false, err
 		}
+		f.Latch.Lock()
 		if page.TypeOf(f.Buf) == page.TypeFree {
 			page.InitRowPage(f.Buf)
 		}
 		rp, err := page.AsRowPage(f.Buf)
 		if err != nil {
+			f.Latch.Unlock()
 			fr.Node.Buf.Unpin(f, false)
 			return page.RID{}, false, err
 		}
 		slot, ok := rp.InsertEncoded(enc)
 		if !ok {
+			f.Latch.Unlock()
 			fr.Node.Buf.Unpin(f, false)
 			return page.RID{}, false, nil
 		}
@@ -130,6 +134,7 @@ func (fr *Fragment) Insert(tx TxHook, r types.Row) (page.RID, error) {
 			lsn := tx.LogInsert(k, uint16(slot), enc)
 			page.SetLSN(f.Buf, lsn)
 		}
+		f.Latch.Unlock()
 		fr.Node.Buf.Unpin(f, true)
 		// Maintain min-max SMA for the page.
 		for ci, col := range fr.Def.Schema.Cols {
@@ -157,8 +162,10 @@ func (fr *Fragment) Insert(tx TxHook, r types.Row) (page.RID, error) {
 	return rid, nil
 }
 
-// Get fetches a row by RID.
-func (fr *Fragment) Get(rid page.RID) (types.Row, bool, error) {
+// Get fetches a row by RID the way a scan with ScanOptions.Mask set to mask
+// reads it: a nil mask returns a whole row the caller owns; otherwise only
+// the marked columns are decoded, into dst.
+func (fr *Fragment) Get(rid page.RID, mask []bool, dst types.Row) (types.Row, bool, error) {
 	if int(rid.Disk) >= len(fr.Files) {
 		return nil, false, fmt.Errorf("storage: rid disk %d out of range", rid.Disk)
 	}
@@ -168,11 +175,13 @@ func (fr *Fragment) Get(rid page.RID) (types.Row, bool, error) {
 		return nil, false, err
 	}
 	defer fr.Node.Buf.Unpin(f, false)
+	f.Latch.RLock()
+	defer f.Latch.RUnlock()
 	rp, err := page.AsRowPage(f.Buf)
 	if err != nil {
 		return nil, false, err
 	}
-	return rp.Get(int(rid.Slot))
+	return rp.Get(int(rid.Slot), mask, dst)
 }
 
 // Delete tombstones a row (out-of-place, as in the paper).
@@ -190,8 +199,10 @@ func (fr *Fragment) Delete(tx TxHook, rid page.RID) (bool, error) {
 	if err != nil {
 		return false, err
 	}
+	f.Latch.Lock()
 	rp, err := page.AsRowPage(f.Buf)
 	if err != nil {
+		f.Latch.Unlock()
 		fr.Node.Buf.Unpin(f, false)
 		return false, err
 	}
@@ -204,6 +215,7 @@ func (fr *Fragment) Delete(tx TxHook, rid page.RID) (bool, error) {
 		lsn := tx.LogDelete(k, rid.Slot, before)
 		page.SetLSN(f.Buf, lsn)
 	}
+	f.Latch.Unlock()
 	fr.Node.Buf.Unpin(f, ok)
 	// A delete invalidates cached absence proofs? No — deletes only remove
 	// rows, so "no rows match θ" stays true. Min-max also stays sound
@@ -232,6 +244,12 @@ type ScanOptions struct {
 	// upgrade deadlocks).
 	Tx            TxHook
 	LockExclusive bool
+	// Mask, when set, marks by column offset the columns a row scan decodes
+	// (it adds SkipConj's own). Each worker then decodes every live row into
+	// one scratch row of its own, which fn borrows until it returns: only the
+	// marked columns hold the row's values. Without a mask fn gets whole
+	// rows it owns.
+	Mask []bool
 }
 
 // Scan is ParallelScan at degree 1: the whole scan runs on the caller's
@@ -296,19 +314,72 @@ func (fr *Fragment) scanMorsels(opts ScanOptions, workers, morselPages int, fn f
 			morsels = append(morsels, morsel{disk: disk, file: fileID, start: start, end: end, numPages: numPages, tail: tail})
 		}
 	}
+	sc := rowScan{opts: opts, skipCols: opts.SkipConj.Offsets(fr.Def.Schema)}
+	if opts.Mask != nil {
+		sc.opts.Mask = append([]bool(nil), opts.Mask...)
+		for _, c := range sc.skipCols {
+			if c >= 0 && c < len(sc.opts.Mask) {
+				sc.opts.Mask[c] = true
+			}
+		}
+	}
+	sc.workers = make([]rowScanWorker, max(workers, 1))
 	stats, err := runMorsels(len(morsels), workers, func(run *morselRun, w, i int) (ScanStats, bool, error) {
-		return fr.scanMorsel(opts, morsels[i], w, run, fn)
+		return fr.scanMorsel(&sc, morsels[i], w, run, fn)
 	})
+	for _, sw := range sc.workers {
+		if sw.page != nil {
+			pageCopies.Put(sw.page)
+		}
+	}
 	fr.Node.RowsScanned.Add(stats.RowsRead)
 	return stats, err
 }
 
-// scanMorsel is the per-page body of every row scan. It reports false once
-// fn has stopped the scan; run.stopped is checked between pages so a stop
-// raised by another worker ends this one promptly.
-func (fr *Fragment) scanMorsel(opts ScanOptions, m morsel, w int, run *morselRun, fn func(worker int, rid page.RID, r types.Row) bool) (ScanStats, bool, error) {
+// rowScan is what the workers of one row scan share: the options, with the
+// mask widened to the skip conjunction's columns, and those columns'
+// offsets, resolved once.
+type rowScan struct {
+	opts     ScanOptions
+	skipCols []int
+	workers  []rowScanWorker
+}
+
+// rowScanWorker is one worker's scratch: the copy of the page it reads and,
+// for a masked scan, the row it decodes into.
+type rowScanWorker struct {
+	page *[]byte
+	row  types.Row
+}
+
+// pageCopies recycles the buffers row scans copy a page into, so that a
+// scan of a one-page table allocates no page.
+var pageCopies sync.Pool
+
+// copyPage copies rp into the worker's page buffer. Called under the page's
+// read latch.
+func (sw *rowScanWorker) copyPage(rp page.RowPage) page.RowPage {
+	if sw.page == nil {
+		sw.page, _ = pageCopies.Get().(*[]byte)
+	}
+	if sw.page == nil || len(*sw.page) != len(rp.Buf) {
+		buf := make([]byte, len(rp.Buf))
+		sw.page = &buf
+	}
+	return rp.CopyTo(*sw.page)
+}
+
+// scanMorsel is the per-page body of every row scan. It reads each page
+// from a copy taken under the page's read latch, so fn — which may ship a
+// slab and wait for its consumer — never runs with the latch held. It
+// reports false once fn has stopped the scan; run.stopped is checked between
+// pages so a stop raised by another worker ends this one promptly.
+func (fr *Fragment) scanMorsel(sc *rowScan, m morsel, w int, run *morselRun, fn func(worker int, rid page.RID, r types.Row) bool) (ScanStats, bool, error) {
 	var stats ScanStats
-	colIndex := func(name string) int { return fr.Def.Schema.Find(name) }
+	opts, sw := &sc.opts, &sc.workers[w]
+	if opts.Mask != nil && sw.row == nil {
+		sw.row = make(types.Row, fr.Def.Schema.Len())
+	}
 	end, numPages := m.end, m.numPages
 	for p := m.start; ; p++ {
 		if p >= end {
@@ -343,22 +414,30 @@ func (fr *Fragment) scanMorsel(opts ScanOptions, m morsel, w int, run *morselRun
 		if err != nil {
 			return stats, false, err
 		}
-		if page.TypeOf(f.Buf) == page.TypeFree {
-			fr.Node.Buf.Unpin(f, false)
+		f.Latch.RLock()
+		free := page.TypeOf(f.Buf) == page.TypeFree
+		rp, err := page.AsRowPage(f.Buf)
+		if !free && err == nil {
+			rp = sw.copyPage(rp)
+		}
+		f.Latch.RUnlock()
+		fr.Node.Buf.Unpin(f, false)
+		if free {
 			continue
 		}
-		rp, err := page.AsRowPage(f.Buf)
 		if err != nil {
-			fr.Node.Buf.Unpin(f, false)
 			return stats, false, err
 		}
 		stats.PagesRead++
-		anyMatch := false
+		// An absence fact is recorded for FULL pages only (the last page of
+		// a file may still receive inserts); one matching row rules it out.
+		isFull := p < numPages-1
+		record := opts.UseCache && opts.SkipComplete && isFull && len(opts.SkipConj) > 0
 		stopped := false
-		err = rp.Scan(func(slot int, r types.Row) bool {
+		err = rp.Scan(opts.Mask, sw.row, func(slot int, r types.Row) bool {
 			stats.RowsRead++
-			if len(opts.SkipConj) > 0 && opts.SkipConj.MatchesRow(r, colIndex) {
-				anyMatch = true
+			if record && opts.SkipConj.MatchesRow(r, sc.skipCols) {
+				record = false
 			}
 			rid := page.RID{Node: uint16(fr.Node.NodeID), Disk: uint16(m.disk), Page: p, Slot: uint16(slot)}
 			if !fn(w, rid, r) {
@@ -367,14 +446,10 @@ func (fr *Fragment) scanMorsel(opts ScanOptions, m morsel, w int, run *morselRun
 			}
 			return true
 		})
-		fr.Node.Buf.Unpin(f, false)
 		if err != nil || stopped {
 			return stats, false, err
 		}
-		// Record an absence fact for FULL pages only (the last page of
-		// a file may still receive inserts).
-		isFull := p < numPages-1
-		if opts.UseCache && opts.SkipComplete && isFull && !anyMatch && len(opts.SkipConj) > 0 {
+		if record {
 			fr.PredCache.Record(k, opts.SkipConj)
 		}
 	}
@@ -431,10 +506,10 @@ func (fr *Fragment) Reorganize() error {
 			if err != nil {
 				return err
 			}
-			for i := range f.Buf {
-				f.Buf[i] = 0
-			}
+			f.Latch.Lock()
+			clear(f.Buf)
 			page.InitRowPage(f.Buf)
+			f.Latch.Unlock()
 			fr.Node.Buf.Unpin(f, true)
 		}
 		fr.PredCache.InvalidateFile(fileID)

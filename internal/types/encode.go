@@ -90,20 +90,87 @@ func AppendRow(dst []byte, r Row) []byte {
 	return dst
 }
 
+// skipValue returns the number of bytes the value at the start of b
+// encodes, without decoding it. It fails exactly where DecodeValue fails.
+func skipValue(b []byte) (int, error) {
+	if len(b) == 0 {
+		return 0, fmt.Errorf("types: decode value: empty buffer")
+	}
+	switch Kind(b[0]) {
+	case KindNull:
+		return 1, nil
+	case KindInt, KindDate:
+		if _, n := binary.Varint(b[1:]); n > 0 {
+			return 1 + n, nil
+		}
+		return 0, fmt.Errorf("types: decode value: bad varint")
+	case KindBool:
+		if len(b) < 2 {
+			return 0, fmt.Errorf("types: decode value: short bool")
+		}
+		return 2, nil
+	case KindFloat:
+		if len(b) < 9 {
+			return 0, fmt.Errorf("types: decode value: short float")
+		}
+		return 9, nil
+	case KindString:
+		l, n := binary.Uvarint(b[1:])
+		if n <= 0 {
+			return 0, fmt.Errorf("types: decode value: bad string length")
+		}
+		if uint64(len(b)-1-n) < l {
+			return 0, fmt.Errorf("types: decode value: short string (%d < %d)", len(b)-1-n, l)
+		}
+		return 1 + n + int(l), nil
+	default:
+		return 0, fmt.Errorf("types: decode value: unknown kind %d", b[0])
+	}
+}
+
 // DecodeRow decodes one row from b, returning the row and bytes consumed.
-func DecodeRow(b []byte) (Row, int, error) {
+func DecodeRow(b []byte) (Row, int, error) { return decodeRow(b, nil, true, nil) }
+
+// DecodeRowInto decodes one row from b into dst, the caller's row, filling
+// only the columns mask marks (column i is marked when i < len(mask) and
+// mask[i]). The bytes of an unmarked column are checked and skipped without
+// allocating, and dst keeps whatever it held there. dst is resliced to the
+// row's arity, reusing its backing array when that is large enough; the row
+// is returned. It rejects exactly the encodings DecodeRow rejects and
+// consumes the same bytes.
+func DecodeRowInto(b []byte, mask []bool, dst Row) (Row, int, error) {
+	return decodeRow(b, mask, false, dst)
+}
+
+// decodeRow is DecodeRow (all set) and DecodeRowInto.
+func decodeRow(b []byte, mask []bool, all bool, dst Row) (Row, int, error) {
 	arity, n := binary.Uvarint(b)
 	if n <= 0 {
 		return nil, 0, fmt.Errorf("types: decode row: bad arity")
 	}
 	pos := n
-	row := make(Row, arity)
+	// Every value takes at least its tag byte, so a longer arity cannot
+	// decode; refusing it here keeps a corrupt arity from sizing the row.
+	if arity > uint64(len(b)-pos) {
+		return nil, 0, fmt.Errorf("types: decode row: arity %d exceeds the %d bytes left", arity, len(b)-pos)
+	}
+	if uint64(cap(dst)) < arity {
+		dst = make(Row, arity)
+	}
+	row := dst[:arity]
 	for i := range row {
-		v, m, err := DecodeValue(b[pos:])
+		var (
+			m   int
+			err error
+		)
+		if all || i < len(mask) && mask[i] {
+			row[i], m, err = DecodeValue(b[pos:])
+		} else {
+			m, err = skipValue(b[pos:])
+		}
 		if err != nil {
 			return nil, 0, fmt.Errorf("types: decode row col %d: %w", i, err)
 		}
-		row[i] = v
 		pos += m
 	}
 	return row, pos, nil

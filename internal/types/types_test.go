@@ -296,6 +296,61 @@ func TestEncodeDecodeRowQuick(t *testing.T) {
 	}
 }
 
+// FuzzDecodeRowInto: on any input, DecodeRowInto under any mask succeeds
+// exactly when DecodeRow does, and then fills the marked columns with
+// DecodeRow's values, leaves the others as dst held them, and consumes the
+// same bytes. It never panics. The seeds are TestEncodeDecodeRowQuick's rows
+// and a few truncations and corruptions of one.
+func FuzzDecodeRowInto(f *testing.F) {
+	for _, r := range []Row{
+		{NewInt(7), NewFloat(-1.5), NewString("abc"), NewBool(true), Null},
+		{NewInt(math.MinInt64), NewFloat(math.Inf(1)), NewString(""), NewBool(false), Null},
+		{NewInt(1 << 40), NewFloat(0), NewString(strings.Repeat("x", 200)), NewBool(true), Null},
+		{NewDate(9000), NewString("carefully final deposits")},
+		{},
+	} {
+		enc := AppendRow(nil, r)
+		f.Add(enc, uint64(0b10101))
+		f.Add(enc, ^uint64(0))
+		f.Add(enc[:len(enc)/2], uint64(0b01010))
+	}
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x0f}, uint64(1)) // an arity of 2^32-1 over no bytes
+	f.Add([]byte{2, byte(KindString), 0x80}, uint64(0))    // a string length cut short
+	f.Fuzz(func(t *testing.T, b []byte, bits uint64) {
+		mask := make([]bool, bits%67)
+		for i := range mask {
+			mask[i] = bits>>(i%64)&1 == 1
+		}
+		sentinel := NewString("untouched")
+		dst := make(Row, bits%7)
+		for i := range dst {
+			dst[i] = sentinel
+		}
+		want, wantN, wantErr := DecodeRow(b)
+		got, n, err := DecodeRowInto(b, mask, dst)
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("DecodeRow err %v, DecodeRowInto err %v", wantErr, err)
+		}
+		if err != nil {
+			return
+		}
+		if n != wantN || len(got) != len(want) {
+			t.Fatalf("consumed %d bytes into %d columns, DecodeRow %d into %d", n, len(got), wantN, len(want))
+		}
+		same := func(a, b Value) bool {
+			return a.K == b.K && a.I == b.I && math.Float64bits(a.F) == math.Float64bits(b.F) && a.S == b.S
+		}
+		for i := range want {
+			switch marked := i < len(mask) && mask[i]; {
+			case marked && !same(got[i], want[i]):
+				t.Fatalf("col %d: %v, DecodeRow %v", i, got[i], want[i])
+			case !marked && len(want) <= len(dst) && !same(got[i], sentinel):
+				t.Fatalf("unmarked col %d overwritten with %v", i, got[i])
+			}
+		}
+	})
+}
+
 func TestDecodeValueErrors(t *testing.T) {
 	if _, _, err := DecodeValue(nil); err == nil {
 		t.Error("empty buffer should fail")

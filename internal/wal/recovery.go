@@ -186,15 +186,19 @@ func applyRedo(pa PageAccess, r *Record) (bool, error) {
 	if err != nil {
 		return false, fmt.Errorf("wal: redo fetch %v: %w", r.Page, err)
 	}
+	f.Latch.Lock()
 	if page.LSN(f.Buf) >= r.LSN {
+		f.Latch.Unlock()
 		pa.Unpin(f, false)
 		return false, nil
 	}
 	if err := applyAction(f.Buf, r); err != nil {
+		f.Latch.Unlock()
 		pa.Unpin(f, false)
 		return false, fmt.Errorf("wal: redo record type %d lsn=%d: %w", r.Type, r.LSN, err)
 	}
 	page.SetLSN(f.Buf, r.LSN)
+	f.Latch.Unlock()
 	pa.Unpin(f, true)
 	return true, nil
 }
@@ -269,11 +273,15 @@ func UndoTransaction(l *Log, pa PageAccess, tx uint64, lastLSN uint64) (int, err
 			if err != nil {
 				return undone, fmt.Errorf("wal: undo fetch %v: %w", r.Page, err)
 			}
+			// A rollback runs beside other sessions' scans of the page.
+			f.Latch.Lock()
 			if err := applyAction(f.Buf, clr); err != nil {
+				f.Latch.Unlock()
 				pa.Unpin(f, false)
 				return undone, fmt.Errorf("wal: undo apply lsn=%d: %w", lsn, err)
 			}
 			page.SetLSN(f.Buf, clrLSN)
+			f.Latch.Unlock()
 			pa.Unpin(f, true)
 			lastLSN = clrLSN
 			undone++

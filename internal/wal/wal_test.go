@@ -77,7 +77,7 @@ func mustRowPage(t *testing.T, buf []byte) page.RowPage {
 // mustGet reads a slot, failing the test on a decode error.
 func mustGet(t *testing.T, rp page.RowPage, slot int) (types.Row, bool) {
 	t.Helper()
-	r, ok, err := rp.Get(slot)
+	r, ok, err := rp.Get(slot, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -468,7 +468,7 @@ func TestRecoveryQuickProperty(t *testing.T) {
 		f := mustFetch(t, m2, key)
 		rp := mustRowPage(t, f.Buf)
 		got := map[int64]bool{}
-		rp.Scan(func(slot int, r types.Row) bool { got[r[0].Int()] = true; return true })
+		rp.Scan(nil, nil, func(slot int, r types.Row) bool { got[r[0].Int()] = true; return true })
 		m2.Unpin(f, false)
 		if len(got) != len(committed) {
 			t.Fatalf("trial %d: recovered %v, want %v", trial, got, committed)

@@ -29,7 +29,7 @@ go test ./...
 echo "==> go test -race (every package with goroutines, parity suites or golden plans)"
 go test -race ./internal/exec ./internal/cluster ./internal/srv ./internal/buffer \
   ./internal/txn ./internal/obs ./internal/network ./internal/storage ./internal/page \
-  ./internal/vec ./internal/compress ./internal/tpch ./internal/opt ./internal/perfmodel ./cmd/hrdbms-server
+  ./internal/vec ./internal/compress ./internal/tpch ./internal/opt ./internal/perfmodel ./internal/skipcache ./cmd/hrdbms-server
 
 echo "==> go test -tags invariants (buffer, txn; storage and exec scan through poisoned recycled frames)"
 go test -tags invariants ./internal/buffer ./internal/txn ./internal/storage ./internal/exec
@@ -43,6 +43,9 @@ go test -run '^$' -bench BenchmarkParallelVsSerial -benchtime 1x ./internal/exec
 echo "==> bench smoke (hash join: small build under a large probe, and a q21-shaped large build)"
 go test -run '^$' -bench BenchmarkHashJoinBuildProbe -benchtime 1x ./internal/exec >/dev/null
 
+echo "==> bench smoke (row scan over partsupp-shaped rows: 1-in-200 and all-pass predicate on an unemitted column)"
+go test -run '^$' -bench BenchmarkRowScan -benchtime 1x ./internal/exec >/dev/null
+
 echo "==> bench smoke (typed vs boxed page decode, per layout: tagged, fixed, dict; full and 10 %-selective)"
 go test -run '^$' -bench BenchmarkTypedVsBoxedDecode -benchtime 1x ./internal/page >/dev/null
 
@@ -54,6 +57,9 @@ go test -run '^$' -bench BenchmarkLZ4Decode -benchtime 1x ./internal/compress >/
 
 echo "==> fuzz smoke (all eight column-page readers, every layout, and chain heads: error with exact rollback, a chain inside its overflow file, never panic)"
 go test -run '^$' -fuzz '^FuzzTypedDecode$' -fuzztime 5s ./internal/page >/dev/null
+
+echo "==> fuzz smoke (masked row decoder: agrees with DecodeRow under any mask, never panics)"
+go test -run '^$' -fuzz '^FuzzDecodeRowInto$' -fuzztime 5s ./internal/types >/dev/null
 
 echo "==> fuzz smoke (Huffman decoder: never panics, agrees with the bit-serial reference)"
 go test -run '^$' -fuzz '^FuzzHuffmanDecode$' -fuzztime 5s ./internal/compress >/dev/null
