@@ -6,8 +6,11 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/expr"
+	"repro/internal/obs"
 	"repro/internal/opt"
 	"repro/internal/plan"
+	"repro/internal/sqlparse"
+	"repro/internal/tpch"
 	"repro/internal/types"
 )
 
@@ -141,4 +144,83 @@ func TestGroupByColumnNamedLikePrunedPartitionColumn(t *testing.T) {
 		 GROUP BY x.l_orderkey`, false)
 	checkAgainstReference(t, c, data,
 		`SELECT l_partkey, count(*) FROM lineitem, orders WHERE l_partkey = o_custkey GROUP BY l_partkey`, false)
+}
+
+// TestRepeatedKeyColumnsShuffleOnDistinctPairs: q9's last join equates
+// (l_suppkey, l_partkey, p_partkey, s_suppkey) with (ps_suppkey, ps_partkey,
+// ps_partkey, ps_suppkey). Hashed whole, each partsupp column enters the key
+// twice and cancels out of the low bits a shuffle routes on, so both of the
+// join's shuffles left half the workers without a row. The inputs are
+// partitioned on the pairs whose columns no earlier pair names; the join
+// still matches on all four.
+func TestRepeatedKeyColumnsShuffleOnDistinctPairs(t *testing.T) {
+	k := func(i int) expr.Expr { return &expr.Col{Index: i} }
+	left, right, ln, rn := distinctPairs([]expr.Expr{k(2), k(1), k(6), k(8)}, []expr.Expr{k(1), k(0), k(0), k(1)},
+		[]string{"l_suppkey", "l_partkey", "p_partkey", "s_suppkey"}, []string{"ps_suppkey", "ps_partkey", "ps_partkey", "ps_suppkey"})
+	if !slices.Equal(ln, []string{"l_suppkey", "l_partkey"}) || !slices.Equal(rn, []string{"ps_suppkey", "ps_partkey"}) ||
+		len(left) != 2 || left[1].(*expr.Col).Index != 1 || len(right) != 2 || right[1].(*expr.Col).Index != 0 {
+		t.Errorf("q9's keys partition on %v = %v, want [l_suppkey l_partkey] = [ps_suppkey ps_partkey]", ln, rn)
+	}
+	if _, _, ln, rn := distinctPairs([]expr.Expr{k(0), k(0)}, []expr.Expr{k(0), k(1)},
+		[]string{"a", "a"}, []string{"x", "y"}); !slices.Equal(ln, []string{"a"}) || !slices.Equal(rn, []string{"x"}) {
+		t.Errorf("a = x AND a = y partitions on %v = %v, want [a] = [x]", ln, rn)
+	}
+
+	c, err := New(Config{NumWorkers: 4, BaseDir: t.TempDir(), PageSize: 32 * 1024, Nmax: 3, Profile: HRDBMSProfile()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	for _, ddl := range tpch.DDL() {
+		if _, err := c.ExecSQL(ddl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for tbl, rows := range tpch.Generate(0.01, 20260706).Tables() {
+		if _, err := c.Load(tbl, rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sql := tpch.Queries()["q9"]
+	sel, err := sqlparse.ParseSelect(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	node, err := c.Plan(sel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, tr, err := c.RunTraced(node, sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spans := tr.Spans()
+	byID := map[int64]obs.SpanSnapshot{}
+	for _, sp := range spans {
+		byID[sp.ID] = sp
+	}
+	// The last join is the one on each worker with no join above it.
+	top := map[int64]bool{}
+	for _, sp := range spans {
+		if sp.Op != "HashJoin" {
+			continue
+		}
+		under := false
+		for p := sp.Parent; p != 0 && !under; p = byID[p].Parent {
+			under = byID[p].Op == "HashJoin"
+		}
+		top[sp.ID] = !under
+	}
+	shuffles := map[int]int{} // by node: the last join's shuffles that delivered rows
+	for _, sp := range spans {
+		if sp.Op == "Shuffle" && top[sp.Parent] && sp.RowsOut > 0 {
+			shuffles[sp.Node]++
+		}
+	}
+	for _, w := range c.Workers {
+		if shuffles[w.ID] != 2 {
+			t.Errorf("node %d: %d of the last join's two shuffles delivered rows:\n%s", w.ID, shuffles[w.ID], tr.Render())
+			break
+		}
+	}
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 
@@ -359,6 +360,10 @@ func (q *queryExec) distributeNode(n plan.Node) (*dstream, error) {
 			return exec.NewFilter(ctx, in, x.Pred)
 		}), nil
 	case *plan.Project:
+		if isIdentity(x, ds.sch) {
+			// Not placed: the input passes through, typed or not.
+			return ds, nil
+		}
 		out := q.each(ds, "Project", func(in exec.Operator, ctx *exec.Ctx) exec.Operator {
 			return exec.NewProject(ctx, in, x.Exprs, x.Names)
 		})
@@ -401,6 +406,22 @@ func (q *queryExec) distributeNode(n plan.Node) (*dstream, error) {
 	default:
 		return nil, fmt.Errorf("cluster: cannot distribute %T", n)
 	}
+}
+
+// isIdentity reports whether projection p outputs rows of schema in
+// unchanged: column i as column i, under the same name and kind.
+func isIdentity(p *plan.Project, in types.Schema) bool {
+	out := p.Schema()
+	if len(p.Exprs) != in.Len() {
+		return false
+	}
+	for i, e := range p.Exprs {
+		c, ok := e.(*expr.Col)
+		if !ok || c.Index != i || out.Cols[i].Name != in.Cols[i].Name || out.Cols[i].Kind != in.Cols[i].Kind {
+			return false
+		}
+	}
+	return true
 }
 
 func allIdx(n int) []int {
@@ -558,9 +579,9 @@ func (q *queryExec) distributeJoin(x *plan.Join) (*dstream, error) {
 	}
 	// The join runs once, on the coordinator, over all of both inputs when
 	// either input is already there, when there are no equality keys to
-	// partition on, or when it is a semi/anti join whose probe side is
-	// replicated and whose build side is not (every worker would emit its
-	// replica's matches against its own share of the build side).
+	// partition on, or when it is a semi/anti join whose left input is
+	// replicated and whose right is not (every worker would emit its
+	// replica's matches against its own share of the right).
 	if left.coord || right.coord || len(x.EquiLeft) == 0 ||
 		x.Type != exec.JoinInner && left.dist.Kind == opt.DistReplicated && right.dist.Kind != opt.DistReplicated {
 		return onCoord(q.makeJoin(q.toCoord(left).ops[0], q.toCoord(right).ops[0], x), x.Schema()), nil
@@ -568,17 +589,24 @@ func (q *queryExec) distributeJoin(x *plan.Join) (*dstream, error) {
 
 	leftNames, leftPlain := keyNames(x.EquiLeft, x.Left.Schema())
 	rightNames, rightPlain := keyNames(x.EquiRight, x.Right.Schema())
+	leftKeys, rightKeys := x.EquiLeft, x.EquiRight
+	if leftPlain && rightPlain {
+		leftKeys, rightKeys, leftNames, rightNames = distinctPairs(leftKeys, rightKeys, leftNames, rightNames)
+	}
 
 	// The one place worker joins are built, once the distribution is fixed.
-	// An inner join builds on whichever input leaves the smaller share on a
-	// worker; a semi or anti join always builds on its right. Over a typed
-	// probe stream the probe reads the scan's batches through the join's
-	// typed front end; the build side is read as rows whatever it is (the
-	// table stores boxed rows), and what a join produces is rows.
+	// A join builds on whichever input leaves the smaller share on a worker;
+	// a semi or anti join built on its left marks the build rows the probe
+	// matches. Either way every left row meets every right row that could
+	// match it: the inputs are co-located, or the right is whole on every
+	// worker. Over a typed probe stream the probe reads the scan's batches
+	// through the join's typed front end; the build side is read as rows
+	// whatever it is (the table stores boxed rows), and what a join produces
+	// is rows.
 	par := q.prof.Parallelism
 	join := func(l, r *dstream, d opt.DistInfo) *dstream {
 		probe, build, probeKeys, buildKeys := l, r, x.EquiLeft, x.EquiRight
-		buildLeft := x.Type == exec.JoinInner && q.buildShare(x.Left, l) < q.buildShare(x.Right, r)
+		buildLeft := q.buildShare(x.Left, l) < q.buildShare(x.Right, r)
 		if buildLeft {
 			probe, build, probeKeys, buildKeys = r, l, x.EquiRight, x.EquiLeft
 		}
@@ -601,14 +629,13 @@ func (q *queryExec) distributeJoin(x *plan.Join) (*dstream, error) {
 
 	switch {
 	case right.dist.Kind == opt.DistReplicated:
-		// Build side replicated: co-located join everywhere; output keeps
-		// the probe side's distribution.
+		// Right replicated: co-located join everywhere; output keeps the
+		// left's distribution.
 		return join(left, right, left.dist), nil
 	case left.dist.Kind == opt.DistReplicated:
-		// Probe side replicated (an inner join, or it would be on the
-		// coordinator): each worker probes its replica against its
-		// partition of the build side; build rows partition, so no
-		// duplicates arise.
+		// Left replicated (an inner join, or it would be on the
+		// coordinator): each worker joins its replica with its partition
+		// of the right; right rows partition, so no duplicates arise.
 		return join(left, right, right.dist), nil
 	}
 
@@ -627,13 +654,13 @@ func (q *queryExec) distributeJoin(x *plan.Join) (*dstream, error) {
 		return join(left, b, left.dist), nil
 	}
 	if !leftOK {
-		left, err = q.shuffle(left, x.EquiLeft, leftNames)
+		left, err = q.shuffle(left, leftKeys, leftNames)
 		if err != nil {
 			return nil, err
 		}
 	}
 	if !rightOK {
-		right, err = q.shuffle(right, x.EquiRight, rightNames)
+		right, err = q.shuffle(right, rightKeys, rightNames)
 		if err != nil {
 			return nil, err
 		}
@@ -645,13 +672,32 @@ func (q *queryExec) distributeJoin(x *plan.Join) (*dstream, error) {
 	return join(left, right, outDist), nil
 }
 
-// wantBroadcast decides shuffle-vs-broadcast for an equi-join whose probe
-// side is mispartitioned, using the shared cost model on the estimated
-// build-side size. Inner/semi/anti joins stay correct under a replicated
-// build side because each probe row lives on exactly one worker and sees
-// the complete build set there. The cluster's exact-name match has decided
-// what is already placed: not the probe side (the caller established
-// !leftOK), and the build side, distributed as rd, only when rightOK.
+// distinctPairs keeps the equality key pairs whose left and right columns
+// no earlier kept pair names: what a join's inputs are partitioned on.
+// Matching rows agree on every pair, so any subset of the pairs places them
+// alike, while a column hashed twice cancels out of the low bits of
+// types.HashRow that a shuffle routes on and leaves workers without rows.
+// The join itself still matches on every pair.
+func distinctPairs(left, right []expr.Expr, leftNames, rightNames []string) ([]expr.Expr, []expr.Expr, []string, []string) {
+	var kl, kr []expr.Expr
+	var nl, nr []string
+	for i := range left {
+		if slices.Contains(nl, leftNames[i]) || slices.Contains(nr, rightNames[i]) {
+			continue
+		}
+		kl, kr = append(kl, left[i]), append(kr, right[i])
+		nl, nr = append(nl, leftNames[i]), append(nr, rightNames[i])
+	}
+	return kl, kr, nl, nr
+}
+
+// wantBroadcast decides shuffle-vs-broadcast for an equi-join whose left
+// input is mispartitioned, using the shared cost model on the estimated
+// size of the right. Inner/semi/anti joins stay correct under a replicated
+// right, whichever side builds, because each left row lives on exactly one
+// worker and meets all of the right there. The cluster's exact-name match
+// has decided what is already placed: not the left (the caller established
+// !leftOK), and the right, distributed as rd, only when rightOK.
 func (q *queryExec) wantBroadcast(x *plan.Join, leftNames, rightNames []string, rd opt.DistInfo, rightOK bool) bool {
 	switch x.Type {
 	case exec.JoinInner, exec.JoinSemi, exec.JoinAnti:

@@ -37,28 +37,44 @@ func benchRows(n int, keys int) []types.Row {
 // is build-heavy with the planner's inputs the other way round — the 15,000
 // rows on the left, as lineitem is under q5's join with orders — built on
 // the small left side (BuildLeft), so the output is build ++ probe.
+// semi-mark and anti-mark are q21's semi and anti joins on one worker: 600
+// left rows against a 15,000-row right with four rows a key, under q21's
+// "another supplier" residual, built on the left as a mark join; semi-right
+// and anti-right are the same joins built on the right, their 15,000 rows
+// filed in the table.
 func BenchmarkHashJoinBuildProbe(b *testing.B) {
 	sch := intSchema("k", "v", "s")
+	// Over left ++ right: the left row's v differs from the right row's.
+	otherRow := &expr.Bin{Op: expr.OpNe, L: col(1), R: col(sch.Len() + 1)}
 	for _, c := range []struct {
 		name             string
 		probe, probeKeys int
 		build, buildKeys int
 		buildLeft        bool
+		jt               JoinType
 	}{
-		{"probe-heavy", 50000, 1000, 1000, 1000, false},
-		{"probe-miss", 50000, 10000, 1000, 1000, false},
-		{"build-heavy", 60000, 3750, 15000, 3750, false},
-		{"build-heavy-swapped", 60000, 3750, 15000, 3750, true},
-		{"build-heavy-miss", 60000, 37500, 15000, 3750, false},
+		{"probe-heavy", 50000, 1000, 1000, 1000, false, JoinInner},
+		{"probe-miss", 50000, 10000, 1000, 1000, false, JoinInner},
+		{"build-heavy", 60000, 3750, 15000, 3750, false, JoinInner},
+		{"build-heavy-swapped", 60000, 3750, 15000, 3750, true, JoinInner},
+		{"build-heavy-miss", 60000, 37500, 15000, 3750, false, JoinInner},
+		{"semi-mark", 15000, 3750, 600, 600, true, JoinSemi},
+		{"semi-right", 600, 600, 15000, 3750, false, JoinSemi},
+		{"anti-mark", 15000, 3750, 600, 600, true, JoinAnti},
+		{"anti-right", 600, 600, 15000, 3750, false, JoinAnti},
 	} {
 		probeRows := benchRows(c.probe, c.probeKeys)
 		buildRows := benchRows(c.build, c.buildKeys)
+		var residual expr.Expr
+		if c.jt != JoinInner {
+			residual = otherRow
+		}
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(int64(len(probeRows)))
 			for i := 0; i < b.N; i++ {
 				j := NewHashJoin(nil, NewSource(sch, probeRows), NewSource(sch, buildRows),
-					ColRefs(0), ColRefs(0), JoinInner, nil, 2)
+					ColRefs(0), ColRefs(0), c.jt, residual, 2)
 				if c.buildLeft {
 					j.BuildLeft()
 				}

@@ -606,7 +606,7 @@ func TestJoinTableChains(t *testing.T) {
 				t.Fatalf("keyHasher filed key %v under %x, the probe hashes it to something else", table.rows[0][0], hk)
 			}
 			table.add(types.Row{table.rows[0][0], types.NewInt(10000)}, table.hashes[0])
-			table.seal()
+			table.seal(false)
 			longest := 0
 			for _, i := range table.heads {
 				n := 0
@@ -636,7 +636,7 @@ func TestJoinTableChains(t *testing.T) {
 // filed hash is missed.
 func TestJoinTableAbsentHashes(t *testing.T) {
 	empty := &joinTable{}
-	empty.seal()
+	empty.seal(false)
 	if j := empty.first(7919); j != -1 {
 		t.Fatalf("empty table: first = %d, want -1", j)
 	}
@@ -649,7 +649,7 @@ func TestJoinTableAbsentHashes(t *testing.T) {
 			table.add(types.Row{types.NewInt(int64(len(table.rows)))}, hk)
 		}
 	}
-	table.seal()
+	table.seal(false)
 	for i, hk := range table.hashes {
 		if j := table.first(hk); j != int32(i) {
 			t.Fatalf("row %d filed under %x: first = %d", i, hk, j)

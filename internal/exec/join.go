@@ -3,6 +3,7 @@ package exec
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/expr"
 	"repro/internal/obs"
@@ -44,9 +45,13 @@ func (t JoinType) String() string {
 //
 // Which of the planner's inputs builds is the caller's choice. Build is
 // normally the right input, so the output and residual row is Probe ++
-// Build; an inner join built on its left input (BuildLeft) keeps the
-// planner's order, Build ++ Probe, by concatenating the other way round in
-// its one emitter — no projection, and the residual is not rebound.
+// Build; a join built on its left input (BuildLeft) keeps the planner's
+// order, Build ++ Probe, by concatenating the other way round in its one
+// match rule — no projection, and the residual is not rebound. A semi or
+// anti join built on its left is a mark join: the probe marks every build
+// row it matches and emits nothing, and once the probe has ended the marked
+// build rows (semi) or the unmarked ones (anti) are emitted in arrival
+// order.
 //
 // When the build side exceeds the memory budget, the join degrades to a
 // Grace hash join: both sides are partitioned to spill files by key hash
@@ -73,7 +78,7 @@ type HashJoin struct {
 	// front end the probe read, and a build on the planner's left input.
 	Trace     *obs.Span
 	typed     VecOperator // Probe's typed face; nil probes row slabs
-	buildLeft bool        // Build is the planner's left input: rows are Build ++ Probe
+	buildLeft bool        // Build is the planner's left input: rows are Build ++ Probe; a semi or anti join marks
 	ctx       *Ctx
 	spills    spillSet
 
@@ -121,13 +126,21 @@ func NewTypedProbeHashJoin(ctx *Ctx, probe VecOperator, build Operator, probeKey
 	return h
 }
 
-// BuildLeft declares an inner join's Build to be the planner's left input
-// and Probe its right, so that the output row and the row the residual reads
-// are Build ++ Probe, as the planner laid them out.
+// BuildLeft declares Build to be the planner's left input and Probe its
+// right, so that the row the residual reads — and an inner join's output
+// row — is Build ++ Probe, as the planner laid them out. A semi or anti join
+// then outputs build rows: its schema is Build's.
 func (h *HashJoin) BuildLeft() {
 	h.buildLeft = true
-	h.out = h.Build.Schema().Concat(h.Probe.Schema())
+	h.out = h.Build.Schema()
+	if h.Type == JoinInner {
+		h.out = h.out.Concat(h.Probe.Schema())
+	}
 }
+
+// marks reports whether the join is a mark join: a semi or anti join built
+// on its left input.
+func (h *HashJoin) marks() bool { return h.buildLeft && h.Type != JoinInner }
 
 // Schema implements Operator.
 func (h *HashJoin) Schema() types.Schema { return h.out }
@@ -193,7 +206,7 @@ func (h *HashJoin) prepare() error {
 	}
 
 	if buildSpill == nil {
-		table.seal()
+		table.seal(h.marks())
 		return h.streamProbe(table)
 	}
 	return h.graceJoin(buildSpill, keys)
@@ -206,11 +219,12 @@ func (h *HashJoin) prepare() error {
 // hash % workers, and within a Grace partition the same hash % fanout, so
 // there the low bits are constant and would leave most slots unused.
 type joinTable struct {
-	rows   []types.Row // the build rows, in arrival order
-	hashes []uint64    // hashes[i]: the key hash rows[i] is filed under
-	heads  []int32     // by slot: the first row of its chain, or -1
-	next   []int32     // next[i]: the row after i in its chain, or -1
-	shift  uint        // slot = hash × φ >> shift
+	rows   []types.Row   // the build rows, in arrival order
+	hashes []uint64      // hashes[i]: the key hash rows[i] is filed under
+	heads  []int32       // by slot: the first row of its chain, or -1
+	next   []int32       // next[i]: the row after i in its chain, or -1
+	marked []atomic.Bool // a mark join's: marked[i] once a probe row matched rows[i]; probe workers share it
+	shift  uint          // slot = hash × φ >> shift
 }
 
 // add files a build row under its key hash; it is not found before seal.
@@ -221,8 +235,12 @@ func (t *joinTable) add(r types.Row, hk uint64) {
 
 // seal chains the rows into a power of two ≥ 2 × rows slots, threading each
 // chain from the last row back so that it lists its rows in arrival order —
-// the order an inner join emits a probe row's matches in.
-func (t *joinTable) seal() {
+// the order an inner join emits a probe row's matches in — and gives a mark
+// join's table its marks.
+func (t *joinTable) seal(marks bool) {
+	if marks {
+		t.marked = make([]atomic.Bool, len(t.rows))
+	}
 	bits := uint(1)
 	for 1<<bits < 2*len(t.rows) {
 		bits++
@@ -291,14 +309,15 @@ func (k *keyHasher) hash(r types.Row) (uint64, error) {
 	return types.HashRow(k.scratch, k.offs), nil
 }
 
-// streamProbe probes the shared read-only table with the probe input, on
-// its own goroutine so results stream while the input is still being read.
-// The degree of parallelism adapts to the node's current load through the
+// streamProbe probes the shared table with the probe input, on its own
+// goroutine so results stream while the input is still being read. The
+// degree of parallelism adapts to the node's current load through the
 // context's parallel budget (Section I: workers reduce the degree of
 // parallelism for query operators when resources are scarce); at degree 1
 // that goroutine drains and probes by itself. Join results cross to the
 // consumer in slabs; each worker probes through its own joinProbe, emitter
-// included, so nothing but the table is shared.
+// included, so nothing but the table — read-only but for a mark join's
+// marks — is shared. A mark join emits once every worker is done.
 func (h *HashJoin) streamProbe(table *joinTable) error {
 	degree := h.ctx.AcquireWorkers(h.Parallel)
 	h.Trace.AddWorkers(int64(degree))
@@ -344,11 +363,27 @@ func (h *HashJoin) streamProbe(table *joinTable) error {
 				return nil
 			}, done)
 		}
+		if err == nil && h.marks() {
+			err = h.emitMarked(table, probes[0].out)
+		}
 		if err != nil && err != errJoinStopped {
 			h.errCh <- err
 		}
 	}()
 	return nil
+}
+
+// emitMarked is a mark join's output, once the probe has ended: the build
+// rows some probe row matched (semi) or none did (anti), in arrival order.
+func (h *HashJoin) emitMarked(t *joinTable, em *joinEmitter) error {
+	for i, r := range t.rows {
+		if h.outputs(t.marked[i].Load()) {
+			if err := em.emit(r); err != nil {
+				return err
+			}
+		}
+	}
+	return em.flush()
 }
 
 // traceInput records on the span which front end the probe read and, when
@@ -438,12 +473,17 @@ func (p *joinProbe) bucket() int32 {
 // the residual, if any, holds over the concatenated pair, concatenated in
 // the planner's order (build first under BuildLeft). An inner join
 // emits every matching pair; for a semi or anti join the first match settles
-// the row, which the front end then outputs or drops.
+// the row, which the front end then outputs or drops. A mark join instead
+// marks every build row that r matches, passing over those already marked.
 func (p *joinProbe) match(r types.Row, i int32) (bool, error) {
 	h, t := p.h, p.table
+	mark := h.marks()
 	matched := false
 candidates:
 	for ; i >= 0; i = t.after(i) {
+		if mark && t.marked[i].Load() {
+			continue
+		}
 		br := t.rows[i]
 		for ki, c := range p.buildCols {
 			var bv types.Value
@@ -461,9 +501,10 @@ candidates:
 		}
 		var joined types.Row
 		switch {
+		case h.Residual == nil && h.Type != JoinInner:
 		case h.buildLeft:
 			joined = br.Concat(r)
-		case h.Residual != nil || h.Type == JoinInner:
+		default:
 			joined = r.Concat(br)
 		}
 		if h.Residual != nil {
@@ -474,6 +515,10 @@ candidates:
 			if !ok {
 				continue
 			}
+		}
+		if mark {
+			t.marked[i].Store(true)
+			continue
 		}
 		if h.Type != JoinInner {
 			return true, nil
@@ -486,10 +531,16 @@ candidates:
 	return matched, nil
 }
 
-// outputsProbe reports whether a semi or anti join outputs a probe row that
-// did or did not find a match.
-func (h *HashJoin) outputsProbe(matched bool) bool {
+// outputs reports whether a semi or anti join outputs a row that did or did
+// not find a match.
+func (h *HashJoin) outputs(matched bool) bool {
 	return (h.Type == JoinSemi && matched) || (h.Type == JoinAnti && !matched)
+}
+
+// outputsProbe reports whether a semi or anti join outputs a probe row that
+// did or did not find a match: never a mark join's, which outputs build rows.
+func (h *HashJoin) outputsProbe(matched bool) bool {
+	return !h.marks() && h.outputs(matched)
 }
 
 // probeRow is the row front end: it emits the join results of one boxed
@@ -523,11 +574,11 @@ func (p *joinProbe) bindTyped() {
 // rows of one batch. A key that is a plain column is read off the column
 // (Col.Value honours the NULL bitmap and a column demoted to boxed), and the
 // row is boxed only once bucket finds a row filed under its very hash — not
-// merely one in the same slot — or an anti join must output it: into
-// scratch, since an inner join's results are fresh concatenations; a semi or
-// anti join's output row is a fresh one. A key that is an expression is
-// evaluated on the boxed row, so every row is boxed first. BoxedRows counts
-// the rows boxed either way.
+// merely one in the same slot — or an anti join must output it (a mark join
+// outputs no probe row): into scratch, since an inner join's results are
+// fresh concatenations; a semi or anti join's output row is a fresh one. A
+// key that is an expression is evaluated on the boxed row, so every row is
+// boxed first. BoxedRows counts the rows boxed either way.
 func (p *joinProbe) probeBatch(b *vec.Batch) error {
 	if p.keyCols == nil {
 		p.bindTyped()
@@ -669,7 +720,8 @@ func (h *HashJoin) graceJoin(buildSpill *spillWriter, buildKeys *keyHasher) erro
 }
 
 // joinPartition joins one pair of Grace partitions through the table the
-// streaming probe uses, built from the partition's build rows.
+// streaming probe uses, built from the partition's build rows; a mark join
+// emits the partition's selected build rows once its probe rows are through.
 func (h *HashJoin) joinPartition(bw, pw *spillWriter, keys *keyHasher, em *joinEmitter) error {
 	br, err := bw.finish()
 	if err != nil {
@@ -691,7 +743,7 @@ func (h *HashJoin) joinPartition(bw, pw *spillWriter, keys *keyHasher, em *joinE
 		table.add(r, hk)
 	}
 	br.close()
-	table.seal()
+	table.seal(h.marks())
 	pr, err := pw.finish()
 	if err != nil {
 		return err
@@ -704,12 +756,16 @@ func (h *HashJoin) joinPartition(bw, pw *spillWriter, keys *keyHasher, em *joinE
 			return err
 		}
 		if !ok {
-			return nil
+			break
 		}
 		if err := probe.probeRow(r); err != nil {
 			return err
 		}
 	}
+	if h.marks() {
+		return h.emitMarked(table, em)
+	}
+	return nil
 }
 
 // NextBatch implements Operator: receive the next result slab from

@@ -371,11 +371,13 @@ func joinEdgeRows(n int, fill func(i int) (k, f types.Value)) []types.Row {
 // residual: no table, no hash. On the streaming path the typed probe must box
 // a row only once the table holds a row filed under its hash or an anti join
 // outputs it; under a budget the build overflows, the Grace path must spill
-// and leave nothing behind. An inner join is also run build first: the
+// and leave nothing behind. Every join type is also run build first: the
 // planner's inputs the other way round (the build rows on the left), built on
 // the left input through either probe front end, streaming and Grace, and
 // checked against the NestedLoopJoin of the flipped inputs — same rows, same
-// column order, the residual reading the planner's row.
+// column order, the residual reading the planner's row. A semi or anti join
+// built so is a mark join: it outputs left rows, each once however many
+// right rows it matched, in the left input's order on the streaming path.
 func TestJoinFrontEndParity(t *testing.T) {
 	testutil.AssertNoGoroutineLeak(t)
 	baseProbeSch, baseProbe, baseBuildSch, baseBuild := joinParityData()
@@ -404,6 +406,9 @@ func TestJoinFrontEndParity(t *testing.T) {
 		{name: "expression key", probeKeys: inc(col(0)), buildKeys: inc(col(0))},
 		{name: "demoted key column", probeKeys: ColRefs(3), buildKeys: ColRefs(3)},
 		{name: "residual", probeKeys: ColRefs(0), buildKeys: ColRefs(0), residual: lt(col(4), col(baseProbeSch.Len()+4))},
+		// q21's shape: a key match counts only with another supplier.
+		{name: "not-equal residual", probeKeys: ColRefs(0), buildKeys: ColRefs(0),
+			residual: &expr.Bin{Op: expr.OpNe, L: col(baseProbeSch.Len() + 2), R: col(2)}},
 		// Equal hashes prove nothing: only the two 0.25 rows on each side match.
 		{name: "unequal float keys sharing a hash", probeKeys: ColRefs(1), buildKeys: ColRefs(1),
 			probe: joinEdgeRows(6, func(i int) (types.Value, types.Value) {
@@ -482,9 +487,7 @@ func TestJoinFrontEndParity(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Run(fmt.Sprintf("%s/%v/nested loop", c.name, jt), func(t *testing.T) { assertSameRows(t, want, nested) })
-			if jt == JoinInner {
-				buildFirstLegs(t, c.name, probeSch, probe, buildSch, build, c.probeKeys, c.buildKeys, c.residual, cond)
-			}
+			buildFirstLegs(t, c.name, jt, probeSch, probe, buildSch, build, c.probeKeys, c.buildKeys, c.residual, cond, admitted)
 			switch {
 			case edge && jt == JoinInner && len(want) != c.inner:
 				t.Fatalf("%s: inner join returns %d rows, want %d", c.name, len(want), c.inner)
@@ -558,7 +561,7 @@ func TestJoinFrontEndParity(t *testing.T) {
 		for _, r := range build {
 			table.add(r, keyHash(t, ColRefs(0), r))
 		}
-		table.seal()
+		table.seal(false)
 		decoys := 0
 		for _, r := range probe {
 			if hk := keyHash(t, ColRefs(0), r); r[0].I%2 == 1 && table.heads[table.slot(hk)] >= 0 {
@@ -590,26 +593,31 @@ func TestJoinFrontEndParity(t *testing.T) {
 }
 
 // buildFirstLegs joins build (the planner's left input) with probe (its
-// right) on a HashJoin built on the left, whose residual and cond are written
-// over probe ++ build, and requires the rows — in build ++ probe order — of
-// the NestedLoopJoin over (build, probe).
-func buildFirstLegs(t *testing.T, name string, probeSch types.Schema, probe []types.Row, buildSch types.Schema, build []types.Row,
-	probeKeys, buildKeys []expr.Expr, residual, cond expr.Expr) {
+// right) on a jt HashJoin built on the left, whose residual and cond are
+// written over probe ++ build, and requires the rows — in build ++ probe
+// order, or build rows for a semi or anti join — of the NestedLoopJoin over
+// (build, probe). admitted is the number of probe rows whose key hash some
+// build row is filed under: the most a typed probe may box.
+func buildFirstLegs(t *testing.T, name string, jt JoinType, probeSch types.Schema, probe []types.Row, buildSch types.Schema, build []types.Row,
+	probeKeys, buildKeys []expr.Expr, residual, cond expr.Expr, admitted int64) {
 	t.Helper()
 	np, nb := probeSch.Len(), buildSch.Len()
 	if residual != nil {
 		residual = swapSides(residual, np, nb)
 	}
 	want, err := Collect(NewNestedLoopJoin(NewCtx("", 0), NewSource(buildSch, build), NewSource(probeSch, probe),
-		swapSides(cond, np, nb), JoinInner))
+		swapSides(cond, np, nb), jt))
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantSch := buildSch.Concat(probeSch)
+	wantSch, leg := buildSch, fmt.Sprintf("%s/%v/build first", name, jt)
+	if jt == JoinInner {
+		wantSch, leg = buildSch.Concat(probeSch), name+"/build first"
+	}
 	for _, typed := range []bool{false, true} {
 		for _, degree := range []int{1, 4} {
 			for _, memRows := range []int{0, 10} {
-				t.Run(fmt.Sprintf("%s/build first/typed %v/degree %d/mem %d", name, typed, degree, memRows), func(t *testing.T) {
+				t.Run(fmt.Sprintf("%s/typed %v/degree %d/mem %d", leg, typed, degree, memRows), func(t *testing.T) {
 					dir := t.TempDir()
 					ctx := NewCtx(dir, memRows)
 					ctx.BatchRows = 7
@@ -617,14 +625,17 @@ func buildFirstLegs(t *testing.T, name string, probeSch types.Schema, probe []ty
 					src, buildSrc := slabSource(probeSch, probe, 7), NewSource(buildSch, build)
 					var h *HashJoin
 					if typed {
-						h = NewTypedProbeHashJoin(ctx, &typedSource{Operator: src}, buildSrc, probeKeys, buildKeys, JoinInner, residual, degree)
+						h = NewTypedProbeHashJoin(ctx, &typedSource{Operator: src}, buildSrc, probeKeys, buildKeys, jt, residual, degree)
 					} else {
-						h = NewHashJoin(ctx, src, buildSrc, probeKeys, buildKeys, JoinInner, residual, degree)
+						h = NewHashJoin(ctx, src, buildSrc, probeKeys, buildKeys, jt, residual, degree)
 					}
 					h.BuildLeft()
+					if got := h.Schema(); got.Len() != wantSch.Len() {
+						t.Fatalf("%d output columns, want %d", got.Len(), wantSch.Len())
+					}
 					for i, col := range h.Schema().Cols {
 						if col.Name != wantSch.Cols[i].Name {
-							t.Fatalf("column %d is %s, want %s: the output is not build ++ probe", i, col.Name, wantSch.Cols[i].Name)
+							t.Fatalf("column %d is %s, want %s: the output is not %v", i, col.Name, wantSch.Cols[i].Name, wantSch)
 						}
 					}
 					got, err := Collect(h)
@@ -632,6 +643,16 @@ func buildFirstLegs(t *testing.T, name string, probeSch types.Schema, probe []ty
 						t.Fatal(err)
 					}
 					assertSameRows(t, got, want)
+					if jt != JoinInner && memRows == 0 {
+						for i := range want {
+							if got[i].String() != want[i].String() {
+								t.Fatalf("row %d is %v, want %v: a mark join emits the left rows in arrival order", i, got[i], want[i])
+							}
+						}
+					}
+					if n := ctx.BoxedRows.Load(); typed && memRows == 0 && n > admitted {
+						t.Errorf("BoxedRows = %d, want at most %d (the probe rows whose hash the table holds)", n, admitted)
+					}
 					if memRows > 0 && len(build) > memRows && ctx.SpillFiles.Load() == 0 {
 						t.Errorf("%d build rows under a budget of %d and nothing spilled", len(build), memRows)
 					}

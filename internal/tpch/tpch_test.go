@@ -663,12 +663,19 @@ var rowPredicateScans = map[string]string{}
 // lineitem under four more joins; q3's upper join, and q5's orders and
 // lineitem joins, build on the smaller join below them and probe with the
 // scan; q18's semi join filters orders before either inner join sees it,
-// and its lineitem join then builds on the 30-odd rows left. The workers box
-// no more than the rows the filter and the table admitted plus the build
-// sides — under ceilings that q5 and q18 exceeded while lineitem was their
-// build side (55,064 and 67,730). Every aggregate over a join reads rows. Every
-// answer is plan.Execute's, whose operators all read rows and keep the
-// planner's build side.
+// and its lineitem join then builds on the 30-odd rows left. A semi or anti
+// join builds by the same rule and marks the left rows the probe matches:
+// q21's semi and anti joins build on the ~200 l1 rows a worker keeps after
+// the supplier join and probe with l2 and l3, q4's builds on its quarter of
+// orders and q22's on the filtered customers, each probe a typed scan with
+// no projection placed over it (the planner's projections there output
+// their input unchanged). The workers box no more than the rows the filter
+// and the table admitted plus the build sides — under ceilings that q5 and
+// q18 exceeded while lineitem was their build side (55,064 and 67,730), and
+// q21, q4 and q22 while their semi and anti joins built on the right
+// (120,500, 27,377 and 15,000). Every aggregate over a join reads rows.
+// Every answer is plan.Execute's, whose operators all read rows and keep
+// the planner's build side.
 func TestAggregateFrontEnds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full TPC-H suite skipped in -short mode")
@@ -680,15 +687,18 @@ func TestAggregateFrontEnds(t *testing.T) {
 		checkFrontEnds(t, 0.002, []frontEnds{
 			{qid: "q1", typedAggs: 1},
 			{qid: "q6", typedAggs: 1},
-			{qid: "q3", rowAggs: 1, typedJoins: 2, leftBuilds: 1, boxedMax: 500},
+			{qid: "q3", rowAggs: 1, typedJoins: 2, leftBuilds: 1, typedLeftBuilds: 1, boxedMax: 500},
 		})
 	})
 	t.Run("SF0.01", func(t *testing.T) {
 		checkFrontEnds(t, 0.01, []frontEnds{
 			{qid: "q12", rowAggs: 1, typedJoins: 1, leftBuilds: 0, boxedMax: 1000},
 			{qid: "q9", rowAggs: 1, typedJoins: 1, rowJoins: 4, leftBuilds: 0, boxedMax: 21000},
-			{qid: "q5", rowAggs: 1, typedJoins: 2, rowJoins: 3, leftBuilds: 3, boxedMax: 3000},
-			{qid: "q18", typedAggs: 1, rowAggs: 1, typedJoins: 2, rowJoins: 1, leftBuilds: 1, boxedMax: 1500},
+			{qid: "q5", rowAggs: 1, typedJoins: 2, rowJoins: 3, leftBuilds: 3, typedLeftBuilds: 2, boxedMax: 3000},
+			{qid: "q18", typedAggs: 1, rowAggs: 1, typedJoins: 2, rowJoins: 1, leftBuilds: 1, typedLeftBuilds: 1, boxedMax: 1500},
+			{qid: "q21", rowAggs: 1, typedJoins: 2, rowJoins: 3, leftBuilds: 4, typedLeftBuilds: 2, boxedMax: 47000},
+			{qid: "q4", rowAggs: 1, typedJoins: 1, leftBuilds: 1, typedLeftBuilds: 1, boxedMax: 1700},
+			{qid: "q22", rowAggs: 2, typedJoins: 1, leftBuilds: 1, typedLeftBuilds: 1, boxedMax: 2100},
 		})
 	})
 }
@@ -699,6 +709,7 @@ type frontEnds struct {
 	typedAggs, rowAggs   int   // worker aggregates per worker, by front end
 	typedJoins, rowJoins int   // worker joins per worker, by front end
 	leftBuilds           int   // of those, the joins built on the planner's left input
+	typedLeftBuilds      int   // of those, the ones whose probe is typed
 	boxedMax             int64 // ceiling on RunMetrics.BoxedRows
 }
 
@@ -723,12 +734,19 @@ func checkFrontEnds(t *testing.T, sf float64, cases []frontEnds) {
 		}
 		spans := tr.Spans()
 		typedScanUnder := map[int64]bool{} // by span id: a child is a columnar scan read as batches
+		opOf := map[int64]string{}
 		for _, sp := range spans {
 			if sp.ColsTotal > 0 && sp.VecBatches > 0 && sp.Batches == 0 {
 				typedScanUnder[sp.Parent] = true
 			}
+			opOf[sp.ID] = sp.Op
 		}
-		typedAggs, rowAggs, typedJoins, rowJoins, leftBuilds := 0, 0, 0, 0, 0
+		for _, sp := range spans {
+			if strings.HasPrefix(sp.Op, "Scan ") && opOf[sp.Parent] == "Project" {
+				t.Errorf("%s: a Project is placed over %s on node %d", qid, sp.Op, sp.Node)
+			}
+		}
+		typedAggs, rowAggs, typedJoins, rowJoins, leftBuilds, typedLeftBuilds := 0, 0, 0, 0, 0, 0
 		for _, sp := range spans {
 			if sp.Node == c.Coords[0].ID {
 				continue
@@ -751,6 +769,9 @@ func checkFrontEnds(t *testing.T, sf float64, cases []frontEnds) {
 				}
 				if sp.BuildLeft {
 					leftBuilds++
+					if sp.In == "typed" {
+						typedLeftBuilds++
+					}
 				}
 				if (sp.In == "typed") != typedScanUnder[sp.ID] || sp.In == "" || sp.Workers < 1 {
 					t.Errorf("%s: HashJoin on node %d: in=%q workers=%d, a columnar scan under it read as batches: %v",
@@ -763,9 +784,9 @@ func checkFrontEnds(t *testing.T, sf float64, cases []frontEnds) {
 			t.Errorf("%s: %d worker aggregates in=typed and %d in=rows, want %d and %d on each of %d workers",
 				qid, typedAggs, rowAggs, q.typedAggs, q.rowAggs, w)
 		}
-		if typedJoins != q.typedJoins*w || rowJoins != q.rowJoins*w || leftBuilds != q.leftBuilds*w {
-			t.Errorf("%s: %d worker joins in=typed and %d in=rows, %d built on the left; want %d, %d and %d on each of %d workers:\n%s",
-				qid, typedJoins, rowJoins, leftBuilds, q.typedJoins, q.rowJoins, q.leftBuilds, w, tr.Render())
+		if typedJoins != q.typedJoins*w || rowJoins != q.rowJoins*w || leftBuilds != q.leftBuilds*w || typedLeftBuilds != q.typedLeftBuilds*w {
+			t.Errorf("%s: %d worker joins in=typed and %d in=rows, %d built on the left (%d typed); want %d, %d and %d (%d) on each of %d workers:\n%s",
+				qid, typedJoins, rowJoins, leftBuilds, typedLeftBuilds, q.typedJoins, q.rowJoins, q.leftBuilds, q.typedLeftBuilds, w, tr.Render())
 		}
 		if m.BoxedRows > q.boxedMax {
 			t.Errorf("%s: workers boxed %d rows, want at most %d", qid, m.BoxedRows, q.boxedMax)

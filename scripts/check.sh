@@ -40,7 +40,7 @@ echo "==> nested benchmark module (compile, smoke test, import-surface guard)"
 echo "==> bench smoke (degree 1 vs degree 4 of the one build path, golden parity + throughput)"
 go test -run '^$' -bench BenchmarkParallelVsSerial -benchtime 1x ./internal/exec >/dev/null
 
-echo "==> bench smoke (hash join: small build under a large probe, and a q21-shaped large build)"
+echo "==> bench smoke (hash join: small build under a large probe, a q21-shaped large build, and q21's semi and anti joins built on either side)"
 go test -run '^$' -bench BenchmarkHashJoinBuildProbe -benchtime 1x ./internal/exec >/dev/null
 
 echo "==> bench smoke (row scan over partsupp-shaped rows: 1-in-200 and all-pass predicate on an unemitted column)"
