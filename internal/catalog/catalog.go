@@ -157,11 +157,21 @@ func New() *Catalog {
 	}
 }
 
-// CreateTable registers a table definition.
+// CreateTable registers a table definition. Its table, column,
+// partitioning and clustering names are lower-cased in place first: the
+// catalog is where a name enters, and every later lookup is exact.
 func (c *Catalog) CreateTable(def *TableDef) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	key := strings.ToLower(def.Name)
+	def.Name = strings.ToLower(def.Name)
+	cols := make([]types.Column, def.Schema.Len())
+	for i, col := range def.Schema.Cols {
+		cols[i] = types.Column{Name: strings.ToLower(col.Name), Kind: col.Kind}
+	}
+	def.Schema = types.Schema{Cols: cols}
+	def.Part.Cols = lowerAll(def.Part.Cols)
+	def.ClusterCols = lowerAll(def.ClusterCols)
+	key := def.Name
 	if _, exists := c.tables[key]; exists {
 		return fmt.Errorf("catalog: table %s already exists", def.Name)
 	}
@@ -193,7 +203,7 @@ func (c *Catalog) DropTable(name string) error {
 	delete(c.tables, key)
 	delete(c.stats, key)
 	for iname, idx := range c.indexes {
-		if strings.EqualFold(idx.Table, name) {
+		if idx.Table == key {
 			delete(c.indexes, iname)
 		}
 	}
@@ -223,15 +233,17 @@ func (c *Catalog) Tables() []string {
 	return out
 }
 
-// CreateIndex registers an index over an existing table.
+// CreateIndex registers an index over an existing table, lower-casing its
+// names in place as CreateTable does.
 func (c *Catalog) CreateIndex(def *IndexDef) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	key := strings.ToLower(def.Name)
+	def.Name, def.Table, def.Cols = strings.ToLower(def.Name), strings.ToLower(def.Table), lowerAll(def.Cols)
+	key := def.Name
 	if _, exists := c.indexes[key]; exists {
 		return fmt.Errorf("catalog: index %s already exists", def.Name)
 	}
-	tbl, ok := c.tables[strings.ToLower(def.Table)]
+	tbl, ok := c.tables[def.Table]
 	if !ok {
 		return fmt.Errorf("catalog: index %s references missing table %s", def.Name, def.Table)
 	}
@@ -248,9 +260,10 @@ func (c *Catalog) CreateIndex(def *IndexDef) error {
 func (c *Catalog) IndexesOn(table string) []*IndexDef {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
+	table = strings.ToLower(table)
 	var out []*IndexDef
 	for _, idx := range c.indexes {
-		if strings.EqualFold(idx.Table, table) {
+		if idx.Table == table {
 			out = append(out, idx)
 		}
 	}
@@ -275,6 +288,18 @@ func (c *Catalog) Stats(table string) *TableStats {
 	}
 	c.defaultStatsFallbacks.Add(1)
 	return &TableStats{RowCount: 1000, Pages: 10, Cols: map[string]*ColumnStats{}}
+}
+
+// lowerAll returns the names lower-cased, in a new slice (nil stays nil).
+func lowerAll(names []string) []string {
+	if names == nil {
+		return nil
+	}
+	out := make([]string, len(names))
+	for i, n := range names {
+		out[i] = strings.ToLower(n)
+	}
+	return out
 }
 
 // DefaultStatsFallbacks returns how many times Stats served the

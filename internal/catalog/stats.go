@@ -9,7 +9,6 @@ package catalog
 import (
 	"math"
 	"sort"
-	"strings"
 
 	"repro/internal/types"
 )
@@ -317,7 +316,7 @@ func (b *StatsBuilder) Finish() *TableStats {
 			cs.AvgWidth = float64(c.widthSum) / float64(c.seen)
 		}
 		cs.Hist = equiDepth(c.sample, c.seen)
-		s.Cols[strings.ToLower(col.Name)] = cs
+		s.Cols[col.Name] = cs
 	}
 	return s
 }

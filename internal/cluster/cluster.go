@@ -306,13 +306,13 @@ func (c *Cluster) CreateTable(def *catalog.TableDef) error {
 			if err != nil {
 				return err
 			}
-			w.colFrags[lower(def.Name)] = fr
+			w.colFrags[def.Name] = fr
 		} else {
 			fr, err := storage.OpenFragment(w.Store, def)
 			if err != nil {
 				return err
 			}
-			w.frags[lower(def.Name)] = fr
+			w.frags[def.Name] = fr
 		}
 	}
 	return nil
@@ -340,13 +340,13 @@ func (c *Cluster) Load(table string, rows []types.Row) (int, error) {
 	for wi, wRows := range perWorker {
 		w := c.Workers[wi]
 		if def.Columnar {
-			n, err := w.colFrags[lower(def.Name)].Load(wRows)
+			n, err := w.colFrags[def.Name].Load(wRows)
 			if err != nil {
 				return total, err
 			}
 			total += n
 		} else {
-			n, err := w.frags[lower(def.Name)].Load(wRows)
+			n, err := w.frags[def.Name].Load(wRows)
 			if err != nil {
 				return total, err
 			}
@@ -358,10 +358,10 @@ func (c *Cluster) Load(table string, rows []types.Row) (int, error) {
 	// distribution (histogram from a reservoir, NDV from a sketch) without
 	// the catalog ever holding the loaded rows.
 	c.statsMu.Lock()
-	sb := c.loadStats[lower(def.Name)]
+	sb := c.loadStats[def.Name]
 	if sb == nil {
 		sb = catalog.NewStatsBuilder(def.Schema)
-		c.loadStats[lower(def.Name)] = sb
+		c.loadStats[def.Name] = sb
 	}
 	for _, r := range rows {
 		sb.Add(r)
@@ -416,14 +416,4 @@ func (c *Cluster) Close() error {
 		}
 	}
 	return firstErr
-}
-
-func lower(s string) string {
-	b := []byte(s)
-	for i, ch := range b {
-		if ch >= 'A' && ch <= 'Z' {
-			b[i] = ch + 32
-		}
-	}
-	return string(b)
 }

@@ -25,8 +25,8 @@ func schemaOf(names ...string) types.Schema {
 // TestPrunedPartitionColumnIsNotColocation: projection pushdown can remove
 // the column a table is partitioned on from the stream that scans it. Such
 // a stream must never be taken for co-located on some other column that
-// merely shares the pruned one's bare name — what Schema.Find's suffix
-// rules would conclude if distribution columns were looked up with them.
+// merely shares the pruned one's bare name, as a suffix match of names
+// would conclude.
 func TestPrunedPartitionColumnIsNotColocation(t *testing.T) {
 	c, _ := newCluster(t, 2, HRDBMSProfile())
 	q := c.newQueryExec(c.Coords[0], nil)
@@ -58,8 +58,8 @@ func TestPrunedPartitionColumnIsNotColocation(t *testing.T) {
 		if !ok || req[0] != name {
 			t.Fatalf("keyNames(%s) = %v, %v", name, req, ok)
 		}
-		if distMatches(stale, req) {
-			t.Errorf("distMatches: stream partitioned on the pruned l1.l_orderkey taken as partitioned on %s", name)
+		if stale.PartitionedOn(req) {
+			t.Errorf("PartitionedOn: stream partitioned on the pruned l1.l_orderkey taken as partitioned on %s", name)
 		}
 		if coveredBy(stale, req) {
 			t.Errorf("coveredBy: pruned l1.l_orderkey taken as covered by group column %s", name)
@@ -78,7 +78,7 @@ func TestPrunedPartitionColumnIsNotColocation(t *testing.T) {
 	// is bound to: names are compared as the schema has them.
 	live := opt.DistInfo{Kind: opt.DistPartitioned, Cols: []string{"l2.l_orderkey"}}
 	req, _ := keyNames([]expr.Expr{&expr.Col{Index: 1, Name: "L2.L_ORDERKEY"}}, sch)
-	if !distMatches(live, req) || !coveredBy(live, append(req, "l1.l_partkey")) {
+	if !live.PartitionedOn(req) || !coveredBy(live, append(req, "l1.l_partkey")) {
 		t.Errorf("live partition column not recognised under the schema's name %v", req)
 	}
 }

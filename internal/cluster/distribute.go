@@ -3,7 +3,6 @@ package cluster
 import (
 	"fmt"
 	"slices"
-	"strings"
 	"sync"
 
 	"repro/internal/catalog"
@@ -435,7 +434,7 @@ func allIdx(n int) []int {
 func colNames(s types.Schema) []string {
 	out := make([]string, s.Len())
 	for i, c := range s.Cols {
-		out[i] = strings.ToLower(c.Name)
+		out[i] = c.Name
 	}
 	return out
 }
@@ -465,7 +464,7 @@ func (q *queryExec) distributeScan(x *plan.Scan) (*dstream, error) {
 		UseMinMax:    q.prof.UseMinMax,
 	}
 	ds := &dstream{sch: x.Schema(), typed: x.Table.Columnar}
-	name := lower(x.Table.Name)
+	name := x.Table.Name
 	for wi, w := range q.c.Workers {
 		// The scan span is created before the operator so the scan thread
 		// can deposit its page/row stats directly.
@@ -501,8 +500,8 @@ func (q *queryExec) distributeScan(x *plan.Scan) (*dstream, error) {
 // scanDist is how a scan's output is spread over the workers: as the table
 // is partitioned, so long as the scan emits the partitioning columns. A
 // stream cannot be known by a column it does not carry — a later name
-// lookup would miss it, or worse, match some other column by suffix — so a
-// scan that prunes one away is treated as spread at random.
+// lookup would miss it — so a scan that prunes one away is treated as
+// spread at random.
 func (q *queryExec) scanDist(x *plan.Scan) opt.DistInfo {
 	switch {
 	case x.Table.Part.Kind == catalog.PartReplicated:
@@ -511,8 +510,8 @@ func (q *queryExec) scanDist(x *plan.Scan) opt.DistInfo {
 		sch := x.Schema()
 		cols := make([]string, len(x.Table.Part.Cols))
 		for i, c := range x.Table.Part.Cols {
-			cols[i] = x.Alias + "." + strings.ToLower(c)
-			if exactCol(sch, cols[i]) < 0 {
+			cols[i] = x.Alias + "." + c
+			if sch.Find(cols[i]) < 0 {
 				return opt.DistInfo{}
 			}
 		}
@@ -522,23 +521,10 @@ func (q *queryExec) scanDist(x *plan.Scan) opt.DistInfo {
 	}
 }
 
-// exactCol returns the offset of the column of exactly this name (case
-// aside), or -1. Distribution columns are recorded under the name their
-// stream's schema gives them, so they are looked up this way: Schema.Find's
-// suffix rules are for names a query wrote.
-func exactCol(sch types.Schema, name string) int {
-	for i, c := range sch.Cols {
-		if strings.EqualFold(c.Name, name) {
-			return i
-		}
-	}
-	return -1
-}
-
 // keyNames returns the names sch gives the columns that plain-column key
 // expressions (bound to sch) refer to; ok=false when any key is a computed
 // expression. These are the names distributions are recorded and compared
-// under: a query may spell one column several ways, a schema names it once.
+// under.
 func keyNames(keys []expr.Expr, sch types.Schema) ([]string, bool) {
 	out := make([]string, len(keys))
 	for i, k := range keys {
@@ -546,26 +532,9 @@ func keyNames(keys []expr.Expr, sch types.Schema) ([]string, bool) {
 		if !isCol || c.Index < 0 || c.Index >= sch.Len() {
 			return nil, false
 		}
-		out[i] = strings.ToLower(sch.Cols[c.Index].Name)
+		out[i] = sch.Cols[c.Index].Name
 	}
 	return out, true
-}
-
-// distMatches reports whether a stream partitioned on d.Cols satisfies
-// a requirement to be partitioned on req (the paper's shuffle elimination:
-// equality on the existing partition columns implies co-location; we use
-// exact sequence match of the hash key). Both are schema names (keyNames),
-// so the match is exact, not opt's suffix match of names a query wrote.
-func distMatches(d opt.DistInfo, req []string) bool {
-	if d.Kind != opt.DistPartitioned || len(d.Cols) != len(req) {
-		return false
-	}
-	for i := range req {
-		if !strings.EqualFold(d.Cols[i], req[i]) {
-			return false
-		}
-	}
-	return true
 }
 
 func (q *queryExec) distributeJoin(x *plan.Join) (*dstream, error) {
@@ -640,8 +609,8 @@ func (q *queryExec) distributeJoin(x *plan.Join) (*dstream, error) {
 	}
 
 	// Both partitioned/random: exploit or create co-location.
-	leftOK := q.prof.EnforceLocality && leftPlain && distMatches(left.dist, leftNames)
-	rightOK := q.prof.EnforceLocality && rightPlain && distMatches(right.dist, rightNames)
+	leftOK := q.prof.EnforceLocality && leftPlain && left.dist.PartitionedOn(leftNames)
+	rightOK := q.prof.EnforceLocality && rightPlain && right.dist.PartitionedOn(rightNames)
 	// Re-cost the movement at this exchange boundary: with runtime
 	// distributions known and feedback-corrected estimates, replicating a
 	// small build side can beat repartitioning a large probe side. DP join
@@ -893,7 +862,7 @@ func (q *queryExec) aggs(ds *dstream, label string, groupBy []expr.Expr, specs [
 func aggOutCols(x *plan.Agg, groupNames []string) []string {
 	out := make([]string, len(groupNames))
 	for i := range groupNames {
-		out[i] = strings.ToLower(x.Schema().Cols[i].Name)
+		out[i] = x.Schema().Cols[i].Name
 	}
 	return out
 }
@@ -907,7 +876,7 @@ func coveredBy(d opt.DistInfo, groupNames []string) bool {
 	for _, dc := range d.Cols {
 		found := false
 		for _, g := range groupNames {
-			if strings.EqualFold(dc, g) {
+			if dc == g {
 				found = true
 				break
 			}
@@ -1226,11 +1195,11 @@ func (s *schemaOverride) Schema() types.Schema { return s.sch }
 func mapColsByPosition(cols []string, from, to types.Schema) []string {
 	out := make([]string, 0, len(cols))
 	for _, c := range cols {
-		idx := exactCol(from, c)
+		idx := from.Find(c)
 		if idx < 0 || idx >= to.Len() {
 			return nil
 		}
-		out = append(out, strings.ToLower(to.Cols[idx].Name))
+		out = append(out, to.Cols[idx].Name)
 	}
 	return out
 }
@@ -1244,11 +1213,11 @@ func projectDist(d opt.DistInfo, p *plan.Project) opt.DistInfo {
 	childSch := p.Child.Schema()
 	out := opt.DistInfo{Kind: opt.DistPartitioned}
 	for _, dc := range d.Cols {
-		idx := exactCol(childSch, dc)
+		idx := childSch.Find(dc)
 		mapped := ""
 		for i, e := range p.Exprs {
 			if c, ok := e.(*expr.Col); ok && idx >= 0 && c.Index == idx {
-				mapped = strings.ToLower(p.Schema().Cols[i].Name)
+				mapped = p.Schema().Cols[i].Name
 				break
 			}
 		}

@@ -6,6 +6,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/expr"
 	"repro/internal/external"
+	"repro/internal/plan"
 	"repro/internal/sqlparse"
 	"repro/internal/types"
 )
@@ -25,8 +26,7 @@ func (c *Cluster) QueryExternal(name, where string) ([]types.Row, error) {
 		if err != nil {
 			return nil, fmt.Errorf("cluster: bad WHERE: %w", err)
 		}
-		pred = sel.Where
-		if err := expr.Bind(pred, tbl.Schema()); err != nil {
+		if pred, err = plan.BindTable(sel.Where, tbl.Name(), tbl.Schema()); err != nil {
 			return nil, err
 		}
 	}

@@ -1,8 +1,6 @@
 package cluster
 
 import (
-	"strings"
-
 	"repro/internal/catalog"
 	"repro/internal/exec"
 	"repro/internal/expr"
@@ -31,18 +29,14 @@ func (q *queryExec) findIndexPath(x *plan.Scan) *indexMatch {
 	if x.Pred == nil {
 		return nil
 	}
-	conj, _ := expr.ToSkipConj(x.Pred)
+	conj, _ := expr.ToSkipConj(x.Pred, x.Table.Schema)
 	indexes := q.c.Catalog().IndexesOn(x.Table.Name)
 	for _, p := range conj {
 		if p.Op != skipcache.OpEq {
 			continue
 		}
-		bare := strings.ToLower(p.Col)
-		if i := strings.LastIndexByte(bare, '.'); i >= 0 {
-			bare = bare[i+1:]
-		}
 		for _, idx := range indexes {
-			if len(idx.Cols) >= 1 && strings.EqualFold(idx.Cols[0], bare) {
+			if len(idx.Cols) >= 1 && idx.Cols[0] == p.Col {
 				return &indexMatch{def: idx, key: p.Val}
 			}
 		}
@@ -128,9 +122,8 @@ func (w *Worker) maintainIndexes(c *catalog.Catalog, tbl *catalog.TableDef, r ty
 // indexScan builds the per-worker index-backed stream for a scan node.
 func (q *queryExec) indexScan(x *plan.Scan, m *indexMatch) (*dstream, error) {
 	ds := &dstream{sch: x.Schema()}
-	name := lower(x.Table.Name)
 	for _, w := range q.c.Workers {
-		fr := w.frags[name]
+		fr := w.frags[x.Table.Name]
 		emit, _, read := exec.ScanColumns(fr.Def.Schema.Len(), x.Cols, x.Pred)
 		op := q.wrap("IndexScan "+m.def.Name, w.ID, &indexScanOp{
 			Source: exec.Source{Sch: x.Schema()},

@@ -92,8 +92,8 @@ func (c *Cluster) execStmt(stmt sqlparse.Stmt, sql string, opts *QueryOptions) (
 			}
 		}
 		for _, w := range c.Workers {
-			delete(w.frags, lower(x.Name))
-			delete(w.colFrags, lower(x.Name))
+			delete(w.frags, x.Name)
+			delete(w.colFrags, x.Name)
 			for _, idx := range indexes {
 				delete(w.btreeIdx, idx.Name)
 			}
@@ -210,7 +210,7 @@ func (c *Cluster) explainAnalyze(sel *sqlparse.Select, sql string) (*Result, err
 
 func (c *Cluster) createTableStmt(x *sqlparse.CreateTable) (*Result, error) {
 	def := &catalog.TableDef{
-		Name:        strings.ToLower(x.Name),
+		Name:        x.Name,
 		Schema:      types.Schema{Cols: x.Cols},
 		Columnar:    x.Columnar,
 		ClusterCols: x.ClusterCols,
@@ -232,7 +232,7 @@ func (c *Cluster) createTableStmt(x *sqlparse.CreateTable) (*Result, error) {
 }
 
 func (c *Cluster) createIndexStmt(x *sqlparse.CreateIndex) (*Result, error) {
-	def := &catalog.IndexDef{Name: strings.ToLower(x.Name), Table: strings.ToLower(x.Table), Cols: x.Cols}
+	def := &catalog.IndexDef{Name: x.Name, Table: x.Table, Cols: x.Cols}
 	for _, cn := range c.Coords {
 		if err := cn.Cat.CreateIndex(def); err != nil {
 			return nil, err
@@ -274,7 +274,7 @@ func (w *Worker) buildIndex(def *catalog.IndexDef, tbl *catalog.TableDef, offs [
 	w.btreeIdx[def.Name] = bt
 	count := 0
 	var insertErr error
-	_, err = w.frags[lower(tbl.Name)].Scan(storage.ScanOptions{}, func(rid page.RID, r types.Row) bool {
+	_, err = w.frags[tbl.Name].Scan(storage.ScanOptions{}, func(rid page.RID, r types.Row) bool {
 		if insertErr = bt.Insert(r.Project(offs), rid); insertErr != nil {
 			return false
 		}
@@ -374,7 +374,7 @@ func (c *Cluster) insertStmt(x *sqlparse.Insert) (*Result, error) {
 				tx = w.Txn.BeginWithID(txid)
 				involved[w.ID] = true
 			}
-			rid, err := w.frags[lower(def.Name)].Insert(tx, r)
+			rid, err := w.frags[def.Name].Insert(tx, r)
 			if err != nil {
 				return abort(err)
 			}
@@ -409,8 +409,7 @@ func (c *Cluster) deleteStmt(x *sqlparse.Delete) (*Result, error) {
 	}
 	var pred expr.Expr
 	if x.Where != nil {
-		pred = expr.Clone(x.Where)
-		if err := expr.Bind(pred, def.Schema); err != nil {
+		if pred, err = plan.BindTable(x.Where, def.Name, def.Schema); err != nil {
 			return nil, err
 		}
 	}
@@ -418,7 +417,7 @@ func (c *Cluster) deleteStmt(x *sqlparse.Delete) (*Result, error) {
 	var ids []int
 	total := 0
 	for _, w := range c.Workers {
-		fr := w.frags[lower(def.Name)]
+		fr := w.frags[def.Name]
 		tx := w.Txn.BeginWithID(txid)
 		ids = append(ids, w.ID)
 		// Scan under exclusive page locks (write intent) so concurrent
@@ -490,8 +489,7 @@ func (c *Cluster) updateStmt(x *sqlparse.Update) (*Result, error) {
 	}
 	var pred expr.Expr
 	if x.Where != nil {
-		pred = expr.Clone(x.Where)
-		if err := expr.Bind(pred, def.Schema); err != nil {
+		if pred, err = plan.BindTable(x.Where, def.Name, def.Schema); err != nil {
 			return nil, err
 		}
 	}
@@ -501,8 +499,8 @@ func (c *Cluster) updateStmt(x *sqlparse.Update) (*Result, error) {
 		if idx < 0 {
 			return nil, fmt.Errorf("cluster: UPDATE column %s not in %s", col, x.Table)
 		}
-		ec := expr.Clone(e)
-		if err := expr.Bind(ec, def.Schema); err != nil {
+		ec, err := plan.BindTable(e, def.Name, def.Schema)
+		if err != nil {
 			return nil, err
 		}
 		setExprs[idx] = ec
@@ -525,7 +523,7 @@ func (c *Cluster) updateStmt(x *sqlparse.Update) (*Result, error) {
 		return nil, errors.Join(err, c.abortGlobal(txid, ids))
 	}
 	for _, w := range c.Workers {
-		fr := w.frags[lower(def.Name)]
+		fr := w.frags[def.Name]
 		type change struct {
 			rid    page.RID
 			newRow types.Row
@@ -592,7 +590,7 @@ func (c *Cluster) updateStmt(x *sqlparse.Update) (*Result, error) {
 			for _, n := range nodes {
 				dst := c.Workers[n]
 				dtx := getTx(dst)
-				rid, err := dst.frags[lower(def.Name)].Insert(dtx, ch.newRow)
+				rid, err := dst.frags[def.Name].Insert(dtx, ch.newRow)
 				if err != nil {
 					return fail(err)
 				}
@@ -630,7 +628,7 @@ func (c *Cluster) reorganizeStmt(x *sqlparse.Reorganize) (*Result, error) {
 		return nil, fmt.Errorf("cluster: REORGANIZE supports row tables (reload columnar tables)")
 	}
 	for _, w := range c.Workers {
-		if err := w.frags[lower(def.Name)].Reorganize(); err != nil {
+		if err := w.frags[def.Name].Reorganize(); err != nil {
 			return nil, err
 		}
 	}
@@ -697,7 +695,7 @@ func (c *Cluster) analyzeStmt(x *sqlparse.Analyze) (*Result, error) {
 	// The fresh full-scan builder supersedes the accumulated load-time one
 	// (which drifts under deletes/updates); later loads extend it.
 	c.statsMu.Lock()
-	c.loadStats[lower(def.Name)] = sb
+	c.loadStats[def.Name] = sb
 	c.statsMu.Unlock()
 	for _, cn := range c.Coords {
 		cn.Cat.SetStats(def.Name, stats)

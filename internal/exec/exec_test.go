@@ -630,6 +630,51 @@ func TestJoinTableChains(t *testing.T) {
 	}
 }
 
+// TestGracePartitionsSpreadAfterShuffle: on a worker of four every key has
+// the same hash % 4, since Shuffle and placement route by it. The Grace
+// partition must not read those bits: such keys fill all of its partitions
+// about evenly, and the keys of one partition still spread over a join
+// table's slots.
+func TestGracePartitionsSpreadAfterShuffle(t *testing.T) {
+	keys := newKeyHasher(ColRefs(0), 1)
+	perPart := make([]int, DefaultGraceFanout)
+	total := 0
+	table := &joinTable{}
+	for k := int64(0); len(table.rows) < 10000; k++ {
+		r := types.Row{types.NewInt(k)}
+		hk, err := keys.hash(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hk%4 != 1 {
+			continue
+		}
+		p := gracePart(hk)
+		perPart[p]++
+		total++
+		if p == 5 {
+			table.add(r, hk)
+		}
+	}
+	for p, n := range perPart {
+		if n < total/DefaultGraceFanout/2 {
+			t.Errorf("partition %d holds %d of %d keys that share hash %% 4: %v", p, n, total, perPart)
+		}
+	}
+	table.seal(false)
+	longest := 0
+	for _, i := range table.heads {
+		n := 0
+		for ; i >= 0; i = table.next[i] {
+			n++
+		}
+		longest = max(longest, n)
+	}
+	if longest > 16 {
+		t.Errorf("one partition's keys: longest chain %d over %d slots, want at most 16", longest, len(table.heads))
+	}
+}
+
 // TestJoinTableAbsentHashes checks that the table is the join's exact
 // membership test: a hash no row was filed under is never found, even where
 // its slot holds rows of other hashes, an empty table finds nothing, and no

@@ -646,6 +646,15 @@ func ColRefs(idx ...int) []expr.Expr {
 	return out
 }
 
+// gracePart is the Grace partition of a row whose key hashes to hk, taken
+// from bits 32 and up. A Shuffle routes by hk % workers and placement by the
+// same rule, so on a worker the low bits are constant: partitions taken
+// from them would leave all but one in every workers empty, and the rest
+// that many times larger than the memory bound assumes. joinTable.slot
+// reads the top bits of hk × φ, which every bit of hk moves, so the rows
+// of one partition still spread over the table's slots.
+func gracePart(hk uint64) int { return int((hk >> 32) % DefaultGraceFanout) }
+
 // graceJoin partitions both sides by key hash into fanout spill partitions
 // and joins each pair in memory; buildKeys is the build's key hasher. Every
 // file belongs to h.spills, so a failed or abandoned join leaves its cleanup
@@ -678,7 +687,7 @@ func (h *HashJoin) graceJoin(buildSpill *spillWriter, buildKeys *keyHasher) erro
 		if err != nil {
 			return err
 		}
-		if err := buildParts[hk%uint64(fanout)].write(r); err != nil {
+		if err := buildParts[gracePart(hk)].write(r); err != nil {
 			return err
 		}
 	}
@@ -691,7 +700,7 @@ func (h *HashJoin) graceJoin(buildSpill *spillWriter, buildKeys *keyHasher) erro
 			if err != nil {
 				return err
 			}
-			if err := probeParts[key%uint64(fanout)].write(r); err != nil {
+			if err := probeParts[gracePart(key)].write(r); err != nil {
 				return err
 			}
 		}

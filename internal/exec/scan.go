@@ -198,14 +198,14 @@ type ScanConfig struct {
 	Ctx *Ctx
 }
 
-func buildScanOptions(cfg ScanConfig) storage.ScanOptions {
+func buildScanOptions(cfg ScanConfig, table types.Schema) storage.ScanOptions {
 	opts := storage.ScanOptions{
 		UseCache:   cfg.UseSkipCache,
 		UseMinMax:  cfg.UseMinMax,
 		Predeclare: true,
 	}
 	if cfg.Pred != nil {
-		conj, complete := expr.ToSkipConj(cfg.Pred)
+		conj, complete := expr.ToSkipConj(cfg.Pred, table)
 		opts.SkipConj = conj
 		opts.SkipComplete = complete
 	}
@@ -278,7 +278,7 @@ func NewRowScan(fr *storage.Fragment, alias string, cfg ScanConfig) *FragmentSca
 // (at least 1) and drives that many morsel workers, each with a private
 // copier; residual slabs are flushed after the workers join.
 func (fs *FragmentScan) run() error {
-	opts := buildScanOptions(fs.cfg)
+	opts := buildScanOptions(fs.cfg, fs.fr.Def.Schema)
 	opts.Mask = fs.read
 	degree := fs.cfg.Ctx.AcquireWorkers(fs.cfg.Parallel)
 	defer fs.cfg.Ctx.ReleaseWorkers(degree)

@@ -123,7 +123,7 @@ func (cs *VecColumnarScan) NextVec() (*vec.Batch, bool, error) { return cs.next(
 // decoder and a private sender, then folds their counters into the span
 // and the query counters.
 func (cs *VecColumnarScan) run() error {
-	opts := buildScanOptions(cs.cfg)
+	opts := buildScanOptions(cs.cfg, cs.fr.Def.Schema)
 	degree := cs.cfg.Ctx.AcquireWorkers(cs.cfg.Parallel)
 	defer cs.cfg.Ctx.ReleaseWorkers(degree)
 	senders := make([]*vecBatchSender, degree)

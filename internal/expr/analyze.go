@@ -8,9 +8,10 @@ import (
 	"repro/internal/types"
 )
 
-// Bind resolves every column reference in e against the schema, returning
-// an error for unknown columns. The expression is rewritten in place (Col
-// nodes get their Index set).
+// Bind sets the Index of every column reference in e, in place, to the
+// offset of the schema column of exactly its name, returning an error for a
+// name the schema lacks. References carry their schema names by then
+// (plan.Build resolves them).
 func Bind(e Expr, s types.Schema) error {
 	var bindErr error
 	Walk(e, func(x Expr) {
@@ -145,9 +146,8 @@ func Columns(e Expr) []string {
 	var out []string
 	Walk(e, func(x Expr) {
 		if c, ok := x.(*Col); ok {
-			key := strings.ToLower(c.Name)
-			if !seen[key] {
-				seen[key] = true
+			if !seen[c.Name] {
+				seen[c.Name] = true
 				out = append(out, c.Name)
 			}
 		}
@@ -155,13 +155,17 @@ func Columns(e Expr) []string {
 	return out
 }
 
-// ToSkipConj converts the skippable atomic conjuncts of a predicate into a
-// skipcache conjunction: parts of the form column op constant. Returns the
+// ToSkipConj converts the skippable atomic conjuncts of a scan predicate,
+// bound to the scanned table's columns, into a skipcache conjunction: parts
+// of the form column op constant, each keyed by the name of the table
+// column it is bound to — table.Cols[Index].Name, whatever alias or
+// qualifier the query wrote — which is what MinMax records and what one
+// predicate-cache entry serves under every spelling. Returns the
 // conjunction (possibly shorter than the full predicate — a subset is still
 // sound for recording "no rows matched the FULL predicate" only when the
 // whole predicate converted, so ok reports whether every conjunct was
 // convertible).
-func ToSkipConj(e Expr) (skipcache.Conj, bool) {
+func ToSkipConj(e Expr, table types.Schema) (skipcache.Conj, bool) {
 	conjs := Conjuncts(e)
 	out := make(skipcache.Conj, 0, len(conjs))
 	all := true
@@ -171,8 +175,7 @@ func ToSkipConj(e Expr) (skipcache.Conj, bool) {
 			col, cok := b.E.(*Col)
 			lo, lok := b.Lo.(*Const)
 			hi, hok := b.Hi.(*Const)
-			if cok && lok && hok && !lo.V.IsNull() && !hi.V.IsNull() {
-				name := strings.ToLower(col.Name)
+			if name, ok := tableCol(col, table); ok && cok && lok && hok && !lo.V.IsNull() && !hi.V.IsNull() {
 				out = append(out,
 					skipcache.Pred{Col: name, Op: skipcache.OpGe, Val: lo.V},
 					skipcache.Pred{Col: name, Op: skipcache.OpLe, Val: hi.V},
@@ -182,7 +185,7 @@ func ToSkipConj(e Expr) (skipcache.Conj, bool) {
 			all = false
 			continue
 		}
-		p, ok := atomToSkipPred(c)
+		p, ok := atomToSkipPred(c, table)
 		if !ok {
 			all = false
 			continue
@@ -192,7 +195,15 @@ func ToSkipConj(e Expr) (skipcache.Conj, bool) {
 	return out, all && len(out) > 0
 }
 
-func atomToSkipPred(e Expr) (skipcache.Pred, bool) {
+// tableCol is the name of the table column col is bound to.
+func tableCol(col *Col, table types.Schema) (string, bool) {
+	if col == nil || col.Index < 0 || col.Index >= table.Len() {
+		return "", false
+	}
+	return table.Cols[col.Index].Name, true
+}
+
+func atomToSkipPred(e Expr, table types.Schema) (skipcache.Pred, bool) {
 	b, ok := e.(*Bin)
 	if !ok || !b.Op.IsComparison() {
 		return skipcache.Pred{}, false
@@ -205,7 +216,8 @@ func atomToSkipPred(e Expr) (skipcache.Pred, bool) {
 		cons, vok = b.L.(*Const)
 		flip = true
 	}
-	if !cok || !vok || cons.V.IsNull() {
+	name, bound := tableCol(col, table)
+	if !cok || !vok || !bound || cons.V.IsNull() {
 		return skipcache.Pred{}, false
 	}
 	op := b.Op
@@ -238,7 +250,7 @@ func atomToSkipPred(e Expr) (skipcache.Pred, bool) {
 	default:
 		return skipcache.Pred{}, false
 	}
-	return skipcache.Pred{Col: strings.ToLower(col.Name), Op: sop, Val: cons.V}, true
+	return skipcache.Pred{Col: name, Op: sop, Val: cons.V}, true
 }
 
 // KindOf infers the result kind of an expression under a schema. Best

@@ -257,16 +257,19 @@ func TestBind(t *testing.T) {
 		types.Column{Name: "l.l_qty", Kind: types.KindInt},
 		types.Column{Name: "l.l_price", Kind: types.KindFloat},
 	)
-	e := bin(OpGt, &Col{Index: -1, Name: "l_qty"}, ci(10))
+	e := bin(OpGt, &Col{Index: -1, Name: "l.l_price"}, ci(10))
 	if err := Bind(e, s); err != nil {
 		t.Fatal(err)
 	}
-	if e.L.(*Col).Index != 0 {
+	if e.L.(*Col).Index != 1 {
 		t.Errorf("bound index = %d", e.L.(*Col).Index)
 	}
-	bad := bin(OpGt, &Col{Index: -1, Name: "missing"}, ci(10))
-	if err := Bind(bad, s); err == nil {
-		t.Error("unknown column should fail binding")
+	// Binding is exact: a name the schema does not spell so is unknown.
+	for _, name := range []string{"missing", "l_qty", "L.L_QTY", "x.l_qty"} {
+		bad := bin(OpGt, &Col{Index: -1, Name: name}, ci(10))
+		if err := Bind(bad, s); err == nil {
+			t.Errorf("%s: unknown column should fail binding", name)
+		}
 	}
 }
 
@@ -305,11 +308,19 @@ func TestColumns(t *testing.T) {
 	}
 }
 
+// skipTable is the table the ToSkipConj tests' predicates are bound to.
+var skipTable = types.NewSchema(
+	types.Column{Name: "l_qty", Kind: types.KindInt},
+	types.Column{Name: "l_disc", Kind: types.KindInt},
+)
+
 func TestToSkipConj(t *testing.T) {
+	// Each atom is keyed by the table column its reference is bound to,
+	// whatever qualifier the reference carries.
 	e := bin(OpAnd,
-		bin(OpLt, col(0, "l_qty"), ci(24)),
+		bin(OpLt, col(0, "l1.l_qty"), ci(24)),
 		bin(OpGe, ci(5), col(1, "l_disc"))) // flipped: 5 >= l_disc ≡ l_disc <= 5
-	conj, ok := ToSkipConj(e)
+	conj, ok := ToSkipConj(e, skipTable)
 	if !ok || len(conj) != 2 {
 		t.Fatalf("conj = %v ok=%v", conj, ok)
 	}
@@ -321,12 +332,12 @@ func TestToSkipConj(t *testing.T) {
 	}
 	// Non-convertible atoms make ok false.
 	mixed := bin(OpAnd, bin(OpLt, col(0, "a"), ci(1)), &Like{E: col(1, "s"), Pattern: cs("%x")})
-	_, ok = ToSkipConj(mixed)
+	_, ok = ToSkipConj(mixed, skipTable)
 	if ok {
 		t.Error("LIKE conjunct should make conversion partial")
 	}
 	or := bin(OpOr, bin(OpLt, col(0, "a"), ci(1)), bin(OpGt, col(0, "a"), ci(5)))
-	if _, ok := ToSkipConj(or); ok {
+	if _, ok := ToSkipConj(or, skipTable); ok {
 		t.Error("OR should not convert")
 	}
 }
@@ -388,19 +399,19 @@ func TestStringRendering(t *testing.T) {
 
 func TestToSkipConjBetween(t *testing.T) {
 	e := &Bin{Op: OpAnd,
-		L: &Between{E: col(0, "l_discount"), Lo: cf(0.05), Hi: cf(0.07)},
-		R: bin(OpLt, col(1, "l_qty"), ci(24)),
+		L: &Between{E: col(1, "x.l_disc"), Lo: cf(0.05), Hi: cf(0.07)},
+		R: bin(OpLt, col(0, "l_qty"), ci(24)),
 	}
-	conj, ok := ToSkipConj(e)
+	conj, ok := ToSkipConj(e, skipTable)
 	if !ok || len(conj) != 3 {
 		t.Fatalf("conj = %v ok=%v", conj, ok)
 	}
-	if conj[0].Op != skipcache.OpGe || conj[1].Op != skipcache.OpLe {
+	if conj[0].Op != skipcache.OpGe || conj[1].Op != skipcache.OpLe || conj[0].Col != "l_disc" || conj[1].Col != "l_disc" {
 		t.Errorf("between atoms = %v", conj[:2])
 	}
 	// NOT BETWEEN must not convert.
 	neg := &Between{E: col(0, "a"), Lo: ci(1), Hi: ci(2), Negate: true}
-	if _, ok := ToSkipConj(neg); ok {
+	if _, ok := ToSkipConj(neg, skipTable); ok {
 		t.Error("NOT BETWEEN should not convert completely")
 	}
 }

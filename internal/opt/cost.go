@@ -2,7 +2,7 @@
 package opt
 
 import (
-	"strings"
+	"slices"
 
 	"repro/internal/catalog"
 	"repro/internal/plan"
@@ -93,29 +93,13 @@ type DistInfo struct {
 	Cols []string
 }
 
-// distMatchesKeys reports whether a stream partitioned on d.Cols is
-// already correctly partitioned for joining on keys (same column list, by
-// suffix-insensitive name match, in order).
-func distMatchesKeys(d DistInfo, keys []string) bool {
-	if d.Kind != DistPartitioned || len(d.Cols) != len(keys) {
-		return false
-	}
-	for i := range keys {
-		if !nameMatches(d.Cols[i], keys[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// nameMatches compares two possibly-qualified column names the way the
-// cluster layer does: equal, or one is a suffix of the other past a dot.
-func nameMatches(a, b string) bool {
-	a, b = strings.ToLower(a), strings.ToLower(b)
-	if a == b {
-		return true
-	}
-	return strings.HasSuffix(a, "."+b) || strings.HasSuffix(b, "."+a)
+// PartitionedOn reports whether a stream spread as d is partitioned on
+// exactly keys, in order — the paper's shuffle elimination: equality on the
+// existing partition columns implies co-location. Both are schema names, so
+// the comparison is exact. The cost model and the cluster's placement both
+// decide by it.
+func (d DistInfo) PartitionedOn(keys []string) bool {
+	return d.Kind == DistPartitioned && slices.Equal(d.Cols, keys)
 }
 
 // JoinNet is the network plan for one join: what each side does and the
@@ -142,8 +126,8 @@ func ChooseJoinNet(left, right DistInfo, leftKeys, rightKeys []string,
 		// Single worker: everything is local.
 		return JoinNet{}
 	}
-	leftOK := distMatchesKeys(left, leftKeys)
-	rightOK := distMatchesKeys(right, rightKeys)
+	leftOK := left.PartitionedOn(leftKeys)
+	rightOK := right.PartitionedOn(rightKeys)
 	if left.Kind == DistReplicated || right.Kind == DistReplicated {
 		return JoinNet{}
 	}
@@ -206,7 +190,7 @@ func (e *Estimator) leafDist(n plan.Node) DistInfo {
 			}
 			cols := make([]string, len(def.Part.Cols))
 			for i, c := range def.Part.Cols {
-				cols[i] = strings.ToLower(alias + "." + c)
+				cols[i] = alias + "." + c
 			}
 			return DistInfo{Kind: DistPartitioned, Cols: cols}
 		}

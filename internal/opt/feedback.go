@@ -71,7 +71,7 @@ func Signature(n plan.Node) string {
 func writeSignature(sb *strings.Builder, n plan.Node) {
 	switch x := n.(type) {
 	case *plan.Scan:
-		fmt.Fprintf(sb, "scan(%s|%s|%s)", strings.ToLower(x.Table.Name), strings.ToLower(x.Alias), exprSig(x.Pred))
+		fmt.Fprintf(sb, "scan(%s|%s|%s)", x.Table.Name, x.Alias, exprSig(x.Pred))
 	case *plan.Filter:
 		fmt.Fprintf(sb, "filter(%s|", exprSig(x.Pred))
 		writeSignature(sb, x.Child)
@@ -119,5 +119,5 @@ func exprSig(e expr.Expr) string {
 	if e == nil {
 		return ""
 	}
-	return strings.ToLower(e.String())
+	return e.String()
 }

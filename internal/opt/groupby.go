@@ -1,8 +1,6 @@
 package opt
 
 import (
-	"strings"
-
 	"repro/internal/catalog"
 	"repro/internal/exec"
 	"repro/internal/expr"
@@ -65,23 +63,14 @@ func pushGroupByThroughJoins(n plan.Node, est *Estimator) plan.Node {
 			return n // keep the conservative path for DISTINCT aggregates
 		}
 	}
-	// (2) Left join keys ⊆ group-by expressions. Plain columns compare by
-	// schema position (qualification-insensitive); other expressions by
-	// text.
-	canon := func(e expr.Expr) string {
-		if c, isCol := e.(*expr.Col); isCol {
-			if idx := leftSchema.Find(c.Name); idx >= 0 {
-				return "$" + strings.ToLower(leftSchema.Cols[idx].Name)
-			}
-		}
-		return e.String()
-	}
+	// (2) Left join keys ⊆ group-by expressions, compared by text: a plain
+	// column's text is its schema name.
 	groupKeys := map[string]bool{}
 	for _, g := range agg.GroupBy {
-		groupKeys[canon(g)] = true
+		groupKeys[g.String()] = true
 	}
 	for _, k := range join.EquiLeft {
-		if !groupKeys[canon(k)] {
+		if !groupKeys[k.String()] {
 			return n
 		}
 	}
@@ -147,12 +136,12 @@ func rightSideUnique(n plan.Node, keys []expr.Expr, cat *catalog.Catalog) bool {
 			cur = x.Child
 			continue
 		case *plan.Scan:
-			stats := cat.Stats(x.Table.Name)
-			bare := strings.ToLower(col.Name)
-			if i := strings.LastIndexByte(bare, '.'); i >= 0 {
-				bare = bare[i+1:]
+			ci := x.TableSchema().Find(col.Name)
+			if ci < 0 {
+				return false
 			}
-			cs, exists := stats.Cols[bare]
+			stats := cat.Stats(x.Table.Name)
+			cs, exists := stats.Cols[x.Table.Schema.Cols[ci].Name]
 			if !exists || stats.RowCount <= 0 {
 				return false
 			}

@@ -131,22 +131,23 @@ func (e *Estimator) exprNDV(n plan.Node, x expr.Expr) float64 {
 	return math.Max(1, e.Estimate(n)/10)
 }
 
-// resolveBaseColumn finds the base table and bare column name for a
-// (possibly qualified) column reference in a subtree.
+// resolveBaseColumn finds the base table and table column a column
+// reference names in a subtree: the scan its qualifier is the alias of, when
+// that scan's table has the column. Names a scan did not make (a derived
+// table's, an aggregate's) resolve to none.
 func (e *Estimator) resolveBaseColumn(n plan.Node, name string) (string, string, bool) {
-	bare := strings.ToLower(name)
-	if idx := strings.LastIndexByte(bare, '.'); idx >= 0 {
-		bare = bare[idx+1:]
+	dot := strings.LastIndexByte(name, '.')
+	if dot < 0 {
+		return "", "", false
 	}
+	alias, col := name[:dot], name[dot+1:]
 	var table string
 	plan.Walk(n, func(m plan.Node) {
-		if sc, ok := m.(*plan.Scan); ok && table == "" {
-			if sc.Table.Schema.Find(bare) >= 0 {
-				table = sc.Table.Name
-			}
+		if sc, ok := m.(*plan.Scan); ok && table == "" && sc.Alias == alias && sc.Table.Schema.Find(col) >= 0 {
+			table = sc.Table.Name
 		}
 	})
-	return table, bare, table != ""
+	return table, col, table != ""
 }
 
 // colStatsFor resolves a (possibly qualified) column reference against the
@@ -155,9 +156,9 @@ func (e *Estimator) colStatsFor(scope plan.Node, name string) (*catalog.ColumnSt
 	if scope == nil {
 		return nil, nil
 	}
-	if table, bare, ok := e.resolveBaseColumn(scope, name); ok {
+	if table, col, ok := e.resolveBaseColumn(scope, name); ok {
 		ts := e.Cat.Stats(table)
-		if cs, exists := ts.Cols[bare]; exists {
+		if cs, exists := ts.Cols[col]; exists {
 			return cs, ts
 		}
 	}
@@ -251,7 +252,7 @@ func (e *Estimator) rangeBound(c expr.Expr, scope plan.Node) (key string, isUppe
 	if !have {
 		return "", false, 0, 0, false
 	}
-	return strings.ToLower(col.Name), isUpper, f, notNullFrac(cs, ts), true
+	return col.Name, isUpper, f, notNullFrac(cs, ts), true
 }
 
 // mirrorOp flips a comparison operator when the constant was on the left.
@@ -639,7 +640,7 @@ func augmentWithEquivalences(conds []expr.Expr) []expr.Expr {
 		if !ok || c.Name == "" {
 			return "", false
 		}
-		return strings.ToLower(c.Name), true
+		return c.Name, true
 	}
 	type member struct {
 		name string

@@ -66,9 +66,8 @@ func sinkSemiJoin(j *plan.Join, est *Estimator) plan.Node {
 
 // semiJoinSide reports which input of inner join in binds every column semi
 // join j reads of its left row — its left keys, and the residual's columns
-// that bind in in — with none of them binding in the other input too (a
-// name both inputs carry could rebind to the other one). ok is false when
-// no input qualifies.
+// that bind in in. ok is false when no input qualifies. A name is one
+// column, so no input shares one with the other.
 func semiJoinSide(j, in *plan.Join) (intoLeft, ok bool) {
 	var cols []string
 	for _, k := range j.EquiLeft {
@@ -85,19 +84,18 @@ func semiJoinSide(j, in *plan.Join) (intoLeft, ok bool) {
 	if len(cols) == 0 {
 		return false, false
 	}
-	bindsAll := func(sch, other types.Schema) bool {
+	bindsAll := func(sch types.Schema) bool {
 		for _, c := range cols {
-			if sch.Find(c) < 0 || other.Find(c) >= 0 {
+			if sch.Find(c) < 0 {
 				return false
 			}
 		}
 		return true
 	}
-	l, r := in.Left.Schema(), in.Right.Schema()
 	switch {
-	case bindsAll(l, r):
+	case bindsAll(in.Left.Schema()):
 		return true, true
-	case bindsAll(r, l):
+	case bindsAll(in.Right.Schema()):
 		return false, true
 	}
 	return false, false

@@ -1,6 +1,8 @@
 package opt
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/catalog"
@@ -192,15 +194,31 @@ func TestSemiJoinPushdownDeclinesSelectiveJoin(t *testing.T) {
 	requirePushed(t, optimized, "")
 }
 
-// TestSemiJoinPushdownDeclinesColumnOfBothInputs: in a self-join both inputs
-// carry a column the bare name o_orderkey finds, so the semi join could
-// rebind to the other copy; it stays.
+// TestSemiJoinPushdownDeclinesColumnOfBothInputs: in a self-join a bare
+// o_orderkey names a column of both inputs, so Build rejects it as
+// ambiguous rather than bind it to either. Qualified, the semi join's key
+// names one input's column, and semiJoinSide finds that input alone.
 func TestSemiJoinPushdownDeclinesColumnOfBothInputs(t *testing.T) {
 	cat, _ := semiCat(t)
-	_, optimized := optimizeSQL(t, cat, `SELECT o1.o_custkey FROM orders o1, orders o2
-		WHERE o1.o_custkey = o2.o_custkey
-		AND o_orderkey IN (SELECT l_orderkey FROM lineitem)`)
-	requirePushed(t, optimized, "")
+	const q = `SELECT o1.o_custkey FROM orders o1, orders o2
+		WHERE o1.o_custkey = o2.o_custkey AND %s IN (SELECT l_orderkey FROM lineitem)`
+	sel, err := sqlparse.ParseSelect(fmt.Sprintf(q, "o_orderkey"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := plan.Build(sel, cat); err == nil || !strings.Contains(err.Error(), "ambiguous") {
+		t.Fatalf("bare o_orderkey over a self-join: err = %v, want ambiguous", err)
+	}
+	for _, tc := range []struct {
+		key      string
+		intoLeft bool
+	}{{"o1.o_orderkey", true}, {"o2.o_orderkey", false}} {
+		j := semiJoinOf(t, buildSQL(t, cat, fmt.Sprintf(q, tc.key)))
+		intoLeft, ok := semiJoinSide(j, j.Left.(*plan.Join))
+		if !ok || intoLeft != tc.intoLeft {
+			t.Errorf("%s: semiJoinSide = %v, %v; want %v, true", tc.key, intoLeft, ok, tc.intoLeft)
+		}
+	}
 }
 
 // TestSemiJoinPushdownDeclinesResidualOverBothInputs: the EXISTS residual

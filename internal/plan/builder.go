@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/catalog"
@@ -17,10 +18,30 @@ import (
 // grouped joins; EXISTS/IN become semi joins; NOT EXISTS/NOT IN become
 // anti joins). The result is a single-node logical plan; distribution
 // happens in the dataflow phases.
+//
+// Build binds each column reference once, where SQL scoping defines it: a
+// block's references resolve against its own FROM schema first, then each
+// enclosing block's (scope.resolve), and are rewritten to the exact schema
+// name they denote. The parsed statement is not modified, so a prepared
+// one builds the same plan every time.
 func Build(sel *sqlparse.Select, cat *catalog.Catalog) (Node, error) {
 	b := &builder{cat: cat}
-	node, _, err := b.buildSelect(sel, types.Schema{})
+	node, _, err := b.buildSelect(sel, nil)
 	return node, err
+}
+
+// BindTable resolves and binds an expression over one table's rows — a DML
+// statement's WHERE or SET, an external scan's filter — where a column
+// reference is bare or qualified by the table's name. It returns a bound
+// copy, each reference renamed to its qualified column and indexed into the
+// table's columns; e is not modified.
+func BindTable(e expr.Expr, table string, sch types.Schema) (expr.Expr, error) {
+	full := sch.Qualify(table)
+	out, err := scope{full}.resolve(e)
+	if err != nil {
+		return nil, err
+	}
+	return out, expr.Bind(out, full)
 }
 
 type builder struct {
@@ -31,6 +52,72 @@ type builder struct {
 func (b *builder) genName(prefix string) string {
 	b.nextID++
 	return fmt.Sprintf("%s$%d", prefix, b.nextID)
+}
+
+// scope is the chain of FROM schemas a column reference can resolve
+// against, innermost block first.
+type scope []types.Schema
+
+// within returns the scope of a block nested in sc whose FROM schema is sch.
+func (sc scope) within(sch types.Schema) scope {
+	return append(scope{sch}, sc...)
+}
+
+// column resolves a column reference to the exact name of the column it
+// denotes: in the innermost block that has one, the column spelled so, or,
+// for a bare name, the column of that name under any qualifier. ok is false
+// when no block has one; a name two columns of one block answer to is an
+// error.
+func (sc scope) column(name string) (resolved string, ok bool, err error) {
+	suffix := ""
+	if !strings.Contains(name, ".") {
+		suffix = "." + name
+	}
+	for _, sch := range sc {
+		var hits []string
+		for _, c := range sch.Cols {
+			if c.Name == name || suffix != "" && strings.HasSuffix(c.Name, suffix) {
+				hits = append(hits, c.Name)
+			}
+		}
+		switch len(hits) {
+		case 0:
+			continue
+		case 1:
+			return hits[0], true, nil
+		}
+		return "", false, fmt.Errorf("plan: column %q is ambiguous (%s)", name, strings.Join(hits, ", "))
+	}
+	return "", false, nil
+}
+
+// resolve returns a copy of e whose column references carry the exact
+// names they resolve to in sc; an unknown or ambiguous name is an error.
+// Subqueries inside e are resolved when their blocks are built; an IN
+// subquery's left operand belongs to this block and is resolved here.
+func (sc scope) resolve(e expr.Expr) (expr.Expr, error) {
+	var err error
+	out := rewriteExpr(e, func(x expr.Expr) (expr.Expr, bool) {
+		switch c := x.(type) {
+		case *expr.Col:
+			name, ok, cerr := sc.column(c.Name)
+			if cerr == nil && !ok {
+				cerr = fmt.Errorf("plan: unknown column %q", c.Name)
+			}
+			if cerr != nil && err == nil {
+				err = cerr
+			}
+			return &expr.Col{Index: -1, Name: name}, true
+		case *sqlparse.InSubqueryExpr:
+			left, lerr := sc.resolve(c.E)
+			if lerr != nil && err == nil {
+				err = lerr
+			}
+			return &sqlparse.InSubqueryExpr{E: left, Query: c.Query, Negate: c.Negate}, true
+		}
+		return nil, false
+	})
+	return out, err
 }
 
 // bindsTo reports whether every column of e resolves in sch.
@@ -66,11 +153,11 @@ func hasSubquery(e expr.Expr) bool {
 	return found
 }
 
-// buildSelect builds the plan for sel. outer is the schema of the
-// enclosing query for correlation detection; conjuncts of sel's WHERE that
-// reference outer columns are returned as corrConds instead of being
+// buildSelect builds the plan for sel. outer is the scope of the enclosing
+// blocks, innermost first; conjuncts of sel's WHERE that reference the
+// innermost one's columns are returned as corrConds instead of being
 // applied (the caller turns them into join conditions).
-func (b *builder) buildSelect(sel *sqlparse.Select, outer types.Schema) (Node, []expr.Expr, error) {
+func (b *builder) buildSelect(sel *sqlparse.Select, outer scope) (Node, []expr.Expr, error) {
 	if len(sel.From) == 0 {
 		return nil, nil, fmt.Errorf("plan: SELECT without FROM is not supported")
 	}
@@ -87,13 +174,18 @@ func (b *builder) buildSelect(sel *sqlparse.Select, outer types.Schema) (Node, [
 	for _, r := range rels[1:] {
 		fromSchema = fromSchema.Concat(r.Schema())
 	}
+	sc := outer.within(fromSchema)
+	where, err := sc.resolve(sel.Where)
+	if err != nil {
+		return nil, nil, err
+	}
 
 	// 2. Classify WHERE conjuncts. OR conjuncts first have their common
 	// factors pulled out (e.g. TPC-H Q19 repeats p_partkey = l_partkey in
 	// every OR branch; extracting it turns a nested-loop cross into a hash
 	// join with the OR as a residual).
 	var conjuncts []expr.Expr
-	for _, c := range expr.Conjuncts(sel.Where) {
+	for _, c := range expr.Conjuncts(where) {
 		conjuncts = append(conjuncts, extractCommonFactors(c)...)
 	}
 	var plain, subq, corr []expr.Expr
@@ -103,7 +195,7 @@ func (b *builder) buildSelect(sel *sqlparse.Select, outer types.Schema) (Node, [
 			subq = append(subq, c)
 		case bindsTo(c, fromSchema):
 			plain = append(plain, c)
-		case outer.Len() > 0 && bindsTo(c, fromSchema.Concat(outer)):
+		case len(outer) > 0 && bindsTo(c, fromSchema.Concat(outer[0])):
 			corr = append(corr, c)
 		default:
 			return nil, nil, fmt.Errorf("plan: cannot resolve columns of %s", c)
@@ -118,14 +210,14 @@ func (b *builder) buildSelect(sel *sqlparse.Select, outer types.Schema) (Node, [
 
 	// 4. Apply subquery conjuncts (decorrelation).
 	for _, c := range subq {
-		tree, err = b.applySubqueryConjunct(tree, c)
+		tree, err = b.applySubqueryConjunct(tree, c, outer)
 		if err != nil {
 			return nil, nil, err
 		}
 	}
 
 	// 5. Aggregation + projection.
-	tree, err = b.buildProjection(tree, sel)
+	tree, err = b.buildProjection(tree, sel, sc)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -134,12 +226,9 @@ func (b *builder) buildSelect(sel *sqlparse.Select, outer types.Schema) (Node, [
 
 func (b *builder) buildTableRef(ref sqlparse.TableRef) (Node, error) {
 	if ref.Subquery != nil {
-		sub, corr, err := b.buildSelect(ref.Subquery, types.Schema{})
+		sub, _, err := b.buildSelect(ref.Subquery, nil)
 		if err != nil {
 			return nil, err
-		}
-		if len(corr) > 0 {
-			return nil, fmt.Errorf("plan: correlated derived tables are not supported")
 		}
 		alias := ref.Alias
 		if alias == "" {
@@ -355,24 +444,26 @@ func splitEquiCond(c expr.Expr, left, right types.Schema) (expr.Expr, expr.Expr,
 }
 
 // applySubqueryConjunct rewrites one WHERE conjunct containing a subquery
-// into joins/filters on top of tree.
-func (b *builder) applySubqueryConjunct(tree Node, c expr.Expr) (Node, error) {
+// into joins/filters on top of tree. The subquery's block sees tree's
+// columns, then outer's.
+func (b *builder) applySubqueryConjunct(tree Node, c expr.Expr, outer scope) (Node, error) {
+	sc := outer.within(tree.Schema())
 	switch x := c.(type) {
 	case *sqlparse.ExistsExpr:
-		return b.applyExists(tree, x.Query, false)
+		return b.applyExists(tree, x.Query, false, sc)
 	case *expr.Not:
 		if ex, ok := x.E.(*sqlparse.ExistsExpr); ok {
-			return b.applyExists(tree, ex.Query, true)
+			return b.applyExists(tree, ex.Query, true, sc)
 		}
 	case *sqlparse.InSubqueryExpr:
-		return b.applyInSubquery(tree, x)
+		return b.applyInSubquery(tree, x, sc)
 	case *expr.Bin:
 		if x.Op.IsComparison() {
 			if sub, ok := x.R.(*sqlparse.SubqueryExpr); ok {
-				return b.applyScalarComparison(tree, x.L, x.Op, sub.Query, false)
+				return b.applyScalarComparison(tree, x.L, x.Op, sub.Query, false, sc)
 			}
 			if sub, ok := x.L.(*sqlparse.SubqueryExpr); ok {
-				return b.applyScalarComparison(tree, x.R, x.Op, sub.Query, true)
+				return b.applyScalarComparison(tree, x.R, x.Op, sub.Query, true, sc)
 			}
 		}
 	}
@@ -380,8 +471,8 @@ func (b *builder) applySubqueryConjunct(tree Node, c expr.Expr) (Node, error) {
 }
 
 // applyExists rewrites [NOT] EXISTS into a semi/anti join.
-func (b *builder) applyExists(tree Node, sub *sqlparse.Select, negate bool) (Node, error) {
-	subPlan, corr, err := b.buildFromWhere(sub, tree.Schema())
+func (b *builder) applyExists(tree Node, sub *sqlparse.Select, negate bool, sc scope) (Node, error) {
+	subPlan, corr, err := b.buildFromWhere(sub, sc)
 	if err != nil {
 		return nil, err
 	}
@@ -390,7 +481,7 @@ func (b *builder) applyExists(tree Node, sub *sqlparse.Select, negate bool) (Nod
 
 // applyInSubquery rewrites expr [NOT] IN (SELECT x ...) into a semi/anti
 // join with the extra key expr = x.
-func (b *builder) applyInSubquery(tree Node, in *sqlparse.InSubqueryExpr) (Node, error) {
+func (b *builder) applyInSubquery(tree Node, in *sqlparse.InSubqueryExpr, sc scope) (Node, error) {
 	if len(in.Query.Items) != 1 || in.Query.Items[0].Star {
 		return nil, fmt.Errorf("plan: IN subquery must select exactly one expression")
 	}
@@ -398,7 +489,7 @@ func (b *builder) applyInSubquery(tree Node, in *sqlparse.InSubqueryExpr) (Node,
 	// the full subquery plan; plain ones keep the raw FROM/WHERE plan so
 	// correlation conditions can reference inner columns.
 	if hasAggregates(in.Query) {
-		subPlan, corr, err := b.buildSelect(in.Query, tree.Schema())
+		subPlan, corr, err := b.buildSelect(in.Query, sc)
 		if err != nil {
 			return nil, err
 		}
@@ -412,12 +503,14 @@ func (b *builder) applyInSubquery(tree Node, in *sqlparse.InSubqueryExpr) (Node,
 		}
 		return b.correlatedJoin(tree, subPlan, nil, []expr.Expr{keyL}, []expr.Expr{keyR}, in.Negate)
 	}
-	subPlan, corr, err := b.buildFromWhere(in.Query, tree.Schema())
+	subPlan, corr, err := b.buildFromWhere(in.Query, sc)
 	if err != nil {
 		return nil, err
 	}
-	item := in.Query.Items[0].Expr
-	keyR := expr.Clone(item)
+	keyR, err := sc.within(subPlan.Schema()).resolve(in.Query.Items[0].Expr)
+	if err != nil {
+		return nil, err
+	}
 	if err := expr.Bind(keyR, subPlan.Schema()); err != nil {
 		return nil, err
 	}
@@ -442,8 +535,9 @@ func hasAggregates(sel *sqlparse.Select) bool {
 }
 
 // buildFromWhere builds a subquery's FROM + WHERE (no projection), so
-// correlation predicates can reference any inner column.
-func (b *builder) buildFromWhere(sel *sqlparse.Select, outer types.Schema) (Node, []expr.Expr, error) {
+// correlation predicates can reference any inner column. Its schema is the
+// subquery's FROM schema.
+func (b *builder) buildFromWhere(sel *sqlparse.Select, outer scope) (Node, []expr.Expr, error) {
 	inner := &sqlparse.Select{From: sel.From, Where: sel.Where, Limit: -1,
 		Items: []sqlparse.SelectItem{{Star: true}}}
 	return b.buildSelect(inner, outer)
@@ -492,19 +586,19 @@ func (b *builder) correlatedJoin(tree, subPlan Node, corr []expr.Expr, extraL, e
 
 // applyScalarComparison rewrites `lhs op (SELECT agg ...)`. flipped means
 // the subquery was on the left.
-func (b *builder) applyScalarComparison(tree Node, lhs expr.Expr, op expr.BinOp, sub *sqlparse.Select, flipped bool) (Node, error) {
+func (b *builder) applyScalarComparison(tree Node, lhs expr.Expr, op expr.BinOp, sub *sqlparse.Select, flipped bool, sc scope) (Node, error) {
 	if len(sub.Items) != 1 || sub.Items[0].Star {
 		return nil, fmt.Errorf("plan: scalar subquery must select one expression")
 	}
 	// Determine correlation by building the subquery FROM/WHERE.
-	subFW, corr, err := b.buildFromWhere(sub, tree.Schema())
+	subFW, corr, err := b.buildFromWhere(sub, sc)
 	if err != nil {
 		return nil, err
 	}
 	if len(corr) == 0 {
 		// Uncorrelated: plan the whole subquery; the executor materializes
 		// it into a constant.
-		subPlan, _, err := b.buildSelect(sub, types.Schema{})
+		subPlan, _, err := b.buildSelect(sub, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -540,7 +634,10 @@ func (b *builder) applyScalarComparison(tree Node, lhs expr.Expr, op expr.BinOp,
 		innerKeys = append(innerKeys, rc)
 	}
 	// Aggregate the subquery grouped by the inner correlation keys.
-	item := expr.Clone(sub.Items[0].Expr)
+	item, err := sc.within(subFW.Schema()).resolve(sub.Items[0].Expr)
+	if err != nil {
+		return nil, err
+	}
 	calls := collectAggCalls(item)
 	if len(calls) == 0 {
 		return nil, fmt.Errorf("plan: correlated scalar subquery must aggregate")
@@ -607,7 +704,7 @@ func (b *builder) replaceScalarSubqueries(e expr.Expr) (expr.Expr, error) {
 	out := rewriteExpr(e, func(x expr.Expr) (expr.Expr, bool) {
 		switch s := x.(type) {
 		case *sqlparse.SubqueryExpr:
-			sub, corr, err := b.buildSelect(s.Query, types.Schema{})
+			sub, corr, err := b.buildSelect(s.Query, nil)
 			if err != nil {
 				buildErr = err
 				return &expr.Const{V: types.Null}, true
@@ -738,55 +835,74 @@ func rewriteExpr(e expr.Expr, fn func(expr.Expr) (expr.Expr, bool)) expr.Expr {
 }
 
 // buildProjection handles aggregation, HAVING, SELECT items, DISTINCT,
-// ORDER BY, and LIMIT on top of the FROM/WHERE tree.
-func (b *builder) buildProjection(tree Node, sel *sqlparse.Select) (Node, error) {
-	// Expand stars.
-	var items []sqlparse.SelectItem
+// ORDER BY, and LIMIT on top of the FROM/WHERE tree. Every clause is
+// resolved against the block's scope sc first.
+func (b *builder) buildProjection(tree Node, sel *sqlparse.Select, sc scope) (Node, error) {
+	// Expand stars and resolve the items. Each output column is named by
+	// its alias, or its text as written.
+	var items []expr.Expr
+	var itemNames []string
 	for _, it := range sel.Items {
 		if !it.Star {
-			items = append(items, it)
+			e, err := sc.resolve(it.Expr)
+			if err != nil {
+				return nil, err
+			}
+			name := it.Alias
+			if name == "" {
+				name = it.Expr.String()
+			}
+			items = append(items, e)
+			itemNames = append(itemNames, name)
 			continue
 		}
 		for _, col := range tree.Schema().Cols {
-			if it.Qualifier != "" && !strings.HasPrefix(strings.ToLower(col.Name), strings.ToLower(it.Qualifier)+".") {
+			if it.Qualifier != "" && !strings.HasPrefix(col.Name, it.Qualifier+".") {
 				continue
 			}
-			items = append(items, sqlparse.SelectItem{
-				Expr:  &expr.Col{Index: -1, Name: col.Name},
-				Alias: col.Name,
-			})
+			items = append(items, &expr.Col{Index: -1, Name: col.Name})
+			itemNames = append(itemNames, col.Name)
 		}
+	}
+	var having expr.Expr
+	if sel.Having != nil {
+		h, err := sc.resolve(sel.Having)
+		if err != nil {
+			return nil, err
+		}
+		having = h
 	}
 
 	// Collect aggregate calls across items and HAVING.
 	var allCalls []*expr.Func
-	for _, it := range items {
-		allCalls = append(allCalls, collectAggCalls(it.Expr)...)
+	for _, e := range items {
+		allCalls = append(allCalls, collectAggCalls(e)...)
 	}
-	if sel.Having != nil {
-		allCalls = append(allCalls, collectAggCalls(sel.Having)...)
+	if having != nil {
+		allCalls = append(allCalls, collectAggCalls(having)...)
 	}
 	aggregated := len(allCalls) > 0 || len(sel.GroupBy) > 0
 
 	var out Node = tree
-	itemExprs := make([]expr.Expr, len(items))
-	itemNames := make([]string, len(items))
-	for i, it := range items {
-		itemExprs[i] = expr.Clone(it.Expr)
-		name := it.Alias
-		if name == "" {
-			name = it.Expr.String()
-		}
-		itemNames[i] = strings.ToLower(name)
-	}
+	itemExprs := slices.Clone(items)
 
 	if aggregated {
-		// Bind group-by expressions to the tree schema. Group-by items may
-		// reference select aliases (GROUP BY l_returnflag works either way).
+		// Bind group-by expressions to the tree schema. A group-by name no
+		// input column has may be a select alias.
 		groupExprs := make([]expr.Expr, len(sel.GroupBy))
 		groupNames := make([]string, len(sel.GroupBy))
 		for i, g := range sel.GroupBy {
-			ge := expr.Clone(g)
+			ge, err := sc.resolve(g)
+			if c, isCol := g.(*expr.Col); isCol && err != nil {
+				if _, found, cerr := sc.column(c.Name); !found && cerr == nil {
+					if j := slices.Index(itemNames, c.Name); j >= 0 {
+						ge, err = expr.Clone(items[j]), nil
+					}
+				}
+			}
+			if err != nil {
+				return nil, err
+			}
 			if err := expr.Bind(ge, tree.Schema()); err != nil {
 				return nil, err
 			}
@@ -841,8 +957,8 @@ func (b *builder) buildProjection(tree Node, sel *sqlparse.Select) (Node, error)
 				return nil, false
 			})
 		}
-		if sel.Having != nil {
-			h := rewrite(expr.Clone(sel.Having))
+		if having != nil {
+			h := rewrite(having)
 			// Uncorrelated scalar subqueries may appear in HAVING (TPC-H
 			// Q11's global threshold); plan them for later materialization.
 			h, err := b.replaceScalarSubqueries(h)
@@ -878,7 +994,7 @@ func (b *builder) buildProjection(tree Node, sel *sqlparse.Select) (Node, error)
 	if len(sel.OrderBy) > 0 {
 		var err error
 		keys, hiddenExprs, hiddenNames, err = resolveOrderByWithHidden(
-			b, sel.OrderBy, items, itemNames, preProject.Schema(), aggregated)
+			b, sel.OrderBy, items, itemNames, preProject.Schema(), aggregated, sc)
 		if err != nil {
 			return nil, err
 		}
@@ -913,9 +1029,11 @@ func (b *builder) buildProjection(tree Node, sel *sqlparse.Select) (Node, error)
 
 // resolveOrderByWithHidden resolves ORDER BY terms against the select list
 // and, when a term is absent, appends it as a hidden projection column
-// (non-aggregated queries only).
-func resolveOrderByWithHidden(b *builder, orders []sqlparse.OrderItem, items []sqlparse.SelectItem,
-	itemNames []string, childSchema types.Schema, aggregated bool) ([]SortItem, []expr.Expr, []string, error) {
+// (non-aggregated queries only). A term is an output column's name (an
+// alias, or an item's text as written) first; otherwise it is resolved in
+// sc and matches the item that computes the same resolved expression.
+func resolveOrderByWithHidden(b *builder, orders []sqlparse.OrderItem, items []expr.Expr,
+	itemNames []string, childSchema types.Schema, aggregated bool, sc scope) ([]SortItem, []expr.Expr, []string, error) {
 	keys := make([]SortItem, len(orders))
 	var hiddenExprs []expr.Expr
 	var hiddenNames []string
@@ -928,44 +1046,32 @@ func resolveOrderByWithHidden(b *builder, orders []sqlparse.OrderItem, items []s
 			keys[i].Col = o.Position - 1
 			continue
 		}
-		text := o.Expr.String()
-		found := -1
-		for j, it := range items {
-			if it.Alias != "" && strings.EqualFold(it.Alias, text) {
-				found = j
-				break
-			}
-			if it.Expr != nil && it.Expr.String() == text {
-				found = j
-				break
+		if c, ok := o.Expr.(*expr.Col); ok {
+			if j := slices.Index(itemNames, c.Name); j >= 0 {
+				keys[i].Col = j
+				continue
 			}
 		}
-		if found < 0 {
-			if c, ok := o.Expr.(*expr.Col); ok {
-				for j, name := range itemNames {
-					if strings.EqualFold(name, c.Name) {
-						found = j
-						break
-					}
-				}
-			}
+		oe, err := sc.resolve(o.Expr)
+		if err != nil {
+			return nil, nil, nil, err
 		}
-		if found >= 0 {
-			keys[i].Col = found
+		text := oe.String()
+		if j := slices.IndexFunc(items, func(e expr.Expr) bool { return e.String() == text }); j >= 0 {
+			keys[i].Col = j
 			continue
 		}
 		// Hidden sort column: only valid when the term binds to the
 		// pre-projection schema (and the query is not aggregated, where
 		// unselected columns are not well-defined).
 		if aggregated {
-			return nil, nil, nil, fmt.Errorf("plan: ORDER BY %s is not in the select list", text)
+			return nil, nil, nil, fmt.Errorf("plan: ORDER BY %s is not in the select list", o.Expr)
 		}
-		he := expr.Clone(o.Expr)
-		if err := expr.Bind(he, childSchema); err != nil {
-			return nil, nil, nil, fmt.Errorf("plan: ORDER BY %s is not in the select list", text)
+		if err := expr.Bind(oe, childSchema); err != nil {
+			return nil, nil, nil, fmt.Errorf("plan: ORDER BY %s is not in the select list", o.Expr)
 		}
 		keys[i].Col = len(items) + len(hiddenExprs)
-		hiddenExprs = append(hiddenExprs, he)
+		hiddenExprs = append(hiddenExprs, oe)
 		hiddenNames = append(hiddenNames, b.genName("sortkey"))
 	}
 	return keys, hiddenExprs, hiddenNames, nil

@@ -42,12 +42,10 @@ type Scan struct {
 
 // NewScan builds a scan node.
 func NewScan(def *catalog.TableDef, alias string) *Scan {
-	name := alias
-	if name == "" {
-		name = def.Name
+	if alias == "" {
+		alias = def.Name
 	}
-	name = strings.ToLower(name)
-	return &Scan{Table: def, Alias: name, full: def.Schema.Qualify(name)}
+	return &Scan{Table: def, Alias: alias, full: def.Schema.Qualify(alias)}
 }
 
 // Schema implements Node: the emitted columns.
@@ -68,13 +66,13 @@ func (s *Scan) Children() []Node { return nil }
 // Describe implements Node.
 func (s *Scan) Describe() string {
 	out := fmt.Sprintf("Scan %s", s.Table.Name)
-	if s.Alias != "" && s.Alias != strings.ToLower(s.Table.Name) {
+	if s.Alias != s.Table.Name {
 		out += " AS " + s.Alias
 	}
 	if s.Cols != nil {
 		names := make([]string, len(s.Cols))
 		for i, c := range s.Cols {
-			names[i] = strings.ToLower(s.Table.Schema.Cols[c].Name)
+			names[i] = s.Table.Schema.Cols[c].Name
 		}
 		out += fmt.Sprintf(" [cols: %s]", strings.Join(names, ", "))
 	}
@@ -111,7 +109,7 @@ type Project struct {
 func NewProject(child Node, exprs []expr.Expr, names []string) *Project {
 	cols := make([]types.Column, len(exprs))
 	for i, e := range exprs {
-		cols[i] = types.Column{Name: strings.ToLower(names[i]), Kind: expr.KindOf(e, child.Schema())}
+		cols[i] = types.Column{Name: names[i], Kind: expr.KindOf(e, child.Schema())}
 	}
 	return &Project{Child: child, Exprs: exprs, Names: names, sch: types.Schema{Cols: cols}}
 }
@@ -193,7 +191,7 @@ func NewAgg(child Node, groupBy []expr.Expr, aggs []AggItem, groupNames []string
 		if name == "" {
 			name = g.String()
 		}
-		cols = append(cols, types.Column{Name: strings.ToLower(name), Kind: expr.KindOf(g, child.Schema())})
+		cols = append(cols, types.Column{Name: name, Kind: expr.KindOf(g, child.Schema())})
 	}
 	for _, a := range aggs {
 		kind := types.KindFloat
@@ -209,7 +207,7 @@ func NewAgg(child Node, groupBy []expr.Expr, aggs []AggItem, groupNames []string
 				kind = expr.KindOf(a.Arg, child.Schema())
 			}
 		}
-		cols = append(cols, types.Column{Name: strings.ToLower(a.Name), Kind: kind})
+		cols = append(cols, types.Column{Name: a.Name, Kind: kind})
 	}
 	return &Agg{Child: child, GroupBy: groupBy, Aggs: aggs, sch: types.Schema{Cols: cols}}
 }
@@ -307,7 +305,7 @@ type Rename struct {
 
 // NewRename re-qualifies a subquery's schema under its FROM alias.
 func NewRename(child Node, alias string) *Rename {
-	return &Rename{Child: child, sch: child.Schema().Qualify(strings.ToLower(alias))}
+	return &Rename{Child: child, sch: child.Schema().Qualify(alias)}
 }
 
 // Schema implements Node.

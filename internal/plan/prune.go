@@ -2,7 +2,6 @@ package plan
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/exec"
 	"repro/internal/expr"
@@ -18,12 +17,9 @@ import (
 // its whole schema. Scalar subquery plans are pruned the same way, each as
 // a root of its own. The plan comes back re-bound (Rebind).
 //
-// The pass is conservative by name: a column survives if any reference
-// that reaches it could resolve to it under Schema.Find's rules (equal
-// names, or equal after dropping either side's qualifier). Find returns
-// the first column, in rule then position order, that matches; since every
-// candidate survives, in order, pruning never changes which column a name
-// binds to — it only removes columns no name can reach.
+// A column survives exactly when a reference that reaches it names it:
+// Build resolves every reference to the exact schema name of its column,
+// and no schema names one column twice, so the name is the column.
 func PruneColumns(root Node) error {
 	if _, err := prune(root, colRefs{all: true}); err != nil {
 		return err
@@ -32,22 +28,17 @@ func PruneColumns(root Node) error {
 }
 
 // colRefs is the set of column references a node's ancestors make to its
-// output: either all of it, or the listed names.
+// output: either all of it, or the named columns.
 type colRefs struct {
-	all  bool
-	full map[string]bool // reference names as written, lower-case
-	bare map[string]bool // the qualified ones among them, qualifier dropped
+	all   bool
+	names map[string]bool
 }
 
 func (r *colRefs) add(name string) {
-	if r.full == nil {
-		r.full, r.bare = map[string]bool{}, map[string]bool{}
+	if r.names == nil {
+		r.names = map[string]bool{}
 	}
-	name = strings.ToLower(name)
-	r.full[name] = true
-	if i := strings.LastIndexByte(name, '.'); i >= 0 {
-		r.bare[name[i+1:]] = true
-	}
+	r.names[name] = true
 }
 
 func (r *colRefs) addExprs(es ...expr.Expr) {
@@ -63,33 +54,24 @@ func (r *colRefs) addExprs(es ...expr.Expr) {
 // extend returns a copy of r that the caller may add to.
 func (r colRefs) extend() colRefs {
 	out := colRefs{all: r.all}
-	for n := range r.full {
+	for n := range r.names {
 		out.add(n)
 	}
 	return out
 }
 
-// couldBind reports whether some reference in r could resolve to a schema
-// column of this name: Find's three rules, in any order.
-func (r colRefs) couldBind(col string) bool {
-	if r.all {
-		return true
-	}
-	col = strings.ToLower(col)
-	if r.full[col] || r.bare[col] {
-		return true
-	}
-	i := strings.LastIndexByte(col, '.')
-	return i >= 0 && r.full[col[i+1:]]
+// has reports whether r refers to the column of this name.
+func (r colRefs) has(col string) bool {
+	return r.all || r.names[col]
 }
 
-// keep returns, for each column of sch, its offset among the columns need
-// could bind to, or -1; and how many those are.
+// keep returns, for each column of sch, its offset among the columns r
+// refers to, or -1; and how many those are.
 func (r colRefs) keep(sch types.Schema) (remap []int, n int) {
 	remap = make([]int, sch.Len())
 	for i, c := range sch.Cols {
 		remap[i] = -1
-		if r.couldBind(c.Name) {
+		if r.has(c.Name) {
 			remap[i] = n
 			n++
 		}
@@ -227,7 +209,7 @@ func prune(n Node, need colRefs) ([]int, error) {
 		down := colRefs{all: need.all}
 		child := x.Child.Schema()
 		for i, c := range x.sch.Cols {
-			if !need.all && need.couldBind(c.Name) {
+			if !need.all && need.has(c.Name) {
 				down.add(child.Cols[i].Name)
 			}
 		}

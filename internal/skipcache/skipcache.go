@@ -89,13 +89,13 @@ func (p Pred) Matches(v types.Value) bool {
 
 // String renders the predicate canonically.
 func (p Pred) String() string {
-	return fmt.Sprintf("%s%s%s", strings.ToLower(p.Col), p.Op, p.Val)
+	return fmt.Sprintf("%s%s%s", p.Col, p.Op, p.Val)
 }
 
 // Implies reports whether p ⇒ q: every value satisfying p also satisfies
 // q. Predicates on different columns never imply each other.
 func (p Pred) Implies(q Pred) bool {
-	if !strings.EqualFold(p.Col, q.Col) {
+	if p.Col != q.Col {
 		return false
 	}
 	cmp := types.Compare(p.Val, q.Val)

@@ -58,8 +58,9 @@ func TestPredImplies(t *testing.T) {
 		{pi("a", OpLt, 5), pi("a", OpNe, 2), false},
 		// Different columns never imply.
 		{pi("a", OpEq, 3), pi("b", OpLt, 10), false},
-		// Case-insensitive column match.
-		{pi("A", OpEq, 3), pi("a", OpLe, 3), true},
+		// Columns compare exactly: a predicate is keyed by the table
+		// column's name, canonical (lower-case) before it gets here.
+		{pi("A", OpEq, 3), pi("a", OpLe, 3), false},
 	} {
 		if got := tc.p.Implies(tc.q); got != tc.want {
 			t.Errorf("%v ⇒ %v = %v, want %v", tc.p, tc.q, got, tc.want)

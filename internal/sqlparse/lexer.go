@@ -28,7 +28,7 @@ const (
 // Token is one lexed token.
 type Token struct {
 	Kind TokKind
-	Text string // keywords are upper-cased; identifiers keep original case
+	Text string // keywords are upper-cased, identifiers lower-cased; string literals keep their case
 	Pos  int
 }
 
@@ -101,7 +101,9 @@ func Lex(input string) ([]Token, error) {
 			if keywords[upper] {
 				toks = append(toks, Token{Kind: TokKeyword, Text: upper, Pos: start})
 			} else {
-				toks = append(toks, Token{Kind: TokIdent, Text: word, Pos: start})
+				// A name is canonical from here on: every later lookup of a
+				// table, column or alias is an exact match.
+				toks = append(toks, Token{Kind: TokIdent, Text: strings.ToLower(word), Pos: start})
 			}
 		case c == '?':
 			toks = append(toks, Token{Kind: TokParam, Text: "?", Pos: i})

@@ -854,7 +854,7 @@ func (p *Parser) parseCreateTable() (Stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		ct.Cols = append(ct.Cols, types.Column{Name: strings.ToLower(colName), Kind: kind})
+		ct.Cols = append(ct.Cols, types.Column{Name: colName, Kind: kind})
 		if p.accept(TokOp, ",") {
 			continue
 		}
@@ -943,7 +943,7 @@ func (p *Parser) parseParenIdentList() ([]string, error) {
 		if err != nil {
 			return nil, err
 		}
-		cols = append(cols, strings.ToLower(c))
+		cols = append(cols, c)
 		if !p.accept(TokOp, ",") {
 			break
 		}
@@ -1052,7 +1052,7 @@ func (p *Parser) parseUpdate() (Stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		up.Set[strings.ToLower(col)] = e
+		up.Set[col] = e
 		if !p.accept(TokOp, ",") {
 			break
 		}

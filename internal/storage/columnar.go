@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 
 	"repro/internal/buffer"
@@ -66,7 +65,7 @@ func OpenColumnarFragment(ns *NodeStore, def *catalog.TableDef) (*ColumnarFragme
 	}
 	for d := range ns.Disks {
 		for _, ext := range []string{"col", "ovf"} {
-			id, err := ns.OpenFile(d, fmt.Sprintf("%s.d%d.%s", strings.ToLower(def.Name), d, ext), true)
+			id, err := ns.OpenFile(d, fmt.Sprintf("%s.d%d.%s", def.Name, d, ext), true)
 			if err != nil {
 				return nil, err
 			}
@@ -125,10 +124,9 @@ func (fr *ColumnarFragment) flushOpen(disk int) error {
 	}
 	key := page.Key{File: fileID, Page: base}
 	for ci, col := range fr.Def.Schema.Cols {
-		name := strings.ToLower(col.Name)
 		lo, hi := set.MinMax(ci)
-		fr.MinMax.Record(key, name, lo)
-		fr.MinMax.Record(key, name, hi)
+		fr.MinMax.Record(key, col.Name, lo)
+		fr.MinMax.Record(key, col.Name, hi)
 		var chainStart uint32
 		for k, chain := 0, set.ChainPages(ci); k < chain; k++ {
 			p := fr.Node.Allocate(ovf)

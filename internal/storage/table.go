@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -65,7 +64,7 @@ func OpenFragment(ns *NodeStore, def *catalog.TableDef) (*Fragment, error) {
 		MinMax:    skipcache.NewMinMax(),
 	}
 	for d := range ns.Disks {
-		name := fmt.Sprintf("%s.d%d.tbl", strings.ToLower(def.Name), d)
+		name := fmt.Sprintf("%s.d%d.tbl", def.Name, d)
 		id, err := ns.OpenFile(d, name, true)
 		if err != nil {
 			return nil, err
@@ -80,7 +79,7 @@ func OpenFragment(ns *NodeStore, def *catalog.TableDef) (*Fragment, error) {
 
 // predCachePath is the fragment's persisted predicate-cache location.
 func (fr *Fragment) predCachePath() string {
-	return filepath.Join(fr.Node.Disks[0], strings.ToLower(fr.Def.Name)+".predcache")
+	return filepath.Join(fr.Node.Disks[0], fr.Def.Name+".predcache")
 }
 
 // PersistPredCache writes the predicate cache to disk for reload at the
@@ -138,7 +137,7 @@ func (fr *Fragment) Insert(tx TxHook, r types.Row) (page.RID, error) {
 		fr.Node.Buf.Unpin(f, true)
 		// Maintain min-max SMA for the page.
 		for ci, col := range fr.Def.Schema.Cols {
-			fr.MinMax.Record(k, strings.ToLower(col.Name), r[ci])
+			fr.MinMax.Record(k, col.Name, r[ci])
 		}
 		return page.RID{Node: uint16(fr.Node.NodeID), Disk: uint16(disk), Page: pageNum, Slot: uint16(slot)}, true, nil
 	}

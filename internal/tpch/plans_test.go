@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/expr"
 	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/sqlparse"
@@ -130,6 +131,9 @@ func tally(n map[string]int) string {
 // reachable by two paths. The optimizer copies what it plans twice (the key
 // source of the magic-set rewrite) because the estimator memoizes by node
 // pointer and plan.Rebind rebinds a node in place, for one parent only.
+// Nor does any node's schema, the scalar subquery plans' included, name one
+// column twice: a column's schema name is its identity, and every lookup
+// of it is exact.
 func TestOptimizedPlansAreTrees(t *testing.T) {
 	if testing.Short() {
 		t.Skip("TPC-H stats build skipped in -short mode")
@@ -146,11 +150,34 @@ func TestOptimizedPlansAreTrees(t *testing.T) {
 			t.Fatal(err)
 		}
 		seen := map[plan.Node]bool{}
-		plan.Walk(node, func(m plan.Node) {
-			if seen[m] {
-				t.Errorf("%s: %s is reachable twice:\n%s", qid, m.Describe(), plan.Explain(node))
-			}
-			seen[m] = true
-		})
+		var walk func(n plan.Node)
+		walk = func(n plan.Node) {
+			plan.Walk(n, func(m plan.Node) {
+				if seen[m] {
+					t.Errorf("%s: %s is reachable twice:\n%s", qid, m.Describe(), plan.Explain(node))
+				}
+				seen[m] = true
+				names := map[string]bool{}
+				for _, c := range m.Schema().Cols {
+					if names[c.Name] {
+						t.Errorf("%s: %s names %s twice in %s", qid, m.Describe(), c.Name, m.Schema())
+					}
+					names[c.Name] = true
+				}
+				var pred expr.Expr
+				switch x := m.(type) {
+				case *plan.Scan:
+					pred = x.Pred
+				case *plan.Filter:
+					pred = x.Pred
+				}
+				expr.Walk(pred, func(e expr.Expr) {
+					if s, ok := e.(*plan.ScalarSubquery); ok {
+						walk(s.Plan)
+					}
+				})
+			})
+		}
+		walk(node)
 	}
 }

@@ -58,8 +58,8 @@ func nationRegion(cat *catalog.Catalog) *plan.Join {
 		Left:      plan.NewScan(mustTable(cat, "nation"), "nation"),
 		Right:     plan.NewScan(mustTable(cat, "region"), "region"),
 		Type:      exec.JoinInner,
-		EquiLeft:  []expr.Expr{&expr.Col{Index: 2, Name: "n_regionkey"}},
-		EquiRight: []expr.Expr{&expr.Col{Index: 0, Name: "r_regionkey"}},
+		EquiLeft:  []expr.Expr{&expr.Col{Index: 2, Name: "nation.n_regionkey"}},
+		EquiRight: []expr.Expr{&expr.Col{Index: 0, Name: "region.r_regionkey"}},
 	}
 }
 
@@ -88,14 +88,14 @@ func pruneCases() []pruneCase {
 		// narrows under it (r_name $5 → $3, n_name $1 → $0).
 		{name: "sort-over-unprojected-join", build: func(cat *catalog.Catalog) plan.Node {
 			sorted := &plan.Sort{Child: nationRegion(cat), Keys: []plan.SortItem{{Col: 5}, {Col: 1, Desc: true}}}
-			return plan.NewProject(sorted, []expr.Expr{&expr.Col{Index: 1, Name: "n_name"}}, []string{"n_name"})
+			return plan.NewProject(sorted, []expr.Expr{&expr.Col{Index: 1, Name: "nation.n_name"}}, []string{"n_name"})
 		}, scans: map[string]string{"nation": "n_name, n_regionkey", "region": "r_regionkey, r_name"},
 			explain: "Sort [$3 asc, $0 desc]"},
 		// Distinct straight over a join: dropping any column would change
 		// which rows are duplicates, so nothing under it is pruned.
 		{name: "distinct-over-unprojected-join", build: func(cat *catalog.Catalog) plan.Node {
 			d := &plan.Distinct{Child: nationRegion(cat)}
-			return plan.NewProject(d, []expr.Expr{&expr.Col{Index: 5, Name: "r_name"}}, []string{"r_name"})
+			return plan.NewProject(d, []expr.Expr{&expr.Col{Index: 5, Name: "region.r_name"}}, []string{"r_name"})
 		}, scans: map[string]string{"nation": "*", "region": "*"}},
 		{name: "semi-join-right", sql: `SELECT o_orderpriority FROM orders WHERE EXISTS (
 				SELECT * FROM lineitem WHERE l_orderkey = o_orderkey AND l_commitdate < l_receiptdate)`,
@@ -105,7 +105,7 @@ func pruneCases() []pruneCase {
 		{name: "uncorrelated-exists", sql: `SELECT r_name FROM region WHERE EXISTS (SELECT * FROM nation WHERE n_name = 'PERU')`,
 			scans: map[string]string{"region": "r_name", "nation": ""}},
 		{name: "derived-table", sql: `SELECT x.a FROM (SELECT n_name AS a, n_comment AS b, n_regionkey AS c FROM nation) x WHERE x.c = 1`,
-			scans: map[string]string{"nation": "n_name, n_regionkey"}, explain: "Project [n_name, n_regionkey]"},
+			scans: map[string]string{"nation": "n_name, n_regionkey"}, explain: "Project [nation.n_name, nation.n_regionkey]"},
 		{name: "derived-aggregate", sql: `SELECT k FROM (SELECT o_custkey AS k, sum(o_totalprice) AS total, count(*) AS cnt
 				FROM orders GROUP BY o_custkey) x WHERE total > 300000`,
 			scans: map[string]string{"orders": "o_custkey, o_totalprice"}},

@@ -12,7 +12,6 @@ import (
 	"strconv"
 	"strings"
 	"time"
-	"unicode/utf8"
 )
 
 // Kind identifies the runtime type of a Value.
@@ -318,64 +317,16 @@ func NewSchema(cols ...Column) Schema { return Schema{Cols: cols} }
 // Len returns the number of columns.
 func (s Schema) Len() int { return len(s.Cols) }
 
-// Find returns the offset of the named column, or -1. Lookup is
-// case-insensitive and also matches "qualifier.name" against "name".
+// Find returns the offset of the column named exactly name, or -1. Names
+// are canonical by the time they are looked up: lower-cased where they
+// enter, and resolved to their schema name when a plan is built.
 func (s Schema) Find(name string) int {
 	for i, c := range s.Cols {
-		if sameName(c.Name, name) {
+		if c.Name == name {
 			return i
-		}
-	}
-	// Try suffix match: schema stores qualified names but query used bare.
-	for i, c := range s.Cols {
-		if idx := strings.LastIndexByte(c.Name, '.'); idx >= 0 && sameName(c.Name[idx+1:], name) {
-			return i
-		}
-	}
-	// Try the reverse: query used qualified, schema stores bare.
-	if idx := strings.LastIndexByte(name, '.'); idx >= 0 {
-		suffix := name[idx+1:]
-		for i, c := range s.Cols {
-			if sameName(c.Name, suffix) {
-				return i
-			}
 		}
 	}
 	return -1
-}
-
-// sameName reports whether strings.ToLower(a) == strings.ToLower(b) without
-// allocating when both are ASCII; a name with another byte takes ToLower,
-// which folds more than ASCII (the Kelvin sign is a 'k').
-func sameName(a, b string) bool {
-	if len(a) != len(b) {
-		return !(isASCII(a) && isASCII(b)) && strings.ToLower(a) == strings.ToLower(b)
-	}
-	for i := 0; i < len(a); i++ {
-		ca, cb := a[i], b[i]
-		if ca|cb >= utf8.RuneSelf {
-			return strings.ToLower(a) == strings.ToLower(b)
-		}
-		if 'A' <= ca && ca <= 'Z' {
-			ca += 'a' - 'A'
-		}
-		if 'A' <= cb && cb <= 'Z' {
-			cb += 'a' - 'A'
-		}
-		if ca != cb {
-			return false // the ASCII prefixes lower-case to different bytes
-		}
-	}
-	return true
-}
-
-func isASCII(s string) bool {
-	for i := 0; i < len(s); i++ {
-		if s[i] >= utf8.RuneSelf {
-			return false
-		}
-	}
-	return true
 }
 
 // Concat returns the schema of r ++ s.

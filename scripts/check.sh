@@ -67,6 +67,9 @@ go test -run '^$' -fuzz '^FuzzHuffmanDecode$' -fuzztime 5s ./internal/compress >
 echo "==> fuzz smoke (LZ4 decoder: never panics or passes dstSize, agrees with the byte-at-a-time reference)"
 go test -run '^$' -fuzz '^FuzzLZ4Decode$' -fuzztime 5s ./internal/compress >/dev/null
 
+echo "==> fuzz smoke (SQL parser: never panics, every name it yields is lower-case, string literals keep their case)"
+go test -run '^$' -fuzz '^FuzzParseSelect$' -fuzztime 5s ./internal/sqlparse >/dev/null
+
 echo "==> reachability audit (full listing: deadcode-report.txt; scripts/deadcode.keep holds what stays unreached)"
 scripts/deadcode.sh > deadcode-report.txt
 tail -n 1 deadcode-report.txt
