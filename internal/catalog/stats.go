@@ -8,6 +8,7 @@ package catalog
 
 import (
 	"math"
+	"math/bits"
 	"sort"
 
 	"repro/internal/types"
@@ -45,28 +46,12 @@ func NewNDVSketch() *NDVSketch {
 	return &NDVSketch{Regs: make([]uint8, sketchRegisters)}
 }
 
-// mix is a 64-bit finalizer (splitmix64) applied over types.Hash output;
-// FNV alone does not disperse its low bits well enough for register
-// selection on sequential keys.
-func mix(h uint64) uint64 {
-	h ^= h >> 30
-	h *= 0xbf58476d1ce4e5b9
-	h ^= h >> 27
-	h *= 0x94d049bb133111eb
-	h ^= h >> 31
-	return h
-}
-
-// Add observes one hashed value.
+// Add observes one value's types.Hash. Every bit of it is mixed, so it is
+// used as is: the low sketchBits bits pick the register, and the leading
+// zeros of the rest give the rank.
 func (s *NDVSketch) Add(h uint64) {
-	h = mix(h)
-	idx := h >> (64 - sketchBits)
-	rest := h<<sketchBits | 1<<(sketchBits-1) // avoid rank 0 on zero remainder
-	rank := uint8(1)
-	for rest&(1<<63) == 0 {
-		rank++
-		rest <<= 1
-	}
+	idx := h & (1<<sketchBits - 1)
+	rank := uint8(bits.LeadingZeros64(h|1<<(sketchBits-1))) + 1 // stops short of idx's bits
 	if rank > s.Regs[idx] {
 		s.Regs[idx] = rank
 	}

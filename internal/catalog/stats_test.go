@@ -36,6 +36,18 @@ func TestNDVSketchDuplicatesAndMerge(t *testing.T) {
 	}
 }
 
+// TestStatsBuilderFloatNDV feeds 1,000 FLOATs that differ below the sixth
+// decimal: each is its own value, exactly counted.
+func TestStatsBuilderFloatNDV(t *testing.T) {
+	b := NewStatsBuilder(types.Schema{Cols: []types.Column{{Name: "f", Kind: types.KindFloat}}})
+	for i := 0; i < 1000; i++ {
+		b.Add(types.Row{types.NewFloat(1.5 + float64(i)*1e-7)})
+	}
+	if f := b.Finish().Cols["f"]; !f.NDVExact || f.NDV != 1000 {
+		t.Errorf("f: NDV=%d exact=%v, want 1000 exact", f.NDV, f.NDVExact)
+	}
+}
+
 func statsSchema() types.Schema {
 	return types.Schema{Cols: []types.Column{
 		{Name: "k", Kind: types.KindInt},

@@ -146,26 +146,12 @@ func TestGroupByColumnNamedLikePrunedPartitionColumn(t *testing.T) {
 		`SELECT l_partkey, count(*) FROM lineitem, orders WHERE l_partkey = o_custkey GROUP BY l_partkey`, false)
 }
 
-// TestRepeatedKeyColumnsShuffleOnDistinctPairs: q9's last join equates
+// TestRepeatedKeyColumnsSpreadTheShuffle: q9's last join equates
 // (l_suppkey, l_partkey, p_partkey, s_suppkey) with (ps_suppkey, ps_partkey,
-// ps_partkey, ps_suppkey). Hashed whole, each partsupp column enters the key
-// twice and cancels out of the low bits a shuffle routes on, so both of the
-// join's shuffles left half the workers without a row. The inputs are
-// partitioned on the pairs whose columns no earlier pair names; the join
-// still matches on all four.
-func TestRepeatedKeyColumnsShuffleOnDistinctPairs(t *testing.T) {
-	k := func(i int) expr.Expr { return &expr.Col{Index: i} }
-	left, right, ln, rn := distinctPairs([]expr.Expr{k(2), k(1), k(6), k(8)}, []expr.Expr{k(1), k(0), k(0), k(1)},
-		[]string{"l_suppkey", "l_partkey", "p_partkey", "s_suppkey"}, []string{"ps_suppkey", "ps_partkey", "ps_partkey", "ps_suppkey"})
-	if !slices.Equal(ln, []string{"l_suppkey", "l_partkey"}) || !slices.Equal(rn, []string{"ps_suppkey", "ps_partkey"}) ||
-		len(left) != 2 || left[1].(*expr.Col).Index != 1 || len(right) != 2 || right[1].(*expr.Col).Index != 0 {
-		t.Errorf("q9's keys partition on %v = %v, want [l_suppkey l_partkey] = [ps_suppkey ps_partkey]", ln, rn)
-	}
-	if _, _, ln, rn := distinctPairs([]expr.Expr{k(0), k(0)}, []expr.Expr{k(0), k(1)},
-		[]string{"a", "a"}, []string{"x", "y"}); !slices.Equal(ln, []string{"a"}) || !slices.Equal(rn, []string{"x"}) {
-		t.Errorf("a = x AND a = y partitions on %v = %v, want [a] = [x]", ln, rn)
-	}
-
+// ps_partkey, ps_suppkey), so each partsupp column enters the shuffle key
+// twice. The key hash must still spread the rows: both of the join's
+// shuffles deliver rows to every worker.
+func TestRepeatedKeyColumnsSpreadTheShuffle(t *testing.T) {
 	c, err := New(Config{NumWorkers: 4, BaseDir: t.TempDir(), PageSize: 32 * 1024, Nmax: 3, Profile: HRDBMSProfile()})
 	if err != nil {
 		t.Fatal(err)

@@ -2,10 +2,8 @@ package cluster
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 
-	"repro/internal/catalog"
 	"repro/internal/exec"
 	"repro/internal/expr"
 	"repro/internal/network"
@@ -387,21 +385,6 @@ func (q *queryExec) distributeNode(n plan.Node) (*dstream, error) {
 			return sorted, nil
 		}
 		return q.gatherOrdered(sorted, keys), nil
-	case *plan.Distinct:
-		// One replica suffices; other worker rows are shuffled on all
-		// columns and deduplicated where they land.
-		if ds.dist.Kind == opt.DistReplicated {
-			ds = q.toCoord(ds)
-		}
-		if !ds.coord {
-			ds, err = q.shuffle(ds, exec.ColRefs(allIdx(ds.sch.Len())...), colNames(ds.sch))
-			if err != nil {
-				return nil, err
-			}
-		}
-		return q.each(ds, "Distinct", func(in exec.Operator, _ *exec.Ctx) exec.Operator {
-			return exec.NewDistinct(in)
-		}), nil
 	default:
 		return nil, fmt.Errorf("cluster: cannot distribute %T", n)
 	}
@@ -427,14 +410,6 @@ func allIdx(n int) []int {
 	out := make([]int, n)
 	for i := range out {
 		out[i] = i
-	}
-	return out
-}
-
-func colNames(s types.Schema) []string {
-	out := make([]string, s.Len())
-	for i, c := range s.Cols {
-		out[i] = c.Name
 	}
 	return out
 }
@@ -497,28 +472,15 @@ func (q *queryExec) distributeScan(x *plan.Scan) (*dstream, error) {
 	return ds, nil
 }
 
-// scanDist is how a scan's output is spread over the workers: as the table
-// is partitioned, so long as the scan emits the partitioning columns. A
-// stream cannot be known by a column it does not carry — a later name
-// lookup would miss it — so a scan that prunes one away is treated as
-// spread at random.
+// scanDist is how a scan's output is spread over the workers: opt.LeafDist,
+// except that a profile that does not enforce locality knows no scan as
+// partitioned.
 func (q *queryExec) scanDist(x *plan.Scan) opt.DistInfo {
-	switch {
-	case x.Table.Part.Kind == catalog.PartReplicated:
-		return opt.DistInfo{Kind: opt.DistReplicated}
-	case x.Table.Part.Kind == catalog.PartHash && q.prof.EnforceLocality:
-		sch := x.Schema()
-		cols := make([]string, len(x.Table.Part.Cols))
-		for i, c := range x.Table.Part.Cols {
-			cols[i] = x.Alias + "." + c
-			if sch.Find(cols[i]) < 0 {
-				return opt.DistInfo{}
-			}
-		}
-		return opt.DistInfo{Kind: opt.DistPartitioned, Cols: cols}
-	default:
+	d := opt.LeafDist(x)
+	if d.Kind == opt.DistPartitioned && !q.prof.EnforceLocality {
 		return opt.DistInfo{}
 	}
+	return d
 }
 
 // keyNames returns the names sch gives the columns that plain-column key
@@ -558,10 +520,6 @@ func (q *queryExec) distributeJoin(x *plan.Join) (*dstream, error) {
 
 	leftNames, leftPlain := keyNames(x.EquiLeft, x.Left.Schema())
 	rightNames, rightPlain := keyNames(x.EquiRight, x.Right.Schema())
-	leftKeys, rightKeys := x.EquiLeft, x.EquiRight
-	if leftPlain && rightPlain {
-		leftKeys, rightKeys, leftNames, rightNames = distinctPairs(leftKeys, rightKeys, leftNames, rightNames)
-	}
 
 	// The one place worker joins are built, once the distribution is fixed.
 	// A join builds on whichever input leaves the smaller share on a worker;
@@ -623,13 +581,13 @@ func (q *queryExec) distributeJoin(x *plan.Join) (*dstream, error) {
 		return join(left, b, left.dist), nil
 	}
 	if !leftOK {
-		left, err = q.shuffle(left, leftKeys, leftNames)
+		left, err = q.shuffle(left, x.EquiLeft, leftNames)
 		if err != nil {
 			return nil, err
 		}
 	}
 	if !rightOK {
-		right, err = q.shuffle(right, rightKeys, rightNames)
+		right, err = q.shuffle(right, x.EquiRight, rightNames)
 		if err != nil {
 			return nil, err
 		}
@@ -639,25 +597,6 @@ func (q *queryExec) distributeJoin(x *plan.Join) (*dstream, error) {
 		outDist = opt.DistInfo{Kind: opt.DistPartitioned, Cols: leftNames}
 	}
 	return join(left, right, outDist), nil
-}
-
-// distinctPairs keeps the equality key pairs whose left and right columns
-// no earlier kept pair names: what a join's inputs are partitioned on.
-// Matching rows agree on every pair, so any subset of the pairs places them
-// alike, while a column hashed twice cancels out of the low bits of
-// types.HashRow that a shuffle routes on and leaves workers without rows.
-// The join itself still matches on every pair.
-func distinctPairs(left, right []expr.Expr, leftNames, rightNames []string) ([]expr.Expr, []expr.Expr, []string, []string) {
-	var kl, kr []expr.Expr
-	var nl, nr []string
-	for i := range left {
-		if slices.Contains(nl, leftNames[i]) || slices.Contains(nr, rightNames[i]) {
-			continue
-		}
-		kl, kr = append(kl, left[i]), append(kr, right[i])
-		nl, nr = append(nl, leftNames[i]), append(nr, rightNames[i])
-	}
-	return kl, kr, nl, nr
 }
 
 // wantBroadcast decides shuffle-vs-broadcast for an equi-join whose left

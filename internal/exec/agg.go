@@ -3,9 +3,7 @@ package exec
 import (
 	"errors"
 	"fmt"
-	"hash/maphash"
 	"math"
-	"math/bits"
 	"slices"
 	"sync/atomic"
 
@@ -728,60 +726,6 @@ func (h *HashAggregate) prepare() error {
 	return nil
 }
 
-// aggHashSeed seeds the hash of a string key. One per process: every
-// worker's table and every merge pass must file a key under the same hash.
-var aggHashSeed = maphash.MakeSeed()
-
-// nullKeyHash is the hash of a NULL key value: all NULLs are one group.
-const nullKeyHash uint64 = 0x6a09e667f3bcc908
-
-// mix64 is a 64-bit finalizer (murmur3's): every input bit moves every
-// output bit.
-func mix64(x uint64) uint64 {
-	x ^= x >> 33
-	x *= 0xff51afd7ed558ccd
-	x ^= x >> 33
-	x *= 0xc4ceb9fe1a85ec53
-	x ^= x >> 33
-	return x
-}
-
-// hashIntKey hashes an INT, DATE or BOOLEAN key payload of kind k. A BOOLEAN
-// is true whatever its nonzero payload, as sameKey compares it.
-func hashIntKey(k types.Kind, x int64) uint64 {
-	if k == types.KindBool && x != 0 {
-		x = 1
-	}
-	return mix64(uint64(x) ^ uint64(k)<<58)
-}
-
-// hashFloatKey hashes a FLOAT key by its bits, as sameKey compares it.
-func hashFloatKey(f float64) uint64 {
-	return mix64(math.Float64bits(f) ^ uint64(types.KindFloat)<<58)
-}
-
-func hashStrKey(s string) uint64 { return maphash.String(aggHashSeed, s) }
-
-// hashKey hashes one boxed key value. The typed front end hashes a column
-// value unboxed to the same number (aggTable.hashCol).
-func hashKey(v types.Value) uint64 {
-	switch v.K {
-	case types.KindNull:
-		return nullKeyHash
-	case types.KindInt, types.KindDate, types.KindBool:
-		return hashIntKey(v.K, v.I)
-	case types.KindFloat:
-		return hashFloatKey(v.F)
-	case types.KindString:
-		return hashStrKey(v.S)
-	default:
-		return mix64(uint64(v.K))
-	}
-}
-
-// nextKeyHash folds the hash of the next key value into a row's key hash.
-func nextKeyHash(h, kh uint64) uint64 { return bits.RotateLeft64(h, 11) ^ kh }
-
 // sameKey is group equality of one key value: kind and payload, exactly
 // what types.AppendValue writes. INT 3 and FLOAT 3.0 are two groups, all
 // NULLs one, and two FLOATs are one group when their bits are.
@@ -803,28 +747,20 @@ func sameKey(a, b types.Value) bool {
 	}
 }
 
-// aggTable is one worker's private group table, in the join table's shape:
-// groups filed in arrival order beside their key hashes, chained by
-// heads/next, and one aggCol per aggregate indexed by group number. Groups
-// arrive while the table is probed, so it grows and rechains by doubling. A
-// group's partition and its slot both come from hash × φ, the partition from
-// the top pbits bits and the slot from the bits below them: partition p of
-// every worker holds the same keys, so the partitions merge independently,
-// and a table holding one partition (a merge pass) still spreads over all
-// its slots. Once budget groups are held, the rows of any further group go
-// to a spill opened lazily for their partition, which keeps a spilled
-// partition mergeable on its own.
+// aggTable is one worker's private group table: a chainTable whose entries
+// are the groups, in arrival order, with group g's key values beside it and
+// one aggCol per aggregate indexed by group number. Groups arrive while the
+// table is probed, so it grows and rechains by doubling. The partitions of
+// its chainTable merge independently. Once budget groups are held, the rows
+// of any further group go to a spill opened lazily for their partition,
+// which keeps a spilled partition mergeable on its own.
 type aggTable struct {
+	chainTable
 	h          *HashAggregate
 	fromStates bool
 	budget     int           // groups held before new ones spill; 0 = unbounded
-	pbits      uint          // 1 << pbits partitions
 	nk         int           // key values a group has
 	keys       []types.Value // group g's key is keys[g*nk : (g+1)*nk]
-	hashes     []uint64      // by group: the hash its key is filed under
-	heads      []int32       // by slot: the last group filed there, or -1
-	next       []int32       // by group: the group filed in its slot before it, or -1
-	shift      uint          // slot = hash × φ << pbits >> shift
 	cols       []aggCol      // by aggregate
 	colBytes   int64         // state bytes a group's columns hold
 	byPart     [][]int32     // when pbits > 0: by partition, its groups in arrival order
@@ -855,11 +791,14 @@ type aggArg struct {
 func (h *HashAggregate) newAggTable(pbits uint, budget int) *aggTable {
 	nk := len(h.GroupBy)
 	t := &aggTable{
-		h: h, fromStates: h.Mode == AggMerge || h.Mode == AggFinal, budget: budget,
-		pbits: pbits, nk: nk,
-		cols:   make([]aggCol, len(h.Specs)),
-		spills: make([]*spillWriter, 1<<pbits),
-		keyRow: make(types.Row, nk),
+		chainTable: chainTable{pbits: pbits},
+		h:          h,
+		fromStates: h.Mode == AggMerge || h.Mode == AggFinal,
+		budget:     budget,
+		nk:         nk,
+		cols:       make([]aggCol, len(h.Specs)),
+		spills:     make([]*spillWriter, 1<<pbits),
+		keyRow:     make(types.Row, nk),
 	}
 	for i, sp := range h.Specs {
 		t.cols[i] = newAggCol(sp.Kind, h.kinds[i], sp.Distinct && !t.fromStates)
@@ -872,35 +811,6 @@ func (h *HashAggregate) newAggTable(pbits uint, budget int) *aggTable {
 	return t
 }
 
-// rechain chains every group into 1 << bits slots.
-func (t *aggTable) rechain(bits uint) {
-	t.shift = 64 - bits
-	if cap(t.heads) >= 1<<bits {
-		t.heads = t.heads[:1<<bits]
-	} else {
-		t.heads = make([]int32, 1<<bits)
-	}
-	for s := range t.heads {
-		t.heads[s] = -1
-	}
-	for g, hk := range t.hashes {
-		s := t.slot(hk)
-		t.next[g], t.heads[s] = t.heads[s], int32(g)
-	}
-}
-
-func (t *aggTable) slot(hk uint64) uint64 { return (hk * 0x9E3779B97F4A7C15 << t.pbits) >> t.shift }
-
-// part is the partition of a key hash.
-func (t *aggTable) part(hk uint64) int {
-	if t.pbits == 0 {
-		return 0
-	}
-	return int(hk * 0x9E3779B97F4A7C15 >> (64 - t.pbits))
-}
-
-func (t *aggTable) groups() int { return len(t.hashes) }
-
 // keyOf is group g's key.
 func (t *aggTable) keyOf(g int32) types.Row {
 	return t.keys[int(g)*t.nk : int(g+1)*t.nk : int(g+1)*t.nk]
@@ -908,10 +818,7 @@ func (t *aggTable) keyOf(g int32) types.Row {
 
 // find returns the group of key, filed under hk, or -1.
 func (t *aggTable) find(hk uint64, key types.Row) int32 {
-	for g := t.heads[t.slot(hk)]; g >= 0; g = t.next[g] {
-		if t.hashes[g] != hk {
-			continue
-		}
+	for g := t.first(hk); g >= 0; g = t.after(g) {
 		k := t.keyOf(g)
 		same := true
 		for i := range k {
@@ -929,8 +836,7 @@ func (t *aggTable) find(hk uint64, key types.Row) int32 {
 
 // insert files a new group of a copy of key under hk, with nothing folded.
 func (t *aggTable) insert(hk uint64, key types.Row) int32 {
-	g := int32(len(t.hashes))
-	t.hashes = push(t.hashes, hk)
+	g := t.chainTable.insert(hk)
 	t.keys = push(t.keys, key...)
 	for i := range t.cols {
 		t.cols[i].grow()
@@ -939,14 +845,6 @@ func (t *aggTable) insert(hk uint64, key types.Row) int32 {
 		p := t.part(hk)
 		t.byPart[p] = append(t.byPart[p], g)
 	}
-	if 2*len(t.hashes) > len(t.heads) {
-		t.next = push(t.next, -1)
-		t.rechain(65 - t.shift)
-		return g
-	}
-	s := t.slot(hk)
-	t.next = push(t.next, t.heads[s])
-	t.heads[s] = g
 	return g
 }
 
@@ -976,7 +874,7 @@ func (t *aggTable) group() (int32, uint64) {
 	}
 	var hk uint64
 	for _, v := range t.keyRow {
-		hk = nextKeyHash(hk, hashKey(v))
+		hk = types.FoldHash(hk, types.Hash(v))
 	}
 	if g := t.find(hk, t.keyRow); g >= 0 {
 		return g, hk
@@ -999,14 +897,14 @@ func (t *aggTable) absorb(src *aggTable, sg int32) {
 // reset drops every group, keeping the arrays.
 func (t *aggTable) reset() {
 	clear(t.keys)
-	t.keys, t.hashes, t.next = t.keys[:0], t.hashes[:0], t.next[:0]
+	t.keys = t.keys[:0]
+	t.chainTable.reset()
 	for i := range t.cols {
 		t.cols[i].reset()
 	}
 	for p := range t.byPart {
 		t.byPart[p] = t.byPart[p][:0]
 	}
-	t.rechain(64 - t.shift)
 }
 
 // spill writes a row whose group was not admitted to partition p's spill.
@@ -1274,13 +1172,13 @@ func (t *aggTable) typedGroup(b *vec.Batch, i int) (int32, uint64) {
 	var hk uint64
 	for ki, c := range t.keyCols {
 		if c >= 0 {
-			hk = nextKeyHash(hk, hashCol(&b.Cols[c], i))
+			hk = types.FoldHash(hk, vec.HashCol(&b.Cols[c], i))
 		} else {
-			hk = nextKeyHash(hk, hashKey(t.keyRow[ki]))
+			hk = types.FoldHash(hk, types.Hash(t.keyRow[ki]))
 		}
 	}
-	for g := t.heads[t.slot(hk)]; g >= 0; g = t.next[g] {
-		if t.hashes[g] == hk && t.sameRow(g, b, i) {
+	for g := t.first(hk); g >= 0; g = t.after(g) {
+		if t.sameRow(g, b, i) {
 			return g, hk
 		}
 	}
@@ -1290,24 +1188,6 @@ func (t *aggTable) typedGroup(b *vec.Batch, i int) (int32, uint64) {
 		}
 	}
 	return t.admit(hk), hk
-}
-
-// hashCol is hashKey of col.Value(i), computed without boxing it.
-func hashCol(col *vec.Col, i int) uint64 {
-	if col.Form == vec.FormBoxed {
-		return hashKey(col.Vals[i])
-	}
-	if vec.GetBit(col.Nulls, i) {
-		return nullKeyHash
-	}
-	switch col.Form {
-	case vec.FormInt:
-		return hashIntKey(col.Kind, col.I[i])
-	case vec.FormFloat:
-		return hashFloatKey(col.F[i])
-	default:
-		return hashStrKey(col.Dict.Str(col.Codes[i]))
-	}
 }
 
 // sameRow reports whether group g's key is batch row i's, by sameKey of
@@ -1360,7 +1240,7 @@ func (h *HashAggregate) emit(out []types.Row, t *aggTable) []types.Row {
 	if partial {
 		width = t.nk + partialCols*len(t.cols)
 	}
-	vals := make([]types.Value, 0, width*t.groups())
+	vals := make([]types.Value, 0, width*t.entries())
 	for g := range t.hashes {
 		start := len(vals)
 		vals = append(vals, t.keyOf(int32(g))...)
@@ -1402,10 +1282,10 @@ func (h *HashAggregate) mergePartition(p int, tables []*aggTable) ([]types.Row, 
 		}
 	}
 	pass.spills[p] = nil
-	out := make([]types.Row, 0, pass.groups())
+	out := make([]types.Row, 0, pass.entries())
 	for {
 		if budget := tables[0].budget; budget > 0 {
-			pass.budget = pass.groups() + budget
+			pass.budget = pass.entries() + budget
 		}
 		for _, sw := range spilled {
 			rd, err := sw.finish()

@@ -81,7 +81,7 @@ func TestPassThroughOperatorsKeepSchema(t *testing.T) {
 func TestUnionDistinct(t *testing.T) {
 	a := NewSource(intSchema("a"), intRows([]int64{1}, []int64{2}))
 	b := NewSource(intSchema("a"), intRows([]int64{2}, []int64{3}))
-	rows, err := Collect(NewDistinct(NewUnion(a, b)))
+	rows, err := Collect(NewHashAggregate(nil, NewUnion(a, b), ColRefs(0), nil, AggComplete))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -212,66 +212,29 @@ func (h *HashJoin) prepare() error {
 	return h.graceJoin(buildSpill, keys)
 }
 
-// joinTable is a hash join's build side: the build rows in arrival order,
-// each beside the hash of its key, chained into buckets by seal once the
-// build is drained. A row's slot comes from the high bits of hash × φ, not
-// from its low bits: after a Shuffle every row on a worker has the same
-// hash % workers, and within a Grace partition the same hash % fanout, so
-// there the low bits are constant and would leave most slots unused.
+// joinTable is a hash join's build side: a chainTable whose entries are the
+// build rows, in arrival order, filed under the hashes of their keys during
+// the build and chained once by seal when it is drained.
 type joinTable struct {
+	chainTable
 	rows   []types.Row   // the build rows, in arrival order
-	hashes []uint64      // hashes[i]: the key hash rows[i] is filed under
-	heads  []int32       // by slot: the first row of its chain, or -1
-	next   []int32       // next[i]: the row after i in its chain, or -1
 	marked []atomic.Bool // a mark join's: marked[i] once a probe row matched rows[i]; probe workers share it
-	shift  uint          // slot = hash × φ >> shift
 }
 
 // add files a build row under its key hash; it is not found before seal.
 func (t *joinTable) add(r types.Row, hk uint64) {
 	t.rows = append(t.rows, r)
-	t.hashes = append(t.hashes, hk)
+	t.file(hk)
 }
 
-// seal chains the rows into a power of two ≥ 2 × rows slots, threading each
-// chain from the last row back so that it lists its rows in arrival order —
-// the order an inner join emits a probe row's matches in — and gives a mark
+// seal chains the rows, each chain listing its rows in arrival order — the
+// order an inner join emits a probe row's matches in — and gives a mark
 // join's table its marks.
 func (t *joinTable) seal(marks bool) {
 	if marks {
 		t.marked = make([]atomic.Bool, len(t.rows))
 	}
-	bits := uint(1)
-	for 1<<bits < 2*len(t.rows) {
-		bits++
-	}
-	t.shift = 64 - bits
-	t.heads = make([]int32, 1<<bits)
-	for s := range t.heads {
-		t.heads[s] = -1
-	}
-	t.next = make([]int32, len(t.rows))
-	for i := len(t.rows) - 1; i >= 0; i-- {
-		s := t.slot(t.hashes[i])
-		t.next[i], t.heads[s] = t.heads[s], int32(i)
-	}
-}
-
-func (t *joinTable) slot(hk uint64) uint64 { return (hk * 0x9E3779B97F4A7C15) >> t.shift }
-
-// first returns the first row filed under hk, or -1.
-func (t *joinTable) first(hk uint64) int32 { return t.from(t.heads[t.slot(hk)], hk) }
-
-// after returns the next row filed under the same hash as row i, or -1.
-func (t *joinTable) after(i int32) int32 { return t.from(t.next[i], t.hashes[i]) }
-
-// from walks a chain from entry i to the first row filed under hk: rows of
-// other hashes that share the slot are skipped without being looked at.
-func (t *joinTable) from(i int32, hk uint64) int32 {
-	for i >= 0 && t.hashes[i] != hk {
-		i = t.next[i]
-	}
-	return i
+	t.chainTable.seal()
 }
 
 // keyHasher hashes a row's key expressions the way joinProbe.bucket hashes
@@ -433,9 +396,10 @@ func (e *joinEmitter) flush() error {
 }
 
 // joinProbe is one probe worker's way into a build table. Both front ends
-// put the probe key of the row in hand into key and go through bucket and
-// match, which is where the hash, the table lookup and the match rule live;
-// the rest is the typed front end's (bound at its first batch).
+// find the first build row filed under the probe key's hash — the key hash
+// keyHasher filed the build rows under — put the key in key and go through
+// match, where the match rule lives; the rest is the typed front end's
+// (bound at its first batch).
 type joinProbe struct {
 	h         *HashJoin
 	table     *joinTable
@@ -459,9 +423,7 @@ func (h *HashJoin) newProbe(table *joinTable, out *joinEmitter) *joinProbe {
 }
 
 // bucket returns the first build row filed under the hash of the scratch
-// key — types.HashRow of the boxed key values, whichever front end read
-// them, which is what keyHasher filed the build rows under — or -1 when no
-// build row has it.
+// key, or -1 when no build row has it.
 func (p *joinProbe) bucket() int32 {
 	return p.table.first(types.HashRow(p.key, p.offs))
 }
@@ -571,14 +533,14 @@ func (p *joinProbe) bindTyped() {
 }
 
 // probeBatch is the typed front end: it emits the join results of the active
-// rows of one batch. A key that is a plain column is read off the column
-// (Col.Value honours the NULL bitmap and a column demoted to boxed), and the
-// row is boxed only once bucket finds a row filed under its very hash — not
-// merely one in the same slot — or an anti join must output it (a mark join
-// outputs no probe row): into scratch, since an inner join's results are
-// fresh concatenations; a semi or anti join's output row is a fresh one. A
-// key that is an expression is evaluated on the boxed row, so every row is
-// boxed first. BoxedRows counts the rows boxed either way.
+// rows of one batch. A key that is a plain column is hashed off the column
+// (vec.HashCol, folded as types.HashRow folds), and its value and the row
+// are boxed only once the table holds a row filed under that very hash — not
+// merely one in the same slot — or an anti join must output the row (a mark
+// join outputs no probe row): the row into scratch, since an inner join's
+// results are fresh concatenations; a semi or anti join's output row is a
+// fresh one. A key that is an expression is evaluated on the boxed row, so
+// every row is boxed first. BoxedRows counts the rows boxed either way.
 func (p *joinProbe) probeBatch(b *vec.Batch) error {
 	if p.keyCols == nil {
 		p.bindTyped()
@@ -593,9 +555,10 @@ func (p *joinProbe) probeBatch(b *vec.Batch) error {
 			row = b.ReadRow(i, p.scratch)
 			boxed++
 		}
+		var hk uint64
 		for ki, c := range p.keyCols {
 			if c >= 0 {
-				p.key[ki] = b.Cols[c].Value(i)
+				hk = types.FoldHash(hk, vec.HashCol(&b.Cols[c], i))
 				continue
 			}
 			v, err := h.ProbeKeys[ki].Eval(row)
@@ -603,9 +566,15 @@ func (p *joinProbe) probeBatch(b *vec.Batch) error {
 				return err
 			}
 			p.key[ki] = v
+			hk = types.FoldHash(hk, types.Hash(v))
 		}
 		matched := false
-		if first := p.bucket(); first >= 0 {
+		if first := p.table.first(hk); first >= 0 {
+			for ki, c := range p.keyCols {
+				if c >= 0 {
+					p.key[ki] = b.Cols[c].Value(i)
+				}
+			}
 			if row == nil {
 				row = b.ReadRow(i, p.scratch)
 				boxed++
@@ -650,7 +619,7 @@ func ColRefs(idx ...int) []expr.Expr {
 // from bits 32 and up. A Shuffle routes by hk % workers and placement by the
 // same rule, so on a worker the low bits are constant: partitions taken
 // from them would leave all but one in every workers empty, and the rest
-// that many times larger than the memory bound assumes. joinTable.slot
+// that many times larger than the memory bound assumes. chainTable.slot
 // reads the top bits of hk × φ, which every bit of hk moves, so the rows
 // of one partition still spread over the table's slots.
 func gracePart(hk uint64) int { return int((hk >> 32) % DefaultGraceFanout) }

@@ -568,48 +568,6 @@ func (u *Union) Close() error {
 	return firstErr
 }
 
-// Distinct removes duplicate rows by hashing the full row.
-type Distinct struct {
-	In   Operator
-	seen map[string]bool
-}
-
-// NewDistinct builds a DISTINCT operator.
-func NewDistinct(in Operator) *Distinct { return &Distinct{In: in} }
-
-// Schema implements Operator.
-func (d *Distinct) Schema() types.Schema { return d.In.Schema() }
-
-// Open implements Operator.
-func (d *Distinct) Open() error {
-	d.seen = map[string]bool{}
-	return d.In.Open()
-}
-
-// NextBatch implements Operator, compacting first occurrences in place.
-func (d *Distinct) NextBatch() ([]types.Row, bool, error) {
-	for {
-		b, ok, err := d.In.NextBatch()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		out := b[:0]
-		for _, r := range b {
-			key := string(types.AppendRow(nil, r))
-			if !d.seen[key] {
-				d.seen[key] = true
-				out = append(out, r)
-			}
-		}
-		if len(out) > 0 {
-			return out, true, nil
-		}
-	}
-}
-
-// Close implements Operator.
-func (d *Distinct) Close() error { return d.In.Close() }
-
 // Collect drains an operator into a slice (Open/NextBatch/Close).
 func Collect(op Operator) ([]types.Row, error) {
 	if err := op.Open(); err != nil {

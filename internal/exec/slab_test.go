@@ -92,11 +92,12 @@ func TestUnionAcrossExhaustedInput(t *testing.T) {
 }
 
 // TestDistinctAcrossSlabs feeds duplicates that straddle slab boundaries
-// (and a slab made only of duplicates, which must not surface as an empty
-// slab).
+// (and a slab made only of duplicates) to a DISTINCT, which is a grouping by
+// every column with no aggregates: each value comes out once, in the order
+// it first arrived, and no empty slab surfaces.
 func TestDistinctAcrossSlabs(t *testing.T) {
 	rows := intRows([]int64{1}, []int64{2}, []int64{2}, []int64{1}, []int64{1}, []int64{2}, []int64{3}, []int64{1})
-	d := NewDistinct(slabSource(intSchema("a"), rows, 2)) // slabs [1 2] [2 1] [1 2] [3 1]
+	d := NewHashAggregate(nil, slabSource(intSchema("a"), rows, 2), ColRefs(0), nil, AggComplete) // slabs [1 2] [2 1] [1 2] [3 1]
 	if err := d.Open(); err != nil {
 		t.Fatal(err)
 	}

@@ -171,33 +171,34 @@ func joinOutDist(net JoinNet, left DistInfo, leftKeys []string) DistInfo {
 	return DistInfo{Kind: DistRandom}
 }
 
-// leafDist derives the worker distribution of a join leaf: base-table
-// scans are partitioned (or replicated) per the catalog; filters preserve
-// the child's layout; anything else is treated as unknown.
-func (e *Estimator) leafDist(n plan.Node) DistInfo {
+// LeafDist is how the rows of a join leaf are spread over the workers, for
+// the join orderer and for the distribution layer's scans alike. A scan's
+// are spread as its table is partitioned (or replicated), so long as it
+// emits the partitioning columns: a stream cannot be known by a column it
+// does not carry — a later name lookup would miss it — so a scan that
+// prunes one away is spread at random. A filter keeps its child's spread;
+// anything else is spread at random.
+func LeafDist(n plan.Node) DistInfo {
 	switch x := n.(type) {
 	case *plan.Filter:
-		return e.leafDist(x.Child)
+		return LeafDist(x.Child)
 	case *plan.Scan:
-		def := x.Table
-		if def.Part.Kind == catalog.PartReplicated {
+		switch def := x.Table; {
+		case def.Part.Kind == catalog.PartReplicated:
 			return DistInfo{Kind: DistReplicated}
-		}
-		if def.Part.Kind == catalog.PartHash && len(def.Part.Cols) > 0 {
-			alias := x.Alias
-			if alias == "" {
-				alias = def.Name
-			}
+		case def.Part.Kind == catalog.PartHash && len(def.Part.Cols) > 0:
+			sch := x.Schema()
 			cols := make([]string, len(def.Part.Cols))
 			for i, c := range def.Part.Cols {
-				cols[i] = alias + "." + c
+				cols[i] = x.Alias + "." + c
+				if sch.Find(cols[i]) < 0 {
+					return DistInfo{Kind: DistRandom}
+				}
 			}
 			return DistInfo{Kind: DistPartitioned, Cols: cols}
 		}
-		return DistInfo{Kind: DistRandom}
-	default:
-		return DistInfo{Kind: DistRandom}
 	}
+	return DistInfo{Kind: DistRandom}
 }
 
 // joinCost models one left-deep join step in seconds: hash build over the

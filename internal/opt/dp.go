@@ -56,7 +56,7 @@ func newCostModel(leaves []plan.Node, conds []expr.Expr, est *Estimator, o Optio
 	for i, l := range leaves {
 		m.card[i] = math.Max(1, est.Estimate(l))
 		m.width[i] = est.RowWidth(l)
-		m.dist[i] = est.leafDist(l)
+		m.dist[i] = LeafDist(l)
 	}
 	return m
 }

@@ -95,10 +95,6 @@ func writeSignature(sb *strings.Builder, n plan.Node) {
 		sb.WriteString("|")
 		writeSignature(sb, x.Child)
 		sb.WriteString(")")
-	case *plan.Distinct:
-		sb.WriteString("distinct(")
-		writeSignature(sb, x.Child)
-		sb.WriteString(")")
 	case *plan.Limit:
 		fmt.Fprintf(sb, "limit(%d|", x.N)
 		writeSignature(sb, x.Child)

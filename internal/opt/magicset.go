@@ -133,10 +133,25 @@ type colID struct {
 func origin(n plan.Node, pos int) colID {
 	for {
 		switch x := n.(type) {
-		case *plan.Filter, *plan.Rename, *plan.Sort, *plan.Limit, *plan.Distinct:
+		case *plan.Filter, *plan.Rename, *plan.Sort, *plan.Limit:
 			n = x.Children()[0]
 		case *plan.Project:
 			c, ok := x.Exprs[pos].(*expr.Col)
+			if !ok {
+				return colID{n, pos}
+			}
+			p := x.Child.Schema().Find(c.Name)
+			if p < 0 {
+				return colID{n, pos}
+			}
+			n, pos = x.Child, p
+		case *plan.Agg:
+			// A grouping with no aggregates is a DISTINCT: it passes a
+			// plain group column on, one row per value.
+			if len(x.Aggs) > 0 {
+				return colID{n, pos}
+			}
+			c, ok := x.GroupBy[pos].(*expr.Col)
 			if !ok {
 				return colID{n, pos}
 			}
@@ -284,8 +299,6 @@ func clonePlan(n plan.Node) plan.Node {
 		c := *x
 		c.Child = clonePlan(x.Child)
 		return &c
-	case *plan.Distinct:
-		return &plan.Distinct{Child: clonePlan(x.Child)}
 	case *plan.Rename:
 		c := *x
 		c.Child = clonePlan(x.Child)

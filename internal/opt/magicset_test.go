@@ -139,6 +139,15 @@ func TestMagicSetsMatchThePlanAsWritten(t *testing.T) {
 			WHERE ps_partkey = p_partkey AND p_brand = 'b1' AND p_name LIKE 'c%' AND ps_suppkey = sk`,
 		source: "partsupp,part",
 	}, {
+		// The keys come through a DISTINCT, which passes them on: the
+		// part scan under it is a source by itself.
+		name: "source through a distinct",
+		sql: `SELECT pk, total FROM (SELECT DISTINCT p_partkey AS pk FROM part, partsupp
+				WHERE p_partkey = ps_partkey AND p_brand = 'b1') AS d,
+			(SELECT l_partkey AS lk, sum(l_quantity) AS total FROM lineitem GROUP BY l_partkey) AS t
+			WHERE pk = lk`,
+		source: "part",
+	}, {
 		// part holds the keys partsupp must lack: using it would keep the
 		// wrong groups.
 		name: "equality only through an anti join",

@@ -99,8 +99,6 @@ func (e *Estimator) Estimate(n plan.Node) float64 {
 		return e.Estimate(x.Child)
 	case *plan.Limit:
 		return math.Min(float64(x.N), e.Estimate(x.Child))
-	case *plan.Distinct:
-		return math.Max(1, e.Estimate(x.Child)/2)
 	default:
 		if ch := n.Children(); len(ch) == 1 {
 			return e.Estimate(ch[0])
@@ -485,8 +483,6 @@ func rewriteChildren(n plan.Node, f func(plan.Node) plan.Node) {
 		x.Child = f(x.Child)
 	case *plan.Limit:
 		x.Child = f(x.Child)
-	case *plan.Distinct:
-		x.Child = f(x.Child)
 	case *plan.Rename:
 		x.Child = f(x.Child)
 	case *plan.Join:
@@ -532,12 +528,6 @@ func rewriteJoins(n plan.Node, est *Estimator, o Options) (plan.Node, error) {
 		}
 		x.Child = c
 	case *plan.Limit:
-		c, err := rewriteJoins(x.Child, est, o)
-		if err != nil {
-			return nil, err
-		}
-		x.Child = c
-	case *plan.Distinct:
 		c, err := rewriteJoins(x.Child, est, o)
 		if err != nil {
 			return nil, err

@@ -1004,10 +1004,23 @@ func (b *builder) buildProjection(tree Node, sel *sqlparse.Select, sc scope) (No
 	}
 	allExprs := append(append([]expr.Expr{}, itemExprs...), hiddenExprs...)
 	allNames := append(append([]string{}, itemNames...), hiddenNames...)
-	out = NewProject(out, allExprs, allNames)
-
+	if len(hiddenExprs) > 0 {
+		// The trim above the sort binds each item by name: a name that
+		// an earlier column has is made unique until then.
+		for i, n := range allNames {
+			if slices.Contains(allNames[:i], n) {
+				allNames[i] = fmt.Sprintf("%s#%d", n, i)
+			}
+		}
+	}
 	if sel.Distinct {
-		out = &Distinct{Child: out}
+		// DISTINCT is a grouping by every item, with no aggregates. The
+		// keys are the items themselves, bound to the input's names: two
+		// items may share an output name, and a key bound by that name
+		// would read the first of them.
+		out = NewAgg(out, allExprs, nil, allNames)
+	} else {
+		out = NewProject(out, allExprs, allNames)
 	}
 	if len(keys) > 0 {
 		out = &Sort{Child: out, Keys: keys}

@@ -170,12 +170,6 @@ func compile(n Node, prov TableProvider, ctx *exec.Ctx) (exec.Operator, error) {
 			return nil, err
 		}
 		return exec.NewLimit(child, x.N, x.Offset), nil
-	case *Distinct:
-		child, err := compile(x.Child, prov, ctx)
-		if err != nil {
-			return nil, err
-		}
-		return exec.NewDistinct(child), nil
 	default:
 		return nil, fmt.Errorf("plan: cannot compile %T", n)
 	}

@@ -283,20 +283,6 @@ func (l *Limit) Children() []Node { return []Node{l.Child} }
 // Describe implements Node.
 func (l *Limit) Describe() string { return fmt.Sprintf("Limit %d offset %d", l.N, l.Offset) }
 
-// Distinct removes duplicates.
-type Distinct struct {
-	Child Node
-}
-
-// Schema implements Node.
-func (d *Distinct) Schema() types.Schema { return d.Child.Schema() }
-
-// Children implements Node.
-func (d *Distinct) Children() []Node { return []Node{d.Child} }
-
-// Describe implements Node.
-func (d *Distinct) Describe() string { return "Distinct" }
-
 // Rename gives a derived table's output new qualified column names.
 type Rename struct {
 	Child Node

@@ -200,9 +200,6 @@ func prune(n Node, need colRefs) ([]int, error) {
 		return remap, nil
 	case *Limit:
 		return prune(x.Child, need)
-	case *Distinct:
-		// Dropping a column changes which rows are duplicates.
-		return prune(x.Child, colRefs{all: true})
 	case *Rename:
 		// References use the rename's names; hand the child its own names
 		// for the same positions.

@@ -14,8 +14,8 @@ import (
 )
 
 // pruneCase is one plan shape projection pushdown must get right: as SQL,
-// or, for shapes the builder never produces (it puts a Project under every
-// Sort and Distinct), as a hand-built plan. scans maps a scan's alias (a
+// or, for shapes the builder never produces (it puts a Project or an Agg
+// under every Sort), as a hand-built plan. scans maps a scan's alias (a
 // second scan under the same alias is "alias#2", in plan order) to the
 // columns it must emit after plan.PruneColumns: "*" for all of them
 // (Cols == nil), "" for none.
@@ -91,10 +91,18 @@ func pruneCases() []pruneCase {
 			return plan.NewProject(sorted, []expr.Expr{&expr.Col{Index: 1, Name: "nation.n_name"}}, []string{"n_name"})
 		}, scans: map[string]string{"nation": "n_name, n_regionkey", "region": "r_regionkey, r_name"},
 			explain: "Sort [$3 asc, $0 desc]"},
-		// Distinct straight over a join: dropping any column would change
-		// which rows are duplicates, so nothing under it is pruned.
+		// A DISTINCT (a grouping by every column) straight over a join:
+		// dropping any column would change which rows are duplicates, so
+		// nothing under it is pruned.
 		{name: "distinct-over-unprojected-join", build: func(cat *catalog.Catalog) plan.Node {
-			d := &plan.Distinct{Child: nationRegion(cat)}
+			j := nationRegion(cat)
+			sch := j.Schema()
+			groupBy := make([]expr.Expr, sch.Len())
+			names := make([]string, sch.Len())
+			for i, c := range sch.Cols {
+				groupBy[i], names[i] = &expr.Col{Index: i, Name: c.Name}, c.Name
+			}
+			d := plan.NewAgg(j, groupBy, nil, names)
 			return plan.NewProject(d, []expr.Expr{&expr.Col{Index: 5, Name: "region.r_name"}}, []string{"r_name"})
 		}, scans: map[string]string{"nation": "*", "region": "*"}},
 		{name: "semi-join-right", sql: `SELECT o_orderpriority FROM orders WHERE EXISTS (
@@ -120,9 +128,21 @@ func pruneCases() []pruneCase {
 		// shape whose sort workers spill runs under a small row budget.
 		{name: "order-by-unaggregated", sql: `SELECT l_orderkey, l_extendedprice FROM lineitem ORDER BY l_extendedprice, l_orderkey`,
 			scans: map[string]string{"lineitem": "l_orderkey, l_extendedprice"}},
-		// DISTINCT over a partitioned table shuffles on every column first.
+		// Two items under one output name: each group key is its own item,
+		// so rows that differ only in the second are still two rows.
+		{name: "distinct-shared-name", sql: `SELECT DISTINCT n_regionkey AS k, n_nationkey AS k FROM nation`,
+			scans: map[string]string{"nation": "n_nationkey, n_regionkey"}},
+		// The same under a sort by an unselected column: the trim above the
+		// sort binds each item by name.
+		{name: "shared-name-order-by-unselected", sql: `SELECT n_regionkey AS k, n_nationkey AS k FROM nation ORDER BY n_name`,
+			scans: map[string]string{"nation": "n_nationkey, n_name, n_regionkey"}},
+		// DISTINCT over a partitioned table is a grouping by every column.
 		{name: "distinct-partitioned", sql: `SELECT DISTINCT l_returnflag, l_linestatus FROM lineitem`,
 			scans: map[string]string{"lineitem": "l_returnflag, l_linestatus"}},
+		// A DISTINCT of about as many rows as it reads: under a small row
+		// budget its groups spill (TestAllQueriesMatchReferenceUnderMemoryPressure).
+		{name: "distinct-spills", sql: `SELECT DISTINCT l_orderkey, l_suppkey FROM lineitem`,
+			scans: map[string]string{"lineitem": "l_orderkey, l_suppkey"}},
 		// Reads through the supplier index: the fetched rows narrow too.
 		{name: "index-scan", sql: `SELECT s_name, s_acctbal FROM supplier WHERE s_suppkey = 7`,
 			scans: map[string]string{"supplier": "s_name, s_acctbal"}},

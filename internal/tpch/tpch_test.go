@@ -426,7 +426,8 @@ func readCounters() ([]queryCounters, error) {
 // grace partitioning, aggregates and sorts through their spill runs, and
 // the answers must not change. It is the only non-unit traffic that spills
 // (scripts/deadcode.sh counts on it), so it also requires that spilling
-// happened on a join query and that no worker kept a spill file.
+// happened on a join query and on a DISTINCT, and that no worker kept a
+// spill file.
 func TestAllQueriesMatchReferenceUnderMemoryPressure(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full TPC-H suite skipped in -short mode")
@@ -442,6 +443,9 @@ func TestAllQueriesMatchReferenceUnderMemoryPressure(t *testing.T) {
 		_, m := requireParity(t, pc.name+", 256-row budget", pc, c, prov)
 		if m.SpillBytes > 0 && strings.Contains(plan.Explain(pc.plan(t, c.Catalog())), "Join") {
 			joinSpills++
+		}
+		if pc.name == "distinct-spills" && m.SpillBytes == 0 {
+			t.Errorf("%s spilled nothing under a 256-row budget", pc.sql)
 		}
 	}
 	if joinSpills == 0 {
@@ -525,8 +529,8 @@ func TestAggregateColumnsHaveTheirKind(t *testing.T) {
 }
 
 // aggregateColumn reports whether column i of n's output is an aggregate's
-// value, passed up unchanged through sorts, limits, filters, DISTINCT and
-// projections that reference it.
+// value, passed up unchanged through sorts, limits, filters and projections
+// that reference it.
 func aggregateColumn(n plan.Node, i int) bool {
 	for {
 		switch x := n.(type) {
@@ -535,8 +539,6 @@ func aggregateColumn(n plan.Node, i int) bool {
 		case *plan.Limit:
 			n = x.Child
 		case *plan.Filter:
-			n = x.Child
-		case *plan.Distinct:
 			n = x.Child
 		case *plan.Project:
 			c, ok := x.Exprs[i].(*expr.Col)

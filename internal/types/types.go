@@ -8,7 +8,8 @@ package types
 
 import (
 	"fmt"
-	"hash/fnv"
+	"math"
+	"math/bits"
 	"strconv"
 	"strings"
 	"time"
@@ -223,43 +224,101 @@ func Compare(a, b Value) int {
 	}
 }
 
-// Hash computes a stable 64-bit hash of the value, used for hash
-// partitioning, hash joins, and hash aggregation. Numeric kinds hash by
-// their numeric payload so that INT 3 and FLOAT 3.0 collide deliberately.
+// Hash is the key hash: the one number a value is placed, shuffled, joined
+// and grouped under, on every node and in every process, so it depends on
+// nothing but the value. Values that compare equal across kinds hash alike:
+// INT, DATE and BOOLEAN hash by their payload (a BOOLEAN as 0 or 1, whatever
+// its nonzero payload), an integral FLOAT as that integer, so INT 3 and
+// FLOAT 3.0 share a hash; any other FLOAT hashes by its bits. All NULLs
+// share one hash. Every bit of the result depends on every bit of the value,
+// so a caller may take any bits of it (a shuffle the low ones, a hash
+// table's slot the high ones of hash × φ).
 func Hash(v Value) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
 	switch v.K {
-	case KindNull:
-		_, _ = h.Write([]byte{0})
 	case KindInt, KindDate, KindBool:
-		u := uint64(v.I)
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(u >> (8 * i))
-		}
-		_, _ = h.Write(buf[:])
+		return HashInt(v.K, v.I)
 	case KindFloat:
-		// Hash integral floats as their integer value to keep numeric
-		// equality consistent with Hash equality.
-		if v.F == float64(int64(v.F)) {
-			return Hash(NewInt(int64(v.F)))
-		}
-		u := uint64(int64(v.F * 1e6))
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(u >> (8 * i))
-		}
-		_, _ = h.Write(buf[:])
+		return HashFloat(v.F)
 	case KindString:
-		_, _ = h.Write([]byte(v.S))
+		return HashString(v.S)
+	default:
+		return nullHash
 	}
-	return h.Sum64()
 }
 
-// HashRow combines the hashes of the values at the given column offsets.
+// nullHash is the hash of every NULL.
+const nullHash uint64 = 0x6a09e667f3bcc908
+
+// HashInt is Hash of the integral payload x of kind k (INT, DATE or BOOLEAN).
+func HashInt(k Kind, x int64) uint64 {
+	if k == KindBool && x != 0 {
+		x = 1
+	}
+	return mix(uint64(x))
+}
+
+// HashFloat is Hash of a FLOAT. Only a float inside int64's range is
+// converted, so the result is the same on every platform.
+func HashFloat(f float64) uint64 {
+	if f >= -0x1p63 && f < 0x1p63 && float64(int64(f)) == f {
+		return mix(uint64(int64(f)))
+	}
+	return mix(math.Float64bits(f) ^ floatTag)
+}
+
+// floatTag sets a non-integral FLOAT's hash input apart from an INT whose
+// payload has the same bits.
+const floatTag uint64 = 0xbb67ae8584caa73b
+
+// HashString is Hash of a STRING: its bytes a word at a time, then mix.
+func HashString(s string) uint64 {
+	h := uint64(len(s)) * hashP1
+	for ; len(s) >= 8; s = s[8:] {
+		h = hashRound(h, uint64(s[0])|uint64(s[1])<<8|uint64(s[2])<<16|uint64(s[3])<<24|
+			uint64(s[4])<<32|uint64(s[5])<<40|uint64(s[6])<<48|uint64(s[7])<<56)
+	}
+	if len(s) > 0 {
+		var w uint64
+		for i := len(s) - 1; i >= 0; i-- {
+			w = w<<8 | uint64(s[i])
+		}
+		h = hashRound(h, w)
+	}
+	return mix(h)
+}
+
+const (
+	hashP1 uint64 = 0x9E3779B185EBCA87
+	hashP2 uint64 = 0xC2B2AE3D27D4EB4F
+)
+
+// hashRound folds one 8-byte word into a string's running hash (xxHash64's
+// round).
+func hashRound(h, w uint64) uint64 { return bits.RotateLeft64(h+w*hashP2, 31) * hashP1 }
+
+// mix is a 64-bit finalizer (murmur3's): every input bit moves every output
+// bit.
+func mix(x uint64) uint64 {
+	x ^= x >> 33
+	x *= 0xff51afd7ed558ccd
+	x ^= x >> 33
+	x *= 0xc4ceb9fe1a85ec53
+	x ^= x >> 33
+	return x
+}
+
+// FoldHash folds the hash of a key's next value into the hash of the values
+// before it (0 before the first), so a one-value key hashes as its value.
+// It is the one fold of a multi-value key: HashRow and every typed front
+// end that hashes a key column by column use it.
+func FoldHash(h, vh uint64) uint64 { return bits.RotateLeft64(h, 11) ^ vh }
+
+// HashRow is the hash of the key made of the values at the given column
+// offsets.
 func HashRow(r Row, cols []int) uint64 {
-	h := uint64(1469598103934665603) // FNV offset basis
+	var h uint64
 	for _, c := range cols {
-		h = h*1099511628211 ^ Hash(r[c])
+		h = FoldHash(h, Hash(r[c]))
 	}
 	return h
 }

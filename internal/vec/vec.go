@@ -167,6 +167,25 @@ func (c *Col) Value(i int) types.Value {
 	}
 }
 
+// HashCol is types.Hash of c.Value(i), computed without boxing it: the
+// per-column twin of the key hash, which typed front ends fold over a key's
+// columns with types.FoldHash.
+func HashCol(c *Col, i int) uint64 {
+	if c.Form != FormBoxed && GetBit(c.Nulls, i) {
+		return types.Hash(types.Null)
+	}
+	switch c.Form {
+	case FormInt:
+		return types.HashInt(c.Kind, c.I[i])
+	case FormFloat:
+		return types.HashFloat(c.F[i])
+	case FormStr:
+		return types.HashString(c.Dict.Str(c.Codes[i]))
+	default:
+		return types.Hash(c.Vals[i])
+	}
+}
+
 // Append appends one value. A value whose kind does not match the column's
 // typed layout demotes the whole column to FormBoxed (the safety net that
 // keeps adapters total: mixed-kind streams stay correct, just slower).
