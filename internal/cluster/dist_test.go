@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/exec"
@@ -146,12 +147,9 @@ func TestGroupByColumnNamedLikePrunedPartitionColumn(t *testing.T) {
 		`SELECT l_partkey, count(*) FROM lineitem, orders WHERE l_partkey = o_custkey GROUP BY l_partkey`, false)
 }
 
-// TestRepeatedKeyColumnsSpreadTheShuffle: q9's last join equates
-// (l_suppkey, l_partkey, p_partkey, s_suppkey) with (ps_suppkey, ps_partkey,
-// ps_partkey, ps_suppkey), so each partsupp column enters the shuffle key
-// twice. The key hash must still spread the rows: both of the join's
-// shuffles deliver rows to every worker.
-func TestRepeatedKeyColumnsSpreadTheShuffle(t *testing.T) {
+// tpchCluster is 4 workers holding TPC-H at SF0.01.
+func tpchCluster(t *testing.T) *Cluster {
+	t.Helper()
 	c, err := New(Config{NumWorkers: 4, BaseDir: t.TempDir(), PageSize: 32 * 1024, Nmax: 3, Profile: HRDBMSProfile()})
 	if err != nil {
 		t.Fatal(err)
@@ -167,6 +165,16 @@ func TestRepeatedKeyColumnsSpreadTheShuffle(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	return c
+}
+
+// TestRepeatedKeyColumnsSpreadTheShuffle: q9's last join equates
+// (l_suppkey, l_partkey, p_partkey, s_suppkey) with (ps_suppkey, ps_partkey,
+// ps_partkey, ps_suppkey), so each partsupp column enters the shuffle key
+// twice. The key hash must still spread the rows: both of the join's
+// shuffles deliver rows to every worker.
+func TestRepeatedKeyColumnsSpreadTheShuffle(t *testing.T) {
+	c := tpchCluster(t)
 	sql := tpch.Queries()["q9"]
 	sel, err := sqlparse.ParseSelect(sql)
 	if err != nil {
@@ -207,6 +215,51 @@ func TestRepeatedKeyColumnsSpreadTheShuffle(t *testing.T) {
 		if shuffles[w.ID] != 2 {
 			t.Errorf("node %d: %d of the last join's two shuffles delivered rows:\n%s", w.ID, shuffles[w.ID], tr.Render())
 			break
+		}
+	}
+}
+
+// TestSmallPlacedLeftInputIsBroadcast: a join whose left input is small and
+// already placed on its key, and whose right is not, replicates the left and
+// leaves the right where it lies — supplier ⋈ lineitem broadcasts the
+// supplier scan and shuffles no lineitem. A semi or anti join of the same
+// shape emits its left rows, so it never replicates them: it shuffles.
+func TestSmallPlacedLeftInputIsBroadcast(t *testing.T) {
+	c := tpchCluster(t)
+	explain := func(sql string) string {
+		t.Helper()
+		res, err := c.ExecSQL("EXPLAIN ANALYZE " + sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var lines []string
+		for _, r := range res.Rows {
+			lines = append(lines, r[0].S)
+		}
+		return strings.Join(lines, "\n")
+	}
+	// under reports whether a line naming op has a line naming child right
+	// below it, one level deeper.
+	under := func(out, op, child string) bool {
+		lines := strings.Split(out, "\n")
+		depth := func(l string) int { return len(l) - len(strings.TrimLeft(l, " ")) }
+		for i := 0; i+1 < len(lines); i++ {
+			if strings.Contains(lines[i], op) && strings.Contains(lines[i+1], child) && depth(lines[i+1]) > depth(lines[i]) {
+				return true
+			}
+		}
+		return false
+	}
+	out := explain("SELECT count(*) FROM supplier, lineitem WHERE s_suppkey = l_suppkey")
+	if !under(out, "Broadcast", "Scan supplier") || strings.Contains(out, "Shuffle") {
+		t.Errorf("supplier ⋈ lineitem: want a Broadcast over the supplier scan and no Shuffle:\n%s", out)
+	}
+	for _, not := range []string{"", "NOT "} {
+		sql := "SELECT count(*) FROM supplier WHERE " + not +
+			"EXISTS (SELECT * FROM lineitem WHERE l_suppkey = s_suppkey AND l_quantity > 49)"
+		out := explain(sql)
+		if strings.Contains(out, "Broadcast") || !strings.Contains(out, "Shuffle") {
+			t.Errorf("%s: want the lineitem side shuffled and nothing broadcast:\n%s", sql, out)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/exec"
@@ -204,46 +205,14 @@ func (q *queryExec) compile(root plan.Node) (exec.Operator, error) {
 // materializeScalars executes uncorrelated scalar subqueries first, with
 // full distribution, and freezes their values into the plan.
 func (q *queryExec) materializeScalars(root plan.Node) error {
-	var scalars []*plan.ScalarSubquery
-	collect := func(e expr.Expr) {
-		expr.Walk(e, func(x expr.Expr) {
-			if s, ok := x.(*plan.ScalarSubquery); ok && s.Resolved == nil {
-				scalars = append(scalars, s)
-			}
-		})
-	}
-	plan.Walk(root, func(m plan.Node) {
-		switch x := m.(type) {
-		case *plan.Filter:
-			collect(x.Pred)
-		case *plan.Scan:
-			if x.Pred != nil {
-				collect(x.Pred)
-			}
-		case *plan.Project:
-			for _, e := range x.Exprs {
-				collect(e)
-			}
-		case *plan.Join:
-			if x.Residual != nil {
-				collect(x.Residual)
-			}
-		}
-	})
-	for _, s := range scalars {
+	for _, s := range plan.Scalars(root) {
 		rows, err := q.runSubquery(s.Plan)
 		if err != nil {
 			return err
 		}
-		v := types.Null
-		switch {
-		case len(rows) == 0:
-		case len(rows) == 1 && len(rows[0]) >= 1:
-			v = rows[0][0]
-		default:
-			return fmt.Errorf("cluster: scalar subquery returned %d rows", len(rows))
+		if err := s.Resolve(rows); err != nil {
+			return err
 		}
-		s.Resolved = &v
 	}
 	return nil
 }
@@ -353,6 +322,11 @@ func (q *queryExec) distributeNode(n plan.Node) (*dstream, error) {
 		}
 		return out, nil
 	case *plan.Filter:
+		// A fold reads every row of its input, which only the coordinator
+		// sees whole.
+		if x.Folds() {
+			ds = q.toCoord(ds)
+		}
 		return q.each(ds, "Filter", func(in exec.Operator, ctx *exec.Ctx) exec.Operator {
 			return exec.NewFilter(ctx, in, x.Pred)
 		}), nil
@@ -519,7 +493,7 @@ func (q *queryExec) distributeJoin(x *plan.Join) (*dstream, error) {
 	}
 
 	leftNames, leftPlain := keyNames(x.EquiLeft, x.Left.Schema())
-	rightNames, rightPlain := keyNames(x.EquiRight, x.Right.Schema())
+	rightNames, _ := keyNames(x.EquiRight, x.Right.Schema())
 
 	// The one place worker joins are built, once the distribution is fixed.
 	// A join builds on whichever input leaves the smaller share on a worker;
@@ -566,27 +540,40 @@ func (q *queryExec) distributeJoin(x *plan.Join) (*dstream, error) {
 		return join(left, right, right.dist), nil
 	}
 
-	// Both partitioned/random: exploit or create co-location.
-	leftOK := q.prof.EnforceLocality && leftPlain && left.dist.PartitionedOn(leftNames)
-	rightOK := q.prof.EnforceLocality && rightPlain && right.dist.PartitionedOn(rightNames)
-	// Re-cost the movement at this exchange boundary: with runtime
-	// distributions known and feedback-corrected estimates, replicating a
-	// small build side can beat repartitioning a large probe side. DP join
-	// ordering costed the same choice; this is where it is made.
-	if !leftOK && q.wantBroadcast(x, leftNames, rightNames, right.dist, rightOK) {
+	// Both partitioned/random: exploit or create co-location. One decision,
+	// by the cost model DP join ordering used, re-costed at this exchange
+	// boundary on the runtime distributions and feedback-corrected
+	// estimates: shuffle each input not placed on its keys, or replicate a
+	// small input so that the other stays where it is.
+	side := func(n plan.Node, ds *dstream, names []string) opt.JoinSide {
+		s := opt.JoinSide{Dist: ds.dist, Keys: names, Rows: q.estimator().Estimate(n), Width: q.estimator().RowWidth(n)}
+		if !q.prof.EnforceLocality {
+			s.Dist = opt.DistInfo{}
+		}
+		return s
+	}
+	net := opt.ChooseJoinNet(x.Type, side(x.Left, left, leftNames), side(x.Right, right, rightNames), len(q.c.Workers))
+	switch {
+	case net.Broadcast:
 		b, err := q.broadcast(right)
 		if err != nil {
 			return nil, err
 		}
 		return join(left, b, left.dist), nil
+	case net.BroadcastLeft:
+		b, err := q.broadcast(left)
+		if err != nil {
+			return nil, err
+		}
+		return join(b, right, right.dist), nil
 	}
-	if !leftOK {
+	if net.ShuffleLeft {
 		left, err = q.shuffle(left, x.EquiLeft, leftNames)
 		if err != nil {
 			return nil, err
 		}
 	}
-	if !rightOK {
+	if net.ShuffleRight {
 		right, err = q.shuffle(right, x.EquiRight, rightNames)
 		if err != nil {
 			return nil, err
@@ -597,32 +584,6 @@ func (q *queryExec) distributeJoin(x *plan.Join) (*dstream, error) {
 		outDist = opt.DistInfo{Kind: opt.DistPartitioned, Cols: leftNames}
 	}
 	return join(left, right, outDist), nil
-}
-
-// wantBroadcast decides shuffle-vs-broadcast for an equi-join whose left
-// input is mispartitioned, using the shared cost model on the estimated
-// size of the right. Inner/semi/anti joins stay correct under a replicated
-// right, whichever side builds, because each left row lives on exactly one
-// worker and meets all of the right there. The cluster's exact-name match
-// has decided what is already placed: not the left (the caller established
-// !leftOK), and the right, distributed as rd, only when rightOK.
-func (q *queryExec) wantBroadcast(x *plan.Join, leftNames, rightNames []string, rd opt.DistInfo, rightOK bool) bool {
-	switch x.Type {
-	case exec.JoinInner, exec.JoinSemi, exec.JoinAnti:
-	default:
-		return false
-	}
-	if len(leftNames) == 0 {
-		return false
-	}
-	if !rightOK {
-		rd = opt.DistInfo{}
-	}
-	est := q.estimator()
-	net := opt.ChooseJoinNet(opt.DistInfo{}, rd, leftNames, rightNames,
-		est.Estimate(x.Left), est.RowWidth(x.Left),
-		est.Estimate(x.Right), est.RowWidth(x.Right), len(q.c.Workers))
-	return net.Broadcast
 }
 
 // buildShare is the estimated bytes of plan node n's rows that one worker
@@ -720,14 +681,8 @@ func (q *queryExec) distributeAgg(x *plan.Agg) (*dstream, error) {
 	if err != nil {
 		return nil, err
 	}
-	specs := make([]exec.AggSpec, len(x.Aggs))
-	hasDistinct := false
-	for i, a := range x.Aggs {
-		specs[i] = exec.AggSpec{Kind: a.Kind, Arg: a.Arg, Distinct: a.Distinct, Name: a.Name}
-		if a.Distinct {
-			hasDistinct = true
-		}
-	}
+	specs := plan.AggSpecs(x.Aggs)
+	hasDistinct := slices.ContainsFunc(x.Aggs, func(a plan.AggItem) bool { return a.Distinct })
 	// complete aggregates in's rows in one phase, where they are; its
 	// output is spread as d says.
 	complete := func(in *dstream, d opt.DistInfo) *dstream {

@@ -232,6 +232,13 @@ func (c *Ctx) addState(n int64) {
 	}
 }
 
+// addRows meters rows an operator processed when a context is present.
+func (c *Ctx) addRows(n int) {
+	if c != nil {
+		c.RowsProcessed.Add(int64(n))
+	}
+}
+
 // addBoxed counts rows boxed off a typed batch when a context is present.
 func (c *Ctx) addBoxed(n int64) {
 	if c != nil && n > 0 {
@@ -348,36 +355,156 @@ func (s *Source) NextBatch() ([]types.Row, bool, error) {
 // Close implements Operator.
 func (s *Source) Close() error { return nil }
 
-// Filter passes rows whose predicate evaluates to (non-null) true.
+// Fold is a scalar computed from the rows of the Filter whose predicate
+// holds it: the aggregates FoldAggs over every input row, then
+// FoldResolve with the row of their values, before the predicate reads it.
+// An expression with no FoldAggs is not one.
+type Fold interface {
+	FoldAggs() []AggSpec
+	FoldResolve(aggs types.Row) error
+}
+
+// Filter passes rows whose predicate evaluates to (non-null) true. A
+// predicate that holds a Fold makes it blocking: it drains its input,
+// folding every row and holding it (past MemRows in a spill file), resolves
+// the folds, then filters the held rows.
 type Filter struct {
-	In   Operator
-	Pred expr.Expr
-	ctx  *Ctx
+	In    Operator
+	Pred  expr.Expr
+	ctx   *Ctx
+	folds []Fold
+
+	held     []types.Row  // the input rows a fold held in memory
+	spilled  *spillReader // and those past the budget, after them
+	spills   spillSet
+	pos      int
+	prepared bool
 }
 
 // NewFilter builds a filter; the predicate must already be bound to the
 // input schema.
 func NewFilter(ctx *Ctx, in Operator, pred expr.Expr) *Filter {
-	return &Filter{In: in, Pred: pred, ctx: ctx}
+	f := &Filter{In: in, Pred: pred, ctx: ctx}
+	expr.Walk(pred, func(x expr.Expr) {
+		if fd, ok := x.(Fold); ok && len(fd.FoldAggs()) > 0 {
+			f.folds = append(f.folds, fd)
+		}
+	})
+	return f
 }
 
 // Schema implements Operator.
 func (f *Filter) Schema() types.Schema { return f.In.Schema() }
 
 // Open implements Operator.
-func (f *Filter) Open() error { return f.In.Open() }
+func (f *Filter) Open() error {
+	f.held, f.spilled, f.pos, f.prepared = nil, nil, 0, len(f.folds) == 0
+	return f.In.Open()
+}
+
+// fold drains the input into the folds' aggregates and the held rows, then
+// resolves every fold.
+func (f *Filter) fold() error {
+	sch := f.In.Schema()
+	specs := make([][]AggSpec, len(f.folds))
+	cols := make([][]aggCol, len(f.folds))
+	for i, fd := range f.folds {
+		specs[i] = fd.FoldAggs()
+		for j, k := range aggKinds(sch, 0, specs[i], false) {
+			cols[i] = append(cols[i], newAggCol(specs[i][j].Kind, k, false))
+			cols[i][j].grow()
+		}
+	}
+	budget := f.ctx.memShare(1)
+	var w *spillWriter
+	err := drain(f.ctx, f.In.NextBatch, func(b []types.Row) error {
+		f.ctx.addRows(len(b))
+		state := int64(0)
+		for _, r := range b {
+			for i := range specs {
+				for j, sp := range specs[i] {
+					if sp.Arg == nil {
+						cols[i][j].n[0]++
+						continue
+					}
+					v, err := sp.Arg.Eval(r)
+					if err != nil {
+						return err
+					}
+					cols[i][j].add(0, v)
+				}
+			}
+			if budget == 0 || len(f.held) < budget {
+				f.held = append(f.held, r)
+				state += int64(types.RowEncodedSize(r))
+				continue
+			}
+			if w == nil {
+				var err error
+				if w, err = f.spills.newWriter(f.ctx, "fold-*"); err != nil {
+					return err
+				}
+			}
+			if err := w.write(r); err != nil {
+				return err
+			}
+		}
+		f.ctx.addState(state)
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	if w != nil {
+		if f.spilled, err = w.finish(); err != nil {
+			return err
+		}
+	}
+	for i, fd := range f.folds {
+		vals := make(types.Row, len(cols[i]))
+		for j := range cols[i] {
+			vals[j] = cols[i][j].final(0)
+		}
+		if err := fd.FoldResolve(vals); err != nil {
+			return err
+		}
+	}
+	f.prepared = true
+	return nil
+}
+
+// next is the input the predicate reads: the operator below, or the rows a
+// fold held, in arrival order.
+func (f *Filter) next() ([]types.Row, bool, error) {
+	if len(f.folds) == 0 {
+		b, ok, err := f.In.NextBatch()
+		if ok {
+			f.ctx.addRows(len(b))
+		}
+		return b, ok, err
+	}
+	if f.pos < len(f.held) {
+		return nextWindow(f.held, &f.pos, f.ctx.batchRows())
+	}
+	if f.spilled != nil {
+		return f.spilled.nextBatch(f.ctx.batchRows())
+	}
+	return nil, false, nil
+}
 
 // NextBatch implements Operator: evaluate the predicate over the input
 // slab and compact survivors in place (the slab belongs to us per the
 // ownership contract).
 func (f *Filter) NextBatch() ([]types.Row, bool, error) {
-	for {
-		b, ok, err := f.In.NextBatch()
-		if err != nil || !ok {
+	if !f.prepared {
+		if err := f.fold(); err != nil {
 			return nil, false, err
 		}
-		if f.ctx != nil {
-			f.ctx.RowsProcessed.Add(int64(len(b)))
+	}
+	for {
+		b, ok, err := f.next()
+		if err != nil || !ok {
+			return nil, false, err
 		}
 		out := b[:0]
 		for _, r := range b {
@@ -396,7 +523,11 @@ func (f *Filter) NextBatch() ([]types.Row, bool, error) {
 }
 
 // Close implements Operator.
-func (f *Filter) Close() error { return f.In.Close() }
+func (f *Filter) Close() error {
+	f.held, f.spilled = nil, nil
+	f.spills.discardAll()
+	return f.In.Close()
+}
 
 // Project computes output expressions per row.
 type Project struct {

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/expr"
 	"repro/internal/testutil"
 	"repro/internal/types"
 )
@@ -213,5 +214,63 @@ func TestSpillParityAcrossDegrees(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// avgFold is a Fold whose value is the average of column 0, from its SUM
+// and COUNT(*).
+type avgFold struct{ v *types.Value }
+
+func (f *avgFold) Eval(types.Row) (types.Value, error) {
+	if f.v == nil {
+		return types.Null, fmt.Errorf("avgFold: not resolved")
+	}
+	return *f.v, nil
+}
+func (f *avgFold) String() string { return "fold AVG($0)" }
+func (f *avgFold) FoldAggs() []AggSpec {
+	return []AggSpec{{Kind: AggSum, Arg: col(0)}, {Kind: AggCount}}
+}
+func (f *avgFold) FoldResolve(aggs types.Row) error {
+	v := types.NewFloat(float64(aggs[0].I) / float64(aggs[1].I))
+	f.v = &v
+	return nil
+}
+
+// TestFilterFoldHoldsAndSpills: a Filter whose predicate holds a fold reads
+// all of its input before it emits a row, keeps the rows above the fold's
+// value in arrival order, charges what it holds to state and, past MemRows,
+// holds the rest in a spill file that Close removes.
+func TestFilterFoldHoldsAndSpills(t *testing.T) {
+	var rows []types.Row
+	for i := int64(0); i < 1000; i++ {
+		rows = append(rows, intRows([]int64{(i * 7919) % 1000})[0])
+	}
+	for _, memRows := range []int{0, 100} {
+		dir := t.TempDir()
+		ctx := NewCtx(dir, memRows)
+		pred := &expr.Bin{Op: expr.OpGt, L: col(0), R: &avgFold{}}
+		got, err := Collect(NewFilter(ctx, slabSource(intSchema("c0"), rows, 64), pred))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []types.Row
+		for _, r := range rows {
+			if float64(r[0].I) > 499.5 {
+				want = append(want, r)
+			}
+		}
+		if g, w := rowStrings(got), rowStrings(want); strings.Join(g, ",") != strings.Join(w, ",") {
+			t.Fatalf("MemRows %d: got %d rows, want the %d above the average in arrival order", memRows, len(g), len(w))
+		}
+		if spilled := ctx.SpillFiles.Load() > 0; spilled != (memRows > 0) {
+			t.Errorf("MemRows %d: spilled = %v", memRows, spilled)
+		}
+		if ctx.StateBytes.Load() == 0 {
+			t.Errorf("MemRows %d: the held rows charged no state", memRows)
+		}
+		if left := spillLeftovers(t, dir); len(left) > 0 {
+			t.Errorf("MemRows %d: %d leftovers after Close, e.g. %s", memRows, len(left), left[0])
+		}
 	}
 }

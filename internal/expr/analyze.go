@@ -27,6 +27,13 @@ func Bind(e Expr, s types.Schema) error {
 	return bindErr
 }
 
+// Parent is an expression defined outside this package whose operands are
+// bound to the same row as itself, so that Walk, and with it Bind, Columns
+// and every other walker, visits them.
+type Parent interface {
+	Operands() []Expr
+}
+
 // Walk visits every node of the expression tree in preorder.
 func Walk(e Expr, fn func(Expr)) {
 	if e == nil {
@@ -64,6 +71,10 @@ func Walk(e Expr, fn func(Expr)) {
 	case *Func:
 		for _, a := range x.Args {
 			Walk(a, fn)
+		}
+	case Parent:
+		for _, o := range x.Operands() {
+			Walk(o, fn)
 		}
 	}
 }

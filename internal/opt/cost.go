@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"repro/internal/catalog"
+	"repro/internal/exec"
 	"repro/internal/plan"
 	"repro/internal/types"
 )
@@ -105,67 +106,80 @@ func (d DistInfo) PartitionedOn(keys []string) bool {
 // JoinNet is the network plan for one join: what each side does and the
 // modeled bytes moved.
 type JoinNet struct {
-	Broadcast bool // replicate the build (right) side to every worker
+	// Broadcast replicates the right input to every worker, BroadcastLeft
+	// the left one; the other input stays where it is.
+	Broadcast, BroadcastLeft bool
 	// ShuffleLeft / ShuffleRight are set when that side must be hash-
-	// repartitioned on the join keys (mutually exclusive with Broadcast
-	// for the right side).
+	// repartitioned on the join keys (never together with a broadcast).
 	ShuffleLeft, ShuffleRight bool
 	Bytes                     float64 // total bytes crossing the network
 }
 
-// ChooseJoinNet picks the cheapest legal data movement for an equi-join
-// given each side's distribution and estimated size. The left side is the
-// probe side and keeps its distribution under a broadcast; broadcasting the
-// build side costs bytes*(W-1) but can beat shuffling a much larger probe
-// side, which is the paper's shuffle-vs-broadcast decision made from
-// estimated build-side size.
-func ChooseJoinNet(left, right DistInfo, leftKeys, rightKeys []string,
-	leftRows, leftWidth, rightRows, rightWidth float64, workers int) JoinNet {
+// JoinSide is one input of a join as the network cost model sees it: how
+// its rows are spread, the names of its key columns (nil when a key is
+// computed), and its estimated rows and row width.
+type JoinSide struct {
+	Dist        DistInfo
+	Keys        []string
+	Rows, Width float64
+}
+
+func (s JoinSide) bytes() float64 { return s.Rows * s.Width }
+
+// ChooseJoinNet picks the cheapest legal data movement for an equi-join of
+// type typ given each side's distribution and estimated size: shuffle every
+// side not placed on its keys, or replicate one side to every worker so the
+// other stays put. Broadcasting a side costs its bytes*(W-1) but can beat
+// shuffling a much larger other side, which is the paper's
+// shuffle-vs-broadcast decision made from the estimated size of the input
+// that would move. Either side may move: the right when the left is
+// misplaced, the left when it is placed and the right is not — an inner
+// join's left only, since a semi or anti join emits its left rows, which
+// must live on one worker each. Memory cap: every worker holds the whole
+// broadcast side.
+func ChooseJoinNet(typ exec.JoinType, left, right JoinSide, workers int) JoinNet {
 	w := float64(workers)
 	if w < 2 {
 		// Single worker: everything is local.
 		return JoinNet{}
 	}
-	leftOK := left.PartitionedOn(leftKeys)
-	rightOK := right.PartitionedOn(rightKeys)
-	if left.Kind == DistReplicated || right.Kind == DistReplicated {
+	if left.Dist.Kind == DistReplicated || right.Dist.Kind == DistReplicated {
 		return JoinNet{}
 	}
+	leftOK := left.Dist.PartitionedOn(left.Keys)
+	rightOK := right.Dist.PartitionedOn(right.Keys)
 	if leftOK && rightOK {
 		return JoinNet{}
 	}
-	// Option 1: hash-shuffle every misplaced side. A shuffle moves the
-	// (W-1)/W fraction of the side's bytes that hashes to another worker.
-	shuffle := JoinNet{ShuffleLeft: !leftOK, ShuffleRight: !rightOK}
+	// A shuffle moves the (W-1)/W fraction of a side's bytes that hashes to
+	// another worker.
+	best := JoinNet{ShuffleLeft: !leftOK, ShuffleRight: !rightOK}
 	if !leftOK {
-		shuffle.Bytes += leftRows * leftWidth * (w - 1) / w
+		best.Bytes += left.bytes() * (w - 1) / w
 	}
 	if !rightOK {
-		shuffle.Bytes += rightRows * rightWidth * (w - 1) / w
+		best.Bytes += right.bytes() * (w - 1) / w
 	}
-	// Option 2: broadcast the build side; the probe side stays put. Only
-	// legal when there are join keys to begin with (the caller guarantees
-	// an equi-join), and only useful when the left side would otherwise
-	// move. Memory cap: every worker materializes the full build side.
-	bcastBytes := rightRows * rightWidth * (w - 1)
-	if !leftOK && len(leftKeys) > 0 &&
-		rightRows*rightWidth <= MaxBroadcastBytes &&
-		bcastBytes < shuffle.Bytes {
-		return JoinNet{Broadcast: true, Bytes: bcastBytes}
+	if !leftOK && len(left.Keys) > 0 && right.bytes() <= MaxBroadcastBytes && right.bytes()*(w-1) < best.Bytes {
+		best = JoinNet{Broadcast: true, Bytes: right.bytes() * (w - 1)}
 	}
-	return shuffle
+	if typ == exec.JoinInner && leftOK && len(right.Keys) > 0 && left.bytes() <= MaxBroadcastBytes && left.bytes()*(w-1) < best.Bytes {
+		best = JoinNet{BroadcastLeft: true, Bytes: left.bytes() * (w - 1)}
+	}
+	return best
 }
 
 // joinOutDist is the distribution of the join's output stream under a
 // chosen movement plan, mirroring cluster/distribute.go's bookkeeping.
-func joinOutDist(net JoinNet, left DistInfo, leftKeys []string) DistInfo {
-	if net.Broadcast {
+func joinOutDist(net JoinNet, left, right DistInfo, leftKeys []string) DistInfo {
+	switch {
+	case net.Broadcast:
 		return left // probe side untouched
-	}
-	if net.ShuffleLeft {
+	case net.BroadcastLeft:
+		return right
+	case net.ShuffleLeft:
 		return DistInfo{Kind: DistPartitioned, Cols: append([]string(nil), leftKeys...)}
-	}
-	if left.Kind == DistPartitioned {
+	case left.Kind == DistPartitioned:
 		return left
 	}
 	return DistInfo{Kind: DistRandom}

@@ -13,6 +13,7 @@ import (
 	"math"
 	"math/bits"
 
+	"repro/internal/exec"
 	"repro/internal/expr"
 	"repro/internal/plan"
 )
@@ -161,15 +162,16 @@ func (m *costModel) step(S uint64, d DistInfo, r int) (float64, DistInfo) {
 	var net JoinNet
 	cost := 0.0
 	if m.connectedTo(S, r) {
-		net = ChooseJoinNet(d, m.dist[r], lk, rk,
-			lRows, m.subsetWidth(S), rRows, m.width[r], m.workers)
+		net = ChooseJoinNet(exec.JoinInner,
+			JoinSide{Dist: d, Keys: lk, Rows: lRows, Width: m.subsetWidth(S)},
+			JoinSide{Dist: m.dist[r], Keys: rk, Rows: rRows, Width: m.width[r]}, m.workers)
 	} else {
 		// Cross join: legal but punished so it is only chosen when the
 		// join graph is genuinely disconnected.
 		cost += lRows * rRows / CostRowsPerSec
 	}
 	cost += joinCost(lRows, rRows, out, net, m.workers)
-	return cost, joinOutDist(net, d, lk)
+	return cost, joinOutDist(net, d, m.dist[r], lk)
 }
 
 // dpState is one subset's best left-deep plan.

@@ -96,6 +96,10 @@ func groupKeyOf(n plan.Node, k expr.Expr) (*plan.Agg, *expr.Col) {
 		case *plan.Rename:
 			n = x.Child
 		case *plan.Filter:
+			// A fold reads every group; fewer would change its value.
+			if x.Folds() {
+				return nil, nil
+			}
 			n = x.Child
 		case *plan.Agg:
 			if pos >= len(x.GroupBy) {
@@ -220,6 +224,10 @@ func cheapestSource(o plan.Node, k expr.Expr, est *Estimator) (keySource, bool) 
 	}
 	var best keySource
 	plan.Walk(o, func(m plan.Node) {
+		// A copy of a folding Filter would resolve the same fold twice.
+		if holdsFold(m) {
+			return
+		}
 		sch := m.Schema()
 		for pos, c := range sch.Cols {
 			// The column must be the one its name binds to, as the semi
@@ -235,6 +243,17 @@ func cheapestSource(o plan.Node, k expr.Expr, est *Estimator) (keySource, bool) 
 		}
 	})
 	return best, best.node != nil
+}
+
+// holdsFold reports whether a Filter in n's subtree folds.
+func holdsFold(n plan.Node) bool {
+	found := false
+	plan.Walk(n, func(m plan.Node) {
+		if f, ok := m.(*plan.Filter); ok && f.Folds() {
+			found = true
+		}
+	})
+	return found
 }
 
 // planSize counts the nodes of n.

@@ -435,7 +435,8 @@ func clampSel(s float64) float64 {
 	return s
 }
 
-// OptimizeOpts runs phase-1 transformations: magic-set filtering of
+// OptimizeOpts runs phase-1 transformations: folding a scalar subquery
+// over its own outer block's rows, magic-set filtering of
 // aggregates joined to a selective outer block, DPsize join reordering of
 // inner-join clusters using the estimator, semi/anti join pushdown below
 // inner joins, and cost-based group-by pushdown. The options fit it to a
@@ -443,6 +444,10 @@ func clampSel(s float64) float64 {
 // feedback store supplies observed cardinalities from earlier queries.
 func OptimizeOpts(root plan.Node, cat *catalog.Catalog, o Options) (plan.Node, error) {
 	est := &Estimator{Cat: cat, FB: o.Feedback}
+	// Scalar subqueries fold first, while an outer block's input and the
+	// subquery's are still the same tree: join ordering reorders only the
+	// outer block's.
+	root = foldScalars(root)
 	// Magic sets go before projection pushdown, which narrows each copied
 	// key source to its key, and before join enumeration, which orders the
 	// outer block against the shrunken aggregate.

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/exec"
-	"repro/internal/expr"
 	"repro/internal/types"
 )
 
@@ -51,35 +50,9 @@ func Execute(n Node, prov TableProvider, ctx *exec.Ctx) (exec.Operator, error) {
 }
 
 // materializeScalars runs every uncorrelated scalar subquery plan embedded
-// in filter/scan predicates and freezes its value.
+// in the plan's expressions and freezes its value.
 func materializeScalars(n Node, prov TableProvider, ctx *exec.Ctx) error {
-	var scalars []*ScalarSubquery
-	collect := func(e expr.Expr) {
-		expr.Walk(e, func(x expr.Expr) {
-			if s, ok := x.(*ScalarSubquery); ok && s.Resolved == nil {
-				scalars = append(scalars, s)
-			}
-		})
-	}
-	Walk(n, func(m Node) {
-		switch x := m.(type) {
-		case *Filter:
-			collect(x.Pred)
-		case *Scan:
-			if x.Pred != nil {
-				collect(x.Pred)
-			}
-		case *Project:
-			for _, e := range x.Exprs {
-				collect(e)
-			}
-		case *Join:
-			if x.Residual != nil {
-				collect(x.Residual)
-			}
-		}
-	})
-	for _, s := range scalars {
+	for _, s := range Scalars(n) {
 		op, err := Execute(s.Plan, prov, ctx)
 		if err != nil {
 			return err
@@ -88,15 +61,9 @@ func materializeScalars(n Node, prov TableProvider, ctx *exec.Ctx) error {
 		if err != nil {
 			return err
 		}
-		v := types.Null
-		switch {
-		case len(rows) == 0:
-		case len(rows) == 1 && len(rows[0]) >= 1:
-			v = rows[0][0]
-		default:
-			return fmt.Errorf("plan: scalar subquery returned %d rows", len(rows))
+		if err := s.Resolve(rows); err != nil {
+			return err
 		}
-		s.Resolved = &v
 	}
 	return nil
 }
@@ -145,11 +112,7 @@ func compile(n Node, prov TableProvider, ctx *exec.Ctx) (exec.Operator, error) {
 		if err != nil {
 			return nil, err
 		}
-		specs := make([]exec.AggSpec, len(x.Aggs))
-		for i, a := range x.Aggs {
-			specs[i] = exec.AggSpec{Kind: a.Kind, Arg: a.Arg, Distinct: a.Distinct, Name: a.Name}
-		}
-		return exec.NewHashAggregate(ctx, child, x.GroupBy, specs, exec.AggComplete), nil
+		return exec.NewHashAggregate(ctx, child, x.GroupBy, AggSpecs(x.Aggs), exec.AggComplete), nil
 	case *Sort:
 		child, err := compile(x.Child, prov, ctx)
 		if err != nil {
@@ -173,6 +136,15 @@ func compile(n Node, prov TableProvider, ctx *exec.Ctx) (exec.Operator, error) {
 	default:
 		return nil, fmt.Errorf("plan: cannot compile %T", n)
 	}
+}
+
+// AggSpecs are the executor's specs of plan aggregates.
+func AggSpecs(aggs []AggItem) []exec.AggSpec {
+	specs := make([]exec.AggSpec, len(aggs))
+	for i, a := range aggs {
+		specs[i] = exec.AggSpec{Kind: a.Kind, Arg: a.Arg, Distinct: a.Distinct, Name: a.Name}
+	}
+	return specs
 }
 
 func sortKeys(keys []SortItem) []exec.SortKey {

@@ -306,11 +306,23 @@ func (r *Rename) Describe() string { return "Rename " + r.sch.String() }
 // ScalarSubquery wraps an uncorrelated scalar subquery inside an
 // expression; the executor materializes the subplan to a single value
 // before the outer plan runs (the paper notes Greenplum additionally caches
-// these — see Q22 discussion).
+// these — see Q22 discussion). Where the optimizer found the subquery's
+// value in the rows of the Filter whose predicate holds it, Fold replaces
+// Plan, and that Filter computes it (exec.Fold).
 type ScalarSubquery struct {
 	Plan Node
+	Fold *Fold
 	// Resolved is set by the executor after materialization.
 	Resolved *types.Value
+}
+
+// Fold is a scalar subquery's value computed from the rows of the Filter
+// that holds it: Aggs over those rows (their arguments bound to the
+// Filter's input, as the rest of its predicate is), then Expr over the row
+// of their values. An aggregate's name is how Expr and EXPLAIN show it.
+type Fold struct {
+	Aggs []AggItem
+	Expr expr.Expr
 }
 
 // Eval returns the materialized value.
@@ -321,8 +333,105 @@ func (s *ScalarSubquery) Eval(types.Row) (types.Value, error) {
 	return *s.Resolved, nil
 }
 
-// String renders the placeholder.
-func (s *ScalarSubquery) String() string { return "(scalar subquery)" }
+// String renders the placeholder, or the fold.
+func (s *ScalarSubquery) String() string {
+	if s.Fold != nil {
+		return s.Fold.Expr.String()
+	}
+	return "(scalar subquery)"
+}
+
+// Operands implements expr.Parent: a fold's arguments read the row the
+// predicate does, so every walker sees (and Rebind rebinds) them.
+func (s *ScalarSubquery) Operands() []expr.Expr {
+	if s.Fold == nil {
+		return nil
+	}
+	var out []expr.Expr
+	for _, a := range s.Fold.Aggs {
+		if a.Arg != nil {
+			out = append(out, a.Arg)
+		}
+	}
+	return out
+}
+
+// FoldAggs implements exec.Fold; a subquery its plan computes has none.
+func (s *ScalarSubquery) FoldAggs() []exec.AggSpec {
+	if s.Fold == nil {
+		return nil
+	}
+	return AggSpecs(s.Fold.Aggs)
+}
+
+// FoldResolve implements exec.Fold: the value is Expr over the aggregates'.
+func (s *ScalarSubquery) FoldResolve(aggs types.Row) error {
+	v, err := s.Fold.Expr.Eval(aggs)
+	if err != nil {
+		return err
+	}
+	return s.Resolve([]types.Row{{v}})
+}
+
+// Resolve freezes the subquery's value from the rows its plan returned: no
+// row is NULL, one row is its first column, more is an error.
+func (s *ScalarSubquery) Resolve(rows []types.Row) error {
+	v := types.Null
+	switch {
+	case len(rows) == 0:
+	case len(rows) == 1 && len(rows[0]) >= 1:
+		v = rows[0][0]
+	default:
+		return fmt.Errorf("plan: scalar subquery returned %d rows", len(rows))
+	}
+	s.Resolved = &v
+	return nil
+}
+
+// ScalarsOf returns the scalar subqueries in node n's own expressions that
+// a plan computes and nothing has resolved yet, in order.
+func ScalarsOf(n Node) []*ScalarSubquery {
+	var es []expr.Expr
+	switch x := n.(type) {
+	case *Filter:
+		es = []expr.Expr{x.Pred}
+	case *Scan:
+		es = []expr.Expr{x.Pred}
+	case *Project:
+		es = x.Exprs
+	case *Join:
+		es = []expr.Expr{x.Residual}
+	}
+	var out []*ScalarSubquery
+	for _, e := range es {
+		expr.Walk(e, func(x expr.Expr) {
+			if s, ok := x.(*ScalarSubquery); ok && s.Plan != nil && s.Resolved == nil {
+				out = append(out, s)
+			}
+		})
+	}
+	return out
+}
+
+// Scalars returns ScalarsOf every node of the tree, in preorder: the
+// subqueries an executor runs before the plan.
+func Scalars(root Node) []*ScalarSubquery {
+	var out []*ScalarSubquery
+	Walk(root, func(n Node) { out = append(out, ScalarsOf(n)...) })
+	return out
+}
+
+// Folds reports whether the filter's predicate holds a fold, so that it
+// reads all of its input before it emits a row.
+func (f *Filter) Folds() bool {
+	found := false
+	expr.Walk(f.Pred, func(x expr.Expr) {
+		if s, ok := x.(*ScalarSubquery); ok && s.Fold != nil {
+			found = true
+		}
+	})
+	return found
+}
 
 // Explain renders a plan tree as indented text.
 func Explain(n Node) string {

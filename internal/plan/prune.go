@@ -89,13 +89,16 @@ func identity(n int) []int {
 }
 
 // prune narrows n to what need refers to and returns, for each column of
-// n's schema before the call, its offset afterwards or -1.
+// n's schema before the call, its offset afterwards or -1. The plan of each
+// scalar subquery in n's expressions is pruned as a root of its own.
 func prune(n Node, need colRefs) ([]int, error) {
-	switch x := n.(type) {
-	case *Scan:
-		if err := pruneSubplans(x.Pred); err != nil {
+	for _, s := range ScalarsOf(n) {
+		if err := PruneColumns(s.Plan); err != nil {
 			return nil, err
 		}
+	}
+	switch x := n.(type) {
+	case *Scan:
 		old := x.Schema()
 		remap, kept := need.keep(old)
 		if kept == old.Len() {
@@ -115,16 +118,10 @@ func prune(n Node, need colRefs) ([]int, error) {
 		x.Cols = cols
 		return remap, nil
 	case *Filter:
-		if err := pruneSubplans(x.Pred); err != nil {
-			return nil, err
-		}
 		down := need.extend()
 		down.addExprs(x.Pred)
 		return prune(x.Child, down)
 	case *Project:
-		if err := pruneSubplans(x.Exprs...); err != nil {
-			return nil, err
-		}
 		remap, kept := need.keep(x.sch)
 		if kept < len(x.Exprs) {
 			exprs, names, cols := make([]expr.Expr, kept), make([]string, kept), make([]types.Column, kept)
@@ -148,9 +145,6 @@ func prune(n Node, need colRefs) ([]int, error) {
 		_, err := prune(x.Child, down)
 		return identity(x.sch.Len()), err
 	case *Join:
-		if err := pruneSubplans(x.Residual); err != nil {
-			return nil, err
-		}
 		left := need.extend()
 		left.addExprs(x.EquiLeft...)
 		left.addExprs(x.Residual)
@@ -225,18 +219,4 @@ func prune(n Node, need colRefs) ([]int, error) {
 	default:
 		return nil, fmt.Errorf("plan: cannot prune %T", n)
 	}
-}
-
-// pruneSubplans prunes the plan of every scalar subquery inside the
-// expressions, each as a root of its own.
-func pruneSubplans(es ...expr.Expr) error {
-	var err error
-	for _, e := range es {
-		expr.Walk(e, func(x expr.Expr) {
-			if s, ok := x.(*ScalarSubquery); ok && err == nil {
-				err = PruneColumns(s.Plan)
-			}
-		})
-	}
-	return err
 }

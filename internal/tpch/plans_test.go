@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
-	"repro/internal/expr"
 	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/sqlparse"
@@ -164,18 +163,9 @@ func TestOptimizedPlansAreTrees(t *testing.T) {
 					}
 					names[c.Name] = true
 				}
-				var pred expr.Expr
-				switch x := m.(type) {
-				case *plan.Scan:
-					pred = x.Pred
-				case *plan.Filter:
-					pred = x.Pred
+				for _, s := range plan.ScalarsOf(m) {
+					walk(s.Plan)
 				}
-				expr.Walk(pred, func(e expr.Expr) {
-					if s, ok := e.(*plan.ScalarSubquery); ok {
-						walk(s.Plan)
-					}
-				})
 			})
 		}
 		walk(node)

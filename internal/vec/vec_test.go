@@ -1,6 +1,8 @@
 package vec
 
 import (
+	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"repro/internal/types"
@@ -196,4 +198,122 @@ func TestDecodeRejectsCorrupt(t *testing.T) {
 	if _, err := DecodeRows([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0x01}); err == nil {
 		t.Fatal("garbage header decoded without error")
 	}
+}
+
+// TestDecodeRefusesOversizedHeader: a header whose row and column counts
+// claim more cells than the message has bytes is refused before anything is
+// sized by it — neither a makeslice panic nor an out-of-memory crash.
+func TestDecodeRefusesOversizedHeader(t *testing.T) {
+	header := func(rows, cols uint64, pad int) []byte {
+		b := binary.AppendUvarint(nil, rows)
+		b = binary.AppendUvarint(b, cols)
+		return append(b, make([]byte, pad)...)
+	}
+	str := func(ndict, slen uint64) []byte {
+		b := append(header(1, 1, 0), byte(FormStr), byte(types.KindString), 0)
+		b = binary.AppendUvarint(b, ndict)
+		return binary.AppendUvarint(b, slen)
+	}
+	for _, c := range []struct {
+		name string
+		data []byte
+	}{
+		{"rows 2^62 x 2 cols", header(1<<62, 2, 10-len(header(1<<62, 2, 0)))},
+		{"rows 2^40 x 2^30 cols", header(1<<40, 1<<30, 16)},
+		{"rows x cols overflows", header(1<<33, 1<<33, 16)},
+		{"zero-width rows 2^62", header(1<<62, 0, 0)},
+		{"dictionary of 2^60 entries", str(1<<60, 1)},
+		{"string of 2^63 bytes", str(1, 1<<63)},
+	} {
+		if rows, err := DecodeRows(c.data); err == nil {
+			t.Errorf("%s: decoded %d rows without error", c.name, len(rows))
+		}
+	}
+}
+
+// fuzzRows derives a slab from seed bytes: the first byte picks the width,
+// each column's first cell its usual kind, and every later byte one cell —
+// mostly of the column's kind, sometimes NULL or another kind, so that every
+// wire form (typed, with and without NULLs, dictionary, boxed) is reached.
+func fuzzRows(seed []byte) []types.Row {
+	if len(seed) == 0 {
+		return nil
+	}
+	ncols := int(seed[0]%4) + 1
+	nrows := min((len(seed)-1)/ncols, 64)
+	words := []string{"", "FRANCE", "GERMANY", "lineitem!"}
+	kinds := make([]byte, ncols)
+	rows := make([]types.Row, nrows)
+	for i := range rows {
+		rows[i] = make(types.Row, ncols)
+		for j := range rows[i] {
+			b := seed[1+i*ncols+j]
+			if i == 0 {
+				kinds[j] = b % 5
+			}
+			kind := kinds[j]
+			switch {
+			case b&0xe0 == 0xe0:
+				continue // NULL
+			case b&0xe0 == 0xc0:
+				kind = (kind + b) % 5
+			}
+			x := int64(int8(b)) << (b % 40)
+			switch kind {
+			case 0:
+				rows[i][j] = types.NewInt(x)
+			case 1:
+				rows[i][j] = types.NewFloat(float64(x) / 7)
+			case 2:
+				rows[i][j] = types.NewString(words[b%4] + string(rune('a'+b%26)))
+			case 3:
+				rows[i][j] = types.NewDate(x)
+			default:
+				rows[i][j] = types.NewBool(b&1 == 1)
+			}
+		}
+	}
+	return rows
+}
+
+// FuzzDecodeRows checks the wire decoder on any input: it never panics, and
+// whatever EncodeRows or EncodeBatch writes it decodes back to the same rows.
+func FuzzDecodeRows(f *testing.F) {
+	f.Add(EncodeRows(nil, testRows(9)))
+	f.Add([]byte{3, 1, 2, 0xe1, 0xc7, 40, 0x91, 17, 255, 9})
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		_, _ = DecodeRows(data)
+		rows := fuzzRows(data)
+		same := func(form string, got []types.Row, err error) {
+			if err != nil {
+				t.Fatalf("%s: decode: %v", form, err)
+			}
+			if len(got) != len(rows) {
+				t.Fatalf("%s: decoded %d rows, want %d", form, len(got), len(rows))
+			}
+			for i := range rows {
+				if g, w := types.AppendRow(nil, got[i]), types.AppendRow(nil, rows[i]); !bytes.Equal(g, w) {
+					t.Fatalf("%s: row %d = %v, want %v", form, i, got[i], rows[i])
+				}
+			}
+		}
+		got, err := DecodeRows(EncodeRows(nil, rows))
+		same("EncodeRows", got, err)
+		if len(rows) == 0 {
+			return
+		}
+		sch := types.Schema{Cols: make([]types.Column, len(rows[0]))}
+		for j := range sch.Cols {
+			sch.Cols[j] = types.Column{Name: "c", Kind: types.KindNull}
+			for _, r := range rows {
+				if !r[j].IsNull() {
+					sch.Cols[j].Kind = r[j].K
+					break
+				}
+			}
+		}
+		got, err = DecodeRows(EncodeBatch(nil, FromRows(sch, rows), 0, len(rows)))
+		same("EncodeBatch", got, err)
+	})
 }

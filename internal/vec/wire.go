@@ -211,6 +211,11 @@ func EncodeBatch(dst []byte, b *Batch, from, to int) []byte {
 	return dst
 }
 
+// maxZeroWidthRows bounds the row count of a message whose rows have no
+// columns, the one header no byte count bounds. A sender puts at most one
+// batch (Ctx.BatchRows, default 128 on the wire) in a message.
+const maxZeroWidthRows = 1 << 20
+
 // DecodeRows decodes one columnar blob back into boxed rows. Row values are
 // allocated in one flat array, so the rows satisfy the retainable-value
 // half of the slab contract.
@@ -226,10 +231,20 @@ func DecodeRows(data []byte) ([]types.Row, error) {
 		return nil, fmt.Errorf("vec: truncated batch header")
 	}
 	pos += n
-	nrows, ncols := int(nrows64), int(ncols64)
-	if nrows == 0 {
+	// Every column form spends at least one byte per row, so a header that
+	// claims more cells than there are bytes left is refused before anything
+	// is sized by it (as a quotient, so no product can overflow). A
+	// zero-width row spends no byte at all: its count is bounded by
+	// maxZeroWidthRows instead.
+	left := uint64(len(data) - pos)
+	if nrows64 == 0 {
 		return nil, nil
 	}
+	if ncols64 == 0 && nrows64 > maxZeroWidthRows ||
+		ncols64 > 0 && nrows64 > left/ncols64 {
+		return nil, fmt.Errorf("vec: batch header claims %d rows of %d columns in %d bytes", nrows64, ncols64, left)
+	}
+	nrows, ncols := int(nrows64), int(ncols64)
 	vals := make([]types.Value, nrows*ncols)
 	rows := make([]types.Row, nrows)
 	for i := range rows {
@@ -281,10 +296,13 @@ func DecodeRows(data []byte) ([]types.Row, error) {
 				return nil, fmt.Errorf("vec: truncated dictionary")
 			}
 			pos += n
+			if ndict64 > uint64(len(data)-pos) {
+				return nil, fmt.Errorf("vec: dictionary of %d entries in %d bytes", ndict64, len(data)-pos)
+			}
 			strs := make([]string, int(ndict64))
 			for d := range strs {
 				slen, n := binary.Uvarint(data[pos:])
-				if n <= 0 || pos+n+int(slen) > len(data) {
+				if n <= 0 || slen > uint64(len(data)-pos-n) {
 					return nil, fmt.Errorf("vec: truncated dictionary entry")
 				}
 				pos += n

@@ -70,6 +70,9 @@ go test -run '^$' -fuzz '^FuzzLZ4Decode$' -fuzztime 5s ./internal/compress >/dev
 echo "==> fuzz smoke (key hash: a column's hash is its boxed value's in every form, INT n and FLOAT n.0 hash alike)"
 go test -run '^$' -fuzz '^FuzzKeyHash$' -fuzztime 5s ./internal/vec >/dev/null
 
+echo "==> fuzz smoke (wire decoder: never panics, decodes what EncodeRows and EncodeBatch write back to the same rows)"
+go test -run '^$' -fuzz '^FuzzDecodeRows$' -fuzztime 5s ./internal/vec >/dev/null
+
 echo "==> fuzz smoke (SQL parser: never panics, every name it yields is lower-case, string literals keep their case)"
 go test -run '^$' -fuzz '^FuzzParseSelect$' -fuzztime 5s ./internal/sqlparse >/dev/null
 
