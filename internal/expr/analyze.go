@@ -219,30 +219,10 @@ func atomToSkipPred(e Expr, table types.Schema) (skipcache.Pred, bool) {
 	if !ok || !b.Op.IsComparison() {
 		return skipcache.Pred{}, false
 	}
-	col, cok := b.L.(*Col)
-	cons, vok := b.R.(*Const)
-	flip := false
-	if !cok || !vok {
-		col, cok = b.R.(*Col)
-		cons, vok = b.L.(*Const)
-		flip = true
-	}
+	col, v, op, ok := ColConst(b)
 	name, bound := tableCol(col, table)
-	if !cok || !vok || !bound || cons.V.IsNull() {
+	if !ok || !bound || v.IsNull() {
 		return skipcache.Pred{}, false
-	}
-	op := b.Op
-	if flip {
-		switch op {
-		case OpLt:
-			op = OpGt
-		case OpLe:
-			op = OpGe
-		case OpGt:
-			op = OpLt
-		case OpGe:
-			op = OpLe
-		}
 	}
 	var sop skipcache.CmpOp
 	switch op {
@@ -261,7 +241,36 @@ func atomToSkipPred(e Expr, table types.Schema) (skipcache.Pred, bool) {
 	default:
 		return skipcache.Pred{}, false
 	}
-	return skipcache.Pred{Col: name, Op: sop, Val: cons.V}, true
+	return skipcache.Pred{Col: name, Op: sop, Val: v}, true
+}
+
+// ColConst reads a binary operation as column op constant: the column, the
+// constant, and the operator as it reads with the column first — mirrored
+// when the constant is written first, so `5 < x` reads `x > 5`. ok is false
+// unless one side is a column reference and the other a literal.
+func ColConst(b *Bin) (col *Col, v types.Value, op BinOp, ok bool) {
+	if c, isCol := b.L.(*Col); isCol {
+		if k, isConst := b.R.(*Const); isConst {
+			return c, k.V, b.Op, true
+		}
+	}
+	if c, isCol := b.R.(*Col); isCol {
+		if k, isConst := b.L.(*Const); isConst {
+			op := b.Op
+			switch op {
+			case OpLt:
+				op = OpGt
+			case OpLe:
+				op = OpGe
+			case OpGt:
+				op = OpLt
+			case OpGe:
+				op = OpLe
+			}
+			return c, k.V, op, true
+		}
+	}
+	return nil, types.Null, 0, false
 }
 
 // KindOf infers the result kind of an expression under a schema. Best

@@ -18,7 +18,6 @@ import (
 	"repro/internal/exec"
 	"repro/internal/expr"
 	"repro/internal/plan"
-	"repro/internal/types"
 )
 
 // Estimator computes cardinalities from catalog statistics, preferring
@@ -224,7 +223,7 @@ func (e *Estimator) rangeBound(c expr.Expr, scope plan.Node) (key string, isUppe
 	default:
 		return "", false, 0, 0, false
 	}
-	col, v, flipped, okc := colConst(x.L, x.R)
+	col, v, op, okc := expr.ColConst(x)
 	if !okc || v.IsNull() {
 		return "", false, 0, 0, false
 	}
@@ -232,7 +231,6 @@ func (e *Estimator) rangeBound(c expr.Expr, scope plan.Node) (key string, isUppe
 	if cs == nil {
 		return "", false, 0, 0, false
 	}
-	op := mirrorOp(x.Op, flipped)
 	var f float64
 	var have bool
 	switch op {
@@ -253,41 +251,6 @@ func (e *Estimator) rangeBound(c expr.Expr, scope plan.Node) (key string, isUppe
 	return col.Name, isUpper, f, notNullFrac(cs, ts), true
 }
 
-// mirrorOp flips a comparison operator when the constant was on the left.
-func mirrorOp(op expr.BinOp, flipped bool) expr.BinOp {
-	if !flipped {
-		return op
-	}
-	switch op {
-	case expr.OpLt:
-		return expr.OpGt
-	case expr.OpLe:
-		return expr.OpGe
-	case expr.OpGt:
-		return expr.OpLt
-	case expr.OpGe:
-		return expr.OpLe
-	}
-	return op
-}
-
-// colConst decomposes a binary comparison into (column, constant) when one
-// side is a column reference and the other a literal; flipped reports the
-// constant was on the left (so the operator must mirror).
-func colConst(l, r expr.Expr) (col *expr.Col, v types.Value, flipped, ok bool) {
-	if c, isCol := l.(*expr.Col); isCol {
-		if k, isConst := r.(*expr.Const); isConst {
-			return c, k.V, false, true
-		}
-	}
-	if c, isCol := r.(*expr.Col); isCol {
-		if k, isConst := l.(*expr.Const); isConst {
-			return c, k.V, true, true
-		}
-	}
-	return nil, types.Null, false, false
-}
-
 // notNullFrac is the fraction of rows with a non-null value in the column.
 func notNullFrac(cs *catalog.ColumnStats, ts *catalog.TableStats) float64 {
 	if ts == nil || ts.RowCount <= 0 || cs == nil {
@@ -306,7 +269,7 @@ func (e *Estimator) atomSelectivity(c expr.Expr, scope plan.Node) float64 {
 		switch x.Op {
 		case expr.OpEq:
 			// 1/NDV when the column is known.
-			if col, v, _, ok := colConst(x.L, x.R); ok && !v.IsNull() {
+			if col, v, _, ok := expr.ColConst(x); ok && !v.IsNull() {
 				if cs, ts := e.colStatsFor(scope, col.Name); cs != nil && cs.NDV > 0 {
 					return notNullFrac(cs, ts) / float64(cs.NDV)
 				}
@@ -366,7 +329,8 @@ func (e *Estimator) atomSelectivity(c expr.Expr, scope plan.Node) float64 {
 // exists), replacing the old magic 1/3 constant whenever statistics allow.
 func (e *Estimator) rangeSelectivity(x *expr.Bin, scope plan.Node) float64 {
 	const fallback = 1.0 / 3
-	col, v, flipped, ok := colConst(x.L, x.R)
+	// const OP col  ≡  col OP' const with the comparison mirrored.
+	col, v, op, ok := expr.ColConst(x)
 	if !ok || v.IsNull() {
 		return fallback
 	}
@@ -374,8 +338,6 @@ func (e *Estimator) rangeSelectivity(x *expr.Bin, scope plan.Node) float64 {
 	if cs == nil {
 		return fallback
 	}
-	// const OP col  ≡  col OP' const with the comparison mirrored.
-	op := mirrorOp(x.Op, flipped)
 	var frac float64
 	var have bool
 	switch op {

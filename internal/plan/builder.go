@@ -184,10 +184,21 @@ func (b *builder) buildSelect(sel *sqlparse.Select, outer scope) (Node, []expr.E
 	// factors pulled out (e.g. TPC-H Q19 repeats p_partkey = l_partkey in
 	// every OR branch; extracting it turns a nested-loop cross into a hash
 	// join with the OR as a residual).
-	var conjuncts []expr.Expr
+	// A plain OR over several relations then implies a filter on each
+	// relation every disjunct constrains alone (impliedFilters); the filter
+	// reaches the relation's scan here, before the optimizer, so join
+	// ordering, estimates and the choice between shuffle and broadcast all
+	// see the filtered relation.
+	var conjuncts, implied []expr.Expr
 	for _, c := range expr.Conjuncts(where) {
 		conjuncts = append(conjuncts, extractCommonFactors(c)...)
 	}
+	for _, c := range conjuncts {
+		if !hasSubquery(c) && bindsTo(c, fromSchema) {
+			implied = append(implied, impliedFilters(c, rels)...)
+		}
+	}
+	conjuncts = append(conjuncts, implied...)
 	var plain, subq, corr []expr.Expr
 	for _, c := range conjuncts {
 		switch {

@@ -2,6 +2,7 @@ package srv
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -24,9 +25,10 @@ func writeErrLine(w io.Writer, err error) error {
 	return werr
 }
 
-// readLine reads one '\n'-terminated line of at most max bytes. A longer
-// line is consumed to its end and reported as too long rather than a
-// connection-fatal error.
+// readLine reads one '\n'-terminated line whose statement — the line
+// without its "\n" or "\r\n" terminator — is at most max bytes, and
+// returns the statement. A longer line is consumed to its end and reported
+// as too long rather than a connection-fatal error.
 func readLine(r *bufio.Reader, max int) (line string, tooLong bool, err error) {
 	var buf []byte
 	for {
@@ -34,20 +36,25 @@ func readLine(r *bufio.Reader, max int) (line string, tooLong bool, err error) {
 		buf = append(buf, chunk...)
 		switch {
 		case err == nil:
-			if len(buf) > max {
+			stmt := statement(buf)
+			if len(stmt) > max {
 				return "", true, nil
 			}
-			return strings.TrimRight(string(buf), "\r\n"), false, nil
+			return string(stmt), false, nil
 		case errors.Is(err, bufio.ErrBufferFull):
-			if len(buf) > max {
+			// A last '\r' may be half of the terminator; a byte more than
+			// that is over budget whatever follows.
+			if len(buf)-1 > max {
 				// Over budget already: discard the rest of the line, then
 				// report oversized with the connection intact.
 				for {
 					_, derr := r.ReadSlice('\n')
-					if derr == nil {
+					switch {
+					case derr == nil:
 						return "", true, nil
-					}
-					if !errors.Is(derr, bufio.ErrBufferFull) {
+					case errors.Is(derr, io.EOF):
+						return "", true, derr
+					case !errors.Is(derr, bufio.ErrBufferFull):
 						return "", false, derr
 					}
 				}
@@ -55,14 +62,21 @@ func readLine(r *bufio.Reader, max int) (line string, tooLong bool, err error) {
 		default:
 			if len(buf) > 0 && errors.Is(err, io.EOF) {
 				// Final unterminated line.
-				if len(buf) > max {
+				stmt := statement(buf)
+				if len(stmt) > max {
 					return "", true, io.EOF
 				}
-				return strings.TrimRight(string(buf), "\r\n"), false, nil
+				return string(stmt), false, nil
 			}
 			return "", false, err
 		}
 	}
+}
+
+// statement is line without its "\n" or "\r\n" terminator.
+func statement(line []byte) []byte {
+	line = bytes.TrimSuffix(line, []byte("\n"))
+	return bytes.TrimSuffix(line, []byte("\r"))
 }
 
 // ServeConn runs the line protocol on one connection: one statement per
