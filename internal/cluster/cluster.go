@@ -28,7 +28,6 @@ import (
 	"repro/internal/index"
 	"repro/internal/network"
 	"repro/internal/obs"
-	"repro/internal/opt"
 	"repro/internal/storage"
 	"repro/internal/twopc"
 	"repro/internal/txn"
@@ -139,9 +138,6 @@ type Cluster struct {
 	Reg *obs.Registry
 	// Traces retains recent query traces for /debug/queries.
 	Traces *obs.TraceStore
-	// Feedback accumulates observed subtree cardinalities from traced
-	// queries; the optimizer prefers them over the statistics model.
-	Feedback *opt.Feedback
 
 	// loadStats holds one streaming statistics builder per table so
 	// successive Load batches accumulate into one distribution instead of
@@ -185,7 +181,6 @@ func New(cfg Config) (*Cluster, error) {
 		External:  external.NewRegistry(),
 		Reg:       obs.NewRegistry(),
 		Traces:    obs.NewTraceStore(64),
-		Feedback:  opt.NewFeedback(),
 		loadStats: map[string]*catalog.StatsBuilder{},
 	}
 	c.txSeq.Store(1)
@@ -319,11 +314,16 @@ func (c *Cluster) CreateTable(def *catalog.TableDef) error {
 }
 
 // Load bulk-loads rows into a table, partitioning them across workers per
-// the table's strategy (hash, range, or replicated). A columnar fragment
-// keeps its partial tail sets open for the next Load (Close writes them).
+// the table's strategy (hash, range, or replicated). Every value passes the
+// check INSERT's and UPDATE's do (coerceToColumn) before it is placed or
+// counted in the statistics. A columnar fragment keeps its partial tail sets
+// open for the next Load (Close writes them).
 func (c *Cluster) Load(table string, rows []types.Row) (int, error) {
 	def, err := c.Catalog().Table(table)
 	if err != nil {
+		return 0, err
+	}
+	if rows, err = coerceRows(rows, def.Schema); err != nil {
 		return 0, err
 	}
 	perWorker := make([][]types.Row, len(c.Workers))
@@ -375,6 +375,38 @@ func (c *Cluster) Load(table string, rows []types.Row) (int, error) {
 		return total / len(c.Workers), nil
 	}
 	return total, nil
+}
+
+// coerceRows passes every value of rows through coerceToColumn. A row with a
+// value to convert is copied, into a copy of the slice: the caller's rows
+// stay as they were.
+func coerceRows(rows []types.Row, sch types.Schema) ([]types.Row, error) {
+	out, copied := rows, false
+	for i, r := range rows {
+		if len(r) != sch.Len() {
+			return nil, fmt.Errorf("cluster: row arity %d != %d columns", len(r), sch.Len())
+		}
+		owned := false
+		for j := range r {
+			// coerceToColumn's first case, inline: a bulk load passes
+			// millions of values, nearly all of their column's kind.
+			if k := r[j].K; k == sch.Cols[j].Kind || k == types.KindNull {
+				continue
+			}
+			cv, err := coerceToColumn(r[j], sch.Cols[j])
+			if err != nil {
+				return nil, err
+			}
+			if !copied {
+				out, copied = append([]types.Row(nil), rows...), true
+			}
+			if !owned {
+				out[i], owned = append(types.Row(nil), r...), true
+			}
+			out[i][j] = cv
+		}
+	}
+	return out, nil
 }
 
 // Close shuts the cluster down, persisting predicate caches for reload at

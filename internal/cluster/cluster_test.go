@@ -463,6 +463,47 @@ func TestWritesCheckedAgainstColumnKind(t *testing.T) {
 	}
 }
 
+// TestLoadChecksColumnKinds: Load checks each value the way INSERT and
+// UPDATE do, on a row and on a columnar table. A string in a FLOAT column
+// fails the call and stores nothing; an int in a FLOAT column is stored as a
+// float, and the caller's row keeps its int.
+func TestLoadChecksColumnKinds(t *testing.T) {
+	c, _ := newCluster(t, 3, HRDBMSProfile())
+	for _, name := range []string{"lrow", "lcol"} {
+		t.Run(name, func(t *testing.T) {
+			ddl := `CREATE TABLE ` + name + ` (k INT, f FLOAT) PARTITION BY HASH(k)`
+			if name == "lcol" {
+				ddl = `CREATE TABLE ` + name + ` (k INT, f FLOAT) COLUMNAR PARTITION BY HASH(k)`
+			}
+			if _, err := c.ExecSQL(ddl); err != nil {
+				t.Fatal(err)
+			}
+			bad := []types.Row{{types.NewInt(1), types.NewFloat(1)}, {types.NewInt(2), types.NewString("oops")}}
+			if _, err := c.Load(name, bad); err == nil || !strings.Contains(err.Error(), "cannot store") {
+				t.Fatalf("Load of a string into a FLOAT column: err = %v, want a column-kind error", err)
+			}
+			res, err := c.ExecSQL(`SELECT count(*) FROM ` + name)
+			if err != nil || res.Rows[0][0].Int() != 0 {
+				t.Fatalf("after the refused Load: %v, %v; want 0 rows", res, err)
+			}
+			rows := []types.Row{{types.NewInt(1), types.NewInt(5)}, {types.NewInt(2), types.NewFloat(2.5)}}
+			if _, err := c.Load(name, rows); err != nil {
+				t.Fatal(err)
+			}
+			if rows[0][1].K != types.KindInt {
+				t.Errorf("Load rewrote the caller's row: %v", rows[0])
+			}
+			res, err = c.ExecSQL(`SELECT f FROM ` + name + ` WHERE k = 1`)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Rows) != 1 || res.Rows[0][0].K != types.KindFloat || res.Rows[0][0].F != 5 {
+				t.Fatalf("int loaded into a FLOAT column reads back as %v, want FLOAT 5", res.Rows)
+			}
+		})
+	}
+}
+
 // requireIndexScan fails unless EXPLAIN ANALYZE of the query shows an
 // IndexScan through the named index.
 func requireIndexScan(t *testing.T, c *Cluster, index, sql string) {

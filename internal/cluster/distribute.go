@@ -81,27 +81,14 @@ type queryExec struct {
 	spans map[exec.Operator]*obs.Span
 	scope *network.MeterScope
 
-	// Cardinality state (traced queries only): est estimates each subtree
-	// once for span stamping and runtime re-costing; fb lists the traced
-	// subtrees whose actual row counts feed back into the estimator after a
-	// successful run.
+	// est is the query's cardinality estimator, made on first use.
 	est *opt.Estimator
-	fb  []fbTarget
 }
 
-// fbTarget ties one plan subtree's signature to the spans that will hold
-// its actual output cardinality after execution.
-type fbTarget struct {
-	sig        string
-	spans      []*obs.Span
-	replicated bool // every span carries a full copy; average, don't sum
-}
-
-// estimator returns the query's cardinality estimator, feedback-aware when
-// the cluster keeps a feedback store.
+// estimator returns the query's cardinality estimator.
 func (q *queryExec) estimator() *opt.Estimator {
 	if q.est == nil {
-		q.est = &opt.Estimator{Cat: q.c.Catalog(), FB: q.c.Feedback}
+		q.est = &opt.Estimator{Cat: q.c.Catalog()}
 	}
 	return q.est
 }
@@ -242,26 +229,21 @@ func (q *queryExec) runSubquery(root plan.Node) ([]types.Row, error) {
 // it additionally stamps every placed operator's span with the optimizer's
 // row estimate (the `est=` column of EXPLAIN ANALYZE) — an even share of the
 // total per worker, or the whole where one operator sees every row (the
-// coordinator's, or a replica) — and registers the subtree for post-run
-// cardinality feedback; untraced queries go straight to distributeNode.
+// coordinator's, or a replica); untraced queries go straight to
+// distributeNode.
 func (q *queryExec) distribute(n plan.Node) (*dstream, error) {
 	ds, err := q.distributeNode(n)
 	if err != nil || q.tr == nil {
 		return ds, err
 	}
-	t := fbTarget{sig: opt.Signature(n), replicated: ds.dist.Kind == opt.DistReplicated}
 	per := q.estimator().Estimate(n)
-	if !t.replicated {
+	if ds.dist.Kind != opt.DistReplicated {
 		per /= float64(len(ds.ops))
 	}
 	for _, op := range ds.ops {
 		if sp := q.spanOf(op); sp != nil {
 			sp.SetEst(int64(per + 0.5))
-			t.spans = append(t.spans, sp)
 		}
-	}
-	if len(t.spans) > 0 && q.c.Feedback != nil {
-		q.fb = append(q.fb, t)
 	}
 	return ds, nil
 }
@@ -542,9 +524,9 @@ func (q *queryExec) distributeJoin(x *plan.Join) (*dstream, error) {
 
 	// Both partitioned/random: exploit or create co-location. One decision,
 	// by the cost model DP join ordering used, re-costed at this exchange
-	// boundary on the runtime distributions and feedback-corrected
-	// estimates: shuffle each input not placed on its keys, or replicate a
-	// small input so that the other stays where it is.
+	// boundary on the runtime distributions: shuffle each input not placed
+	// on its keys, or replicate a small input so that the other stays where
+	// it is.
 	side := func(n plan.Node, ds *dstream, names []string) opt.JoinSide {
 		s := opt.JoinSide{Dist: ds.dist, Keys: names, Rows: q.estimator().Estimate(n), Width: q.estimator().RowWidth(n)}
 		if !q.prof.EnforceLocality {

@@ -134,7 +134,6 @@ func (c *Cluster) runMetered(coord *CoordinatorNode, root plan.Node, traced bool
 	if err != nil {
 		return nil, m, tr, err
 	}
-	q.harvestFeedback(root)
 	m.Wall = time.Since(start)
 	tr.SetWall(m.Wall)
 
@@ -166,36 +165,6 @@ func (c *Cluster) runMetered(coord *CoordinatorNode, root plan.Node, traced bool
 		sp.AddState(m.StateBytes)
 	}
 	return rows, m, tr, nil
-}
-
-// harvestFeedback records each traced subtree's actual output cardinality
-// against its plan signature so later queries estimate from observation
-// instead of the statistics model. Plans containing a Limit are skipped
-// wholesale: the limit abandons upstream operators mid-stream, so their
-// row counts reflect the drain point, not the true cardinality.
-func (q *queryExec) harvestFeedback(root plan.Node) {
-	if q.c.Feedback == nil || len(q.fb) == 0 {
-		return
-	}
-	limited := false
-	plan.Walk(root, func(n plan.Node) {
-		if _, ok := n.(*plan.Limit); ok {
-			limited = true
-		}
-	})
-	if limited {
-		return
-	}
-	for _, t := range q.fb {
-		var rows float64
-		for _, sp := range t.spans {
-			rows += float64(sp.RowsOut.Load())
-		}
-		if t.replicated && len(t.spans) > 1 {
-			rows /= float64(len(t.spans))
-		}
-		q.c.Feedback.Record(t.sig, rows)
-	}
 }
 
 // totalSkipped sums predicate-cache skip decisions across fragments.

@@ -125,9 +125,6 @@ func registerClusterMetrics(c *Cluster) {
 		}
 		return n
 	})
-	r.RegisterGaugeFunc("opt.feedback_entries", func() int64 {
-		return int64(c.Feedback.Len())
-	})
 	r.RegisterGaugeFunc("storage.rows_scanned_total", func() int64 {
 		var n int64
 		for _, w := range c.Workers {

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/opt"
 	"repro/internal/plan"
 	"repro/internal/sqlparse"
 	"repro/internal/testutil"
@@ -171,46 +170,6 @@ func TestExplainAnalyzeSQL(t *testing.T) {
 	}
 	if len(res.Rows) == 0 || strings.Contains(res.Rows[0][0].S, "[node") {
 		t.Errorf("plain EXPLAIN looks traced: %v", res.Rows)
-	}
-}
-
-// TestCardinalityFeedbackLoop closes the adaptive loop: a traced run
-// harvests each subtree's actual output cardinality keyed by plan
-// signature, and a later estimate of the same shape returns the observed
-// value instead of the model's guess.
-func TestCardinalityFeedbackLoop(t *testing.T) {
-	c, _ := newCluster(t, 3, HRDBMSProfile())
-	sql := `SELECT c.c_name, o.o_totalprice
-		FROM customer c, orders o
-		WHERE c.c_custkey = o.o_custkey AND o.o_totalprice > 100`
-	node := planFor(t, c, sql)
-	rows, _, tr, err := c.RunTraced(node, sql)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr == nil || c.Feedback.Len() == 0 {
-		t.Fatalf("no feedback recorded (entries=%d)", c.Feedback.Len())
-	}
-	// Estimating the executed plan's root again must return the observed
-	// row count exactly.
-	fbEst := &opt.Estimator{Cat: c.Catalog(), FB: c.Feedback}
-	if got := fbEst.Estimate(node); int(got+0.5) != len(rows) {
-		t.Errorf("feedback-aware estimate %v, observed %d rows", got, len(rows))
-	}
-	// A structurally identical but freshly built plan hits the same
-	// signatures (feedback must not depend on node pointer identity).
-	node2 := planFor(t, c, sql)
-	if got := fbEst.Estimate(node2); int(got+0.5) != len(rows) {
-		t.Errorf("fresh plan estimate %v, observed %d rows", got, len(rows))
-	}
-	// A Limit-bearing plan must not poison the store with drained counts.
-	before := c.Feedback.Len()
-	limSQL := `SELECT o.o_orderkey FROM orders o LIMIT 3`
-	if _, _, _, err := c.RunTraced(planFor(t, c, limSQL), limSQL); err != nil {
-		t.Fatal(err)
-	}
-	if c.Feedback.Len() != before {
-		t.Errorf("Limit plan recorded feedback: %d -> %d entries", before, c.Feedback.Len())
 	}
 }
 

@@ -126,10 +126,9 @@ func (c *Cluster) Plan(sel *sqlparse.Select) (plan.Node, error) {
 }
 
 // optOptions parameterizes the optimizer for this concrete cluster: the
-// real worker count drives the network cost model, and the feedback store
-// lets repeated queries estimate from observed cardinalities.
+// real worker count drives the network cost model.
 func (c *Cluster) optOptions() opt.Options {
-	return opt.Options{Workers: len(c.Workers), Feedback: c.Feedback}
+	return opt.Options{Workers: len(c.Workers)}
 }
 
 // querySecondsBounds buckets per-query latency for the query.seconds

@@ -28,9 +28,9 @@ import (
 //
 // The pass runs first in OptimizeOpts, before the join order is chosen, so
 // DPsize orders O against the shrunken aggregate; S is a copy, so the plan
-// stays a tree (the estimator memoizes by node pointer and plan.Rebind
-// rebinds a node in place). Its gate is the estimator's: S must be estimated
-// at no more than magicKeyShare of the key's distinct values in R.
+// stays a tree (plan.Rebind rebinds a node in place, for one parent only).
+// Its gate is the estimator's: S must be estimated at no more than
+// magicKeyShare of the key's distinct values in R.
 
 // magicSets applies the rewrite bottom-up over the whole plan.
 func magicSets(n plan.Node, est *Estimator) plan.Node {

@@ -1,12 +1,12 @@
 // Package opt implements HRDBMS's phase-1 global optimization (Section V):
-// statistics-based cardinality estimation (histograms + NDV sketches),
-// DPsize join enumeration with network-aware costing, and runtime
-// cardinality feedback. (Selection pushdown and decorrelation happen during
-// plan building, projection pushdown in plan.PruneColumns, which runs here
-// right after the magic-set rewrite; the dataflow conversion and dataflow
-// optimization phases — operator distribution, shuffle insertion and
-// elimination, pre-aggregation splitting — live in the cluster layer, which
-// owns node placement and re-costs joins at exchange boundaries.)
+// statistics-based cardinality estimation (histograms + NDV sketches) and
+// DPsize join enumeration with network-aware costing. (Selection pushdown
+// and decorrelation happen during plan building, projection pushdown in
+// plan.PruneColumns, which runs here right after the magic-set rewrite; the
+// dataflow conversion and dataflow optimization phases — operator
+// distribution, shuffle insertion and elimination, pre-aggregation
+// splitting — live in the cluster layer, which owns node placement and
+// re-costs joins at exchange boundaries.)
 package opt
 
 import (
@@ -20,39 +20,13 @@ import (
 	"repro/internal/plan"
 )
 
-// Estimator computes cardinalities from catalog statistics, preferring
-// observed actuals from the Feedback store when a subtree has run before.
+// Estimator computes cardinalities from catalog statistics.
 type Estimator struct {
 	Cat *catalog.Catalog
-	// FB, when set, overrides the statistics model with observed row
-	// counts for subtrees whose structural signature has been recorded.
-	FB *Feedback
-	// sigs memoizes subtree signatures by node pointer during one
-	// optimization pass (signature building is recursive and Estimate is
-	// called O(2^n) times by the DP).
-	sigs map[plan.Node]string
-}
-
-// signature returns Signature(n), memoized per node pointer.
-func (e *Estimator) signature(n plan.Node) string {
-	if s, ok := e.sigs[n]; ok {
-		return s
-	}
-	s := Signature(n)
-	if e.sigs == nil {
-		e.sigs = map[plan.Node]string{}
-	}
-	e.sigs[n] = s
-	return s
 }
 
 // Estimate returns the estimated output row count of a plan node.
 func (e *Estimator) Estimate(n plan.Node) float64 {
-	if e.FB != nil {
-		if rows, ok := e.FB.Lookup(e.signature(n)); ok {
-			return math.Max(1, rows)
-		}
-	}
 	switch x := n.(type) {
 	case *plan.Scan:
 		base := float64(e.Cat.Stats(x.Table.Name).RowCount)
@@ -402,10 +376,9 @@ func clampSel(s float64) float64 {
 // aggregates joined to a selective outer block, DPsize join reordering of
 // inner-join clusters using the estimator, semi/anti join pushdown below
 // inner joins, and cost-based group-by pushdown. The options fit it to a
-// concrete cluster: the worker count scales the network cost terms and the
-// feedback store supplies observed cardinalities from earlier queries.
+// concrete cluster: the worker count scales the network cost terms.
 func OptimizeOpts(root plan.Node, cat *catalog.Catalog, o Options) (plan.Node, error) {
-	est := &Estimator{Cat: cat, FB: o.Feedback}
+	est := &Estimator{Cat: cat}
 	// Scalar subqueries fold first, while an outer block's input and the
 	// subquery's are still the same tree: join ordering reorders only the
 	// outer block's.

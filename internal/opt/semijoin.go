@@ -25,7 +25,7 @@ import (
 
 // pushSemiJoins applies the rewrite bottom-up over the whole plan. It builds
 // new nodes along the path a join moves down rather than editing the old
-// ones, whose signatures the estimator has memoized.
+// ones, so each node keeps one parent, the one plan.Rebind rebinds it for.
 func pushSemiJoins(n plan.Node, est *Estimator) plan.Node {
 	rewriteChildren(n, func(c plan.Node) plan.Node { return pushSemiJoins(c, est) })
 	if j, ok := n.(*plan.Join); ok && (j.Type == exec.JoinSemi || j.Type == exec.JoinAnti) {

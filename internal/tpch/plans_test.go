@@ -28,7 +28,9 @@ var update = flag.Bool("update", false, "rewrite the testdata golden files (plan
 // as a reviewable plan diff instead of a silent regression. The footer
 // (placement) is what a traced run of that plan did: which operators ran on
 // the coordinator, and which exchanges moved rows between nodes, shuffle or
-// broadcast among them. Regenerate intentionally with:
+// broadcast among them. A plan depends on the query and the catalog alone,
+// so planning and running every query again after all of them ran must
+// repeat both. Regenerate intentionally with:
 //
 //	go test ./internal/tpch -run TestGoldenPlans -update
 func TestGoldenPlans(t *testing.T) {
@@ -43,30 +45,31 @@ func TestGoldenPlans(t *testing.T) {
 	}
 	queries := Queries()
 	// Every query is planned and explained before any runs: a run resolves
-	// the plan's scalar subqueries in place. The runs then keep no
-	// cardinality feedback, so what one query places does not depend on which
-	// ran before it, and the estimates each run's exchanges are costed on are
-	// the ones its plan was.
-	explained := map[string]string{}
-	nodes := map[string]plan.Node{}
-	for _, qid := range QueryIDs() {
-		sel, err := sqlparse.ParseSelect(queries[qid])
-		if err != nil {
-			t.Fatal(err)
+	// the plan's scalar subqueries in place.
+	planAll := func() (map[string]plan.Node, map[string]string) {
+		nodes, explained := map[string]plan.Node{}, map[string]string{}
+		for _, qid := range QueryIDs() {
+			sel, err := sqlparse.ParseSelect(queries[qid])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if nodes[qid], err = c.Plan(sel); err != nil {
+				t.Fatalf("%s: %v", qid, err)
+			}
+			explained[qid] = plan.Explain(nodes[qid])
 		}
-		if nodes[qid], err = c.Plan(sel); err != nil {
-			t.Fatalf("%s: %v", qid, err)
-		}
-		explained[qid] = plan.Explain(nodes[qid])
+		return nodes, explained
 	}
-	c.Feedback = nil
+	nodes, explained := planAll()
+	footers := map[string]string{}
 	for _, qid := range QueryIDs() {
 		t.Run(qid, func(t *testing.T) {
 			_, _, tr, err := c.RunTraced(nodes[qid], queries[qid])
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := explained[qid] + placement(c, tr.Spans())
+			footers[qid] = placement(c, tr.Spans())
+			got := explained[qid] + footers[qid]
 			path := filepath.Join("testdata", "plans", qid+".txt")
 			if *update {
 				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
@@ -81,6 +84,25 @@ func TestGoldenPlans(t *testing.T) {
 			if got != string(want) {
 				t.Errorf("plan drift for %s (regenerate with -update if intended)\ngot:\n%s\nwant:\n%s",
 					qid, got, string(want))
+			}
+		})
+	}
+	nodes, again := planAll()
+	for _, qid := range QueryIDs() {
+		t.Run(qid+"/again", func(t *testing.T) {
+			if again[qid] != explained[qid] {
+				t.Errorf("%s planned differently after the runs\ngot:\n%s\nwant:\n%s", qid, again[qid], explained[qid])
+			}
+			want, ran := footers[qid]
+			if !ran {
+				t.Skip("the first run failed")
+			}
+			_, _, tr, err := c.RunTraced(nodes[qid], queries[qid])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := placement(c, tr.Spans()); got != want {
+				t.Errorf("%s placed differently on its second run\ngot:%s\nwant:%s", qid, got, want)
 			}
 		})
 	}
@@ -128,8 +150,8 @@ func tally(n map[string]int) string {
 
 // TestOptimizedPlansAreTrees: no node of any query's optimized plan is
 // reachable by two paths. The optimizer copies what it plans twice (the key
-// source of the magic-set rewrite) because the estimator memoizes by node
-// pointer and plan.Rebind rebinds a node in place, for one parent only.
+// source of the magic-set rewrite) because plan.Rebind rebinds a node in
+// place, for one parent only.
 // Nor does any node's schema, the scalar subquery plans' included, name one
 // column twice: a column's schema name is its identity, and every lookup
 // of it is exact.

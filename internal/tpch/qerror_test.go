@@ -26,8 +26,7 @@ func qError(est, act float64) float64 {
 // 2–4 way joins (NDV-based equality selectivity). The bounds are golden —
 // loose enough for sketch/sample noise, tight enough that a regression to
 // magic-constant selectivities (1/3 per range predicate, fixed join
-// fanouts) fails immediately. Feedback is deliberately absent: this tests
-// the model, not the adaptive loop.
+// fanouts) fails immediately.
 func TestQErrorGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("TPC-H stats build skipped in -short mode")

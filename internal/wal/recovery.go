@@ -102,7 +102,9 @@ func analysis(l *Log) (map[uint64]*TxInfo, map[page.Key]uint64, uint64, error) {
 		if err != nil {
 			return nil, nil, 0, fmt.Errorf("wal: read checkpoint: %w", err)
 		}
-		att, dpt = decodeCheckpoint(ckpt.Checkpoint)
+		if att, dpt, err = decodeCheckpoint(ckpt.Checkpoint); err != nil {
+			return nil, nil, 0, fmt.Errorf("wal: checkpoint at LSN %d: %w", start, err)
+		}
 	}
 	err := l.Scan(start, func(r *Record) bool {
 		if r.TxID > maxTx {
@@ -335,44 +337,47 @@ func encodeCheckpoint(att map[uint64]*TxInfo, dpt map[page.Key]uint64) []byte {
 	return buf
 }
 
-func decodeCheckpoint(b []byte) (map[uint64]*TxInfo, map[page.Key]uint64) {
+// decodeCheckpoint reads what encodeCheckpoint wrote. A payload cut short,
+// or followed by bytes it did not write, is an error: recovery must not
+// trust a partial ATT or DPT.
+func decodeCheckpoint(b []byte) (map[uint64]*TxInfo, map[page.Key]uint64, error) {
 	att := map[uint64]*TxInfo{}
 	dpt := map[page.Key]uint64{}
-	pos := 0
+	pos, short := 0, false
 	read := func() uint64 {
 		v, n := binary.Uvarint(b[pos:])
 		if n <= 0 {
-			pos = len(b) + 1
+			short = true
 			return 0
 		}
 		pos += n
 		return v
 	}
-	nATT := read()
-	for i := uint64(0); i < nATT && pos <= len(b); i++ {
-		tx := read()
-		last := read()
-		if pos >= len(b) {
+	for i, nATT := uint64(0), read(); i < nATT && !short; i++ {
+		tx, last := read(), read()
+		if short || pos >= len(b) {
+			short = true
 			break
 		}
 		status := TxStatus(b[pos])
 		pos++
 		coord, n := binary.Varint(b[pos:])
 		if n <= 0 {
+			short = true
 			break
 		}
 		pos += n
 		att[tx] = &TxInfo{LastLSN: last, Status: status, Coordinator: int32(coord)}
 	}
-	nDPT := read()
-	for i := uint64(0); i < nDPT && pos <= len(b); i++ {
-		file := read()
-		pg := read()
-		rec := read()
-		if pos > len(b) {
-			break
-		}
+	for i, nDPT := uint64(0), read(); i < nDPT && !short; i++ {
+		file, pg, rec := read(), read(), read()
 		dpt[page.Key{File: page.FileID(file), Page: uint32(pg)}] = rec
 	}
-	return att, dpt
+	switch {
+	case short:
+		return nil, nil, fmt.Errorf("wal: truncated checkpoint payload")
+	case pos != len(b):
+		return nil, nil, fmt.Errorf("wal: %d stray bytes after the checkpoint payload", len(b)-pos)
+	}
+	return att, dpt, nil
 }

@@ -3,6 +3,7 @@ package wal
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -395,13 +396,76 @@ func TestCheckpointEncodeDecode(t *testing.T) {
 		{File: 1, Page: 2}: 50,
 		{File: 4, Page: 0}: 75,
 	}
-	att2, dpt2 := decodeCheckpoint(encodeCheckpoint(att, dpt))
+	att2, dpt2, err := decodeCheckpoint(encodeCheckpoint(att, dpt))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(att2) != 2 || att2[9].Coordinator != 5 || att2[9].Status != TxPrepared || att2[3].LastLSN != 100 {
 		t.Errorf("att round trip = %+v", att2)
 	}
 	if len(dpt2) != 2 || dpt2[page.Key{File: 1, Page: 2}] != 50 {
 		t.Errorf("dpt round trip = %+v", dpt2)
 	}
+}
+
+// TestDecodeCheckpointRejectsMalformed: a checkpoint payload cut short, or
+// with bytes after its DPT, is an error, not a panic or a partial table.
+func TestDecodeCheckpointRejectsMalformed(t *testing.T) {
+	whole := encodeCheckpoint(map[uint64]*TxInfo{3: {LastLSN: 100, Status: TxActive}},
+		map[page.Key]uint64{{File: 1, Page: 2}: 50})
+	for name, b := range map[string][]byte{
+		"ATT count, no entry":      {5},
+		"ATT entry without status": {1, 7},
+		"DPT entry cut short":      {0, 3, 1},
+		"empty":                    {},
+		"last byte missing":        whole[:len(whole)-1],
+		"trailing byte":            append(append([]byte(nil), whole...), 0),
+	} {
+		t.Run(name, func(t *testing.T) {
+			if att, dpt, err := decodeCheckpoint(b); err == nil {
+				t.Fatalf("decodeCheckpoint(%v) = %v, %v, want an error", b, att, dpt)
+			}
+		})
+	}
+}
+
+// FuzzWALRecord: decodeRecord and decodeCheckpoint never panic on any
+// bytes, and what encode and encodeCheckpoint write decodes back to the same
+// record and the same tables. The checkpoint's entries come three data bytes
+// apiece (transaction, file, page), so a payload holds many.
+func FuzzWALRecord(f *testing.F) {
+	f.Add([]byte{5}, uint64(3), uint64(100), uint8(RecCheckpoint), int32(5), uint32(2))
+	f.Add([]byte{1, 7}, uint64(0), uint64(0), uint8(RecInsert), int32(-1), uint32(0))
+	f.Add([]byte{0, 3, 1}, uint64(1<<63), uint64(1<<40), uint8(RecPrepare), int32(1<<30), uint32(1<<31))
+	f.Fuzz(func(t *testing.T, data []byte, tx, lsn uint64, typ uint8, coord int32, pg uint32) {
+		_, _ = decodeRecord(data)
+		_, _, _ = decodeCheckpoint(data)
+
+		att := map[uint64]*TxInfo{tx: {LastLSN: lsn, Status: TxStatus(typ), Coordinator: coord}}
+		dpt := map[page.Key]uint64{{File: page.FileID(pg), Page: pg}: lsn}
+		for i := 0; i+3 <= len(data); i += 3 {
+			att[uint64(data[i])] = &TxInfo{LastLSN: lsn + uint64(i), Status: TxStatus(data[i+1]), Coordinator: coord - int32(i)}
+			dpt[page.Key{File: page.FileID(data[i+1]), Page: uint32(data[i+2])}] = tx + uint64(i)
+		}
+		ckpt := encodeCheckpoint(att, dpt)
+		att2, dpt2, err := decodeCheckpoint(ckpt)
+		if err != nil {
+			t.Fatalf("decodeCheckpoint(encodeCheckpoint(...)): %v", err)
+		}
+		if !reflect.DeepEqual(att2, att) || !reflect.DeepEqual(dpt2, dpt) {
+			t.Fatalf("checkpoint round trip: got %v %v, want %v %v", att2, dpt2, att, dpt)
+		}
+
+		r := &Record{Type: RecType(typ), TxID: tx, PrevLSN: lsn, Page: page.Key{File: page.FileID(pg), Page: pg},
+			Slot: uint16(pg), UndoNext: lsn ^ tx, Coordinator: coord, Row: append([]byte(nil), data...), Checkpoint: ckpt}
+		got, err := decodeRecord(r.encode())
+		if err != nil {
+			t.Fatalf("decodeRecord(encode()): %v", err)
+		}
+		if !reflect.DeepEqual(got, r) {
+			t.Fatalf("record round trip: got %+v, want %+v", got, r)
+		}
+	})
 }
 
 func TestMaxTxIDReported(t *testing.T) {

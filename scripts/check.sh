@@ -76,6 +76,9 @@ go test -run '^$' -fuzz '^FuzzDecodeRows$' -fuzztime 5s ./internal/vec >/dev/nul
 echo "==> fuzz smoke (SQL parser: never panics, every name it yields is lower-case, string literals keep their case)"
 go test -run '^$' -fuzz '^FuzzParseSelect$' -fuzztime 5s ./internal/sqlparse >/dev/null
 
+echo "==> fuzz smoke (WAL record and checkpoint decoders: never panic, decode what encode and encodeCheckpoint write back to the same record)"
+go test -run '^$' -fuzz '^FuzzWALRecord$' -fuzztime 5s ./internal/wal >/dev/null
+
 echo "==> fuzz smoke (srv wire reader: a statement within budget comes back without its terminator, a longer line is too long, the next line stays in sync)"
 go test -run '^$' -fuzz '^FuzzReadLine$' -fuzztime 5s ./internal/srv >/dev/null
 

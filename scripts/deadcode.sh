@@ -163,6 +163,7 @@ OK|ANALYZE audit_t
 OK|SELECT v FROM audit_t WHERE k = 2
 OK|SELECT -f, NOT (k > 1), v IS NULL, d + INTERVAL '1' DAY FROM audit_t WHERE NOT (k = 2) AND v IS NOT NULL ORDER BY k
 OK|EXPLAIN SELECT DISTINCT x.v FROM (SELECT v FROM audit_t WHERE NOT (k > 1)) x WHERE EXISTS (SELECT * FROM audit_t b WHERE b.k = 1) AND x.v IN (SELECT v FROM audit_t) AND x.v IS NOT NULL AND -1 < 0
+OK|EXPLAIN SELECT k FROM audit_t WHERE f > (SELECT avg(f) FROM audit_t)
 OK|EXPLAIN ANALYZE SELECT count(*) FROM lineitem WHERE l_quantity < 10
 OK|REORGANIZE audit_t
 OK|CREATE TABLE audit_c (k INT, v VARCHAR, f FLOAT, d DATE, b BOOLEAN) PARTITION BY HASH(k) COLUMNAR
