@@ -280,9 +280,6 @@ func (c *Cluster) WorkerIDs() []int {
 	return out
 }
 
-// workerIndex maps a worker node ID to its slice index.
-func (c *Cluster) workerIndex(nodeID int) int { return nodeID - c.Cfg.NumCoordinators }
-
 // CreateTable registers a table on every coordinator replica and opens its
 // fragments on every worker. Metadata changes apply to all coordinators
 // (the paper's coordinator metadata synchronization).

@@ -369,25 +369,13 @@ func TestInsertDeleteUpdate2PC(t *testing.T) {
 	// A transaction's vote and ack mailboxes go with it (a query's are
 	// released once its loops have exited, hence the wait): more statements
 	// leave the fabric no more mailboxes than it held.
-	settled := func() int {
-		n := c.Fabric.Mailboxes()
-		for i := 0; i < 500; i++ {
-			time.Sleep(10 * time.Millisecond)
-			m := c.Fabric.Mailboxes()
-			if m == n {
-				break
-			}
-			n = m
-		}
-		return n
-	}
-	before := settled()
+	before := settledMailboxes(c)
 	for i := 0; i < 20; i++ {
 		if _, err := c.ExecSQL(`UPDATE t SET amt = amt + 1`); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if after := settled(); after > before {
+	if after := settledMailboxes(c); after > before {
 		t.Fatalf("fabric mailboxes grew from %d to %d over 20 transactions", before, after)
 	}
 }

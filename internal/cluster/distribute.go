@@ -166,13 +166,27 @@ func (q *queryExec) channel(tag string) string {
 // CompileDistributed converts a logical plan into a row cursor on the first
 // coordinator whose Open launches the distributed dataflow (Section I: query
 // results are always routed to the client through the coordinator that
-// planned the query).
+// planned the query). The cursor's Close frees the query's fabric mailboxes.
 func (c *Cluster) CompileDistributed(root plan.Node) (*exec.Cursor, error) {
-	op, err := c.newQueryExec(c.Coords[0], nil).compile(root)
+	q := c.newQueryExec(c.Coords[0], nil)
+	op, err := q.compile(root)
 	if err != nil {
+		q.releaseWhenQuiet()
 		return nil, err
 	}
-	return exec.NewCursor(op), nil
+	return exec.NewCursor(releasing{op, q}), nil
+}
+
+// releasing is a query's root operator whose Close also frees the query's
+// mailboxes.
+type releasing struct {
+	exec.Operator
+	q *queryExec
+}
+
+func (r releasing) Close() error {
+	defer r.q.releaseWhenQuiet()
+	return r.Operator.Close()
 }
 
 // compile materializes the plan's scalar subqueries, distributes it, and

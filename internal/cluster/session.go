@@ -13,6 +13,7 @@ import (
 	"repro/internal/plan"
 	"repro/internal/sqlparse"
 	"repro/internal/storage"
+	"repro/internal/txn"
 	"repro/internal/types"
 )
 
@@ -98,6 +99,9 @@ func (c *Cluster) execStmt(stmt sqlparse.Stmt, sql string, opts *QueryOptions) (
 				delete(w.btreeIdx, idx.Name)
 			}
 		}
+		c.statsMu.Lock()
+		delete(c.loadStats, x.Name)
+		c.statsMu.Unlock()
 		return &Result{Message: fmt.Sprintf("table %s dropped", x.Name)}, nil
 	case *sqlparse.CreateIndex:
 		return c.createIndexStmt(x)
@@ -321,176 +325,62 @@ func coerceToColumn(v types.Value, col types.Column) (types.Value, error) {
 	return types.Null, fmt.Errorf("cluster: column %s is %s, cannot store %s value %s", col.Name, col.Kind, v.K, v)
 }
 
-// insertStmt routes rows to workers by partitioning and commits via 2PC.
+// insertStmt routes rows to workers by partitioning and commits via 2PC; a
+// columnar table takes them through Load.
 func (c *Cluster) insertStmt(x *sqlparse.Insert) (*Result, error) {
 	def, err := c.Catalog().Table(x.Table)
 	if err != nil {
 		return nil, err
 	}
-	if def.Columnar {
-		// Columnar fragments are bulk-load only; route through Load.
-		var rows []types.Row
-		for _, re := range x.Rows {
-			r, err := evalLiteralRow(re, def.Schema)
-			if err != nil {
-				return nil, err
-			}
-			rows = append(rows, r)
+	rows := make([]types.Row, len(x.Rows))
+	for i, re := range x.Rows {
+		if rows[i], err = evalLiteralRow(re, def.Schema); err != nil {
+			return nil, err
 		}
+	}
+	if def.Columnar {
 		n, err := c.Load(x.Table, rows)
 		if err != nil {
 			return nil, err
 		}
 		return &Result{Message: fmt.Sprintf("%d rows loaded", n)}, nil
 	}
-	txid := c.txSeq.Add(1)
-	involved := map[int]bool{}
-	count := 0
-	abort := func(e error) (*Result, error) {
-		for wid := range involved {
-			w := c.Workers[c.workerIndex(wid)]
-			if tx, ok := w.Txn.Lookup(txid); ok {
-				if rerr := w.Txn.Rollback(tx); rerr != nil {
-					e = errors.Join(e, fmt.Errorf("cluster: rollback tx %d on worker %d: %w", txid, wid, rerr))
+	wt := c.newWriteTx(def)
+	err = func() error {
+		for _, r := range rows {
+			nodes, err := def.NodeFor(r, len(c.Workers))
+			if err != nil {
+				return err
+			}
+			for _, wi := range nodes {
+				if err := wt.insert(wi, r); err != nil {
+					return err
 				}
 			}
 		}
-		return nil, e
-	}
-	for _, re := range x.Rows {
-		r, err := evalLiteralRow(re, def.Schema)
-		if err != nil {
-			return abort(err)
-		}
-		nodes, err := def.NodeFor(r, len(c.Workers))
-		if err != nil {
-			return abort(err)
-		}
-		for _, n := range nodes {
-			w := c.Workers[n]
-			tx, ok := w.Txn.Lookup(txid)
-			if !ok {
-				tx = w.Txn.BeginWithID(txid)
-				involved[w.ID] = true
-			}
-			rid, err := w.frags[def.Name].Insert(tx, r)
-			if err != nil {
-				return abort(err)
-			}
-			if err := w.maintainIndexes(c.Catalog(), def, r, rid, true); err != nil {
-				return abort(err)
-			}
-		}
-		count++
-	}
-	var ids []int
-	for wid := range involved {
-		ids = append(ids, wid)
-	}
-	committed, err := c.Coords[0].XA.CommitGlobal(txid, ids)
-	if err != nil {
+		return nil
+	}()
+	if err := wt.finish(err); err != nil {
 		return nil, err
 	}
-	if !committed {
-		return nil, fmt.Errorf("cluster: transaction %d rolled back", txid)
-	}
-	return &Result{Message: fmt.Sprintf("%d rows inserted", count)}, nil
+	return &Result{Message: fmt.Sprintf("%d rows inserted", len(rows))}, nil
 }
 
 // deleteStmt deletes matching rows on every worker under one global txn.
 func (c *Cluster) deleteStmt(x *sqlparse.Delete) (*Result, error) {
-	def, err := c.Catalog().Table(x.Table)
+	def, pred, err := c.writeTarget(x.Table, x.Where, "DELETE")
 	if err != nil {
 		return nil, err
 	}
-	if def.Columnar {
-		return nil, fmt.Errorf("cluster: DELETE requires a row table (reorganize/reload columnar tables)")
-	}
-	var pred expr.Expr
-	if x.Where != nil {
-		if pred, err = plan.BindTable(x.Where, def.Name, def.Schema); err != nil {
-			return nil, err
-		}
-	}
-	txid := c.txSeq.Add(1)
-	var ids []int
-	total := 0
-	for _, w := range c.Workers {
-		fr := w.frags[def.Name]
-		tx := w.Txn.BeginWithID(txid)
-		ids = append(ids, w.ID)
-		// Scan under exclusive page locks (write intent) so concurrent
-		// writers serialize, then delete.
-		var rids []page.RID
-		scanErr := error(nil)
-		_, err := fr.Scan(storage.ScanOptions{Tx: tx, LockExclusive: true},
-			func(rid page.RID, r types.Row) bool {
-				if pred != nil {
-					ok, err := expr.EvalBool(pred, r)
-					if err != nil {
-						scanErr = err
-						return false
-					}
-					if !ok {
-						return true
-					}
-				}
-				rids = append(rids, rid)
-				return true
-			})
-		if err == nil {
-			err = scanErr
-		}
-		if err != nil {
-			return nil, errors.Join(err, c.abortGlobal(txid, ids))
-		}
-		for _, rid := range rids {
-			old, hadOld, err := fr.Get(rid, nil, nil)
-			if err != nil {
-				return nil, errors.Join(err, c.abortGlobal(txid, ids))
-			}
-			deleted, err := fr.Delete(tx, rid)
-			if err != nil {
-				return nil, errors.Join(err, c.abortGlobal(txid, ids))
-			}
-			if !deleted {
-				continue // lost the race to another committed delete
-			}
-			if hadOld {
-				if err := w.maintainIndexes(c.Catalog(), def, old, rid, false); err != nil {
-					return nil, errors.Join(err, c.abortGlobal(txid, ids))
-				}
-			}
-			total++
-		}
-	}
-	if len(ids) > 0 {
-		committed, err := c.Coords[0].XA.CommitGlobal(txid, ids)
-		if err != nil {
-			return nil, err
-		}
-		if !committed {
-			return nil, fmt.Errorf("cluster: transaction %d rolled back", txid)
-		}
-	}
-	return &Result{Message: fmt.Sprintf("%d rows deleted", total)}, nil
+	return c.rewrite(def, pred, nil, "deleted")
 }
 
-// updateStmt implements out-of-place update: delete + reinsert (possibly
-// on another worker if the partition key changed), in one global txn.
+// updateStmt implements out-of-place update: delete + reinsert (on another
+// worker if the partitioning key changed), in one global txn.
 func (c *Cluster) updateStmt(x *sqlparse.Update) (*Result, error) {
-	def, err := c.Catalog().Table(x.Table)
+	def, pred, err := c.writeTarget(x.Table, x.Where, "UPDATE")
 	if err != nil {
 		return nil, err
-	}
-	if def.Columnar {
-		return nil, fmt.Errorf("cluster: UPDATE requires a row table")
-	}
-	var pred expr.Expr
-	if x.Where != nil {
-		if pred, err = plan.BindTable(x.Where, def.Name, def.Schema); err != nil {
-			return nil, err
-		}
 	}
 	setExprs := map[int]expr.Expr{}
 	for col, e := range x.Set {
@@ -498,122 +388,200 @@ func (c *Cluster) updateStmt(x *sqlparse.Update) (*Result, error) {
 		if idx < 0 {
 			return nil, fmt.Errorf("cluster: UPDATE column %s not in %s", col, x.Table)
 		}
-		ec, err := plan.BindTable(e, def.Name, def.Schema)
-		if err != nil {
+		if setExprs[idx], err = plan.BindTable(e, def.Name, def.Schema); err != nil {
 			return nil, err
 		}
-		setExprs[idx] = ec
 	}
-	txid := c.txSeq.Add(1)
-	involved := map[int]bool{}
-	total := 0
-	getTx := func(w *Worker) storage.TxHook {
-		if tx, ok := w.Txn.Lookup(txid); ok {
-			return tx
+	set := func(r types.Row) (types.Row, error) {
+		nr := r.Clone()
+		for idx, e := range setExprs {
+			v, err := e.Eval(r)
+			if err != nil {
+				return nil, err
+			}
+			if nr[idx], err = coerceToColumn(v, def.Schema.Cols[idx]); err != nil {
+				return nil, err
+			}
 		}
-		involved[w.ID] = true
-		return w.Txn.BeginWithID(txid)
+		return nr, nil
 	}
-	fail := func(err error) (*Result, error) {
-		var ids []int
-		for wid := range involved {
-			ids = append(ids, wid)
-		}
-		return nil, errors.Join(err, c.abortGlobal(txid, ids))
+	return c.rewrite(def, pred, set, "updated")
+}
+
+// writeTarget resolves a DELETE's or UPDATE's row table and binds its WHERE
+// clause (nil when there is none).
+func (c *Cluster) writeTarget(table string, where expr.Expr, verb string) (*catalog.TableDef, expr.Expr, error) {
+	def, err := c.Catalog().Table(table)
+	if err != nil {
+		return nil, nil, err
 	}
-	for _, w := range c.Workers {
-		fr := w.frags[def.Name]
-		type change struct {
-			rid    page.RID
-			newRow types.Row
+	if def.Columnar {
+		return nil, nil, fmt.Errorf("cluster: %s requires a row table (reorganize/reload columnar tables)", verb)
+	}
+	if where == nil {
+		return def, nil, nil
+	}
+	pred, err := plan.BindTable(where, def.Name, def.Schema)
+	return def, pred, err
+}
+
+// rewrite is DELETE's and UPDATE's one loop, in one global transaction: it
+// matches the rows pred selects on every worker before it changes any — so a
+// row an UPDATE moves onto a worker is never matched again there — then
+// removes each and, when set is given, writes set's version of it back. A
+// moved row goes where its new key places it; a replica is rewritten on its
+// own worker and counted once.
+func (c *Cluster) rewrite(def *catalog.TableDef, pred expr.Expr, set func(types.Row) (types.Row, error), verb string) (*Result, error) {
+	wt := c.newWriteTx(def)
+	replicated := def.Part.Kind == catalog.PartReplicated
+	n := 0
+	err := func() error {
+		hits, err := wt.match(pred)
+		if err != nil {
+			return err
 		}
-		var changes []change
-		tx := getTx(w)
-		var scanErr error
-		// Exclusive page locks during the scan: concurrent UPDATE
-		// statements serialize instead of double-applying.
-		_, err := fr.Scan(storage.ScanOptions{Tx: tx, LockExclusive: true},
+		for _, h := range hits {
+			var nr types.Row
+			if set != nil {
+				if nr, err = set(h.row); err != nil {
+					return err
+				}
+			}
+			if err := wt.remove(h); err != nil {
+				return err
+			}
+			if nr != nil {
+				dst := h.wi
+				if !replicated {
+					nodes, err := def.NodeFor(nr, len(c.Workers))
+					if err != nil {
+						return err
+					}
+					dst = nodes[0]
+				}
+				if err := wt.insert(dst, nr); err != nil {
+					return err
+				}
+			}
+			if !replicated || h.wi == 0 {
+				n++
+			}
+		}
+		return nil
+	}()
+	if err := wt.finish(err); err != nil {
+		return nil, err
+	}
+	return &Result{Message: fmt.Sprintf("%d rows %s", n, verb)}, nil
+}
+
+// writeTx is one DML statement's global transaction: a local transaction on
+// each worker it touches, all under one ID, committed together by 2PC.
+type writeTx struct {
+	c   *Cluster
+	def *catalog.TableDef
+	id  uint64
+	txs []*txn.Tx // by worker index; nil until the worker is touched
+}
+
+func (c *Cluster) newWriteTx(def *catalog.TableDef) *writeTx {
+	return &writeTx{c: c, def: def, id: c.txSeq.Add(1), txs: make([]*txn.Tx, len(c.Workers))}
+}
+
+// tx returns worker wi's local transaction, beginning it on first use.
+func (t *writeTx) tx(wi int) *txn.Tx {
+	if t.txs[wi] == nil {
+		t.txs[wi] = t.c.Workers[wi].Txn.BeginWithID(t.id)
+	}
+	return t.txs[wi]
+}
+
+// hit is one row match selected: the worker holding it, its RID there, and
+// the row.
+type hit struct {
+	wi  int
+	rid page.RID
+	row types.Row
+}
+
+// match reads the rows pred selects (all, when nil) on every worker, under
+// exclusive page locks so that concurrent writers serialize instead of
+// double-applying. It opens a local transaction on every worker.
+func (t *writeTx) match(pred expr.Expr) ([]hit, error) {
+	var hits []hit
+	for wi, w := range t.c.Workers {
+		var evalErr error
+		_, err := w.frags[t.def.Name].Scan(storage.ScanOptions{Tx: t.tx(wi), LockExclusive: true},
 			func(rid page.RID, r types.Row) bool {
 				if pred != nil {
 					ok, err := expr.EvalBool(pred, r)
 					if err != nil {
-						scanErr = err
+						evalErr = err
 						return false
 					}
 					if !ok {
 						return true
 					}
 				}
-				newRow := r.Clone()
-				for idx, e := range setExprs {
-					v, err := e.Eval(r)
-					if err != nil {
-						scanErr = err
-						return false
-					}
-					if newRow[idx], err = coerceToColumn(v, def.Schema.Cols[idx]); err != nil {
-						scanErr = err
-						return false
-					}
-				}
-				changes = append(changes, change{rid, newRow})
+				hits = append(hits, hit{wi, rid, r})
 				return true
 			})
-		if err == nil {
-			err = scanErr
-		}
-		if err != nil {
-			return fail(err)
-		}
-		for _, ch := range changes {
-			old, hadOld, err := fr.Get(ch.rid, nil, nil)
-			if err != nil {
-				return fail(err)
-			}
-			deleted, err := fr.Delete(tx, ch.rid)
-			if err != nil {
-				return fail(err)
-			}
-			if !deleted {
-				continue // row vanished under a concurrent committed delete
-			}
-			if hadOld {
-				if err := w.maintainIndexes(c.Catalog(), def, old, ch.rid, false); err != nil {
-					return fail(err)
-				}
-			}
-			nodes, err := def.NodeFor(ch.newRow, len(c.Workers))
-			if err != nil {
-				return fail(err)
-			}
-			for _, n := range nodes {
-				dst := c.Workers[n]
-				dtx := getTx(dst)
-				rid, err := dst.frags[def.Name].Insert(dtx, ch.newRow)
-				if err != nil {
-					return fail(err)
-				}
-				if err := dst.maintainIndexes(c.Catalog(), def, ch.newRow, rid, true); err != nil {
-					return fail(err)
-				}
-			}
-			total++
-		}
-	}
-	if len(involved) > 0 {
-		var ids []int
-		for wid := range involved {
-			ids = append(ids, wid)
-		}
-		committed, err := c.Coords[0].XA.CommitGlobal(txid, ids)
-		if err != nil {
+		if err = errors.Join(err, evalErr); err != nil {
 			return nil, err
 		}
-		if !committed {
-			return nil, fmt.Errorf("cluster: transaction %d rolled back", txid)
+	}
+	return hits, nil
+}
+
+// insert writes r on worker wi, with its index entries.
+func (t *writeTx) insert(wi int, r types.Row) error {
+	w := t.c.Workers[wi]
+	rid, err := w.frags[t.def.Name].Insert(t.tx(wi), r)
+	if err != nil {
+		return err
+	}
+	return w.maintainIndexes(t.c.Catalog(), t.def, r, rid, true)
+}
+
+// remove deletes a row match found, with its index entries. The page lock
+// match took keeps the row in place until then.
+func (t *writeTx) remove(h hit) error {
+	w := t.c.Workers[h.wi]
+	if _, err := w.frags[t.def.Name].Delete(t.tx(h.wi), h.rid); err != nil {
+		return err
+	}
+	return w.maintainIndexes(t.c.Catalog(), t.def, h.row, h.rid, false)
+}
+
+// finish ends the statement: on err it rolls back every touched worker and
+// returns err joined with any rollback that itself failed (a worker whose
+// undo failed may hold locks and divergent data until recovery); otherwise
+// it commits the touched workers, in worker order, with one 2PC round.
+func (t *writeTx) finish(err error) error {
+	var ids []int
+	for wi, tx := range t.txs {
+		if tx == nil {
+			continue
+		}
+		w := t.c.Workers[wi]
+		ids = append(ids, w.ID)
+		if err != nil {
+			if rerr := w.Txn.Rollback(tx); rerr != nil {
+				err = errors.Join(err, fmt.Errorf("cluster: rollback tx %d on worker %d: %w", t.id, w.ID, rerr))
+			}
 		}
 	}
-	return &Result{Message: fmt.Sprintf("%d rows updated", total)}, nil
+	if err != nil || len(ids) == 0 {
+		return err
+	}
+	committed, err := t.c.Coords[0].XA.CommitGlobal(t.id, ids)
+	if err != nil {
+		return err
+	}
+	if !committed {
+		return fmt.Errorf("cluster: transaction %d rolled back", t.id)
+	}
+	return nil
 }
 
 // reorganizeStmt rewrites every fragment of a table: tombstones compact,
@@ -632,22 +600,6 @@ func (c *Cluster) reorganizeStmt(x *sqlparse.Reorganize) (*Result, error) {
 		}
 	}
 	return &Result{Message: fmt.Sprintf("table %s reorganized", def.Name)}, nil
-}
-
-// abortGlobal rolls back a distributed statement's local transactions,
-// reporting any rollback that itself failed (a worker whose undo failed
-// may hold locks and divergent data until recovery).
-func (c *Cluster) abortGlobal(txid uint64, ids []int) error {
-	var firstErr error
-	for _, wid := range ids {
-		w := c.Workers[c.workerIndex(wid)]
-		if tx, ok := w.Txn.Lookup(txid); ok {
-			if err := w.Txn.Rollback(tx); err != nil && firstErr == nil {
-				firstErr = fmt.Errorf("cluster: rollback tx %d on worker %d: %w", txid, wid, err)
-			}
-		}
-	}
-	return firstErr
 }
 
 // analyzeStmt recomputes table statistics from a full scan, streaming rows

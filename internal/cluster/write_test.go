@@ -1,0 +1,179 @@
+package cluster
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/page"
+	"repro/internal/storage"
+	"repro/internal/types"
+)
+
+// dmlTables are TestDMLMatchesOneWorker's tables, one per partitioning, each
+// with an index on g.
+var dmlTables = []string{
+	`CREATE TABLE wh (k INT, g INT, s VARCHAR(12)) PARTITION BY HASH(k)`,
+	`CREATE TABLE wr (k INT, g INT, s VARCHAR(12)) PARTITION BY RANGE(k) VALUES (20, 1000, 2000)`,
+	`CREATE TABLE wp (k INT, g INT, s VARCHAR(12)) PARTITION BY REPLICATED`,
+}
+
+// dmlStatement draws one statement of TestDMLMatchesOneWorker's sequences
+// against table tbl.
+func dmlStatement(rng *rand.Rand, tbl string, step int) string {
+	switch rng.Intn(7) {
+	case 0, 1:
+		var vals []string
+		for i := 0; i < 1+rng.Intn(6); i++ {
+			vals = append(vals, fmt.Sprintf("(%d, %d, 'i%d.%d')", rng.Intn(40), rng.Intn(5), step, i))
+		}
+		return fmt.Sprintf("INSERT INTO %s VALUES %s", tbl, strings.Join(vals, ", "))
+	case 2:
+		return fmt.Sprintf("DELETE FROM %s WHERE g = %d", tbl, rng.Intn(6))
+	case 3:
+		return fmt.Sprintf("DELETE FROM %s WHERE k < 0", tbl)
+	case 4:
+		return fmt.Sprintf("UPDATE %s SET s = 'u%d', g = g + 1 WHERE g = %d", tbl, step, rng.Intn(6))
+	case 5:
+		return fmt.Sprintf("UPDATE %s SET k = k + 1000 WHERE k >= 0", tbl)
+	default:
+		return fmt.Sprintf("UPDATE %s SET s = 'none' WHERE k < 0", tbl)
+	}
+}
+
+// fragmentRows returns worker w's own rows of tbl, rendered and sorted.
+func fragmentRows(t *testing.T, w *Worker, tbl string) []string {
+	t.Helper()
+	var rows []types.Row
+	if _, err := w.frags[tbl].Scan(storage.ScanOptions{}, func(_ page.RID, r types.Row) bool {
+		rows = append(rows, r)
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return normalize(rows)
+}
+
+// TestDMLMatchesOneWorker: seeded sequences of INSERT, DELETE and UPDATE —
+// an UPDATE of the partitioning key among them, and statements that match
+// nothing — leave a 4-worker cluster with the answers, the contents and the
+// index lookups of a 1-worker one, on a hash-partitioned, a range-partitioned
+// and a replicated table. Every replica of the replicated table must hold
+// the same rows: a SELECT reads one of them only.
+func TestDMLMatchesOneWorker(t *testing.T) {
+	one, _ := newCluster(t, 1, HRDBMSProfile())
+	four, _ := newCluster(t, 4, HRDBMSProfile())
+	run := func(t *testing.T, sql string) [2]*Result {
+		t.Helper()
+		var out [2]*Result
+		for i, c := range []*Cluster{one, four} {
+			res, err := c.ExecSQL(sql)
+			if err != nil {
+				t.Fatalf("%d workers: %s: %v", len(c.Workers), sql, err)
+			}
+			out[i] = res
+		}
+		return out
+	}
+	for _, ddl := range dmlTables {
+		run(t, ddl)
+	}
+	for _, tbl := range []string{"wh", "wr", "wp"} {
+		run(t, fmt.Sprintf("CREATE INDEX %s_g ON %s(g)", tbl, tbl))
+	}
+	for _, tbl := range []string{"wh", "wr", "wp"} {
+		t.Run(tbl, func(t *testing.T) {
+			for seed := int64(1); seed <= 3; seed++ {
+				rng := rand.New(rand.NewSource(seed))
+				for step := 0; step < 30; step++ {
+					sql := dmlStatement(rng, tbl, step)
+					res := run(t, sql)
+					if res[0].Message != res[1].Message {
+						t.Fatalf("seed %d: %s: 1 worker says %q, 4 workers %q", seed, sql, res[0].Message, res[1].Message)
+					}
+					all := run(t, "SELECT k, g, s FROM "+tbl)
+					want := normalize(all[0].Rows)
+					if got := normalize(all[1].Rows); !slices.Equal(got, want) {
+						t.Fatalf("seed %d: after %s: 4 workers hold\n%v\n1 worker\n%v", seed, sql, got, want)
+					}
+					g := rng.Intn(6)
+					lookup := fmt.Sprintf("SELECT k, s FROM %s WHERE g = %d", tbl, g)
+					requireIndexScan(t, four, tbl+"_g", lookup)
+					eq := run(t, lookup)
+					if a, b := normalize(eq[0].Rows), normalize(eq[1].Rows); !slices.Equal(a, b) {
+						t.Fatalf("seed %d: after %s: g = %d reads %v on 4 workers, %v on 1", seed, sql, g, b, a)
+					}
+					if tbl != "wp" {
+						continue
+					}
+					for _, w := range four.Workers {
+						if got := fragmentRows(t, w, tbl); !slices.Equal(got, want) {
+							t.Fatalf("seed %d: after %s: worker %d's replica holds\n%v\nwant\n%v", seed, sql, w.ID, got, want)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// settledMailboxes returns the fabric's mailbox count once it has stopped
+// changing: a query's mailboxes are released once its loops have exited.
+func settledMailboxes(c *Cluster) int {
+	n := c.Fabric.Mailboxes()
+	for i := 0; i < 500; i++ {
+		time.Sleep(10 * time.Millisecond)
+		m := c.Fabric.Mailboxes()
+		if m == n {
+			break
+		}
+		n = m
+	}
+	return n
+}
+
+// TestAnalyzeReleasesMailboxes: ANALYZE reads its table through
+// CompileDistributed's cursor, whose Close frees the query's mailboxes, so
+// repeated runs leave the fabric no more mailboxes than it held.
+func TestAnalyzeReleasesMailboxes(t *testing.T) {
+	c, _ := newCluster(t, 4, HRDBMSProfile())
+	before := settledMailboxes(c)
+	for i := 0; i < 20; i++ {
+		if _, err := c.ExecSQL("ANALYZE customer"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if after := settledMailboxes(c); after > before {
+		t.Fatalf("fabric mailboxes grew from %d to %d over 20 ANALYZE runs", before, after)
+	}
+}
+
+// TestDropTableDropsLoadStats: a table dropped and created again under the
+// same name starts its statistics from its own loads alone.
+func TestDropTableDropsLoadStats(t *testing.T) {
+	c, _ := newCluster(t, 2, HRDBMSProfile())
+	load := func(n int) {
+		t.Helper()
+		if _, err := c.ExecSQL(`CREATE TABLE st (k INT) PARTITION BY HASH(k)`); err != nil {
+			t.Fatal(err)
+		}
+		rows := make([]types.Row, n)
+		for i := range rows {
+			rows[i] = types.Row{types.NewInt(int64(i))}
+		}
+		if _, err := c.Load("st", rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	load(1000)
+	if _, err := c.ExecSQL(`DROP TABLE st`); err != nil {
+		t.Fatal(err)
+	}
+	load(10)
+	if got := c.Catalog().Stats("st").RowCount; got != 10 {
+		t.Fatalf("statistics count %d rows after DROP, CREATE and a load of 10", got)
+	}
+}
