@@ -31,7 +31,8 @@ func (c *Cluster) QueryExternal(name, where string) ([]types.Row, error) {
 		}
 	}
 	assign := external.AssignPartitions(tbl.Partitions(), len(c.Workers))
-	q := &queryExec{c: c, coord: c.Coords[0], qid: c.querySeq.Add(1), prof: c.Cfg.Profile}
+	q := c.newQueryExec(c.Coords[0], nil)
+	defer q.releaseWhenQuiet()
 	ds := &dstream{sch: tbl.Schema()}
 	for wi := range c.Workers {
 		ds.ops = append(ds.ops, exec.NewExternalScan(tbl, assign[wi], "", pred))

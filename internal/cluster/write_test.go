@@ -3,11 +3,14 @@ package cluster
 import (
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/external"
 	"repro/internal/page"
 	"repro/internal/storage"
 	"repro/internal/types"
@@ -148,6 +151,38 @@ func TestAnalyzeReleasesMailboxes(t *testing.T) {
 	}
 	if after := settledMailboxes(c); after > before {
 		t.Fatalf("fabric mailboxes grew from %d to %d over 20 ANALYZE runs", before, after)
+	}
+}
+
+// TestQueryExternalReleasesMailboxes: an external-table query gathers its
+// partitions to the coordinator over the fabric and frees those mailboxes
+// once its loops have exited, as a SQL query does.
+func TestQueryExternalReleasesMailboxes(t *testing.T) {
+	c, _ := newCluster(t, 4, HRDBMSProfile())
+	dir := t.TempDir()
+	for i := 0; i < 3; i++ {
+		csv := fmt.Sprintf("%d|a\n%d|b\n", 2*i, 2*i+1)
+		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("part-%d.csv", i)), []byte(csv), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sch := types.NewSchema(types.Column{Name: "id", Kind: types.KindInt}, types.Column{Name: "tag", Kind: types.KindString})
+	tbl, err := external.NewCSVTable("ext", sch, dir, "part-*.csv", '|')
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.External.Register(tbl); err != nil {
+		t.Fatal(err)
+	}
+	before := settledMailboxes(c)
+	for i := 0; i < 20; i++ {
+		rows, err := c.QueryExternal("ext", "id >= 2")
+		if err != nil || len(rows) != 4 {
+			t.Fatalf("external query: %d rows, %v", len(rows), err)
+		}
+	}
+	if after := settledMailboxes(c); after > before {
+		t.Fatalf("fabric mailboxes grew from %d to %d over 20 external queries", before, after)
 	}
 }
 

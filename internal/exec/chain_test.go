@@ -11,7 +11,7 @@ import (
 	"repro/internal/vec"
 )
 
-// TestChainSelDecode: over a chained column, decodeSel splits an ascending
+// TestChainSelDecode: over a chained column, decodeCol splits an ascending
 // selection at the chain's page boundaries — positions rebased per page, a
 // page no position falls in left alone — and yields exactly the cells a full
 // decode holds at those positions, on the typed path (a string column) and
@@ -74,7 +74,7 @@ func TestChainSelDecode(t *testing.T) {
 		}
 		d := &pageSetDecoder{cs: cs}
 		full := vec.New(sch).Cols[ci]
-		if err := d.decodeFull(set.Chunks(ci), &full); err != nil {
+		if err := d.decodeCol(set.Chunks(ci), &full, nil); err != nil {
 			t.Fatal(err)
 		}
 		if full.Len() != n {
@@ -85,7 +85,7 @@ func TestChainSelDecode(t *testing.T) {
 		}
 		for name, sel := range sels {
 			got := vec.New(sch).Cols[ci]
-			if err := d.decodeSel(set.Chunks(ci), &got, sel); err != nil {
+			if err := d.decodeCol(set.Chunks(ci), &got, sel); err != nil {
 				t.Fatalf("column %d, %s: %v", ci, name, err)
 			}
 			if got.Len() != len(sel) {
@@ -98,7 +98,7 @@ func TestChainSelDecode(t *testing.T) {
 			}
 		}
 		got := vec.New(sch).Cols[ci]
-		if err := d.decodeSel(set.Chunks(ci), &got, []int32{0, int32(n)}); err == nil {
+		if err := d.decodeCol(set.Chunks(ci), &got, []int32{0, int32(n)}); err == nil {
 			t.Fatalf("column %d: a position past the chain decoded", ci)
 		}
 	}

@@ -130,46 +130,6 @@ type rowFeed struct{ feed[[]types.Row] }
 // NextBatch implements Operator.
 func (s *rowFeed) NextBatch() ([]types.Row, bool, error) { return s.next() }
 
-// rowSender returns a worker's slab-accumulating end of the feed. Senders
-// are allocated one by one, not as one array: each is written on every row,
-// and neighbours sharing a cache line would make the workers contend.
-func (s *rowFeed) rowSender() *batchSender {
-	return &batchSender{feedPort: s.port(), size: s.batch}
-}
-
-// batchSender accumulates rows into a slab and ships the slab when full.
-type batchSender struct {
-	feedPort[[]types.Row]
-	slab []types.Row
-	size int
-}
-
-// send buffers one row, flushing when the slab is full. It returns false
-// when the consumer is gone and the scan should abort.
-func (b *batchSender) send(r types.Row) bool {
-	if b.slab == nil {
-		b.slab = make([]types.Row, 0, b.size)
-	}
-	b.slab = append(b.slab, r)
-	if len(b.slab) >= b.size {
-		return b.flush()
-	}
-	return true
-}
-
-// flush ships the current slab (if any). The sender allocates a fresh slab
-// afterwards — the consumer owns shipped slabs per the batch contract.
-func (b *batchSender) flush() bool {
-	if len(b.slab) == 0 {
-		return true
-	}
-	if !b.ship(b.slab) {
-		return false
-	}
-	b.slab = make([]types.Row, 0, b.size)
-	return true
-}
-
 // ScanConfig controls predicate pushdown into a fragment scan.
 type ScanConfig struct {
 	// Pred is the scan predicate, bound to the fragment schema; rows not
@@ -320,8 +280,9 @@ func (fs *FragmentScan) run() error {
 // are borrowed, so it copies each one's emitted columns into a staging
 // array; a slab, when it ships, gets one backing array sized to the rows it
 // holds, and each row is that array's segment capped at its width, so an
-// append downstream copies instead of writing into the next row. (Copiers
-// are allocated one by one for the reason senders are.)
+// append downstream copies instead of writing into the next row. Copiers are
+// allocated one by one, not as one array: each is written on every row, and
+// neighbours sharing a cache line would make the workers contend.
 type rowCopier struct {
 	feedPort[[]types.Row]
 	emit []int // table offsets copied, in output order
@@ -401,7 +362,8 @@ func NewExternalScan(tbl external.Table, parts []int, alias string, pred expr.Ex
 }
 
 func (es *ExternalScan) run() error {
-	snd := es.rowSender()
+	snd := newRowCopier(es.port(), allOffsets(es.sch.Len()), es.batch)
+	defer snd.release()
 	var evalErr error
 	for _, p := range es.parts {
 		err := es.tbl.ScanPartition(p, func(r types.Row) bool {

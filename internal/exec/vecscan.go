@@ -204,28 +204,44 @@ func (d *pageSetDecoder) decodeSet(snd *vecBatchSender, set page.PageSet, key pa
 		return true, nil
 	}
 	b := snd.building()
-	emit := d.cs.emit
-	if d.cs.cfg.Pred == nil {
-		// Every emitted column decodes typed, straight into the building
-		// batch.
-		for oi, ci := range emit {
-			if err := d.decodeFull(set.Chunks(ci), &b.Cols[oi]); err != nil {
-				return false, err
-			}
+	var sel []int32 // the rows emitted; nil without a predicate: every row
+	if d.cs.cfg.Pred != nil {
+		var err error
+		if sel, err = d.filter(b, set, nrows); err != nil {
+			return false, err
 		}
-		b.N += nrows
-		return snd.maybeFlush(), nil
+		if len(sel) == 0 {
+			d.recordAbsence(key, sealed, opts)
+			return true, nil
+		}
+		nrows = len(sel)
 	}
-	// Decode the predicate's columns into the eval scratch. An emitted
-	// string column interns into the building batch's dictionary, so that
-	// surviving codes transfer without translation.
+	// Late materialization: emitted predicate columns gather their
+	// survivors from the eval scratch; the other emitted columns decode only
+	// the selected positions (unselected strings are never even interned).
+	for oi, ci := range d.cs.emit {
+		if d.cs.isPred[ci] {
+			gatherAppend(&b.Cols[oi], &d.eval.Cols[ci], sel)
+		} else if err := d.decodeCol(set.Chunks(ci), &b.Cols[oi], sel); err != nil {
+			return false, err
+		}
+	}
+	b.N += nrows
+	return snd.maybeFlush(), nil
+}
+
+// filter decodes the predicate's columns of a page set into the eval
+// scratch and returns the positions of the rows the predicate keeps.
+func (d *pageSetDecoder) filter(b *vec.Batch, set page.PageSet, nrows int) ([]int32, error) {
+	// An emitted string column interns into the building batch's dictionary,
+	// so that surviving codes transfer without translation.
 	for _, ci := range d.cs.pred {
 		var dict *vec.Dict
 		if oi := d.cs.outOf[ci]; oi >= 0 {
 			dict = b.Cols[oi].Dict
 		}
-		if err := d.decodeFull(set.Chunks(ci), d.resetEvalCol(ci, dict)); err != nil {
-			return false, err
+		if err := d.decodeCol(set.Chunks(ci), d.resetEvalCol(ci, dict), nil); err != nil {
+			return nil, err
 		}
 	}
 	d.eval.N = nrows
@@ -243,7 +259,7 @@ func (d *pageSetDecoder) decodeSet(snd *vecBatchSender, set page.PageSet, key pa
 				}
 			}
 		case !errors.Is(err, errVecFallback):
-			return false, err
+			return nil, err
 		}
 	}
 	if compiled {
@@ -262,7 +278,7 @@ func (d *pageSetDecoder) decodeSet(snd *vecBatchSender, set page.PageSet, key pa
 			}
 			keep, err := expr.EvalBool(d.cs.cfg.Pred, d.scratch)
 			if err != nil {
-				return false, err
+				return nil, err
 			}
 			if keep {
 				sel = append(sel, int32(k))
@@ -270,22 +286,7 @@ func (d *pageSetDecoder) decodeSet(snd *vecBatchSender, set page.PageSet, key pa
 		}
 	}
 	d.sel = sel
-	if len(sel) == 0 {
-		d.recordAbsence(key, sealed, opts)
-		return true, nil
-	}
-	// Late materialization: emitted predicate columns gather their
-	// survivors from the eval scratch; the other emitted columns decode only
-	// the selected positions (unselected strings are never even interned).
-	for oi, ci := range emit {
-		if d.cs.isPred[ci] {
-			gatherAppend(&b.Cols[oi], &d.eval.Cols[ci], sel)
-		} else if err := d.decodeSel(set.Chunks(ci), &b.Cols[oi], sel); err != nil {
-			return false, err
-		}
-	}
-	b.N += len(sel)
-	return snd.maybeFlush(), nil
+	return sel, nil
 }
 
 // recordAbsence records a proven-empty sealed set into the predicate
@@ -320,24 +321,18 @@ func (d *pageSetDecoder) resetEvalCol(ci int, dict *vec.Dict) *vec.Col {
 	return c
 }
 
-// decodeFull decodes every cell of a column — its one page, or the pages of
-// its chain in order — into c.
-func (d *pageSetDecoder) decodeFull(chunks []page.ColumnPage, c *vec.Col) error {
-	for _, pg := range chunks {
-		if err := d.decodePage(pg, c); err != nil {
-			return err
+// decodeCol decodes a column's cells at the ascending set-relative
+// positions in sel — every cell for a nil sel — into c. Over a chain a
+// selection is split at page boundaries: each page sees its own positions,
+// rebased, and a page none falls in is not touched.
+func (d *pageSetDecoder) decodeCol(chunks []page.ColumnPage, c *vec.Col, sel []int32) error {
+	if sel == nil || len(chunks) == 1 {
+		for _, pg := range chunks {
+			if err := d.decodePage(pg, c, sel); err != nil {
+				return err
+			}
 		}
-	}
-	return nil
-}
-
-// decodeSel decodes only the selected set-relative positions of a column
-// into c. Over a chain the ascending selection is split at page boundaries:
-// each page sees its own positions, rebased, and a page none falls in is not
-// touched.
-func (d *pageSetDecoder) decodeSel(chunks []page.ColumnPage, c *vec.Col, sel []int32) error {
-	if len(chunks) == 1 {
-		return d.decodePageSel(chunks[0], c, sel)
+		return nil
 	}
 	first := 0
 	for _, pg := range chunks {
@@ -349,7 +344,7 @@ func (d *pageSetDecoder) decodeSel(chunks []page.ColumnPage, c *vec.Col, sel []i
 		}
 		d.chunkSel = part
 		if len(part) > 0 {
-			if err := d.decodePageSel(pg, c, part); err != nil {
+			if err := d.decodePage(pg, c, part); err != nil {
 				return err
 			}
 		}
@@ -361,54 +356,11 @@ func (d *pageSetDecoder) decodeSel(chunks []page.ColumnPage, c *vec.Col, sel []i
 	return nil
 }
 
-// decodePage decodes a whole column page into c, typed when the column's
-// layout has a typed decoder and the page's cells match, boxed DecodeInto
-// (with Col.Append's demotion safety net) otherwise.
-func (d *pageSetDecoder) decodePage(pg page.ColumnPage, c *vec.Col) error {
-	switch c.Form {
-	case vec.FormInt:
-		bm := vec.Bitmap{Words: c.Nulls}
-		out, err := pg.DecodeInt64s(c.Kind, c.I, &bm)
-		if err == nil {
-			c.I, c.Nulls = out, bm.Words
-			d.typedPages++
-			return nil
-		}
-		if !errors.Is(err, page.ErrKindMismatch) {
-			return err
-		}
-	case vec.FormFloat:
-		bm := vec.Bitmap{Words: c.Nulls}
-		out, err := pg.DecodeFloat64s(c.F, &bm)
-		if err == nil {
-			c.F, c.Nulls = out, bm.Words
-			d.typedPages++
-			return nil
-		}
-		if !errors.Is(err, page.ErrKindMismatch) {
-			return err
-		}
-	case vec.FormStr:
-		bm := vec.Bitmap{Words: c.Nulls}
-		out, err := pg.DecodeStrings(c.Dict, c.Codes, &bm)
-		if err == nil {
-			c.Codes, c.Nulls = out, bm.Words
-			d.typedPages++
-			return nil
-		}
-		if !errors.Is(err, page.ErrKindMismatch) {
-			return err
-		}
-	}
-	d.boxedPages++
-	return pg.DecodeInto(func(v types.Value) bool {
-		c.Append(v)
-		return true
-	})
-}
-
-// decodePageSel decodes only the selected page-relative positions into c.
-func (d *pageSetDecoder) decodePageSel(pg page.ColumnPage, c *vec.Col, sel []int32) error {
+// decodePage decodes a column page's cells at the page-relative positions in
+// sel (nil: every cell) into c, typed when the column's layout has a typed
+// decoder and the selected cells match, boxed DecodeInto (with Col.Append's
+// demotion safety net) otherwise.
+func (d *pageSetDecoder) decodePage(pg page.ColumnPage, c *vec.Col, sel []int32) error {
 	switch c.Form {
 	case vec.FormInt:
 		bm := vec.Bitmap{Words: c.Nulls}
@@ -447,12 +399,12 @@ func (d *pageSetDecoder) decodePageSel(pg page.ColumnPage, c *vec.Col, sel []int
 	d.boxedPages++
 	si, pos := 0, 0
 	return pg.DecodeInto(func(v types.Value) bool {
-		if si < len(sel) && int(sel[si]) == pos {
+		if sel == nil || (si < len(sel) && int(sel[si]) == pos) {
 			c.Append(v)
 			si++
 		}
 		pos++
-		return si < len(sel)
+		return sel == nil || si < len(sel)
 	})
 }
 

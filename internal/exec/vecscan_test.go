@@ -96,7 +96,8 @@ func boxedColumnarScan(fr *storage.ColumnarFragment, alias string, pred expr.Exp
 		sf.sch = sf.sch.Qualify(alias)
 	}
 	sf.start = func() error {
-		snd := sf.rowSender()
+		snd := newRowCopier(sf.port(), allOffsets(sf.sch.Len()), sf.batch)
+		defer snd.release()
 		_, err := fr.ScanPageSets(storage.ScanOptions{}, nil, 1, func(_ int, set page.PageSet, _ page.Key, _ bool) (bool, error) {
 			rows, err := set.Rows()
 			if err != nil {

@@ -79,17 +79,11 @@ func BenchmarkTypedVsBoxedDecode(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					var err error
-					switch {
-					case pg.form == vec.FormInt && sel == nil:
-						_, err = pg.p.DecodeInt64s(types.KindInt, i64, &bm)
-					case pg.form == vec.FormInt:
+					switch pg.form {
+					case vec.FormInt:
 						_, err = pg.p.DecodeInt64sSel(types.KindInt, i64, &bm, sel)
-					case pg.form == vec.FormFloat && sel == nil:
-						_, err = pg.p.DecodeFloat64s(f64, &bm)
-					case pg.form == vec.FormFloat:
+					case vec.FormFloat:
 						_, err = pg.p.DecodeFloat64sSel(f64, &bm, sel)
-					case sel == nil:
-						_, err = pg.p.DecodeStrings(dict, codes, &bm)
 					default:
 						_, err = pg.p.DecodeStringsSel(dict, codes, &bm, sel)
 					}

@@ -30,8 +30,10 @@ func bitsOf(vals []types.Value) []boxedBits {
 	return out
 }
 
-// readings is everything the eight readers of a column page yield for one
-// kind: compared before and after Seal with reflect.DeepEqual.
+// readings is everything the readers of a column page yield for one kind —
+// the boxed ones, and the typed decoder over every cell and over each of
+// selections' positions: compared before and after Seal with
+// reflect.DeepEqual.
 type readings struct {
 	Values, Into []boxedBits
 	Full         typedReading
@@ -51,20 +53,16 @@ type typedReading struct {
 // it, so a decoder that forgets the append offset is caught.
 const prefix = 3
 
-// typedRead runs the typed decoder for kind (the Sel form when sel is
-// non-nil) into a slab pre-filled with prefix cells, the second of them NULL.
-func typedRead(p ColumnPage, kind types.Kind, sel []int32, useSel bool) (r typedReading, err error) {
+// typedRead runs the typed decoder for kind over sel (nil: every cell) into
+// a slab pre-filled with prefix cells, the second of them NULL.
+func typedRead(p ColumnPage, kind types.Kind, sel []int32) (r typedReading, err error) {
 	var bm vec.Bitmap
 	bm.Set(1)
 	n := 0
 	switch vec.FormFor(kind) {
 	case vec.FormInt:
 		dst := []int64{-1, -2, -3}
-		if useSel {
-			dst, err = p.DecodeInt64sSel(kind, dst, &bm, sel)
-		} else {
-			dst, err = p.DecodeInt64s(kind, dst, &bm)
-		}
+		dst, err = p.DecodeInt64sSel(kind, dst, &bm, sel)
 		for _, v := range dst[prefix:] {
 			r.Cells = append(r.Cells, uint64(v))
 		}
@@ -74,11 +72,7 @@ func typedRead(p ColumnPage, kind types.Kind, sel []int32, useSel bool) (r typed
 		}
 	case vec.FormFloat:
 		dst := []float64{-1, -2, -3}
-		if useSel {
-			dst, err = p.DecodeFloat64sSel(dst, &bm, sel)
-		} else {
-			dst, err = p.DecodeFloat64s(dst, &bm)
-		}
+		dst, err = p.DecodeFloat64sSel(dst, &bm, sel)
 		for _, v := range dst[prefix:] {
 			r.Cells = append(r.Cells, math.Float64bits(v))
 		}
@@ -90,11 +84,7 @@ func typedRead(p ColumnPage, kind types.Kind, sel []int32, useSel bool) (r typed
 		dict := vec.NewDict()
 		dict.Code("already interned")
 		dst := []int32{0, 0, 0}
-		if useSel {
-			dst, err = p.DecodeStringsSel(dict, dst, &bm, sel)
-		} else {
-			dst, err = p.DecodeStrings(dict, dst, &bm)
-		}
+		dst, err = p.DecodeStringsSel(dict, dst, &bm, sel)
 		for _, c := range dst[prefix:] {
 			r.Strs = append(r.Strs, dict.Str(c))
 		}
@@ -138,13 +128,20 @@ func readEverything(t *testing.T, p ColumnPage, kind types.Kind) readings {
 		t.Fatalf("Values: %v", err)
 	}
 	r := readings{Values: bitsOf(vals), Into: bitsOf(boxedDecode(t, p)), Sel: map[string]typedReading{}}
-	if r.Full, err = typedRead(p, kind, nil, false); err != nil {
+	if r.Full, err = typedRead(p, kind, nil); err != nil {
 		t.Fatalf("full typed decode: %v", err)
 	}
 	for name, sel := range selections(p.NumValues()) {
-		if r.Sel[name], err = typedRead(p, kind, sel, true); err != nil {
+		if r.Sel[name], err = typedRead(p, kind, sel); err != nil {
 			t.Fatalf("Sel decode (%s): %v", name, err)
 		}
+	}
+	// A nil selection is every cell; an empty one, none.
+	if !reflect.DeepEqual(r.Full, r.Sel["all"]) {
+		t.Fatalf("a nil selection reads %+v, a selection of every cell %+v", r.Full, r.Sel["all"])
+	}
+	if e := r.Sel["empty"]; e.Err != "" || len(e.Nulls) != prefix {
+		t.Fatalf("an empty selection appended %d cells (err %q)", len(e.Nulls)-prefix, e.Err)
 	}
 	return r
 }
@@ -331,13 +328,13 @@ func TestSealRoundTrip(t *testing.T) {
 					if density == "all" {
 						return // a page of NULLs fits every kind
 					}
-					for _, useSel := range []bool{false, true} {
-						r, err := typedRead(p, wrongKind[kind], []int32{0}, useSel)
+					for _, sel := range [][]int32{nil, {0}} {
+						r, err := typedRead(p, wrongKind[kind], sel)
 						if err != nil {
-							t.Fatalf("decoder of the wrong kind (sel=%v): %v", useSel, err)
+							t.Fatalf("decoder of the wrong kind (sel=%v): %v", sel, err)
 						}
 						if r.Err != ErrKindMismatch.Error() {
-							t.Fatalf("decoder of the wrong kind (sel=%v): err %q, want ErrKindMismatch", useSel, r.Err)
+							t.Fatalf("decoder of the wrong kind (sel=%v): err %q, want ErrKindMismatch", sel, r.Err)
 						}
 					}
 				})

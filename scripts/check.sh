@@ -55,7 +55,7 @@ go test -run '^$' -bench BenchmarkHuffmanDecode -benchtime 1x ./internal/compres
 echo "==> bench smoke (block-copy vs byte-at-a-time LZ4 decode of a sealed page and of row bytes)"
 go test -run '^$' -bench BenchmarkLZ4Decode -benchtime 1x ./internal/compress >/dev/null
 
-echo "==> fuzz smoke (all eight column-page readers, every layout, and chain heads: error with exact rollback, a chain inside its overflow file, never panic)"
+echo "==> fuzz smoke (the three typed column-page decoders over every cell and a fuzzed selection against DecodeInto, every layout, and chain heads: error with exact rollback, a chain inside its overflow file, never panic)"
 go test -run '^$' -fuzz '^FuzzTypedDecode$' -fuzztime 5s ./internal/page >/dev/null
 
 echo "==> fuzz smoke (masked row decoder: agrees with DecodeRow under any mask, never panics)"
