@@ -697,14 +697,14 @@ func TestCatalogPartitioningHonored(t *testing.T) {
 	for wi, w := range c.Workers {
 		fr := w.frags["customer"]
 		n := 0
-		_, err := fr.Scan(storage.ScanOptions{}, func(rid page.RID, r types.Row) bool {
+		_, err := fr.Scan(storage.ScanOptions{}, func(rid page.RID, r types.Row) (bool, error) {
 			n++
 			nodes, nerr := def.NodeFor(r, len(c.Workers))
 			if nerr != nil || len(nodes) != 1 || nodes[0] != wi {
 				t.Errorf("row %v on worker %d, want %v", r, wi, nodes)
-				return false
+				return true, storage.ErrStopScan
 			}
-			return true
+			return true, nil
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -882,14 +882,17 @@ func TestColumnarOpenSetSkippedByMinMax(t *testing.T) {
 	// One disk, so the sealed sets hold k < sealedRows and the open set the
 	// rest: k < sealedRows excludes the open set and no sealed one.
 	fr := c.Workers[0].colFrags["t"]
-	sealedRows := 0
-	if _, err := fr.ScanPageSets(storage.ScanOptions{}, nil, 1, func(_ int, set page.PageSet, _ page.Key, sealed bool) (bool, error) {
-		if sealed {
-			sealedRows += set.NumRows()
-		}
+	var sizes []int // by set, in file order: the sealed sets, then the open one
+	stats, err := fr.ScanPageSets(storage.ScanOptions{}, nil, 1, func(_ int, set page.PageSet) (bool, error) {
+		sizes = append(sizes, set.NumRows())
 		return true, nil
-	}); err != nil {
+	})
+	if err != nil {
 		t.Fatal(err)
+	}
+	sealedRows := 0
+	for _, n := range sizes[:stats.SetsRead] {
+		sealedRows += n
 	}
 	if sealedRows == 0 || sealedRows == len(rows) {
 		t.Fatalf("%d of %d rows in sealed sets: the test needs both kinds", sealedRows, len(rows))

@@ -145,9 +145,6 @@ func (q *queryExec) cancel() *exec.Cancel {
 // exited. Mailboxes are created lazily and would otherwise accumulate for
 // the fabric's lifetime — fatal for a server running thousands of queries.
 func (q *queryExec) releaseWhenQuiet() {
-	if q.live == nil || q.qids == nil {
-		return
-	}
 	ids := append([]uint64(nil), (*q.qids)...)
 	live, f := q.live, q.c.Fabric
 	go func() {
@@ -417,7 +414,6 @@ func (q *queryExec) distributeScan(x *plan.Scan) (*dstream, error) {
 		wctx := q.wctx(wi)
 		wcfg := cfg
 		wcfg.Trace = sp
-		wcfg.BatchRows = wctx.BatchRows
 		// Morsel parallelism: the scan asks for the profile's degree and the
 		// worker's shared budget decides what it actually gets.
 		wcfg.Parallel = q.prof.Parallelism

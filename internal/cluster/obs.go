@@ -82,34 +82,20 @@ func (q *queryExec) adopt(derived, src exec.Operator) {
 // on the hot path.
 func registerClusterMetrics(c *Cluster) {
 	r := c.Reg
-	r.RegisterGaugeFunc("buffer.hits", func() int64 {
-		var n int64
-		for _, w := range c.Workers {
-			n += w.Store.Buf.Stats().Hits
-		}
-		return n
-	})
-	r.RegisterGaugeFunc("buffer.misses", func() int64 {
-		var n int64
-		for _, w := range c.Workers {
-			n += w.Store.Buf.Stats().Misses
-		}
-		return n
-	})
-	r.RegisterGaugeFunc("buffer.evictions", func() int64 {
-		var n int64
-		for _, w := range c.Workers {
-			n += w.Store.Buf.Stats().Evictions
-		}
-		return n
-	})
-	r.RegisterGaugeFunc("buffer.disk_writes", func() int64 {
-		var n int64
-		for _, w := range c.Workers {
-			n += w.Store.Buf.Stats().Writes
-		}
-		return n
-	})
+	// perWorker registers a gauge summing one per-worker value.
+	perWorker := func(name string, of func(w *Worker) int64) {
+		r.RegisterGaugeFunc(name, func() int64 {
+			var n int64
+			for _, w := range c.Workers {
+				n += of(w)
+			}
+			return n
+		})
+	}
+	perWorker("buffer.hits", func(w *Worker) int64 { return w.Store.Buf.Stats().Hits })
+	perWorker("buffer.misses", func(w *Worker) int64 { return w.Store.Buf.Stats().Misses })
+	perWorker("buffer.evictions", func(w *Worker) int64 { return w.Store.Buf.Stats().Evictions })
+	perWorker("buffer.disk_writes", func(w *Worker) int64 { return w.Store.Buf.Stats().Writes })
 	r.RegisterGaugeFunc("skipcache.skipped_total", c.totalSkipped)
 	// Estimator health: how often the planner had to fall back to the
 	// default row-count guess because a table had no collected statistics.
@@ -125,62 +111,14 @@ func registerClusterMetrics(c *Cluster) {
 		}
 		return n
 	})
-	r.RegisterGaugeFunc("storage.rows_scanned_total", func() int64 {
-		var n int64
-		for _, w := range c.Workers {
-			n += w.Store.RowsScanned.Load()
-		}
-		return n
-	})
-	r.RegisterGaugeFunc("exec.rows_processed_total", func() int64 {
-		var n int64
-		for _, w := range c.Workers {
-			n += w.execCtx.RowsProcessed.Load()
-		}
-		return n
-	})
-	r.RegisterGaugeFunc("exec.decode_typed_pages_total", func() int64 {
-		var n int64
-		for _, w := range c.Workers {
-			n += w.execCtx.DecodeTypedPages.Load()
-		}
-		return n
-	})
-	r.RegisterGaugeFunc("exec.decode_boxed_pages_total", func() int64 {
-		var n int64
-		for _, w := range c.Workers {
-			n += w.execCtx.DecodeBoxedPages.Load()
-		}
-		return n
-	})
-	r.RegisterGaugeFunc("exec.pred_row_sets_total", func() int64 {
-		var n int64
-		for _, w := range c.Workers {
-			n += w.execCtx.PredRowSets.Load()
-		}
-		return n
-	})
-	r.RegisterGaugeFunc("exec.boxed_rows_total", func() int64 {
-		var n int64
-		for _, w := range c.Workers {
-			n += w.execCtx.BoxedRows.Load()
-		}
-		return n
-	})
-	r.RegisterGaugeFunc("exec.spill_bytes_total", func() int64 {
-		var n int64
-		for _, w := range c.Workers {
-			n += w.execCtx.SpillBytes.Load()
-		}
-		return n
-	})
-	r.RegisterGaugeFunc("exec.state_bytes_total", func() int64 {
-		var n int64
-		for _, w := range c.Workers {
-			n += w.execCtx.StateBytes.Load()
-		}
-		return n
-	})
+	perWorker("storage.rows_scanned_total", func(w *Worker) int64 { return w.Store.RowsScanned.Load() })
+	perWorker("exec.rows_processed_total", func(w *Worker) int64 { return w.execCtx.RowsProcessed.Load() })
+	perWorker("exec.decode_typed_pages_total", func(w *Worker) int64 { return w.execCtx.DecodeTypedPages.Load() })
+	perWorker("exec.decode_boxed_pages_total", func(w *Worker) int64 { return w.execCtx.DecodeBoxedPages.Load() })
+	perWorker("exec.pred_row_sets_total", func(w *Worker) int64 { return w.execCtx.PredRowSets.Load() })
+	perWorker("exec.boxed_rows_total", func(w *Worker) int64 { return w.execCtx.BoxedRows.Load() })
+	perWorker("exec.spill_bytes_total", func(w *Worker) int64 { return w.execCtx.SpillBytes.Load() })
+	perWorker("exec.state_bytes_total", func(w *Worker) int64 { return w.execCtx.StateBytes.Load() })
 	r.RegisterGaugeFunc("network.bytes_total", func() int64 { return c.Fabric.Meter().TotalBytes() })
 	r.RegisterGaugeFunc("network.messages_total", func() int64 { return c.Fabric.Meter().TotalMessages() })
 	r.RegisterGaugeFunc("network.connections", func() int64 { return int64(c.Fabric.Meter().Connections()) })
@@ -220,11 +158,5 @@ func registerClusterMetrics(c *Cluster) {
 		}
 		return n
 	})
-	r.RegisterGaugeFunc("txn.active", func() int64 {
-		var n int64
-		for _, w := range c.Workers {
-			n += int64(w.Txn.ActiveCount())
-		}
-		return n
-	})
+	perWorker("txn.active", func(w *Worker) int64 { return int64(w.Txn.ActiveCount()) })
 }

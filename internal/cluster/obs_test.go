@@ -272,15 +272,57 @@ func TestTraceQueriesConfig(t *testing.T) {
 	if n := c.Reg.Histogram("query.seconds", querySecondsBounds).Total(); n == 0 {
 		t.Error("query.seconds histogram not observed")
 	}
-	// And cluster gauges are live.
-	found := map[string]bool{}
-	for _, m := range c.Reg.Snapshot() {
-		found[m.Name] = true
+}
+
+// TestClusterRegistryMetricNames pins the cluster registry's full set of
+// metrics, with their kinds, after one query: a renamed or dropped gauge
+// breaks a dashboard or a benchmark that reads /metrics.
+func TestClusterRegistryMetricNames(t *testing.T) {
+	c, _ := newCluster(t, 2, HRDBMSProfile())
+	if _, err := c.ExecSQL(`SELECT COUNT(*) FROM lineitem`); err != nil {
+		t.Fatal(err)
 	}
-	for _, name := range []string{"buffer.hits", "network.bytes_total", "wal.appends_total", "twopc.commits_total", "txn.active", "storage.rows_scanned_total"} {
-		if !found[name] {
-			t.Errorf("registry missing %s", name)
+	// A per-worker gauge sums every worker's value, not one worker's.
+	var scanned int64
+	for _, w := range c.Workers {
+		scanned += w.Store.RowsScanned.Load()
+	}
+	var got []string
+	for _, m := range c.Reg.Snapshot() {
+		got = append(got, m.Kind+" "+m.Name)
+		if m.Name == "storage.rows_scanned_total" && (scanned == 0 || m.Value != float64(scanned)) {
+			t.Errorf("storage.rows_scanned_total = %v, the workers scanned %d rows", m.Value, scanned)
 		}
+	}
+	want := []string{
+		"gauge buffer.disk_writes",
+		"gauge buffer.evictions",
+		"gauge buffer.hits",
+		"gauge buffer.misses",
+		"gauge exec.boxed_rows_total",
+		"gauge exec.decode_boxed_pages_total",
+		"gauge exec.decode_typed_pages_total",
+		"gauge exec.pred_row_sets_total",
+		"gauge exec.rows_processed_total",
+		"gauge exec.spill_bytes_total",
+		"gauge exec.state_bytes_total",
+		"gauge network.bytes_total",
+		"gauge network.connections",
+		"gauge network.mailboxes",
+		"gauge network.max_degree",
+		"gauge network.messages_total",
+		"gauge opt.stats_default_fallback",
+		"histogram query.seconds",
+		"gauge skipcache.skipped_total",
+		"gauge storage.rows_scanned_total",
+		"gauge twopc.aborts_total",
+		"gauge twopc.commits_total",
+		"gauge txn.active",
+		"gauge wal.appends_total",
+		"gauge wal.flushes_total",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("cluster registry holds\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }
 

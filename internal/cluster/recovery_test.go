@@ -101,11 +101,11 @@ func TestWorkerCrashRecoveryWithCoordinator(t *testing.T) {
 	}
 	// The prepared row must exist after resolution (outcome was commit).
 	found := false
-	if _, err := fr2.Scan(storage.ScanOptions{}, func(rid page.RID, r types.Row) bool {
+	if _, err := fr2.Scan(storage.ScanOptions{}, func(rid page.RID, r types.Row) (bool, error) {
 		if r[0].Int() == 100 {
 			found = true
 		}
-		return true
+		return true, nil
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -122,17 +122,17 @@ func (c *Cluster) execStmt(stmt sqlparse.Stmt, sql string, opts *QueryOptions) (
 
 // Plan builds and optimizes the logical plan for a SELECT.
 func (c *Cluster) Plan(sel *sqlparse.Select) (plan.Node, error) {
-	node, err := plan.Build(sel, c.Catalog())
+	return c.planOn(c.Catalog(), sel)
+}
+
+// planOn builds and optimizes sel against cat, a coordinator's catalog. The
+// cluster's real worker count drives the optimizer's network cost model.
+func (c *Cluster) planOn(cat *catalog.Catalog, sel *sqlparse.Select) (plan.Node, error) {
+	node, err := plan.Build(sel, cat)
 	if err != nil {
 		return nil, err
 	}
-	return opt.OptimizeOpts(node, c.Catalog(), c.optOptions())
-}
-
-// optOptions parameterizes the optimizer for this concrete cluster: the
-// real worker count drives the network cost model.
-func (c *Cluster) optOptions() opt.Options {
-	return opt.Options{Workers: len(c.Workers)}
+	return opt.OptimizeOpts(node, cat, opt.Options{Workers: len(c.Workers)})
 }
 
 // querySecondsBounds buckets per-query latency for the query.seconds
@@ -144,11 +144,7 @@ func (c *Cluster) runSelect(sel *sqlparse.Select, sql string, opts *QueryOptions
 	// coordinators process requests in parallel; results route through the
 	// coordinator that planned the query).
 	coord := c.Coords[int(c.coordSeq.Add(1))%len(c.Coords)]
-	node, err := plan.Build(sel, coord.Cat)
-	if err != nil {
-		return nil, err
-	}
-	node, err = opt.OptimizeOpts(node, coord.Cat, c.optOptions())
+	node, err := c.planOn(coord.Cat, sel)
 	if err != nil {
 		return nil, err
 	}
@@ -276,17 +272,13 @@ func (w *Worker) buildIndex(def *catalog.IndexDef, tbl *catalog.TableDef, offs [
 	}
 	w.btreeIdx[def.Name] = bt
 	count := 0
-	var insertErr error
-	_, err = w.frags[tbl.Name].Scan(storage.ScanOptions{}, func(rid page.RID, r types.Row) bool {
-		if insertErr = bt.Insert(r.Project(offs), rid); insertErr != nil {
-			return false
+	_, err = w.frags[tbl.Name].Scan(storage.ScanOptions{}, func(rid page.RID, r types.Row) (bool, error) {
+		if err := bt.Insert(r.Project(offs), rid); err != nil {
+			return false, err
 		}
 		count++
-		return true
+		return true, nil
 	})
-	if err == nil {
-		err = insertErr
-	}
 	return count, err
 }
 
@@ -510,23 +502,17 @@ type hit struct {
 func (t *writeTx) match(pred expr.Expr) ([]hit, error) {
 	var hits []hit
 	for wi, w := range t.c.Workers {
-		var evalErr error
 		_, err := w.frags[t.def.Name].Scan(storage.ScanOptions{Tx: t.tx(wi), LockExclusive: true},
-			func(rid page.RID, r types.Row) bool {
+			func(rid page.RID, r types.Row) (bool, error) {
 				if pred != nil {
-					ok, err := expr.EvalBool(pred, r)
-					if err != nil {
-						evalErr = err
-						return false
-					}
-					if !ok {
-						return true
+					if ok, err := expr.EvalBool(pred, r); !ok || err != nil {
+						return false, err
 					}
 				}
 				hits = append(hits, hit{wi, rid, r})
-				return true
+				return true, nil
 			})
-		if err = errors.Join(err, evalErr); err != nil {
+		if err != nil {
 			return nil, err
 		}
 	}

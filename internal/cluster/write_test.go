@@ -51,9 +51,9 @@ func dmlStatement(rng *rand.Rand, tbl string, step int) string {
 func fragmentRows(t *testing.T, w *Worker, tbl string) []string {
 	t.Helper()
 	var rows []types.Row
-	if _, err := w.frags[tbl].Scan(storage.ScanOptions{}, func(_ page.RID, r types.Row) bool {
+	if _, err := w.frags[tbl].Scan(storage.ScanOptions{}, func(_ page.RID, r types.Row) (bool, error) {
 		rows = append(rows, r)
-		return true
+		return true, nil
 	}); err != nil {
 		t.Fatal(err)
 	}

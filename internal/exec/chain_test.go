@@ -114,8 +114,9 @@ func TestTracedVecCountsBatchesOnce(t *testing.T) {
 	for _, parallel := range []int{1, 4} {
 		ctx := NewCtx("", 0)
 		ctx.SetParallelBudget(parallel)
+		ctx.BatchRows = 100
 		sp := obs.NewQueryTrace(1, "").StartSpan("Scan", 0)
-		op := NewTraced(NewRowScan(rowFr, "l", ScanConfig{Parallel: parallel, BatchRows: 100, Trace: sp, Ctx: ctx}), sp)
+		op := NewTraced(NewRowScan(rowFr, "l", ScanConfig{Parallel: parallel, Trace: sp, Ctx: ctx}), sp)
 		if err := op.Open(); err != nil {
 			t.Fatal(err)
 		}
@@ -142,8 +143,9 @@ func TestTracedVecCountsBatchesOnce(t *testing.T) {
 	for _, parallel := range []int{1, 4} {
 		ctx := NewCtx("", 0)
 		ctx.SetParallelBudget(parallel)
+		ctx.BatchRows = 100
 		sp := obs.NewQueryTrace(1, "").StartSpan("Scan", 0)
-		op := NewTraced(NewVecColumnarScan(fr, "v", ScanConfig{Parallel: parallel, BatchRows: 100, Trace: sp, Ctx: ctx}), sp)
+		op := NewTraced(NewVecColumnarScan(fr, "v", ScanConfig{Parallel: parallel, Trace: sp, Ctx: ctx}), sp)
 		vop, ok := op.(VecOperator)
 		if !ok {
 			t.Fatal("tracing demoted the vector scan")

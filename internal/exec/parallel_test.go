@@ -268,7 +268,7 @@ func TestParallelScanAggParity(t *testing.T) {
 		return &expr.Bin{Op: expr.OpLt, L: col(4), R: &expr.Const{V: types.NewFloat(25)}}
 	}
 	build := func(ctx *Ctx, parallel int) Operator {
-		cfg := ScanConfig{Pred: pred(), BatchRows: ctx.BatchRows, Parallel: parallel, Ctx: ctx}
+		cfg := ScanConfig{Pred: pred(), Parallel: parallel, Ctx: ctx}
 		sc := NewRowScan(fr, "l", cfg)
 		agg := NewHashAggregate(ctx, sc, ColRefs(8), lineitemAggSpecs(), AggComplete)
 		agg.Parallel = parallel
@@ -305,7 +305,7 @@ func TestParallelTinyBudgetRace(t *testing.T) {
 		return ctx
 	}
 	scanAgg := func(ctx *Ctx, parallel int) Operator {
-		cfg := ScanConfig{BatchRows: ctx.BatchRows, Parallel: parallel, Ctx: ctx}
+		cfg := ScanConfig{Parallel: parallel, Ctx: ctx}
 		agg := NewHashAggregate(ctx, NewRowScan(fr, "l", cfg), ColRefs(0), lineitemAggSpecs(), AggComplete)
 		agg.Parallel = parallel
 		return agg

@@ -98,9 +98,9 @@ func TestRowScanParity(t *testing.T) {
 	testutil.AssertNoGoroutineLeak(t)
 	fr, sch := rowScanFragment(t)
 	var whole []types.Row
-	if _, err := fr.Scan(storage.ScanOptions{}, func(_ page.RID, r types.Row) bool {
+	if _, err := fr.Scan(storage.ScanOptions{}, func(_ page.RID, r types.Row) (bool, error) {
 		whole = append(whole, r)
-		return true
+		return true, nil
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,8 @@ func TestRowScanParity(t *testing.T) {
 					for pass := 0; pass < 2; pass++ {
 						ctx := NewCtx(t.TempDir(), 0)
 						ctx.SetParallelBudget(degree)
-						sc := NewRowScan(fr, "t", ScanConfig{Pred: p.pred(), Cols: cols, UseSkipCache: cache, BatchRows: 7, Parallel: degree, Ctx: ctx})
+						ctx.BatchRows = 7
+						sc := NewRowScan(fr, "t", ScanConfig{Pred: p.pred(), Cols: cols, UseSkipCache: cache, Parallel: degree, Ctx: ctx})
 						if err := sc.Open(); err != nil {
 							t.Fatal(err)
 						}

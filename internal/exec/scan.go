@@ -143,9 +143,6 @@ type ScanConfig struct {
 	// UseSkipCache / UseMinMax enable the two skipping schemes.
 	UseSkipCache bool
 	UseMinMax    bool
-	// BatchRows sizes the slabs the scan thread hands downstream; zero
-	// selects DefaultBatchRows.
-	BatchRows int
 	// Trace, when non-nil, receives the scan's page/row counters as span
 	// annotations (written once, atomically, when the scan thread finishes).
 	Trace *obs.Span
@@ -153,8 +150,9 @@ type ScanConfig struct {
 	// for that many morsel workers and runs with what it is granted; 0/1
 	// scan on the scan thread alone.
 	Parallel int
-	// Ctx supplies the worker budget for parallel scans and the kill
-	// switch. Nil grants Parallel workers unconditionally.
+	// Ctx supplies the worker budget for parallel scans, the kill switch and
+	// the size of the slabs the scan hands downstream. Nil grants Parallel
+	// workers unconditionally.
 	Ctx *Ctx
 }
 
@@ -229,7 +227,7 @@ func NewRowScan(fr *storage.Fragment, alias string, cfg ScanConfig) *FragmentSca
 	fs.emit, _, fs.read = ScanColumns(fr.Def.Schema.Len(), cfg.Cols, cfg.Pred)
 	fs.sch = sch
 	fs.start = fs.run
-	fs.batch = cfg.BatchRows
+	fs.batch = cfg.Ctx.batchRows()
 	fs.cancel = cfg.Ctx.Cancel()
 	return fs
 }
@@ -246,19 +244,16 @@ func (fs *FragmentScan) run() error {
 	for i := range copiers {
 		copiers[i] = newRowCopier(fs.port(), fs.emit, fs.batch)
 	}
-	evalErrs := make([]error, degree)
-	stats, err := fs.fr.ParallelScan(opts, degree, func(w int, _ page.RID, r types.Row) bool {
+	stats, err := fs.fr.ParallelScan(opts, degree, func(w int, _ page.RID, r types.Row) (bool, error) {
 		if fs.cfg.Pred != nil {
-			keep, perr := expr.EvalBool(fs.cfg.Pred, r)
-			if perr != nil {
-				evalErrs[w] = perr
-				return false
-			}
-			if !keep {
-				return true
+			if keep, err := expr.EvalBool(fs.cfg.Pred, r); !keep || err != nil {
+				return false, err
 			}
 		}
-		return copiers[w].send(r)
+		if !copiers[w].send(r) {
+			return true, storage.ErrStopScan
+		}
+		return true, nil
 	})
 	for _, c := range copiers {
 		c.flush()
@@ -267,11 +262,6 @@ func (fs *FragmentScan) run() error {
 	fs.cfg.Trace.AddScan(stats.RowsRead, stats.PagesRead, stats.PagesSkipped)
 	if degree > 1 {
 		fs.cfg.Trace.AddWorkers(int64(degree))
-	}
-	for _, e := range evalErrs {
-		if e != nil {
-			return e
-		}
 	}
 	return err
 }

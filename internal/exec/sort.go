@@ -32,7 +32,7 @@ func compareByKeys(a, b types.Row, keys []SortKey) int {
 // the input up to its share of MemRows rows, writes sorted runs to spill
 // files, and the runs are merged with a loser-tree-free k-way heap merge.
 // This is the leaf-level phase of the paper's distributed n-way merge sort;
-// the tree topology's upper levels use MergeReceive.
+// the tree topology's upper levels use MergeOperators.
 type Sort struct {
 	In   Operator
 	Keys []SortKey

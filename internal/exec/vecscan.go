@@ -68,11 +68,10 @@ func (b *vecBatchSender) flush() bool {
 // (or, for a shape that does not compile, the row expression over the
 // predicate's columns) produces a selection vector, and the emitted columns
 // are materialized only at the selected positions (late materialization).
-// A page set proven empty this way is recorded into the predicate cache
-// exactly like the row scan's absence pass. Page-set skipping (predicate
-// cache and min-max) is storage's, in ColumnarFragment.ScanPageSets; the
-// scan thread drives as many page-set workers as the budget grants
-// cfg.Parallel.
+// Whether a set kept a row is handed back to storage, which records the
+// absence facts and skips page sets (predicate cache and min-max) in
+// ColumnarFragment.ScanPageSets; the scan thread drives as many page-set
+// workers as the budget grants cfg.Parallel.
 type VecColumnarScan struct {
 	feed[*vec.Batch]
 	vecRowShim
@@ -91,7 +90,7 @@ func NewVecColumnarScan(fr *storage.ColumnarFragment, alias string, cfg ScanConf
 	cs := &VecColumnarScan{fr: fr, cfg: cfg}
 	cs.table, cs.sch = scanSchemas(fr.Def.Schema, alias, cfg.Cols)
 	cs.start = cs.run
-	cs.batch = cfg.BatchRows
+	cs.batch = cfg.Ctx.batchRows()
 	cs.cancel = cfg.Ctx.Cancel()
 	cs.vecRowShim = vecRowShim{src: cs, ctx: cfg.Ctx}
 	n := cs.table.Len()
@@ -132,8 +131,8 @@ func (cs *VecColumnarScan) run() error {
 		senders[i] = &vecBatchSender{feedPort: cs.port(), sch: cs.sch, size: cs.batch}
 		decs[i] = cs.newDecoder()
 	}
-	stats, err := cs.fr.ScanPageSets(opts, cs.read, degree, func(w int, set page.PageSet, key page.Key, sealed bool) (bool, error) {
-		return decs[w].decodeSet(senders[w], set, key, sealed, opts)
+	stats, err := cs.fr.ScanPageSets(opts, cs.read, degree, func(w int, set page.PageSet) (bool, error) {
+		return decs[w].decodeSet(senders[w], set)
 	})
 	var typed, boxed, evaled, kernelSets, rowSets int64
 	for i := range senders {
@@ -196,23 +195,19 @@ type pageSetDecoder struct {
 }
 
 // decodeSet decodes one pinned page set into the sender's building batch,
-// evaluating the scan's predicate during decode when it has one. Returns
-// false to stop the scan (consumer gone or query killed).
-func (d *pageSetDecoder) decodeSet(snd *vecBatchSender, set page.PageSet, key page.Key, sealed bool, opts storage.ScanOptions) (bool, error) {
+// evaluating the scan's predicate during decode when it has one. kept
+// reports that a row of the set passed; storage.ErrStopScan stops the scan
+// (consumer gone or query killed).
+func (d *pageSetDecoder) decodeSet(snd *vecBatchSender, set page.PageSet) (kept bool, err error) {
 	nrows := set.NumRows()
 	if nrows == 0 {
-		return true, nil
+		return false, nil
 	}
 	b := snd.building()
 	var sel []int32 // the rows emitted; nil without a predicate: every row
 	if d.cs.cfg.Pred != nil {
-		var err error
-		if sel, err = d.filter(b, set, nrows); err != nil {
+		if sel, err = d.filter(b, set, nrows); err != nil || len(sel) == 0 {
 			return false, err
-		}
-		if len(sel) == 0 {
-			d.recordAbsence(key, sealed, opts)
-			return true, nil
 		}
 		nrows = len(sel)
 	}
@@ -227,7 +222,10 @@ func (d *pageSetDecoder) decodeSet(snd *vecBatchSender, set page.PageSet, key pa
 		}
 	}
 	b.N += nrows
-	return snd.maybeFlush(), nil
+	if !snd.maybeFlush() {
+		return true, storage.ErrStopScan
+	}
+	return true, nil
 }
 
 // filter decodes the predicate's columns of a page set into the eval
@@ -287,17 +285,6 @@ func (d *pageSetDecoder) filter(b *vec.Batch, set page.PageSet, nrows int) ([]in
 	}
 	d.sel = sel
 	return sel, nil
-}
-
-// recordAbsence records a proven-empty sealed set into the predicate
-// cache. Sound only because SkipComplete means the skip conjunction *is*
-// the whole predicate, so "no row matched the predicate" is exactly the
-// absence the cache stores — the same gate the row scan's absence pass
-// uses.
-func (d *pageSetDecoder) recordAbsence(key page.Key, sealed bool, opts storage.ScanOptions) {
-	if sealed && opts.UseCache && opts.SkipComplete && len(opts.SkipConj) > 0 {
-		d.cs.fr.PredCache.Record(key, opts.SkipConj)
-	}
 }
 
 // resetEvalCol readies one eval scratch column for a page set: schema

@@ -98,7 +98,7 @@ func boxedColumnarScan(fr *storage.ColumnarFragment, alias string, pred expr.Exp
 	sf.start = func() error {
 		snd := newRowCopier(sf.port(), allOffsets(sf.sch.Len()), sf.batch)
 		defer snd.release()
-		_, err := fr.ScanPageSets(storage.ScanOptions{}, nil, 1, func(_ int, set page.PageSet, _ page.Key, _ bool) (bool, error) {
+		_, err := fr.ScanPageSets(storage.ScanOptions{}, nil, 1, func(_ int, set page.PageSet) (bool, error) {
 			rows, err := set.Rows()
 			if err != nil {
 				return false, err
@@ -114,7 +114,7 @@ func boxedColumnarScan(fr *storage.ColumnarFragment, alias string, pred expr.Exp
 					}
 				}
 				if !snd.send(r) {
-					return false, nil
+					return true, storage.ErrStopScan
 				}
 			}
 			return true, nil
@@ -225,7 +225,7 @@ func TestVecScanParallelParity(t *testing.T) {
 		ctx := NewCtx("", 0)
 		ctx.SetParallelBudget(parallel)
 		ctx.BatchRows = batchRows
-		cfg := ScanConfig{Pred: pred(), BatchRows: batchRows, Parallel: parallel, Ctx: ctx}
+		cfg := ScanConfig{Pred: pred(), Parallel: parallel, Ctx: ctx}
 		out, err := Collect(NewVecColumnarScan(fr, "", cfg))
 		if err != nil {
 			t.Fatal(err)
@@ -314,7 +314,9 @@ func TestVecScanKilledReturnsCause(t *testing.T) {
 				cause := errors.New("killed by test")
 				c := NewCancel()
 				c.Kill(cause)
-				cfg := ScanConfig{Pred: pred, Ctx: NewCtx("", 0).Child(c), BatchRows: 16, Parallel: degree}
+				ctx := NewCtx("", 0)
+				ctx.BatchRows = 16
+				cfg := ScanConfig{Pred: pred, Ctx: ctx.Child(c), Parallel: degree}
 				rows, err := Collect(NewVecColumnarScan(fr, "", cfg))
 				if !errors.Is(err, cause) {
 					t.Fatalf("rows=%d err=%v, want the kill cause", len(rows), err)
@@ -354,9 +356,10 @@ func TestVecScanProjectionParity(t *testing.T) {
 					}
 					ctx := NewCtx("", 0)
 					ctx.SetParallelBudget(parallel)
+					ctx.BatchRows = 100
 					sp := obs.NewQueryTrace(1, "").StartSpan("Scan", 0)
 					defer sp.Finish()
-					op := NewVecColumnarScan(fr, "v", ScanConfig{Pred: pred(), Cols: cols, Parallel: parallel, BatchRows: 100, Trace: sp, Ctx: ctx})
+					op := NewVecColumnarScan(fr, "v", ScanConfig{Pred: pred(), Cols: cols, Parallel: parallel, Trace: sp, Ctx: ctx})
 					if got, want := op.Schema(), fr.Def.Schema.Qualify("v").Project(cols); got.String() != want.String() {
 						t.Fatalf("schema %s, want %s", got, want)
 					}

@@ -64,7 +64,9 @@ type Pred struct {
 	Val types.Value
 }
 
-// Matches evaluates the predicate against a value (NULL never matches).
+// Matches evaluates the predicate against a value (NULL never matches). It
+// is the semantics Implies must be sound for: TestImpliesSoundness checks
+// Implies against it.
 func (p Pred) Matches(v types.Value) bool {
 	if v.IsNull() || p.Val.IsNull() {
 		return false
@@ -186,28 +188,6 @@ func (c Conj) Implies(d Conj) bool {
 			}
 		}
 		if !found {
-			return false
-		}
-	}
-	return true
-}
-
-// Offsets resolves each conjunct's column in s (-1 where s has none), once,
-// for MatchesRow.
-func (c Conj) Offsets(s types.Schema) []int {
-	offs := make([]int, len(c))
-	for i, p := range c {
-		offs[i] = s.Find(p.Col)
-	}
-	return offs
-}
-
-// MatchesRow evaluates the conjunction against a row, given the offsets
-// Offsets resolved its columns to.
-func (c Conj) MatchesRow(r types.Row, offs []int) bool {
-	for i, p := range c {
-		idx := offs[i]
-		if idx < 0 || !p.Matches(r[idx]) {
 			return false
 		}
 	}

@@ -6,10 +6,9 @@
 //
 // The paper's system serves concurrent OLAP clients through coordinators
 // that admit, schedule, and monitor queries; this package reproduces that
-// control plane over the in-process cluster. Queries compete for two
-// metered resources: the workers' shared parallelism budget (already
-// enforced by exec.Ctx.AcquireWorkers) and a global memory budget modeled
-// here as a per-query working-set charge against a fixed pool.
+// control plane over the in-process cluster. Admission meters one resource,
+// slots for concurrently running queries; the workers' shared parallelism
+// budget is metered by exec.Ctx.AcquireWorkers.
 package srv
 
 import (
@@ -41,32 +40,21 @@ var (
 type AdmissionConfig struct {
 	// MaxActive is the number of queries running concurrently (default 4).
 	MaxActive int
-	// MemBudget is the global memory pool in bytes (default 1 GiB).
-	MemBudget int64
-	// MemPerQuery is the working-set charge per admitted query (default
-	// MemBudget/MaxActive, so memory never rejects what slots admit unless
-	// configured tighter).
-	MemPerQuery int64
 	// QueueDepth bounds the admission FIFO (default 64).
 	QueueDepth int
 	// QueuePerSession caps one session's queued entries — the fairness
 	// floor that stops one hot session from occupying the whole queue
 	// (default max(1, QueueDepth/4)).
 	QueuePerSession int
-	// SlowAdmit is the queue-wait threshold above which an admission counts
-	// as slow in metrics (default 100ms).
-	SlowAdmit time.Duration
 }
+
+// slowAdmit is the queue wait above which an admission counts as slow in
+// the srv.admission.slow counter.
+const slowAdmit = 100 * time.Millisecond
 
 func (c AdmissionConfig) withDefaults() AdmissionConfig {
 	if c.MaxActive <= 0 {
 		c.MaxActive = 4
-	}
-	if c.MemBudget <= 0 {
-		c.MemBudget = 1 << 30
-	}
-	if c.MemPerQuery <= 0 {
-		c.MemPerQuery = c.MemBudget / int64(c.MaxActive)
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
@@ -76,9 +64,6 @@ func (c AdmissionConfig) withDefaults() AdmissionConfig {
 		if c.QueuePerSession < 1 {
 			c.QueuePerSession = 1
 		}
-	}
-	if c.SlowAdmit <= 0 {
-		c.SlowAdmit = 100 * time.Millisecond
 	}
 	return c
 }
@@ -92,21 +77,22 @@ type Grant struct {
 	QueueWait time.Duration
 
 	session uint64
-	mem     int64
 }
 
-// waiter is one queued admission request. admit signals at most once
-// (buffered, single-shot) with either a grant or a terminal error.
+// waiter is one queued admission request, under the qid KILL knows it by
+// and its grant will carry. admit signals at most once (buffered,
+// single-shot) with either a grant or a terminal error.
 type waiter struct {
 	grant   *Grant
 	err     error
 	ready   chan struct{}
 	done    bool // signalled (admitted, killed, or drained)
+	qid     uint64
 	session uint64
 }
 
 // Admission is the concurrency-safe query scheduler: queries are admitted
-// immediately when a slot and memory are free, queued FIFO (with a
+// immediately when a slot is free, queued FIFO (with a
 // per-session cap) when not, and rejected when the queue is full or the
 // server is draining.
 type Admission struct {
@@ -124,7 +110,6 @@ type Admission struct {
 	mu       sync.Mutex //lint:lockorder srv.admission leaf
 	cond     *sync.Cond // broadcast when active drops to zero
 	active   int
-	memUsed  int64
 	queue    []*waiter
 	queued   map[uint64]int    // session → queued entries
 	running  map[uint64]*Grant // qid → running grant (kill targets)
@@ -162,11 +147,6 @@ func NewAdmission(cfg AdmissionConfig, reg *obs.Registry) *Admission {
 			defer a.mu.Unlock()
 			return int64(len(a.queue))
 		})
-		reg.RegisterGaugeFunc("srv.mem.used", func() int64 {
-			a.mu.Lock()
-			defer a.mu.Unlock()
-			return a.memUsed
-		})
 	}
 	return a
 }
@@ -185,8 +165,9 @@ func (a *Admission) Admit(session uint64) (*Grant, error) {
 		a.met.rejectedDraining.Inc()
 		return nil, ErrDraining
 	}
-	if a.active < a.cfg.MaxActive && a.memUsed+a.cfg.MemPerQuery <= a.cfg.MemBudget && len(a.queue) == 0 {
-		g := a.grantLocked(session)
+	if a.active < a.cfg.MaxActive && len(a.queue) == 0 {
+		a.qidSeq++
+		g := a.grantLocked(a.qidSeq, session)
 		a.mu.Unlock()
 		a.observeWait(0)
 		return g, nil
@@ -204,18 +185,17 @@ func (a *Admission) Admit(session uint64) (*Grant, error) {
 	// Queue it. The waiter is registered under a fresh qid immediately so
 	// KILL can target a query that has never been admitted.
 	a.qidSeq++
-	qid := a.qidSeq
-	w := &waiter{ready: make(chan struct{}, 1), session: session}
+	w := &waiter{ready: make(chan struct{}, 1), qid: a.qidSeq, session: session}
 	a.queue = append(a.queue, w)
 	a.queued[session]++
-	a.waiting[qid] = w
+	a.waiting[w.qid] = w
 	a.met.queued.Inc()
 	a.mu.Unlock()
 
 	<-w.ready
 	a.mu.Lock()
 	g, err := w.grant, w.err
-	delete(a.waiting, qid)
+	delete(a.waiting, w.qid)
 	a.mu.Unlock()
 	if err != nil {
 		return nil, err
@@ -225,17 +205,11 @@ func (a *Admission) Admit(session uint64) (*Grant, error) {
 	return g, nil
 }
 
-// grantLocked claims a slot and registers the running grant. Caller holds mu.
-func (a *Admission) grantLocked(session uint64) *Grant {
-	a.qidSeq++
-	g := &Grant{
-		QID:     a.qidSeq,
-		Cancel:  exec.NewCancel(),
-		session: session,
-		mem:     a.cfg.MemPerQuery,
-	}
+// grantLocked claims a slot and registers the running grant under qid.
+// Caller holds mu.
+func (a *Admission) grantLocked(qid, session uint64) *Grant {
+	g := &Grant{QID: qid, Cancel: exec.NewCancel(), session: session}
 	a.active++
-	a.memUsed += g.mem
 	a.running[g.QID] = g
 	a.met.admitted.Inc()
 	return g
@@ -243,13 +217,13 @@ func (a *Admission) grantLocked(session uint64) *Grant {
 
 func (a *Admission) observeWait(d time.Duration) {
 	a.met.queueWait.Observe(d.Seconds())
-	if d > a.cfg.SlowAdmit {
+	if d > slowAdmit {
 		a.met.slow.Inc()
 	}
 }
 
-// Release returns a grant's slot and memory and admits the next queued
-// query, if any. Safe to call once per grant; extra calls are no-ops.
+// Release returns a grant's slot and admits the next queued query, if any.
+// Safe to call once per grant; extra calls are no-ops.
 func (a *Admission) Release(g *Grant) {
 	if g == nil {
 		return
@@ -261,7 +235,6 @@ func (a *Admission) Release(g *Grant) {
 	}
 	delete(a.running, g.QID)
 	a.active--
-	a.memUsed -= g.mem
 	a.promoteLocked()
 	if a.active == 0 {
 		a.cond.Broadcast()
@@ -272,7 +245,7 @@ func (a *Admission) Release(g *Grant) {
 // mu. Waiter signals are single-shot sends into buffered channels, so they
 // never block under the lock.
 func (a *Admission) promoteLocked() {
-	for len(a.queue) > 0 && a.active < a.cfg.MaxActive && a.memUsed+a.cfg.MemPerQuery <= a.cfg.MemBudget {
+	for len(a.queue) > 0 && a.active < a.cfg.MaxActive {
 		w := a.queue[0]
 		a.queue = a.queue[1:]
 		a.queued[w.session]--
@@ -282,26 +255,7 @@ func (a *Admission) promoteLocked() {
 		if w.done {
 			continue // killed while queued; slot stays free for the next
 		}
-		// Reuse the qid KILL already knows: find it in waiting. The map is
-		// small (bounded by QueueDepth) and scanned only on promotion.
-		var qid uint64
-		for id, cand := range a.waiting {
-			if cand == w {
-				qid = id
-				break
-			}
-		}
-		g := &Grant{
-			QID:     qid,
-			Cancel:  exec.NewCancel(),
-			session: w.session,
-			mem:     a.cfg.MemPerQuery,
-		}
-		a.active++
-		a.memUsed += g.mem
-		a.running[g.QID] = g
-		a.met.admitted.Inc()
-		w.grant = g
+		w.grant = a.grantLocked(w.qid, w.session)
 		w.done = true
 		w.ready <- struct{}{}
 	}

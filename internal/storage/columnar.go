@@ -231,23 +231,26 @@ const defaultMorselSets = 1
 // their pages — a chained column's chain pages with its head — are fetched
 // and pinned, and only they are populated in the set fn receives; the other
 // columns' pages are never read from disk or decompressed. An empty read set
-// still fetches one page per set, for the row count. fn also receives the
-// set's base page key and whether the set is sealed (immutable on disk), so
-// a caller that evaluates the full predicate during decode can record proven
-// absence into the predicate cache itself — sealed sets only. Page-set
-// skipping (predicate cache, then min-max) is applied here.
+// still fetches one page per set, for the row count. fn reports whether it
+// kept a row of the set, as RowFunc does for a row: a sealed set on which it
+// kept none is recorded as absence (recordAbsence). Page-set skipping
+// (predicate cache, then min-max) is applied here.
 // Workers claim sets from a shared counter (Fragment.ParallelScan's morsel
 // scheme) and fn runs concurrently from all of them (worker tells them
 // apart); a disk's open (unflushed) set is claimed after its sealed sets and
-// skipped by its running min-max only. fn returning false stops every worker
-// after its current set. workers <= 1 runs on the caller's goroutine, in
-// file order. A scan beside a Load returns a sub-multiset of the rows loaded
-// by its end (openSnapshot); with no Load beside it, every row loaded.
-func (fr *ColumnarFragment) ScanPageSets(opts ScanOptions, read []int, workers int, fn func(worker int, set page.PageSet, key page.Key, sealed bool) (bool, error)) (ScanStats, error) {
+// skipped by its running min-max only. An error from fn stops every worker
+// after its current set (ErrStopScan without failing the scan). workers <= 1
+// runs on the caller's goroutine, in file order. A scan beside a Load returns
+// a sub-multiset of the rows loaded by its end (openSnapshot); with no Load
+// beside it, every row loaded.
+func (fr *ColumnarFragment) ScanPageSets(opts ScanOptions, read []int, workers int, fn SetFunc) (ScanStats, error) {
 	return fr.scanPageSets(opts, read, workers, defaultMorselSets, fn)
 }
 
-func (fr *ColumnarFragment) scanPageSets(opts ScanOptions, read []int, workers, morselSets int, fn func(worker int, set page.PageSet, key page.Key, sealed bool) (bool, error)) (ScanStats, error) {
+// SetFunc is a columnar scan's callback: RowFunc for a whole page set.
+type SetFunc func(worker int, set page.PageSet) (kept bool, err error)
+
+func (fr *ColumnarFragment) scanPageSets(opts ScanOptions, read []int, workers, morselSets int, fn SetFunc) (ScanStats, error) {
 	n := fr.Def.Schema.Len()
 	switch {
 	case read == nil:
@@ -276,28 +279,26 @@ func (fr *ColumnarFragment) scanPageSets(opts ScanOptions, read []int, workers, 
 		}
 	}
 	fr.mu.Unlock()
-	stats, err := runMorsels(len(morsels), workers, func(run *morselRun, w, i int) (stats ScanStats, cont bool, err error) {
+	stats, err := runMorsels(len(morsels), workers, func(run *morselRun, w, i int) (stats ScanStats, err error) {
 		m := morsels[i]
 		if m.open {
 			set, skipped := fr.openSnapshot(opts, read, m.disk)
 			switch {
 			case skipped:
 				stats.PagesSkipped, stats.SetsSkipped = int64(len(read)), 1
-				return stats, true, nil
+				return stats, nil
 			case set.NumRows() == 0:
-				return stats, true, nil
+				return stats, nil
 			}
-			if cont, err = fn(w, set, page.Key{}, false); err == nil {
+			if _, err = fn(w, set); err == nil || errors.Is(err, ErrStopScan) {
 				stats.RowsRead = int64(set.NumRows())
 			}
-			return stats, cont, err
+			return stats, err
 		}
-		for s := m.start; s < m.end && !run.stopped(); s++ {
-			if cont, err = fr.scanOneSet(opts, read, m.disk, s, w, &stats, fn); err != nil || !cont {
-				return stats, false, err
-			}
+		for s := m.start; s < m.end && err == nil && !run.stopped(); s++ {
+			err = fr.scanOneSet(&opts, read, m.disk, s, w, &stats, fn)
 		}
-		return stats, true, nil
+		return stats, err
 	})
 	fr.Node.RowsScanned.Add(stats.RowsRead)
 	return stats, err
@@ -336,7 +337,7 @@ func (fr *ColumnarFragment) openSnapshot(opts ScanOptions, read []int, disk int)
 // avoided. A set with a page that is allocated but not yet written
 // (TypeFree) is passed over, as the row scan passes over such a page; any
 // other non-column page is an error.
-func (fr *ColumnarFragment) scanOneSet(opts ScanOptions, read []int, disk, s, w int, stats *ScanStats, fn func(worker int, set page.PageSet, key page.Key, sealed bool) (bool, error)) (bool, error) {
+func (fr *ColumnarFragment) scanOneSet(opts *ScanOptions, read []int, disk, s, w int, stats *ScanStats, fn SetFunc) error {
 	n := fr.Def.Schema.Len()
 	fileID := fr.Files[disk]
 	base := uint32(s * n)
@@ -346,7 +347,7 @@ func (fr *ColumnarFragment) scanOneSet(opts ScanOptions, read []int, disk, s, w 
 			(opts.UseMinMax && fr.MinMax.CanSkip(key, opts.SkipConj)) {
 			stats.PagesSkipped += int64(len(read))
 			stats.SetsSkipped++
-			return true, nil
+			return nil
 		}
 	}
 	frames := make([]*buffer.Frame, 0, len(read))
@@ -375,7 +376,7 @@ func (fr *ColumnarFragment) scanOneSet(opts ScanOptions, read []int, disk, s, w 
 	for _, ci := range read {
 		cp, ok, err := pin(page.Key{File: fileID, Page: base + uint32(ci)}, ci)
 		if err != nil || !ok {
-			return err == nil, err
+			return err
 		}
 		set.Pages[ci] = cp
 		if !cp.ChainHead() {
@@ -384,7 +385,7 @@ func (fr *ColumnarFragment) scanOneSet(opts ScanOptions, read []int, disk, s, w 
 		ovf := fr.Ovf[disk]
 		start, count, err := cp.Chain(fr.Node.NumPages(ovf))
 		if err != nil {
-			return false, fmt.Errorf("storage: %s page set at %v, column %d: %w", fr.Def.Name, key, ci, err)
+			return fmt.Errorf("storage: %s page set at %v, column %d: %w", fr.Def.Name, key, ci, err)
 		}
 		if set.Chains == nil {
 			set.Chains = make([][]page.ColumnPage, n)
@@ -393,25 +394,28 @@ func (fr *ColumnarFragment) scanOneSet(opts ScanOptions, read []int, disk, s, w 
 		for p := start; p < start+count; p++ {
 			chunk, ok, err := pin(page.Key{File: ovf, Page: p}, ci)
 			if err != nil {
-				return false, err
+				return err
 			}
 			if !ok || chunk.ChainHead() {
-				return false, fmt.Errorf("storage: %s page set at %v, column %d: chain page %d is not a column page of cells", fr.Def.Name, key, ci, p)
+				return fmt.Errorf("storage: %s page set at %v, column %d: chain page %d is not a column page of cells", fr.Def.Name, key, ci, p)
 			}
 			cells += chunk.NumValues()
 			set.Chains[ci] = append(set.Chains[ci], chunk)
 		}
 		if cells != cp.NumValues() {
-			return false, fmt.Errorf("storage: %s page set at %v, column %d: chain holds %d values, set has %d rows", fr.Def.Name, key, ci, cells, cp.NumValues())
+			return fmt.Errorf("storage: %s page set at %v, column %d: chain holds %d values, set has %d rows", fr.Def.Name, key, ci, cells, cp.NumValues())
 		}
 	}
-	cont, err := fn(w, set, key, true)
-	if err != nil {
-		return false, err
+	kept, err := fn(w, set)
+	if err != nil && !errors.Is(err, ErrStopScan) {
+		return err
 	}
 	stats.PagesRead += int64(len(frames))
 	stats.ChainPages += int64(len(frames) - len(read))
 	stats.SetsRead++
 	stats.RowsRead += int64(set.NumRows())
-	return cont, nil
+	if err == nil {
+		recordAbsence(fr.PredCache, opts, key, true, kept)
+	}
+	return err
 }

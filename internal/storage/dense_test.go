@@ -146,10 +146,14 @@ func checkDenseSets(t *testing.T, ns *NodeStore, def *catalog.TableDef, batches 
 		t.Fatal(err)
 	}
 
+	// At degree 1 the scan hands over disk 0's sets first, in file order;
+	// d is the disk of set key, the set's index in the scan.
 	sets := make([][][]types.Row, disks) // by disk, in file order
-	_, err = fr.ScanPageSets(ScanOptions{}, nil, 1, func(_ int, set page.PageSet, key page.Key, sealed bool) (bool, error) {
-		if !sealed {
-			t.Fatal("Flush left an open set")
+	key, d := -1, 0
+	stats, err := fr.ScanPageSets(ScanOptions{}, nil, 1, func(_ int, set page.PageSet) (bool, error) {
+		key++
+		for d < disks-1 && len(sets[d]) == int(ns.NumPages(fr.Files[d]))/ncols {
+			d++
 		}
 		n := set.NumRows()
 		for ci := range set.Pages {
@@ -179,15 +183,14 @@ func checkDenseSets(t *testing.T, ns *NodeStore, def *catalog.TableDef, batches 
 		for _, row := range got {
 			want[rowKey(row)]--
 		}
-		for d, f := range fr.Files {
-			if f == key.File {
-				sets[d] = append(sets[d], got)
-			}
-		}
+		sets[d] = append(sets[d], got)
 		return true, nil
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if stats.SetsRead != int64(key+1) {
+		t.Fatalf("Flush left an open set: %d sets scanned, %d of them sealed", key+1, stats.SetsRead)
 	}
 	for k, n := range want {
 		if n != 0 {
@@ -242,7 +245,7 @@ func TestColumnarAppendOversizeValue(t *testing.T) {
 		}
 		scan := func() []string {
 			var got []string
-			if _, err := colScan(fr, ScanOptions{}, func(r types.Row) bool { got = append(got, rowKey(r)); return true }); err != nil {
+			if _, err := colScan(fr, ScanOptions{}, func(r types.Row) (bool, error) { got = append(got, rowKey(r)); return true, nil }); err != nil {
 				t.Fatal(err)
 			}
 			sort.Strings(got)
@@ -360,7 +363,7 @@ func TestColumnarReadSetCoversChain(t *testing.T) {
 		chain int64
 	}{{[]int{0}, sets, 0}, {[]int{1}, sets + chain, chain}, {nil, 2*sets + chain, chain}} {
 		before := fetches()
-		stats, err := fr.ScanPageSets(ScanOptions{}, tc.read, 2, func(_ int, set page.PageSet, _ page.Key, _ bool) (bool, error) {
+		stats, err := fr.ScanPageSets(ScanOptions{}, tc.read, 2, func(_ int, set page.PageSet) (bool, error) {
 			if pinned := ns.Buf.PinnedFrames(); pinned == 0 {
 				t.Error("no frame pinned while the set is being read")
 			}
@@ -399,16 +402,16 @@ func TestColumnarScanRecyclesFrames(t *testing.T) {
 			var mu sync.Mutex
 			seen := make([]bool, rows)
 			before := ns.Buf.Stats()
-			_, err := colScanRows(fr, ScanOptions{}, workers, defaultMorselSets, func(_ int, r types.Row) bool {
+			_, err := colScanRows(fr, ScanOptions{}, workers, defaultMorselSets, func(_ int, r types.Row) (bool, error) {
 				i := int64(r[0].Float())
 				mu.Lock()
 				defer mu.Unlock()
 				if i < 0 || i >= rows || seen[i] || r[1].Str() != fmt.Sprintf("body of note %d, like no other", i) {
 					t.Errorf("pass %d, %d workers: row %v", pass, workers, r)
-					return false
+					return false, ErrStopScan
 				}
 				seen[i] = true
-				return true
+				return true, nil
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -445,7 +448,7 @@ func TestChainHeadCorruption(t *testing.T) {
 		return old
 	}
 	scan := func() error {
-		_, err := colScan(fr, ScanOptions{}, func(types.Row) bool { return true })
+		_, err := colScan(fr, ScanOptions{}, func(types.Row) (bool, error) { return true, nil })
 		return err
 	}
 	if err := scan(); err != nil {
@@ -528,7 +531,7 @@ func TestParentWrittenFragmentStillScans(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []string
-	if _, err := colScan(fr, ScanOptions{}, func(r types.Row) bool { got = append(got, rowKey(r)); return true }); err != nil {
+	if _, err := colScan(fr, ScanOptions{}, func(r types.Row) (bool, error) { got = append(got, rowKey(r)); return true, nil }); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 400 {

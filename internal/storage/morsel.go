@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"errors"
 	"sync"
 	"sync/atomic"
 )
@@ -29,10 +30,10 @@ func (s *ScanStats) add(o ScanStats) {
 // morsel indexes [0, n) from one shared counter and run body on each; the
 // ScanStats the bodies return are summed into the result. (A body counts
 // into a local of its own and returns it, so the per-row counter stays on
-// the worker's stack.) body reports false to end the whole scan (a
-// consumer-initiated stop); the first error does the same and is returned.
-// workers <= 1 runs inline on the caller's goroutine.
-func runMorsels(n, workers int, body func(run *morselRun, worker, i int) (ScanStats, bool, error)) (ScanStats, error) {
+// the worker's stack.) An error from body ends the whole scan; the first one
+// that is not ErrStopScan (a consumer-initiated stop) is returned. workers
+// <= 1 runs inline on the caller's goroutine.
+func runMorsels(n, workers int, body func(run *morselRun, worker, i int) (ScanStats, error)) (ScanStats, error) {
 	var (
 		run      = morselRun{parallel: workers > 1}
 		next     atomic.Int64
@@ -47,12 +48,12 @@ func runMorsels(n, workers int, body func(run *morselRun, worker, i int) (ScanSt
 			if i >= n {
 				break
 			}
-			did, cont, err := body(&run, w, i)
+			did, err := body(&run, w, i)
 			stats.add(did)
-			if err != nil || !cont {
+			if err != nil {
 				run.stop.Store(true)
 			}
-			if err != nil {
+			if err != nil && !errors.Is(err, ErrStopScan) {
 				mu.Lock()
 				if firstErr == nil {
 					firstErr = err

@@ -16,35 +16,29 @@ import (
 
 // colScanRows reads a columnar fragment row-wise for tests: page sets come
 // from the one storage entry point (scanPageSets, so the morsel size can be
-// swept) and are decoded with the boxed PageSet.Rows reference decoder. Like
-// the vector scan in internal/exec, the reader records a sealed set in which
-// no row matched a complete skip conjunction into the predicate cache.
-func colScanRows(fr *ColumnarFragment, opts ScanOptions, workers, morselSets int, fn func(worker int, r types.Row) bool) (ScanStats, error) {
-	skipCols := opts.SkipConj.Offsets(fr.Def.Schema)
-	return fr.scanPageSets(opts, nil, workers, morselSets, func(w int, set page.PageSet, key page.Key, sealed bool) (bool, error) {
+// swept) and are decoded with the boxed PageSet.Rows reference decoder. fn
+// reports kept per row, as a row scan's callback does; the set is kept when
+// one of its rows is.
+func colScanRows(fr *ColumnarFragment, opts ScanOptions, workers, morselSets int, fn func(worker int, r types.Row) (bool, error)) (ScanStats, error) {
+	return fr.scanPageSets(opts, nil, workers, morselSets, func(w int, set page.PageSet) (bool, error) {
 		rows, err := set.Rows()
 		if err != nil {
 			return false, err
 		}
-		anyMatch := false
+		kept := false
 		for _, r := range rows {
-			if len(opts.SkipConj) > 0 && opts.SkipConj.MatchesRow(r, skipCols) {
-				anyMatch = true
-			}
-			if !fn(w, r) {
-				return false, nil
+			passed, err := fn(w, r)
+			if kept = kept || passed; err != nil {
+				return kept, err
 			}
 		}
-		if sealed && opts.UseCache && opts.SkipComplete && !anyMatch && len(opts.SkipConj) > 0 {
-			fr.PredCache.Record(key, opts.SkipConj)
-		}
-		return true, nil
+		return kept, nil
 	})
 }
 
 // colScan is colScanRows at degree 1 with the production morsel size.
-func colScan(fr *ColumnarFragment, opts ScanOptions, fn func(r types.Row) bool) (ScanStats, error) {
-	return colScanRows(fr, opts, 1, defaultMorselSets, func(_ int, r types.Row) bool { return fn(r) })
+func colScan(fr *ColumnarFragment, opts ScanOptions, fn func(r types.Row) (bool, error)) (ScanStats, error) {
+	return colScanRows(fr, opts, 1, defaultMorselSets, func(_ int, r types.Row) (bool, error) { return fn(r) })
 }
 
 // scanSweep is the workers × morsel-size grid every parity test runs through
@@ -129,7 +123,7 @@ func TestParallelScanParity(t *testing.T) {
 	}
 	loadLineitem(t, fr.Load, 5000)
 	checkParity(t, ns, DefaultMorselPages, func(workers, morsel int, fn func(r types.Row) bool) (ScanStats, error) {
-		return fr.scanMorsels(ScanOptions{}, workers, morsel, func(_ int, _ page.RID, r types.Row) bool { return fn(r) })
+		return fr.scanMorsels(ScanOptions{}, workers, morsel, func(_ int, _ page.RID, r types.Row) (bool, error) { return fn(r), nil })
 	})
 }
 
@@ -150,7 +144,7 @@ func TestParallelScanSkipParity(t *testing.T) {
 		SkipComplete: true,
 		UseMinMax:    true,
 	}
-	stats, err := fr.Scan(opts, func(page.RID, types.Row) bool { return true })
+	stats, err := fr.Scan(opts, passes(opts.SkipConj))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +152,7 @@ func TestParallelScanSkipParity(t *testing.T) {
 		t.Fatal("test premise broken: serial scan skipped nothing")
 	}
 	checkParity(t, ns, DefaultMorselPages, func(workers, morsel int, fn func(r types.Row) bool) (ScanStats, error) {
-		return fr.scanMorsels(opts, workers, morsel, func(_ int, _ page.RID, r types.Row) bool { return fn(r) })
+		return fr.scanMorsels(opts, workers, morsel, func(_ int, _ page.RID, r types.Row) (bool, error) { return fn(r), nil })
 	})
 }
 
@@ -177,7 +171,7 @@ func TestColumnarParallelScanParity(t *testing.T) {
 		}
 	}
 	checkParity(t, ns, defaultMorselSets, func(workers, morsel int, fn func(r types.Row) bool) (ScanStats, error) {
-		return colScanRows(fr, ScanOptions{}, workers, morsel, func(_ int, r types.Row) bool { return fn(r) })
+		return colScanRows(fr, ScanOptions{}, workers, morsel, func(_ int, r types.Row) (bool, error) { return fn(r), nil })
 	})
 }
 
@@ -198,7 +192,7 @@ func TestColumnarLoadBesideScans(t *testing.T) {
 	scan := func() (int, error) {
 		var mu sync.Mutex
 		seen := map[int64]bool{}
-		_, err := fr.ScanPageSets(ScanOptions{}, nil, 2, func(_ int, set page.PageSet, _ page.Key, _ bool) (bool, error) {
+		_, err := fr.ScanPageSets(ScanOptions{}, nil, 2, func(_ int, set page.PageSet) (bool, error) {
 			rows, err := set.Rows()
 			if err != nil {
 				return false, err
@@ -294,7 +288,6 @@ func TestRowScanBesideWriters(t *testing.T) {
 		t.Fatal(err)
 	}
 	mask := []bool{true, false, true, false}
-	skip := skipcache.Conj{{Col: "l_price", Op: skipcache.OpGe, Val: types.NewFloat(0)}}
 	check := func(r types.Row, cols []int) error {
 		want := liRow(r[0].Int())
 		for _, c := range cols {
@@ -313,7 +306,7 @@ func TestRowScanBesideWriters(t *testing.T) {
 			defer wg.Done()
 			opts, cols := ScanOptions{}, []int{0, 1, 2, 3}
 			if masked {
-				opts, cols = ScanOptions{Mask: mask, SkipConj: skip}, []int{0, 2, 3}
+				opts, cols = ScanOptions{Mask: mask}, []int{0, 2}
 			}
 			scratch := make(types.Row, 4)
 			for {
@@ -322,19 +315,9 @@ func TestRowScanBesideWriters(t *testing.T) {
 					return
 				default:
 				}
-				var mu sync.Mutex
-				var scanErr error
-				_, err := fr.ParallelScan(opts, 2, func(_ int, _ page.RID, r types.Row) bool {
-					mu.Lock()
-					defer mu.Unlock()
-					if scanErr == nil {
-						scanErr = check(r, cols)
-					}
-					return scanErr == nil
+				_, err := fr.ParallelScan(opts, 2, func(_ int, _ page.RID, r types.Row) (bool, error) {
+					return true, check(r, cols)
 				})
-				if err == nil {
-					err = scanErr
-				}
 				rids.Range(func(_, v any) bool {
 					var r types.Row
 					var ok bool
@@ -370,7 +353,7 @@ func TestRowScanBesideWriters(t *testing.T) {
 	}
 }
 
-// TestParallelScanEarlyStop: a consumer returning false must stop the scan
+// TestParallelScanEarlyStop: a consumer returning ErrStopScan must stop the scan
 // promptly without error at every degree, and the rows the scan did read
 // must reach the node's RowsScanned counter all the same.
 func TestParallelScanEarlyStop(t *testing.T) {
@@ -387,6 +370,12 @@ func TestParallelScanEarlyStop(t *testing.T) {
 		t.Fatal(err)
 	}
 	loadLineitem(t, colFr.Load, 2000)
+	stopAt := func(cont bool) error {
+		if cont {
+			return nil
+		}
+		return ErrStopScan
+	}
 
 	formats := []struct {
 		name      string
@@ -394,10 +383,10 @@ func TestParallelScanEarlyStop(t *testing.T) {
 		scan      func(workers, morsel int, fn func() bool) (ScanStats, error)
 	}{
 		{"row", DefaultMorselPages, func(workers, morsel int, fn func() bool) (ScanStats, error) {
-			return rowFr.scanMorsels(ScanOptions{}, workers, morsel, func(int, page.RID, types.Row) bool { return fn() })
+			return rowFr.scanMorsels(ScanOptions{}, workers, morsel, func(int, page.RID, types.Row) (bool, error) { return true, stopAt(fn()) })
 		}},
 		{"columnar", defaultMorselSets, func(workers, morsel int, fn func() bool) (ScanStats, error) {
-			return colScanRows(colFr, ScanOptions{}, workers, morsel, func(int, types.Row) bool { return fn() })
+			return colScanRows(colFr, ScanOptions{}, workers, morsel, func(int, types.Row) (bool, error) { return true, stopAt(fn()) })
 		}},
 	}
 	for _, f := range formats {
@@ -452,7 +441,7 @@ func TestColumnarNonColumnPage(t *testing.T) {
 	}
 	count := func() (int, error) {
 		n := 0
-		_, err := colScan(fr, ScanOptions{}, func(types.Row) bool { n++; return true })
+		_, err := colScan(fr, ScanOptions{}, func(types.Row) (bool, error) { n++; return true, nil })
 		return n, err
 	}
 	if n, err := count(); err != nil || n != 1000 {
@@ -482,7 +471,7 @@ func TestColumnarNonColumnPage(t *testing.T) {
 	bad := page.Key{File: fr.Files[0], Page: ncols + 2}
 	old := setType(bad, page.TypeRow)
 	for _, workers := range []int{1, 4} {
-		stats, err := colScanRows(fr, ScanOptions{}, workers, defaultMorselSets, func(int, types.Row) bool { return true })
+		stats, err := colScanRows(fr, ScanOptions{}, workers, defaultMorselSets, func(int, types.Row) (bool, error) { return true, nil })
 		if err == nil {
 			t.Fatalf("workers=%d: scan over a non-column page returned rows=%d err=<nil>", workers, stats.RowsRead)
 		}
@@ -554,9 +543,9 @@ func TestLockingScanSeesRowsAppendedWhileItWaited(t *testing.T) {
 				}
 			}}
 			seen := map[int64]bool{}
-			_, err = fr.Scan(ScanOptions{Tx: hook, LockExclusive: true}, func(_ page.RID, r types.Row) bool {
+			_, err = fr.Scan(ScanOptions{Tx: hook, LockExclusive: true}, func(_ page.RID, r types.Row) (bool, error) {
 				seen[r[0].Int()] = true
-				return true
+				return true, nil
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -619,26 +608,28 @@ func TestColumnarScanFetchesOnlyReadSet(t *testing.T) {
 			for _, stopAfter := range []int{0, 1} { // 0: run to the end
 				name := fmt.Sprintf("read=%v/w%d/stop=%d", read, workers, stopAfter)
 				var mu sync.Mutex
-				rows, sealedCalls, calls := 0, 0, 0
+				rows, calls := 0, 0
 				before := fetches()
-				stats, err := fr.ScanPageSets(ScanOptions{}, read, workers, func(_ int, set page.PageSet, _ page.Key, sealed bool) (bool, error) {
+				stats, err := fr.ScanPageSets(ScanOptions{}, read, workers, func(_ int, set page.PageSet) (bool, error) {
 					mu.Lock()
 					defer mu.Unlock()
 					for ci, p := range set.Pages {
 						if (p.Buf != nil) != populated[ci] {
-							t.Errorf("%s: sealed=%v set has column %d populated=%v, want %v", name, sealed, ci, p.Buf != nil, populated[ci])
+							t.Errorf("%s: a set has column %d populated=%v, want %v", name, ci, p.Buf != nil, populated[ci])
 						}
 					}
 					rows += set.NumRows()
-					calls++
-					if sealed {
-						sealedCalls++
+					if calls++; stopAfter > 0 && calls >= stopAfter {
+						return true, ErrStopScan
 					}
-					return stopAfter == 0 || calls < stopAfter, nil
+					return true, nil
 				})
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
+				// Storage counts the sealed sets it handed over; the others
+				// were open sets, which cost no fetch.
+				sealedCalls := int(stats.SetsRead)
 				got := fetches() - before
 				if want := int64(sealedCalls * k); got != want || stats.PagesRead != want {
 					t.Errorf("%s: %d buffer fetches, stats.PagesRead %d, want %d (%d sealed sets × %d columns)",
@@ -661,8 +652,8 @@ func TestColumnarScanFetchesOnlyReadSet(t *testing.T) {
 	openSets := len(fr.Files) // the appended rows reach every disk
 	opts := ScanOptions{SkipConj: skipcache.Conj{{Col: "l_orderkey", Op: skipcache.OpGt, Val: types.NewInt(1 << 40)}}, UseMinMax: true}
 	before := fetches()
-	stats, err := fr.ScanPageSets(opts, []int{0, 3}, 1, func(_ int, set page.PageSet, _ page.Key, sealed bool) (bool, error) {
-		t.Errorf("a set (sealed=%v) survived a predicate above every key", sealed)
+	stats, err := fr.ScanPageSets(opts, []int{0, 3}, 1, func(_ int, set page.PageSet) (bool, error) {
+		t.Errorf("a set of %d rows survived a predicate above every key", set.NumRows())
 		return true, nil
 	})
 	if err != nil {

@@ -48,10 +48,30 @@ func liRow(i int64) types.Row {
 	}
 }
 
+// rowPasses evaluates theta on a row of schema s the way a caller whose whole
+// predicate is theta does (SkipComplete): its verdict is what a scan callback
+// reports as kept.
+func rowPasses(s types.Schema, theta skipcache.Conj) func(types.Row) (bool, error) {
+	return func(r types.Row) (bool, error) {
+		for _, p := range theta {
+			if ci := s.Find(p.Col); ci < 0 || !p.Matches(r[ci]) {
+				return false, nil
+			}
+		}
+		return true, nil
+	}
+}
+
+// passes is rowPasses for a row scan of lineitemDef's schema.
+func passes(theta skipcache.Conj) func(page.RID, types.Row) (bool, error) {
+	keep := rowPasses(lineitemDef(false).Schema, theta)
+	return func(_ page.RID, r types.Row) (bool, error) { return keep(r) }
+}
+
 // rowCount scans the fragment and counts its live rows.
 func rowCount(fr *Fragment) (int64, error) {
 	var n int64
-	_, err := fr.Scan(ScanOptions{}, func(page.RID, types.Row) bool { n++; return true })
+	_, err := fr.Scan(ScanOptions{}, func(page.RID, types.Row) (bool, error) { n++; return true, nil })
 	return n, err
 }
 
@@ -76,9 +96,9 @@ func TestFragmentInsertScanGet(t *testing.T) {
 	}
 	// Scan sees everything exactly once.
 	seen := map[int64]int{}
-	stats, err := fr.Scan(ScanOptions{}, func(rid page.RID, r types.Row) bool {
+	stats, err := fr.Scan(ScanOptions{}, func(rid page.RID, r types.Row) (bool, error) {
 		seen[r[0].Int()]++
-		return true
+		return true, nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -166,11 +186,12 @@ func TestScanPredicateSkipping(t *testing.T) {
 
 	// First scan: nothing matches (quantity < 50 always); populates cache.
 	matches := 0
-	stats1, err := fr.Scan(opts, func(rid page.RID, r types.Row) bool {
+	stats1, err := fr.Scan(opts, func(rid page.RID, r types.Row) (bool, error) {
 		if r[1].Int() > 100 {
 			matches++
+			return true, nil
 		}
-		return true
+		return false, nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -179,7 +200,7 @@ func TestScanPredicateSkipping(t *testing.T) {
 		t.Fatalf("first scan: matches=%d skipped=%d", matches, stats1.PagesSkipped)
 	}
 	// Second scan with the same predicate: all full pages skipped.
-	stats2, err := fr.Scan(opts, func(rid page.RID, r types.Row) bool { return true })
+	stats2, err := fr.Scan(opts, passes(theta))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,15 +212,13 @@ func TestScanPredicateSkipping(t *testing.T) {
 	}
 	// A STRONGER predicate also skips (implication).
 	stronger := skipcache.Conj{{Col: "l_quantity", Op: skipcache.OpGt, Val: types.NewInt(200)}}
-	stats3, _ := fr.Scan(ScanOptions{SkipConj: stronger, SkipComplete: true, UseCache: true},
-		func(rid page.RID, r types.Row) bool { return true })
+	stats3, _ := fr.Scan(ScanOptions{SkipConj: stronger, SkipComplete: true, UseCache: true}, passes(stronger))
 	if stats3.PagesSkipped == 0 {
 		t.Error("implied predicate skipped nothing")
 	}
 	// A WEAKER predicate must re-read pages.
 	weaker := skipcache.Conj{{Col: "l_quantity", Op: skipcache.OpGt, Val: types.NewInt(10)}}
-	stats4, _ := fr.Scan(ScanOptions{SkipConj: weaker, SkipComplete: true, UseCache: true},
-		func(rid page.RID, r types.Row) bool { return true })
+	stats4, _ := fr.Scan(ScanOptions{SkipConj: weaker, SkipComplete: true, UseCache: true}, passes(weaker))
 	if stats4.PagesSkipped != 0 {
 		t.Error("weaker predicate must not skip")
 	}
@@ -218,8 +237,7 @@ func TestScanMinMaxSkipping(t *testing.T) {
 		t.Fatal(err)
 	}
 	theta := skipcache.Conj{{Col: "l_orderkey", Op: skipcache.OpGt, Val: types.NewInt(450)}}
-	stats, err := fr.Scan(ScanOptions{SkipConj: theta, UseMinMax: true},
-		func(rid page.RID, r types.Row) bool { return true })
+	stats, err := fr.Scan(ScanOptions{SkipConj: theta, UseMinMax: true}, passes(theta))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,10 +255,8 @@ func TestScanPartialPredicateNotRecorded(t *testing.T) {
 	// SkipComplete=false simulates a predicate with a non-convertible part
 	// (e.g. LIKE): skipping may consult the cache but must not record.
 	theta := skipcache.Conj{{Col: "l_quantity", Op: skipcache.OpGt, Val: types.NewInt(100)}}
-	fr.Scan(ScanOptions{SkipConj: theta, SkipComplete: false, UseCache: true},
-		func(rid page.RID, r types.Row) bool { return true })
-	stats, _ := fr.Scan(ScanOptions{SkipConj: theta, SkipComplete: false, UseCache: true},
-		func(rid page.RID, r types.Row) bool { return true })
+	fr.Scan(ScanOptions{SkipConj: theta, SkipComplete: false, UseCache: true}, passes(theta))
+	stats, _ := fr.Scan(ScanOptions{SkipConj: theta, SkipComplete: false, UseCache: true}, passes(theta))
 	if stats.PagesSkipped != 0 {
 		t.Error("partial predicate must not have been recorded")
 	}
@@ -253,9 +269,11 @@ func TestScanEarlyStop(t *testing.T) {
 		fr.Insert(nil, liRow(i))
 	}
 	count := 0
-	_, err := fr.Scan(ScanOptions{}, func(rid page.RID, r types.Row) bool {
-		count++
-		return count < 10
+	_, err := fr.Scan(ScanOptions{}, func(rid page.RID, r types.Row) (bool, error) {
+		if count++; count == 10 {
+			return true, ErrStopScan
+		}
+		return true, nil
 	})
 	if err != nil || count != 10 {
 		t.Fatalf("early stop count = %d err=%v", count, err)
@@ -274,9 +292,9 @@ func TestLoadClustering(t *testing.T) {
 	// Within each disk's pages, rows must be in l_quantity order. Collect
 	// per-disk sequences.
 	perDisk := map[uint16][]int64{}
-	fr.Scan(ScanOptions{}, func(rid page.RID, r types.Row) bool {
+	fr.Scan(ScanOptions{}, func(rid page.RID, r types.Row) (bool, error) {
 		perDisk[rid.Disk] = append(perDisk[rid.Disk], r[1].Int())
-		return true
+		return true, nil
 	})
 	for d, seq := range perDisk {
 		for i := 1; i < len(seq); i++ {
@@ -302,8 +320,7 @@ func TestReorganize(t *testing.T) {
 	}
 	// Populate the predicate cache, which reorganize must invalidate.
 	theta := skipcache.Conj{{Col: "l_quantity", Op: skipcache.OpGt, Val: types.NewInt(100)}}
-	fr.Scan(ScanOptions{SkipConj: theta, SkipComplete: true, UseCache: true},
-		func(rid page.RID, r types.Row) bool { return true })
+	fr.Scan(ScanOptions{SkipConj: theta, SkipComplete: true, UseCache: true}, passes(theta))
 	if err := fr.Reorganize(); err != nil {
 		t.Fatal(err)
 	}
@@ -312,8 +329,7 @@ func TestReorganize(t *testing.T) {
 		t.Fatalf("rows after reorganize = %d, want 150", n)
 	}
 	// Cache must have been invalidated: no skipping now.
-	stats, _ := fr.Scan(ScanOptions{SkipConj: theta, SkipComplete: true, UseCache: true},
-		func(rid page.RID, r types.Row) bool { return true })
+	stats, _ := fr.Scan(ScanOptions{SkipConj: theta, SkipComplete: true, UseCache: true}, passes(theta))
 	if stats.PagesSkipped != 0 {
 		t.Error("predicate cache survived reorganize")
 	}
@@ -336,12 +352,12 @@ func TestColumnarLoadScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	seen := map[int64]bool{}
-	stats, err := colScan(fr, ScanOptions{}, func(r types.Row) bool {
+	stats, err := colScan(fr, ScanOptions{}, func(r types.Row) (bool, error) {
 		if len(r) != 4 {
 			t.Fatalf("reconstructed row arity %d", len(r))
 		}
 		seen[r[0].Int()] = true
-		return true
+		return true, nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -364,7 +380,7 @@ func TestColumnarOpenSetVisible(t *testing.T) {
 		}
 	}
 	count := 0
-	colScan(fr, ScanOptions{}, func(r types.Row) bool { count++; return true })
+	colScan(fr, ScanOptions{}, func(r types.Row) (bool, error) { count++; return true, nil })
 	if count != 5 {
 		t.Errorf("open-set rows visible = %d, want 5", count)
 	}
@@ -380,11 +396,11 @@ func TestColumnarSkipping(t *testing.T) {
 	fr.Load(rows)
 	theta := skipcache.Conj{{Col: "l_quantity", Op: skipcache.OpGt, Val: types.NewInt(100)}}
 	opts := ScanOptions{SkipConj: theta, SkipComplete: true, UseCache: true}
-	s1, err := colScan(fr, opts, func(r types.Row) bool { return true })
+	s1, err := colScan(fr, opts, rowPasses(fr.Def.Schema, theta))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := colScan(fr, opts, func(r types.Row) bool { return true })
+	s2, err := colScan(fr, opts, rowPasses(fr.Def.Schema, theta))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,12 +434,12 @@ func TestColumnarHuffmanStrings(t *testing.T) {
 		}
 		fr.Load(rows)
 		count := 0
-		_, err := colScan(fr, ScanOptions{}, func(r types.Row) bool {
+		_, err := colScan(fr, ScanOptions{}, func(r types.Row) (bool, error) {
 			if r[1].Str() != body(r[0].Int()) {
 				t.Fatalf("row %d: body %q, want %q", r[0].Int(), r[1].Str(), body(r[0].Int()))
 			}
 			count++
-			return true
+			return true, nil
 		})
 		if err != nil || count != 200 {
 			t.Fatalf("%d distinct: count=%d err=%v", distinct, count, err)
@@ -472,7 +488,7 @@ func TestColumnarLoadGoldenPages(t *testing.T) {
 	if golden := []uint32{35, 35, 18, 18}; !reflect.DeepEqual(pages, golden) {
 		t.Fatalf("pages per set file and per overflow file %v, want %v", pages, golden)
 	}
-	_, err = fr.ScanPageSets(ScanOptions{}, nil, 1, func(_ int, set page.PageSet, _ page.Key, _ bool) (bool, error) {
+	_, err = fr.ScanPageSets(ScanOptions{}, nil, 1, func(_ int, set page.PageSet) (bool, error) {
 		got, err := set.Rows()
 		if err != nil {
 			return false, err

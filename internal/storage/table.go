@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"errors"
 	"fmt"
 	"path/filepath"
 	"sort"
@@ -228,8 +229,8 @@ type ScanOptions struct {
 	// predicate-based skipping for this scan.
 	SkipConj skipcache.Conj
 	// SkipComplete reports whether SkipConj is the COMPLETE predicate (all
-	// conjuncts convertible); only then may the scan record new absence
-	// facts into the predicate cache.
+	// conjuncts convertible); only then does the scan record new absence
+	// facts into the predicate cache, from its callback's verdicts.
 	SkipComplete bool
 	// UseCache enables consulting/updating the predicate cache.
 	UseCache bool
@@ -243,18 +244,29 @@ type ScanOptions struct {
 	// upgrade deadlocks).
 	Tx            TxHook
 	LockExclusive bool
-	// Mask, when set, marks by column offset the columns a row scan decodes
-	// (it adds SkipConj's own). Each worker then decodes every live row into
-	// one scratch row of its own, which fn borrows until it returns: only the
-	// marked columns hold the row's values. Without a mask fn gets whole
-	// rows it owns.
+	// Mask, when set, marks by column offset the columns a row scan decodes.
+	// Each worker then decodes every live row into one scratch row of its
+	// own, which fn borrows until it returns: only the marked columns hold
+	// the row's values. Without a mask fn gets whole rows it owns.
 	Mask []bool
 }
 
+// ErrStopScan, returned by a scan callback, ends the scan without an error:
+// every worker stops after its current unit and the scan returns nil, the
+// way filepath.SkipAll ends a walk. A callback whose consumer has gone away
+// returns it.
+var ErrStopScan = errors.New("storage: scan stopped by its consumer")
+
+// RowFunc is a row scan's callback. kept reports that it handed over a row
+// the caller's predicate passed; storage records absence from that verdict
+// (recordAbsence). An error ends the scan and, unless it is ErrStopScan, is
+// the scan's error.
+type RowFunc func(worker int, rid page.RID, r types.Row) (kept bool, err error)
+
 // Scan is ParallelScan at degree 1: the whole scan runs on the caller's
 // goroutine. DML and index builds scan this way, with Tx set.
-func (fr *Fragment) Scan(opts ScanOptions, fn func(rid page.RID, r types.Row) bool) (ScanStats, error) {
-	return fr.ParallelScan(opts, 1, func(_ int, rid page.RID, r types.Row) bool { return fn(rid, r) })
+func (fr *Fragment) Scan(opts ScanOptions, fn func(rid page.RID, r types.Row) (bool, error)) (ScanStats, error) {
+	return fr.ParallelScan(opts, 1, func(_ int, rid page.RID, r types.Row) (bool, error) { return fn(rid, r) })
 }
 
 // DefaultMorselPages is the page-range granularity a row scan hands to a
@@ -283,16 +295,16 @@ type morsel struct {
 // ranges) that workers claim from a shared counter, so a worker that skips
 // its pages moves on to the next range instead of idling. Every page goes
 // through scanMorsel — predicate cache, then min-max, then fetch, with
-// absence facts recorded for full pages — so skipping behavior and the
-// summed ScanStats do not depend on the degree. fn runs concurrently from
-// all workers (worker tells them apart); returning false stops every worker
-// after its current page, and the bookkeeping for the interrupted page is
-// discarded. workers <= 1 runs on the caller's goroutine.
-func (fr *Fragment) ParallelScan(opts ScanOptions, workers int, fn func(worker int, rid page.RID, r types.Row) bool) (ScanStats, error) {
+// absence recorded for full pages on which fn kept no row — so skipping
+// behavior and the summed ScanStats do not depend on the degree. fn runs
+// concurrently from all workers (worker tells them apart); an error from it
+// stops every worker after its current page, and records nothing for the
+// interrupted page. workers <= 1 runs on the caller's goroutine.
+func (fr *Fragment) ParallelScan(opts ScanOptions, workers int, fn RowFunc) (ScanStats, error) {
 	return fr.scanMorsels(opts, workers, DefaultMorselPages, fn)
 }
 
-func (fr *Fragment) scanMorsels(opts ScanOptions, workers, morselPages int, fn func(worker int, rid page.RID, r types.Row) bool) (ScanStats, error) {
+func (fr *Fragment) scanMorsels(opts ScanOptions, workers, morselPages int, fn RowFunc) (ScanStats, error) {
 	var morsels []morsel
 	for disk, fileID := range fr.Files {
 		numPages := fr.Node.NumPages(fileID)
@@ -313,17 +325,8 @@ func (fr *Fragment) scanMorsels(opts ScanOptions, workers, morselPages int, fn f
 			morsels = append(morsels, morsel{disk: disk, file: fileID, start: start, end: end, numPages: numPages, tail: tail})
 		}
 	}
-	sc := rowScan{opts: opts, skipCols: opts.SkipConj.Offsets(fr.Def.Schema)}
-	if opts.Mask != nil {
-		sc.opts.Mask = append([]bool(nil), opts.Mask...)
-		for _, c := range sc.skipCols {
-			if c >= 0 && c < len(sc.opts.Mask) {
-				sc.opts.Mask[c] = true
-			}
-		}
-	}
-	sc.workers = make([]rowScanWorker, max(workers, 1))
-	stats, err := runMorsels(len(morsels), workers, func(run *morselRun, w, i int) (ScanStats, bool, error) {
+	sc := rowScan{opts: opts, workers: make([]rowScanWorker, max(workers, 1))}
+	stats, err := runMorsels(len(morsels), workers, func(run *morselRun, w, i int) (ScanStats, error) {
 		return fr.scanMorsel(&sc, morsels[i], w, run, fn)
 	})
 	for _, sw := range sc.workers {
@@ -335,13 +338,10 @@ func (fr *Fragment) scanMorsels(opts ScanOptions, workers, morselPages int, fn f
 	return stats, err
 }
 
-// rowScan is what the workers of one row scan share: the options, with the
-// mask widened to the skip conjunction's columns, and those columns'
-// offsets, resolved once.
+// rowScan is what the workers of one row scan share.
 type rowScan struct {
-	opts     ScanOptions
-	skipCols []int
-	workers  []rowScanWorker
+	opts    ScanOptions
+	workers []rowScanWorker
 }
 
 // rowScanWorker is one worker's scratch: the copy of the page it reads and,
@@ -371,9 +371,9 @@ func (sw *rowScanWorker) copyPage(rp page.RowPage) page.RowPage {
 // scanMorsel is the per-page body of every row scan. It reads each page
 // from a copy taken under the page's read latch, so fn — which may ship a
 // slab and wait for its consumer — never runs with the latch held. It
-// reports false once fn has stopped the scan; run.stopped is checked between
+// returns fn's error, ErrStopScan included; run.stopped is checked between
 // pages so a stop raised by another worker ends this one promptly.
-func (fr *Fragment) scanMorsel(sc *rowScan, m morsel, w int, run *morselRun, fn func(worker int, rid page.RID, r types.Row) bool) (ScanStats, bool, error) {
+func (fr *Fragment) scanMorsel(sc *rowScan, m morsel, w int, run *morselRun, fn RowFunc) (ScanStats, error) {
 	var stats ScanStats
 	opts, sw := &sc.opts, &sc.workers[w]
 	if opts.Mask != nil && sw.row == nil {
@@ -391,7 +391,7 @@ func (fr *Fragment) scanMorsel(sc *rowScan, m morsel, w int, run *morselRun, fn 
 			}
 		}
 		if run.stopped() {
-			return stats, true, nil
+			return stats, nil
 		}
 		k := page.Key{File: m.file, Page: p}
 		if len(opts.SkipConj) > 0 {
@@ -406,12 +406,12 @@ func (fr *Fragment) scanMorsel(sc *rowScan, m morsel, w int, run *morselRun, fn 
 		}
 		if opts.Tx != nil {
 			if err := opts.Tx.LockPage(k, opts.LockExclusive); err != nil {
-				return stats, false, err
+				return stats, err
 			}
 		}
 		f, err := fr.Node.Buf.Fetch(k)
 		if err != nil {
-			return stats, false, err
+			return stats, err
 		}
 		f.Latch.RLock()
 		free := page.TypeOf(f.Buf) == page.TypeFree
@@ -425,34 +425,41 @@ func (fr *Fragment) scanMorsel(sc *rowScan, m morsel, w int, run *morselRun, fn 
 			continue
 		}
 		if err != nil {
-			return stats, false, err
+			return stats, err
 		}
 		stats.PagesRead++
-		// An absence fact is recorded for FULL pages only (the last page of
-		// a file may still receive inserts); one matching row rules it out.
-		isFull := p < numPages-1
-		record := opts.UseCache && opts.SkipComplete && isFull && len(opts.SkipConj) > 0
-		stopped := false
+		kept := false
+		var ferr error
 		err = rp.Scan(opts.Mask, sw.row, func(slot int, r types.Row) bool {
 			stats.RowsRead++
-			if record && opts.SkipConj.MatchesRow(r, sc.skipCols) {
-				record = false
-			}
 			rid := page.RID{Node: uint16(fr.Node.NodeID), Disk: uint16(m.disk), Page: p, Slot: uint16(slot)}
-			if !fn(w, rid, r) {
-				stopped = true
-				return false
-			}
-			return true
+			var passed bool
+			passed, ferr = fn(w, rid, r)
+			kept = kept || passed
+			return ferr == nil
 		})
-		if err != nil || stopped {
-			return stats, false, err
+		if err == nil {
+			err = ferr
 		}
-		if record {
-			fr.PredCache.Record(k, opts.SkipConj)
+		if err != nil {
+			return stats, err
 		}
+		// The last page of a file may still receive inserts.
+		recordAbsence(fr.PredCache, opts, k, p < numPages-1, kept)
 	}
-	return stats, true, nil
+	return stats, nil
+}
+
+// recordAbsence is the one absence rule of both table formats (the paper's
+// predicate cache, Section III): a unit — a row page or a page set — that
+// can no longer change, and on which the scan's callback kept no row, is
+// recorded as holding no row that matches the skip conjunction. Sound only
+// under SkipComplete: the conjunction then is the caller's whole predicate,
+// so the caller's verdict is the conjunction's.
+func recordAbsence(cache *skipcache.Cache, opts *ScanOptions, k page.Key, immutable, kept bool) {
+	if immutable && !kept && opts.UseCache && opts.SkipComplete && len(opts.SkipConj) > 0 {
+		cache.Record(k, opts.SkipConj)
+	}
 }
 
 // Load bulk-loads rows into the fragment, sorting by the table's clustering
@@ -489,9 +496,9 @@ func (fr *Fragment) Load(rows []types.Row) (int, error) {
 // reorganization, which is what makes DML-disturbed clustering recoverable).
 func (fr *Fragment) Reorganize() error {
 	var live []types.Row
-	if _, err := fr.Scan(ScanOptions{}, func(rid page.RID, r types.Row) bool {
+	if _, err := fr.Scan(ScanOptions{}, func(rid page.RID, r types.Row) (bool, error) {
 		live = append(live, r.Clone())
-		return true
+		return true, nil
 	}); err != nil {
 		return err
 	}
