@@ -69,8 +69,8 @@ func decodeBatch(b []byte) (msgType byte, origin int, rows []types.Row, err erro
 type ShuffleSpec struct {
 	Channel      string // unique per (query, exchange) pair
 	Nodes        []int  // participating node IDs (all send and all receive)
-	Nmax         int    // neighbor limit; 0 means direct shuffle
-	Hierarchical bool
+	Nmax         int    // ring neighbor limit; ≤ 0 is len(Nodes), still a multi-hop ring
+	Hierarchical bool   // route over the ring; false is the direct shuffle
 	// Broadcast replicates instead of partitioning: every input row goes
 	// to every participating node (keys are ignored). The EOF protocol,
 	// Nmax-bounded forwarding, and quiescence tracking are identical to a
@@ -554,8 +554,8 @@ func (r *Recv) NextBatch() ([]types.Row, bool, error) {
 // Close implements Operator.
 func (r *Recv) Close() error { return nil }
 
-// TreeReduceSpec describes a tree-topology reduction (hierarchical
-// aggregation, distributed merge sort, 2PC-style fan-in).
+// TreeReduceSpec describes a tree-topology reduction: preAggregate's
+// hierarchical aggregation, the one caller.
 type TreeReduceSpec struct {
 	Channel string
 	Nodes   []int // participant IDs; Nodes[0] is the root
@@ -563,10 +563,10 @@ type TreeReduceSpec struct {
 }
 
 // RunTreeReduce executes one node's role in a tree reduction. combine wraps
-// the local input and the child streams into one operator (e.g. a merge
-// aggregate or an ordered merge); non-root nodes drain the combined stream
-// to their parent and return nil; the root returns the combined operator
-// for downstream consumption.
+// the local input and the child streams into one operator (the merge
+// aggregate); non-root nodes drain the combined stream to their parent and
+// return nil; the root returns the combined operator for downstream
+// consumption.
 func RunTreeReduce(ctx *Ctx, ep network.Endpoint, spec TreeReduceSpec, local Operator,
 	combine func(ins []Operator) Operator) (Operator, error) {
 	tree, err := topology.NewTree(len(spec.Nodes), spec.Nmax)
@@ -583,16 +583,16 @@ func RunTreeReduce(ctx *Ctx, ep network.Endpoint, spec TreeReduceSpec, local Ope
 	if pos < 0 {
 		return nil, fmt.Errorf("exec: node %d not in tree spec", ep.NodeID())
 	}
-	// Ordered merges need per-child streams, so each tree edge gets its own
-	// channel with exactly one sender. The local branch goes FIRST: when the
-	// local pipeline participates in an all-to-all shuffle, every node must
-	// keep consuming its shuffle input for the senders to finish. A combine
-	// that drained child partials before the local branch would park this
-	// node's shuffle consumer behind Recv, the undelivered shuffle traffic
-	// would fill this node's mailbox, the last shuffle sender would block,
-	// and the leaves — stuck waiting for that sender's partitions — could
-	// never produce the partials Recv is waiting for (deadlocks TPC-H Q7
-	// once the working set outgrows the mailbox bound).
+	// Each tree edge gets its own channel with exactly one sender. The
+	// local branch goes FIRST: when the local pipeline participates in an
+	// all-to-all shuffle, every node must keep consuming its shuffle input
+	// for the senders to finish. A combine that drained child partials
+	// before the local branch would park this node's shuffle consumer
+	// behind Recv, the undelivered shuffle traffic would fill this node's
+	// mailbox, the last shuffle sender would block, and the leaves — stuck
+	// waiting for that sender's partitions — could never produce the
+	// partials Recv is waiting for (deadlocks TPC-H Q7 once the working set
+	// outgrows the mailbox bound).
 	children := tree.Children(pos)
 	ins := make([]Operator, 0, len(children)+1)
 	ins = append(ins, local)

@@ -431,81 +431,39 @@ func rewriteChildren(n plan.Node, f func(plan.Node) plan.Node) {
 	}
 }
 
-// rewriteJoins walks top-down; at the top of each maximal inner-join
-// cluster it reorders the cluster with the DP enumerator.
+// rewriteJoins reorders every maximal inner-join cluster of the tree with
+// the DP enumerator; reorderCluster handles a cluster whole, leaves
+// included, so the walk stops at a cluster's root.
 func rewriteJoins(n plan.Node, est *Estimator, o Options) (plan.Node, error) {
 	if j, ok := n.(*plan.Join); ok && j.Type == exec.JoinInner {
-		reordered, err := reorderCluster(j, est, o)
-		if err != nil {
-			return nil, err
-		}
-		n = reordered
+		return reorderCluster(j, est, o)
 	}
-	// Recurse into children that are not part of a handled cluster.
-	switch x := n.(type) {
-	case *plan.Filter:
-		c, err := rewriteJoins(x.Child, est, o)
+	var err error
+	rewriteChildren(n, func(c plan.Node) plan.Node {
 		if err != nil {
-			return nil, err
+			return c
 		}
-		x.Child = c
-	case *plan.Project:
-		c, err := rewriteJoins(x.Child, est, o)
-		if err != nil {
-			return nil, err
+		var nc plan.Node
+		if nc, err = rewriteJoins(c, est, o); err != nil {
+			return c
 		}
-		x.Child = c
-	case *plan.Agg:
-		c, err := rewriteJoins(x.Child, est, o)
-		if err != nil {
-			return nil, err
-		}
-		x.Child = c
-	case *plan.Sort:
-		c, err := rewriteJoins(x.Child, est, o)
-		if err != nil {
-			return nil, err
-		}
-		x.Child = c
-	case *plan.Limit:
-		c, err := rewriteJoins(x.Child, est, o)
-		if err != nil {
-			return nil, err
-		}
-		x.Child = c
-	case *plan.Rename:
-		c, err := rewriteJoins(x.Child, est, o)
-		if err != nil {
-			return nil, err
-		}
-		x.Child = c
-	case *plan.Join:
-		// Semi/anti joins (or an already-reordered inner cluster root):
-		// recurse into both sides independently.
-		l, err := rewriteJoins(x.Left, est, o)
-		if err != nil {
-			return nil, err
-		}
-		r, err := rewriteJoins(x.Right, est, o)
-		if err != nil {
-			return nil, err
-		}
-		x.Left, x.Right = l, r
-	}
-	return n, nil
+		return nc
+	})
+	return n, err
 }
 
 // reorderCluster flattens a maximal inner-join cluster rooted at j into
-// leaves + conditions and reassembles it in greedy order.
+// leaves + conditions, rewrites each leaf, and reassembles the cluster
+// once, in DP order (greedy above DPMaxRelations).
 func reorderCluster(j *plan.Join, est *Estimator, o Options) (plan.Node, error) {
 	var leaves []plan.Node
 	var conds []expr.Expr
-	var collect func(n plan.Node) bool
-	collect = func(n plan.Node) bool {
+	var collect func(n plan.Node)
+	collect = func(n plan.Node) {
 		jn, ok := n.(*plan.Join)
 		if !ok || jn.Type != exec.JoinInner {
 			leaves = append(leaves, n)
-			return true
+			return
 		}
 		collect(jn.Left)
 		collect(jn.Right)
@@ -516,26 +474,17 @@ func reorderCluster(j *plan.Join, est *Estimator, o Options) (plan.Node, error) 
 		if jn.Residual != nil {
 			conds = append(conds, expr.Clone(jn.Residual))
 		}
-		return true
 	}
 	collect(j)
-	if len(leaves) <= 2 {
-		// Nothing to reorder; but recurse into leaves for nested clusters.
-		for i, l := range leaves {
-			nl, err := rewriteJoins(l, est, o)
-			if err != nil {
-				return nil, err
-			}
-			leaves[i] = nl
-		}
-		return plan.AssembleJoins(leaves, conds)
-	}
 	for i, l := range leaves {
 		nl, err := rewriteJoins(l, est, o)
 		if err != nil {
 			return nil, err
 		}
 		leaves[i] = nl
+	}
+	if len(leaves) <= 2 {
+		return plan.AssembleJoins(leaves, conds)
 	}
 	conds = augmentWithEquivalences(conds)
 	order := dpOrder(leaves, conds, est, o)

@@ -460,3 +460,84 @@ func planCost(order []plan.Node, conds []expr.Expr, est *Estimator, o Options) f
 	}
 	return total
 }
+
+// TestClusterOrderIsDPOrder pins that an inner-join cluster is enumerated
+// once: the plan's left-deep leaf order is dpOrder's over the cluster's
+// leaves and conditions, not that of a second enumeration over a prefix of
+// the tree the first one assembled. s1 and s2 are the same table under two
+// aliases, so the order below them is an exact cost tie that only one
+// enumeration of the whole cluster settles as dpOrder does. A leaf holding
+// its own three-way cluster (here under a semi join) is still reordered.
+func TestClusterOrderIsDPOrder(t *testing.T) {
+	cat, _ := testCat(t)
+	est := &Estimator{Cat: cat}
+	o := Options{Workers: 4}
+	scan := func(table, alias string) *plan.Scan {
+		def, err := cat.Table(table)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return plan.NewScan(def, alias)
+	}
+	eq := func(l, r string) expr.Expr {
+		return &expr.Bin{Op: expr.OpEq, L: &expr.Col{Index: -1, Name: l}, R: &expr.Col{Index: -1, Name: r}}
+	}
+	describe := func(ns []plan.Node) []string {
+		out := make([]string, len(ns))
+		for i, n := range ns {
+			out[i] = n.Describe()
+		}
+		return out
+	}
+	// requireDPOrder checks that the cluster at n joins its leaves in
+	// dpOrder's order over leaves and conds.
+	requireDPOrder := func(what string, n plan.Node, leaves []plan.Node, conds []expr.Expr) {
+		t.Helper()
+		var got []plan.Node
+		for j, ok := n.(*plan.Join); ok && j.Type == exec.JoinInner; j, ok = n.(*plan.Join) {
+			got = append([]plan.Node{j.Right}, got...)
+			n = j.Left
+		}
+		got = append([]plan.Node{n}, got...)
+		want := dpOrder(leaves, augmentWithEquivalences(conds), est, o)
+		same := len(want) > 0 && len(got) == len(want)
+		for i := 0; same && i < len(want); i++ {
+			same = got[i] == want[i]
+		}
+		if !same {
+			t.Fatalf("%s: join order %v, want dpOrder's %v", what, describe(got), describe(want))
+		}
+	}
+	assemble := func(leaves []plan.Node, conds []expr.Expr) plan.Node {
+		tree, err := plan.AssembleJoins(append([]plan.Node(nil), leaves...), conds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tree
+	}
+	conds := []expr.Expr{eq("big.b_fk", "mid.m_key"), eq("mid.m_fk", "s1.s_key"), eq("mid.m_fk", "s2.s_key")}
+
+	leaves := []plan.Node{scan("big", ""), scan("mid", ""), scan("small", "s1"), scan("small", "s2")}
+	out, err := rewriteJoins(assemble(leaves, conds), est, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireDPOrder("four-leaf cluster", out, leaves, conds)
+
+	// The same cluster with s2 under a semi join, over a three-way cluster
+	// written big-first, which dpOrder never leaves in place.
+	inner := []plan.Node{scan("big", "b2"), scan("mid", "m2"), scan("small", "s2")}
+	innerConds := []expr.Expr{eq("b2.b_fk", "m2.m_key"), eq("m2.m_fk", "s2.s_key")}
+	if dpOrder(inner, augmentWithEquivalences(innerConds), est, o)[0] == inner[0] {
+		t.Fatal("fixture: dpOrder keeps big first")
+	}
+	semi := &plan.Join{Type: exec.JoinSemi, Left: assemble(inner, innerConds), Right: scan("small", "s3"),
+		EquiLeft:  []expr.Expr{&expr.Col{Index: -1, Name: "s2.s_key"}},
+		EquiRight: []expr.Expr{&expr.Col{Index: -1, Name: "s3.s_key"}}}
+	leaves = []plan.Node{scan("big", ""), scan("mid", ""), scan("small", "s1"), semi}
+	if out, err = rewriteJoins(assemble(leaves, conds), est, o); err != nil {
+		t.Fatal(err)
+	}
+	requireDPOrder("cluster over a semi join", out, leaves, conds)
+	requireDPOrder("cluster under the semi join", semi.Left, inner, innerConds)
+}

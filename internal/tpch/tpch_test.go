@@ -74,14 +74,14 @@ func TestGeneratorDomains(t *testing.T) {
 }
 
 // loadedCluster builds a cluster with TPC-H loaded at the scale factor.
-func loadedCluster(t *testing.T, workers int, sf float64) (*cluster.Cluster, *Data) {
+func loadedCluster(t testing.TB, workers int, sf float64) (*cluster.Cluster, *Data) {
 	t.Helper()
 	return loadedClusterMem(t, workers, sf, 0)
 }
 
 // loadedClusterMem is loadedCluster with a per-operator row budget (0 = the
 // default, which nothing at test scale exceeds).
-func loadedClusterMem(t *testing.T, workers int, sf float64, memRows int) (*cluster.Cluster, *Data) {
+func loadedClusterMem(t testing.TB, workers int, sf float64, memRows int) (*cluster.Cluster, *Data) {
 	t.Helper()
 	c, err := cluster.New(cluster.Config{
 		NumWorkers: workers,
@@ -662,9 +662,9 @@ var rowPredicateScans = map[string]string{}
 // is typed exactly when a columnar scan is its probe, and an inner join
 // builds on whichever input leaves a worker the smaller share (build=left
 // when that is the planner's left): q12 and q9 probe with orders and with
-// lineitem under four more joins (q9's part, and q21's supplier ⋈ nation,
-// are broadcast as the join's left input, built, and probed by the lineitem
-// scan where it lies); q3's upper join, and q5's orders and
+// lineitem under four more joins (q9's part, broadcast as the join's right
+// input, and q21's nation ⋈ supplier, its left, are built and probed by the
+// lineitem scan where it lies); q3's upper join, and q5's orders and
 // lineitem joins, build on the smaller join below them and probe with the
 // scan; q18's semi join filters orders before either inner join sees it,
 // and its lineitem join then builds on the 30-odd rows left. A semi or anti
@@ -697,10 +697,10 @@ func TestAggregateFrontEnds(t *testing.T) {
 	t.Run("SF0.01", func(t *testing.T) {
 		checkFrontEnds(t, 0.01, []frontEnds{
 			{qid: "q12", rowAggs: 1, typedJoins: 1, leftBuilds: 0, boxedMax: 1000},
-			{qid: "q9", rowAggs: 1, typedJoins: 1, rowJoins: 4, leftBuilds: 1, typedLeftBuilds: 1, boxedMax: 21000},
-			{qid: "q5", rowAggs: 1, typedJoins: 2, rowJoins: 3, leftBuilds: 3, typedLeftBuilds: 2, boxedMax: 3000},
+			{qid: "q9", rowAggs: 1, typedJoins: 1, rowJoins: 4, leftBuilds: 0, typedLeftBuilds: 0, boxedMax: 21000},
+			{qid: "q5", rowAggs: 1, typedJoins: 2, rowJoins: 3, leftBuilds: 4, typedLeftBuilds: 2, boxedMax: 3000},
 			{qid: "q18", typedAggs: 1, rowAggs: 1, typedJoins: 2, rowJoins: 1, leftBuilds: 1, typedLeftBuilds: 1, boxedMax: 1500},
-			{qid: "q21", rowAggs: 1, typedJoins: 3, rowJoins: 2, leftBuilds: 4, typedLeftBuilds: 3, boxedMax: 47000},
+			{qid: "q21", rowAggs: 1, typedJoins: 3, rowJoins: 2, leftBuilds: 5, typedLeftBuilds: 3, boxedMax: 47000},
 			{qid: "q4", rowAggs: 1, typedJoins: 1, leftBuilds: 1, typedLeftBuilds: 1, boxedMax: 1700},
 			{qid: "q22", rowAggs: 2, typedJoins: 1, leftBuilds: 1, typedLeftBuilds: 1, boxedMax: 2100},
 		})

@@ -55,6 +55,9 @@ go test -run '^$' -bench BenchmarkHuffmanDecode -benchtime 1x ./internal/compres
 echo "==> bench smoke (block-copy vs byte-at-a-time LZ4 decode of a sealed page and of row bytes)"
 go test -run '^$' -bench BenchmarkLZ4Decode -benchtime 1x ./internal/compress >/dev/null
 
+echo "==> bench smoke (planning q2, q5, q8 and q9 on the SF0.01 TPC-H catalog: one DP run per inner-join cluster)"
+go test -run '^$' -bench BenchmarkPlanTPCH -benchtime 1x ./internal/tpch >/dev/null
+
 echo "==> fuzz smoke (the three typed column-page decoders over every cell and a fuzzed selection against DecodeInto, every layout, and chain heads: error with exact rollback, a chain inside its overflow file, never panic)"
 go test -run '^$' -fuzz '^FuzzTypedDecode$' -fuzztime 5s ./internal/page >/dev/null
 
