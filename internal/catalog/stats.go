@@ -9,7 +9,7 @@ package catalog
 import (
 	"math"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"repro/internal/types"
 )
@@ -208,8 +208,13 @@ type colBuilder struct {
 	exact    map[uint64]struct{} // nil once exactNDVCap is exceeded
 	widthSum int64
 	seen     int64 // non-null values observed (reservoir stream length)
-	sample   []types.Value
-	rng      uint64
+	// sample is the reservoir. Its first sorted values are in order, as
+	// the last Finish left them, except the slots dirty marks: Add has
+	// overwritten those since. Values appended below the cap follow.
+	sample []types.Value
+	sorted int
+	dirty  [histSampleCap / 64]uint64
+	rng    uint64
 }
 
 // NewStatsBuilder starts a builder for the given schema.
@@ -274,6 +279,9 @@ func (b *StatsBuilder) Add(r types.Row) {
 			c.sample = append(c.sample, v)
 		} else if j := c.next() % uint64(c.seen); j < histSampleCap {
 			c.sample[j] = v
+			if int(j) < c.sorted {
+				c.dirty[j/64] |= 1 << (j % 64)
+			}
 		}
 	}
 }
@@ -281,7 +289,8 @@ func (b *StatsBuilder) Add(r types.Row) {
 // Finish produces the table statistics from everything observed so far.
 // The builder stays usable: more rows may be added and Finish called again
 // (incremental load-time statistics), since sorting the reservoir for the
-// histogram only permutes it and replacement stays uniform.
+// histogram only permutes it and replacement stays uniform. A Finish after
+// the first sorts only the reservoir slots Add changed since the last one.
 func (b *StatsBuilder) Finish() *TableStats {
 	s := &TableStats{RowCount: b.rows, Cols: map[string]*ColumnStats{}}
 	for i, col := range b.sch.Cols {
@@ -300,20 +309,52 @@ func (b *StatsBuilder) Finish() *TableStats {
 		if c.seen > 0 {
 			cs.AvgWidth = float64(c.widthSum) / float64(c.seen)
 		}
+		c.sortSample()
 		cs.Hist = equiDepth(c.sample, c.seen)
 		s.Cols[col.Name] = cs
 	}
 	return s
 }
 
-// equiDepth sorts the reservoir and cuts it into histBuckets buckets whose
-// Rows counts are scaled from the sample up to the full non-null count.
+// sortSample puts the reservoir in order again. It keeps the sorted values
+// Add left alone: it moves them down over the overwritten slots without
+// comparing them, sorts the fresh values (the overwritten slots' and those
+// appended since), and inserts those from the back, each at the place a
+// binary search finds. On a builder's first call nothing is sorted yet, so
+// every value is fresh and the one sort is a whole sort.
+func (c *colBuilder) sortSample() {
+	fresh := slices.Clone(c.sample[c.sorted:])
+	kept, from := 0, 0
+	for w, word := range c.dirty {
+		for ; word != 0; word &= word - 1 {
+			d := w*64 + bits.TrailingZeros64(word)
+			kept += copy(c.sample[kept:], c.sample[from:d])
+			fresh = append(fresh, c.sample[d])
+			from = d + 1
+		}
+	}
+	kept += copy(c.sample[kept:], c.sample[from:c.sorted])
+	clear(c.dirty[:])
+	slices.SortFunc(fresh, types.Compare)
+	// fresh[:f+1] are still to place, all of them before the kept values
+	// from hi on, which have moved to their final slots.
+	hi := kept
+	for f := len(fresh) - 1; f >= 0; f-- {
+		at, _ := slices.BinarySearchFunc(c.sample[:hi], fresh[f], types.Compare)
+		copy(c.sample[at+f+1:], c.sample[at:hi])
+		c.sample[at+f] = fresh[f]
+		hi = at
+	}
+	c.sorted = len(c.sample)
+}
+
+// equiDepth cuts a sorted reservoir into histBuckets buckets whose Rows
+// counts are scaled from the sample up to the full non-null count.
 func equiDepth(sample []types.Value, total int64) []HistBucket {
 	n := len(sample)
 	if n < 2 {
 		return nil
 	}
-	sort.Slice(sample, func(i, j int) bool { return types.Compare(sample[i], sample[j]) < 0 })
 	nb := histBuckets
 	if n < nb {
 		nb = n
@@ -329,15 +370,17 @@ func equiDepth(sample []types.Value, total int64) []HistBucket {
 		// Extend the bucket through duplicates of its upper bound so
 		// bucket boundaries are distinct values.
 		upper := sample[end-1]
-		for end < n && types.Compare(sample[end], upper) == 0 {
-			end++
-		}
+		past, _ := slices.BinarySearchFunc(sample[end:], upper, func(v, u types.Value) int {
+			if types.Compare(v, u) > 0 {
+				return 1
+			}
+			return -1 // a duplicate of upper: the search goes past it
+		})
+		end += past
 		// Count the duplicate run of the upper bound inside the bucket
 		// (sorted, so it is the bucket's tail).
-		firstEq := end - 1
-		for firstEq > prevEnd && types.Compare(sample[firstEq-1], upper) == 0 {
-			firstEq--
-		}
+		firstEq, _ := slices.BinarySearchFunc(sample[prevEnd:end], upper, types.Compare)
+		firstEq += prevEnd
 		out = append(out, HistBucket{
 			Upper:     upper,
 			Rows:      int64(float64(end-prevEnd)*scale + 0.5),

@@ -3,6 +3,8 @@ package catalog
 import (
 	"fmt"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/types"
@@ -144,5 +146,221 @@ func TestHistogramSkewedDuplicates(t *testing.T) {
 	// The heavy value's mass must land between FracLT(5) and FracLE(5).
 	if le5-lt5 < 0.5 {
 		t.Errorf("FracLE(5)-FracLT(5) = %.3f, want most of the mass", le5-lt5)
+	}
+}
+
+// refReservoir replays a column's reservoir the way a builder that sorts it
+// whole at every Finish keeps it: same stream, same random slots.
+type refReservoir struct {
+	c      colBuilder
+	sample []types.Value
+}
+
+func (r *refReservoir) add(v types.Value) {
+	if v.IsNull() {
+		return
+	}
+	r.c.seen++
+	if len(r.sample) < histSampleCap {
+		r.sample = append(r.sample, v)
+	} else if j := r.c.next() % uint64(r.c.seen); j < histSampleCap {
+		r.sample[j] = v
+	}
+}
+
+// linearEquiDepth is equiDepth with the duplicate runs found by walking
+// them, the reference for its binary searches.
+func linearEquiDepth(sample []types.Value, total int64) []HistBucket {
+	n := len(sample)
+	if n < 2 {
+		return nil
+	}
+	nb := min(histBuckets, n)
+	var out []HistBucket
+	scale := float64(total) / float64(n)
+	prevEnd := 0
+	for b := 1; b <= nb; b++ {
+		end := n * b / nb
+		if end <= prevEnd {
+			continue
+		}
+		upper := sample[end-1]
+		for end < n && types.Compare(sample[end], upper) == 0 {
+			end++
+		}
+		firstEq := end - 1
+		for firstEq > prevEnd && types.Compare(sample[firstEq-1], upper) == 0 {
+			firstEq--
+		}
+		out = append(out, HistBucket{
+			Upper:     upper,
+			Rows:      int64(float64(end-prevEnd)*scale + 0.5),
+			UpperRows: int64(float64(end-firstEq)*scale + 0.5),
+		})
+		prevEnd = end
+		if end >= n {
+			break
+		}
+	}
+	return out
+}
+
+func sameValue(x, y types.Value) bool { return x.K == y.K && types.Compare(x, y) == 0 }
+
+func sameValues(a, b []types.Value) bool { return slices.EqualFunc(a, b, sameValue) }
+
+func sameHist(a, b []HistBucket) bool {
+	return slices.EqualFunc(a, b, func(x, y HistBucket) bool {
+		return x.Rows == y.Rows && x.UpperRows == y.UpperRows && sameValue(x.Upper, y.Upper)
+	})
+}
+
+// checkRefresh checks every column of b after a Finish that returned ts:
+// the reservoir is the one a whole sort at every Finish keeps (refs), it
+// is in order, and the histogram is equiDepth's, and the linear walk's,
+// over that order.
+func checkRefresh(t *testing.T, step string, b *StatsBuilder, ts *TableStats, refs []refReservoir) {
+	t.Helper()
+	for i, c := range b.cols {
+		name := b.sch.Cols[i].Name
+		full := slices.Clone(c.sample)
+		slices.SortFunc(full, types.Compare)
+		if !sameValues(c.sample, full) {
+			t.Fatalf("%s: column %s: reservoir out of order after Finish", step, name)
+		}
+		slices.SortFunc(refs[i].sample, types.Compare)
+		if !sameValues(c.sample, refs[i].sample) {
+			t.Fatalf("%s: column %s: reservoir differs from a whole sort at every Finish", step, name)
+		}
+		hist := ts.Cols[name].Hist
+		if !sameHist(hist, equiDepth(full, c.seen)) || !sameHist(hist, linearEquiDepth(full, c.seen)) {
+			t.Fatalf("%s: column %s: histogram differs from equiDepth over the full sort", step, name)
+		}
+	}
+}
+
+// refreshRow draws one row of refreshSchema: a low-NDV INT, a wide INT,
+// strings, FLOATs with repeats and a DATE, each NULL one time in eight.
+func refreshRow(rng *rand.Rand) types.Row {
+	r := types.Row{
+		types.NewInt(int64(rng.Intn(3))),
+		types.NewInt(rng.Int63n(1 << 40)),
+		types.NewString(fmt.Sprintf("s%03d", rng.Intn(300))),
+		types.NewFloat(float64(rng.Intn(2000)) / 8),
+		types.NewDate(int64(8000 + rng.Intn(2500))),
+	}
+	for i := range r {
+		if rng.Intn(8) == 0 {
+			r[i] = types.Null
+		}
+	}
+	return r
+}
+
+var refreshSchema = types.Schema{Cols: []types.Column{
+	{Name: "flag", Kind: types.KindInt},
+	{Name: "key", Kind: types.KindInt},
+	{Name: "name", Kind: types.KindString},
+	{Name: "price", Kind: types.KindFloat},
+	{Name: "day", Kind: types.KindDate},
+}}
+
+// TestStatsRefreshIsAWholeSort: seeded interleavings of Add and Finish —
+// batches of 1 to 700 rows growing through the reservoir cap, and a
+// builder that ANALYZE put in place of the load-time one and that later
+// Loads extend — leave after every Finish the reservoir, and so the
+// histogram, that sorting it whole at every Finish gives.
+func TestStatsRefreshIsAWholeSort(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		newRefs := func(b *StatsBuilder) []refReservoir {
+			refs := make([]refReservoir, len(b.cols))
+			for i, c := range b.cols {
+				refs[i].c.rng = c.rng
+			}
+			return refs
+		}
+		b := NewStatsBuilder(refreshSchema)
+		refs := newRefs(b)
+		var all []types.Row
+		for batch := 0; batch < 60; batch++ {
+			if batch == 30 {
+				// ANALYZE: a fresh builder fed every row so far.
+				b = NewStatsBuilder(refreshSchema)
+				refs = newRefs(b)
+				for _, r := range all {
+					b.Add(r)
+					for i := range refs {
+						refs[i].add(r[i])
+					}
+				}
+				checkRefresh(t, fmt.Sprintf("seed %d: ANALYZE", seed), b, b.Finish(), refs)
+			}
+			n := 1 + rng.Intn(700)
+			if rng.Intn(4) == 0 {
+				n = 1 + rng.Intn(20)
+			}
+			for ; n > 0; n-- {
+				r := refreshRow(rng)
+				all = append(all, r)
+				b.Add(r)
+				for i := range refs {
+					refs[i].add(r[i])
+				}
+			}
+			checkRefresh(t, fmt.Sprintf("seed %d: batch %d", seed, batch), b, b.Finish(), refs)
+		}
+	}
+}
+
+// lineitemSchema has lineitem's sixteen columns and kinds (DECIMAL is
+// FLOAT), and lineitemRow draws a row with about its value spread.
+var lineitemSchema = func() types.Schema {
+	var cols []types.Column
+	for i, k := range []types.Kind{
+		types.KindInt, types.KindInt, types.KindInt, types.KindInt,
+		types.KindFloat, types.KindFloat, types.KindFloat, types.KindFloat,
+		types.KindString, types.KindString,
+		types.KindDate, types.KindDate, types.KindDate,
+		types.KindString, types.KindString, types.KindString,
+	} {
+		cols = append(cols, types.Column{Name: fmt.Sprintf("l%d", i), Kind: k})
+	}
+	return types.Schema{Cols: cols}
+}()
+
+func lineitemRow(rng *rand.Rand, i int) types.Row {
+	day := int64(8000 + rng.Intn(2500))
+	return types.Row{
+		types.NewInt(int64(i / 4)), types.NewInt(rng.Int63n(2000)), types.NewInt(rng.Int63n(100)), types.NewInt(int64(i%7 + 1)),
+		types.NewFloat(float64(1 + rng.Intn(50))), types.NewFloat(float64(rng.Intn(10_000_000)) / 100),
+		types.NewFloat(float64(rng.Intn(11)) / 100), types.NewFloat(float64(rng.Intn(9)) / 100),
+		types.NewString([]string{"A", "N", "R"}[rng.Intn(3)]), types.NewString([]string{"F", "O"}[rng.Intn(2)]),
+		types.NewDate(day), types.NewDate(day + int64(rng.Intn(60))), types.NewDate(day + int64(rng.Intn(30))),
+		types.NewString([]string{"DELIVER IN PERSON", "COLLECT COD", "NONE", "TAKE BACK RETURN"}[rng.Intn(4)]),
+		types.NewString([]string{"AIR", "FOB", "MAIL", "RAIL", "REG AIR", "SHIP", "TRUCK"}[rng.Intn(7)]),
+		types.NewString(fmt.Sprintf("comment %d %d", rng.Intn(1000), i)),
+	}
+}
+
+// BenchmarkStatsRefresh times the Finish a Load pays after one 160-row
+// batch on a 60,000-row lineitem builder (a refresh cycle's append at
+// SF0.01). The batch's Adds are outside the timing.
+func BenchmarkStatsRefresh(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	sb := NewStatsBuilder(lineitemSchema)
+	i := 0
+	for ; i < 60_000; i++ {
+		sb.Add(lineitemRow(rng, i))
+	}
+	sb.Finish()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		b.StopTimer()
+		for end := i + 160; i < end; i++ {
+			sb.Add(lineitemRow(rng, i))
+		}
+		b.StartTimer()
+		sb.Finish()
 	}
 }

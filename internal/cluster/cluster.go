@@ -363,15 +363,21 @@ func (c *Cluster) Load(table string, rows []types.Row) (int, error) {
 	for _, r := range rows {
 		sb.Add(r)
 	}
-	stats := sb.Finish()
+	c.publishStats(def.Name, sb.Finish())
 	c.statsMu.Unlock()
-	for _, cn := range c.Coords {
-		cn.Cat.SetStats(def.Name, stats)
-	}
 	if def.Part.Kind == catalog.PartReplicated {
 		return total / len(c.Workers), nil
 	}
 	return total, nil
+}
+
+// publishStats gives every coordinator's catalog a table's statistics.
+// Called under statsMu, so that of two Loads of one table the one that
+// finished its builder last publishes last.
+func (c *Cluster) publishStats(table string, stats *catalog.TableStats) {
+	for _, cn := range c.Coords {
+		cn.Cat.SetStats(table, stats)
+	}
 }
 
 // coerceRows passes every value of rows through coerceToColumn. A row with a

@@ -418,11 +418,11 @@ func (c *Cluster) writeTarget(table string, where expr.Expr, verb string) (*cata
 }
 
 // rewrite is DELETE's and UPDATE's one loop, in one global transaction: it
-// matches the rows pred selects on every worker before it changes any — so a
-// row an UPDATE moves onto a worker is never matched again there — then
-// removes each and, when set is given, writes set's version of it back. A
-// moved row goes where its new key places it; a replica is rewritten on its
-// own worker and counted once.
+// matches the rows pred selects on every worker that can hold one before it
+// changes any — so a row an UPDATE moves onto a worker is never matched
+// again there — then removes each and, when set is given, writes set's
+// version of it back. A moved row goes where its new key places it; a
+// replica is rewritten on its own worker and counted once.
 func (c *Cluster) rewrite(def *catalog.TableDef, pred expr.Expr, set func(types.Row) (types.Row, error), verb string) (*Result, error) {
 	wt := c.newWriteTx(def)
 	replicated := def.Part.Kind == catalog.PartReplicated
@@ -496,18 +496,38 @@ type hit struct {
 	row types.Row
 }
 
-// match reads the rows pred selects (all, when nil) on every worker, under
-// exclusive page locks so that concurrent writers serialize instead of
-// double-applying. It opens a local transaction on every worker.
+// match reads the rows pred selects (all, when nil) on the workers that can
+// hold one (owners), under exclusive page locks so that concurrent writers
+// serialize instead of double-applying, and begins a local transaction on
+// each of them. The scan decodes only the columns pred reads; a row that
+// passes is then read whole, under the lock the scan took.
 func (t *writeTx) match(pred expr.Expr) ([]hit, error) {
+	var mask []bool
+	if pred != nil {
+		mask = make([]bool, t.def.Schema.Len())
+		expr.Walk(pred, func(x expr.Expr) {
+			if c, ok := x.(*expr.Col); ok {
+				mask[c.Index] = true
+			}
+		})
+	}
 	var hits []hit
-	for wi, w := range t.c.Workers {
-		_, err := w.frags[t.def.Name].Scan(storage.ScanOptions{Tx: t.tx(wi), LockExclusive: true},
+	for _, wi := range t.owners(pred) {
+		fr := t.c.Workers[wi].frags[t.def.Name]
+		_, err := fr.Scan(storage.ScanOptions{Tx: t.tx(wi), LockExclusive: true, Mask: mask},
 			func(rid page.RID, r types.Row) (bool, error) {
 				if pred != nil {
 					if ok, err := expr.EvalBool(pred, r); !ok || err != nil {
 						return false, err
 					}
+					row, ok, err := fr.Get(rid, nil, nil)
+					if err != nil {
+						return false, err
+					}
+					if !ok {
+						return false, fmt.Errorf("cluster: matched row %v of %s is gone", rid, t.def.Name)
+					}
+					r = row
 				}
 				hits = append(hits, hit{wi, rid, r})
 				return true, nil
@@ -517,6 +537,53 @@ func (t *writeTx) match(pred expr.Expr) ([]hit, error) {
 		}
 	}
 	return hits, nil
+}
+
+// owners lists the workers that can hold a row pred selects. When
+// top-level `column = literal` conjuncts pin every column placement reads
+// (a hash table's key, a range table's first column), that is the one
+// worker a row of the pinned values is placed on; otherwise, and always for
+// a replicated table, it is every worker.
+func (t *writeTx) owners(pred expr.Expr) []int {
+	all := make([]int, len(t.c.Workers))
+	for i := range all {
+		all[i] = i
+	}
+	cols := t.def.Part.Cols
+	switch t.def.Part.Kind {
+	case catalog.PartReplicated:
+		return all
+	case catalog.PartRange:
+		cols = cols[:1]
+	}
+	offs, err := t.def.ColOffsets(cols)
+	if err != nil {
+		return all
+	}
+	place := make(types.Row, t.def.Schema.Len())
+	for _, cj := range expr.Conjuncts(pred) {
+		b, ok := cj.(*expr.Bin)
+		if !ok || b.Op != expr.OpEq {
+			continue
+		}
+		col, v, _, ok := expr.ColConst(b)
+		if !ok || v.IsNull() {
+			continue
+		}
+		if v, err = coerceToColumn(v, t.def.Schema.Cols[col.Index]); err == nil {
+			place[col.Index] = v
+		}
+	}
+	for _, o := range offs {
+		if place[o].IsNull() {
+			return all
+		}
+	}
+	nodes, err := t.def.NodeFor(place, len(t.c.Workers))
+	if err != nil {
+		return all
+	}
+	return nodes
 }
 
 // insert writes r on worker wi, with its index entries.
@@ -633,9 +700,7 @@ func (c *Cluster) analyzeStmt(x *sqlparse.Analyze) (*Result, error) {
 	// (which drifts under deletes/updates); later loads extend it.
 	c.statsMu.Lock()
 	c.loadStats[def.Name] = sb
+	c.publishStats(def.Name, stats)
 	c.statsMu.Unlock()
-	for _, cn := range c.Coords {
-		cn.Cat.SetStats(def.Name, stats)
-	}
 	return &Result{Message: fmt.Sprintf("analyzed %s: %d rows", def.Name, stats.RowCount)}, nil
 }

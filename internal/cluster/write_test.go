@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -25,9 +26,12 @@ var dmlTables = []string{
 }
 
 // dmlStatement draws one statement of TestDMLMatchesOneWorker's sequences
-// against table tbl.
+// against table tbl. Some pin the partitioning key k with `k = literal`, so
+// that on wh and wr they match on the key's owner alone; one pins it under
+// OR, which pins nothing.
 func dmlStatement(rng *rand.Rand, tbl string, step int) string {
-	switch rng.Intn(7) {
+	key := rng.Intn(40) + 1000*rng.Intn(2)
+	switch rng.Intn(11) {
 	case 0, 1:
 		var vals []string
 		for i := 0; i < 1+rng.Intn(6); i++ {
@@ -42,6 +46,14 @@ func dmlStatement(rng *rand.Rand, tbl string, step int) string {
 		return fmt.Sprintf("UPDATE %s SET s = 'u%d', g = g + 1 WHERE g = %d", tbl, step, rng.Intn(6))
 	case 5:
 		return fmt.Sprintf("UPDATE %s SET k = k + 1000 WHERE k >= 0", tbl)
+	case 6:
+		return fmt.Sprintf("DELETE FROM %s WHERE k = %d", tbl, key)
+	case 7:
+		return fmt.Sprintf("UPDATE %s SET s = 'p%d', g = g + 1 WHERE %d = k AND g = %d", tbl, step, key, rng.Intn(6))
+	case 8:
+		return fmt.Sprintf("UPDATE %s SET k = k + 1000 WHERE k = %d", tbl, key)
+	case 9:
+		return fmt.Sprintf("DELETE FROM %s WHERE k = %d OR g = %d", tbl, key, rng.Intn(6))
 	default:
 		return fmt.Sprintf("UPDATE %s SET s = 'none' WHERE k < 0", tbl)
 	}
@@ -210,5 +222,98 @@ func TestDropTableDropsLoadStats(t *testing.T) {
 	load(10)
 	if got := c.Catalog().Stats("st").RowCount; got != 10 {
 		t.Fatalf("statistics count %d rows after DROP, CREATE and a load of 10", got)
+	}
+}
+
+// walFlushes counts the cluster's fsyncs: every worker's WAL and every
+// coordinator's XA log.
+func walFlushes(c *Cluster) int64 {
+	var n int64
+	for _, w := range c.Workers {
+		n += w.Log.Flushes()
+	}
+	for _, cn := range c.Coords {
+		n += cn.XA.XALog.Flushes()
+	}
+	return n
+}
+
+// TestKeyPinnedUpdateRunsOnItsOwner: on 4 workers, a 1-row UPDATE whose
+// WHERE pins a hash table's key makes only the row's owner a 2PC
+// participant, so it costs 4 fsyncs, PREPARE and decision on that worker
+// and on the coordinator's XA log; 6 when it moves the row to another
+// worker. Unpinned, or on a replicated table, the same 1-row UPDATE makes
+// every worker one: 10.
+func TestKeyPinnedUpdateRunsOnItsOwner(t *testing.T) {
+	c, _ := newCluster(t, 4, HRDBMSProfile())
+	def, err := c.Catalog().Table("customer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner := func(k int64) int {
+		row := make(types.Row, def.Schema.Len())
+		row[0] = types.NewInt(k)
+		nodes, err := def.NodeFor(row, len(c.Workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return nodes[0]
+	}
+	moved := int64(0)
+	for owner(moved) == owner(moved+1000) {
+		moved++
+	}
+	for _, tc := range []struct {
+		sql  string
+		want int64
+	}{
+		{"UPDATE customer SET c_acctbal = 1 WHERE c_custkey = 17", 4},
+		{"UPDATE customer SET c_acctbal = 2 WHERE c_nationkey = 3 AND 17 = c_custkey", 4},
+		{fmt.Sprintf("UPDATE customer SET c_custkey = c_custkey + 1000 WHERE c_custkey = %d", moved), 6},
+		{"UPDATE customer SET c_acctbal = 3 WHERE c_name = 'cust017'", 10},
+		{"UPDATE customer SET c_acctbal = 4 WHERE c_custkey = 17 OR c_custkey = -1", 10},
+		{"UPDATE nation SET n_name = 'KENYA' WHERE n_nationkey = 3", 10},
+	} {
+		before := walFlushes(c)
+		res, err := c.ExecSQL(tc.sql)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.sql, err)
+		}
+		if res.Message != "1 rows updated" {
+			t.Fatalf("%s: %q, want 1 row updated", tc.sql, res.Message)
+		}
+		if got := walFlushes(c) - before; got != tc.want {
+			t.Errorf("%s: %d fsyncs, want %d", tc.sql, got, tc.want)
+		}
+	}
+}
+
+// TestConcurrentLoadsPublishInOrder: overlapping Loads of one table publish
+// their statistics in the order they finished them, so once every Load has
+// returned each coordinator counts every row loaded.
+func TestConcurrentLoadsPublishInOrder(t *testing.T) {
+	c, _ := newCluster(t, 2, HRDBMSProfile())
+	if _, err := c.ExecSQL(`CREATE TABLE cl (k INT) PARTITION BY HASH(k)`); err != nil {
+		t.Fatal(err)
+	}
+	const loaders, loads = 8, 40
+	var wg sync.WaitGroup
+	for g := 0; g < loaders; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < loads; i++ {
+				if _, err := c.Load("cl", []types.Row{{types.NewInt(int64(g*loads + i))}}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for i, cn := range c.Coords {
+		if got := cn.Cat.Stats("cl").RowCount; got != loaders*loads {
+			t.Errorf("coordinator %d: statistics count %d rows after %d loaded", i, got, loaders*loads)
+		}
 	}
 }

@@ -58,6 +58,9 @@ go test -run '^$' -bench BenchmarkLZ4Decode -benchtime 1x ./internal/compress >/
 echo "==> bench smoke (planning q2, q5, q8 and q9 on the SF0.01 TPC-H catalog: one DP run per inner-join cluster)"
 go test -run '^$' -bench BenchmarkPlanTPCH -benchtime 1x ./internal/tpch >/dev/null
 
+echo "==> bench smoke (a Load's statistics refresh: Finish after a 160-row batch on a 60,000-row lineitem-shaped builder)"
+go test -run '^$' -bench BenchmarkStatsRefresh -benchtime 1x ./internal/catalog >/dev/null
+
 echo "==> fuzz smoke (the three typed column-page decoders over every cell and a fuzzed selection against DecodeInto, every layout, and chain heads: error with exact rollback, a chain inside its overflow file, never panic)"
 go test -run '^$' -fuzz '^FuzzTypedDecode$' -fuzztime 5s ./internal/page >/dev/null
 
