@@ -263,3 +263,83 @@ func TestSmallPlacedLeftInputIsBroadcast(t *testing.T) {
 		}
 	}
 }
+
+// TestNoKeyJoinsMatchReference: a join with no equality keys runs on the
+// workers once an input is replicated — each worker crosses its share of the
+// other input, or a second replica, with the replica — and answers as the
+// single-node reference does at 1, 3 and 4 workers. Two replicated inputs
+// give a replicated result, which a count, a DISTINCT and a top-k must each
+// read once. A semi join whose left input is replicated and whose right is
+// partitioned still runs on the coordinator: on the workers each would
+// emit its replica's rows that match its own share of the right.
+func TestNoKeyJoinsMatchReference(t *testing.T) {
+	cases := []struct {
+		sql     string
+		left    string // the table the no-key join's left input scans
+		ordered bool
+		onCoord bool // the join runs on the coordinator
+	}{
+		{sql: `SELECT count(*) FROM nation n1, nation n2 WHERE n1.n_nationkey < n2.n_nationkey`, left: "n", ordered: true},
+		{sql: `SELECT DISTINCT n1.n_name FROM nation n1, nation n2 WHERE n1.n_nationkey <> n2.n_nationkey`, left: "n"},
+		{sql: `SELECT n1.n_name, n2.n_name FROM nation n1, nation n2 WHERE n1.n_nationkey < n2.n_nationkey
+			ORDER BY n2.n_name DESC, n1.n_name LIMIT 2`, left: "n", ordered: true},
+		{sql: `SELECT n1.n_name, n2.n_name FROM nation n1, nation n2 WHERE n1.n_nationkey <> n2.n_nationkey`, left: "n"},
+		{sql: `SELECT c_name, n_name FROM customer, nation WHERE c_nationkey < n_nationkey`, left: "customer"},
+		{sql: `SELECT n_name, c_name FROM nation, customer WHERE n_nationkey > c_nationkey AND c_acctbal > 0`, left: "nation"},
+		{sql: `SELECT count(*) FROM customer WHERE EXISTS (SELECT * FROM nation WHERE n_nationkey > c_nationkey)`,
+			left: "customer", ordered: true},
+		{sql: `SELECT c_name FROM customer WHERE NOT EXISTS (SELECT * FROM nation WHERE n_nationkey > c_nationkey)`,
+			left: "customer"},
+		{sql: `SELECT n_name FROM nation WHERE EXISTS (SELECT * FROM customer WHERE c_nationkey > n_nationkey)`,
+			left: "nation", onCoord: true},
+	}
+	for _, workers := range []int{1, 3, 4} {
+		c, data := newCluster(t, workers, HRDBMSProfile())
+		for _, tc := range cases {
+			checkAgainstReference(t, c, data, tc.sql, tc.ordered)
+			sel, err := sqlparse.ParseSelect(tc.sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			node, err := c.Plan(sel)
+			if err != nil {
+				t.Fatal(err)
+			}
+			j := noKeyJoin(node)
+			if j == nil || !strings.HasPrefix(j.Left.Schema().Cols[0].Name, tc.left) {
+				t.Fatalf("%s: want a join with no equality keys over a left input scanning %s:\n%s", tc.sql, tc.left, plan.Explain(node))
+			}
+			_, _, tr, err := c.RunTraced(node, tc.sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			coord, onWorkers := 0, 0
+			for _, sp := range tr.Spans() {
+				switch {
+				case sp.Op != "NestedLoopJoin":
+				case sp.Node == c.Coords[0].ID:
+					coord++
+				default:
+					onWorkers++
+				}
+			}
+			if tc.onCoord && (coord != 1 || onWorkers != 0) || !tc.onCoord && (coord != 0 || onWorkers != workers) {
+				t.Errorf("%d workers, %s: %d nested-loop joins on the coordinator and %d on the workers, want them on the coordinator: %v\n%s",
+					workers, tc.sql, coord, onWorkers, tc.onCoord, tr.Render())
+			}
+		}
+	}
+}
+
+// noKeyJoin returns the first join with no equality keys in plan n.
+func noKeyJoin(n plan.Node) *plan.Join {
+	if j, ok := n.(*plan.Join); ok && len(j.EquiLeft) == 0 {
+		return j
+	}
+	for _, ch := range n.Children() {
+		if j := noKeyJoin(ch); j != nil {
+			return j
+		}
+	}
+	return nil
+}

@@ -476,11 +476,13 @@ func (q *queryExec) distributeJoin(x *plan.Join) (*dstream, error) {
 	}
 	// The join runs once, on the coordinator, over all of both inputs when
 	// either input is already there, when there are no equality keys to
-	// partition on, or when it is a semi/anti join whose left input is
-	// replicated and whose right is not (every worker would emit its
-	// replica's matches against its own share of the right).
-	if left.coord || right.coord || len(x.EquiLeft) == 0 ||
-		x.Type != exec.JoinInner && left.dist.Kind == opt.DistReplicated && right.dist.Kind != opt.DistReplicated {
+	// partition on and neither input is replicated, or when it is a semi/anti
+	// join whose left input is replicated and whose right is not (every
+	// worker would emit its replica's matches against its own share of the
+	// right).
+	leftRep, rightRep := left.dist.Kind == opt.DistReplicated, right.dist.Kind == opt.DistReplicated
+	if left.coord || right.coord || len(x.EquiLeft) == 0 && !leftRep && !rightRep ||
+		x.Type != exec.JoinInner && leftRep && !rightRep {
 		return onCoord(q.makeJoin(q.toCoord(left).ops[0], q.toCoord(right).ops[0], x), x.Schema()), nil
 	}
 
@@ -488,22 +490,30 @@ func (q *queryExec) distributeJoin(x *plan.Join) (*dstream, error) {
 	rightNames, _ := keyNames(x.EquiRight, x.Right.Schema())
 
 	// The one place worker joins are built, once the distribution is fixed.
-	// A join builds on whichever input leaves the smaller share on a worker;
-	// a semi or anti join built on its left marks the build rows the probe
-	// matches. Either way every left row meets every right row that could
-	// match it: the inputs are co-located, or the right is whole on every
-	// worker. Over a typed probe stream the probe reads the scan's batches
-	// through the join's typed front end; the build side is read as rows
-	// whatever it is (the table stores boxed rows), and what a join produces
-	// is rows.
+	// Every left row meets every right row that could match it: the inputs
+	// are co-located, or one of them is whole on every worker. A join with no
+	// equality keys is a nested loop over the worker's share of one input
+	// and the replica of the other. A hash join builds on whichever input
+	// leaves the smaller share on a worker; a semi or anti join built on its
+	// left marks the build rows the probe matches. Over a typed probe stream
+	// the probe reads the scan's batches through the join's typed front end;
+	// the build side is read as rows whatever it is (the table stores boxed
+	// rows), and what a join produces is rows.
 	par := q.prof.Parallelism
 	join := func(l, r *dstream, d opt.DistInfo) *dstream {
+		out := &dstream{sch: x.Schema(), dist: d}
+		if len(x.EquiLeft) == 0 {
+			for wi, w := range q.c.Workers {
+				nl := exec.NewNestedLoopJoin(q.wctx(wi), l.ops[wi], r.ops[wi], x.Residual, x.Type)
+				out.ops = append(out.ops, q.wrap("NestedLoopJoin", w.ID, nl, l.ops[wi], r.ops[wi]))
+			}
+			return out
+		}
 		probe, build, probeKeys, buildKeys := l, r, x.EquiLeft, x.EquiRight
 		buildLeft := q.buildShare(x.Left, l) < q.buildShare(x.Right, r)
 		if buildLeft {
 			probe, build, probeKeys, buildKeys = r, l, x.EquiRight, x.EquiLeft
 		}
-		out := &dstream{sch: x.Schema(), dist: d}
 		for wi, w := range q.c.Workers {
 			var h *exec.HashJoin
 			if probe.typed {
@@ -521,11 +531,11 @@ func (q *queryExec) distributeJoin(x *plan.Join) (*dstream, error) {
 	}
 
 	switch {
-	case right.dist.Kind == opt.DistReplicated:
+	case rightRep:
 		// Right replicated: co-located join everywhere; output keeps the
-		// left's distribution.
+		// left's distribution, replicated when the left is too.
 		return join(left, right, left.dist), nil
-	case left.dist.Kind == opt.DistReplicated:
+	case leftRep:
 		// Left replicated (an inner join, or it would be on the
 		// coordinator): each worker joins its replica with its partition
 		// of the right; right rows partition, so no duplicates arise.

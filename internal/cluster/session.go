@@ -500,7 +500,7 @@ type hit struct {
 // hold one (owners), under exclusive page locks so that concurrent writers
 // serialize instead of double-applying, and begins a local transaction on
 // each of them. The scan decodes only the columns pred reads; a row that
-// passes is then read whole, under the lock the scan took.
+// passes is then decoded whole from the scan's copy of its page.
 func (t *writeTx) match(pred expr.Expr) ([]hit, error) {
 	var mask []bool
 	if pred != nil {
@@ -514,23 +514,16 @@ func (t *writeTx) match(pred expr.Expr) ([]hit, error) {
 	var hits []hit
 	for _, wi := range t.owners(pred) {
 		fr := t.c.Workers[wi].frags[t.def.Name]
-		_, err := fr.Scan(storage.ScanOptions{Tx: t.tx(wi), LockExclusive: true, Mask: mask},
-			func(rid page.RID, r types.Row) (bool, error) {
-				if pred != nil {
-					if ok, err := expr.EvalBool(pred, r); !ok || err != nil {
-						return false, err
-					}
-					row, ok, err := fr.Get(rid, nil, nil)
-					if err != nil {
-						return false, err
-					}
-					if !ok {
-						return false, fmt.Errorf("cluster: matched row %v of %s is gone", rid, t.def.Name)
-					}
-					r = row
+		_, err := fr.ScanMatching(storage.ScanOptions{Tx: t.tx(wi), LockExclusive: true, Mask: mask},
+			func(r types.Row) (bool, error) {
+				if pred == nil {
+					return true, nil
 				}
+				return expr.EvalBool(pred, r)
+			},
+			func(rid page.RID, r types.Row) error {
 				hits = append(hits, hit{wi, rid, r})
-				return true, nil
+				return nil
 			})
 		if err != nil {
 			return nil, err

@@ -405,6 +405,7 @@ type joinProbe struct {
 	table     *joinTable
 	out       *joinEmitter
 	key       types.Row // scratch: the probe key of the row in hand
+	pair      types.Row // scratch: the candidate pair the residual reads
 	offs      []int     // [0, len(key)), the offsets HashRow hashes
 	buildCols []int     // by key: the build column it is, or -1 for an expression
 
@@ -432,11 +433,12 @@ func (p *joinProbe) bucket() int32 {
 // rows filed under its hash from row i on, and reports whether any matched:
 // the join's one match rule. A pair matches when every key value is equal —
 // NULL equals nothing, itself included, and equal hashes prove nothing — and
-// the residual, if any, holds over the concatenated pair, concatenated in
-// the planner's order (build first under BuildLeft). An inner join
-// emits every matching pair; for a semi or anti join the first match settles
-// the row, which the front end then outputs or drops. A mark join instead
-// marks every build row that r matches, passing over those already marked.
+// the residual, if any, holds over the pair laid out in the planner's order
+// (build first under BuildLeft), which it reads from the probe's scratch
+// pair row. An inner join emits every matching pair, concatenated afresh;
+// for a semi or anti join the first match settles the row, which the front
+// end then outputs or drops. A mark join instead marks every build row that
+// r matches, passing over those already marked.
 func (p *joinProbe) match(r types.Row, i int32) (bool, error) {
 	h, t := p.h, p.table
 	mark := h.marks()
@@ -461,16 +463,13 @@ candidates:
 				continue candidates
 			}
 		}
-		var joined types.Row
-		switch {
-		case h.Residual == nil && h.Type != JoinInner:
-		case h.buildLeft:
-			joined = br.Concat(r)
-		default:
-			joined = r.Concat(br)
+		left, right := r, br
+		if h.buildLeft {
+			left, right = br, r
 		}
 		if h.Residual != nil {
-			ok, err := expr.EvalBool(h.Residual, joined)
+			p.pair = append(append(p.pair[:0], left...), right...)
+			ok, err := expr.EvalBool(h.Residual, p.pair)
 			if err != nil {
 				return false, err
 			}
@@ -486,7 +485,7 @@ candidates:
 			return true, nil
 		}
 		matched = true
-		if err := p.out.emit(joined); err != nil {
+		if err := p.out.emit(left.Concat(right)); err != nil {
 			return false, err
 		}
 	}
@@ -805,6 +804,7 @@ type NestedLoopJoin struct {
 	rightRows []types.Row
 	out       types.Schema
 	left      []types.Row // copy of the current left slab
+	pair      types.Row   // scratch: the candidate pair Cond reads
 	lpos      int         // left row being joined
 	rpos      int         // next right row for it
 	matched   bool
@@ -859,10 +859,11 @@ func (j *NestedLoopJoin) NextBatch() ([]types.Row, bool, error) {
 		for ; j.lpos < len(j.left); j.lpos, j.rpos, j.matched = j.lpos+1, 0, false {
 			l := j.left[j.lpos]
 			for j.rpos < len(j.rightRows) && !(j.matched && j.Type != JoinInner) {
-				joined := l.Concat(j.rightRows[j.rpos])
+				r := j.rightRows[j.rpos]
 				j.rpos++
 				if j.Cond != nil {
-					ok, err := expr.EvalBool(j.Cond, joined)
+					j.pair = append(append(j.pair[:0], l...), r...)
+					ok, err := expr.EvalBool(j.Cond, j.pair)
 					if err != nil {
 						return nil, false, err
 					}
@@ -872,7 +873,7 @@ func (j *NestedLoopJoin) NextBatch() ([]types.Row, bool, error) {
 				}
 				j.matched = true
 				if j.Type == JoinInner {
-					out = append(out, joined)
+					out = append(out, l.Concat(r))
 					if len(out) >= size {
 						j.slab = out
 						return out, true, nil

@@ -123,7 +123,7 @@ func TestParallelScanParity(t *testing.T) {
 	}
 	loadLineitem(t, fr.Load, 5000)
 	checkParity(t, ns, DefaultMorselPages, func(workers, morsel int, fn func(r types.Row) bool) (ScanStats, error) {
-		return fr.scanMorsels(ScanOptions{}, workers, morsel, func(_ int, _ page.RID, r types.Row) (bool, error) { return fn(r), nil })
+		return fr.scanMorsels(newRowScan(ScanOptions{}, workers), morsel, func(_ int, _ page.RID, r types.Row) (bool, error) { return fn(r), nil })
 	})
 }
 
@@ -152,7 +152,7 @@ func TestParallelScanSkipParity(t *testing.T) {
 		t.Fatal("test premise broken: serial scan skipped nothing")
 	}
 	checkParity(t, ns, DefaultMorselPages, func(workers, morsel int, fn func(r types.Row) bool) (ScanStats, error) {
-		return fr.scanMorsels(opts, workers, morsel, func(_ int, _ page.RID, r types.Row) (bool, error) { return fn(r), nil })
+		return fr.scanMorsels(newRowScan(opts, workers), morsel, func(_ int, _ page.RID, r types.Row) (bool, error) { return fn(r), nil })
 	})
 }
 
@@ -383,7 +383,7 @@ func TestParallelScanEarlyStop(t *testing.T) {
 		scan      func(workers, morsel int, fn func() bool) (ScanStats, error)
 	}{
 		{"row", DefaultMorselPages, func(workers, morsel int, fn func() bool) (ScanStats, error) {
-			return rowFr.scanMorsels(ScanOptions{}, workers, morsel, func(int, page.RID, types.Row) (bool, error) { return true, stopAt(fn()) })
+			return rowFr.scanMorsels(newRowScan(ScanOptions{}, workers), morsel, func(int, page.RID, types.Row) (bool, error) { return true, stopAt(fn()) })
 		}},
 		{"columnar", defaultMorselSets, func(workers, morsel int, fn func() bool) (ScanStats, error) {
 			return colScanRows(colFr, ScanOptions{}, workers, morsel, func(int, types.Row) (bool, error) { return true, stopAt(fn()) })

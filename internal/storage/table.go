@@ -269,6 +269,27 @@ func (fr *Fragment) Scan(opts ScanOptions, fn func(rid page.RID, r types.Row) (b
 	return fr.ParallelScan(opts, 1, func(_ int, rid page.RID, r types.Row) (bool, error) { return fn(rid, r) })
 }
 
+// ScanMatching is Scan for a writer that selects rows on a few columns and
+// changes whole ones. keep reads the columns opts.Mask marks (all of them,
+// without a mask) from the row the scan decoded; a row it passes is decoded
+// whole from the scan's own copy of its page, under the page lock the scan
+// took, and handed to fn, which owns it.
+func (fr *Fragment) ScanMatching(opts ScanOptions, keep func(r types.Row) (bool, error), fn func(rid page.RID, r types.Row) error) (ScanStats, error) {
+	sc := newRowScan(opts, 1)
+	return fr.scanMorsels(sc, DefaultMorselPages, func(w int, rid page.RID, r types.Row) (bool, error) {
+		if ok, err := keep(r); !ok || err != nil {
+			return false, err
+		}
+		if opts.Mask != nil {
+			var err error
+			if r, _, err = (page.RowPage{Buf: *sc.workers[w].page}).Get(int(rid.Slot), nil, nil); err != nil {
+				return false, err
+			}
+		}
+		return true, fn(rid, r)
+	})
+}
+
 // DefaultMorselPages is the page-range granularity a row scan hands to a
 // worker at a time. Small enough that a skipping-heavy scan rebalances, large
 // enough that the shared claim counter is off the per-page path.
@@ -301,10 +322,11 @@ type morsel struct {
 // stops every worker after its current page, and records nothing for the
 // interrupted page. workers <= 1 runs on the caller's goroutine.
 func (fr *Fragment) ParallelScan(opts ScanOptions, workers int, fn RowFunc) (ScanStats, error) {
-	return fr.scanMorsels(opts, workers, DefaultMorselPages, fn)
+	return fr.scanMorsels(newRowScan(opts, workers), DefaultMorselPages, fn)
 }
 
-func (fr *Fragment) scanMorsels(opts ScanOptions, workers, morselPages int, fn RowFunc) (ScanStats, error) {
+func (fr *Fragment) scanMorsels(sc *rowScan, morselPages int, fn RowFunc) (ScanStats, error) {
+	opts := sc.opts
 	var morsels []morsel
 	for disk, fileID := range fr.Files {
 		numPages := fr.Node.NumPages(fileID)
@@ -325,9 +347,8 @@ func (fr *Fragment) scanMorsels(opts ScanOptions, workers, morselPages int, fn R
 			morsels = append(morsels, morsel{disk: disk, file: fileID, start: start, end: end, numPages: numPages, tail: tail})
 		}
 	}
-	sc := rowScan{opts: opts, workers: make([]rowScanWorker, max(workers, 1))}
-	stats, err := runMorsels(len(morsels), workers, func(run *morselRun, w, i int) (ScanStats, error) {
-		return fr.scanMorsel(&sc, morsels[i], w, run, fn)
+	stats, err := runMorsels(len(morsels), len(sc.workers), func(run *morselRun, w, i int) (ScanStats, error) {
+		return fr.scanMorsel(sc, morsels[i], w, run, fn)
 	})
 	for _, sw := range sc.workers {
 		if sw.page != nil {
@@ -342,6 +363,10 @@ func (fr *Fragment) scanMorsels(opts ScanOptions, workers, morselPages int, fn R
 type rowScan struct {
 	opts    ScanOptions
 	workers []rowScanWorker
+}
+
+func newRowScan(opts ScanOptions, workers int) *rowScan {
+	return &rowScan{opts: opts, workers: make([]rowScanWorker, max(workers, 1))}
 }
 
 // rowScanWorker is one worker's scratch: the copy of the page it reads and,

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -146,6 +147,41 @@ func tally(n map[string]int) string {
 		labels[i] = fmt.Sprintf("%s ×%d", label, n[label])
 	}
 	return strings.Join(labels, ", ")
+}
+
+// TestJoinsOnCoordinator reads the golden footers and counts the joins each
+// query ran on the coordinator, where one node joins all of both inputs. A
+// join with a replicated input runs on the workers, so only the joins over a
+// grouped aggregate that is tree-reduced to the coordinator are left there:
+// q15's, q17's and q20's, which wait on the aggregate being finished on the
+// workers instead.
+func TestJoinsOnCoordinator(t *testing.T) {
+	want := map[string]int{"q15": 1, "q17": 1, "q20": 2}
+	for _, qid := range QueryIDs() {
+		golden, err := os.ReadFile(filepath.Join("testdata", "plans", qid+".txt"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, footer, ok := strings.Cut(string(golden), "\non the coordinator: ")
+		if !ok {
+			t.Fatalf("%s: the golden plan has no footer", qid)
+		}
+		footer, _, _ = strings.Cut(footer, "\n")
+		joins := 0
+		for _, item := range strings.Split(footer, ", ") {
+			label, count, _ := strings.Cut(item, " ×")
+			if label == "HashJoin" || label == "NestedLoopJoin" {
+				n, err := strconv.Atoi(count)
+				if err != nil {
+					t.Fatalf("%s: footer item %q: %v", qid, item, err)
+				}
+				joins += n
+			}
+		}
+		if joins != want[qid] {
+			t.Errorf("%s: %d joins on the coordinator, want %d (%s)", qid, joins, want[qid], footer)
+		}
+	}
 }
 
 // TestOptimizedPlansAreTrees: no node of any query's optimized plan is

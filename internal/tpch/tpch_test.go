@@ -673,7 +673,13 @@ var rowPredicateScans = map[string]string{}
 // the supplier join and probe with l2 and l3, q4's builds on its quarter of
 // orders and q22's on the filtered customers, each probe a typed scan with
 // no projection placed over it (the planner's projections there output
-// their input unchanged). The workers box no more than the rows the filter
+// their input unchanged). q7's joins run on the workers since its n1 × n2
+// cross product does (each worker crosses the two replicated nation scans):
+// the customer join builds on that pair and reads customer as rows, the
+// orders join builds on its result and probes with the orders scan, the
+// lineitem join builds on the shuffled orders rows and probes with the
+// lineitem scan, and the broadcast supplier is built on the right under a
+// probe of joined rows. The workers box no more than the rows the filter
 // and the table admitted plus the build sides — under ceilings that q5 and
 // q18 exceeded while lineitem was their build side (55,064 and 67,730), and
 // q21, q4 and q22 while their semi and anti joins built on the right
@@ -703,6 +709,7 @@ func TestAggregateFrontEnds(t *testing.T) {
 			{qid: "q21", rowAggs: 1, typedJoins: 3, rowJoins: 2, leftBuilds: 5, typedLeftBuilds: 3, boxedMax: 47000},
 			{qid: "q4", rowAggs: 1, typedJoins: 1, leftBuilds: 1, typedLeftBuilds: 1, boxedMax: 1700},
 			{qid: "q22", rowAggs: 2, typedJoins: 1, leftBuilds: 1, typedLeftBuilds: 1, boxedMax: 2100},
+			{qid: "q7", rowAggs: 1, typedJoins: 2, rowJoins: 2, leftBuilds: 3, typedLeftBuilds: 2, boxedMax: 3000},
 		})
 	})
 }
