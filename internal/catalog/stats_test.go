@@ -205,6 +205,22 @@ func linearEquiDepth(sample []types.Value, total int64) []HistBucket {
 	return out
 }
 
+// values is c's reservoir as types.Value, slot by slot.
+func (c *colBuilder) values() []types.Value {
+	out := make([]types.Value, len(c.sample))
+	for i, s := range c.sample {
+		out[i] = c.value(s)
+	}
+	return out
+}
+
+// sliceEquiDepth is equiDepth over a sorted slice of values.
+func sliceEquiDepth(sample []types.Value, total int64) []HistBucket {
+	return equiDepth(len(sample), total,
+		func(i, j int) int { return types.Compare(sample[i], sample[j]) },
+		func(i int) types.Value { return sample[i] })
+}
+
 func sameValue(x, y types.Value) bool { return x.K == y.K && types.Compare(x, y) == 0 }
 
 func sameValues(a, b []types.Value) bool { return slices.EqualFunc(a, b, sameValue) }
@@ -223,17 +239,18 @@ func checkRefresh(t *testing.T, step string, b *StatsBuilder, ts *TableStats, re
 	t.Helper()
 	for i, c := range b.cols {
 		name := b.sch.Cols[i].Name
-		full := slices.Clone(c.sample)
+		got := c.values()
+		full := slices.Clone(got)
 		slices.SortFunc(full, types.Compare)
-		if !sameValues(c.sample, full) {
+		if !sameValues(got, full) {
 			t.Fatalf("%s: column %s: reservoir out of order after Finish", step, name)
 		}
 		slices.SortFunc(refs[i].sample, types.Compare)
-		if !sameValues(c.sample, refs[i].sample) {
+		if !sameValues(got, refs[i].sample) {
 			t.Fatalf("%s: column %s: reservoir differs from a whole sort at every Finish", step, name)
 		}
 		hist := ts.Cols[name].Hist
-		if !sameHist(hist, equiDepth(full, c.seen)) || !sameHist(hist, linearEquiDepth(full, c.seen)) {
+		if !sameHist(hist, sliceEquiDepth(full, c.seen)) || !sameHist(hist, linearEquiDepth(full, c.seen)) {
 			t.Fatalf("%s: column %s: histogram differs from equiDepth over the full sort", step, name)
 		}
 	}

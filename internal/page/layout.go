@@ -1,6 +1,7 @@
 package page
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -481,9 +482,15 @@ type sealer struct {
 	sealState
 	cells   []uint64 // fixed-width kinds: each cell's integer payload or float bits
 	nulls   []byte   // the fixed layout's null bitmap
-	index   map[string]int
-	entries []byte // the dict layout's entries, in first-seen order
+	entries []byte   // the dict layout's entries, in first-seen order
 	codes   []byte
+	// The dictionary's index, which holds no pointer: an OpenSet keeps a
+	// sealer per column for as long as its table lives, so the garbage
+	// collector would otherwise trace a map and a string per entry of every
+	// column. slots, probed linearly from a cell's hash, hold an entry's
+	// code + 1 (0 is empty), and ends[e] is where entry e ends in entries.
+	slots [2 * maxDictEntries]uint16
+	ends  [maxDictEntries]uint32
 }
 
 // sealState is the scalar part of a sealer: an OpenSet snapshots it before a
@@ -495,15 +502,33 @@ type sealState struct {
 	nNull    int
 	min, max int64 // over the integer payloads of non-NULL cells
 	dictOK   bool  // at most maxDictEntries distinct cells so far
+	dict     int   // entries in the dictionary
 }
 
 func (s *sealer) reset() {
 	s.sealState = sealState{dictOK: true}
 	s.cells, s.nulls, s.codes, s.entries = s.cells[:0], s.nulls[:0], s.codes[:0], s.entries[:0]
-	if s.index == nil {
-		s.index = make(map[string]int, maxDictEntries)
+	clear(s.slots[:])
+}
+
+// entry returns the encoded cell of dictionary entry e.
+func (s *sealer) entry(e int) []byte {
+	start := uint32(0)
+	if e > 0 {
+		start = s.ends[e-1]
 	}
-	clear(s.index)
+	return s.entries[start:s.ends[e]]
+}
+
+// slot returns the index slot that holds cell's entry, or the empty slot it
+// would be filed at. The index is at most half full, so the probe ends.
+func (s *sealer) slot(cell []byte) int {
+	mask := len(s.slots) - 1
+	for i := int(types.HashBytes(cell)) & mask; ; i = (i + 1) & mask {
+		if c := s.slots[i]; c == 0 || bytes.Equal(s.entry(int(c)-1), cell) {
+			return i
+		}
+	}
 }
 
 // add folds one well-formed types.AppendValue cell into the state.
@@ -542,14 +567,17 @@ func (s *sealer) add(cell []byte) {
 	if !s.dictOK {
 		return
 	}
-	c, seen := s.index[string(cell)]
-	if !seen {
-		if c = len(s.index); c == maxDictEntries {
+	at := s.slot(cell)
+	c := int(s.slots[at]) - 1
+	if c < 0 {
+		if c = s.dict; c == maxDictEntries {
 			s.dictOK = false
 			return
 		}
-		s.index[string(cell)] = c
+		s.dict++
+		s.slots[at] = uint16(c + 1)
 		s.entries = append(s.entries, cell...)
+		s.ends[c] = uint32(len(s.entries))
 	}
 	s.codes = append(s.codes, byte(c))
 }
@@ -585,7 +613,7 @@ func (s *sealer) put(body []byte, layout, width int) {
 		s.putFixed(body, width)
 		return
 	}
-	binary.LittleEndian.PutUint16(body, uint16(len(s.index)))
+	binary.LittleEndian.PutUint16(body, uint16(s.dict))
 	codesAt := 2 + copy(body[2:], s.entries)
 	copy(body[codesAt:], s.codes)
 }

@@ -195,7 +195,8 @@ func (c *openColumn) fits(cap int) bool {
 func (c *openColumn) rewind() {
 	m := c.saved
 	if len(c.entries) > m.entries {
-		delete(c.index, string(c.tagged[m.tagged:]))
+		// The cell filed the last entry, so no probe passes its slot.
+		c.slots[c.slot(c.tagged[m.tagged:])] = 0
 	}
 	c.sealState, c.runState = m.seal, m.run
 	c.tagged, c.entries, c.codes, c.cuts = c.tagged[:m.tagged], c.entries[:m.entries], c.codes[:m.codes], c.cuts[:m.cuts]

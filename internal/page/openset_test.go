@@ -274,6 +274,38 @@ func TestOpenSetRefusalLeavesSetUnchanged(t *testing.T) {
 	}
 }
 
+// TestOpenSetRefusedEntryIsForgotten: a dictionary entry that only a refused
+// row filed is gone from the index, so the row that brings the value again
+// files it afresh and the column's page is the one Seal writes.
+func TestOpenSetRefusedEntryIsForgotten(t *testing.T) {
+	const pageSize = 512
+	os := NewOpenSet(2, pageSize)
+	var vals []types.Value
+	add := func(tag string, i int) {
+		v := types.NewString(tag)
+		if ok, err := os.Append(types.Row{v, types.NewInt(int64(i))}); !ok || err != nil {
+			t.Fatalf("row %d: %v %v", i, ok, err)
+		}
+		vals = append(vals, v)
+	}
+	for i := 0; i < 6; i++ {
+		add(fmt.Sprintf("tag-%d", i%3), i)
+	}
+	huge := types.NewString(strings.Repeat("x", pageSize))
+	if ok, err := os.Append(types.Row{types.NewString("tag-new"), huge}); ok || err == nil {
+		t.Fatalf("oversize row: %v %v", ok, err)
+	}
+	add("tag-new", 6)
+	add("tag-0", 7)
+	add("tag-new", 8)
+	ref, _, _ := legacySeal(vals)
+	got := os.Snapshot([]int{0}).Pages[0]
+	end := colHeaderSize + ref.payloadLen()
+	if ref.Buf[colOffFlags]>>1 != layoutDict || !bytes.Equal(got.Buf[:end], ref.Buf[:end]) {
+		t.Fatalf("written page (flags %#x) differs from the sealed dictionary page (flags %#x)", got.Buf[colOffFlags], ref.Buf[colOffFlags])
+	}
+}
+
 // TestOpenSetSnapshotCache: Snapshots between two changes share one sealing
 // of each read column, chain included; an admitted row or a Reset makes the
 // next Snapshot seal fresh pages and leaves the ones handed out as they were,

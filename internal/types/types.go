@@ -271,7 +271,12 @@ func HashFloat(f float64) uint64 {
 const floatTag uint64 = 0xbb67ae8584caa73b
 
 // HashString is Hash of a STRING: its bytes a word at a time, then mix.
-func HashString(s string) uint64 {
+func HashString(s string) uint64 { return hashText(s) }
+
+// HashBytes is HashString of the string b holds, without making the string.
+func HashBytes(b []byte) uint64 { return hashText(b) }
+
+func hashText[T string | []byte](s T) uint64 {
 	h := uint64(len(s)) * hashP1
 	for ; len(s) >= 8; s = s[8:] {
 		h = hashRound(h, uint64(s[0])|uint64(s[1])<<8|uint64(s[2])<<16|uint64(s[3])<<24|
