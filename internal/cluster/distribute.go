@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"time"
 
 	"repro/internal/exec"
 	"repro/internal/expr"
@@ -845,12 +846,14 @@ func (q *queryExec) distributeLimit(x *plan.Limit) (*dstream, error) {
 // toCoord brings a stream to the coordinator, unordered: a coordinator
 // stream as it is; a replicated one from worker 0 alone, since pulling every
 // replica would return each row once per worker (the paper assigns
-// replicated-table scans to one worker); any other from every worker.
+// replicated-table scans to one worker) — the other replicas are never
+// opened, so their spans are dropped; any other from every worker.
 func (q *queryExec) toCoord(ds *dstream) *dstream {
 	switch {
 	case ds.coord:
 		return ds
 	case ds.dist.Kind == opt.DistReplicated:
+		q.drop(ds.ops[1:])
 		return q.gatherRecv(q.channel("one"), ds, ds.ops[:1])
 	default:
 		return q.gatherRecv(q.channel("g"), ds, ds.ops)
@@ -859,9 +862,10 @@ func (q *queryExec) toCoord(ds *dstream) *dstream {
 
 // gather is the scaffold every gather shape shares: a coordinator-side span
 // named gname, under it one span named sname per contributing worker (which
-// adopts that worker's subtree and counts the bytes the worker puts on the
-// wire through a CountingEndpoint), and a workerDriver that builds the
-// coordinator's receive side with coordSide and runs send once per worker.
+// adopts that worker's subtree, is charged the time of its send, and counts
+// the rows, bytes and messages the worker puts on the wire through a
+// CountingEndpoint), and a workerDriver that builds the coordinator's
+// receive side with coordSide and runs send once per worker.
 // The result is the coordinator stream of the driver, with schema sch.
 func (q *queryExec) gather(gname, sname string, ops []exec.Operator, sch types.Schema, coordSide func() exec.Operator,
 	send func(wi int, ectx *exec.Ctx, ep network.Endpoint, op exec.Operator) error) *dstream {
@@ -885,7 +889,10 @@ func (q *queryExec) gather(gname, sname string, ops []exec.Operator, sch types.S
 				sp, ectx := ssps[wi], q.wctx(wi)
 				fns[wi] = func() error {
 					defer sp.Finish()
-					return send(wi, ectx, eps[wi], ops[wi])
+					start := time.Now()
+					err := send(wi, ectx, eps[wi], ops[wi])
+					sp.AddWall(time.Since(start))
+					return err
 				}
 			}
 			return fns

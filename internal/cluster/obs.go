@@ -65,6 +65,20 @@ func (q *queryExec) spanOf(op exec.Operator) *obs.Span {
 	return q.spans[op]
 }
 
+// drop takes the spans of ops — placed, but never to be opened — and the
+// spans beneath them off the trace.
+func (q *queryExec) drop(ops []exec.Operator) {
+	if q.tr == nil {
+		return
+	}
+	var roots []*obs.Span
+	for _, op := range ops {
+		roots = append(roots, q.spans[op])
+		delete(q.spans, op)
+	}
+	q.tr.Drop(roots...)
+}
+
 // adopt maps derived to src's span: pass-through wrappers (Rename's schema
 // override) add no work of their own, so parents link straight through.
 func (q *queryExec) adopt(derived, src exec.Operator) {

@@ -381,3 +381,58 @@ func BenchmarkDistributedQuery(b *testing.B) {
 	b.Run("untraced", func(b *testing.B) { run(b, false) })
 	b.Run("traced", func(b *testing.B) { run(b, true) })
 }
+
+// TestGatherTraceShowsWhatRan: a replicated stream is read from worker 0
+// alone, so the trace keeps that one replica — EXPLAIN ANALYZE prints one
+// Scan of a replicated table, not one per worker — and each Send under a
+// Gather carries the rows it shipped and its time: their rows sum to the
+// Gather's, replicated or partitioned.
+func TestGatherTraceShowsWhatRan(t *testing.T) {
+	c, _ := newCluster(t, 4, HRDBMSProfile())
+	res, err := c.ExecSQL(`EXPLAIN ANALYZE SELECT count(*) FROM nation WHERE n_nationkey < 5`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var text strings.Builder
+	for _, r := range res.Rows {
+		text.WriteString(r[0].S)
+		text.WriteByte('\n')
+	}
+	if n := strings.Count(text.String(), "Scan nation"); n != 1 {
+		t.Errorf("%d Scan nation lines on 4 workers, want 1:\n%s", n, text.String())
+	}
+	for _, sql := range []string{
+		`SELECT count(*) FROM nation WHERE n_nationkey < 5`,
+		`SELECT c_custkey FROM customer WHERE c_acctbal > 0`,
+	} {
+		node := planFor(t, c, sql)
+		_, _, tr, err := c.RunTraced(node, sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spans := tr.Spans()
+		gathers := 0
+		for _, g := range spans {
+			if g.Op != "Gather" {
+				continue
+			}
+			gathers++
+			var sent int64
+			for _, s := range spans {
+				if s.Parent != g.ID || s.Op != "Send" {
+					continue
+				}
+				if s.WallNS <= 0 {
+					t.Errorf("%s: Send on node %d has no time:\n%s", sql, s.Node, tr.Render())
+				}
+				sent += s.RowsOut
+			}
+			if g.RowsOut == 0 || sent != g.RowsOut {
+				t.Errorf("%s: Sends shipped %d rows, the Gather returned %d:\n%s", sql, sent, g.RowsOut, tr.Render())
+			}
+		}
+		if gathers == 0 {
+			t.Errorf("%s: no Gather in the trace:\n%s", sql, tr.Render())
+		}
+	}
+}

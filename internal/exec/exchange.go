@@ -447,6 +447,9 @@ func SendAll(ctx *Ctx, ep network.Endpoint, to int, channel string, in Operator)
 			return nil
 		}
 		err := ep.Send(to, to, channel, encodeBatch(msgData, ep.NodeID(), batch))
+		if err == nil {
+			shipped(ep, len(batch))
+		}
 		batch = batch[:0]
 		return err
 	}
@@ -481,10 +484,12 @@ func SendAllVec(ctx *Ctx, ep network.Endpoint, to int, channel string, in VecOpe
 			n := b.Rows()
 			for off := 0; off < n; off += wire {
 				payload := exchangeHeader(make([]byte, 0, 64), msgData, ep.NodeID())
-				payload = vec.EncodeBatch(payload, b, off, min(off+wire, n))
+				end := min(off+wire, n)
+				payload = vec.EncodeBatch(payload, b, off, end)
 				if err := ep.Send(to, to, channel, payload); err != nil {
 					return err
 				}
+				shipped(ep, end-off)
 			}
 			return nil
 		})

@@ -90,7 +90,8 @@ func (t *tracedVec) NextVec() (*vec.Batch, bool, error) {
 // and messages to a span, mirroring the Meter's semantics (self-delivery
 // is loopback, not network traffic). Exchange operators built for a traced
 // query send through one of these, so per-operator net counters sum to the
-// same total the fabric meter reports for the query.
+// same total the fabric meter reports for the query. A gather's sender
+// (SendAll, SendAllVec) also charges it the rows it ships (shipped).
 type CountingEndpoint struct {
 	network.Endpoint
 	sp *obs.Span
@@ -102,6 +103,14 @@ func NewCountingEndpoint(ep network.Endpoint, sp *obs.Span) network.Endpoint {
 		return ep
 	}
 	return &CountingEndpoint{Endpoint: ep, sp: sp}
+}
+
+// shipped charges n rows to ep's span when ep is a CountingEndpoint: the
+// rows a gather's sender put on the wire.
+func shipped(ep network.Endpoint, n int) {
+	if c, ok := ep.(*CountingEndpoint); ok {
+		c.sp.AddRowsOut(int64(n))
+	}
 }
 
 // Send counts the payload against the span, then forwards to the real

@@ -2,6 +2,8 @@ package exec
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/expr"
@@ -20,8 +22,9 @@ func in(e expr.Expr, negate bool, vals ...expr.Expr) *expr.InList {
 	return &expr.InList{E: e, Vals: vals, Negate: negate}
 }
 
-// kernelRows covers every numeric kind and strings, with NULLs in each
-// column on a different stride.
+// kernelRows covers every numeric kind and strings, with NULLs in each of
+// the first six columns on a different stride; the last three have none,
+// so they carry no NULL bitmap.
 func kernelRows() (types.Schema, []types.Row) {
 	sch := types.NewSchema(
 		types.Column{Name: "i", Kind: types.KindInt},
@@ -30,6 +33,9 @@ func kernelRows() (types.Schema, []types.Row) {
 		types.Column{Name: "s", Kind: types.KindString},
 		types.Column{Name: "s2", Kind: types.KindString},
 		types.Column{Name: "b", Kind: types.KindBool},
+		types.Column{Name: "ni", Kind: types.KindInt},
+		types.Column{Name: "nf", Kind: types.KindFloat},
+		types.Column{Name: "ns", Kind: types.KindString},
 	)
 	var rows []types.Row
 	for k := int64(0); k < 200; k++ {
@@ -40,6 +46,9 @@ func kernelRows() (types.Schema, []types.Row) {
 			types.NewString(string(rune('a' + k%5))),
 			types.NewString(string(rune('a' + k%3))),
 			types.NewBool(k%2 == 0),
+			types.NewInt(k % 7),
+			types.NewFloat(float64(k%6) * 0.25),
+			types.NewString(string(rune('a' + k%4))),
 		}
 		for c, stride := range []int64{3, 5, 7, 4, 6, 8} {
 			if k%stride == 1 {
@@ -54,18 +63,25 @@ func kernelRows() (types.Schema, []types.Row) {
 // TestCompiledPredicateParity: every predicate shape the scans of the TPC-H
 // queries use — DATE literals, BETWEEN, IN, their NOT forms, INT-vs-FLOAT and
 // DATE-vs-INT mixes — compiles to a kernel whose three-valued result equals
-// Expr.Eval on every row, NULLs included; and the shapes whose row semantics
-// a kernel could not keep (a NULL or non-literal bound or member, an empty
-// list) do not compile, and the row Filter — what evaluates them, as the scan
-// does a predicate without a kernel — keeps the rows Expr.Eval says it should.
+// Expr.Eval on every active row, NULLs included, over every row and under a
+// selection (every third row; every row but the first and the last); and the
+// scan's conjunct filter keeps exactly the active rows Eval holds on. The
+// shapes whose row semantics a kernel could not keep (a NULL or non-literal
+// bound or member, an empty list) do not compile, and the row Filter — what
+// evaluates them, as the scan does a predicate without a kernel — keeps the
+// rows Expr.Eval says it should.
 func TestCompiledPredicateParity(t *testing.T) {
 	sch, rows := kernelRows()
 	i, f, d, s := ncol(0, "i"), ncol(1, "f"), ncol(2, "d"), ncol(3, "s")
 	s2, flag := ncol(4, "s2"), ncol(5, "b")
+	ni, nf, ns := ncol(6, "ni"), ncol(7, "nf"), ncol(8, "ns")
 	null := &expr.Const{V: types.Null}
 	compiled := map[string]expr.Expr{
 		"string=string-column":     eq(s, s2),
 		"string<string-column":     lt(s, s2),
+		"string=literal":           eq(s, cs("b")),
+		"string<>literal":          &expr.Bin{Op: expr.OpNe, L: s, R: cs("b")},
+		"string<literal":           lt(s, cs("c")),
 		"bool-column":              flag,
 		"not-bool-column":          &expr.Not{E: flag},
 		"date<=date-literal":       &expr.Bin{Op: expr.OpLe, L: d, R: cd(9_005)},
@@ -73,28 +89,64 @@ func TestCompiledPredicateParity(t *testing.T) {
 		"date=int-literal":         eq(d, ci(9_003)),
 		"int<date-literal":         lt(i, cd(5)),
 		"float>=date-literal":      &expr.Bin{Op: expr.OpGe, L: f, R: cd(2)},
+		"int<float-arith":          lt(i, add(f, ci(1))),
 		"int-between":              between(i, ci(3), ci(7), false),
 		"int-not-between":          between(i, ci(3), ci(7), true),
 		"int-between-floats":       between(i, cf(2.5), cf(7.5), false),
+		"int-between-int-float":    between(i, ci(3), cf(7.5), false),
 		"float-between-int-float":  between(f, ci(1), cf(2.5), false),
+		"float-not-between":        between(f, cf(1), cf(2.5), true),
 		"date-between":             between(d, cd(9_002), cd(9_008), false),
 		"date-not-between":         between(d, cd(9_002), cd(9_008), true),
 		"date-between-int-date":    between(d, ci(9_002), cd(9_008), false),
 		"string-between":           between(s, cs("b"), cs("d"), false),
+		"string-not-between":       between(s, cs("b"), cs("d"), true),
 		"arith-between":            between(add(i, ci(1)), ci(2), ci(4), false),
 		"string-in":                in(s, false, cs("a"), cs("c"), cs("zz")),
 		"string-not-in":            in(s, true, cs("a"), cs("c")),
+		"string-in-absent-only":    in(s, false, cs("zz"), cs("yy")),
+		"string-not-in-absent":     in(s, true, cs("zz")),
 		"int-in-mixed-numerics":    in(i, false, ci(1), cf(2), cf(2.5), ci(10)),
+		"int-not-in":               in(i, true, ci(1), ci(4), ci(9)),
 		"float-in":                 in(f, false, ci(1), cf(2.5)),
 		"date-in":                  in(d, false, cd(9_001), cd(9_012), ci(9_004)),
 		"date-not-in":              in(d, true, cd(9_001), cd(9_012)),
 		"single-in":                in(i, false, ci(4)),
 		"not-in-under-not":         &expr.Not{E: in(s, true, cs("b"))},
+		"int-in-no-nulls":          in(ni, false, ci(1), ci(3)),
+		"int-not-in-no-nulls":      in(ni, true, ci(1), ci(3)),
+		"float-between-no-nulls":   between(nf, cf(0.25), cf(0.75), false),
+		"int-not-between-no-nulls": between(ni, ci(2), ci(4), true),
+		"string-in-no-nulls":       in(ns, false, cs("b"), cs("d")),
+		"lone-conjunct":            &expr.Bin{Op: expr.OpGe, L: nf, R: cf(0.5)},
 		"q6-shape":                 and(and(&expr.Bin{Op: expr.OpGe, L: d, R: cd(9_001)}, lt(d, cd(9_009))), and(between(f, cf(0.5), cf(2), false), lt(i, ci(8)))),
 		"q12-shape":                and(in(s, false, cs("b"), cs("e")), and(&expr.Bin{Op: expr.OpGe, L: d, R: cd(9_003)}, lt(d, cd(9_011)))),
 		"q19-shape":                &expr.Bin{Op: expr.OpOr, L: and(in(s, false, cs("a"), cs("b")), between(i, ci(1), ci(5), false)), R: and(in(s, false, cs("c")), between(i, ci(1), ci(10), false))},
+		"q19-first-keeps-none":     and(and(in(s, false, cs("zz"), cs("yy")), eq(s2, cs("b"))), between(i, ci(1), ci(30), false)),
 		"between-or-null-operands": &expr.Bin{Op: expr.OpOr, L: between(i, ci(9), ci(10), false), R: in(f, true, cf(0), cf(1))},
 	}
+	// Every shape reaches true, false and NULL over the rows but these.
+	reaches := map[string]string{
+		"string-in-absent-only":    "NULL false",
+		"string-not-in-absent":     "NULL true",
+		"int-in-no-nulls":          "false true",
+		"int-not-in-no-nulls":      "false true",
+		"float-between-no-nulls":   "false true",
+		"int-not-between-no-nulls": "false true",
+		"string-in-no-nulls":       "false true",
+		"lone-conjunct":            "false true",
+		"q19-first-keeps-none":     "NULL false",
+	}
+	var third, inner []int32
+	for k := range rows {
+		if k%3 == 0 {
+			third = append(third, int32(k))
+		}
+		if k > 0 && k < len(rows)-1 {
+			inner = append(inner, int32(k))
+		}
+	}
+	sels := map[string][]int32{"all": nil, "every-third": third, "inner": inner}
 	b := vec.FromRows(sch, rows)
 	truth := func(v types.Value) string {
 		if v.IsNull() {
@@ -104,32 +156,67 @@ func TestCompiledPredicateParity(t *testing.T) {
 	}
 	for name, e := range compiled {
 		t.Run(name, func(t *testing.T) {
+			want := make([]string, len(rows))
+			seen := map[string]bool{}
+			for k, r := range rows {
+				v, err := e.Eval(r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want[k] = truth(v)
+				seen[want[k]] = true
+			}
+			reach := "NULL false true"
+			if r, ok := reaches[name]; ok {
+				reach = r
+			}
+			var reached []string
+			for _, v := range []string{"NULL", "false", "true"} {
+				if seen[v] {
+					reached = append(reached, v)
+				}
+			}
+			if got := strings.Join(reached, " "); got != reach {
+				t.Fatalf("the rows reach %s of true/false/NULL, want %s — test is vacuous", got, reach)
+			}
 			node := compileBool(e, sch)
 			if node == nil {
 				t.Fatalf("%v has no kernel", e)
 			}
-			tv, nv, err := node.evalBool(b, len(rows))
-			if err != nil {
-				t.Fatal(err)
+			conj := compileConjuncts(e, sch)
+			if len(conj) != len(expr.Conjuncts(e)) {
+				t.Fatalf("%v: %d conjunct kernels, want one per conjunct", e, len(conj))
 			}
-			seen := map[string]bool{}
-			for k, r := range rows {
-				want, err := e.Eval(r)
+			for selName, sel := range sels {
+				b.Sel = sel
+				n := b.Rows()
+				tv, nv, err := node.evalBool(b, n)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got := fmt.Sprint(tv[k])
-				if nv != nil && nv[k] {
-					got = "NULL"
+				var keep []int32
+				for k := 0; k < n; k++ {
+					i := b.Index(k)
+					got := fmt.Sprint(tv[k])
+					if nv != nil && nv[k] {
+						got = "NULL"
+					}
+					if got != want[i] {
+						t.Fatalf("%s: row %d %v: kernel %s, Eval %s", selName, i, rows[i], got, want[i])
+					}
+					if want[i] == "true" {
+						keep = append(keep, int32(i))
+					}
 				}
-				if got != truth(want) {
-					t.Fatalf("row %d %v: kernel %s, Eval %s", k, r, got, truth(want))
+				kept, err := conj.filter(b, nil)
+				if err != nil {
+					t.Fatal(err)
 				}
-				seen[got] = true
+				if !slices.Equal(kept, keep) || !slices.Equal(b.Sel, sel) {
+					t.Fatalf("%s: conjunct filter kept %v (selection after: %v), want %v", selName, kept, b.Sel, keep)
+				}
 			}
-			if !seen["true"] || !seen["false"] || !seen["NULL"] {
-				t.Fatalf("the rows reach only %v of true/false/NULL — test is vacuous", seen)
-			}
+			b.Sel = nil
 		})
 	}
 

@@ -64,10 +64,11 @@ func (b *vecBatchSender) flush() bool {
 // pages of each set, and batches are built over the emitted columns only.
 //
 // A predicate is evaluated at decode time: its columns are decoded first
-// into a scratch batch laid out like the table, a compiled vector kernel
-// (or, for a shape that does not compile, the row expression over the
-// predicate's columns) produces a selection vector, and the emitted columns
-// are materialized only at the selected positions (late materialization).
+// into a scratch batch laid out like the table, its conjuncts' compiled
+// kernels narrow a selection vector one after another (or, when one does
+// not compile, the row expression over the predicate's columns builds it),
+// and the emitted columns are materialized only at the selected positions
+// (late materialization).
 // Whether a set kept a row is handed back to storage, which records the
 // absence facts and skips page sets (predicate cache and min-max) in
 // ColumnarFragment.ScanPageSets; the scan thread drives as many page-set
@@ -165,10 +166,10 @@ func (cs *VecColumnarScan) run() error {
 func (cs *VecColumnarScan) newDecoder() *pageSetDecoder {
 	d := &pageSetDecoder{cs: cs}
 	if cs.cfg.Pred != nil {
-		// Each worker compiles its own node: compiled nodes carry
+		// Each worker compiles its own kernels: compiled nodes carry
 		// per-evaluation scratch and must not be shared across goroutines.
-		// nil when the predicate's shape has no kernel.
-		d.node = compileBool(cs.cfg.Pred, cs.table)
+		// nil when a conjunct's shape has no kernel.
+		d.conj = compileConjuncts(cs.cfg.Pred, cs.table)
 		d.eval.Sch = cs.table
 		d.eval.Cols = make([]vec.Col, cs.table.Len())
 	}
@@ -181,15 +182,15 @@ func (cs *VecColumnarScan) newDecoder() *pageSetDecoder {
 // scratch is single-threaded — one decoder per worker.
 type pageSetDecoder struct {
 	cs       *VecColumnarScan
-	node     boolNode  // the predicate's kernel; nil without one
+	conj     conjuncts // the predicate's kernels, one per conjunct; nil without them
 	eval     vec.Batch // scratch, table layout: the predicate's columns of one page set
 	sel      []int32
 	chunkSel []int32   // one chain page's share of sel, rebased to the page
 	scratch  types.Row // table-width row the uncompiled predicate reads
 	// typedPages/boxedPages count per-page decode outcomes; rowsEval counts
-	// rows the predicate was evaluated on, kernelSets/rowSets the page sets it
-	// was evaluated on by the compiled kernel vs row by row through
-	// expr.EvalBool.
+	// rows that entered the predicate (every row of a set, however early the
+	// conjuncts drop it), kernelSets/rowSets the page sets it was evaluated
+	// on by the compiled kernels vs row by row through expr.EvalBool.
 	typedPages, boxedPages, rowsEval int64
 	kernelSets, rowSets              int64
 }
@@ -244,43 +245,35 @@ func (d *pageSetDecoder) filter(b *vec.Batch, set page.PageSet, nrows int) ([]in
 	}
 	d.eval.N = nrows
 	d.rowsEval += int64(nrows)
-	sel := d.sel[:0]
-	compiled := false
-	if d.node != nil {
-		t, null, err := d.node.evalBool(&d.eval, nrows)
-		switch {
-		case err == nil:
-			compiled = true
-			for k := 0; k < nrows; k++ {
-				if t[k] && (null == nil || !null[k]) {
-					sel = append(sel, int32(k))
-				}
-			}
-		case !errors.Is(err, errVecFallback):
+	if d.conj != nil {
+		sel, err := d.conj.filter(&d.eval, d.sel)
+		d.sel = sel
+		if err == nil {
+			d.kernelSets++
+			return sel, nil
+		}
+		if !errors.Is(err, errVecFallback) {
 			return nil, err
 		}
 	}
-	if compiled {
-		d.kernelSets++
-	} else {
-		// No kernel for this predicate, or the kernel met a layout it cannot
-		// handle (a page demoted to boxed): evaluate the row expression,
-		// which reads the predicate's columns only.
-		d.rowSets++
-		if d.scratch == nil {
-			d.scratch = make(types.Row, len(d.eval.Cols))
+	// No kernel for some conjunct, or a kernel met a layout it cannot handle
+	// (a page demoted to boxed): evaluate the row expression, whole, which
+	// reads the predicate's columns only.
+	d.rowSets++
+	if d.scratch == nil {
+		d.scratch = make(types.Row, len(d.eval.Cols))
+	}
+	sel := d.sel[:0]
+	for k := 0; k < nrows; k++ {
+		for _, ci := range d.cs.pred {
+			d.scratch[ci] = d.eval.Cols[ci].Value(k)
 		}
-		for k := 0; k < nrows; k++ {
-			for _, ci := range d.cs.pred {
-				d.scratch[ci] = d.eval.Cols[ci].Value(k)
-			}
-			keep, err := expr.EvalBool(d.cs.cfg.Pred, d.scratch)
-			if err != nil {
-				return nil, err
-			}
-			if keep {
-				sel = append(sel, int32(k))
-			}
+		keep, err := expr.EvalBool(d.cs.cfg.Pred, d.scratch)
+		if err != nil {
+			return nil, err
+		}
+		if keep {
+			sel = append(sel, int32(k))
 		}
 	}
 	d.sel = sel

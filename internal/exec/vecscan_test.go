@@ -162,6 +162,16 @@ func TestVecScanPushdownParity(t *testing.T) {
 		"string-eq": func() expr.Expr {
 			return &expr.Bin{Op: expr.OpEq, L: ncol(3, "status"), R: cs("STATUS-3")}
 		},
+		// note is emitted, so its predicate column interns into the building
+		// batch's dictionary, which grows page set by page set: a member
+		// first seen in a later set of the same batch must still match there.
+		"string-in-growing-dictionary": func() expr.Expr {
+			var members []expr.Expr
+			for _, i := range []int64{3, 300, 700, 1400, 1505} {
+				members = append(members, cs(fmt.Sprintf("note %d, of its own", i*7919)))
+			}
+			return in(ncol(5, "note"), false, members...)
+		},
 	}
 	for name, pred := range preds {
 		t.Run(name, func(t *testing.T) {

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"errors"
+	"slices"
 	"strings"
 
 	"repro/internal/expr"
@@ -93,7 +94,8 @@ type numNode interface {
 }
 
 // boolNode evaluates a boolean expression vectorized into dense truth and
-// null masks (SQL three-valued logic: null[k] overrides t[k]).
+// null masks (SQL three-valued logic: null[k] overrides t[k]) over the n
+// active rows of b — all of them, or the ones b.Sel lists.
 type boolNode interface {
 	evalBool(b *vec.Batch, n int) (t, null []bool, err error)
 }
@@ -109,21 +111,49 @@ func growBools(s []bool, n int) []bool {
 	return s
 }
 
-func growInts(s []int64, n int) []int64 {
+// grow returns s resized to n, its contents unspecified.
+func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]int64, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }
 
-func growFloats(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
+// nullsOf is the dense NULL mask of typed column c over b's n active rows,
+// built in scratch — nil when c has no NULL bitmap, so a kernel over a
+// NULL-free column never walks its rows for NULLs.
+func nullsOf(c *vec.Col, b *vec.Batch, n int, scratch *[]bool) []bool {
+	if len(c.Nulls) == 0 {
+		return nil
 	}
-	return s[:n]
+	var null []bool
+	for k := 0; k < n; k++ {
+		if vec.GetBit(c.Nulls, b.Index(k)) {
+			if null == nil {
+				null = growBools(*scratch, n)
+				*scratch = null
+			}
+			null[k] = true
+		}
+	}
+	return null
 }
 
-// numColNode gathers a typed numeric column through the selection vector.
+// gather returns xs at b's n active rows: xs itself when every row is
+// active, a copy into scratch under a selection.
+func gather[T int64 | float64](xs []T, sel []int32, n int, scratch *[]T) []T {
+	if sel == nil {
+		return xs[:n]
+	}
+	out := grow(*scratch, n)
+	for k, i := range sel[:n] {
+		out[k] = xs[i]
+	}
+	*scratch = out
+	return out
+}
+
+// numColNode reads a typed numeric column at the active rows.
 type numColNode struct {
 	idx  int
 	i    []int64
@@ -135,51 +165,16 @@ func (nc *numColNode) evalNum(b *vec.Batch, n int) (numVec, error) {
 	c := &b.Cols[nc.idx]
 	switch c.Form {
 	case vec.FormInt:
-		if b.Sel == nil && len(c.Nulls) == 0 {
-			return numVec{i: c.I[:n]}, nil // zero-copy passthrough
-		}
-		nc.i = growInts(nc.i, n)
-		var null []bool
-		for k := 0; k < n; k++ {
-			i := b.Index(k)
-			nc.i[k] = c.I[i]
-			if c.IsNull(i) {
-				if null == nil {
-					null = growBools(nc.null, n)
-				}
-				null[k] = true
-			}
-		}
-		if null != nil {
-			nc.null = null
-		}
-		return numVec{i: nc.i, null: null}, nil
+		return numVec{i: gather(c.I, b.Sel, n, &nc.i), null: nullsOf(c, b, n, &nc.null)}, nil
 	case vec.FormFloat:
-		if b.Sel == nil && len(c.Nulls) == 0 {
-			return numVec{isFloat: true, f: c.F[:n]}, nil
-		}
-		nc.f = growFloats(nc.f, n)
-		var null []bool
-		for k := 0; k < n; k++ {
-			i := b.Index(k)
-			nc.f[k] = c.F[i]
-			if c.IsNull(i) {
-				if null == nil {
-					null = growBools(nc.null, n)
-				}
-				null[k] = true
-			}
-		}
-		if null != nil {
-			nc.null = null
-		}
-		return numVec{isFloat: true, f: nc.f, null: null}, nil
+		return numVec{isFloat: true, f: gather(c.F, b.Sel, n, &nc.f), null: nullsOf(c, b, n, &nc.null)}, nil
 	default:
 		return numVec{}, errVecFallback
 	}
 }
 
-// numConstNode broadcasts a literal.
+// numConstNode broadcasts a literal operand of arithmetic. A comparison,
+// BETWEEN or IN against a literal reads it as a scalar instead.
 type numConstNode struct {
 	isFloat bool
 	iv      int64
@@ -190,13 +185,13 @@ type numConstNode struct {
 
 func (nc *numConstNode) evalNum(_ *vec.Batch, n int) (numVec, error) {
 	if nc.isFloat {
-		nc.f = growFloats(nc.f, n)
+		nc.f = grow(nc.f, n)
 		for k := range nc.f {
 			nc.f[k] = nc.fv
 		}
 		return numVec{isFloat: true, f: nc.f}, nil
 	}
-	nc.i = growInts(nc.i, n)
+	nc.i = grow(nc.i, n)
 	for k := range nc.i {
 		nc.i[k] = nc.iv
 	}
@@ -225,7 +220,7 @@ func (a *arithNode) evalNum(b *vec.Batch, n int) (numVec, error) {
 	}
 	null := mergeNulls(&a.null, lv.null, rv.null, n)
 	if !lv.isFloat && !rv.isFloat {
-		a.i = growInts(a.i, n)
+		a.i = grow(a.i, n)
 		switch a.op {
 		case expr.OpAdd:
 			for k := 0; k < n; k++ {
@@ -242,7 +237,7 @@ func (a *arithNode) evalNum(b *vec.Batch, n int) (numVec, error) {
 		}
 		return numVec{i: a.i, null: null}, nil
 	}
-	a.f = growFloats(a.f, n)
+	a.f = grow(a.f, n)
 	lf := lv.asFloats(&a.lf)
 	rf := rv.asFloats(&a.rf)
 	switch a.op {
@@ -268,7 +263,7 @@ func (v numVec) asFloats(scratch *[]float64) []float64 {
 	if v.isFloat {
 		return v.f
 	}
-	s := growFloats(*scratch, len(v.i))
+	s := grow(*scratch, len(v.i))
 	for k, x := range v.i {
 		s[k] = float64(x)
 	}
@@ -289,18 +284,6 @@ func mergeNulls(scratch *[]bool, a, b []bool, n int) []bool {
 	return s
 }
 
-// cmpNumNode is a vectorized numeric comparison. mixed selects float
-// comparison, mirroring types.Compare: same-kind INT/DATE operands compare
-// by integer payload, cross-kind numeric operands compare by Float().
-type cmpNumNode struct {
-	op     expr.BinOp
-	mixed  bool
-	l, r   numNode
-	t      []bool
-	null   []bool
-	lf, rf []float64
-}
-
 func cmpHolds(op expr.BinOp, c int) bool {
 	switch op {
 	case expr.OpEq:
@@ -318,6 +301,81 @@ func cmpHolds(op expr.BinOp, c int) bool {
 	}
 }
 
+// compareVecs sets t[k] to l[k] op r[k].
+func compareVecs[T int64 | float64](op expr.BinOp, l, r []T, t []bool) {
+	l, r = l[:len(t)], r[:len(t)]
+	switch op {
+	case expr.OpEq:
+		for k := range t {
+			t[k] = l[k] == r[k]
+		}
+	case expr.OpNe:
+		for k := range t {
+			t[k] = l[k] != r[k]
+		}
+	case expr.OpLt:
+		for k := range t {
+			t[k] = l[k] < r[k]
+		}
+	case expr.OpLe:
+		for k := range t {
+			t[k] = l[k] <= r[k]
+		}
+	case expr.OpGt:
+		for k := range t {
+			t[k] = l[k] > r[k]
+		}
+	default:
+		for k := range t {
+			t[k] = l[k] >= r[k]
+		}
+	}
+}
+
+// compareScalar sets t[k] to l[k] op r.
+func compareScalar[T int64 | float64](op expr.BinOp, l []T, r T, t []bool) {
+	l = l[:len(t)]
+	switch op {
+	case expr.OpEq:
+		for k, x := range l {
+			t[k] = x == r
+		}
+	case expr.OpNe:
+		for k, x := range l {
+			t[k] = x != r
+		}
+	case expr.OpLt:
+		for k, x := range l {
+			t[k] = x < r
+		}
+	case expr.OpLe:
+		for k, x := range l {
+			t[k] = x <= r
+		}
+	case expr.OpGt:
+		for k, x := range l {
+			t[k] = x > r
+		}
+	default:
+		for k, x := range l {
+			t[k] = x >= r
+		}
+	}
+}
+
+// cmpNumNode is a vectorized numeric comparison of two operands. mixed
+// selects float comparison, mirroring types.Compare: same-kind INT/DATE
+// operands compare by integer payload, cross-kind numeric operands compare
+// by Float().
+type cmpNumNode struct {
+	op     expr.BinOp
+	mixed  bool
+	l, r   numNode
+	t      []bool
+	null   []bool
+	lf, rf []float64
+}
+
 func (cn *cmpNumNode) evalBool(b *vec.Batch, n int) ([]bool, []bool, error) {
 	lv, err := cn.l.evalNum(b, n)
 	if err != nil {
@@ -328,122 +386,193 @@ func (cn *cmpNumNode) evalBool(b *vec.Batch, n int) ([]bool, []bool, error) {
 		return nil, nil, err
 	}
 	null := mergeNulls(&cn.null, lv.null, rv.null, n)
-	cn.t = growBools(cn.t, n)
+	cn.t = grow(cn.t, n)
 	if !cn.mixed && !lv.isFloat && !rv.isFloat {
-		li, ri := lv.i, rv.i
-		switch cn.op {
-		case expr.OpEq:
-			for k := 0; k < n; k++ {
-				cn.t[k] = li[k] == ri[k]
-			}
-		case expr.OpNe:
-			for k := 0; k < n; k++ {
-				cn.t[k] = li[k] != ri[k]
-			}
-		case expr.OpLt:
-			for k := 0; k < n; k++ {
-				cn.t[k] = li[k] < ri[k]
-			}
-		case expr.OpLe:
-			for k := 0; k < n; k++ {
-				cn.t[k] = li[k] <= ri[k]
-			}
-		case expr.OpGt:
-			for k := 0; k < n; k++ {
-				cn.t[k] = li[k] > ri[k]
-			}
-		default:
-			for k := 0; k < n; k++ {
-				cn.t[k] = li[k] >= ri[k]
-			}
-		}
-		return cn.t, null, nil
-	}
-	lf := lv.asFloats(&cn.lf)
-	rf := rv.asFloats(&cn.rf)
-	switch cn.op {
-	case expr.OpEq:
-		for k := 0; k < n; k++ {
-			cn.t[k] = lf[k] == rf[k]
-		}
-	case expr.OpNe:
-		for k := 0; k < n; k++ {
-			cn.t[k] = lf[k] != rf[k]
-		}
-	case expr.OpLt:
-		for k := 0; k < n; k++ {
-			cn.t[k] = lf[k] < rf[k]
-		}
-	case expr.OpLe:
-		for k := 0; k < n; k++ {
-			cn.t[k] = lf[k] <= rf[k]
-		}
-	case expr.OpGt:
-		for k := 0; k < n; k++ {
-			cn.t[k] = lf[k] > rf[k]
-		}
-	default:
-		for k := 0; k < n; k++ {
-			cn.t[k] = lf[k] >= rf[k]
-		}
+		compareVecs(cn.op, lv.i, rv.i, cn.t)
+	} else {
+		compareVecs(cn.op, lv.asFloats(&cn.lf), rv.asFloats(&cn.rf), cn.t)
 	}
 	return cn.t, null, nil
 }
 
-// cmpStrConstNode compares a dictionary string column against a literal.
-// Equality tests resolve the literal to a code once per batch; ordering
-// tests compare dictionary strings per row (still unboxed).
-type cmpStrConstNode struct {
-	op   expr.BinOp
-	idx  int
-	s    string
-	t    []bool
-	null []bool
+// scalar is a non-NULL numeric literal as a kernel compares an operand
+// against it, by types.Compare's rule: by the integer payload when both are
+// INT or both DATE, as floats otherwise.
+type scalar struct {
+	i       int64
+	f       float64
+	asFloat bool
 }
 
-func (cs *cmpStrConstNode) evalBool(b *vec.Batch, n int) ([]bool, []bool, error) {
-	c := &b.Cols[cs.idx]
+// newScalar readies literal v for an operand of kind of.
+func newScalar(v types.Value, of types.Kind) scalar {
+	return scalar{i: v.I, f: v.Float(), asFloat: v.K != of || of == types.KindFloat}
+}
+
+// cmpConstNode compares a numeric operand against a literal, read as a
+// scalar.
+type cmpConstNode struct {
+	op  expr.BinOp
+	e   numNode
+	lit scalar
+	t   []bool
+	f   []float64
+}
+
+func (cn *cmpConstNode) evalBool(b *vec.Batch, n int) ([]bool, []bool, error) {
+	v, err := cn.e.evalNum(b, n)
+	if err != nil {
+		return nil, nil, err
+	}
+	cn.t = grow(cn.t, n)
+	if v.isFloat || cn.lit.asFloat {
+		compareScalar(cn.op, v.asFloats(&cn.f), cn.lit.f, cn.t)
+	} else {
+		compareScalar(cn.op, v.i, cn.lit.i, cn.t)
+	}
+	return cn.t, v.null, nil
+}
+
+// rangeNode is [NOT] BETWEEN a numeric operand and two literal bounds, in
+// one pass.
+type rangeNode struct {
+	e      numNode
+	lo, hi scalar
+	negate bool
+	t      []bool
+	f      []float64
+}
+
+func within[T int64 | float64](xs []T, lo, hi T, negate bool, t []bool) {
+	xs = xs[:len(t)]
+	for k, x := range xs {
+		t[k] = (x >= lo && x <= hi) != negate
+	}
+}
+
+func (rn *rangeNode) evalBool(b *vec.Batch, n int) ([]bool, []bool, error) {
+	v, err := rn.e.evalNum(b, n)
+	if err != nil {
+		return nil, nil, err
+	}
+	t := grow(rn.t, n)
+	rn.t = t
+	lo, hi := rn.lo, rn.hi
+	switch {
+	case v.isFloat || (lo.asFloat && hi.asFloat):
+		within(v.asFloats(&rn.f), lo.f, hi.f, rn.negate, t)
+	case !lo.asFloat && !hi.asFloat:
+		within(v.i, lo.i, hi.i, rn.negate, t)
+	default:
+		// An integer operand with one bound of another kind: each bound
+		// compares by its own rule.
+		for k, x := range v.i[:n] {
+			geLo, leHi := x >= lo.i, x <= hi.i
+			if lo.asFloat {
+				geLo = float64(x) >= lo.f
+			} else {
+				leHi = float64(x) <= hi.f
+			}
+			t[k] = (geLo && leHi) != rn.negate
+		}
+	}
+	return t, v.null, nil
+}
+
+// inNumNode is [NOT] IN a list of literals over a numeric operand, in one
+// pass: an integer operand matches the literals of its own kind by payload
+// (ints) and the others as floats (floats); a float operand matches every
+// literal as a float.
+type inNumNode struct {
+	e      numNode
+	ints   []int64
+	floats []float64
+	negate bool
+	t      []bool
+}
+
+func (in *inNumNode) evalBool(b *vec.Batch, n int) ([]bool, []bool, error) {
+	v, err := in.e.evalNum(b, n)
+	if err != nil {
+		return nil, nil, err
+	}
+	t := grow(in.t, n)
+	in.t = t
+	if v.isFloat {
+		for k, x := range v.f[:n] {
+			t[k] = slices.Contains(in.floats, x) != in.negate
+		}
+	} else {
+		for k, x := range v.i[:n] {
+			t[k] = (slices.Contains(in.ints, x) || slices.Contains(in.floats, float64(x))) != in.negate
+		}
+	}
+	return t, v.null, nil
+}
+
+// strLitNode tests a dictionary string column against literals. [NOT] IN
+// (and = or <> one literal) looks the members up in the column's dictionary
+// once per evaluation — the dictionary grows between page sets — and
+// compares each row's code against that small table; a member the
+// dictionary lacks matches no row. An ordering comparison or BETWEEN
+// (holds) compares each row's dictionary string.
+type strLitNode struct {
+	idx     int
+	members []string
+	holds   func(s string) bool // nil for IN
+	negate  bool
+	codes   []int32
+	t, null []bool
+}
+
+func (sn *strLitNode) evalBool(b *vec.Batch, n int) ([]bool, []bool, error) {
+	c := &b.Cols[sn.idx]
 	if c.Form != vec.FormStr {
 		return nil, nil, errVecFallback
 	}
-	cs.t = growBools(cs.t, n)
-	var null []bool
-	for k := 0; k < n; k++ {
-		if c.IsNull(b.Index(k)) {
-			if null == nil {
-				null = growBools(cs.null, n)
-			}
-			null[k] = true
-		}
-	}
-	if null != nil {
-		cs.null = null
-	}
-	switch cs.op {
-	case expr.OpEq, expr.OpNe:
-		code, found := c.Dict.Lookup(cs.s)
-		want := cs.op == expr.OpEq
-		for k := 0; k < n; k++ {
-			cs.t[k] = (found && c.Codes[b.Index(k)] == code) == want
-		}
-	default:
-		for k := 0; k < n; k++ {
+	null := nullsOf(c, b, n, &sn.null)
+	t := grow(sn.t, n)
+	sn.t = t
+	if sn.holds != nil {
+		for k := range t {
 			if null != nil && null[k] {
 				continue // a NULL's code is 0 whatever the dictionary holds, even nothing
 			}
-			c2 := strings.Compare(c.Dict.Str(c.Codes[b.Index(k)]), cs.s)
-			cs.t[k] = cmpHolds(cs.op, c2)
+			t[k] = sn.holds(c.Dict.Str(c.Codes[b.Index(k)]))
+		}
+		return t, null, nil
+	}
+	codes := sn.codes[:0]
+	var mask uint64 // the members' codes as bits, read while every one is below 64
+	small := true
+	for _, s := range sn.members {
+		if code, ok := c.Dict.Lookup(s); ok {
+			codes = append(codes, code)
+			mask |= 1 << code
+			small = small && code < 64
 		}
 	}
-	return cs.t, null, nil
+	sn.codes = codes
+	if small {
+		for k := range t {
+			// A code of 64 or more shifts the mask to 0: no member.
+			t[k] = (mask>>uint32(c.Codes[b.Index(k)])&1 != 0) != sn.negate
+		}
+		return t, null, nil
+	}
+	for k := range t {
+		t[k] = slices.Contains(codes, c.Codes[b.Index(k)]) != sn.negate
+	}
+	return t, null, nil
 }
 
 // cmpStrColsNode compares two dictionary string columns. When both share
 // one dictionary, equality is pure code comparison.
 type cmpStrColsNode struct {
-	op      expr.BinOp
-	li, ri  int
-	t, null []bool
+	op           expr.BinOp
+	li, ri       int
+	t, null      []bool
+	lnull, rnull []bool
 }
 
 func (cs *cmpStrColsNode) evalBool(b *vec.Batch, n int) ([]bool, []bool, error) {
@@ -451,22 +580,9 @@ func (cs *cmpStrColsNode) evalBool(b *vec.Batch, n int) ([]bool, []bool, error) 
 	if lc.Form != vec.FormStr || rc.Form != vec.FormStr {
 		return nil, nil, errVecFallback
 	}
+	null := mergeNulls(&cs.null, nullsOf(lc, b, n, &cs.lnull), nullsOf(rc, b, n, &cs.rnull), n)
 	cs.t = growBools(cs.t, n)
-	var null []bool
-	for k := 0; k < n; k++ {
-		i := b.Index(k)
-		if lc.IsNull(i) || rc.IsNull(i) {
-			if null == nil {
-				null = growBools(cs.null, n)
-			}
-			null[k] = true
-		}
-	}
-	if null != nil {
-		cs.null = null
-	}
-	shared := lc.Dict == rc.Dict
-	if shared && (cs.op == expr.OpEq || cs.op == expr.OpNe) {
+	if lc.Dict == rc.Dict && (cs.op == expr.OpEq || cs.op == expr.OpNe) {
 		want := cs.op == expr.OpEq
 		for k := 0; k < n; k++ {
 			i := b.Index(k)
@@ -485,9 +601,11 @@ func (cs *cmpStrColsNode) evalBool(b *vec.Batch, n int) ([]bool, []bool, error) 
 	return cs.t, null, nil
 }
 
-// logicNode is vectorized AND/OR over {true, false, unknown}. Dense
-// evaluation of both sides is safe because compiled nodes cannot raise
-// row-level evaluation errors (division is never compiled).
+// logicNode is vectorized AND/OR over {true, false, unknown}: OR, and an AND
+// nested under OR or NOT — a scan predicate's top-level AND is its
+// conjuncts, each a kernel of its own (conjuncts.filter). Dense evaluation
+// of both sides is safe because compiled nodes cannot raise row-level
+// evaluation errors (division is never compiled).
 type logicNode struct {
 	and     bool
 	l, r    boolNode
@@ -556,7 +674,7 @@ func (nn *notNode) evalBool(b *vec.Batch, n int) ([]bool, []bool, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	nn.t = growBools(nn.t, n)
+	nn.t = grow(nn.t, n)
 	for k := 0; k < n; k++ {
 		nn.t[k] = !t[k]
 	}
@@ -572,7 +690,7 @@ type isNullColNode struct {
 
 func (in *isNullColNode) evalBool(b *vec.Batch, n int) ([]bool, []bool, error) {
 	c := &b.Cols[in.idx]
-	in.t = growBools(in.t, n)
+	in.t = grow(in.t, n)
 	for k := 0; k < n; k++ {
 		in.t[k] = c.IsNull(b.Index(k)) != in.negate
 	}
@@ -590,22 +708,84 @@ func (bc *boolColNode) evalBool(b *vec.Batch, n int) ([]bool, []bool, error) {
 	if c.Form != vec.FormInt {
 		return nil, nil, errVecFallback
 	}
-	bc.t = growBools(bc.t, n)
-	var null []bool
+	bc.t = grow(bc.t, n)
 	for k := 0; k < n; k++ {
-		i := b.Index(k)
-		bc.t[k] = c.I[i] != 0
-		if c.IsNull(i) {
-			if null == nil {
-				null = growBools(bc.null, n)
-			}
-			null[k] = true
+		bc.t[k] = c.I[b.Index(k)] != 0
+	}
+	return bc.t, nullsOf(c, b, n, &bc.null), nil
+}
+
+// conjuncts is a scan predicate compiled one kernel per top-level conjunct
+// (expr.Conjuncts), in plan order.
+type conjuncts []boolNode
+
+// compileConjuncts compiles every top-level conjunct of pred, or returns
+// nil when one has no kernel: the predicate then runs row by row, whole.
+func compileConjuncts(pred expr.Expr, sch types.Schema) conjuncts {
+	es := expr.Conjuncts(pred)
+	if len(es) == 0 {
+		return nil
+	}
+	cs := make(conjuncts, len(es))
+	for i, e := range es {
+		if cs[i] = compileBool(e, sch); cs[i] == nil {
+			return nil
 		}
 	}
-	if null != nil {
-		bc.null = null
+	return cs
+}
+
+// filter narrows b's active rows to those every conjunct holds on, and
+// returns their physical positions in out's array, which must not be b.Sel's.
+// The first conjunct reads every active row, each later one only the rows
+// the earlier ones kept (through b.Sel), so a row leaves at its first FALSE
+// or NULL conjunct. b.Sel is as it was on return. An error — errVecFallback
+// from any conjunct included — abandons the whole selection.
+func (cs conjuncts) filter(b *vec.Batch, out []int32) ([]int32, error) {
+	in := b.Sel
+	defer func() { b.Sel = in }()
+	n := b.Rows()
+	for j, node := range cs {
+		t, null, err := node.evalBool(b, n)
+		if err != nil {
+			return out[:0], err
+		}
+		if j == 0 {
+			out = grow(out, n)
+			for k := range out {
+				out[k] = int32(b.Index(k))
+			}
+		}
+		if out = out[:keepTrue(out, t, null)]; len(out) == 0 {
+			break
+		}
+		b.Sel, n = out, len(out)
 	}
-	return bc.t, null, nil
+	return out, nil
+}
+
+// keepTrue moves to the front of pos, in order, the entries whose t holds
+// and null does not, and returns how many there are.
+func keepTrue(pos []int32, t, null []bool) int {
+	m := 0
+	t = t[:len(pos)]
+	if null == nil {
+		for k, i := range pos {
+			pos[m] = i
+			if t[k] {
+				m++
+			}
+		}
+		return m
+	}
+	null = null[:len(pos)]
+	for k, i := range pos {
+		pos[m] = i
+		if t[k] && !null[k] {
+			m++
+		}
+	}
+	return m
 }
 
 func numericExprKind(k types.Kind) bool {
@@ -653,10 +833,80 @@ func compileNum(e expr.Expr, sch types.Schema) numNode {
 	return nil
 }
 
-// nonNullConst reports whether e is a literal other than NULL.
-func nonNullConst(e expr.Expr) bool {
-	c, ok := e.(*expr.Const)
-	return ok && !c.V.IsNull()
+// literals returns the values of es when every one is a literal other than
+// NULL.
+func literals(es []expr.Expr) ([]types.Value, bool) {
+	vs := make([]types.Value, len(es))
+	for i, e := range es {
+		c, ok := e.(*expr.Const)
+		if !ok || c.V.IsNull() {
+			return nil, false
+		}
+		vs[i] = c.V
+	}
+	return vs, true
+}
+
+// compileBetween compiles [NOT] BETWEEN with literal bounds to one range
+// pass. A NULL bound makes Between.Eval NULL where E >= Lo AND E <= Hi can
+// be FALSE — the two differ under NOT — so it, like a bound that is not a
+// literal, keeps the row path.
+func compileBetween(x *expr.Between, sch types.Schema) boolNode {
+	bounds, ok := literals([]expr.Expr{x.Lo, x.Hi})
+	if !ok {
+		return nil
+	}
+	lo, hi := bounds[0], bounds[1]
+	ek := expr.KindOf(x.E, sch)
+	if numericExprKind(ek) && numericExprKind(lo.K) && numericExprKind(hi.K) {
+		if e := compileNum(x.E, sch); e != nil {
+			return &rangeNode{e: e, lo: newScalar(lo, ek), hi: newScalar(hi, ek), negate: x.Negate}
+		}
+		return nil
+	}
+	c, ok := x.E.(*expr.Col)
+	if ok && ek == types.KindString && lo.K == types.KindString && hi.K == types.KindString {
+		l, h, negate := lo.S, hi.S, x.Negate
+		return &strLitNode{idx: c.Index, holds: func(s string) bool { return (s >= l && s <= h) != negate }}
+	}
+	return nil
+}
+
+// compileIn compiles [NOT] IN over a list of literals to one pass. A NULL
+// member makes a non-match unknown and an empty list has nothing to
+// match: both keep the row path.
+func compileIn(x *expr.InList, sch types.Schema) boolNode {
+	lits, ok := literals(x.Vals)
+	if !ok || len(lits) == 0 {
+		return nil
+	}
+	ek := expr.KindOf(x.E, sch)
+	if c, isCol := x.E.(*expr.Col); isCol && ek == types.KindString {
+		members := make([]string, len(lits))
+		for i, v := range lits {
+			if v.K != types.KindString {
+				return nil
+			}
+			members[i] = v.S
+		}
+		return &strLitNode{idx: c.Index, members: members, negate: x.Negate}
+	}
+	e := compileNum(x.E, sch)
+	if e == nil {
+		return nil
+	}
+	in := &inNumNode{e: e, negate: x.Negate}
+	for _, v := range lits {
+		if !numericExprKind(v.K) {
+			return nil
+		}
+		if s := newScalar(v, ek); s.asFloat {
+			in.floats = append(in.floats, s.f)
+		} else {
+			in.ints = append(in.ints, s.i)
+		}
+	}
+	return in
 }
 
 // compileBool compiles a predicate to a vectorized node, or nil when
@@ -666,42 +916,9 @@ func nonNullConst(e expr.Expr) bool {
 func compileBool(e expr.Expr, sch types.Schema) boolNode {
 	switch x := e.(type) {
 	case *expr.Between:
-		// E >= Lo AND E <= Hi, for literal bounds only: Between.Eval is NULL
-		// on a NULL bound where the conjunction can be FALSE, and the two
-		// differ under NOT.
-		if !nonNullConst(x.Lo) || !nonNullConst(x.Hi) {
-			return nil
-		}
-		n := compileBool(&expr.Bin{Op: expr.OpAnd,
-			L: &expr.Bin{Op: expr.OpGe, L: x.E, R: x.Lo},
-			R: &expr.Bin{Op: expr.OpLe, L: x.E, R: x.Hi}}, sch)
-		if n != nil && x.Negate {
-			n = &notNode{e: n}
-		}
-		return n
+		return compileBetween(x, sch)
 	case *expr.InList:
-		// The OR of E = v over the list. A NULL member makes a non-match
-		// unknown and an empty list has no equality to OR: both stay on the
-		// row path.
-		var n boolNode
-		for _, v := range x.Vals {
-			if !nonNullConst(v) {
-				return nil
-			}
-			eq := compileBool(&expr.Bin{Op: expr.OpEq, L: x.E, R: v}, sch)
-			if eq == nil {
-				return nil
-			}
-			if n == nil {
-				n = eq
-			} else {
-				n = &logicNode{l: n, r: eq}
-			}
-		}
-		if n != nil && x.Negate {
-			n = &notNode{e: n}
-		}
-		return n
+		return compileIn(x, sch)
 	case *expr.Col:
 		if x.Index >= 0 && x.Index < sch.Len() && sch.Cols[x.Index].Kind == types.KindBool {
 			return &boolColNode{idx: x.Index}
@@ -730,6 +947,28 @@ func compileBool(e expr.Expr, sch types.Schema) boolNode {
 		}
 		lk, rk := expr.KindOf(x.L, sch), expr.KindOf(x.R, sch)
 		if numericExprKind(lk) && numericExprKind(rk) {
+			op, operand, lit, of := x.Op, x.L, x.R, lk
+			if _, ok := lit.(*expr.Const); !ok {
+				// A literal on the left compares the other way round: lit < e
+				// is e > lit.
+				operand, lit, of = x.R, x.L, rk
+				switch op {
+				case expr.OpLt:
+					op = expr.OpGt
+				case expr.OpLe:
+					op = expr.OpGe
+				case expr.OpGt:
+					op = expr.OpLt
+				case expr.OpGe:
+					op = expr.OpLe
+				}
+			}
+			if c, ok := lit.(*expr.Const); ok {
+				if e := compileNum(operand, sch); e != nil {
+					return &cmpConstNode{op: op, e: e, lit: newScalar(c.V, of)}
+				}
+				return nil
+			}
 			l, r := compileNum(x.L, sch), compileNum(x.R, sch)
 			if l == nil || r == nil {
 				return nil
@@ -743,9 +982,11 @@ func compileBool(e expr.Expr, sch types.Schema) boolNode {
 			}
 			switch rv := x.R.(type) {
 			case *expr.Const:
-				if rv.V.K == types.KindString {
-					return &cmpStrConstNode{op: x.Op, idx: lc.Index, s: rv.V.S}
+				if x.Op == expr.OpEq || x.Op == expr.OpNe {
+					return &strLitNode{idx: lc.Index, members: []string{rv.V.S}, negate: x.Op == expr.OpNe}
 				}
+				op, s := x.Op, rv.V.S
+				return &strLitNode{idx: lc.Index, holds: func(v string) bool { return cmpHolds(op, strings.Compare(v, s)) }}
 			case *expr.Col:
 				return &cmpStrColsNode{op: x.Op, li: lc.Index, ri: rv.Index}
 			}

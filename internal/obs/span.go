@@ -322,6 +322,41 @@ func (t *QueryTrace) StartSpan(op string, node int) *Span {
 	return s
 }
 
+// Drop removes the spans rooted at roots, and every span beneath them, from
+// the trace: operators that were placed but will never run leave no trace.
+// Nil-safe.
+func (t *QueryTrace) Drop(roots ...*Span) {
+	if t == nil {
+		return
+	}
+	gone := map[int64]bool{}
+	for _, r := range roots {
+		if r != nil {
+			gone[r.ID] = true
+		}
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	// A child may be older than its parent (a scan's span is made before the
+	// operators above it), so sweep until no span joins the dropped ones.
+	for grew := len(gone) > 0; grew; {
+		grew = false
+		for _, s := range t.spans {
+			if !gone[s.ID] && gone[s.parent.Load()] {
+				gone[s.ID], grew = true, true
+			}
+		}
+	}
+	kept := t.spans[:0]
+	for _, s := range t.spans {
+		if !gone[s.ID] {
+			kept = append(kept, s)
+		}
+	}
+	clear(t.spans[len(kept):])
+	t.spans = kept
+}
+
 // SetWall records the query's end-to-end wall time. Nil-safe.
 func (t *QueryTrace) SetWall(d time.Duration) {
 	if t != nil {

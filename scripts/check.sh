@@ -46,6 +46,9 @@ go test -run '^$' -bench BenchmarkHashJoinBuildProbe -benchtime 1x ./internal/ex
 echo "==> bench smoke (row scan over partsupp-shaped rows: 1-in-200 and all-pass predicate on an unemitted column)"
 go test -run '^$' -bench BenchmarkRowScan -benchtime 1x ./internal/exec >/dev/null
 
+echo "==> bench smoke (columnar scan predicates of q6, q12, q19 and l_discount > 0.05 over SF0.01 lineitem: conjuncts narrowing a selection)"
+go test -run '^$' -bench BenchmarkScanPredicate -benchtime 1x ./internal/exec >/dev/null
+
 echo "==> bench smoke (typed vs boxed page decode, per layout: tagged, fixed, dict; full and 10 %-selective)"
 go test -run '^$' -bench BenchmarkTypedVsBoxedDecode -benchtime 1x ./internal/page >/dev/null
 
