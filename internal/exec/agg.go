@@ -305,23 +305,14 @@ func (c *aggCol) sum(g int32) types.Value {
 	return types.NewInt(c.sumI[g])
 }
 
-// countRows counts every row of a batch into its group, for COUNT(*). A
-// negative group is a row that spilled.
-func (c *aggCol) countRows(gs []int32) {
-	cnt := c.n
-	for _, g := range gs {
-		if g >= 0 {
-			cnt[g]++
-		}
-	}
-}
-
 // foldNum folds a kernel's values into the column, the k-th into group
 // gs[k] (none when negative: that row spilled), in one loop over the batch.
-// kind is the kind of an integer vector's values, INT or DATE. A DISTINCT
-// aggregate, a boxed extreme, and values of another kind than a typed
-// extreme's go through add one boxed value at a time.
-func (c *aggCol) foldNum(gs []int32, nv numVec, kind types.Kind) {
+// kind is the kind of an integer vector's values, INT or DATE. A COUNT, or a
+// sum the vector's representation matches, of a vector without NULLs takes
+// its counts from rows, the batch's rows by group. A DISTINCT aggregate, a
+// boxed extreme, and values of another kind than a typed extreme's go
+// through add one boxed value at a time.
+func (c *aggCol) foldNum(gs []int32, nv numVec, kind types.Kind, rows *batchRows) {
 	null := nv.null
 	if c.dedup || c.ext == extBoxed || c.ext == extInt && (nv.isFloat || kind != c.extKind) || c.ext == extFloat && !nv.isFloat {
 		for k, g := range gs {
@@ -337,6 +328,8 @@ func (c *aggCol) foldNum(gs []int32, nv numVec, kind types.Kind) {
 	}
 	isMin := c.kind == AggMin
 	switch {
+	case c.kind == AggCount && null == nil:
+		rows.addTo(c.n)
 	case c.kind == AggCount:
 		cnt := c.n
 		for k, g := range gs {
@@ -366,6 +359,22 @@ func (c *aggCol) foldNum(gs []int32, nv numVec, kind types.Kind) {
 			}
 			cnt[g]++
 		}
+	case nv.isFloat && c.float && null == nil:
+		sum, f := c.sumF, nv.f[:len(gs)]
+		for k, g := range gs {
+			if g >= 0 {
+				sum[g] += f[k]
+			}
+		}
+		rows.addTo(c.n)
+	case !nv.isFloat && !c.float && null == nil:
+		sum, x := c.sumI, nv.i[:len(gs)]
+		for k, g := range gs {
+			if g >= 0 {
+				sum[g] += x[k]
+			}
+		}
+		rows.addTo(c.n)
 	case nv.isFloat && c.float:
 		sum, cnt, f := c.sumF, c.n, nv.f[:len(gs)]
 		for k, g := range gs {
@@ -457,17 +466,18 @@ func (c *aggCol) appendPartial(out []types.Value, g int32) []types.Value {
 	return append(out, sum, types.NewInt(n), lo, hi)
 }
 
-// final computes group g's value of the aggregate.
-func (c *aggCol) final(g int32) types.Value {
+// final computes group g's value of an aggregate of the given kind that
+// reads the column: its own, or an AVG reading a SUM's (shareSums).
+func (c *aggCol) final(g int32, kind AggKind) types.Value {
 	n := c.n[g]
 	switch {
-	case c.kind == AggCount:
+	case kind == AggCount:
 		return types.NewInt(n)
 	case n == 0:
 		return types.Null
-	case c.kind == AggSum:
+	case kind == AggSum:
 		return c.sum(g)
-	case c.kind == AggAvg:
+	case kind == AggAvg:
 		return types.NewFloat(c.sumF[g] / float64(n))
 	default:
 		return c.extValue(g)
@@ -498,15 +508,20 @@ type HashAggregate struct {
 	Parallel int
 	// Trace, when non-nil, records the granted worker count and which front
 	// end the build read.
-	Trace    *obs.Span
-	typed    VecOperator  // In's typed face; nil builds from row slabs
-	kinds    []types.Kind // by aggregate: the kind of its value (aggKinds)
-	ctx      *Ctx
-	spills   spillSet
-	out      types.Schema
-	results  []types.Row
-	pos      int
-	prepared bool
+	Trace *obs.Span
+	typed VecOperator  // In's typed face; nil builds from row slabs
+	kinds []types.Kind // by aggregate: the kind of its value (aggKinds)
+	// The layout of the state (shareSums): by aggregate, the state column
+	// (aggTable.cols) it reads, and by state column, the aggregate whose
+	// argument folds into it.
+	stateOf   []int
+	stateSpec []int
+	ctx       *Ctx
+	spills    spillSet
+	out       types.Schema
+	results   []types.Row
+	pos       int
+	prepared  bool
 }
 
 // NewHashAggregate builds an aggregation operator. For Merge/Final modes
@@ -515,6 +530,11 @@ func NewHashAggregate(ctx *Ctx, in Operator, groupBy []expr.Expr, specs []AggSpe
 	h := &HashAggregate{In: in, GroupBy: groupBy, Specs: specs, Mode: mode, ctx: ctx}
 	h.kinds = aggKinds(in.Schema(), len(groupBy), specs, mode == AggMerge || mode == AggFinal)
 	h.out = aggOutputSchema(in.Schema(), groupBy, specs, h.kinds, mode)
+	h.stateOf = make([]int, len(specs))
+	h.stateSpec = make([]int, len(specs))
+	for i := range specs {
+		h.stateOf[i], h.stateSpec[i] = i, i
+	}
 	return h
 }
 
@@ -525,7 +545,49 @@ func NewHashAggregate(ctx *Ctx, in Operator, groupBy []expr.Expr, specs []AggSpe
 func NewTypedHashAggregate(ctx *Ctx, in VecOperator, groupBy []expr.Expr, specs []AggSpec, mode AggMode) *HashAggregate {
 	h := NewHashAggregate(ctx, in, groupBy, specs, mode)
 	h.typed = in
+	h.stateOf, h.stateSpec = shareSums(in.Schema(), specs, h.kinds)
 	return h
+}
+
+// shareSums lays out a typed build's state: by aggregate, the state column
+// it reads, and by state column, the aggregate whose argument folds into it.
+// An AVG reads the sum and count of a SUM of the same argument — one node
+// of a numDAG — that keeps a float64 sum as AVG does: both would fold the
+// same values in the same order, and their partial states are alike. The
+// row front end's own aggregate keeps a column per aggregate, so it stays
+// the oracle of this layout.
+func shareSums(sch types.Schema, specs []AggSpec, kinds []types.Kind) (stateOf, stateSpec []int) {
+	dag := newNumDAG()
+	sums := map[numNode]int{} // a float SUM's argument: the SUM
+	reads := make([]int, len(specs))
+	for i, sp := range specs {
+		reads[i] = i
+		if sp.Kind == AggSum && !sp.Distinct && sp.Arg != nil && kinds[i] != types.KindInt {
+			if node := dag.compile(sp.Arg, sch); node != nil {
+				if _, ok := sums[node]; !ok {
+					sums[node] = i
+				}
+			}
+		}
+	}
+	for i, sp := range specs {
+		if sp.Kind == AggAvg && !sp.Distinct && sp.Arg != nil {
+			if j, ok := sums[dag.compile(sp.Arg, sch)]; ok {
+				reads[i] = j
+			}
+		}
+	}
+	stateOf = make([]int, len(specs))
+	for i, j := range reads {
+		if j == i {
+			stateOf[i] = len(stateSpec)
+			stateSpec = append(stateSpec, i)
+		}
+	}
+	for i, j := range reads {
+		stateOf[i] = stateOf[j]
+	}
+	return stateOf, stateSpec
 }
 
 // aggKinds returns, by aggregate, the kind of its value: its output column
@@ -761,24 +823,27 @@ type aggTable struct {
 	budget     int           // groups held before new ones spill; 0 = unbounded
 	nk         int           // key values a group has
 	keys       []types.Value // group g's key is keys[g*nk : (g+1)*nk]
-	cols       []aggCol      // by aggregate
+	cols       []aggCol      // by state column (HashAggregate.stateSpec)
 	colBytes   int64         // state bytes a group's columns hold
 	byPart     [][]int32     // when pbits > 0: by partition, its groups in arrival order
 	spills     []*spillWriter
 	keyRow     types.Row // scratch: the key of the row in hand
 	// The typed front end's per-table state (bindTyped, at its first batch):
-	// where each key and argument is read from, the row a batch is boxed
-	// into when one of them has no typed reader, the batch's group numbers,
-	// and the batch's memo of dictionary codes.
-	keyCols  []int // by key: the input column it is, or -1 for an expression
-	exprKeys bool  // some key is an expression
-	args     []aggArg
+	// where each key and argument is read from, the arguments' kernels, the
+	// row a batch is boxed into when one of them has no typed reader, the
+	// batch's group numbers and rows by group, and its memo of dictionary
+	// codes.
+	keyCols  []int    // by key: the input column it is, or -1 for an expression
+	exprKeys bool     // some key is an expression
+	args     []aggArg // by state column
+	dag      *numDAG
 	scratch  types.Row
 	gs       []int32
+	rows     batchRows
 	memo     groupMemo
 }
 
-// aggArg reads one aggregate argument off a typed batch.
+// aggArg reads one state column's argument off a typed batch.
 type aggArg struct {
 	arg  expr.Expr  // nil for COUNT(*)
 	node numNode    // arg's kernel; nil for a shape without one
@@ -796,13 +861,14 @@ func (h *HashAggregate) newAggTable(pbits uint, budget int) *aggTable {
 		fromStates: h.Mode == AggMerge || h.Mode == AggFinal,
 		budget:     budget,
 		nk:         nk,
-		cols:       make([]aggCol, len(h.Specs)),
+		cols:       make([]aggCol, len(h.stateSpec)),
 		spills:     make([]*spillWriter, 1<<pbits),
 		keyRow:     make(types.Row, nk),
 	}
-	for i, sp := range h.Specs {
-		t.cols[i] = newAggCol(sp.Kind, h.kinds[i], sp.Distinct && !t.fromStates)
-		t.colBytes += t.cols[i].groupBytes()
+	for c, i := range h.stateSpec {
+		sp := h.Specs[i]
+		t.cols[c] = newAggCol(sp.Kind, h.kinds[i], sp.Distinct && !t.fromStates)
+		t.colBytes += t.cols[c].groupBytes()
 	}
 	if pbits > 0 {
 		t.byPart = make([][]int32, 1<<pbits)
@@ -941,16 +1007,17 @@ func (t *aggTable) ingest(r types.Row) error {
 		}
 		return nil
 	}
-	for i, sp := range h.Specs {
-		if sp.Arg == nil {
-			t.cols[i].n[g]++
+	for c, i := range h.stateSpec {
+		arg := h.Specs[i].Arg
+		if arg == nil {
+			t.cols[c].n[g]++
 			continue
 		}
-		v, err := sp.Arg.Eval(r)
+		v, err := arg.Eval(r)
 		if err != nil {
 			return err
 		}
-		t.cols[i].add(g, v)
+		t.cols[c].add(g, v)
 	}
 	return nil
 }
@@ -964,103 +1031,108 @@ const memoPerRow = 16
 // groupMemo maps the tuple of dictionary codes of a row whose every key is
 // a dictionary column to its group, for the batch in hand: the table is
 // hashed and probed once per distinct tuple in the batch, and every other
-// row of the tuple costs one array lookup. A NULL key counts as one code
-// past the batch's largest. An entry is valid where its stamp is the
-// batch's.
+// row of the tuple costs one array lookup. A tuple's index is a mixed-radix
+// number of its codes, a NULL key counting as one code past the batch's
+// largest. An entry is valid where its stamp is the batch's.
 type groupMemo struct {
-	on     bool
 	stamp  uint32  // the batch in hand
-	stride []int   // by key
-	null   []int   // by key: the code a NULL stands for
 	idx    []int32 // by active row: its tuple's index
 	stamps []uint32
-	groups []int32
+	groups []int32  // by tuple: its group, or -1 when its rows spill
+	hashes []uint64 // by tuple: its key's hash
 }
 
-// planMemo turns the group memo on for a batch whose keys are all
+// planMemo readies the group memo for a batch whose keys are all
 // dictionary columns and whose code tuples number at most memoPerRow per
-// active row, and works out every active row's tuple index, one key column
-// at a time.
-func (t *aggTable) planMemo(b *vec.Batch, n int) {
-	m := &t.memo
-	m.on = false
-	if t.exprKeys || t.nk == 0 {
-		return
+// active row, working out every active row's tuple index one key column at
+// a time. It reports whether the batch qualifies.
+func (t *aggTable) planMemo(b *vec.Batch, n int) bool {
+	if t.exprKeys {
+		return false
 	}
+	m := &t.memo
+	m.idx = grow(m.idx, n)
+	idx := m.idx
+	clear(idx)
 	size := 1
-	for ki, c := range t.keyCols {
+	for _, c := range t.keyCols {
 		col := &b.Cols[c]
 		if col.Form != vec.FormStr {
-			return
+			return false
 		}
-		hi := int32(0)
-		for _, x := range col.Codes[:b.N] {
-			hi = max(hi, x)
+		stride := int32(size)
+		hi := addCodes(idx, col, b.Sel, stride)
+		if len(col.Nulls) > 0 {
+			for k := range idx {
+				if i := b.Index(k); vec.GetBit(col.Nulls, i) {
+					idx[k] += (hi + 1 - col.Codes[i]) * stride
+				}
+			}
 		}
-		m.stride[ki], m.null[ki] = size, int(hi)+1
 		if size *= int(hi) + 2; size > memoPerRow*n {
-			return
+			return false
 		}
 	}
 	if len(m.stamps) < size {
 		m.stamps = make([]uint32, size)
 		m.groups = make([]int32, size)
-	}
-	if cap(m.idx) < n {
-		m.idx = make([]int32, n)
-	}
-	idx := m.idx[:n]
-	clear(idx)
-	for ki, c := range t.keyCols {
-		col, stride := &b.Cols[c], int32(m.stride[ki])
-		for k := range idx {
-			i := b.Index(k)
-			code := col.Codes[i]
-			if vec.GetBit(col.Nulls, i) {
-				code = int32(m.null[ki])
-			}
-			idx[k] += code * stride
-		}
+		m.hashes = make([]uint64, size)
 	}
 	m.stamp++
-	m.on = true
+	return true
+}
+
+// addCodes adds to idx[k] the code of the k-th active row of col, times
+// stride, and returns the largest code it read.
+func addCodes(idx []int32, col *vec.Col, sel []int32, stride int32) int32 {
+	hi := int32(0)
+	if sel == nil {
+		for k, code := range col.Codes[:len(idx)] {
+			idx[k] += code * stride
+			hi = max(hi, code)
+		}
+		return hi
+	}
+	for k, i := range sel[:len(idx)] {
+		code := col.Codes[i]
+		idx[k] += code * stride
+		hi = max(hi, code)
+	}
+	return hi
 }
 
 // bindTyped works out, once per table, where the typed front end reads each
-// key and argument from.
+// key and argument from, compiling the arguments into one kernel DAG.
 func (t *aggTable) bindTyped() {
 	h, sch := t.h, t.h.In.Schema()
 	t.keyCols, t.exprKeys = keyColumns(h.GroupBy, sch.Len())
-	t.args = make([]aggArg, len(h.Specs))
-	for i, sp := range h.Specs {
-		if sp.Arg == nil {
-			continue
+	t.dag = newNumDAG()
+	t.args = make([]aggArg, len(t.cols))
+	for c, i := range h.stateSpec {
+		if arg := h.Specs[i].Arg; arg != nil {
+			t.args[c] = aggArg{arg: arg, node: t.dag.compile(arg, sch), kind: expr.KindOf(arg, sch)}
 		}
-		t.args[i] = aggArg{arg: sp.Arg, node: compileNum(sp.Arg, sch), kind: expr.KindOf(sp.Arg, sch)}
 	}
 	t.scratch = make(types.Row, sch.Len())
-	t.memo.stride, t.memo.null = make([]int, t.nk), make([]int, t.nk)
 }
 
 // ingestBatch is the typed front end: it folds the active rows of one batch
 // into their groups in two steps. First it works out each row's group
-// number: a key that is a plain column is hashed and compared unboxed off
-// the column, and boxed only when it makes a new group; when every key is a
-// dictionary column, the batch's group memo resolves each code tuple once.
-// Then each aggregate whose argument compileNum has a kernel for folds the
-// kernel's values for the whole batch into its column in one loop over
-// those group numbers. Anything else — an
-// expression key, CASE, LIKE, division, a string or demoted argument column
-// — is evaluated on the boxed row, for that batch only; BoxedRows counts
-// the rows so read, and those spilled.
+// number (groupBatch). Then each argument with a kernel — its DAG evaluates
+// each distinct subexpression once for the batch — folds the kernel's
+// values for the whole batch into its column in one loop over those group
+// numbers. Anything else — an expression key, CASE, LIKE, division, a
+// string or demoted argument column — is evaluated on the boxed row, for
+// that batch only; BoxedRows counts the rows so read, and those spilled.
 func (t *aggTable) ingestBatch(b *vec.Batch) error {
 	if t.args == nil {
 		t.bindTyped()
 	}
 	n := b.Rows()
-	needRow := t.exprKeys
-	for i := range t.args {
-		a := &t.args[i]
+	t.dag.stamp++
+	onRows := false // some argument is evaluated on the boxed row
+	for c := range t.args {
+		a := &t.args[c]
 		a.ok = false
 		if a.node != nil {
 			nv, err := a.node.evalNum(b, n)
@@ -1069,100 +1141,178 @@ func (t *aggTable) ingestBatch(b *vec.Batch) error {
 			}
 			a.nv, a.ok = nv, err == nil
 		}
-		needRow = needRow || (a.arg != nil && !a.ok)
+		onRows = onRows || (a.arg != nil && !a.ok)
 	}
-	if cap(t.gs) < n {
-		t.gs = make([]int32, n)
+	t.gs = grow(t.gs, n)
+	gs := t.gs
+	boxed, err := t.groupBatch(b, gs)
+	if err != nil {
+		return err
 	}
-	gs := t.gs[:n]
-	t.planMemo(b, n)
-	var boxed int64
-	scalar := int32(-1)
-	if t.nk == 0 && !needRow {
-		scalar, _ = t.group()
+	if t.exprKeys || onRows {
+		boxed = int64(n)
 	}
-	for k := 0; k < n; k++ {
-		if scalar >= 0 {
-			gs[k] = scalar
-			continue
-		}
-		i := b.Index(k)
-		var row types.Row
-		if needRow {
-			row = b.ReadRow(i, t.scratch)
-			boxed++
-		}
-		g, hk, err := t.batchGroup(b, k, row)
-		if err != nil {
-			return err
-		}
-		gs[k] = g
-		if g < 0 {
-			if row == nil {
-				row = b.ReadRow(i, t.scratch)
-				boxed++
+	if onRows {
+		for k, g := range gs {
+			if g < 0 {
+				continue
 			}
-			if err := t.spill(t.part(hk), row); err != nil {
-				return err
-			}
-			continue
-		}
-		if row == nil {
-			continue
-		}
-		for si := range t.args {
-			if a := &t.args[si]; a.arg != nil && !a.ok {
-				v, err := a.arg.Eval(row)
-				if err != nil {
-					return err
+			row := b.ReadRow(b.Index(k), t.scratch)
+			for c := range t.args {
+				if a := &t.args[c]; a.arg != nil && !a.ok {
+					v, err := a.arg.Eval(row)
+					if err != nil {
+						return err
+					}
+					t.cols[c].add(g, v)
 				}
-				t.cols[si].add(g, v)
 			}
 		}
 	}
-	for si := range t.args {
-		switch a := &t.args[si]; {
+	t.rows.start(gs, t.entries())
+	for c := range t.args {
+		switch a := &t.args[c]; {
 		case a.arg == nil:
-			t.cols[si].countRows(gs)
+			t.rows.addTo(t.cols[c].n)
 		case a.ok:
-			t.cols[si].foldNum(gs, a.nv, a.kind)
+			t.cols[c].foldNum(gs, a.nv, a.kind, &t.rows)
 		}
 	}
+	t.rows.done()
 	t.h.ctx.addBoxed(boxed)
 	return nil
 }
 
-// batchGroup finds or admits the group of the batch's k-th active row
-// (boxed as row when a key is an expression), returning -1 with the key's
-// hash when the row must spill.
-func (t *aggTable) batchGroup(b *vec.Batch, k int, row types.Row) (int32, uint64, error) {
+// groupBatch sets gs[k] to the group of the batch's k-th active row, found
+// or admitted, or to -1 for a row it spills, and returns how many it
+// spilled. A key that is a plain column is hashed and compared unboxed off
+// the column, and boxed only when it makes a new group. When every key is a
+// dictionary column, the group memo resolves each code tuple once and one
+// loop reads every row's group off it; otherwise each row is looked up on
+// its own, boxed first when a key is an expression.
+func (t *aggTable) groupBatch(b *vec.Batch, gs []int32) (int64, error) {
 	if t.nk == 0 {
-		g, hk := t.group()
-		return g, hk, nil
-	}
-	for ki, c := range t.keyCols {
-		if c < 0 {
-			v, err := t.h.GroupBy[ki].Eval(row)
-			if err != nil {
-				return 0, 0, err
+		if g, _ := t.group(); g >= 0 {
+			for k := range gs {
+				gs[k] = g
 			}
-			t.keyRow[ki] = v
+			return 0, nil
+		}
+	} else if t.planMemo(b, len(gs)) {
+		return t.memoGroups(b, gs)
+	}
+	var spilled int64
+	for k := range gs {
+		i := b.Index(k)
+		var row types.Row
+		if t.exprKeys {
+			row = b.ReadRow(i, t.scratch)
+			for ki, c := range t.keyCols {
+				if c < 0 {
+					v, err := t.h.GroupBy[ki].Eval(row)
+					if err != nil {
+						return 0, err
+					}
+					t.keyRow[ki] = v
+				}
+			}
+		}
+		var g int32
+		var hk uint64
+		if t.nk == 0 {
+			g, hk = t.group()
+		} else {
+			g, hk = t.typedGroup(b, i)
+		}
+		if gs[k] = g; g < 0 {
+			if row == nil {
+				row = b.ReadRow(i, t.scratch)
+			}
+			if err := t.spill(t.part(hk), row); err != nil {
+				return 0, err
+			}
+			spilled++
 		}
 	}
+	return spilled, nil
+}
+
+// memoGroups is groupBatch over a planned group memo: each code tuple new
+// to the batch is found or admitted through typedGroup, once, and every row
+// reads its tuple's group; then the rows of tuples not admitted spill, in
+// row order.
+func (t *aggTable) memoGroups(b *vec.Batch, gs []int32) (int64, error) {
 	m := &t.memo
-	if !m.on {
-		g, hk := t.typedGroup(b, b.Index(k))
-		return g, hk, nil
+	refused := false
+	for k, x := range m.idx[:len(gs)] {
+		if m.stamps[x] != m.stamp {
+			g, hk := t.typedGroup(b, b.Index(k))
+			m.stamps[x], m.groups[x], m.hashes[x] = m.stamp, g, hk
+			refused = refused || g < 0
+		}
+		gs[k] = m.groups[x]
 	}
-	x := m.idx[k]
-	if m.stamps[x] == m.stamp {
-		return m.groups[x], 0, nil
+	if !refused {
+		return 0, nil
 	}
-	g, hk := t.typedGroup(b, b.Index(k))
-	if g >= 0 {
-		m.stamps[x], m.groups[x] = m.stamp, g
+	var spilled int64
+	for k, g := range gs {
+		if g < 0 {
+			i := b.Index(k)
+			if err := t.spill(t.part(m.hashes[m.idx[k]]), b.ReadRow(i, t.scratch)); err != nil {
+				return 0, err
+			}
+			spilled++
+		}
 	}
-	return g, hk, nil
+	return spilled, nil
+}
+
+// batchRows is how many of the batch's rows each group got, spilled rows
+// aside: counted once a batch, at first use, for every column whose count
+// of the batch is exactly that — COUNT(*), and a COUNT or a sum of a vector
+// without NULLs. MIN and MAX count their own, as their fold reads the
+// count.
+type batchRows struct {
+	gs      []int32
+	counted bool
+	n       []int64 // by group; zero outside touched
+	touched []int32 // the groups n counts rows of
+}
+
+// start readies the count of the batch whose group numbers are gs, in a
+// table of groups groups.
+func (r *batchRows) start(gs []int32, groups int) {
+	r.gs, r.counted = gs, false
+	if len(r.n) < groups {
+		r.n = append(r.n, make([]int64, groups-len(r.n))...)
+	}
+}
+
+// addTo adds each group's rows of the batch to its count in cnt.
+func (r *batchRows) addTo(cnt []int64) {
+	if !r.counted {
+		r.counted = true
+		for _, g := range r.gs {
+			if g >= 0 {
+				if r.n[g] == 0 {
+					r.touched = append(r.touched, g)
+				}
+				r.n[g]++
+			}
+		}
+	}
+	for _, g := range r.touched {
+		cnt[g] += r.n[g]
+	}
+}
+
+// done clears the batch's count.
+func (r *batchRows) done() {
+	for _, g := range r.touched {
+		r.n[g] = 0
+	}
+	r.touched = r.touched[:0]
 }
 
 // typedGroup finds or admits the group of batch row i, hashing and comparing
@@ -1236,19 +1386,20 @@ func (t *aggTable) sameRow(g int32, b *vec.Batch, i int) bool {
 // in arrival order, their values cut from one array.
 func (h *HashAggregate) emit(out []types.Row, t *aggTable) []types.Row {
 	partial := h.Mode == AggPartial || h.Mode == AggMerge
-	width := t.nk + len(t.cols)
+	width := t.nk + len(h.Specs)
 	if partial {
-		width = t.nk + partialCols*len(t.cols)
+		width = t.nk + partialCols*len(h.Specs)
 	}
 	vals := make([]types.Value, 0, width*t.entries())
 	for g := range t.hashes {
 		start := len(vals)
 		vals = append(vals, t.keyOf(int32(g))...)
-		for i := range t.cols {
+		for i, sp := range h.Specs {
+			c := &t.cols[h.stateOf[i]]
 			if partial {
-				vals = t.cols[i].appendPartial(vals, int32(g))
+				vals = c.appendPartial(vals, int32(g))
 			} else {
-				vals = append(vals, t.cols[i].final(int32(g)))
+				vals = append(vals, c.final(int32(g), sp.Kind))
 			}
 		}
 		out = append(out, vals[start:len(vals):len(vals)])

@@ -146,7 +146,8 @@ func runAggBench(b *testing.B, rows int, build func() *HashAggregate) {
 
 // BenchmarkAggregateQ1Shape is q1's aggregate over typed 1,024-row batches:
 // two dictionary string keys with 4 combinations, and q1's eight aggregates,
-// two of them over arithmetic kernels, at degree 1.
+// two of them over arithmetic kernels, at degree 1. The literal 1 is an INT,
+// as the parser makes it, so the kernels widen it to a float as q1's do.
 func BenchmarkAggregateQ1Shape(b *testing.B) {
 	sch := types.Schema{Cols: []types.Column{
 		{Name: "l_quantity", Kind: types.KindFloat}, {Name: "l_extendedprice", Kind: types.KindFloat},
@@ -163,7 +164,7 @@ func BenchmarkAggregateQ1Shape(b *testing.B) {
 			types.NewString(c[0]), types.NewString(c[1]),
 		}
 	}
-	one := &expr.Const{V: types.NewFloat(1)}
+	one := &expr.Const{V: types.NewInt(1)}
 	price := &expr.Bin{Op: expr.OpMul, L: col(1), R: &expr.Bin{Op: expr.OpSub, L: one, R: col(2)}}
 	charge := &expr.Bin{Op: expr.OpMul, L: price, R: &expr.Bin{Op: expr.OpAdd, L: one, R: col(3)}}
 	specs := []AggSpec{

@@ -463,7 +463,7 @@ func (f *Filter) fold() error {
 	for i, fd := range f.folds {
 		vals := make(types.Row, len(cols[i]))
 		for j := range cols[i] {
-			vals[j] = cols[i][j].final(0)
+			vals[j] = cols[i][j].final(0, cols[i][j].kind)
 		}
 		if err := fd.FoldResolve(vals); err != nil {
 			return err

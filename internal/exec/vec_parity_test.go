@@ -45,16 +45,19 @@ func (s *typedSource) NextVec() (*vec.Batch, bool, error) {
 }
 
 // aggParityData is the table the front-end parity tests aggregate: every
-// key kind, NULLs in an int and a string column, and a column declared INT
-// that holds one string (its batch demotes to boxed). The floats are small
-// dyadic fractions, so their sums and products are exact in any order and
-// results compare bit for bit at every degree.
+// key kind, NULLs in an int, a float and two string columns, a string
+// column with a value per row, and a column declared INT that holds one
+// string (its batch demotes to boxed). The floats are small dyadic
+// fractions, so their sums and products are exact in any order and results
+// compare bit for bit at every degree.
 func aggParityData() (types.Schema, []types.Row) {
 	sch := types.Schema{Cols: []types.Column{
 		{Name: "i", Kind: types.KindInt}, {Name: "d", Kind: types.KindDate},
 		{Name: "b", Kind: types.KindBool}, {Name: "s", Kind: types.KindString},
 		{Name: "f", Kind: types.KindFloat}, {Name: "g", Kind: types.KindFloat},
 		{Name: "n", Kind: types.KindInt}, {Name: "m", Kind: types.KindInt},
+		{Name: "h", Kind: types.KindFloat}, {Name: "t", Kind: types.KindString},
+		{Name: "u", Kind: types.KindString},
 	}}
 	rows := make([]types.Row, 600)
 	for i := range rows {
@@ -63,12 +66,20 @@ func aggParityData() (types.Schema, []types.Row) {
 			types.NewInt(n % 7), types.NewDate(19000 + n%5), types.NewBool(i%2 == 0),
 			types.NewString(fmt.Sprintf("s%d", i%4)), types.NewFloat(float64(i%16) * 0.5),
 			types.NewFloat(float64(i%4) * 0.25), types.NewInt(n), types.NewInt(n % 6),
+			types.NewFloat(float64(i%10) * 0.125), types.NewString(fmt.Sprintf("t%d", i%3)),
+			types.NewString(fmt.Sprintf("u%d", i)),
 		}
 		if i%11 == 0 {
 			r[0] = types.Null
 		}
 		if i%13 == 0 {
 			r[3] = types.Null
+		}
+		if i%5 == 0 {
+			r[8] = types.Null
+		}
+		if i%7 == 0 {
+			r[9] = types.Null
 		}
 		rows[i] = r
 	}
@@ -78,16 +89,27 @@ func aggParityData() (types.Schema, []types.Row) {
 
 // TestAggFrontEndParity feeds the same rows through both front ends of
 // HashAggregate. The row front end at degree 1 with no budget is the oracle;
-// the typed one must return the same multiset — exactly, floats included —
-// at every degree, budget, batch size and with a selection vector, must box
-// rows only where a key or argument has no typed reader, and must leave no
-// spill file behind.
+// the typed one must return the same multiset — exactly, each value's kind
+// and bits — at every degree, budget, batch size and with a selection
+// vector, must box rows only where a key or argument has no typed reader,
+// and must leave no spill file behind.
 func TestAggFrontEndParity(t *testing.T) {
 	testutil.AssertNoGoroutineLeak(t)
 	sch, rows := aggParityData()
 	mul := func(l, r expr.Expr) expr.Expr { return &expr.Bin{Op: expr.OpMul, L: l, R: r} }
+	sub := func(l, r expr.Expr) expr.Expr { return &expr.Bin{Op: expr.OpSub, L: l, R: r} }
 	sum := func(e expr.Expr) AggSpec { return AggSpec{Kind: AggSum, Arg: e, Name: "s"} }
+	avg := func(e expr.Expr) AggSpec { return AggSpec{Kind: AggAvg, Arg: e, Name: "a"} }
 	count := AggSpec{Kind: AggCount, Name: "c"}
+	// q1's arguments over f (price), g (discount) and the nullable h
+	// (quantity), with the INT 1 the parser makes.
+	price := mul(col(4), sub(ci(1), col(5)))
+	charge := mul(price, add(ci(1), col(5)))
+	hPrice := mul(col(8), sub(ci(1), col(5)))
+	x4, x5 := &expr.Col{Index: 4, Name: "x"}, &expr.Col{Index: 5, Name: "x"}
+	// The typed build's state columns, where a case pins them (shareSums).
+	states := map[string]int{"q1's eight aggregates": 6, "two columns that share a name": 5,
+		"shared subexpression over a nullable FLOAT": 4, "SUM and AVG of a FLOAT and of an INT": 3}
 	cases := []struct {
 		name  string
 		keys  []expr.Expr
@@ -112,6 +134,29 @@ func TestAggFrontEndParity(t *testing.T) {
 			Whens: []expr.When{{Cond: col(2), Then: col(6)}}, Else: ci(0)}), count}, true},
 		{"DISTINCT", ColRefs(2), []AggSpec{{Kind: AggCount, Arg: col(0), Distinct: true, Name: "c"},
 			{Kind: AggSum, Arg: col(4), Distinct: true, Name: "s"}}, false},
+		// One kernel DAG: price is computed once and read by two SUMs, and
+		// AVG(h) and AVG(f) read their SUMs' state.
+		{"q1's eight aggregates", ColRefs(3, 9), []AggSpec{sum(col(8)), sum(col(4)), sum(price), sum(charge),
+			avg(col(8)), avg(col(4)), avg(col(5)), count}, false},
+		// Kernels are told apart by the literal's kind, not by how it prints.
+		{"INT and FLOAT literals that print alike", ColRefs(2), []AggSpec{sum(mul(col(6), cf(1))), sum(mul(col(6), ci(1))),
+			sum(add(col(6), cf(2))), sum(add(col(6), ci(2)))}, false},
+		// Kernels are told apart by the column's index, not its name.
+		{"two columns that share a name", ColRefs(2), []AggSpec{sum(x4), sum(x5), sum(mul(x5, ci(2))), sum(mul(x4, ci(2))),
+			avg(x5), {Kind: AggMax, Arg: x4, Name: "hi"}}, false},
+		// A shared node's NULLs reach every reader.
+		{"shared subexpression over a nullable FLOAT", ColRefs(0), []AggSpec{sum(hPrice), sum(mul(hPrice, add(ci(1), col(4)))),
+			{Kind: AggMin, Arg: hPrice, Name: "lo"}, {Kind: AggCount, Arg: hPrice, Name: "c"}, avg(hPrice)}, false},
+		// The literal keeps its side of -.
+		{"literal on either side of -", ColRefs(2), []AggSpec{sum(sub(ci(1), col(8))), sum(sub(col(8), ci(1))),
+			sum(sub(ci(2), col(6))), sum(sub(col(6), ci(2))), sum(sub(cf(0.5), col(6))), sum(sub(col(6), cf(0.5)))}, false},
+		// AVG shares a float SUM's state whichever comes first; an INT SUM
+		// keeps its own.
+		{"SUM and AVG of a FLOAT and of an INT", ColRefs(3), []AggSpec{avg(col(4)), sum(col(4)), sum(col(6)), avg(col(6))}, false},
+		{"two dictionary keys with NULLs", ColRefs(9, 3), []AggSpec{count, sum(col(6)), {Kind: AggMin, Arg: col(4), Name: "lo"}}, false},
+		// At 7- and 1,024-row batches (u, t, s) spans more tuples than
+		// memoPerRow per row allows, so each row is looked up on its own.
+		{"code space sparser than memoPerRow", ColRefs(10, 9, 3), []AggSpec{count, sum(col(8))}, false},
 	}
 	for _, c := range cases {
 		for _, mode := range []AggMode{AggComplete, AggPartial} {
@@ -131,11 +176,14 @@ func TestAggFrontEndParity(t *testing.T) {
 								ctx.SetParallelBudget(degree)
 								agg := NewTypedHashAggregate(ctx, &typedSource{Operator: slabSource(sch, rows, batch), sel: sel}, c.keys, c.specs, mode)
 								agg.Parallel = degree
+								if want, ok := states[c.name]; ok && len(agg.stateSpec) != want {
+									t.Errorf("%d state columns, want %d", len(agg.stateSpec), want)
+								}
 								got, err := Collect(agg)
 								if err != nil {
 									t.Fatal(err)
 								}
-								assertSameRows(t, got, want)
+								assertSameValues(t, got, want)
 								if memRows == 0 && (ctx.BoxedRows.Load() > 0) != c.boxed {
 									t.Errorf("BoxedRows = %d, want boxing: %v", ctx.BoxedRows.Load(), c.boxed)
 								}
@@ -150,6 +198,25 @@ func TestAggFrontEndParity(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// assertSameValues compares two results as multisets of rows, each value by
+// its kind and payload bits (types.AppendRow): INT 1 and FLOAT 1 differ.
+func assertSameValues(t *testing.T, got, want []types.Row) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("row count = %d, want %d", len(got), len(want))
+	}
+	counts := make(map[string]int, len(want))
+	for _, r := range want {
+		counts[string(types.AppendRow(nil, r))]++
+	}
+	for _, r := range got {
+		k := string(types.AppendRow(nil, r))
+		if counts[k]--; counts[k] < 0 {
+			t.Fatalf("row %+v is not in the oracle's result", r)
 		}
 	}
 }

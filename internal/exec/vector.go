@@ -2,6 +2,7 @@ package exec
 
 import (
 	"errors"
+	"math"
 	"slices"
 	"strings"
 
@@ -173,8 +174,9 @@ func (nc *numColNode) evalNum(b *vec.Batch, n int) (numVec, error) {
 	}
 }
 
-// numConstNode broadcasts a literal operand of arithmetic. A comparison,
-// BETWEEN or IN against a literal reads it as a scalar instead.
+// numConstNode broadcasts a bare literal, such as MAX(DATE '1998-09-02')'s
+// argument. A literal operand of arithmetic (litArithNode) or of a
+// comparison, BETWEEN or IN is read as a scalar instead.
 type numConstNode struct {
 	isFloat bool
 	iv      int64
@@ -198,8 +200,9 @@ func (nc *numConstNode) evalNum(_ *vec.Batch, n int) (numVec, error) {
 	return numVec{i: nc.i}, nil
 }
 
-// arithNode is vectorized +, -, * with int/float promotion (matching
-// expr.arith for INT/FLOAT operands; DATE arithmetic is not compiled).
+// arithNode is vectorized +, -, * of two vectors with int/float promotion
+// (matching expr.arith for INT/FLOAT operands; DATE arithmetic is not
+// compiled).
 type arithNode struct {
 	op     expr.BinOp
 	l, r   numNode
@@ -255,6 +258,59 @@ func (a *arithNode) evalNum(b *vec.Batch, n int) (numVec, error) {
 		}
 	}
 	return numVec{isFloat: true, f: a.f, null: null}, nil
+}
+
+// litArithNode is +, -, * of a vector and a literal operand, read once as a
+// scalar by expr.arith's promotion rule: ints when both are INT, floats
+// otherwise, the literal widened once (float64(1) - d is the row path's
+// 1.Float() - d, bit for bit).
+type litArithNode struct {
+	op      expr.BinOp
+	e       numNode
+	lit     types.Value // INT or FLOAT
+	litLeft bool
+	i       []int64
+	f, ef   []float64
+}
+
+func (a *litArithNode) evalNum(b *vec.Batch, n int) (numVec, error) {
+	v, err := a.e.evalNum(b, n)
+	if err != nil {
+		return numVec{}, err
+	}
+	if !v.isFloat && a.lit.K == types.KindInt {
+		a.i = grow(a.i, n)
+		arithScalar(a.op, v.i, a.lit.I, a.litLeft, a.i)
+		return numVec{i: a.i, null: v.null}, nil
+	}
+	a.f = grow(a.f, n)
+	arithScalar(a.op, v.asFloats(&a.ef), a.lit.Float(), a.litLeft, a.f)
+	return numVec{isFloat: true, f: a.f, null: v.null}, nil
+}
+
+// arithScalar sets out[k] to xs[k] op c, or to c - xs[k] for a literal on
+// the left of -. + and × are commutative, bit for bit, so their literal may
+// stand on either side.
+func arithScalar[T int64 | float64](op expr.BinOp, xs []T, c T, litLeft bool, out []T) {
+	xs = xs[:len(out)]
+	switch {
+	case op == expr.OpAdd:
+		for k, x := range xs {
+			out[k] = x + c
+		}
+	case op == expr.OpMul:
+		for k, x := range xs {
+			out[k] = x * c
+		}
+	case litLeft:
+		for k, x := range xs {
+			out[k] = c - x
+		}
+	default:
+		for k, x := range xs {
+			out[k] = x - c
+		}
+	}
 }
 
 // asFloats returns the vector's values as floats, converting ints into the
@@ -797,7 +853,79 @@ func numericExprKind(k types.Kind) bool {
 // evaluation). DATE columns and literals compile — comparisons treat DATE as
 // numeric — but DATE operands are deliberately excluded from compiled
 // arithmetic so the date±int promotion rules stay in one place (expr.arith).
+// Its nodes are not shared: a predicate's kernels each read their own
+// selection.
 func compileNum(e expr.Expr, sch types.Schema) numNode {
+	var unshared *numDAG
+	return unshared.compile(e, sch)
+}
+
+// numDAG compiles expressions into one kernel DAG: every distinct
+// subexpression is one node, evaluated at most once per batch (stamp).
+// Nodes are told apart by structure — a column by its index, a literal by its
+// kind and payload bits, arithmetic by its operator and operands — never by
+// how they print: INT 1 and FLOAT 1 both print 1, and two columns may share
+// a name. A nil *numDAG compiles every node afresh.
+type numDAG struct {
+	nodes map[numKey]numNode
+	stamp uint32
+}
+
+// numKey is a node's structure.
+type numKey struct {
+	op      expr.BinOp // arithmetic; 0 for a column or a bare literal
+	col     int        // a column's index; -1 otherwise
+	lit     types.Kind // a literal's, or a literal operand's, kind; KindNull when none
+	bits    uint64     // the literal's payload
+	litLeft bool
+	l, r    numNode // the vector operands
+}
+
+func newNumDAG() *numDAG { return &numDAG{nodes: map[numKey]numNode{}} }
+
+// sharedNum is a node of a numDAG: its result is kept for the batch whose
+// stamp it carries.
+type sharedNum struct {
+	numNode
+	dag *numDAG
+	at  uint32
+	nv  numVec
+	err error
+}
+
+func (s *sharedNum) evalNum(b *vec.Batch, n int) (numVec, error) {
+	if s.at != s.dag.stamp {
+		s.nv, s.err = s.numNode.evalNum(b, n)
+		s.at = s.dag.stamp
+	}
+	return s.nv, s.err
+}
+
+// intern returns the DAG's node of structure k, made of node when it has
+// none.
+func (d *numDAG) intern(k numKey, node numNode) numNode {
+	if d == nil {
+		return node
+	}
+	if s, ok := d.nodes[k]; ok {
+		return s
+	}
+	s := &sharedNum{numNode: node, dag: d}
+	d.nodes[k] = s
+	return s
+}
+
+// litKey is the structure of arithmetic with literal operand v.
+func litKey(op expr.BinOp, v types.Value, litLeft bool, e numNode) numKey {
+	bits := uint64(v.I)
+	if v.K == types.KindFloat {
+		bits = math.Float64bits(v.F)
+	}
+	return numKey{op: op, col: -1, lit: v.K, bits: bits, litLeft: litLeft, l: e}
+}
+
+// compile is compileNum, its nodes interned in d.
+func (d *numDAG) compile(e expr.Expr, sch types.Schema) numNode {
 	switch x := e.(type) {
 	case *expr.Col:
 		if x.Index < 0 || x.Index >= sch.Len() {
@@ -805,15 +933,15 @@ func compileNum(e expr.Expr, sch types.Schema) numNode {
 		}
 		switch sch.Cols[x.Index].Kind {
 		case types.KindInt, types.KindFloat, types.KindDate:
-			return &numColNode{idx: x.Index}
+			return d.intern(numKey{col: x.Index}, &numColNode{idx: x.Index})
 		}
 		return nil
 	case *expr.Const:
 		switch x.V.K {
 		case types.KindInt, types.KindDate:
-			return &numConstNode{iv: x.V.I}
+			return d.intern(litKey(0, x.V, false, nil), &numConstNode{iv: x.V.I})
 		case types.KindFloat:
-			return &numConstNode{isFloat: true, fv: x.V.F}
+			return d.intern(litKey(0, x.V, false, nil), &numConstNode{isFloat: true, fv: x.V.F})
 		}
 		return nil
 	case *expr.Bin:
@@ -824,11 +952,22 @@ func compileNum(e expr.Expr, sch types.Schema) numNode {
 		if (lk != types.KindInt && lk != types.KindFloat) || (rk != types.KindInt && rk != types.KindFloat) {
 			return nil
 		}
-		l, r := compileNum(x.L, sch), compileNum(x.R, sch)
+		operand, lit, litLeft := x.L, x.R, false
+		if _, ok := lit.(*expr.Const); !ok {
+			operand, lit, litLeft = x.R, x.L, true
+		}
+		if c, ok := lit.(*expr.Const); ok {
+			e := d.compile(operand, sch)
+			if e == nil {
+				return nil
+			}
+			return d.intern(litKey(x.Op, c.V, litLeft, e), &litArithNode{op: x.Op, e: e, lit: c.V, litLeft: litLeft})
+		}
+		l, r := d.compile(x.L, sch), d.compile(x.R, sch)
 		if l == nil || r == nil {
 			return nil
 		}
-		return &arithNode{op: x.Op, l: l, r: r}
+		return d.intern(numKey{op: x.Op, col: -1, l: l, r: r}, &arithNode{op: x.Op, l: l, r: r})
 	}
 	return nil
 }

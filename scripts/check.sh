@@ -37,17 +37,16 @@ go test -tags invariants ./internal/buffer ./internal/txn ./internal/storage ./i
 echo "==> nested benchmark module (compile, smoke test, import-surface guard)"
 (cd bench && go vet ./... && go test ./...)
 
-echo "==> bench smoke (degree 1 vs degree 4 of the one build path, golden parity + throughput)"
-go test -run '^$' -bench BenchmarkParallelVsSerial -benchtime 1x ./internal/exec >/dev/null
-
-echo "==> bench smoke (hash join: small build under a large probe, a q21-shaped large build, and q21's semi and anti joins built on either side)"
-go test -run '^$' -bench BenchmarkHashJoinBuildProbe -benchtime 1x ./internal/exec >/dev/null
-
-echo "==> bench smoke (row scan over partsupp-shaped rows: 1-in-200 and all-pass predicate on an unemitted column)"
-go test -run '^$' -bench BenchmarkRowScan -benchtime 1x ./internal/exec >/dev/null
-
-echo "==> bench smoke (columnar scan predicates of q6, q12, q19 and l_discount > 0.05 over SF0.01 lineitem: conjuncts narrowing a selection)"
-go test -run '^$' -bench BenchmarkScanPredicate -benchtime 1x ./internal/exec >/dev/null
+# One run over internal/exec's smokes: degree 1 vs degree 4 of the one build
+# path (golden parity + throughput); the hash join with a small build under a
+# large probe, a q21-shaped large build, and q21's semi and anti joins built
+# on either side; the row scan over partsupp-shaped rows (1-in-200 and
+# all-pass predicate on an unemitted column); the columnar scan predicates of
+# q6, q12, q19 and l_discount > 0.05 over SF0.01 lineitem; and q1's aggregate
+# over typed batches.
+echo "==> bench smoke (exec: parallel vs serial build, hash join, row scan, scan predicates, q1's aggregate)"
+go test -run '^$' -bench 'BenchmarkParallelVsSerial|BenchmarkHashJoinBuildProbe|BenchmarkRowScan|BenchmarkScanPredicate|BenchmarkAggregateQ1Shape' \
+  -benchtime 1x ./internal/exec >/dev/null
 
 echo "==> bench smoke (typed vs boxed page decode, per layout: tagged, fixed, dict; full and 10 %-selective)"
 go test -run '^$' -bench BenchmarkTypedVsBoxedDecode -benchtime 1x ./internal/page >/dev/null
