@@ -74,7 +74,7 @@ func TestChainSelDecode(t *testing.T) {
 		}
 		d := &pageSetDecoder{cs: cs}
 		full := vec.New(sch).Cols[ci]
-		if err := d.decodeCol(set.Chunks(ci), &full, nil); err != nil {
+		if err := d.decodeCol(set.Chunks(ci), &full, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 		if full.Len() != n {
@@ -85,7 +85,7 @@ func TestChainSelDecode(t *testing.T) {
 		}
 		for name, sel := range sels {
 			got := vec.New(sch).Cols[ci]
-			if err := d.decodeCol(set.Chunks(ci), &got, sel); err != nil {
+			if err := d.decodeCol(set.Chunks(ci), &got, sel, nil); err != nil {
 				t.Fatalf("column %d, %s: %v", ci, name, err)
 			}
 			if got.Len() != len(sel) {
@@ -98,7 +98,7 @@ func TestChainSelDecode(t *testing.T) {
 			}
 		}
 		got := vec.New(sch).Cols[ci]
-		if err := d.decodeCol(set.Chunks(ci), &got, []int32{0, int32(n)}); err == nil {
+		if err := d.decodeCol(set.Chunks(ci), &got, []int32{0, int32(n)}, nil); err == nil {
 			t.Fatalf("column %d: a position past the chain decoded", ci)
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/expr"
+	"repro/internal/page"
 	"repro/internal/testutil"
 	"repro/internal/types"
 	"repro/internal/vec"
@@ -64,8 +65,12 @@ func kernelRows() (types.Schema, []types.Row) {
 // queries use — DATE literals, BETWEEN, IN, their NOT forms, INT-vs-FLOAT and
 // DATE-vs-INT mixes — compiles to a kernel whose three-valued result equals
 // Expr.Eval on every active row, NULLs included, over every row and under a
-// selection (every third row; every row but the first and the last); and the
-// scan's conjunct filter keeps exactly the active rows Eval holds on. The
+// selection (every third row; every row but the first and the last); the
+// scan's conjunct filter keeps exactly the active rows Eval holds on; and so
+// does the scan's filter over a page set of the rows, which tests a
+// conjunct over one dictionary page's column once per entry (INT, FLOAT and
+// string dictionaries, with a NULL entry and without) and decodes the other
+// conjuncts' columns at the rows still kept. The
 // shapes whose row semantics a kernel could not keep (a NULL or non-literal
 // bound or member, an empty list) do not compile, and the row Filter — what
 // evaluates them, as the scan does a predicate without a kernel — keeps the
@@ -137,6 +142,7 @@ func TestCompiledPredicateParity(t *testing.T) {
 		"lone-conjunct":            "false true",
 		"q19-first-keeps-none":     "NULL false",
 	}
+	set, dictCols := kernelPageSet(t, sch, rows)
 	var third, inner []int32
 	for k := range rows {
 		if k%3 == 0 {
@@ -208,7 +214,7 @@ func TestCompiledPredicateParity(t *testing.T) {
 						keep = append(keep, int32(i))
 					}
 				}
-				kept, err := conj.filter(b, nil)
+				kept, err := conj.filter(b, nil, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -217,6 +223,7 @@ func TestCompiledPredicateParity(t *testing.T) {
 				}
 			}
 			b.Sel = nil
+			checkPageSetFilter(t, sch, set, dictCols, e, want)
 		})
 	}
 
@@ -250,6 +257,160 @@ func TestCompiledPredicateParity(t *testing.T) {
 			}
 			assertSameRows(t, got, want)
 		})
+	}
+}
+
+// kernelPageSet seals each column of rows into a page of its own and
+// returns the set, and which of its pages have the dictionary layout: i, f,
+// s and b, which hold a NULL entry, and s2, nf and ns — INT, FLOAT, string
+// and BOOLEAN dictionaries, with and without NULLs. d and ni are fixed-width.
+func kernelPageSet(t *testing.T, sch types.Schema, rows []types.Row) (page.PageSet, []bool) {
+	t.Helper()
+	set := page.PageSet{Pages: make([]page.ColumnPage, sch.Len())}
+	dictCols := make([]bool, sch.Len())
+	for ci := range set.Pages {
+		p := page.InitColumnPage(make([]byte, 4096))
+		for _, r := range rows {
+			if !p.Append(r[ci]) {
+				t.Fatalf("column %d does not fit its page", ci)
+			}
+		}
+		p.Seal()
+		set.Pages[ci] = p
+		scratch := vec.Col{Kind: sch.Cols[ci].Kind, Form: vec.FormFor(sch.Cols[ci].Kind), Dict: vec.NewDict()}
+		codes, err := p.DictEntries(&scratch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dictCols[ci] = codes != nil
+	}
+	want := []bool{true, true, false, true, true, true, false, true, true}
+	if !slices.Equal(dictCols, want) {
+		t.Fatalf("dictionary-layout pages %v, want %v", dictCols, want)
+	}
+	return set, dictCols
+}
+
+// checkPageSetFilter runs predicate e as the columnar scan runs it over a
+// page set — each conjunct tested in code space where it reads one column of
+// a dictionary page, the columns of the others decoded as the selection
+// narrows — and demands it keep exactly the rows whose truth is "true", on
+// the kernels, with a column that only code-space conjuncts read left
+// undecoded.
+func checkPageSetFilter(t *testing.T, sch types.Schema, set page.PageSet, dictCols []bool, e expr.Expr, truth []string) {
+	t.Helper()
+	scan := &VecColumnarScan{table: sch, cfg: ScanConfig{Pred: e}}
+	scan.layOut()
+	d := scan.newDecoder()
+	kept, err := d.filter(vec.New(sch), set, len(truth))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []int32
+	for k, v := range truth {
+		if v == "true" {
+			want = append(want, int32(k))
+		}
+	}
+	if !slices.Equal(kept, want) {
+		t.Fatalf("page-set filter kept %v, want %v", kept, want)
+	}
+	if d.rowSets != 0 {
+		t.Fatal("page-set filter left the kernels")
+	}
+	readers := make([]int, sch.Len())
+	for _, c := range d.conj {
+		for _, ci := range c.cols {
+			readers[ci]++
+		}
+	}
+	for _, c := range d.conj {
+		if ci := c.cols[0]; len(c.cols) == 1 && dictCols[ci] && readers[ci] == 1 && d.state[ci] != colNone {
+			t.Fatalf("column %d was decoded, though its one conjunct could be tested on its dictionary page", ci)
+		}
+	}
+}
+
+// TestCodeSpaceCorruptCode: a dictionary page whose last cell's code names
+// no entry is an error when a conjunct is tested on it in code space, as it
+// is when the page is decoded — the row is never silently dropped.
+func TestCodeSpaceCorruptCode(t *testing.T) {
+	sch, rows := kernelRows()
+	set, _ := kernelPageSet(t, sch, rows)
+	entries := vec.Col{Kind: types.KindString, Form: vec.FormStr, Dict: vec.NewDict()}
+	codes, err := set.Pages[3].DictEntries(&entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	codes[len(codes)-1] = 0xff // the codes alias the page
+	scan := &VecColumnarScan{table: sch, cfg: ScanConfig{Pred: eq(ncol(3, "s"), cs("b"))}}
+	scan.layOut()
+	if _, err := scan.newDecoder().filter(vec.New(sch), set, len(rows)); err == nil {
+		t.Fatal("a code of no entry passed the code-space test")
+	}
+}
+
+// TestFallbackDecodesInFull: when a later conjunct meets a page of no typed
+// layout, the row expression decides the set, and every predicate column —
+// one only tested in code space, one decoded at the rows still kept, and
+// the boxed one — is decoded in full first, holding every row's value.
+func TestFallbackDecodesInFull(t *testing.T) {
+	sch := types.NewSchema(
+		types.Column{Name: "tag", Kind: types.KindString},
+		types.Column{Name: "id", Kind: types.KindInt},
+		types.Column{Name: "mixed", Kind: types.KindInt},
+	)
+	var rows []types.Row
+	for k := int64(0); k < 300; k++ {
+		mixed := types.NewInt(k % 50)
+		if k%97 == 5 {
+			mixed = types.NewString("x")
+		}
+		rows = append(rows, types.Row{types.NewString(fmt.Sprintf("T-%d", k%4)), types.NewInt(k * 1009), mixed})
+	}
+	set := page.PageSet{Pages: make([]page.ColumnPage, sch.Len())}
+	for ci := range set.Pages {
+		p := page.InitColumnPage(make([]byte, 4096))
+		for _, r := range rows {
+			if !p.Append(r[ci]) {
+				t.Fatalf("column %d does not fit its page", ci)
+			}
+		}
+		p.Seal()
+		set.Pages[ci] = p
+	}
+	pred := and(and(in(ncol(0, "tag"), false, cs("T-1"), cs("T-2")), gt(ncol(1, "id"), ci(30_000))), lt(ncol(2, "mixed"), ci(30)))
+	scan := &VecColumnarScan{table: sch, cfg: ScanConfig{Pred: pred}}
+	scan.layOut()
+	d := scan.newDecoder()
+	kept, err := d.filter(vec.New(sch), set, len(rows))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.rowSets != 1 {
+		t.Fatalf("%d sets on the row expression, want the one", d.rowSets)
+	}
+	var want []int32
+	for k, r := range rows {
+		if keep, err := expr.EvalBool(pred, r); err != nil {
+			t.Fatal(err)
+		} else if keep {
+			want = append(want, int32(k))
+		}
+	}
+	if len(want) == 0 || !slices.Equal(kept, want) {
+		t.Fatalf("kept %v, want %v", kept, want)
+	}
+	for ci := range set.Pages {
+		c := &d.eval.Cols[ci]
+		if c.Len() != len(rows) {
+			t.Fatalf("column %d holds %d rows of %d", ci, c.Len(), len(rows))
+		}
+		for k, r := range rows {
+			if types.Compare(c.Value(k), r[ci]) != 0 {
+				t.Fatalf("column %d, row %d reads %v, want %v", ci, k, c.Value(k), r[ci])
+			}
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package exec
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/expr"
 	"repro/internal/page"
@@ -63,12 +64,14 @@ func (b *vecBatchSender) flush() bool {
 // and the ones its predicate refers to. Storage fetches and pins just those
 // pages of each set, and batches are built over the emitted columns only.
 //
-// A predicate is evaluated at decode time: its columns are decoded first
-// into a scratch batch laid out like the table, its conjuncts' compiled
-// kernels narrow a selection vector one after another (or, when one does
-// not compile, the row expression over the predicate's columns builds it),
-// and the emitted columns are materialized only at the selected positions
-// (late materialization).
+// A predicate is evaluated at decode time: its conjuncts' compiled kernels
+// narrow a selection vector one after another, each pulling its columns
+// from the page set as it runs — tested once per entry of a dictionary page
+// without decoding it, or decoded into a scratch batch laid out like the
+// table at the rows still kept — or, when one does not compile or falls
+// back, the row expression over the predicate's columns builds it; the
+// emitted columns are materialized only at the selected positions (late
+// materialization).
 // Whether a set kept a row is handed back to storage, which records the
 // absence facts and skips page sets (predicate cache and min-max) in
 // ColumnarFragment.ScanPageSets; the scan thread drives as many page-set
@@ -94,9 +97,16 @@ func NewVecColumnarScan(fr *storage.ColumnarFragment, alias string, cfg ScanConf
 	cs.batch = cfg.Ctx.batchRows()
 	cs.cancel = cfg.Ctx.Cancel()
 	cs.vecRowShim = vecRowShim{src: cs, ctx: cfg.Ctx}
+	cs.layOut()
+	return cs
+}
+
+// layOut sets the scan's column lists from its table schema, cfg.Cols and
+// cfg.Pred.
+func (cs *VecColumnarScan) layOut() {
 	n := cs.table.Len()
 	var read []bool
-	cs.emit, cs.isPred, read = ScanColumns(n, cfg.Cols, cfg.Pred)
+	cs.emit, cs.isPred, read = ScanColumns(n, cs.cfg.Cols, cs.cfg.Pred)
 	cs.outOf = make([]int, n)
 	for ci := range cs.outOf {
 		cs.outOf[ci] = -1
@@ -112,7 +122,6 @@ func NewVecColumnarScan(fr *storage.ColumnarFragment, alias string, cfg ScanConf
 			cs.read = append(cs.read, ci)
 		}
 	}
-	return cs
 }
 
 // NextVec implements the vector half of VecOperator.
@@ -170,8 +179,15 @@ func (cs *VecColumnarScan) newDecoder() *pageSetDecoder {
 		// per-evaluation scratch and must not be shared across goroutines.
 		// nil when a conjunct's shape has no kernel.
 		d.conj = compileConjuncts(cs.cfg.Pred, cs.table)
+		n := cs.table.Len()
 		d.eval.Sch = cs.table
-		d.eval.Cols = make([]vec.Col, cs.table.Len())
+		d.eval.Cols = make([]vec.Col, n)
+		d.entries.Sch = cs.table
+		d.entries.Cols = make([]vec.Col, n)
+		d.entryDict = vec.NewDict()
+		d.state = make([]colState, n)
+		d.counted = make([]uint32, n)
+		d.dicts = make([]*vec.Dict, n)
 	}
 	return d
 }
@@ -181,19 +197,47 @@ func (cs *VecColumnarScan) newDecoder() *pageSetDecoder {
 // evaluation plus selection-vector late materialization with one. All
 // scratch is single-threaded — one decoder per worker.
 type pageSetDecoder struct {
-	cs       *VecColumnarScan
-	conj     conjuncts // the predicate's kernels, one per conjunct; nil without them
+	cs   *VecColumnarScan
+	conj conjuncts // the predicate's kernels, one per conjunct; nil without them
+	// The page set being filtered, and the batch it is decoded into; both
+	// valid during one decodeSet.
+	set      page.PageSet
+	building *vec.Batch
 	eval     vec.Batch // scratch, table layout: the predicate's columns of one page set
+	// entries is scratch in table layout: one dictionary page's entries, a
+	// row each, for a conjunct tested in code space. Their strings go to
+	// entryDict, never a batch's.
+	entries   vec.Batch
+	entryDict *vec.Dict
+	narrow    vec.Col // scratch: a column decoded at the kept positions, for spreadCol
+	// By table offset, for the predicate's columns in the set being
+	// filtered: how far eval holds the column, the set's pages of it already
+	// counted (bit k: chunk k; a chain has at most page.MaxChainPages), and
+	// the dictionary a string column not emitted interns into, reset per set.
+	state    []colState
+	counted  []uint32
+	dicts    []*vec.Dict
 	sel      []int32
 	chunkSel []int32   // one chain page's share of sel, rebased to the page
 	scratch  types.Row // table-width row the uncompiled predicate reads
-	// typedPages/boxedPages count per-page decode outcomes; rowsEval counts
-	// rows that entered the predicate (every row of a set, however early the
-	// conjuncts drop it), kernelSets/rowSets the page sets it was evaluated
-	// on by the compiled kernels vs row by row through expr.EvalBool.
+	// typedPages/boxedPages count per-page decode outcomes, each page of a
+	// set at most once (a page tested in code space counts as typed);
+	// rowsEval counts rows that entered the predicate (every row of a set,
+	// however early the conjuncts drop it), kernelSets/rowSets the page sets
+	// it was evaluated on by the compiled kernels vs row by row through
+	// expr.EvalBool.
 	typedPages, boxedPages, rowsEval int64
 	kernelSets, rowSets              int64
 }
+
+// colState is how much of a predicate column the eval scratch holds.
+type colState uint8
+
+const (
+	colNone   colState = iota // nothing: not read yet, or only tested in code space
+	colNarrow                 // the positions kept when its first conjunct ran
+	colFull                   // every position
+)
 
 // decodeSet decodes one pinned page set into the sender's building batch,
 // evaluating the scan's predicate during decode when it has one. kept
@@ -205,20 +249,24 @@ func (d *pageSetDecoder) decodeSet(snd *vecBatchSender, set page.PageSet) (kept 
 		return false, nil
 	}
 	b := snd.building()
-	var sel []int32 // the rows emitted; nil without a predicate: every row
+	var sel, at []int32 // the rows emitted, and the positions to decode them at; nil without a predicate: every row
 	if d.cs.cfg.Pred != nil {
 		if sel, err = d.filter(b, set, nrows); err != nil || len(sel) == 0 {
 			return false, err
 		}
+		if at = sel; len(sel) == nrows {
+			at = nil
+		}
 		nrows = len(sel)
 	}
-	// Late materialization: emitted predicate columns gather their
-	// survivors from the eval scratch; the other emitted columns decode only
-	// the selected positions (unselected strings are never even interned).
+	// Late materialization: emitted predicate columns the eval scratch holds
+	// gather their survivors from it; the other emitted columns — those a
+	// predicate only tested in code space included — decode only the
+	// selected positions (unselected strings are never even interned).
 	for oi, ci := range d.cs.emit {
-		if d.cs.isPred[ci] {
+		if d.cs.isPred[ci] && d.state[ci] != colNone {
 			gatherAppend(&b.Cols[oi], &d.eval.Cols[ci], sel)
-		} else if err := d.decodeCol(set.Chunks(ci), &b.Cols[oi], sel); err != nil {
+		} else if err := d.decodeCol(set.Chunks(ci), &b.Cols[oi], at, d.seen(ci)); err != nil {
 			return false, err
 		}
 	}
@@ -229,24 +277,28 @@ func (d *pageSetDecoder) decodeSet(snd *vecBatchSender, set page.PageSet) (kept 
 	return true, nil
 }
 
-// filter decodes the predicate's columns of a page set into the eval
-// scratch and returns the positions of the rows the predicate keeps.
+// seen returns where column ci's counted pages of the set are recorded: nil
+// for a column that is not the predicate's, which is decoded once.
+func (d *pageSetDecoder) seen(ci int) *uint32 {
+	if d.cs.isPred[ci] {
+		return &d.counted[ci]
+	}
+	return nil
+}
+
+// filter returns the positions of the rows of a page set the predicate
+// keeps. The conjunct kernels pull their columns as they reach them (test,
+// load); when one falls back, or a conjunct has no kernel, every predicate
+// column is decoded in full and the row expression decides.
 func (d *pageSetDecoder) filter(b *vec.Batch, set page.PageSet, nrows int) ([]int32, error) {
-	// An emitted string column interns into the building batch's dictionary,
-	// so that surviving codes transfer without translation.
+	d.set, d.building = set, b
 	for _, ci := range d.cs.pred {
-		var dict *vec.Dict
-		if oi := d.cs.outOf[ci]; oi >= 0 {
-			dict = b.Cols[oi].Dict
-		}
-		if err := d.decodeCol(set.Chunks(ci), d.resetEvalCol(ci, dict), nil); err != nil {
-			return nil, err
-		}
+		d.state[ci], d.counted[ci] = colNone, 0
 	}
 	d.eval.N = nrows
 	d.rowsEval += int64(nrows)
 	if d.conj != nil {
-		sel, err := d.conj.filter(&d.eval, d.sel)
+		sel, err := d.conj.filter(&d.eval, d.sel, d)
 		d.sel = sel
 		if err == nil {
 			d.kernelSets++
@@ -256,9 +308,16 @@ func (d *pageSetDecoder) filter(b *vec.Batch, set page.PageSet, nrows int) ([]in
 			return nil, err
 		}
 	}
-	// No kernel for some conjunct, or a kernel met a layout it cannot handle
-	// (a page demoted to boxed): evaluate the row expression, whole, which
-	// reads the predicate's columns only.
+	// No kernel for some conjunct, or one met a layout it cannot handle (a
+	// page demoted to boxed): evaluate the row expression, whole, over every
+	// predicate column in full — a narrowed one holds only some rows.
+	for _, ci := range d.cs.pred {
+		if d.state[ci] != colFull {
+			if err := d.decodePred(ci, nil); err != nil {
+				return nil, err
+			}
+		}
+	}
 	d.rowSets++
 	if d.scratch == nil {
 		d.scratch = make(types.Row, len(d.eval.Cols))
@@ -280,42 +339,205 @@ func (d *pageSetDecoder) filter(b *vec.Batch, set page.PageSet, nrows int) ([]in
 	return sel, nil
 }
 
-// resetEvalCol readies one eval scratch column for a page set: schema
-// layout restored (a demoted previous set must not leak boxedness into
-// this one), slabs truncated. A string column takes dict — the building
-// batch's dictionary for that column, so gathered codes need no
-// translation — or, given none (the column is not emitted, or its building
-// column demoted to boxed), a dictionary of its own that lasts for this
-// page set: one kept for the whole scan would grow to the column's size.
-func (d *pageSetDecoder) resetEvalCol(ci int, dict *vec.Dict) *vec.Col {
-	c := &d.eval.Cols[ci]
+// test is columnSource.test: a conjunct that reads one column, whose page in
+// the set has the dictionary layout, runs its kernel once over the page's
+// entries — a row each — and keeps the positions whose code names an entry
+// it holds on. A NULL entry, like a NULL row, is kept only where the kernel
+// says TRUE. The column is not decoded.
+func (d *pageSetDecoder) test(j int, pos []int32) (int, bool, error) {
+	c := d.conj[j]
+	if len(c.cols) != 1 {
+		return 0, false, nil
+	}
+	ci := c.cols[0]
+	chunks := d.set.Chunks(ci)
+	if len(chunks) != 1 {
+		return 0, false, nil // a chain's pages are tagged
+	}
+	e := &d.entries.Cols[ci]
+	d.entryDict.Reset()
+	resetCol(e, d.cs.table.Cols[ci].Kind, d.entryDict)
+	codes, err := chunks[0].DictEntries(e)
+	switch {
+	case errors.Is(err, page.ErrKindMismatch):
+		return 0, false, nil // the decode that follows boxes the page
+	case err != nil:
+		return 0, false, err
+	case codes == nil:
+		return 0, false, nil // not a dictionary page
+	case len(codes) != d.eval.N:
+		return 0, false, fmt.Errorf("exec: a page of %d values in a set of %d rows", len(codes), d.eval.N)
+	}
+	d.countPage(&d.counted[ci], 0, true)
+	n := e.Len()
+	d.entries.N = n
+	t, null, err := c.node.evalBool(&d.entries, n)
+	if err != nil {
+		return 0, false, err
+	}
+	// By code: 1 keeps its rows, 2 names no entry (a corrupt page, found
+	// by the pass that reads the code).
+	var verdict [256]uint8
+	for k := range t {
+		if t[k] && (null == nil || !null[k]) {
+			verdict[k] = 1
+		}
+	}
+	for k := n; k < len(verdict); k++ {
+		verdict[k] = 2
+	}
+	m, bad := 0, uint8(0)
+	for _, p := range pos {
+		v := verdict[codes[p]]
+		pos[m] = p
+		m += int(v & 1)
+		bad |= v
+	}
+	if bad&2 != 0 {
+		i := slices.IndexFunc(codes, func(c byte) bool { return int(c) >= n })
+		return 0, false, fmt.Errorf("exec: column value %d: code %d of a %d-entry dictionary", i, codes[i], n)
+	}
+	return m, true, nil
+}
+
+// load is columnSource.load: conjunct j's columns that eval does not hold
+// yet decode at the active rows.
+func (d *pageSetDecoder) load(j int, sel []int32) error {
+	for _, ci := range d.conj[j].cols {
+		if d.state[ci] == colNone {
+			if err := d.decodePred(ci, sel); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// decodePred decodes predicate column ci of the set into the eval scratch
+// at the positions sel — every one for nil, densely. Under a selection the
+// cells decode into a scratch column and spreadCol moves them to their
+// positions of the full-length eval column, so the kernels read them
+// through b.Sel as ever; a page demoted to boxed there is errVecFallback.
+func (d *pageSetDecoder) decodePred(ci int, sel []int32) error {
+	c := d.resetEvalCol(ci)
+	if sel == nil {
+		d.state[ci] = colFull
+		return d.decodeCol(d.set.Chunks(ci), c, nil, &d.counted[ci])
+	}
+	tmp := &d.narrow
+	resetCol(tmp, c.Kind, c.Dict)
+	if err := d.decodeCol(d.set.Chunks(ci), tmp, sel, &d.counted[ci]); err != nil {
+		return err
+	}
+	if tmp.Form != c.Form {
+		return errVecFallback
+	}
+	spreadCol(c, tmp, sel, d.eval.N)
+	d.state[ci] = colNarrow
+	return nil
+}
+
+// resetEvalCol readies eval column ci for a decode in this page set (see
+// resetCol). A string column takes the building batch's dictionary for that
+// column, so gathered codes need no translation, or, given none (the
+// column is not emitted, or its building column demoted to boxed), the
+// decoder's own for the column, emptied: it lasts for this page set, as one
+// kept for the whole scan would grow to the column's size.
+func (d *pageSetDecoder) resetEvalCol(ci int) *vec.Col {
+	var dict *vec.Dict
+	if oi := d.cs.outOf[ci]; oi >= 0 {
+		dict = d.building.Cols[oi].Dict
+	}
 	kind := d.cs.table.Cols[ci].Kind
+	if dict == nil && vec.FormFor(kind) == vec.FormStr {
+		if d.dicts[ci] == nil {
+			d.dicts[ci] = vec.NewDict()
+		}
+		dict = d.dicts[ci]
+		dict.Reset()
+	}
+	c := &d.eval.Cols[ci]
+	resetCol(c, kind, dict)
+	return c
+}
+
+// resetCol empties c into the layout of a column of kind — a demoted
+// previous set must not leak boxedness into this one — its slabs truncated
+// and a string column interning into dict.
+func resetCol(c *vec.Col, kind types.Kind, dict *vec.Dict) {
 	c.Kind = kind
 	c.Form = vec.FormFor(kind)
 	c.I, c.F, c.Codes, c.Vals = c.I[:0], c.F[:0], c.Codes[:0], c.Vals[:0]
 	c.Nulls = c.Nulls[:0]
 	c.Dict = dict
-	if c.Form == vec.FormStr && dict == nil {
-		c.Dict = vec.NewDict()
+}
+
+// spreadCol writes the k-th cell of src, decoded at the positions sel, to
+// position sel[k] of c, sized to n rows; c's other positions hold anything.
+func spreadCol(c, src *vec.Col, sel []int32, n int) {
+	if len(src.Nulls) > 0 {
+		words := (n + 63) >> 6
+		c.Nulls = slices.Grow(c.Nulls[:0], words)[:words]
+		clear(c.Nulls)
+		for k, i := range sel {
+			if vec.GetBit(src.Nulls, k) {
+				c.Nulls[i>>6] |= 1 << (uint(i) & 63)
+			}
+		}
 	}
-	return c
+	switch c.Form {
+	case vec.FormInt:
+		c.I = scatter(c.I, src.I, sel, n)
+	case vec.FormFloat:
+		c.F = scatter(c.F, src.F, sel, n)
+	case vec.FormStr:
+		c.Codes = scatter(c.Codes, src.Codes, sel, n)
+	}
+}
+
+func scatter[T int64 | float64 | int32](dst, src []T, sel []int32, n int) []T {
+	dst = grow(dst, n)
+	for k, i := range sel {
+		dst[i] = src[k]
+	}
+	return dst
+}
+
+// countPage adds a decode of chunk k of a column's pages in the set to the
+// typed or boxed page count, unless counted records the chunk counted
+// already; nil counted is a column decoded once per set.
+func (d *pageSetDecoder) countPage(counted *uint32, k int, typed bool) {
+	if counted != nil {
+		if *counted&(1<<k) != 0 {
+			return
+		}
+		*counted |= 1 << k
+	}
+	if typed {
+		d.typedPages++
+	} else {
+		d.boxedPages++
+	}
 }
 
 // decodeCol decodes a column's cells at the ascending set-relative
-// positions in sel — every cell for a nil sel — into c. Over a chain a
-// selection is split at page boundaries: each page sees its own positions,
-// rebased, and a page none falls in is not touched.
-func (d *pageSetDecoder) decodeCol(chunks []page.ColumnPage, c *vec.Col, sel []int32) error {
+// positions in sel — every cell for a nil sel — into c, counting each page
+// it reads (see countPage). Over a chain a selection is split at page
+// boundaries: each page sees its own positions, rebased, and a page none
+// falls in is not touched.
+func (d *pageSetDecoder) decodeCol(chunks []page.ColumnPage, c *vec.Col, sel []int32, counted *uint32) error {
 	if sel == nil || len(chunks) == 1 {
-		for _, pg := range chunks {
-			if err := d.decodePage(pg, c, sel); err != nil {
+		for k, pg := range chunks {
+			typed, err := d.decodePage(pg, c, sel)
+			if err != nil {
 				return err
 			}
+			d.countPage(counted, k, typed)
 		}
 		return nil
 	}
 	first := 0
-	for _, pg := range chunks {
+	for k, pg := range chunks {
 		end := first + pg.NumValues()
 		part := d.chunkSel[:0]
 		for len(sel) > 0 && int(sel[0]) < end {
@@ -324,9 +546,11 @@ func (d *pageSetDecoder) decodeCol(chunks []page.ColumnPage, c *vec.Col, sel []i
 		}
 		d.chunkSel = part
 		if len(part) > 0 {
-			if err := d.decodePage(pg, c, part); err != nil {
+			typed, err := d.decodePage(pg, c, part)
+			if err != nil {
 				return err
 			}
+			d.countPage(counted, k, typed)
 		}
 		first = end
 	}
@@ -339,46 +563,42 @@ func (d *pageSetDecoder) decodeCol(chunks []page.ColumnPage, c *vec.Col, sel []i
 // decodePage decodes a column page's cells at the page-relative positions in
 // sel (nil: every cell) into c, typed when the column's layout has a typed
 // decoder and the selected cells match, boxed DecodeInto (with Col.Append's
-// demotion safety net) otherwise.
-func (d *pageSetDecoder) decodePage(pg page.ColumnPage, c *vec.Col, sel []int32) error {
+// demotion safety net) otherwise; typed reports which.
+func (d *pageSetDecoder) decodePage(pg page.ColumnPage, c *vec.Col, sel []int32) (typed bool, err error) {
 	switch c.Form {
 	case vec.FormInt:
 		bm := vec.Bitmap{Words: c.Nulls}
 		out, err := pg.DecodeInt64sSel(c.Kind, c.I, &bm, sel)
 		if err == nil {
 			c.I, c.Nulls = out, bm.Words
-			d.typedPages++
-			return nil
+			return true, nil
 		}
 		if !errors.Is(err, page.ErrKindMismatch) {
-			return err
+			return false, err
 		}
 	case vec.FormFloat:
 		bm := vec.Bitmap{Words: c.Nulls}
 		out, err := pg.DecodeFloat64sSel(c.F, &bm, sel)
 		if err == nil {
 			c.F, c.Nulls = out, bm.Words
-			d.typedPages++
-			return nil
+			return true, nil
 		}
 		if !errors.Is(err, page.ErrKindMismatch) {
-			return err
+			return false, err
 		}
 	case vec.FormStr:
 		bm := vec.Bitmap{Words: c.Nulls}
 		out, err := pg.DecodeStringsSel(c.Dict, c.Codes, &bm, sel)
 		if err == nil {
 			c.Codes, c.Nulls = out, bm.Words
-			d.typedPages++
-			return nil
+			return true, nil
 		}
 		if !errors.Is(err, page.ErrKindMismatch) {
-			return err
+			return false, err
 		}
 	}
-	d.boxedPages++
 	si, pos := 0, 0
-	return pg.DecodeInto(func(v types.Value) bool {
+	return false, pg.DecodeInto(func(v types.Value) bool {
 		if sel == nil || (si < len(sel) && int(sel[si]) == pos) {
 			c.Append(v)
 			si++

@@ -22,14 +22,6 @@ import (
 // scans cover both the written and the open decode paths.
 func vecScanFragment(t *testing.T) (*storage.ColumnarFragment, []types.Row) {
 	t.Helper()
-	ns, err := storage.NewNodeStore(storage.NodeConfig{
-		NodeID: 0, BaseDir: t.TempDir(), NumDisks: 2,
-		PageSize: 1024, BufFrames: 512, BufStripes: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ns.Close() })
 	sch := types.NewSchema(
 		types.Column{Name: "id", Kind: types.KindInt},
 		types.Column{Name: "qty", Kind: types.KindInt},
@@ -38,16 +30,7 @@ func vecScanFragment(t *testing.T) (*storage.ColumnarFragment, []types.Row) {
 		types.Column{Name: "ship", Kind: types.KindDate},
 		types.Column{Name: "note", Kind: types.KindString},
 	)
-	def := &catalog.TableDef{
-		Name:     "vscan",
-		Schema:   sch,
-		Columnar: true,
-		Part:     catalog.Partitioning{Kind: catalog.PartHash, Cols: []string{"id"}},
-	}
-	fr, err := storage.OpenColumnarFragment(ns, def)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fr := openColumnar(t, "vscan", sch)
 	mk := func(i int64) types.Row {
 		r := types.Row{
 			types.NewInt(i),
@@ -82,6 +65,87 @@ func vecScanFragment(t *testing.T) (*storage.ColumnarFragment, []types.Row) {
 		t.Fatal(err)
 	}
 	return fr, rows
+}
+
+// openColumnar opens an empty columnar fragment of 1 KiB pages.
+func openColumnar(t *testing.T, name string, sch types.Schema) *storage.ColumnarFragment {
+	t.Helper()
+	ns, err := storage.NewNodeStore(storage.NodeConfig{
+		NodeID: 0, BaseDir: t.TempDir(), NumDisks: 2,
+		PageSize: 1024, BufFrames: 512, BufStripes: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ns.Close() })
+	def := &catalog.TableDef{
+		Name:     name,
+		Schema:   sch,
+		Columnar: true,
+		Part:     catalog.Partitioning{Kind: catalog.PartHash, Cols: []string{"id"}},
+	}
+	fr, err := storage.OpenColumnarFragment(ns, def)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fr
+}
+
+// codeSpaceFragment builds a columnar fragment whose rows come in four
+// blocks of 1,000, each wider than a page set, so that the layout a column's
+// page takes changes from set to set:
+//   - grade (INT) has five distinct values and NULLs in blocks 0 and 2,
+//     sealing into the dictionary layout, and a distinct value per row in
+//     blocks 1 and 3, sealing fixed-width;
+//   - rate (FLOAT) is a dictionary with a NULL entry throughout;
+//   - tag (STRING) is a dictionary with a NULL entry whose strings block b
+//     alone holds (T-4b to T-4b+3);
+//   - mixed (INT) holds a string cell in a few rows of block 2, so its pages
+//     there are of no typed layout and decode boxed.
+func codeSpaceFragment(t *testing.T) *storage.ColumnarFragment {
+	t.Helper()
+	sch := types.NewSchema(
+		types.Column{Name: "id", Kind: types.KindInt},
+		types.Column{Name: "grade", Kind: types.KindInt},
+		types.Column{Name: "rate", Kind: types.KindFloat},
+		types.Column{Name: "tag", Kind: types.KindString},
+		types.Column{Name: "mixed", Kind: types.KindInt},
+	)
+	fr := openColumnar(t, "codes", sch)
+	var rows []types.Row
+	for i := int64(0); i < 4000; i++ {
+		block := i / 1000
+		r := types.Row{
+			types.NewInt(i),
+			types.NewInt(i * 13),
+			types.NewFloat(float64(i%4) * 0.25),
+			types.NewString(fmt.Sprintf("T-%d", 4*block+i%4)),
+			types.NewInt(i % 50),
+		}
+		if block%2 == 0 {
+			r[1] = types.NewInt(i % 5 * 1_000_003)
+			if i%9 == 4 {
+				r[1] = types.Null
+			}
+		}
+		if i%7 == 2 {
+			r[2] = types.Null
+		}
+		if i%11 == 5 {
+			r[3] = types.Null
+		}
+		if block == 2 && i%100 == 17 {
+			r[4] = types.NewString("x")
+		}
+		rows = append(rows, r)
+	}
+	if _, err := fr.Load(rows); err != nil {
+		t.Fatal(err)
+	}
+	if err := fr.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return fr
 }
 
 // boxedColumnarScan is the independent reference the vector scan is compared
@@ -141,8 +205,9 @@ func and(l, r expr.Expr) *expr.Bin { return &expr.Bin{Op: expr.OpAnd, L: l, R: r
 // TestVecScanPushdownParity golden-compares the decode-time predicate
 // evaluation against the boxed reference decode and against a row Filter
 // above an unfiltered scan on the same fragment, for predicates that hit
-// every slab kind, and for one with no vector kernel (LIKE), which the scan
-// evaluates row-wise over the predicate's columns.
+// every slab kind, for one with no vector kernel (LIKE), which the scan
+// evaluates row-wise over the predicate's columns, and for conjuncts tested
+// in code space over pages whose layout changes from set to set.
 func TestVecScanPushdownParity(t *testing.T) {
 	testutil.AssertNoGoroutineLeak(t)
 	fr, _ := vecScanFragment(t)
@@ -219,6 +284,71 @@ func TestVecScanPushdownParity(t *testing.T) {
 	assertSameRows(t, got, want)
 	if n := ctx.RowsProcessed.Load(); n != 1509 {
 		t.Errorf("uncompiled predicate metered %d rows, want all 1509", n)
+	}
+
+	// Conjuncts tested in code space, on the dictionary pages of some sets
+	// and not of others, and the columns of later conjuncts decoded at the
+	// rows still kept.
+	cfr := codeSpaceFragment(t)
+	id, grade, rate, tag, mixed := ncol(0, "id"), ncol(1, "grade"), ncol(2, "rate"), ncol(3, "tag"), ncol(4, "mixed")
+	for _, c := range []struct {
+		name     string
+		pred     expr.Expr
+		cols     []int // emitted; nil: every column
+		fallback bool  // some set leaves the kernels
+		lean     bool  // fewer typed pages than 3 a set: where the first conjunct keeps no row, only its column is read
+	}{
+		// grade's one conjunct is tested in code space in blocks 0 and 2 and
+		// decoded at rate's survivors in blocks 1 and 3.
+		{"dict-in-one-set-fixed-in-the-next", and(&expr.Bin{Op: expr.OpGe, L: rate, R: cf(0.25)},
+			&expr.Bin{Op: expr.OpOr, L: in(grade, false, ci(1_000_003), ci(3_000_009)), R: gt(grade, ci(40_000))}), nil, false, false},
+		// No set before block 3 holds a member: the lookup must find none
+		// there, and both in block 3's sets.
+		{"string-in-members-in-later-sets", and(in(tag, false, cs("T-13"), cs("T-14")), gt(id, ci(3_100))), nil, false, false},
+		// tag is emitted but only ever tested in code space: its cells
+		// decode at the survivors only.
+		{"emitted-column-tested-only", and(in(tag, true, cs("T-1"), cs("T-6")), lt(rate, cf(0.6))), []int{3, 0}, false, false},
+		// Outside block 2 the first conjunct keeps no row, and the others'
+		// columns are never decoded (see the page count below).
+		{"first-conjunct-keeps-none", and(and(eq(tag, cs("T-9")), lt(rate, cf(0.6))), lt(id, ci(2_900))), []int{3}, false, true},
+		// In block 2, tag is tested in code space and id decoded at its
+		// survivors before mixed's boxed pages send the set to the row
+		// expression, which must read both in full.
+		{"fallback-after-narrowing", and(and(in(tag, false, cs("T-8"), cs("T-9"), cs("T-10")), gt(id, ci(2_050))), lt(mixed, ci(30))), []int{0, 3}, true, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			whole := boxedScanRows(t, cfr, c.pred)
+			if len(whole) == 0 {
+				t.Fatal("baseline predicate selected nothing — test is vacuous")
+			}
+			want := whole
+			if c.cols != nil {
+				want = make([]types.Row, len(whole))
+				for i, r := range whole {
+					want[i] = r.Project(c.cols)
+				}
+			}
+			ctx := NewCtx("", 0)
+			sp := obs.NewQueryTrace(1, "").StartSpan("Scan", 0)
+			defer sp.Finish()
+			got, err := Collect(NewVecColumnarScan(cfr, "", ScanConfig{Pred: c.pred, Cols: c.cols, Trace: sp, Ctx: ctx}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameRows(t, got, want)
+			if sets, typed := sp.SetsRead.Load(), ctx.DecodeTypedPages.Load(); c.lean && typed >= 3*sets {
+				t.Errorf("%d typed pages over %d page sets: the later conjuncts' columns were read where no row was left", typed, sets)
+			}
+			if rowSets := ctx.PredRowSets.Load(); (rowSets != 0) != c.fallback {
+				t.Errorf("%d page sets on the row expression, want them only where a page is boxed (%v)", rowSets, c.fallback)
+			}
+			if c.fallback && ctx.DecodeBoxedPages.Load() == 0 {
+				t.Error("no page decoded boxed — the fallback case is vacuous")
+			}
+			if n := ctx.RowsProcessed.Load(); n != 4000 {
+				t.Errorf("the predicate metered %d rows, want all 4000", n)
+			}
+		})
 	}
 }
 

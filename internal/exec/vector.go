@@ -773,7 +773,14 @@ func (bc *boolColNode) evalBool(b *vec.Batch, n int) ([]bool, []bool, error) {
 
 // conjuncts is a scan predicate compiled one kernel per top-level conjunct
 // (expr.Conjuncts), in plan order.
-type conjuncts []boolNode
+type conjuncts []conjunct
+
+// conjunct is one top-level conjunct's kernel and the table columns it
+// reads, ascending.
+type conjunct struct {
+	node boolNode
+	cols []int
+}
 
 // compileConjuncts compiles every top-level conjunct of pred, or returns
 // nil when one has no kernel: the predicate then runs row by row, whole.
@@ -784,38 +791,70 @@ func compileConjuncts(pred expr.Expr, sch types.Schema) conjuncts {
 	}
 	cs := make(conjuncts, len(es))
 	for i, e := range es {
-		if cs[i] = compileBool(e, sch); cs[i] == nil {
+		if cs[i].node = compileBool(e, sch); cs[i].node == nil {
 			return nil
+		}
+		_, reads, _ := ScanColumns(sch.Len(), []int{}, e) // the columns e reads, emitting none
+		for ci, r := range reads {
+			if r {
+				cs[i].cols = append(cs[i].cols, ci)
+			}
 		}
 	}
 	return cs
+}
+
+// columnSource supplies a conjunct's columns as conjuncts.filter reaches it:
+// the columnar scan's page-set decoder reads them off the set's pages.
+type columnSource interface {
+	// test evaluates conjunct j on the encoded page when it can: it moves to
+	// the front of pos, in order, the positions the conjunct holds on, and
+	// reports how many with ok; ok false leaves pos as it was.
+	test(j int, pos []int32) (kept int, ok bool, err error)
+	// load readies conjunct j's columns in the batch at its active rows
+	// (sel; every row for nil).
+	load(j int, sel []int32) error
 }
 
 // filter narrows b's active rows to those every conjunct holds on, and
 // returns their physical positions in out's array, which must not be b.Sel's.
 // The first conjunct reads every active row, each later one only the rows
 // the earlier ones kept (through b.Sel), so a row leaves at its first FALSE
-// or NULL conjunct. b.Sel is as it was on return. An error — errVecFallback
-// from any conjunct included — abandons the whole selection.
-func (cs conjuncts) filter(b *vec.Batch, out []int32) ([]int32, error) {
+// or NULL conjunct. Given a source, each conjunct is first offered to its
+// test and otherwise has its columns loaded just before its kernel runs;
+// without one, b holds every column already. b.Sel is as it was on return.
+// An error — errVecFallback from any conjunct included — abandons the whole
+// selection.
+func (cs conjuncts) filter(b *vec.Batch, out []int32, src columnSource) ([]int32, error) {
 	in := b.Sel
 	defer func() { b.Sel = in }()
 	n := b.Rows()
-	for j, node := range cs {
-		t, null, err := node.evalBool(b, n)
-		if err != nil {
-			return out[:0], err
-		}
-		if j == 0 {
-			out = grow(out, n)
-			for k := range out {
-				out[k] = int32(b.Index(k))
+	out = grow(out, n)
+	for k := range out {
+		out[k] = int32(b.Index(k))
+	}
+	for j, c := range cs {
+		kept, tested := 0, false
+		if src != nil {
+			var err error
+			if kept, tested, err = src.test(j, out); err == nil && !tested {
+				err = src.load(j, b.Sel)
+			}
+			if err != nil {
+				return out[:0], err
 			}
 		}
-		if out = out[:keepTrue(out, t, null)]; len(out) == 0 {
+		if !tested {
+			t, null, err := c.node.evalBool(b, n)
+			if err != nil {
+				return out[:0], err
+			}
+			kept = keepTrue(out, t, null)
+		}
+		if out = out[:kept]; kept == 0 {
 			break
 		}
-		b.Sel, n = out, len(out)
+		b.Sel, n = out, kept
 	}
 	return out, nil
 }

@@ -268,3 +268,62 @@ func (p ColumnPage) DecodeStringsSel(dict *vec.Dict, dst []int32, nulls *vec.Bit
 	}
 	return dst, nil
 }
+
+// DictEntries opens a dictionary-layout page for a test in code space: it
+// appends the page's d entries to c as d cells, typed by c's form as the
+// Decode*Sel readers would append cells holding them (a NULL entry marked
+// NULL), and returns the page's codes, one byte per cell in row order. A
+// code is not checked against d here: as Decode*Sel checks only the cells it
+// reads, the caller checks each code it reads, and a code of d or more is a
+// corrupt page. A page of another layout returns nil codes and no error, c
+// untouched. An entry of a kind c has no place for is ErrKindMismatch, and a
+// corrupt dictionary an error, both with c untouched. The codes alias the
+// page buffer.
+func (p ColumnPage) DictEntries(c *vec.Col) ([]byte, error) {
+	layout, pay, err := p.body()
+	if err != nil || layout != layoutDict {
+		return nil, err
+	}
+	var v dictView
+	if err := v.parse(pay, p.NumValues()); err != nil {
+		return nil, err
+	}
+	var null [maxDictEntries]bool
+	bm := vec.Bitmap{Words: c.Nulls}
+	switch c.Form {
+	case vec.FormInt:
+		var val [maxDictEntries]int64
+		if _, err := intEntries(&v, c.Kind, &val, &null); err != nil {
+			return nil, err
+		}
+		c.I = appendEntries(c.I, val[:v.d], null[:v.d], &bm)
+	case vec.FormFloat:
+		var val [maxDictEntries]float64
+		if _, err := floatEntries(&v, &val, &null); err != nil {
+			return nil, err
+		}
+		c.F = appendEntries(c.F, val[:v.d], null[:v.d], &bm)
+	case vec.FormStr:
+		if _, err := stringEntries(&v, &null); err != nil {
+			return nil, err
+		}
+		var code [maxDictEntries]int32
+		v.internAll(c.Dict, &null, &code)
+		c.Codes = appendEntries(c.Codes, code[:v.d], null[:v.d], &bm)
+	default:
+		return nil, ErrKindMismatch
+	}
+	c.Nulls = bm.Words
+	return v.codes, nil
+}
+
+// appendEntries appends a dictionary's entries to a slab, marking the NULL
+// ones at their slab offsets.
+func appendEntries[T int64 | float64 | int32](dst, val []T, null []bool, nulls *vec.Bitmap) []T {
+	for e, isNull := range null {
+		if isNull {
+			nulls.Set(len(dst) + e)
+		}
+	}
+	return append(dst, val...)
+}

@@ -1,6 +1,7 @@
 package page
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -453,30 +454,60 @@ func fuzzRead(t *testing.T, p ColumnPage, sel []int32) fuzzReadings {
 				if int(pos) >= len(boxed) {
 					t.Fatalf("%s accepted position %d of a %d-cell page", name, pos, len(boxed))
 				}
-				want := boxed[pos]
-				if want.K == types.KindNull {
-					if !got.Nulls[prefix+k] {
-						t.Fatalf("%s: position %d: NULL not marked", name, pos)
-					}
-					continue
+				if !cellIs(got, k, kind, boxed[pos]) {
+					t.Fatalf("%s: position %d differs from the boxed value %v", name, pos, boxed[pos])
 				}
-				ok := want.K == kind && !got.Nulls[prefix+k]
-				switch {
-				case !ok:
-				case kind == types.KindString:
-					ok = got.Strs[k] == want.S
-				case kind == types.KindFloat:
-					ok = got.Cells[k] == math.Float64bits(want.F)
-				default:
-					ok = got.Cells[k] == uint64(want.I)
-				}
-				if !ok {
-					t.Fatalf("%s: position %d differs from the boxed value %v", name, pos, want)
-				}
+			}
+		}
+		// The code-space accessor: a code of the entry count or more, which
+		// it leaves to its caller, is a page DecodeInto refuses; any other
+		// names the entry that is its cell's boxed value.
+		name := fmt.Sprintf("%v/dict", kind)
+		got, err := dictRead(p, kind)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		r.Typed[name] = got
+		if got.Err != "" || got.Codes == nil {
+			continue
+		}
+		d := len(got.Nulls) - prefix
+		if slices.ContainsFunc(got.Codes, func(c byte) bool { return int(c) >= d }) {
+			if boxedErr == nil {
+				t.Fatalf("%s: a code of %d entries or more, yet DecodeInto read the page", name, d)
+			}
+			continue
+		}
+		if boxedErr != nil {
+			t.Fatalf("%s succeeded but DecodeInto failed: %v", name, boxedErr)
+		}
+		if len(got.Codes) != len(boxed) {
+			t.Fatalf("%s returned %d codes for %d cells", name, len(got.Codes), len(boxed))
+		}
+		for i, c := range got.Codes {
+			if !cellIs(got, int(c), kind, boxed[i]) {
+				t.Fatalf("%s: cell %d's entry %d differs from the boxed value %v", name, i, c, boxed[i])
 			}
 		}
 	}
 	return r
+}
+
+// cellIs reports whether the k-th cell a typed reading appended is want.
+func cellIs(got typedReading, k int, kind types.Kind, want types.Value) bool {
+	if want.K == types.KindNull || got.Nulls[prefix+k] {
+		return want.K == types.KindNull && got.Nulls[prefix+k]
+	}
+	switch {
+	case want.K != kind:
+		return false
+	case kind == types.KindString:
+		return got.Strs[k] == want.S
+	case kind == types.KindFloat:
+		return got.Cells[k] == math.Float64bits(want.F)
+	default:
+		return got.Cells[k] == uint64(want.I)
+	}
 }
 
 const fuzzOvfPages = 1000 // the overflow file a fuzzed chain head is checked against
@@ -500,7 +531,8 @@ func fuzzChain(t *testing.T, p ColumnPage) {
 
 // FuzzTypedDecode feeds arbitrary bytes — seeded with well-formed pages of
 // every layout, flags byte included — to the three typed decoders of a
-// column page, each over every cell and over a selection the fuzzer picks
+// column page and to its code-space accessor (DictEntries), the decoders
+// over every cell and over a selection the fuzzer picks
 // (gaps: each byte is the distance to the next position, less one; an empty
 // gaps is the empty selection): each must error on corruption, a kind
 // mismatch or a position past the page with its destination rolled back
@@ -546,6 +578,7 @@ func FuzzTypedDecode(f *testing.F) {
 			}
 			return types.NewInt(int64(i % 2))
 		},
+		func(i int) types.Value { return nullOr(i, types.NewInt(int64(i%3)+1<<40)) }, // dict, a NULL entry
 	}
 	for _, gen := range gens {
 		seed(2048, false, gen)
@@ -559,6 +592,12 @@ func FuzzTypedDecode(f *testing.F) {
 	bad.Seal()
 	bad.Buf[colHeaderSize+bad.payloadLen()-1] = 0xff
 	add(bad.Buf)
+	// And one whose first cell's code is the entry count, one past the last.
+	edge := ColumnPage{Buf: slices.Clone(bad.Buf)}
+	end := colHeaderSize + edge.payloadLen()
+	edge.Buf[end-1] = 0
+	edge.Buf[end-64] = byte(binary.LittleEndian.Uint16(edge.Buf[colHeaderSize:]))
+	add(edge.Buf)
 	// Chain heads: a good one, and ones whose (start, count) name no chain the
 	// overflow file could hold.
 	for _, c := range [][3]uint32{{64, 7, 3}, {64, 7, 0}, {64, 1 << 31, 2}, {2, 0, 3}, {64, fuzzOvfPages - 1, 2}, {64, 0, MaxChainPages + 1}} {

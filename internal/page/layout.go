@@ -195,6 +195,111 @@ func (v *dictView) errCode(i int) error {
 	return fmt.Errorf("page: column value %d: code %d of a %d-entry dictionary", i, v.codes[i], v.d)
 }
 
+// checkCodes reports the first code that names no entry, in one pass over
+// the codes (none at all for a full 256-entry dictionary).
+func (v *dictView) checkCodes() error {
+	if v.d == maxDictEntries || !anyAtLeast(v.codes, v.d) {
+		return nil
+	}
+	for i, c := range v.codes {
+		if int(c) >= v.d {
+			return v.errCode(i)
+		}
+	}
+	return nil
+}
+
+// anyAtLeast reports whether a byte of b is d or more (0 < d < 256), eight
+// bytes at a time while d ≤ 128: adding 128 − d to every byte of a word sets
+// its high bit exactly when the byte is at least d, or was 128 or more —
+// which is at least d as well — and a carry out of a byte comes only from
+// such a byte.
+func anyAtLeast(b []byte, d int) bool {
+	i := 0
+	if d <= 128 {
+		const ones, highs = 0x0101010101010101, 0x8080808080808080
+		add := uint64(128-d) * ones
+		for ; i+8 <= len(b); i += 8 {
+			if x := binary.LittleEndian.Uint64(b[i:]); ((x+add)|x)&highs != 0 {
+				return true
+			}
+		}
+	}
+	for _, c := range b[i:] {
+		if int(c) >= d {
+			return true
+		}
+	}
+	return false
+}
+
+// intEntries reads an INT/DATE/BOOL dict page's entries into val, marking
+// NULL entries in null; hasNull reports one. An entry of another kind is
+// ErrKindMismatch.
+func intEntries(v *dictView, kind types.Kind, val *[maxDictEntries]int64, null *[maxDictEntries]bool) (hasNull bool, err error) {
+	for e := 0; e < v.d; e++ {
+		ent := v.entry(e)
+		switch tag := types.Kind(ent[0]); {
+		case tag == types.KindNull:
+			null[e], hasNull = true, true
+		case tag != kind:
+			return false, ErrKindMismatch
+		case kind == types.KindBool:
+			val[e] = int64(ent[1])
+		default:
+			val[e], _ = binary.Varint(ent[1:]) // checked by parse
+		}
+	}
+	return hasNull, nil
+}
+
+// floatEntries is intEntries for a FLOAT dict page.
+func floatEntries(v *dictView, val *[maxDictEntries]float64, null *[maxDictEntries]bool) (hasNull bool, err error) {
+	for e := 0; e < v.d; e++ {
+		switch ent := v.entry(e); types.Kind(ent[0]) {
+		case types.KindNull:
+			null[e], hasNull = true, true
+		case types.KindFloat:
+			val[e] = math.Float64frombits(binary.LittleEndian.Uint64(ent[1:]))
+		default:
+			return false, ErrKindMismatch
+		}
+	}
+	return hasNull, nil
+}
+
+// stringEntries marks a STRING dict page's NULL entries in null; hasNull
+// reports one. An entry of another kind is ErrKindMismatch.
+func stringEntries(v *dictView, null *[maxDictEntries]bool) (hasNull bool, err error) {
+	for e := 0; e < v.d; e++ {
+		switch types.Kind(v.entry(e)[0]) {
+		case types.KindNull:
+			null[e], hasNull = true, true
+		case types.KindString:
+		default:
+			return false, ErrKindMismatch
+		}
+	}
+	return hasNull, nil
+}
+
+// intern returns the code of string entry e in dict, interning it.
+func (v *dictView) intern(e int, dict *vec.Dict) int32 {
+	ent := v.entry(e)
+	_, m := binary.Uvarint(ent[1:]) // checked by parse
+	return dict.CodeBytes(ent[1+m:])
+}
+
+// internAll interns every string entry that null does not mark into dict,
+// recording its code in code.
+func (v *dictView) internAll(dict *vec.Dict, null *[maxDictEntries]bool, code *[maxDictEntries]int32) {
+	for e := 0; e < v.d; e++ {
+		if !null[e] {
+			code[e] = v.intern(e, dict)
+		}
+	}
+}
+
 // zeroNulls finishes a full decode of a fixed-layout page into out: the
 // page's NULL cells are zeroed and marked at their slab offsets.
 func zeroNulls[T int64 | float64](v *fixedView, out []T, nulls *vec.Bitmap, start int) {
@@ -221,26 +326,45 @@ func errSelBeyond(pos int32, n int) error {
 }
 
 // dictCells appends the decoded entry of each wanted cell of a dict-layout
-// page — every cell for a nil sel — to dst. A code with no entry or a
-// position beyond the page rolls dst and nulls back.
-func dictCells[T int64 | float64](v *dictView, val *[maxDictEntries]T, null *[maxDictEntries]bool, dst []T, nulls *vec.Bitmap, sel []int32) ([]T, error) {
-	start, want := len(dst), wanted(sel, len(v.codes))
-	dst = slices.Grow(dst, want)
-	for k := 0; k < want; k++ {
-		i := k
-		if sel != nil {
-			if i = int(sel[k]); uint(i) >= uint(len(v.codes)) {
-				return undo(dst, nulls, start), errSelBeyond(sel[k], len(v.codes))
+// page — every cell for a nil sel — to dst, marking NULLs only when the page
+// has a NULL entry. Over every cell, the codes are all checked in one pass
+// before one loop copies the entries. A code with no entry or a position
+// beyond the page rolls dst and nulls back.
+func dictCells[T int64 | float64 | int32](v *dictView, val *[maxDictEntries]T, null *[maxDictEntries]bool, hasNull bool, dst []T, nulls *vec.Bitmap, sel []int32) ([]T, error) {
+	start := len(dst)
+	if sel == nil {
+		if err := v.checkCodes(); err != nil {
+			return dst, err
+		}
+		dst = slices.Grow(dst, len(v.codes))[:start+len(v.codes)]
+		out := dst[start:]
+		for i, c := range v.codes {
+			out[i] = val[c]
+		}
+		if hasNull {
+			for i, c := range v.codes {
+				if null[c] {
+					nulls.Set(start + i)
+				}
 			}
+		}
+		return dst, nil
+	}
+	dst = slices.Grow(dst, len(sel))[:start+len(sel)]
+	out := dst[start:]
+	for k, pos := range sel {
+		i := int(pos)
+		if uint(i) >= uint(len(v.codes)) {
+			return undo(dst, nulls, start), errSelBeyond(pos, len(v.codes))
 		}
 		c := v.codes[i]
 		if int(c) >= v.d {
 			return undo(dst, nulls, start), v.errCode(i)
 		}
-		if null[c] {
-			nulls.Set(len(dst))
+		if hasNull && null[c] {
+			nulls.Set(start + k)
 		}
-		dst = append(dst, val[c])
+		out[k] = val[c]
 	}
 	return dst, nil
 }
@@ -257,20 +381,11 @@ func typedInt64s(layout int, pay []byte, n int, kind types.Kind, dst []int64, nu
 		}
 		var val [maxDictEntries]int64
 		var null [maxDictEntries]bool
-		for e := 0; e < v.d; e++ {
-			ent := v.entry(e)
-			switch tag := types.Kind(ent[0]); {
-			case tag == types.KindNull:
-				null[e] = true
-			case tag != kind:
-				return dst, ErrKindMismatch
-			case kind == types.KindBool:
-				val[e] = int64(ent[1])
-			default:
-				val[e], _ = binary.Varint(ent[1:]) // checked by parse
-			}
+		hasNull, err := intEntries(&v, kind, &val, &null)
+		if err != nil {
+			return dst, err
 		}
-		return dictCells(&v, &val, &null, dst, nulls, sel)
+		return dictCells(&v, &val, &null, hasNull, dst, nulls, sel)
 	}
 	v, err := parseFixed(pay, n)
 	if err != nil {
@@ -304,17 +419,18 @@ func typedInt64s(layout int, pay []byte, n int, kind types.Kind, dst []int64, nu
 		zeroNulls(&v, out, nulls, start)
 		return dst, nil
 	}
-	dst = slices.Grow(dst, len(sel))
-	for _, pos := range sel {
+	dst = slices.Grow(dst, len(sel))[:start+len(sel)]
+	out := dst[start:]
+	for k, pos := range sel {
 		i := int(pos)
 		switch {
 		case uint(i) >= uint(n):
 			return undo(dst, nulls, start), errSelBeyond(pos, n)
 		case v.null(i):
-			nulls.Set(len(dst))
-			dst = append(dst, 0)
+			nulls.Set(start + k)
+			out[k] = 0
 		default:
-			dst = append(dst, int64(v.base+v.cell(i)))
+			out[k] = int64(v.base + v.cell(i))
 		}
 	}
 	return dst, nil
@@ -330,17 +446,11 @@ func typedFloat64s(layout int, pay []byte, n int, dst []float64, nulls *vec.Bitm
 		}
 		var val [maxDictEntries]float64
 		var null [maxDictEntries]bool
-		for e := 0; e < v.d; e++ {
-			switch ent := v.entry(e); types.Kind(ent[0]) {
-			case types.KindNull:
-				null[e] = true
-			case types.KindFloat:
-				val[e] = math.Float64frombits(binary.LittleEndian.Uint64(ent[1:]))
-			default:
-				return dst, ErrKindMismatch
-			}
+		hasNull, err := floatEntries(&v, &val, &null)
+		if err != nil {
+			return dst, err
 		}
-		return dictCells(&v, &val, &null, dst, nulls, sel)
+		return dictCells(&v, &val, &null, hasNull, dst, nulls, sel)
 	}
 	v, err := parseFixed(pay, n)
 	if err != nil {
@@ -359,26 +469,28 @@ func typedFloat64s(layout int, pay []byte, n int, dst []float64, nulls *vec.Bitm
 		zeroNulls(&v, out, nulls, start)
 		return dst, nil
 	}
-	dst = slices.Grow(dst, len(sel))
-	for _, pos := range sel {
+	dst = slices.Grow(dst, len(sel))[:start+len(sel)]
+	out := dst[start:]
+	for k, pos := range sel {
 		i := int(pos)
 		switch {
 		case uint(i) >= uint(n):
 			return undo(dst, nulls, start), errSelBeyond(pos, n)
 		case v.null(i):
-			nulls.Set(len(dst))
-			dst = append(dst, 0)
+			nulls.Set(start + k)
+			out[k] = 0
 		default:
-			dst = append(dst, math.Float64frombits(binary.LittleEndian.Uint64(v.data[8*i:])))
+			out[k] = math.Float64frombits(binary.LittleEndian.Uint64(v.data[8*i:]))
 		}
 	}
 	return dst, nil
 }
 
 // typedStrings is the STRING reader of the typed layouts (strings seal into
-// the dict layout only). A page entry is interned into dict the first time a
-// wanted cell uses it — at most d CodeBytes probes per page, none for an
-// entry no wanted cell refers to.
+// the dict layout only). Over every cell, each entry is interned once and the
+// codes copied as dictCells copies; under a selection, an entry is interned
+// the first time a wanted cell uses it — at most d CodeBytes probes per page,
+// none for an entry no wanted cell refers to.
 func typedStrings(layout int, pay []byte, n int, dict *vec.Dict, dst []int32, nulls *vec.Bitmap, sel []int32) ([]int32, error) {
 	if layout == layoutFixed {
 		return dst, ErrKindMismatch // no string is fixed-width; the boxed rerun validates the page
@@ -387,41 +499,42 @@ func typedStrings(layout int, pay []byte, n int, dict *vec.Dict, dst []int32, nu
 	if err := v.parse(pay, n); err != nil {
 		return dst, err
 	}
-	const isNull = -1
-	var code [maxDictEntries]int32 // the entry's batch-dictionary code + 1; 0 = not interned yet
-	for e := 0; e < v.d; e++ {
-		switch types.Kind(v.entry(e)[0]) {
-		case types.KindNull:
-			code[e] = isNull
-		case types.KindString:
-		default:
-			return dst, ErrKindMismatch
-		}
+	var null [maxDictEntries]bool
+	hasNull, err := stringEntries(&v, &null)
+	if err != nil {
+		return dst, err
 	}
-	start, want := len(dst), wanted(sel, n)
-	dst = slices.Grow(dst, want)
-	for k := 0; k < want; k++ {
-		i := k
-		if sel != nil {
-			if i = int(sel[k]); uint(i) >= uint(n) {
-				return undo(dst, nulls, start), errSelBeyond(sel[k], n)
-			}
+	var code [maxDictEntries]int32
+	if sel == nil {
+		if err := v.checkCodes(); err != nil {
+			return dst, err
+		}
+		// A page's entries are the cells it was sealed from, so every one is
+		// used; the codes are now known good.
+		v.internAll(dict, &null, &code)
+		return dictCells(&v, &code, &null, hasNull, dst, nulls, nil)
+	}
+	// code holds an entry's batch-dictionary code + 1; 0 = not interned yet.
+	start := len(dst)
+	dst = slices.Grow(dst, len(sel))[:start+len(sel)]
+	out := dst[start:]
+	for k, pos := range sel {
+		i := int(pos)
+		if uint(i) >= uint(n) {
+			return undo(dst, nulls, start), errSelBeyond(pos, n)
 		}
 		c := v.codes[i]
-		if int(c) >= v.d {
+		switch {
+		case int(c) >= v.d:
 			return undo(dst, nulls, start), v.errCode(i)
-		}
-		switch code[c] {
-		case isNull:
-			nulls.Set(len(dst))
-			dst = append(dst, 0)
+		case null[c]:
+			nulls.Set(start + k)
+			out[k] = 0
 			continue
-		case 0:
-			ent := v.entry(int(c))
-			_, m := binary.Uvarint(ent[1:]) // checked by parse
-			code[c] = dict.CodeBytes(ent[1+m:]) + 1
+		case code[c] == 0:
+			code[c] = v.intern(int(c), dict) + 1
 		}
-		dst = append(dst, code[c]-1)
+		out[k] = code[c] - 1
 	}
 	return dst, nil
 }

@@ -46,6 +46,7 @@ type typedReading struct {
 	Cells []uint64
 	Strs  []string
 	Nulls []bool
+	Codes []byte // DictEntries' codes
 	Err   string
 }
 
@@ -106,6 +107,57 @@ func typedRead(p ColumnPage, kind types.Kind, sel []int32) (r typedReading, err 
 		if n != prefix {
 			return r, fmt.Errorf("decoder failed (%v) but left %d cells appended", err, n-prefix)
 		}
+	}
+	return r, nil
+}
+
+// dictRead runs DictEntries for a column of kind into a column pre-filled
+// with prefix cells, the second of them NULL: the reading holds the entries
+// appended, and the codes.
+func dictRead(p ColumnPage, kind types.Kind) (r typedReading, err error) {
+	c := vec.Col{Kind: kind, Form: vec.FormFor(kind), Nulls: vec.SetBit(nil, 1)}
+	switch c.Form {
+	case vec.FormInt:
+		c.I = []int64{-1, -2, -3}
+	case vec.FormFloat:
+		c.F = []float64{-1, -2, -3}
+	default:
+		c.Dict = vec.NewDict()
+		c.Dict.Code("already interned")
+		c.Codes = []int32{0, 0, 0}
+	}
+	codes, derr := p.DictEntries(&c)
+	n := c.Len()
+	for i := prefix; i < n; i++ {
+		switch c.Form {
+		case vec.FormInt:
+			r.Cells = append(r.Cells, uint64(c.I[i]))
+		case vec.FormFloat:
+			r.Cells = append(r.Cells, math.Float64bits(c.F[i]))
+		default:
+			r.Strs = append(r.Strs, c.Dict.Str(c.Codes[i]))
+		}
+	}
+	for i := 0; i < n; i++ {
+		r.Nulls = append(r.Nulls, vec.GetBit(c.Nulls, i))
+	}
+	if !vec.GetBit(c.Nulls, 1) || vec.GetBit(c.Nulls, 0) || vec.GetBit(c.Nulls, 2) {
+		return r, errors.New("null bits under the slab prefix changed")
+	}
+	for i := n; i < n+70; i++ {
+		if vec.GetBit(c.Nulls, i) {
+			return r, fmt.Errorf("null bit %d set beyond the slab (%d cells)", i, n)
+		}
+	}
+	r.Codes = codes
+	if derr != nil {
+		r.Err = derr.Error()
+		if n != prefix || codes != nil {
+			return r, fmt.Errorf("DictEntries failed (%v) but left %d entries appended, or codes", derr, n-prefix)
+		}
+	}
+	if codes == nil && n != prefix {
+		return r, fmt.Errorf("DictEntries returned no codes but appended %d entries", n-prefix)
 	}
 	return r, nil
 }
@@ -433,5 +485,28 @@ func TestParentWrittenPagesStillDecode(t *testing.T) {
 				t.Fatal("only the unsealed fixture may accept appends")
 			}
 		})
+	}
+}
+
+// TestAnyAtLeast checks the word-at-a-time code check against a byte loop:
+// for every entry count and every byte value, one byte at each offset of a
+// 17-byte run (two words and a tail) among fillers of 0 or of the largest
+// good code.
+func TestAnyAtLeast(t *testing.T) {
+	b := make([]byte, 17)
+	for d := 1; d < 256; d++ {
+		for _, fill := range []byte{0, byte(d - 1)} {
+			for v := 0; v < 256; v++ {
+				for at := range b {
+					for i := range b {
+						b[i] = fill
+					}
+					b[at] = byte(v)
+					if got, want := anyAtLeast(b, d), v >= d; got != want {
+						t.Fatalf("d=%d: byte %d at %d among %ds: %v, want %v", d, v, at, fill, got, want)
+					}
+				}
+			}
+		}
 	}
 }

@@ -88,6 +88,14 @@ func (d *Dict) CodeBytes(b []byte) int32 {
 	return c
 }
 
+// Reset empties the dictionary for reuse. Codes it handed out name nothing
+// afterwards, so only a dictionary no batch shares may be reset.
+func (d *Dict) Reset() {
+	clear(d.index)
+	clear(d.strs)
+	d.strs = d.strs[:0]
+}
+
 // Lookup returns the code of s without interning it.
 func (d *Dict) Lookup(s string) (int32, bool) {
 	c, ok := d.index[s]

@@ -173,6 +173,8 @@ OK|SELECT k FROM audit_c WHERE (b OR NOT (k > 3)) AND v < 'b' AND v <= v ORDER B
 OK|SELECT k FROM audit_c WHERE k IN (1, 3, 4) AND f NOT IN (3.5) ORDER BY k
 OK|SELECT v, count(*), sum(f), min(d), max(CASE WHEN k > 2 THEN k ELSE f END) FROM audit_c WHERE k < 4 GROUP BY v ORDER BY v
 OK|SELECT v, count(1), sum(f * 2), sum(k - 1) FROM audit_c GROUP BY v ORDER BY v
+OK|INSERT INTO audit_c VALUES (1000000, 'p', 1, NULL, NULL), (2000000, 'p', 2, NULL, NULL), (3000000, 'p', 3, NULL, NULL), (1000000, 'p', 1, NULL, NULL), (2000000, 'p', 2, NULL, NULL), (3000000, 'p', 3, NULL, NULL), (1000000, 'p', 1, NULL, NULL), (2000000, 'p', 2, NULL, NULL), (3000000, 'p', 3, NULL, NULL), (1000000, 'p', 1, NULL, NULL), (2000000, 'p', 2, NULL, NULL), (3000000, 'p', 3, NULL, NULL)
+OK|SELECT count(*) FROM audit_c WHERE k >= 2000000
 OK|SELECT l_orderkey, l_comment FROM lineitem WHERE l_comment LIKE '%furious%' ORDER BY l_orderkey, l_comment
 OK|SELECT count(*) FROM orders WHERE EXISTS (SELECT * FROM lineitem WHERE l_orderkey = o_orderkey AND l_quantity > 49)
 OK|SELECT count(*) FROM orders WHERE NOT EXISTS (SELECT * FROM lineitem WHERE l_orderkey = o_orderkey AND l_quantity > 49)
