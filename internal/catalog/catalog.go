@@ -281,13 +281,21 @@ func (c *Catalog) SetStats(table string, s *TableStats) {
 // Stats returns a table's statistics, or a conservative default when the
 // table has never been analyzed.
 func (c *Catalog) Stats(table string) *TableStats {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if s, ok := c.stats[strings.ToLower(table)]; ok {
+	if s, ok := c.AnalyzedStats(table); ok {
 		return s
 	}
 	c.defaultStatsFallbacks.Add(1)
 	return &TableStats{RowCount: 1000, Pages: 10, Cols: map[string]*ColumnStats{}}
+}
+
+// AnalyzedStats returns a table's statistics, and false when the table has
+// never been analyzed. Unlike Stats it serves no default and counts no
+// fallback: it is for execution, which is not estimating.
+func (c *Catalog) AnalyzedStats(table string) (*TableStats, bool) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	s, ok := c.stats[strings.ToLower(table)]
+	return s, ok
 }
 
 // lowerAll returns the names lower-cased, in a new slice (nil stays nil).

@@ -148,6 +148,12 @@ func TestStatsAndCompute(t *testing.T) {
 	if def.RowCount <= 0 {
 		t.Error("default stats should be conservative, not zero")
 	}
+	if _, ok := c.AnalyzedStats("customer"); ok {
+		t.Error("AnalyzedStats found statistics for a table never analyzed")
+	}
+	if n := c.DefaultStatsFallbacks(); n != 1 {
+		t.Errorf("DefaultStatsFallbacks = %d, want 1: Stats counts, AnalyzedStats does not", n)
+	}
 	rows := []types.Row{
 		{types.NewInt(1), types.NewString("alice"), types.NewInt(10)},
 		{types.NewInt(2), types.NewString("bob"), types.NewInt(10)},
@@ -177,6 +183,9 @@ func TestStatsAndCompute(t *testing.T) {
 	c.SetStats("customer", s)
 	if got := c.Stats("Customer"); got.RowCount != 4 {
 		t.Error("stored stats not returned")
+	}
+	if got, ok := c.AnalyzedStats("Customer"); !ok || got.RowCount != 4 {
+		t.Error("AnalyzedStats did not return the stored stats")
 	}
 }
 

@@ -608,6 +608,44 @@ func TestAnalyzeUpdatesStats(t *testing.T) {
 	}
 }
 
+// TestScanCountsNoStatsFallback: executing a plan that scans a row table
+// never analyzed reads its statistics (to choose which strings to keep
+// boxed) without counting a fallback to default statistics — that gauge
+// counts the estimator's fallbacks, and planning is done.
+func TestScanCountsNoStatsFallback(t *testing.T) {
+	c, _ := newCluster(t, 2, HRDBMSProfile())
+	for _, stmt := range []string{
+		`CREATE TABLE unanalyzed (k INT, s VARCHAR(10)) PARTITION BY HASH(k)`,
+		`INSERT INTO unanalyzed VALUES (1, 'ab'), (2, 'cd'), (3, 'ae')`,
+	} {
+		if _, err := c.ExecSQL(stmt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, ok := c.Catalog().AnalyzedStats("unanalyzed"); ok {
+		t.Fatal("the table has statistics; the test needs one never analyzed")
+	}
+	sel, err := sqlparse.ParseSelect(`SELECT k, s FROM unanalyzed WHERE s LIKE 'a%'`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root, err := c.Plan(sel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := c.Catalog().DefaultStatsFallbacks()
+	rows, _, err := c.RunMetered(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 2 {
+		t.Errorf("got %d rows, want 2", len(rows))
+	}
+	if n := c.Catalog().DefaultStatsFallbacks() - before; n != 0 {
+		t.Errorf("executing the plan counted %d default-statistics fallbacks, want 0", n)
+	}
+}
+
 func TestMultipleCoordinatorsMetadataSync(t *testing.T) {
 	c, err := New(Config{
 		NumWorkers: 2, NumCoordinators: 2, BaseDir: t.TempDir(),

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/catalog"
 	"repro/internal/exec"
 	"repro/internal/expr"
 	"repro/internal/network"
@@ -35,7 +36,7 @@ import (
 // (coord set), ops is the one operator there and dist is the zero
 // (opt.DistRandom) one. typed is the representation the rows travel in:
 // set, every op is an exec.VecOperator that ships freshly built typed
-// batches (a columnar scan, marked by distributeScan); clear, row slabs. An
+// batches (a table scan, marked by distributeScan); clear, row slabs. An
 // operator placed over the stream is lowered for the representation this
 // says, not for what a type assertion on ops would find.
 type dstream struct {
@@ -406,7 +407,10 @@ func (q *queryExec) distributeScan(x *plan.Scan) (*dstream, error) {
 		UseSkipCache: q.prof.UseSkipCache,
 		UseMinMax:    q.prof.UseMinMax,
 	}
-	ds := &dstream{sch: x.Schema(), typed: x.Table.Columnar}
+	if !x.Table.Columnar {
+		cfg.Boxed = q.boxedStrings(x.Table)
+	}
+	ds := &dstream{sch: x.Schema(), typed: true}
 	name := x.Table.Name
 	for wi, w := range q.c.Workers {
 		// The scan span is created before the operator so the scan thread
@@ -437,6 +441,36 @@ func (q *queryExec) distributeScan(x *plan.Scan) (*dstream, error) {
 	}
 	ds.dist = q.scanDist(x)
 	return ds, nil
+}
+
+// boxedStrings marks the string columns of a row table that its scans keep
+// boxed rather than dictionary-code: those whose catalog NDV says a batch
+// would hold more distinct values than a quarter of its rows. Coding a cell
+// is a dictionary lookup, and a new entry an insert besides its string;
+// boxing is the string alone. BenchmarkStringCellForms (a batch's cells
+// appended and then boxed into rows) puts the crossover near a quarter: of
+// 1,024 cells, 64 distinct values code in 0.8 of the time boxing takes, 256
+// in 1.1, 1,024 in 2.4.
+// nil when the table has no string column or was never analyzed: every
+// string is coded.
+func (q *queryExec) boxedStrings(def *catalog.TableDef) []bool {
+	st, ok := q.c.Catalog().AnalyzedStats(def.Name)
+	if !ok {
+		return nil
+	}
+	var boxed []bool
+	for ci, c := range def.Schema.Cols {
+		if c.Kind != types.KindString {
+			continue
+		}
+		if boxed == nil {
+			boxed = make([]bool, def.Schema.Len())
+		}
+		if cs := st.Cols[c.Name]; cs != nil {
+			boxed[ci] = cs.NDV > min(exec.DefaultBatchRows, st.RowCount)/4
+		}
+	}
+	return boxed
 }
 
 // scanDist is how a scan's output is spread over the workers: opt.LeafDist,

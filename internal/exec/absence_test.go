@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/expr"
+	"repro/internal/obs"
 	"repro/internal/page"
 	"repro/internal/skipcache"
 	"repro/internal/storage"
@@ -198,4 +199,73 @@ func TestScansRecordExactlyTheEmptyUnits(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestTypedRowScanSkipsWhatItRecorded: the typed row scan hands storage one
+// kept verdict a page, from its conjunct kernels, as the columnar scan does
+// a page set. Over a cold cache its first scan records every full page on
+// which no row passes and no page on which one does; the next scan skips
+// exactly the pages recorded, reads the others, and returns the same rows.
+func TestTypedRowScanSkipsWhatItRecorded(t *testing.T) {
+	ns, def := absenceStore(t, false)
+	fr, err := storage.OpenFragment(ns, def)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fr.Load(absenceRows()); err != nil {
+		t.Fatal(err)
+	}
+	pred := gt(ncol(1, "v"), ci(900))
+	conj, complete := expr.ToSkipConj(pred, absenceSchema)
+	if !complete {
+		t.Fatal("test premise broken: the predicate's skip conjunction is incomplete")
+	}
+	passed := map[page.Key]bool{} // every page, full or last: does a row on it pass?
+	if _, err := fr.Scan(storage.ScanOptions{}, func(rid page.RID, r types.Row) (bool, error) {
+		k := page.Key{File: fr.Files[rid.Disk], Page: rid.Page}
+		passed[k] = passed[k] || r[1].Int() > 900
+		return true, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	fr.PredCache = skipcache.NewCache(64)
+	scan := func() (rows []types.Row, read, skipped int64) {
+		sp := obs.NewQueryTrace(1, "").StartSpan("Scan", 0)
+		defer sp.Finish()
+		ctx := NewCtx("", 0)
+		rows, err := Collect(NewRowScan(fr, "", ScanConfig{Pred: pred, UseSkipCache: true, Trace: sp, Ctx: ctx}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ctx.PredRowSets.Load() != 0 || sp.PredKernel.Load() != sp.PagesRead.Load() {
+			t.Fatalf("%d of %d pages on the kernels, %d on the row expression", sp.PredKernel.Load(), sp.PagesRead.Load(), ctx.PredRowSets.Load())
+		}
+		return rows, sp.PagesRead.Load(), sp.PagesSkipped.Load()
+	}
+	first, read1, skipped1 := scan()
+	if skipped1 != 0 || read1 != int64(len(passed)) || len(first) != 6 {
+		t.Fatalf("cold scan: %d rows, %d pages read of %d, %d skipped", len(first), read1, len(passed), skipped1)
+	}
+	recorded, kept := 0, 0
+	for k, p := range passed {
+		last := k.Page == ns.NumPages(k.File)-1
+		want := !p && !last
+		if got := fr.PredCache.CanSkip(k, conj); got != want {
+			t.Errorf("page %v: recorded %v, want %v (a row passes: %v, last page: %v)", k, got, want, p, last)
+		}
+		if want {
+			recorded++
+		}
+		if p {
+			kept++
+		}
+	}
+	if recorded == 0 || kept == 0 {
+		t.Fatalf("test premise broken: %d pages to record, %d that keep a row", recorded, kept)
+	}
+	second, read2, skipped2 := scan()
+	if skipped2 != int64(recorded) || read2 != read1-int64(recorded) {
+		t.Fatalf("warm scan read %d pages and skipped %d, want %d and %d", read2, skipped2, read1-int64(recorded), recorded)
+	}
+	assertSameRows(t, second, first)
 }

@@ -251,12 +251,27 @@ func benchLineitemData() ([]types.Row, types.Schema) {
 var benchFrag struct {
 	once sync.Once
 	fr   *storage.Fragment
+	ns   *storage.NodeStore
+	dir  string
 	err  error
+}
+
+// TestMain runs the package's tests and benchmarks, then closes the node
+// store benchLineitemFragment loaded and removes its directory.
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if benchFrag.ns != nil {
+		benchFrag.ns.Close()
+	}
+	if benchFrag.dir != "" {
+		os.RemoveAll(benchFrag.dir)
+	}
+	os.Exit(code)
 }
 
 // benchLineitemFragment loads SF0.05 lineitem into a real row fragment once
 // per process, so parallel-vs-serial benchmarks scan actual pages through
-// the buffer manager rather than a resident slice.
+// the buffer manager rather than a resident slice. TestMain removes it.
 func benchLineitemFragment(b *testing.B) *storage.Fragment {
 	b.Helper()
 	benchFrag.once.Do(func() {
@@ -266,6 +281,7 @@ func benchLineitemFragment(b *testing.B) *storage.Fragment {
 			benchFrag.err = err
 			return
 		}
+		benchFrag.dir = dir
 		ns, err := storage.NewNodeStore(storage.NodeConfig{
 			NodeID: 0, BaseDir: dir, NumDisks: 2,
 			PageSize: 4096, BufFrames: 2048, BufStripes: 4,
@@ -274,6 +290,7 @@ func benchLineitemFragment(b *testing.B) *storage.Fragment {
 			benchFrag.err = err
 			return
 		}
+		benchFrag.ns = ns
 		def := &catalog.TableDef{
 			Name:   "lineitem",
 			Schema: sch,
@@ -361,6 +378,42 @@ func BenchmarkRowScan(b *testing.B) {
 	}
 }
 
+// BenchmarkStringCellForms times the two layouts a row-table scan can give a
+// string column, for one batch of DefaultBatchRows cells holding d distinct
+// values: each cell appended to a fresh batch's column by appendCell and the
+// batch then boxed into rows (Materialize, as the row consumers' shim does)
+// — coded into the batch's dictionary, or boxed as a string at once. The
+// crossover, near d = DefaultBatchRows/4, is where distributeScan's
+// boxedStrings draws its line.
+func BenchmarkStringCellForms(b *testing.B) {
+	const n = DefaultBatchRows
+	sch := types.Schema{Cols: []types.Column{{Name: "s", Kind: types.KindString}}}
+	for _, d := range []int{64, 256, 1024} {
+		cells := make([]types.Cell, n)
+		for i := range cells {
+			cells[i] = types.Cell{K: types.KindString, S: fmt.Appendf(nil, "Supplier#%09d, street %05d", i%d, i%d*7)}
+		}
+		for _, form := range []vec.Form{vec.FormStr, vec.FormBoxed} {
+			name := map[vec.Form]string{vec.FormStr: "coded", vec.FormBoxed: "boxed"}[form]
+			b.Run(fmt.Sprintf("%s/distinct=%d", name, d), func(b *testing.B) {
+				var slab []types.Row
+				for it := 0; it < b.N; it++ {
+					bt := vec.New(sch)
+					if form == vec.FormBoxed {
+						bt.Cols[0].Form, bt.Cols[0].Dict = vec.FormBoxed, nil
+					}
+					for i := range cells {
+						appendCell(&bt.Cols[0], &cells[i])
+					}
+					bt.N = n
+					slab = bt.Materialize(slab)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/cell")
+			})
+		}
+	}
+}
+
 // BenchmarkScanPredicate times the columnar scan's predicate layer — the
 // predicate's columns decoded, its conjuncts narrowing the selection, the
 // emitted columns materialized at the survivors — at degree 1 over a
@@ -369,7 +422,8 @@ func BenchmarkRowScan(b *testing.B) {
 // q6, q12 and q19 in plan order, of probe.filter_sum_ms, and of q1, whose
 // predicate keeps nearly every row, so its emitted columns dominate. Each
 // checks its row count against Expr.Eval over the generated rows; ns/row is
-// per row scanned.
+// per row scanned. q19-part-rows is the row-table scan's twin: q19's part
+// predicate (benchPartScanQ19).
 func BenchmarkScanPredicate(b *testing.B) {
 	rows := tpch.Generate(0.01, 1).Lineitem
 	names := []string{"l_orderkey", "l_partkey", "l_suppkey", "l_linenumber", "l_quantity",
@@ -456,6 +510,81 @@ func BenchmarkScanPredicate(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(len(rows))/float64(b.N), "ns/row")
 		})
 	}
+	b.Run("q19-part-rows", benchPartScanQ19)
+}
+
+// benchPartScanQ19 times the row-table scan's predicate layer: q19's
+// three-branch OR over an SF0.02 part fragment of 16 KiB row pages, at
+// degree 1, emitting the part scan's columns of q19's plan to a typed
+// consumer. Its row count is checked against Expr.Eval over the generated
+// rows; ns/row is per row scanned.
+func benchPartScanQ19(b *testing.B) {
+	rows := tpch.Generate(0.02, 1).Part
+	names := []string{"p_partkey", "p_name", "p_mfgr", "p_brand", "p_type", "p_size", "p_container", "p_retailprice", "p_comment"}
+	cols := make([]types.Column, len(names))
+	c := map[string]*expr.Col{}
+	for i, name := range names {
+		cols[i] = types.Column{Name: name, Kind: rows[0][i].K}
+		c[name] = &expr.Col{Index: i, Name: name}
+	}
+	ns, err := storage.NewNodeStore(storage.NodeConfig{NodeID: 0, BaseDir: b.TempDir(), NumDisks: 1, PageSize: 16 << 10, BufFrames: 1024, BufStripes: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer ns.Close()
+	fr, err := storage.OpenFragment(ns, &catalog.TableDef{Name: "part", Schema: types.Schema{Cols: cols}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := fr.Load(rows); err != nil {
+		b.Fatal(err)
+	}
+	branch := func(brand string, containers []string, size int64) expr.Expr {
+		var in []expr.Expr
+		for _, ct := range containers {
+			in = append(in, cs(ct))
+		}
+		return and(and(eq(c["p_brand"], cs(brand)), &expr.InList{E: c["p_container"], Vals: in}), between(c["p_size"], ci(1), ci(size), false))
+	}
+	or := func(l, r expr.Expr) expr.Expr { return &expr.Bin{Op: expr.OpOr, L: l, R: r} }
+	pred := or(or(branch("Brand#12", []string{"SM CASE", "SM BOX", "SM PACK", "SM PKG"}, 5),
+		branch("Brand#23", []string{"MED BAG", "MED BOX", "MED PKG", "MED PACK"}, 10)),
+		branch("Brand#34", []string{"LG CASE", "LG BOX", "LG PACK", "LG PKG"}, 15))
+	want := 0
+	for _, r := range rows {
+		if keep, err := expr.EvalBool(pred, r); err != nil {
+			b.Fatal(err)
+		} else if keep {
+			want++
+		}
+	}
+	emit := []int{c["p_partkey"].Index, c["p_brand"].Index, c["p_size"].Index, c["p_container"].Index}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ctx := NewCtx("", 0)
+		scan := NewRowScan(fr, "", ScanConfig{Pred: pred, Cols: emit, Parallel: 1, Ctx: ctx})
+		if err := scan.Open(); err != nil {
+			b.Fatal(err)
+		}
+		got := 0
+		for {
+			vb, ok, err := scan.NextVec()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+			got += vb.Rows()
+		}
+		if err := scan.Close(); err != nil {
+			b.Fatal(err)
+		}
+		if got != want || ctx.PredRowSets.Load() != 0 {
+			b.Fatalf("%d rows passed, want %d; %d pages off the kernels", got, want, ctx.PredRowSets.Load())
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(len(rows))/float64(b.N), "ns/row")
 }
 
 // BenchmarkParallelVsSerial measures morsel-driven intra-node parallelism

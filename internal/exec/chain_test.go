@@ -40,7 +40,7 @@ func TestChainSelDecode(t *testing.T) {
 	}
 	set := os.Snapshot([]int{0, 1, 2})
 	last := int32(n - 1)
-	cs := &VecColumnarScan{table: sch}
+	cs := &VecColumnarScan{scanCols: scanCols{table: sch}}
 	for ci := 1; ci <= 2; ci++ {
 		var bounds []int32 // the first position of each chain page
 		at := int32(0)

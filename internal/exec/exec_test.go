@@ -510,6 +510,69 @@ func TestHashJoinParallelProbe(t *testing.T) {
 	}
 }
 
+// TestJoinSlabsFitWhatTheyHold: a probe worker that emits a handful of rows
+// ships them in a slab sized to them, not a full batch of row headers, and
+// holds no slab after its last shipment; a worker whose slabs fill ships
+// full ones.
+func TestJoinSlabsFitWhatTheyHold(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		probe int64 // probe rows, one match each
+	}{{"handful", 12}, {"fills", 5000}} {
+		t.Run(c.name, func(t *testing.T) {
+			var probeRows, buildRows []types.Row
+			for i := int64(0); i < c.probe; i++ {
+				probeRows = append(probeRows, types.Row{types.NewInt(i), types.NewInt(i)})
+				buildRows = append(buildRows, types.Row{types.NewInt(i)})
+			}
+			ctx := NewCtx("", 0)
+			ctx.SetParallelBudget(4)
+			ctx.BatchRows = 1024
+			j := NewHashJoin(ctx, slabSource(intSchema("pk", "pv"), probeRows, 3), NewSource(intSchema("bk"), buildRows),
+				ColRefs(0), ColRefs(0), JoinInner, nil, 4)
+			if err := j.Open(); err != nil {
+				t.Fatal(err)
+			}
+			rows, full := 0, 0
+			for {
+				slab, ok, err := j.NextBatch()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !ok {
+					break
+				}
+				rows += len(slab)
+				if len(slab) == ctx.BatchRows {
+					full++
+				}
+				if c.probe < int64(ctx.BatchRows) && cap(slab) > 2*max(len(slab), firstSlabRows) {
+					t.Fatalf("a slab of %d rows has room for %d", len(slab), cap(slab))
+				}
+			}
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if rows != int(c.probe) || (c.probe > 4*int64(ctx.BatchRows)) != (full > 0) {
+				t.Fatalf("%d rows in %d full slabs, want %d", rows, full, c.probe)
+			}
+		})
+	}
+	h := &HashJoin{results: make(chan []types.Row, 1)}
+	em := &joinEmitter{h: h, size: 4}
+	for i := 0; i < 3; i++ {
+		if err := em.emit(types.Row{types.NewInt(int64(i))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := em.flush(); err != nil {
+		t.Fatal(err)
+	}
+	if em.slab != nil {
+		t.Fatalf("the emitter holds a slab of capacity %d after its last shipment", cap(em.slab))
+	}
+}
+
 func TestHashJoinGraceSpill(t *testing.T) {
 	ctx := NewCtx(t.TempDir(), 64) // build side must spill
 	var probeRows, buildRows []types.Row

@@ -359,36 +359,49 @@ func (h *HashJoin) traceInput(typed bool) {
 }
 
 // joinEmitter accumulates one worker's result rows into a slab and ships
-// the slab when full. Each worker owns its emitter, so emission is
-// lock-free; the channel select costs once per slab instead of per row.
+// the slab once it holds size rows. Each worker owns its emitter, so
+// emission is lock-free; the channel select costs once per slab. A slab is
+// allocated at the first row after a shipment, never before: the first one
+// small and grown by append, so a worker that emits a handful of rows
+// allocates a handful of row headers; once a slab has filled, the next ones
+// are allocated full-size.
 type joinEmitter struct {
 	h    *HashJoin
 	slab []types.Row
 	size int
+	full bool // a slab has filled
 }
+
+// firstSlabRows is the capacity of a join worker's first slab.
+const firstSlabRows = 8
 
 // emit buffers one result row, flushing when the slab is full.
 func (e *joinEmitter) emit(r types.Row) error {
 	if e.slab == nil {
-		e.slab = make([]types.Row, 0, e.size)
+		n := min(e.size, firstSlabRows)
+		if e.full {
+			n = e.size
+		}
+		e.slab = make([]types.Row, 0, n)
 	}
 	e.slab = append(e.slab, r)
 	if len(e.slab) >= e.size {
+		e.full = true
 		return e.flush()
 	}
 	return nil
 }
 
 // flush ships the slab unless the join has been closed, so probe workers
-// cannot block forever on a stream nobody is draining. A fresh slab is
-// allocated afterwards — the consumer owns shipped slabs.
+// cannot block forever on a stream nobody is draining. The consumer owns a
+// shipped slab; the next emit allocates another.
 func (e *joinEmitter) flush() error {
 	if len(e.slab) == 0 {
 		return nil
 	}
 	select {
 	case e.h.results <- e.slab:
-		e.slab = make([]types.Row, 0, e.size)
+		e.slab = nil
 		return nil
 	case <-e.h.stop:
 		return errJoinStopped

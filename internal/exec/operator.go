@@ -71,14 +71,15 @@ type Counters struct {
 	// boxing tax.
 	DecodeTypedPages atomic.Int64
 	DecodeBoxedPages atomic.Int64
-	// PredRowSets counts page sets whose scan predicate the columnar scan
-	// evaluated row by row through expr.EvalBool — no kernel for its shape,
-	// or a demoted boxed column under it — instead of the compiled vector
-	// kernel. Like the boxed count, nonzero means a silent fallback.
+	// PredRowSets counts the page sets of a columnar scan, and the pages of
+	// a row-table scan, whose predicate was evaluated row by row through
+	// expr.EvalBool — no kernel for its shape, or a demoted boxed column
+	// under it — instead of the compiled vector kernel. Like the boxed count, nonzero means a silent fallback.
 	PredRowSets atomic.Int64
 	// BoxedRows counts rows boxed on the way from a typed producer to a row
-	// consumer: every row a vector operator's NextBatch materialized, and every
-	// row the aggregate's typed front end read boxed (an argument or key with
+	// consumer: every row a columnar scan's NextBatch materialized (a row
+	// table's rows are boxed at rest, so its scan's are not counted), and
+	// every row the aggregate's typed front end read boxed (an argument or key with
 	// no kernel, or a spill). Zero on a worker means scan batches reached the
 	// aggregate as typed columns.
 	BoxedRows atomic.Int64

@@ -86,13 +86,14 @@ func rowKeys(rows []types.Row) []string {
 }
 
 // TestRowScanParity: a row scan decodes only the columns it emits and its
-// predicate reads, into a borrowed scratch row, and copies out the emitted
-// columns of the rows that pass. Its output must equal a whole-row decode of
-// every live row, filtered and then projected, for every emitted-column list
-// (all, none, one, each) and predicate (none, one over columns it does not
-// emit, a skippable one), with the predicate cache off and on (twice, so the
-// second scan skips what the first recorded), at degree 1 and 4, in slabs of
-// seven rows. Every row of every slab must still hold its values after the
+// predicate reads, typed, one string column dictionary-coded and the other
+// boxed, and emits those columns of the rows that pass. Its output, boxed,
+// must equal a whole-row decode of every live row, filtered and then
+// projected, for every emitted-column list (all, none, one, each) and
+// predicate (none, one over columns it does not emit, a skippable one, LIKE
+// and NOT LIKE over both string layouts), with the predicate cache off and
+// on (twice, so the second scan skips what the first recorded), at degree 1
+// and 4, in slabs of seven rows. Every row of every slab must still hold its values after the
 // scan has ended, and be capped at its width.
 func TestRowScanParity(t *testing.T) {
 	testutil.AssertNoGoroutineLeak(t)
@@ -118,7 +119,11 @@ func TestRowScanParity(t *testing.T) {
 			return and(lt(col(1), &expr.Const{V: types.NewFloat(60)}), eq(col(4), &expr.Const{V: types.NewBool(true)}))
 		}},
 		{"skippable", func() expr.Expr { return gt(col(0), ci(1200)) }},
+		{"like", func() expr.Expr { // c2 dictionary-coded, c5 boxed
+			return and(&expr.Like{E: col(2), Pattern: cs("s1%")}, &expr.Like{E: col(5), Pattern: cs("a%"), Negate: true})
+		}},
 	}
+	boxed := []bool{5: true}
 	for _, cols := range [][]int{nil, {}, {5}, {0, 2}, {0, 1, 2, 3, 4, 5}} {
 		for _, p := range preds {
 			var want []types.Row
@@ -146,7 +151,7 @@ func TestRowScanParity(t *testing.T) {
 						ctx := NewCtx(t.TempDir(), 0)
 						ctx.SetParallelBudget(degree)
 						ctx.BatchRows = 7
-						sc := NewRowScan(fr, "t", ScanConfig{Pred: p.pred(), Cols: cols, UseSkipCache: cache, Parallel: degree, Ctx: ctx})
+						sc := NewRowScan(fr, "t", ScanConfig{Pred: p.pred(), Cols: cols, Boxed: boxed, UseSkipCache: cache, Parallel: degree, Ctx: ctx})
 						if err := sc.Open(); err != nil {
 							t.Fatal(err)
 						}

@@ -1,12 +1,9 @@
 package exec
 
 import (
-	"sync"
-
 	"repro/internal/expr"
 	"repro/internal/external"
 	"repro/internal/obs"
-	"repro/internal/page"
 	"repro/internal/storage"
 	"repro/internal/types"
 )
@@ -140,6 +137,11 @@ type ScanConfig struct {
 	// whatever Cols says, so a columnar scan reads Cols and Pred's columns
 	// and emits Cols.
 	Cols []int
+	// Boxed marks, by fragment column, the string columns a row-table scan
+	// keeps boxed instead of dictionary-coding them: those whose values are
+	// mostly distinct, where a dictionary would intern nearly every cell.
+	// May be nil: every string column is dictionary-coded.
+	Boxed []bool
 	// UseSkipCache / UseMinMax enable the two skipping schemes.
 	UseSkipCache bool
 	UseMinMax    bool
@@ -208,107 +210,27 @@ func ScanColumns(n int, cols []int, pred expr.Expr) (emit []int, isPred, read []
 	return emit, isPred, read
 }
 
-// FragmentScan is the row-table scan operator. Storage decodes only the
-// columns it reads — the emitted ones and the predicate's — into a scratch
-// row per worker; the predicate runs on that borrowed row, and a row that
-// passes has its emitted columns copied out by the worker's rowCopier.
-type FragmentScan struct {
-	rowFeed
-	fr   *storage.Fragment
-	cfg  ScanConfig
-	emit []int  // table offsets of the output columns, ascending
-	read []bool // by table offset: emitted or read by the predicate
-}
-
-// NewRowScan builds a scan over a row fragment.
-func NewRowScan(fr *storage.Fragment, alias string, cfg ScanConfig) *FragmentScan {
-	_, sch := scanSchemas(fr.Def.Schema, alias, cfg.Cols)
-	fs := &FragmentScan{fr: fr, cfg: cfg}
-	fs.emit, _, fs.read = ScanColumns(fr.Def.Schema.Len(), cfg.Cols, cfg.Pred)
-	fs.sch = sch
-	fs.start = fs.run
-	fs.batch = cfg.Ctx.batchRows()
-	fs.cancel = cfg.Ctx.Cancel()
-	return fs
-}
-
-// run is the scan thread: it takes the degree the worker budget grants
-// (at least 1) and drives that many morsel workers, each with a private
-// copier; residual slabs are flushed after the workers join.
-func (fs *FragmentScan) run() error {
-	opts := buildScanOptions(fs.cfg, fs.fr.Def.Schema)
-	opts.Mask = fs.read
-	degree := fs.cfg.Ctx.AcquireWorkers(fs.cfg.Parallel)
-	defer fs.cfg.Ctx.ReleaseWorkers(degree)
-	copiers := make([]*rowCopier, degree)
-	for i := range copiers {
-		copiers[i] = newRowCopier(fs.port(), fs.emit, fs.batch)
-	}
-	stats, err := fs.fr.ParallelScan(opts, degree, func(w int, _ page.RID, r types.Row) (bool, error) {
-		if fs.cfg.Pred != nil {
-			if keep, err := expr.EvalBool(fs.cfg.Pred, r); !keep || err != nil {
-				return false, err
-			}
-		}
-		if !copiers[w].send(r) {
-			return true, storage.ErrStopScan
-		}
-		return true, nil
-	})
-	for _, c := range copiers {
-		c.flush()
-		c.release()
-	}
-	fs.cfg.Trace.AddScan(stats.RowsRead, stats.PagesRead, stats.PagesSkipped)
-	if degree > 1 {
-		fs.cfg.Trace.AddWorkers(int64(degree))
-	}
-	return err
-}
-
-// rowCopier is a row scan worker's end of the feed. The rows it is handed
-// are borrowed, so it copies each one's emitted columns into a staging
-// array; a slab, when it ships, gets one backing array sized to the rows it
-// holds, and each row is that array's segment capped at its width, so an
-// append downstream copies instead of writing into the next row. Copiers are
-// allocated one by one, not as one array: each is written on every row, and
-// neighbours sharing a cache line would make the workers contend.
+// rowCopier is the external scan's end of the feed. The rows it is handed
+// are borrowed, so it copies each into a staging array; a slab, when it
+// ships, gets one backing array sized to the rows it holds, and each row is
+// that array's segment capped at its width, so an append downstream copies
+// instead of writing into the next row.
 type rowCopier struct {
 	feedPort[[]types.Row]
-	emit []int // table offsets copied, in output order
-	size int
-	vals []types.Value // the staged rows, len(emit) values each
-	rows int
+	width int
+	size  int
+	vals  []types.Value // the staged rows, width values each
+	rows  int
 }
 
-// stagings recycles the copiers' staging arrays across scans, so that one
-// grows to a slab's worth of values once, not in every scan.
-var stagings sync.Pool
-
-func newRowCopier(port feedPort[[]types.Row], emit []int, size int) *rowCopier {
-	c := &rowCopier{feedPort: port, emit: emit, size: size}
-	if vals, ok := stagings.Get().(*[]types.Value); ok {
-		c.vals = (*vals)[:0]
-	}
-	return c
+func newRowCopier(port feedPort[[]types.Row], width, size int) *rowCopier {
+	return &rowCopier{feedPort: port, width: width, size: size}
 }
 
-// release returns the staging array to the pool once the copier is done.
-func (c *rowCopier) release() {
-	if c.vals != nil {
-		vals := c.vals[:0]
-		stagings.Put(&vals)
-		c.vals = nil
-	}
-}
-
-// send stages r's emitted columns, shipping a slab once size rows are
-// staged. It returns false when the consumer is gone and the scan should
-// abort.
+// send stages r, shipping a slab once size rows are staged. It returns
+// false when the consumer is gone and the scan should abort.
 func (c *rowCopier) send(r types.Row) bool {
-	for _, ci := range c.emit {
-		c.vals = append(c.vals, r[ci])
-	}
+	c.vals = append(c.vals, r...)
 	if c.rows++; c.rows >= c.size {
 		return c.flush()
 	}
@@ -320,7 +242,7 @@ func (c *rowCopier) flush() bool {
 	if c.rows == 0 {
 		return true
 	}
-	w := len(c.emit)
+	w := c.width
 	back := append(make([]types.Value, 0, len(c.vals)), c.vals...)
 	slab := make([]types.Row, c.rows)
 	for i := range slab {
@@ -352,8 +274,7 @@ func NewExternalScan(tbl external.Table, parts []int, alias string, pred expr.Ex
 }
 
 func (es *ExternalScan) run() error {
-	snd := newRowCopier(es.port(), allOffsets(es.sch.Len()), es.batch)
-	defer snd.release()
+	snd := newRowCopier(es.port(), es.sch.Len(), es.batch)
 	var evalErr error
 	for _, p := range es.parts {
 		err := es.tbl.ScanPartition(p, func(r types.Row) bool {

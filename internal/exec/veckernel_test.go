@@ -24,8 +24,9 @@ func in(e expr.Expr, negate bool, vals ...expr.Expr) *expr.InList {
 }
 
 // kernelRows covers every numeric kind and strings, with NULLs in each of
-// the first six columns on a different stride; the last three have none,
-// so they carry no NULL bitmap.
+// the first six columns on a different stride; ni, nf and ns have none, so
+// they carry no NULL bitmap; w holds words for LIKE, the empty string among
+// them, with NULLs on a stride of its own.
 func kernelRows() (types.Schema, []types.Row) {
 	sch := types.NewSchema(
 		types.Column{Name: "i", Kind: types.KindInt},
@@ -37,7 +38,9 @@ func kernelRows() (types.Schema, []types.Row) {
 		types.Column{Name: "ni", Kind: types.KindInt},
 		types.Column{Name: "nf", Kind: types.KindFloat},
 		types.Column{Name: "ns", Kind: types.KindString},
+		types.Column{Name: "w", Kind: types.KindString},
 	)
+	words := []string{"forest green", "dark green", "forest", "", "lime", "MEDIUM POLISHED tin", "greenish"}
 	var rows []types.Row
 	for k := int64(0); k < 200; k++ {
 		r := types.Row{
@@ -50,6 +53,10 @@ func kernelRows() (types.Schema, []types.Row) {
 			types.NewInt(k % 7),
 			types.NewFloat(float64(k%6) * 0.25),
 			types.NewString(string(rune('a' + k%4))),
+			types.NewString(words[k%7]),
+		}
+		if k%9 == 2 {
+			r[9] = types.Null
 		}
 		for c, stride := range []int64{3, 5, 7, 4, 6, 8} {
 			if k%stride == 1 {
@@ -63,14 +70,18 @@ func kernelRows() (types.Schema, []types.Row) {
 
 // TestCompiledPredicateParity: every predicate shape the scans of the TPC-H
 // queries use — DATE literals, BETWEEN, IN, their NOT forms, INT-vs-FLOAT and
-// DATE-vs-INT mixes — compiles to a kernel whose three-valued result equals
+// DATE-vs-INT mixes, LIKE and NOT LIKE with % as prefix, suffix and infix,
+// with _, with no wildcard and empty — compiles to a kernel whose three-valued result equals
 // Expr.Eval on every active row, NULLs included, over every row and under a
 // selection (every third row; every row but the first and the last); the
 // scan's conjunct filter keeps exactly the active rows Eval holds on; and so
 // does the scan's filter over a page set of the rows, which tests a
 // conjunct over one dictionary page's column once per entry (INT, FLOAT and
 // string dictionaries, with a NULL entry and without) and decodes the other
-// conjuncts' columns at the rows still kept. The
+// conjuncts' columns at the rows still kept; and so does the row-table
+// scan's filter over the rows encoded as a row page's, its strings
+// dictionary-coded and again boxed, where the kernels also hold on the
+// batch it decoded under each selection. The
 // shapes whose row semantics a kernel could not keep (a NULL or non-literal
 // bound or member, an empty list) do not compile, and the row Filter — what
 // evaluates them, as the scan does a predicate without a kernel — keeps the
@@ -79,8 +90,11 @@ func TestCompiledPredicateParity(t *testing.T) {
 	sch, rows := kernelRows()
 	i, f, d, s := ncol(0, "i"), ncol(1, "f"), ncol(2, "d"), ncol(3, "s")
 	s2, flag := ncol(4, "s2"), ncol(5, "b")
-	ni, nf, ns := ncol(6, "ni"), ncol(7, "nf"), ncol(8, "ns")
+	ni, nf, ns, w := ncol(6, "ni"), ncol(7, "nf"), ncol(8, "ns"), ncol(9, "w")
 	null := &expr.Const{V: types.Null}
+	like := func(e expr.Expr, p string, negate bool) *expr.Like {
+		return &expr.Like{E: e, Pattern: cs(p), Negate: negate}
+	}
 	compiled := map[string]expr.Expr{
 		"string=string-column":     eq(s, s2),
 		"string<string-column":     lt(s, s2),
@@ -129,6 +143,16 @@ func TestCompiledPredicateParity(t *testing.T) {
 		"q19-shape":                &expr.Bin{Op: expr.OpOr, L: and(in(s, false, cs("a"), cs("b")), between(i, ci(1), ci(5), false)), R: and(in(s, false, cs("c")), between(i, ci(1), ci(10), false))},
 		"q19-first-keeps-none":     and(and(in(s, false, cs("zz"), cs("yy")), eq(s2, cs("b"))), between(i, ci(1), ci(30), false)),
 		"between-or-null-operands": &expr.Bin{Op: expr.OpOr, L: between(i, ci(9), ci(10), false), R: in(f, true, cf(0), cf(1))},
+		"like-%-prefix":            like(w, "%green", false),
+		"like-%-suffix":            like(w, "forest%", false),
+		"like-%-infix":             like(w, "%green%", false),
+		"like-underscore":          like(w, "l_m_", false),
+		"like-no-wildcard":         like(w, "forest", false),
+		"like-empty-pattern":       like(w, "", false),
+		"not-like":                 like(w, "MEDIUM POLISHED%", true),
+		"not-like-under-not":       &expr.Not{E: like(w, "%e%", true)},
+		"like-one-char":            like(s, "_", false),
+		"q16-shape":                and(and(&expr.Bin{Op: expr.OpNe, L: s, R: cs("a")}, like(w, "MEDIUM POLISHED%", true)), in(i, false, ci(1), ci(2), ci(5), ci(8))),
 	}
 	// Every shape reaches true, false and NULL over the rows but these.
 	reaches := map[string]string{
@@ -141,6 +165,7 @@ func TestCompiledPredicateParity(t *testing.T) {
 		"string-in-no-nulls":       "false true",
 		"lone-conjunct":            "false true",
 		"q19-first-keeps-none":     "NULL false",
+		"like-one-char":            "NULL true",
 	}
 	set, dictCols := kernelPageSet(t, sch, rows)
 	var third, inner []int32
@@ -224,6 +249,7 @@ func TestCompiledPredicateParity(t *testing.T) {
 			}
 			b.Sel = nil
 			checkPageSetFilter(t, sch, set, dictCols, e, want)
+			checkRowPageFilter(t, sch, rows, e, want, sels)
 		})
 	}
 
@@ -237,6 +263,9 @@ func TestCompiledPredicateParity(t *testing.T) {
 		"empty-in":                  in(i, false),
 		"empty-not-in":              in(i, true),
 		"string-in-numeric-literal": in(s, false, ci(1)),
+		"like-null-pattern":         &expr.Like{E: w, Pattern: null},
+		"like-column-pattern":       &expr.Like{E: w, Pattern: s},
+		"like-numeric-pattern":      &expr.Like{E: w, Pattern: ci(1)},
 	}
 	for name, e := range rowOnly {
 		t.Run(name, func(t *testing.T) {
@@ -262,8 +291,9 @@ func TestCompiledPredicateParity(t *testing.T) {
 
 // kernelPageSet seals each column of rows into a page of its own and
 // returns the set, and which of its pages have the dictionary layout: i, f,
-// s and b, which hold a NULL entry, and s2, nf and ns — INT, FLOAT, string
-// and BOOLEAN dictionaries, with and without NULLs. d and ni are fixed-width.
+// s, b and w, which hold a NULL entry, and s2, nf and ns — INT, FLOAT,
+// string and BOOLEAN dictionaries, with and without NULLs. d and ni are
+// fixed-width.
 func kernelPageSet(t *testing.T, sch types.Schema, rows []types.Row) (page.PageSet, []bool) {
 	t.Helper()
 	set := page.PageSet{Pages: make([]page.ColumnPage, sch.Len())}
@@ -284,7 +314,7 @@ func kernelPageSet(t *testing.T, sch types.Schema, rows []types.Row) (page.PageS
 		}
 		dictCols[ci] = codes != nil
 	}
-	want := []bool{true, true, false, true, true, true, false, true, true}
+	want := []bool{true, true, false, true, true, true, false, true, true, true}
 	if !slices.Equal(dictCols, want) {
 		t.Fatalf("dictionary-layout pages %v, want %v", dictCols, want)
 	}
@@ -299,8 +329,8 @@ func kernelPageSet(t *testing.T, sch types.Schema, rows []types.Row) (page.PageS
 // undecoded.
 func checkPageSetFilter(t *testing.T, sch types.Schema, set page.PageSet, dictCols []bool, e expr.Expr, truth []string) {
 	t.Helper()
-	scan := &VecColumnarScan{table: sch, cfg: ScanConfig{Pred: e}}
-	scan.layOut()
+	scan := &VecColumnarScan{cfg: ScanConfig{Pred: e}}
+	scan.layOut(sch, nil, e)
 	d := scan.newDecoder()
 	kept, err := d.filter(vec.New(sch), set, len(truth))
 	if err != nil {
@@ -315,7 +345,7 @@ func checkPageSetFilter(t *testing.T, sch types.Schema, set page.PageSet, dictCo
 	if !slices.Equal(kept, want) {
 		t.Fatalf("page-set filter kept %v, want %v", kept, want)
 	}
-	if d.rowSets != 0 {
+	if d.rowUnits != 0 {
 		t.Fatal("page-set filter left the kernels")
 	}
 	readers := make([]int, sch.Len())
@@ -331,6 +361,116 @@ func checkPageSetFilter(t *testing.T, sch types.Schema, set page.PageSet, dictCo
 	}
 }
 
+// checkRowPageFilter runs predicate e as the row-table scan runs it over the
+// live rows of a page — the predicate's columns decoded typed, its
+// conjuncts narrowing the selection — with the string columns
+// dictionary-coded and then boxed, and demands it keep exactly the rows
+// whose truth is "true": on the kernels when strings are coded, and on the
+// boxed layout too unless two string columns are compared. Over the batch
+// it decoded, the whole predicate's kernel must answer every row under each
+// selection as Expr.Eval does.
+func checkRowPageFilter(t *testing.T, sch types.Schema, rows []types.Row, e expr.Expr, truth []string, sels map[string][]int32) {
+	t.Helper()
+	enc := make([][]byte, len(rows))
+	for k, r := range rows {
+		enc[k] = types.AppendRow(nil, r)
+	}
+	var want []int32
+	for k, v := range truth {
+		if v == "true" {
+			want = append(want, int32(k))
+		}
+	}
+	allBoxed := make([]bool, sch.Len())
+	for ci := range allBoxed {
+		allBoxed[ci] = true
+	}
+	for _, boxed := range [][]bool{nil, allBoxed} {
+		fs := &FragmentScan{cfg: ScanConfig{Pred: e, Boxed: boxed}}
+		fs.layOutRows(sch)
+		d := fs.newDecoder()
+		snd := &vecBatchSender{sch: sch, boxed: fs.boxed}
+		kept, typed, err := d.filter(snd.building(), enc)
+		if err != nil || !typed {
+			t.Fatalf("boxed strings %v: row-page filter: typed %v, err %v", boxed != nil, typed, err)
+		}
+		if !slices.Equal(kept, want) {
+			t.Fatalf("boxed strings %v: row-page filter kept %v, want %v", boxed != nil, kept, want)
+		}
+		node := compileBool(e, sch)
+		_, strCols := node.(*cmpStrColsNode) // its kernel reads dictionary codes
+		if d.rowUnits != 0 && (boxed == nil || !strCols) {
+			t.Fatalf("boxed strings %v: row-page filter left the kernels", boxed != nil)
+		}
+		if strCols && boxed != nil {
+			continue
+		}
+		for selName, sel := range sels {
+			d.eval.Sel = sel
+			n := d.eval.Rows()
+			tv, nv, err := node.evalBool(&d.eval, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := 0; k < n; k++ {
+				i := d.eval.Index(k)
+				got := fmt.Sprint(tv[k])
+				if nv != nil && nv[k] {
+					got = "NULL"
+				}
+				if got != truth[i] {
+					t.Fatalf("boxed strings %v, %s: decoded row %d %v: kernel %s, Eval %s", boxed != nil, selName, i, rows[i], got, truth[i])
+				}
+			}
+		}
+		d.eval.Sel = nil
+	}
+}
+
+// FuzzLikeKernel: the LIKE kernel answers as expr.Like.Eval for any strings
+// and pattern, under NOT LIKE too, on every row of a dictionary column —
+// asked twice, the second time from the verdicts it keeps by code — and of
+// a boxed column, a NULL among the rows.
+func FuzzLikeKernel(f *testing.F) {
+	for _, seed := range []struct{ a, b, pattern string }{
+		{"forest green", "dark green", "%green"}, {"forest", "", "forest%"}, {"abc", "abd", "a_c"},
+		{"", "x", ""}, {"%", "_", "%%"}, {"aaa", "aa", "%a%a%"}, {"héllo", "hello", "h_llo"},
+		{"MEDIUM POLISHED tin", "LARGE BRUSHED", "MEDIUM POLISHED%"},
+	} {
+		f.Add(seed.a, seed.b, seed.pattern, false)
+		f.Add(seed.a, seed.b, seed.pattern, true)
+	}
+	sch := types.NewSchema(types.Column{Name: "s", Kind: types.KindString})
+	f.Fuzz(func(t *testing.T, a, b, pattern string, negate bool) {
+		e := &expr.Like{E: ncol(0, "s"), Pattern: cs(pattern), Negate: negate}
+		rows := []types.Row{{types.NewString(a)}, {types.NewString(b)}, {types.Null}, {types.NewString(a)}}
+		node := compileBool(e, sch)
+		if node == nil {
+			t.Fatalf("%v has no kernel", e)
+		}
+		boxed := &vec.Batch{Sch: sch, Cols: []vec.Col{{Kind: types.KindString, Form: vec.FormBoxed}}}
+		for _, r := range rows {
+			boxed.AppendRow(r)
+		}
+		coded := vec.FromRows(sch, rows)
+		for _, batch := range []*vec.Batch{coded, coded, boxed} {
+			tv, nv, err := node.evalBool(batch, len(rows))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k, r := range rows {
+				want, err := e.Eval(r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if null := nv != nil && nv[k]; null != want.IsNull() || !null && tv[k] != want.Bool() {
+					t.Fatalf("%q %v (form %d): kernel %v (NULL %v), Eval %v", r[0].S, e, batch.Cols[0].Form, tv[k], null, want)
+				}
+			}
+		}
+	})
+}
+
 // TestCodeSpaceCorruptCode: a dictionary page whose last cell's code names
 // no entry is an error when a conjunct is tested on it in code space, as it
 // is when the page is decoded — the row is never silently dropped.
@@ -343,8 +483,9 @@ func TestCodeSpaceCorruptCode(t *testing.T) {
 		t.Fatal(err)
 	}
 	codes[len(codes)-1] = 0xff // the codes alias the page
-	scan := &VecColumnarScan{table: sch, cfg: ScanConfig{Pred: eq(ncol(3, "s"), cs("b"))}}
-	scan.layOut()
+	pred := eq(ncol(3, "s"), cs("b"))
+	scan := &VecColumnarScan{cfg: ScanConfig{Pred: pred}}
+	scan.layOut(sch, nil, pred)
 	if _, err := scan.newDecoder().filter(vec.New(sch), set, len(rows)); err == nil {
 		t.Fatal("a code of no entry passed the code-space test")
 	}
@@ -380,15 +521,15 @@ func TestFallbackDecodesInFull(t *testing.T) {
 		set.Pages[ci] = p
 	}
 	pred := and(and(in(ncol(0, "tag"), false, cs("T-1"), cs("T-2")), gt(ncol(1, "id"), ci(30_000))), lt(ncol(2, "mixed"), ci(30)))
-	scan := &VecColumnarScan{table: sch, cfg: ScanConfig{Pred: pred}}
-	scan.layOut()
+	scan := &VecColumnarScan{cfg: ScanConfig{Pred: pred}}
+	scan.layOut(sch, nil, pred)
 	d := scan.newDecoder()
 	kept, err := d.filter(vec.New(sch), set, len(rows))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.rowSets != 1 {
-		t.Fatalf("%d sets on the row expression, want the one", d.rowSets)
+	if d.rowUnits != 1 {
+		t.Fatalf("%d sets on the row expression, want the one", d.rowUnits)
 	}
 	var want []int32
 	for k, r := range rows {
@@ -433,9 +574,9 @@ func TestStringOrderKernelsSkipNulls(t *testing.T) {
 }
 
 // TestVecScanPredicateCounter: the scan counts the page sets whose predicate
-// it had to evaluate row by row. The date range, BETWEEN and IN of the
-// TPC-H scans run on kernels — zero — and LIKE, which has no kernel, counts
-// every set it is evaluated on.
+// it had to evaluate row by row. The date range, BETWEEN, IN and LIKE of the
+// TPC-H scans run on kernels — zero — and q22's SUBSTRING, which has no
+// kernel, counts every set it is evaluated on.
 func TestVecScanPredicateCounter(t *testing.T) {
 	testutil.AssertNoGoroutineLeak(t)
 	fr, _ := vecScanFragment(t)
@@ -457,10 +598,25 @@ func TestVecScanPredicateCounter(t *testing.T) {
 
 	like := &expr.Like{E: ncol(3, "status"), Pattern: cs("%-4")}
 	ctx = NewCtx("", 0)
-	if _, err := Collect(NewVecColumnarScan(fr, "", ScanConfig{Pred: like, Ctx: ctx})); err != nil {
+	got, err = Collect(NewVecColumnarScan(fr, "", ScanConfig{Pred: like, Ctx: ctx}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := boxedScanRows(t, fr, like); len(want) == 0 {
+		t.Fatal("LIKE selected nothing — test is vacuous")
+	} else {
+		assertSameRows(t, got, want)
+	}
+	if n := ctx.PredRowSets.Load(); n != 0 {
+		t.Fatalf("%d page sets took the row fallback under a LIKE", n)
+	}
+
+	substr := in(&expr.Func{Name: "SUBSTRING", Args: []expr.Expr{ncol(3, "status"), ci(8), ci(1)}}, false, cs("4"))
+	ctx = NewCtx("", 0)
+	if _, err := Collect(NewVecColumnarScan(fr, "", ScanConfig{Pred: substr, Ctx: ctx})); err != nil {
 		t.Fatal(err)
 	}
 	if n := ctx.PredRowSets.Load(); n == 0 {
-		t.Fatal("a LIKE predicate has no kernel, yet no page set was counted on the row fallback")
+		t.Fatal("a SUBSTRING predicate has no kernel, yet no page set was counted on the row fallback")
 	}
 }

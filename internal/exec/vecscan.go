@@ -18,9 +18,10 @@ import (
 // shared across the goroutine boundary while still being appended to.
 type vecBatchSender struct {
 	feedPort[*vec.Batch]
-	sch  types.Schema
-	size int
-	cur  *vec.Batch
+	sch   types.Schema
+	size  int
+	boxed []bool // by output offset: a string column shipped boxed, not dictionary-coded
+	cur   *vec.Batch
 }
 
 // building returns the batch under construction, allocating a fresh one
@@ -28,6 +29,11 @@ type vecBatchSender struct {
 func (b *vecBatchSender) building() *vec.Batch {
 	if b.cur == nil {
 		b.cur = vec.New(b.sch)
+		for oi, boxed := range b.boxed {
+			if boxed {
+				b.cur.Cols[oi].Form, b.cur.Cols[oi].Dict = vec.FormBoxed, nil
+			}
+		}
 	}
 	return b.cur
 }
@@ -79,47 +85,55 @@ func (b *vecBatchSender) flush() bool {
 type VecColumnarScan struct {
 	feed[*vec.Batch]
 	vecRowShim
-	fr     *storage.ColumnarFragment
-	cfg    ScanConfig
-	table  types.Schema // the fragment's schema under the alias; cfg.Pred is bound to it
-	emit   []int        // table offsets of the output columns, ascending
-	outOf  []int        // by table offset: the column's output offset, or -1
-	read   []int        // emit ∪ the predicate's columns, ascending: what storage fetches
-	pred   []int        // table offsets of the columns the predicate reads, ascending
-	isPred []bool       // the same, by table offset
+	scanCols
+	fr  *storage.ColumnarFragment
+	cfg ScanConfig
 }
 
 // NewVecColumnarScan builds a vectorized scan over a columnar fragment.
 func NewVecColumnarScan(fr *storage.ColumnarFragment, alias string, cfg ScanConfig) *VecColumnarScan {
 	cs := &VecColumnarScan{fr: fr, cfg: cfg}
-	cs.table, cs.sch = scanSchemas(fr.Def.Schema, alias, cfg.Cols)
+	var table types.Schema
+	table, cs.sch = scanSchemas(fr.Def.Schema, alias, cfg.Cols)
 	cs.start = cs.run
 	cs.batch = cfg.Ctx.batchRows()
 	cs.cancel = cfg.Ctx.Cancel()
 	cs.vecRowShim = vecRowShim{src: cs, ctx: cfg.Ctx}
-	cs.layOut()
+	cs.layOut(table, cfg.Cols, cfg.Pred)
 	return cs
 }
 
-// layOut sets the scan's column lists from its table schema, cfg.Cols and
-// cfg.Pred.
-func (cs *VecColumnarScan) layOut() {
-	n := cs.table.Len()
+// scanCols is where a typed scan's columns are: in the table it reads, in
+// its output, and in its predicate.
+type scanCols struct {
+	table  types.Schema // the fragment's schema under the alias; the predicate is bound to it
+	emit   []int        // table offsets of the output columns, ascending
+	outOf  []int        // by table offset: the column's output offset, or -1
+	read   []int        // emit ∪ the predicate's columns, ascending: what the scan decodes
+	pred   []int        // table offsets of the columns the predicate reads, ascending
+	isPred []bool       // the same, by table offset
+}
+
+// layOut sets the column lists of a scan of table that emits cols (nil:
+// all) under predicate pred.
+func (sc *scanCols) layOut(table types.Schema, cols []int, pred expr.Expr) {
+	sc.table = table
+	n := table.Len()
 	var read []bool
-	cs.emit, cs.isPred, read = ScanColumns(n, cs.cfg.Cols, cs.cfg.Pred)
-	cs.outOf = make([]int, n)
-	for ci := range cs.outOf {
-		cs.outOf[ci] = -1
+	sc.emit, sc.isPred, read = ScanColumns(n, cols, pred)
+	sc.outOf = make([]int, n)
+	for ci := range sc.outOf {
+		sc.outOf[ci] = -1
 	}
-	for oi, ci := range cs.emit {
-		cs.outOf[ci] = oi
+	for oi, ci := range sc.emit {
+		sc.outOf[ci] = oi
 	}
 	for ci := 0; ci < n; ci++ {
-		if cs.isPred[ci] {
-			cs.pred = append(cs.pred, ci)
+		if sc.isPred[ci] {
+			sc.pred = append(sc.pred, ci)
 		}
 		if read[ci] {
-			cs.read = append(cs.read, ci)
+			sc.read = append(sc.read, ci)
 		}
 	}
 }
@@ -144,32 +158,70 @@ func (cs *VecColumnarScan) run() error {
 	stats, err := cs.fr.ScanPageSets(opts, cs.read, degree, func(w int, set page.PageSet) (bool, error) {
 		return decs[w].decodeSet(senders[w], set)
 	})
-	var typed, boxed, evaled, kernelSets, rowSets int64
+	var counts scanCounts
 	for i := range senders {
 		senders[i].flush()
-		typed += decs[i].typedPages
-		boxed += decs[i].boxedPages
-		evaled += decs[i].rowsEval
-		kernelSets += decs[i].kernelSets
-		rowSets += decs[i].rowSets
+		counts.add(&decs[i].scanCounts)
 	}
-	cs.cfg.Trace.AddScan(stats.RowsRead, stats.PagesRead, stats.PagesSkipped)
 	cs.cfg.Trace.AddSets(stats.SetsRead, stats.SetsSkipped, stats.ChainPages)
-	cs.cfg.Trace.SetCols(len(cs.read), cs.table.Len())
-	cs.cfg.Trace.AddDecode(typed, boxed)
-	cs.cfg.Trace.AddPred(kernelSets, rowSets)
-	if degree > 1 {
-		cs.cfg.Trace.AddWorkers(int64(degree))
-	}
-	if ctx := cs.cfg.Ctx; ctx != nil && ctx.Counters != nil {
-		ctx.DecodeTypedPages.Add(typed)
-		ctx.DecodeBoxedPages.Add(boxed)
-		ctx.PredRowSets.Add(rowSets)
-		// Rows the decode-time predicate evaluated are filter work, metered
-		// as a Filter above the scan would meter them.
-		ctx.RowsProcessed.Add(evaled)
-	}
+	counts.report(cs.cfg, stats, &cs.scanCols, degree)
 	return err
+}
+
+// scanCounts is what a typed scan's worker counts: pages decoded typed and
+// boxed; rows that entered the predicate (the columnar scan's: they are
+// filter work, metered as a Filter above the scan would meter them); and
+// the units — page sets, or a row table's pages — whose predicate the
+// compiled kernels decided, and those it was evaluated on row by row
+// through expr.EvalBool.
+type scanCounts struct {
+	typedPages, boxedPages, rowsEval int64
+	kernelUnits, rowUnits            int64
+}
+
+func (c *scanCounts) add(o *scanCounts) {
+	c.typedPages += o.typedPages
+	c.boxedPages += o.boxedPages
+	c.rowsEval += o.rowsEval
+	c.kernelUnits += o.kernelUnits
+	c.rowUnits += o.rowUnits
+}
+
+// report folds a finished scan's counts and storage's into the scan's span
+// and the query counters.
+func (c *scanCounts) report(cfg ScanConfig, stats storage.ScanStats, cols *scanCols, degree int) {
+	cfg.Trace.AddScan(stats.RowsRead, stats.PagesRead, stats.PagesSkipped)
+	cfg.Trace.SetCols(len(cols.read), cols.table.Len())
+	cfg.Trace.AddDecode(c.typedPages, c.boxedPages)
+	cfg.Trace.AddPred(c.kernelUnits, c.rowUnits)
+	if degree > 1 {
+		cfg.Trace.AddWorkers(int64(degree))
+	}
+	if ctx := cfg.Ctx; ctx != nil && ctx.Counters != nil {
+		ctx.DecodeTypedPages.Add(c.typedPages)
+		ctx.DecodeBoxedPages.Add(c.boxedPages)
+		ctx.PredRowSets.Add(c.rowUnits)
+		ctx.RowsProcessed.Add(c.rowsEval)
+	}
+}
+
+// evalRows is the typed scans' row fallback: it evaluates pred on each of
+// the first n rows of eval, boxing the columns cols into row (table width),
+// and appends the positions it keeps to sel.
+func evalRows(pred expr.Expr, eval *vec.Batch, cols []int, n int, row types.Row, sel []int32) ([]int32, error) {
+	for k := 0; k < n; k++ {
+		for _, ci := range cols {
+			row[ci] = eval.Cols[ci].Value(k)
+		}
+		keep, err := expr.EvalBool(pred, row)
+		if err != nil {
+			return nil, err
+		}
+		if keep {
+			sel = append(sel, int32(k))
+		}
+	}
+	return sel, nil
 }
 
 func (cs *VecColumnarScan) newDecoder() *pageSetDecoder {
@@ -220,14 +272,10 @@ type pageSetDecoder struct {
 	sel      []int32
 	chunkSel []int32   // one chain page's share of sel, rebased to the page
 	scratch  types.Row // table-width row the uncompiled predicate reads
-	// typedPages/boxedPages count per-page decode outcomes, each page of a
-	// set at most once (a page tested in code space counts as typed);
-	// rowsEval counts rows that entered the predicate (every row of a set,
-	// however early the conjuncts drop it), kernelSets/rowSets the page sets
-	// it was evaluated on by the compiled kernels vs row by row through
-	// expr.EvalBool.
-	typedPages, boxedPages, rowsEval int64
-	kernelSets, rowSets              int64
+	// Each page of a set is counted at most once (a page tested in code
+	// space counts as typed); rowsEval is every row of a set, however early
+	// the conjuncts drop it.
+	scanCounts
 }
 
 // colState is how much of a predicate column the eval scratch holds.
@@ -301,7 +349,7 @@ func (d *pageSetDecoder) filter(b *vec.Batch, set page.PageSet, nrows int) ([]in
 		sel, err := d.conj.filter(&d.eval, d.sel, d)
 		d.sel = sel
 		if err == nil {
-			d.kernelSets++
+			d.kernelUnits++
 			return sel, nil
 		}
 		if !errors.Is(err, errVecFallback) {
@@ -318,22 +366,13 @@ func (d *pageSetDecoder) filter(b *vec.Batch, set page.PageSet, nrows int) ([]in
 			}
 		}
 	}
-	d.rowSets++
+	d.rowUnits++
 	if d.scratch == nil {
 		d.scratch = make(types.Row, len(d.eval.Cols))
 	}
-	sel := d.sel[:0]
-	for k := 0; k < nrows; k++ {
-		for _, ci := range d.cs.pred {
-			d.scratch[ci] = d.eval.Cols[ci].Value(k)
-		}
-		keep, err := expr.EvalBool(d.cs.cfg.Pred, d.scratch)
-		if err != nil {
-			return nil, err
-		}
-		if keep {
-			sel = append(sel, int32(k))
-		}
+	sel, err := evalRows(d.cs.cfg.Pred, &d.eval, d.cs.pred, nrows, d.scratch, d.sel[:0])
+	if err != nil {
+		return nil, err
 	}
 	d.sel = sel
 	return sel, nil

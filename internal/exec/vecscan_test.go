@@ -160,8 +160,7 @@ func boxedColumnarScan(fr *storage.ColumnarFragment, alias string, pred expr.Exp
 		sf.sch = sf.sch.Qualify(alias)
 	}
 	sf.start = func() error {
-		snd := newRowCopier(sf.port(), allOffsets(sf.sch.Len()), sf.batch)
-		defer snd.release()
+		snd := newRowCopier(sf.port(), sf.sch.Len(), sf.batch)
 		_, err := fr.ScanPageSets(storage.ScanOptions{}, nil, 1, func(_ int, set page.PageSet) (bool, error) {
 			rows, err := set.Rows()
 			if err != nil {

@@ -37,9 +37,9 @@ func nativeVec(op Operator) (VecOperator, bool) {
 	return v, ok
 }
 
-// vecRowShim gives VecColumnarScan its Operator face by materializing row
-// slabs from its NextVec, charging the rows to BoxedRows. The scan sets src
-// to itself, and ctx, in its constructor.
+// vecRowShim gives a typed scan its Operator face by materializing row
+// slabs from its NextVec, charging the rows to BoxedRows when ctx is set.
+// The scan sets src to itself, and ctx, in its constructor.
 type vecRowShim struct {
 	src  VecOperator
 	ctx  *Ctx
@@ -566,12 +566,15 @@ func (in *inNumNode) evalBool(b *vec.Batch, n int) ([]bool, []bool, error) {
 	return t, v.null, nil
 }
 
-// strLitNode tests a dictionary string column against literals. [NOT] IN
-// (and = or <> one literal) looks the members up in the column's dictionary
-// once per evaluation — the dictionary grows between page sets — and
-// compares each row's code against that small table; a member the
-// dictionary lacks matches no row. An ordering comparison or BETWEEN
-// (holds) compares each row's dictionary string.
+// strLitNode tests a string column against literals. [NOT] IN (and = or <>
+// one literal) looks the members up in a dictionary column's dictionary once
+// per evaluation — the dictionary grows between page sets — and compares
+// each row's code against that small table; a member the dictionary lacks
+// matches no row. An ordering comparison, BETWEEN or [NOT] LIKE (holds) is
+// asked once per dictionary entry: its verdicts are kept by code for as long
+// as the dictionary's contents last (Dict.ID). A boxed column — the strings
+// a scan keeps undictionaried — is tested value by value; one holding a
+// value of another kind falls back.
 type strLitNode struct {
 	idx     int
 	members []string
@@ -579,22 +582,38 @@ type strLitNode struct {
 	negate  bool
 	codes   []int32
 	t, null []bool
+	memo    []uint8 // holds' verdict by code of the dictionary memoID names: 0 not asked, 1 false, 2 true
+	memoID  uint64
 }
 
 func (sn *strLitNode) evalBool(b *vec.Batch, n int) ([]bool, []bool, error) {
 	c := &b.Cols[sn.idx]
-	if c.Form != vec.FormStr {
+	switch c.Form {
+	case vec.FormStr:
+	case vec.FormBoxed:
+		return sn.evalBoxed(c, b, n)
+	default:
 		return nil, nil, errVecFallback
 	}
 	null := nullsOf(c, b, n, &sn.null)
 	t := grow(sn.t, n)
 	sn.t = t
 	if sn.holds != nil {
+		memo := sn.verdicts(c.Dict)
 		for k := range t {
 			if null != nil && null[k] {
 				continue // a NULL's code is 0 whatever the dictionary holds, even nothing
 			}
-			t[k] = sn.holds(c.Dict.Str(c.Codes[b.Index(k)]))
+			code := c.Codes[b.Index(k)]
+			v := memo[code]
+			if v == 0 {
+				v = 1
+				if sn.holds(c.Dict.Str(code)) {
+					v = 2
+				}
+				memo[code] = v
+			}
+			t[k] = v == 2
 		}
 		return t, null, nil
 	}
@@ -618,6 +637,45 @@ func (sn *strLitNode) evalBool(b *vec.Batch, n int) ([]bool, []bool, error) {
 	}
 	for k := range t {
 		t[k] = slices.Contains(codes, c.Codes[b.Index(k)]) != sn.negate
+	}
+	return t, null, nil
+}
+
+// verdicts returns holds' verdicts by code of d, one per entry: those kept
+// for d's contents, with its entries added since unasked.
+func (sn *strLitNode) verdicts(d *vec.Dict) []uint8 {
+	if d.ID() != sn.memoID {
+		sn.memo, sn.memoID = sn.memo[:0], d.ID()
+	}
+	if have := len(sn.memo); have < d.Len() {
+		sn.memo = slices.Grow(sn.memo, d.Len()-have)[:d.Len()]
+		clear(sn.memo[have:])
+	}
+	return sn.memo
+}
+
+// evalBoxed is evalBool over a boxed column.
+func (sn *strLitNode) evalBoxed(c *vec.Col, b *vec.Batch, n int) ([]bool, []bool, error) {
+	t := grow(sn.t, n)
+	sn.t = t
+	var null []bool
+	for k := range t {
+		switch v := c.Vals[b.Index(k)]; v.K {
+		case types.KindString:
+			if sn.holds != nil {
+				t[k] = sn.holds(v.S)
+			} else {
+				t[k] = slices.Contains(sn.members, v.S) != sn.negate
+			}
+		case types.KindNull:
+			if null == nil {
+				null = growBools(sn.null, n)
+				sn.null = null
+			}
+			null[k] = true
+		default:
+			return nil, nil, errVecFallback
+		}
 	}
 	return t, null, nil
 }
@@ -1087,12 +1145,27 @@ func compileIn(x *expr.InList, sch types.Schema) boolNode {
 	return in
 }
 
+// compileLike compiles [NOT] LIKE of a string column and a pattern that is
+// a string literal, through expr's matcher. A NULL pattern makes every row
+// NULL, which the row path gives.
+func compileLike(x *expr.Like, sch types.Schema) boolNode {
+	c, ok := x.E.(*expr.Col)
+	p, lit := x.Pattern.(*expr.Const)
+	if !ok || !lit || p.V.K != types.KindString || expr.KindOf(c, sch) != types.KindString {
+		return nil
+	}
+	pattern, negate := p.V.S, x.Negate
+	return &strLitNode{idx: c.Index, holds: func(s string) bool { return expr.LikeMatch(s, pattern) != negate }}
+}
+
 // compileBool compiles a predicate to a vectorized node, or nil when
-// unsupported. LIKE, CASE, functions, and division inside predicates all
-// take the row fallback, as do BETWEEN and IN over anything but non-NULL
-// literals.
+// unsupported. CASE, functions, and division inside predicates all take the
+// row fallback, as do BETWEEN and IN over anything but non-NULL literals,
+// and LIKE over anything but a column and a literal pattern.
 func compileBool(e expr.Expr, sch types.Schema) boolNode {
 	switch x := e.(type) {
+	case *expr.Like:
+		return compileLike(x, sch)
 	case *expr.Between:
 		return compileBetween(x, sch)
 	case *expr.InList:

@@ -338,12 +338,13 @@ func (l *Like) Eval(r types.Row) (types.Value, error) {
 	if err != nil || p.IsNull() {
 		return types.Null, err
 	}
-	return types.NewBool(likeMatch(v.Str(), p.Str()) != l.Negate), nil
+	return types.NewBool(LikeMatch(v.Str(), p.Str()) != l.Negate), nil
 }
 
-// likeMatch implements LIKE with an iterative two-pointer algorithm
-// (greedy % backtracking).
-func likeMatch(s, pattern string) bool {
+// LikeMatch reports whether s matches the LIKE pattern (% and _
+// wildcards), with an iterative two-pointer algorithm (greedy %
+// backtracking).
+func LikeMatch(s, pattern string) bool {
 	var si, pi int
 	star := -1
 	matchBase := 0

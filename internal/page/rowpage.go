@@ -177,6 +177,18 @@ func (p RowPage) Scan(mask []bool, dst types.Row, fn func(slot int, r types.Row)
 	return nil
 }
 
+// LiveSlots appends the encoded rows of the page's live slots, in slot
+// order, to dst and returns it. The rows alias the page.
+func (p RowPage) LiveSlots(dst [][]byte) [][]byte {
+	n := p.NumSlots()
+	for i := 0; i < n; i++ {
+		if off, length := p.slotAt(i); length != 0 {
+			dst = append(dst, p.Buf[off:off+length:off+length])
+		}
+	}
+	return dst
+}
+
 // LiveRows returns the number of non-tombstone slots.
 func (p RowPage) LiveRows() int {
 	n := 0

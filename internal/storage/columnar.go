@@ -232,10 +232,10 @@ const defaultMorselSets = 1
 // and pinned, and only they are populated in the set fn receives; the other
 // columns' pages are never read from disk or decompressed. An empty read set
 // still fetches one page per set, for the row count. fn reports whether it
-// kept a row of the set, as RowFunc does for a row: a sealed set on which it
-// kept none is recorded as absence (recordAbsence). Page-set skipping
-// (predicate cache, then min-max) is applied here.
-// Workers claim sets from a shared counter (Fragment.ParallelScan's morsel
+// kept a row of the set, as PageFunc does for a row page: a sealed set on
+// which it kept none is recorded as absence (recordAbsence). Page-set
+// skipping (predicate cache, then min-max) is applied here.
+// Workers claim sets from a shared counter (Fragment.ScanPages' morsel
 // scheme) and fn runs concurrently from all of them (worker tells them
 // apart); a disk's open (unflushed) set is claimed after its sealed sets and
 // skipped by its running min-max only. An error from fn stops every worker
@@ -247,7 +247,7 @@ func (fr *ColumnarFragment) ScanPageSets(opts ScanOptions, read []int, workers i
 	return fr.scanPageSets(opts, read, workers, defaultMorselSets, fn)
 }
 
-// SetFunc is a columnar scan's callback: RowFunc for a whole page set.
+// SetFunc is a columnar scan's callback: PageFunc for a whole page set.
 type SetFunc func(worker int, set page.PageSet) (kept bool, err error)
 
 func (fr *ColumnarFragment) scanPageSets(opts ScanOptions, read []int, workers, morselSets int, fn SetFunc) (ScanStats, error) {

@@ -123,7 +123,7 @@ func TestParallelScanParity(t *testing.T) {
 	}
 	loadLineitem(t, fr.Load, 5000)
 	checkParity(t, ns, DefaultMorselPages, func(workers, morsel int, fn func(r types.Row) bool) (ScanStats, error) {
-		return fr.scanMorsels(newRowScan(ScanOptions{}, workers), morsel, func(_ int, _ page.RID, r types.Row) (bool, error) { return fn(r), nil })
+		return scanRowMorsels(fr, ScanOptions{}, workers, morsel, func(_ int, _ page.RID, r types.Row) (bool, error) { return fn(r), nil })
 	})
 }
 
@@ -152,7 +152,7 @@ func TestParallelScanSkipParity(t *testing.T) {
 		t.Fatal("test premise broken: serial scan skipped nothing")
 	}
 	checkParity(t, ns, DefaultMorselPages, func(workers, morsel int, fn func(r types.Row) bool) (ScanStats, error) {
-		return fr.scanMorsels(newRowScan(opts, workers), morsel, func(_ int, _ page.RID, r types.Row) (bool, error) { return fn(r), nil })
+		return scanRowMorsels(fr, opts, workers, morsel, func(_ int, _ page.RID, r types.Row) (bool, error) { return fn(r), nil })
 	})
 }
 
@@ -315,7 +315,7 @@ func TestRowScanBesideWriters(t *testing.T) {
 					return
 				default:
 				}
-				_, err := fr.ParallelScan(opts, 2, func(_ int, _ page.RID, r types.Row) (bool, error) {
+				_, err := scanRowMorsels(fr, opts, 2, DefaultMorselPages, func(_ int, _ page.RID, r types.Row) (bool, error) {
 					return true, check(r, cols)
 				})
 				rids.Range(func(_, v any) bool {
@@ -383,7 +383,7 @@ func TestParallelScanEarlyStop(t *testing.T) {
 		scan      func(workers, morsel int, fn func() bool) (ScanStats, error)
 	}{
 		{"row", DefaultMorselPages, func(workers, morsel int, fn func() bool) (ScanStats, error) {
-			return rowFr.scanMorsels(newRowScan(ScanOptions{}, workers), morsel, func(int, page.RID, types.Row) (bool, error) { return true, stopAt(fn()) })
+			return scanRowMorsels(rowFr, ScanOptions{}, workers, morsel, func(int, page.RID, types.Row) (bool, error) { return true, stopAt(fn()) })
 		}},
 		{"columnar", defaultMorselSets, func(workers, morsel int, fn func() bool) (ScanStats, error) {
 			return colScanRows(colFr, ScanOptions{}, workers, morsel, func(int, types.Row) (bool, error) { return true, stopAt(fn()) })
@@ -662,4 +662,10 @@ func TestColumnarScanFetchesOnlyReadSet(t *testing.T) {
 	if got, sets := fetches()-before, sealedSets+openSets; got != 0 || stats.PagesRead != 0 || stats.SetsSkipped != int64(sets) || stats.PagesSkipped != int64(2*sets) {
 		t.Errorf("all-skipping scan: %d fetches, stats %+v, want 0 fetches, %d sets and %d pages skipped", got, stats, sets, 2*sets)
 	}
+}
+
+// scanRowMorsels is ParallelScan in morsels of morselPages pages.
+func scanRowMorsels(fr *Fragment, opts ScanOptions, workers, morselPages int, fn RowFunc) (ScanStats, error) {
+	sc := newRowScan(opts, workers)
+	return fr.scanMorsels(sc, morselPages, fr.eachRow(sc, fn))
 }

@@ -263,10 +263,20 @@ var ErrStopScan = errors.New("storage: scan stopped by its consumer")
 // the scan's error.
 type RowFunc func(worker int, rid page.RID, r types.Row) (kept bool, err error)
 
-// Scan is ParallelScan at degree 1: the whole scan runs on the caller's
-// goroutine. DML and index builds scan this way, with Tx set.
+// PageFunc is a page scan's callback: rows are the encoded rows of one
+// page's live slots, in slot order, borrowed until it returns. kept reports
+// that one of them passed the caller's predicate; storage records absence
+// from that verdict (recordAbsence), as for a RowFunc. An error ends the
+// scan as a RowFunc's does.
+type PageFunc func(worker int, rows [][]byte) (kept bool, err error)
+
+// Scan iterates the live rows of every full and partial page of the
+// fragment on the caller's goroutine, each decoded under opts.Mask (see
+// ScanPages for the page loop). DML and index builds scan this way, with
+// Tx set.
 func (fr *Fragment) Scan(opts ScanOptions, fn func(rid page.RID, r types.Row) (bool, error)) (ScanStats, error) {
-	return fr.ParallelScan(opts, 1, func(_ int, rid page.RID, r types.Row) (bool, error) { return fn(rid, r) })
+	sc := newRowScan(opts, 1)
+	return fr.scanMorsels(sc, DefaultMorselPages, fr.eachRow(sc, func(_ int, rid page.RID, r types.Row) (bool, error) { return fn(rid, r) }))
 }
 
 // ScanMatching is Scan for a writer that selects rows on a few columns and
@@ -276,7 +286,7 @@ func (fr *Fragment) Scan(opts ScanOptions, fn func(rid page.RID, r types.Row) (b
 // took, and handed to fn, which owns it.
 func (fr *Fragment) ScanMatching(opts ScanOptions, keep func(r types.Row) (bool, error), fn func(rid page.RID, r types.Row) error) (ScanStats, error) {
 	sc := newRowScan(opts, 1)
-	return fr.scanMorsels(sc, DefaultMorselPages, func(w int, rid page.RID, r types.Row) (bool, error) {
+	return fr.scanMorsels(sc, DefaultMorselPages, fr.eachRow(sc, func(w int, rid page.RID, r types.Row) (bool, error) {
 		if ok, err := keep(r); !ok || err != nil {
 			return false, err
 		}
@@ -287,7 +297,7 @@ func (fr *Fragment) ScanMatching(opts ScanOptions, keep func(r types.Row) (bool,
 			}
 		}
 		return true, fn(rid, r)
-	})
+	}))
 }
 
 // DefaultMorselPages is the page-range granularity a row scan hands to a
@@ -311,21 +321,59 @@ type morsel struct {
 	tail     bool
 }
 
-// ParallelScan iterates the live rows of every full and partial page of the
-// fragment with N workers: the pages are split into morsels (contiguous page
-// ranges) that workers claim from a shared counter, so a worker that skips
-// its pages moves on to the next range instead of idling. Every page goes
-// through scanMorsel — predicate cache, then min-max, then fetch, with
-// absence recorded for full pages on which fn kept no row — so skipping
-// behavior and the summed ScanStats do not depend on the degree. fn runs
-// concurrently from all workers (worker tells them apart); an error from it
-// stops every worker after its current page, and records nothing for the
-// interrupted page. workers <= 1 runs on the caller's goroutine.
-func (fr *Fragment) ParallelScan(opts ScanOptions, workers int, fn RowFunc) (ScanStats, error) {
-	return fr.scanMorsels(newRowScan(opts, workers), DefaultMorselPages, fn)
+// ScanPages hands fn, a page at a time, the encoded rows of the live slots
+// of every full and partial page of the fragment, which fn decodes itself,
+// and takes one kept verdict a page. It runs N workers: the pages are split
+// into morsels (contiguous page ranges) that workers claim from a shared
+// counter, so a worker that skips its pages moves on to the next range
+// instead of idling. Every page goes through scanMorsel — predicate cache,
+// then min-max, then fetch, with absence recorded for full pages on which
+// fn kept no row — so skipping behavior and the summed ScanStats do not
+// depend on the degree. fn runs concurrently from all workers (worker
+// tells them apart); an error from it stops every worker after its
+// current page, and records nothing for the interrupted page. workers <= 1
+// runs on the caller's goroutine.
+func (fr *Fragment) ScanPages(opts ScanOptions, workers int, fn PageFunc) (ScanStats, error) {
+	sc := newRowScan(opts, workers)
+	return fr.scanMorsels(sc, DefaultMorselPages, func(w int, _ morsel, _ uint32, rp page.RowPage, stats *ScanStats) (bool, error) {
+		sw := &sc.workers[w]
+		sw.slots = rp.LiveSlots(sw.slots[:0])
+		stats.RowsRead += int64(len(sw.slots))
+		return fn(w, sw.slots)
+	})
 }
 
-func (fr *Fragment) scanMorsels(sc *rowScan, morselPages int, fn RowFunc) (ScanStats, error) {
+// pageBody is what a scan does with one page it fetched: it reads the rows
+// of rp, worker w's copy of page p of m's file, counting them in stats, and
+// reports whether it kept one.
+type pageBody func(w int, m morsel, p uint32, rp page.RowPage, stats *ScanStats) (kept bool, err error)
+
+// eachRow is the page body of the row-callback scans: fn sees every live
+// row of the page in turn, decoded under opts.Mask.
+func (fr *Fragment) eachRow(sc *rowScan, fn RowFunc) pageBody {
+	return func(w int, m morsel, p uint32, rp page.RowPage, stats *ScanStats) (bool, error) {
+		sw := &sc.workers[w]
+		if sc.opts.Mask != nil && sw.row == nil {
+			sw.row = make(types.Row, fr.Def.Schema.Len())
+		}
+		kept := false
+		var ferr error
+		err := rp.Scan(sc.opts.Mask, sw.row, func(slot int, r types.Row) bool {
+			stats.RowsRead++
+			rid := page.RID{Node: uint16(fr.Node.NodeID), Disk: uint16(m.disk), Page: p, Slot: uint16(slot)}
+			var passed bool
+			passed, ferr = fn(w, rid, r)
+			kept = kept || passed
+			return ferr == nil
+		})
+		if err == nil {
+			err = ferr
+		}
+		return kept, err
+	}
+}
+
+func (fr *Fragment) scanMorsels(sc *rowScan, morselPages int, body pageBody) (ScanStats, error) {
 	opts := sc.opts
 	var morsels []morsel
 	for disk, fileID := range fr.Files {
@@ -348,7 +396,7 @@ func (fr *Fragment) scanMorsels(sc *rowScan, morselPages int, fn RowFunc) (ScanS
 		}
 	}
 	stats, err := runMorsels(len(morsels), len(sc.workers), func(run *morselRun, w, i int) (ScanStats, error) {
-		return fr.scanMorsel(sc, morsels[i], w, run, fn)
+		return fr.scanMorsel(sc, morsels[i], w, run, body)
 	})
 	for _, sw := range sc.workers {
 		if sw.page != nil {
@@ -370,10 +418,12 @@ func newRowScan(opts ScanOptions, workers int) *rowScan {
 }
 
 // rowScanWorker is one worker's scratch: the copy of the page it reads and,
-// for a masked scan, the row it decodes into.
+// for a masked scan, the row it decodes into, or, for a page scan, the
+// page's live rows.
 type rowScanWorker struct {
-	page *[]byte
-	row  types.Row
+	page  *[]byte
+	row   types.Row
+	slots [][]byte
 }
 
 // pageCopies recycles the buffers row scans copy a page into, so that a
@@ -393,17 +443,14 @@ func (sw *rowScanWorker) copyPage(rp page.RowPage) page.RowPage {
 	return rp.CopyTo(*sw.page)
 }
 
-// scanMorsel is the per-page body of every row scan. It reads each page
-// from a copy taken under the page's read latch, so fn — which may ship a
-// slab and wait for its consumer — never runs with the latch held. It
-// returns fn's error, ErrStopScan included; run.stopped is checked between
-// pages so a stop raised by another worker ends this one promptly.
-func (fr *Fragment) scanMorsel(sc *rowScan, m morsel, w int, run *morselRun, fn RowFunc) (ScanStats, error) {
+// scanMorsel is the page loop of every row scan. It hands body a copy of
+// each page taken under the page's read latch, so the callback — which may
+// ship a slab and wait for its consumer — never runs with the latch held.
+// It returns body's error, ErrStopScan included; run.stopped is checked
+// between pages so a stop raised by another worker ends this one promptly.
+func (fr *Fragment) scanMorsel(sc *rowScan, m morsel, w int, run *morselRun, body pageBody) (ScanStats, error) {
 	var stats ScanStats
 	opts, sw := &sc.opts, &sc.workers[w]
-	if opts.Mask != nil && sw.row == nil {
-		sw.row = make(types.Row, fr.Def.Schema.Len())
-	}
 	end, numPages := m.end, m.numPages
 	for p := m.start; ; p++ {
 		if p >= end {
@@ -453,19 +500,7 @@ func (fr *Fragment) scanMorsel(sc *rowScan, m morsel, w int, run *morselRun, fn 
 			return stats, err
 		}
 		stats.PagesRead++
-		kept := false
-		var ferr error
-		err = rp.Scan(opts.Mask, sw.row, func(slot int, r types.Row) bool {
-			stats.RowsRead++
-			rid := page.RID{Node: uint16(fr.Node.NodeID), Disk: uint16(m.disk), Page: p, Slot: uint16(slot)}
-			var passed bool
-			passed, ferr = fn(w, rid, r)
-			kept = kept || passed
-			return ferr == nil
-		})
-		if err == nil {
-			err = ferr
-		}
+		kept, err := body(w, m, p, rp, &stats)
 		if err != nil {
 			return stats, err
 		}

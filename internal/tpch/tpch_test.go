@@ -648,26 +648,30 @@ func TestColumnarTPCH(t *testing.T) {
 	}
 }
 
-// rowPredicateScans lists, by query, the columnar scans whose predicate is
-// expected to take the row fallback, each with its reason. Empty: every scan
-// predicate the 21 queries put on lineitem and orders — comparisons, date
-// ranges, BETWEEN, IN — has a vector kernel.
-var rowPredicateScans = map[string]string{}
+// rowPredicateScans lists, by query, the one scan whose predicate is
+// expected to take the row fallback, with its reason. Every other scan
+// predicate of the 21 queries — comparisons, date ranges, BETWEEN, IN, LIKE,
+// on columnar and row tables — has a vector kernel.
+var rowPredicateScans = map[string]struct{ scan, why string }{
+	"q22": {"Scan customer", "SUBSTRING(c_phone, 1, 2) IN (…): a function has no kernel"},
+}
 
 // TestAggregateFrontEnds pins which front end the workers' blocking
 // operators are built with, and which input each worker join builds on, on a
 // 4-worker cluster. q1 and q6 aggregate straight over the lineitem scan:
 // every worker's partial aggregate must read typed batches (in=typed, a
-// granted degree on the span) and no worker may box a row on the way. A join
-// is typed exactly when a columnar scan is its probe, and an inner join
+// granted degree on the span) and no worker may box a row on the way; so
+// must q22's average over the customer scan. A join is typed exactly when a
+// table scan, columnar or row, is its probe, and an inner join
 // builds on whichever input leaves a worker the smaller share (build=left
 // when that is the planner's left): q12 and q9 probe with orders and with
 // lineitem under four more joins (q9's part, broadcast as the join's right
 // input, and q21's nation ⋈ supplier, its left, are built and probed by the
-// lineitem scan where it lies); q3's upper join, and q5's orders and
-// lineitem joins, build on the smaller join below them and probe with the
-// scan; q18's semi join filters orders before either inner join sees it,
-// and its lineitem join then builds on the 30-odd rows left. A semi or anti
+// lineitem scan where it lies; the supplier scan probes that nation join);
+// q3's upper join, and q5's nation, customer, orders and lineitem joins,
+// build on the smaller input below them and probe with the scan; q18's
+// semi join filters orders before either inner join sees it, and its
+// lineitem join then builds on the 30-odd rows left. A semi or anti
 // join builds by the same rule and marks the left rows the probe matches:
 // q21's semi and anti joins build on the ~200 l1 rows a worker keeps after
 // the supplier join and probe with l2 and l3, q4's builds on its quarter of
@@ -675,8 +679,8 @@ var rowPredicateScans = map[string]string{}
 // no projection placed over it (the planner's projections there output
 // their input unchanged). q7's joins run on the workers since its n1 × n2
 // cross product does (each worker crosses the two replicated nation scans):
-// the customer join builds on that pair and reads customer as rows, the
-// orders join builds on its result and probes with the orders scan, the
+// the customer join builds on that pair and probes with the customer scan,
+// the orders join builds on its result and probes with the orders scan, the
 // lineitem join builds on the shuffled orders rows and probes with the
 // lineitem scan, and the broadcast supplier is built on the right under a
 // probe of joined rows. The workers box no more than the rows the filter
@@ -704,12 +708,12 @@ func TestAggregateFrontEnds(t *testing.T) {
 		checkFrontEnds(t, 0.01, []frontEnds{
 			{qid: "q12", rowAggs: 1, typedJoins: 1, leftBuilds: 0, boxedMax: 1000},
 			{qid: "q9", rowAggs: 1, typedJoins: 1, rowJoins: 4, leftBuilds: 0, typedLeftBuilds: 0, boxedMax: 21000},
-			{qid: "q5", rowAggs: 1, typedJoins: 2, rowJoins: 3, leftBuilds: 4, typedLeftBuilds: 2, boxedMax: 3000},
+			{qid: "q5", rowAggs: 1, typedJoins: 4, rowJoins: 1, leftBuilds: 4, typedLeftBuilds: 4, boxedMax: 3000},
 			{qid: "q18", typedAggs: 1, rowAggs: 1, typedJoins: 2, rowJoins: 1, leftBuilds: 1, typedLeftBuilds: 1, boxedMax: 1500},
-			{qid: "q21", rowAggs: 1, typedJoins: 3, rowJoins: 2, leftBuilds: 5, typedLeftBuilds: 3, boxedMax: 47000},
+			{qid: "q21", rowAggs: 1, typedJoins: 4, rowJoins: 1, leftBuilds: 5, typedLeftBuilds: 4, boxedMax: 47000},
 			{qid: "q4", rowAggs: 1, typedJoins: 1, leftBuilds: 1, typedLeftBuilds: 1, boxedMax: 1700},
-			{qid: "q22", rowAggs: 2, typedJoins: 1, leftBuilds: 1, typedLeftBuilds: 1, boxedMax: 2100},
-			{qid: "q7", rowAggs: 1, typedJoins: 2, rowJoins: 2, leftBuilds: 3, typedLeftBuilds: 2, boxedMax: 3000},
+			{qid: "q22", typedAggs: 1, rowAggs: 1, typedJoins: 1, leftBuilds: 1, typedLeftBuilds: 1, boxedMax: 2100},
+			{qid: "q7", rowAggs: 1, typedJoins: 3, rowJoins: 1, leftBuilds: 3, typedLeftBuilds: 3, boxedMax: 3000},
 		})
 	})
 }
@@ -818,16 +822,22 @@ func checkFrontEnds(t *testing.T, sf float64, cases []frontEnds) {
 }
 
 // TestScanPredicatesRunOnKernels runs the 21 queries on the 4-worker cluster
-// and requires that no columnar scan evaluated its predicate row by row
-// through expr.EvalBool: the fallback is for shapes without a kernel (LIKE,
-// CASE, functions), and a TPC-H scan that takes it silently pays boxing on
-// every row of every page set it reads.
+// and requires that no scan, columnar or row, evaluated its predicate row by
+// row through expr.EvalBool but q22's customer scan: the fallback is for
+// shapes without a kernel (CASE, functions), and a TPC-H scan that takes it
+// silently pays boxing on every row of every page or page set it reads. The
+// row-table scans of q2, q9, q16, q19 and q20, whose predicates hold LIKE,
+// IN and BETWEEN over part and supplier (q9's and q16's LIKE over a boxed
+// column), must each show pred=kernel.
 func TestScanPredicatesRunOnKernels(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full TPC-H suite skipped in -short mode")
 	}
 	c, _ := loadedCluster(t, 4, 0.002)
 	kernelScans := 0
+	rowTableKernels := map[string][]string{
+		"q2": {"Scan part"}, "q9": {"Scan part"}, "q16": {"Scan part", "Scan supplier"}, "q19": {"Scan part"}, "q20": {"Scan part"},
+	}
 	for _, qid := range QueryIDs() {
 		sql := Queries()[qid]
 		sel, err := sqlparse.ParseSelect(sql)
@@ -842,20 +852,27 @@ func TestScanPredicatesRunOnKernels(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", qid, err)
 		}
+		onKernels := map[string]bool{}
 		for _, sp := range tr.Spans() {
 			if sp.PredKernel > 0 {
 				kernelScans++
+				onKernels[sp.Op] = true
 			}
 			if sp.PredRow > 0 {
-				if why, ok := rowPredicateScans[qid]; ok {
-					t.Logf("%s: %s: %d page sets on the row fallback (expected: %s)", qid, sp.Op, sp.PredRow, why)
+				if want, ok := rowPredicateScans[qid]; ok && want.scan == sp.Op {
+					t.Logf("%s: %s: %d pages or page sets on the row fallback (expected: %s)", qid, sp.Op, sp.PredRow, want.why)
 					continue
 				}
-				t.Errorf("%s: %s evaluated its predicate row by row on %d page sets", qid, sp.Op, sp.PredRow)
+				t.Errorf("%s: %s evaluated its predicate row by row on %d pages or page sets", qid, sp.Op, sp.PredRow)
 			}
 		}
 		if _, listed := rowPredicateScans[qid]; m.PredRowSets != 0 && !listed {
 			t.Errorf("%s: RunMetrics.PredRowSets = %d, want 0", qid, m.PredRowSets)
+		}
+		for _, op := range rowTableKernels[qid] {
+			if !onKernels[op] {
+				t.Errorf("%s: %s shows no pred=kernel", qid, op)
+			}
 		}
 	}
 	if kernelScans == 0 {

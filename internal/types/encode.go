@@ -37,47 +37,84 @@ func AppendValue(dst []byte, v Value) []byte {
 	return dst
 }
 
+// Cell is one encoded value, unboxed: its kind and payload — I for INT,
+// DATE and BOOLEAN, F for FLOAT, S a string's bytes, aliasing the encoding
+// it was decoded from (nil for the other kinds).
+type Cell struct {
+	K Kind
+	I int64
+	F float64
+	S []byte
+}
+
+// Value boxes the cell, copying a string's bytes.
+func (c Cell) Value() Value {
+	if c.K == KindString {
+		return Value{K: KindString, S: string(c.S)}
+	}
+	return Value{K: c.K, I: c.I, F: c.F}
+}
+
 // DecodeValue decodes one value from b, returning the value and the number
 // of bytes consumed.
 func DecodeValue(b []byte) (Value, int, error) {
+	var c Cell
+	n, err := decodeCell(b, &c)
+	if err != nil {
+		return Null, 0, err
+	}
+	return c.Value(), n, nil
+}
+
+// decodeCell decodes one value from b into c without boxing it, returning
+// the bytes it took. Only the fields the kind uses are written, and S is cleared for a
+// kind that is not a string, so a reused cell writes no pointer for a
+// column that holds none.
+func decodeCell(b []byte, c *Cell) (int, error) {
 	if len(b) == 0 {
-		return Null, 0, fmt.Errorf("types: decode value: empty buffer")
+		return 0, fmt.Errorf("types: decode value: empty buffer")
 	}
 	k := Kind(b[0])
-	pos := 1
+	n := 1
+	var i int64
+	var f float64
 	switch k {
 	case KindNull:
-		return Null, pos, nil
 	case KindInt, KindDate:
-		i, n := binary.Varint(b[pos:])
-		if n <= 0 {
-			return Null, 0, fmt.Errorf("types: decode value: bad varint")
+		var m int
+		if i, m = binary.Varint(b[1:]); m <= 0 {
+			return 0, fmt.Errorf("types: decode value: bad varint")
 		}
-		return Value{K: k, I: i}, pos + n, nil
+		n += m
 	case KindBool:
-		if len(b) < pos+1 {
-			return Null, 0, fmt.Errorf("types: decode value: short bool")
+		if len(b) < 2 {
+			return 0, fmt.Errorf("types: decode value: short bool")
 		}
-		return Value{K: KindBool, I: int64(b[pos])}, pos + 1, nil
+		i, n = int64(b[1]), 2
 	case KindFloat:
-		if len(b) < pos+8 {
-			return Null, 0, fmt.Errorf("types: decode value: short float")
+		if len(b) < 9 {
+			return 0, fmt.Errorf("types: decode value: short float")
 		}
-		f := math.Float64frombits(binary.LittleEndian.Uint64(b[pos:]))
-		return Value{K: KindFloat, F: f}, pos + 8, nil
+		f, n = math.Float64frombits(binary.LittleEndian.Uint64(b[1:])), 9
 	case KindString:
-		l, n := binary.Uvarint(b[pos:])
-		if n <= 0 {
-			return Null, 0, fmt.Errorf("types: decode value: bad string length")
+		l, m := binary.Uvarint(b[1:])
+		if m <= 0 {
+			return 0, fmt.Errorf("types: decode value: bad string length")
 		}
-		pos += n
-		if uint64(len(b)-pos) < l {
-			return Null, 0, fmt.Errorf("types: decode value: short string (%d < %d)", len(b)-pos, l)
+		n += m
+		if uint64(len(b)-n) < l {
+			return 0, fmt.Errorf("types: decode value: short string (%d < %d)", len(b)-n, l)
 		}
-		return Value{K: KindString, S: string(b[pos : pos+int(l)])}, pos + int(l), nil
+		c.K, c.I, c.F, c.S = KindString, 0, 0, b[n:n+int(l):n+int(l)]
+		return n + int(l), nil
 	default:
-		return Null, 0, fmt.Errorf("types: decode value: unknown kind %d", b[0])
+		return 0, fmt.Errorf("types: decode value: unknown kind %d", b[0])
 	}
+	c.K, c.I, c.F = k, i, f
+	if c.S != nil {
+		c.S = nil
+	}
+	return n, nil
 }
 
 // AppendRow appends the binary encoding of r (a uvarint arity followed by
@@ -142,27 +179,60 @@ func DecodeRowInto(b []byte, mask []bool, dst Row) (Row, int, error) {
 	return decodeRow(b, mask, false, dst)
 }
 
-// decodeRow is DecodeRow (all set) and DecodeRowInto.
-func decodeRow(b []byte, mask []bool, all bool, dst Row) (Row, int, error) {
+// DecodeRowCells is DecodeRowInto without boxing: the marked columns of
+// the row in b are decoded into dst's cells, a string's bytes aliasing b,
+// so nothing is allocated once dst is as wide as the row. It rejects
+// exactly the encodings DecodeRow rejects and consumes the same bytes.
+func DecodeRowCells(b []byte, mask []bool, dst []Cell) ([]Cell, int, error) {
+	arity, pos, err := rowArity(b)
+	if err != nil {
+		return nil, 0, err
+	}
+	if uint64(cap(dst)) < arity {
+		dst = make([]Cell, arity)
+	}
+	cells := dst[:arity]
+	for i := range cells {
+		var m int
+		if i < len(mask) && mask[i] {
+			m, err = decodeCell(b[pos:], &cells[i])
+		} else {
+			m, err = skipValue(b[pos:])
+		}
+		if err != nil {
+			return nil, 0, fmt.Errorf("types: decode row col %d: %w", i, err)
+		}
+		pos += m
+	}
+	return cells, pos, nil
+}
+
+// rowArity reads a row's arity, returning it and the bytes it took.
+func rowArity(b []byte) (uint64, int, error) {
 	arity, n := binary.Uvarint(b)
 	if n <= 0 {
-		return nil, 0, fmt.Errorf("types: decode row: bad arity")
+		return 0, 0, fmt.Errorf("types: decode row: bad arity")
 	}
-	pos := n
 	// Every value takes at least its tag byte, so a longer arity cannot
 	// decode; refusing it here keeps a corrupt arity from sizing the row.
-	if arity > uint64(len(b)-pos) {
-		return nil, 0, fmt.Errorf("types: decode row: arity %d exceeds the %d bytes left", arity, len(b)-pos)
+	if arity > uint64(len(b)-n) {
+		return 0, 0, fmt.Errorf("types: decode row: arity %d exceeds the %d bytes left", arity, len(b)-n)
+	}
+	return arity, n, nil
+}
+
+// decodeRow is DecodeRow (all set) and DecodeRowInto.
+func decodeRow(b []byte, mask []bool, all bool, dst Row) (Row, int, error) {
+	arity, pos, err := rowArity(b)
+	if err != nil {
+		return nil, 0, err
 	}
 	if uint64(cap(dst)) < arity {
 		dst = make(Row, arity)
 	}
 	row := dst[:arity]
 	for i := range row {
-		var (
-			m   int
-			err error
-		)
+		var m int
 		if all || i < len(mask) && mask[i] {
 			row[i], m, err = DecodeValue(b[pos:])
 		} else {

@@ -266,7 +266,9 @@ func TestEncodeDecodeRowQuick(t *testing.T) {
 // FuzzDecodeRowInto: on any input, DecodeRowInto under any mask succeeds
 // exactly when DecodeRow does, and then fills the marked columns with
 // DecodeRow's values, leaves the others as dst held them, and consumes the
-// same bytes. It never panics. The seeds are TestEncodeDecodeRowQuick's rows
+// same bytes. So does the typed decode, DecodeRowCells: each marked cell
+// boxes to DecodeRowInto's value, and an unmarked one stays as dst held it.
+// Neither ever panics. The seeds are TestEncodeDecodeRowQuick's rows
 // and a few truncations and corruptions of one.
 func FuzzDecodeRowInto(f *testing.F) {
 	for _, r := range []Row{
@@ -299,6 +301,9 @@ func FuzzDecodeRowInto(f *testing.F) {
 			t.Fatalf("DecodeRow err %v, DecodeRowInto err %v", wantErr, err)
 		}
 		if err != nil {
+			if _, _, cerr := DecodeRowCells(b, mask, nil); cerr == nil {
+				t.Fatalf("DecodeRow err %v, DecodeRowCells none", wantErr)
+			}
 			return
 		}
 		if n != wantN || len(got) != len(want) {
@@ -313,6 +318,23 @@ func FuzzDecodeRowInto(f *testing.F) {
 				t.Fatalf("col %d: %v, DecodeRow %v", i, got[i], want[i])
 			case !marked && len(want) <= len(dst) && !same(got[i], sentinel):
 				t.Fatalf("unmarked col %d overwritten with %v", i, got[i])
+			}
+		}
+		untouched := Cell{K: KindString, S: []byte("untouched")}
+		cellDst := make([]Cell, len(dst))
+		for i := range cellDst {
+			cellDst[i] = untouched
+		}
+		cells, cn, err := DecodeRowCells(b, mask, cellDst)
+		if err != nil || cn != wantN || len(cells) != len(want) {
+			t.Fatalf("DecodeRowCells: %d bytes into %d cells, err %v; DecodeRowInto %d into %d", cn, len(cells), err, wantN, len(want))
+		}
+		for i := range want {
+			switch marked := i < len(mask) && mask[i]; {
+			case marked && !same(cells[i].Value(), got[i]):
+				t.Fatalf("cell %d: %v, DecodeRowInto %v", i, cells[i].Value(), got[i])
+			case !marked && len(want) <= len(cellDst) && !same(cells[i].Value(), sentinel):
+				t.Fatalf("unmarked cell %d overwritten with %v", i, cells[i].Value())
 			}
 		}
 	})

@@ -16,7 +16,11 @@
 // not. The vecown lint rule enforces the non-retention half of this.
 package vec
 
-import "repro/internal/types"
+import (
+	"sync/atomic"
+
+	"repro/internal/types"
+)
 
 // Form identifies the physical layout of one column.
 type Form uint8
@@ -56,10 +60,23 @@ func FormFor(k types.Kind) Form {
 type Dict struct {
 	strs  []string
 	index map[string]int32
+	id    uint64
 }
 
+// dictIDs numbers dictionary contents: a dictionary takes the next number
+// when it is made and again at every Reset.
+var dictIDs atomic.Uint64
+
 // NewDict returns an empty dictionary.
-func NewDict() *Dict { return &Dict{index: make(map[string]int32)} }
+func NewDict() *Dict { return &Dict{index: make(map[string]int32), id: dictIDs.Add(1)} }
+
+// ID names the dictionary's contents: no other dictionary has it, and
+// Reset changes it, so per-code results kept under an ID are never stale —
+// a code under it always names the string it named.
+func (d *Dict) ID() uint64 { return d.id }
+
+// Len returns the number of entries.
+func (d *Dict) Len() int { return len(d.strs) }
 
 // Code interns s, returning its stable code.
 func (d *Dict) Code(s string) int32 {
@@ -94,6 +111,7 @@ func (d *Dict) Reset() {
 	clear(d.index)
 	clear(d.strs)
 	d.strs = d.strs[:0]
+	d.id = dictIDs.Add(1)
 }
 
 // Lookup returns the code of s without interning it.

@@ -42,8 +42,8 @@ echo "==> nested benchmark module (compile, smoke test, import-surface guard)"
 # large probe, a q21-shaped large build, and q21's semi and anti joins built
 # on either side; the row scan over partsupp-shaped rows (1-in-200 and
 # all-pass predicate on an unemitted column); the columnar scan predicates of
-# q6, q12, q19 and l_discount > 0.05 over SF0.01 lineitem; and q1's aggregate
-# over typed batches.
+# q6, q12, q19 and l_discount > 0.05 over SF0.01 lineitem, and q19's part
+# predicate over an SF0.02 row table; and q1's aggregate over typed batches.
 echo "==> bench smoke (exec: parallel vs serial build, hash join, row scan, scan predicates, q1's aggregate)"
 go test -run '^$' -bench 'BenchmarkParallelVsSerial|BenchmarkHashJoinBuildProbe|BenchmarkRowScan|BenchmarkScanPredicate|BenchmarkAggregateQ1Shape' \
   -benchtime 1x ./internal/exec >/dev/null
@@ -66,7 +66,10 @@ go test -run '^$' -bench BenchmarkStatsRefresh -benchtime 1x ./internal/catalog 
 echo "==> fuzz smoke (the three typed column-page decoders over every cell and a fuzzed selection against DecodeInto, every layout, and chain heads: error with exact rollback, a chain inside its overflow file, never panic)"
 go test -run '^$' -fuzz '^FuzzTypedDecode$' -fuzztime 5s ./internal/page >/dev/null
 
-echo "==> fuzz smoke (masked row decoder: agrees with DecodeRow under any mask, never panics)"
+echo "==> fuzz smoke (LIKE kernel: agrees with expr.Like.Eval on any strings and pattern, dictionary-coded and boxed, NOT LIKE and NULL too)"
+go test -run '^$' -fuzz '^FuzzLikeKernel$' -fuzztime 5s ./internal/exec >/dev/null
+
+echo "==> fuzz smoke (masked row decoder and its typed twin DecodeRowCells: agree with DecodeRow under any mask, never panic)"
 go test -run '^$' -fuzz '^FuzzDecodeRowInto$' -fuzztime 5s ./internal/types >/dev/null
 
 echo "==> fuzz smoke (Huffman decoder: never panics, agrees with the bit-serial reference)"
