@@ -30,9 +30,12 @@ type RunMetrics struct {
 	PagesRead    int64
 	PagesSkipped int64
 	PageBytes    int64 // PagesRead × page size
-	// Page decode outcomes on the vector scan path: pages decoded by the
-	// typed batch decoders vs pages that fell back to boxed DecodeInto.
+	// DecodeTypedPages counts the pages the typed scans decoded.
 	DecodeTypedPages int64
+	// DecodeBoxedPages is always 0: no scan decodes a page boxed, as a
+	// column holds only its own kind. Nothing writes it; it stays for the
+	// benchmark, whose page.decode_boxed_pages metric (bench/trace.go)
+	// reads it.
 	DecodeBoxedPages int64
 	// PredRowSets counts page sets whose scan predicate fell back from the
 	// compiled vector kernel to row-by-row evaluation.
@@ -101,8 +104,7 @@ func (c *Cluster) runMetered(coord *CoordinatorNode, root plan.Node, traced bool
 
 	type snap struct {
 		rows, spill, state, scanned, pagesRead int64
-		decodeTyped, decodeBoxed, predRowSets  int64
-		boxedRows                              int64
+		decodeTyped, predRowSets, boxedRows    int64
 	}
 	before := make([]snap, len(c.Workers))
 	for i, w := range c.Workers {
@@ -114,7 +116,6 @@ func (c *Cluster) runMetered(coord *CoordinatorNode, root plan.Node, traced bool
 			scanned:     w.Store.RowsScanned.Load(),
 			pagesRead:   bs.Hits + bs.Misses, // logical page accesses
 			decodeTyped: w.execCtx.DecodeTypedPages.Load(),
-			decodeBoxed: w.execCtx.DecodeBoxedPages.Load(),
 			predRowSets: w.execCtx.PredRowSets.Load(),
 			boxedRows:   w.execCtx.BoxedRows.Load(),
 		}
@@ -151,7 +152,6 @@ func (c *Cluster) runMetered(coord *CoordinatorNode, root plan.Node, traced bool
 		bs := w.Store.Buf.Stats()
 		m.PagesRead += (bs.Hits + bs.Misses) - before[i].pagesRead
 		m.DecodeTypedPages += w.execCtx.DecodeTypedPages.Load() - before[i].decodeTyped
-		m.DecodeBoxedPages += w.execCtx.DecodeBoxedPages.Load() - before[i].decodeBoxed
 		m.PredRowSets += w.execCtx.PredRowSets.Load() - before[i].predRowSets
 		m.BoxedRows += w.execCtx.BoxedRows.Load() - before[i].boxedRows
 	}

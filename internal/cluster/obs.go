@@ -128,7 +128,6 @@ func registerClusterMetrics(c *Cluster) {
 	perWorker("storage.rows_scanned_total", func(w *Worker) int64 { return w.Store.RowsScanned.Load() })
 	perWorker("exec.rows_processed_total", func(w *Worker) int64 { return w.execCtx.RowsProcessed.Load() })
 	perWorker("exec.decode_typed_pages_total", func(w *Worker) int64 { return w.execCtx.DecodeTypedPages.Load() })
-	perWorker("exec.decode_boxed_pages_total", func(w *Worker) int64 { return w.execCtx.DecodeBoxedPages.Load() })
 	perWorker("exec.pred_row_sets_total", func(w *Worker) int64 { return w.execCtx.PredRowSets.Load() })
 	perWorker("exec.boxed_rows_total", func(w *Worker) int64 { return w.execCtx.BoxedRows.Load() })
 	perWorker("exec.spill_bytes_total", func(w *Worker) int64 { return w.execCtx.SpillBytes.Load() })

@@ -300,7 +300,6 @@ func TestClusterRegistryMetricNames(t *testing.T) {
 		"gauge buffer.hits",
 		"gauge buffer.misses",
 		"gauge exec.boxed_rows_total",
-		"gauge exec.decode_boxed_pages_total",
 		"gauge exec.decode_typed_pages_total",
 		"gauge exec.pred_row_sets_total",
 		"gauge exec.rows_processed_total",

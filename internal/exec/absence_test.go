@@ -127,17 +127,18 @@ func TestScansRecordExactlyTheEmptyUnits(t *testing.T) {
 					t.Fatal(err)
 				}
 				cp, err := page.AsColumnPage(f.Buf)
+				var vals []types.Value
 				if err == nil {
-					err = cp.DecodeInto(func(val types.Value) bool {
-						sealedRows++
-						if val.Int() > 900 {
-							sealedPasses++
-							units[page.Key{File: file, Page: base}] = false
-						}
-						return true
-					})
+					vals, err = cp.Values()
 				}
 				ns.Buf.Unpin(f, false)
+				for _, val := range vals {
+					sealedRows++
+					if val.Int() > 900 {
+						sealedPasses++
+						units[page.Key{File: file, Page: base}] = false
+					}
+				}
 				if err != nil {
 					t.Fatal(err)
 				}

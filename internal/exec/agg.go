@@ -93,7 +93,7 @@ const valueBytes = 40
 // promotes the column to float64 sums, so no value is truncated. MIN and MAX
 // add an extreme, unboxed for a
 // numeric or date argument; a value of another kind demotes the column to
-// boxed extremes, as vec.Col demotes.
+// boxed extremes.
 type aggCol struct {
 	kind    AggKind
 	float   bool // SUM, AVG: the sum is float64
@@ -1122,7 +1122,7 @@ func (t *aggTable) bindTyped() {
 // each distinct subexpression once for the batch — folds the kernel's
 // values for the whole batch into its column in one loop over those group
 // numbers. Anything else — an expression key, CASE, LIKE, division, a
-// string or demoted argument column — is evaluated on the boxed row, for
+// string or boxed argument column — is evaluated on the boxed row, for
 // that batch only; BoxedRows counts the rows so read, and those spilled.
 func (t *aggTable) ingestBatch(b *vec.Batch) error {
 	if t.args == nil {

@@ -403,7 +403,9 @@ func BenchmarkStringCellForms(b *testing.B) {
 						bt.Cols[0].Form, bt.Cols[0].Dict = vec.FormBoxed, nil
 					}
 					for i := range cells {
-						appendCell(&bt.Cols[0], &cells[i])
+						if err := appendCell(&bt.Cols[0], &cells[i]); err != nil {
+							b.Fatal(err)
+						}
 					}
 					bt.N = n
 					slab = bt.Materialize(slab)

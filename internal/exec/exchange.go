@@ -45,7 +45,7 @@ func exchangeHeader(buf []byte, msgType byte, origin int) []byte {
 
 // encodeBatch serializes rows column-wise (typed arrays, null bitmaps,
 // per-message string dictionaries — see vec wire format) behind the
-// exchange header. The LZ4 framing in the network layer composes on top.
+// exchange header. The network layer sends the payload uncompressed.
 func encodeBatch(msgType byte, origin int, rows []types.Row) []byte {
 	buf := exchangeHeader(make([]byte, 0, 64), msgType, origin)
 	return vec.EncodeRows(buf, rows)

@@ -64,17 +64,16 @@ type Counters struct {
 	// join build sides, aggregation tables, sort buffers) — the memory
 	// working set the paper's OOM discussion is about.
 	StateBytes atomic.Int64
-	// DecodeTypedPages/DecodeBoxedPages count column pages decoded by the
-	// typed batch decoders vs pages that fell back to the boxed
-	// DecodeInto path (kind mismatch or untyped layout). A nonzero boxed
-	// count on an OLAP workload means a scan is silently paying the
-	// boxing tax.
+	// DecodeTypedPages counts the pages the typed scans decoded into
+	// batches: column pages, and a row table's pages. There is no boxed
+	// decode to count beside it: a column holds only its own kind, which
+	// storage enforces, so a cell of another kind is a corrupt page.
 	DecodeTypedPages atomic.Int64
-	DecodeBoxedPages atomic.Int64
 	// PredRowSets counts the page sets of a columnar scan, and the pages of
 	// a row-table scan, whose predicate was evaluated row by row through
-	// expr.EvalBool — no kernel for its shape, or a demoted boxed column
-	// under it — instead of the compiled vector kernel. Like the boxed count, nonzero means a silent fallback.
+	// expr.EvalBool — no kernel for its shape, or a boxed string column
+	// under a kernel that reads codes — instead of the compiled vector
+	// kernel. Nonzero means a silent fallback.
 	PredRowSets atomic.Int64
 	// BoxedRows counts rows boxed on the way from a typed producer to a row
 	// consumer: every row a columnar scan's NextBatch materialized (a row

@@ -134,9 +134,8 @@ type rowPageDecoder struct {
 	cells []types.Cell // scratch: one row's cells
 	sel   []int32
 	row   types.Row // table-width row the uncompiled predicate reads
-	// A page is boxed when a cell of another kind boxed its column. No row
-	// is counted into rowsEval: a row table's predicate is not metered as
-	// filter work.
+	// No row is counted into rowsEval: a row table's predicate is not
+	// metered as filter work.
 	scanCounts
 }
 
@@ -147,13 +146,11 @@ func (d *rowPageDecoder) decodePage(snd *vecBatchSender, rows [][]byte) (kept bo
 	if len(rows) == 0 {
 		return false, nil
 	}
+	d.typedPages++
 	b := snd.building()
-	typed := true
 	var sel []int32 // the rows kept; nil without a predicate: every row
 	if d.fs.cfg.Pred != nil {
-		sel, typed, err = d.filter(b, rows)
-		if err != nil || len(sel) == 0 {
-			d.count(typed)
+		if sel, err = d.filter(b, rows); err != nil || len(sel) == 0 {
 			return false, err
 		}
 		for oi, ci := range d.fs.emit {
@@ -177,27 +174,17 @@ func (d *rowPageDecoder) decodePage(snd *vecBatchSender, rows [][]byte) (kept bo
 				return false, err
 			}
 			for _, oi := range d.fs.restOut {
-				if !appendCell(&b.Cols[oi], &cells[d.fs.emit[oi]]) {
-					typed = false
+				if err := appendCell(&b.Cols[oi], &cells[d.fs.emit[oi]]); err != nil {
+					return false, err
 				}
 			}
 		}
 	}
 	b.N += n
-	d.count(typed)
 	if !snd.maybeFlush() {
 		return true, storage.ErrStopScan
 	}
 	return true, nil
-}
-
-// count adds a decoded page to the typed or the boxed page count.
-func (d *rowPageDecoder) count(typed bool) {
-	if typed {
-		d.typedPages++
-	} else {
-		d.boxedPages++
-	}
 }
 
 // decodeRow decodes the columns mask marks of one encoded row into the
@@ -215,21 +202,19 @@ func (d *rowPageDecoder) decodeRow(r []byte, mask []bool) ([]types.Cell, error) 
 }
 
 // filter decodes the early columns of every row into eval and returns the
-// positions of the rows the predicate keeps; typed reports that every cell
-// went in its column's layout.
-func (d *rowPageDecoder) filter(b *vec.Batch, rows [][]byte) (sel []int32, typed bool, err error) {
+// positions of the rows the predicate keeps.
+func (d *rowPageDecoder) filter(b *vec.Batch, rows [][]byte) ([]int32, error) {
 	for _, ci := range d.fs.early {
 		d.resetEvalCol(ci, b)
 	}
-	typed = true
 	for _, r := range rows {
 		cells, err := d.decodeRow(r, d.fs.isEarly)
 		if err != nil {
-			return nil, typed, err
+			return nil, err
 		}
 		for _, ci := range d.fs.early {
-			if !appendCell(&d.eval.Cols[ci], &cells[ci]) {
-				typed = false
+			if err := appendCell(&d.eval.Cols[ci], &cells[ci]); err != nil {
+				return nil, err
 			}
 		}
 	}
@@ -239,23 +224,24 @@ func (d *rowPageDecoder) filter(b *vec.Batch, rows [][]byte) (sel []int32, typed
 		d.sel = sel
 		if err == nil {
 			d.kernelUnits++
-			return sel, typed, nil
+			return sel, nil
 		}
 		if !errors.Is(err, errVecFallback) {
-			return nil, typed, err
+			return nil, err
 		}
 	}
-	// No kernel for some conjunct, or one met a column boxed by a cell of
-	// another kind: evaluate the row expression, whole.
+	// No kernel for some conjunct, or one fell back: evaluate the row
+	// expression, whole.
 	d.rowUnits++
 	if d.row == nil {
 		d.row = make(types.Row, len(d.eval.Cols))
 	}
-	if sel, err = evalRows(d.fs.cfg.Pred, &d.eval, d.fs.pred, len(rows), d.row, d.sel[:0]); err != nil {
-		return nil, typed, err
+	sel, err := evalRows(d.fs.cfg.Pred, &d.eval, d.fs.pred, len(rows), d.row, d.sel[:0])
+	if err != nil {
+		return nil, err
 	}
 	d.sel = sel
-	return sel, typed, nil
+	return sel, nil
 }
 
 // resetEvalCol empties eval column ci into the layout the scan decodes it
@@ -282,24 +268,22 @@ func (d *rowPageDecoder) resetEvalCol(ci int, b *vec.Batch) {
 	}
 }
 
-// appendCell appends a decoded cell to c: unboxed when c's layout holds the
-// cell's kind, boxed into a boxed column, and otherwise through Col.Append,
-// which demotes a typed column to boxed — reported as false.
-func appendCell(c *vec.Col, x *types.Cell) bool {
+// appendCell appends a decoded cell to c, in c's layout. A cell of another
+// kind than its column's is one storage never writes: the page is corrupt.
+func appendCell(c *vec.Col, x *types.Cell) error {
 	switch {
 	case x.K == types.KindNull:
 		c.AppendNull()
-	case c.Form == vec.FormInt && x.K == c.Kind:
+	case x.K != c.Kind:
+		return fmt.Errorf("exec: a row page holds %v in a column of %v", x.K, c.Kind)
+	case c.Form == vec.FormInt:
 		c.I = append(c.I, x.I)
-	case c.Form == vec.FormFloat && x.K == types.KindFloat:
+	case c.Form == vec.FormFloat:
 		c.F = append(c.F, x.F)
-	case c.Form == vec.FormStr && x.K == types.KindString:
+	case c.Form == vec.FormStr:
 		c.Codes = append(c.Codes, c.Dict.CodeBytes(x.S))
-	case c.Form == vec.FormBoxed && x.K == c.Kind:
-		c.Vals = append(c.Vals, x.Value())
 	default:
-		c.Append(x.Value())
-		return false
+		c.Vals = append(c.Vals, x.Value())
 	}
-	return true
+	return nil
 }

@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/expr"
@@ -18,9 +19,12 @@ func cs(s string) *expr.Const     { return &expr.Const{V: types.NewString(s)} }
 
 // typedSource serves a row producer's slabs as typed batches, each built
 // fresh — the contract NewTypedHashAggregate and NewTypedProbeHashJoin ask of
-// their input. With sel set
-// every row is preceded by a decoy (its neighbour in the slab) that is in
-// the columns but not in Sel, so a reader that ignores Sel counts it.
+// their input. A column some row of the slab holds a value of another kind
+// in is laid out FormBoxed in that batch, as a row scan lays out a boxed
+// string column, so the typed front ends meet boxed and typed batches of
+// one column in one stream. With sel set every row is preceded by a decoy
+// (its neighbour in the slab) that is in the columns but not in Sel, so a
+// reader that ignores Sel counts it.
 type typedSource struct {
 	Operator
 	sel bool
@@ -31,10 +35,19 @@ func (s *typedSource) NextVec() (*vec.Batch, bool, error) {
 	if err != nil || !ok {
 		return nil, false, err
 	}
-	if !s.sel {
-		return vec.FromRows(s.Schema(), slab), true, nil
+	sch := s.Schema()
+	b := vec.New(sch)
+	for ci, c := range sch.Cols {
+		if slices.ContainsFunc(slab, func(r types.Row) bool { return !r[ci].IsNull() && r[ci].K != c.Kind }) {
+			b.Cols[ci].Form, b.Cols[ci].Dict = vec.FormBoxed, nil
+		}
 	}
-	b := vec.New(s.Schema())
+	if !s.sel {
+		for _, r := range slab {
+			b.AppendRow(r)
+		}
+		return b, true, nil
+	}
 	b.Sel = make([]int32, len(slab))
 	for i, r := range slab {
 		b.AppendRow(slab[(i+1)%len(slab)])
@@ -47,9 +60,9 @@ func (s *typedSource) NextVec() (*vec.Batch, bool, error) {
 // aggParityData is the table the front-end parity tests aggregate: every
 // key kind, NULLs in an int, a float and two string columns, a string
 // column with a value per row, and a column declared INT that holds one
-// string (its batch demotes to boxed). The floats are small dyadic
-// fractions, so their sums and products are exact in any order and results
-// compare bit for bit at every degree.
+// string (typedSource lays it out boxed in that row's batch). The floats
+// are small dyadic fractions, so their sums and products are exact in any
+// order and results compare bit for bit at every degree.
 func aggParityData() (types.Schema, []types.Row) {
 	sch := types.Schema{Cols: []types.Column{
 		{Name: "i", Kind: types.KindInt}, {Name: "d", Kind: types.KindDate},
@@ -127,8 +140,8 @@ func TestAggFrontEndParity(t *testing.T) {
 		{"string, int and date keys", ColRefs(3, 0, 1), []AggSpec{count, sum(col(6))}, false},
 		{"float key", ColRefs(5), []AggSpec{count, {Kind: AggMax, Arg: col(1), Name: "hi"}}, false},
 		{"expression key", []expr.Expr{add(col(0), ci(1))}, []AggSpec{sum(col(4))}, true},
-		{"demoted key column", ColRefs(7), []AggSpec{count, sum(col(6))}, false},
-		{"demoted argument column", ColRefs(2), []AggSpec{sum(col(7)), {Kind: AggMax, Arg: col(7), Name: "hi"}}, true},
+		{"boxed key column", ColRefs(7), []AggSpec{count, sum(col(6))}, false},
+		{"boxed argument column", ColRefs(2), []AggSpec{sum(col(7)), {Kind: AggMax, Arg: col(7), Name: "hi"}}, true},
 		{"string argument", ColRefs(0), []AggSpec{{Kind: AggMax, Arg: col(3), Name: "hi"}}, true},
 		{"CASE argument", ColRefs(1), []AggSpec{sum(&expr.Case{
 			Whens: []expr.When{{Cond: col(2), Then: col(6)}}, Else: ci(0)}), count}, true},
@@ -223,7 +236,7 @@ func assertSameValues(t *testing.T, got, want []types.Row) {
 
 // TestAggKeyLandsInOneGroupEitherWay: a row lands in the same group
 // whichever front end files it — for every key kind, NULL, a value whose
-// kind is not its column's, and a key from a column demoted to boxed — which
+// kind is not its column's, and a key from a column laid out boxed — which
 // is what lets a row the typed front end spilled rejoin its group through
 // the row front end. Groups are what types.AppendRow tells apart: INT 3 and
 // FLOAT 3.0 are two, and so are FLOAT 0 and -0.
@@ -315,10 +328,11 @@ func emptyTyped(sch types.Schema) VecOperator { return &typedSource{Operator: Ne
 
 // joinParityData is the pair of tables the join front-end parity test joins.
 // Probe: k INT with NULLs, s STRING with NULLs, d INT, m declared INT holding
-// one string (its batch demotes to boxed), v a row id. Build: the same five
-// columns over fewer keys, so that most probe rows find no bucket, with
-// duplicate keys (several matches a probe row), NULL keys on both sides (which
-// hash alike and must not match) and the same wrong-kind value under m.
+// one string (typedSource lays it out boxed in that row's batch), v a row
+// id. Build: the same five columns over fewer keys, so that most probe rows
+// find no bucket, with duplicate keys (several matches a probe row), NULL
+// keys on both sides (which hash alike and must not match) and the same
+// wrong-kind value under m.
 func joinParityData() (probeSch types.Schema, probe []types.Row, buildSch types.Schema, build []types.Row) {
 	cols := func(p string) types.Schema {
 		return types.Schema{Cols: []types.Column{
@@ -468,7 +482,7 @@ func TestJoinFrontEndParity(t *testing.T) {
 		{name: "string key with NULLs", probeKeys: ColRefs(1), buildKeys: ColRefs(1)},
 		{name: "two-column key", probeKeys: ColRefs(0, 2), buildKeys: ColRefs(0, 2)},
 		{name: "expression key", probeKeys: inc(col(0)), buildKeys: inc(col(0))},
-		{name: "demoted key column", probeKeys: ColRefs(3), buildKeys: ColRefs(3)},
+		{name: "boxed key column", probeKeys: ColRefs(3), buildKeys: ColRefs(3)},
 		{name: "residual", probeKeys: ColRefs(0), buildKeys: ColRefs(0), residual: lt(col(4), col(baseProbeSch.Len()+4))},
 		// q21's shape: a key match counts only with another supplier.
 		{name: "not-equal residual", probeKeys: ColRefs(0), buildKeys: ColRefs(0),

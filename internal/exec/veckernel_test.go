@@ -390,9 +390,9 @@ func checkRowPageFilter(t *testing.T, sch types.Schema, rows []types.Row, e expr
 		fs.layOutRows(sch)
 		d := fs.newDecoder()
 		snd := &vecBatchSender{sch: sch, boxed: fs.boxed}
-		kept, typed, err := d.filter(snd.building(), enc)
-		if err != nil || !typed {
-			t.Fatalf("boxed strings %v: row-page filter: typed %v, err %v", boxed != nil, typed, err)
+		kept, err := d.filter(snd.building(), enc)
+		if err != nil {
+			t.Fatalf("boxed strings %v: row-page filter: %v", boxed != nil, err)
 		}
 		if !slices.Equal(kept, want) {
 			t.Fatalf("boxed strings %v: row-page filter kept %v, want %v", boxed != nil, kept, want)
@@ -491,23 +491,20 @@ func TestCodeSpaceCorruptCode(t *testing.T) {
 	}
 }
 
-// TestFallbackDecodesInFull: when a later conjunct meets a page of no typed
-// layout, the row expression decides the set, and every predicate column —
-// one only tested in code space, one decoded at the rows still kept, and
-// the boxed one — is decoded in full first, holding every row's value.
+// TestFallbackDecodesInFull: when a conjunct has no kernel — q22's
+// SUBSTRING … IN — the row expression decides the set, and every predicate
+// column — a dictionary page, a fixed-width one and a tagged one — is
+// decoded in full first, holding every row's value.
 func TestFallbackDecodesInFull(t *testing.T) {
 	sch := types.NewSchema(
 		types.Column{Name: "tag", Kind: types.KindString},
 		types.Column{Name: "id", Kind: types.KindInt},
-		types.Column{Name: "mixed", Kind: types.KindInt},
+		types.Column{Name: "phone", Kind: types.KindString},
 	)
 	var rows []types.Row
 	for k := int64(0); k < 300; k++ {
-		mixed := types.NewInt(k % 50)
-		if k%97 == 5 {
-			mixed = types.NewString("x")
-		}
-		rows = append(rows, types.Row{types.NewString(fmt.Sprintf("T-%d", k%4)), types.NewInt(k * 1009), mixed})
+		phone := types.NewString(fmt.Sprintf("%d-%03d", 10+k%25, k))
+		rows = append(rows, types.Row{types.NewString(fmt.Sprintf("T-%d", k%4)), types.NewInt(k * 1009), phone})
 	}
 	set := page.PageSet{Pages: make([]page.ColumnPage, sch.Len())}
 	for ci := range set.Pages {
@@ -520,7 +517,8 @@ func TestFallbackDecodesInFull(t *testing.T) {
 		p.Seal()
 		set.Pages[ci] = p
 	}
-	pred := and(and(in(ncol(0, "tag"), false, cs("T-1"), cs("T-2")), gt(ncol(1, "id"), ci(30_000))), lt(ncol(2, "mixed"), ci(30)))
+	code := &expr.Func{Name: "SUBSTRING", Args: []expr.Expr{ncol(2, "phone"), ci(1), ci(2)}}
+	pred := and(and(in(ncol(0, "tag"), false, cs("T-1"), cs("T-2")), gt(ncol(1, "id"), ci(30_000))), in(code, false, cs("13"), cs("31")))
 	scan := &VecColumnarScan{cfg: ScanConfig{Pred: pred}}
 	scan.layOut(sch, nil, pred)
 	d := scan.newDecoder()

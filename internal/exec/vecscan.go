@@ -61,10 +61,10 @@ func (b *vecBatchSender) flush() bool {
 
 // VecColumnarScan is the vector-native PAX-table scan: page sets are
 // decoded column-wise by the typed page decoders straight into slab
-// columns while their frames stay pinned — no types.Value is ever boxed on
-// the typed path (pages whose cells mismatch their declared kind fall back
-// to DecodeInto per page, counted in the decode_boxed_pages counter; page
-// sets whose predicate had no kernel are counted in PredRowSets).
+// columns while their frames stay pinned — no types.Value is ever boxed, as
+// a column holds only its own kind (storage refuses another, so a cell of
+// one is a corrupt page and the scan's error); page sets whose predicate had
+// no kernel are counted in PredRowSets.
 //
 // The scan reads only the columns it needs: the ones it emits (cfg.Cols)
 // and the ones its predicate refers to. Storage fetches and pins just those
@@ -168,20 +168,19 @@ func (cs *VecColumnarScan) run() error {
 	return err
 }
 
-// scanCounts is what a typed scan's worker counts: pages decoded typed and
-// boxed; rows that entered the predicate (the columnar scan's: they are
-// filter work, metered as a Filter above the scan would meter them); and
+// scanCounts is what a typed scan's worker counts: pages decoded; rows that
+// entered the predicate (the columnar scan's: they are filter work,
+// metered as a Filter above the scan would meter them); and
 // the units — page sets, or a row table's pages — whose predicate the
 // compiled kernels decided, and those it was evaluated on row by row
 // through expr.EvalBool.
 type scanCounts struct {
-	typedPages, boxedPages, rowsEval int64
-	kernelUnits, rowUnits            int64
+	typedPages, rowsEval  int64
+	kernelUnits, rowUnits int64
 }
 
 func (c *scanCounts) add(o *scanCounts) {
 	c.typedPages += o.typedPages
-	c.boxedPages += o.boxedPages
 	c.rowsEval += o.rowsEval
 	c.kernelUnits += o.kernelUnits
 	c.rowUnits += o.rowUnits
@@ -192,14 +191,13 @@ func (c *scanCounts) add(o *scanCounts) {
 func (c *scanCounts) report(cfg ScanConfig, stats storage.ScanStats, cols *scanCols, degree int) {
 	cfg.Trace.AddScan(stats.RowsRead, stats.PagesRead, stats.PagesSkipped)
 	cfg.Trace.SetCols(len(cols.read), cols.table.Len())
-	cfg.Trace.AddDecode(c.typedPages, c.boxedPages)
+	cfg.Trace.AddDecode(c.typedPages)
 	cfg.Trace.AddPred(c.kernelUnits, c.rowUnits)
 	if degree > 1 {
 		cfg.Trace.AddWorkers(int64(degree))
 	}
 	if ctx := cfg.Ctx; ctx != nil && ctx.Counters != nil {
 		ctx.DecodeTypedPages.Add(c.typedPages)
-		ctx.DecodeBoxedPages.Add(c.boxedPages)
 		ctx.PredRowSets.Add(c.rowUnits)
 		ctx.RowsProcessed.Add(c.rowsEval)
 	}
@@ -273,7 +271,7 @@ type pageSetDecoder struct {
 	chunkSel []int32   // one chain page's share of sel, rebased to the page
 	scratch  types.Row // table-width row the uncompiled predicate reads
 	// Each page of a set is counted at most once (a page tested in code
-	// space counts as typed); rowsEval is every row of a set, however early
+	// space counts as decoded); rowsEval is every row of a set, however early
 	// the conjuncts drop it.
 	scanCounts
 }
@@ -356,9 +354,9 @@ func (d *pageSetDecoder) filter(b *vec.Batch, set page.PageSet, nrows int) ([]in
 			return nil, err
 		}
 	}
-	// No kernel for some conjunct, or one met a layout it cannot handle (a
-	// page demoted to boxed): evaluate the row expression, whole, over every
-	// predicate column in full — a narrowed one holds only some rows.
+	// No kernel for some conjunct, or one fell back: evaluate the row
+	// expression, whole, over every predicate column in full — a narrowed
+	// one holds only some rows.
 	for _, ci := range d.cs.pred {
 		if d.state[ci] != colFull {
 			if err := d.decodePred(ci, nil); err != nil {
@@ -398,8 +396,6 @@ func (d *pageSetDecoder) test(j int, pos []int32) (int, bool, error) {
 	resetCol(e, d.cs.table.Cols[ci].Kind, d.entryDict)
 	codes, err := chunks[0].DictEntries(e)
 	switch {
-	case errors.Is(err, page.ErrKindMismatch):
-		return 0, false, nil // the decode that follows boxes the page
 	case err != nil:
 		return 0, false, err
 	case codes == nil:
@@ -407,7 +403,7 @@ func (d *pageSetDecoder) test(j int, pos []int32) (int, bool, error) {
 	case len(codes) != d.eval.N:
 		return 0, false, fmt.Errorf("exec: a page of %d values in a set of %d rows", len(codes), d.eval.N)
 	}
-	d.countPage(&d.counted[ci], 0, true)
+	d.countPage(&d.counted[ci], 0)
 	n := e.Len()
 	d.entries.N = n
 	t, null, err := c.node.evalBool(&d.entries, n)
@@ -456,7 +452,7 @@ func (d *pageSetDecoder) load(j int, sel []int32) error {
 // at the positions sel — every one for nil, densely. Under a selection the
 // cells decode into a scratch column and spreadCol moves them to their
 // positions of the full-length eval column, so the kernels read them
-// through b.Sel as ever; a page demoted to boxed there is errVecFallback.
+// through b.Sel as ever.
 func (d *pageSetDecoder) decodePred(ci int, sel []int32) error {
 	c := d.resetEvalCol(ci)
 	if sel == nil {
@@ -468,9 +464,6 @@ func (d *pageSetDecoder) decodePred(ci int, sel []int32) error {
 	if err := d.decodeCol(d.set.Chunks(ci), tmp, sel, &d.counted[ci]); err != nil {
 		return err
 	}
-	if tmp.Form != c.Form {
-		return errVecFallback
-	}
 	spreadCol(c, tmp, sel, d.eval.N)
 	d.state[ci] = colNarrow
 	return nil
@@ -479,9 +472,9 @@ func (d *pageSetDecoder) decodePred(ci int, sel []int32) error {
 // resetEvalCol readies eval column ci for a decode in this page set (see
 // resetCol). A string column takes the building batch's dictionary for that
 // column, so gathered codes need no translation, or, given none (the
-// column is not emitted, or its building column demoted to boxed), the
-// decoder's own for the column, emptied: it lasts for this page set, as one
-// kept for the whole scan would grow to the column's size.
+// column is not emitted), the decoder's own for the column, emptied: it
+// lasts for this page set, as one kept for the whole scan would grow to the
+// column's size.
 func (d *pageSetDecoder) resetEvalCol(ci int) *vec.Col {
 	var dict *vec.Dict
 	if oi := d.cs.outOf[ci]; oi >= 0 {
@@ -500,9 +493,8 @@ func (d *pageSetDecoder) resetEvalCol(ci int) *vec.Col {
 	return c
 }
 
-// resetCol empties c into the layout of a column of kind — a demoted
-// previous set must not leak boxedness into this one — its slabs truncated
-// and a string column interning into dict.
+// resetCol empties c into the layout of a column of kind, its slabs
+// truncated and a string column interning into dict.
 func resetCol(c *vec.Col, kind types.Kind, dict *vec.Dict) {
 	c.Kind = kind
 	c.Form = vec.FormFor(kind)
@@ -542,21 +534,17 @@ func scatter[T int64 | float64 | int32](dst, src []T, sel []int32, n int) []T {
 	return dst
 }
 
-// countPage adds a decode of chunk k of a column's pages in the set to the
-// typed or boxed page count, unless counted records the chunk counted
-// already; nil counted is a column decoded once per set.
-func (d *pageSetDecoder) countPage(counted *uint32, k int, typed bool) {
+// countPage counts a decode of chunk k of a column's pages in the set,
+// unless counted records the chunk counted already; nil counted is a column
+// decoded once per set.
+func (d *pageSetDecoder) countPage(counted *uint32, k int) {
 	if counted != nil {
 		if *counted&(1<<k) != 0 {
 			return
 		}
 		*counted |= 1 << k
 	}
-	if typed {
-		d.typedPages++
-	} else {
-		d.boxedPages++
-	}
+	d.typedPages++
 }
 
 // decodeCol decodes a column's cells at the ascending set-relative
@@ -567,11 +555,10 @@ func (d *pageSetDecoder) countPage(counted *uint32, k int, typed bool) {
 func (d *pageSetDecoder) decodeCol(chunks []page.ColumnPage, c *vec.Col, sel []int32, counted *uint32) error {
 	if sel == nil || len(chunks) == 1 {
 		for k, pg := range chunks {
-			typed, err := d.decodePage(pg, c, sel)
-			if err != nil {
+			if err := decodePage(pg, c, sel); err != nil {
 				return err
 			}
-			d.countPage(counted, k, typed)
+			d.countPage(counted, k)
 		}
 		return nil
 	}
@@ -585,11 +572,10 @@ func (d *pageSetDecoder) decodeCol(chunks []page.ColumnPage, c *vec.Col, sel []i
 		}
 		d.chunkSel = part
 		if len(part) > 0 {
-			typed, err := d.decodePage(pg, c, part)
-			if err != nil {
+			if err := decodePage(pg, c, part); err != nil {
 				return err
 			}
-			d.countPage(counted, k, typed)
+			d.countPage(counted, k)
 		}
 		first = end
 	}
@@ -600,64 +586,27 @@ func (d *pageSetDecoder) decodeCol(chunks []page.ColumnPage, c *vec.Col, sel []i
 }
 
 // decodePage decodes a column page's cells at the page-relative positions in
-// sel (nil: every cell) into c, typed when the column's layout has a typed
-// decoder and the selected cells match, boxed DecodeInto (with Col.Append's
-// demotion safety net) otherwise; typed reports which.
-func (d *pageSetDecoder) decodePage(pg page.ColumnPage, c *vec.Col, sel []int32) (typed bool, err error) {
+// sel (nil: every cell) into c with the typed decoder of c's layout.
+func decodePage(pg page.ColumnPage, c *vec.Col, sel []int32) error {
+	bm := vec.Bitmap{Words: c.Nulls}
+	var err error
 	switch c.Form {
 	case vec.FormInt:
-		bm := vec.Bitmap{Words: c.Nulls}
-		out, err := pg.DecodeInt64sSel(c.Kind, c.I, &bm, sel)
-		if err == nil {
-			c.I, c.Nulls = out, bm.Words
-			return true, nil
-		}
-		if !errors.Is(err, page.ErrKindMismatch) {
-			return false, err
-		}
+		c.I, err = pg.DecodeInt64sSel(c.Kind, c.I, &bm, sel)
 	case vec.FormFloat:
-		bm := vec.Bitmap{Words: c.Nulls}
-		out, err := pg.DecodeFloat64sSel(c.F, &bm, sel)
-		if err == nil {
-			c.F, c.Nulls = out, bm.Words
-			return true, nil
-		}
-		if !errors.Is(err, page.ErrKindMismatch) {
-			return false, err
-		}
+		c.F, err = pg.DecodeFloat64sSel(c.F, &bm, sel)
 	case vec.FormStr:
-		bm := vec.Bitmap{Words: c.Nulls}
-		out, err := pg.DecodeStringsSel(c.Dict, c.Codes, &bm, sel)
-		if err == nil {
-			c.Codes, c.Nulls = out, bm.Words
-			return true, nil
-		}
-		if !errors.Is(err, page.ErrKindMismatch) {
-			return false, err
-		}
+		c.Codes, err = pg.DecodeStringsSel(c.Dict, c.Codes, &bm, sel)
+	default:
+		return fmt.Errorf("exec: no typed decoder for a %v column", c.Kind)
 	}
-	si, pos := 0, 0
-	return false, pg.DecodeInto(func(v types.Value) bool {
-		if sel == nil || (si < len(sel) && int(sel[si]) == pos) {
-			c.Append(v)
-			si++
-		}
-		pos++
-		return sel == nil || si < len(sel)
-	})
+	c.Nulls = bm.Words
+	return err
 }
 
-// gatherAppend appends src's values at the selected positions to dst.
-// When both columns share a layout (and, for strings, the dictionary),
-// payloads copy unboxed; any mismatch boxes through Value/Append, which
-// preserves the demotion semantics.
+// gatherAppend appends src's values at the selected positions to dst, which
+// has src's layout and, for strings, its dictionary: payloads copy unboxed.
 func gatherAppend(dst, src *vec.Col, sel []int32) {
-	if dst.Form != src.Form || (src.Form == vec.FormStr && dst.Dict != src.Dict) {
-		for _, i := range sel {
-			dst.Append(src.Value(int(i)))
-		}
-		return
-	}
 	switch src.Form {
 	case vec.FormInt:
 		for _, i := range sel {

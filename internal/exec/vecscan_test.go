@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/storage"
 	"repro/internal/testutil"
 	"repro/internal/types"
+	"repro/internal/vec"
 )
 
 // vecScanFragment builds a small columnar fragment with every slab form the
@@ -100,8 +102,7 @@ func openColumnar(t *testing.T, name string, sch types.Schema) *storage.Columnar
 //   - rate (FLOAT) is a dictionary with a NULL entry throughout;
 //   - tag (STRING) is a dictionary with a NULL entry whose strings block b
 //     alone holds (T-4b to T-4b+3);
-//   - mixed (INT) holds a string cell in a few rows of block 2, so its pages
-//     there are of no typed layout and decode boxed.
+//   - m (INT) is a dictionary of 50 values throughout.
 func codeSpaceFragment(t *testing.T) *storage.ColumnarFragment {
 	t.Helper()
 	sch := types.NewSchema(
@@ -109,7 +110,7 @@ func codeSpaceFragment(t *testing.T) *storage.ColumnarFragment {
 		types.Column{Name: "grade", Kind: types.KindInt},
 		types.Column{Name: "rate", Kind: types.KindFloat},
 		types.Column{Name: "tag", Kind: types.KindString},
-		types.Column{Name: "mixed", Kind: types.KindInt},
+		types.Column{Name: "m", Kind: types.KindInt},
 	)
 	fr := openColumnar(t, "codes", sch)
 	var rows []types.Row
@@ -133,9 +134,6 @@ func codeSpaceFragment(t *testing.T) *storage.ColumnarFragment {
 		}
 		if i%11 == 5 {
 			r[3] = types.Null
-		}
-		if block == 2 && i%100 == 17 {
-			r[4] = types.NewString("x")
 		}
 		rows = append(rows, r)
 	}
@@ -253,9 +251,6 @@ func TestVecScanPushdownParity(t *testing.T) {
 			if typed := ctx.DecodeTypedPages.Load(); typed == 0 {
 				t.Error("pushdown scan decoded no typed pages")
 			}
-			if boxed := ctx.DecodeBoxedPages.Load(); boxed != 0 {
-				t.Errorf("pushdown scan fell back to boxed decode on %d pages", boxed)
-			}
 
 			// Same predicate applied by a Filter above an unfiltered scan: the
 			// late-materialized selection must agree with post-hoc filtering.
@@ -289,12 +284,15 @@ func TestVecScanPushdownParity(t *testing.T) {
 	// and not of others, and the columns of later conjuncts decoded at the
 	// rows still kept.
 	cfr := codeSpaceFragment(t)
-	id, grade, rate, tag, mixed := ncol(0, "id"), ncol(1, "grade"), ncol(2, "rate"), ncol(3, "tag"), ncol(4, "mixed")
+	id, grade, rate, tag, m := ncol(0, "id"), ncol(1, "grade"), ncol(2, "rate"), ncol(3, "tag"), ncol(4, "m")
+	substr := func(e expr.Expr, from, n int64, members ...expr.Expr) expr.Expr {
+		return in(&expr.Func{Name: "SUBSTRING", Args: []expr.Expr{e, ci(from), ci(n)}}, false, members...)
+	}
 	for _, c := range []struct {
 		name     string
 		pred     expr.Expr
 		cols     []int // emitted; nil: every column
-		fallback bool  // some set leaves the kernels
+		fallback bool  // the row expression decides the sets
 		lean     bool  // fewer typed pages than 3 a set: where the first conjunct keeps no row, only its column is read
 	}{
 		// grade's one conjunct is tested in code space in blocks 0 and 2 and
@@ -310,10 +308,10 @@ func TestVecScanPushdownParity(t *testing.T) {
 		// Outside block 2 the first conjunct keeps no row, and the others'
 		// columns are never decoded (see the page count below).
 		{"first-conjunct-keeps-none", and(and(eq(tag, cs("T-9")), lt(rate, cf(0.6))), lt(id, ci(2_900))), []int{3}, false, true},
-		// In block 2, tag is tested in code space and id decoded at its
-		// survivors before mixed's boxed pages send the set to the row
-		// expression, which must read both in full.
-		{"fallback-after-narrowing", and(and(in(tag, false, cs("T-8"), cs("T-9"), cs("T-10")), gt(id, ci(2_050))), lt(mixed, ci(30))), []int{0, 3}, true, false},
+		// q22's shape: SUBSTRING … IN has no kernel, so the row expression
+		// decides every set, over all four predicate columns in full.
+		{"conjunct-without-kernel", and(and(in(tag, false, cs("T-8"), cs("T-9"), cs("T-10")), gt(id, ci(2_050))),
+			and(lt(m, ci(30)), substr(tag, 3, 1, cs("8"), cs("1")))), []int{0, 3}, true, false},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			whole := boxedScanRows(t, cfr, c.pred)
@@ -339,10 +337,7 @@ func TestVecScanPushdownParity(t *testing.T) {
 				t.Errorf("%d typed pages over %d page sets: the later conjuncts' columns were read where no row was left", typed, sets)
 			}
 			if rowSets := ctx.PredRowSets.Load(); (rowSets != 0) != c.fallback {
-				t.Errorf("%d page sets on the row expression, want them only where a page is boxed (%v)", rowSets, c.fallback)
-			}
-			if c.fallback && ctx.DecodeBoxedPages.Load() == 0 {
-				t.Error("no page decoded boxed — the fallback case is vacuous")
+				t.Errorf("%d page sets on the row expression, want them only where a conjunct has no kernel (%v)", rowSets, c.fallback)
 			}
 			if n := ctx.RowsProcessed.Load(); n != 4000 {
 				t.Errorf("the predicate metered %d rows, want all 4000", n)
@@ -351,9 +346,124 @@ func TestVecScanPushdownParity(t *testing.T) {
 	}
 }
 
+// TestScansRefuseAForeignCell: a column holds only its own kind — storage
+// refuses another — so a page holding a cell of another kind is corrupt. A
+// columnar scan over a column page — tagged, Huffman-packed, or a
+// dictionary — and a row scan over a row page, each hand-built with a STRING
+// among an INT column's cells, return an error and no rows, with no
+// predicate, with a kernel on the column and with a conjunct a dictionary
+// page is tested in code space for.
+func TestScansRefuseAForeignCell(t *testing.T) {
+	testutil.AssertNoGoroutineLeak(t)
+	sch := types.NewSchema(types.Column{Name: "id", Kind: types.KindInt}, types.Column{Name: "n", Kind: types.KindInt})
+	rows := make([]types.Row, 40)
+	for i := range rows {
+		rows[i] = types.Row{types.NewInt(int64(i)), types.NewInt(int64(i % 4))}
+	}
+	bad := types.NewString("four")
+	preds := map[string]expr.Expr{
+		"no predicate": nil,
+		"kernel":       gt(ncol(1, "n"), ci(1)),
+		"code space":   in(ncol(1, "n"), false, ci(1), ci(3)),
+	}
+	open := func(columnar bool) (*storage.NodeStore, *catalog.TableDef) {
+		ns, err := storage.NewNodeStore(storage.NodeConfig{BaseDir: t.TempDir(), NumDisks: 1, PageSize: 1024, BufFrames: 64, BufStripes: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ns.Close() })
+		return ns, &catalog.TableDef{Name: "t", Schema: sch, Columnar: columnar,
+			Part: catalog.Partitioning{Kind: catalog.PartHash, Cols: []string{"id"}}}
+	}
+	refused := func(name string, scan func(pred expr.Expr) Operator) {
+		t.Helper()
+		for pname, pred := range preds {
+			if got, err := Collect(scan(pred)); err == nil || len(got) != 0 {
+				t.Errorf("%s, %s: %d rows, err %v; want an error and no rows", name, pname, len(got), err)
+			}
+		}
+	}
+	// The n page of the one written set, rewritten: cell 7 a string, left
+	// tagged or sealed (mixed kinds pack), or the INT cells sealed into a
+	// dictionary whose entry for 0 is then retagged as the empty string.
+	for _, layout := range []string{"tagged", "packed", "dict"} {
+		ns, def := open(true)
+		fr, err := storage.OpenColumnarFragment(ns, def)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fr.Load(rows); err != nil {
+			t.Fatal(err)
+		}
+		if err := fr.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		f, err := ns.Buf.Fetch(page.Key{File: fr.Files[0], Page: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		vals, err := page.ColumnPage{Buf: f.Buf}.Values()
+		if err != nil || len(vals) != len(rows) {
+			t.Fatalf("the n page holds %d values (%v)", len(vals), err)
+		}
+		if layout != "dict" {
+			vals[7] = bad
+		}
+		clear(f.Buf)
+		cp := page.InitColumnPage(f.Buf)
+		for _, v := range vals {
+			if !cp.Append(v) {
+				t.Fatal("the rewritten page does not fit")
+			}
+		}
+		if layout != "tagged" {
+			cp.Seal()
+		}
+		if layout == "dict" {
+			// The entries INT 0, 1, 2, 3 in types.AppendValue's encoding;
+			// a STRING tag over INT 0's two bytes reads as "".
+			at := bytes.Index(f.Buf, []byte{byte(types.KindInt), 0, byte(types.KindInt), 2, byte(types.KindInt), 4, byte(types.KindInt), 6})
+			if at < 0 {
+				t.Fatal("the sealed page holds no dictionary of 0 to 3")
+			}
+			f.Buf[at] = byte(types.KindString)
+			if _, err := cp.DictEntries(&vec.Col{Kind: types.KindInt, Form: vec.FormInt}); err == nil {
+				t.Fatal("the dictionary's entries read as INTs")
+			}
+		}
+		ns.Buf.Unpin(f, true)
+		refused("columnar, "+layout, func(pred expr.Expr) Operator {
+			return NewVecColumnarScan(fr, "", ScanConfig{Pred: pred, Parallel: 1})
+		})
+	}
+	// A row appended to the one row page as encoded bytes.
+	ns, def := open(false)
+	fr, err := storage.OpenFragment(ns, def)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fr.Load(rows); err != nil {
+		t.Fatal(err)
+	}
+	f, err := ns.Buf.Fetch(page.Key{File: fr.Files[0], Page: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rp, err := page.AsRowPage(f.Buf)
+	if err != nil || rp.LiveRows() != len(rows) {
+		t.Fatalf("the row page holds %d rows (%v)", rp.LiveRows(), err)
+	}
+	if _, ok := rp.InsertEncoded(types.AppendRow(nil, types.Row{types.NewInt(40), bad})); !ok {
+		t.Fatal("the row page is full")
+	}
+	ns.Buf.Unpin(f, true)
+	refused("row", func(pred expr.Expr) Operator {
+		return NewRowScan(fr, "", ScanConfig{Pred: pred, Parallel: 1})
+	})
+}
+
 // TestVecScanParallelParity runs the pushdown scan serially and with a
-// 4-worker morsel-parallel decode and demands identical row multisets and
-// a zero boxed-page count on both.
+// 4-worker morsel-parallel decode and demands identical row multisets.
 func TestVecScanParallelParity(t *testing.T) {
 	testutil.AssertNoGoroutineLeak(t)
 	fr, _ := vecScanFragment(t)
@@ -368,9 +478,6 @@ func TestVecScanParallelParity(t *testing.T) {
 		out, err := Collect(NewVecColumnarScan(fr, "", cfg))
 		if err != nil {
 			t.Fatal(err)
-		}
-		if boxed := ctx.DecodeBoxedPages.Load(); boxed != 0 {
-			t.Errorf("parallel=%d: %d boxed page decodes", parallel, boxed)
 		}
 		return out
 	}
@@ -397,9 +504,6 @@ func TestVecScanNoPredFullDecode(t *testing.T) {
 			t.Fatal(err)
 		}
 		assertSameRows(t, got, rows)
-		if boxed := ctx.DecodeBoxedPages.Load(); boxed != 0 {
-			t.Errorf("parallel=%d: %d boxed page decodes", parallel, boxed)
-		}
 	}
 }
 
@@ -507,9 +611,6 @@ func TestVecScanProjectionParity(t *testing.T) {
 						t.Fatal(err)
 					}
 					assertSameRows(t, got, want)
-					if boxed := ctx.DecodeBoxedPages.Load(); boxed != 0 {
-						t.Errorf("%d boxed page decodes", boxed)
-					}
 					// Read set = emitted ∪ predicate columns.
 					read := map[int]bool{}
 					for _, c := range cols {

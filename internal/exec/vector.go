@@ -75,7 +75,7 @@ func keyColumns(keys []expr.Expr, n int) (cols []int, anyExpr bool) {
 }
 
 // errVecFallback signals that a compiled kernel met a runtime layout it
-// cannot handle (e.g. a demoted boxed column); the operator re-evaluates
+// cannot handle (e.g. a boxed column); the operator re-evaluates
 // the batch through the row expression path, preserving exact semantics.
 var errVecFallback = errors.New("exec: vector kernel fallback")
 

@@ -50,7 +50,6 @@ type Span struct {
 	Batches      atomic.Int64 // row slabs this operator shipped (vectorized path)
 	VecBatches   atomic.Int64 // typed columnar batches this operator shipped (vector path)
 	DecodeTyped  atomic.Int64 // column pages decoded by the typed batch decoders
-	DecodeBoxed  atomic.Int64 // column pages that fell back to boxed DecodeInto
 	PredKernel   atomic.Int64 // page sets whose scan predicate ran through the compiled vector kernel
 	PredRow      atomic.Int64 // page sets whose scan predicate was evaluated row by row (expr.EvalBool)
 	SpillBytes   atomic.Int64
@@ -169,12 +168,10 @@ func (s *Span) AddState(n int64) {
 	}
 }
 
-// AddDecode records how a scan's column pages decoded: typed batch
-// decoders vs the boxed DecodeInto fallback. Nil-safe.
-func (s *Span) AddDecode(typed, boxed int64) {
+// AddDecode records the column pages a scan decoded. Nil-safe.
+func (s *Span) AddDecode(pages int64) {
 	if s != nil {
-		s.DecodeTyped.Add(typed)
-		s.DecodeBoxed.Add(boxed)
+		s.DecodeTyped.Add(pages)
 	}
 }
 
@@ -249,7 +246,6 @@ type SpanSnapshot struct {
 	Batches      int64  `json:"batches,omitempty"`
 	VecBatches   int64  `json:"vec_batches,omitempty"`
 	DecodeTyped  int64  `json:"decode_typed,omitempty"`
-	DecodeBoxed  int64  `json:"decode_boxed,omitempty"`
 	PredKernel   int64  `json:"pred_kernel_sets,omitempty"`
 	PredRow      int64  `json:"pred_row_sets,omitempty"`
 	SpillBytes   int64  `json:"spill_bytes,omitempty"`
@@ -281,7 +277,6 @@ func (s *Span) snapshot() SpanSnapshot {
 		Batches:      s.Batches.Load(),
 		VecBatches:   s.VecBatches.Load(),
 		DecodeTyped:  s.DecodeTyped.Load(),
-		DecodeBoxed:  s.DecodeBoxed.Load(),
 		PredKernel:   s.PredKernel.Load(),
 		PredRow:      s.PredRow.Load(),
 		SpillBytes:   s.SpillBytes.Load(),
@@ -458,8 +453,8 @@ func (s SpanSnapshot) line() string {
 	if s.VecBatches > 0 {
 		fmt.Fprintf(&sb, " vec_batches=%d", s.VecBatches)
 	}
-	if s.DecodeTyped > 0 || s.DecodeBoxed > 0 {
-		fmt.Fprintf(&sb, " decode=%dT/%dB", s.DecodeTyped, s.DecodeBoxed)
+	if s.DecodeTyped > 0 {
+		fmt.Fprintf(&sb, " decode=%d", s.DecodeTyped)
 	}
 	switch {
 	case s.PredRow > 0:

@@ -121,8 +121,8 @@ func (p ColumnPage) Values() ([]types.Value, error) {
 }
 
 // DecodeInto streams every value on the page through fn without building
-// an intermediate slice — the boxed fallback of the vectorized scan appends
-// them into column slabs. Decoding stops early when fn returns false.
+// an intermediate slice: the boxed reader Values and the tests' reference
+// decode are built on it. Decoding stops early when fn returns false.
 func (p ColumnPage) DecodeInto(fn func(types.Value) bool) error {
 	layout, pay, err := p.body()
 	if err != nil {

@@ -18,22 +18,21 @@ import (
 // position-addressed readers in layout.go; a tagged page (the appended
 // stream of an open set, or a sealed page with no typed layout,
 // Huffman-unpacked first) is walked here, cell by cell, stepping over
-// unselected cells by their lengths. They are strict about kinds: a selected
-// cell — or a typed page — whose kind is not the expected one (or NULL)
-// returns ErrKindMismatch with the destination rolled back, and the caller
-// reruns the page through the boxed DecodeInto path, which preserves the
-// mixed-kind demotion semantics of Col.Append.
+// unselected cells by their lengths. A cell holds NULL or its column's kind:
+// storage refuses a value of another kind, so a cell — or a typed page — of
+// another kind is a corrupt page, reported like any other.
 //
 // All decoders validate the payload length against the page buffer and
 // every cell against the payload before reading, so a corrupted page
 // yields an error — never a panic or an over-read (fuzzed in
-// decode_test.go).
+// decode_test.go). After an error the slab and the null bitmap hold
+// anything: no caller reads them.
 
-// ErrKindMismatch reports that a typed decoder met a cell whose kind has
-// no place in the requested slab. The destination slab and null bitmap are
-// rolled back to their input state, so the caller can fall back to the
-// boxed DecodeInto path.
-var ErrKindMismatch = errors.New("page: value kind does not match typed decoder")
+// errKind reports the i-th cell (or dictionary entry) of a page holding a
+// kind that is neither NULL nor its column's.
+func errKind(what string, i int, got, want types.Kind) error {
+	return fmt.Errorf("page: %s %d: %v in a column of %v", what, i, got, want)
+}
 
 // body returns the page's layout and its stored payload, with the flags
 // byte and the declared byte length validated against the buffer. A tagged
@@ -106,8 +105,7 @@ func selRun(sel []int32, k int) (from, to int) {
 // materialization): a fixed or dict page reads just those cells; the tagged
 // walk steps over the others by their lengths and stops at the last selected
 // one, so the tail of the page is never touched. A position beyond the
-// page's value count is an error. Returns the grown slab; on any error, dst
-// and nulls are rolled back to their input state.
+// page's value count is an error. Returns the grown slab.
 func (p ColumnPage) DecodeInt64sSel(kind types.Kind, dst []int64, nulls *vec.Bitmap, sel []int32) ([]int64, error) {
 	layout, pay, err := p.body()
 	if err != nil {
@@ -117,23 +115,23 @@ func (p ColumnPage) DecodeInt64sSel(kind types.Kind, dst []int64, nulls *vec.Bit
 	if layout != layoutTagged {
 		return typedInt64s(layout, pay, n, kind, dst, nulls, sel)
 	}
-	start, want, pos, i := len(dst), wanted(sel, n), 0, 0
+	want, pos, i := wanted(sel, n), 0, 0
 	for k := 0; k < want; {
 		to := n
 		if sel != nil {
 			var from int
 			if from, to = selRun(sel, k); from < i || to > n {
-				return undo(dst, nulls, start), fmt.Errorf("page: selection positions %d to %d out of order or beyond page (%d values)", from, to-1, n)
+				return dst, fmt.Errorf("page: selection positions %d to %d out of order or beyond page (%d values)", from, to-1, n)
 			}
 			if pos, err = skipCells(pay, pos, from-i); err != nil {
-				return undo(dst, nulls, start), fmt.Errorf("page: column values %d to %d: %w", i, from-1, err)
+				return dst, fmt.Errorf("page: column values %d to %d: %w", i, from-1, err)
 			}
 			i = from
 		}
 		k += to - i
 		for ; i < to; i++ {
 			if pos >= len(pay) {
-				return undo(dst, nulls, start), fmt.Errorf("page: column value %d: payload truncated", i)
+				return dst, fmt.Errorf("page: column value %d: payload truncated", i)
 			}
 			tag := types.Kind(pay[pos])
 			pos++
@@ -142,17 +140,17 @@ func (p ColumnPage) DecodeInt64sSel(kind types.Kind, dst []int64, nulls *vec.Bit
 				nulls.Set(len(dst))
 				dst = append(dst, 0)
 			case tag != kind:
-				return undo(dst, nulls, start), ErrKindMismatch
+				return dst, errKind("column value", i, tag, kind)
 			case kind == types.KindBool:
 				if pos >= len(pay) {
-					return undo(dst, nulls, start), fmt.Errorf("page: column value %d: short bool", i)
+					return dst, fmt.Errorf("page: column value %d: short bool", i)
 				}
 				dst = append(dst, int64(pay[pos]))
 				pos++
 			default: // KindInt, KindDate
 				v, m := binary.Varint(pay[pos:])
 				if m <= 0 {
-					return undo(dst, nulls, start), fmt.Errorf("page: column value %d: bad varint", i)
+					return dst, fmt.Errorf("page: column value %d: bad varint", i)
 				}
 				dst = append(dst, v)
 				pos += m
@@ -172,23 +170,23 @@ func (p ColumnPage) DecodeFloat64sSel(dst []float64, nulls *vec.Bitmap, sel []in
 	if layout != layoutTagged {
 		return typedFloat64s(layout, pay, n, dst, nulls, sel)
 	}
-	start, want, pos, i := len(dst), wanted(sel, n), 0, 0
+	want, pos, i := wanted(sel, n), 0, 0
 	for k := 0; k < want; {
 		to := n
 		if sel != nil {
 			var from int
 			if from, to = selRun(sel, k); from < i || to > n {
-				return undo(dst, nulls, start), fmt.Errorf("page: selection positions %d to %d out of order or beyond page (%d values)", from, to-1, n)
+				return dst, fmt.Errorf("page: selection positions %d to %d out of order or beyond page (%d values)", from, to-1, n)
 			}
 			if pos, err = skipCells(pay, pos, from-i); err != nil {
-				return undo(dst, nulls, start), fmt.Errorf("page: column values %d to %d: %w", i, from-1, err)
+				return dst, fmt.Errorf("page: column values %d to %d: %w", i, from-1, err)
 			}
 			i = from
 		}
 		k += to - i
 		for ; i < to; i++ {
 			if pos >= len(pay) {
-				return undo(dst, nulls, start), fmt.Errorf("page: column value %d: payload truncated", i)
+				return dst, fmt.Errorf("page: column value %d: payload truncated", i)
 			}
 			tag := types.Kind(pay[pos])
 			pos++
@@ -198,12 +196,12 @@ func (p ColumnPage) DecodeFloat64sSel(dst []float64, nulls *vec.Bitmap, sel []in
 				dst = append(dst, 0)
 			case types.KindFloat:
 				if len(pay)-pos < 8 {
-					return undo(dst, nulls, start), fmt.Errorf("page: column value %d: short float", i)
+					return dst, fmt.Errorf("page: column value %d: short float", i)
 				}
 				dst = append(dst, math.Float64frombits(binary.LittleEndian.Uint64(pay[pos:])))
 				pos += 8
 			default:
-				return undo(dst, nulls, start), ErrKindMismatch
+				return dst, errKind("column value", i, tag, types.KindFloat)
 			}
 		}
 	}
@@ -226,23 +224,23 @@ func (p ColumnPage) DecodeStringsSel(dict *vec.Dict, dst []int32, nulls *vec.Bit
 	if layout != layoutTagged {
 		return typedStrings(layout, pay, n, dict, dst, nulls, sel)
 	}
-	start, want, pos, i := len(dst), wanted(sel, n), 0, 0
+	want, pos, i := wanted(sel, n), 0, 0
 	for k := 0; k < want; {
 		to := n
 		if sel != nil {
 			var from int
 			if from, to = selRun(sel, k); from < i || to > n {
-				return undo(dst, nulls, start), fmt.Errorf("page: selection positions %d to %d out of order or beyond page (%d values)", from, to-1, n)
+				return dst, fmt.Errorf("page: selection positions %d to %d out of order or beyond page (%d values)", from, to-1, n)
 			}
 			if pos, err = skipCells(pay, pos, from-i); err != nil {
-				return undo(dst, nulls, start), fmt.Errorf("page: column values %d to %d: %w", i, from-1, err)
+				return dst, fmt.Errorf("page: column values %d to %d: %w", i, from-1, err)
 			}
 			i = from
 		}
 		k += to - i
 		for ; i < to; i++ {
 			if pos >= len(pay) {
-				return undo(dst, nulls, start), fmt.Errorf("page: column value %d: payload truncated", i)
+				return dst, fmt.Errorf("page: column value %d: payload truncated", i)
 			}
 			tag := types.Kind(pay[pos])
 			pos++
@@ -253,16 +251,16 @@ func (p ColumnPage) DecodeStringsSel(dict *vec.Dict, dst []int32, nulls *vec.Bit
 			case types.KindString:
 				l, m := binary.Uvarint(pay[pos:])
 				if m <= 0 {
-					return undo(dst, nulls, start), fmt.Errorf("page: column value %d: bad string length", i)
+					return dst, fmt.Errorf("page: column value %d: bad string length", i)
 				}
 				pos += m
 				if uint64(len(pay)-pos) < l {
-					return undo(dst, nulls, start), fmt.Errorf("page: column value %d: short string (%d < %d)", i, len(pay)-pos, l)
+					return dst, fmt.Errorf("page: column value %d: short string (%d < %d)", i, len(pay)-pos, l)
 				}
 				dst = append(dst, dict.CodeBytes(pay[pos:pos+int(l)]))
 				pos += int(l)
 			default:
-				return undo(dst, nulls, start), ErrKindMismatch
+				return dst, errKind("column value", i, tag, types.KindString)
 			}
 		}
 	}
@@ -276,9 +274,8 @@ func (p ColumnPage) DecodeStringsSel(dict *vec.Dict, dst []int32, nulls *vec.Bit
 // code is not checked against d here: as Decode*Sel checks only the cells it
 // reads, the caller checks each code it reads, and a code of d or more is a
 // corrupt page. A page of another layout returns nil codes and no error, c
-// untouched. An entry of a kind c has no place for is ErrKindMismatch, and a
-// corrupt dictionary an error, both with c untouched. The codes alias the
-// page buffer.
+// untouched. An entry of another kind than c's, like any corrupt dictionary,
+// is an error with c untouched. The codes alias the page buffer.
 func (p ColumnPage) DictEntries(c *vec.Col) ([]byte, error) {
 	layout, pay, err := p.body()
 	if err != nil || layout != layoutDict {
@@ -311,7 +308,7 @@ func (p ColumnPage) DictEntries(c *vec.Col) ([]byte, error) {
 		v.internAll(c.Dict, &null, &code)
 		c.Codes = appendEntries(c.Codes, code[:v.d], null[:v.d], &bm)
 	default:
-		return nil, ErrKindMismatch
+		return nil, fmt.Errorf("page: no typed layout for a %v column", c.Kind)
 	}
 	c.Nulls = bm.Words
 	return v.codes, nil

@@ -234,8 +234,8 @@ func anyAtLeast(b []byte, d int) bool {
 }
 
 // intEntries reads an INT/DATE/BOOL dict page's entries into val, marking
-// NULL entries in null; hasNull reports one. An entry of another kind is
-// ErrKindMismatch.
+// NULL entries in null; hasNull reports one. An entry of another kind is an
+// error.
 func intEntries(v *dictView, kind types.Kind, val *[maxDictEntries]int64, null *[maxDictEntries]bool) (hasNull bool, err error) {
 	for e := 0; e < v.d; e++ {
 		ent := v.entry(e)
@@ -243,7 +243,7 @@ func intEntries(v *dictView, kind types.Kind, val *[maxDictEntries]int64, null *
 		case tag == types.KindNull:
 			null[e], hasNull = true, true
 		case tag != kind:
-			return false, ErrKindMismatch
+			return false, errKind("dictionary entry", e, tag, kind)
 		case kind == types.KindBool:
 			val[e] = int64(ent[1])
 		default:
@@ -262,22 +262,22 @@ func floatEntries(v *dictView, val *[maxDictEntries]float64, null *[maxDictEntri
 		case types.KindFloat:
 			val[e] = math.Float64frombits(binary.LittleEndian.Uint64(ent[1:]))
 		default:
-			return false, ErrKindMismatch
+			return false, errKind("dictionary entry", e, types.Kind(ent[0]), types.KindFloat)
 		}
 	}
 	return hasNull, nil
 }
 
 // stringEntries marks a STRING dict page's NULL entries in null; hasNull
-// reports one. An entry of another kind is ErrKindMismatch.
+// reports one. An entry of another kind is an error.
 func stringEntries(v *dictView, null *[maxDictEntries]bool) (hasNull bool, err error) {
 	for e := 0; e < v.d; e++ {
-		switch types.Kind(v.entry(e)[0]) {
+		switch tag := types.Kind(v.entry(e)[0]); tag {
 		case types.KindNull:
 			null[e], hasNull = true, true
 		case types.KindString:
 		default:
-			return false, ErrKindMismatch
+			return false, errKind("dictionary entry", e, tag, types.KindString)
 		}
 	}
 	return hasNull, nil
@@ -313,14 +313,6 @@ func zeroNulls[T int64 | float64](v *fixedView, out []T, nulls *vec.Bitmap, star
 	}
 }
 
-// undo rolls a failed decode back to slab length start.
-func undo[T any](dst []T, nulls *vec.Bitmap, start int) []T {
-	if nulls != nil {
-		nulls.Truncate(start)
-	}
-	return dst[:start]
-}
-
 func errSelBeyond(pos int32, n int) error {
 	return fmt.Errorf("page: selection position %d beyond page (%d values)", pos, n)
 }
@@ -329,7 +321,7 @@ func errSelBeyond(pos int32, n int) error {
 // page — every cell for a nil sel — to dst, marking NULLs only when the page
 // has a NULL entry. Over every cell, the codes are all checked in one pass
 // before one loop copies the entries. A code with no entry or a position
-// beyond the page rolls dst and nulls back.
+// beyond the page is an error.
 func dictCells[T int64 | float64 | int32](v *dictView, val *[maxDictEntries]T, null *[maxDictEntries]bool, hasNull bool, dst []T, nulls *vec.Bitmap, sel []int32) ([]T, error) {
 	start := len(dst)
 	if sel == nil {
@@ -355,11 +347,11 @@ func dictCells[T int64 | float64 | int32](v *dictView, val *[maxDictEntries]T, n
 	for k, pos := range sel {
 		i := int(pos)
 		if uint(i) >= uint(len(v.codes)) {
-			return undo(dst, nulls, start), errSelBeyond(pos, len(v.codes))
+			return dst, errSelBeyond(pos, len(v.codes))
 		}
 		c := v.codes[i]
 		if int(c) >= v.d {
-			return undo(dst, nulls, start), v.errCode(i)
+			return dst, v.errCode(i)
 		}
 		if hasNull && null[c] {
 			nulls.Set(start + k)
@@ -371,8 +363,7 @@ func dictCells[T int64 | float64 | int32](v *dictView, val *[maxDictEntries]T, n
 
 // typedInt64s is the INT/DATE/BOOL reader of the two typed layouts: it
 // appends the cells at the positions in sel (nil: every position) to dst,
-// reading only those cells. The page's kind is known before anything is
-// appended, so ErrKindMismatch leaves dst and nulls untouched.
+// reading only those cells. A page of another kind is an error.
 func typedInt64s(layout int, pay []byte, n int, kind types.Kind, dst []int64, nulls *vec.Bitmap, sel []int32) ([]int64, error) {
 	if layout == layoutDict {
 		var v dictView
@@ -392,7 +383,7 @@ func typedInt64s(layout int, pay []byte, n int, kind types.Kind, dst []int64, nu
 		return dst, err
 	}
 	if v.kind != kind {
-		return dst, ErrKindMismatch
+		return dst, fmt.Errorf("page: a fixed-width page of %v cells in a %v column", v.kind, kind)
 	}
 	start := len(dst)
 	if sel == nil {
@@ -425,7 +416,7 @@ func typedInt64s(layout int, pay []byte, n int, kind types.Kind, dst []int64, nu
 		i := int(pos)
 		switch {
 		case uint(i) >= uint(n):
-			return undo(dst, nulls, start), errSelBeyond(pos, n)
+			return dst, errSelBeyond(pos, n)
 		case v.null(i):
 			nulls.Set(start + k)
 			out[k] = 0
@@ -457,7 +448,7 @@ func typedFloat64s(layout int, pay []byte, n int, dst []float64, nulls *vec.Bitm
 		return dst, err
 	}
 	if v.kind != types.KindFloat {
-		return dst, ErrKindMismatch
+		return dst, fmt.Errorf("page: a fixed-width page of %v cells in a %v column", v.kind, types.KindFloat)
 	}
 	start := len(dst)
 	if sel == nil {
@@ -475,7 +466,7 @@ func typedFloat64s(layout int, pay []byte, n int, dst []float64, nulls *vec.Bitm
 		i := int(pos)
 		switch {
 		case uint(i) >= uint(n):
-			return undo(dst, nulls, start), errSelBeyond(pos, n)
+			return dst, errSelBeyond(pos, n)
 		case v.null(i):
 			nulls.Set(start + k)
 			out[k] = 0
@@ -493,7 +484,7 @@ func typedFloat64s(layout int, pay []byte, n int, dst []float64, nulls *vec.Bitm
 // none for an entry no wanted cell refers to.
 func typedStrings(layout int, pay []byte, n int, dict *vec.Dict, dst []int32, nulls *vec.Bitmap, sel []int32) ([]int32, error) {
 	if layout == layoutFixed {
-		return dst, ErrKindMismatch // no string is fixed-width; the boxed rerun validates the page
+		return dst, errors.New("page: a fixed-width page in a VARCHAR column")
 	}
 	var v dictView
 	if err := v.parse(pay, n); err != nil {
@@ -521,12 +512,12 @@ func typedStrings(layout int, pay []byte, n int, dict *vec.Dict, dst []int32, nu
 	for k, pos := range sel {
 		i := int(pos)
 		if uint(i) >= uint(n) {
-			return undo(dst, nulls, start), errSelBeyond(pos, n)
+			return dst, errSelBeyond(pos, n)
 		}
 		c := v.codes[i]
 		switch {
 		case int(c) >= v.d:
-			return undo(dst, nulls, start), v.errCode(i)
+			return dst, v.errCode(i)
 		case null[c]:
 			nulls.Set(start + k)
 			out[k] = 0

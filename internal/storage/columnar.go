@@ -81,11 +81,12 @@ func OpenColumnarFragment(ns *NodeStore, def *catalog.TableDef) (*ColumnarFragme
 }
 
 // appendRow adds one row to the open set of the next disk, flushing the set
-// to disk when full. A value that no page can hold is an error naming the
-// column, and the row is not appended. The caller holds fr.mu.
+// to disk when full. A row checkRow refuses, or with a value that no page can
+// hold, is an error naming the column, and the row is not appended. The
+// caller holds fr.mu.
 func (fr *ColumnarFragment) appendRow(r types.Row) error {
-	if len(r) != fr.Def.Schema.Len() {
-		return fmt.Errorf("storage: columnar row arity %d != schema %d", len(r), fr.Def.Schema.Len())
+	if err := checkRow(fr.Def, r); err != nil {
+		return err
 	}
 	disk := fr.nextRR % len(fr.Files)
 	ok, err := fr.open[disk].Append(r)

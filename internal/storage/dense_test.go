@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -42,9 +43,9 @@ var denseColumns = []struct {
 	{"comment", types.KindString, func(r *rand.Rand, i, _ int) types.Value { // > 256 distinct
 		return types.NewString(fmt.Sprintf("carefully final request %d sleeps %d", i, r.Intn(1000)))
 	}},
-	{"mixed", types.KindString, func(r *rand.Rand, i, _ int) types.Value { // a STRING column holding INTs
+	{"digits", types.KindString, func(r *rand.Rand, i, _ int) types.Value { // two shapes of short string
 		if r.Intn(4) == 0 {
-			return types.NewInt(int64(r.Intn(50)))
+			return types.NewString(strconv.Itoa(r.Intn(50)))
 		}
 		return types.NewString(fmt.Sprintf("m%d", r.Intn(20)))
 	}},
@@ -488,8 +489,10 @@ func fixtureRow(i int64) types.Row {
 	switch {
 	case i%17 == 4:
 		r[3] = types.Null
+	case i%29 == 11 && i < 120:
+		r[4] = types.NewInt(i) // the fixture file's rows, written before storage refused an INT in l_note
 	case i%29 == 11:
-		r[4] = types.NewInt(i)
+		r[4] = types.NewString(strconv.FormatInt(i, 10))
 	}
 	return r
 }

@@ -3,6 +3,8 @@ package storage
 import (
 	"fmt"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/catalog"
@@ -450,10 +452,10 @@ func TestColumnarHuffmanStrings(t *testing.T) {
 // TestColumnarLoadGoldenPages: a page set closes when a typed column's sealed
 // page is full, so the per-file counts below are what the admission rule and
 // the layouts together allocate for these rows, Loaded and Flushed (and what
-// the benchmark's space_amp follows). The mixed-kind l_note column has no
-// typed layout and spills to the overflow file instead of capping the other
-// four. The loaded rows come back exactly, NULLs and the mixed-kind column
-// included.
+// the benchmark's space_amp follows). The l_note column, over a thousand
+// distinct strings, has no typed layout and spills to the overflow file
+// instead of capping the other four. The loaded rows come back exactly,
+// NULLs included.
 func TestColumnarLoadGoldenPages(t *testing.T) {
 	ns := newNode(t, 2048)
 	def := lineitemDef(true)
@@ -470,7 +472,7 @@ func TestColumnarLoadGoldenPages(t *testing.T) {
 		case i%17 == 4:
 			r[3] = types.Null
 		case i%29 == 11:
-			r[4] = types.NewInt(i) // a STRING column holding an INT: the page stays tagged
+			r[4] = types.NewString(strconv.FormatInt(i, 10)) // one of 1,013 notes apart: the page stays tagged
 		}
 		rows = append(rows, r)
 		want[i] = r
@@ -503,6 +505,58 @@ func TestColumnarLoadGoldenPages(t *testing.T) {
 	})
 	if err != nil || len(want) != 0 {
 		t.Fatalf("scan: %v; %d loaded rows never came back", err, len(want))
+	}
+}
+
+// TestStorageRefusesAnotherKind: a row Insert, a row Load and a columnar
+// Load each refuse a non-NULL value whose kind is not its column's, naming
+// the column, and store nothing of the row — the foreign value sits in the
+// last column, after the ones a columnar append takes first. A row of the
+// right kinds, NULL in a column, still goes in and comes back alone.
+func TestStorageRefusesAnotherKind(t *testing.T) {
+	ns := newNode(t, 2048)
+	rowFr, err := OpenFragment(ns, lineitemDef(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	colDef := lineitemDef(true)
+	colDef.Name = "lineitem_col"
+	colFr, err := OpenColumnarFragment(ns, colDef)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := liRow(1)
+	bad[3] = types.NewInt(7) // l_price is FLOAT; the cluster converts an INT before storage sees it
+	refused := func(what string, n int, err error) {
+		t.Helper()
+		if n != 0 || err == nil || !strings.Contains(err.Error(), ".l_price holds FLOAT, not INT") {
+			t.Errorf("%s of an INT into l_price: %d rows, %v", what, n, err)
+		}
+	}
+	_, err = rowFr.Insert(nil, bad)
+	refused("row Insert", 0, err)
+	n, err := rowFr.Load([]types.Row{bad})
+	refused("row Load", n, err)
+	n, err = colFr.Load([]types.Row{bad})
+	refused("columnar Load", n, err)
+	good := liRow(2)
+	good[2] = types.Null
+	for _, load := range []func([]types.Row) (int, error){rowFr.Load, colFr.Load} {
+		if n, err := load([]types.Row{good}); n != 1 || err != nil {
+			t.Fatalf("Load of a row of its kinds: %d rows, %v", n, err)
+		}
+	}
+	var rows, cols []types.Row
+	if _, err := rowFr.Scan(ScanOptions{}, func(_ page.RID, r types.Row) (bool, error) { rows = append(rows, r.Clone()); return true, nil }); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := colScan(colFr, ScanOptions{}, func(r types.Row) (bool, error) { cols = append(cols, r); return true, nil }); err != nil {
+		t.Fatal(err)
+	}
+	for name, got := range map[string][]types.Row{"row": rows, "columnar": cols} {
+		if len(got) != 1 || rowKey(got[0]) != rowKey(good) {
+			t.Errorf("%s fragment holds %v, want only %v", name, got, good)
+		}
 	}
 }
 

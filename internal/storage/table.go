@@ -89,13 +89,31 @@ func (fr *Fragment) PersistPredCache() error {
 	return fr.PredCache.Persist(fr.predCachePath())
 }
 
+// checkRow refuses a row that does not fit def's schema: one of another
+// arity, or with a non-NULL value whose kind is not its column's. Converting
+// a value to its column's kind is the writer's job (the cluster coerces
+// every write before placing it), so a column holds only its own kind and no
+// reader meets another.
+func checkRow(def *catalog.TableDef, r types.Row) error {
+	cols := def.Schema.Cols
+	if len(r) != len(cols) {
+		return fmt.Errorf("storage: row arity %d != schema %d for %s", len(r), len(cols), def.Name)
+	}
+	for i, v := range r {
+		if v.K != cols[i].Kind && v.K != types.KindNull {
+			return fmt.Errorf("storage: %s.%s holds %v, not %v", def.Name, cols[i].Name, cols[i].Kind, v.K)
+		}
+	}
+	return nil
+}
+
 // Insert appends a row to the fragment, choosing a disk round-robin, and
 // returns the row's RID. Append-only: the row goes on the last page of the
 // disk's file or a fresh page (the paper's append-only insert rule that
 // keeps predicate caches valid for full pages).
 func (fr *Fragment) Insert(tx TxHook, r types.Row) (page.RID, error) {
-	if len(r) != fr.Def.Schema.Len() {
-		return page.RID{}, fmt.Errorf("storage: row arity %d != schema %d for %s", len(r), fr.Def.Schema.Len(), fr.Def.Name)
+	if err := checkRow(fr.Def, r); err != nil {
+		return page.RID{}, err
 	}
 	disk := int(fr.insertSeq.Add(1)-1) % len(fr.Files)
 	fileID := fr.Files[disk]

@@ -17,6 +17,7 @@
 package vec
 
 import (
+	"fmt"
 	"sync/atomic"
 
 	"repro/internal/types"
@@ -27,9 +28,9 @@ type Form uint8
 
 // Column layouts.
 const (
-	// FormBoxed stores boxed types.Value — the fallback for columns whose
-	// schema kind is unknown (KindNull) or whose values turn out mixed-kind
-	// at runtime (e.g. the $min/$max partial-aggregate columns).
+	// FormBoxed stores boxed types.Value: a column whose schema kind is
+	// unknown (KindNull), such as a $min/$max partial-aggregate column, or
+	// a string column a producer keeps boxed.
 	FormBoxed Form = iota
 	// FormInt stores the int64 payload of INT, DATE, and BOOLEAN values.
 	FormInt
@@ -212,9 +213,9 @@ func HashCol(c *Col, i int) uint64 {
 	}
 }
 
-// Append appends one value. A value whose kind does not match the column's
-// typed layout demotes the whole column to FormBoxed (the safety net that
-// keeps adapters total: mixed-kind streams stay correct, just slower).
+// Append appends one value: NULL or of the column's kind into a typed
+// layout, any value into FormBoxed. A value of another kind in a typed
+// layout is a bug of the caller's, and panics.
 func (c *Col) Append(v types.Value) {
 	i := c.Len()
 	if v.K == types.KindNull {
@@ -253,8 +254,7 @@ func (c *Col) Append(v types.Value) {
 		c.Vals = append(c.Vals, v)
 		return
 	}
-	c.demote(i)
-	c.Vals = append(c.Vals, v)
+	panic(fmt.Sprintf("vec: a %v value appended to a %v column", v.K, c.Kind))
 }
 
 // AppendInt appends a non-null fixed-width payload (Int/Date/Bool) without
@@ -269,17 +269,6 @@ func (c *Col) AppendCode(code int32) { c.Codes = append(c.Codes, code) }
 
 // AppendNull appends a NULL.
 func (c *Col) AppendNull() { c.Append(types.Null) }
-
-// demote rewrites the first n typed entries as boxed values.
-func (c *Col) demote(n int) {
-	vals := make([]types.Value, n)
-	for i := 0; i < n; i++ {
-		vals[i] = c.Value(i)
-	}
-	c.Form = FormBoxed
-	c.Vals = vals
-	c.I, c.F, c.Codes, c.Dict, c.Nulls = nil, nil, nil, nil, nil
-}
 
 // Batch is one vectorized batch: N appended rows across Cols, with an
 // optional selection vector. Sel == nil means all N rows are active;

@@ -85,25 +85,32 @@ func TestSelectionSemantics(t *testing.T) {
 	}
 }
 
-// TestAppendDemotes: appending a kind-mismatched value demotes the column
-// to boxed form without losing the already-appended typed values.
-func TestAppendDemotes(t *testing.T) {
-	var c Col
-	c.Kind = types.KindInt
-	c.Form = FormInt
+// TestAppendKeepsItsKind: a typed column takes NULL and values of its kind
+// and panics on another kind — no producer hands it one, as storage refuses
+// such a cell — while a FormBoxed column takes any value.
+func TestAppendKeepsItsKind(t *testing.T) {
+	c := Col{Kind: types.KindInt, Form: FormInt}
 	c.Append(types.NewInt(7))
 	c.Append(types.Null)
-	c.Append(types.NewString("oops"))
-	if c.Form != FormBoxed {
-		t.Fatalf("form = %d, want FormBoxed after kind mismatch", c.Form)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("a STRING appended to an INT column did not panic")
+			}
+		}()
+		c.Append(types.NewString("oops"))
+	}()
+	if c.Form != FormInt || c.Len() != 2 || c.Value(0).Int() != 7 || !c.IsNull(1) {
+		t.Fatalf("INT column after a refused append: form %d, %d values", c.Form, c.Len())
 	}
-	if c.Len() != 3 {
-		t.Fatalf("len = %d, want 3", c.Len())
+	boxed := Col{Kind: types.KindInt, Form: FormBoxed}
+	want := []types.Value{types.NewInt(7), types.Null, types.NewString("odd")}
+	for _, v := range want {
+		boxed.Append(v)
 	}
-	want := []types.Value{types.NewInt(7), types.Null, types.NewString("oops")}
 	for i, w := range want {
-		if got := c.Value(i); got.String() != w.String() {
-			t.Fatalf("value %d = %v, want %v", i, got, w)
+		if got := boxed.Value(i); got.String() != w.String() {
+			t.Fatalf("boxed value %d = %v, want %v", i, got, w)
 		}
 	}
 }
@@ -303,15 +310,21 @@ func FuzzDecodeRows(f *testing.F) {
 		if len(rows) == 0 {
 			return
 		}
+		// A column is typed by the kind its values share, and boxed
+		// (KindNull) when they mix kinds.
 		sch := types.Schema{Cols: make([]types.Column, len(rows[0]))}
 		for j := range sch.Cols {
-			sch.Cols[j] = types.Column{Name: "c", Kind: types.KindNull}
+			kind, mixed := types.KindNull, false
 			for _, r := range rows {
-				if !r[j].IsNull() {
-					sch.Cols[j].Kind = r[j].K
-					break
+				if k := r[j].K; k != types.KindNull {
+					mixed = mixed || kind != types.KindNull && k != kind
+					kind = k
 				}
 			}
+			if mixed {
+				kind = types.KindNull
+			}
+			sch.Cols[j] = types.Column{Name: "c", Kind: kind}
 		}
 		got, err = DecodeRows(EncodeBatch(nil, FromRows(sch, rows), 0, len(rows)))
 		same("EncodeBatch", got, err)

@@ -25,8 +25,8 @@ import (
 //	    FormStr   uvarint ndict, ndict × (uvarint len + bytes), nrows × uvarint code
 //	    FormBoxed nrows × types.AppendValue
 //
-// LZ4 framing in the network layer composes on top: same-typed adjacent
-// bytes compress better than interleaved tagged rows.
+// The network layer sends the encoding as it is, uncompressed: the
+// per-message string dictionaries are the only compression a payload gets.
 
 // EncodeRows appends the columnar encoding of a row slab to dst. The
 // per-column layout is inferred by scanning the slab: a column whose

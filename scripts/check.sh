@@ -63,7 +63,7 @@ go test -run '^$' -bench BenchmarkPlanTPCH -benchtime 1x ./internal/tpch >/dev/n
 echo "==> bench smoke (a Load's statistics refresh: Finish after a 160-row batch on a 60,000-row lineitem-shaped builder)"
 go test -run '^$' -bench BenchmarkStatsRefresh -benchtime 1x ./internal/catalog >/dev/null
 
-echo "==> fuzz smoke (the three typed column-page decoders over every cell and a fuzzed selection against DecodeInto, every layout, and chain heads: error with exact rollback, a chain inside its overflow file, never panic)"
+echo "==> fuzz smoke (the three typed column-page decoders and the code-space accessor over every cell and a fuzzed selection against DecodeInto, every layout, and chain heads: error or agree, a chain inside its overflow file, never panic, never read past the payload)"
 go test -run '^$' -fuzz '^FuzzTypedDecode$' -fuzztime 5s ./internal/page >/dev/null
 
 echo "==> fuzz smoke (LIKE kernel: agrees with expr.Like.Eval on any strings and pattern, dictionary-coded and boxed, NOT LIKE and NULL too)"
