@@ -10,12 +10,13 @@ package main
 //     iteration.
 //   - vecown: the *vec.Batch returned by NextVec (internal/exec/vector.go,
 //     internal/vec), and every slab reachable from it (Sel, a column's
-//     I/F/Codes/Nulls slices, a Col header copy), is valid only until the
-//     producer's next NextVec or Close. Boxed values (Col.Value(i)) and
-//     materialized rows (Batch.Materialize, Batch.ReadRow) are independent
-//     storage and may be retained, as are scalars like b.N. Writes INTO the
-//     batch are sanctioned — the contract lets the consumer rewrite b.Sel in
-//     place.
+//     I/F/Codes/Nulls slices, a Col header copy), is the consumer's only
+//     until it calls the batch's Release, which hands it back to the
+//     process-wide pools for a later batch; the producer never touches a
+//     batch it has shipped. Boxed values (Col.Value(i)) and materialized
+//     rows (Batch.Materialize, Batch.ReadRow) are independent storage and
+//     may be retained, as are scalars like b.N. Writes INTO the batch are
+//     sanctioned — the contract lets the consumer rewrite b.Sel in place.
 //
 // The analysis is intra-procedural: it tracks the variables bound to the
 // producer's result (and, to a fixpoint, their aliases and derived slabs)
@@ -25,7 +26,8 @@ package main
 //     variable, and
 //   - any use of a tracked variable inside a function literal that is not
 //     invoked on the spot (a goroutine body, a stored callback): by the time
-//     it runs, the producer may have reclaimed the memory.
+//     it runs, the producer (a slab) or the pools (a released batch) may
+//     have reclaimed the memory.
 //
 // Copies are the sanctioned escape hatch: `copy(cp, b)`, `append(dst, b...)`
 // and method-call results resolve to no tracked root, so they never trip

@@ -87,7 +87,10 @@ type Config struct {
 	Nmax            int // neighbor limit for tree and ring topologies
 	MemRows         int // per-operator memory budget (rows)
 	BatchRows       int // rows per slab on the vectorized path (0 = defaults)
-	MailboxCap      int // per-channel fabric mailbox bound (0 = 1024 messages)
+	// MailboxCap bounds a fabric mailbox: how many messages a sender may
+	// queue on one channel ahead of its reader (0 = 1024). A mailbox's
+	// memory follows the messages it holds, not this bound.
+	MailboxCap int
 	// ParallelBudget is the per-worker pool of extra operator threads that
 	// exec.Ctx.AcquireWorkers grants from. 0 derives it from the host CPU
 	// count; a negative value pins the budget to zero (all operators serial

@@ -112,4 +112,9 @@ func TestWorkerCrashRecoveryWithCoordinator(t *testing.T) {
 	if !found {
 		t.Fatal("committed-in-doubt row missing after recovery + coordinator resolution")
 	}
+	// The restarted worker's manager is the one it runs with now: the
+	// crashed one's in-memory state, 7777 still prepared in it, died with
+	// the crash (an invariants build checks at Close that no transaction is
+	// left active).
+	w.Txn = mgr2
 }

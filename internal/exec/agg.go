@@ -540,8 +540,8 @@ func NewHashAggregate(ctx *Ctx, in Operator, groupBy []expr.Expr, specs []AggSpe
 
 // NewTypedHashAggregate builds a Complete or Partial aggregation whose build
 // reads in's typed batches. Above degree 1 a batch crosses to a build worker
-// uncopied, so in must ship every batch freshly built, as VecColumnarScan
-// does (an adapter that refills one batch does not qualify).
+// uncopied, which the NextVec contract allows: each batch is the consumer's
+// until it releases it, which the build does once it has ingested it.
 func NewTypedHashAggregate(ctx *Ctx, in VecOperator, groupBy []expr.Expr, specs []AggSpec, mode AggMode) *HashAggregate {
 	h := NewHashAggregate(ctx, in, groupBy, specs, mode)
 	h.typed = in
@@ -726,7 +726,7 @@ func (h *HashAggregate) prepare() error {
 	}
 	var err error
 	if h.typed != nil {
-		err = fanOut(h.ctx, freshBatches(h.typed), degree, func(w int, b *vec.Batch) error {
+		err = fanOut(h.ctx, typedBatches(h.typed), degree, func(w int, b *vec.Batch) error {
 			return tables[w].ingestBatch(b)
 		}, nil)
 	} else {

@@ -475,12 +475,14 @@ func SendAll(ctx *Ctx, ep network.Endpoint, to int, channel string, in Operator)
 // SendAllVec is SendAll for a typed stream: batches are encoded straight
 // from typed column slabs — no boxed row materialization on the send side —
 // chunked into wire messages of at most wire active rows each, so message
-// counts derive from the same Ctx.BatchRows knob as the boxed path. The
-// receiver cannot tell the two apart.
+// counts derive from the same Ctx.BatchRows knob as the boxed path, and
+// each batch is released once encoded. The receiver cannot tell the two
+// apart.
 func SendAllVec(ctx *Ctx, ep network.Endpoint, to int, channel string, in VecOperator) error {
 	wire := ctx.wireBatchRows()
 	return sendStream(ep, to, channel, in, func() error {
 		return drain(ctx, in.NextVec, func(b *vec.Batch) error {
+			defer b.Release() // after the last chunk is encoded
 			n := b.Rows()
 			for off := 0; off < n; off += wire {
 				payload := exchangeHeader(make([]byte, 0, 64), msgData, ep.NodeID())

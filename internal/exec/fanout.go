@@ -8,13 +8,16 @@ import (
 )
 
 // slabs is a blocking operator's input as fanOut sees it, whatever the slab
-// type S: next pulls one slab, rows sizes it, and own — nil for a producer
-// that builds every slab fresh and never touches it again — copies a slab
-// the producer will reuse, so that it can cross to another goroutine.
+// type S: next pulls one slab, rows sizes it, own — nil for a producer that
+// hands every slab over and never touches it again — copies a slab the
+// producer will reuse, so that it can cross to another goroutine, and
+// release — nil: nothing to do — hands a slab back once work is done with
+// it.
 type slabs[S any] struct {
-	next func() (S, bool, error)
-	rows func(S) int
-	own  func(S) S
+	next    func() (S, bool, error)
+	rows    func(S) int
+	own     func(S) S
+	release func(S)
 }
 
 // rowSlabs reads an operator's row slabs. NextBatch hands out a buffer the
@@ -27,18 +30,19 @@ func rowSlabs(in Operator) slabs[[]types.Row] {
 	}
 }
 
-// freshBatches reads the typed batches of a producer that ships each batch
-// once and never touches it again (VecColumnarScan.NextVec): a batch crosses
-// to a build worker as it is.
-func freshBatches(in VecOperator) slabs[*vec.Batch] {
-	return slabs[*vec.Batch]{next: in.NextVec, rows: (*vec.Batch).Rows}
+// typedBatches reads the typed batches of a VecOperator, each of which is
+// its consumer's until released: a batch crosses to a build worker as it
+// is, and goes back to the pools once the worker is done with it.
+func typedBatches(in VecOperator) slabs[*vec.Batch] {
+	return slabs[*vec.Batch]{next: in.NextVec, rows: (*vec.Batch).Rows, release: (*vec.Batch).Release}
 }
 
 // fanOut is how a blocking operator's input reaches the workers it was
 // granted — the operator-input counterpart of storage.runMorsels, generic
 // over the slab type the way feed[T] is. It drains in, hands every slab to
 // work and, once the input is exhausted, calls done (which may be nil) for
-// each worker; RowsProcessed is charged here, once per slab.
+// each worker; RowsProcessed is charged here, once per slab, and every slab
+// work was handed is released (in.release) once work returns.
 //
 // At degree <= 1 everything runs on the caller's goroutine and work(0, ·)
 // sees the producer's own slab, valid until it returns like any NextBatch
@@ -54,6 +58,13 @@ func freshBatches(in VecOperator) slabs[*vec.Batch] {
 func fanOut[S any](ctx *Ctx, in slabs[S], degree int, work func(w int, slab S) error, done func(w int) error) error {
 	if done == nil {
 		done = func(int) error { return nil }
+	}
+	if in.release != nil {
+		inner := work
+		work = func(w int, slab S) error {
+			defer in.release(slab)
+			return inner(w, slab)
+		}
 	}
 	pull := func(deal func(slab S) error) error {
 		return drain(ctx, in.next, func(slab S) error {

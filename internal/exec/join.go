@@ -118,8 +118,8 @@ func NewHashJoin(ctx *Ctx, probe, build Operator, probeKeys, buildKeys []expr.Ex
 
 // NewTypedProbeHashJoin builds a hash join whose streaming probe reads
 // probe's typed batches. Above degree 1 a batch crosses to a probe worker
-// uncopied, so probe must ship every batch freshly built, as VecColumnarScan
-// does.
+// uncopied, which the NextVec contract allows: each batch is the consumer's
+// until it releases it, which the probe does once it has probed it.
 func NewTypedProbeHashJoin(ctx *Ctx, probe VecOperator, build Operator, probeKeys, buildKeys []expr.Expr, jt JoinType, residual expr.Expr, parallel int) *HashJoin {
 	h := NewHashJoin(ctx, probe, build, probeKeys, buildKeys, jt, residual, parallel)
 	h.typed = probe
@@ -307,7 +307,7 @@ func (h *HashJoin) streamProbe(table *joinTable) error {
 		defer h.ctx.ReleaseWorkers(degree)
 		var err error
 		if h.typed != nil {
-			err = fanOut(h.ctx, freshBatches(h.typed), degree, func(w int, b *vec.Batch) error {
+			err = fanOut(h.ctx, typedBatches(h.typed), degree, func(w int, b *vec.Batch) error {
 				if err := stopped(); err != nil {
 					return err
 				}

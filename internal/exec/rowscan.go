@@ -46,9 +46,7 @@ func NewRowScan(fr *storage.Fragment, alias string, cfg ScanConfig) *FragmentSca
 	fs.start = fs.run
 	fs.batch = cfg.Ctx.batchRows()
 	fs.cancel = cfg.Ctx.Cancel()
-	// A row table's rows are boxed at rest: handing them to a row consumer
-	// is not counted in BoxedRows, which watches the columnar scans.
-	fs.vecRowShim = vecRowShim{src: fs}
+	fs.vecRowShim = vecRowShim{src: fs, ctx: cfg.Ctx}
 	fs.layOutRows(table)
 	return fs
 }
@@ -106,6 +104,7 @@ func (fs *FragmentScan) run() error {
 	for i := range senders {
 		senders[i].flush()
 		counts.add(&decs[i].scanCounts)
+		decs[i].release()
 	}
 	counts.report(fs.cfg, stats, &fs.scanCols, degree)
 	return err
@@ -125,7 +124,9 @@ func (fs *FragmentScan) newDecoder() *rowPageDecoder {
 }
 
 // rowPageDecoder turns the live rows of one row page at a time into typed
-// batch columns for one scan worker. All scratch is single-threaded.
+// batch columns for one scan worker. All scratch is single-threaded; its
+// columns and dictionaries come from the pools and go back with release
+// when the worker is done.
 type rowPageDecoder struct {
 	fs    *FragmentScan
 	conj  conjuncts    // the predicate's kernels, one per conjunct; nil without them
@@ -137,6 +138,18 @@ type rowPageDecoder struct {
 	// No row is counted into rowsEval: a row table's predicate is not
 	// metered as filter work.
 	scanCounts
+}
+
+// release hands the decoder's scratch columns and dictionaries back to the
+// pools. An eval column's dictionary may be a shipped batch's, which is its
+// consumer's to release.
+func (d *rowPageDecoder) release() {
+	for ci := range d.eval.Cols {
+		d.eval.Cols[ci].ReturnSlabs()
+	}
+	for _, dict := range d.dicts {
+		vec.PutDict(dict)
+	}
 }
 
 // decodePage appends the kept rows of one page's live rows to the sender's
@@ -250,22 +263,20 @@ func (d *rowPageDecoder) filter(b *vec.Batch, rows [][]byte) ([]int32, error) {
 // otherwise into the decoder's own, which lasts across pages until it holds
 // more entries than a batch has rows.
 func (d *rowPageDecoder) resetEvalCol(ci int, b *vec.Batch) {
-	c := &d.eval.Cols[ci]
 	form := d.fs.form[ci]
 	var dict *vec.Dict
 	if oi := d.fs.outOf[ci]; oi >= 0 {
 		dict = b.Cols[oi].Dict
 	}
 	if dict == nil && form == vec.FormStr {
-		if d.dicts[ci] == nil || d.dicts[ci].Len() > d.fs.batch {
-			d.dicts[ci] = vec.NewDict()
+		if d.dicts[ci] == nil {
+			d.dicts[ci] = vec.GetDict()
+		} else if d.dicts[ci].Len() > d.fs.batch {
+			d.dicts[ci].Reset()
 		}
 		dict = d.dicts[ci]
 	}
-	resetCol(c, d.fs.table.Cols[ci].Kind, dict)
-	if form == vec.FormBoxed {
-		c.Form, c.Dict = vec.FormBoxed, nil
-	}
+	resetCol(&d.eval.Cols[ci], d.fs.table.Cols[ci].Kind, form, dict)
 }
 
 // appendCell appends a decoded cell to c, in c's layout. A cell of another

@@ -11,10 +11,11 @@ import (
 // feed adapts a callback-style scan into a pull operator by running the
 // scan in a goroutine (the paper spawns one scan thread per table fragment;
 // this goroutine is that thread). T is what crosses the goroutine boundary:
-// a row slab ([]types.Row) for the row and external scans, a typed column
-// batch (*vec.Batch) for the columnar scan — one channel select per slab
-// instead of per row. Every shipped slab was freshly built by its producer
-// and is never touched by it again, so the consumer owns it outright.
+// a row slab ([]types.Row) for the external scan, a typed column batch
+// (*vec.Batch) for the row-table and columnar scans — one channel select per
+// slab instead of per row. The producer never touches a slab it has shipped,
+// so the consumer owns it outright: a row slab was built fresh, and a batch,
+// taken from the pools, is the consumer's until it releases it (VecOperator).
 type feed[T any] struct {
 	sch     types.Schema
 	start   func() error // the scan; ships through ports taken from port()

@@ -13,9 +13,11 @@ import (
 )
 
 // vecBatchSender accumulates decoded page sets into a batch and ships the
-// batch once it reaches the slab size. Each shipped batch is freshly built
-// with its own dictionaries and never reused, so no dictionary is ever
-// shared across the goroutine boundary while still being appended to.
+// batch once it reaches the slab size. Each batch comes from the pools
+// (vec.Get) with dictionaries of its own, and the sender never touches one
+// it has shipped: the consumer owns it until it releases it, so no
+// dictionary is shared across the goroutine boundary while still being
+// appended to.
 type vecBatchSender struct {
 	feedPort[*vec.Batch]
 	sch   types.Schema
@@ -24,16 +26,11 @@ type vecBatchSender struct {
 	cur   *vec.Batch
 }
 
-// building returns the batch under construction, allocating a fresh one
-// (fresh dictionaries) after every flush.
+// building returns the batch under construction, taking a new one from the
+// pools after every flush.
 func (b *vecBatchSender) building() *vec.Batch {
 	if b.cur == nil {
-		b.cur = vec.New(b.sch)
-		for oi, boxed := range b.boxed {
-			if boxed {
-				b.cur.Cols[oi].Form, b.cur.Cols[oi].Dict = vec.FormBoxed, nil
-			}
-		}
+		b.cur = vec.Get(b.sch, b.boxed)
 	}
 	return b.cur
 }
@@ -47,16 +44,18 @@ func (b *vecBatchSender) maybeFlush() bool {
 	return b.flush()
 }
 
-// flush ships the current batch (if non-empty).
+// flush ships the current batch, or releases it if it holds no row.
 func (b *vecBatchSender) flush() bool {
-	if b.cur == nil || b.cur.N == 0 {
+	if b.cur == nil {
 		return true
 	}
-	if !b.ship(b.cur) {
-		return false
-	}
+	cur := b.cur
 	b.cur = nil
-	return true
+	if cur.N == 0 {
+		cur.Release()
+		return true
+	}
+	return b.ship(cur)
 }
 
 // VecColumnarScan is the vector-native PAX-table scan: page sets are
@@ -162,6 +161,7 @@ func (cs *VecColumnarScan) run() error {
 	for i := range senders {
 		senders[i].flush()
 		counts.add(&decs[i].scanCounts)
+		decs[i].release()
 	}
 	cs.cfg.Trace.AddSets(stats.SetsRead, stats.SetsSkipped, stats.ChainPages)
 	counts.report(cs.cfg, stats, &cs.scanCols, degree)
@@ -234,7 +234,7 @@ func (cs *VecColumnarScan) newDecoder() *pageSetDecoder {
 		d.eval.Cols = make([]vec.Col, n)
 		d.entries.Sch = cs.table
 		d.entries.Cols = make([]vec.Col, n)
-		d.entryDict = vec.NewDict()
+		d.entryDict = vec.GetDict()
 		d.state = make([]colState, n)
 		d.counted = make([]uint32, n)
 		d.dicts = make([]*vec.Dict, n)
@@ -245,7 +245,9 @@ func (cs *VecColumnarScan) newDecoder() *pageSetDecoder {
 // pageSetDecoder turns pinned page sets into typed batch columns for one
 // scan worker: full typed decode without a predicate, decode-time
 // evaluation plus selection-vector late materialization with one. All
-// scratch is single-threaded — one decoder per worker.
+// scratch is single-threaded — one decoder per worker — and its columns
+// and dictionaries come from the pools and go back with release when the
+// worker is done.
 type pageSetDecoder struct {
 	cs   *VecColumnarScan
 	conj conjuncts // the predicate's kernels, one per conjunct; nil without them
@@ -274,6 +276,21 @@ type pageSetDecoder struct {
 	// space counts as decoded); rowsEval is every row of a set, however early
 	// the conjuncts drop it.
 	scanCounts
+}
+
+// release hands the decoder's scratch columns and dictionaries back to the
+// pools. An eval column's dictionary may be a shipped batch's, which is its
+// consumer's to release.
+func (d *pageSetDecoder) release() {
+	for ci := range d.eval.Cols {
+		d.eval.Cols[ci].ReturnSlabs()
+		d.entries.Cols[ci].ReturnSlabs()
+	}
+	d.narrow.ReturnSlabs()
+	vec.PutDict(d.entryDict)
+	for _, dict := range d.dicts {
+		vec.PutDict(dict)
+	}
 }
 
 // colState is how much of a predicate column the eval scratch holds.
@@ -393,7 +410,8 @@ func (d *pageSetDecoder) test(j int, pos []int32) (int, bool, error) {
 	}
 	e := &d.entries.Cols[ci]
 	d.entryDict.Reset()
-	resetCol(e, d.cs.table.Cols[ci].Kind, d.entryDict)
+	kind := d.cs.table.Cols[ci].Kind
+	resetCol(e, kind, vec.FormFor(kind), d.entryDict)
 	codes, err := chunks[0].DictEntries(e)
 	switch {
 	case err != nil:
@@ -460,7 +478,7 @@ func (d *pageSetDecoder) decodePred(ci int, sel []int32) error {
 		return d.decodeCol(d.set.Chunks(ci), c, nil, &d.counted[ci])
 	}
 	tmp := &d.narrow
-	resetCol(tmp, c.Kind, c.Dict)
+	resetCol(tmp, c.Kind, c.Form, c.Dict)
 	if err := d.decodeCol(d.set.Chunks(ci), tmp, sel, &d.counted[ci]); err != nil {
 		return err
 	}
@@ -481,26 +499,27 @@ func (d *pageSetDecoder) resetEvalCol(ci int) *vec.Col {
 		dict = d.building.Cols[oi].Dict
 	}
 	kind := d.cs.table.Cols[ci].Kind
-	if dict == nil && vec.FormFor(kind) == vec.FormStr {
+	form := vec.FormFor(kind)
+	if dict == nil && form == vec.FormStr {
 		if d.dicts[ci] == nil {
-			d.dicts[ci] = vec.NewDict()
+			d.dicts[ci] = vec.GetDict()
 		}
 		dict = d.dicts[ci]
 		dict.Reset()
 	}
 	c := &d.eval.Cols[ci]
-	resetCol(c, kind, dict)
+	resetCol(c, kind, form, dict)
 	return c
 }
 
-// resetCol empties c into the layout of a column of kind, its slabs
-// truncated and a string column interning into dict.
-func resetCol(c *vec.Col, kind types.Kind, dict *vec.Dict) {
-	c.Kind = kind
-	c.Form = vec.FormFor(kind)
+// resetCol empties scratch column c into layout form for a column of kind,
+// its slabs truncated — the one the layout uses, if c has none yet, taken
+// from the pools — and a string column interning into dict.
+func resetCol(c *vec.Col, kind types.Kind, form vec.Form, dict *vec.Dict) {
+	c.Kind, c.Form, c.Dict = kind, form, dict
 	c.I, c.F, c.Codes, c.Vals = c.I[:0], c.F[:0], c.Codes[:0], c.Vals[:0]
 	c.Nulls = c.Nulls[:0]
-	c.Dict = dict
+	c.TakeSlabs()
 }
 
 // spreadCol writes the k-th cell of src, decoded at the positions sel, to

@@ -15,11 +15,14 @@ import (
 // NextVec returns a *vec.Batch of unboxed column slabs instead of a boxed
 // row slab.
 //
-// Ownership mirrors the slab contract (see vec package doc): the returned
-// batch — column slabs, bitmaps, and selection vector — is valid only until
-// the producer's next NextVec or Close; the caller may rewrite Sel in place
-// but must not retain the batch or its arrays. Boxed values copied out are
-// immutable and retainable.
+// Ownership (see the vec package doc): the returned batch — column slabs,
+// bitmaps, dictionaries and selection vector — belongs to the caller until
+// the caller calls its Release, and the producer never touches it again.
+// Release hands it back to the process-wide pools, so after that call
+// nothing reads the batch or anything reachable from it; a caller that
+// never releases a batch only costs the pools a reuse. The caller may
+// rewrite Sel in place but must not retain the batch or its arrays past
+// Release. Boxed values copied out are immutable and retainable.
 type VecOperator interface {
 	Operator
 	// NextVec returns the next batch; ok=false signals exhaustion.
@@ -38,8 +41,9 @@ func nativeVec(op Operator) (VecOperator, bool) {
 }
 
 // vecRowShim gives a typed scan its Operator face by materializing row
-// slabs from its NextVec, charging the rows to BoxedRows when ctx is set.
-// The scan sets src to itself, and ctx, in its constructor.
+// slabs from its NextVec, charging the rows to BoxedRows when ctx is set,
+// and releasing each batch once it is boxed. The scan sets src to itself,
+// and ctx, in its constructor.
 type vecRowShim struct {
 	src  VecOperator
 	ctx  *Ctx
@@ -52,6 +56,7 @@ func (s *vecRowShim) NextBatch() ([]types.Row, bool, error) {
 		return nil, false, err
 	}
 	s.slab = b.Materialize(s.slab)
+	b.Release()
 	s.ctx.addBoxed(int64(len(s.slab)))
 	return s.slab, true, nil
 }

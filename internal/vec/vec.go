@@ -8,12 +8,15 @@
 // # Ownership contract
 //
 // A *Batch returned by a producer's NextVec — including every column slab,
-// the null bitmaps, and the selection vector — is owned by the caller only
-// until the producer's next NextVec or Close call; producers reuse the
-// backing arrays. Callers may rewrite Sel in place (that is how filters
-// work) but must treat column slabs as read-only. Boxed values copied out
-// via Col.Value are immutable and may be retained; the slabs and Sel may
-// not. The vecown lint rule enforces the non-retention half of this.
+// the null bitmaps, the dictionaries and the selection vector — belongs to
+// the caller until the caller calls its Release; the producer never touches
+// a batch it has shipped. A producer builds its batches with Get, from
+// process-wide pools, and Release hands one back, so after that call
+// nothing may read the batch or anything reachable from it (pool.go).
+// Callers may rewrite Sel in place (that is how filters work) but must
+// treat column slabs as read-only. Boxed values copied out via Col.Value are
+// immutable and may be retained; the slabs and Sel may not outlive Release.
+// The vecown lint rule enforces the non-retention half of this.
 package vec
 
 import (
@@ -54,10 +57,9 @@ func FormFor(k types.Kind) Form {
 	}
 }
 
-// Dict is an append-only string dictionary. A producer owns one Dict per
-// string column and keeps it for the whole stream, so codes are stable
-// across batches and consumers may compare by code whenever two columns
-// share the same *Dict.
+// Dict is an append-only string dictionary. A batch holds one per string
+// column, until Release resets it; its codes are stable while it lasts, so
+// consumers may compare by code whenever two columns share the same *Dict.
 type Dict struct {
 	strs  []string
 	index map[string]int32
@@ -279,6 +281,8 @@ type Batch struct {
 	Cols []Col
 	N    int
 	Sel  []int32
+
+	pooled bool // made by Get: Release hands it back
 }
 
 // New returns an empty batch laid out for the schema. String columns get a

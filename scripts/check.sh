@@ -31,8 +31,9 @@ go test -race ./internal/exec ./internal/cluster ./internal/srv ./internal/buffe
   ./internal/txn ./internal/obs ./internal/network ./internal/storage ./internal/page \
   ./internal/vec ./internal/compress ./internal/tpch ./internal/opt ./internal/perfmodel ./internal/skipcache ./cmd/hrdbms-server
 
-echo "==> go test -tags invariants (buffer, txn; storage and exec scan through poisoned recycled frames)"
-go test -tags invariants ./internal/buffer ./internal/txn ./internal/storage ./internal/exec
+echo "==> go test -tags invariants (buffer, txn; storage, exec, vec, TPC-H parity and the cluster's front-end parity through poisoned recycled frames and batches)"
+go test -tags invariants ./internal/buffer ./internal/txn ./internal/storage ./internal/exec \
+  ./internal/vec ./internal/tpch ./internal/cluster
 
 echo "==> nested benchmark module (compile, smoke test, import-surface guard)"
 (cd bench && go vet ./... && go test ./...)
