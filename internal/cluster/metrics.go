@@ -37,8 +37,9 @@ type RunMetrics struct {
 	// benchmark, whose page.decode_boxed_pages metric (bench/trace.go)
 	// reads it.
 	DecodeBoxedPages int64
-	// PredRowSets counts page sets whose scan predicate fell back from the
-	// compiled vector kernel to row-by-row evaluation.
+	// PredRowSets counts the page sets (a row table's pages) whose scan
+	// predicate has a conjunct with no compiled kernel, and so was
+	// evaluated row by row (exec.Counters.PredRowSets).
 	PredRowSets int64
 	// BoxedRows counts rows the workers boxed between a typed producer and a
 	// row consumer (exec.Counters.BoxedRows); zero when every scan fed a typed

@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -836,6 +835,7 @@ type aggTable struct {
 	keyCols  []int    // by key: the input column it is, or -1 for an expression
 	exprKeys bool     // some key is an expression
 	args     []aggArg // by state column
+	argRows  bool     // some argument has no kernel and is read off the boxed row
 	dag      *numDAG
 	scratch  types.Row
 	gs       []int32
@@ -846,10 +846,9 @@ type aggTable struct {
 // aggArg reads one state column's argument off a typed batch.
 type aggArg struct {
 	arg  expr.Expr  // nil for COUNT(*)
-	node numNode    // arg's kernel; nil for a shape without one
+	node numNode    // arg's kernel; nil for a shape without one, read off the boxed row
 	kind types.Kind // of an integer result: Int or Date
-	nv   numVec     // this batch's values, valid when ok
-	ok   bool
+	nv   numVec     // this batch's values, when node is set
 }
 
 // newAggTable builds an empty table for 1 << pbits partitions.
@@ -1111,6 +1110,7 @@ func (t *aggTable) bindTyped() {
 	for c, i := range h.stateSpec {
 		if arg := h.Specs[i].Arg; arg != nil {
 			t.args[c] = aggArg{arg: arg, node: t.dag.compile(arg, sch), kind: expr.KindOf(arg, sch)}
+			t.argRows = t.argRows || t.args[c].node == nil
 		}
 	}
 	t.scratch = make(types.Row, sch.Len())
@@ -1122,26 +1122,22 @@ func (t *aggTable) bindTyped() {
 // each distinct subexpression once for the batch — folds the kernel's
 // values for the whole batch into its column in one loop over those group
 // numbers. Anything else — an expression key, CASE, LIKE, division, a
-// string or boxed argument column — is evaluated on the boxed row, for
-// that batch only; BoxedRows counts the rows so read, and those spilled.
+// string argument column — is evaluated on the boxed row; BoxedRows counts
+// the rows so read, and those spilled.
 func (t *aggTable) ingestBatch(b *vec.Batch) error {
 	if t.args == nil {
 		t.bindTyped()
 	}
 	n := b.Rows()
 	t.dag.stamp++
-	onRows := false // some argument is evaluated on the boxed row
 	for c := range t.args {
-		a := &t.args[c]
-		a.ok = false
-		if a.node != nil {
+		if a := &t.args[c]; a.node != nil {
 			nv, err := a.node.evalNum(b, n)
-			if err != nil && !errors.Is(err, errVecFallback) {
+			if err != nil {
 				return err
 			}
-			a.nv, a.ok = nv, err == nil
+			a.nv = nv
 		}
-		onRows = onRows || (a.arg != nil && !a.ok)
 	}
 	t.gs = grow(t.gs, n)
 	gs := t.gs
@@ -1149,17 +1145,17 @@ func (t *aggTable) ingestBatch(b *vec.Batch) error {
 	if err != nil {
 		return err
 	}
-	if t.exprKeys || onRows {
+	if t.exprKeys || t.argRows {
 		boxed = int64(n)
 	}
-	if onRows {
+	if t.argRows {
 		for k, g := range gs {
 			if g < 0 {
 				continue
 			}
 			row := b.ReadRow(b.Index(k), t.scratch)
 			for c := range t.args {
-				if a := &t.args[c]; a.arg != nil && !a.ok {
+				if a := &t.args[c]; a.arg != nil && a.node == nil {
 					v, err := a.arg.Eval(row)
 					if err != nil {
 						return err
@@ -1174,7 +1170,7 @@ func (t *aggTable) ingestBatch(b *vec.Batch) error {
 		switch a := &t.args[c]; {
 		case a.arg == nil:
 			t.rows.addTo(t.cols[c].n)
-		case a.ok:
+		case a.node != nil:
 			t.cols[c].foldNum(gs, a.nv, a.kind, &t.rows)
 		}
 	}

@@ -206,19 +206,22 @@ func TestHashAggregateIntSumExactAcrossMerge(t *testing.T) {
 
 // TestHashAggregateSumOfMixedKinds: a SUM whose argument is FLOAT on some
 // rows and INT on others adds every value exactly, as a FLOAT, in Complete
-// mode and through Partial and Final, from either front end — whether the
-// argument is a CASE whose branches disagree on kind (declared FLOAT) or a
-// column declared INT that holds FLOATs (its sum turns FLOAT on the first).
+// mode and through Partial and Final — whether the argument is a CASE whose
+// branches disagree on kind (declared FLOAT), from either front end, or a
+// column declared INT that holds FLOATs (its sum turns FLOAT on the first),
+// from the row front end: storage refuses such a column, so no typed batch
+// holds one.
 func TestHashAggregateSumOfMixedKinds(t *testing.T) {
 	sch := types.Schema{Cols: []types.Column{
 		{Name: "k", Kind: types.KindInt}, {Name: "v", Kind: types.KindInt}, {Name: "f", Kind: types.KindFloat}}}
-	var rows []types.Row
+	var rows, mixed []types.Row // mixed: v holds FLOAT 0.5 where k ≤ 2
 	for k := int64(1); k <= 4; k++ {
-		v := types.NewInt(k)
+		r := types.Row{types.NewInt(k), types.NewInt(k), types.NewFloat(float64(k) / 4)}
+		rows = append(rows, r)
 		if k <= 2 {
-			v = types.NewFloat(0.5)
+			r = types.Row{r[0], types.NewFloat(0.5), r[2]}
 		}
-		rows = append(rows, types.Row{types.NewInt(k), v, types.NewFloat(float64(k) / 4)})
+		mixed = append(mixed, r)
 	}
 	gt2 := gt(col(0), ci(2))
 	cases := []struct {
@@ -226,12 +229,17 @@ func TestHashAggregateSumOfMixedKinds(t *testing.T) {
 		arg      expr.Expr
 		want     float64
 		declared types.Kind
+		mixed    bool // reads mixed, from the row front end only
 	}{
-		{"CASE WHEN k > 2 THEN 1 ELSE 0.5 END", &expr.Case{Whens: []expr.When{{Cond: gt2, Then: ci(1)}}, Else: cf(0.5)}, 3, types.KindFloat},
-		{"CASE WHEN k > 2 THEN 0 ELSE f END", &expr.Case{Whens: []expr.When{{Cond: gt2, Then: ci(0)}}, Else: col(2)}, 0.75, types.KindFloat},
-		{"v, declared INT", col(1), 8, types.KindInt},
+		{"CASE WHEN k > 2 THEN 1 ELSE 0.5 END", &expr.Case{Whens: []expr.When{{Cond: gt2, Then: ci(1)}}, Else: cf(0.5)}, 3, types.KindFloat, false},
+		{"CASE WHEN k > 2 THEN 0 ELSE f END", &expr.Case{Whens: []expr.When{{Cond: gt2, Then: ci(0)}}, Else: col(2)}, 0.75, types.KindFloat, false},
+		{"v, declared INT", col(1), 8, types.KindInt, true},
 	}
 	for _, c := range cases {
+		rows := rows
+		if c.mixed {
+			rows = mixed
+		}
 		specs := []AggSpec{{Kind: AggSum, Arg: c.arg, Name: "s"}}
 		agg := func(typed bool, in []types.Row, mode AggMode) *HashAggregate {
 			if typed {
@@ -240,6 +248,9 @@ func TestHashAggregateSumOfMixedKinds(t *testing.T) {
 			return NewHashAggregate(NewCtx("", 0), NewSource(sch, in), nil, specs, mode)
 		}
 		for _, typed := range []bool{false, true} {
+			if typed && c.mixed {
+				continue
+			}
 			complete := agg(typed, rows, AggComplete)
 			if k := complete.Schema().Cols[0].Kind; k != c.declared {
 				t.Errorf("%s: column kind %v, want %v", c.name, k, c.declared)

@@ -71,9 +71,7 @@ type Counters struct {
 	DecodeTypedPages atomic.Int64
 	// PredRowSets counts the page sets of a columnar scan, and the pages of
 	// a row-table scan, whose predicate was evaluated row by row through
-	// expr.EvalBool — no kernel for its shape, or a boxed string column
-	// under a kernel that reads codes — instead of the compiled vector
-	// kernel. Nonzero means a silent fallback.
+	// expr.EvalBool because a conjunct of it has no compiled kernel.
 	PredRowSets atomic.Int64
 	// BoxedRows counts rows boxed on the way from a typed producer to a row
 	// consumer: every row a columnar scan's NextBatch materialized (a row

@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/storage"
@@ -14,16 +13,16 @@ import (
 // With a predicate, the worker decodes the predicate's columns of every row,
 // and the emitted numeric ones, which cost no more to decode than to skip,
 // into a batch laid out like the table, and narrows a selection with the
-// predicate's conjunct kernels — the row expression decides only a page
-// whose predicate has no kernel, or meets a layout its kernels cannot read
-// — then appends the emitted columns of the rows kept to the batch it
-// ships: those decoded are gathered, and the emitted strings the predicate
-// does not read are parsed from the kept rows alone. Without a predicate,
-// every row's emitted columns are decoded straight into that batch. INT,
-// DATE and BOOLEAN cells decode to int64s, FLOATs to float64s, and strings
-// to codes of a dictionary, but for the columns cfg.Boxed marks, which stay
-// boxed. Whether a page kept a row is handed back to storage, which records
-// the absence facts.
+// predicate's conjunct kernels — the row expression decides only where a
+// conjunct of the predicate has no kernel — then appends the emitted
+// columns of the rows kept to the batch it ships: those decoded are
+// gathered, and the emitted strings the predicate does not read are parsed
+// from the kept rows alone. Without a predicate, every row's emitted
+// columns are decoded straight into that batch. INT, DATE and BOOLEAN cells
+// decode to int64s, FLOATs to float64s, and strings to codes of a
+// dictionary, but for the columns cfg.Boxed marks, which stay boxed.
+// Whether a page kept a row is handed back to storage, which records the
+// absence facts.
 type FragmentScan struct {
 	feed[*vec.Batch]
 	vecRowShim
@@ -113,8 +112,7 @@ func (fs *FragmentScan) run() error {
 func (fs *FragmentScan) newDecoder() *rowPageDecoder {
 	d := &rowPageDecoder{fs: fs}
 	if fs.cfg.Pred != nil {
-		// Compiled nodes carry per-evaluation scratch: one set per worker.
-		d.conj = compileConjuncts(fs.cfg.Pred, fs.table)
+		d.scanPred = newScanPred(fs.cfg.Pred, &fs.scanCols)
 		n := fs.table.Len()
 		d.eval.Sch = fs.table
 		d.eval.Cols = make([]vec.Col, n)
@@ -129,15 +127,12 @@ func (fs *FragmentScan) newDecoder() *rowPageDecoder {
 // when the worker is done.
 type rowPageDecoder struct {
 	fs    *FragmentScan
-	conj  conjuncts    // the predicate's kernels, one per conjunct; nil without them
 	eval  vec.Batch    // scratch, table layout: the early columns of one page's rows
 	dicts []*vec.Dict  // by table offset: the dictionary a string column only the predicate reads interns into
 	cells []types.Cell // scratch: one row's cells
-	sel   []int32
-	row   types.Row // table-width row the uncompiled predicate reads
 	// No row is counted into rowsEval: a row table's predicate is not
-	// metered as filter work.
-	scanCounts
+	// metered as filter work. Without a predicate only the counts are set.
+	scanPred
 }
 
 // release hands the decoder's scratch columns and dictionaries back to the
@@ -232,29 +227,7 @@ func (d *rowPageDecoder) filter(b *vec.Batch, rows [][]byte) ([]int32, error) {
 		}
 	}
 	d.eval.N = len(rows)
-	if d.conj != nil {
-		sel, err := d.conj.filter(&d.eval, d.sel, nil)
-		d.sel = sel
-		if err == nil {
-			d.kernelUnits++
-			return sel, nil
-		}
-		if !errors.Is(err, errVecFallback) {
-			return nil, err
-		}
-	}
-	// No kernel for some conjunct, or one fell back: evaluate the row
-	// expression, whole.
-	d.rowUnits++
-	if d.row == nil {
-		d.row = make(types.Row, len(d.eval.Cols))
-	}
-	sel, err := evalRows(d.fs.cfg.Pred, &d.eval, d.fs.pred, len(rows), d.row, d.sel[:0])
-	if err != nil {
-		return nil, err
-	}
-	d.sel = sel
-	return sel, nil
+	return d.keep(&d.eval, nil)
 }
 
 // resetEvalCol empties eval column ci into the layout the scan decodes it

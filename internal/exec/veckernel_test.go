@@ -355,7 +355,7 @@ func checkPageSetFilter(t *testing.T, sch types.Schema, set page.PageSet, dictCo
 		}
 	}
 	for _, c := range d.conj {
-		if ci := c.cols[0]; len(c.cols) == 1 && dictCols[ci] && readers[ci] == 1 && d.state[ci] != colNone {
+		if ci := c.cols[0]; len(c.cols) == 1 && dictCols[ci] && readers[ci] == 1 && d.held[ci] {
 			t.Fatalf("column %d was decoded, though its one conjunct could be tested on its dictionary page", ci)
 		}
 	}
@@ -365,9 +365,8 @@ func checkPageSetFilter(t *testing.T, sch types.Schema, set page.PageSet, dictCo
 // live rows of a page — the predicate's columns decoded typed, its
 // conjuncts narrowing the selection — with the string columns
 // dictionary-coded and then boxed, and demands it keep exactly the rows
-// whose truth is "true": on the kernels when strings are coded, and on the
-// boxed layout too unless two string columns are compared. Over the batch
-// it decoded, the whole predicate's kernel must answer every row under each
+// whose truth is "true", on the kernels in both layouts. Over the batch it
+// decoded, the whole predicate's kernel must answer every row under each
 // selection as Expr.Eval does.
 func checkRowPageFilter(t *testing.T, sch types.Schema, rows []types.Row, e expr.Expr, truth []string, sels map[string][]int32) {
 	t.Helper()
@@ -397,14 +396,10 @@ func checkRowPageFilter(t *testing.T, sch types.Schema, rows []types.Row, e expr
 		if !slices.Equal(kept, want) {
 			t.Fatalf("boxed strings %v: row-page filter kept %v, want %v", boxed != nil, kept, want)
 		}
-		node := compileBool(e, sch)
-		_, strCols := node.(*cmpStrColsNode) // its kernel reads dictionary codes
-		if d.rowUnits != 0 && (boxed == nil || !strCols) {
+		if d.rowUnits != 0 {
 			t.Fatalf("boxed strings %v: row-page filter left the kernels", boxed != nil)
 		}
-		if strCols && boxed != nil {
-			continue
-		}
+		node := compileBool(e, sch)
 		for selName, sel := range sels {
 			d.eval.Sel = sel
 			n := d.eval.Rows()

@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 
@@ -73,10 +72,9 @@ func (b *vecBatchSender) flush() bool {
 // narrow a selection vector one after another, each pulling its columns
 // from the page set as it runs — tested once per entry of a dictionary page
 // without decoding it, or decoded into a scratch batch laid out like the
-// table at the rows still kept — or, when one does not compile or falls
-// back, the row expression over the predicate's columns builds it; the
-// emitted columns are materialized only at the selected positions (late
-// materialization).
+// table at the rows still kept — or, when a conjunct has no kernel, the row
+// expression over the predicate's columns builds it; the emitted columns
+// are materialized only at the selected positions (late materialization).
 // Whether a set kept a row is handed back to storage, which records the
 // absence facts and skips page sets (predicate cache and min-max) in
 // ColumnarFragment.ScanPageSets; the scan thread drives as many page-set
@@ -203,15 +201,48 @@ func (c *scanCounts) report(cfg ScanConfig, stats storage.ScanStats, cols *scanC
 	}
 }
 
-// evalRows is the typed scans' row fallback: it evaluates pred on each of
-// the first n rows of eval, boxing the columns cols into row (table width),
-// and appends the positions it keeps to sel.
-func evalRows(pred expr.Expr, eval *vec.Batch, cols []int, n int, row types.Row, sel []int32) ([]int32, error) {
-	for k := 0; k < n; k++ {
-		for _, ci := range cols {
-			row[ci] = eval.Cols[ci].Value(k)
+// scanPred is a typed scan worker's predicate and its counts. Whether it
+// runs on kernels, one per conjunct, or as the row expression is decided
+// once, when it compiles: the row expression runs when some conjunct has no
+// kernel. Compiled nodes carry per-evaluation scratch, so each worker
+// compiles its own.
+type scanPred struct {
+	pred expr.Expr
+	cols []int     // the table columns pred reads, ascending
+	conj conjuncts // nil: the row expression decides
+	sel  []int32
+	row  types.Row // table width: what the row expression reads
+	scanCounts
+}
+
+func newScanPred(pred expr.Expr, sc *scanCols) scanPred {
+	p := scanPred{pred: pred, cols: sc.pred, conj: compileConjuncts(pred, sc.table)}
+	if p.conj == nil {
+		p.row = make(types.Row, sc.table.Len())
+	}
+	return p
+}
+
+// keep returns the positions of eval's rows the predicate keeps, and counts
+// the unit decided on the kernels or row by row. src supplies the kernels'
+// columns as they reach them (nil: eval holds them); the row expression
+// reads the predicate's columns, which eval then holds for every row.
+func (p *scanPred) keep(eval *vec.Batch, src columnSource) ([]int32, error) {
+	if p.conj != nil {
+		sel, err := p.conj.filter(eval, p.sel, src)
+		p.sel = sel
+		if err != nil {
+			return nil, err
 		}
-		keep, err := expr.EvalBool(pred, row)
+		p.kernelUnits++
+		return sel, nil
+	}
+	sel := p.sel[:0]
+	for k := 0; k < eval.N; k++ {
+		for _, ci := range p.cols {
+			p.row[ci] = eval.Cols[ci].Value(k)
+		}
+		keep, err := expr.EvalBool(p.pred, p.row)
 		if err != nil {
 			return nil, err
 		}
@@ -219,23 +250,22 @@ func evalRows(pred expr.Expr, eval *vec.Batch, cols []int, n int, row types.Row,
 			sel = append(sel, int32(k))
 		}
 	}
+	p.sel = sel
+	p.rowUnits++
 	return sel, nil
 }
 
 func (cs *VecColumnarScan) newDecoder() *pageSetDecoder {
 	d := &pageSetDecoder{cs: cs}
 	if cs.cfg.Pred != nil {
-		// Each worker compiles its own kernels: compiled nodes carry
-		// per-evaluation scratch and must not be shared across goroutines.
-		// nil when a conjunct's shape has no kernel.
-		d.conj = compileConjuncts(cs.cfg.Pred, cs.table)
+		d.scanPred = newScanPred(cs.cfg.Pred, &cs.scanCols)
 		n := cs.table.Len()
 		d.eval.Sch = cs.table
 		d.eval.Cols = make([]vec.Col, n)
 		d.entries.Sch = cs.table
 		d.entries.Cols = make([]vec.Col, n)
 		d.entryDict = vec.GetDict()
-		d.state = make([]colState, n)
+		d.held = make([]bool, n)
 		d.counted = make([]uint32, n)
 		d.dicts = make([]*vec.Dict, n)
 	}
@@ -249,8 +279,7 @@ func (cs *VecColumnarScan) newDecoder() *pageSetDecoder {
 // and dictionaries come from the pools and go back with release when the
 // worker is done.
 type pageSetDecoder struct {
-	cs   *VecColumnarScan
-	conj conjuncts // the predicate's kernels, one per conjunct; nil without them
+	cs *VecColumnarScan
 	// The page set being filtered, and the batch it is decoded into; both
 	// valid during one decodeSet.
 	set      page.PageSet
@@ -263,19 +292,19 @@ type pageSetDecoder struct {
 	entryDict *vec.Dict
 	narrow    vec.Col // scratch: a column decoded at the kept positions, for spreadCol
 	// By table offset, for the predicate's columns in the set being
-	// filtered: how far eval holds the column, the set's pages of it already
-	// counted (bit k: chunk k; a chain has at most page.MaxChainPages), and
-	// the dictionary a string column not emitted interns into, reset per set.
-	state    []colState
+	// filtered: whether eval holds the column (decoded at every row, or at
+	// the rows kept when its first conjunct ran), the set's pages of it
+	// already counted (bit k: chunk k; a chain has at most
+	// page.MaxChainPages), and the dictionary a string column not emitted
+	// interns into, reset per set.
+	held     []bool
 	counted  []uint32
 	dicts    []*vec.Dict
-	sel      []int32
-	chunkSel []int32   // one chain page's share of sel, rebased to the page
-	scratch  types.Row // table-width row the uncompiled predicate reads
+	chunkSel []int32 // one chain page's share of sel, rebased to the page
 	// Each page of a set is counted at most once (a page tested in code
 	// space counts as decoded); rowsEval is every row of a set, however early
-	// the conjuncts drop it.
-	scanCounts
+	// the conjuncts drop it. Without a predicate only the counts are set.
+	scanPred
 }
 
 // release hands the decoder's scratch columns and dictionaries back to the
@@ -292,15 +321,6 @@ func (d *pageSetDecoder) release() {
 		vec.PutDict(dict)
 	}
 }
-
-// colState is how much of a predicate column the eval scratch holds.
-type colState uint8
-
-const (
-	colNone   colState = iota // nothing: not read yet, or only tested in code space
-	colNarrow                 // the positions kept when its first conjunct ran
-	colFull                   // every position
-)
 
 // decodeSet decodes one pinned page set into the sender's building batch,
 // evaluating the scan's predicate during decode when it has one. kept
@@ -327,7 +347,7 @@ func (d *pageSetDecoder) decodeSet(snd *vecBatchSender, set page.PageSet) (kept 
 	// predicate only tested in code space included — decode only the
 	// selected positions (unselected strings are never even interned).
 	for oi, ci := range d.cs.emit {
-		if d.cs.isPred[ci] && d.state[ci] != colNone {
+		if d.cs.isPred[ci] && d.held[ci] {
 			gatherAppend(&b.Cols[oi], &d.eval.Cols[ci], sel)
 		} else if err := d.decodeCol(set.Chunks(ci), &b.Cols[oi], at, d.seen(ci)); err != nil {
 			return false, err
@@ -351,46 +371,23 @@ func (d *pageSetDecoder) seen(ci int) *uint32 {
 
 // filter returns the positions of the rows of a page set the predicate
 // keeps. The conjunct kernels pull their columns as they reach them (test,
-// load); when one falls back, or a conjunct has no kernel, every predicate
-// column is decoded in full and the row expression decides.
+// load); without them every predicate column is decoded in full and the row
+// expression decides.
 func (d *pageSetDecoder) filter(b *vec.Batch, set page.PageSet, nrows int) ([]int32, error) {
 	d.set, d.building = set, b
 	for _, ci := range d.cs.pred {
-		d.state[ci], d.counted[ci] = colNone, 0
+		d.held[ci], d.counted[ci] = false, 0
 	}
 	d.eval.N = nrows
 	d.rowsEval += int64(nrows)
-	if d.conj != nil {
-		sel, err := d.conj.filter(&d.eval, d.sel, d)
-		d.sel = sel
-		if err == nil {
-			d.kernelUnits++
-			return sel, nil
-		}
-		if !errors.Is(err, errVecFallback) {
-			return nil, err
-		}
-	}
-	// No kernel for some conjunct, or one fell back: evaluate the row
-	// expression, whole, over every predicate column in full — a narrowed
-	// one holds only some rows.
-	for _, ci := range d.cs.pred {
-		if d.state[ci] != colFull {
+	if d.conj == nil {
+		for _, ci := range d.cs.pred {
 			if err := d.decodePred(ci, nil); err != nil {
 				return nil, err
 			}
 		}
 	}
-	d.rowUnits++
-	if d.scratch == nil {
-		d.scratch = make(types.Row, len(d.eval.Cols))
-	}
-	sel, err := evalRows(d.cs.cfg.Pred, &d.eval, d.cs.pred, nrows, d.scratch, d.sel[:0])
-	if err != nil {
-		return nil, err
-	}
-	d.sel = sel
-	return sel, nil
+	return d.keep(&d.eval, d)
 }
 
 // test is columnSource.test: a conjunct that reads one column, whose page in
@@ -457,7 +454,7 @@ func (d *pageSetDecoder) test(j int, pos []int32) (int, bool, error) {
 // yet decode at the active rows.
 func (d *pageSetDecoder) load(j int, sel []int32) error {
 	for _, ci := range d.conj[j].cols {
-		if d.state[ci] == colNone {
+		if !d.held[ci] {
 			if err := d.decodePred(ci, sel); err != nil {
 				return err
 			}
@@ -473,8 +470,8 @@ func (d *pageSetDecoder) load(j int, sel []int32) error {
 // through b.Sel as ever.
 func (d *pageSetDecoder) decodePred(ci int, sel []int32) error {
 	c := d.resetEvalCol(ci)
+	d.held[ci] = true
 	if sel == nil {
-		d.state[ci] = colFull
 		return d.decodeCol(d.set.Chunks(ci), c, nil, &d.counted[ci])
 	}
 	tmp := &d.narrow
@@ -483,7 +480,6 @@ func (d *pageSetDecoder) decodePred(ci int, sel []int32) error {
 		return err
 	}
 	spreadCol(c, tmp, sel, d.eval.N)
-	d.state[ci] = colNarrow
 	return nil
 }
 

@@ -1,7 +1,7 @@
 package exec
 
 import (
-	"errors"
+	"fmt"
 	"math"
 	"slices"
 	"strings"
@@ -78,11 +78,6 @@ func keyColumns(keys []expr.Expr, n int) (cols []int, anyExpr bool) {
 	}
 	return cols, anyExpr
 }
-
-// errVecFallback signals that a compiled kernel met a runtime layout it
-// cannot handle (e.g. a boxed column); the operator re-evaluates
-// the batch through the row expression path, preserving exact semantics.
-var errVecFallback = errors.New("exec: vector kernel fallback")
 
 // numVec is a compiled numeric result over the active rows of a batch:
 // dense (index k = k-th active row), all-int or all-float, with an optional
@@ -175,7 +170,9 @@ func (nc *numColNode) evalNum(b *vec.Batch, n int) (numVec, error) {
 	case vec.FormFloat:
 		return numVec{isFloat: true, f: gather(c.F, b.Sel, n, &nc.f), null: nullsOf(c, b, n, &nc.null)}, nil
 	default:
-		return numVec{}, errVecFallback
+		// A scan lays a column out in vec.FormFor(kind), or boxed for a
+		// string column ScanConfig.Boxed marks: any other form is a bug.
+		return numVec{}, fmt.Errorf("exec: no kernel reads a %v column in form %d", c.Kind, c.Form)
 	}
 }
 
@@ -578,8 +575,7 @@ func (in *inNumNode) evalBool(b *vec.Batch, n int) ([]bool, []bool, error) {
 // matches no row. An ordering comparison, BETWEEN or [NOT] LIKE (holds) is
 // asked once per dictionary entry: its verdicts are kept by code for as long
 // as the dictionary's contents last (Dict.ID). A boxed column — the strings
-// a scan keeps undictionaried — is tested value by value; one holding a
-// value of another kind falls back.
+// a row scan keeps undictionaried — is tested value by value.
 type strLitNode struct {
 	idx     int
 	members []string
@@ -598,7 +594,7 @@ func (sn *strLitNode) evalBool(b *vec.Batch, n int) ([]bool, []bool, error) {
 	case vec.FormBoxed:
 		return sn.evalBoxed(c, b, n)
 	default:
-		return nil, nil, errVecFallback
+		return nil, nil, fmt.Errorf("exec: no kernel reads a %v column in form %d", c.Kind, c.Form)
 	}
 	null := nullsOf(c, b, n, &sn.null)
 	t := grow(sn.t, n)
@@ -679,14 +675,15 @@ func (sn *strLitNode) evalBoxed(c *vec.Col, b *vec.Batch, n int) ([]bool, []bool
 			}
 			null[k] = true
 		default:
-			return nil, nil, errVecFallback
+			return nil, nil, fmt.Errorf("exec: a %v value in a boxed %v column", v.K, c.Kind)
 		}
 	}
 	return t, null, nil
 }
 
-// cmpStrColsNode compares two dictionary string columns. When both share
-// one dictionary, equality is pure code comparison.
+// cmpStrColsNode compares two string columns, each dictionary-coded or
+// boxed. When both share one dictionary, = and <> compare codes; otherwise
+// each row is read through Col.IsNull and Col.Value.
 type cmpStrColsNode struct {
 	op           expr.BinOp
 	li, ri       int
@@ -696,26 +693,27 @@ type cmpStrColsNode struct {
 
 func (cs *cmpStrColsNode) evalBool(b *vec.Batch, n int) ([]bool, []bool, error) {
 	lc, rc := &b.Cols[cs.li], &b.Cols[cs.ri]
-	if lc.Form != vec.FormStr || rc.Form != vec.FormStr {
-		return nil, nil, errVecFallback
-	}
-	null := mergeNulls(&cs.null, nullsOf(lc, b, n, &cs.lnull), nullsOf(rc, b, n, &cs.rnull), n)
 	cs.t = growBools(cs.t, n)
-	if lc.Dict == rc.Dict && (cs.op == expr.OpEq || cs.op == expr.OpNe) {
+	if lc.Form == vec.FormStr && rc.Form == vec.FormStr && lc.Dict == rc.Dict && (cs.op == expr.OpEq || cs.op == expr.OpNe) {
 		want := cs.op == expr.OpEq
 		for k := 0; k < n; k++ {
 			i := b.Index(k)
 			cs.t[k] = (lc.Codes[i] == rc.Codes[i]) == want
 		}
-		return cs.t, null, nil
+		return cs.t, mergeNulls(&cs.null, nullsOf(lc, b, n, &cs.lnull), nullsOf(rc, b, n, &cs.rnull), n), nil
 	}
+	var null []bool
 	for k := 0; k < n; k++ {
-		if null != nil && null[k] {
+		i := b.Index(k)
+		if lc.IsNull(i) || rc.IsNull(i) {
+			if null == nil {
+				null = growBools(cs.null, n)
+				cs.null = null
+			}
+			null[k] = true
 			continue
 		}
-		i := b.Index(k)
-		c2 := strings.Compare(lc.Dict.Str(lc.Codes[i]), rc.Dict.Str(rc.Codes[i]))
-		cs.t[k] = cmpHolds(cs.op, c2)
+		cs.t[k] = cmpHolds(cs.op, strings.Compare(lc.Value(i).S, rc.Value(i).S))
 	}
 	return cs.t, null, nil
 }
@@ -825,7 +823,7 @@ type boolColNode struct {
 func (bc *boolColNode) evalBool(b *vec.Batch, n int) ([]bool, []bool, error) {
 	c := &b.Cols[bc.idx]
 	if c.Form != vec.FormInt {
-		return nil, nil, errVecFallback
+		return nil, nil, fmt.Errorf("exec: no kernel reads a %v column in form %d", c.Kind, c.Form)
 	}
 	bc.t = grow(bc.t, n)
 	for k := 0; k < n; k++ {
@@ -886,8 +884,7 @@ type columnSource interface {
 // or NULL conjunct. Given a source, each conjunct is first offered to its
 // test and otherwise has its columns loaded just before its kernel runs;
 // without one, b holds every column already. b.Sel is as it was on return.
-// An error — errVecFallback from any conjunct included — abandons the whole
-// selection.
+// An error abandons the whole selection.
 func (cs conjuncts) filter(b *vec.Batch, out []int32, src columnSource) ([]int32, error) {
 	in := b.Sel
 	defer func() { b.Sel = in }()
@@ -951,10 +948,10 @@ func numericExprKind(k types.Kind) bool {
 }
 
 // compileNum compiles an INT/FLOAT/DATE expression to a vectorized node, or
-// nil when the shape is unsupported (the caller falls back to row
-// evaluation). DATE columns and literals compile — comparisons treat DATE as
-// numeric — but DATE operands are deliberately excluded from compiled
-// arithmetic so the date±int promotion rules stay in one place (expr.arith).
+// nil when the shape is unsupported (the caller evaluates it row by row).
+// DATE columns and literals compile — comparisons treat DATE as numeric —
+// but DATE operands are deliberately excluded from compiled arithmetic so
+// the date±int promotion rules stay in one place (expr.arith).
 // Its nodes are not shared: a predicate's kernels each read their own
 // selection.
 func compileNum(e expr.Expr, sch types.Schema) numNode {
@@ -1164,8 +1161,8 @@ func compileLike(x *expr.Like, sch types.Schema) boolNode {
 }
 
 // compileBool compiles a predicate to a vectorized node, or nil when
-// unsupported. CASE, functions, and division inside predicates all take the
-// row fallback, as do BETWEEN and IN over anything but non-NULL literals,
+// unsupported. CASE, functions, and division inside predicates all run row
+// by row, as do BETWEEN and IN over anything but non-NULL literals,
 // and LIKE over anything but a column and a literal pattern.
 func compileBool(e expr.Expr, sch types.Schema) boolNode {
 	switch x := e.(type) {
